@@ -209,6 +209,11 @@ pub trait Fabric: Send + Sync + 'static {
     /// visible at `dst` only after [`Self::put_wait`] on the token,
     /// [`Self::quiet`], or a subsequent flag update to the *same* target
     /// (point-to-point ordering — the pipelined collectives' discipline).
+    /// On [`SocketFabric`] a small transfer's bytes may not even have left
+    /// the process when this returns: they leave with the next signal to
+    /// that target, at any wait, when the write-combining buffer fills, on
+    /// an arriving ack, or with the heartbeat at the latest — all inside
+    /// the contract above.
     ///
     /// The default forwards to the blocking [`Self::put`]; fabrics with a
     /// genuinely asynchronous data path override it.

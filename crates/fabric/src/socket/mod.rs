@@ -35,6 +35,7 @@
 //! ranks, plus the tracer's recent-operation window when tracing is on —
 //! a loud failure instead of a silent hang.
 
+mod egress;
 pub mod obs;
 pub mod rendezvous;
 pub mod shm;
@@ -44,7 +45,7 @@ pub use obs::{
     HeartbeatSnapshot, HistSnapshot, NodeTelemetry, ObsSnapshot, PeerWireSnapshot, TelemetryPhase,
 };
 pub use rendezvous::CoordClient;
-pub use wire::{Addr, Frame, Listener, Stream, Transport};
+pub use wire::{Addr, Frame, FrameRef, Listener, Stream, Transport};
 
 use crate::am::AmOp;
 use crate::seg::{FlagId, SegmentId, SharedBytes};
@@ -53,9 +54,10 @@ use crate::{Fabric, PutToken, RecoveryError};
 use caf_topology::{CostParams, ImageMap, NodeId, ProcId, SoftwareOverheads};
 use caf_trace::{Event, EventKind, Tracer};
 use crossbeam::utils::{Backoff, CachePadded};
+use egress::{Cork, Egress, Urgency, CORK_BYTES};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,8 +118,8 @@ pub struct SocketConfig {
     /// — its directory entry stays unpublished, so both sides agree
     /// without a handshake. Mixing wire and shm ops to one destination
     /// stays ordered because flag publication falls back to the frame
-    /// path while asynchronous wire puts to that peer are unacked (see
-    /// `PendingTable::wire_nb_to`).
+    /// path while wire requests to that peer are unacked (see
+    /// `SocketFabric::wire_debt_to`).
     pub shm_bytes_per_image: usize,
 }
 
@@ -278,13 +280,11 @@ struct ImageSlot {
 enum Pending {
     /// A blocking caller parked on the table's condvar.
     Sync(Option<Reply>),
-    /// A nonblocking put; `img` indexes `outstanding_nb` and `rank`
-    /// indexes `wire_nb_to`.
-    Nb { img: usize, rank: usize },
-    /// An active-message batch awaiting its ack. Shares the sender's
+    /// A nonblocking put (`put: true`) or an active-message batch awaiting
+    /// its ack; `img` indexes `outstanding_nb`. A batch shares the sender's
     /// `outstanding_nb` debt so `quiet` covers batched AMs, but does not
     /// count as a nonblocking-put completion in the stats.
-    AmBatch { img: usize, rank: usize },
+    Nb { img: usize, put: bool },
 }
 
 enum Reply {
@@ -298,20 +298,6 @@ enum Reply {
 struct PendingTable {
     entries: HashMap<u64, Pending>,
     outstanding_nb: Vec<u64>,
-    /// Unacked asynchronous wire data ops (nonblocking puts, AM batches)
-    /// per destination *process rank*. While this is non-zero for a rank,
-    /// a flag routed through shared memory could become visible at that
-    /// destination before the in-flight payload (a window spilled to the
-    /// owner's heap travels by frame even between same-host peers), so the
-    /// shm flag fast path must yield to the frame path — frames on the
-    /// shared per-peer connection apply in send order, which restores the
-    /// put_nb point-to-point ordering contract.
-    wire_nb_to: Vec<u64>,
-}
-
-/// The buffered, serialized write half of one egress connection.
-struct Egress {
-    writer: Mutex<BufWriter<Stream>>,
 }
 
 const PEER_ALIVE: u8 = 0;
@@ -324,6 +310,9 @@ const EOF_GRACE: Duration = Duration::from_millis(300);
 
 /// Poll period of every service-thread loop (bounds shutdown latency).
 const POLL: Duration = Duration::from_millis(50);
+
+/// Responses a reader retires at once at most (more may be buffered).
+const RETIRE_BATCH: usize = 256;
 
 /// The multi-process socket fabric. Build one per process with
 /// [`SocketFabric::join`]; see the module docs for the protocol.
@@ -346,6 +335,9 @@ pub struct SocketFabric {
     /// Replaceable (not write-once): a rejoin handshake swaps in a fresh
     /// connection to a respawned peer.
     egress: Vec<RwLock<Option<Arc<Egress>>>>,
+    /// How response readers hand the ack-clocked flush to the
+    /// `caf-sock-egress` thread (see [`egress`]).
+    ack_clock: egress::AckClock,
     /// Monotonic request-cookie source (0 is reserved = "complete").
     next_cookie: AtomicU64,
     pending: Mutex<PendingTable>,
@@ -523,11 +515,11 @@ impl SocketFabric {
             hosted,
             slots,
             egress: (0..n_procs).map(|_| RwLock::new(None)).collect(),
+            ack_clock: egress::AckClock::default(),
             next_cookie: AtomicU64::new(1),
             pending: Mutex::new(PendingTable {
                 entries: HashMap::new(),
                 outstanding_nb: vec![0; n_images],
-                wire_nb_to: vec![0; n_procs],
             }),
             pending_cv: Condvar::new(),
             parked: AtomicUsize::new(0),
@@ -564,6 +556,10 @@ impl SocketFabric {
         });
 
         if n_procs > 1 {
+            // Up before the first dial: response readers poke it.
+            let eg = fabric.clone();
+            let t = fabric.spawn_guarded("egress", move || eg.egress_loop());
+            fabric.ack_clock.attach(t);
             fabric.spawn_accepting(listener, n_procs - 1);
             // A respawned incarnation announces itself with Rejoin (which
             // carries its fresh listen address so survivors can back-dial);
@@ -635,7 +631,9 @@ impl SocketFabric {
     /// finished (never from a fabric callback — it joins the very threads
     /// a callback may run on).
     pub fn shutdown(&self) {
+        self.flush_corked();
         self.shutting_down.store(true, Ordering::Release);
+        self.ack_clock.poke(); // parked, not polling a socket: wake it to exit
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -643,17 +641,15 @@ impl SocketFabric {
     }
 
     /// Fault-injection hook: abruptly stop serving — close every egress
-    /// write half, stop answering requests and heartbeats — *without* the
-    /// graceful `Bye`. To every peer this process is now indistinguishable
-    /// from a killed one; used by tests to exercise the death-detection
-    /// path inside one OS process.
+    /// write half (whatever is corked on it is lost, as in a crash), stop
+    /// answering requests and heartbeats — *without* the graceful `Bye`. To
+    /// every peer this process is now indistinguishable from a killed one;
+    /// used by tests to exercise the death-detection path inside one OS
+    /// process.
     pub fn sever(&self) {
         self.severed.store(true, Ordering::Release);
-        for e in &self.egress {
-            if let Some(e) = &*e.read() {
-                let w = e.writer.lock();
-                w.get_ref().shutdown_write();
-            }
+        for e in self.egress.iter().filter_map(|e| e.read().clone()) {
+            e.shutdown_write();
         }
     }
 
@@ -664,7 +660,11 @@ impl SocketFabric {
 
     // ---- construction helpers ----------------------------------------
 
-    fn spawn_guarded(self: &Arc<Self>, name: &'static str, f: impl FnOnce() + Send + 'static) {
+    fn spawn_guarded(
+        self: &Arc<Self>,
+        name: &'static str,
+        f: impl FnOnce() + Send + 'static,
+    ) -> std::thread::Thread {
         let fab = self.clone();
         let h = std::thread::Builder::new()
             .name(format!("caf-sock-{name}"))
@@ -682,7 +682,9 @@ impl SocketFabric {
                 }
             })
             .expect("spawn socket service thread");
+        let thread = h.thread().clone();
         self.threads.lock().push(h);
+        thread
     }
 
     /// Accept loop: collect `expected` ingress connections, identify each
@@ -885,7 +887,7 @@ impl SocketFabric {
         let t0 = Instant::now();
         let mut backoff = self.cfg.connect_backoff_start;
         let mut attempts = 0u64;
-        let stream = loop {
+        let mut stream = loop {
             match Stream::connect(addr) {
                 Ok(s) => break s,
                 Err(e) => {
@@ -912,16 +914,15 @@ impl SocketFabric {
         stream.set_read_timeout(Some(POLL))?;
         stream.set_write_timeout(Some(self.cfg.io_timeout))?;
         let reader_half = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
-        let n = write_frame(&mut writer, hello)?;
-        self.stats.record_wire_tx(n);
-        self.obs.wire_tx(rank, n);
-        *self.egress[rank].write() = Some(Arc::new(Egress {
-            writer: Mutex::new(writer),
-        }));
+        let n = write_frame(&mut stream, hello)?;
+        self.count_sent(rank, n, 1);
+        let egress = Arc::new(Egress::new(stream));
+        *self.egress[rank].write() = Some(egress.clone());
         self.mark_seen(rank);
         let fab = self.clone();
-        self.spawn_guarded("response", move || fab.response_loop(rank, reader_half));
+        self.spawn_guarded("response", move || {
+            fab.response_loop(rank, reader_half, &egress)
+        });
         Ok(())
     }
 
@@ -952,9 +953,11 @@ impl SocketFabric {
     // ---- service threads ---------------------------------------------
 
     /// Serve one peer's requests: apply them in arrival order and write
-    /// responses back on the same connection.
+    /// responses back on the same connection. Acks are corked while more
+    /// requests are already buffered — a burst of puts is answered with
+    /// one write — and leave before this thread blocks in a read again.
     fn ingress_loop(&self, peer: usize, mut reader: BufReader<Stream>, stream: Stream) {
-        let mut writer = BufWriter::new(stream);
+        let mut cork = Cork::new(stream);
         loop {
             if self.stopping() {
                 return;
@@ -979,7 +982,7 @@ impl SocketFabric {
                     return;
                 }
             };
-            let frame = match raw {
+            let response = match raw {
                 // Puts land straight from the frame buffer into the
                 // destination window — when the window lives in the shared
                 // segment, a cross-node put is one copy, wire to segment,
@@ -995,108 +998,147 @@ impl SocketFabric {
                 } => {
                     self.seg_of(dst as usize, SegmentId(seg as usize))
                         .write(off as usize, &buf[payload..]);
-                    if ack != 0 {
-                        self.send_response(peer, &mut writer, &Frame::PutAck { ack });
-                    }
-                    continue;
+                    (ack != 0).then_some(Frame::PutAck { ack })
                 }
-                wire::RawFrame::Other(f) => f,
+                wire::RawFrame::Other(f) => self.serve(peer, f),
             };
-            match frame {
-                Frame::Get {
-                    src: _,
-                    dst,
-                    seg,
-                    off,
-                    len,
-                    req,
-                } => {
-                    let mut data = vec![0u8; len as usize];
-                    self.seg_of(dst as usize, SegmentId(seg as usize))
-                        .read(off as usize, &mut data);
-                    self.send_response(peer, &mut writer, &Frame::GetResp { req, data });
-                }
-                Frame::AmoFadd {
-                    src: _,
-                    dst,
-                    seg,
-                    off,
-                    delta,
-                    req,
-                } => {
-                    let old = self
-                        .seg_of(dst as usize, SegmentId(seg as usize))
-                        .as_atomic_u64(off as usize)
-                        .fetch_add(delta, Ordering::AcqRel);
-                    self.send_response(peer, &mut writer, &Frame::AmoResp { req, old });
-                }
-                Frame::AmoCas {
-                    src: _,
-                    dst,
-                    seg,
-                    off,
-                    expected,
-                    new,
-                    req,
-                } => {
-                    let old = match self
-                        .seg_of(dst as usize, SegmentId(seg as usize))
-                        .as_atomic_u64(off as usize)
-                        .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
-                    {
-                        Ok(v) | Err(v) => v,
-                    };
-                    self.send_response(peer, &mut writer, &Frame::AmoResp { req, old });
-                }
-                Frame::FlagAdd {
-                    src,
-                    dst,
-                    flag,
-                    delta,
-                } => {
-                    self.apply_flag_add(
-                        src as usize,
-                        dst as usize,
-                        FlagId(flag as usize),
-                        delta,
-                        false,
-                    );
-                }
-                Frame::AmBatch { src, dst, ack, ops } => {
-                    // Apply in vector order: each op's effects are visible
-                    // to every later op in the batch, and a flag landing
-                    // after its payload preserves the fabric memory model.
-                    self.apply_am_ops(src as usize, dst as usize, &ops, false);
-                    if ack != 0 {
-                        self.send_response(peer, &mut writer, &Frame::PutAck { ack });
-                    }
-                }
-                Frame::Heartbeat { node: _, stats } => {
-                    // Liveness came from `mark_seen`; keep the sender's
-                    // counter snapshot (a dying process's last heartbeat is
-                    // the fleet's only record of what it was doing) and its
-                    // arrival time for jitter accounting.
-                    self.obs.heartbeat_seen(peer, self.wall_now());
-                    *self.last_peer_stats[peer].lock() = Some(stats);
-                }
-                Frame::Bye { .. } => {
-                    self.peer_state[peer].store(PEER_GRACEFUL, Ordering::Release);
-                }
-                Frame::RecoverBarrier {
-                    node,
-                    round,
-                    generation,
-                } => {
-                    self.record_recover_mark(node as usize, round, generation);
-                }
-                other => panic!("unexpected frame on data connection: {other:?}"),
+            let burst_over = reader.buffer().is_empty();
+            match self.respond(peer, &mut cork, response.as_ref(), burst_over) {
+                Ok(writes) => self.obs.wire_writes(peer, writes),
+                // A response that cannot be written means the requester
+                // can never complete, so it poisons.
+                Err(_) if self.stopping() || self.all_done.load(Ordering::Acquire) => {}
+                Err(e) => self.declare_dead(peer, &format!("response write failed: {e}")),
             }
         }
     }
 
+    /// Cork `response`, then write the cork out if a caller is blocked on
+    /// it (anything but an ack), the burst of requests is over, or the cork
+    /// is full. Returns the socket writes the flush took.
+    fn respond(
+        &self,
+        peer: usize,
+        cork: &mut Cork,
+        response: Option<&Frame>,
+        burst_over: bool,
+    ) -> io::Result<u64> {
+        let mut urgent = false;
+        if let Some(f) = response {
+            let (n, writes) = cork.push(f.into(), false)?;
+            self.count_sent(peer, n, writes);
+            urgent = !matches!(f, Frame::PutAck { .. });
+        }
+        if urgent || burst_over || cork.len() >= CORK_BYTES {
+            cork.flush()
+        } else {
+            Ok(0)
+        }
+    }
+
+    /// Apply one non-put request from `peer`; returns the response it is
+    /// owed, if any.
+    fn serve(&self, peer: usize, frame: Frame) -> Option<Frame> {
+        match frame {
+            Frame::Get {
+                src: _,
+                dst,
+                seg,
+                off,
+                len,
+                req,
+            } => {
+                let mut data = vec![0u8; len as usize];
+                self.seg_of(dst as usize, SegmentId(seg as usize))
+                    .read(off as usize, &mut data);
+                Some(Frame::GetResp { req, data })
+            }
+            Frame::AmoFadd {
+                src: _,
+                dst,
+                seg,
+                off,
+                delta,
+                req,
+            } => {
+                let old = self
+                    .seg_of(dst as usize, SegmentId(seg as usize))
+                    .as_atomic_u64(off as usize)
+                    .fetch_add(delta, Ordering::AcqRel);
+                Some(Frame::AmoResp { req, old })
+            }
+            Frame::AmoCas {
+                src: _,
+                dst,
+                seg,
+                off,
+                expected,
+                new,
+                req,
+            } => {
+                let old = match self
+                    .seg_of(dst as usize, SegmentId(seg as usize))
+                    .as_atomic_u64(off as usize)
+                    .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
+                {
+                    Ok(v) | Err(v) => v,
+                };
+                Some(Frame::AmoResp { req, old })
+            }
+            Frame::FlagAdd {
+                src,
+                dst,
+                flag,
+                delta,
+            } => {
+                self.apply_flag_add(
+                    src as usize,
+                    dst as usize,
+                    FlagId(flag as usize),
+                    delta,
+                    false,
+                );
+                None
+            }
+            Frame::AmBatch { src, dst, ack, ops } => {
+                // Apply in vector order: each op's effects are visible
+                // to every later op in the batch, and a flag landing
+                // after its payload preserves the fabric memory model.
+                self.apply_am_ops(src as usize, dst as usize, &ops, false);
+                (ack != 0).then_some(Frame::PutAck { ack })
+            }
+            Frame::Heartbeat { node: _, stats } => {
+                // Liveness came from `mark_seen`; keep the sender's
+                // counter snapshot (a dying process's last heartbeat is
+                // the fleet's only record of what it was doing) and its
+                // arrival time for jitter accounting.
+                self.obs.heartbeat_seen(peer, self.wall_now());
+                *self.last_peer_stats[peer].lock() = Some(stats);
+                None
+            }
+            Frame::Bye { .. } => {
+                self.peer_state[peer].store(PEER_GRACEFUL, Ordering::Release);
+                None
+            }
+            Frame::RecoverBarrier {
+                node,
+                round,
+                generation,
+            } => {
+                self.record_recover_mark(node as usize, round, generation);
+                None
+            }
+            other => panic!("unexpected frame on data connection: {other:?}"),
+        }
+    }
+
     /// Drain responses (acks, get data, AMO results) from one egress
-    /// connection into the pending table.
-    fn response_loop(&self, peer: usize, mut reader: BufReader<Stream>) {
+    /// connection into the pending table: everything the read buffered is
+    /// decoded first, then retired under one lock with one wake-up. This
+    /// thread never writes and never takes a cork lock (the deadlock rule
+    /// in [`egress`]); it hands the ack-clocked flush to the egress thread.
+    fn response_loop(&self, peer: usize, mut reader: BufReader<Stream>, egress: &Egress) {
+        let mut batch = Vec::new();
         loop {
             if self.stopping() {
                 return;
@@ -1105,7 +1147,6 @@ impl SocketFabric {
                 Ok((f, n)) => {
                     self.stats.record_wire_rx(n);
                     self.obs.wire_rx(peer, n);
-                    self.mark_seen(peer);
                     f
                 }
                 Err(e) if is_timeout(&e) => continue,
@@ -1118,11 +1159,17 @@ impl SocketFabric {
                     return;
                 }
             };
-            match frame {
-                Frame::PutAck { ack } => self.complete(ack, Reply::Ack),
-                Frame::GetResp { req, data } => self.complete(req, Reply::Data(data)),
-                Frame::AmoResp { req, old } => self.complete(req, Reply::Val(old)),
+            batch.push(match frame {
+                Frame::PutAck { ack } => (ack, Reply::Ack),
+                Frame::GetResp { req, data } => (req, Reply::Data(data)),
+                Frame::AmoResp { req, old } => (req, Reply::Val(old)),
                 other => panic!("unexpected frame on response path: {other:?}"),
+            });
+            if reader.buffer().is_empty() || batch.len() >= RETIRE_BATCH {
+                self.mark_seen(peer);
+                if self.complete(batch.drain(..), egress) {
+                    self.ack_clock.poke();
+                }
             }
         }
     }
@@ -1146,19 +1193,13 @@ impl SocketFabric {
                     // slot may come back to life, so keep watching.
                     continue;
                 }
-                if let Some(e) = self.egress_to(rank) {
-                    let mut w = e.writer.lock();
-                    if let Ok(n) = write_frame(
-                        &mut *w,
-                        &Frame::Heartbeat {
-                            node: self.node_rank as u32,
-                            stats: snap,
-                        },
-                    ) {
-                        self.stats.record_wire_tx(n);
-                        self.obs.wire_tx(rank, n);
-                    }
-                }
+                self.send_control(
+                    rank,
+                    &Frame::Heartbeat {
+                        node: self.node_rank as u32,
+                        stats: snap,
+                    },
+                );
                 if self.peer_state[rank].load(Ordering::Acquire) == PEER_ALIVE {
                     let seen = self.last_seen[rank].load(Ordering::Acquire);
                     let now = self.wall_now();
@@ -1301,15 +1342,11 @@ impl SocketFabric {
             {
                 continue;
             }
-            // Written straight to the egress writer: the request path's
-            // poison checks would panic mid-recovery.
+            // Sent straight through the egress: the request path's poison
+            // checks would panic mid-recovery.
             if let Some(e) = self.egress_to(rank) {
-                let mut w = e.writer.lock();
-                match write_frame(&mut *w, &frame) {
-                    Ok(n) => {
-                        self.stats.record_wire_tx(n);
-                        self.obs.wire_tx(rank, n);
-                    }
+                match e.send((&frame).into(), false, Urgency::Now, false) {
+                    Ok(sent) => self.count_sent(rank, sent.bytes, sent.writes),
                     Err(e) => {
                         return Err(RecoveryError::HealFailed(format!(
                             "recovery mark (round {round}) to {} failed: {e}",
@@ -1373,9 +1410,11 @@ impl SocketFabric {
             for n in g.outstanding_nb.iter_mut() {
                 *n = 0;
             }
-            for n in g.wire_nb_to.iter_mut() {
-                *n = 0;
-            }
+        }
+        // Whatever is still corked is pre-fence traffic for state that no
+        // longer exists, and the responses it awaited were just forgotten.
+        for e in self.egress.iter().filter_map(|e| e.read().clone()) {
+            e.reset();
         }
         *self.poisoned.lock() = None;
         self.poison_flag.store(false, Ordering::Release);
@@ -1472,16 +1511,20 @@ impl SocketFabric {
         Some(peer)
     }
 
-    /// True while any asynchronous wire data op (nonblocking put, AM
-    /// batch) from this process to the process hosting `dst` is still
-    /// unacked. A flag or AM batch applied through shared memory while
-    /// this holds could overtake that payload at the destination — the
-    /// caller must fall back to the frame path, whose per-connection send
-    /// order restores the put_nb point-to-point contract. Once the debt is
-    /// zero every prior wire put has been applied remotely (the ack is
-    /// sent after the write lands), so the shm fast path is safe again.
+    /// True while any wire request (nonblocking put, AM batch, ...) from
+    /// this process to the process hosting `dst` is unacked — corked or in
+    /// flight. A flag or AM batch applied through shared memory while this
+    /// holds could overtake that payload at the destination — the caller
+    /// must fall back to the frame path, whose per-connection send order
+    /// restores the put_nb point-to-point contract. Once the debt is zero
+    /// every prior wire put has been applied remotely (the ack is sent
+    /// after the write lands), so the shm fast path is safe again. One
+    /// atomic load: this sits on every shm-tier `flag_add`/`am_deliver`.
     fn wire_debt_to(&self, dst: ProcId) -> bool {
-        self.pending.lock().wire_nb_to[self.proc_of_image[dst.index()]] > 0
+        self.egress[self.proc_of_image[dst.index()]]
+            .read()
+            .as_ref()
+            .is_some_and(|e| e.has_debt())
     }
 
     fn is_local(&self, img: ProcId) -> bool {
@@ -1572,51 +1615,6 @@ impl SocketFabric {
         self.poison(&msg);
     }
 
-    /// Write a response frame from an ingress thread; a failure here means
-    /// the requester can never complete, so it poisons.
-    fn send_response(&self, peer: usize, writer: &mut BufWriter<Stream>, frame: &Frame) {
-        match write_frame(writer, frame) {
-            Ok(n) => {
-                self.stats.record_wire_tx(n);
-                self.obs.wire_tx(peer, n);
-            }
-            Err(_) if self.stopping() || self.all_done.load(Ordering::Acquire) => {}
-            Err(e) => {
-                self.declare_dead(peer, &format!("response write failed: {e}"));
-            }
-        }
-    }
-
-    /// Serialize `frame` onto the egress connection to the process hosting
-    /// `dst`. Returns `(queue_ns, hosting process rank)` — time spent
-    /// waiting for the per-peer writer (the tracer's queueing component).
-    fn send_request(&self, me: ProcId, dst: ProcId, frame: &Frame) -> (u64, usize) {
-        let rank = self.proc_of_image[dst.index()];
-        let e = self
-            .egress_to(rank)
-            .unwrap_or_else(|| panic!("no egress connection to process {rank}"));
-        let q0 = Instant::now();
-        let mut w = e.writer.lock();
-        let queue_ns = q0.elapsed().as_nanos() as u64;
-        match write_frame(&mut *w, frame) {
-            Ok(n) => {
-                self.stats.record_wire_tx(n);
-                self.obs.wire_tx(rank, n);
-            }
-            Err(e) => {
-                drop(w);
-                self.declare_dead(rank, &format!("request write failed: {e}"));
-                self.check_poison(me, "sending to a dead peer");
-                panic!(
-                    "image {} request write to {} failed: {e}",
-                    me.index() + 1,
-                    self.peer_desc(rank)
-                );
-            }
-        }
-        (queue_ns, rank)
-    }
-
     fn new_cookie(&self) -> u64 {
         self.next_cookie.fetch_add(1, Ordering::Relaxed)
     }
@@ -1630,9 +1628,19 @@ impl SocketFabric {
             .insert(cookie, Pending::Sync(None));
     }
 
+    /// Register an asynchronous request of image `img` (a nonblocking
+    /// `put`, or else an AM batch) under `cookie`, charging the image's
+    /// `quiet` debt.
+    fn register_nb(&self, cookie: u64, img: usize, put: bool) {
+        let mut g = self.pending.lock();
+        g.entries.insert(cookie, Pending::Nb { img, put });
+        g.outstanding_nb[img] += 1;
+    }
+
     /// Park until the response for `cookie` arrives; poisons (and panics)
     /// on fabric poison or `io_timeout` expiry.
     fn wait_reply(&self, me: ProcId, rank: usize, cookie: u64, doing: &str) -> Reply {
+        self.flush_corked();
         let deadline = Instant::now() + self.cfg.io_timeout;
         let mut g = self.pending.lock();
         loop {
@@ -1664,28 +1672,54 @@ impl SocketFabric {
         }
     }
 
-    /// Fill in a response from a reader thread.
-    fn complete(&self, cookie: u64, reply: Reply) {
+    /// One blocking exchange with the process hosting `peer`: register
+    /// `cookie`, send `frame` (which carries it) now, park for the reply.
+    /// Returns the reply with the tracer's `(queue_ns, service_ns)` split.
+    fn call(
+        &self,
+        me: ProcId,
+        peer: ProcId,
+        doing: &str,
+        cookie: u64,
+        frame: FrameRef<'_>,
+    ) -> (Reply, u64, u64) {
+        self.register_sync(cookie);
+        let (queue_ns, rank) = self.send_request(me, peer, frame, true, Urgency::Now);
+        let s0 = Instant::now();
+        let reply = self.wait_reply(me, rank, cookie, doing);
+        (reply, queue_ns, s0.elapsed().as_nanos() as u64)
+    }
+
+    /// Retire a batch of responses from a reader thread under one lock,
+    /// with one wake-up (a late response after a timeout or a recovery
+    /// reset is dropped). The peer's ack clock ticks before the waiters
+    /// wake — an image back from `quiet` finds the link idle — and `true`
+    /// asks the caller to poke the egress thread (the lost-flush rule).
+    fn complete(&self, batch: impl Iterator<Item = (u64, Reply)>, egress: &Egress) -> bool {
+        let mut awaited = 0;
         let mut g = self.pending.lock();
-        match g.entries.get_mut(&cookie) {
-            Some(Pending::Sync(slot)) => *slot = Some(reply),
-            Some(Pending::Nb { img, rank }) => {
-                let (img, rank) = (*img, *rank);
-                g.entries.remove(&cookie);
-                g.outstanding_nb[img] -= 1;
-                g.wire_nb_to[rank] -= 1;
-                self.stats.record_put_nb_complete();
-            }
-            Some(Pending::AmBatch { img, rank }) => {
-                let (img, rank) = (*img, *rank);
-                g.entries.remove(&cookie);
-                g.outstanding_nb[img] -= 1;
-                g.wire_nb_to[rank] -= 1;
-            }
-            // Late response after a timeout already poisoned: drop it.
-            None => {}
+        for (cookie, reply) in batch {
+            let img = match g.entries.get_mut(&cookie) {
+                Some(Pending::Sync(slot)) => {
+                    *slot = Some(reply);
+                    awaited += 1;
+                    continue;
+                }
+                Some(Pending::Nb { img, put }) => {
+                    if *put {
+                        self.stats.record_put_nb_complete();
+                    }
+                    *img
+                }
+                None => continue,
+            };
+            g.entries.remove(&cookie);
+            g.outstanding_nb[img] -= 1;
+            awaited += 1;
         }
+        let poke = egress.retired(awaited);
         self.pending_cv.notify_all();
+        poke
     }
 
     /// Record a remote-op span with the socket queueing-vs-service split
@@ -1857,25 +1891,21 @@ impl Fabric for SocketFabric {
         }
         self.stats.record_put(false, bytes.len());
         let cookie = self.new_cookie();
-        self.register_sync(cookie);
-        let (queue_ns, rank) = self.send_request(
+        let (reply, queue_ns, service_ns) = self.call(
             me,
             dst,
-            &Frame::Put {
+            "remote put",
+            cookie,
+            FrameRef::Put {
                 src: me.index() as u32,
                 dst: dst.index() as u32,
                 seg: seg.0 as u64,
                 off: offset as u64,
                 ack: cookie,
-                data: bytes.to_vec(),
+                data: bytes,
             },
         );
-        let s0 = Instant::now();
-        match self.wait_reply(me, rank, cookie, "remote put") {
-            Reply::Ack => {}
-            _ => panic!("put got a non-ack response"),
-        }
-        let service_ns = s0.elapsed().as_nanos() as u64;
+        assert!(matches!(reply, Reply::Ack), "put got a non-ack response");
         self.obs.put_ack(service_ns);
         self.trace_remote(
             EventKind::Put,
@@ -1970,28 +2000,18 @@ impl Fabric for SocketFabric {
         // sender's `outstanding_nb` debt, so `quiet` means every batched AM
         // has remotely completed — same completion contract as `put_nb`.
         let cookie = self.new_cookie();
-        {
-            let rank = self.proc_of_image[dst.index()];
-            let mut g = self.pending.lock();
-            g.entries.insert(
-                cookie,
-                Pending::AmBatch {
-                    img: me.index(),
-                    rank,
-                },
-            );
-            g.outstanding_nb[me.index()] += 1;
-            g.wire_nb_to[rank] += 1;
-        }
+        self.register_nb(cookie, me.index(), false);
         let (queue_ns, _rank) = self.send_request(
             me,
             dst,
-            &Frame::AmBatch {
+            FrameRef::AmBatch {
                 src: me.index() as u32,
                 dst: dst.index() as u32,
                 ack: cookie,
-                ops: ops.to_vec(),
+                ops,
             },
+            true,
+            Urgency::Signal,
         );
         self.trace_remote(EventKind::Put, me, dst, t0, wire, queue_ns, 0);
     }
@@ -2031,30 +2051,20 @@ impl Fabric for SocketFabric {
         }
         self.stats.record_put_nb(false, bytes.len());
         let cookie = self.new_cookie();
-        {
-            let rank = self.proc_of_image[dst.index()];
-            let mut g = self.pending.lock();
-            g.entries.insert(
-                cookie,
-                Pending::Nb {
-                    img: me.index(),
-                    rank,
-                },
-            );
-            g.outstanding_nb[me.index()] += 1;
-            g.wire_nb_to[rank] += 1;
-        }
+        self.register_nb(cookie, me.index(), true);
         let (queue_ns, _rank) = self.send_request(
             me,
             dst,
-            &Frame::Put {
+            FrameRef::Put {
                 src: me.index() as u32,
                 dst: dst.index() as u32,
                 seg: seg.0 as u64,
                 off: offset as u64,
                 ack: cookie,
-                data: bytes.to_vec(),
+                data: bytes,
             },
+            true,
+            Urgency::Data,
         );
         self.trace_remote(
             EventKind::PutNb,
@@ -2072,13 +2082,19 @@ impl Fabric for SocketFabric {
     }
 
     fn put_test(&self, _me: ProcId, token: PutToken) -> bool {
-        token.arrival_ns == 0 || !self.pending.lock().entries.contains_key(&token.arrival_ns)
+        if token.arrival_ns == 0 {
+            return true;
+        }
+        // A program polling this must make progress: the put may be corked.
+        self.flush_corked();
+        !self.pending.lock().entries.contains_key(&token.arrival_ns)
     }
 
     fn put_wait(&self, me: ProcId, token: PutToken) {
         if token.arrival_ns == 0 {
             return;
         }
+        self.flush_corked();
         let deadline = Instant::now() + self.cfg.io_timeout;
         let mut g = self.pending.lock();
         while g.entries.contains_key(&token.arrival_ns) {
@@ -2120,21 +2136,17 @@ impl Fabric for SocketFabric {
         }
         self.stats.record_get(false, out.len());
         let cookie = self.new_cookie();
-        self.register_sync(cookie);
-        let (queue_ns, rank) = self.send_request(
-            me,
-            src,
-            &Frame::Get {
-                src: me.index() as u32,
-                dst: src.index() as u32,
-                seg: seg.0 as u64,
-                off: offset as u64,
-                len: out.len() as u32,
-                req: cookie,
-            },
-        );
-        let s0 = Instant::now();
-        match self.wait_reply(me, rank, cookie, "remote get") {
+        let frame = Frame::Get {
+            src: me.index() as u32,
+            dst: src.index() as u32,
+            seg: seg.0 as u64,
+            off: offset as u64,
+            len: out.len() as u32,
+            req: cookie,
+        };
+        let (reply, queue_ns, service_ns) =
+            self.call(me, src, "remote get", cookie, (&frame).into());
+        match reply {
             Reply::Data(data) => {
                 assert_eq!(data.len(), out.len(), "get response length mismatch");
                 out.copy_from_slice(&data);
@@ -2148,7 +2160,7 @@ impl Fabric for SocketFabric {
             t0,
             out.len() as u64,
             queue_ns,
-            s0.elapsed().as_nanos() as u64,
+            service_ns,
         );
     }
 
@@ -2183,23 +2195,18 @@ impl Fabric for SocketFabric {
             return old;
         }
         let cookie = self.new_cookie();
-        self.register_sync(cookie);
-        let (queue_ns, rank) = self.send_request(
-            me,
-            target,
-            &Frame::AmoFadd {
-                src: me.index() as u32,
-                dst: target.index() as u32,
-                seg: seg.0 as u64,
-                off: offset as u64,
-                delta,
-                req: cookie,
-            },
-        );
-        let s0 = Instant::now();
-        let old = match self.wait_reply(me, rank, cookie, "remote fetch-add") {
-            Reply::Val(v) => v,
-            _ => panic!("AMO got a non-value response"),
+        let frame = Frame::AmoFadd {
+            src: me.index() as u32,
+            dst: target.index() as u32,
+            seg: seg.0 as u64,
+            off: offset as u64,
+            delta,
+            req: cookie,
+        };
+        let (reply, queue_ns, service_ns) =
+            self.call(me, target, "remote fetch-add", cookie, (&frame).into());
+        let Reply::Val(old) = reply else {
+            panic!("AMO got a non-value response");
         };
         self.trace_remote(
             EventKind::AmoFetchAdd,
@@ -2208,7 +2215,7 @@ impl Fabric for SocketFabric {
             t0,
             offset as u64,
             queue_ns,
-            s0.elapsed().as_nanos() as u64,
+            service_ns,
         );
         old
     }
@@ -2252,24 +2259,24 @@ impl Fabric for SocketFabric {
             return old;
         }
         let cookie = self.new_cookie();
-        self.register_sync(cookie);
-        let (queue_ns, rank) = self.send_request(
+        let frame = Frame::AmoCas {
+            src: me.index() as u32,
+            dst: target.index() as u32,
+            seg: seg.0 as u64,
+            off: offset as u64,
+            expected,
+            new,
+            req: cookie,
+        };
+        let (reply, queue_ns, service_ns) = self.call(
             me,
             target,
-            &Frame::AmoCas {
-                src: me.index() as u32,
-                dst: target.index() as u32,
-                seg: seg.0 as u64,
-                off: offset as u64,
-                expected,
-                new,
-                req: cookie,
-            },
+            "remote compare-and-swap",
+            cookie,
+            (&frame).into(),
         );
-        let s0 = Instant::now();
-        let old = match self.wait_reply(me, rank, cookie, "remote compare-and-swap") {
-            Reply::Val(v) => v,
-            _ => panic!("AMO got a non-value response"),
+        let Reply::Val(old) = reply else {
+            panic!("AMO got a non-value response");
         };
         self.trace_remote(
             EventKind::AmoCas,
@@ -2278,7 +2285,7 @@ impl Fabric for SocketFabric {
             t0,
             offset as u64,
             queue_ns,
-            s0.elapsed().as_nanos() as u64,
+            service_ns,
         );
         old
     }
@@ -2351,16 +2358,13 @@ impl Fabric for SocketFabric {
         self.stats.record_flag(false);
         // Fire-and-forget: ordering with prior puts to the same target comes
         // from the shared per-peer connection (frames apply in send order).
-        let (_queue_ns, _rank) = self.send_request(
-            me,
-            target,
-            &Frame::FlagAdd {
-                src: me.index() as u32,
-                dst: target.index() as u32,
-                flag: flag.0 as u64,
-                delta,
-            },
-        );
+        let frame = Frame::FlagAdd {
+            src: me.index() as u32,
+            dst: target.index() as u32,
+            flag: flag.0 as u64,
+            delta,
+        };
+        self.send_request(me, target, (&frame).into(), false, Urgency::Signal);
         if self.cfg.tracer.enabled() {
             self.cfg.tracer.record(
                 me.index(),
@@ -2376,6 +2380,7 @@ impl Fabric for SocketFabric {
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
         self.stats.flag_waits.fetch_add(1, Ordering::Relaxed);
+        self.flush_corked();
         let t0 = self.trace_now();
         let deadline = Instant::now() + self.cfg.flag_wait_timeout;
         let cell_owner = self.flag_cell(me.index(), flag);
@@ -2432,6 +2437,7 @@ impl Fabric for SocketFabric {
     }
 
     fn quiet(&self, me: ProcId) {
+        self.flush_corked();
         let deadline = Instant::now() + self.cfg.io_timeout;
         let mut g = self.pending.lock();
         while g.outstanding_nb[me.index()] > 0 {
@@ -2462,22 +2468,15 @@ impl Fabric for SocketFabric {
     }
 
     fn image_done(&self, _me: ProcId) {
+        self.flush_corked();
         let done = self.done_count.fetch_add(1, Ordering::AcqRel) + 1;
         if done == self.hosted.len() {
             self.all_done.store(true, Ordering::Release);
+            let bye = Frame::Bye {
+                node: self.node_rank as u32,
+            };
             for rank in 0..self.egress.len() {
-                if let Some(e) = self.egress_to(rank) {
-                    let mut w = e.writer.lock();
-                    if let Ok(n) = write_frame(
-                        &mut *w,
-                        &Frame::Bye {
-                            node: self.node_rank as u32,
-                        },
-                    ) {
-                        self.stats.record_wire_tx(n);
-                        self.obs.wire_tx(rank, n);
-                    }
-                }
+                self.send_control(rank, &bye);
             }
         }
     }
@@ -2505,6 +2504,7 @@ impl Fabric for SocketFabric {
     }
 
     fn heal(&self, _me: ProcId) -> Result<(), RecoveryError> {
+        self.flush_corked();
         // Process-local rendezvous: the fence must run exactly once per
         // round, after every hosted image has stopped issuing traffic.
         // The last hosted image to arrive leads; the rest park here.

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Version magic leading every encoded [`NodeTelemetry`]; bump on any
 /// incompatible payload-format change (independent of the frame protocol's
 /// `WIRE_MAGIC`).
-pub const TELEMETRY_MAGIC: u32 = 0xCAF0_0B53;
+pub const TELEMETRY_MAGIC: u32 = 0xCAF0_0B54;
 
 /// Bucket count of [`HistSnapshot`]: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` ns, with the top bucket absorbing everything larger.
@@ -72,6 +72,7 @@ impl TelemetryPhase {
 struct PeerWire {
     frames_tx: AtomicU64,
     bytes_tx: AtomicU64,
+    writes_tx: AtomicU64,
     frames_rx: AtomicU64,
     bytes_rx: AtomicU64,
     retries: AtomicU64,
@@ -120,6 +121,7 @@ impl SocketObs {
                 .map(|_| PeerWire {
                     frames_tx: AtomicU64::new(0),
                     bytes_tx: AtomicU64::new(0),
+                    writes_tx: AtomicU64::new(0),
                     frames_rx: AtomicU64::new(0),
                     bytes_rx: AtomicU64::new(0),
                     retries: AtomicU64::new(0),
@@ -148,6 +150,16 @@ impl SocketObs {
         let p = &self.peers[peer];
         p.frames_tx.fetch_add(1, Ordering::Relaxed);
         p.bytes_tx.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// `writes` socket writes went to `peer` (one may carry many frames).
+    #[inline]
+    pub(super) fn wire_writes(&self, peer: usize, writes: u64) {
+        if writes > 0 {
+            self.peers[peer]
+                .writes_tx
+                .fetch_add(writes, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -194,6 +206,7 @@ impl SocketObs {
                 .map(|p| PeerWireSnapshot {
                     frames_tx: p.frames_tx.load(Ordering::Relaxed),
                     bytes_tx: p.bytes_tx.load(Ordering::Relaxed),
+                    writes_tx: p.writes_tx.load(Ordering::Relaxed),
                     frames_rx: p.frames_rx.load(Ordering::Relaxed),
                     bytes_rx: p.bytes_rx.load(Ordering::Relaxed),
                     retries: p.retries.load(Ordering::Relaxed),
@@ -228,6 +241,10 @@ pub struct PeerWireSnapshot {
     pub frames_tx: u64,
     /// Bytes written to this peer, including frame headers.
     pub bytes_tx: u64,
+    /// Socket writes those frames took: the egress corks frames and
+    /// writes them in bursts, so `frames_tx / writes_tx` is the
+    /// write-combining factor.
+    pub writes_tx: u64,
     /// Frames read from this peer.
     pub frames_rx: u64,
     /// Bytes read from this peer, including frame headers.
@@ -371,6 +388,7 @@ impl NodeTelemetry {
             for w in [
                 p.frames_tx,
                 p.bytes_tx,
+                p.writes_tx,
                 p.frames_rx,
                 p.bytes_rx,
                 p.retries,
@@ -432,6 +450,7 @@ impl NodeTelemetry {
             peers.push(PeerWireSnapshot {
                 frames_tx: c.u64()?,
                 bytes_tx: c.u64()?,
+                writes_tx: c.u64()?,
                 frames_rx: c.u64()?,
                 bytes_rx: c.u64()?,
                 retries: c.u64()?,
@@ -549,6 +568,7 @@ mod tests {
                     PeerWireSnapshot {
                         frames_tx: 10,
                         bytes_tx: 640,
+                        writes_tx: 4,
                         frames_rx: 9,
                         bytes_rx: 500,
                         retries: 2,

@@ -157,6 +157,13 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Uds(s) => s.flush(),
@@ -619,18 +626,152 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The data-plane frames the hot paths send, with their bulk payload
+/// **borrowed** from the caller: the fabric encodes these straight into a
+/// peer's write-combining buffer (see `egress`), so a `put_nb` costs no
+/// per-frame `Vec` and no copy of its payload into an owned [`Frame`].
+/// Byte-for-byte the same encoding as the owned variants.
+#[derive(Clone, Copy, Debug)]
+pub enum FrameRef<'a> {
+    /// [`Frame::Put`] with the payload borrowed.
+    Put {
+        /// Issuing image (global 0-based rank).
+        src: u32,
+        /// Target image (must be hosted by the receiver).
+        dst: u32,
+        /// Target segment id.
+        seg: u64,
+        /// Byte offset within the segment.
+        off: u64,
+        /// Completion-ack cookie (0 = no ack requested).
+        ack: u64,
+        /// Payload bytes.
+        data: &'a [u8],
+    },
+    /// [`Frame::GetResp`] with the payload borrowed.
+    GetResp {
+        /// The request cookie.
+        req: u64,
+        /// The bytes read.
+        data: &'a [u8],
+    },
+    /// [`Frame::AmBatch`] with the ops borrowed.
+    AmBatch {
+        /// Issuing image (global 0-based rank).
+        src: u32,
+        /// Target image (must be hosted by the receiver).
+        dst: u32,
+        /// Completion-ack cookie (0 = no ack requested).
+        ack: u64,
+        /// The ops, in program order.
+        ops: &'a [AmOp],
+    },
+    /// Any owned frame.
+    Owned(&'a Frame),
+}
+
+impl<'a> From<&'a Frame> for FrameRef<'a> {
+    fn from(f: &'a Frame) -> Self {
+        FrameRef::Owned(f)
+    }
+}
+
+/// Append one frame to `b`: the length prefix, then whatever `body` writes
+/// (tag + fields). The prefix also covers `tail`, the bulk payload that
+/// follows the body on the wire but is *not* copied into `b`; it is handed
+/// back so the caller decides whether to copy it or write it in place.
+fn framed<'t>(b: &mut Vec<u8>, tail: &'t [u8], body: impl FnOnce(&mut Vec<u8>)) -> &'t [u8] {
+    let start = b.len();
+    put_u32(b, 0);
+    body(b);
+    let body_len = (b.len() - start - 4 + tail.len()) as u32;
+    b[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    tail
+}
+
+fn put_fields(b: &mut Vec<u8>, src: u32, dst: u32, seg: u64, off: u64, ack: u64, len: usize) {
+    b.push(T_PUT);
+    put_u32(b, src);
+    put_u32(b, dst);
+    put_u64(b, seg);
+    put_u64(b, off);
+    put_u64(b, ack);
+    put_u32(b, len as u32);
+}
+
+fn get_resp_fields(b: &mut Vec<u8>, req: u64, len: usize) {
+    b.push(T_GET_RESP);
+    put_u64(b, req);
+    put_u32(b, len as u32);
+}
+
+fn am_batch_fields(b: &mut Vec<u8>, src: u32, dst: u32, ack: u64, ops: &[AmOp]) {
+    b.push(T_AM_BATCH);
+    put_u32(b, src);
+    put_u32(b, dst);
+    put_u64(b, ack);
+    put_u32(b, ops.len() as u32);
+    for op in ops {
+        op.encode(b);
+    }
+}
+
+impl<'a> FrameRef<'a> {
+    /// Append this frame to `b` **without its trailing bulk payload**,
+    /// which is returned instead (empty for frames that carry none). The
+    /// length prefix already covers the payload, so the wire image is `b`'s
+    /// new bytes followed by the returned slice — a large payload can go
+    /// out in one vectored write without ever being copied.
+    pub fn encode_head(&self, b: &mut Vec<u8>) -> &'a [u8] {
+        match *self {
+            FrameRef::Owned(f) => f.encode_head(b),
+            FrameRef::Put {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+            } => framed(b, data, |b| {
+                put_fields(b, src, dst, seg, off, ack, data.len())
+            }),
+            FrameRef::GetResp { req, data } => {
+                framed(b, data, |b| get_resp_fields(b, req, data.len()))
+            }
+            FrameRef::AmBatch { src, dst, ack, ops } => {
+                framed(b, &[], |b| am_batch_fields(b, src, dst, ack, ops))
+            }
+        }
+    }
+}
+
 impl Frame {
     /// Encode into a `len || tag || fields` byte vector ready for one
     /// `write_all`.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(64);
-        put_u32(&mut b, 0); // length placeholder
-        match self {
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Append the encoded frame to `b` (which may already hold frames).
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
+        let tail = self.encode_head(b);
+        b.extend_from_slice(tail);
+    }
+
+    /// [`FrameRef::encode_head`] for an owned frame.
+    fn encode_head<'a>(&'a self, b: &mut Vec<u8>) -> &'a [u8] {
+        let tail: &[u8] = match self {
+            Frame::Put { data, .. } | Frame::GetResp { data, .. } => data,
+            _ => &[],
+        };
+        framed(b, tail, |b| match self {
             Frame::Open { node, magic, shm } => {
                 b.push(T_OPEN);
-                put_u32(&mut b, *node);
-                put_u32(&mut b, *magic);
-                put_bytes(&mut b, shm.as_bytes());
+                put_u32(b, *node);
+                put_u32(b, *magic);
+                put_bytes(b, shm.as_bytes());
             }
             Frame::Put {
                 src,
@@ -640,17 +781,11 @@ impl Frame {
                 ack,
                 data,
             } => {
-                b.push(T_PUT);
-                put_u32(&mut b, *src);
-                put_u32(&mut b, *dst);
-                put_u64(&mut b, *seg);
-                put_u64(&mut b, *off);
-                put_u64(&mut b, *ack);
-                put_bytes(&mut b, data);
+                put_fields(b, *src, *dst, *seg, *off, *ack, data.len());
             }
             Frame::PutAck { ack } => {
                 b.push(T_PUT_ACK);
-                put_u64(&mut b, *ack);
+                put_u64(b, *ack);
             }
             Frame::Get {
                 src,
@@ -661,17 +796,15 @@ impl Frame {
                 req,
             } => {
                 b.push(T_GET);
-                put_u32(&mut b, *src);
-                put_u32(&mut b, *dst);
-                put_u64(&mut b, *seg);
-                put_u64(&mut b, *off);
-                put_u32(&mut b, *len);
-                put_u64(&mut b, *req);
+                put_u32(b, *src);
+                put_u32(b, *dst);
+                put_u64(b, *seg);
+                put_u64(b, *off);
+                put_u32(b, *len);
+                put_u64(b, *req);
             }
             Frame::GetResp { req, data } => {
-                b.push(T_GET_RESP);
-                put_u64(&mut b, *req);
-                put_bytes(&mut b, data);
+                get_resp_fields(b, *req, data.len());
             }
             Frame::AmoFadd {
                 src,
@@ -682,12 +815,12 @@ impl Frame {
                 req,
             } => {
                 b.push(T_AMO_FADD);
-                put_u32(&mut b, *src);
-                put_u32(&mut b, *dst);
-                put_u64(&mut b, *seg);
-                put_u64(&mut b, *off);
-                put_u64(&mut b, *delta);
-                put_u64(&mut b, *req);
+                put_u32(b, *src);
+                put_u32(b, *dst);
+                put_u64(b, *seg);
+                put_u64(b, *off);
+                put_u64(b, *delta);
+                put_u64(b, *req);
             }
             Frame::AmoCas {
                 src,
@@ -699,29 +832,20 @@ impl Frame {
                 req,
             } => {
                 b.push(T_AMO_CAS);
-                put_u32(&mut b, *src);
-                put_u32(&mut b, *dst);
-                put_u64(&mut b, *seg);
-                put_u64(&mut b, *off);
-                put_u64(&mut b, *expected);
-                put_u64(&mut b, *new);
-                put_u64(&mut b, *req);
+                put_u32(b, *src);
+                put_u32(b, *dst);
+                put_u64(b, *seg);
+                put_u64(b, *off);
+                put_u64(b, *expected);
+                put_u64(b, *new);
+                put_u64(b, *req);
             }
             Frame::AmoResp { req, old } => {
                 b.push(T_AMO_RESP);
-                put_u64(&mut b, *req);
-                put_u64(&mut b, *old);
+                put_u64(b, *req);
+                put_u64(b, *old);
             }
-            Frame::AmBatch { src, dst, ack, ops } => {
-                b.push(T_AM_BATCH);
-                put_u32(&mut b, *src);
-                put_u32(&mut b, *dst);
-                put_u64(&mut b, *ack);
-                put_u32(&mut b, ops.len() as u32);
-                for op in ops {
-                    op.encode(&mut b);
-                }
-            }
+            Frame::AmBatch { src, dst, ack, ops } => am_batch_fields(b, *src, *dst, *ack, ops),
             Frame::FlagAdd {
                 src,
                 dst,
@@ -729,19 +853,19 @@ impl Frame {
                 delta,
             } => {
                 b.push(T_FLAG_ADD);
-                put_u32(&mut b, *src);
-                put_u32(&mut b, *dst);
-                put_u64(&mut b, *flag);
-                put_u64(&mut b, *delta);
+                put_u32(b, *src);
+                put_u32(b, *dst);
+                put_u64(b, *flag);
+                put_u64(b, *delta);
             }
             Frame::Heartbeat { node, stats } => {
                 b.push(T_HEARTBEAT);
-                put_u32(&mut b, *node);
-                put_stats(&mut b, stats);
+                put_u32(b, *node);
+                put_stats(b, stats);
             }
             Frame::Bye { node } => {
                 b.push(T_BYE);
-                put_u32(&mut b, *node);
+                put_u32(b, *node);
             }
             Frame::Rejoin {
                 node,
@@ -751,11 +875,11 @@ impl Frame {
                 shm,
             } => {
                 b.push(T_REJOIN);
-                put_u32(&mut b, *node);
-                put_u64(&mut b, *generation);
-                put_bytes(&mut b, addr.as_bytes());
-                put_u32(&mut b, *magic);
-                put_bytes(&mut b, shm.as_bytes());
+                put_u32(b, *node);
+                put_u64(b, *generation);
+                put_bytes(b, addr.as_bytes());
+                put_u32(b, *magic);
+                put_bytes(b, shm.as_bytes());
             }
             Frame::RecoverBarrier {
                 node,
@@ -763,45 +887,42 @@ impl Frame {
                 generation,
             } => {
                 b.push(T_RECOVER_BARRIER);
-                put_u32(&mut b, *node);
-                put_u64(&mut b, *round);
-                put_u64(&mut b, *generation);
+                put_u32(b, *node);
+                put_u64(b, *round);
+                put_u64(b, *generation);
             }
             Frame::Hello { node, addr, magic } => {
                 b.push(T_HELLO);
-                put_u32(&mut b, *node);
-                put_bytes(&mut b, addr.as_bytes());
-                put_u32(&mut b, *magic);
+                put_u32(b, *node);
+                put_bytes(b, addr.as_bytes());
+                put_u32(b, *magic);
             }
             Frame::Peers { addrs } => {
                 b.push(T_PEERS);
-                put_u32(&mut b, addrs.len() as u32);
+                put_u32(b, addrs.len() as u32);
                 for a in addrs {
-                    put_bytes(&mut b, a.as_bytes());
+                    put_bytes(b, a.as_bytes());
                 }
             }
             Frame::Done { node, results } => {
                 b.push(T_DONE);
-                put_u32(&mut b, *node);
-                put_u32(&mut b, results.len() as u32);
+                put_u32(b, *node);
+                put_u32(b, results.len() as u32);
                 for (img, val) in results {
-                    put_u32(&mut b, *img);
-                    put_u64(&mut b, *val);
+                    put_u32(b, *img);
+                    put_u64(b, *val);
                 }
             }
             Frame::Abort { msg } => {
                 b.push(T_ABORT);
-                put_bytes(&mut b, msg.as_bytes());
+                put_bytes(b, msg.as_bytes());
             }
             Frame::Telemetry { node, payload } => {
                 b.push(T_TELEMETRY);
-                put_u32(&mut b, *node);
-                put_bytes(&mut b, payload);
+                put_u32(b, *node);
+                put_bytes(b, payload);
             }
-        }
-        let body_len = (b.len() - 4) as u32;
-        b[..4].copy_from_slice(&body_len.to_le_bytes());
-        b
+        })
     }
 
     /// Decode a frame body (everything after the length prefix).
@@ -1085,6 +1206,58 @@ mod tests {
         let len = u32::from_le_bytes(enc[..4].try_into().unwrap()) as usize;
         assert_eq!(len, enc.len() - 4);
         assert_eq!(Frame::decode(&enc[4..]).unwrap(), f);
+
+        // `encode_into` behind frames already corked in the buffer is the
+        // same bytes, byte for byte — owned, through `FrameRef::Owned`, and
+        // through the borrowed-payload form where the variant has one.
+        let corked = Frame::PutAck { ack: 9 }.encode();
+        let want = [&corked[..], &enc[..]].concat();
+        let mut buf = corked.clone();
+        f.encode_into(&mut buf);
+        assert_eq!(buf, want, "{f:?}");
+        let borrowed = match &f {
+            Frame::Put {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+            } => FrameRef::Put {
+                src: *src,
+                dst: *dst,
+                seg: *seg,
+                off: *off,
+                ack: *ack,
+                data,
+            },
+            Frame::GetResp { req, data } => FrameRef::GetResp { req: *req, data },
+            Frame::AmBatch { src, dst, ack, ops } => FrameRef::AmBatch {
+                src: *src,
+                dst: *dst,
+                ack: *ack,
+                ops,
+            },
+            other => other.into(),
+        };
+        for r in [FrameRef::from(&f), borrowed] {
+            // Head and tail apart (the vectored-write form) are the same
+            // wire image.
+            let mut head = corked.clone();
+            let tail = r.encode_head(&mut head);
+            assert_eq!([&head[..], tail].concat(), want, "{r:?}");
+        }
+
+        // A flipped byte anywhere in the body may decode to a
+        // different-but-valid frame or fail as InvalidData; it must never
+        // panic (the receiver's host/bounds checks own the former).
+        for i in 0..enc.len() - 4 {
+            let mut fuzz = enc[4..].to_vec();
+            fuzz[i] ^= 0xA5;
+            if let Err(e) = Frame::decode(&fuzz) {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{f:?} byte {i}");
+            }
+        }
     }
 
     #[test]
@@ -1291,14 +1464,7 @@ mod tests {
         bad[21] = 0xEE;
         expect_invalid(&bad);
 
-        // Single corrupted bytes through the header region must never
-        // panic (they may decode to a different-but-valid frame; the
-        // receiver's host/bounds checks own those).
-        for i in 0..body.len().min(32) {
-            let mut fuzz = body.to_vec();
-            fuzz[i] ^= 0xA5;
-            let _ = Frame::decode(&fuzz);
-        }
+        // (Single flipped bytes: `roundtrip` fuzzes every variant.)
     }
 
     #[test]
@@ -1309,6 +1475,23 @@ mod tests {
         }
         assert!("zmq:whatever".parse::<Addr>().is_err());
         assert!("tcp:notanaddr".parse::<Addr>().is_err());
+    }
+
+    #[test]
+    fn tcp_data_connections_disable_nagle_at_dial_and_accept() {
+        // The fabric coalesces frames itself (see `egress`); kernel Nagle
+        // plus delayed ACK under its write-write-wait pattern would stack
+        // a second, timer-driven coalescer on top.
+        let listener = Listener::bind(Transport::Tcp).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let dialed = Stream::connect(&addr).unwrap();
+        let accepted = listener.accept().unwrap();
+        for (side, s) in [("dial", dialed), ("accept", accepted)] {
+            match s {
+                Stream::Tcp(t) => assert!(t.nodelay().unwrap(), "{side} side"),
+                Stream::Uds(_) => panic!("tcp transport produced a uds stream"),
+            }
+        }
     }
 
     #[test]

@@ -200,17 +200,25 @@ impl FleetRegistry {
             "frames on the wire",
             &mut out,
         );
+        help(
+            "caf_wire_writes_total",
+            "counter",
+            "socket writes (frames leave corked: frames / writes is the combining factor)",
+            &mut out,
+        );
         for (r, s) in g.iter().enumerate() {
             if let Some(t) = &s.telemetry {
                 out.push_str(&format!(
                     "caf_wire_bytes_total{{node=\"{r}\",dir=\"tx\"}} {}\n\
                      caf_wire_bytes_total{{node=\"{r}\",dir=\"rx\"}} {}\n\
                      caf_wire_frames_total{{node=\"{r}\",dir=\"tx\"}} {}\n\
-                     caf_wire_frames_total{{node=\"{r}\",dir=\"rx\"}} {}\n",
+                     caf_wire_frames_total{{node=\"{r}\",dir=\"rx\"}} {}\n\
+                     caf_wire_writes_total{{node=\"{r}\"}} {}\n",
                     t.stats.wire_bytes_tx,
                     t.stats.wire_bytes_rx,
                     t.stats.wire_frames_tx,
                     t.stats.wire_frames_rx,
+                    t.obs.peers.iter().map(|p| p.writes_tx).sum::<u64>(),
                 ));
             }
         }
@@ -342,7 +350,7 @@ impl FleetRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caf_fabric::{ObsSnapshot, StatsSnapshot, TelemetryPhase};
+    use caf_fabric::{ObsSnapshot, PeerWireSnapshot, StatsSnapshot, TelemetryPhase};
 
     fn telemetry(node: u32, puts_inter: u64) -> NodeTelemetry {
         NodeTelemetry {
@@ -362,7 +370,16 @@ mod tests {
                 shm_flag_ops: 8,
                 ..StatsSnapshot::default()
             },
-            obs: ObsSnapshot::default(),
+            obs: ObsSnapshot {
+                peers: vec![
+                    PeerWireSnapshot {
+                        writes_tx: 3 + node as u64,
+                        ..PeerWireSnapshot::default()
+                    };
+                    2
+                ],
+                ..ObsSnapshot::default()
+            },
             events: Vec::new(),
         }
     }
@@ -391,6 +408,7 @@ mod tests {
             m.contains("caf_wire_bytes_total{node=\"1\",dir=\"tx\"} 200"),
             "{m}"
         );
+        assert!(m.contains("caf_wire_writes_total{node=\"1\"} 8"), "{m}");
         assert!(m.contains("# TYPE caf_node_up gauge"), "{m}");
         assert!(m.contains("caf_ams_total{node=\"0\"} 40"), "{m}");
         assert!(m.contains("caf_am_batches_total{node=\"1\"} 5"), "{m}");

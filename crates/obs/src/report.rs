@@ -52,9 +52,15 @@ pub fn fleet_report_json(feeds: &[NodeFeed]) -> String {
             first = false;
             out.push_str(&format!(
                 "{{\"peer\": {peer}, \"frames_tx\": {}, \"bytes_tx\": {}, \
-                 \"frames_rx\": {}, \"bytes_rx\": {}, \"retries\": {}, \
-                 \"reconnects\": {}}}",
-                w.frames_tx, w.bytes_tx, w.frames_rx, w.bytes_rx, w.retries, w.reconnects
+                 \"writes_tx\": {}, \"frames_rx\": {}, \"bytes_rx\": {}, \
+                 \"retries\": {}, \"reconnects\": {}}}",
+                w.frames_tx,
+                w.bytes_tx,
+                w.writes_tx,
+                w.frames_rx,
+                w.bytes_rx,
+                w.retries,
+                w.reconnects
             ));
         }
         out.push_str("],\n");
@@ -203,6 +209,7 @@ mod tests {
                             PeerWireSnapshot {
                                 frames_tx: 3,
                                 bytes_tx: 300,
+                                writes_tx: 2,
                                 ..PeerWireSnapshot::default()
                             };
                             2
@@ -260,6 +267,10 @@ mod tests {
         assert_eq!(
             pairs[0].get("frames_tx").and_then(json::Value::as_f64),
             Some(3.0)
+        );
+        assert_eq!(
+            pairs[0].get("writes_tx").and_then(json::Value::as_f64),
+            Some(2.0)
         );
         let stats = n0.get("stats").expect("stats");
         assert_eq!(
