@@ -13,12 +13,8 @@
 //! (CAF2.0/OpenUH). Absolute numbers depend on the modeled DGEMM rate; the
 //! orderings and ratios are the reproduction target.
 
-use caf_bench::{hpl_comparators, print_cost_preamble, scaled};
-use caf_fabric::{SimConfig, SimFabric};
-use caf_hpl::{factorize, HplConfig};
+use caf_bench::{hpl_comparators, modeled_hpl, print_hpl_preamble, scaled};
 use caf_microbench::Table;
-use caf_runtime::run_on_fabric;
-use caf_topology::{presets, ImageMap, Placement};
 
 /// (images, nodes) → problem size N (scaled so per-image work stays
 /// meaningful while a 1-core host can simulate 256 images).
@@ -32,7 +28,7 @@ fn problem_size(images: usize) -> usize {
 }
 
 fn main() {
-    print_cost_preamble("EXP-F1");
+    print_hpl_preamble("EXP-F1");
     let configs: &[(usize, usize)] = if caf_bench::quick_mode() {
         &[(4, 4), (16, 2)]
     } else {
@@ -47,26 +43,12 @@ fn main() {
 
     let mut best_gain: f64 = 0.0;
     for &(images, nodes) in configs {
-        let per_node = images / nodes;
         let n = problem_size(images);
-        let nb = 64.min(n / 4).max(8);
         let mut row = vec![format!("{images}({nodes})"), n.to_string()];
         let mut two = f64::NAN;
         let mut one = f64::NAN;
         for c in &comps {
-            let map = ImageMap::new(presets::whale(), images, &Placement::Block { per_node });
-            let fabric = SimFabric::new(
-                map,
-                SimConfig {
-                    cost: presets::whale_cost(),
-                    overheads: c.stack,
-                    ..SimConfig::default()
-                },
-            );
-            let hpl = HplConfig { n, nb, seed: 2015 };
-            let gflops = run_on_fabric(fabric, c.collectives, move |img| {
-                factorize(img, &hpl).gflops()
-            })[0];
+            let (_, gflops) = modeled_hpl(images, nodes, n, c);
             row.push(format!("{gflops:.2}"));
             match c.name {
                 "UHCAF-2level" => two = gflops,

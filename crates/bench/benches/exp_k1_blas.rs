@@ -1,0 +1,275 @@
+//! EXP-K1 (extension) — the local compute kernels under `caf-hpl`, in
+//! wall-clock: the packed, register-blocked `dgemm_minus` at the shape
+//! HPL's trailing update spends its time in and at an edge-heavy shape,
+//! the halved `dtrsm_lower_unit`, one block step's batched row
+//! interchange, and a whole single-image factorization on ThreadFabric.
+//!
+//! `*_wall` rows are the best of several repetitions in nanoseconds per
+//! call (host wall clock — gated loosely via `--wall-tolerance`); the
+//! `bytes` slot of a compute row carries the call's flop count, so
+//! GFLOP/s = bytes / ns. The one `*_virt` row is EXP-F1's quick 16(2)
+//! UHCAF-2level point in *modeled* nanoseconds: it depends only on the
+//! flop accounting, the message sequence and the pivots, so it must diff
+//! at +0.00 % against the baseline whatever the kernels do.
+//!
+//! The acceptance check: on a host whose dispatched kernel is the
+//! AVX2+FMA one, `dgemm_minus` runs at least 2.5× the textbook `j-l-i`
+//! loop kept below.
+//!
+//! Results go to `BENCH_blas.json` (override with `CAF_BENCH_OUT`), which
+//! also records the kernel's name; CI reruns the quick repetitions and
+//! diffs against the committed baseline.
+
+use caf_bench::{hpl_comparators, modeled_hpl, print_hpl_preamble, scaled};
+use caf_fabric::{ArcFabric, ThreadConfig, ThreadFabric};
+use caf_hpl::{blas, factorize, hpl_matrix, HplConfig, HplOutcome, Matrix};
+use caf_microbench::Table;
+use caf_runtime::{run_on_fabric, CollectiveConfig};
+use caf_topology::{presets, ImageMap, Placement};
+use std::hint::black_box;
+use std::time::Instant;
+
+struct Rec {
+    op: &'static str,
+    /// Flops per call (compute rows), matrix bytes (rowswap), N (virt row).
+    bytes: u64,
+    algo: &'static str,
+    ns: f64,
+}
+
+/// Best wall-clock nanoseconds of `reps` calls of `f`.
+fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e9
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The loop `dgemm_minus` was before it was packed: one axpy per `(j, l)`.
+#[allow(clippy::too_many_arguments)]
+fn textbook_dgemm_minus(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    for j in 0..n {
+        let cj = &mut c[j * ldc..j * ldc + m];
+        for l in 0..k {
+            let blj = b[l + j * ldb];
+            let al = &a[l * lda..l * lda + m];
+            for (x, &ali) in cj.iter_mut().zip(al) {
+                *x -= ali * blj;
+            }
+        }
+    }
+}
+
+/// `rows × cols` values in (−0.5, 0.5) from the HPL generator.
+fn operand(seed: u64, rows: usize, cols: usize) -> Vec<f64> {
+    (0..rows * cols)
+        .map(|i| caf_hpl::hpl_element(seed, cols, i % rows, i / rows))
+        .collect()
+}
+
+fn dgemm_rows(recs: &mut Vec<Rec>, op: &'static str, (m, n, k): (usize, usize, usize)) -> f64 {
+    let reps = scaled(20, 5);
+    let (a, b) = (operand(1, m, k), operand(2, k, n));
+    let mut c = operand(3, m, n);
+    let packed = best_ns(reps, || blas::dgemm_minus(m, n, k, &a, m, &b, k, &mut c, m));
+    let textbook = best_ns(reps, || {
+        textbook_dgemm_minus(m, n, k, &a, m, &b, k, &mut c, m)
+    });
+    black_box(&c);
+    let flops = blas::dgemm_flops(m, n, k);
+    for (algo, ns) in [("dispatched_wall", packed), ("textbook_wall", textbook)] {
+        recs.push(Rec {
+            op,
+            bytes: flops,
+            algo,
+            ns,
+        });
+    }
+    textbook / packed
+}
+
+fn json_escape_free(s: &str) -> &str {
+    assert!(
+        s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || "_-.+ ".contains(c)),
+        "unexpected character in JSON field: {s}"
+    );
+    s
+}
+
+fn write_json(path: &str, recs: &[Rec]) {
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str("  \"experiment\": \"exp_k1_blas\",\n");
+    out.push_str(&format!(
+        "  \"kernel\": \"{}\",\n",
+        json_escape_free(blas::kernel_name())
+    ));
+    out.push_str(&format!("  \"quick\": {},\n", caf_bench::quick_mode()));
+    out.push_str("  \"unit\": \"wall_rows_best_wall_ns_per_call_virt_rows_modeled_ns\",\n");
+    out.push_str("  \"results\": [\n");
+    for (i, r) in recs.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"op\": \"{}\", \"bytes\": {}, \"algo\": \"{}\", \"ns\": {:.3}}}{}\n",
+            json_escape_free(r.op),
+            r.bytes,
+            json_escape_free(r.algo),
+            r.ns,
+            if i + 1 < recs.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    println!("\nwrote {path} ({} results)", recs.len());
+}
+
+fn main() {
+    print_hpl_preamble("EXP-K1");
+    let mut recs: Vec<Rec> = Vec::new();
+
+    // dgemm: the nb = 64 trailing update, and a shape where every tile
+    // row, tile column and the depth end in a partial tile.
+    let speedup = dgemm_rows(&mut recs, "dgemm_1024x1024x64", (1024, 1024, 64));
+    dgemm_rows(&mut recs, "dgemm_1000x999x61", (1000, 999, 61));
+
+    // dtrsm: the 64-wide U12 block-row solve.
+    {
+        let (nb, n) = (64, 1024);
+        // Entries of L small enough that solving in place, repetition after
+        // repetition, stays in the normal range.
+        let l: Vec<f64> = operand(4, nb, nb).iter().map(|v| v / nb as f64).collect();
+        let mut x = operand(5, nb, n);
+        let ns = best_ns(scaled(50, 10), || {
+            blas::dtrsm_lower_unit(nb, n, &l, nb, &mut x, nb)
+        });
+        black_box(&x);
+        recs.push(Rec {
+            op: "dtrsm_64x1024",
+            bytes: blas::dtrsm_flops(nb, n),
+            algo: "dispatched_wall",
+            ns,
+        });
+    }
+
+    // Row interchange: one block step's 64 pivots over a 2048 x 1024
+    // local matrix (the first step of N = 2048 on a 1 x 2 grid).
+    {
+        let (rows, cols, nb) = (2048, 1024, 64);
+        let mut local = Matrix::zeros(rows, cols);
+        local
+            .as_mut_slice()
+            .copy_from_slice(&operand(6, rows, cols));
+        let pivots = hpl_matrix(7, nb);
+        let swaps: Vec<(usize, usize)> = (0..nb)
+            .map(|j| {
+                let span = (rows - j) as f64;
+                (j, j + ((pivots.get(j, 0) + 0.5) * span) as usize)
+            })
+            .collect();
+        let ns = best_ns(scaled(20, 5), || local.swap_rows_batched(&swaps, 0, cols));
+        black_box(&local);
+        recs.push(Rec {
+            op: "rowswap_2048x1024",
+            bytes: (rows * cols * 8) as u64,
+            algo: "batched_wall",
+            ns,
+        });
+    }
+
+    // A whole factorization, one image, no peers.
+    {
+        let n = 1024;
+        let ns = (0..scaled(5, 2))
+            .map(|rep| {
+                let map = ImageMap::new(presets::mini(1, 1), 1, &Placement::Packed);
+                let fabric: ArcFabric = ThreadFabric::new(map, ThreadConfig::default());
+                let cfg = HplConfig {
+                    n,
+                    nb: 64,
+                    seed: 2015 + rep,
+                };
+                run_on_fabric(fabric, CollectiveConfig::two_level(), move |img| {
+                    factorize(img, &cfg).time_ns
+                })[0] as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        recs.push(Rec {
+            op: "factorize_1024",
+            bytes: HplOutcome::flops(n) as u64,
+            algo: "thread1_wall",
+            ns,
+        });
+    }
+
+    // The guard on the accounting rule: EXP-F1's quick 16(2) point.
+    let comps = hpl_comparators();
+    let two_level = comps
+        .iter()
+        .find(|c| c.name == "UHCAF-2level")
+        .expect("EXP-F1 has a 2-level comparator");
+    let (virt_ns, virt_gflops) = modeled_hpl(16, 2, 256, two_level);
+    recs.push(Rec {
+        op: "hpl_f1_16x2",
+        bytes: 256,
+        algo: "two_level_virt",
+        ns: virt_ns as f64,
+    });
+
+    let mut t = Table::new(
+        format!(
+            "EXP-K1: caf-hpl local kernels on this host ({})",
+            blas::kernel_name()
+        ),
+        &["op", "algo", "ms", "GFLOP/s"],
+    );
+    for r in &recs {
+        let rate = match r.algo {
+            "batched_wall" => "-".to_string(),
+            "two_level_virt" => format!("{virt_gflops:.2} (modeled)"),
+            _ => format!("{:.2}", r.bytes as f64 / r.ns),
+        };
+        t.row(&[
+            r.op.to_string(),
+            r.algo.to_string(),
+            format!("{:.3}", r.ns / 1e6),
+            rate,
+        ]);
+    }
+    t.note("wall rows: best repetition; the virt row is modeled time and must not move");
+    t.print();
+
+    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
+        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
+        format!("{root}/../../BENCH_blas.json")
+    });
+    write_json(&path, &recs);
+
+    // Acceptance: where the FMA kernel is dispatched it must clearly beat
+    // the loop it replaced; the portable tile makes no such promise.
+    if blas::kernel_name().starts_with("avx2+fma") {
+        assert!(
+            speedup >= 2.5,
+            "dispatched dgemm_minus is only {speedup:.2}x the textbook loop at \
+             1024x1024x64 (need >= 2.5x)"
+        );
+        println!("acceptance: dgemm_minus is {speedup:.1}x the textbook loop -- PASS");
+    } else {
+        println!(
+            "acceptance: skipped ({} dispatched; dgemm_minus is {speedup:.1}x the textbook loop)",
+            blas::kernel_name()
+        );
+    }
+}

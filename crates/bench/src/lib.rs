@@ -12,8 +12,10 @@
 
 #![warn(missing_docs)]
 
-use caf_runtime::{BarrierAlgo, CollectiveConfig};
-use caf_topology::{presets, SoftwareOverheads};
+use caf_fabric::{SimConfig, SimFabric};
+use caf_hpl::{factorize, HplConfig};
+use caf_runtime::{run_on_fabric, BarrierAlgo, CollectiveConfig};
+use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
 
 /// True when the quick (CI) scale was requested via `CAF_BENCH_QUICK`.
 pub fn quick_mode() -> bool {
@@ -140,6 +142,40 @@ pub fn print_cost_preamble(label: &str) {
         1000.0 / c.g_inter_ps_per_byte as f64,
         c.flops_per_us as f64 / 1000.0,
     );
+}
+
+/// [`print_cost_preamble`] for the benches that execute `caf-hpl`: also
+/// names the local compute kernel the host dispatched to, so a wall-clock
+/// GFLOP/s figure can be traced to the code that produced it.
+pub fn print_hpl_preamble(label: &str) {
+    print_cost_preamble(label);
+    println!("[{label}] local kernel: {}", caf_hpl::blas::kernel_name());
+}
+
+/// One modeled HPL factorization of EXP-F1: `images` images on `nodes`
+/// whale nodes (block placement), matrix seed 2015, `nb = 64` capped at
+/// `n / 4`, run on SimFabric under comparator `c`. Returns image 1's
+/// virtual nanoseconds and modeled GFLOP/s.
+pub fn modeled_hpl(images: usize, nodes: usize, n: usize, c: &Comparator) -> (u64, f64) {
+    let per_node = images / nodes;
+    let map = ImageMap::new(presets::whale(), images, &Placement::Block { per_node });
+    let fabric = SimFabric::new(
+        map,
+        SimConfig {
+            cost: presets::whale_cost(),
+            overheads: c.stack,
+            ..SimConfig::default()
+        },
+    );
+    let hpl = HplConfig {
+        n,
+        nb: 64.min(n / 4).max(8),
+        seed: 2015,
+    };
+    run_on_fabric(fabric, c.collectives, move |img| {
+        let out = factorize(img, &hpl);
+        (out.time_ns, out.gflops())
+    })[0]
 }
 
 #[cfg(test)]

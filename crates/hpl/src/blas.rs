@@ -1,11 +1,33 @@
 //! The dense kernels HPL needs, on raw column-major buffers: `dgemm`
 //! (C −= A·B), `dtrsm` (unit-lower triangular solve), `dscal`/`dger`-style
-//! panel updates, and `idamax`. Written for clarity with slice-based inner
-//! loops the compiler vectorizes; flop counts are reported by the callers
-//! for the simulator's time model.
+//! panel updates, and `idamax`.
+//!
+//! All three level-2/3 routines are one kernel stack: [`dgemm_minus`] is
+//! the packed, register-blocked kernel of the private `kernel` module
+//! (AVX2+FMA where the CPU has it, a portable tile elsewhere —
+//! [`kernel_name`] says which), [`dger_minus`] is its `k = 1` case and
+//! [`dtrsm_lower_unit`] halves its triangle until all but the small
+//! diagonal blocks is a `dgemm_minus`. The functions here are safe: every
+//! length the kernel relies on is asserted before it runs. Flop counts are
+//! reported by the callers for the simulator's time model.
+
+use crate::kernel::{self, Kernel};
+use std::cell::RefCell;
+
+/// The micro-kernel this process dispatches to — instruction set and
+/// register tile, e.g. `"avx2+fma 8x6"` or `"portable 4x4"`. Chosen from
+/// CPUID alone, once.
+pub fn kernel_name() -> &'static str {
+    Kernel::dispatched().name()
+}
 
 /// `C[0..m, 0..n] -= A[0..m, 0..k] * B[0..k, 0..n]` on column-major
 /// buffers with leading dimensions `lda`, `ldb`, `ldc`.
+///
+/// # Panics
+/// Panics if a leading dimension is smaller than its operand's row count
+/// or a slice is shorter than its operand: `a.len() ≥ lda·(k−1)+m`,
+/// `b.len() ≥ ldb·(n−1)+k`, `c.len() ≥ ldc·(n−1)+m`.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_minus(
     m: usize,
@@ -18,47 +40,93 @@ pub fn dgemm_minus(
     c: &mut [f64],
     ldc: usize,
 ) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    assert!(lda >= m && ldc >= m && ldb >= k, "leading dims too small");
-    for j in 0..n {
-        let cj = &mut c[j * ldc..j * ldc + m];
-        for l in 0..k {
-            let blj = b[l + j * ldb];
-            if blj == 0.0 {
-                continue;
-            }
-            let al = &a[l * lda..l * lda + m];
-            for i in 0..m {
-                cj[i] -= al[i] * blj;
-            }
-        }
-    }
+    kernel::gemm_minus(Kernel::dispatched(), m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+/// Triangles up to this order are solved by the scalar recurrence; larger
+/// ones are halved. With `nb = 64` that leaves 1/8 of the flops scalar.
+const TRSM_IB: usize = 8;
+
+thread_local! {
+    /// The solved upper half of the right-hand side, copied out so the
+    /// update of the lower half can read it while writing the same columns.
+    static TRSM_X1: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Solve `L X = B` in place where `L` is `nb × nb` **unit lower**
 /// triangular (column-major, leading dim `ldl`) and `B` is `nb × n`
 /// (leading dim `ldb`). On return `B` holds `X` — the `U12` block step of
 /// right-looking LU.
+///
+/// # Panics
+/// Panics if a leading dimension is smaller than `nb` or a slice is
+/// shorter than its operand: `l.len() ≥ ldl·(nb−1)+nb`,
+/// `b.len() ≥ ldb·(n−1)+nb`.
 pub fn dtrsm_lower_unit(nb: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
     if nb == 0 || n == 0 {
         return;
     }
     assert!(ldl >= nb && ldb >= nb, "leading dims too small");
-    for j in 0..n {
-        for i in 0..nb {
-            let xi = b[i + j * ldb];
-            if xi == 0.0 {
-                continue;
-            }
+    assert!(
+        l.len() >= ldl * (nb - 1) + nb,
+        "L: slice shorter than nb x nb"
+    );
+    assert!(
+        b.len() >= ldb * (n - 1) + nb,
+        "B: slice shorter than nb x n"
+    );
+    TRSM_X1.with_borrow_mut(|x1| {
+        if x1.len() < nb / 2 * n {
+            x1.resize(nb / 2 * n, 0.0);
+        }
+        trsm_halved(nb, n, l, ldl, b, ldb, x1);
+    });
+}
+
+/// `[L11 0; L21 L22]·[X1; X2] = [B1; B2]`: solve for `X1`, subtract
+/// `L21·X1` from `B2` with [`dgemm_minus`], solve for `X2`.
+fn trsm_halved(
+    nb: usize,
+    n: usize,
+    l: &[f64],
+    ldl: usize,
+    b: &mut [f64],
+    ldb: usize,
+    x1: &mut [f64],
+) {
+    if nb <= TRSM_IB {
+        return trsm_scalar(nb, n, l, ldl, b, ldb);
+    }
+    let h = nb / 2;
+    trsm_halved(h, n, l, ldl, b, ldb, x1);
+    for (dst, src) in x1.chunks_exact_mut(h).zip(b.chunks(ldb)).take(n) {
+        dst.copy_from_slice(&src[..h]);
+    }
+    dgemm_minus(nb - h, n, h, &l[h..], ldl, x1, h, &mut b[h..], ldb);
+    trsm_halved(nb - h, n, &l[h + h * ldl..], ldl, &mut b[h..], ldb, x1);
+}
+
+/// The forward-substitution recurrence, one right-hand side at a time, on
+/// a triangle of order `nb ≤ TRSM_IB`. `L` and each right-hand side are
+/// copied into `TRSM_IB`-sized arrays (zero-padded: a padded row only ever
+/// feeds padded rows), so the elimination loops have constant bounds and
+/// unroll into straight-line code.
+fn trsm_scalar(nb: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
+    let mut lt = [[0.0f64; TRSM_IB]; TRSM_IB];
+    for (i, col) in lt.iter_mut().enumerate().take(nb) {
+        col[i + 1..nb].copy_from_slice(&l[i * ldl + i + 1..i * ldl + nb]);
+    }
+    for bj in b.chunks_mut(ldb).take(n) {
+        let mut x = [0.0f64; TRSM_IB];
+        x[..nb].copy_from_slice(&bj[..nb]);
+        for i in 0..TRSM_IB {
+            let xi = x[i];
             // Eliminate x_i from the rows below.
-            let li = &l[i * ldl..i * ldl + nb];
-            let bj = &mut b[j * ldb..j * ldb + nb];
-            for r in i + 1..nb {
-                bj[r] -= li[r] * xi;
+            for r in i + 1..TRSM_IB {
+                x[r] -= lt[i][r] * xi;
             }
         }
+        bj[..nb].copy_from_slice(&x[..nb]);
     }
 }
 
@@ -86,22 +154,14 @@ pub fn dscal(alpha: f64, x: &mut [f64]) {
 }
 
 /// Rank-1 update `A[0..m, 0..n] -= x[0..m] * y[0..n]^T` (column-major,
-/// leading dim `lda`) — the in-panel trailing update.
+/// leading dim `lda`) — the in-panel trailing update, as the `k = 1` case
+/// of [`dgemm_minus`].
+///
+/// # Panics
+/// Panics if `lda < m`, `x.len() < m`, `y.len() < n` or
+/// `a.len() < lda·(n−1)+m`.
 pub fn dger_minus(m: usize, n: usize, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    assert!(lda >= m && x.len() >= m && y.len() >= n);
-    for j in 0..n {
-        let yj = y[j];
-        if yj == 0.0 {
-            continue;
-        }
-        let aj = &mut a[j * lda..j * lda + m];
-        for i in 0..m {
-            aj[i] -= x[i] * yj;
-        }
-    }
+    dgemm_minus(m, n, 1, x, m, y, 1, a, lda);
 }
 
 /// Flops of a `dgemm_minus` call (multiply + subtract).
@@ -117,7 +177,8 @@ pub fn dtrsm_flops(nb: usize, n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::matrix::{hpl_element, Matrix};
+    use proptest::prelude::*;
 
     fn naive_mul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -180,6 +241,192 @@ mod tests {
         assert_eq!(c[8], -30.0);
         assert_eq!(c[9], -60.0);
         assert_eq!(c[2], 0.0, "rows beyond m untouched");
+    }
+
+    /// Marks every element of a padded buffer that no kernel may write.
+    const SENTINEL: f64 = -7.25e300;
+
+    /// `mat` laid out with leading dimension `ld > rows`, the padding rows
+    /// holding [`SENTINEL`].
+    fn padded(mat: &Matrix, ld: usize) -> Vec<f64> {
+        let mut buf = vec![SENTINEL; ld * mat.cols()];
+        for j in 0..mat.cols() {
+            buf[j * ld..j * ld + mat.rows()].copy_from_slice(mat.col(j));
+        }
+        buf
+    }
+
+    fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for j in 0..cols {
+            for i in 0..rows {
+                m.set(i, j, hpl_element(seed, cols, i, j));
+            }
+        }
+        m
+    }
+
+    /// Run `C −= A·B` on every kernel this CPU supports, inside buffers
+    /// whose leading dimensions exceed the operands by `pad`, and check the
+    /// result against [`naive_mul`] and the padding against [`SENTINEL`].
+    fn check_gemm_on_every_kernel(m: usize, n: usize, k: usize, pad: [usize; 3], seed: u64) {
+        let a = random_matrix(seed, m, k);
+        let b = random_matrix(seed + 1, k, n);
+        let c0 = random_matrix(seed + 2, m, n);
+        let product = naive_mul(&a, &b);
+        let [lda, ldb, ldc] = [m + pad[0], k + pad[1], m + pad[2]];
+        let (pa, pb) = (padded(&a, lda), padded(&b, ldb));
+        for kernel in Kernel::supported() {
+            let mut pc = padded(&c0, ldc);
+            kernel::gemm_minus(kernel, m, n, k, &pa, lda, &pb, ldb, &mut pc, ldc);
+            for j in 0..n {
+                for i in 0..ldc {
+                    let got = pc[i + j * ldc];
+                    if i < m {
+                        let want = c0.get(i, j) - product.get(i, j);
+                        assert!(
+                            (got - want).abs() <= 1e-13 * (k + 1) as f64,
+                            "{}: C({i},{j}) = {got}, want {want} (m={m} n={n} k={k})",
+                            kernel.name()
+                        );
+                    } else {
+                        assert!(
+                            got == SENTINEL,
+                            "{}: padding row {i} of column {j} written (m={m} n={n} k={k})",
+                            kernel.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dgemm_matches_naive_on_every_kernel(
+            m in 0usize..=70,
+            n in 0usize..=70,
+            k in 0usize..=70,
+            pad in (1usize..=5, 1usize..=5, 1usize..=5),
+            seed in 0u64..1000,
+        ) {
+            check_gemm_on_every_kernel(m, n, k, [pad.0, pad.1, pad.2], seed);
+        }
+    }
+
+    #[test]
+    fn dgemm_edge_tiles_and_cache_block_seams() {
+        // Below one register tile, one step deep, and one past each cache
+        // block (MC = 128, KC = 256, NC = 4080).
+        for (m, n, k) in [
+            (1, 1, 1),
+            (3, 5, 1),
+            (7, 5, 2),
+            (8, 6, 1),
+            (9, 7, 3),
+            (129, 13, 257),
+            (5, 4081, 2),
+        ] {
+            check_gemm_on_every_kernel(m, n, k, [1, 2, 3], 77);
+        }
+    }
+
+    #[test]
+    fn kernel_name_says_which_tile_runs() {
+        let name = kernel_name();
+        assert!(name == "avx2+fma 8x6" || name == "portable 4x4", "{name}");
+        assert_eq!(name, Kernel::supported()[0].name());
+    }
+
+    #[test]
+    #[should_panic(expected = "A: slice shorter")]
+    fn dgemm_rejects_short_a() {
+        dgemm_minus(4, 3, 2, &[0.0; 7], 4, &[0.0; 6], 2, &mut [0.0; 12], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "B: slice shorter")]
+    fn dgemm_rejects_short_b() {
+        dgemm_minus(4, 3, 2, &[0.0; 8], 4, &[0.0; 5], 2, &mut [0.0; 12], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "C: slice shorter")]
+    fn dgemm_rejects_short_c() {
+        dgemm_minus(4, 3, 2, &[0.0; 8], 4, &[0.0; 6], 2, &mut [0.0; 11], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "L: slice shorter")]
+    fn dtrsm_rejects_short_l() {
+        dtrsm_lower_unit(3, 2, &[0.0; 8], 3, &mut [0.0; 6], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "B: slice shorter")]
+    fn dtrsm_rejects_short_b() {
+        dtrsm_lower_unit(3, 2, &[0.0; 9], 3, &mut [0.0; 5], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "A: slice shorter")]
+    fn dger_rejects_short_x() {
+        dger_minus(3, 2, &[0.0; 2], &[0.0; 2], &mut [0.0; 6], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "B: slice shorter")]
+    fn dger_rejects_short_y() {
+        dger_minus(3, 2, &[0.0; 3], &[0.0; 1], &mut [0.0; 6], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "C: slice shorter")]
+    fn dger_rejects_short_a() {
+        dger_minus(3, 2, &[0.0; 3], &[0.0; 2], &mut [0.0; 5], 3);
+    }
+
+    #[test]
+    fn dtrsm_halved_matches_the_scalar_recurrence() {
+        // Orders below, at and one past the blocking (TRSM_IB = 8, halving
+        // from 64), over one, a few and many right-hand sides.
+        for nb in [1usize, 7, 64, 65] {
+            for n in [1usize, 37, 300] {
+                let src = random_matrix(nb as u64, nb, nb);
+                let (ldl, ldb) = (nb + 2, nb + 3);
+                let l = padded(&src, ldl);
+                let rhs = random_matrix(99, nb, n);
+                let mut got = padded(&rhs, ldb);
+                dtrsm_lower_unit(nb, n, &l, ldl, &mut got, ldb);
+                // The recurrence, element by element (strictly lower part
+                // of `src`, unit diagonal implied).
+                let mut want = rhs.clone();
+                for j in 0..n {
+                    for i in 0..nb {
+                        let xi = want.get(i, j);
+                        for r in i + 1..nb {
+                            want.set(r, j, want.get(r, j) - src.get(r, i) * xi);
+                        }
+                    }
+                }
+                for j in 0..n {
+                    for i in 0..ldb {
+                        let g = got[i + j * ldb];
+                        if i < nb {
+                            let w = want.get(i, j);
+                            assert!(
+                                (g - w).abs() <= 1e-11 * w.abs().max(1.0),
+                                "nb={nb} n={n}: X({i},{j}) = {g}, want {w}"
+                            );
+                        } else {
+                            assert!(g == SENTINEL, "nb={nb} n={n}: padding ({i},{j}) written");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

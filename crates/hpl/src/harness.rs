@@ -135,6 +135,33 @@ mod tests {
     }
 
     #[test]
+    fn factorize_picks_the_reference_pivots_on_every_grid() {
+        // 1x1 and 1x2 apply every interchange through the batched local
+        // path; 2x2 and 2x3 mix it with distributed exchanges.
+        use caf_runtime::{run, RunConfig};
+        use caf_topology::presets;
+        let (n, seed) = (256, 21);
+        let (_, want) = serial_lu(seed, n);
+        for (images, nodes, cores) in [(1, 1, 1), (2, 1, 2), (4, 2, 2), (6, 2, 3)] {
+            let rc = RunConfig::sim_packed(presets::mini(nodes, cores), images);
+            let hpl = HplConfig { n, nb: 32, seed };
+            let out = run(rc, move |img| {
+                let o = crate::lu::factorize(img, &hpl);
+                let r = residual_check(img, &hpl, &o);
+                (o.pivots, r)
+            });
+            for (pivots, _) in &out {
+                assert_eq!(
+                    pivots, &want,
+                    "{images} images: pivots differ from serial LU"
+                );
+            }
+            let r = out[0].1.expect("image 1 verifies");
+            assert!(r < 1e-10, "{images} images: residual {r}");
+        }
+    }
+
+    #[test]
     fn residual_detects_corruption() {
         let n = 16;
         let (mut f, pivots) = serial_lu(11, n);

@@ -1,0 +1,435 @@
+//! The one local compute kernel under [`crate::blas`]: a GotoBLAS-style
+//! `C −= A·B` — operands packed into contiguous, zero-padded micro-panels
+//! and an `MR × NR` register tile swept over them.
+//!
+//! ```text
+//! for jc in 0..n step NC            B(pc.., jc..)  → NR-column panels
+//!   for pc in 0..k step KC          A(ic.., pc..)  → MR-row panels
+//!     for ic in 0..m step MC
+//!       for jr in 0..nc step NR     B micro-panel: kc × NR, L1-resident
+//!         for ir in 0..mc step MR   A micro-panel: MR × kc, streamed from L2
+//!           C(ir.., jr..) −= Ã·B̃   MR × NR accumulators stay in registers
+//! ```
+//!
+//! Two micro-kernels share the driver: an AVX2+FMA 8×6 one (twelve `ymm`
+//! accumulators) and a plain-Rust 4×4 one for every other CPU. The choice
+//! is made once, from CPUID, and carried as a [`Kernel`] token that only
+//! this module can mint — holding the AVX2 token *is* the proof that the
+//! CPU has the features its micro-kernel was compiled for.
+//!
+//! **Determinism.** Every element of `C` is updated by a chain of
+//! subtractions whose order depends only on `(m, n, k)`: `pc` ascending,
+//! then `l` ascending within the block. Edge tiles run the same micro-kernel
+//! on a zero-padded copy, so whether an element sits in a full or a partial
+//! tile changes nothing, and neither thread identity, buffer addresses nor
+//! call history enter the arithmetic.
+//!
+//! This is the only module of the crate that contains `unsafe`: the
+//! `std::arch` loads and stores of the AVX2 micro-kernel and the call into
+//! its `#[target_feature]` function. Every pointer it forms is derived from
+//! a slice whose length was asserted first; callers establish nothing.
+
+#![deny(unsafe_op_in_unsafe_fn)]
+
+use std::cell::RefCell;
+use std::sync::OnceLock;
+
+/// Rows of `A` packed per `pc` block: an `MC × KC` block of doubles is
+/// 256 KiB, half of a small L2.
+const MC: usize = 128;
+/// Depth of one packed block. HPL calls with `k = nb ≤ KC`, so its panels
+/// are packed exactly once per call.
+const KC: usize = 256;
+/// Columns of `B` packed per `pc` block; a multiple of both kernels' `NR`.
+const NC: usize = 4080;
+/// Room for the larger register tile (8×6).
+const MAX_TILE: usize = 48;
+
+/// One packed block's worth of work, `C[0..mc, 0..nc] −= Ã·B̃`, compiled
+/// for one instruction set: [`sweep`] with that set's micro-kernel inlined.
+type BlockKernel =
+    fn(mc: usize, nc: usize, kc: usize, a_pack: &[f64], b_pack: &[f64], c: &mut [f64], ldc: usize);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+    Portable,
+}
+
+/// Which micro-kernel a `gemm_minus` call runs. Only [`Kernel::dispatched`]
+/// and [`Kernel::supported`] create one, and they hand out the AVX2 token
+/// only after CPUID reported `avx2` and `fma`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Kernel(Kind);
+
+impl Kernel {
+    /// The kernel this CPU gets, decided once per process.
+    pub(crate) fn dispatched() -> Kernel {
+        static CHOICE: OnceLock<Kernel> = OnceLock::new();
+        *CHOICE.get_or_init(|| Kernel::supported()[0])
+    }
+
+    /// Every kernel this CPU can run, fastest first — how the tests reach
+    /// the portable kernel on an AVX2 host.
+    pub(crate) fn supported() -> Vec<Kernel> {
+        let mut all = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            all.push(Kernel(Kind::Avx2Fma));
+        }
+        all.push(Kernel(Kind::Portable));
+        all
+    }
+
+    /// Instruction set and register tile, e.g. `"avx2+fma 8x6"`.
+    pub(crate) fn name(self) -> &'static str {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2Fma => "avx2+fma 8x6",
+            Kind::Portable => "portable 4x4",
+        }
+    }
+}
+
+/// The packed operands of the calling thread (one image = one thread).
+/// Grown to what a call needs and kept, so a factorization allocates them
+/// on its first update and never again.
+struct PackBufs {
+    a: Vec<f64>,
+    b: Vec<f64>,
+}
+
+thread_local! {
+    static PACK: RefCell<PackBufs> = const {
+        RefCell::new(PackBufs {
+            a: Vec::new(),
+            b: Vec::new(),
+        })
+    };
+}
+
+/// Cache-line alignment for the packed panels, in doubles.
+const ALIGN: usize = 8;
+
+/// The first `len` doubles of `buf` that start on a 64-byte boundary,
+/// growing `buf` if it is too short. Alignment only spares the micro-kernel
+/// split loads; results do not depend on it.
+fn aligned(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len + ALIGN {
+        buf.resize(len + ALIGN, 0.0);
+    }
+    let skip = buf.as_ptr().align_offset(64).min(ALIGN);
+    &mut buf[skip..skip + len]
+}
+
+/// `C[0..m, 0..n] −= A[0..m, 0..k] · B[0..k, 0..n]`, column-major.
+///
+/// # Panics
+/// Panics if a leading dimension is smaller than its operand's row count,
+/// or a slice is too short to hold its operand — the checks every raw
+/// access below relies on.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_minus(
+    kernel: Kernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(lda >= m && ldb >= k && ldc >= m, "leading dims too small");
+    assert!(a.len() >= lda * (k - 1) + m, "A: slice shorter than m x k");
+    assert!(b.len() >= ldb * (n - 1) + k, "B: slice shorter than k x n");
+    assert!(c.len() >= ldc * (n - 1) + m, "C: slice shorter than m x n");
+    match kernel.0 {
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2Fma => driver::<8, 6>(avx2::block, m, n, k, a, lda, b, ldb, c, ldc),
+        Kind::Portable => driver::<4, 4>(portable_block, m, n, k, a, lda, b, ldb, c, ldc),
+    }
+}
+
+/// The three cache-blocking loops and the packing. Dimensions are nonzero
+/// and the slices hold their operands (checked by [`gemm_minus`]).
+#[allow(clippy::too_many_arguments)]
+fn driver<const MR: usize, const NR: usize>(
+    block: BlockKernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    const { assert!(MR * NR <= MAX_TILE && MC.is_multiple_of(MR) && NC.is_multiple_of(NR)) };
+    PACK.with_borrow_mut(|pack| {
+        let kc_max = k.min(KC);
+        let a_pack = aligned(&mut pack.a, m.min(MC).next_multiple_of(MR) * kc_max);
+        let b_pack = aligned(&mut pack.b, n.min(NC).next_multiple_of(NR) * kc_max);
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack_b::<NR>(kc, nc, &b[pc + jc * ldb..], ldb, b_pack);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    pack_a::<MR>(mc, kc, &a[ic + pc * lda..], lda, a_pack);
+                    block(mc, nc, kc, a_pack, b_pack, &mut c[ic + jc * ldc..], ldc);
+                }
+            }
+        }
+    });
+}
+
+/// The two register-blocking loops over one packed block, `tile` being the
+/// `MR × NR` micro-kernel: `tile(kc, ã, b̃, c, ldc)` performs
+/// `C[0..MR, 0..NR] −= ã·b̃` where `ã` is `kc` groups of `MR` values, `b̃`
+/// is `kc` groups of `NR` values and `c` starts at the tile's first element.
+///
+/// A partial tile runs the same micro-kernel on a zero-padded copy and
+/// writes back only the elements that exist, so rows and columns beyond
+/// the operand are never touched.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sweep<const MR: usize, const NR: usize>(
+    tile: impl Fn(usize, &[f64], &[f64], &mut [f64], usize),
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    a_pack: &[f64],
+    b_pack: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+) {
+    let b_panels = b_pack[..nc.next_multiple_of(NR) * kc].chunks_exact(NR * kc);
+    for (jr, bp) in (0..nc).step_by(NR).zip(b_panels) {
+        let nr = NR.min(nc - jr);
+        let cj = &mut c[jr * ldc..];
+        let a_panels = a_pack[..mc.next_multiple_of(MR) * kc].chunks_exact(MR * kc);
+        for (ir, ap) in (0..mc).step_by(MR).zip(a_panels) {
+            let mr = MR.min(mc - ir);
+            let ct = &mut cj[ir..];
+            if mr == MR && nr == NR {
+                tile(kc, ap, bp, ct, ldc);
+            } else {
+                let mut tmp = [0.0f64; MAX_TILE];
+                copy_tile::<MR>(&mut tmp, MR, ct, ldc, mr, nr);
+                tile(kc, ap, bp, &mut tmp, MR);
+                copy_tile::<MR>(ct, ldc, &tmp, MR, mr, nr);
+            }
+        }
+    }
+}
+
+/// Copy the `mr × nr` corner of a tile between two column-major buffers.
+/// Most partial tiles are short of columns only (`mr == MR`), and for
+/// those the copy length is a constant the compiler turns into two moves.
+#[inline(always)]
+fn copy_tile<const MR: usize>(
+    dst: &mut [f64],
+    ldd: usize,
+    src: &[f64],
+    lds: usize,
+    mr: usize,
+    nr: usize,
+) {
+    for j in 0..nr {
+        if mr == MR {
+            dst[j * ldd..j * ldd + MR].copy_from_slice(&src[j * lds..j * lds + MR]);
+        } else {
+            dst[j * ldd..j * ldd + mr].copy_from_slice(&src[j * lds..j * lds + mr]);
+        }
+    }
+}
+
+/// Pack the `mc × kc` block at `a` into `MR`-row panels: panel `p` holds,
+/// for `l = 0..kc`, the `MR` values `A[p·MR.., l]`, rows past `mc` as zeros.
+fn pack_a<const MR: usize>(mc: usize, kc: usize, a: &[f64], lda: usize, out: &mut [f64]) {
+    for (p, panel) in out[..mc.next_multiple_of(MR) * kc]
+        .chunks_exact_mut(MR * kc)
+        .enumerate()
+    {
+        let r0 = p * MR;
+        let rows = MR.min(mc - r0);
+        for (l, dst) in panel.chunks_exact_mut(MR).enumerate() {
+            let src = &a[l * lda + r0..l * lda + r0 + rows];
+            if rows == MR {
+                dst.copy_from_slice(src);
+            } else {
+                dst[..rows].copy_from_slice(src);
+                dst[rows..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// Pack the `kc × nc` block at `b` into `NR`-column panels: panel `q`
+/// holds, for `l = 0..kc`, the `NR` values `B[l, q·NR..]`, columns past
+/// `nc` as zeros.
+fn pack_b<const NR: usize>(kc: usize, nc: usize, b: &[f64], ldb: usize, out: &mut [f64]) {
+    for (q, panel) in out[..nc.next_multiple_of(NR) * kc]
+        .chunks_exact_mut(NR * kc)
+        .enumerate()
+    {
+        let c0 = q * NR;
+        for j in 0..NR {
+            if c0 + j < nc {
+                let col = &b[(c0 + j) * ldb..(c0 + j) * ldb + kc];
+                for (l, &v) in col.iter().enumerate() {
+                    panel[l * NR + j] = v;
+                }
+            } else {
+                for l in 0..kc {
+                    panel[l * NR + j] = 0.0;
+                }
+            }
+        }
+    }
+}
+
+fn portable_block(
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    a_pack: &[f64],
+    b_pack: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+) {
+    sweep::<4, 4>(portable_tile, mc, nc, kc, a_pack, b_pack, c, ldc);
+}
+
+/// The portable 4×4 micro-kernel: sixteen scalar accumulators the compiler
+/// keeps in registers (and vectorizes where the target allows).
+#[inline(always)]
+fn portable_tile(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+    const MR: usize = 4;
+    const NR: usize = 4;
+    let mut acc = [[0.0f64; MR]; NR];
+    for (j, col) in acc.iter_mut().enumerate() {
+        col.copy_from_slice(&c[j * ldc..j * ldc + MR]);
+    }
+    for (al, bl) in a[..kc * MR]
+        .chunks_exact(MR)
+        .zip(b[..kc * NR].chunks_exact(NR))
+    {
+        for (col, &blj) in acc.iter_mut().zip(bl) {
+            for (x, &ali) in col.iter_mut().zip(al) {
+                *x -= ali * blj;
+            }
+        }
+    }
+    for (j, col) in acc.iter().enumerate() {
+        c[j * ldc..j * ldc + MR].copy_from_slice(col);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        _mm256_broadcast_sd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+
+    const MR: usize = 8;
+    const NR: usize = 6;
+
+    /// The AVX2+FMA [`super::BlockKernel`]. Private to the module tree: it
+    /// is reachable only through a `Kernel(Kind::Avx2Fma)` token.
+    pub(super) fn block(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a_pack: &[f64],
+        b_pack: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        // SAFETY: this function is only ever named by `gemm_minus` under a
+        // `Kind::Avx2Fma` token, which `Kernel::supported` creates only
+        // after CPUID reported avx2 and fma.
+        unsafe { block_impl(mc, nc, kc, a_pack, b_pack, c, ldc) }
+    }
+
+    /// [`super::sweep`] and [`tile`] compiled together with AVX2 and FMA
+    /// enabled, so the micro-kernel inlines into the loops around it.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn block_impl(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a_pack: &[f64],
+        b_pack: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        super::sweep::<MR, NR>(
+            // SAFETY: AVX2 and FMA are this function's own precondition.
+            |kc, a, b, c, ldc| unsafe { tile(kc, a, b, c, ldc) },
+            mc,
+            nc,
+            kc,
+            a_pack,
+            b_pack,
+            c,
+            ldc,
+        );
+    }
+
+    /// The 8×6 micro-kernel: the tile of `C` lives in twelve `ymm`
+    /// registers (6 columns × 2 halves) from its load to its store, and
+    /// step `l` subtracts `ã[l] · b̃[l]ᵀ` from it with twelve fused
+    /// negate-multiply-adds.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA. (Slice lengths are checked here.)
+    #[inline(always)]
+    unsafe fn tile(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+        assert!(a.len() >= kc * MR && b.len() >= kc * NR);
+        assert!(ldc >= MR && c.len() >= ldc * (NR - 1) + MR);
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        // SAFETY: AVX2 is the caller's obligation.
+        let mut acc = [[unsafe { _mm256_setzero_pd() }; 2]; NR];
+        for (j, col) in acc.iter_mut().enumerate() {
+            // SAFETY: column `j < 6` of the tile is the 8 doubles at
+            // `c[j·ldc .. j·ldc + 8]`, inside `c` by the assert above;
+            // each load reads one half of them.
+            unsafe {
+                col[0] = _mm256_loadu_pd(cp.add(j * ldc));
+                col[1] = _mm256_loadu_pd(cp.add(j * ldc + 4));
+            }
+        }
+        for l in 0..kc {
+            // SAFETY: `l < kc`, so the 8 doubles at `a[l·8..]` and the 6 at
+            // `b[l·6..]` are inside the packed panels by the assert above.
+            unsafe {
+                let a_lo = _mm256_loadu_pd(ap.add(l * MR));
+                let a_hi = _mm256_loadu_pd(ap.add(l * MR + 4));
+                for (j, col) in acc.iter_mut().enumerate() {
+                    let b_lj = _mm256_broadcast_sd(&*bp.add(l * NR + j));
+                    col[0] = _mm256_fnmadd_pd(a_lo, b_lj, col[0]);
+                    col[1] = _mm256_fnmadd_pd(a_hi, b_lj, col[1]);
+                }
+            }
+        }
+        for (j, col) in acc.iter().enumerate() {
+            // SAFETY: the same 8 doubles per column that were loaded above.
+            unsafe {
+                _mm256_storeu_pd(cp.add(j * ldc), col[0]);
+                _mm256_storeu_pd(cp.add(j * ldc + 4), col[1]);
+            }
+        }
+    }
+}

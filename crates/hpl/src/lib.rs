@@ -16,6 +16,7 @@
 pub mod blas;
 pub mod grid;
 pub mod harness;
+mod kernel;
 pub mod lu;
 pub mod matrix;
 pub mod solve;
@@ -119,6 +120,30 @@ mod tests {
         for (t, g) in out {
             assert!(t > 0);
             assert!(g > 0.0 && g < 1000.0, "gflops {g} out of plausible range");
+        }
+    }
+
+    #[test]
+    fn factorizing_twice_is_bit_identical() {
+        // Same seed, same process, fresh runs: the kernels' summation
+        // order depends on the shapes alone, so every bit must repeat.
+        let hpl = HplConfig {
+            n: 96,
+            nb: 16,
+            seed: 3,
+        };
+        let once = || {
+            let rc = RunConfig::sim_packed(presets::mini(2, 2), 4);
+            run(rc, move |img| {
+                let o = factorize(img, &hpl);
+                (o.pivots, o.local)
+            })
+        };
+        let (first, second) = (once(), once());
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.0, b.0, "pivots differ between two runs");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.1), bits(&b.1), "factors differ between two runs");
         }
     }
 

@@ -61,6 +61,38 @@ impl HplOutcome {
     }
 }
 
+/// What a swap of global rows `r1` and `r2` asks of an image on grid row
+/// `prow`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SwapKind {
+    /// Same row, or neither row lives on my grid row: nothing to do.
+    Skip,
+    /// Both rows live on my grid row: a local swap of these local rows.
+    Local(usize, usize),
+    /// My local row `my_lr` trades places with a row on grid row
+    /// `partner_prow`.
+    Exchange { my_lr: usize, partner_prow: usize },
+}
+
+fn swap_kind(grid: &BlockCyclic, prow: usize, r1: usize, r2: usize) -> SwapKind {
+    let (p1, p2) = (grid.owner_row(r1), grid.owner_row(r2));
+    if r1 == r2 || (prow != p1 && prow != p2) {
+        SwapKind::Skip
+    } else if p1 == p2 {
+        SwapKind::Local(grid.local_row(r1), grid.local_row(r2))
+    } else if prow == p1 {
+        SwapKind::Exchange {
+            my_lr: grid.local_row(r1),
+            partner_prow: p2,
+        }
+    } else {
+        SwapKind::Exchange {
+            my_lr: grid.local_row(r2),
+            partner_prow: p1,
+        }
+    }
+}
+
 /// Exchange (or locally swap) global rows `r1` and `r2` across my columns
 /// in global column range `gc_lo..gc_hi`. Pairwise-synchronized through
 /// `sync images` (rendezvous before the put, completion after), so no
@@ -79,42 +111,33 @@ fn swap_rows_distributed(
     gc_lo: usize,
     gc_hi: usize,
     swap_buf: &Coarray<f64>,
+    row_buf: &mut [f64],
 ) {
-    if r1 == r2 {
-        return;
-    }
-    let p1 = grid.owner_row(r1);
-    let p2 = grid.owner_row(r2);
-    if prow != p1 && prow != p2 {
-        return;
-    }
     let lc_lo = grid.first_local_col_ge(pcol, gc_lo);
     let lc_hi = grid.first_local_col_ge(pcol, gc_hi);
-    if p1 == p2 {
-        // Both rows on my grid row: a purely local swap.
-        local.swap_rows(grid.local_row(r1), grid.local_row(r2), lc_lo, lc_hi);
-        return;
-    }
+    let (my_lr, partner_prow) = match swap_kind(grid, prow, r1, r2) {
+        SwapKind::Skip => return,
+        SwapKind::Local(a, b) => return local.swap_rows(a, b, lc_lo, lc_hi),
+        SwapKind::Exchange {
+            my_lr,
+            partner_prow,
+        } => (my_lr, partner_prow),
+    };
     if lc_lo == lc_hi {
         return; // no columns of mine in range; partner skips likewise
     }
-    let width = lc_hi - lc_lo;
-    let my_r = if prow == p1 { r1 } else { r2 };
-    let partner_prow = if prow == p1 { p2 } else { p1 };
     let partner_image = partner_prow * q_width + pcol + 1; // 1-based initial
-    let my_lr = grid.local_row(my_r);
 
-    let mut outgoing = vec![0.0f64; width];
-    for (t, lj) in (lc_lo..lc_hi).enumerate() {
-        outgoing[t] = local.get(my_lr, lj);
+    let row = &mut row_buf[..lc_hi - lc_lo];
+    for (slot, lj) in row.iter_mut().zip(lc_lo..lc_hi) {
+        *slot = local.get(my_lr, lj);
     }
     img.sync_images(&[partner_image]); // rendezvous: partner's buffer free
-    swap_buf.put(partner_image, 0, &outgoing);
+    swap_buf.put(partner_image, 0, row);
     img.sync_images(&[partner_image]); // both payloads have landed
-    let mut incoming = vec![0.0f64; width];
-    swap_buf.get(img.this_image(), 0, &mut incoming);
-    for (t, lj) in (lc_lo..lc_hi).enumerate() {
-        local.set(my_lr, lj, incoming[t]);
+    swap_buf.get(img.this_image(), 0, row);
+    for (&v, lj) in row.iter().zip(lc_lo..lc_hi) {
+        local.set(my_lr, lj, v);
     }
 }
 
@@ -124,13 +147,44 @@ fn account(img: &ImageCtx, flops: u64) {
     img.compute(ns);
 }
 
+/// Every buffer a factorization needs besides the matrix, sized once for
+/// the largest block step and allocated before the clock starts, so the
+/// timed loop never touches the allocator.
+struct Workspace {
+    /// Pivot rows chosen in the current panel.
+    pivots_k: Vec<u64>,
+    /// The pivot row's segment right of the diagonal, within the panel.
+    rowseg: Vec<f64>,
+    /// One row's worth of my columns, out and back in a distributed swap.
+    row_buf: Vec<f64>,
+    /// Local swaps of step (d) waiting to be applied in one pass.
+    swaps: Vec<(usize, usize)>,
+    /// The panel's active rows × `nb`, as broadcast along the row team.
+    slab: Vec<f64>,
+    /// `nb` × my trailing columns, as broadcast along the column team.
+    u12: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(grid: &BlockCyclic, prow: usize, pcol: usize) -> Self {
+        let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
+        Workspace {
+            pivots_k: vec![0; grid.nb],
+            rowseg: vec![0.0; grid.nb],
+            row_buf: vec![0.0; lc],
+            swaps: Vec::with_capacity(grid.nb),
+            slab: vec![0.0; lr * grid.nb],
+            u12: vec![0.0; grid.nb * lc],
+        }
+    }
+}
+
 /// Run one distributed factorization. Collective over all images of the
 /// run; every image receives its own [`HplOutcome`].
 ///
 /// # Panics
 /// Panics if the matrix turns out numerically singular (never the case for
 /// the built-in generator at sensible sizes).
-#[allow(clippy::needless_range_loop)] // index loops mirror the BLAS math
 pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
     let n_images = img.num_images();
     let (p, q) = grid_dims(n_images);
@@ -149,6 +203,7 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
             local.set(li, lj, hpl_element(cfg.seed, cfg.n, gi, gj));
         }
     }
+    let ld = local.ld();
 
     // Row team = my grid row (team rank == pcol); column team = my grid
     // column (team rank == prow). Both formed from the initial team.
@@ -162,6 +217,7 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
     let swap_buf = img.coarray::<f64>(max_lc);
 
     let mut pivots = vec![0usize; cfg.n];
+    let mut ws = Workspace::new(&grid, prow, pcol);
     img.sync_all();
     let t0 = img.now_ns();
 
@@ -174,18 +230,20 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
         let lj0 = grid.local_col(gcol0); // valid only on pcol == q_k
 
         // -------- (a) panel factorization, on grid column q_k ----------
-        let mut pivots_k = vec![0u64; nb_k];
+        // Column at a time: every column costs the column team one MAXLOC
+        // reduction and one row broadcast, and that sequence is the
+        // communication skeleton the model is calibrated on.
+        let pivots_k = &mut ws.pivots_k[..nb_k];
         if pcol == q_k {
-            for j in 0..nb_k {
+            for (j, pivot_slot) in pivots_k.iter_mut().enumerate() {
                 let gdiag = gcol0 + j;
                 let lj = lj0 + j;
                 // Local pivot candidate among my rows >= gdiag.
                 let li_from = grid.first_local_row_ge(prow, gdiag);
                 let mut cand = (-1.0f64, 0u64);
-                for li in li_from..lr {
-                    let v = local.get(li, lj).abs();
-                    if v > cand.0 {
-                        cand = (v, grid.global_row(prow, li) as u64);
+                for (li, v) in (li_from..lr).zip(&local.col(lj)[li_from..lr]) {
+                    if v.abs() > cand.0 {
+                        cand = (v.abs(), grid.global_row(prow, li) as u64);
                     }
                 }
                 account(img, 2 * (lr - li_from) as u64);
@@ -203,7 +261,7 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
                     "HPL: matrix numerically singular at global column {gdiag}"
                 );
                 let piv = m[0].1 as usize;
-                pivots_k[j] = piv as u64;
+                *pivot_slot = piv as u64;
                 // Swap within the panel columns only (deferred elsewhere).
                 swap_rows_distributed(
                     img,
@@ -217,120 +275,126 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
                     gcol0,
                     gcol0 + nb_k,
                     &swap_buf,
+                    &mut ws.row_buf,
                 );
                 // Broadcast the (post-swap) pivot row segment to the team.
                 let owner = grid.owner_row(gdiag);
-                let mut rowseg = vec![0.0f64; nb_k - j];
+                let rowseg = &mut ws.rowseg[..nb_k - j];
                 if prow == owner {
                     let plr = grid.local_row(gdiag);
-                    for (t, col) in (lj..lj0 + nb_k).enumerate() {
-                        rowseg[t] = local.get(plr, col);
+                    for (slot, col) in rowseg.iter_mut().zip(lj..lj0 + nb_k) {
+                        *slot = local.get(plr, col);
                     }
                 }
-                col_team.comm_mut().co_broadcast(&mut rowseg, owner);
+                col_team.comm_mut().co_broadcast(rowseg, owner);
                 let pivot_val = rowseg[0];
                 // Scale my subdiagonal column and rank-1 update the panel.
                 let li1 = grid.first_local_row_ge(prow, gdiag + 1);
-                let inv = 1.0 / pivot_val;
-                for li in li1..lr {
-                    let v = local.get(li, lj) * inv;
-                    local.set(li, lj, v);
-                }
+                blas::dscal(1.0 / pivot_val, &mut local.col_mut(lj)[li1..lr]);
                 if li1 < lr && j + 1 < nb_k {
                     let m_rows = lr - li1;
                     let n_cols = nb_k - j - 1;
                     // x = L column (li1.., lj), y = rowseg[1..].
-                    let x: Vec<f64> = (li1..lr).map(|li| local.get(li, lj)).collect();
-                    let ld = local.ld();
-                    let a = &mut local.as_mut_slice()[(lj + 1) * ld + li1..];
-                    blas::dger_minus(m_rows, n_cols, &x, &rowseg[1..], a, ld);
+                    let (left, right) = local.as_mut_slice().split_at_mut((lj + 1) * ld);
+                    let x = &left[lj * ld + li1..lj * ld + lr];
+                    blas::dger_minus(m_rows, n_cols, x, &rowseg[1..], &mut right[li1..], ld);
                     account(img, blas::dgemm_flops(m_rows, n_cols, 1) + m_rows as u64);
                 }
             }
         }
 
         // -------- (b) pivots travel along row teams --------------------
-        row_team.comm_mut().co_broadcast(&mut pivots_k, q_k);
-        for (j, &pv) in pivots_k.iter().enumerate() {
-            pivots[gcol0 + j] = pv as usize;
+        row_team.comm_mut().co_broadcast(pivots_k, q_k);
+        for (slot, &pv) in pivots[gcol0..].iter_mut().zip(pivots_k.iter()) {
+            *slot = pv as usize;
         }
 
         // -------- (c) panel L slab travels along row teams -------------
         let act0 = grid.first_local_row_ge(prow, gcol0);
         let slab_rows = lr - act0;
-        let mut slab = vec![0.0f64; slab_rows * nb_k];
-        if pcol == q_k {
-            for jj in 0..nb_k {
-                for i in 0..slab_rows {
-                    slab[i + jj * slab_rows] = local.get(act0 + i, lj0 + jj);
+        let slab = &mut ws.slab[..slab_rows * nb_k];
+        if slab_rows > 0 {
+            if pcol == q_k {
+                for (jj, dst) in slab.chunks_exact_mut(slab_rows).enumerate() {
+                    dst.copy_from_slice(&local.col(lj0 + jj)[act0..lr]);
                 }
             }
-        }
-        if slab_rows > 0 {
-            row_team.comm_mut().co_broadcast(&mut slab, q_k);
+            row_team.comm_mut().co_broadcast(slab, q_k);
         }
 
         // -------- (d) apply row interchanges outside the panel ---------
+        // Swaps whose two rows are both mine (all of them when p == 1)
+        // queue up and are applied dlaswp-style, one pass per column; a
+        // swap that needs the partner grid row flushes the queue first,
+        // so every element sees the interchanges in pivot order.
+        let lc_left = grid.first_local_col_ge(pcol, gcol0);
+        let lt_c0 = grid.first_local_col_ge(pcol, gcol0 + nb_k);
+        let apply_queued = |local: &mut Matrix, queued: &mut Vec<(usize, usize)>| {
+            local.swap_rows_batched(queued, 0, lc_left);
+            local.swap_rows_batched(queued, lt_c0, lc);
+            queued.clear();
+        };
         for (j, &pv) in pivots_k.iter().enumerate() {
             let s = gcol0 + j;
             let piv = pv as usize;
-            swap_rows_distributed(
-                img, &grid, &mut local, prow, pcol, q, s, piv, 0, gcol0, &swap_buf,
-            );
-            swap_rows_distributed(
-                img,
-                &grid,
-                &mut local,
-                prow,
-                pcol,
-                q,
-                s,
-                piv,
-                gcol0 + nb_k,
-                cfg.n,
-                &swap_buf,
-            );
+            match swap_kind(&grid, prow, s, piv) {
+                SwapKind::Skip => {}
+                SwapKind::Local(a, b) => ws.swaps.push((a, b)),
+                SwapKind::Exchange { .. } => {
+                    apply_queued(&mut local, &mut ws.swaps);
+                    for (gc_lo, gc_hi) in [(0, gcol0), (gcol0 + nb_k, cfg.n)] {
+                        swap_rows_distributed(
+                            img,
+                            &grid,
+                            &mut local,
+                            prow,
+                            pcol,
+                            q,
+                            s,
+                            piv,
+                            gc_lo,
+                            gc_hi,
+                            &swap_buf,
+                            &mut ws.row_buf,
+                        );
+                    }
+                }
+            }
         }
+        apply_queued(&mut local, &mut ws.swaps);
 
         // -------- (e) U12 = L11⁻¹ · A(K, trailing) on grid row p_k ------
-        let lt_c0 = grid.first_local_col_ge(pcol, gcol0 + nb_k);
+        // Solved in the contiguous broadcast buffer (the block row of the
+        // local matrix is `nb` doubles every `ld`), then written back.
         let tcols = lc - lt_c0;
-        let mut u12 = vec![0.0f64; nb_k * tcols];
-        if prow == p_k && tcols > 0 {
-            let li_k0 = grid.local_row(gcol0);
-            let l11_off = li_k0 - act0;
-            // Extract L11 from the slab (unit diagonal implied).
-            let mut l11 = vec![0.0f64; nb_k * nb_k];
-            for jj in 0..nb_k {
-                for i in 0..nb_k {
-                    l11[i + jj * nb_k] = slab[l11_off + i + jj * slab_rows];
-                }
-            }
-            let ld = local.ld();
-            let b = &mut local.as_mut_slice()[lt_c0 * ld + li_k0..];
-            blas::dtrsm_lower_unit(nb_k, tcols, &l11, nb_k, b, ld);
-            account(img, blas::dtrsm_flops(nb_k, tcols));
-            for jj in 0..tcols {
-                for i in 0..nb_k {
-                    u12[i + jj * nb_k] = local.get(li_k0 + i, lt_c0 + jj);
-                }
-            }
-        }
-
-        // -------- (f) U12 travels along column teams --------------------
+        let u12 = &mut ws.u12[..nb_k * tcols];
         if tcols > 0 {
-            col_team.comm_mut().co_broadcast(&mut u12, p_k);
+            if prow == p_k {
+                let li_k0 = grid.local_row(gcol0);
+                for (jj, dst) in u12.chunks_exact_mut(nb_k).enumerate() {
+                    dst.copy_from_slice(&local.col(lt_c0 + jj)[li_k0..li_k0 + nb_k]);
+                }
+                // L11 (unit diagonal implied) sits in the slab at my rows
+                // of block K.
+                let l11 = &slab[li_k0 - act0..];
+                blas::dtrsm_lower_unit(nb_k, tcols, l11, slab_rows, u12, nb_k);
+                account(img, blas::dtrsm_flops(nb_k, tcols));
+                for (jj, src) in u12.chunks_exact(nb_k).enumerate() {
+                    local.col_mut(lt_c0 + jj)[li_k0..li_k0 + nb_k].copy_from_slice(src);
+                }
+            }
+
+            // -------- (f) U12 travels along column teams ----------------
+            col_team.comm_mut().co_broadcast(u12, p_k);
         }
 
         // -------- (g) trailing update: A22 -= L21 · U12 -----------------
         let lt_r0 = grid.first_local_row_ge(prow, gcol0 + nb_k);
         let trows = lr - lt_r0;
         if trows > 0 && tcols > 0 {
-            let slab_off = lt_r0 - act0;
-            let ld = local.ld();
-            let a = &slab[slab_off..];
+            let a = &slab[lt_r0 - act0..];
             let c = &mut local.as_mut_slice()[lt_c0 * ld + lt_r0..];
-            blas::dgemm_minus(trows, tcols, nb_k, a, slab_rows, &u12, nb_k, c, ld);
+            blas::dgemm_minus(trows, tcols, nb_k, a, slab_rows, u12, nb_k, c, ld);
             account(img, blas::dgemm_flops(trows, tcols, nb_k));
         }
     }

@@ -84,6 +84,22 @@ impl Matrix {
         }
     }
 
+    /// Apply the row swaps `swaps` in order, across columns `c_lo..c_hi` —
+    /// the same result as one [`Matrix::swap_rows`] call per pair, but
+    /// columns outer and swaps inner (LAPACK's `dlaswp`): each column is
+    /// brought into cache once instead of once per swap.
+    pub fn swap_rows_batched(&mut self, swaps: &[(usize, usize)], c_lo: usize, c_hi: usize) {
+        if swaps.is_empty() {
+            return;
+        }
+        for j in c_lo..c_hi {
+            let col = self.col_mut(j);
+            for &(a, b) in swaps {
+                col.swap(a, b);
+            }
+        }
+    }
+
     /// Max-absolute-value norm (‖·‖_max).
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
@@ -136,6 +152,7 @@ pub fn hpl_matrix(seed: u64, n: usize) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn get_set_roundtrip_column_major() {
@@ -166,6 +183,26 @@ mod tests {
         let before = m.clone();
         m.swap_rows(2, 2, 0, 4);
         assert_eq!(m, before);
+    }
+
+    proptest! {
+        #[test]
+        fn batched_swaps_equal_sequential_swaps(
+            // (a, b) row pairs over 12 rows: repeats, chains through a
+            // shared row and identity swaps (a == b) all occur.
+            swaps in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
+            c_lo in 0usize..5,
+            width in 0usize..6,
+        ) {
+            let c_hi = c_lo + width;
+            let mut sequential = hpl_matrix(5, 12);
+            let mut batched = sequential.clone();
+            for &(a, b) in &swaps {
+                sequential.swap_rows(a, b, c_lo, c_hi);
+            }
+            batched.swap_rows_batched(&swaps, c_lo, c_hi);
+            prop_assert_eq!(batched, sequential);
+        }
     }
 
     #[test]
