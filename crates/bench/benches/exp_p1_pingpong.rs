@@ -15,19 +15,34 @@
 //! gated loosely via `--wall-tolerance`. The acceptance check asserts the
 //! shm tier lands small puts at least 4x faster than the wire path.
 //!
+//! The bulk sizes (64 KiB, 1 MiB) additionally get one-sided **get** rows
+//! over both socket tiers (`socket_shm_get_wall`, `socket_wire_get_wall`),
+//! the same put ping-pong on `ThreadFabric` (`thread_wall`), and the
+//! segment copy routine on its own (`copy` rows: a 1 MiB `SharedBytes`
+//! write+read against a per-byte atomic loop kept here as the reference;
+//! the word-wise routine must be at least 2.5x faster, asserted in-bench).
+//!
 //! Results go to `BENCH_pingpong.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
 use caf_bench::{print_cost_preamble, quick_mode};
+use caf_fabric::seg::SharedBytes;
 use caf_fabric::socket::testing::{fleet, run_fleet};
-use caf_fabric::{bootstrap, run_spmd, Fabric, FlagId, SimConfig, SimFabric, SocketConfig};
+use caf_fabric::{
+    bootstrap, run_spmd, Fabric, FlagId, SimConfig, SimFabric, SocketConfig, ThreadConfig,
+    ThreadFabric,
+};
 use caf_microbench::Table;
 use caf_topology::{presets, ImageMap, Placement, ProcId};
 use parking_lot::Mutex;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const PAYLOADS: [usize; 5] = [8, 256, 4096, 65536, 1 << 20];
+/// The payloads that also get the get, thread and copy rows.
+const BULK: [usize; 2] = [65536, 1 << 20];
 
 struct Rec {
     op: &'static str,
@@ -80,13 +95,88 @@ fn pingpong(nodes: usize, cores: usize, bytes: usize, iters: u64) -> f64 {
     total as f64 / (2 * iters) as f64
 }
 
-/// The same ping-pong on a real two-process-worth socket fleet (two
-/// in-process `SocketFabric`s, one per node of the map, on this host):
-/// returns measured host wall-clock ns per one-way put+flag. With `shm`
-/// on, both sides map each other's shared segment and the entire exchange
-/// is memcpy + atomics; with `shm` off the identical program pays the
-/// full frame + ack protocol over loopback sockets.
-fn socket_pingpong(shm: bool, bytes: usize, iters: u64) -> f64 {
+/// Untimed rounds first: connection setup, segment faults, allocator
+/// warm-up all land outside the measured window. The timed rounds run as
+/// several chunks and the best chunk wins — a single descheduling stall on
+/// a noisy shared runner then spoils one chunk, not the measurement.
+const WARMUP: u64 = 16;
+const CHUNKS: u64 = 4;
+
+/// Image `me`'s half of a put+flag ping-pong of `bytes` between images 0
+/// and 1 on any real fabric; image 0 returns the measured host wall-clock
+/// ns per one-way message (best chunk).
+fn pingpong_image(f: &dyn Fabric, me: ProcId, bytes: usize, iters: u64) -> f64 {
+    let per_chunk = (iters / CHUNKS).max(1);
+    let seg = f.alloc_segment(me, bytes.max(8));
+    // Identical allocation sequences give identical ids; the barrier
+    // guarantees the peer's segment exists before the first put.
+    bootstrap::control_barrier(f, me, &mut 0);
+    let flag = FlagId(2);
+    let payload = vec![0xA5u8; bytes];
+    let peer = ProcId(1 - me.index());
+    let mut best = f64::INFINITY;
+    let mut t0 = Instant::now();
+    for round in 1..=(WARMUP + CHUNKS * per_chunk) {
+        if me == ProcId(0)
+            && (round - 1) >= WARMUP
+            && (round - 1 - WARMUP).is_multiple_of(per_chunk)
+        {
+            t0 = Instant::now();
+        }
+        if me == ProcId(0) {
+            f.put(me, peer, seg, 0, &payload);
+            f.flag_add(me, peer, flag, 1);
+            f.flag_wait_ge(me, flag, round);
+        } else {
+            f.flag_wait_ge(me, flag, round);
+            f.put(me, peer, seg, 0, &payload);
+            f.flag_add(me, peer, flag, 1);
+        }
+        if me == ProcId(0) && round > WARMUP && (round - WARMUP).is_multiple_of(per_chunk) {
+            best = best.min(t0.elapsed().as_secs_f64() * 1e9 / (2 * per_chunk) as f64);
+        }
+    }
+    f.image_done(me);
+    best
+}
+
+/// Image 0 reads `bytes` out of image 1's segment `iters` times (image 1
+/// only hosts the window): wall-clock ns per blocking get, best chunk.
+fn get_image(f: &dyn Fabric, me: ProcId, bytes: usize, iters: u64) -> f64 {
+    let per_chunk = (iters / CHUNKS).max(1);
+    let seg = f.alloc_segment(me, bytes);
+    let pattern: Vec<u8> = (0..bytes).map(|i| (i * 31 + (i >> 8)) as u8).collect();
+    f.put(me, me, seg, 0, &pattern);
+    bootstrap::control_barrier(f, me, &mut 0);
+    let mut best = f64::INFINITY;
+    if me == ProcId(0) {
+        let mut out = vec![0u8; bytes];
+        for _ in 0..WARMUP {
+            f.get(me, ProcId(1), seg, 0, &mut out);
+        }
+        for _ in 0..CHUNKS {
+            let t0 = Instant::now();
+            for _ in 0..per_chunk {
+                f.get(me, ProcId(1), seg, 0, black_box(&mut out));
+            }
+            best = best.min(t0.elapsed().as_secs_f64() * 1e9 / per_chunk as f64);
+        }
+        assert!(out == pattern, "a get returned the wrong bytes");
+    }
+    bootstrap::control_barrier(f, me, &mut 1);
+    f.image_done(me);
+    best
+}
+
+type ImageBody = fn(&dyn Fabric, ProcId, usize, u64) -> f64;
+
+/// Run `body` on a real two-process-worth socket fleet (two in-process
+/// `SocketFabric`s, one per node of the map, on this host) and return
+/// image 0's measurement. With `shm` on, both sides map each other's
+/// shared segment and a put or get is memcpy + atomics; with `shm` off
+/// the identical program pays the full frame protocol over loopback
+/// sockets.
+fn on_socket_fleet(shm: bool, body: ImageBody, bytes: usize, iters: u64) -> f64 {
     let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
     let cfg = SocketConfig {
         io_timeout: Duration::from_secs(30),
@@ -97,49 +187,66 @@ fn socket_pingpong(shm: bool, bytes: usize, iters: u64) -> f64 {
     let fabrics = fleet(&map, &cfg);
     let out = Arc::new(Mutex::new(0f64));
     let o2 = out.clone();
-    // Untimed rounds first: connection setup, segment faults, allocator
-    // warm-up all land outside the measured window. The timed rounds run
-    // as several chunks and the best chunk wins — a single descheduling
-    // stall on a noisy shared runner then spoils one chunk, not the
-    // measurement.
-    let warmup = 16u64;
-    let chunks = 4u64;
-    let per_chunk = (iters / chunks).max(1);
     run_fleet(&fabrics, move |f, me| {
-        let seg = f.alloc_segment(me, bytes.max(8));
-        bootstrap::control_barrier(&*f, me, &mut 0);
-        let flag = FlagId(2);
-        let payload = vec![0xA5u8; bytes];
-        let peer = ProcId(1 - me.index());
-        let mut best = f64::INFINITY;
-        let mut t0 = Instant::now();
-        for round in 1..=(warmup + chunks * per_chunk) {
-            if me == ProcId(0)
-                && (round - 1) >= warmup
-                && (round - 1 - warmup).is_multiple_of(per_chunk)
-            {
-                t0 = Instant::now();
-            }
-            if me == ProcId(0) {
-                f.put(me, peer, seg, 0, &payload);
-                f.flag_add(me, peer, flag, 1);
-                f.flag_wait_ge(me, flag, round);
-            } else {
-                f.flag_wait_ge(me, flag, round);
-                f.put(me, peer, seg, 0, &payload);
-                f.flag_add(me, peer, flag, 1);
-            }
-            if me == ProcId(0) && round > warmup && (round - warmup).is_multiple_of(per_chunk) {
-                best = best.min(t0.elapsed().as_secs_f64() * 1e9 / (2 * per_chunk) as f64);
-            }
-        }
+        let v = body(&*f, me, bytes, iters);
         if me == ProcId(0) {
-            *o2.lock() = best;
+            *o2.lock() = v;
         }
-        f.image_done(me);
     });
     let v = *out.lock();
     v
+}
+
+/// The put ping-pong between two image threads of one `ThreadFabric`:
+/// no process boundary, no wire — `SharedBytes` and flags only.
+fn thread_pingpong(bytes: usize, iters: u64) -> f64 {
+    let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
+    let fabric = ThreadFabric::new(map, ThreadConfig::default());
+    let f = fabric.clone();
+    let out = Arc::new(Mutex::new(0f64));
+    let o2 = out.clone();
+    run_spmd(fabric, move |me| {
+        let v = pingpong_image(&*f, me, bytes, iters);
+        if me == ProcId(0) {
+            *o2.lock() = v;
+        }
+    });
+    let v = *out.lock();
+    v
+}
+
+/// A 1 MiB write+read through `SharedBytes` against the per-byte relaxed
+/// atomic loop it replaced (kept here as the reference): best-of-`reps`
+/// wall-clock ns for each, `(word-wise, per-byte)`.
+fn copy_routine_vs_per_byte(reps: usize) -> (f64, f64) {
+    const N: usize = 1 << 20;
+    let src: Vec<u8> = (0..N).map(|i| (i * 31 + (i >> 8)) as u8).collect();
+    let mut dst = vec![0u8; N];
+    let best = |f: &mut dyn FnMut()| {
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e9
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let shared = SharedBytes::new(N);
+    let word_wise = best(&mut || {
+        shared.write(0, black_box(&src));
+        shared.read(0, black_box(&mut dst));
+    });
+    assert!(dst == src, "SharedBytes round trip");
+    let cells: Vec<AtomicU8> = (0..N).map(|_| AtomicU8::new(0)).collect();
+    let per_byte = best(&mut || {
+        for (cell, &b) in cells.iter().zip(black_box(&src)) {
+            cell.store(b, Ordering::Relaxed);
+        }
+        for (cell, b) in cells.iter().zip(black_box(&mut dst).iter_mut()) {
+            *b = cell.load(Ordering::Relaxed);
+        }
+    });
+    (word_wise, per_byte)
 }
 
 fn json_escape_free(s: &str) -> &str {
@@ -201,8 +308,8 @@ fn main() {
         let intra = pingpong(1, 2, bytes, 20);
         let inter = pingpong(2, 1, bytes, 20);
         let model_shm = (cost.shm_put_latency_ns() + cost.shm_payload_ns(bytes)) as f64;
-        let shm_wall = socket_pingpong(true, bytes, rounds);
-        let wire_wall = socket_pingpong(false, bytes, rounds);
+        let shm_wall = on_socket_fleet(true, pingpong_image, bytes, rounds);
+        let wire_wall = on_socket_fleet(false, pingpong_image, bytes, rounds);
         let ratio = wire_wall / shm_wall;
         if bytes == 8 {
             ratio_8b = ratio;
@@ -237,11 +344,86 @@ fn main() {
     );
     t.print();
 
+    let mut bulk = Table::new(
+        "EXP-P1 (bulk): blocking put ping-pong (one-way) and one-sided get, wall clock on \
+         this host"
+            .to_string(),
+        &[
+            "bytes",
+            "thread put us",
+            "shm put us",
+            "wire put us",
+            "shm get us",
+            "wire get us",
+        ],
+    );
+    for &bytes in &BULK {
+        let rounds = if bytes >= 1 << 20 { iters / 8 } else { iters }.max(8);
+        let thread = thread_pingpong(bytes, rounds);
+        let shm_get = on_socket_fleet(true, get_image, bytes, rounds);
+        let wire_get = on_socket_fleet(false, get_image, bytes, rounds);
+        for (op, algo, ns) in [
+            ("pingpong", "thread_wall", thread),
+            ("get", "socket_shm_get_wall", shm_get),
+            ("get", "socket_wire_get_wall", wire_get),
+        ] {
+            recs.push(Rec {
+                op,
+                bytes,
+                algo: algo.to_string(),
+                ns,
+            });
+        }
+        let put = |algo: &str| {
+            let r = recs.iter().find(|r| r.bytes == bytes && r.algo == algo);
+            r.expect("put row recorded above").ns
+        };
+        bulk.row(&[
+            bytes.to_string(),
+            format!("{:.2}", thread / 1000.0),
+            format!("{:.2}", put("socket_shm_wall") / 1000.0),
+            format!("{:.2}", put("socket_wire_wall") / 1000.0),
+            format!("{:.2}", shm_get / 1000.0),
+            format!("{:.2}", wire_get / 1000.0),
+        ]);
+    }
+    let (word_wise, per_byte) = copy_routine_vs_per_byte(if quick_mode() { 20 } else { 100 });
+    for (algo, ns) in [
+        ("shared_bytes_wall", word_wise),
+        ("per_byte_wall", per_byte),
+    ] {
+        recs.push(Rec {
+            op: "copy",
+            bytes: 1 << 20,
+            algo: algo.to_string(),
+            ns,
+        });
+    }
+    bulk.note(format!(
+        "segment copy routine, 1 MiB write+read: {:.1} us word-wise vs {:.1} us per byte ({:.1}x)",
+        word_wise / 1000.0,
+        per_byte / 1000.0,
+        per_byte / word_wise
+    ));
+    bulk.print();
+
     let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
         let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
         format!("{root}/../../BENCH_pingpong.json")
     });
     write_json(&path, &recs);
+
+    // Acceptance: every bulk path sits on the word-wise segment copy, which
+    // must stay well clear of the per-byte loop it replaced.
+    assert!(
+        per_byte >= 2.5 * word_wise,
+        "SharedBytes moves 1 MiB there and back in {word_wise:.0} ns, the per-byte reference \
+         in {per_byte:.0} ns (need >= 2.5x)"
+    );
+    println!(
+        "acceptance: word-wise segment copy is {:.1}x the per-byte loop -- PASS",
+        per_byte / word_wise
+    );
 
     // Acceptance: the shared-memory tier must beat the wire by at least 4x
     // on small intranode puts. Only meaningful where the shm tier exists.

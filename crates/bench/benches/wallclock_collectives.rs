@@ -37,6 +37,12 @@ fn launch_and_run(images: usize, cfg: CollectiveConfig, iters: usize, kind: &str
                 img.co_broadcast(&mut v, 1);
             }
         }
+        "broadcast_1mib" => {
+            let mut v = vec![1.0f64; (1 << 20) / 8];
+            for _ in 0..iters {
+                img.co_broadcast(&mut v, 1);
+            }
+        }
         _ => unreachable!(),
     });
 }
@@ -76,6 +82,10 @@ fn bench_collectives(c: &mut Criterion) {
         });
         g.bench_function(format!("broadcast64_{images}img_x50"), |b| {
             b.iter(|| launch_and_run(images, CollectiveConfig::auto(), 50, "broadcast"))
+        });
+        // Bulk: every byte crosses `SharedBytes` at least twice per hop.
+        g.bench_function(format!("broadcast_1mib_{images}img_x10"), |b| {
+            b.iter(|| launch_and_run(images, CollectiveConfig::auto(), 10, "broadcast_1mib"))
         });
     }
     g.finish();

@@ -215,6 +215,14 @@ pub trait Fabric: Send + Sync + 'static {
     /// an arriving ack, or with the heartbeat at the latest — all inside
     /// the contract above.
     ///
+    /// How often the runtime touches the payload: the real-memory fabrics
+    /// copy it exactly once, into the target window (`seg::copy_in`) —
+    /// directly for a local or shared-memory target; over the wire the
+    /// sender hands `bytes` to the kernel uncopied (16 KiB and up; smaller
+    /// payloads are copied into the write-combining buffer first) and the
+    /// receiver moves each chunk it reads into the window. `bytes` may be
+    /// reused as soon as this returns.
+    ///
     /// The default forwards to the blocking [`Self::put`]; fabrics with a
     /// genuinely asynchronous data path override it.
     fn put_nb(
@@ -244,6 +252,12 @@ pub trait Fabric: Send + Sync + 'static {
     }
 
     /// One-sided read from `src`'s segment at `offset` into `out`.
+    ///
+    /// How often the runtime touches the payload: once for a local or
+    /// shared-memory source (`seg::copy_out`, window to `out`); twice over
+    /// the wire — the serving process copies the range out of its window
+    /// and writes it to the socket from there, the requester reads the
+    /// socket into a recycled buffer and copies that into `out`.
     fn get(&self, me: ProcId, src: ProcId, seg: SegmentId, offset: usize, out: &mut [u8]);
 
     /// Remote atomic fetch-and-add on a naturally-aligned `u64` cell of

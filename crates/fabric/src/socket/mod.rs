@@ -57,11 +57,11 @@ use crossbeam::utils::{Backoff, CachePadded};
 use egress::{Cork, Egress, Urgency, CORK_BYTES};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wire::{read_frame, write_frame, WIRE_MAGIC};
+use wire::{write_frame, FrameReader, Incoming, PutHead, MAX_FRAME_BYTES, WIRE_MAGIC};
 
 /// Configuration for a [`SocketFabric`].
 #[derive(Clone, Debug)]
@@ -289,8 +289,21 @@ enum Pending {
 
 enum Reply {
     Ack,
-    Data(Vec<u8>),
+    /// A get's bytes: the front `len` of a buffer on loan from
+    /// `SocketFabric::get_bufs`, exactly as the response reader filled it.
+    Data {
+        buf: Vec<u8>,
+        len: usize,
+    },
     Val(u64),
+}
+
+/// What a served request is owed; `Data` borrows the serving thread's
+/// reused get buffer, so no response owns a payload.
+enum Response<'a> {
+    Ack(u64),
+    Val { req: u64, old: u64 },
+    Data { req: u64, data: &'a [u8] },
 }
 
 /// Cookie-indexed in-flight requests plus per-image nonblocking-put debt,
@@ -313,6 +326,11 @@ const POLL: Duration = Duration::from_millis(50);
 
 /// Responses a reader retires at once at most (more may be buffered).
 const RETIRE_BATCH: usize = 256;
+
+/// The largest get buffer kept for reuse (an ingress thread's window copy,
+/// a pooled response buffer); one grown past this by a rare huge get is
+/// freed after use instead of pinning its memory for the fabric's life.
+const KEEP_BYTES: usize = 4 << 20;
 
 /// The multi-process socket fabric. Build one per process with
 /// [`SocketFabric::join`]; see the module docs for the protocol.
@@ -342,6 +360,10 @@ pub struct SocketFabric {
     next_cookie: AtomicU64,
     pending: Mutex<PendingTable>,
     pending_cv: Condvar,
+    /// Buffers remote gets land in, recycled: a response reader fills one
+    /// and hands it to the requester ([`Reply::Data`]), who copies out and
+    /// puts it back. At most one per hosted image is kept.
+    get_bufs: Mutex<Vec<Vec<u8>>>,
     /// Parked `flag_wait_ge` callers; adds take the wake lock only when
     /// someone may be parked.
     parked: AtomicUsize,
@@ -522,6 +544,7 @@ impl SocketFabric {
                 outstanding_nb: vec![0; n_images],
             }),
             pending_cv: Condvar::new(),
+            get_bufs: Mutex::new(Vec::new()),
             parked: AtomicUsize::new(0),
             wake_lock: Mutex::new(()),
             wake_cv: Condvar::new(),
@@ -709,11 +732,11 @@ impl SocketFabric {
                             .set_read_timeout(Some(POLL))
                             .expect("ingress read timeout");
                         let mut reader =
-                            BufReader::new(stream.try_clone().expect("clone ingress stream"));
+                            FrameReader::new(stream.try_clone().expect("clone ingress stream"));
                         // First frame must identify the dialer.
                         let deadline = Instant::now() + fab.cfg.io_timeout;
                         let (peer, peer_shm) = loop {
-                            match read_frame(&mut reader) {
+                            match reader.next_frame() {
                                 Ok((Frame::Open { node, magic, shm }, n)) => {
                                     assert_eq!(
                                         magic, WIRE_MAGIC,
@@ -913,7 +936,7 @@ impl SocketFabric {
         self.obs.dial_result(rank, attempts);
         stream.set_read_timeout(Some(POLL))?;
         stream.set_write_timeout(Some(self.cfg.io_timeout))?;
-        let reader_half = BufReader::new(stream.try_clone()?);
+        let reader_half = FrameReader::new(stream.try_clone()?);
         let n = write_frame(&mut stream, hello)?;
         self.count_sent(rank, n, 1);
         let egress = Arc::new(Egress::new(stream));
@@ -956,61 +979,112 @@ impl SocketFabric {
     /// responses back on the same connection. Acks are corked while more
     /// requests are already buffered — a burst of puts is answered with
     /// one write — and leave before this thread blocks in a read again.
-    fn ingress_loop(&self, peer: usize, mut reader: BufReader<Stream>, stream: Stream) {
+    fn ingress_loop(&self, peer: usize, mut reader: FrameReader<Stream>, stream: Stream) {
         let mut cork = Cork::new(stream);
+        // The window copy a `Get` is answered from, reused across requests.
+        let mut get_buf = Vec::new();
         loop {
             if self.stopping() {
                 return;
             }
-            let raw = match wire::read_frame_direct(&mut reader) {
-                Ok((f, n)) => {
-                    self.stats.record_wire_rx(n);
-                    self.obs.wire_rx(peer, n);
-                    self.mark_seen(peer);
-                    f
-                }
-                Err(e) if is_timeout(&e) => continue,
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    // A malformed frame is a protocol bug (or a corrupted
-                    // wire), not a peer death: poison loudly with context
-                    // instead of letting the I/O thread die quietly.
-                    self.malformed_frame(peer, &e);
-                    return;
-                }
-                Err(_) => {
-                    self.peer_eof(peer);
-                    return;
-                }
+            let served = reader.incoming().and_then(|(incoming, n)| {
+                let response = match incoming {
+                    Incoming::Put(put) => self.land_put(&put, &mut reader)?,
+                    Incoming::Frame(f) => self.serve(peer, f, &mut get_buf)?,
+                    Incoming::GetResp { req, .. } => {
+                        panic!("get response {req} on a request connection")
+                    }
+                };
+                self.stats.record_wire_rx(n);
+                self.obs.wire_rx(peer, n);
+                self.mark_seen(peer);
+                Ok(response)
+            });
+            let response = match served {
+                Ok(r) => r,
+                Err(e) if self.read_failed(peer, &e) => return,
+                Err(_) => continue,
             };
-            let response = match raw {
-                // Puts land straight from the frame buffer into the
-                // destination window — when the window lives in the shared
-                // segment, a cross-node put is one copy, wire to segment,
-                // with no intermediate heap staging.
-                wire::RawFrame::Put {
-                    src: _,
-                    dst,
-                    seg,
-                    off,
-                    ack,
-                    buf,
-                    payload,
-                } => {
-                    self.seg_of(dst as usize, SegmentId(seg as usize))
-                        .write(off as usize, &buf[payload..]);
-                    (ack != 0).then_some(Frame::PutAck { ack })
-                }
-                wire::RawFrame::Other(f) => self.serve(peer, f),
-            };
-            let burst_over = reader.buffer().is_empty();
-            match self.respond(peer, &mut cork, response.as_ref(), burst_over) {
+            match self.respond(peer, &mut cork, response, reader.is_drained()) {
                 Ok(writes) => self.obs.wire_writes(peer, writes),
                 // A response that cannot be written means the requester
                 // can never complete, so it poisons.
                 Err(_) if self.stopping() || self.all_done.load(Ordering::Acquire) => {}
                 Err(e) => self.declare_dead(peer, &format!("response write failed: {e}")),
             }
+            if get_buf.len() > KEEP_BYTES {
+                get_buf = Vec::new();
+            }
         }
+    }
+
+    /// A frame read on `peer`'s connection failed with `e`: `false` for an
+    /// idle timeout (poll the stop flags and read again); otherwise the
+    /// connection is finished — poisoned if the frame was malformed, run
+    /// through the EOF rules if the stream ended or broke — and the reader
+    /// thread returns.
+    fn read_failed(&self, peer: usize, e: &io::Error) -> bool {
+        if is_timeout(e) {
+            return false;
+        }
+        if e.kind() == io::ErrorKind::InvalidData {
+            // A malformed frame is a protocol bug (or a corrupted wire),
+            // not a peer death: poison loudly with context instead of
+            // letting the I/O thread die quietly.
+            self.malformed_frame(peer, e);
+        } else {
+            self.peer_eof(peer);
+        }
+        true
+    }
+
+    /// The hosted window a wire request addresses, with every
+    /// wire-supplied field checked *before* a byte lands or a buffer is
+    /// sized from it. `InvalidData` takes the caller down the
+    /// `malformed_frame` path, which adds the peer.
+    fn wire_window(
+        &self,
+        what: &str,
+        (src, dst, seg, off): (u32, u32, u64, u64),
+        len: usize,
+    ) -> io::Result<Window> {
+        let bad = |why: String| {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{what} {{ src: {src}, dst: {dst}, seg: {seg}, off: {off}, len: {len} }}: {why}"),
+            ))
+        };
+        let Some(slot) = self.slots.get(dst as usize).and_then(Option::as_ref) else {
+            return bad(format!("image {dst} is not hosted by this process"));
+        };
+        let segs = slot.segs.read();
+        let Some(window) = usize::try_from(seg).ok().and_then(|s| segs.get(s)) else {
+            return bad(format!("image {dst} has {} segments", segs.len()));
+        };
+        if len > MAX_FRAME_BYTES {
+            return bad(format!("longer than any frame ({MAX_FRAME_BYTES} bytes)"));
+        }
+        match off.checked_add(len as u64) {
+            Some(end) if end <= window.len() as u64 => Ok(window.clone()),
+            _ => bad(format!("exceeds segment of {} bytes", window.len())),
+        }
+    }
+
+    /// Land a put's payload: validate the destination, then copy each
+    /// chunk the reader hands over straight into the window — wire to
+    /// segment, no staging. The ack is owed only once the last chunk is in.
+    fn land_put(
+        &self,
+        put: &PutHead,
+        reader: &mut FrameReader<Stream>,
+    ) -> io::Result<Option<Response<'static>>> {
+        let window = self.wire_window("Put", (put.src, put.dst, put.seg, put.off), put.len)?;
+        let mut at = put.off as usize;
+        reader.payload(|chunk| {
+            window.write(at, chunk);
+            at += chunk.len();
+        })?;
+        Ok((put.ack != 0).then_some(Response::Ack(put.ack)))
     }
 
     /// Cork `response`, then write the cork out if a caller is blocked on
@@ -1020,14 +1094,21 @@ impl SocketFabric {
         &self,
         peer: usize,
         cork: &mut Cork,
-        response: Option<&Frame>,
+        response: Option<Response<'_>>,
         burst_over: bool,
     ) -> io::Result<u64> {
-        let mut urgent = false;
-        if let Some(f) = response {
-            let (n, writes) = cork.push(f.into(), false)?;
+        let urgent = !matches!(response, None | Some(Response::Ack(_)));
+        if let Some(r) = response {
+            let (n, writes) = match r {
+                Response::Ack(ack) => cork.push((&Frame::PutAck { ack }).into(), false)?,
+                Response::Val { req, old } => {
+                    cork.push((&Frame::AmoResp { req, old }).into(), false)?
+                }
+                Response::Data { req, data } => {
+                    cork.push(FrameRef::GetResp { req, data }, false)?
+                }
+            };
             self.count_sent(peer, n, writes);
-            urgent = !matches!(f, Frame::PutAck { .. });
         }
         if urgent || burst_over || cork.len() >= CORK_BYTES {
             cork.flush()
@@ -1037,21 +1118,32 @@ impl SocketFabric {
     }
 
     /// Apply one non-put request from `peer`; returns the response it is
-    /// owed, if any.
-    fn serve(&self, peer: usize, frame: Frame) -> Option<Frame> {
-        match frame {
+    /// owed, if any. A `Get` is answered out of `get_buf`.
+    fn serve<'a>(
+        &self,
+        peer: usize,
+        frame: Frame,
+        get_buf: &'a mut Vec<u8>,
+    ) -> io::Result<Option<Response<'a>>> {
+        Ok(match frame {
             Frame::Get {
-                src: _,
+                src,
                 dst,
                 seg,
                 off,
                 len,
                 req,
             } => {
-                let mut data = vec![0u8; len as usize];
-                self.seg_of(dst as usize, SegmentId(seg as usize))
-                    .read(off as usize, &mut data);
-                Some(Frame::GetResp { req, data })
+                let len = len as usize;
+                let window = self.wire_window("Get", (src, dst, seg, off), len)?;
+                if get_buf.len() < len {
+                    get_buf.resize(len, 0);
+                }
+                window.read(off as usize, &mut get_buf[..len]);
+                Some(Response::Data {
+                    req,
+                    data: &get_buf[..len],
+                })
             }
             Frame::AmoFadd {
                 src: _,
@@ -1065,7 +1157,7 @@ impl SocketFabric {
                     .seg_of(dst as usize, SegmentId(seg as usize))
                     .as_atomic_u64(off as usize)
                     .fetch_add(delta, Ordering::AcqRel);
-                Some(Frame::AmoResp { req, old })
+                Some(Response::Val { req, old })
             }
             Frame::AmoCas {
                 src: _,
@@ -1083,7 +1175,7 @@ impl SocketFabric {
                 {
                     Ok(v) | Err(v) => v,
                 };
-                Some(Frame::AmoResp { req, old })
+                Some(Response::Val { req, old })
             }
             Frame::FlagAdd {
                 src,
@@ -1105,7 +1197,7 @@ impl SocketFabric {
                 // to every later op in the batch, and a flag landing
                 // after its payload preserves the fabric memory model.
                 self.apply_am_ops(src as usize, dst as usize, &ops, false);
-                (ack != 0).then_some(Frame::PutAck { ack })
+                (ack != 0).then_some(Response::Ack(ack))
             }
             Frame::Heartbeat { node: _, stats } => {
                 // Liveness came from `mark_seen`; keep the sender's
@@ -1129,7 +1221,7 @@ impl SocketFabric {
                 None
             }
             other => panic!("unexpected frame on data connection: {other:?}"),
-        }
+        })
     }
 
     /// Drain responses (acks, get data, AMO results) from one egress
@@ -1137,35 +1229,36 @@ impl SocketFabric {
     /// decoded first, then retired under one lock with one wake-up. This
     /// thread never writes and never takes a cork lock (the deadlock rule
     /// in [`egress`]); it hands the ack-clocked flush to the egress thread.
-    fn response_loop(&self, peer: usize, mut reader: BufReader<Stream>, egress: &Egress) {
+    fn response_loop(&self, peer: usize, mut reader: FrameReader<Stream>, egress: &Egress) {
         let mut batch = Vec::new();
         loop {
             if self.stopping() {
                 return;
             }
-            let frame = match read_frame(&mut reader) {
-                Ok((f, n)) => {
-                    self.stats.record_wire_rx(n);
-                    self.obs.wire_rx(peer, n);
-                    f
-                }
-                Err(e) if is_timeout(&e) => continue,
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    self.malformed_frame(peer, &e);
-                    return;
-                }
-                Err(_) => {
-                    self.peer_eof(peer);
-                    return;
-                }
-            };
-            batch.push(match frame {
-                Frame::PutAck { ack } => (ack, Reply::Ack),
-                Frame::GetResp { req, data } => (req, Reply::Data(data)),
-                Frame::AmoResp { req, old } => (req, Reply::Val(old)),
-                other => panic!("unexpected frame on response path: {other:?}"),
+            let retired = reader.incoming().and_then(|(incoming, n)| {
+                let retired = match incoming {
+                    Incoming::Frame(Frame::PutAck { ack }) => (ack, Reply::Ack),
+                    Incoming::Frame(Frame::AmoResp { req, old }) => (req, Reply::Val(old)),
+                    // The payload goes from the socket into a recycled
+                    // buffer the requester copies out of — its only stop
+                    // in user space on this side.
+                    Incoming::GetResp { req, .. } => {
+                        let mut buf = self.get_bufs.lock().pop().unwrap_or_default();
+                        let len = reader.payload_into(&mut buf)?;
+                        (req, Reply::Data { buf, len })
+                    }
+                    other => panic!("unexpected frame on response path: {other:?}"),
+                };
+                self.stats.record_wire_rx(n);
+                self.obs.wire_rx(peer, n);
+                Ok(retired)
             });
-            if reader.buffer().is_empty() || batch.len() >= RETIRE_BATCH {
+            match retired {
+                Ok(r) => batch.push(r),
+                Err(e) if self.read_failed(peer, &e) => return,
+                Err(_) => continue,
+            }
+            if reader.is_drained() || batch.len() >= RETIRE_BATCH {
                 self.mark_seen(peer);
                 if self.complete(batch.drain(..), egress) {
                     self.ack_clock.poke();
@@ -2147,9 +2240,13 @@ impl Fabric for SocketFabric {
         let (reply, queue_ns, service_ns) =
             self.call(me, src, "remote get", cookie, (&frame).into());
         match reply {
-            Reply::Data(data) => {
-                assert_eq!(data.len(), out.len(), "get response length mismatch");
-                out.copy_from_slice(&data);
+            Reply::Data { buf, len } => {
+                assert_eq!(len, out.len(), "get response length mismatch");
+                out.copy_from_slice(&buf[..len]);
+                let mut pool = self.get_bufs.lock();
+                if buf.len() <= KEEP_BYTES && pool.len() < self.hosted.len() {
+                    pool.push(buf);
+                }
             }
             _ => panic!("get got a non-data response"),
         }
@@ -2606,8 +2703,8 @@ pub mod testing {
             let mut addrs = vec![String::new(); n_procs];
             for _ in 0..n_procs {
                 let s = listener.accept().expect("coordinator accept");
-                let mut r = BufReader::new(s.try_clone().expect("clone"));
-                match read_frame(&mut r).expect("coordinator read") {
+                let mut r = FrameReader::new(s.try_clone().expect("clone"));
+                match r.next_frame().expect("coordinator read") {
                     (Frame::Hello { node, addr, magic }, _) => {
                         assert_eq!(magic, WIRE_MAGIC);
                         addrs[node as usize] = addr;
@@ -2827,6 +2924,126 @@ mod tests {
         assert_eq!(s.puts_intra, 0, "self-put is uncounted, local framing off");
     }
 
+    /// Process 0 sends `frame` to process 1 of a fresh two-process wire
+    /// fleet; returns process 1's poison report, having checked that no
+    /// byte of its hosted window moved.
+    fn poison_from(frame: Frame) -> String {
+        let cfg = SocketConfig {
+            shm: false,
+            ..quick_cfg()
+        };
+        let fabrics = fleet(&map(2, 1, 2), &cfg);
+        let (f0, f1) = (&fabrics[0], &fabrics[1]);
+        let window = f1.seg_of(1, BSEG);
+        let mut before = vec![0u8; window.len()];
+        window.read(0, &mut before);
+        f0.egress_to(1)
+            .expect("egress to process 1")
+            .send((&frame).into(), false, Urgency::Now, false)
+            .expect("send");
+        let t0 = Instant::now();
+        let msg = loop {
+            match f1.health() {
+                Err(RecoveryError::Poisoned(msg)) => break msg,
+                _ => assert!(t0.elapsed() < Duration::from_secs(5), "never poisoned"),
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        let mut after = vec![0u8; window.len()];
+        window.read(0, &mut after);
+        assert_eq!(before, after, "a refused frame wrote to the window");
+        for f in &fabrics {
+            f.shutdown();
+        }
+        assert!(
+            msg.contains("malformed frame from peer process 0 (node 0, images 1)"),
+            "poison must name the sender: {msg}"
+        );
+        msg
+    }
+
+    #[test]
+    fn out_of_range_wire_requests_poison_naming_peer_and_fields() {
+        // A length no window holds: refused before any buffer is sized
+        // from it.
+        let msg = poison_from(Frame::Get {
+            src: 0,
+            dst: 1,
+            seg: BSEG.0 as u64,
+            off: 0,
+            len: u32::MAX,
+            req: 5,
+        });
+        assert!(
+            msg.contains("Get { src: 0, dst: 1, seg: 0, off: 0, len: 4294967295 }"),
+            "{msg}"
+        );
+        // `off + len` wraps around u64.
+        let msg = poison_from(Frame::Put {
+            src: 0,
+            dst: 1,
+            seg: BSEG.0 as u64,
+            off: u64::MAX - 3,
+            ack: 1,
+            data: vec![0xEE; 8],
+        });
+        assert!(msg.contains("off: 18446744073709551612, len: 8"), "{msg}");
+        assert!(msg.contains("exceeds segment"), "{msg}");
+        // An image the receiver does not host, in range and out of it.
+        for dst in [0, 99] {
+            let msg = poison_from(Frame::Put {
+                src: 0,
+                dst,
+                seg: BSEG.0 as u64,
+                off: 0,
+                ack: 1,
+                data: vec![0xEE; 8],
+            });
+            assert!(
+                msg.contains(&format!("image {dst} is not hosted by this process")),
+                "{msg}"
+            );
+        }
+        // A segment the image never allocated.
+        let msg = poison_from(Frame::Put {
+            src: 0,
+            dst: 1,
+            seg: 77,
+            off: 0,
+            ack: 1,
+            data: vec![0xEE; 8],
+        });
+        assert!(msg.contains("seg: 77"), "{msg}");
+    }
+
+    #[test]
+    fn a_refused_get_grows_no_buffer() {
+        let fabrics = fleet(&map(1, 1, 1), &quick_cfg());
+        let f = &fabrics[0];
+        let mut get_buf = Vec::new();
+        let get = |len, off| Frame::Get {
+            src: 0,
+            dst: 0,
+            seg: BSEG.0 as u64,
+            off,
+            len,
+            req: 1,
+        };
+        for bad in [get(u32::MAX, 0), get(8, u64::MAX), get(1 << 30, 0)] {
+            let err = f
+                .serve(0, bad, &mut get_buf)
+                .map(|_| ())
+                .expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(get_buf.capacity(), 0, "sized from a refused request");
+        }
+        assert!(matches!(
+            f.serve(0, get(8, 16), &mut get_buf),
+            Ok(Some(Response::Data { req: 1, data })) if data.len() == 8
+        ));
+        f.shutdown();
+    }
+
     #[test]
     fn control_barrier_over_sockets() {
         let fabrics = fleet(&map(2, 2, 4), &quick_cfg());
@@ -3013,8 +3230,8 @@ mod tests {
             let mut addrs = vec![String::new(); 2];
             for _ in 0..2 {
                 let s = listener.accept().expect("accept");
-                let mut r = BufReader::new(s.try_clone().expect("clone"));
-                match read_frame(&mut r).expect("read hello") {
+                let mut r = FrameReader::new(s.try_clone().expect("clone"));
+                match r.next_frame().expect("read hello") {
                     (Frame::Hello { node, addr, magic }, _) => {
                         assert_eq!(magic, WIRE_MAGIC);
                         addrs[node as usize] = addr;
@@ -3034,8 +3251,8 @@ mod tests {
             }
             // The respawned rank 1 re-registers with a fresh address.
             let mut s = listener.accept().expect("accept rejoin");
-            let mut r = BufReader::new(s.try_clone().expect("clone"));
-            match read_frame(&mut r).expect("read rejoin hello") {
+            let mut r = FrameReader::new(s.try_clone().expect("clone"));
+            match r.next_frame().expect("read rejoin hello") {
                 (Frame::Hello { node, addr, .. }, _) => {
                     assert_eq!(node, 1, "only rank 1 was respawned");
                     addrs[1] = addr;

@@ -35,7 +35,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `CAF_SOCKET_SHM=0` disables the shared-memory tier (pure-socket
@@ -227,8 +227,9 @@ pub struct ShmSegment {
     owner: bool,
 }
 
-// SAFETY: all access to the mapping goes through atomic operations on
-// `AtomicU8`/`AtomicU64` cells; the raw pointer is never handed out.
+// SAFETY: all access to the mapping goes through atomic operations (the
+// `AtomicU64` cells of `u64_at` and the relaxed copy routine of
+// `crate::seg`); the raw pointer is never handed out.
 unsafe impl Send for ShmSegment {}
 unsafe impl Sync for ShmSegment {}
 
@@ -305,50 +306,32 @@ impl ShmSegment {
         unsafe { &*(self.ptr.add(offset) as *const AtomicU64) }
     }
 
-    #[inline]
-    fn u8_at(&self, offset: usize) -> &AtomicU8 {
-        debug_assert!(offset < self.len);
-        // SAFETY: in-bounds; only ever accessed atomically.
-        unsafe { &*(self.ptr.add(offset) as *const AtomicU8) }
-    }
-
-    /// Relaxed byte copy into the mapping, 8-byte-chunked where aligned
-    /// (same memory model as `SharedBytes::write`, faster on big puts).
+    /// Relaxed copy into the mapping at `offset` — [`crate::seg::copy_in`],
+    /// the same routine (and memory model) as `SharedBytes::write`.
     fn write_bytes(&self, offset: usize, src: &[u8]) {
-        assert!(offset + src.len() <= self.len, "shm write out of bounds");
-        let mut i = 0;
-        while i < src.len() && !(offset + i).is_multiple_of(8) {
-            self.u8_at(offset + i).store(src[i], Ordering::Relaxed);
-            i += 1;
-        }
-        while i + 8 <= src.len() {
-            let w = u64::from_ne_bytes(src[i..i + 8].try_into().expect("8-byte chunk"));
-            self.u64_at(offset + i).store(w, Ordering::Relaxed);
-            i += 8;
-        }
-        while i < src.len() {
-            self.u8_at(offset + i).store(src[i], Ordering::Relaxed);
-            i += 1;
-        }
+        assert!(
+            offset
+                .checked_add(src.len())
+                .is_some_and(|end| end <= self.len),
+            "shm write out of bounds"
+        );
+        // SAFETY: the range was just checked against the mapping, which
+        // lives as long as `self`; every process reaches these bytes
+        // through atomics only (see the `Send`/`Sync` impls above).
+        unsafe { crate::seg::copy_in(self.ptr.add(offset), src) }
     }
 
-    /// Relaxed byte copy out of the mapping, 8-byte-chunked where aligned.
+    /// Relaxed copy out of the mapping at `offset` —
+    /// [`crate::seg::copy_out`].
     fn read_bytes(&self, offset: usize, dst: &mut [u8]) {
-        assert!(offset + dst.len() <= self.len, "shm read out of bounds");
-        let mut i = 0;
-        while i < dst.len() && !(offset + i).is_multiple_of(8) {
-            dst[i] = self.u8_at(offset + i).load(Ordering::Relaxed);
-            i += 1;
-        }
-        while i + 8 <= dst.len() {
-            let w = self.u64_at(offset + i).load(Ordering::Relaxed);
-            dst[i..i + 8].copy_from_slice(&w.to_ne_bytes());
-            i += 8;
-        }
-        while i < dst.len() {
-            dst[i] = self.u8_at(offset + i).load(Ordering::Relaxed);
-            i += 1;
-        }
+        assert!(
+            offset
+                .checked_add(dst.len())
+                .is_some_and(|end| end <= self.len),
+            "shm read out of bounds"
+        );
+        // SAFETY: as in `write_bytes`.
+        unsafe { crate::seg::copy_out(self.ptr.add(offset), dst) }
     }
 }
 
@@ -719,6 +702,22 @@ mod tests {
         assert_eq!(out, [0, 1, 2, 3, 4, 0]);
         assert!(peer.window(0, 0).is_none(), "unpublished id stays hidden");
         assert!(peer.window(1, 7).is_none());
+    }
+
+    /// The shared window moves bytes with the same routine as
+    /// `SharedBytes` (window bases are 64-byte aligned in the mapping, so
+    /// the same offsets hit the same ragged-end cases).
+    #[test]
+    fn shm_window_copy_matches_seg_model() {
+        use crate::seg::tests::{check_copy_against_model, MODEL_SPAN};
+        let own = NodeShm::create(0, 0, 1, 1 << 16).expect("create");
+        let w = own.alloc(0, 0, MODEL_SPAN).expect("alloc");
+        let peer = PeerShm::open(own.path()).expect("open");
+        let pw = peer.window(0, 0).expect("published window");
+        for seed in [1, 0x9E37_79B9_7F4A_7C15] {
+            // Written through the owner's mapping, read through the peer's.
+            check_copy_against_model(seed, &|o, b| w.write(o, b), &|o, b| pw.read(o, b));
+        }
     }
 
     #[test]

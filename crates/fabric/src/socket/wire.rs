@@ -1067,25 +1067,341 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<usize> {
     Ok(bytes.len())
 }
 
-/// Read one frame; returns the frame and the wire bytes consumed.
-///
-/// A read timeout surfaces as `Err` with kind `WouldBlock`/`TimedOut` when
-/// it hits *between* frames; mid-frame timeouts keep retrying the partial
-/// read until the frame completes (frames are small relative to the
-/// configured timeouts, so a genuinely dead peer still trips the caller's
-/// liveness checks).
-pub fn read_frame<R: Read>(r: &mut BufReader<R>) -> io::Result<(Frame, usize)> {
-    let (body, n) = read_frame_body(r)?;
-    Ok((Frame::decode(&body)?, n))
+/// Bytes a [`FrameReader`] buffers once it has streamed a bulk payload,
+/// and so the largest chunk of one: big enough that a bulk put costs a
+/// handful of `read(2)`s per MiB, small enough that a chunk is still
+/// cache-resident when it is copied on into the destination window.
+pub const READER_BYTES: usize = 128 << 10;
+
+/// Bytes a [`FrameReader`] starts with (`BufReader`'s default): a
+/// connection that only ever carries small frames never pays for more.
+const READER_START_BYTES: usize = 8 << 10;
+
+/// Body bytes of a `Put` before its payload (tag and fixed fields).
+const PUT_HEAD: usize = 1 + 4 + 4 + 8 + 8 + 8 + 4;
+/// Body bytes of a `GetResp` before its payload.
+const GET_RESP_HEAD: usize = 1 + 8 + 4;
+
+/// One `read` into `buf` under the mid-frame rule: part of a frame has
+/// been consumed, so a timeout keeps collecting (returning would drop the
+/// partial frame and desynchronize the stream; a genuinely dead peer still
+/// trips the caller's liveness checks) and EOF is an error.
+fn read_mid_frame<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof mid-frame",
+                ))
+            }
+            Ok(n) => return Ok(n),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted
+                        | io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
-/// A frame read by [`read_frame_direct`]: `Put` payloads stay borrowed
-/// inside the read buffer so the ingress loop can copy them straight into
-/// the destination segment — one copy, no intermediate heap `Vec` (the
-/// zero-staging path large cross-node puts ride when the destination
-/// window lives in a shared-memory segment).
+/// The fixed fields of a [`Frame::Put`] whose payload is still in the
+/// reader (see [`Incoming::Put`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PutHead {
+    /// Issuing image (global 0-based rank).
+    pub src: u32,
+    /// Target image (must be hosted by the receiver).
+    pub dst: u32,
+    /// Target segment id.
+    pub seg: u64,
+    /// Byte offset within the segment.
+    pub off: u64,
+    /// Completion-ack cookie (0 = no ack requested).
+    pub ack: u64,
+    /// Payload bytes that follow.
+    pub len: usize,
+}
+
+/// What [`FrameReader::incoming`] found. The two bulk frames arrive as their
+/// fixed fields only: the payload stays in the reader until the caller —
+/// who by then knows where it belongs — drains it with
+/// [`FrameReader::payload`] or [`FrameReader::payload_into`], which it must
+/// do before the next `incoming`.
+// Returned by value once per frame; boxing `Frame` would put an allocation
+// back on every small frame.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Incoming {
+    /// A [`Frame::Put`], payload pending.
+    Put(PutHead),
+    /// A [`Frame::GetResp`], payload pending.
+    GetResp {
+        /// The request cookie.
+        req: u64,
+        /// Payload bytes that follow.
+        len: usize,
+    },
+    /// Any other frame, decoded.
+    Frame(Frame),
+}
+
+/// The reading side of one connection: a reusable buffer frames are
+/// decoded out of, so a small frame costs no allocation, and a bulk payload
+/// is handed on in buffer-sized chunks (or read straight into the caller's
+/// buffer) instead of being staged in a frame-sized `Vec`.
+///
+/// Timeouts: a read timeout surfaces as `Err` (`WouldBlock`/`TimedOut`)
+/// only *between* frames, with nothing of the next frame consumed; once a
+/// frame has begun, reads follow the mid-frame rule and keep collecting.
+pub struct FrameReader<R> {
+    src: R,
+    /// `buf[pos..end]` is read but not yet consumed. Grows to the largest
+    /// unstreamed frame seen, and to [`READER_BYTES`] with the first
+    /// payload it streams; anything above that is given back.
+    buf: Vec<u8>,
+    /// What `buf` grows to for streaming ([`READER_BYTES`]; tests shrink
+    /// it to cross chunk boundaries with small frames).
+    chunk: usize,
+    pos: usize,
+    end: usize,
+    /// Read whatever the source has (up to the buffer) rather than exactly
+    /// the bytes asked for. Off only for the `read_frame` wrappers, whose
+    /// source outlives them and must be left at a frame boundary.
+    read_ahead: bool,
+    /// Payload bytes of the frame `incoming` last returned, not yet drained.
+    pending: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader over `src`.
+    pub fn new(src: R) -> Self {
+        Self::with_sizes(src, READER_START_BYTES, READER_BYTES)
+    }
+
+    /// A reader that starts with `start` buffer bytes and streams payloads
+    /// in chunks of up to `chunk`.
+    fn with_sizes(src: R, start: usize, chunk: usize) -> Self {
+        Self {
+            src,
+            buf: vec![0; start.max(4)],
+            chunk,
+            pos: 0,
+            end: 0,
+            read_ahead: true,
+            pending: 0,
+        }
+    }
+
+    /// A reader that takes from `src` exactly the bytes of the frames it
+    /// returns, and so may be dropped between frames.
+    fn exact(src: R) -> Self {
+        Self {
+            read_ahead: false,
+            ..Self::with_sizes(src, 4, 4)
+        }
+    }
+
+    /// True when nothing read is waiting to be consumed — the burst of
+    /// frames the last `read(2)` brought in is over.
+    pub fn is_drained(&self) -> bool {
+        self.pos == self.end
+    }
+
+    /// Move the unconsumed bytes to the front of the buffer.
+    fn compact(&mut self) {
+        self.buf.copy_within(self.pos..self.end, 0);
+        (self.pos, self.end) = (0, self.end - self.pos);
+    }
+
+    /// Where in `buf` a read may stop that wants `want` unconsumed bytes in
+    /// all: the buffer's end, or — reading no further than asked — exactly
+    /// that many.
+    fn read_limit(&self, want: usize) -> usize {
+        if self.read_ahead {
+            self.buf.len()
+        } else {
+            (self.pos + want).min(self.buf.len())
+        }
+    }
+
+    /// Have `need` unconsumed bytes buffered (mid-frame rule), growing the
+    /// buffer when a frame is larger than it.
+    fn fill(&mut self, need: usize) -> io::Result<()> {
+        if self.pos + need > self.buf.len() {
+            self.compact();
+            if need > self.buf.len() {
+                self.buf.resize(need, 0);
+            }
+        }
+        while self.end - self.pos < need {
+            let limit = self.read_limit(need);
+            self.end += read_mid_frame(&mut self.src, &mut self.buf[self.end..limit])?;
+        }
+        Ok(())
+    }
+
+    /// Read the next frame; returns it with its wire bytes (prefix, body
+    /// and any pending payload).
+    pub fn incoming(&mut self) -> io::Result<(Incoming, usize)> {
+        assert_eq!(self.pending, 0, "previous frame's payload not drained");
+        let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        if self.buf.len() > self.chunk && self.end - self.pos <= self.chunk {
+            // An oversized frame grew the buffer; give the memory back.
+            self.compact();
+            self.buf.truncate(self.chunk);
+            self.buf.shrink_to_fit();
+        }
+        if self.is_drained() {
+            // Idle: the one read whose timeout the caller gets to see.
+            (self.pos, self.end) = (0, 0);
+            let limit = self.read_limit(4);
+            self.end = loop {
+                match self.src.read(&mut self.buf[..limit]) {
+                    Ok(0) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "connection closed",
+                        ))
+                    }
+                    Ok(n) => break n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            };
+        }
+        self.fill(4)?;
+        let prefix = &self.buf[self.pos..self.pos + 4];
+        let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
+        if len == 0 || len > MAX_FRAME_BYTES {
+            return Err(bad(format!("frame length {len} out of range")));
+        }
+        self.fill(5)?;
+        let head = match self.buf[self.pos + 4] {
+            T_PUT => PUT_HEAD,
+            T_GET_RESP => GET_RESP_HEAD,
+            _ => len,
+        }
+        .min(len);
+        self.fill(4 + head)?;
+        let body = &self.buf[self.pos + 4..self.pos + 4 + head];
+        self.pos += 4 + head;
+        let mut c = Cursor::new(&body[1..]);
+        let (incoming, payload) = match body[0] {
+            T_PUT => {
+                let put = PutHead {
+                    src: c.u32()?,
+                    dst: c.u32()?,
+                    seg: c.u64()?,
+                    off: c.u64()?,
+                    ack: c.u64()?,
+                    len: c.u32()? as usize,
+                };
+                (Incoming::Put(put), put.len)
+            }
+            T_GET_RESP => {
+                let (req, len) = (c.u64()?, c.u32()? as usize);
+                (Incoming::GetResp { req, len }, len)
+            }
+            _ => return Ok((Incoming::Frame(Frame::decode(body)?), 4 + len)),
+        };
+        if head + payload != len {
+            return Err(bad(format!(
+                "payload of {payload} bytes in a frame body of {len}"
+            )));
+        }
+        self.pending = payload;
+        Ok((incoming, 4 + len))
+    }
+
+    /// Drain the pending payload through `sink`, in order, in chunks of at
+    /// most the buffer's size: what is already buffered first, then one
+    /// chunk per `read(2)`.
+    pub fn payload(&mut self, mut sink: impl FnMut(&[u8])) -> io::Result<()> {
+        while self.pending > 0 {
+            if self.is_drained() {
+                if self.buf.len() < self.chunk.min(self.pending) {
+                    self.buf.resize(self.chunk, 0);
+                }
+                (self.pos, self.end) = (0, 0);
+                let limit = self.read_limit(self.pending);
+                self.end = read_mid_frame(&mut self.src, &mut self.buf[..limit])?;
+            }
+            let n = (self.end - self.pos).min(self.pending);
+            sink(&self.buf[self.pos..self.pos + n]);
+            self.pos += n;
+            self.pending -= n;
+        }
+        Ok(())
+    }
+
+    /// Drain the pending payload into the front of `out` (grown, never
+    /// shrunk, to hold it): what is buffered is copied, the rest is read
+    /// from the source straight into `out`. Returns the payload length.
+    pub fn payload_into(&mut self, out: &mut Vec<u8>) -> io::Result<usize> {
+        let len = std::mem::take(&mut self.pending);
+        if out.len() < len {
+            out.resize(len, 0);
+        }
+        let mut got = (self.end - self.pos).min(len);
+        out[..got].copy_from_slice(&self.buf[self.pos..self.pos + got]);
+        self.pos += got;
+        while got < len {
+            got += read_mid_frame(&mut self.src, &mut out[got..len])?;
+        }
+        Ok(len)
+    }
+
+    /// Read the next frame whole, as an owned [`Frame`] (control-plane
+    /// convenience: handshakes, rendezvous).
+    pub fn next_frame(&mut self) -> io::Result<(Frame, usize)> {
+        let (incoming, n) = self.incoming()?;
+        let mut data = Vec::new();
+        let frame = match incoming {
+            Incoming::Put(PutHead {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                len: _,
+            }) => {
+                self.payload_into(&mut data)?;
+                Frame::Put {
+                    src,
+                    dst,
+                    seg,
+                    off,
+                    ack,
+                    data,
+                }
+            }
+            Incoming::GetResp { req, len: _ } => {
+                self.payload_into(&mut data)?;
+                Frame::GetResp { req, data }
+            }
+            Incoming::Frame(f) => f,
+        };
+        Ok((frame, n))
+    }
+}
+
+/// Read one frame; returns the frame and the wire bytes consumed. A thin
+/// wrapper over a [`FrameReader`] that reads no further than the frame
+/// (timeout semantics are the reader's); connections that carry more than
+/// a handshake keep a `FrameReader` instead.
+pub fn read_frame<R: Read>(r: &mut BufReader<R>) -> io::Result<(Frame, usize)> {
+    FrameReader::exact(r).next_frame()
+}
+
+/// A frame read by [`read_frame_direct`]: a `Put`'s payload is read from
+/// the stream straight into `buf`, never passing through a frame-sized
+/// staging body.
 pub enum RawFrame {
-    /// A `Put`; `buf[payload..]` is the payload, in place.
+    /// A `Put`; `buf[payload..]` is the payload.
     Put {
         /// Issuing image (global 0-based rank).
         src: u32,
@@ -1097,7 +1413,7 @@ pub enum RawFrame {
         off: u64,
         /// Completion-ack cookie (0 = no ack requested).
         ack: u64,
-        /// The whole frame body; the payload is its tail.
+        /// The buffer the payload was read into.
         buf: Vec<u8>,
         /// Byte index where the payload starts in `buf`.
         payload: usize,
@@ -1106,106 +1422,125 @@ pub enum RawFrame {
     Other(Frame),
 }
 
-/// Like [`read_frame`], but leaves `Put` payloads in place (see
-/// [`RawFrame`]). Identical timeout semantics.
+/// Like [`read_frame`], but hands a `Put` over as its fields plus the
+/// payload buffer (see [`RawFrame`]). Identical timeout semantics.
 pub fn read_frame_direct<R: Read>(r: &mut BufReader<R>) -> io::Result<(RawFrame, usize)> {
-    let (body, n) = read_frame_body(r)?;
-    if body.first() == Some(&T_PUT) {
-        let mut c = Cursor::new(&body[1..]);
-        let (src, dst) = (c.u32()?, c.u32()?);
-        let (seg, off, ack) = (c.u64()?, c.u64()?, c.u64()?);
-        let len = c.u32()? as usize;
-        let payload = 1 + c.pos;
-        if payload + len != body.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "put payload length mismatch",
-            ));
-        }
-        return Ok((
-            RawFrame::Put {
-                src,
-                dst,
-                seg,
-                off,
-                ack,
-                buf: body,
-                payload,
-            },
-            n,
-        ));
-    }
-    Ok((RawFrame::Other(Frame::decode(&body)?), n))
-}
-
-/// Read one length-prefixed frame body; returns the body and the wire
-/// bytes consumed (body + prefix).
-fn read_frame_body<R: Read>(r: &mut BufReader<R>) -> io::Result<(Vec<u8>, usize)> {
-    // Fill `buf[filled..]`, retrying timeouts once any byte of the frame
-    // has been consumed (a plain `read_exact` could drop partial bytes on
-    // a timeout and desynchronize the stream).
-    fn fill<R: Read>(r: &mut BufReader<R>, buf: &mut [u8], mut filled: usize) -> io::Result<()> {
-        while filled < buf.len() {
-            match r.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    ))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // Partial frame: the rest is on the wire; keep going.
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    let mut len4 = [0u8; 4];
-    // The first byte decides idle-vs-mid-frame: a timeout with nothing
-    // consumed surfaces to the caller (its poll loop), a timeout after
-    // that keeps collecting.
-    let first = loop {
-        match r.read(&mut len4[..1]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed",
-                ))
-            }
-            Ok(_) => break 1,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    let (frame, n) = read_frame(r)?;
+    let raw = match frame {
+        Frame::Put {
+            src,
+            dst,
+            seg,
+            off,
+            ack,
+            data,
+        } => RawFrame::Put {
+            src,
+            dst,
+            seg,
+            off,
+            ack,
+            buf: data,
+            payload: 0,
+        },
+        other => RawFrame::Other(other),
     };
-    fill(r, &mut len4, first)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    if len == 0 || len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} out of range"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    fill(r, &mut body, 0)?;
-    Ok((body, 4 + len))
+    Ok((raw, n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Rebuild the next frame of `r` the way the ingress loop consumes it:
+    /// fixed fields from `incoming`, payload chunk by chunk.
+    fn next_streamed<R: Read>(r: &mut FrameReader<R>) -> io::Result<Frame> {
+        let (incoming, _) = r.incoming()?;
+        let mut data = Vec::new();
+        Ok(match incoming {
+            Incoming::Put(PutHead {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                len,
+            }) => {
+                r.payload(|chunk| data.extend_from_slice(chunk))?;
+                assert_eq!(data.len(), len);
+                Frame::Put {
+                    src,
+                    dst,
+                    seg,
+                    off,
+                    ack,
+                    data,
+                }
+            }
+            Incoming::GetResp { req, len } => {
+                r.payload(|chunk| data.extend_from_slice(chunk))?;
+                assert_eq!(data.len(), len);
+                Frame::GetResp { req, data }
+            }
+            Incoming::Frame(f) => f,
+        })
+    }
+
+    /// A [`FrameReader`] must make of `body` exactly what [`Frame::decode`]
+    /// does — the same frame or an `InvalidData` refusal — whether the
+    /// frame fits its buffer, outgrows it, or has its payload streamed
+    /// across many chunk boundaries, and must stop at the frame's end.
+    fn reader_agrees_with_decode(body: &[u8]) {
+        let want = Frame::decode(body);
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        wire.extend_from_slice(&Frame::Bye { node: 7 }.encode());
+        let check = |form: &str, got: io::Result<Frame>| match (&want, got) {
+            (Ok(want), Ok(got)) => assert_eq!(&got, want, "{form}"),
+            (Err(_), Err(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{form}: {e}"),
+            (want, got) => panic!("{form}: decode says {want:?}, the reader {got:?}"),
+        };
+        for (start, chunk) in [(READER_START_BYTES, READER_BYTES), (4, 8), (16, 16)] {
+            let form = format!("buffer {start}, chunk {chunk}");
+            let mut r = FrameReader::with_sizes(&wire[..], start, chunk);
+            let whole = r.next_frame();
+            if whole.is_ok() {
+                let (next, _) = r.next_frame().expect("the frame behind it");
+                assert_eq!(next, Frame::Bye { node: 7 }, "{form}: overran the frame");
+            }
+            check(
+                &form,
+                whole.map(|(f, n)| {
+                    assert_eq!(n, 4 + body.len(), "{form}: wire bytes");
+                    f
+                }),
+            );
+            let mut r = FrameReader::with_sizes(&wire[..], start, chunk);
+            let streamed = next_streamed(&mut r);
+            if streamed.is_ok() {
+                assert_eq!(
+                    next_streamed(&mut r).unwrap(),
+                    Frame::Bye { node: 7 },
+                    "{form}"
+                );
+                assert!(r.is_drained(), "{form}");
+            }
+            check(&format!("{form}, streamed"), streamed);
+        }
+        // The `BufReader` wrappers take exactly the frame and no more.
+        let mut r = BufReader::with_capacity(5, &wire[..]);
+        check("read_frame", read_frame(&mut r).map(|(f, _)| f));
+        if want.is_ok() {
+            assert_eq!(read_frame(&mut r).unwrap().0, Frame::Bye { node: 7 });
+        }
+    }
+
     fn roundtrip(f: Frame) {
         let enc = f.encode();
         let len = u32::from_le_bytes(enc[..4].try_into().unwrap()) as usize;
         assert_eq!(len, enc.len() - 4);
         assert_eq!(Frame::decode(&enc[4..]).unwrap(), f);
+        reader_agrees_with_decode(&enc[4..]);
 
         // `encode_into` behind frames already corked in the buffer is the
         // same bytes, byte for byte — owned, through `FrameRef::Owned`, and
@@ -1257,6 +1592,7 @@ mod tests {
             if let Err(e) = Frame::decode(&fuzz) {
                 assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{f:?} byte {i}");
             }
+            reader_agrees_with_decode(&fuzz);
         }
     }
 
@@ -1570,6 +1906,98 @@ mod tests {
             RawFrame::Put { .. } => panic!("ack decoded as put"),
         }
         assert_eq!(n1 + n2, t.join().unwrap(), "byte accounting matches");
+    }
+
+    /// A source that times out before every byte it yields.
+    struct Choppy<'a> {
+        bytes: &'a [u8],
+        timed_out: bool,
+    }
+
+    impl Read for Choppy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.timed_out = !self.timed_out;
+            if self.timed_out {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.bytes.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn timeouts_surface_between_frames_and_are_collected_through_mid_frame() {
+        let put = Frame::Put {
+            src: 1,
+            dst: 2,
+            seg: 3,
+            off: 5,
+            ack: 9,
+            data: (0..200).collect(),
+        };
+        let flag = Frame::FlagAdd {
+            src: 1,
+            dst: 2,
+            flag: 3,
+            delta: 4,
+        };
+        let wire = [put.encode(), flag.encode()].concat();
+        let mut r = FrameReader::with_sizes(
+            Choppy {
+                bytes: &wire,
+                timed_out: false,
+            },
+            8,
+            16,
+        );
+        for want in [put, flag] {
+            // Idle: the timeout is the caller's to see, and costs nothing.
+            let idle = r.incoming().expect_err("no byte of the frame has arrived");
+            assert_eq!(idle.kind(), io::ErrorKind::WouldBlock);
+            // Once begun, a frame is collected through any number of them —
+            // header, payload chunks and all.
+            assert_eq!(next_streamed(&mut r).unwrap(), want);
+        }
+        assert_eq!(r.incoming().unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(
+            r.incoming().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof,
+            "a close between frames is an orderly end"
+        );
+    }
+
+    #[test]
+    fn a_stream_cut_mid_payload_is_an_eof_error_not_a_short_frame() {
+        let enc = Frame::Put {
+            src: 1,
+            dst: 2,
+            seg: 3,
+            off: 0,
+            ack: 9,
+            data: vec![7; 100],
+        }
+        .encode();
+        for cut in 1..enc.len() {
+            let mut r = FrameReader::with_sizes(&enc[..cut], 8, 16);
+            let err = next_streamed(&mut r).expect_err("cut stream");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_frame_grows_the_buffer_only_until_it_is_consumed() {
+        let big = Frame::Telemetry {
+            node: 1,
+            payload: vec![3; 1000],
+        };
+        let wire = [big.encode(), Frame::Bye { node: 1 }.encode()].concat();
+        let mut r = FrameReader::with_sizes(&wire[..], 16, 64);
+        assert_eq!(r.next_frame().unwrap().0, big);
+        assert!(r.buf.len() > 1000);
+        assert_eq!(r.next_frame().unwrap().0, Frame::Bye { node: 1 });
+        assert_eq!(r.buf.len(), 64, "back to the streaming chunk");
     }
 
     #[test]
