@@ -19,7 +19,7 @@
 //! [`Am::flush`] is the fence.
 
 use crate::batch::{AmPolicy, Batcher};
-use crate::seg::{FlagId, SegmentId};
+use crate::seg::{Amo, FlagId, SegmentId, Window};
 use crate::socket::wire::{put_u32, put_u64, Cursor};
 use crate::{ArcFabric, ProcId, PutToken};
 use std::io;
@@ -177,6 +177,33 @@ impl AmOp {
             },
             _ => return Err(bad("unknown am op tag")),
         })
+    }
+}
+
+/// Apply a batch in vector order to one image, reached however the
+/// applying fabric reaches it (its own tables, a mapped peer's): `window`
+/// yields the image's window for a segment id, `bump` release-adds to one
+/// of its flags. Each op's effects are visible to every later op, and a
+/// flag bump lands after the payloads before it — the fabric memory
+/// model's put→flag ordering, kept inside a batch.
+pub(crate) fn apply(
+    ops: &[AmOp],
+    window: impl Fn(SegmentId) -> Window,
+    bump: impl Fn(FlagId, u64),
+) {
+    for op in ops {
+        match op {
+            AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {
+                window(*seg).write(*off, data)
+            }
+            AmOp::AmoAdd { seg, off, delta } => {
+                window(*seg).amo(*off, Amo::Add(*delta));
+            }
+            AmOp::FlagAdd { .. } => {}
+        }
+        if let AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } = op {
+            bump(*flag, *delta);
+        }
     }
 }
 

@@ -25,8 +25,13 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use crate::socket::shm::ShmWindow;
+use crossbeam::utils::Backoff;
+use parking_lot::{Condvar, Mutex};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Handle to one segment of one image's memory.
 ///
@@ -61,6 +66,68 @@ impl FlagId {
 impl fmt::Debug for FlagId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "flag{}", self.0)
+    }
+}
+
+/// Release-add `delta` to sync flag `flag` of image `img`: the one flag bump
+/// of both real-memory fabrics. Release orders every earlier (relaxed)
+/// payload store before the notification, so a waiter that acquires the
+/// counter sees the payload; the counter is cumulative, and wrapping it is a
+/// program error. Waking a parked waiter stays with the fabric that hosts
+/// the cell.
+#[inline]
+pub(crate) fn bump_flag(cell: &AtomicU64, img: usize, flag: FlagId, delta: u64) {
+    let old = cell.fetch_add(delta, Ordering::Release);
+    assert!(
+        old.checked_add(delta).is_some(),
+        "sync flag counter overflow: image {img} flag {} \
+         (cumulative counter wrapped adding {delta})",
+        flag.0
+    );
+}
+
+/// The waiting side of sync flags on a real-memory fabric: images that
+/// spun out and parked. Each fabric has its own, and wakes it only for
+/// cells it hosts — a waiter on a cell another process bumps polls.
+#[derive(Default)]
+pub(crate) struct FlagWaiters {
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl FlagWaiters {
+    /// Wake parked waiters after a bump (or to let them see a poison);
+    /// takes the lock only when someone may be parked.
+    #[inline]
+    pub(crate) fn wake(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _g = self.lock.lock();
+            self.cv.notify_all();
+        }
+    }
+
+    /// Wait — adaptive spin, then park — until `cell` reaches `at_least`
+    /// (acquire: the bumps' payloads are visible on return). `check` runs
+    /// every round the flag is still short and panics to abandon the wait.
+    pub(crate) fn wait_ge(&self, cell: &AtomicU64, at_least: u64, mut check: impl FnMut()) {
+        let backoff = Backoff::new();
+        while cell.load(Ordering::Acquire) < at_least {
+            check();
+            if backoff.is_completed() {
+                // Park with a timeout: a lost wakeup (adder saw parked == 0
+                // just before we registered) resolves within one tick.
+                self.parked.fetch_add(1, Ordering::SeqCst);
+                let mut g = self.lock.lock();
+                if cell.load(Ordering::Acquire) < at_least {
+                    self.cv.wait_for(&mut g, Duration::from_micros(200));
+                }
+                drop(g);
+                self.parked.fetch_sub(1, Ordering::SeqCst);
+            } else {
+                backoff.snooze();
+            }
+        }
     }
 }
 
@@ -254,6 +321,110 @@ impl SharedBytes {
             self.len
         );
         &self.words[offset / 8]
+    }
+}
+
+/// What a request does to a window — decides the alignment it needs and
+/// the words a refusal uses.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    Put,
+    Get,
+    /// A remote atomic: 8 bytes at an 8-byte aligned offset.
+    Amo,
+}
+
+/// A remote atomic on one aligned 8-byte cell.
+#[derive(Clone, Copy)]
+pub(crate) enum Amo {
+    /// Wrapping add.
+    Add(u64),
+    /// Compare-and-swap.
+    Cas { expected: u64, new: u64 },
+}
+
+/// One segment's storage as the fabrics address it: heap bytes, or a
+/// window into a shared mapping (this process's own, or a same-host
+/// peer's). The API and panic contract are those of [`SharedBytes`].
+#[derive(Clone)]
+pub(crate) enum Window {
+    Heap(Arc<SharedBytes>),
+    Shm(ShmWindow),
+}
+
+impl Window {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Window::Heap(s) => s.len(),
+            Window::Shm(w) => w.len(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn write(&self, offset: usize, src: &[u8]) {
+        match self {
+            Window::Heap(s) => s.write(offset, src),
+            Window::Shm(w) => w.write(offset, src),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn read(&self, offset: usize, dst: &mut [u8]) {
+        match self {
+            Window::Heap(s) => s.read(offset, dst),
+            Window::Shm(w) => w.read(offset, dst),
+        }
+    }
+
+    #[inline]
+    fn as_atomic_u64(&self, offset: usize) -> &AtomicU64 {
+        match self {
+            Window::Heap(s) => s.as_atomic_u64(offset),
+            Window::Shm(w) => w.as_atomic_u64(offset),
+        }
+    }
+
+    /// Apply `amo` to the cell at `offset`; returns the value found there.
+    /// The same physical atomic whichever way an image reaches the window,
+    /// so atomicity holds across the own-process, mapped and wire paths.
+    #[inline]
+    pub(crate) fn amo(&self, offset: usize, amo: Amo) -> u64 {
+        let cell = self.as_atomic_u64(offset);
+        match amo {
+            Amo::Add(delta) => cell.fetch_add(delta, Ordering::AcqRel),
+            Amo::Cas { expected, new } => {
+                match cell.compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(v) | Err(v) => v,
+                }
+            }
+        }
+    }
+
+    /// Check an `access` of `len` bytes at `off` against the window
+    /// without touching it. The refusals are worded as the accessors'
+    /// own panics, so a caller that panics on `Err` fails exactly as the
+    /// access would have.
+    #[inline]
+    pub(crate) fn check(&self, access: Access, off: u64, len: usize) -> Result<(), String> {
+        let size = self.len();
+        if access == Access::Amo && !off.is_multiple_of(8) {
+            return Err(format!("AMO offset {off} not 8-byte aligned"));
+        }
+        if off
+            .checked_add(len as u64)
+            .is_some_and(|end| end <= size as u64)
+        {
+            return Ok(());
+        }
+        let what = match access {
+            Access::Put => format!("put of {len} bytes"),
+            Access::Get => format!("get of {len} bytes"),
+            Access::Amo => "AMO".to_string(),
+        };
+        Err(format!(
+            "{what} at offset {off} exceeds segment of {size} bytes"
+        ))
     }
 }
 

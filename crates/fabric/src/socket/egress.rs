@@ -364,15 +364,17 @@ impl SocketFabric {
         self.obs.wire_writes(rank, writes);
     }
 
-    /// Send a control frame (heartbeat, goodbye) to `rank` right away,
-    /// behind whatever is corked. Best effort: liveness tracking, not this
-    /// write, decides whether the peer is dead.
-    pub(super) fn send_control(&self, rank: usize, frame: &Frame) {
+    /// Send a control frame (heartbeat, goodbye, recovery mark) to `rank`
+    /// right away, behind whatever is corked, with none of the request
+    /// path's poison checks. For a heartbeat or goodbye the result is
+    /// ignored: liveness tracking, not this write, decides whether the
+    /// peer is dead.
+    pub(super) fn send_control(&self, rank: usize, frame: &Frame) -> io::Result<()> {
         if let Some(e) = self.egress_to(rank) {
-            if let Ok(sent) = e.send(frame.into(), false, Urgency::Now, false) {
-                self.count_sent(rank, sent.bytes, sent.writes);
-            }
+            let sent = e.send(frame.into(), false, Urgency::Now, false)?;
+            self.count_sent(rank, sent.bytes, sent.writes);
         }
+        Ok(())
     }
 
     /// Append `frame` to the egress cork of the process hosting `dst`

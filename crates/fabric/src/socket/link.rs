@@ -1,0 +1,784 @@
+//! Connections and the threads that serve them: dialing and accepting
+//! (with the `Rejoin` handshake of a respawned peer), one ingress thread
+//! per peer applying its requests in arrival order, one response reader
+//! per peer retiring acks, the heartbeat, and the liveness rules that turn
+//! silence or an unexplained EOF into a loud death.
+//!
+//! Owns the sockets, `peer_state` and `last_seen`. An ingress thread
+//! reaches hosted memory only through the [`store`](super::store)'s
+//! checked resolver — a request that does not resolve is a malformed
+//! frame, named and poisoned, never a panic. A response reader never
+//! writes and never takes a cork lock (the deadlock rule in
+//! [`egress`](super::egress)): it retires a batch into
+//! [`pending`](super::pending) and pokes the egress thread. Liveness is
+//! written here; for *routing*, only [`route`](super::route) reads it.
+
+use super::egress::{Cork, Egress, CORK_BYTES};
+use super::pending::Reply;
+use super::route::Landing;
+use super::wire::{
+    write_frame, Addr, Frame, FrameReader, FrameRef, Incoming, Listener, PutHead, Stream,
+    MAX_FRAME_BYTES, WIRE_MAGIC,
+};
+use super::{shm, SocketFabric, PEER_ALIVE, PEER_DEAD, PEER_GRACEFUL, POLL};
+use crate::am::AmOp;
+use crate::seg::{Access, Amo, FlagId, Window};
+use crate::Fabric;
+use std::fmt::Display;
+use std::io;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long an unexplained EOF may wait for a racing `Bye` (on the other
+/// connection of the pair) before it is declared a death.
+const EOF_GRACE: Duration = Duration::from_millis(300);
+
+/// Responses a reader retires at once at most (more may be buffered).
+const RETIRE_BATCH: usize = 256;
+
+/// The largest get buffer kept for reuse (an ingress thread's window copy,
+/// a pooled response buffer); one grown past this by a rare huge get is
+/// freed after use instead of pinning its memory for the fabric's life.
+pub(super) const KEEP_BYTES: usize = 4 << 20;
+
+/// What a served request is owed; `Data` borrows the serving thread's
+/// reused get buffer, so no response owns a payload.
+pub(super) enum Response<'a> {
+    Ack(u64),
+    Val { req: u64, old: u64 },
+    Data { req: u64, data: &'a [u8] },
+}
+
+impl SocketFabric {
+    pub(super) fn spawn_guarded(
+        self: &Arc<Self>,
+        name: &'static str,
+        f: impl FnOnce() + Send + 'static,
+    ) -> std::thread::Thread {
+        let fab = self.clone();
+        let h = std::thread::Builder::new()
+            .name(format!("caf-sock-{name}"))
+            .spawn(move || {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+                if let Err(p) = r {
+                    let msg = p
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "socket service thread panicked".into());
+                    if !fab.shutting_down.load(Ordering::Acquire) {
+                        fab.poison(&format!("socket fabric {name} thread: {msg}"));
+                    }
+                }
+            })
+            .expect("spawn socket service thread");
+        let thread = h.thread().clone();
+        self.threads.lock().push(h);
+        thread
+    }
+
+    /// Accept loop: collect `expected` ingress connections, identify each
+    /// by its `Open` (or, in respawn mode, `Rejoin`) frame, and hand it to
+    /// a dedicated ingress thread. In respawn mode the listener stays up
+    /// past fleet bring-up so a respawned peer can dial back in at any
+    /// point in the run.
+    pub(super) fn spawn_accepting(self: &Arc<Self>, listener: Listener, expected: usize) {
+        let fab = self.clone();
+        self.spawn_guarded("accept", move || {
+            listener
+                .set_nonblocking(true)
+                .expect("listener nonblocking");
+            let mut accepted = 0;
+            while !fab.stopping()
+                && (accepted < expected
+                    || (fab.cfg.respawn && !fab.all_done.load(Ordering::Acquire)))
+            {
+                match listener.accept() {
+                    Ok(stream) => {
+                        stream
+                            .set_read_timeout(Some(POLL))
+                            .expect("ingress read timeout");
+                        let mut reader =
+                            FrameReader::new(stream.try_clone().expect("clone ingress stream"));
+                        // First frame must identify the dialer.
+                        let deadline = Instant::now() + fab.cfg.io_timeout;
+                        let (peer, peer_shm) = loop {
+                            match reader.next_frame() {
+                                Ok((Frame::Open { node, magic, shm }, n)) => {
+                                    assert_eq!(
+                                        magic, WIRE_MAGIC,
+                                        "wire-protocol version mismatch from process {node}"
+                                    );
+                                    fab.stats.record_wire_rx(n);
+                                    fab.obs.wire_rx(node as usize, n);
+                                    break (node as usize, shm);
+                                }
+                                Ok((
+                                    Frame::Rejoin {
+                                        node,
+                                        generation,
+                                        addr,
+                                        magic,
+                                        shm,
+                                    },
+                                    n,
+                                )) => {
+                                    assert_eq!(
+                                        magic, WIRE_MAGIC,
+                                        "wire-protocol version mismatch from process {node}"
+                                    );
+                                    fab.stats.record_wire_rx(n);
+                                    fab.obs.wire_rx(node as usize, n);
+                                    match fab.accept_rejoin(node as usize, generation, &addr, &shm)
+                                    {
+                                        Ok(()) => break (node as usize, String::new()),
+                                        Err(e) => {
+                                            eprintln!(
+                                                "caf-socket: rejected rejoin from process \
+                                                 {node}: {e}"
+                                            );
+                                            break (usize::MAX, String::new()); // drop it
+                                        }
+                                    }
+                                }
+                                Ok((other, _)) => {
+                                    panic!("expected Open on new connection, got {other:?}")
+                                }
+                                Err(e) if is_timeout(&e) => {
+                                    if Instant::now() > deadline || fab.stopping() {
+                                        return;
+                                    }
+                                }
+                                // Dialer vanished pre-handshake.
+                                Err(_) => break (usize::MAX, String::new()),
+                            }
+                        };
+                        if peer == usize::MAX {
+                            continue;
+                        }
+                        // Map the dialer's segment before its ingress
+                        // thread starts: once requests flow, replies may
+                        // race reads of segments only the mapping serves.
+                        if !peer_shm.is_empty() {
+                            fab.map_shm_peer(peer, &peer_shm);
+                        }
+                        fab.mark_seen(peer);
+                        accepted += 1;
+                        fab.ingress_up.fetch_add(1, Ordering::Release);
+                        let f2 = fab.clone();
+                        f2.clone().spawn_guarded("ingress", move || {
+                            f2.ingress_loop(peer, reader, stream)
+                        });
+                    }
+                    Err(e) if is_timeout(&e) => std::thread::sleep(Duration::from_millis(2)),
+                    Err(e) => panic!("accept failed: {e}"),
+                }
+            }
+            // Fleet fully connected (or tearing down): drop the listener,
+            // unlinking the socket file.
+        });
+    }
+
+    /// A respawned incarnation of `node` dialed in: validate its
+    /// generation, rebuild the egress half of the pair by back-dialing its
+    /// fresh address, and revive its liveness state. Runs on the accept
+    /// thread *before* the ingress thread for the new connection starts,
+    /// so by the time the rejoiner's first request arrives the pair is
+    /// fully re-established.
+    fn accept_rejoin(
+        self: &Arc<Self>,
+        node: usize,
+        generation: u64,
+        addr: &str,
+        shm_path: &str,
+    ) -> io::Result<()> {
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        if !self.cfg.respawn {
+            return Err(bad("rejoin received but respawn mode is off".into()));
+        }
+        if node >= self.occ.len() || node == self.node_rank {
+            return Err(bad(format!("bogus rejoin rank {node}")));
+        }
+        // A stale frame from a dead incarnation carries an old generation;
+        // only the incarnation establishing the *next* generation may join.
+        let current = self.recovery.generation.load(Ordering::Acquire);
+        if generation != current + 1 {
+            return Err(bad(format!(
+                "stale rejoin generation {generation} (current {current})"
+            )));
+        }
+        let peer_addr: Addr = addr
+            .parse()
+            .map_err(|e: String| bad(format!("unparseable rejoin address {addr:?}: {e}")))?;
+        // The rejoin may outrun our own death detection (EOF grace still
+        // ticking). Recovery needs every survivor to observe the death —
+        // poison is what sends hosted images into `heal` — so declare it
+        // now; a no-op if the heartbeat/EOF path already did.
+        self.declare_dead(node, "peer process restarted (rejoin handshake)");
+        // Replace the dead egress before flipping the peer alive: anyone
+        // observing PEER_ALIVE must find a usable connection.
+        self.dial_peer(node, &peer_addr, &self.open_frame())?;
+        // The dead incarnation's segment is gone; remap (or drop) before
+        // anyone observes PEER_ALIVE and routes data ops through shm.
+        self.shm_peers[node].write().take();
+        if !shm_path.is_empty() {
+            self.map_shm_peer(node, shm_path);
+        }
+        *self.last_peer_stats[node].lock() = None;
+        self.mark_seen(node);
+        self.peer_state[node].store(PEER_ALIVE, Ordering::Release);
+        Ok(())
+    }
+
+    /// The first-life handshake frame (also what a survivor back-dials a
+    /// rejoiner with).
+    pub(super) fn open_frame(&self) -> Frame {
+        Frame::Open {
+            node: self.node_rank as u32,
+            magic: WIRE_MAGIC,
+            shm: self.store.shm_path(),
+        }
+    }
+
+    /// Map the shared segment `rank` announced in its handshake. Failure
+    /// is a warning, not an error: traffic *to* that peer falls back to
+    /// the wire, and each direction independently keeps program order.
+    fn map_shm_peer(&self, rank: usize, path: &str) {
+        if !self.cfg.shm {
+            return;
+        }
+        match shm::PeerShm::open(std::path::Path::new(path)) {
+            Ok(seg) => *self.shm_peers[rank].write() = Some(Arc::new(seg)),
+            Err(e) => eprintln!(
+                "caf-socket: cannot map shared segment of process {rank} ({path}): {e}; \
+                 using the wire for it"
+            ),
+        }
+    }
+
+    /// Dial peer `rank` with capped exponential backoff, send `hello`
+    /// (`Open`, or `Rejoin` when this process is a respawned incarnation),
+    /// store the write half, and start the response-reader thread. The
+    /// egress slot is *replaced*, not set-once: a rejoin re-dials a peer
+    /// whose previous connection died with the old incarnation.
+    pub(super) fn dial_peer(
+        self: &Arc<Self>,
+        rank: usize,
+        addr: &Addr,
+        hello: &Frame,
+    ) -> io::Result<()> {
+        let t0 = Instant::now();
+        let mut backoff = self.cfg.connect_backoff_start;
+        let mut attempts = 0u64;
+        let mut stream = loop {
+            match Stream::connect(addr) {
+                Ok(s) => break s,
+                Err(e) => {
+                    attempts += 1;
+                    self.stats.wire_retries.fetch_add(1, Ordering::Relaxed);
+                    if t0.elapsed() >= self.cfg.io_timeout {
+                        return Err(io::Error::new(
+                            e.kind(),
+                            format!(
+                                "{}: peer {addr} unreachable after {attempts} attempts: {e}",
+                                self.peer_desc(rank)
+                            ),
+                        ));
+                    }
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(self.cfg.connect_backoff_cap);
+                }
+            }
+        };
+        if attempts > 0 {
+            self.stats.wire_reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        self.obs.dial_result(rank, attempts);
+        stream.set_read_timeout(Some(POLL))?;
+        stream.set_write_timeout(Some(self.cfg.io_timeout))?;
+        let reader_half = FrameReader::new(stream.try_clone()?);
+        let n = write_frame(&mut stream, hello)?;
+        self.count_sent(rank, n, 1);
+        let egress = Arc::new(Egress::new(stream));
+        *self.egress[rank].write() = Some(egress.clone());
+        self.mark_seen(rank);
+        let fab = self.clone();
+        self.spawn_guarded("response", move || {
+            fab.response_loop(rank, reader_half, &egress)
+        });
+        Ok(())
+    }
+
+    /// Block until every ingress connection is up (egress dials complete
+    /// synchronously in `join`).
+    pub(super) fn wait_established(&self, expected: usize) -> io::Result<()> {
+        let deadline = Instant::now() + self.cfg.io_timeout;
+        while self.ingress_up.load(Ordering::Acquire) < expected {
+            if Instant::now() > deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "fleet bring-up timed out: {}/{expected} ingress connections \
+                         after {:?}",
+                        self.ingress_up.load(Ordering::Acquire),
+                        self.cfg.io_timeout
+                    ),
+                ));
+            }
+            if let Some(msg) = self.poisoned.lock().clone() {
+                return Err(io::Error::other(msg));
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        Ok(())
+    }
+
+    /// Serve one peer's requests: apply them in arrival order and write
+    /// responses back on the same connection. Acks are corked while more
+    /// requests are already buffered — a burst of puts is answered with
+    /// one write — and leave before this thread blocks in a read again.
+    fn ingress_loop(&self, peer: usize, mut reader: FrameReader<Stream>, stream: Stream) {
+        let mut cork = Cork::new(stream);
+        // The window copy a `Get` is answered from, reused across requests.
+        let mut get_buf = Vec::new();
+        loop {
+            if self.stopping() {
+                return;
+            }
+            let served = reader.incoming().and_then(|(incoming, n)| {
+                let response = match incoming {
+                    Incoming::Put(put) => self.land_put(&put, &mut reader)?,
+                    Incoming::Frame(f) => self.serve(peer, f, &mut get_buf)?,
+                    Incoming::GetResp { req, .. } => {
+                        panic!("get response {req} on a request connection")
+                    }
+                };
+                self.stats.record_wire_rx(n);
+                self.obs.wire_rx(peer, n);
+                self.mark_seen(peer);
+                Ok(response)
+            });
+            let response = match served {
+                Ok(r) => r,
+                Err(e) if self.read_failed(peer, &e) => return,
+                Err(_) => continue,
+            };
+            match self.respond(peer, &mut cork, response, reader.is_drained()) {
+                Ok(writes) => self.obs.wire_writes(peer, writes),
+                // A response that cannot be written means the requester
+                // can never complete, so it poisons.
+                Err(_) if self.stopping() || self.all_done.load(Ordering::Acquire) => {}
+                Err(e) => self.declare_dead(peer, &format!("response write failed: {e}")),
+            }
+            if get_buf.len() > KEEP_BYTES {
+                get_buf = Vec::new();
+            }
+        }
+    }
+
+    /// A frame read on `peer`'s connection failed with `e`: `false` for an
+    /// idle timeout (poll the stop flags and read again); otherwise the
+    /// connection is finished — poisoned if the frame was malformed, run
+    /// through the EOF rules if the stream ended or broke — and the reader
+    /// thread returns.
+    fn read_failed(&self, peer: usize, e: &io::Error) -> bool {
+        if is_timeout(e) {
+            return false;
+        }
+        if e.kind() == io::ErrorKind::InvalidData {
+            // A malformed frame is a protocol bug (or a corrupted wire),
+            // not a peer death: poison loudly with context instead of
+            // letting the I/O thread die quietly.
+            self.malformed_frame(peer, e);
+        } else {
+            self.peer_eof(peer);
+        }
+        true
+    }
+
+    /// The hosted window a wire request addresses, with every
+    /// wire-supplied field checked by the store's resolver *before* a byte
+    /// lands or a buffer is sized from it. The refusal names the frame kind
+    /// and fields; `InvalidData` takes the caller down the
+    /// `malformed_frame` path, which adds the peer.
+    fn requested_window(
+        &self,
+        what: &str,
+        (src, dst, seg, off): (u32, u32, u64, u64),
+        len: usize,
+        access: Access,
+    ) -> io::Result<Window> {
+        let window = if len > MAX_FRAME_BYTES {
+            Err(format!("longer than any frame ({MAX_FRAME_BYTES} bytes)"))
+        } else {
+            (self.store).window(access, dst as usize, index(seg), off, len)
+        };
+        window.map_err(|why| {
+            let fields = format!("src: {src}, dst: {dst}, seg: {seg}, off: {off}, len: {len}");
+            refused(format_args!("{what} {{ {fields} }}"), why)
+        })
+    }
+
+    /// Land a put's payload: validate the destination, then copy each
+    /// chunk the reader hands over straight into the window — wire to
+    /// segment, no staging. The ack is owed only once the last chunk is in.
+    fn land_put(
+        &self,
+        put: &PutHead,
+        reader: &mut FrameReader<Stream>,
+    ) -> io::Result<Option<Response<'static>>> {
+        let target = (put.src, put.dst, put.seg, put.off);
+        let window = self.requested_window("Put", target, put.len, Access::Put)?;
+        let mut at = put.off as usize;
+        reader.payload(|chunk| {
+            window.write(at, chunk);
+            at += chunk.len();
+        })?;
+        Ok((put.ack != 0).then_some(Response::Ack(put.ack)))
+    }
+
+    /// Land an `AmBatch`: every op is checked before any is applied,
+    /// against the very tables the batch is then applied to.
+    fn land_batch(&self, src: u32, dst: u32, ops: &[AmOp]) -> io::Result<()> {
+        let refuse = |op: &dyn Display, why| {
+            let n = ops.len();
+            refused(
+                format_args!("AmBatch {{ src: {src}, dst: {dst}, ops: {n} }}{op}"),
+                why,
+            )
+        };
+        let tables = (self.store.tables(dst as usize)).map_err(|why| refuse(&"", why))?;
+        for (k, op) in ops.iter().enumerate() {
+            (tables.check(op)).map_err(|why| refuse(&format_args!(" op {k}"), why))?;
+        }
+        Landing::Own(tables).apply(self, src as usize, false, ops);
+        Ok(())
+    }
+
+    /// Cork `response`, then write the cork out if a caller is blocked on
+    /// it (anything but an ack), the burst of requests is over, or the cork
+    /// is full. Returns the socket writes the flush took.
+    fn respond(
+        &self,
+        peer: usize,
+        cork: &mut Cork,
+        response: Option<Response<'_>>,
+        burst_over: bool,
+    ) -> io::Result<u64> {
+        let urgent = !matches!(response, None | Some(Response::Ack(_)));
+        if let Some(r) = response {
+            let (n, writes) = match r {
+                Response::Ack(ack) => cork.push((&Frame::PutAck { ack }).into(), false)?,
+                Response::Val { req, old } => {
+                    cork.push((&Frame::AmoResp { req, old }).into(), false)?
+                }
+                Response::Data { req, data } => {
+                    cork.push(FrameRef::GetResp { req, data }, false)?
+                }
+            };
+            self.count_sent(peer, n, writes);
+        }
+        if urgent || burst_over || cork.len() >= CORK_BYTES {
+            cork.flush()
+        } else {
+            Ok(0)
+        }
+    }
+
+    /// Apply one non-put request from `peer`; returns the response it is
+    /// owed, if any. A `Get` is answered out of `get_buf`.
+    pub(super) fn serve<'a>(
+        &self,
+        peer: usize,
+        frame: Frame,
+        get_buf: &'a mut Vec<u8>,
+    ) -> io::Result<Option<Response<'a>>> {
+        Ok(match frame {
+            Frame::Get {
+                src,
+                dst,
+                seg,
+                off,
+                len,
+                req,
+            } => {
+                let len = len as usize;
+                let window =
+                    self.requested_window("Get", (src, dst, seg, off), len, Access::Get)?;
+                if get_buf.len() < len {
+                    get_buf.resize(len, 0);
+                }
+                window.read(off as usize, &mut get_buf[..len]);
+                Some(Response::Data {
+                    req,
+                    data: &get_buf[..len],
+                })
+            }
+            Frame::AmoFadd {
+                src,
+                dst,
+                seg,
+                off,
+                delta,
+                req,
+            } => {
+                let target = (src, dst, seg, off);
+                let window = self.requested_window("AmoFadd", target, 8, Access::Amo)?;
+                let old = window.amo(off as usize, Amo::Add(delta));
+                Some(Response::Val { req, old })
+            }
+            Frame::AmoCas {
+                src,
+                dst,
+                seg,
+                off,
+                expected,
+                new,
+                req,
+            } => {
+                let target = (src, dst, seg, off);
+                let window = self.requested_window("AmoCas", target, 8, Access::Amo)?;
+                let old = window.amo(off as usize, Amo::Cas { expected, new });
+                Some(Response::Val { req, old })
+            }
+            Frame::FlagAdd {
+                src,
+                dst,
+                flag,
+                delta,
+            } => {
+                let cell = (self.store.flag(dst as usize, index(flag))).map_err(|why| {
+                    let fields = format!("src: {src}, dst: {dst}, flag: {flag}, delta: {delta}");
+                    refused(format_args!("FlagAdd {{ {fields} }}"), why)
+                })?;
+                let flag = FlagId(flag as usize);
+                self.land_flag(&cell, src as usize, dst as usize, flag, delta, false);
+                None
+            }
+            Frame::AmBatch { src, dst, ack, ops } => {
+                self.land_batch(src, dst, &ops)?;
+                (ack != 0).then_some(Response::Ack(ack))
+            }
+            Frame::Heartbeat { node: _, stats } => {
+                // Liveness came from `mark_seen`; keep the sender's
+                // counter snapshot (a dying process's last heartbeat is
+                // the fleet's only record of what it was doing) and its
+                // arrival time for jitter accounting.
+                self.obs.heartbeat_seen(peer, self.wall_now());
+                *self.last_peer_stats[peer].lock() = Some(stats);
+                None
+            }
+            Frame::Bye { .. } => {
+                self.peer_state[peer].store(PEER_GRACEFUL, Ordering::Release);
+                None
+            }
+            Frame::RecoverBarrier {
+                node,
+                round,
+                generation,
+            } => {
+                self.record_recover_mark(node as usize, round, generation);
+                None
+            }
+            other => panic!("unexpected frame on data connection: {other:?}"),
+        })
+    }
+
+    /// Drain responses (acks, get data, AMO results) from one egress
+    /// connection into the pending table: everything the read buffered is
+    /// decoded first, then retired under one lock with one wake-up. This
+    /// thread never writes and never takes a cork lock (the deadlock rule
+    /// in [`egress`]); it hands the ack-clocked flush to the egress thread.
+    fn response_loop(&self, peer: usize, mut reader: FrameReader<Stream>, egress: &Egress) {
+        let mut batch = Vec::new();
+        loop {
+            if self.stopping() {
+                return;
+            }
+            let retired = reader.incoming().and_then(|(incoming, n)| {
+                let retired = match incoming {
+                    Incoming::Frame(Frame::PutAck { ack }) => (ack, Reply::Ack),
+                    Incoming::Frame(Frame::AmoResp { req, old }) => (req, Reply::Val(old)),
+                    // The payload goes from the socket into a recycled
+                    // buffer the requester copies out of — its only stop
+                    // in user space on this side.
+                    Incoming::GetResp { req, .. } => {
+                        let mut buf = self.get_bufs.lock().pop().unwrap_or_default();
+                        let len = reader.payload_into(&mut buf)?;
+                        (req, Reply::Data { buf, len })
+                    }
+                    other => panic!("unexpected frame on response path: {other:?}"),
+                };
+                self.stats.record_wire_rx(n);
+                self.obs.wire_rx(peer, n);
+                Ok(retired)
+            });
+            match retired {
+                Ok(r) => batch.push(r),
+                Err(e) if self.read_failed(peer, &e) => return,
+                Err(_) => continue,
+            }
+            if reader.is_drained() || batch.len() >= RETIRE_BATCH {
+                self.mark_seen(peer);
+                if (self.pending).complete(batch.drain(..), &self.stats, egress) {
+                    self.ack_clock.poke();
+                }
+            }
+        }
+    }
+
+    /// Send heartbeats and watch for stale peers.
+    pub(super) fn heartbeat_loop(&self) {
+        loop {
+            std::thread::sleep(self.cfg.heartbeat_period);
+            if self.stopping() || self.all_done.load(Ordering::Acquire) {
+                return;
+            }
+            // One snapshot per beat, shared by every peer's frame: each
+            // peer holds our last-known counters if we die mid-run.
+            let snap = self.stats.snapshot();
+            for rank in 0..self.occ.len() {
+                if rank == self.node_rank {
+                    continue;
+                }
+                if self.peer_state[rank].load(Ordering::Acquire) == PEER_DEAD {
+                    // Dead peers get no heartbeats; in respawn mode the
+                    // slot may come back to life, so keep watching.
+                    continue;
+                }
+                let beat = Frame::Heartbeat {
+                    node: self.node_rank as u32,
+                    stats: snap,
+                };
+                let _ = self.send_control(rank, &beat);
+                if self.peer_state[rank].load(Ordering::Acquire) == PEER_ALIVE {
+                    let seen = self.last_seen[rank].load(Ordering::Acquire);
+                    let now = self.wall_now();
+                    if now.saturating_sub(seen) > self.cfg.peer_timeout.as_nanos() as u64 {
+                        self.declare_dead(
+                            rank,
+                            &format!(
+                                "no frames for {:?} (peer timeout {:?})",
+                                Duration::from_nanos(now.saturating_sub(seen)),
+                                self.cfg.peer_timeout
+                            ),
+                        );
+                        // In respawn mode survivors keep beating so they do
+                        // not falsely time each other out during recovery.
+                        if !self.cfg.respawn {
+                            return;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub(super) fn stopping(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire) || self.severed.load(Ordering::Acquire)
+    }
+
+    pub(super) fn mark_seen(&self, peer: usize) {
+        self.last_seen[peer].store(self.wall_now(), Ordering::Release);
+    }
+
+    /// EOF or I/O error on a connection to `peer`: expected during orderly
+    /// teardown or after its `Bye`; otherwise — after a short grace window
+    /// for the `Bye` racing in on the other connection of the pair — it is
+    /// a death.
+    fn peer_eof(&self, peer: usize) {
+        let entered = self.wall_now();
+        let deadline = Instant::now() + EOF_GRACE;
+        loop {
+            if self.stopping()
+                || self.all_done.load(Ordering::Acquire)
+                || self.peer_state[peer].load(Ordering::Acquire) != PEER_ALIVE
+            {
+                return;
+            }
+            // The peer spoke *after* this connection hit EOF: a respawned
+            // incarnation is already up on a fresh connection, and this
+            // thread is watching the corpse of the old one. Not a death.
+            if self.last_seen[peer].load(Ordering::Acquire) > entered {
+                return;
+            }
+            if Instant::now() > deadline {
+                self.declare_dead(peer, "connection closed without Bye");
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    pub(super) fn declare_dead(&self, peer: usize, cause: &str) {
+        if self.peer_state[peer]
+            .compare_exchange(PEER_ALIVE, PEER_DEAD, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return;
+        }
+        let mut msg = format!("{} is dead: {cause}", self.peer_desc(peer));
+        // Say what the fleet was doing, not just what this observer saw:
+        // the dead node's own counters from its final heartbeat.
+        match *self.last_peer_stats[peer].lock() {
+            Some(s) => {
+                msg.push_str("\ndead node last-known stats (from its final heartbeat): ");
+                msg.push_str(&s.render_brief());
+            }
+            None => {
+                msg.push_str("\n(no heartbeat stats were received from the dead node)");
+            }
+        }
+        self.push_recent_ops(&mut msg);
+        self.poison(&msg);
+    }
+
+    /// `"process R (node N, images i,j,...)"` with 1-based image numbers —
+    /// the rank list operators grep for in failure reports.
+    pub(super) fn peer_desc(&self, peer: usize) -> String {
+        let node = self.occ[peer];
+        let imgs: Vec<String> = self
+            .map
+            .images_on_node(node)
+            .iter()
+            .map(|p| (p.index() + 1).to_string())
+            .collect();
+        format!(
+            "peer process {peer} (node {}, images {})",
+            node.index(),
+            imgs.join(",")
+        )
+    }
+
+    /// A frame failed to decode (`InvalidData`): the connection's framing
+    /// is broken — a protocol bug or wire corruption, not a peer death.
+    /// Poison the whole fabric with the decode error and the tracer's
+    /// recent-operation window so the failure is loud and diagnosable.
+    fn malformed_frame(&self, peer: usize, e: &io::Error) {
+        let mut msg = format!(
+            "malformed frame from {}: {e} (protocol bug or wire corruption)",
+            self.peer_desc(peer)
+        );
+        self.push_recent_ops(&mut msg);
+        self.poison(&msg);
+    }
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// A wire-supplied index as a table index (one no table holds, where it
+/// does not fit).
+fn index(wire: u64) -> usize {
+    usize::try_from(wire).unwrap_or(usize::MAX)
+}
+
+/// `what` (a frame's kind and fields) was refused because `why`.
+fn refused(what: impl Display, why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{what}: {why}"))
+}

@@ -297,7 +297,7 @@ impl ShmSegment {
     #[inline]
     fn u64_at(&self, offset: usize) -> &AtomicU64 {
         assert!(
-            offset.is_multiple_of(8) && offset + 8 <= self.len,
+            offset.is_multiple_of(8) && offset.checked_add(8).is_some_and(|end| end <= self.len),
             "shm u64 access at {offset} out of segment of {} bytes",
             self.len
         );
@@ -396,7 +396,7 @@ impl ShmWindow {
             "AMO offset {offset} not 8-byte aligned"
         );
         assert!(
-            offset + 8 <= self.len,
+            offset.checked_add(8).is_some_and(|end| end <= self.len),
             "AMO at offset {offset} exceeds segment of {} bytes",
             self.len
         );
@@ -777,6 +777,26 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.as_atomic_u64(4)));
         let msg = *r.unwrap_err().downcast::<String>().expect("panic message");
         assert!(msg.contains("not 8-byte aligned"), "{msg}");
+    }
+
+    /// An AMO offset is wire-supplied, and optimized builds wrap: the end
+    /// of the cell must be a checked add, or `usize::MAX - 7` lands the
+    /// AMO on the 8 bytes *before* the window.
+    #[test]
+    #[should_panic(expected = "exceeds segment")]
+    fn amo_offset_that_wraps_is_refused() {
+        let own = NodeShm::create(0, 0, 1, 1 << 12).expect("create");
+        own.alloc(0, 0, 64).expect("neighbour below the window");
+        let w = own.alloc(0, 1, 64).expect("alloc");
+        w.as_atomic_u64(usize::MAX - 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds segment")]
+    fn amo_one_word_past_the_end_is_refused() {
+        let own = NodeShm::create(0, 0, 1, 1 << 12).expect("create");
+        let w = own.alloc(0, 0, 64).expect("alloc");
+        w.as_atomic_u64(64);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! laptop run shows a two-level cost structure.
 
 use crate::am::AmOp;
-use crate::seg::{FlagId, SegmentId, SharedBytes};
+use crate::seg::{bump_flag, Amo, FlagId, FlagWaiters, SegmentId, SharedBytes, Window};
 use crate::stats::FabricStats;
 use crate::{Fabric, PutToken};
 use caf_topology::{CostParams, ImageMap, ProcId, SoftwareOverheads};
 use caf_trace::{Event, EventKind, Tracer};
-use crossbeam::utils::{Backoff, CachePadded};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crossbeam::utils::CachePadded;
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,11 +68,7 @@ pub struct ThreadFabric {
     stats: FabricStats,
     start: Instant,
     slots: Vec<ImageSlot>,
-    /// Parked waiters count; `flag_add` only takes the wake lock when
-    /// someone may be parked.
-    parked: AtomicUsize,
-    wake_lock: Mutex<()>,
-    wake_cv: Condvar,
+    waiters: FlagWaiters,
     /// Set when an image died; waits panic instead of spinning forever.
     poisoned: Mutex<Option<String>>,
     poison_flag: std::sync::atomic::AtomicBool,
@@ -108,9 +104,7 @@ impl ThreadFabric {
             stats: FabricStats::default(),
             start: Instant::now(),
             slots,
-            parked: AtomicUsize::new(0),
-            wake_lock: Mutex::new(()),
-            wake_cv: Condvar::new(),
+            waiters: FlagWaiters::default(),
             poisoned: Mutex::new(None),
             poison_flag: std::sync::atomic::AtomicBool::new(false),
             trace_sys_lock: Mutex::new(()),
@@ -262,42 +256,19 @@ impl Fabric for ThreadFabric {
         // fabric's version of "many small AMs, one frame" — and the flag
         // wake pass runs once after every op has applied.
         self.maybe_inject(!intra);
-        let mut bumped = false;
-        for op in ops {
-            match op {
-                AmOp::Put { seg, off, data } => {
-                    self.seg_of(dst.index(), *seg).write(*off, data);
-                }
-                AmOp::AmoAdd { seg, off, delta } => {
-                    self.seg_of(dst.index(), *seg)
-                        .as_atomic_u64(*off)
-                        .fetch_add(*delta, Ordering::AcqRel);
-                }
-                AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } => {
-                    if let AmOp::PutFlag { seg, off, data, .. } = op {
-                        self.seg_of(dst.index(), *seg).write(*off, data);
-                    }
-                    // Release, like flag_add: a waiter that Acquires the
-                    // flag sees every payload applied earlier in the batch.
-                    let old = self
-                        .flag_cell(dst.index(), *flag)
-                        .fetch_add(*delta, Ordering::Release);
-                    assert!(
-                        old.checked_add(*delta).is_some(),
-                        "sync flag counter overflow: image {} flag {} \
-                         (cumulative counter wrapped adding {delta})",
-                        dst.index(),
-                        flag.0
-                    );
-                    bumped = true;
-                }
-            }
-        }
+        let bumped = std::cell::Cell::new(false);
+        crate::am::apply(
+            ops,
+            |seg| Window::Heap(self.seg_of(dst.index(), seg)),
+            |flag, delta| {
+                bump_flag(&self.flag_cell(dst.index(), flag), dst.index(), flag, delta);
+                bumped.set(true);
+            },
+        );
         let wire: u64 = ops.iter().map(|op| op.wire_len() as u64).sum();
         self.trace_span(EventKind::Put, me, dst, t0, wire);
-        if bumped && self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.wake_lock.lock();
-            self.wake_cv.notify_all();
+        if bumped.get() {
+            self.waiters.wake();
         }
     }
 
@@ -374,10 +345,7 @@ impl Fabric for ThreadFabric {
         self.stats.amos.fetch_add(1, Ordering::Relaxed);
         let t0 = self.trace_now();
         self.maybe_inject(!self.map.colocated(me, target));
-        let old = self
-            .seg_of(target.index(), seg)
-            .as_atomic_u64(offset)
-            .fetch_add(delta, Ordering::AcqRel);
+        let old = Window::Heap(self.seg_of(target.index(), seg)).amo(offset, Amo::Add(delta));
         self.trace_span(EventKind::AmoFetchAdd, me, target, t0, offset as u64);
         old
     }
@@ -394,13 +362,8 @@ impl Fabric for ThreadFabric {
         self.stats.amos.fetch_add(1, Ordering::Relaxed);
         let t0 = self.trace_now();
         self.maybe_inject(!self.map.colocated(me, target));
-        let old = match self
-            .seg_of(target.index(), seg)
-            .as_atomic_u64(offset)
-            .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(v) | Err(v) => v,
-        };
+        let window = Window::Heap(self.seg_of(target.index(), seg));
+        let old = window.amo(offset, Amo::Cas { expected, new });
         self.trace_span(EventKind::AmoCas, me, target, t0, offset as u64);
         old
     }
@@ -412,17 +375,11 @@ impl Fabric for ThreadFabric {
         }
         let t0 = self.trace_now();
         self.maybe_inject(!intra);
-        // Release: orders all prior (relaxed) payload stores before the
-        // notification, so a waiter that Acquires the flag sees the payload.
-        let old = self
-            .flag_cell(target.index(), flag)
-            .fetch_add(delta, Ordering::Release);
-        assert!(
-            old.checked_add(delta).is_some(),
-            "sync flag counter overflow: image {} flag {} \
-             (cumulative counter wrapped adding {delta})",
+        bump_flag(
+            &self.flag_cell(target.index(), flag),
             target.index(),
-            flag.0
+            flag,
+            delta,
         );
         if self.cfg.tracer.enabled() {
             // Delivery is synchronous on shared memory: the add and its
@@ -452,47 +409,27 @@ impl Fabric for ThreadFabric {
                     .intra(intra || me == target),
             );
         }
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.wake_lock.lock();
-            self.wake_cv.notify_all();
-        }
+        self.waiters.wake();
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
         self.stats.flag_waits.fetch_add(1, Ordering::Relaxed);
         let t0 = self.trace_now();
         let cell = self.flag_cell(me.index(), flag);
-        let backoff = Backoff::new();
-        loop {
-            if cell.load(Ordering::Acquire) >= at_least {
-                if self.cfg.tracer.enabled() {
-                    let t1 = self.trace_now();
-                    self.cfg.tracer.record(
-                        me.index(),
-                        Event::span(EventKind::FlagWait, t0, t1.saturating_sub(t0))
-                            .a(flag.0 as u64)
-                            .b(at_least),
-                    );
-                }
-                return;
-            }
+        self.waiters.wait_ge(&cell, at_least, || {
             if self.poison_flag.load(Ordering::Acquire) {
                 let msg = self.poisoned.lock().clone().unwrap_or_default();
                 panic!("fabric poisoned while image {me:?} waited: {msg}");
             }
-            if backoff.is_completed() {
-                // Park with a timeout: a lost wakeup (adder saw parked == 0
-                // just before we registered) resolves within one tick.
-                self.parked.fetch_add(1, Ordering::SeqCst);
-                let mut g = self.wake_lock.lock();
-                if cell.load(Ordering::Acquire) < at_least {
-                    self.wake_cv.wait_for(&mut g, Duration::from_micros(200));
-                }
-                drop(g);
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-            } else {
-                backoff.snooze();
-            }
+        });
+        if self.cfg.tracer.enabled() {
+            let t1 = self.trace_now();
+            self.cfg.tracer.record(
+                me.index(),
+                Event::span(EventKind::FlagWait, t0, t1.saturating_sub(t0))
+                    .a(flag.0 as u64)
+                    .b(at_least),
+            );
         }
     }
 
@@ -526,8 +463,7 @@ impl Fabric for ThreadFabric {
             }
         }
         self.poison_flag.store(true, Ordering::Release);
-        let _g = self.wake_lock.lock();
-        self.wake_cv.notify_all();
+        self.waiters.wake();
     }
 
     fn health(&self) -> Result<(), crate::RecoveryError> {
