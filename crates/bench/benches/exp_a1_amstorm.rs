@@ -15,6 +15,7 @@
 //! Results go to `BENCH_amstorm.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
+use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode};
 use caf_fabric::socket::testing::{fleet, run_fleet};
 use caf_fabric::{
@@ -29,13 +30,6 @@ use std::time::{Duration, Instant};
 
 const SPARE_FLAG: FlagId = FlagId(2);
 const PAYLOADS: [usize; 4] = [8, 16, 32, 64];
-
-struct Rec {
-    op: &'static str,
-    bytes: usize,
-    algo: String,
-    ns: f64,
-}
 
 /// The batching policy under test: wide enough that the op budget, not
 /// the byte budget, decides the batch size. Fixed explicitly (not derived
@@ -168,40 +162,6 @@ fn socket_storm(images: usize, rounds: u64, bytes: usize, pol: AmPolicy) -> Sock
     }
 }
 
-fn json_escape_free(s: &str) -> &str {
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "unexpected character in JSON field: {s}"
-    );
-    s
-}
-
-fn write_json(path: &str, recs: &[Rec]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"exp_a1_amstorm\",\n");
-    out.push_str("  \"machine\": \"whale-cost-model\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", quick_mode()));
-    out.push_str(
-        "  \"unit\": \"virt_rows_modeled_makespan_ns_wall_rows_wall_ns_per_am_frames_rows_frames_per_am\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"bytes\": {}, \"algo\": \"{}\", \"ns\": {:.4}}}{}\n",
-            json_escape_free(r.op),
-            r.bytes,
-            json_escape_free(&r.algo),
-            r.ns,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path} ({} results)", recs.len());
-}
-
 fn main() {
     print_cost_preamble("EXP-A1-amstorm");
     // Quick keeps the socket fleets and thread counts CI-sized; full is
@@ -292,11 +252,17 @@ fn main() {
     ));
     t.print();
 
-    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
-        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-        format!("{root}/../../BENCH_amstorm.json")
-    });
-    write_json(&path, &recs);
+    results::write(
+        &Surface {
+            experiment: "exp_a1_amstorm",
+            file: "BENCH_amstorm.json",
+            header: &[("machine", Meta::Str("whale-cost-model"))],
+            unit:
+                "virt_rows_modeled_makespan_ns_wall_rows_wall_ns_per_am_frames_rows_frames_per_am",
+            ns_decimals: 4,
+        },
+        &recs,
+    );
 
     assert!(
         reduction >= 4.0,

@@ -17,16 +17,10 @@
 //! at quick scale and `cargo xtask bench-diff`s against the committed
 //! baseline, failing on >10% modeled-time regression.
 
+use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode, scaled};
 use caf_microbench::{allreduce_latency, broadcast_latency, report, MicroConfig, Table};
 use caf_runtime::{BcastAlgo, CollectiveConfig, ReduceAlgo};
-
-struct Rec {
-    op: &'static str,
-    bytes: usize,
-    algo: &'static str,
-    ns: f64,
-}
 
 fn mc(n: usize, cfg: CollectiveConfig, iters: usize) -> MicroConfig {
     let mut mc = MicroConfig::whale(n, 8).with_collectives(cfg);
@@ -60,41 +54,6 @@ fn matched<'a>(auto: f64, named: &[(&'a str, f64)]) -> &'a str {
         .find(|(_, ns)| (auto - ns).abs() < 1e-6)
         .map(|(name, _)| *name)
         .unwrap_or("?")
-}
-
-fn json_escape_free(s: &str) -> &str {
-    // All strings we emit are identifiers; keep the writer honest anyway.
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "unexpected character in JSON field: {s}"
-    );
-    s
-}
-
-fn write_json(path: &str, n: usize, recs: &[Rec]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"exp_c1_msgsize\",\n");
-    out.push_str("  \"machine\": \"whale\",\n");
-    out.push_str(&format!("  \"images\": {n},\n"));
-    out.push_str("  \"per_node\": 8,\n");
-    out.push_str(&format!("  \"quick\": {},\n", quick_mode()));
-    out.push_str("  \"unit\": \"modeled_ns_per_op\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"bytes\": {}, \"algo\": \"{}\", \"ns\": {:.3}}}{}\n",
-            json_escape_free(r.op),
-            r.bytes,
-            json_escape_free(r.algo),
-            r.ns,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path} ({} results)", recs.len());
 }
 
 fn main() {
@@ -151,14 +110,14 @@ fn main() {
             recs.push(Rec {
                 op: "broadcast",
                 bytes,
-                algo,
+                algo: algo.into(),
                 ns,
             });
         }
         recs.push(Rec {
             op: "broadcast",
             bytes,
-            algo: "auto",
+            algo: "auto".into(),
             ns: auto,
         });
         if bytes >= 256 * 1024 {
@@ -218,24 +177,33 @@ fn main() {
             recs.push(Rec {
                 op: "allreduce",
                 bytes,
-                algo,
+                algo: algo.into(),
                 ns,
             });
         }
         recs.push(Rec {
             op: "allreduce",
             bytes,
-            algo: "auto",
+            algo: "auto".into(),
             ns: auto,
         });
     }
     t2.print();
 
-    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
-        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-        format!("{root}/../../BENCH_collectives.json")
-    });
-    write_json(&path, n, &recs);
+    results::write(
+        &Surface {
+            experiment: "exp_c1_msgsize",
+            file: "BENCH_collectives.json",
+            header: &[
+                ("machine", Meta::Str("whale")),
+                ("images", Meta::Num(n)),
+                ("per_node", Meta::Num(8)),
+            ],
+            unit: "modeled_ns_per_op",
+            ns_decimals: 3,
+        },
+        &recs,
+    );
 
     if !quick_mode() {
         assert!(

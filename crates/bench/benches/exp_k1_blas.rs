@@ -20,6 +20,7 @@
 //! also records the kernel's name; CI reruns the quick repetitions and
 //! diffs against the committed baseline.
 
+use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{hpl_comparators, modeled_hpl, print_hpl_preamble, scaled};
 use caf_fabric::{ArcFabric, ThreadConfig, ThreadFabric};
 use caf_hpl::{blas, factorize, hpl_matrix, HplConfig, HplOutcome, Matrix};
@@ -28,14 +29,6 @@ use caf_runtime::{run_on_fabric, CollectiveConfig};
 use caf_topology::{presets, ImageMap, Placement};
 use std::hint::black_box;
 use std::time::Instant;
-
-struct Rec {
-    op: &'static str,
-    /// Flops per call (compute rows), matrix bytes (rowswap), N (virt row).
-    bytes: u64,
-    algo: &'static str,
-    ns: f64,
-}
 
 /// Best wall-clock nanoseconds of `reps` calls of `f`.
 fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -93,47 +86,12 @@ fn dgemm_rows(recs: &mut Vec<Rec>, op: &'static str, (m, n, k): (usize, usize, u
     for (algo, ns) in [("dispatched_wall", packed), ("textbook_wall", textbook)] {
         recs.push(Rec {
             op,
-            bytes: flops,
-            algo,
+            bytes: flops as usize,
+            algo: algo.into(),
             ns,
         });
     }
     textbook / packed
-}
-
-fn json_escape_free(s: &str) -> &str {
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.+ ".contains(c)),
-        "unexpected character in JSON field: {s}"
-    );
-    s
-}
-
-fn write_json(path: &str, recs: &[Rec]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"exp_k1_blas\",\n");
-    out.push_str(&format!(
-        "  \"kernel\": \"{}\",\n",
-        json_escape_free(blas::kernel_name())
-    ));
-    out.push_str(&format!("  \"quick\": {},\n", caf_bench::quick_mode()));
-    out.push_str("  \"unit\": \"wall_rows_best_wall_ns_per_call_virt_rows_modeled_ns\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"bytes\": {}, \"algo\": \"{}\", \"ns\": {:.3}}}{}\n",
-            json_escape_free(r.op),
-            r.bytes,
-            json_escape_free(r.algo),
-            r.ns,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path} ({} results)", recs.len());
 }
 
 fn main() {
@@ -158,8 +116,8 @@ fn main() {
         black_box(&x);
         recs.push(Rec {
             op: "dtrsm_64x1024",
-            bytes: blas::dtrsm_flops(nb, n),
-            algo: "dispatched_wall",
+            bytes: blas::dtrsm_flops(nb, n) as usize,
+            algo: "dispatched_wall".into(),
             ns,
         });
     }
@@ -183,8 +141,8 @@ fn main() {
         black_box(&local);
         recs.push(Rec {
             op: "rowswap_2048x1024",
-            bytes: (rows * cols * 8) as u64,
-            algo: "batched_wall",
+            bytes: rows * cols * 8,
+            algo: "batched_wall".into(),
             ns,
         });
     }
@@ -208,8 +166,8 @@ fn main() {
             .fold(f64::INFINITY, f64::min);
         recs.push(Rec {
             op: "factorize_1024",
-            bytes: HplOutcome::flops(n) as u64,
-            algo: "thread1_wall",
+            bytes: HplOutcome::flops(n) as usize,
+            algo: "thread1_wall".into(),
             ns,
         });
     }
@@ -224,7 +182,7 @@ fn main() {
     recs.push(Rec {
         op: "hpl_f1_16x2",
         bytes: 256,
-        algo: "two_level_virt",
+        algo: "two_level_virt".into(),
         ns: virt_ns as f64,
     });
 
@@ -236,7 +194,7 @@ fn main() {
         &["op", "algo", "ms", "GFLOP/s"],
     );
     for r in &recs {
-        let rate = match r.algo {
+        let rate = match r.algo.as_str() {
             "batched_wall" => "-".to_string(),
             "two_level_virt" => format!("{virt_gflops:.2} (modeled)"),
             _ => format!("{:.2}", r.bytes as f64 / r.ns),
@@ -251,11 +209,16 @@ fn main() {
     t.note("wall rows: best repetition; the virt row is modeled time and must not move");
     t.print();
 
-    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
-        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-        format!("{root}/../../BENCH_blas.json")
-    });
-    write_json(&path, &recs);
+    results::write(
+        &Surface {
+            experiment: "exp_k1_blas",
+            file: "BENCH_blas.json",
+            header: &[("kernel", Meta::Str(blas::kernel_name()))],
+            unit: "wall_rows_best_wall_ns_per_call_virt_rows_modeled_ns",
+            ns_decimals: 3,
+        },
+        &recs,
+    );
 
     // Acceptance: where the FMA kernel is dispatched it must clearly beat
     // the loop it replaced; the portable tile makes no such promise.

@@ -25,6 +25,7 @@
 //! Results go to `BENCH_pingpong.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
+use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode};
 use caf_fabric::seg::SharedBytes;
 use caf_fabric::socket::testing::{fleet, run_fleet};
@@ -43,13 +44,6 @@ use std::time::{Duration, Instant};
 const PAYLOADS: [usize; 5] = [8, 256, 4096, 65536, 1 << 20];
 /// The payloads that also get the get, thread and copy rows.
 const BULK: [usize; 2] = [65536, 1 << 20];
-
-struct Rec {
-    op: &'static str,
-    bytes: usize,
-    algo: String,
-    ns: f64,
-}
 
 /// Ping-pong `iters` rounds of `bytes` between images 0 and 1 of `map`;
 /// returns modeled ns per one-way message.
@@ -249,38 +243,6 @@ fn copy_routine_vs_per_byte(reps: usize) -> (f64, f64) {
     (word_wise, per_byte)
 }
 
-fn json_escape_free(s: &str) -> &str {
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "unexpected character in JSON field: {s}"
-    );
-    s
-}
-
-fn write_json(path: &str, recs: &[Rec]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"exp_p1_pingpong\",\n");
-    out.push_str("  \"machine\": \"whale-cost-model\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", quick_mode()));
-    out.push_str("  \"unit\": \"virt_rows_modeled_one_way_ns_wall_rows_wall_one_way_ns\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"bytes\": {}, \"algo\": \"{}\", \"ns\": {:.4}}}{}\n",
-            json_escape_free(r.op),
-            r.bytes,
-            json_escape_free(&r.algo),
-            r.ns,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path} ({} results)", recs.len());
-}
-
 fn main() {
     print_cost_preamble("EXP-P1");
     let cost = presets::whale_cost();
@@ -407,11 +369,16 @@ fn main() {
     ));
     bulk.print();
 
-    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
-        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-        format!("{root}/../../BENCH_pingpong.json")
-    });
-    write_json(&path, &recs);
+    results::write(
+        &Surface {
+            experiment: "exp_p1_pingpong",
+            file: "BENCH_pingpong.json",
+            header: &[("machine", Meta::Str("whale-cost-model"))],
+            unit: "virt_rows_modeled_one_way_ns_wall_rows_wall_one_way_ns",
+            ns_decimals: 4,
+        },
+        &recs,
+    );
 
     // Acceptance: every bulk path sits on the word-wise segment copy, which
     // must stay well clear of the per-byte loop it replaced.

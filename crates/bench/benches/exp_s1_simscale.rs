@@ -17,6 +17,7 @@
 //! Results go to `BENCH_simscale.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
+use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode};
 use caf_fabric::stepper::kernels::{BinomialBroadcast, BinomialReduce, DisseminationBarrier};
 use caf_fabric::{run_stepped, ChaosConfig, SimConfig, SimFabric, StepOp, StepProgram};
@@ -24,13 +25,6 @@ use caf_microbench::Table;
 use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
 use std::sync::Arc;
 use std::time::Instant;
-
-struct Rec {
-    op: &'static str,
-    bytes: usize, // image count, in the diff key's "bytes" slot
-    algo: &'static str,
-    ns: f64,
-}
 
 /// One hosted image running one of the three kernels.
 enum Kern {
@@ -116,40 +110,6 @@ fn human(n: usize) -> String {
     }
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // All strings we emit are identifiers; keep the writer honest anyway.
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "unexpected character in JSON field: {s}"
-    );
-    s
-}
-
-fn write_json(path: &str, recs: &[Rec]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"exp_s1_simscale\",\n");
-    out.push_str("  \"machine\": \"synthetic-512-per-node\",\n");
-    out.push_str("  \"per_node\": 512,\n");
-    out.push_str(&format!("  \"quick\": {},\n", quick_mode()));
-    out.push_str("  \"unit\": \"virt_rows_modeled_makespan_ns_wall_rows_wall_ns_per_op\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"bytes\": {}, \"algo\": \"{}\", \"ns\": {:.3}}}{}\n",
-            json_escape_free(r.op),
-            r.bytes,
-            json_escape_free(r.algo),
-            r.ns,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path} ({} results)", recs.len());
-}
-
 fn main() {
     print_cost_preamble("EXP-S1-simscale");
     let scales: Vec<usize> = if quick_mode() {
@@ -180,13 +140,13 @@ fn main() {
             recs.push(Rec {
                 op: kernel,
                 bytes: n,
-                algo: "sharded_virt",
+                algo: "sharded_virt".into(),
                 ns: p.virt_ns as f64,
             });
             recs.push(Rec {
                 op: kernel,
                 bytes: n,
-                algo: "sharded_wall",
+                algo: "sharded_wall".into(),
                 ns: p.wall_s * 1e9 / p.total_ops as f64,
             });
             // The pre-PR core is only affordable (and only interesting) at
@@ -201,7 +161,7 @@ fn main() {
                     recs.push(Rec {
                         op: kernel,
                         bytes: n,
-                        algo: "legacy_wall",
+                        algo: "legacy_wall".into(),
                         ns: l.wall_s * 1e9 / l.total_ops as f64,
                     });
                     let speedup = p.ops_per_s / l.ops_per_s;
@@ -232,7 +192,7 @@ fn main() {
     recs.push(Rec {
         op: "barrier",
         bytes: 1_000,
-        algo: "sharded_chaos_virt",
+        algo: "sharded_chaos_virt".into(),
         ns: chaos.virt_ns as f64,
     });
     t.note(format!(
@@ -242,11 +202,19 @@ fn main() {
     ));
     t.print();
 
-    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
-        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-        format!("{root}/../../BENCH_simscale.json")
-    });
-    write_json(&path, &recs);
+    results::write(
+        &Surface {
+            experiment: "exp_s1_simscale",
+            file: "BENCH_simscale.json",
+            header: &[
+                ("machine", Meta::Str("synthetic-512-per-node")),
+                ("per_node", Meta::Num(512)),
+            ],
+            unit: "virt_rows_modeled_makespan_ns_wall_rows_wall_ns_per_op",
+            ns_decimals: 3,
+        },
+        &recs,
+    );
 
     if !quick_mode() {
         assert!(

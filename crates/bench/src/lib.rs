@@ -12,6 +12,8 @@
 
 #![warn(missing_docs)]
 
+pub mod results;
+
 use caf_fabric::{SimConfig, SimFabric};
 use caf_hpl::{factorize, HplConfig};
 use caf_runtime::{run_on_fabric, BarrierAlgo, CollectiveConfig};

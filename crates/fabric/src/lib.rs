@@ -66,7 +66,7 @@ pub use socket::obs::{
 };
 pub use socket::{SocketConfig, SocketFabric};
 pub use spmd::run_spmd;
-pub use stats::{FabricStats, StatsSnapshot};
+pub use stats::{Counter, FabricStats, StatsSnapshot};
 pub use stepper::{run_program_spmd, run_stepped, StepOp, StepProgram, SteppedReport};
 pub use thread::{ThreadConfig, ThreadFabric};
 

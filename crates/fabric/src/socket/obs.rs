@@ -18,8 +18,8 @@
 //! Everything here is observability-plane: none of it is consulted by the
 //! data path, and all counters are relaxed.
 
-use super::wire::{put_bytes, put_stats, put_u32, put_u64, Cursor};
-use crate::stats::StatsSnapshot;
+use super::wire::{put_bytes, put_u32, put_u64, put_words, Cursor};
+use crate::stats::{counters, StatsSnapshot};
 use caf_trace::event::EVENT_WORDS;
 use caf_trace::Event;
 use std::io;
@@ -69,24 +69,45 @@ impl TelemetryPhase {
 
 // ---- atomic probes (fabric-internal) ---------------------------------
 
-struct PeerWire {
-    frames_tx: AtomicU64,
-    bytes_tx: AtomicU64,
-    writes_tx: AtomicU64,
-    frames_rx: AtomicU64,
-    bytes_rx: AtomicU64,
-    retries: AtomicU64,
-    reconnects: AtomicU64,
+counters! {
+    struct PeerWire;
+    /// Wire traffic between this process and one peer process.
+    pub struct PeerWireSnapshot;
+
+    /// Frames written to this peer.
+    frames_tx;
+    /// Bytes written to this peer, including frame headers.
+    bytes_tx;
+    /// Socket writes those frames took: the egress corks frames and
+    /// writes them in bursts, so `frames_tx / writes_tx` is the
+    /// write-combining factor.
+    writes_tx;
+    /// Frames read from this peer.
+    frames_rx;
+    /// Bytes read from this peer, including frame headers.
+    bytes_rx;
+    /// Failed connect attempts to this peer that were retried.
+    retries;
+    /// Whether connecting to this peer needed at least one retry (0/1,
+    /// counted per established connection).
+    reconnects;
 }
 
-struct HbWatch {
-    /// ns-since-fabric-start of the previous heartbeat arrival (0 = none).
-    last_arrival: AtomicU64,
-    count: AtomicU64,
-    sum_period_ns: AtomicU64,
-    max_abs_dev_ns: AtomicU64,
+counters! {
+    struct HbWatch;
+    /// Heartbeat arrival statistics for one peer, as observed locally.
+    pub struct HeartbeatSnapshot;
+
+    /// Inter-arrival periods observed (arrivals minus one).
+    count;
+    /// Sum of observed inter-arrival periods (ns); mean = sum / count.
+    sum_period_ns;
+    /// Largest absolute deviation of an observed period from the
+    /// configured heartbeat period (ns) — the jitter headline.
+    max_abs_dev_ns;
 }
 
+#[derive(Default)]
 struct Hist {
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -109,6 +130,8 @@ impl Hist {
 pub(super) struct SocketObs {
     heartbeat_period_ns: u64,
     peers: Vec<PeerWire>,
+    /// Per peer: ns-since-fabric-start of its previous heartbeat (0 = none).
+    hb_last_arrival: Vec<AtomicU64>,
     hb: Vec<HbWatch>,
     put_ack: Hist,
 }
@@ -117,31 +140,10 @@ impl SocketObs {
     pub(super) fn new(n_procs: usize, heartbeat_period_ns: u64) -> Self {
         Self {
             heartbeat_period_ns,
-            peers: (0..n_procs)
-                .map(|_| PeerWire {
-                    frames_tx: AtomicU64::new(0),
-                    bytes_tx: AtomicU64::new(0),
-                    writes_tx: AtomicU64::new(0),
-                    frames_rx: AtomicU64::new(0),
-                    bytes_rx: AtomicU64::new(0),
-                    retries: AtomicU64::new(0),
-                    reconnects: AtomicU64::new(0),
-                })
-                .collect(),
-            hb: (0..n_procs)
-                .map(|_| HbWatch {
-                    last_arrival: AtomicU64::new(0),
-                    count: AtomicU64::new(0),
-                    sum_period_ns: AtomicU64::new(0),
-                    max_abs_dev_ns: AtomicU64::new(0),
-                })
-                .collect(),
-            put_ack: Hist {
-                count: AtomicU64::new(0),
-                sum_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            },
+            peers: (0..n_procs).map(|_| PeerWire::default()).collect(),
+            hb_last_arrival: (0..n_procs).map(|_| AtomicU64::new(0)).collect(),
+            hb: (0..n_procs).map(|_| HbWatch::default()).collect(),
+            put_ack: Hist::default(),
         }
     }
 
@@ -186,7 +188,7 @@ impl SocketObs {
     /// the inter-arrival period and its deviation from the configured one.
     pub(super) fn heartbeat_seen(&self, peer: usize, now_ns: u64) {
         let w = &self.hb[peer];
-        let prev = w.last_arrival.swap(now_ns.max(1), Ordering::Relaxed);
+        let prev = self.hb_last_arrival[peer].swap(now_ns.max(1), Ordering::Relaxed);
         if prev == 0 {
             return;
         }
@@ -200,28 +202,8 @@ impl SocketObs {
     pub(super) fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {
             heartbeat_period_ns: self.heartbeat_period_ns,
-            peers: self
-                .peers
-                .iter()
-                .map(|p| PeerWireSnapshot {
-                    frames_tx: p.frames_tx.load(Ordering::Relaxed),
-                    bytes_tx: p.bytes_tx.load(Ordering::Relaxed),
-                    writes_tx: p.writes_tx.load(Ordering::Relaxed),
-                    frames_rx: p.frames_rx.load(Ordering::Relaxed),
-                    bytes_rx: p.bytes_rx.load(Ordering::Relaxed),
-                    retries: p.retries.load(Ordering::Relaxed),
-                    reconnects: p.reconnects.load(Ordering::Relaxed),
-                })
-                .collect(),
-            heartbeats: self
-                .hb
-                .iter()
-                .map(|w| HeartbeatSnapshot {
-                    count: w.count.load(Ordering::Relaxed),
-                    sum_period_ns: w.sum_period_ns.load(Ordering::Relaxed),
-                    max_abs_dev_ns: w.max_abs_dev_ns.load(Ordering::Relaxed),
-                })
-                .collect(),
+            peers: self.peers.iter().map(PeerWire::snapshot).collect(),
+            heartbeats: self.hb.iter().map(HbWatch::snapshot).collect(),
             put_ack: HistSnapshot {
                 count: self.put_ack.count.load(Ordering::Relaxed),
                 sum_ns: self.put_ack.sum_ns.load(Ordering::Relaxed),
@@ -234,40 +216,6 @@ impl SocketObs {
 
 // ---- plain-data snapshots --------------------------------------------
 
-/// Wire traffic between this process and one peer process.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeerWireSnapshot {
-    /// Frames written to this peer.
-    pub frames_tx: u64,
-    /// Bytes written to this peer, including frame headers.
-    pub bytes_tx: u64,
-    /// Socket writes those frames took: the egress corks frames and
-    /// writes them in bursts, so `frames_tx / writes_tx` is the
-    /// write-combining factor.
-    pub writes_tx: u64,
-    /// Frames read from this peer.
-    pub frames_rx: u64,
-    /// Bytes read from this peer, including frame headers.
-    pub bytes_rx: u64,
-    /// Failed connect attempts to this peer that were retried.
-    pub retries: u64,
-    /// Whether connecting to this peer needed at least one retry (0/1,
-    /// counted per established connection).
-    pub reconnects: u64,
-}
-
-/// Heartbeat arrival statistics for one peer, as observed locally.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HeartbeatSnapshot {
-    /// Inter-arrival periods observed (arrivals minus one).
-    pub count: u64,
-    /// Sum of observed inter-arrival periods (ns); mean = sum / count.
-    pub sum_period_ns: u64,
-    /// Largest absolute deviation of an observed period from the
-    /// configured heartbeat period (ns) — the jitter headline.
-    pub max_abs_dev_ns: u64,
-}
-
 impl HeartbeatSnapshot {
     /// Mean observed inter-arrival period (ns), 0 when nothing arrived.
     pub fn mean_period_ns(&self) -> u64 {
@@ -276,7 +224,7 @@ impl HeartbeatSnapshot {
 }
 
 /// A log2-bucket latency histogram (bucket `i` covers `[2^i, 2^(i+1))` ns).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -286,17 +234,6 @@ pub struct HistSnapshot {
     pub max_ns: u64,
     /// Per-bucket sample counts.
     pub buckets: [u64; HIST_BUCKETS],
-}
-
-impl Default for HistSnapshot {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            buckets: [0; HIST_BUCKETS],
-        }
-    }
 }
 
 impl HistSnapshot {
@@ -381,39 +318,23 @@ impl NodeTelemetry {
         for img in &self.images {
             put_u32(&mut b, *img);
         }
-        put_stats(&mut b, &self.stats);
+        put_words(&mut b, &self.stats.to_words());
         put_u64(&mut b, self.obs.heartbeat_period_ns);
         put_u32(&mut b, self.obs.peers.len() as u32);
         for p in &self.obs.peers {
-            for w in [
-                p.frames_tx,
-                p.bytes_tx,
-                p.writes_tx,
-                p.frames_rx,
-                p.bytes_rx,
-                p.retries,
-                p.reconnects,
-            ] {
-                put_u64(&mut b, w);
-            }
+            put_words(&mut b, &p.to_words());
         }
         put_u32(&mut b, self.obs.heartbeats.len() as u32);
         for h in &self.obs.heartbeats {
-            put_u64(&mut b, h.count);
-            put_u64(&mut b, h.sum_period_ns);
-            put_u64(&mut b, h.max_abs_dev_ns);
+            put_words(&mut b, &h.to_words());
         }
         put_u64(&mut b, self.obs.put_ack.count);
         put_u64(&mut b, self.obs.put_ack.sum_ns);
         put_u64(&mut b, self.obs.put_ack.max_ns);
-        for bucket in self.obs.put_ack.buckets {
-            put_u64(&mut b, bucket);
-        }
+        put_words(&mut b, &self.obs.put_ack.buckets);
         put_u32(&mut b, self.events.len() as u32);
         for ev in &self.events {
-            for w in ev.encode() {
-                put_u64(&mut b, w);
-            }
+            put_words(&mut b, &ev.encode());
         }
         b
     }
@@ -439,7 +360,7 @@ impl NodeTelemetry {
         for _ in 0..n_images {
             images.push(c.u32()?);
         }
-        let stats = c.stats()?;
+        let stats = StatsSnapshot::from_words(c.words()?);
         let heartbeat_period_ns = c.u64()?;
         let n_peers = c.u32()? as usize;
         if n_peers > 1 << 16 {
@@ -447,15 +368,7 @@ impl NodeTelemetry {
         }
         let mut peers = Vec::with_capacity(n_peers);
         for _ in 0..n_peers {
-            peers.push(PeerWireSnapshot {
-                frames_tx: c.u64()?,
-                bytes_tx: c.u64()?,
-                writes_tx: c.u64()?,
-                frames_rx: c.u64()?,
-                bytes_rx: c.u64()?,
-                retries: c.u64()?,
-                reconnects: c.u64()?,
-            });
+            peers.push(PeerWireSnapshot::from_words(c.words()?));
         }
         let n_hb = c.u32()? as usize;
         if n_hb > 1 << 16 {
@@ -463,23 +376,13 @@ impl NodeTelemetry {
         }
         let mut heartbeats = Vec::with_capacity(n_hb);
         for _ in 0..n_hb {
-            heartbeats.push(HeartbeatSnapshot {
-                count: c.u64()?,
-                sum_period_ns: c.u64()?,
-                max_abs_dev_ns: c.u64()?,
-            });
+            heartbeats.push(HeartbeatSnapshot::from_words(c.words()?));
         }
         let put_ack = HistSnapshot {
             count: c.u64()?,
             sum_ns: c.u64()?,
             max_ns: c.u64()?,
-            buckets: {
-                let mut buckets = [0u64; HIST_BUCKETS];
-                for b in &mut buckets {
-                    *b = c.u64()?;
-                }
-                buckets
-            },
+            buckets: c.words()?,
         };
         let n_events = c.u32()? as usize;
         if n_events > 1 << 24 {
@@ -487,11 +390,7 @@ impl NodeTelemetry {
         }
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let mut w = [0u64; EVENT_WORDS];
-            for slot in &mut w {
-                *slot = c.u64()?;
-            }
-            events.push(Event::decode(&w).ok_or_else(|| bad("bad event in telemetry"))?);
+            events.push(Event::decode(&c.words()?).ok_or_else(|| bad("bad event in telemetry"))?);
         }
         if !c.done() {
             return Err(bad("trailing bytes in telemetry payload"));
@@ -685,5 +584,76 @@ mod tests {
             ..sample()
         };
         assert!(empty.render_window(5).contains("no trace events captured"));
+    }
+
+    /// The wire format did not move: both encodings of a counter snapshot,
+    /// byte for byte as the commit before the counter table produced them.
+    #[test]
+    fn golden_bytes_of_heartbeat_and_telemetry() {
+        fn hex(b: &[u8]) -> String {
+            b.iter().map(|x| format!("{x:02x}")).collect()
+        }
+        let stats = StatsSnapshot::from_words(std::array::from_fn(|i| i as u64 + 1));
+        let hb = super::super::wire::Frame::Heartbeat { node: 3, stats };
+        let want_hb = [
+            "f50000000a0300000001000000000000000200000000000000030000000000000004000000000000",
+            "00050000000000000006000000000000000700000000000000080000000000000009000000000000",
+            "000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000",
+            "000f0000000000000010000000000000001100000000000000120000000000000013000000000000",
+            "00140000000000000015000000000000001600000000000000170000000000000018000000000000",
+            "0019000000000000001a000000000000001b000000000000001c000000000000001d000000000000",
+            "001e00000000000000",
+        ];
+        assert_eq!(hex(&hb.encode()), want_hb.concat());
+
+        let mut put_ack = HistSnapshot {
+            count: 3,
+            sum_ns: 7000,
+            max_ns: 4096,
+            ..HistSnapshot::default()
+        };
+        put_ack.buckets[10] = 2;
+        put_ack.buckets[12] = 1;
+        let t = NodeTelemetry {
+            node: 1,
+            phase: TelemetryPhase::Final,
+            sent_at_ns: 0x0102,
+            cause: "x".into(),
+            images: vec![4, 5],
+            stats,
+            obs: ObsSnapshot {
+                heartbeat_period_ns: 7,
+                peers: vec![PeerWireSnapshot::from_words([1, 2, 3, 4, 5, 6, 7])],
+                heartbeats: vec![HeartbeatSnapshot {
+                    count: 8,
+                    sum_period_ns: 9,
+                    max_abs_dev_ns: 10,
+                }],
+                put_ack,
+            },
+            events: vec![Event::span(EventKind::Put, 10, 5).a(2).b(64)],
+        };
+        let want_tm = [
+            "540bf0ca010100000002010000000000000100000078020000000400000005000000010000000000",
+            "00000200000000000000030000000000000004000000000000000500000000000000060000000000",
+            "00000700000000000000080000000000000009000000000000000a000000000000000b0000000000",
+            "00000c000000000000000d000000000000000e000000000000000f00000000000000100000000000",
+            "00001100000000000000120000000000000013000000000000001400000000000000150000000000",
+            "000016000000000000001700000000000000180000000000000019000000000000001a0000000000",
+            "00001b000000000000001c000000000000001d000000000000001e00000000000000070000000000",
+            "00000100000001000000000000000200000000000000030000000000000004000000000000000500",
+            "00000000000006000000000000000700000000000000010000000800000000000000090000000000",
+            "00000a000000000000000300000000000000581b0000000000000010000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000020000000000",
+            "00000000000000000000010000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000010000000a00000000000000050000000000000001000000000000000000",
+            "0000000000000200000000000000400000000000000000000000000000000000000000000000",
+        ];
+        assert_eq!(hex(&t.encode()), want_tm.concat());
+        assert_eq!(NodeTelemetry::decode(&t.encode()).unwrap(), t);
     }
 }

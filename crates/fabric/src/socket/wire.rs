@@ -484,47 +484,10 @@ const T_DONE: u8 = 18;
 const T_ABORT: u8 = 19;
 const T_TELEMETRY: u8 = 20;
 
-/// Field count of a [`StatsSnapshot`] on the wire (fixed little-endian
-/// u64s, declaration order).
-const STATS_WORDS: usize = 30;
-
-fn stats_words(s: &StatsSnapshot) -> [u64; STATS_WORDS] {
-    [
-        s.puts_intra,
-        s.puts_inter,
-        s.gets_intra,
-        s.gets_inter,
-        s.flags_intra,
-        s.flags_inter,
-        s.flag_waits,
-        s.amos,
-        s.bytes_intra,
-        s.bytes_inter,
-        s.puts_nb_injected,
-        s.puts_nb_completed,
-        s.wire_frames_tx,
-        s.wire_frames_rx,
-        s.wire_bytes_tx,
-        s.wire_bytes_rx,
-        s.wire_retries,
-        s.wire_reconnects,
-        s.sim_events_pushed,
-        s.sim_events_popped,
-        s.sim_queue_hwm,
-        s.sim_wakeups,
-        s.sim_commits,
-        s.ams_injected,
-        s.am_batches_flushed,
-        s.am_payload_bytes,
-        s.am_fused,
-        s.shm_puts,
-        s.shm_bytes,
-        s.shm_flag_ops,
-    ]
-}
-
-pub(crate) fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
-    for w in stats_words(s) {
+/// Append `words` as fixed little-endian u64s — the encoding of every
+/// counter snapshot (`to_words`), in declaration order.
+pub(crate) fn put_words(buf: &mut Vec<u8>, words: &[u64]) {
+    for &w in words {
         put_u64(buf, w);
     }
 }
@@ -586,43 +549,13 @@ impl<'a> Cursor<'a> {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 string in frame"))
     }
 
-    pub(crate) fn stats(&mut self) -> io::Result<StatsSnapshot> {
-        let mut w = [0u64; STATS_WORDS];
+    /// `N` little-endian u64s: the inverse of [`put_words`].
+    pub(crate) fn words<const N: usize>(&mut self) -> io::Result<[u64; N]> {
+        let mut w = [0u64; N];
         for slot in &mut w {
             *slot = self.u64()?;
         }
-        Ok(StatsSnapshot {
-            puts_intra: w[0],
-            puts_inter: w[1],
-            gets_intra: w[2],
-            gets_inter: w[3],
-            flags_intra: w[4],
-            flags_inter: w[5],
-            flag_waits: w[6],
-            amos: w[7],
-            bytes_intra: w[8],
-            bytes_inter: w[9],
-            puts_nb_injected: w[10],
-            puts_nb_completed: w[11],
-            wire_frames_tx: w[12],
-            wire_frames_rx: w[13],
-            wire_bytes_tx: w[14],
-            wire_bytes_rx: w[15],
-            wire_retries: w[16],
-            wire_reconnects: w[17],
-            sim_events_pushed: w[18],
-            sim_events_popped: w[19],
-            sim_queue_hwm: w[20],
-            sim_wakeups: w[21],
-            sim_commits: w[22],
-            ams_injected: w[23],
-            am_batches_flushed: w[24],
-            am_payload_bytes: w[25],
-            am_fused: w[26],
-            shm_puts: w[27],
-            shm_bytes: w[28],
-            shm_flag_ops: w[29],
-        })
+        Ok(w)
     }
 }
 
@@ -861,7 +794,7 @@ impl Frame {
             Frame::Heartbeat { node, stats } => {
                 b.push(T_HEARTBEAT);
                 put_u32(b, *node);
-                put_stats(b, stats);
+                put_words(b, &stats.to_words());
             }
             Frame::Bye { node } => {
                 b.push(T_BYE);
@@ -1002,7 +935,7 @@ impl Frame {
             },
             T_HEARTBEAT => Frame::Heartbeat {
                 node: c.u32()?,
-                stats: c.stats()?,
+                stats: StatsSnapshot::from_words(c.words()?),
             },
             T_BYE => Frame::Bye { node: c.u32()? },
             T_REJOIN => Frame::Rejoin {

@@ -8,227 +8,197 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic operation counters maintained by every fabric. All counters are
-/// relaxed — they are diagnostics, not synchronization.
-#[derive(Debug, Default)]
-pub struct FabricStats {
+/// One row of a counter table: the field's name plus the Prometheus family
+/// it is exported under. The name is also its `fleet_report.json` key.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// Field name in the atomic struct and its snapshot.
+    pub name: &'static str,
+    /// Metric family on `/metrics`; a `_total` suffix makes it a counter,
+    /// anything else a gauge. Rows of one family are adjacent.
+    pub family: &'static str,
+    /// Label pair telling a family's rows apart (`level="intra"`), or "".
+    pub label: &'static str,
+    /// HELP text, carried by the first row of each family.
+    pub help: &'static str,
+}
+
+/// Declares a set of relaxed `AtomicU64` counters **once**: the atomic
+/// struct, its plain-data snapshot, `snapshot`/`reset`/`-`, and the
+/// `FIELDS`/`to_words`/`from_words` view every codec and exporter loops
+/// over. Declaration order is wire order — append, never reorder.
+macro_rules! counters {
+    (
+        $(#[$ameta:meta])* $avis:vis struct $Atomic:ident;
+        $(#[$smeta:meta])* $svis:vis struct $Snap:ident;
+        $(
+            $(#[$doc:meta])+
+            $name:ident
+            $(=> $family:literal $([$lk:ident = $lv:literal])? $($help:literal)?)?;
+        )+
+    ) => {
+        $(#[$ameta])*
+        #[derive(Debug, Default)]
+        $avis struct $Atomic {
+            $($(#[$doc])+ pub $name: AtomicU64,)+
+        }
+
+        $(#[$smeta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $svis struct $Snap {
+            $($(#[$doc])+ pub $name: u64,)+
+        }
+
+        impl $Atomic {
+            /// The counters themselves, in table order.
+            pub fn cells(&self) -> [&AtomicU64; $Snap::WORDS] {
+                [$(&self.$name),+]
+            }
+
+            /// Capture the current counter values.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap::from_words(self.cells().map(|c| c.load(Ordering::Relaxed)))
+            }
+
+            /// Reset every counter to zero (between benchmark phases).
+            #[allow(dead_code)] // crate-private tables need not reset
+            pub fn reset(&self) {
+                for c in self.cells() {
+                    c.store(0, Ordering::Relaxed);
+                }
+            }
+        }
+
+        impl $Snap {
+            /// Number of counters: the snapshot's length on the wire, in
+            /// little-endian u64 words.
+            pub const WORDS: usize = Self::FIELDS.len();
+
+            /// Every counter, in declaration (= wire) order.
+            pub const FIELDS: &'static [$crate::stats::Counter] = &[$(
+                $crate::stats::Counter {
+                    name: stringify!($name),
+                    family: concat!($($family)?),
+                    label: concat!($($(stringify!($lk), "=\"", $lv, "\"")?)?),
+                    help: concat!($($($help)?)?),
+                },
+            )+];
+
+            /// The counter values in [`Self::FIELDS`] order.
+            pub fn to_words(&self) -> [u64; $Snap::WORDS] {
+                [$(self.$name),+]
+            }
+
+            /// Inverse of [`Self::to_words`].
+            pub fn from_words(words: [u64; $Snap::WORDS]) -> Self {
+                let [$($name),+] = words;
+                Self { $($name),+ }
+            }
+
+            /// `(row, value)` for every counter.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static $crate::stats::Counter, u64)> {
+                Self::FIELDS.iter().zip(self.to_words())
+            }
+        }
+
+        impl std::ops::Sub for $Snap {
+            type Output = $Snap;
+
+            /// Component-wise difference: the traffic between two snapshots
+            /// of the same (monotonic) counters.
+            fn sub(self, rhs: $Snap) -> $Snap {
+                $Snap { $($name: self.$name - rhs.$name,)+ }
+            }
+        }
+    };
+}
+pub(crate) use counters;
+
+counters! {
+    /// Monotonic operation counters maintained by every fabric. All counters are
+    /// relaxed — they are diagnostics, not synchronization.
+    pub struct FabricStats;
+    /// A plain-data copy of [`FabricStats`] at one instant.
+    pub struct StatsSnapshot;
+
     /// Payload puts to a target on the same node.
-    pub puts_intra: AtomicU64,
+    puts_intra => "caf_puts_total" [level = "intra"] "fabric operations by memory-hierarchy level";
     /// Payload puts to a target on another node.
-    pub puts_inter: AtomicU64,
+    puts_inter => "caf_puts_total" [level = "inter"];
     /// Gets from a source on the same node.
-    pub gets_intra: AtomicU64,
+    gets_intra => "caf_gets_total" [level = "intra"] "fabric operations by memory-hierarchy level";
     /// Gets from a source on another node.
-    pub gets_inter: AtomicU64,
+    gets_inter => "caf_gets_total" [level = "inter"];
     /// Flag notifications delivered within a node.
-    pub flags_intra: AtomicU64,
+    flags_intra => "caf_flags_total" [level = "intra"] "fabric operations by memory-hierarchy level";
     /// Flag notifications crossing nodes.
-    pub flags_inter: AtomicU64,
+    flags_inter => "caf_flags_total" [level = "inter"];
     /// Blocking flag waits executed.
-    pub flag_waits: AtomicU64,
+    flag_waits => "caf_flag_waits_total" "blocking flag waits executed";
     /// Remote atomic operations.
-    pub amos: AtomicU64,
+    amos => "caf_amos_total" "remote atomic operations";
     /// Payload bytes moved within nodes.
-    pub bytes_intra: AtomicU64,
+    bytes_intra => "caf_bytes_total" [level = "intra"] "fabric operations by memory-hierarchy level";
     /// Payload bytes moved between nodes.
-    pub bytes_inter: AtomicU64,
+    bytes_inter => "caf_bytes_total" [level = "inter"];
     /// Nonblocking puts injected (descriptor posted, payload possibly still
     /// in flight).
-    pub puts_nb_injected: AtomicU64,
+    puts_nb_injected => "caf_puts_nb_total" [state = "injected"] "nonblocking puts by completion state";
     /// Nonblocking puts whose payload has landed at the target. Always
     /// `≤ puts_nb_injected`; the gap is the in-flight window the pipelined
     /// collectives exploit.
-    pub puts_nb_completed: AtomicU64,
+    puts_nb_completed => "caf_puts_nb_total" [state = "completed"];
     /// Wire frames written to peer processes (`SocketFabric` only; zero on
     /// in-process fabrics).
-    pub wire_frames_tx: AtomicU64,
+    wire_frames_tx => "caf_wire_frames_total" [dir = "tx"] "frames on the wire";
     /// Wire frames read from peer processes.
-    pub wire_frames_rx: AtomicU64,
+    wire_frames_rx => "caf_wire_frames_total" [dir = "rx"];
     /// Wire bytes written, including frame headers.
-    pub wire_bytes_tx: AtomicU64,
+    wire_bytes_tx => "caf_wire_bytes_total" [dir = "tx"] "bytes on the wire, including frame headers";
     /// Wire bytes read, including frame headers.
-    pub wire_bytes_rx: AtomicU64,
+    wire_bytes_rx => "caf_wire_bytes_total" [dir = "rx"];
     /// Failed connect attempts that were retried (capped exponential
     /// backoff).
-    pub wire_retries: AtomicU64,
+    wire_retries => "caf_wire_retries_total" "failed connect attempts that were retried";
     /// Connections that were only established after at least one failed
     /// attempt.
-    pub wire_reconnects: AtomicU64,
+    wire_reconnects => "caf_wire_reconnects_total" "connections established only after a failed attempt";
     /// Simulator events scheduled (`SimFabric` only; zero elsewhere).
-    pub sim_events_pushed: AtomicU64,
+    sim_events_pushed => "caf_sim_events_total" [state = "pushed"] "simulator events scheduled and applied";
     /// Simulator events drained and applied.
-    pub sim_events_popped: AtomicU64,
-    /// High-water mark of the simulator's pending-event queue.
-    pub sim_queue_hwm: AtomicU64,
+    sim_events_popped => "caf_sim_events_total" [state = "popped"];
+    /// High-water mark of the simulator's pending-event queue. A running
+    /// maximum, not a monotonic counter: a snapshot delta reports how much
+    /// the mark *rose* during the window, zero if it didn't.
+    sim_queue_hwm => "caf_sim_queue_hwm" "high-water mark of the simulator's pending-event queue";
     /// Images woken from a blocked flag wait by an applied event.
-    pub sim_wakeups: AtomicU64,
+    sim_wakeups => "caf_sim_wakeups_total" "images woken from a blocked flag wait";
     /// Commit turns granted by the conservative scheduler — the
     /// numerator of the simscale bench's simulated-ops/sec.
-    pub sim_commits: AtomicU64,
+    sim_commits => "caf_sim_commits_total" "commit turns granted by the conservative scheduler";
     /// Active-message ops injected into the batching tier.
-    pub ams_injected: AtomicU64,
+    ams_injected => "caf_ams_total" "active messages injected into the batching tier";
     /// Batches handed to the fabric by the active-message tier. The ratio
     /// `ams_injected / am_batches_flushed` is the aggregation factor.
-    pub am_batches_flushed: AtomicU64,
+    am_batches_flushed => "caf_am_batches_total" "AM batches flushed (wire frames / delivery events)";
     /// User payload bytes carried by injected active messages (pure
     /// flag/amo ops carry zero) — the bytes-per-op numerator.
-    pub am_payload_bytes: AtomicU64,
+    am_payload_bytes => "caf_am_payload_bytes_total" "user payload bytes carried by active messages";
     /// Adjacent put+flag pairs fused into a single `PutFlag` op.
-    pub am_fused: AtomicU64,
+    am_fused => "caf_am_fused_total" "put+flag pairs fused into single PutFlag wire ops";
     /// Puts serviced through a peer's mapped shared-memory segment
     /// (`SocketFabric` intranode tier; zero elsewhere). Tracked separately
     /// from `puts_intra`/`puts_inter`: shm traffic crosses processes but
     /// never the wire.
-    pub shm_puts: AtomicU64,
+    shm_puts => "caf_shm_puts_total" "cross-process puts serviced through the shared-memory tier";
     /// Payload bytes moved through shared-memory segments (puts + gets).
-    pub shm_bytes: AtomicU64,
+    shm_bytes => "caf_shm_bytes_total" "payload bytes moved through the shared-memory tier";
     /// Flag adds and AMOs applied directly in a peer's shared flag/AMO
     /// table — the notifications that skipped the wire entirely.
-    pub shm_flag_ops: AtomicU64,
-}
-
-/// A plain-data copy of [`FabricStats`] at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Payload puts to a target on the same node.
-    pub puts_intra: u64,
-    /// Payload puts to a target on another node.
-    pub puts_inter: u64,
-    /// Gets from a source on the same node.
-    pub gets_intra: u64,
-    /// Gets from a source on another node.
-    pub gets_inter: u64,
-    /// Flag notifications delivered within a node.
-    pub flags_intra: u64,
-    /// Flag notifications crossing nodes.
-    pub flags_inter: u64,
-    /// Blocking flag waits executed.
-    pub flag_waits: u64,
-    /// Remote atomic operations.
-    pub amos: u64,
-    /// Payload bytes moved within nodes.
-    pub bytes_intra: u64,
-    /// Payload bytes moved between nodes.
-    pub bytes_inter: u64,
-    /// Nonblocking puts injected.
-    pub puts_nb_injected: u64,
-    /// Nonblocking puts completed.
-    pub puts_nb_completed: u64,
-    /// Wire frames written to peer processes.
-    pub wire_frames_tx: u64,
-    /// Wire frames read from peer processes.
-    pub wire_frames_rx: u64,
-    /// Wire bytes written, including frame headers.
-    pub wire_bytes_tx: u64,
-    /// Wire bytes read, including frame headers.
-    pub wire_bytes_rx: u64,
-    /// Failed connect attempts that were retried.
-    pub wire_retries: u64,
-    /// Connections established after at least one failed attempt.
-    pub wire_reconnects: u64,
-    /// Simulator events scheduled.
-    pub sim_events_pushed: u64,
-    /// Simulator events drained and applied.
-    pub sim_events_popped: u64,
-    /// High-water mark of the pending-event queue. Note this is a running
-    /// maximum, not a monotonic counter: a snapshot delta reports how much
-    /// the mark *rose* during the window, zero if it didn't.
-    pub sim_queue_hwm: u64,
-    /// Images woken from a blocked flag wait.
-    pub sim_wakeups: u64,
-    /// Commit turns granted by the conservative scheduler.
-    pub sim_commits: u64,
-    /// Active-message ops injected into the batching tier.
-    pub ams_injected: u64,
-    /// Batches handed to the fabric by the active-message tier.
-    pub am_batches_flushed: u64,
-    /// User payload bytes carried by injected active messages.
-    pub am_payload_bytes: u64,
-    /// Adjacent put+flag pairs fused into a single `PutFlag` op.
-    pub am_fused: u64,
-    /// Puts serviced through a peer's mapped shared-memory segment.
-    pub shm_puts: u64,
-    /// Payload bytes moved through shared-memory segments (puts + gets).
-    pub shm_bytes: u64,
-    /// Flag adds and AMOs applied directly in a shared flag/AMO table.
-    pub shm_flag_ops: u64,
+    shm_flag_ops => "caf_shm_flag_ops_total" "flag/AMO operations on shared-table atomics (no wire frame)";
 }
 
 impl FabricStats {
-    /// Capture the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            puts_intra: self.puts_intra.load(Ordering::Relaxed),
-            puts_inter: self.puts_inter.load(Ordering::Relaxed),
-            gets_intra: self.gets_intra.load(Ordering::Relaxed),
-            gets_inter: self.gets_inter.load(Ordering::Relaxed),
-            flags_intra: self.flags_intra.load(Ordering::Relaxed),
-            flags_inter: self.flags_inter.load(Ordering::Relaxed),
-            flag_waits: self.flag_waits.load(Ordering::Relaxed),
-            amos: self.amos.load(Ordering::Relaxed),
-            bytes_intra: self.bytes_intra.load(Ordering::Relaxed),
-            bytes_inter: self.bytes_inter.load(Ordering::Relaxed),
-            puts_nb_injected: self.puts_nb_injected.load(Ordering::Relaxed),
-            puts_nb_completed: self.puts_nb_completed.load(Ordering::Relaxed),
-            wire_frames_tx: self.wire_frames_tx.load(Ordering::Relaxed),
-            wire_frames_rx: self.wire_frames_rx.load(Ordering::Relaxed),
-            wire_bytes_tx: self.wire_bytes_tx.load(Ordering::Relaxed),
-            wire_bytes_rx: self.wire_bytes_rx.load(Ordering::Relaxed),
-            wire_retries: self.wire_retries.load(Ordering::Relaxed),
-            wire_reconnects: self.wire_reconnects.load(Ordering::Relaxed),
-            sim_events_pushed: self.sim_events_pushed.load(Ordering::Relaxed),
-            sim_events_popped: self.sim_events_popped.load(Ordering::Relaxed),
-            sim_queue_hwm: self.sim_queue_hwm.load(Ordering::Relaxed),
-            sim_wakeups: self.sim_wakeups.load(Ordering::Relaxed),
-            sim_commits: self.sim_commits.load(Ordering::Relaxed),
-            ams_injected: self.ams_injected.load(Ordering::Relaxed),
-            am_batches_flushed: self.am_batches_flushed.load(Ordering::Relaxed),
-            am_payload_bytes: self.am_payload_bytes.load(Ordering::Relaxed),
-            am_fused: self.am_fused.load(Ordering::Relaxed),
-            shm_puts: self.shm_puts.load(Ordering::Relaxed),
-            shm_bytes: self.shm_bytes.load(Ordering::Relaxed),
-            shm_flag_ops: self.shm_flag_ops.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset every counter to zero (between benchmark phases).
-    pub fn reset(&self) {
-        for c in [
-            &self.puts_intra,
-            &self.puts_inter,
-            &self.gets_intra,
-            &self.gets_inter,
-            &self.flags_intra,
-            &self.flags_inter,
-            &self.flag_waits,
-            &self.amos,
-            &self.bytes_intra,
-            &self.bytes_inter,
-            &self.puts_nb_injected,
-            &self.puts_nb_completed,
-            &self.wire_frames_tx,
-            &self.wire_frames_rx,
-            &self.wire_bytes_tx,
-            &self.wire_bytes_rx,
-            &self.wire_retries,
-            &self.wire_reconnects,
-            &self.sim_events_pushed,
-            &self.sim_events_popped,
-            &self.sim_queue_hwm,
-            &self.sim_wakeups,
-            &self.sim_commits,
-            &self.ams_injected,
-            &self.am_batches_flushed,
-            &self.am_payload_bytes,
-            &self.am_fused,
-            &self.shm_puts,
-            &self.shm_bytes,
-            &self.shm_flag_ops,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Record one put of `bytes` bytes; `intra` selects the hierarchy level.
     #[inline]
     pub fn record_put(&self, intra: bool, bytes: usize) {
@@ -374,76 +344,23 @@ impl StatsSnapshot {
     }
 
     /// Component-wise difference `self - earlier` (counters are monotonic).
+    /// Also available as the `-` operator.
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        self.delta(earlier)
-    }
-
-    /// Component-wise difference `self - earlier`: the traffic between two
-    /// snapshots of the same fabric. Also available as the `-` operator.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         *self - *earlier
     }
 
-    /// One-line summary for failure reports and fleet tables.
+    /// One-line summary for failure reports and fleet tables: every nonzero
+    /// counter as `name=value`, in table order.
     pub fn render_brief(&self) -> String {
-        format!(
-            "puts {}/{} gets {}/{} flags {}/{} (intra/inter), amos {}, \
-             bytes {}/{} (intra/inter), wire tx {} frames/{} B, \
-             rx {} frames/{} B, retries {}, reconnects {}",
-            self.puts_intra,
-            self.puts_inter,
-            self.gets_intra,
-            self.gets_inter,
-            self.flags_intra,
-            self.flags_inter,
-            self.amos,
-            self.bytes_intra,
-            self.bytes_inter,
-            self.wire_frames_tx,
-            self.wire_bytes_tx,
-            self.wire_frames_rx,
-            self.wire_bytes_rx,
-            self.wire_retries,
-            self.wire_reconnects
-        )
-    }
-}
-
-impl std::ops::Sub for StatsSnapshot {
-    type Output = StatsSnapshot;
-
-    fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            puts_intra: self.puts_intra - rhs.puts_intra,
-            puts_inter: self.puts_inter - rhs.puts_inter,
-            gets_intra: self.gets_intra - rhs.gets_intra,
-            gets_inter: self.gets_inter - rhs.gets_inter,
-            flags_intra: self.flags_intra - rhs.flags_intra,
-            flags_inter: self.flags_inter - rhs.flags_inter,
-            flag_waits: self.flag_waits - rhs.flag_waits,
-            amos: self.amos - rhs.amos,
-            bytes_intra: self.bytes_intra - rhs.bytes_intra,
-            bytes_inter: self.bytes_inter - rhs.bytes_inter,
-            puts_nb_injected: self.puts_nb_injected - rhs.puts_nb_injected,
-            puts_nb_completed: self.puts_nb_completed - rhs.puts_nb_completed,
-            wire_frames_tx: self.wire_frames_tx - rhs.wire_frames_tx,
-            wire_frames_rx: self.wire_frames_rx - rhs.wire_frames_rx,
-            wire_bytes_tx: self.wire_bytes_tx - rhs.wire_bytes_tx,
-            wire_bytes_rx: self.wire_bytes_rx - rhs.wire_bytes_rx,
-            wire_retries: self.wire_retries - rhs.wire_retries,
-            wire_reconnects: self.wire_reconnects - rhs.wire_reconnects,
-            sim_events_pushed: self.sim_events_pushed - rhs.sim_events_pushed,
-            sim_events_popped: self.sim_events_popped - rhs.sim_events_popped,
-            sim_queue_hwm: self.sim_queue_hwm - rhs.sim_queue_hwm,
-            sim_wakeups: self.sim_wakeups - rhs.sim_wakeups,
-            sim_commits: self.sim_commits - rhs.sim_commits,
-            ams_injected: self.ams_injected - rhs.ams_injected,
-            am_batches_flushed: self.am_batches_flushed - rhs.am_batches_flushed,
-            am_payload_bytes: self.am_payload_bytes - rhs.am_payload_bytes,
-            am_fused: self.am_fused - rhs.am_fused,
-            shm_puts: self.shm_puts - rhs.shm_puts,
-            shm_bytes: self.shm_bytes - rhs.shm_bytes,
-            shm_flag_ops: self.shm_flag_ops - rhs.shm_flag_ops,
+        let nonzero: Vec<String> = self
+            .fields()
+            .filter(|&(_, v)| v != 0)
+            .map(|(c, v)| format!("{}={v}", c.name))
+            .collect();
+        if nonzero.is_empty() {
+            "all counters zero".into()
+        } else {
+            nonzero.join(" ")
         }
     }
 }
@@ -451,6 +368,11 @@ impl std::ops::Sub for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot holding `1..=N` in table order.
+    fn ramp() -> StatsSnapshot {
+        StatsSnapshot::from_words(std::array::from_fn(|i| i as u64 + 1))
+    }
 
     #[test]
     fn record_and_snapshot() {
@@ -469,148 +391,172 @@ mod tests {
         assert_eq!(snap.total_puts(), 2);
     }
 
-    #[test]
-    fn nb_counters_track_injected_vs_completed() {
+    /// What `record` leaves in a fresh `FabricStats`; also checks that
+    /// `reset()` takes all of it back.
+    fn recorded(record: impl Fn(&FabricStats)) -> StatsSnapshot {
         let s = FabricStats::default();
-        s.record_put_nb(false, 1024);
-        s.record_put_nb(false, 1024);
-        s.record_put_nb_complete();
+        record(&s);
         let snap = s.snapshot();
-        assert_eq!(snap.puts_nb_injected, 2);
-        assert_eq!(snap.puts_nb_completed, 1);
-        assert_eq!(snap.puts_inter, 2, "nb puts also count as puts");
-        assert_eq!(snap.bytes_inter, 2048);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
+        snap
+    }
+
+    /// Every `record_*` helper lands on the counters it names and on no
+    /// other: each case compares the whole snapshot.
+    #[test]
+    fn record_helpers_bump_exactly_their_counters() {
+        let zero = StatsSnapshot::default();
+        let nb = recorded(|s| {
+            s.record_put_nb(false, 1024);
+            s.record_put_nb(false, 1024);
+            s.record_put_nb_complete();
+        });
+        let want = StatsSnapshot {
+            puts_nb_injected: 2,
+            puts_nb_completed: 1,
+            puts_inter: 2,
+            bytes_inter: 2048,
+            ..zero
+        };
+        assert_eq!(nb, want, "nb puts also count as puts");
+
+        let wire = recorded(|s| {
+            s.record_wire_tx(64);
+            s.record_wire_tx(16);
+            s.record_wire_rx(9);
+        });
+        let want = StatsSnapshot {
+            wire_frames_tx: 2,
+            wire_bytes_tx: 80,
+            wire_frames_rx: 1,
+            wire_bytes_rx: 9,
+            ..zero
+        };
+        assert_eq!(wire, want);
+
+        let sim = recorded(|s| {
+            s.record_sim_event_push(1);
+            s.record_sim_event_push(2);
+            s.record_sim_event_pop();
+            s.record_sim_event_push(2); // queue shrank and regrew: hwm stays 2
+            s.record_sim_wakeup();
+            s.record_sim_commit();
+            s.record_sim_commit();
+        });
+        let want = StatsSnapshot {
+            sim_events_pushed: 3,
+            sim_events_popped: 1,
+            sim_queue_hwm: 2,
+            sim_wakeups: 1,
+            sim_commits: 2,
+            ..zero
+        };
+        assert_eq!(sim, want);
+
+        let am = recorded(|s| {
+            s.record_am_inject(8);
+            s.record_am_inject(0);
+            s.record_am_inject(64);
+            s.record_am_flush();
+            s.record_am_fused();
+        });
+        let want = StatsSnapshot {
+            ams_injected: 3,
+            am_batches_flushed: 1,
+            am_payload_bytes: 72,
+            am_fused: 1,
+            ..zero
+        };
+        assert_eq!(am, want);
+
+        let shm = recorded(|s| {
+            s.record_shm_put(64);
+            s.record_shm_put(8);
+            s.record_shm_get(32);
+            s.record_shm_flag();
+            s.record_shm_flag();
+        });
+        let want = StatsSnapshot {
+            shm_puts: 2,
+            shm_bytes: 64 + 8 + 32, // puts and gets share shm_bytes
+            shm_flag_ops: 2,
+            ..zero
+        };
+        assert_eq!(shm, want, "shm ops stay off the level counters");
     }
 
     #[test]
-    fn wire_counters_track_frames_and_bytes() {
-        let s = FabricStats::default();
-        s.record_wire_tx(64);
-        s.record_wire_tx(16);
-        s.record_wire_rx(9);
-        s.wire_retries.fetch_add(3, Ordering::Relaxed);
-        s.wire_reconnects.fetch_add(1, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.wire_frames_tx, 2);
-        assert_eq!(snap.wire_bytes_tx, 80);
-        assert_eq!(snap.wire_frames_rx, 1);
-        assert_eq!(snap.wire_bytes_rx, 9);
-        assert_eq!(snap.wire_retries, 3);
-        assert_eq!(snap.wire_reconnects, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+    fn words_round_trip_in_table_order() {
+        let s = ramp();
+        assert_eq!(StatsSnapshot::FIELDS[0].name, "puts_intra");
+        assert_eq!((s.puts_intra, s.puts_inter), (1, 2));
+        assert_eq!(
+            s.shm_flag_ops, 30,
+            "rows are appended: wire positions never move"
+        );
+        assert_eq!(StatsSnapshot::from_words(s.to_words()), s);
+        // Each family's rows are adjacent and its first row carries HELP.
+        for fam in StatsSnapshot::FIELDS.chunk_by(|a, b| a.family == b.family) {
+            assert!(
+                !fam[0].family.is_empty() && !fam[0].help.is_empty(),
+                "{fam:?}"
+            );
+            assert!(
+                fam.len() == 1 || fam.iter().all(|c| !c.label.is_empty()),
+                "{fam:?}"
+            );
+            let later = StatsSnapshot::FIELDS
+                .iter()
+                .filter(|c| c.family == fam[0].family)
+                .count();
+            assert_eq!(later, fam.len(), "family {} is split", fam[0].family);
+        }
     }
 
     #[test]
-    fn sim_counters_track_queue_and_scheduler() {
-        let s = FabricStats::default();
-        s.record_sim_event_push(1);
-        s.record_sim_event_push(2);
-        s.record_sim_event_pop();
-        s.record_sim_event_push(2); // queue shrank and regrew: hwm stays 2
-        s.record_sim_wakeup();
-        s.record_sim_commit();
-        s.record_sim_commit();
-        let a = s.snapshot();
-        assert_eq!(a.sim_events_pushed, 3);
-        assert_eq!(a.sim_events_popped, 1);
-        assert_eq!(a.sim_queue_hwm, 2);
-        assert_eq!(a.sim_wakeups, 1);
-        assert_eq!(a.sim_commits, 2);
-        // Deltas (and the `-` operator) cover the sim counters too.
-        s.record_sim_event_push(5);
-        s.record_sim_commit();
-        let d = s.snapshot() - a;
-        assert_eq!(d.sim_events_pushed, 1);
-        assert_eq!(d.sim_queue_hwm, 3, "delta reports the rise of the mark");
-        assert_eq!(d.sim_commits, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn am_counters_track_ops_batches_and_fusion() {
-        let s = FabricStats::default();
-        s.record_am_inject(8);
-        s.record_am_inject(0);
-        s.record_am_inject(64);
-        s.record_am_flush();
-        s.record_am_fused();
-        let snap = s.snapshot();
-        assert_eq!(snap.ams_injected, 3);
-        assert_eq!(snap.am_batches_flushed, 1);
-        assert_eq!(snap.am_payload_bytes, 72);
-        assert_eq!(snap.am_fused, 1);
-        // Deltas cover the AM counters too.
-        s.record_am_inject(8);
-        s.record_am_flush();
-        let d = s.snapshot() - snap;
-        assert_eq!(d.ams_injected, 1);
-        assert_eq!(d.am_batches_flushed, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn shm_counters_track_puts_gets_and_flag_ops() {
-        let s = FabricStats::default();
-        s.record_shm_put(64);
-        s.record_shm_put(8);
-        s.record_shm_get(32);
-        s.record_shm_flag();
-        s.record_shm_flag();
-        let snap = s.snapshot();
-        assert_eq!(snap.shm_puts, 2);
-        assert_eq!(snap.shm_bytes, 64 + 8 + 32, "puts and gets share shm_bytes");
-        assert_eq!(snap.shm_flag_ops, 2);
-        assert_eq!(snap.puts_intra, 0, "shm ops stay off the level counters");
-        assert_eq!(snap.total_puts(), 0);
-        // Deltas cover the shm counters too.
-        s.record_shm_put(8);
-        let d = s.snapshot() - snap;
-        assert_eq!(d.shm_puts, 1);
-        assert_eq!(d.shm_bytes, 8);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let s = FabricStats::default();
-        s.record_put(true, 100);
-        s.record_flag(false);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let s = FabricStats::default();
-        s.record_flag(true);
-        let a = s.snapshot();
-        s.record_flag(true);
-        s.record_flag(false);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.flags_intra, 1);
-        assert_eq!(d.flags_inter, 1);
-    }
-
-    #[test]
-    fn sub_operator_matches_delta() {
+    fn since_and_minus_subtract_every_counter() {
         let s = FabricStats::default();
         s.record_put(true, 32);
         s.record_get(false, 8);
+        s.record_flag(true);
         let a = s.snapshot();
         s.record_put(true, 32);
+        s.record_flag(true);
         s.record_flag(false);
         let b = s.snapshot();
-        assert_eq!(b - a, b.delta(&a));
+        assert_eq!(b - a, b.since(&a));
         assert_eq!((b - a).puts_intra, 1);
+        assert_eq!((b - a).flags_intra, 1);
         assert_eq!((b - a).flags_inter, 1);
         assert_eq!((b - a).bytes_intra, 32);
         assert_eq!(b - b, StatsSnapshot::default());
+        // The hwm delta is the rise of the mark.
+        s.record_sim_event_push(2);
+        let c = s.snapshot();
+        s.record_sim_event_push(5);
+        assert_eq!((s.snapshot() - c).sim_queue_hwm, 3);
+        // Field by field, for every row of the table.
+        let twice = StatsSnapshot::from_words(ramp().to_words().map(|w| 2 * w));
+        assert_eq!(twice - ramp(), ramp());
+    }
+
+    #[test]
+    fn render_brief_names_every_nonzero_counter() {
+        let shm_only = StatsSnapshot {
+            shm_puts: 5,
+            ams_injected: 7,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(shm_only.render_brief(), "ams_injected=7 shm_puts=5");
+        assert_eq!(StatsSnapshot::default().render_brief(), "all counters zero");
+        let all = ramp().render_brief();
+        assert!(!all.contains('\n'), "{all}");
+        for (c, v) in ramp().fields() {
+            assert!(
+                all.split(' ').any(|kv| kv == format!("{}={v}", c.name)),
+                "{all}"
+            );
+        }
     }
 }

@@ -90,7 +90,7 @@ pub fn fleet_summary(feeds: &[NodeFeed]) -> (Vec<&'static str>, Vec<Vec<String>>
 mod tests {
     use super::*;
     use caf_fabric::{ObsSnapshot, StatsSnapshot, TelemetryPhase};
-    use caf_trace::chrome::json;
+    use caf_trace::json;
     use caf_trace::EventKind;
 
     fn feed(node: u32, images: &[u32], offset_ns: i64, events: Vec<Event>) -> NodeFeed {

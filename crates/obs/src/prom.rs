@@ -7,7 +7,7 @@
 //! every process doing right now" without attaching a debugger to any of
 //! them.
 
-use caf_fabric::NodeTelemetry;
+use caf_fabric::{NodeTelemetry, StatsSnapshot};
 use parking_lot::Mutex;
 
 /// Liveness of one fleet member as the supervisor sees it.
@@ -104,102 +104,66 @@ impl FleetRegistry {
             out.push_str(&format!("# HELP {name} {text}\n# TYPE {name} {kind}\n"));
         };
 
-        help(
-            "caf_node_up",
-            "gauge",
-            "1 while the fleet member runs, 0 once done or dead",
-            &mut out,
-        );
-        for (r, s) in g.iter().enumerate() {
-            let up = if s.health == NodeHealth::Live { 1 } else { 0 };
-            out.push_str(&format!("caf_node_up{{node=\"{r}\"}} {up}\n"));
-        }
-
-        help(
-            "caf_node_images",
-            "gauge",
-            "images hosted by the fleet member",
-            &mut out,
-        );
-        for (r, s) in g.iter().enumerate() {
-            out.push_str(&format!(
-                "caf_node_images{{node=\"{r}\"}} {}\n",
-                s.images.len()
-            ));
-        }
-
-        help(
-            "caf_telemetry_updates_total",
-            "counter",
-            "telemetry frames received from the fleet member",
-            &mut out,
-        );
-        for (r, s) in g.iter().enumerate() {
-            out.push_str(&format!(
-                "caf_telemetry_updates_total{{node=\"{r}\"}} {}\n",
-                s.updates
-            ));
-        }
-
-        help(
-            "caf_node_respawns_total",
-            "counter",
-            "times the supervisor respawned the fleet member after a death",
-            &mut out,
-        );
-        for (r, s) in g.iter().enumerate() {
-            out.push_str(&format!(
-                "caf_node_respawns_total{{node=\"{r}\"}} {}\n",
-                s.respawns
-            ));
-        }
-
-        // Per-level operation counters from each node's latest shipment.
-        type LevelPick = fn(&NodeTelemetry) -> (u64, u64);
-        let leveled: [(&str, LevelPick); 4] = [
-            ("caf_puts_total", |t| {
-                (t.stats.puts_intra, t.stats.puts_inter)
-            }),
-            ("caf_gets_total", |t| {
-                (t.stats.gets_intra, t.stats.gets_inter)
-            }),
-            ("caf_flags_total", |t| {
-                (t.stats.flags_intra, t.stats.flags_inter)
-            }),
-            ("caf_bytes_total", |t| {
-                (t.stats.bytes_intra, t.stats.bytes_inter)
-            }),
-        ];
-        for (name, pick) in leveled {
-            help(
-                name,
+        // What the supervisor itself knows about each member.
+        type NodePick = fn(&NodeState) -> u64;
+        let supervised: [(&str, &str, &str, NodePick); 4] = [
+            (
+                "caf_node_up",
+                "gauge",
+                "1 while the fleet member runs, 0 once done or dead",
+                |s| (s.health == NodeHealth::Live) as u64,
+            ),
+            (
+                "caf_node_images",
+                "gauge",
+                "images hosted by the fleet member",
+                |s| s.images.len() as u64,
+            ),
+            (
+                "caf_telemetry_updates_total",
                 "counter",
-                "fabric operations by memory-hierarchy level",
-                &mut out,
-            );
+                "telemetry frames received from the fleet member",
+                |s| s.updates,
+            ),
+            (
+                "caf_node_respawns_total",
+                "counter",
+                "times the supervisor respawned the fleet member after a death",
+                |s| s.respawns,
+            ),
+        ];
+        for (name, kind, text, pick) in supervised {
+            help(name, kind, text, &mut out);
             for (r, s) in g.iter().enumerate() {
-                if let Some(t) = &s.telemetry {
-                    let (intra, inter) = pick(t);
-                    out.push_str(&format!(
-                        "{name}{{node=\"{r}\",level=\"intra\"}} {intra}\n\
-                         {name}{{node=\"{r}\",level=\"inter\"}} {inter}\n"
-                    ));
-                }
+                out.push_str(&format!("{name}{{node=\"{r}\"}} {}\n", pick(s)));
             }
         }
 
-        help(
-            "caf_wire_bytes_total",
-            "counter",
-            "bytes on the wire, including frame headers",
-            &mut out,
-        );
-        help(
-            "caf_wire_frames_total",
-            "counter",
-            "frames on the wire",
-            &mut out,
-        );
+        // Every `FabricStats` counter from each node's latest shipment, one
+        // family per run of table rows that share a family name.
+        let shipped: Vec<(usize, [u64; StatsSnapshot::WORDS])> = g
+            .iter()
+            .enumerate()
+            .filter_map(|(r, s)| Some((r, s.telemetry.as_ref()?.stats.to_words())))
+            .collect();
+        let mut at = 0;
+        for family in StatsSnapshot::FIELDS.chunk_by(|a, b| a.family == b.family) {
+            let name = family[0].family;
+            let kind = if name.ends_with("_total") {
+                "counter"
+            } else {
+                "gauge"
+            };
+            help(name, kind, family[0].help, &mut out);
+            for (r, words) in &shipped {
+                for (c, v) in family.iter().zip(&words[at..]) {
+                    let sep = if c.label.is_empty() { "" } else { "," };
+                    out.push_str(&format!("{name}{{node=\"{r}\"{sep}{}}} {v}\n", c.label));
+                }
+            }
+            at += family.len();
+        }
+
         help(
             "caf_wire_writes_total",
             "counter",
@@ -209,74 +173,8 @@ impl FleetRegistry {
         for (r, s) in g.iter().enumerate() {
             if let Some(t) = &s.telemetry {
                 out.push_str(&format!(
-                    "caf_wire_bytes_total{{node=\"{r}\",dir=\"tx\"}} {}\n\
-                     caf_wire_bytes_total{{node=\"{r}\",dir=\"rx\"}} {}\n\
-                     caf_wire_frames_total{{node=\"{r}\",dir=\"tx\"}} {}\n\
-                     caf_wire_frames_total{{node=\"{r}\",dir=\"rx\"}} {}\n\
-                     caf_wire_writes_total{{node=\"{r}\"}} {}\n",
-                    t.stats.wire_bytes_tx,
-                    t.stats.wire_bytes_rx,
-                    t.stats.wire_frames_tx,
-                    t.stats.wire_frames_rx,
+                    "caf_wire_writes_total{{node=\"{r}\"}} {}\n",
                     t.obs.peers.iter().map(|p| p.writes_tx).sum::<u64>(),
-                ));
-            }
-        }
-
-        help(
-            "caf_ams_total",
-            "counter",
-            "active messages injected into the batching tier",
-            &mut out,
-        );
-        help(
-            "caf_am_batches_total",
-            "counter",
-            "AM batches flushed (wire frames / delivery events)",
-            &mut out,
-        );
-        help(
-            "caf_am_fused_total",
-            "counter",
-            "put+flag pairs fused into single PutFlag wire ops",
-            &mut out,
-        );
-        for (r, s) in g.iter().enumerate() {
-            if let Some(t) = &s.telemetry {
-                out.push_str(&format!(
-                    "caf_ams_total{{node=\"{r}\"}} {}\n\
-                     caf_am_batches_total{{node=\"{r}\"}} {}\n\
-                     caf_am_fused_total{{node=\"{r}\"}} {}\n",
-                    t.stats.ams_injected, t.stats.am_batches_flushed, t.stats.am_fused,
-                ));
-            }
-        }
-
-        help(
-            "caf_shm_puts_total",
-            "counter",
-            "cross-process puts serviced through the shared-memory tier",
-            &mut out,
-        );
-        help(
-            "caf_shm_bytes_total",
-            "counter",
-            "payload bytes moved through the shared-memory tier",
-            &mut out,
-        );
-        help(
-            "caf_shm_flag_ops_total",
-            "counter",
-            "flag/AMO operations on shared-table atomics (no wire frame)",
-            &mut out,
-        );
-        for (r, s) in g.iter().enumerate() {
-            if let Some(t) = &s.telemetry {
-                out.push_str(&format!(
-                    "caf_shm_puts_total{{node=\"{r}\"}} {}\n\
-                     caf_shm_bytes_total{{node=\"{r}\"}} {}\n\
-                     caf_shm_flag_ops_total{{node=\"{r}\"}} {}\n",
-                    t.stats.shm_puts, t.stats.shm_bytes, t.stats.shm_flag_ops,
                 ));
             }
         }
@@ -350,7 +248,7 @@ impl FleetRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caf_fabric::{ObsSnapshot, PeerWireSnapshot, StatsSnapshot, TelemetryPhase};
+    use caf_fabric::{ObsSnapshot, PeerWireSnapshot, TelemetryPhase};
 
     fn telemetry(node: u32, puts_inter: u64) -> NodeTelemetry {
         NodeTelemetry {

@@ -1,14 +1,15 @@
 //! `fleet_report.json`: the machine-readable summary of one fleet run.
 //!
 //! One document, hand-emitted (no serde): per node — image list, clock
-//! offset, phase/cause, the full 22-counter [`StatsSnapshot`], per
+//! offset, phase/cause, every counter of the `StatsSnapshot` table, per
 //! node-pair wire traffic, the put-ack latency histogram with derived
 //! percentiles, and per-peer heartbeat jitter. Wire counters are reported
 //! from *both* ends (A's tx row to B and B's rx row from A), which is
 //! itself a diagnostic: a large mismatch means frames died in flight.
 
 use crate::merge::NodeFeed;
-use caf_fabric::StatsSnapshot;
+use caf_fabric::Counter;
+use caf_trace::json;
 
 /// Serialize the fleet's feeds into the `fleet_report.json` document.
 pub fn fleet_report_json(feeds: &[NodeFeed]) -> String {
@@ -32,13 +33,13 @@ pub fn fleet_report_json(feeds: &[NodeFeed]) -> String {
         out.push_str(&format!("      \"phase\": \"{}\",\n", t.phase.label()));
         out.push_str(&format!(
             "      \"cause\": \"{}\",\n",
-            json_escape(&t.cause)
+            json::escape(&t.cause)
         ));
         out.push_str(&format!("      \"clock_offset_ns\": {},\n", feed.offset_ns));
         out.push_str(&format!("      \"sent_at_ns\": {},\n", t.sent_at_ns));
         out.push_str(&format!("      \"trace_events\": {},\n", t.events.len()));
         out.push_str("      \"stats\": {");
-        out.push_str(&stats_fields(&t.stats));
+        out.push_str(&json_fields(t.stats.fields()));
         out.push_str("},\n");
         out.push_str("      \"wire_peers\": [");
         let mut first = true;
@@ -51,16 +52,8 @@ pub fn fleet_report_json(feeds: &[NodeFeed]) -> String {
             }
             first = false;
             out.push_str(&format!(
-                "{{\"peer\": {peer}, \"frames_tx\": {}, \"bytes_tx\": {}, \
-                 \"writes_tx\": {}, \"frames_rx\": {}, \"bytes_rx\": {}, \
-                 \"retries\": {}, \"reconnects\": {}}}",
-                w.frames_tx,
-                w.bytes_tx,
-                w.writes_tx,
-                w.frames_rx,
-                w.bytes_rx,
-                w.retries,
-                w.reconnects
+                "{{\"peer\": {peer}, {}}}",
+                json_fields(w.fields())
             ));
         }
         out.push_str("],\n");
@@ -108,61 +101,12 @@ pub fn fleet_report_json(feeds: &[NodeFeed]) -> String {
     out
 }
 
-fn stats_fields(s: &StatsSnapshot) -> String {
-    format!(
-        "\"puts_intra\": {}, \"puts_inter\": {}, \"gets_intra\": {}, \
-         \"gets_inter\": {}, \"flags_intra\": {}, \"flags_inter\": {}, \
-         \"flag_waits\": {}, \"amos\": {}, \"bytes_intra\": {}, \
-         \"bytes_inter\": {}, \"puts_nb_injected\": {}, \
-         \"puts_nb_completed\": {}, \"wire_frames_tx\": {}, \
-         \"wire_frames_rx\": {}, \"wire_bytes_tx\": {}, \
-         \"wire_bytes_rx\": {}, \"wire_retries\": {}, \"wire_reconnects\": {}, \
-         \"ams_injected\": {}, \"am_batches_flushed\": {}, \
-         \"am_payload_bytes\": {}, \"am_fused\": {}, \
-         \"shm_puts\": {}, \"shm_bytes\": {}, \"shm_flag_ops\": {}",
-        s.puts_intra,
-        s.puts_inter,
-        s.gets_intra,
-        s.gets_inter,
-        s.flags_intra,
-        s.flags_inter,
-        s.flag_waits,
-        s.amos,
-        s.bytes_intra,
-        s.bytes_inter,
-        s.puts_nb_injected,
-        s.puts_nb_completed,
-        s.wire_frames_tx,
-        s.wire_frames_rx,
-        s.wire_bytes_tx,
-        s.wire_bytes_rx,
-        s.wire_retries,
-        s.wire_reconnects,
-        s.ams_injected,
-        s.am_batches_flushed,
-        s.am_payload_bytes,
-        s.am_fused,
-        s.shm_puts,
-        s.shm_bytes,
-        s.shm_flag_ops
-    )
-}
-
-/// Escape a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// `"name": value` for every row of a counter table, comma-separated.
+fn json_fields(fields: impl Iterator<Item = (&'static Counter, u64)>) -> String {
+    fields
+        .map(|(c, v)| format!("\"{}\": {v}", c.name))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 #[cfg(test)]
@@ -170,9 +114,8 @@ mod tests {
     use super::*;
     use caf_fabric::{
         HeartbeatSnapshot, HistSnapshot, NodeTelemetry, ObsSnapshot, PeerWireSnapshot,
-        TelemetryPhase,
+        StatsSnapshot, TelemetryPhase,
     };
-    use caf_trace::chrome::json;
 
     fn sample_feeds() -> Vec<NodeFeed> {
         (0..2u32)
@@ -300,11 +243,5 @@ mod tests {
         );
         let cause = n1.get("cause").and_then(json::Value::as_str).unwrap();
         assert!(cause.contains("died"), "{cause}");
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

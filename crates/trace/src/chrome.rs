@@ -124,231 +124,11 @@ fn args_json(ev: &Event) -> String {
     )
 }
 
-pub mod json {
-    //! A small recursive-descent JSON parser, used by tests and tooling to
-    //! prove exporter output is well-formed without a serde dependency.
-
-    /// Parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number (parsed as `f64`).
-        Num(f64),
-        /// A string literal.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, as ordered key/value pairs.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Field lookup on objects.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// Numeric content, if any.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// String content, if any.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Array content, if any.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parse a complete JSON document; trailing non-whitespace is an error.
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing bytes at {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        if *pos < b.len() && b[*pos] == ch {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at {}", ch as char, pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_obj(b, pos),
-            Some(b'[') => parse_arr(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-            other => Err(format!("unexpected {other:?} at {pos}")),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at {pos}"))
-        }
-    }
-
-    fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < b.len()
-            && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at {pos}")),
-                    }
-                    *pos += 1;
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through byte by byte; the
-                    // exporter only emits ASCII anyway.
-                    out.push(c as char);
-                    *pos += 1;
-                }
-            }
-        }
-    }
-
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => {
-                    *pos += 1;
-                }
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at {pos}")),
-            }
-        }
-    }
-
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, b':')?;
-            let val = parse_value(b, pos)?;
-            fields.push((key, val));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => {
-                    *pos += 1;
-                }
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at {pos}")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::json::{parse, Value};
     use super::*;
     use crate::event::Level;
+    use crate::json::{parse, Value};
 
     fn sample_events() -> Vec<Event> {
         let mut put = Event::span(EventKind::Put, 1000, 500)
@@ -406,13 +186,5 @@ mod tests {
             .find(|e| e.get("name").and_then(Value::as_str) == Some("flag_deliver"))
             .unwrap();
         assert_eq!(deliver.get("tid").and_then(Value::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse("[1, 2,]").is_err());
-        assert!(parse("{\"a\": }").is_err());
-        assert!(parse("[1] trailing").is_err());
-        assert!(parse("{\"a\": 1, \"b\": [true, null, -2.5e3]}").is_ok());
     }
 }

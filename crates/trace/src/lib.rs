@@ -26,6 +26,7 @@
 pub mod chrome;
 pub mod critical;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod tracer;

@@ -10,7 +10,7 @@
 use caf_fabric::{Fabric, FlagId, SimConfig, SimFabric};
 use caf_runtime::{run_on_fabric, BarrierAlgo, CollectiveConfig};
 use caf_topology::{presets, ImageMap, Placement, ProcId};
-use caf_trace::{chrome, chrome_trace_json, extract, phase_window, EventKind, Tracer};
+use caf_trace::{chrome_trace_json, extract, json, phase_window, EventKind, Tracer};
 
 /// 16 images dense on the 4-node x 4-core mini machine.
 const N: usize = 16;
@@ -94,7 +94,7 @@ fn chrome_export_is_valid_json_with_monotone_tracks() {
 
     let map = ImageMap::new(presets::mini(4, 4), N, &Placement::Block { per_node: 4 });
     let text = chrome_trace_json(&events, |i| map.node_of(ProcId(i)).index());
-    let doc = chrome::json::parse(&text).expect("well-formed JSON");
+    let doc = json::parse(&text).expect("well-formed JSON");
     let arr = doc.as_arr().expect("top-level array");
     assert!(arr.len() > events.len() / 2, "export dropped most events");
 
@@ -104,24 +104,15 @@ fn chrome_export_is_valid_json_with_monotone_tracks() {
     for item in arr {
         let ph = item
             .get("ph")
-            .and_then(chrome::json::Value::as_str)
+            .and_then(json::Value::as_str)
             .expect("ph field");
         if ph == "M" {
             continue; // metadata records carry no timestamp
         }
         data_events += 1;
-        let pid = item
-            .get("pid")
-            .and_then(chrome::json::Value::as_f64)
-            .unwrap() as u64;
-        let tid = item
-            .get("tid")
-            .and_then(chrome::json::Value::as_f64)
-            .unwrap() as u64;
-        let ts = item
-            .get("ts")
-            .and_then(chrome::json::Value::as_f64)
-            .unwrap();
+        let pid = item.get("pid").and_then(json::Value::as_f64).unwrap() as u64;
+        let tid = item.get("tid").and_then(json::Value::as_f64).unwrap() as u64;
+        let ts = item.get("ts").and_then(json::Value::as_f64).unwrap();
         let prev = last_ts.insert((pid, tid), ts).unwrap_or(0.0);
         assert!(
             ts >= prev,

@@ -28,12 +28,12 @@
 //! throughput) and are inherently noisy on shared CI runners:
 //! `--wall-tolerance` applies a looser gate to just those rows.
 //!
-//! No external JSON crate: the emitter in `exp_c1_msgsize` writes one
-//! result object per line, and the tiny parser below reads exactly that
-//! shape (and refuses anything else rather than guessing).
+//! Rows that exist only in the new file are listed as `new (ungated)`:
+//! they pass, but the report says the baseline has to be regenerated
+//! before they are gated. No external JSON crate: the files come from
+//! `caf_bench::results` and are read with `caf_trace::json`.
 
-mod json;
-
+use caf_trace::json;
 use std::process::ExitCode;
 
 #[derive(Debug, PartialEq)]
@@ -44,39 +44,40 @@ struct Entry {
     ns: f64,
 }
 
-fn parse_bench(path: &str) -> Result<Vec<Entry>, String> {
+/// The file's `"experiment"` name and its result rows.
+fn parse_bench(path: &str) -> Result<(String, Vec<Entry>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let root = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let experiment = root
+        .get("experiment")
+        .and_then(json::Value::as_str)
+        .ok_or_else(|| format!("{path}: no \"experiment\" string"))?
+        .to_string();
     let results = root
         .get("results")
-        .and_then(json::Value::as_array)
+        .and_then(json::Value::as_arr)
         .ok_or_else(|| format!("{path}: no \"results\" array"))?;
     let mut out = Vec::new();
     for (i, r) in results.iter().enumerate() {
-        let field = |k: &str| {
+        let text = |k: &str| {
             r.get(k)
-                .cloned()
-                .ok_or_else(|| format!("{path}: results[{i}] missing \"{k}\""))
+                .and_then(json::Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("{path}: results[{i}].{k} missing or not a string"))
+        };
+        let num = |k: &str| {
+            r.get(k)
+                .and_then(json::Value::as_f64)
+                .ok_or_else(|| format!("{path}: results[{i}].{k} missing or not a number"))
         };
         out.push(Entry {
-            op: field("op")?
-                .as_str()
-                .ok_or_else(|| format!("{path}: results[{i}].op not a string"))?
-                .to_string(),
-            bytes: field("bytes")?
-                .as_f64()
-                .ok_or_else(|| format!("{path}: results[{i}].bytes not a number"))?
-                as u64,
-            algo: field("algo")?
-                .as_str()
-                .ok_or_else(|| format!("{path}: results[{i}].algo not a string"))?
-                .to_string(),
-            ns: field("ns")?
-                .as_f64()
-                .ok_or_else(|| format!("{path}: results[{i}].ns not a number"))?,
+            op: text("op")?,
+            bytes: num("bytes")? as u64,
+            algo: text("algo")?,
+            ns: num("ns")?,
         });
     }
-    Ok(out)
+    Ok((experiment, out))
 }
 
 fn bench_diff(
@@ -105,15 +106,16 @@ fn bench_diff_report(
     markdown: bool,
 ) -> Result<(String, Result<(), String>), String> {
     use std::fmt::Write as _;
-    let base = parse_bench(baseline)?;
-    let cur = parse_bench(new)?;
+    let (_, base) = parse_bench(baseline)?;
+    let (experiment, cur) = parse_bench(new)?;
+    let same = |a: &Entry, b: &Entry| a.op == b.op && a.bytes == b.bytes && a.algo == b.algo;
     let mut out = String::new();
     let mut compared = 0usize;
     let mut failures = Vec::new();
     if markdown {
         // GitHub-flavored table, made to be appended to a CI step summary
         // (`cargo xtask bench-diff a b --markdown >> "$GITHUB_STEP_SUMMARY"`).
-        let _ = writeln!(out, "### Collective bench diff\n");
+        let _ = writeln!(out, "### Bench diff: {experiment}\n");
         let _ = writeln!(
             out,
             "| op | bytes | algo | baseline ns | new ns | Δ% | status |"
@@ -121,10 +123,7 @@ fn bench_diff_report(
         let _ = writeln!(out, "|---|---:|---|---:|---:|---:|---|");
     }
     for b in &base {
-        let Some(c) = cur
-            .iter()
-            .find(|c| c.op == b.op && c.bytes == b.bytes && c.algo == b.algo)
-        else {
+        let Some(c) = cur.iter().find(|c| same(c, b)) else {
             failures.push(format!(
                 "missing in {new}: {} {} B {}",
                 b.op, b.bytes, b.algo
@@ -180,11 +179,34 @@ fn bench_diff_report(
     if compared == 0 {
         return Err("no comparable entries between the two files".into());
     }
-    let verdict = if failures.is_empty() {
+    // Rows the baseline does not know: shown, never gated.
+    let added: Vec<&Entry> = cur
+        .iter()
+        .filter(|c| !base.iter().any(|b| same(b, c)))
+        .collect();
+    for c in &added {
+        if markdown {
+            let _ = writeln!(
+                out,
+                "| {} | {} | {} | – | {:.1} | – | 🆕 new (ungated) |",
+                c.op, c.bytes, c.algo, c.ns
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "{:>4}  {:<9} {:>8} B  {:<24} {:>14} -> {:>14.1} ns  (ungated)",
+                "new", c.op, c.bytes, c.algo, "-", c.ns
+            );
+        }
+    }
+    let mut verdict = if failures.is_empty() {
         "no regressions".to_string()
     } else {
         format!("{} failure(s)", failures.len())
     };
+    if !added.is_empty() {
+        verdict.push_str(&format!(", {} new (ungated)", added.len()));
+    }
     let wall_note = match wall_tolerance_pct {
         Some(w) => format!(" (wall rows ±{w}%)"),
         None => String::new(),
@@ -299,7 +321,8 @@ mod tests {
     #[test]
     fn parses_the_emitted_shape() {
         let p = tmp("parse", SAMPLE);
-        let entries = parse_bench(&p).unwrap();
+        let (experiment, entries) = parse_bench(&p).unwrap();
+        assert_eq!(experiment, "exp_c1_msgsize");
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].op, "broadcast");
         assert_eq!(entries[1].bytes, 1_048_576);
@@ -373,6 +396,17 @@ mod tests {
         let b = tmp("md-b", SAMPLE);
         let (report, verdict) = bench_diff_report(&a, &b, 10.0, None, true).unwrap();
         assert!(verdict.is_ok());
+        // The heading names the surface that was diffed, whichever it is.
+        assert!(
+            report.starts_with("### Bench diff: exp_c1_msgsize\n"),
+            "{report}"
+        );
+        let s = tmp("md-s", &SAMPLE.replace("exp_c1_msgsize", "exp_s1_simscale"));
+        let (simscale, _) = bench_diff_report(&s, &s, 10.0, None, true).unwrap();
+        assert!(
+            simscale.starts_with("### Bench diff: exp_s1_simscale\n"),
+            "{simscale}"
+        );
         assert!(
             report.contains("| op | bytes | algo | baseline ns | new ns | Δ% | status |"),
             "{report}"
@@ -382,6 +416,34 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("**no regressions**"), "{report}");
+    }
+
+    #[test]
+    fn rows_only_in_the_new_file_are_listed_as_ungated() {
+        let a = tmp("new-a", SAMPLE);
+        let more = SAMPLE.replace(
+            "  \"results\": [\n",
+            "  \"results\": [\n    {\"op\": \"gather\", \"bytes\": 64, \"algo\": \"flat\", \"ns\": 7.5},\n",
+        );
+        let b = tmp("new-b", &more);
+        for markdown in [false, true] {
+            let (report, verdict) = bench_diff_report(&a, &b, 10.0, None, markdown).unwrap();
+            assert!(verdict.is_ok(), "a new row alone does not fail the gate");
+            let row = report
+                .lines()
+                .find(|l| l.contains("gather"))
+                .unwrap_or_else(|| panic!("new row not listed:\n{report}"));
+            assert!(row.contains("new") && row.contains("(ungated)"), "{row}");
+            assert!(
+                row.contains("64") && row.contains("flat") && row.contains("7.5"),
+                "{row}"
+            );
+            assert!(report.contains("compared 2 entries"), "{report}");
+            assert!(
+                report.contains("no regressions, 1 new (ungated)"),
+                "{report}"
+            );
+        }
     }
 
     #[test]
