@@ -213,7 +213,11 @@ pub trait Fabric: Send + Sync + 'static {
     /// the process when this returns: they leave with the next signal to
     /// that target, at any wait, when the write-combining buffer fills, on
     /// an arriving ack, or with the heartbeat at the latest — all inside
-    /// the contract above.
+    /// the contract above. If the next thing `me` sends that target's
+    /// process is a [`Self::flag_add`] to the same `dst`, and nothing else
+    /// reached the buffer in between, the two travel as **one frame** (and
+    /// one ack comes back): the leaders' put-then-notify idiom costs one
+    /// message on the wire.
     ///
     /// How often the runtime touches the payload: the real-memory fabrics
     /// copy it exactly once, into the target window (`seg::copy_in`) —
@@ -285,7 +289,14 @@ pub trait Fabric: Send + Sync + 'static {
     ) -> u64;
 
     /// Add `delta` to `target`'s flag `flag` (one-sided accumulate; never
-    /// returns a value — fire-and-forget notification).
+    /// returns a value — fire-and-forget notification). Ordered after
+    /// every earlier put from `me` to `target`. On [`SocketFabric`]'s wire
+    /// it shares the frame of a [`Self::put_nb`] that `me` issued to the
+    /// same `target` right before it, while that frame is still in the
+    /// write-combining buffer; the receiver lands the payload, then bumps
+    /// the flag. A sibling image's traffic to that process, any wait, or a
+    /// payload of 16 KiB or more in between, and it is a frame of its own
+    /// — the ordering is the same either way.
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64);
 
     /// Block until `me`'s own flag `flag` is ≥ `at_least`.

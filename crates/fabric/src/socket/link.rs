@@ -13,12 +13,13 @@
 //! [`pending`](super::pending) and pokes the egress thread. Liveness is
 //! written here; for *routing*, only [`route`](super::route) reads it.
 
-use super::egress::{Cork, Egress, CORK_BYTES};
+use super::egress::{Cork, Egress, Left, Urgency};
 use super::pending::Reply;
 use super::route::Landing;
+use super::store::FlagCell;
 use super::wire::{
     write_frame, Addr, Frame, FrameReader, FrameRef, Incoming, Listener, PutHead, Stream,
-    MAX_FRAME_BYTES, WIRE_MAGIC,
+    MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
 };
 use super::{shm, SocketFabric, PEER_ALIVE, PEER_DEAD, PEER_GRACEFUL, POLL};
 use crate::am::AmOp;
@@ -34,8 +35,34 @@ use std::time::{Duration, Instant};
 /// connection of the pair) before it is declared a death.
 const EOF_GRACE: Duration = Duration::from_millis(300);
 
-/// Responses a reader retires at once at most (more may be buffered).
-const RETIRE_BATCH: usize = 256;
+/// Frames a reader thread takes in before it publishes them at the latest
+/// (more may be buffered): the responses a reader retires at once.
+const RETIRE_BATCH: u64 = 256;
+
+/// The frames a reader thread has taken in since it last published: one
+/// `read(2)` brings a burst of small frames, and what is per burst —
+/// counters, the liveness mark, retiring responses — is paid once for it.
+#[derive(Default)]
+struct Burst {
+    frames: u64,
+    bytes: u64,
+}
+
+impl Burst {
+    /// One more frame, of `n` wire bytes.
+    fn add(&mut self, n: usize) {
+        self.frames += 1;
+        self.bytes += n as u64;
+    }
+
+    /// Is it time to publish? When the reader has nothing more buffered,
+    /// and at the latest after [`RETIRE_BATCH`] frames or a reader's
+    /// buffer of bytes — bulk frames, which can follow each other for
+    /// seconds without the buffer ever running dry, publish one by one.
+    fn is_over(&self, reader_drained: bool) -> bool {
+        reader_drained || self.frames >= RETIRE_BATCH || self.bytes >= READER_BYTES as u64
+    }
+}
 
 /// The largest get buffer kept for reuse (an ingress thread's window copy,
 /// a pooled response buffer); one grown past this by a rare huge get is
@@ -48,6 +75,15 @@ pub(super) enum Response<'a> {
     Ack(u64),
     Val { req: u64, old: u64 },
     Data { req: u64, data: &'a [u8] },
+}
+
+/// Who dialed, as a connection's first frame says.
+struct Dialer {
+    rank: usize,
+    /// Path of its shared segment (empty: it offers none).
+    shm: String,
+    /// A respawned incarnation's `(generation, listen address)`.
+    rejoin: Option<(u64, String)>,
 }
 
 impl SocketFabric {
@@ -82,7 +118,9 @@ impl SocketFabric {
     /// by its `Open` (or, in respawn mode, `Rejoin`) frame, and hand it to
     /// a dedicated ingress thread. In respawn mode the listener stays up
     /// past fleet bring-up so a respawned peer can dial back in at any
-    /// point in the run.
+    /// point in the run. A connection that does not open the way a member
+    /// of this fleet would is dropped — loudly, through the poison, if it
+    /// sent a frame — and the loop keeps accepting.
     pub(super) fn spawn_accepting(self: &Arc<Self>, listener: Listener, expected: usize) {
         let fab = self.clone();
         self.spawn_guarded("accept", move || {
@@ -101,69 +139,14 @@ impl SocketFabric {
                             .expect("ingress read timeout");
                         let mut reader =
                             FrameReader::new(stream.try_clone().expect("clone ingress stream"));
-                        // First frame must identify the dialer.
-                        let deadline = Instant::now() + fab.cfg.io_timeout;
-                        let (peer, peer_shm) = loop {
-                            match reader.next_frame() {
-                                Ok((Frame::Open { node, magic, shm }, n)) => {
-                                    assert_eq!(
-                                        magic, WIRE_MAGIC,
-                                        "wire-protocol version mismatch from process {node}"
-                                    );
-                                    fab.stats.record_wire_rx(n);
-                                    fab.obs.wire_rx(node as usize, n);
-                                    break (node as usize, shm);
-                                }
-                                Ok((
-                                    Frame::Rejoin {
-                                        node,
-                                        generation,
-                                        addr,
-                                        magic,
-                                        shm,
-                                    },
-                                    n,
-                                )) => {
-                                    assert_eq!(
-                                        magic, WIRE_MAGIC,
-                                        "wire-protocol version mismatch from process {node}"
-                                    );
-                                    fab.stats.record_wire_rx(n);
-                                    fab.obs.wire_rx(node as usize, n);
-                                    match fab.accept_rejoin(node as usize, generation, &addr, &shm)
-                                    {
-                                        Ok(()) => break (node as usize, String::new()),
-                                        Err(e) => {
-                                            eprintln!(
-                                                "caf-socket: rejected rejoin from process \
-                                                 {node}: {e}"
-                                            );
-                                            break (usize::MAX, String::new()); // drop it
-                                        }
-                                    }
-                                }
-                                Ok((other, _)) => {
-                                    panic!("expected Open on new connection, got {other:?}")
-                                }
-                                Err(e) if is_timeout(&e) => {
-                                    if Instant::now() > deadline || fab.stopping() {
-                                        return;
-                                    }
-                                }
-                                // Dialer vanished pre-handshake.
-                                Err(_) => break (usize::MAX, String::new()),
+                        let peer = match fab.greet(&mut reader) {
+                            Ok(Some(peer)) => peer,
+                            Ok(None) => continue,
+                            Err(e) => {
+                                fab.malformed_frame("a dialing process", &e);
+                                continue;
                             }
                         };
-                        if peer == usize::MAX {
-                            continue;
-                        }
-                        // Map the dialer's segment before its ingress
-                        // thread starts: once requests flow, replies may
-                        // race reads of segments only the mapping serves.
-                        if !peer_shm.is_empty() {
-                            fab.map_shm_peer(peer, &peer_shm);
-                        }
-                        fab.mark_seen(peer);
                         accepted += 1;
                         fab.ingress_up.fetch_add(1, Ordering::Release);
                         let f2 = fab.clone();
@@ -178,6 +161,85 @@ impl SocketFabric {
             // Fleet fully connected (or tearing down): drop the listener,
             // unlinking the socket file.
         });
+    }
+
+    /// Read the first frame of a freshly accepted connection, which must
+    /// identify the dialer, and get this process ready to serve it: its
+    /// shared segment mapped and, for a rejoin, the pair re-established —
+    /// all before its ingress thread starts, since once requests flow,
+    /// replies may race reads of segments only the mapping serves. Returns
+    /// the dialer's rank; `Ok(None)` when there is nobody to serve (the
+    /// dialer vanished or stayed silent, this process is stopping, the
+    /// rejoin was stale), `Err` (`InvalidData`) for a frame no member of
+    /// this fleet opens a connection with.
+    fn greet(self: &Arc<Self>, reader: &mut FrameReader<Stream>) -> io::Result<Option<usize>> {
+        let deadline = Instant::now() + self.cfg.io_timeout;
+        let (hello, n) = loop {
+            match reader.next_frame() {
+                Ok(first) => break first,
+                Err(e) if is_timeout(&e) && Instant::now() <= deadline && !self.stopping() => {}
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(e),
+                Err(_) => return Ok(None),
+            }
+        };
+        let Dialer { rank, shm, rejoin } = self.check_hello(hello)?;
+        let mut hello = Burst::default();
+        hello.add(n);
+        self.publish_rx(rank, &mut hello);
+        match rejoin {
+            None if shm.is_empty() => {}
+            None => self.map_shm_peer(rank, &shm),
+            Some((generation, addr)) => {
+                if let Err(e) = self.accept_rejoin(rank, generation, &addr, &shm) {
+                    eprintln!("caf-socket: rejected rejoin from process {rank}: {e}");
+                    return Ok(None);
+                }
+            }
+        }
+        Ok(Some(rank))
+    }
+
+    /// What a connection's first frame must be: an `Open` or a `Rejoin`, of
+    /// this wire protocol, from another rank of this fleet.
+    fn check_hello(&self, hello: Frame) -> io::Result<Dialer> {
+        let (node, magic, shm, rejoin) = match hello {
+            Frame::Open { node, magic, shm } => (node, magic, shm, None),
+            Frame::Rejoin {
+                node,
+                generation,
+                addr,
+                magic,
+                shm,
+            } => (node, magic, shm, Some((generation, addr))),
+            other => {
+                let what: String = format!("{other:?}").chars().take(120).collect();
+                return Err(refused(
+                    what,
+                    "a connection opens with Open or Rejoin".into(),
+                ));
+            }
+        };
+        let rank = node as usize;
+        if rank >= self.occ.len() || rank == self.node_rank {
+            let n = self.occ.len();
+            return Err(refused(
+                format_args!("hello from process {node}"),
+                format!(
+                    "no such peer of process {} in a fleet of {n}",
+                    self.node_rank
+                ),
+            ));
+        }
+        if magic != WIRE_MAGIC {
+            return Err(refused(
+                format_args!("hello from {}", self.peer_desc(rank)),
+                format!(
+                    "it speaks wire protocol {magic:#010x}, this process {WIRE_MAGIC:#010x} \
+                     (a fleet of mixed versions?)"
+                ),
+            ));
+        }
+        Ok(Dialer { rank, shm, rejoin })
     }
 
     /// A respawned incarnation of `node` dialed in: validate its
@@ -196,9 +258,6 @@ impl SocketFabric {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         if !self.cfg.respawn {
             return Err(bad("rejoin received but respawn mode is off".into()));
-        }
-        if node >= self.occ.len() || node == self.node_rank {
-            return Err(bad(format!("bogus rejoin rank {node}")));
         }
         // A stale frame from a dead incarnation carries an old generation;
         // only the incarnation establishing the *next* generation may join.
@@ -299,7 +358,12 @@ impl SocketFabric {
         stream.set_write_timeout(Some(self.cfg.io_timeout))?;
         let reader_half = FrameReader::new(stream.try_clone()?);
         let n = write_frame(&mut stream, hello)?;
-        self.count_sent(rank, n, 1);
+        let hello_left = Left {
+            frames: 1,
+            bytes: n as u64,
+            writes: 1,
+        };
+        self.count_sent(rank, hello_left);
         let egress = Arc::new(Egress::new(stream));
         *self.egress[rank].write() = Some(egress.clone());
         self.mark_seen(rank);
@@ -335,15 +399,20 @@ impl SocketFabric {
     }
 
     /// Serve one peer's requests: apply them in arrival order and write
-    /// responses back on the same connection. Acks are corked while more
-    /// requests are already buffered — a burst of puts is answered with
-    /// one write — and leave before this thread blocks in a read again.
+    /// responses back on the same connection, in that order (which is what
+    /// lets the requester complete them by sequence number). Acks are
+    /// corked while the burst of requests lasts — a burst of puts is
+    /// answered with one write — and leave before this thread blocks in a
+    /// read again; data and values, which a caller is blocked on, end the
+    /// burst. Its frames are counted, and the peer marked seen, once,
+    /// before the responses leave.
     fn ingress_loop(&self, peer: usize, mut reader: FrameReader<Stream>, stream: Stream) {
         let mut cork = Cork::new(stream);
         // The window copy a `Get` is answered from, reused across requests.
         let mut get_buf = Vec::new();
+        let mut burst = Burst::default();
         loop {
-            if self.stopping() {
+            if burst.frames == 0 && self.stopping() {
                 return;
             }
             let served = reader.incoming().and_then(|(incoming, n)| {
@@ -354,18 +423,21 @@ impl SocketFabric {
                         panic!("get response {req} on a request connection")
                     }
                 };
-                self.stats.record_wire_rx(n);
-                self.obs.wire_rx(peer, n);
-                self.mark_seen(peer);
+                burst.add(n);
                 Ok(response)
             });
+            let blocks_a_caller = !matches!(served, Ok(None | Some(Response::Ack(_))));
+            let burst_over = blocks_a_caller || burst.is_over(reader.is_drained());
+            if burst_over {
+                self.publish_rx(peer, &mut burst);
+            }
             let response = match served {
                 Ok(r) => r,
                 Err(e) if self.read_failed(peer, &e) => return,
                 Err(_) => continue,
             };
-            match self.respond(peer, &mut cork, response, reader.is_drained()) {
-                Ok(writes) => self.obs.wire_writes(peer, writes),
+            match respond(&mut cork, response, burst_over) {
+                Ok(left) => self.count_sent(peer, left),
                 // A response that cannot be written means the requester
                 // can never complete, so it poisons.
                 Err(_) if self.stopping() || self.all_done.load(Ordering::Acquire) => {}
@@ -374,6 +446,19 @@ impl SocketFabric {
             if get_buf.len() > KEEP_BYTES {
                 get_buf = Vec::new();
             }
+        }
+    }
+
+    /// Count the frames of `burst`, all read from `peer`, and mark it seen:
+    /// once per burst, before anything that lets another thread learn the
+    /// burst was read (its acks leaving, its responses retiring), so
+    /// whoever sees an operation complete reads counters that include it.
+    fn publish_rx(&self, peer: usize, burst: &mut Burst) {
+        let Burst { frames, bytes } = std::mem::take(burst);
+        if frames > 0 {
+            self.stats.record_wire_rx(frames, bytes);
+            self.obs.wire_rx(peer, frames, bytes);
+            self.mark_seen(peer);
         }
     }
 
@@ -390,7 +475,7 @@ impl SocketFabric {
             // A malformed frame is a protocol bug (or a corrupted wire),
             // not a peer death: poison loudly with context instead of
             // letting the I/O thread die quietly.
-            self.malformed_frame(peer, e);
+            self.malformed_frame(&self.peer_desc(peer), e);
         } else {
             self.peer_eof(peer);
         }
@@ -420,22 +505,55 @@ impl SocketFabric {
         })
     }
 
-    /// Land a put's payload: validate the destination, then copy each
-    /// chunk the reader hands over straight into the window — wire to
-    /// segment, no staging. The ack is owed only once the last chunk is in.
+    /// Land a put's payload: validate the destination — and, of a fused
+    /// `PutFlag`, the flag — then copy each chunk the reader hands over
+    /// straight into the window — wire to segment, no staging. The flag is
+    /// bumped, and the ack owed, only once the last chunk is in.
     fn land_put(
         &self,
         put: &PutHead,
         reader: &mut FrameReader<Stream>,
     ) -> io::Result<Option<Response<'static>>> {
         let target = (put.src, put.dst, put.seg, put.off);
-        let window = self.requested_window("Put", target, put.len, Access::Put)?;
+        let what = if put.flag.is_some() { "PutFlag" } else { "Put" };
+        let window = self.requested_window(what, target, put.len, Access::Put)?;
+        let flag = (put.flag)
+            .map(|(flag, delta)| self.requested_flag(what, (put.src, put.dst), flag, delta))
+            .transpose()?;
         let mut at = put.off as usize;
         reader.payload(|chunk| {
             window.write(at, chunk);
             at += chunk.len();
         })?;
+        if let Some((cell, flag, delta)) = flag {
+            self.land_flag(
+                &cell,
+                put.src as usize,
+                put.dst as usize,
+                flag,
+                delta,
+                false,
+            );
+        }
         Ok((put.ack != 0).then_some(Response::Ack(put.ack)))
+    }
+
+    /// The hosted flag cell a wire request bumps, through the store's
+    /// resolver; refused like [`Self::requested_window`].
+    fn requested_flag(
+        &self,
+        what: &str,
+        (src, dst): (u32, u32),
+        flag: u64,
+        delta: u64,
+    ) -> io::Result<(FlagCell, FlagId, u64)> {
+        match self.store.flag(dst as usize, index(flag)) {
+            Ok(cell) => Ok((cell, FlagId(flag as usize), delta)),
+            Err(why) => {
+                let fields = format!("src: {src}, dst: {dst}, flag: {flag}, delta: {delta}");
+                Err(refused(format_args!("{what} {{ {fields} }}"), why))
+            }
+        }
     }
 
     /// Land an `AmBatch`: every op is checked before any is applied,
@@ -454,36 +572,6 @@ impl SocketFabric {
         }
         Landing::Own(tables).apply(self, src as usize, false, ops);
         Ok(())
-    }
-
-    /// Cork `response`, then write the cork out if a caller is blocked on
-    /// it (anything but an ack), the burst of requests is over, or the cork
-    /// is full. Returns the socket writes the flush took.
-    fn respond(
-        &self,
-        peer: usize,
-        cork: &mut Cork,
-        response: Option<Response<'_>>,
-        burst_over: bool,
-    ) -> io::Result<u64> {
-        let urgent = !matches!(response, None | Some(Response::Ack(_)));
-        if let Some(r) = response {
-            let (n, writes) = match r {
-                Response::Ack(ack) => cork.push((&Frame::PutAck { ack }).into(), false)?,
-                Response::Val { req, old } => {
-                    cork.push((&Frame::AmoResp { req, old }).into(), false)?
-                }
-                Response::Data { req, data } => {
-                    cork.push(FrameRef::GetResp { req, data }, false)?
-                }
-            };
-            self.count_sent(peer, n, writes);
-        }
-        if urgent || burst_over || cork.len() >= CORK_BYTES {
-            cork.flush()
-        } else {
-            Ok(0)
-        }
     }
 
     /// Apply one non-put request from `peer`; returns the response it is
@@ -548,11 +636,8 @@ impl SocketFabric {
                 flag,
                 delta,
             } => {
-                let cell = (self.store.flag(dst as usize, index(flag))).map_err(|why| {
-                    let fields = format!("src: {src}, dst: {dst}, flag: {flag}, delta: {delta}");
-                    refused(format_args!("FlagAdd {{ {fields} }}"), why)
-                })?;
-                let flag = FlagId(flag as usize);
+                let (cell, flag, delta) =
+                    self.requested_flag("FlagAdd", (src, dst), flag, delta)?;
                 self.land_flag(&cell, src as usize, dst as usize, flag, delta, false);
                 None
             }
@@ -587,17 +672,19 @@ impl SocketFabric {
 
     /// Drain responses (acks, get data, AMO results) from one egress
     /// connection into the pending table: everything the read buffered is
-    /// decoded first, then retired under one lock with one wake-up. This
-    /// thread never writes and never takes a cork lock (the deadlock rule
-    /// in [`egress`]); it hands the ack-clocked flush to the egress thread.
+    /// decoded first, then counted and retired under one lock with one
+    /// wake-up. This thread never writes and never takes a cork lock (the
+    /// deadlock rule in [`egress`]); it hands the ack-clocked flush to the
+    /// egress thread.
     fn response_loop(&self, peer: usize, mut reader: FrameReader<Stream>, egress: &Egress) {
         let mut batch = Vec::new();
+        let mut burst = Burst::default();
         loop {
-            if self.stopping() {
+            if batch.is_empty() && self.stopping() {
                 return;
             }
-            let retired = reader.incoming().and_then(|(incoming, n)| {
-                let retired = match incoming {
+            let read = reader.incoming().and_then(|(incoming, n)| {
+                batch.push(match incoming {
                     Incoming::Frame(Frame::PutAck { ack }) => (ack, Reply::Ack),
                     Incoming::Frame(Frame::AmoResp { req, old }) => (req, Reply::Val(old)),
                     // The payload goes from the socket into a recycled
@@ -609,21 +696,27 @@ impl SocketFabric {
                         (req, Reply::Data { buf, len })
                     }
                     other => panic!("unexpected frame on response path: {other:?}"),
-                };
-                self.stats.record_wire_rx(n);
-                self.obs.wire_rx(peer, n);
-                Ok(retired)
+                });
+                burst.add(n);
+                Ok(())
             });
-            match retired {
-                Ok(r) => batch.push(r),
-                Err(e) if self.read_failed(peer, &e) => return,
-                Err(_) => continue,
-            }
-            if reader.is_drained() || batch.len() >= RETIRE_BATCH {
-                self.mark_seen(peer);
-                if (self.pending).complete(batch.drain(..), &self.stats, egress) {
+            // What did arrive is honoured even if the read after it failed.
+            let due = burst.is_over(reader.is_drained()) || read.is_err();
+            let retired = if due && !batch.is_empty() {
+                self.publish_rx(peer, &mut burst);
+                (self.pending).complete(peer, batch.drain(..), &self.stats, egress)
+            } else {
+                Ok(false)
+            };
+            let done = retired.and_then(|poke| {
+                if poke {
                     self.ack_clock.poke();
                 }
+                read
+            });
+            match done {
+                Err(e) if self.read_failed(peer, &e) => return,
+                _ => {}
             }
         }
     }
@@ -755,14 +848,27 @@ impl SocketFabric {
     /// is broken — a protocol bug or wire corruption, not a peer death.
     /// Poison the whole fabric with the decode error and the tracer's
     /// recent-operation window so the failure is loud and diagnosable.
-    fn malformed_frame(&self, peer: usize, e: &io::Error) {
-        let mut msg = format!(
-            "malformed frame from {}: {e} (protocol bug or wire corruption)",
-            self.peer_desc(peer)
-        );
+    fn malformed_frame(&self, from: &str, e: &io::Error) {
+        let mut msg = format!("malformed frame from {from}: {e} (protocol bug or wire corruption)");
         self.push_recent_ops(&mut msg);
         self.poison(&msg);
     }
+}
+
+/// Cork `response`; write the cork out if the burst of requests `is_over`.
+/// Returns what left.
+fn respond(cork: &mut Cork, response: Option<Response<'_>>, is_over: bool) -> io::Result<Left> {
+    let mut push = |frame: FrameRef<'_>| cork.push(Urgency::Now, false, |b| frame.encode_head(b));
+    let mut left = match response {
+        None => Left::default(),
+        Some(Response::Ack(ack)) => push((&Frame::PutAck { ack }).into())?,
+        Some(Response::Val { req, old }) => push((&Frame::AmoResp { req, old }).into())?,
+        Some(Response::Data { req, data }) => push(FrameRef::GetResp { req, data })?,
+    };
+    if is_over {
+        left += cork.flush()?;
+    }
+    Ok(left)
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -781,4 +887,205 @@ fn index(wire: u64) -> usize {
 /// `what` (a frame's kind and fields) was refused because `why`.
 fn refused(what: impl Display, why: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{what}: {why}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::socket::wire::Transport;
+    use crate::socket::SocketConfig;
+    use crate::RecoveryError;
+    use caf_topology::{presets, ImageMap, Placement};
+    use std::io::Write;
+
+    /// The previous wire protocol's magic: what a process of the last
+    /// release opens with.
+    const OLD_MAGIC: u32 = 0xCAF5_0C05;
+
+    /// Process 0 of a two-process fleet whose process 1 is the test.
+    struct Lone {
+        fabric: Arc<SocketFabric>,
+        /// Where it accepts (respawn mode: the listener stays up).
+        listens: Addr,
+        /// The connection it dialed to "process 1": its requests arrive
+        /// here, and what is written here reaches its response reader.
+        dialed: Stream,
+        /// The connection "process 1" dialed to it, kept open: closing it
+        /// without a `Bye` would be a death.
+        _opened: Stream,
+    }
+
+    fn lone_process() -> Lone {
+        let cfg = SocketConfig {
+            shm: false,
+            respawn: true,
+            heartbeat_period: Duration::from_secs(1),
+            peer_timeout: Duration::from_secs(60),
+            io_timeout: Duration::from_secs(5),
+            ..SocketConfig::default()
+        };
+        let coord = Listener::bind(Transport::Uds).expect("bind coordinator");
+        let me = Listener::bind(Transport::Uds).expect("bind process 1");
+        let coord_addr = coord.local_addr().expect("coordinator addr");
+        let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
+        let joining =
+            std::thread::spawn(move || SocketFabric::join(map, 0, &coord_addr, cfg).map(|j| j.0));
+        let mut rendezvous = coord.accept().expect("accept hello");
+        let listens = match FrameReader::new(rendezvous.try_clone().expect("clone")).next_frame() {
+            Ok((Frame::Hello { node: 0, addr, .. }, _)) => addr,
+            other => panic!("expected process 0's Hello, got {other:?}"),
+        };
+        let addrs = vec![
+            listens.clone(),
+            me.local_addr().expect("own addr").to_string(),
+        ];
+        write_frame(&mut rendezvous, &Frame::Peers { addrs }).expect("send peers");
+        let dialed = me.accept().expect("process 0 dials");
+        let listens: Addr = listens.parse().expect("listen address");
+        // The well-formed hello `join` waits for.
+        let mut opened = Stream::connect(&listens).expect("dial process 0");
+        let open = Frame::Open {
+            node: 1,
+            magic: WIRE_MAGIC,
+            shm: String::new(),
+        };
+        write_frame(&mut opened, &open).expect("open");
+        let fabric = joining.join().expect("join thread").expect("join");
+        Lone {
+            fabric,
+            listens,
+            dialed,
+            _opened: opened,
+        }
+    }
+
+    impl Lone {
+        /// Wait for the poison, and lift it again for the next case.
+        fn take_poison(&self) -> String {
+            let t0 = Instant::now();
+            loop {
+                if let Err(RecoveryError::Poisoned(msg)) = self.fabric.health() {
+                    *self.fabric.poisoned.lock() = None;
+                    self.fabric.poison_flag.store(false, Ordering::Release);
+                    return msg;
+                }
+                assert!(t0.elapsed() < Duration::from_secs(5), "never poisoned");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+
+        /// Dial process 0 and open with `first` (raw bytes); the poison it
+        /// answers with, once it has dropped the connection.
+        fn refused(&self, first: &[u8]) -> String {
+            let mut s = Stream::connect(&self.listens).expect("the accept thread is alive");
+            s.write_all(first).expect("write");
+            let msg = self.take_poison();
+            s.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            let eof = FrameReader::new(s).next_frame().expect_err("dropped");
+            assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof, "{eof}");
+            msg
+        }
+    }
+
+    #[test]
+    fn a_wrong_first_frame_is_refused_loudly_and_the_accept_thread_lives() {
+        let lone = lone_process();
+        let ingress_before = lone.fabric.ingress_up.load(Ordering::Acquire);
+        // A process of the previous release.
+        let old = Frame::Open {
+            node: 1,
+            magic: OLD_MAGIC,
+            shm: String::new(),
+        };
+        let msg = lone.refused(&old.encode());
+        assert!(
+            msg.contains(
+                "malformed frame from a dialing process: hello from peer process 1 (node 1, \
+                 images 2): it speaks wire protocol 0xcaf50c05, this process 0xcaf50c06"
+            ),
+            "{msg}"
+        );
+        let rejoin = Frame::Rejoin {
+            node: 1,
+            generation: 1,
+            addr: "uds:/nowhere".into(),
+            magic: OLD_MAGIC,
+            shm: String::new(),
+        };
+        let msg = lone.refused(&rejoin.encode());
+        assert!(msg.contains("it speaks wire protocol 0xcaf50c05"), "{msg}");
+        // A rank that is not a peer: out of the fleet, and its own.
+        for node in [7, 0] {
+            let open = Frame::Open {
+                node,
+                magic: WIRE_MAGIC,
+                shm: String::new(),
+            };
+            let msg = lone.refused(&open.encode());
+            let why =
+                format!("hello from process {node}: no such peer of process 0 in a fleet of 2");
+            assert!(msg.contains(&why), "{msg}");
+        }
+        // A data frame where the hello belongs.
+        let put = Frame::Put {
+            src: 1,
+            dst: 0,
+            seg: 0,
+            off: 0,
+            ack: 1,
+            data: vec![0xEE; 8],
+        };
+        let msg = lone.refused(&put.encode());
+        assert!(
+            msg.contains("Put { src: 1, dst: 0, seg: 0, off: 0, ack: 1"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("a connection opens with Open or Rejoin"),
+            "{msg}"
+        );
+        // A hello whose body stops short of its fields.
+        let open = Frame::Open {
+            node: 1,
+            magic: WIRE_MAGIC,
+            shm: "/dev/shm/x".into(),
+        };
+        let whole = open.encode();
+        let mut short = whole[..whole.len() - 4].to_vec();
+        let body = (short.len() - 4) as u32;
+        short[..4].copy_from_slice(&body.to_le_bytes());
+        let msg = lone.refused(&short);
+        assert!(msg.contains("truncated frame body"), "{msg}");
+        // One cut off by the dialer going away is nobody's protocol error.
+        let mut gone = Stream::connect(&lone.listens).expect("dial");
+        gone.write_all(&whole[..7]).expect("write");
+        drop(gone);
+        // Through all of it no connection was taken into service, and the
+        // thread that would is still there to take the next.
+        let s = Stream::connect(&lone.listens).expect("the accept thread is alive");
+        drop(s);
+        assert_eq!(
+            lone.fabric.ingress_up.load(Ordering::Acquire),
+            ingress_before
+        );
+        assert!(lone.fabric.health().is_ok());
+        lone.fabric.shutdown();
+    }
+
+    #[test]
+    fn a_response_to_no_request_poisons_naming_the_peer() {
+        let lone = lone_process();
+        let mut dialed = lone.dialed.try_clone().expect("clone");
+        write_frame(&mut dialed, &Frame::PutAck { ack: 9 }).expect("ack");
+        let msg = lone.take_poison();
+        assert!(
+            msg.contains(
+                "malformed frame from peer process 1 (node 1, images 2): Ack response to \
+                 request 9: requests 1..1 are in flight"
+            ),
+            "{msg}"
+        );
+        lone.fabric.shutdown();
+    }
 }

@@ -22,7 +22,11 @@
 //!
 //! Every remote put — blocking or not — carries an ack cookie, so
 //! [`Fabric::quiet`] and [`Fabric::put_wait`] mean *remotely complete*,
-//! not merely injected.
+//! not merely injected. The cookie is the request's sequence number on its
+//! connection: responses come back in request order, so completion is an
+//! index into a per-peer ring (`pending`), not a lookup. A `put_nb` and the
+//! `flag_add` right behind it to the same image travel as one
+//! [`Frame::PutFlag`] when nothing came between them (`egress`).
 //!
 //! # Robustness
 //!
@@ -73,7 +77,7 @@ use caf_trace::{Event, EventKind, Tracer};
 use crossbeam::utils::CachePadded;
 use egress::{Egress, Urgency};
 use parking_lot::{Mutex, RwLock};
-use pending::{Pending, Reply};
+use pending::{Entry, Kind, Pending, Reply};
 use route::{Route, Tier};
 use std::io;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -354,7 +358,7 @@ impl SocketFabric {
             store,
             egress: (0..n_procs).map(|_| RwLock::new(None)).collect(),
             ack_clock: egress::AckClock::default(),
-            pending: Pending::new(n_images),
+            pending: Pending::new(n_images, n_procs),
             get_bufs: Mutex::new(Vec::new()),
             waiters: FlagWaiters::default(),
             poisoned: Mutex::new(None),
@@ -472,11 +476,6 @@ impl SocketFabric {
         }
     }
 
-    /// The current egress connection to process `rank`, if one is up.
-    fn egress_to(&self, rank: usize) -> Option<Arc<Egress>> {
-        self.egress[rank].read().clone()
-    }
-
     fn check_poison(&self, me: ProcId, doing: &str) {
         if self.poison_flag.load(Ordering::Acquire) {
             let msg = self.poisoned.lock().clone().unwrap_or_default();
@@ -575,10 +574,9 @@ impl SocketFabric {
                 old
             }
             Route::Wire => {
-                let req = self.pending.cookie();
                 let (src, dst) = (me.index() as u32, target.index() as u32);
                 let (seg, off) = (seg.0 as u64, offset as u64);
-                let frame = match amo {
+                let frame = |req| match amo {
                     Amo::Add(delta) => Frame::AmoFadd {
                         src,
                         dst,
@@ -598,7 +596,7 @@ impl SocketFabric {
                     },
                 };
                 let (reply, queue_ns, service_ns) =
-                    self.call(me, target, doing, req, (&frame).into());
+                    self.call(me, target, doing, Kind::Val, whole(frame));
                 let Reply::Val(old) = reply else {
                     panic!("AMO got a non-value response");
                 };
@@ -658,6 +656,15 @@ impl Op<'_> {
                 .d(service_ns)
                 .intra(false),
         );
+    }
+}
+
+/// How a request with no bulk payload is encoded: whole, as the owned frame
+/// `frame` builds around the request's sequence number.
+fn whole(frame: impl FnOnce(u64) -> Frame) -> impl FnOnce(u64, &mut Vec<u8>) -> &'static [u8] {
+    move |req, b| {
+        frame(req).encode_into(b);
+        &[]
     }
 }
 
@@ -742,9 +749,10 @@ impl Fabric for SocketFabric {
             }
             Route::Wire => {
                 self.stats.record_put(false, len);
-                let cookie = self.pending.cookie();
-                let frame = put_frame(me, dst, seg, offset, cookie, bytes);
-                let (reply, queue_ns, service_ns) = self.call(me, dst, "remote put", cookie, frame);
+                let (reply, queue_ns, service_ns) =
+                    self.call(me, dst, "remote put", Kind::Ack, |ack, b| {
+                        put_frame(me, dst, seg, offset, ack, bytes).encode_head(b)
+                    });
                 assert!(matches!(reply, Reply::Ack), "put got a non-ack response");
                 self.obs.put_ack(service_ns);
                 op.wire(len as u64, queue_ns, service_ns);
@@ -776,20 +784,17 @@ impl Fabric for SocketFabric {
                 op.direct(wire);
             }
             Route::Wire => {
-                // One frame per batch, one ack cookie: the ack retires
-                // through the sender's `outstanding_nb` debt, so `quiet`
-                // means every batched AM has remotely completed — same
-                // completion contract as `put_nb`.
-                let cookie = self.pending.cookie();
-                self.pending.register_nb(cookie, me.index(), false);
-                let frame = FrameRef::AmBatch {
-                    src: me.index() as u32,
-                    dst: dst.index() as u32,
-                    ack: cookie,
-                    ops,
-                };
-                let (queue_ns, _rank) = self.send_request(me, dst, frame, true, Urgency::Signal);
-                op.wire(wire, queue_ns, 0);
+                // One frame per batch, one ack: it retires through the
+                // sender's `outstanding_nb` debt, so `quiet` means every
+                // batched AM has remotely completed — same completion
+                // contract as `put_nb`.
+                let (img, put) = (me.index() as u32, false);
+                let awaits = Some(Entry::Nb { img, put });
+                let (_, sent) = self.send_request(me, dst, awaits, Urgency::Signal, |ack, b| {
+                    let (src, dst) = (me.index() as u32, dst.index() as u32);
+                    FrameRef::AmBatch { src, dst, ack, ops }.encode_head(b)
+                });
+                op.wire(wire, sent.queue_ns, 0);
             }
         }
     }
@@ -828,15 +833,16 @@ impl Fabric for SocketFabric {
             }
             Route::Wire => {
                 self.stats.record_put_nb(false, len);
-                let cookie = self.pending.cookie();
-                self.pending.register_nb(cookie, me.index(), true);
-                let frame = put_frame(me, dst, seg, offset, cookie, bytes);
-                let (queue_ns, _rank) = self.send_request(me, dst, frame, true, Urgency::Data);
-                op.wire(len as u64, queue_ns, 0);
-                // The token smuggles the ack cookie (never 0 for an
-                // in-flight transfer — cookie allocation starts at 1);
-                // `put_test`/`put_wait` resolve it against the pending table.
-                PutToken { arrival_ns: cookie }
+                let (img, put) = (me.index() as u32, true);
+                let awaits = Some(Entry::Nb { img, put });
+                let (rank, sent) = self.send_request(me, dst, awaits, Urgency::Data, |ack, b| {
+                    put_frame(me, dst, seg, offset, ack, bytes).encode_head(b)
+                });
+                op.wire(len as u64, sent.queue_ns, 0);
+                // The token smuggles the request's place in its peer's ring
+                // (never 0, the completed token); `put_test`/`put_wait`
+                // resolve it against the pending table.
+                Pending::token(rank, sent.seq)
             }
         }
     }
@@ -847,7 +853,7 @@ impl Fabric for SocketFabric {
         }
         // A program polling this must make progress: the put may be corked.
         self.flush_corked();
-        !self.pending.is_pending(token.arrival_ns)
+        !self.pending.is_pending(token)
     }
 
     fn put_wait(&self, me: ProcId, token: PutToken) {
@@ -862,7 +868,7 @@ impl Fabric for SocketFabric {
             ))
         };
         self.wait_pending(me, "put_wait", timed_out, |t| {
-            (!t.is_pending(token.arrival_ns)).then_some(())
+            (!t.is_pending(token)).then_some(())
         });
     }
 
@@ -884,17 +890,16 @@ impl Fabric for SocketFabric {
             }
             Route::Wire => {
                 self.stats.record_get(false, len);
-                let cookie = self.pending.cookie();
-                let frame = Frame::Get {
+                let frame = |req| Frame::Get {
                     src: me.index() as u32,
                     dst: src.index() as u32,
                     seg: seg.0 as u64,
                     off: offset as u64,
                     len: len as u32,
-                    req: cookie,
+                    req,
                 };
                 let (reply, queue_ns, service_ns) =
-                    self.call(me, src, "remote get", cookie, (&frame).into());
+                    self.call(me, src, "remote get", Kind::Data, whole(frame));
                 let Reply::Data { buf, len: got } = reply else {
                     panic!("get got a non-data response");
                 };
@@ -960,14 +965,9 @@ impl Fabric for SocketFabric {
                 self.stats.record_flag(false);
                 // Fire-and-forget: ordering with prior puts to the same
                 // target comes from the shared per-peer connection (frames
-                // apply in send order).
-                let frame = Frame::FlagAdd {
-                    src: me.index() as u32,
-                    dst: target.index() as u32,
-                    flag: flag.0 as u64,
-                    delta,
-                };
-                self.send_request(me, target, (&frame).into(), false, Urgency::Signal);
+                // apply in send order) — or from sharing the frame of the
+                // `put_nb` right before it, if that is still corked.
+                self.send_flag(me, target, flag.0 as u64, delta);
                 false
             }
         };
@@ -1256,6 +1256,11 @@ mod tests {
     /// fleet; returns process 1's poison report, having checked that no
     /// byte of its hosted window moved.
     fn poison_from(frame: Frame) -> String {
+        poison_from_bytes(&frame.encode())
+    }
+
+    /// [`poison_from`] for bytes no [`Frame`] encodes to.
+    fn poison_from_bytes(wire: &[u8]) -> String {
         let cfg = SocketConfig {
             shm: false,
             ..quick_cfg()
@@ -1265,9 +1270,12 @@ mod tests {
         let window = boot_window(f1, 1);
         let mut before = vec![0u8; window.len()];
         window.read(0, &mut before);
-        f0.egress_to(1)
+        (f0.egress[1].read().as_ref())
             .expect("egress to process 1")
-            .send((&frame).into(), false, Urgency::Now, false)
+            .send(None, Urgency::Now, false, |_, b| {
+                b.extend_from_slice(wire);
+                &[]
+            })
             .expect("send");
         let t0 = Instant::now();
         let msg = loop {
@@ -1396,6 +1404,50 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("image 1 has no flag99 (out of 4)"), "{msg}");
+        // A fused put+flag is checked whole before a byte lands
+        // (`poison_from` compares the window): a bad window; a bad flag
+        // with a good window, within the table's index type and past it; a
+        // payload that runs past the window.
+        let fused = |seg, off, flag| Frame::PutFlag {
+            src: 0,
+            dst: 1,
+            seg,
+            off,
+            ack: 1,
+            data: vec![0xEE; 8],
+            flag,
+            delta: 1,
+        };
+        let msg = poison_from(fused(77, 0, SPARE_FLAG.0 as u64));
+        assert!(
+            msg.contains("PutFlag { src: 0, dst: 1, seg: 77, off: 0, len: 8 }"),
+            "{msg}"
+        );
+        assert!(msg.contains("image 1 has no seg77 (out of 1)"), "{msg}");
+        for flag in [4, 99, u64::MAX] {
+            let msg = poison_from(fused(0, 0, flag));
+            assert!(
+                msg.contains(&format!(
+                    "PutFlag {{ src: 0, dst: 1, flag: {flag}, delta: 1 }}"
+                )),
+                "{msg}"
+            );
+            assert!(msg.contains("(out of 4)"), "{msg}");
+        }
+        let msg = poison_from(fused(0, 124, SPARE_FLAG.0 as u64));
+        assert!(
+            msg.contains("PutFlag { src: 0, dst: 1, seg: 0, off: 124, len: 8 }"),
+            "{msg}"
+        );
+        assert!(msg.contains("exceeds segment"), "{msg}");
+        // A `len` field that claims more payload than the frame holds.
+        let mut wire = fused(0, 0, SPARE_FLAG.0 as u64).encode();
+        wire[37..41].copy_from_slice(&9u32.to_le_bytes());
+        let msg = poison_from_bytes(&wire);
+        assert!(
+            msg.contains("payload of 9 bytes in a frame body of 61"),
+            "{msg}"
+        );
         // A batch is checked whole before any op applies: the first op's
         // put must not land (`poison_from` compares the window) when the
         // second is out of range.

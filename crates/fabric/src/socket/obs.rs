@@ -18,6 +18,7 @@
 //! Everything here is observability-plane: none of it is consulted by the
 //! data path, and all counters are relaxed.
 
+use super::egress::Left;
 use super::wire::{put_bytes, put_u32, put_u64, put_words, Cursor};
 use crate::stats::{counters, StatsSnapshot};
 use caf_trace::event::EVENT_WORDS;
@@ -74,7 +75,9 @@ counters! {
     /// Wire traffic between this process and one peer process.
     pub struct PeerWireSnapshot;
 
-    /// Frames written to this peer.
+    /// Frames written to this peer, counted as they leave the process (a
+    /// frame still corked is not counted yet; a `put_nb` fused with the
+    /// `flag_add` behind it is one).
     frames_tx;
     /// Bytes written to this peer, including frame headers.
     bytes_tx;
@@ -147,28 +150,22 @@ impl SocketObs {
         }
     }
 
+    /// A write to `peer` carried what `left` says (one write may carry
+    /// many frames).
     #[inline]
-    pub(super) fn wire_tx(&self, peer: usize, bytes: usize) {
+    pub(super) fn wire_tx(&self, peer: usize, left: Left) {
         let p = &self.peers[peer];
-        p.frames_tx.fetch_add(1, Ordering::Relaxed);
-        p.bytes_tx.fetch_add(bytes as u64, Ordering::Relaxed);
+        p.frames_tx.fetch_add(left.frames, Ordering::Relaxed);
+        p.bytes_tx.fetch_add(left.bytes, Ordering::Relaxed);
+        p.writes_tx.fetch_add(left.writes, Ordering::Relaxed);
     }
 
-    /// `writes` socket writes went to `peer` (one may carry many frames).
+    /// `frames` frames of `bytes` bytes in all were read from `peer`.
     #[inline]
-    pub(super) fn wire_writes(&self, peer: usize, writes: u64) {
-        if writes > 0 {
-            self.peers[peer]
-                .writes_tx
-                .fetch_add(writes, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(super) fn wire_rx(&self, peer: usize, bytes: usize) {
+    pub(super) fn wire_rx(&self, peer: usize, frames: u64, bytes: u64) {
         let p = &self.peers[peer];
-        p.frames_rx.fetch_add(1, Ordering::Relaxed);
-        p.bytes_rx.fetch_add(bytes as u64, Ordering::Relaxed);
+        p.frames_rx.fetch_add(frames, Ordering::Relaxed);
+        p.bytes_rx.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(super) fn dial_result(&self, peer: usize, retries: u64) {

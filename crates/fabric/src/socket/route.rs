@@ -342,14 +342,24 @@ mod tests {
     }
 
     /// One fixed program from image 0: every op to itself, to its sibling
-    /// and to an image of the other process, then the unpublished-window
-    /// and wire-debt cases. Returns process 0's counters.
+    /// and to an image of the other process, then the unpublished-window,
+    /// wire-debt and unpublished-flag cases. Returns process 0's counters.
+    ///
+    /// Nothing in it is decided by timing. The one signal that goes by
+    /// wire *because of debt* is the `flag_add` right behind the spilled
+    /// `put_nb`: that put is still corked (nothing flushes a lone data
+    /// frame under this heartbeat), so the debt is held, not raced for. The
+    /// flag then flushes the cork on the idle link, and whether the peer is
+    /// still owed an ack after that is the peer's business — so the batch
+    /// that follows names a flag past the shared table and travels by frame
+    /// whatever the debt. (`the_route_table` pins a batch under debt.)
     fn mixed_program(cfg: &SocketConfig) -> StatsSnapshot {
         let map = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
         let fabrics = fleet(&map, cfg);
         let f0 = &fabrics[0];
         let (me, far) = (ProcId(0), ProcId(2));
         let spilled = fabrics[1].alloc_segment(far, 1 << 16);
+        fabrics[1].alloc_flags(far, shm::MAX_FLAGS);
         let word = 7u64.to_ne_bytes();
         let mut out = [0u8; 8];
         for dst in [me, ProcId(1), far] {
@@ -390,7 +400,7 @@ mod tests {
         f0.put_nb(me, far, spilled, 8, &word);
         f0.flag_add(me, far, FLAG, 1);
         let flag = AmOp::FlagAdd {
-            flag: FlagId(3),
+            flag: OVER_TABLE,
             delta: 1,
         };
         f0.am_deliver(me, far, &[flag]);
@@ -404,10 +414,29 @@ mod tests {
     }
 
     /// The counters each tier takes are part of the contract
-    /// (`fleet_report.json`, `/metrics`): these values were recorded by
-    /// running this program at the commit before the routing refactor.
-    /// Wire bytes are left out on the shm fleet — its `Open` frame carries
-    /// a segment path whose length varies.
+    /// (`fleet_report.json`, `/metrics`): the four op rows were recorded by
+    /// running this program at the commit before the routing refactor and
+    /// have not moved since. Wire bytes are left out on the shm fleet — its
+    /// `Open` frame carries a segment path whose length varies.
+    ///
+    /// The frame and byte pins moved once, when the cork began to fuse a
+    /// `put_nb` with the `flag_add` behind it. Frames process 0 sends on
+    /// the wire fleet, then and now:
+    ///
+    /// | | then | now |
+    /// |---|---|---|
+    /// | handshake | `Open` | `Open` |
+    /// | loop, far image | `Put`, `Put` (nb), `Get`, `AmoFadd`, `AmoCas`, `FlagAdd`, `AmBatch` | the same seven: the blocking `get` flushes the `put_nb` before its flag is issued |
+    /// | tail | `Put`, `Get`, `Put` (nb), `FlagAdd`, `AmBatch` | `Put`, `Get`, **`PutFlag`**, `AmBatch` |
+    /// | after `quiet` | `FlagAdd` | `FlagAdd` |
+    /// | frames | 14 | 13 |
+    /// | bytes | 671 | 671 − 29 (the `FlagAdd` frame) + 16 (its `flag` and `delta` in the fused frame) = 658 |
+    ///
+    /// What it receives is what it did: one `Open`, and one response per
+    /// request that has one (eleven in all, the fused frame's single ack
+    /// where the `put_nb`'s was). On the shm fleet only the tail and the
+    /// handshake touch the wire: `Open`, `Put`, `Get`, `PutFlag`, `AmBatch`
+    /// where there were six.
     #[test]
     fn counters_per_tier_are_what_they_were() {
         let s = mixed_program(&cfg());
@@ -421,14 +450,14 @@ mod tests {
         };
         let shm_fleet = [(2, 2, 24, 24), (1, 1, 1, 1), (3, 3, 6, 0), (4, 48, 7, 0)];
         assert_eq!(ops(&s), shm_fleet, "{s:?}");
-        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (6, 5), "{s:?}");
+        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (5, 5), "{s:?}");
         let s = mixed_program(&SocketConfig {
             shm: false,
             ..cfg()
         });
         let wire_fleet = [(2, 4, 24, 48), (1, 2, 1, 3), (3, 3, 6, 0), (0, 0, 0, 0)];
         assert_eq!(ops(&s), wire_fleet, "{s:?}");
-        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (14, 11), "{s:?}");
-        assert_eq!((s.wire_bytes_tx, s.wire_bytes_rx), (671, 187), "{s:?}");
+        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (13, 11), "{s:?}");
+        assert_eq!((s.wire_bytes_tx, s.wire_bytes_rx), (658, 187), "{s:?}");
     }
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 /// Protocol magic carried by [`Frame::Open`] and [`Frame::Hello`]; bump on
 /// any incompatible frame-format change.
-pub const WIRE_MAGIC: u32 = 0xCAF5_0C05;
+pub const WIRE_MAGIC: u32 = 0xCAF5_0C06;
 
 /// Upper bound on one frame body — a corrupted length prefix fails here
 /// instead of attempting a multi-gigabyte allocation.
@@ -276,7 +276,30 @@ pub enum Frame {
         /// Payload bytes.
         data: Vec<u8>,
     },
-    /// Completion ack for a [`Frame::Put`].
+    /// A [`Frame::Put`] and the [`Frame::FlagAdd`] that followed it from
+    /// the same image to the same target, as one frame: the receiver lands
+    /// the payload, then bumps the flag, then acks — what the pair does on
+    /// an ordered connection. Never built by a caller: the egress cork
+    /// rewrites a still-corked `Put` into it when its flag arrives.
+    PutFlag {
+        /// Issuing image (global 0-based rank).
+        src: u32,
+        /// Target image (must be hosted by the receiver).
+        dst: u32,
+        /// Target segment id.
+        seg: u64,
+        /// Byte offset within the segment.
+        off: u64,
+        /// Completion-ack cookie (0 = no ack requested).
+        ack: u64,
+        /// Payload bytes.
+        data: Vec<u8>,
+        /// Target flag id, bumped once the payload has landed.
+        flag: u64,
+        /// Increment.
+        delta: u64,
+    },
+    /// Completion ack for a [`Frame::Put`] or [`Frame::PutFlag`].
     PutAck {
         /// The cookie from the acked put.
         ack: u64,
@@ -478,6 +501,7 @@ const T_BYE: u8 = 11;
 const T_REJOIN: u8 = 12;
 const T_RECOVER_BARRIER: u8 = 13;
 const T_AM_BATCH: u8 = 14;
+const T_PUT_FLAG: u8 = 15;
 const T_HELLO: u8 = 16;
 const T_PEERS: u8 = 17;
 const T_DONE: u8 = 18;
@@ -622,8 +646,9 @@ fn framed<'t>(b: &mut Vec<u8>, tail: &'t [u8], body: impl FnOnce(&mut Vec<u8>)) 
     tail
 }
 
+/// The fixed fields behind the tag of a `Put`, and of a `PutFlag` (which
+/// appends `flag` and `delta`).
 fn put_fields(b: &mut Vec<u8>, src: u32, dst: u32, seg: u64, off: u64, ack: u64, len: usize) {
-    b.push(T_PUT);
     put_u32(b, src);
     put_u32(b, dst);
     put_u64(b, seg);
@@ -666,6 +691,7 @@ impl<'a> FrameRef<'a> {
                 ack,
                 data,
             } => framed(b, data, |b| {
+                b.push(T_PUT);
                 put_fields(b, src, dst, seg, off, ack, data.len())
             }),
             FrameRef::GetResp { req, data } => {
@@ -696,7 +722,9 @@ impl Frame {
     /// [`FrameRef::encode_head`] for an owned frame.
     fn encode_head<'a>(&'a self, b: &mut Vec<u8>) -> &'a [u8] {
         let tail: &[u8] = match self {
-            Frame::Put { data, .. } | Frame::GetResp { data, .. } => data,
+            Frame::Put { data, .. } | Frame::PutFlag { data, .. } | Frame::GetResp { data, .. } => {
+                data
+            }
             _ => &[],
         };
         framed(b, tail, |b| match self {
@@ -714,7 +742,23 @@ impl Frame {
                 ack,
                 data,
             } => {
+                b.push(T_PUT);
                 put_fields(b, *src, *dst, *seg, *off, *ack, data.len());
+            }
+            Frame::PutFlag {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+                flag,
+                delta,
+            } => {
+                b.push(T_PUT_FLAG);
+                put_fields(b, *src, *dst, *seg, *off, *ack, data.len());
+                put_u64(b, *flag);
+                put_u64(b, *delta);
             }
             Frame::PutAck { ack } => {
                 b.push(T_PUT_ACK);
@@ -877,6 +921,21 @@ impl Frame {
                 ack: c.u64()?,
                 data: c.bytes()?,
             },
+            T_PUT_FLAG => {
+                let (src, dst, seg, off, ack) = (c.u32()?, c.u32()?, c.u64()?, c.u64()?, c.u64()?);
+                let len = c.u32()? as usize;
+                let (flag, delta) = (c.u64()?, c.u64()?);
+                Frame::PutFlag {
+                    src,
+                    dst,
+                    seg,
+                    off,
+                    ack,
+                    data: c.take(len)?.to_vec(),
+                    flag,
+                    delta,
+                }
+            }
             T_PUT_ACK => Frame::PutAck { ack: c.u64()? },
             T_GET => Frame::Get {
                 src: c.u32()?,
@@ -1012,6 +1071,46 @@ const READER_START_BYTES: usize = 8 << 10;
 
 /// Body bytes of a `Put` before its payload (tag and fixed fields).
 const PUT_HEAD: usize = 1 + 4 + 4 + 8 + 8 + 8 + 4;
+/// Body bytes of a `PutFlag` before its payload: a `Put`'s, then `flag`
+/// and `delta`.
+const PUT_FLAG_HEAD: usize = PUT_HEAD + FUSED_BYTES;
+/// What fusing its flag into a `Put` adds to the frame.
+const FUSED_BYTES: usize = 8 + 8;
+
+/// Rewrite the `Put` encoded at `b[start..]` — the last frame in `b` — into
+/// the [`Frame::PutFlag`] that also bumps `flag` by `delta`, byte for byte
+/// what encoding the fused frame afresh would produce. `false`, with `b`
+/// untouched, unless that frame is a `Put` from image `src` to image `dst`
+/// ending where `b` ends.
+pub(super) fn fuse_flag(
+    b: &mut Vec<u8>,
+    start: usize,
+    (src, dst): (u32, u32),
+    flag: u64,
+    delta: u64,
+) -> bool {
+    let head_end = start + 4 + PUT_HEAD;
+    let Some(head) = b.get(start..head_end) else {
+        return false;
+    };
+    let field = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+    let body_len = field(0);
+    if head[4] != T_PUT
+        || (field(5), field(9)) != (src, dst)
+        || start + 4 + body_len as usize != b.len()
+    {
+        return false;
+    }
+    // Open a gap behind the fixed fields; the payload moves up by it.
+    let end = b.len();
+    b.resize(end + FUSED_BYTES, 0);
+    b.copy_within(head_end..end, head_end + FUSED_BYTES);
+    b[head_end..head_end + 8].copy_from_slice(&flag.to_le_bytes());
+    b[head_end + 8..head_end + FUSED_BYTES].copy_from_slice(&delta.to_le_bytes());
+    b[start..start + 4].copy_from_slice(&(body_len + FUSED_BYTES as u32).to_le_bytes());
+    b[start + 4] = T_PUT_FLAG;
+    true
+}
 /// Body bytes of a `GetResp` before its payload.
 const GET_RESP_HEAD: usize = 1 + 8 + 4;
 
@@ -1041,8 +1140,8 @@ fn read_mid_frame<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     }
 }
 
-/// The fixed fields of a [`Frame::Put`] whose payload is still in the
-/// reader (see [`Incoming::Put`]).
+/// The fixed fields of a [`Frame::Put`] or [`Frame::PutFlag`] whose payload
+/// is still in the reader (see [`Incoming::Put`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PutHead {
     /// Issuing image (global 0-based rank).
@@ -1057,9 +1156,47 @@ pub struct PutHead {
     pub ack: u64,
     /// Payload bytes that follow.
     pub len: usize,
+    /// A `PutFlag`'s `(flag, delta)`, bumped once the payload has landed;
+    /// `None` for a plain `Put`.
+    pub flag: Option<(u64, u64)>,
 }
 
-/// What [`FrameReader::incoming`] found. The two bulk frames arrive as their
+impl PutHead {
+    /// The owned frame these fields and their `data` make.
+    fn with_payload(self, data: Vec<u8>) -> Frame {
+        let PutHead {
+            src,
+            dst,
+            seg,
+            off,
+            ack,
+            len: _,
+            flag,
+        } = self;
+        match flag {
+            None => Frame::Put {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+            },
+            Some((flag, delta)) => Frame::PutFlag {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+                flag,
+                delta,
+            },
+        }
+    }
+}
+
+/// What [`FrameReader::incoming`] found. The bulk frames arrive as their
 /// fixed fields only: the payload stays in the reader until the caller —
 /// who by then knows where it belongs — drains it with
 /// [`FrameReader::payload`] or [`FrameReader::payload_into`], which it must
@@ -1069,7 +1206,7 @@ pub struct PutHead {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Incoming {
-    /// A [`Frame::Put`], payload pending.
+    /// A [`Frame::Put`] or [`Frame::PutFlag`], payload pending.
     Put(PutHead),
     /// A [`Frame::GetResp`], payload pending.
     GetResp {
@@ -1215,6 +1352,7 @@ impl<R: Read> FrameReader<R> {
         self.fill(5)?;
         let head = match self.buf[self.pos + 4] {
             T_PUT => PUT_HEAD,
+            T_PUT_FLAG => PUT_FLAG_HEAD,
             T_GET_RESP => GET_RESP_HEAD,
             _ => len,
         }
@@ -1224,7 +1362,7 @@ impl<R: Read> FrameReader<R> {
         self.pos += 4 + head;
         let mut c = Cursor::new(&body[1..]);
         let (incoming, payload) = match body[0] {
-            T_PUT => {
+            tag @ (T_PUT | T_PUT_FLAG) => {
                 let put = PutHead {
                     src: c.u32()?,
                     dst: c.u32()?,
@@ -1232,6 +1370,10 @@ impl<R: Read> FrameReader<R> {
                     off: c.u64()?,
                     ack: c.u64()?,
                     len: c.u32()? as usize,
+                    flag: match tag {
+                        T_PUT_FLAG => Some((c.u64()?, c.u64()?)),
+                        _ => None,
+                    },
                 };
                 (Incoming::Put(put), put.len)
             }
@@ -1294,23 +1436,9 @@ impl<R: Read> FrameReader<R> {
         let (incoming, n) = self.incoming()?;
         let mut data = Vec::new();
         let frame = match incoming {
-            Incoming::Put(PutHead {
-                src,
-                dst,
-                seg,
-                off,
-                ack,
-                len: _,
-            }) => {
+            Incoming::Put(put) => {
                 self.payload_into(&mut data)?;
-                Frame::Put {
-                    src,
-                    dst,
-                    seg,
-                    off,
-                    ack,
-                    data,
-                }
+                put.with_payload(data)
             }
             Incoming::GetResp { req, len: _ } => {
                 self.payload_into(&mut data)?;
@@ -1391,24 +1519,10 @@ mod tests {
         let (incoming, _) = r.incoming()?;
         let mut data = Vec::new();
         Ok(match incoming {
-            Incoming::Put(PutHead {
-                src,
-                dst,
-                seg,
-                off,
-                ack,
-                len,
-            }) => {
+            Incoming::Put(put) => {
                 r.payload(|chunk| data.extend_from_slice(chunk))?;
-                assert_eq!(data.len(), len);
-                Frame::Put {
-                    src,
-                    dst,
-                    seg,
-                    off,
-                    ack,
-                    data,
-                }
+                assert_eq!(data.len(), put.len);
+                put.with_payload(data)
             }
             Incoming::GetResp { req, len } => {
                 r.payload(|chunk| data.extend_from_slice(chunk))?;
@@ -1549,6 +1663,17 @@ mod tests {
             ack: 77,
             data: vec![1, 2, 3, 4, 5],
         });
+        roundtrip(put_flag());
+        roundtrip(Frame::PutFlag {
+            src: 0,
+            dst: 1,
+            seg: 0,
+            off: 0,
+            ack: 0,
+            data: vec![],
+            flag: u64::MAX,
+            delta: 0,
+        });
         roundtrip(Frame::PutAck { ack: 77 });
         roundtrip(Frame::Get {
             src: 0,
@@ -1662,6 +1787,86 @@ mod tests {
             node: 3,
             payload: vec![0xCA, 0xF0, 1, 2, 3],
         });
+    }
+
+    fn put_flag() -> Frame {
+        Frame::PutFlag {
+            src: 1,
+            dst: 9,
+            seg: 2,
+            off: 4096,
+            ack: 77,
+            data: vec![1, 2, 3, 4, 5],
+            flag: 3,
+            delta: 6,
+        }
+    }
+
+    #[test]
+    fn golden_bytes_of_a_put_flag() {
+        // Prefix, tag 15, then src, dst, seg, off, ack, len, flag, delta in
+        // that order, little-endian, and the payload last.
+        let hex: String = (put_flag().encode().iter())
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "3a000000\
+             0f\
+             01000000\
+             09000000\
+             0200000000000000\
+             0010000000000000\
+             4d00000000000000\
+             05000000\
+             0300000000000000\
+             0600000000000000\
+             0102030405"
+        );
+    }
+
+    #[test]
+    fn a_corked_put_fused_in_place_is_the_put_flag_frame() {
+        let put = |src, dst, data: &[u8]| Frame::Put {
+            src,
+            dst,
+            seg: 2,
+            off: 4096,
+            ack: 77,
+            data: data.to_vec(),
+        };
+        let corked = Frame::PutAck { ack: 9 }.encode();
+        // With a payload (which moves), with none, and with one that spans
+        // many words.
+        for data in [&[1u8, 2, 3, 4, 5][..], &[], &[0xAB; 1000]] {
+            let mut buf = corked.clone();
+            put(1, 9, data).encode_into(&mut buf);
+            assert!(fuse_flag(&mut buf, corked.len(), (1, 9), 3, 6));
+            let fused = Frame::PutFlag {
+                src: 1,
+                dst: 9,
+                seg: 2,
+                off: 4096,
+                ack: 77,
+                data: data.to_vec(),
+                flag: 3,
+                delta: 6,
+            };
+            assert_eq!(buf, [&corked[..], &fused.encode()[..]].concat());
+        }
+        // Anything else is left exactly as it was: another image's put,
+        // another target's, a frame that is not a put, one that is not the
+        // last in the buffer, an offset past the end.
+        let mut buf = corked.clone();
+        put(1, 9, &[7; 8]).encode_into(&mut buf);
+        let before = buf.clone();
+        assert!(!fuse_flag(&mut buf, corked.len(), (2, 9), 3, 6));
+        assert!(!fuse_flag(&mut buf, corked.len(), (1, 8), 3, 6));
+        assert!(!fuse_flag(&mut buf, 0, (1, 9), 3, 6), "a PutAck");
+        assert!(!fuse_flag(&mut buf, before.len(), (1, 9), 3, 6));
+        buf.push(0);
+        assert!(!fuse_flag(&mut buf, corked.len(), (1, 9), 3, 6));
+        assert_eq!(buf[..before.len()], before[..]);
     }
 
     #[test]

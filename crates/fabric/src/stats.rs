@@ -237,20 +237,20 @@ impl FabricStats {
         self.puts_nb_completed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one wire frame of `bytes` bytes written to a peer process.
+    /// Record `frames` wire frames, `bytes` bytes in all, written to a peer
+    /// process (a burst is counted at once, as it leaves).
     #[inline]
-    pub fn record_wire_tx(&self, bytes: usize) {
-        self.wire_frames_tx.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes_tx
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+    pub fn record_wire_tx(&self, frames: u64, bytes: u64) {
+        self.wire_frames_tx.fetch_add(frames, Ordering::Relaxed);
+        self.wire_bytes_tx.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record one wire frame of `bytes` bytes read from a peer process.
+    /// Record `frames` wire frames, `bytes` bytes in all, read from a peer
+    /// process.
     #[inline]
-    pub fn record_wire_rx(&self, bytes: usize) {
-        self.wire_frames_rx.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes_rx
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+    pub fn record_wire_rx(&self, frames: u64, bytes: u64) {
+        self.wire_frames_rx.fetch_add(frames, Ordering::Relaxed);
+        self.wire_bytes_rx.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Record one flag notification.
@@ -422,9 +422,9 @@ mod tests {
         assert_eq!(nb, want, "nb puts also count as puts");
 
         let wire = recorded(|s| {
-            s.record_wire_tx(64);
-            s.record_wire_tx(16);
-            s.record_wire_rx(9);
+            s.record_wire_tx(1, 64);
+            s.record_wire_tx(1, 16);
+            s.record_wire_rx(1, 9);
         });
         let want = StatsSnapshot {
             wire_frames_tx: 2,

@@ -2,8 +2,10 @@
 //! rule's observable promises — how many socket writes the idle-link
 //! idioms take, that a stream's tail drains on the ack clock alone, that a
 //! lone corked put still becomes visible, that two opposed streams cannot
-//! deadlock, and that a severed peer still ends in the loud, rank-naming
-//! poison rather than a hang.
+//! deadlock, that a severed peer still ends in the loud, rank-naming
+//! poison rather than a hang — and the order the fused put+flag frame and
+//! completion by sequence number lean on: a sibling image's frame between
+//! a put and its flag, acks that come back after a recovery reset.
 
 use caf_fabric::socket::testing::{fleet, run_fleet};
 use caf_fabric::socket::Transport;
@@ -64,11 +66,11 @@ fn idle_link_idioms_take_exactly_one_write() {
                 f.put_nb(me, RECEIVER, BSEG, 0, &round.to_ne_bytes());
                 f.flag_add(me, RECEIVER, FLAG, 1);
                 let (f1, w1) = sent_to(&f, 1);
-                let beats = f1 - f0 - 2;
+                let beats = f1 - f0 - 1;
                 assert_eq!(
                     w1 - w0,
                     1 + beats,
-                    "put_nb + flag_add leave in one write (round {round}, {beats} heartbeats)"
+                    "put_nb + flag_add leave as one frame in one write (round {round}, {beats} heartbeats)"
                 );
                 f.quiet(me);
                 let (f0, w0) = sent_to(&f, 1);
@@ -93,14 +95,135 @@ fn idle_link_idioms_take_exactly_one_write() {
         }
         f.image_done(me);
     });
-    // Frames are still frames: combining changes writes, not the protocol.
+    // Every round is two frames — the fused put+flag, the blocking put —
+    // and each left in a write of its own: nothing here waits for company.
     let to_peer = fabrics[0]
         .node_telemetry(TelemetryPhase::Final, None)
         .obs
         .peers[1];
     assert!(
-        to_peer.frames_tx >= 3 * ROUNDS && to_peer.writes_tx < to_peer.frames_tx,
+        to_peer.frames_tx >= 2 * ROUNDS && to_peer.writes_tx <= to_peer.frames_tx,
         "{to_peer:?}"
+    );
+}
+
+#[test]
+fn a_siblings_frame_between_a_put_and_its_flag_means_no_fusion_and_the_same_order() {
+    // Two images per process; a heartbeat (a frame of its own) far slower
+    // than the test, so the frame counts below are exact.
+    let map = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
+    let cfg = SocketConfig {
+        shm: false,
+        heartbeat_period: Duration::from_secs(4),
+        peer_timeout: Duration::from_secs(16),
+        io_timeout: Duration::from_secs(5),
+        flag_wait_timeout: Duration::from_secs(10),
+        ..SocketConfig::default()
+    };
+    let fabrics = fleet(&map, &cfg);
+    const ROUNDS: u64 = 100;
+    let (target, bystander) = (ProcId(2), ProcId(3));
+    // Images 0 and 1 share process 0's cork toward process 1 and take
+    // turns at it (over channels, so that a failed image ends the test
+    // instead of leaving its sibling at a barrier).
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let (went_tx, went_rx) = mpsc::channel::<()>();
+    let (go_rx, went_rx) = (Mutex::new(go_rx), Mutex::new(went_rx));
+    let turn = Duration::from_secs(10);
+    run_fleet(&fabrics, move |f, me| {
+        match me.index() {
+            0 => {
+                for round in 1..=ROUNDS {
+                    // Undisturbed, the pair is one frame.
+                    f.quiet(me);
+                    let (f0, _) = sent_to(&f, 1);
+                    f.put_nb(me, target, BSEG, 0, &(2 * round - 1).to_ne_bytes());
+                    f.flag_add(me, target, FLAG, 1);
+                    f.quiet(me);
+                    assert_eq!(sent_to(&f, 1).0 - f0, 1, "round {round}: fused");
+                    f.flag_wait_ge(me, ACK_FLAG, 2 * round - 1);
+                    // With the sibling's flag in between it is the put, that
+                    // flag, and a flag frame of its own behind them.
+                    let (f0, _) = sent_to(&f, 1);
+                    f.put_nb(me, target, BSEG, 0, &(2 * round).to_ne_bytes());
+                    go_tx.send(()).unwrap();
+                    (went_rx.lock().unwrap().recv_timeout(turn)).expect("the sibling's turn");
+                    f.flag_add(me, target, FLAG, 1);
+                    f.quiet(me);
+                    assert_eq!(sent_to(&f, 1).0 - f0, 3, "round {round}: not fused");
+                    f.flag_wait_ge(me, ACK_FLAG, 2 * round);
+                }
+            }
+            1 => {
+                for _ in 1..=ROUNDS {
+                    (go_rx.lock().unwrap().recv_timeout(turn)).expect("image 0's put");
+                    f.flag_add(me, bystander, FLAG, 1);
+                    went_tx.send(()).unwrap();
+                }
+            }
+            2 => {
+                for k in 1..=2 * ROUNDS {
+                    f.flag_wait_ge(me, FLAG, k);
+                    let mut out = [0u8; 8];
+                    f.get(me, me, BSEG, 0, &mut out);
+                    assert_eq!(u64::from_ne_bytes(out), k, "payload before its flag");
+                    f.flag_add(me, ProcId(0), ACK_FLAG, 1);
+                }
+            }
+            _ => f.flag_wait_ge(me, FLAG, ROUNDS),
+        }
+        f.image_done(me);
+    });
+    let s = fabrics[0].stats().snapshot();
+    assert_eq!((s.puts_inter, s.flags_inter), (2 * ROUNDS, 3 * ROUNDS));
+    assert_eq!(s.puts_nb_completed, s.puts_nb_injected);
+}
+
+#[test]
+fn acks_of_pre_fence_puts_that_arrive_after_the_reset_are_dropped_quietly() {
+    const GENERATIONS: u64 = 20;
+    const UNACKED: u64 = 2000;
+    let fabrics = wire_pair(Duration::from_millis(100));
+    run_fleet(&fabrics, |f, me| {
+        for generation in 1..=GENERATIONS {
+            if me == SENDER {
+                // A window of puts nobody has waited for as the fence
+                // begins: the receiver's fence mark does not queue behind
+                // them, so this side resets — and forgets them — while
+                // their acks are still on the way.
+                let tokens: Vec<_> = (0..UNACKED)
+                    .map(|i| f.put_nb(me, RECEIVER, BSEG, 8, &i.to_ne_bytes()))
+                    .collect();
+                f.heal(me).expect("heal");
+                // What a program kept from before the fence reads as done.
+                for token in [tokens[0], tokens[tokens.len() - 1]] {
+                    assert!(f.put_test(me, token));
+                    f.put_wait(me, token);
+                }
+                // And the healed fabric completes new work by its own
+                // acks, not by the stragglers'.
+                f.put_nb(me, RECEIVER, BSEG, 0, &generation.to_ne_bytes());
+                f.flag_add(me, RECEIVER, FLAG, 1);
+                f.quiet(me);
+                f.flag_wait_ge(me, ACK_FLAG, 1);
+            } else {
+                f.heal(me).expect("heal");
+                f.flag_wait_ge(me, FLAG, 1);
+                let mut out = [0u8; 8];
+                f.get(me, me, BSEG, 0, &mut out);
+                assert_eq!(u64::from_ne_bytes(out), generation);
+                f.flag_add(me, SENDER, ACK_FLAG, 1);
+            }
+            assert_eq!(f.generation(), generation);
+        }
+        f.health().expect("no straggler poisoned the fleet");
+        f.image_done(me);
+    });
+    let s = fabrics[0].stats().snapshot();
+    assert_eq!(s.puts_nb_injected, GENERATIONS * (UNACKED + 1));
+    assert!(
+        s.puts_nb_completed >= GENERATIONS && s.puts_nb_completed <= s.puts_nb_injected,
+        "{s:?}"
     );
 }
 
