@@ -147,13 +147,8 @@ fn run_once(
         collectives: algo,
     };
     let prog = prog.clone();
-    catch_unwind(AssertUnwindSafe(move || run(cfg, move |img| prog(img)))).map_err(|payload| {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".into())
-    })
+    catch_unwind(AssertUnwindSafe(move || run(cfg, move |img| prog(img))))
+        .map_err(|payload| caf_fabric::panic_message(payload.as_ref()))
 }
 
 /// `None` when `got` matches the oracle; otherwise a short description of

@@ -10,12 +10,15 @@
 
 use caf_check::{
     algo_matrix, check_am, check_legacy_queue, check_program, check_recover, check_shm,
-    check_socket, conformance, socket_child_main, CheckOptions, Program, RecoverDrill, Scenario,
+    check_socket, conformance, socket_child_main, CheckOptions, Failure, Program, RecoverDrill,
+    Scenario,
 };
+use caf_collectives::CollectiveConfig;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[derive(Default)]
 struct Args {
     deep: bool,
     seeds_per_cell: Option<usize>,
@@ -28,39 +31,36 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut deep = false;
-    let mut seeds_per_cell = None;
-    let mut socket = false;
-    let mut socket_only = false;
-    let mut shm_only = false;
-    let mut recover = false;
-    let mut recover_only = false;
-    let mut kill_after_ms = 150;
+    let mut args = Args {
+        kill_after_ms: 150,
+        ..Args::default()
+    };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => deep = false,
-            "--deep" => deep = true,
-            "--socket" => socket = true,
+            "--quick" => args.deep = false,
+            "--deep" => args.deep = true,
+            "--socket" => args.socket = true,
             "--socket-only" => {
-                socket = true;
-                socket_only = true;
+                args.socket = true;
+                args.socket_only = true;
             }
-            "--shm-only" => shm_only = true,
-            "--recover" => recover = true,
+            "--shm-only" => args.shm_only = true,
+            "--recover" => args.recover = true,
             "--recover-only" => {
-                recover = true;
-                recover_only = true;
+                args.recover = true;
+                args.recover_only = true;
             }
             "--kill-after-ms" => {
                 let v = it.next().ok_or("--kill-after-ms needs a value")?;
-                kill_after_ms = v
+                args.kill_after_ms = v
                     .parse()
                     .map_err(|e| format!("bad --kill-after-ms {v:?}: {e}"))?;
             }
             "--seeds" => {
                 let v = it.next().ok_or("--seeds needs a value")?;
-                seeds_per_cell = Some(v.parse().map_err(|e| format!("bad --seeds {v:?}: {e}"))?);
+                args.seeds_per_cell =
+                    Some(v.parse().map_err(|e| format!("bad --seeds {v:?}: {e}"))?);
             }
             other => {
                 return Err(format!(
@@ -73,47 +73,57 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    Ok(Args {
-        deep,
-        seeds_per_cell,
-        socket,
-        socket_only,
-        shm_only,
-        recover,
-        recover_only,
-        kill_after_ms,
+    Ok(args)
+}
+
+/// What a clean [`column`] adds up to, for its summary line.
+struct Tally {
+    cells: usize,
+    runs: usize,
+    secs: f64,
+}
+
+/// One column of the sweep: `cell(index, name, algo)` on every cell of the
+/// algorithm matrix (only those named in `filter`, when given), summing
+/// the runs each reports. The first divergence is printed as a replayable
+/// report and ends the sweep with exit code 1.
+fn column(
+    filter: Option<&[String]>,
+    mut cell: impl FnMut(usize, &str, CollectiveConfig) -> Result<usize, Box<Failure>>,
+) -> Result<Tally, ExitCode> {
+    let t0 = Instant::now();
+    let (mut cells, mut runs) = (0, 0);
+    for (i, (name, algo)) in algo_matrix().iter().enumerate() {
+        if filter.is_some_and(|keep| !keep.contains(name)) {
+            continue;
+        }
+        runs += cell(i, name, *algo).map_err(|failure| {
+            eprintln!("{}", failure.render());
+            ExitCode::FAILURE
+        })?;
+        cells += 1;
+    }
+    Ok(Tally {
+        cells,
+        runs,
+        secs: t0.elapsed().as_secs_f64(),
     })
 }
 
 /// The socket backend column: the mini scenario across the full algorithm
 /// matrix (or the `CAF_CHECK_SOCKET_ALGOS` subset), each cell one real
 /// multi-process fleet diffed against the sim oracle.
-fn run_socket_column() -> Result<usize, ExitCode> {
+fn run_socket_column(filter: Option<&[String]>) -> Result<(), ExitCode> {
     let scn = Scenario::mini();
-    let filter: Option<Vec<String>> = std::env::var("CAF_CHECK_SOCKET_ALGOS")
-        .ok()
-        .map(|s| s.split(',').map(|a| a.trim().to_string()).collect());
-    let t0 = Instant::now();
-    let mut cells = 0usize;
-    for (name, algo) in &algo_matrix() {
-        if let Some(keep) = &filter {
-            if !keep.iter().any(|k| k == name) {
-                continue;
-            }
-        }
-        if let Err(failure) = check_socket(&scn, name, *algo) {
-            eprintln!("{}", failure.render());
-            return Err(ExitCode::FAILURE);
-        }
-        cells += 1;
-    }
+    let t = column(filter, |_, name, algo| {
+        check_socket(&scn, name, algo).map(|r| r.runs)
+    })?;
     println!(
         "caf-check: socket backend matched the sim oracle on {} \
-         ({cells} algo configs, real multi-process fleets, {:.1}s)",
-        scn.name,
-        t0.elapsed().as_secs_f64()
+         ({} algo configs, real multi-process fleets, {:.1}s)",
+        scn.name, t.cells, t.secs
     );
-    Ok(cells)
+    Ok(())
 }
 
 /// The shared-memory column: the mini scenario across the full algorithm
@@ -121,36 +131,17 @@ fn run_socket_column() -> Result<usize, ExitCode> {
 /// multi-process fleet with the zero-copy shm tier forced on, diffed
 /// bit-for-bit against the sim oracle (with and without chaos seeds) and
 /// against the identical pure-wire fleet.
-fn run_shm_column() -> Result<usize, ExitCode> {
+fn run_shm_column(filter: Option<&[String]>) -> Result<(), ExitCode> {
     let scn = Scenario::mini();
-    let filter: Option<Vec<String>> = std::env::var("CAF_CHECK_SOCKET_ALGOS")
-        .ok()
-        .map(|s| s.split(',').map(|a| a.trim().to_string()).collect());
-    let t0 = Instant::now();
-    let mut cells = 0usize;
-    let mut runs = 0usize;
-    for (name, algo) in &algo_matrix() {
-        if let Some(keep) = &filter {
-            if !keep.iter().any(|k| k == name) {
-                continue;
-            }
-        }
-        match check_shm(&scn, name, *algo, &[5, 17]) {
-            Ok(r) => runs += r.runs,
-            Err(failure) => {
-                eprintln!("{}", failure.render());
-                return Err(ExitCode::FAILURE);
-            }
-        }
-        cells += 1;
-    }
+    let t = column(filter, |_, name, algo| {
+        check_shm(&scn, name, algo, &[5, 17]).map(|r| r.runs)
+    })?;
     println!(
         "caf-check: shared-memory tier matched the sim oracle and the wire fleet \
-         on {} ({cells} algo configs, {runs} runs, {:.1}s)",
-        scn.name,
-        t0.elapsed().as_secs_f64()
+         on {} ({} algo configs, {} runs, {:.1}s)",
+        scn.name, t.cells, t.runs, t.secs
     );
-    Ok(cells)
+    Ok(())
 }
 
 /// The kill-and-recover drill family on the mini scenario: one drill per
@@ -193,32 +184,31 @@ fn main() -> ExitCode {
     // Fleet-member mode: this very binary, re-executed by caf-launch.
     // Dispatch before normal parsing — children take no other flags.
     if std::env::args().any(|a| a == "--socket-child") {
-        return ExitCode::from(socket_child_main() as u8);
+        return socket_child_main();
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let swept = parse_args().map_err(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    });
+    match swept.and_then(|args| sweep(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+fn sweep(args: &Args) -> Result<(), ExitCode> {
+    let filter: Option<Vec<String>> = std::env::var("CAF_CHECK_SOCKET_ALGOS")
+        .ok()
+        .map(|s| s.split(',').map(|a| a.trim().to_string()).collect());
+    let filter = filter.as_deref();
     if args.recover_only {
-        return match run_recover_drills(args.kill_after_ms) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(code) => code,
-        };
+        return run_recover_drills(args.kill_after_ms);
     }
     if args.socket_only {
-        return match run_socket_column() {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(code) => code,
-        };
+        return run_socket_column(filter);
     }
     if args.shm_only {
-        return match run_shm_column() {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(code) => code,
-        };
+        return run_shm_column(filter);
     }
     // Quick: bounded sweep for CI (≤ ~1 min); deep: the nightly/manual
     // soak. Threads differencing runs only on the small scenario in quick
@@ -227,14 +217,12 @@ fn main() -> ExitCode {
         .seeds_per_cell
         .unwrap_or(if args.deep { 32 } else { 6 });
     let scenarios = [Scenario::mini(), Scenario::whale()];
-    let matrix = algo_matrix();
     let prog: Program = Arc::new(conformance);
 
     let t0 = Instant::now();
-    let (mut runs, mut chaos_runs, mut fault_runs) = (0usize, 0usize, 0usize);
+    let (mut runs, mut chaos_runs, mut fault_runs) = (0, 0, 0);
     for scn in &scenarios {
-        let cell_t0 = Instant::now();
-        for (cell, (name, algo)) in matrix.iter().enumerate() {
+        let t = column(None, |cell, name, algo| {
             let opts = CheckOptions {
                 // Distinct seeds per cell: the sweep explores
                 // scenarios × algos × seeds_per_cell different schedules.
@@ -245,24 +233,16 @@ fn main() -> ExitCode {
                 threads: args.deep || scn.images <= 8,
                 trace_window: 5,
             };
-            match check_program(scn, name, *algo, &prog, &opts) {
-                Ok(r) => {
-                    runs += r.runs;
-                    chaos_runs += r.chaos_runs;
-                    fault_runs += r.fault_runs;
-                }
-                Err(failure) => {
-                    eprintln!("{}", failure.render());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+            let r = check_program(scn, name, algo, &prog, &opts)?;
+            chaos_runs += r.chaos_runs;
+            fault_runs += r.fault_runs;
+            Ok(r.runs)
+        })?;
         println!(
             "caf-check: scenario {} clean ({} algo configs, {:.1}s)",
-            scn.name,
-            matrix.len(),
-            cell_t0.elapsed().as_secs_f64()
+            scn.name, t.cells, t.secs
         );
+        runs += t.runs;
     }
     println!(
         "caf-check: all outputs matched — {} runs ({} chaos, {} with faults) \
@@ -271,7 +251,7 @@ fn main() -> ExitCode {
         chaos_runs,
         fault_runs,
         scenarios.len(),
-        matrix.len(),
+        algo_matrix().len(),
         t0.elapsed().as_secs_f64()
     );
     // The legacy event-core column: the mini scenario across the full
@@ -280,62 +260,36 @@ fn main() -> ExitCode {
     // without chaos. Cheap enough to run in every sweep, and the only
     // guard that the scale rewrite never drifts from the reference
     // scheduler.
-    let legacy_t0 = Instant::now();
     let scn = Scenario::mini();
-    let mut legacy_runs = 0usize;
-    for (name, algo) in matrix.iter() {
-        match check_legacy_queue(&scn, name, *algo, &prog, &[5, 17]) {
-            Ok(r) => legacy_runs += r,
-            Err(failure) => {
-                eprintln!("{}", failure.render());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let t = column(None, |_, name, algo| {
+        check_legacy_queue(&scn, name, algo, &prog, &[5, 17])
+    })?;
     println!(
         "caf-check: legacy event core matched the sharded core — {} runs \
          across {} algo configs ({:.1}s)",
-        legacy_runs,
-        matrix.len(),
-        legacy_t0.elapsed().as_secs_f64()
+        t.runs, t.cells, t.secs
     );
     // The active-message column: the mini scenario across the full
     // algorithm matrix with the collectives' flag traffic routed through
     // the batching AM tier, diffed bit-for-bit against the unbatched run
     // of the same spec — without chaos and under two chaos seeds.
-    let am_t0 = Instant::now();
-    let mut am_runs = 0usize;
-    for (name, algo) in matrix.iter() {
-        match check_am(&scn, name, *algo, &prog, &[5, 17]) {
-            Ok(r) => am_runs += r,
-            Err(failure) => {
-                eprintln!("{}", failure.render());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let t = column(None, |_, name, algo| {
+        check_am(&scn, name, algo, &prog, &[5, 17])
+    })?;
     println!(
         "caf-check: am batching matched the unbatched oracle — {} runs \
          across {} algo configs ({:.1}s)",
-        am_runs,
-        matrix.len(),
-        am_t0.elapsed().as_secs_f64()
+        t.runs, t.cells, t.secs
     );
     // The shared-memory column runs in every sweep (`--quick` included):
     // real fleets with the shm tier on, diffed against the sim oracle and
     // the pure-wire fleet across the full algorithm matrix.
-    if let Err(code) = run_shm_column() {
-        return code;
-    }
+    run_shm_column(filter)?;
     if args.socket {
-        if let Err(code) = run_socket_column() {
-            return code;
-        }
+        run_socket_column(filter)?;
     }
     if args.recover {
-        if let Err(code) = run_recover_drills(args.kill_after_ms) {
-            return code;
-        }
+        run_recover_drills(args.kill_after_ms)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

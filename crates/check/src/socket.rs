@@ -1,25 +1,28 @@
 //! The third backend column of the differential oracle: run the
-//! conformance program on a real multi-process [`SocketFabric`] fleet and
-//! diff its per-image digests against the deterministic simulator.
+//! conformance program on a real multi-process
+//! [`SocketFabric`](caf_fabric::SocketFabric) fleet and diff its per-image
+//! digests against the deterministic simulator.
 //!
 //! The sim explores schedules, the thread fabric exposes OS interleavings;
 //! neither exercises the wire — framing, the put-ack protocol, connection
 //! lifecycle, cross-process flag delivery. This column does: the parent
 //! (`caf-check --socket`) re-executes **its own binary** once per node with
 //! the hidden `--socket-child` flag via the `caf-launch` supervisor, and
-//! each child joins the fleet over real sockets, runs the same conformance
-//! program through the full runtime stack, and reports digests back over
-//! the coordinator connection.
+//! each child is a [`caf_launch::member`] around the same conformance
+//! program: it joins the fleet over real sockets, runs it through the full
+//! runtime stack, and reports digests (and telemetry) back over the
+//! coordinator connection.
 
 use crate::harness::{diff, CheckReport, Failure};
 use crate::scenario::{algo_by_name, conformance, Scenario};
 use caf_collectives::CollectiveConfig;
-use caf_fabric::socket::{shm, SocketConfig, SocketFabric};
+use caf_fabric::socket::shm;
 use caf_fabric::ChaosConfig;
-use caf_launch::{launch, ChildEnv, KillSpec, LaunchSpec};
-use caf_runtime::{run, run_hosted, run_hosted_rejoin, FabricChoice, ImageCtx, RunConfig};
-use caf_topology::{ImageMap, NodeId, Placement};
+use caf_launch::{launch, member, ChildEnv, KillSpec, LaunchSpec};
+use caf_runtime::{run, FabricChoice, ImageCtx, RunConfig};
+use caf_topology::{ImageMap, Placement};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 use std::time::Duration;
 
 /// Environment variable carrying the scenario label to `--socket-child`.
@@ -55,21 +58,6 @@ fn placed(scn: &Scenario) -> ImageMap {
     ImageMap::new(scn.machine.clone(), scn.images, &Placement::Packed)
 }
 
-/// 1-based image numbers per occupied node, in node order — the launcher's
-/// process plan and its vocabulary for death reports.
-fn node_images(map: &ImageMap) -> Vec<Vec<usize>> {
-    (0..map.machine().nodes)
-        .map(NodeId)
-        .filter(|n| !map.images_on_node(*n).is_empty())
-        .map(|n| {
-            map.images_on_node(n)
-                .iter()
-                .map(|p| p.index() + 1)
-                .collect()
-        })
-        .collect()
-}
-
 /// Run the conformance program on a real socket fleet (one process per
 /// occupied node) and return per-image digests in image order.
 ///
@@ -97,39 +85,7 @@ pub fn fleet_digests(
     drill: Option<&RecoverDrill>,
     shm: Option<bool>,
 ) -> Result<DrilledDigests, String> {
-    let map = placed(scn);
-    let plan = node_images(&map);
-    // Children inherit the environment: this is how the scenario and algo
-    // cell reach them (argv stays fixed across the sweep).
-    std::env::set_var(ENV_SCENARIO, &scn.name);
-    std::env::set_var(ENV_ALGO, algo_name);
-    if let Some(on) = shm {
-        std::env::set_var(shm::ENV_SHM, if on { "1" } else { "0" });
-    }
-    match drill {
-        Some(d) => std::env::set_var(ENV_RECOVER, d.reps.max(1).to_string()),
-        None => std::env::remove_var(ENV_RECOVER),
-    }
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot find own executable: {e}"))?
-        .to_string_lossy()
-        .into_owned();
-    let mut spec = LaunchSpec::new(vec![exe, "--socket-child".into()], plan);
-    spec.run_timeout = Duration::from_secs(120);
-    if let Some(d) = drill {
-        if d.kill_node >= spec.node_images.len() {
-            return Err(format!(
-                "drill kills node {} but the fleet has {} processes",
-                d.kill_node,
-                spec.node_images.len()
-            ));
-        }
-        spec.respawn = true;
-        spec.kill = Some(KillSpec {
-            rank: d.kill_node,
-            after: d.kill_after,
-        });
-    }
+    let spec = fleet_spec(scn, algo_name, drill, shm)?;
     let outcome = launch(&spec).map_err(|e| e.to_string())?;
     if outcome.results.len() != scn.images {
         return Err(format!(
@@ -149,6 +105,93 @@ pub fn fleet_digests(
     ))
 }
 
+/// The launch behind [`fleet_digests`]: this executable re-run as
+/// `--socket-child` once per occupied node, with the cell (scenario,
+/// algorithm, tier pin, drill repetitions) in the **children's**
+/// environment — argv stays fixed across the sweep, and nothing is
+/// written to this process's own environment, so one cell's settings
+/// cannot leak into the next.
+pub fn fleet_spec(
+    scn: &Scenario,
+    algo_name: &str,
+    drill: Option<&RecoverDrill>,
+    shm: Option<bool>,
+) -> Result<LaunchSpec, String> {
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot find own executable: {e}"))?
+        .to_string_lossy()
+        .into_owned();
+    let mut spec = LaunchSpec::new(vec![exe, "--socket-child".into()], &placed(scn));
+    spec.run_timeout = Duration::from_secs(120);
+    spec.child_env = vec![
+        (ENV_SCENARIO.into(), scn.name.clone()),
+        (ENV_ALGO.into(), algo_name.into()),
+    ];
+    if let Some(on) = shm {
+        let value = if on { "1" } else { "0" };
+        spec.child_env.push((shm::ENV_SHM.into(), value.into()));
+    }
+    if let Some(d) = drill {
+        if d.kill_node >= spec.node_images.len() {
+            return Err(format!(
+                "drill kills node {} but the fleet has {} processes",
+                d.kill_node,
+                spec.node_images.len()
+            ));
+        }
+        let reps = d.reps.max(1).to_string();
+        spec.child_env.push((ENV_RECOVER.into(), reps));
+        spec.respawn = true;
+        spec.kill = Some(KillSpec {
+            rank: d.kill_node,
+            after: d.kill_after,
+        });
+    }
+    Ok(spec)
+}
+
+/// The conformance digests of one cell on the simulator — the oracle
+/// every fleet column diffs against; under `chaos`, the same oracle
+/// re-derived on a perturbed schedule.
+fn sim_digests(
+    scn: &Scenario,
+    algo: CollectiveConfig,
+    chaos: Option<ChaosConfig>,
+) -> Result<Vec<u64>, String> {
+    let cfg = RunConfig {
+        machine: scn.machine.clone(),
+        images: scn.images,
+        placement: Placement::Packed,
+        fabric: FabricChoice::Sim(caf_fabric::SimConfig {
+            chaos,
+            ..caf_fabric::SimConfig::default()
+        }),
+        collectives: algo,
+    };
+    catch_unwind(AssertUnwindSafe(|| run(cfg, conformance)))
+        .map_err(|_| "sim run panicked".to_string())
+}
+
+/// A fleet column's divergence report: no shrunken chaos config, no trace
+/// window — the fleet's own report is in `detail`.
+fn failure(
+    scn: &Scenario,
+    algo_name: &str,
+    kind: &str,
+    seed: Option<u64>,
+    detail: String,
+) -> Box<Failure> {
+    Box::new(Failure {
+        scenario: scn.name.clone(),
+        algo: algo_name.to_string(),
+        kind: kind.into(),
+        seed,
+        minimal: None,
+        detail,
+        trace_window: String::new(),
+    })
+}
+
 /// Differentially check one (scenario, algorithm) cell on the socket
 /// backend: default-sim oracle vs. a real fleet, with the shared-memory
 /// tier pinned **off** so this column keeps exercising the pure wire
@@ -160,26 +203,9 @@ pub fn check_socket(
     algo_name: &str,
     algo: CollectiveConfig,
 ) -> Result<CheckReport, Box<Failure>> {
-    let fail = |detail: String| {
-        Box::new(Failure {
-            scenario: scn.name.clone(),
-            algo: algo_name.to_string(),
-            kind: "socket".into(),
-            seed: None,
-            minimal: None,
-            detail,
-            trace_window: String::new(),
-        })
-    };
-    let cfg = RunConfig {
-        machine: scn.machine.clone(),
-        images: scn.images,
-        placement: Placement::Packed,
-        fabric: FabricChoice::Sim(caf_fabric::SimConfig::default()),
-        collectives: algo,
-    };
-    let oracle = catch_unwind(AssertUnwindSafe(|| run(cfg, conformance)))
-        .map_err(|_| fail("oracle (default sim) panicked".into()))?;
+    let fail = |detail: String| failure(scn, algo_name, "socket", None, detail);
+    let oracle =
+        sim_digests(scn, algo, None).map_err(|_| fail("oracle (default sim) panicked".into()))?;
     let got: Result<Vec<u64>, String> = match fleet_digests(scn, algo_name, None, Some(false)) {
         Ok((v, _)) => Ok(v),
         Err(e) => return Err(fail(format!("fleet failed: {e}"))),
@@ -209,31 +235,8 @@ pub fn check_shm(
     algo: CollectiveConfig,
     chaos_seeds: &[u64],
 ) -> Result<CheckReport, Box<Failure>> {
-    let fail = |kind: String, seed: Option<u64>, detail: String| {
-        Box::new(Failure {
-            scenario: scn.name.clone(),
-            algo: algo_name.to_string(),
-            kind,
-            seed,
-            minimal: None,
-            detail,
-            trace_window: String::new(),
-        })
-    };
-    let sim = |chaos: Option<ChaosConfig>| {
-        let cfg = RunConfig {
-            machine: scn.machine.clone(),
-            images: scn.images,
-            placement: Placement::Packed,
-            fabric: FabricChoice::Sim(caf_fabric::SimConfig {
-                chaos,
-                ..caf_fabric::SimConfig::default()
-            }),
-            collectives: algo,
-        };
-        catch_unwind(AssertUnwindSafe(|| run(cfg, conformance)))
-            .map_err(|_| "sim run panicked".to_string())
-    };
+    let fail = |kind: String, seed, detail| failure(scn, algo_name, &kind, seed, detail);
+    let sim = |chaos| sim_digests(scn, algo, chaos);
     let mut report = CheckReport::default();
     let oracle = sim(None).map_err(|e| fail("shm oracle (default sim)".into(), None, e))?;
     report.runs += 1;
@@ -295,26 +298,9 @@ pub fn check_recover(
     drill: &RecoverDrill,
     attempts: usize,
 ) -> Result<CheckReport, Box<Failure>> {
-    let fail = |detail: String| {
-        Box::new(Failure {
-            scenario: scn.name.clone(),
-            algo: algo_name.to_string(),
-            kind: "kill-and-recover".into(),
-            seed: None,
-            minimal: None,
-            detail,
-            trace_window: String::new(),
-        })
-    };
-    let cfg = RunConfig {
-        machine: scn.machine.clone(),
-        images: scn.images,
-        placement: Placement::Packed,
-        fabric: FabricChoice::Sim(caf_fabric::SimConfig::default()),
-        collectives: algo,
-    };
-    let oracle = catch_unwind(AssertUnwindSafe(|| run(cfg, conformance)))
-        .map_err(|_| fail("oracle (default sim) panicked".into()))?;
+    let fail = |detail: String| failure(scn, algo_name, "kill-and-recover", None, detail);
+    let oracle =
+        sim_digests(scn, algo, None).map_err(|_| fail("oracle (default sim) panicked".into()))?;
     for attempt in 1..=attempts.max(1) {
         let (digests, respawns) = match fleet_digests(scn, algo_name, Some(drill), None) {
             Ok(pair) => pair,
@@ -345,50 +331,20 @@ pub fn check_recover(
     )))
 }
 
-/// Entry point for the hidden `--socket-child` mode: join the fleet
-/// described by the launcher environment, run conformance on this node's
-/// images, report digests. Returns a process exit code.
-pub fn socket_child_main() -> i32 {
-    let scn_name = match std::env::var(ENV_SCENARIO) {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("--socket-child: {ENV_SCENARIO} not set");
-            return 2;
-        }
+/// Entry point for the hidden `--socket-child` mode: be the fleet member
+/// the launcher environment describes ([`caf_launch::member`]), running
+/// conformance on this node's images. Returns the process exit code.
+pub fn socket_child_main() -> ExitCode {
+    let named =
+        |var: &str| std::env::var(var).map_err(|_| eprintln!("--socket-child: {var} not set"));
+    let (Ok(scn_name), Ok(algo_name)) = (named(ENV_SCENARIO), named(ENV_ALGO)) else {
+        return ExitCode::from(2);
     };
-    let algo_name = match std::env::var(ENV_ALGO) {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("--socket-child: {ENV_ALGO} not set");
-            return 2;
-        }
-    };
-    let (scn, algo) = match (Scenario::by_name(&scn_name), algo_by_name(&algo_name)) {
-        (Some(s), Some(a)) => (s, a),
-        _ => {
-            eprintln!("--socket-child: unknown scenario {scn_name:?} or algos {algo_name:?}");
-            return 2;
-        }
-    };
-    let env = match ChildEnv::detect() {
-        Some(env) => env,
-        None => {
-            eprintln!("--socket-child: not running under caf-launch");
-            return 2;
-        }
+    let (Some(scn), Some(algo)) = (Scenario::by_name(&scn_name), algo_by_name(&algo_name)) else {
+        eprintln!("--socket-child: unknown scenario {scn_name:?} or algos {algo_name:?}");
+        return ExitCode::from(2);
     };
     let recover_reps: Option<usize> = std::env::var(ENV_RECOVER).ok().and_then(|v| v.parse().ok());
-    let cfg = SocketConfig::from_env();
-    // A respawned incarnation carries the generation it must rejoin at.
-    let rejoining = cfg.rejoin_generation.is_some();
-    let (fabric, mut coord) = match SocketFabric::join(placed(&scn), env.node, &env.coord, cfg) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("--socket-child node {}: join failed: {e}", env.node);
-            return 1;
-        }
-    };
-    let hosted = fabric.hosted().to_vec();
     // Recovery mode: ride out a peer death (the poison panic is caught by
     // `recovering`), re-form the team — full again once the victim
     // rejoins — and restart conformance from the top. No checkpoints, so
@@ -405,32 +361,12 @@ pub fn socket_child_main() -> i32 {
             .unwrap_or_else(|e| panic!("image {} could not recover: {e}", img.this_image())),
         None => conformance(img),
     };
-    let results = if rejoining {
-        run_hosted_rejoin(fabric.clone(), &hosted, algo, body)
-    } else {
-        run_hosted(fabric.clone(), &hosted, algo, body)
-    };
-    let report: Vec<(u32, u64)> = results
-        .iter()
-        .map(|(p, digest)| (p.index() as u32, *digest))
-        .collect();
-    if let Err(e) = coord.send_done(&report) {
-        eprintln!("--socket-child node {}: report failed: {e}", env.node);
-        return 1;
-    }
-    fabric.shutdown();
-    0
+    member(ChildEnv::detect(), placed(&scn), algo, None, |_| {}, body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_images_follow_packed_placement() {
-        let plan = node_images(&placed(&Scenario::tiny()));
-        assert_eq!(plan, vec![vec![1, 2], vec![3, 4]]);
-    }
 
     #[test]
     fn scenario_and_algo_lookups_roundtrip() {

@@ -65,7 +65,7 @@ pub use socket::obs::{
     HeartbeatSnapshot, HistSnapshot, NodeTelemetry, ObsSnapshot, PeerWireSnapshot, TelemetryPhase,
 };
 pub use socket::{SocketConfig, SocketFabric};
-pub use spmd::run_spmd;
+pub use spmd::{panic_message, run_images, run_spmd};
 pub use stats::{Counter, FabricStats, StatsSnapshot};
 pub use stepper::{run_program_spmd, run_stepped, StepOp, StepProgram, SteppedReport};
 pub use thread::{ThreadConfig, ThreadFabric};

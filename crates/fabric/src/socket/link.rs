@@ -18,8 +18,8 @@ use super::pending::Reply;
 use super::route::Landing;
 use super::store::FlagCell;
 use super::wire::{
-    write_frame, Addr, Frame, FrameReader, FrameRef, Incoming, Listener, PutHead, Stream,
-    MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
+    is_timeout, write_frame, Addr, Frame, FrameReader, FrameRef, Incoming, Listener, PutHead,
+    Stream, MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
 };
 use super::{shm, SocketFabric, PEER_ALIVE, PEER_DEAD, PEER_GRACEFUL, POLL};
 use crate::am::AmOp;
@@ -98,11 +98,7 @@ impl SocketFabric {
             .spawn(move || {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                 if let Err(p) = r {
-                    let msg = p
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "socket service thread panicked".into());
+                    let msg = crate::panic_message(p.as_ref());
                     if !fab.shutting_down.load(Ordering::Acquire) {
                         fab.poison(&format!("socket fabric {name} thread: {msg}"));
                     }
@@ -871,13 +867,6 @@ fn respond(cork: &mut Cork, response: Option<Response<'_>>, is_over: bool) -> io
     Ok(left)
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// A wire-supplied index as a table index (one no table holds, where it
 /// does not fit).
 fn index(wire: u64) -> usize {
@@ -892,8 +881,9 @@ fn refused(what: impl Display, why: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::socket::rendezvous::{self, Coordinator};
     use crate::socket::wire::Transport;
-    use crate::socket::SocketConfig;
+    use crate::socket::{CoordClient, SocketConfig};
     use crate::RecoveryError;
     use caf_topology::{presets, ImageMap, Placement};
     use std::io::Write;
@@ -924,24 +914,24 @@ mod tests {
             io_timeout: Duration::from_secs(5),
             ..SocketConfig::default()
         };
-        let coord = Listener::bind(Transport::Uds).expect("bind coordinator");
+        let mut coord = Coordinator::bind(Transport::Uds, 2).expect("bind coordinator");
         let me = Listener::bind(Transport::Uds).expect("bind process 1");
-        let coord_addr = coord.local_addr().expect("coordinator addr");
+        let my_addr = me.local_addr().expect("own addr");
+        let coord_addr = coord.addr().clone();
         let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
-        let joining =
-            std::thread::spawn(move || SocketFabric::join(map, 0, &coord_addr, cfg).map(|j| j.0));
-        let mut rendezvous = coord.accept().expect("accept hello");
-        let listens = match FrameReader::new(rendezvous.try_clone().expect("clone")).next_frame() {
-            Ok((Frame::Hello { node: 0, addr, .. }, _)) => addr,
-            other => panic!("expected process 0's Hello, got {other:?}"),
-        };
-        let addrs = vec![
-            listens.clone(),
-            me.local_addr().expect("own addr").to_string(),
-        ];
-        write_frame(&mut rendezvous, &Frame::Peers { addrs }).expect("send peers");
+        let at = coord_addr.clone();
+        let joining = std::thread::spawn(move || SocketFabric::join(map, 0, &at, cfg).map(|j| j.0));
+        // The test is process 1 at the rendezvous too; its control
+        // connection may close, the test reports nothing.
+        let hello = std::thread::spawn(move || {
+            CoordClient::join(&coord_addr, 1, &my_addr, Duration::from_secs(5)).map(|j| j.1)
+        });
+        coord
+            .admit(Duration::from_secs(5), rendezvous::nap)
+            .expect("rendezvous");
+        let peers = hello.join().expect("hello thread").expect("peer list");
+        let listens = peers[0].clone();
         let dialed = me.accept().expect("process 0 dials");
-        let listens: Addr = listens.parse().expect("listen address");
         // The well-formed hello `join` waits for.
         let mut opened = Stream::connect(&listens).expect("dial process 0");
         let open = Frame::Open {

@@ -290,11 +290,8 @@ impl SocketFabric {
         coord: &Addr,
         cfg: SocketConfig,
     ) -> io::Result<(Arc<SocketFabric>, CoordClient)> {
-        let occ: Vec<NodeId> = (0..map.machine().nodes)
-            .map(NodeId)
-            .filter(|n| !map.images_on_node(*n).is_empty())
-            .collect();
-        let n_procs = occ.len();
+        let plan = map.process_plan();
+        let n_procs = plan.len();
         if node_rank >= n_procs {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -304,13 +301,14 @@ impl SocketFabric {
         let n_images = map.n_images();
         let mut proc_of_image = vec![0usize; n_images];
         let mut local_of_image = vec![0u32; n_images];
-        for (rank, node) in occ.iter().enumerate() {
-            for (local, img) in map.images_on_node(*node).iter().enumerate() {
+        for (rank, (_, images)) in plan.iter().enumerate() {
+            for (local, img) in images.iter().enumerate() {
                 proc_of_image[img.index()] = rank;
                 local_of_image[img.index()] = local as u32;
             }
         }
-        let hosted: Vec<ProcId> = map.images_on_node(occ[node_rank]).to_vec();
+        let occ: Vec<NodeId> = plan.iter().map(|(node, _)| *node).collect();
+        let hosted: Vec<ProcId> = plan[node_rank].1.to_vec();
         // All-or-nothing per fleet: mixing shm and heap segments for one
         // image would let a peer's data ops to it take different paths
         // and lose program order.
@@ -1105,7 +1103,6 @@ impl Fabric for SocketFabric {
 mod tests {
     use super::link::Response;
     use super::testing::{fleet, run_fleet};
-    use super::wire::{write_frame, FrameReader};
     use super::*;
     use crate::seg::Window;
     use caf_topology::{presets, Placement};
@@ -1557,10 +1554,7 @@ mod tests {
         }))
         .unwrap_err();
         let elapsed = t0.elapsed();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "?".into());
+        let msg = crate::panic_message(err.as_ref());
         assert!(
             msg.contains("images 3,4"),
             "failure must name the dead images: {msg}"
@@ -1682,45 +1676,18 @@ mod tests {
         };
         let m = map(2, 1, 2);
 
-        // Inline coordinator that, unlike `testing::fleet`'s, stays up for
-        // one extra Hello — the respawned incarnation re-registering.
-        let listener = Listener::bind(cfg.transport).expect("bind coordinator");
-        let coord_addr = listener.local_addr().expect("coordinator addr");
+        // The inline coordinator stays up past the rendezvous for one more
+        // Hello: the respawned incarnation re-registering.
+        let mut coord = rendezvous::Coordinator::bind(cfg.transport, 2).expect("bind coordinator");
+        let coord_addr = coord.addr().clone();
+        let io_timeout = cfg.io_timeout;
         let coord = std::thread::spawn(move || {
-            let mut conns = Vec::new();
-            let mut addrs = vec![String::new(); 2];
-            for _ in 0..2 {
-                let s = listener.accept().expect("accept");
-                let mut r = FrameReader::new(s.try_clone().expect("clone"));
-                match r.next_frame().expect("read hello") {
-                    (Frame::Hello { node, addr, magic }, _) => {
-                        assert_eq!(magic, WIRE_MAGIC);
-                        addrs[node as usize] = addr;
-                        conns.push(s);
-                    }
-                    (other, _) => panic!("expected Hello, got {other:?}"),
-                }
-            }
-            for s in conns.iter_mut() {
-                write_frame(
-                    s,
-                    &Frame::Peers {
-                        addrs: addrs.clone(),
-                    },
-                )
-                .expect("send peers");
-            }
-            // The respawned rank 1 re-registers with a fresh address.
-            let mut s = listener.accept().expect("accept rejoin");
-            let mut r = FrameReader::new(s.try_clone().expect("clone"));
-            match r.next_frame().expect("read rejoin hello") {
-                (Frame::Hello { node, addr, .. }, _) => {
-                    assert_eq!(node, 1, "only rank 1 was respawned");
-                    addrs[1] = addr;
-                }
-                (other, _) => panic!("expected rejoin Hello, got {other:?}"),
-            }
-            write_frame(&mut s, &Frame::Peers { addrs }).expect("send rejoin peers");
+            coord
+                .admit(io_timeout, rendezvous::nap)
+                .expect("rendezvous");
+            coord
+                .readmit(1, Duration::from_secs(30))
+                .expect("rank 1 re-registers");
         });
 
         let join = |rank: usize, cfg: SocketConfig| {
@@ -1954,10 +1921,7 @@ mod tests {
             });
         }))
         .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "?".into());
+        let msg = crate::panic_message(err.as_ref());
         assert!(
             msg.contains("image 2") || msg.contains("dead"),
             "shm op must fail loudly naming the dead peer, got: {msg}"

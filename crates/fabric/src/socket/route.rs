@@ -327,7 +327,7 @@ mod tests {
         fabrics[0].declare_dead(1, "route table drill");
         let dies = |route: &dyn Fn() -> Option<Tier>| {
             let panic = catch_unwind(AssertUnwindSafe(route)).expect_err("routed to a dead peer");
-            let msg = panic.downcast_ref::<String>().expect("panic message");
+            let msg = crate::panic_message(panic.as_ref());
             assert!(msg.contains("shared-memory op to a dead peer"), "{msg}");
         };
         dies(&|| from0.span(2, SEG0));

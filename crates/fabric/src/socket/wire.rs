@@ -1051,6 +1051,15 @@ impl Frame {
     }
 }
 
+/// A read (or a nonblocking accept) gave up waiting rather than failed:
+/// the caller looks at its deadline and flags, then tries again.
+pub fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Write one frame; returns the wire bytes written (for stats).
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<usize> {
     let bytes = frame.encode();

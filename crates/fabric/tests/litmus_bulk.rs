@@ -254,10 +254,7 @@ fn a_sender_severed_mid_payload_ends_in_rank_naming_poison() {
     for f in &fabrics {
         f.shutdown();
     }
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| "?".into());
+    let msg = caf_fabric::panic_message(err.as_ref());
     assert!(
         msg.contains("peer process 0 (node 0, images 1)"),
         "failure must name the dead rank: {msg}"

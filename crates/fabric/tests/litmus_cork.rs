@@ -417,11 +417,7 @@ fn sever_with_a_corked_buffer_ends_in_rank_naming_poison_not_a_hang() {
     }))
     .unwrap_err();
     let elapsed = t0.elapsed();
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "?".into());
+    let msg = caf_fabric::panic_message(err.as_ref());
     assert!(
         msg.contains("peer process 1 (node 1, images 2)"),
         "failure must name the dead rank: {msg}"

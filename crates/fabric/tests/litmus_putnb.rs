@@ -454,11 +454,7 @@ fn mixed_fleet_kill_mid_put_poisons_each_survivor_loudly() {
         }));
         let msg = match caught {
             Ok(()) => unreachable!("the put loop can only exit by panic"),
-            Err(p) => p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic".into()),
+            Err(p) => caf_fabric::panic_message(p.as_ref()),
         };
         r2.lock().unwrap().push((me.index(), msg));
     });

@@ -18,20 +18,16 @@
 //! `--shrink` instead lets the survivors re-form the team without the
 //! dead node and complete on the shrunken topology.
 
-use caf_fabric::socket::{SocketConfig, SocketFabric};
-use caf_fabric::TelemetryPhase;
-use caf_launch::{launch, ChildEnv, KillSpec, LaunchSpec, Transport};
+use caf_launch::{launch, member, ChildEnv, KillSpec, LaunchSpec, Transport};
 use caf_obs::{fleet_report_json, fleet_summary, merged_chrome_json, NodeFeed};
 use caf_runtime::{
-    recovery::ENV_CKPT_DIR, run_hosted, run_hosted_rejoin, CheckpointStore, CollectiveConfig,
-    ImageCtx, RecoveryError,
+    recovery::ENV_CKPT_DIR, CheckpointStore, CollectiveConfig, ImageCtx, RecoveryError,
 };
-use caf_topology::{presets, ImageMap, NodeId, Placement};
+use caf_topology::{presets, ImageMap, Placement};
 use caf_trace::Tracer;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 #[derive(Clone, Debug)]
 struct DemoArgs {
@@ -169,46 +165,24 @@ fn demo_map(args: &DemoArgs) -> ImageMap {
     )
 }
 
-/// Occupied nodes and their 1-based image numbers, in node order. Only
-/// occupied nodes get a process, so "node rank" below is an index into
-/// this list, not a raw machine NodeId.
-fn occupied_images(map: &ImageMap) -> Vec<Vec<usize>> {
-    (0..map.machine().nodes)
-        .map(NodeId)
-        .filter(|n| !map.images_on_node(*n).is_empty())
-        .map(|n| {
-            map.images_on_node(n)
-                .iter()
-                .map(|p| p.index() + 1)
-                .collect()
-        })
-        .collect()
-}
-
 fn demo_parent(args: &DemoArgs, raw: &[String]) -> ExitCode {
-    let map = demo_map(args);
-    let node_images = occupied_images(&map);
-    if args.tcp {
-        // Children inherit the environment, so one knob steers both the
-        // coordinator transport and every data-plane socket.
-        std::env::set_var("CAF_SOCKET_TCP", "1");
-    }
+    // Per-fleet settings reach the children through their environment.
+    let mut child_env: Vec<(String, String)> = Vec::new();
     if let Some(ms) = args.peer_timeout_ms {
-        std::env::set_var("CAF_SOCKET_PEER_TIMEOUT_MS", ms.to_string());
+        child_env.push(("CAF_SOCKET_PEER_TIMEOUT_MS".into(), ms.to_string()));
     }
     // Respawn needs a file-backed checkpoint store: a fresh incarnation
-    // must read epochs its dead predecessor wrote. The directory reaches
-    // the children through the inherited environment.
+    // must read epochs its dead predecessor wrote.
     let mut ckpt_tmp: Option<std::path::PathBuf> = None;
     if let Some(dir) = &args.ckpt_dir {
-        std::env::set_var(ENV_CKPT_DIR, dir);
+        child_env.push((ENV_CKPT_DIR.into(), dir.clone()));
     } else if args.respawn {
         let dir = std::env::temp_dir().join(format!("caf-ckpt-{}", std::process::id()));
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("caf-launch: cannot create checkpoint dir {dir:?}: {e}");
             return ExitCode::FAILURE;
         }
-        std::env::set_var(ENV_CKPT_DIR, &dir);
+        child_env.push((ENV_CKPT_DIR.into(), dir.to_string_lossy().into_owned()));
         ckpt_tmp = Some(dir);
     }
     let exe = match std::env::current_exe() {
@@ -220,8 +194,14 @@ fn demo_parent(args: &DemoArgs, raw: &[String]) -> ExitCode {
     };
     let mut command = vec![exe.to_string_lossy().into_owned(), "demo-child".into()];
     command.extend(raw.iter().cloned());
-    let mut spec = LaunchSpec::new(command, node_images);
-    spec.transport = Transport::from_env();
+    let mut spec = LaunchSpec::new(command, &demo_map(args));
+    if args.tcp {
+        // One knob steers both the coordinator transport and every
+        // data-plane socket.
+        spec.transport = Transport::Tcp;
+        child_env.push(("CAF_SOCKET_TCP".into(), "1".into()));
+    }
+    spec.child_env = child_env;
     spec.run_timeout = Duration::from_millis(args.run_timeout_ms);
     spec.kill = args.kill_node.map(|rank| KillSpec {
         rank,
@@ -325,125 +305,51 @@ fn print_fleet_summary(feeds: &[NodeFeed]) {
 }
 
 fn demo_child(args: &DemoArgs) -> ExitCode {
-    let env = match ChildEnv::detect() {
-        Some(env) => env,
-        None => {
-            eprintln!("caf-launch demo-child: not running under caf-launch");
-            return ExitCode::FAILURE;
-        }
-    };
     let map = demo_map(args);
-    let mut cfg = SocketConfig::from_env();
     // Always install a per-image tracer: with the `trace` feature it
     // records every fabric operation into per-image rings (shipped in
     // telemetry and merged by the parent); without it it's a zero-sized
     // no-op and this line costs nothing.
-    cfg.tracer = Tracer::for_images(map.n_images());
-    if let Some(ms) = args.peer_timeout_ms {
-        cfg.peer_timeout = Duration::from_millis(ms);
-        cfg.heartbeat_period = Duration::from_millis((ms / 4).max(10));
-    }
-    // A respawned incarnation carries the recovery generation it must
-    // rejoin at (CAF_GENERATION, set by the supervisor).
-    let rejoining = cfg.rejoin_generation.is_some();
-    let (fabric, coord) = match SocketFabric::join(map, env.node, &env.coord, cfg) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("caf-launch demo-child node {}: join failed: {e}", env.node);
-            return ExitCode::FAILURE;
-        }
-    };
-    // The coordinator connection is shared between this thread (final
-    // telemetry + Done) and the live-telemetry shipper.
-    let coord = Arc::new(Mutex::new(coord));
-    let stop = Arc::new(AtomicBool::new(false));
-    let live = if args.obs_interval_ms > 0 {
-        let fabric = fabric.clone();
-        let coord = coord.clone();
-        let stop = stop.clone();
-        let period = Duration::from_millis(args.obs_interval_ms);
-        Some(std::thread::spawn(move || {
-            let mut next = Instant::now() + period;
-            while !stop.load(Ordering::Acquire) {
-                if Instant::now() < next {
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-                next += period;
-                let t = fabric.node_telemetry(TelemetryPhase::Live, None);
-                if coord.lock().unwrap().send_telemetry(t.encode()).is_err() {
-                    return; // launcher gone: nobody left to tell
-                }
-            }
-        }))
-    } else {
-        None
-    };
-    let hosted = fabric.hosted().to_vec();
+    let tracer = Tracer::for_images(map.n_images());
+    let live_every = Some(args.obs_interval_ms)
+        .filter(|ms| *ms > 0)
+        .map(Duration::from_millis);
     let iters = args.iters;
     let recover = args.respawn || args.shrink;
     // One store per process, shared by its image threads; file-backed when
     // the supervisor exported CAF_CKPT_DIR (respawn), in-memory otherwise.
     let store = Arc::new(CheckpointStore::from_env());
     let every = args.ckpt_every.max(1);
-    let body = move |img: &mut ImageCtx| {
-        if recover {
-            img.recovering(MAX_RECOVERIES, |img| demo_epochs(img, &store, iters, every))
-                .unwrap_or_else(|e| panic!("image {} could not recover: {e}", img.this_image()))
-        } else {
-            let me = img.this_image() as u64;
-            let mut h: u64 = DIGEST_SEED;
-            for _ in 0..iters {
-                let mut v = [me];
-                img.co_sum(&mut v);
-                h ^= v[0];
-                h = h.wrapping_mul(DIGEST_PRIME);
-                img.sync_all();
+    member(
+        ChildEnv::detect(),
+        map,
+        CollectiveConfig::two_level(),
+        live_every,
+        |cfg| {
+            cfg.tracer = tracer;
+            if let Some(ms) = args.peer_timeout_ms {
+                cfg.peer_timeout = Duration::from_millis(ms);
+                cfg.heartbeat_period = Duration::from_millis((ms / 4).max(10));
             }
-            h
-        }
-    };
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if rejoining {
-            run_hosted_rejoin(fabric.clone(), &hosted, CollectiveConfig::two_level(), body)
-        } else {
-            run_hosted(fabric.clone(), &hosted, CollectiveConfig::two_level(), body)
-        }
-    }));
-    stop.store(true, Ordering::Release);
-    if let Some(t) = live {
-        let _ = t.join();
-    }
-    let results = match run {
-        Ok(results) => results,
-        Err(payload) => {
-            // Going down (a peer died, or our own images failed): ship the
-            // flight recorder — final counters plus the per-image trace
-            // window — to the launcher before exiting.
-            let cause = panic_message(payload.as_ref());
-            let t = fabric.node_telemetry(TelemetryPhase::FlightRecorder, Some(&cause));
-            let _ = coord.lock().unwrap().send_telemetry(t.encode());
-            eprintln!("caf-launch demo-child node {}: {cause}", env.node);
-            return ExitCode::FAILURE;
-        }
-    };
-    let report: Vec<(u32, u64)> = results
-        .iter()
-        .map(|(p, digest)| (p.index() as u32, *digest))
-        .collect();
-    let t = fabric.node_telemetry(TelemetryPhase::Final, None);
-    let mut coord = coord.lock().unwrap();
-    let _ = coord.send_telemetry(t.encode());
-    if let Err(e) = coord.send_done(&report) {
-        eprintln!(
-            "caf-launch demo-child node {}: report failed: {e}",
-            env.node
-        );
-        return ExitCode::FAILURE;
-    }
-    drop(coord);
-    fabric.shutdown();
-    ExitCode::SUCCESS
+        },
+        move |img: &mut ImageCtx| {
+            if recover {
+                img.recovering(MAX_RECOVERIES, |img| demo_epochs(img, &store, iters, every))
+                    .unwrap_or_else(|e| panic!("image {} could not recover: {e}", img.this_image()))
+            } else {
+                let me = img.this_image() as u64;
+                let mut h: u64 = DIGEST_SEED;
+                for _ in 0..iters {
+                    let mut v = [me];
+                    img.co_sum(&mut v);
+                    h ^= v[0];
+                    h = h.wrapping_mul(DIGEST_PRIME);
+                    img.sync_all();
+                }
+                h
+            }
+        },
+    )
 }
 
 /// FNV-1a offset basis / prime: the demo digest accumulator.
@@ -487,16 +393,6 @@ fn demo_epochs(
         }
     }
     Ok(h)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "image panicked".to_string()
-    }
 }
 
 fn main() -> ExitCode {

@@ -55,7 +55,6 @@ pub use team::Team;
 
 use caf_fabric::ArcFabric;
 use caf_topology::ProcId;
-use std::sync::Arc;
 
 /// Launch an SPMD run: one OS thread per image, each executing `body` with
 /// its own [`ImageCtx`]. Returns the per-image results in image order
@@ -102,7 +101,7 @@ where
     R: Send + 'static,
     B: Fn(&mut ImageCtx) -> R + Send + Sync + 'static,
 {
-    run_hosted_inner(fabric, hosted, collectives, false, body)
+    run_ctx(fabric, hosted, collectives, Entry::Fresh, body)
 }
 
 /// Like [`run_hosted`], but for a **respawned** process rejoining a
@@ -122,84 +121,7 @@ where
     R: Send + 'static,
     B: Fn(&mut ImageCtx) -> R + Send + Sync + 'static,
 {
-    run_hosted_inner(fabric, hosted, collectives, true, body)
-}
-
-fn run_hosted_inner<R, B>(
-    fabric: ArcFabric,
-    hosted: &[ProcId],
-    collectives: CollectiveConfig,
-    rejoin: bool,
-    body: B,
-) -> Vec<(ProcId, R)>
-where
-    R: Send + 'static,
-    B: Fn(&mut ImageCtx) -> R + Send + Sync + 'static,
-{
-    let body = Arc::new(body);
-    let mut handles = Vec::with_capacity(hosted.len());
-    for &p in hosted {
-        let fabric = fabric.clone();
-        let body = Arc::clone(&body);
-        let handle = std::thread::Builder::new()
-            .name(format!("image-{}", p.index() + 1))
-            .stack_size(4 * 1024 * 1024)
-            .spawn(move || {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = if rejoin {
-                        ImageCtx::rejoin(fabric.clone(), p, collectives).unwrap_or_else(|e| {
-                            panic!("image {} failed to rejoin the fleet: {e}", p.index() + 1)
-                        })
-                    } else {
-                        ImageCtx::new(fabric.clone(), p, collectives)
-                    };
-                    let out = body(&mut ctx);
-                    ctx.finalize();
-                    out
-                }));
-                match run {
-                    Ok(out) => out,
-                    Err(payload) => {
-                        // Fail the whole team loudly instead of hanging peers.
-                        fabric.poison(&format!("image {} panicked", p.index() + 1));
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            })
-            .expect("spawn image thread");
-        handles.push((p, handle));
-    }
-    let mut results = Vec::with_capacity(hosted.len());
-    let mut first_panic: Option<String> = None;
-    for (p, h) in handles {
-        match h.join() {
-            Ok(r) => results.push((p, r)),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                if first_panic.is_none() {
-                    first_panic = Some(format!("image {} panicked: {msg}", p.index() + 1));
-                }
-            }
-        }
-    }
-    if let Some(msg) = first_panic {
-        // Flight recorder: spill this process's telemetry (counters, wire
-        // probes, trace window) before taking the process down, so the
-        // supervisor can reconstruct what the node saw even when the
-        // control connection never gets the frame out.
-        spill_telemetry(
-            &fabric,
-            caf_fabric::TelemetryPhase::FlightRecorder,
-            Some(&msg),
-        );
-        panic!("{msg}");
-    }
-    spill_telemetry(&fabric, caf_fabric::TelemetryPhase::Final, None);
-    results
+    run_ctx(fabric, hosted, collectives, Entry::Rejoin, body)
 }
 
 /// Like [`run_on_fabric`], but for recovery-aware programs on a fabric
@@ -221,67 +143,77 @@ where
     R: Send + 'static,
     B: Fn(&mut ImageCtx) -> R + Send + Sync + 'static,
 {
-    let body = Arc::new(body);
-    let mut handles = Vec::with_capacity(fabric.n_images());
-    for i in 0..fabric.n_images() {
-        let p = ProcId(i);
-        let fabric = fabric.clone();
-        let body = Arc::clone(&body);
-        let handle = std::thread::Builder::new()
-            .name(format!("image-{}", i + 1))
-            .stack_size(4 * 1024 * 1024)
-            .spawn(move || {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = ImageCtx::new(fabric.clone(), p, collectives);
-                    let out = body(&mut ctx);
-                    ctx.finalize();
-                    out
-                }));
-                match run {
-                    Ok(out) => out,
-                    Err(payload) => {
-                        // A fabric-killed image's unwind is the *expected*
-                        // path; poisoning here would re-poison a fabric the
-                        // survivors may already have healed.
-                        if fabric.alive_images().contains(&p) {
-                            fabric.poison(&format!("image {} panicked", i + 1));
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            })
-            .expect("spawn image thread");
-        handles.push((p, handle));
-    }
-    let mut results = Vec::with_capacity(handles.len());
-    let mut first_panic: Option<String> = None;
-    for (p, h) in handles {
-        match h.join() {
-            Ok(r) => results.push((p.index() + 1, r)),
-            Err(payload) => {
-                if !fabric.alive_images().contains(&p) {
-                    continue; // the fabric retired this image; survivors carried on
-                }
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                if first_panic.is_none() {
-                    first_panic = Some(format!("image {} panicked: {msg}", p.index() + 1));
-                }
-            }
+    let all: Vec<ProcId> = (0..fabric.n_images()).map(ProcId).collect();
+    run_ctx(fabric, &all, collectives, Entry::Surviving, body)
+        .into_iter()
+        .map(|(p, r)| (p.index() + 1, r))
+        .collect()
+}
+
+/// How the image threads of one [`run_ctx`] come up and go down.
+#[derive(Clone, Copy, PartialEq)]
+enum Entry {
+    /// First launch: the initial-team bootstrap.
+    Fresh,
+    /// A respawned process: [`ImageCtx::rejoin`].
+    Rejoin,
+    /// First launch on a fabric that may retire images mid-run.
+    Surviving,
+}
+
+/// The `run*` family: [`caf_fabric::run_images`] with Fortran numbering
+/// around an [`ImageCtx`] per image, plus this process's telemetry spill
+/// on the way out.
+fn run_ctx<R, B>(
+    fabric: ArcFabric,
+    images: &[ProcId],
+    collectives: CollectiveConfig,
+    entry: Entry,
+    body: B,
+) -> Vec<(ProcId, R)>
+where
+    R: Send,
+    B: Fn(&mut ImageCtx) -> R + Sync,
+{
+    let run = caf_fabric::run_images(
+        images,
+        1,
+        |why| fabric.poison(why),
+        // A fabric-killed image's unwind is the *expected* path; poisoning
+        // there would re-poison a fabric the survivors may already have
+        // healed.
+        |p| entry == Entry::Surviving && !fabric.alive_images().contains(&p),
+        |p| {
+            let mut ctx = if entry == Entry::Rejoin {
+                ImageCtx::rejoin(fabric.clone(), p, collectives).unwrap_or_else(|e| {
+                    panic!("image {} failed to rejoin the fleet: {e}", p.index() + 1)
+                })
+            } else {
+                ImageCtx::new(fabric.clone(), p, collectives)
+            };
+            let out = body(&mut ctx);
+            ctx.finalize();
+            out
+        },
+    );
+    match run {
+        Ok(results) => {
+            spill_telemetry(&fabric, caf_fabric::TelemetryPhase::Final, None);
+            results
+        }
+        Err(msg) => {
+            // Flight recorder: spill this process's telemetry (counters,
+            // wire probes, trace window) before taking the process down,
+            // so the supervisor can reconstruct what the node saw even
+            // when the control connection never gets the frame out.
+            spill_telemetry(
+                &fabric,
+                caf_fabric::TelemetryPhase::FlightRecorder,
+                Some(&msg),
+            );
+            panic!("{msg}");
         }
     }
-    if let Some(msg) = first_panic {
-        spill_telemetry(
-            &fabric,
-            caf_fabric::TelemetryPhase::FlightRecorder,
-            Some(&msg),
-        );
-        panic!("{msg}");
-    }
-    results
 }
 
 /// If `CAF_TRACE_DIR` is set and the fabric produces process telemetry

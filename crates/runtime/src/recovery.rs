@@ -218,12 +218,7 @@ pub(crate) fn panic_to_recovery(
     if let Err(e) = fabric.health() {
         return e;
     }
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    RecoveryError::Poisoned(msg)
+    RecoveryError::Poisoned(caf_fabric::panic_message(payload.as_ref()))
 }
 
 #[cfg(test)]

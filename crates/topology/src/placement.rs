@@ -174,6 +174,20 @@ impl ImageMap {
         self.node_members.iter().filter(|m| !m.is_empty()).count()
     }
 
+    /// The process plan of a one-process-per-node fleet: each occupied
+    /// node with the images it hosts, in node order — the index into this
+    /// list is the **process rank**. The socket fabric, the launcher's
+    /// death reports and the test fleets all read who hosts what from
+    /// here, so they cannot disagree.
+    pub fn process_plan(&self) -> Vec<(NodeId, &[ProcId])> {
+        self.node_members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !m.is_empty())
+            .map(|(n, m)| (NodeId(n), m.as_slice()))
+            .collect()
+    }
+
     /// Largest number of images sharing one node.
     pub fn max_images_per_node(&self) -> usize {
         self.node_members.iter().map(Vec::len).max().unwrap_or(0)
@@ -260,6 +274,21 @@ mod tests {
             &(8..16).map(ProcId).collect::<Vec<_>>()[..],
             "node members must be sorted by rank"
         );
+    }
+
+    #[test]
+    fn process_plan_ranks_only_occupied_nodes() {
+        // whale has 8 cores per node: images on nodes 2 and 0, node 1 empty.
+        let m = ImageMap::new(whale(), 3, &Placement::Custom(vec![16, 0, 17]));
+        assert_eq!(
+            m.process_plan(),
+            vec![
+                (NodeId(0), &[ProcId(1)][..]),
+                (NodeId(2), &[ProcId(0), ProcId(2)][..]),
+            ],
+            "rank 0 = node 0, rank 1 = node 2; the empty node gets no rank"
+        );
+        assert_eq!(m.occupied_nodes(), 2);
     }
 
     #[test]

@@ -155,12 +155,7 @@ fn deadlock_report_includes_recent_trace_events() {
     let mut messages = Vec::new();
     for h in handles {
         let err = h.join().expect_err("deadlock must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a message");
-        messages.push(msg);
+        messages.push(caf_fabric::panic_message(err.as_ref()));
     }
     for msg in &messages {
         assert!(msg.contains("deadlock"), "{msg}");

@@ -1,0 +1,90 @@
+//! The fleet lifecycle is written once: this scan of `crates/**/*.rs`
+//! fails when a second copy of one of its pieces appears — a rendezvous
+//! coordinator outside `socket/rendezvous.rs`, a panic-payload reader
+//! beside `caf_fabric::panic_message`, a thread spawner for images beside
+//! `caf_fabric::run_images`, or a parent that talks to its children by
+//! editing its own environment instead of `LaunchSpec::child_env`.
+
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, with its text.
+fn sources(dir: &Path, out: &mut Vec<(PathBuf, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            out.push((path, text));
+        }
+    }
+}
+
+/// Files (relative to `crates/`) in which `needle` occurs, once per hit.
+fn hits<'a>(files: &'a [(PathBuf, String)], needle: &str, in_tests_too: bool) -> Vec<&'a str> {
+    let mut found = Vec::new();
+    for (path, text) in files {
+        // A file's own test module starts at its first `#[cfg(test)]`.
+        let scanned = match text.find("\n#[cfg(test)]") {
+            Some(at) if !in_tests_too => &text[..at],
+            _ => text,
+        };
+        let name = path.to_str().unwrap().split("/crates/").nth(1).unwrap();
+        found.extend(scanned.matches(needle).map(|_| name));
+    }
+    found.sort_unstable();
+    found
+}
+
+#[test]
+fn each_piece_of_the_fleet_lifecycle_has_one_home() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+    assert!(files.len() > 100, "the scan found {} files", files.len());
+
+    // Only the coordinator answers a Hello (and only the codec and its
+    // round-trip test know the frame besides) — unit tests included.
+    let peers: Vec<&str> = hits(&files, "Frame::Peers {", true)
+        .into_iter()
+        .filter(|f| !f.starts_with("fabric/src/socket/rendezvous.rs"))
+        .filter(|f| !f.starts_with("fabric/src/socket/wire.rs"))
+        .collect();
+    assert!(
+        peers.is_empty(),
+        "use socket::rendezvous::Coordinator, not a hand-rolled one: {peers:?}"
+    );
+
+    // One reader of panic payloads, for sources and tests alike.
+    assert_eq!(
+        hits(&files, "downcast_ref::<String>", true),
+        ["fabric/src/spmd.rs"],
+        "use caf_fabric::panic_message"
+    );
+
+    // Image threads come from run_images; the other two spawners are the
+    // socket fabric's service threads and the obs HTTP server.
+    assert_eq!(
+        hits(&files, "thread::Builder", false),
+        [
+            "fabric/src/socket/link.rs",
+            "fabric/src/spmd.rs",
+            "obs/src/server.rs"
+        ],
+        "use caf_fabric::run_images (or a front of it) for image threads"
+    );
+
+    // No library or binary edits its own environment; a file's unit tests
+    // and the integration tests (outside src/) may.
+    for call in ["env::set_var", "env::remove_var"] {
+        let editors: Vec<&str> = hits(&files, call, false)
+            .into_iter()
+            .filter(|f| f.contains("/src/"))
+            .collect();
+        assert!(
+            editors.is_empty(),
+            "{call} above the test module of {editors:?}: \
+             hand children their settings in LaunchSpec::child_env"
+        );
+    }
+}
