@@ -22,6 +22,13 @@
 //! write+read against a per-byte atomic loop kept here as the reference;
 //! the word-wise routine must be at least 2.5x faster, asserted in-bench).
 //!
+//! The 8 B **stream** rows (`*_stream_wall`) are the issue cost of the pair
+//! every collective is built from: ns per `put_nb` + `flag_add` issued in
+//! a chunk that `quiet` and the receiver's echo close, on `ThreadFabric`,
+//! between two images of one socket process (`socket_own`), through a
+//! mapped peer (`socket_shm`) and over the wire (`socket_wire`) — printed
+//! beside `model_shm_virt`, the cost model's word on the same message.
+//!
 //! Results go to `BENCH_pingpong.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
@@ -162,16 +169,51 @@ fn get_image(f: &dyn Fabric, me: ProcId, bytes: usize, iters: u64) -> f64 {
     best
 }
 
+/// Image `me`'s half of a one-way stream: image 0 issues `msgs` times
+/// `put_nb` of `bytes` + `flag_add` to image 1, `quiet`s, and waits for
+/// image 1's echo, which image 1 sends once its flag counts the whole
+/// chunk. Image 0 returns wall-clock ns per message, best chunk (a first,
+/// untimed chunk warms up).
+fn stream_image(f: &dyn Fabric, me: ProcId, bytes: usize, msgs: u64) -> f64 {
+    const SLOTS: u64 = 512;
+    let seg = f.alloc_segment(me, bytes * SLOTS as usize);
+    bootstrap::control_barrier(f, me, &mut 0);
+    let (data, echo) = (FlagId(2), FlagId(3));
+    let payload = vec![0xA5u8; bytes];
+    let peer = ProcId(1 - me.index());
+    let mut best = f64::INFINITY;
+    for chunk in 1..=(1 + CHUNKS) {
+        if me == ProcId(0) {
+            let t0 = Instant::now();
+            for j in 0..msgs {
+                f.put_nb(me, peer, seg, bytes * (j % SLOTS) as usize, &payload);
+                f.flag_add(me, peer, data, 1);
+            }
+            f.quiet(me);
+            f.flag_wait_ge(me, echo, chunk);
+            if chunk > 1 {
+                best = best.min(t0.elapsed().as_secs_f64() * 1e9 / msgs as f64);
+            }
+        } else {
+            f.flag_wait_ge(me, data, chunk * msgs);
+            f.flag_add(me, peer, echo, 1);
+        }
+    }
+    f.image_done(me);
+    best
+}
+
 type ImageBody = fn(&dyn Fabric, ProcId, usize, u64) -> f64;
 
-/// Run `body` on a real two-process-worth socket fleet (two in-process
-/// `SocketFabric`s, one per node of the map, on this host) and return
-/// image 0's measurement. With `shm` on, both sides map each other's
-/// shared segment and a put or get is memcpy + atomics; with `shm` off
-/// the identical program pays the full frame protocol over loopback
-/// sockets.
-fn on_socket_fleet(shm: bool, body: ImageBody, bytes: usize, iters: u64) -> f64 {
-    let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
+/// Run `body` on a real socket fleet of `nodes` processes' worth of
+/// in-process `SocketFabric`s on this host, two images in all, and return
+/// image 0's measurement. On two nodes with `shm` on, both sides map each
+/// other's shared segment and a put or get is memcpy + atomics; with `shm`
+/// off the identical program pays the full frame protocol over loopback
+/// sockets. On one node the images are siblings in a single process and no
+/// op leaves it.
+fn on_socket_fleet(nodes: usize, shm: bool, body: ImageBody, bytes: usize, iters: u64) -> f64 {
+    let map = ImageMap::new(presets::mini(nodes, 2 / nodes), 2, &Placement::Packed);
     let cfg = SocketConfig {
         io_timeout: Duration::from_secs(30),
         flag_wait_timeout: Duration::from_secs(30),
@@ -191,16 +233,16 @@ fn on_socket_fleet(shm: bool, body: ImageBody, bytes: usize, iters: u64) -> f64 
     v
 }
 
-/// The put ping-pong between two image threads of one `ThreadFabric`:
-/// no process boundary, no wire — `SharedBytes` and flags only.
-fn thread_pingpong(bytes: usize, iters: u64) -> f64 {
+/// `body` between two image threads of one `ThreadFabric`: no process
+/// boundary, no wire — `SharedBytes` and flags only.
+fn on_thread_fabric(body: ImageBody, bytes: usize, iters: u64) -> f64 {
     let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
     let fabric = ThreadFabric::new(map, ThreadConfig::default());
     let f = fabric.clone();
     let out = Arc::new(Mutex::new(0f64));
     let o2 = out.clone();
     run_spmd(fabric, move |me| {
-        let v = pingpong_image(&*f, me, bytes, iters);
+        let v = body(&*f, me, bytes, iters);
         if me == ProcId(0) {
             *o2.lock() = v;
         }
@@ -270,8 +312,8 @@ fn main() {
         let intra = pingpong(1, 2, bytes, 20);
         let inter = pingpong(2, 1, bytes, 20);
         let model_shm = (cost.shm_put_latency_ns() + cost.shm_payload_ns(bytes)) as f64;
-        let shm_wall = on_socket_fleet(true, pingpong_image, bytes, rounds);
-        let wire_wall = on_socket_fleet(false, pingpong_image, bytes, rounds);
+        let shm_wall = on_socket_fleet(2, true, pingpong_image, bytes, rounds);
+        let wire_wall = on_socket_fleet(2, false, pingpong_image, bytes, rounds);
         let ratio = wire_wall / shm_wall;
         if bytes == 8 {
             ratio_8b = ratio;
@@ -321,9 +363,9 @@ fn main() {
     );
     for &bytes in &BULK {
         let rounds = if bytes >= 1 << 20 { iters / 8 } else { iters }.max(8);
-        let thread = thread_pingpong(bytes, rounds);
-        let shm_get = on_socket_fleet(true, get_image, bytes, rounds);
-        let wire_get = on_socket_fleet(false, get_image, bytes, rounds);
+        let thread = on_thread_fabric(pingpong_image, bytes, rounds);
+        let shm_get = on_socket_fleet(2, true, get_image, bytes, rounds);
+        let wire_get = on_socket_fleet(2, false, get_image, bytes, rounds);
         for (op, algo, ns) in [
             ("pingpong", "thread_wall", thread),
             ("get", "socket_shm_get_wall", shm_get),
@@ -349,6 +391,50 @@ fn main() {
             format!("{:.2}", wire_get / 1000.0),
         ]);
     }
+    let msgs = 20 * iters;
+    let streams = [
+        (
+            "thread_stream_wall",
+            on_thread_fabric(stream_image, 8, msgs),
+        ),
+        (
+            "socket_own_stream_wall",
+            on_socket_fleet(1, false, stream_image, 8, msgs),
+        ),
+        (
+            "socket_shm_stream_wall",
+            on_socket_fleet(2, true, stream_image, 8, msgs),
+        ),
+        (
+            "socket_wire_stream_wall",
+            on_socket_fleet(2, false, stream_image, 8, msgs),
+        ),
+    ];
+    let mut stream = Table::new(
+        "EXP-P1 (stream): 8 B put_nb + flag_add, ns per message issued (chunk closed by quiet + \
+         echo), wall clock on this host"
+            .to_string(),
+        &[
+            "thread",
+            "socket own",
+            "socket shm",
+            "socket wire",
+            "model shm",
+        ],
+    );
+    let model_shm_8 = (cost.shm_put_latency_ns() + cost.shm_payload_ns(8)) as f64;
+    let measured = streams.iter().map(|(_, ns)| *ns);
+    let cells: Vec<String> = (measured.chain([model_shm_8]).map(|ns| format!("{ns:.1}"))).collect();
+    stream.row(&cells);
+    stream.note("model shm = model_shm_virt at 8 B: what the cost model charges the same message");
+    stream.print();
+    recs.extend(streams.map(|(algo, ns)| Rec {
+        op: "stream",
+        bytes: 8,
+        algo: algo.to_string(),
+        ns,
+    }));
+
     let (word_wise, per_byte) = copy_routine_vs_per_byte(if quick_mode() { 20 } else { 100 });
     for (algo, ns) in [
         ("shared_bytes_wall", word_wise),

@@ -1,6 +1,9 @@
 //! Segment/flag handles shared by every fabric implementation, plus the
-//! relaxed-atomic segment storage of the real-memory fabrics and the one
-//! copy routine all of them move payload bytes with.
+//! relaxed-atomic segment storage of the real-memory fabrics, the one
+//! copy routine all of them move payload bytes with, and the tables both
+//! of them keep their windows and flag cells in (`Tables`: read through
+//! per-thread views, so that reaching intranode memory costs one
+//! generation load — no lock, no shared reference count).
 //!
 //! # Memory model
 //!
@@ -25,12 +28,15 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::socket::shm::ShmWindow;
-use crossbeam::utils::Backoff;
-use parking_lot::{Condvar, Mutex};
+use crate::socket::shm::{PeerShm, ShmFlag, ShmWindow};
+use caf_topology::ProcId;
+use crossbeam::utils::{Backoff, CachePadded};
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Handle to one segment of one image's memory.
@@ -109,12 +115,16 @@ impl FlagWaiters {
 
     /// Wait — adaptive spin, then park — until `cell` reaches `at_least`
     /// (acquire: the bumps' payloads are visible on return). `check` runs
-    /// every round the flag is still short and panics to abandon the wait.
-    pub(crate) fn wait_ge(&self, cell: &AtomicU64, at_least: u64, mut check: impl FnMut()) {
+    /// every round the flag is still short and panics to abandon the wait;
+    /// it is told when a clock read is due — on the first miss, then once
+    /// per park and every 64th spin — so a wait that is already satisfied,
+    /// or is satisfied within the spin phase, never reads the clock.
+    pub(crate) fn wait_ge(&self, cell: &AtomicU64, at_least: u64, mut check: impl FnMut(bool)) {
         let backoff = Backoff::new();
+        let mut spins = 0u32;
         while cell.load(Ordering::Acquire) < at_least {
-            check();
             if backoff.is_completed() {
+                check(true);
                 // Park with a timeout: a lost wakeup (adder saw parked == 0
                 // just before we registered) resolves within one tick.
                 self.parked.fetch_add(1, Ordering::SeqCst);
@@ -125,6 +135,8 @@ impl FlagWaiters {
                 drop(g);
                 self.parked.fetch_sub(1, Ordering::SeqCst);
             } else {
+                check(spins.is_multiple_of(64));
+                spins += 1;
                 backoff.snooze();
             }
         }
@@ -343,6 +355,21 @@ pub(crate) enum Amo {
     Cas { expected: u64, new: u64 },
 }
 
+impl Amo {
+    /// Apply to `cell`; returns the value found there.
+    #[inline]
+    fn apply(self, cell: &AtomicU64) -> u64 {
+        match self {
+            Amo::Add(delta) => cell.fetch_add(delta, Ordering::AcqRel),
+            Amo::Cas { expected, new } => {
+                match cell.compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(v) | Err(v) => v,
+                }
+            }
+        }
+    }
+}
+
 /// One segment's storage as the fabrics address it: heap bytes, or a
 /// window into a shared mapping (this process's own, or a same-host
 /// peer's). The API and panic contract are those of [`SharedBytes`].
@@ -390,15 +417,7 @@ impl Window {
     /// so atomicity holds across the own-process, mapped and wire paths.
     #[inline]
     pub(crate) fn amo(&self, offset: usize, amo: Amo) -> u64 {
-        let cell = self.as_atomic_u64(offset);
-        match amo {
-            Amo::Add(delta) => cell.fetch_add(delta, Ordering::AcqRel),
-            Amo::Cas { expected, new } => {
-                match cell.compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(v) | Err(v) => v,
-                }
-            }
-        }
+        amo.apply(self.as_atomic_u64(offset))
     }
 
     /// Check an `access` of `len` bytes at `off` against the window
@@ -425,6 +444,399 @@ impl Window {
         Err(format!(
             "{what} at offset {off} exceeds segment of {size} bytes"
         ))
+    }
+}
+
+/// A window as a direct op holds it for the length of one access. Either
+/// way it comes out of the issuing thread's view of the [`Tables`], so
+/// taking one and dropping it touches no shared reference count.
+pub(crate) enum Span {
+    /// An entry of a hosted image's table.
+    Own(Rc<Window>),
+    /// A published window of a same-host peer, as its directory describes
+    /// it at this op, through the thread's handle on the peer's mapping.
+    Mapped(ShmWindow<Rc<PeerShm>>),
+}
+
+impl Span {
+    #[inline]
+    pub(crate) fn write(&self, offset: usize, src: &[u8]) {
+        match self {
+            Span::Own(w) => w.write(offset, src),
+            Span::Mapped(w) => w.write(offset, src),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn read(&self, offset: usize, dst: &mut [u8]) {
+        match self {
+            Span::Own(w) => w.read(offset, dst),
+            Span::Mapped(w) => w.read(offset, dst),
+        }
+    }
+
+    /// See [`Window::amo`].
+    #[inline]
+    pub(crate) fn amo(&self, offset: usize, amo: Amo) -> u64 {
+        amo.apply(match self {
+            Span::Own(w) => w.as_atomic_u64(offset),
+            Span::Mapped(w) => w.as_atomic_u64(offset),
+        })
+    }
+}
+
+/// One sync flag's cell: heap, or a slot in a shared flag table (this
+/// process's own, or a same-host peer's) where mappers bump it without a
+/// frame.
+#[derive(Clone)]
+pub(crate) enum FlagCell {
+    Heap(Arc<CachePadded<AtomicU64>>),
+    Shm(ShmFlag),
+}
+
+impl FlagCell {
+    pub(crate) fn heap() -> Self {
+        FlagCell::Heap(Arc::new(CachePadded::new(AtomicU64::new(0))))
+    }
+
+    #[inline]
+    pub(crate) fn cell(&self) -> &AtomicU64 {
+        match self {
+            FlagCell::Heap(c) => c,
+            FlagCell::Shm(f) => f.cell(),
+        }
+    }
+}
+
+/// A value that moves rarely — at an allocation, a recovery reset, a
+/// rejoin — and is looked at by every op: writers and a reader's first
+/// look go through the lock; after that a reader keeps what it found with
+/// the generation it found it at, and one acquire-load of the generation
+/// tells it whether that still stands.
+///
+/// Every change bumps the generation under the write lock, and a reader
+/// loads the generation *before* it takes the read lock to (re)fill. So
+/// what a reader keeps under generation `g` was read after `g` was
+/// current, and any later change moves the generation past `g`: a stale
+/// entry can be *kept*, never *used* by a reader that the change
+/// happens-before. (A reader the change races with could as well have won
+/// the lock before it; the recovery fence exists so that nobody is.)
+struct Versioned<T> {
+    gen: AtomicU64,
+    value: RwLock<T>,
+}
+
+impl<T> Versioned<T> {
+    fn new(value: T) -> Self {
+        Self {
+            // A fresh view holds generation 0: its first look always fills.
+            gen: AtomicU64::new(1),
+            value: RwLock::new(value),
+        }
+    }
+
+    fn update<R>(&self, change: impl FnOnce(&mut T) -> R) -> R {
+        let mut value = self.value.write();
+        self.gen.fetch_add(1, Ordering::Release);
+        change(&mut value)
+    }
+}
+
+#[derive(Default)]
+struct Entries {
+    segs: Vec<Window>,
+    flags: Vec<FlagCell>,
+}
+
+/// One hosted image's windows and flag cells.
+pub(crate) struct ImageTables {
+    /// Index among the images hosted with it: the image's slot in a
+    /// shared segment's tables.
+    local: usize,
+    entries: Versioned<Entries>,
+}
+
+impl ImageTables {
+    pub(crate) fn local(&self) -> usize {
+        self.local
+    }
+
+    /// Append the window `make` builds for the id it is given.
+    pub(crate) fn push_segment(&self, make: impl FnOnce(usize) -> Window) -> SegmentId {
+        self.entries.update(|e| {
+            let id = e.segs.len();
+            e.segs.push(make(id));
+            SegmentId(id)
+        })
+    }
+
+    /// Append `count` flag cells, each as `make` builds it for its id;
+    /// returns the first.
+    pub(crate) fn push_flags(&self, count: usize, make: impl FnMut(usize) -> FlagCell) -> FlagId {
+        self.entries.update(|e| {
+            let id = e.flags.len();
+            e.flags.extend((id..id + count).map(make));
+            FlagId(id)
+        })
+    }
+}
+
+/// The per-image tables of a real-memory fabric — [`ThreadFabric`]'s for
+/// every image, a socket process's for the images it hosts — plus, for the
+/// latter, the mapped segments of its same-host peers: everything a direct
+/// op resolves its target through.
+///
+/// All of it is read through the issuing thread's [`View`]: in steady
+/// state, reaching a window, a flag cell or a peer's mapping costs one
+/// generation load ([`Versioned`]) and no lock, and nothing on the way
+/// touches a shared reference count.
+///
+/// [`ThreadFabric`]: crate::ThreadFabric
+pub(crate) struct Tables {
+    /// What a view of these tables watches to learn they are gone, and is
+    /// told from other tables' views by: a `Weak` keeps the allocation, so
+    /// its address is not reused while any view of it exists.
+    alive: Arc<()>,
+    /// Per global image; `Some` for the images hosted here.
+    images: Vec<Option<ImageTables>>,
+    /// Per process rank: the peer's mapped segment, once it announced one.
+    peers: Vec<Versioned<Option<PeerShm>>>,
+}
+
+/// One thread's view of one [`Tables`]: the entries it has resolved, each
+/// group under the generation it was read at.
+struct View {
+    /// The viewed tables' `alive`.
+    of: Weak<()>,
+    images: Vec<ImageView>,
+    peers: Vec<PeerView>,
+}
+
+#[derive(Default)]
+struct ImageView {
+    gen: u64,
+    segs: Vec<Option<Rc<Window>>>,
+    flags: Vec<Option<Rc<FlagCell>>>,
+}
+
+#[derive(Default)]
+struct PeerView {
+    gen: u64,
+    /// `None`: the peer has no mapped segment (as of `gen`).
+    shm: Option<Rc<PeerShm>>,
+}
+
+thread_local! {
+    /// This thread's views, one per [`Tables`] it resolved something
+    /// through. A view holds counted references to windows and mappings,
+    /// so it is dropped — with the thread at the latest — the next time
+    /// the thread builds a view after its tables are gone; a segment
+    /// *file* never waits for that (its owner's `NodeShm` unlinks it).
+    static VIEWS: RefCell<Vec<View>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Entry `at` through `cache`, looked up with `table` the first time.
+///
+/// The hit is forced inline and the rest kept out of line, here and in
+/// the callers up to the fabrics' ops (which live in other codegen
+/// units): left to hints, the resolver stayed a chain of calls returning
+/// `Result`s through memory, and a tenth of an own-tier op's time.
+#[inline(always)]
+fn cached<T: Clone>(
+    cache: &mut Vec<Option<Rc<T>>>,
+    table: impl FnOnce() -> Result<T, String>,
+    at: usize,
+) -> Result<Rc<T>, String> {
+    match cache.get(at) {
+        Some(Some(hit)) => Ok(hit.clone()),
+        _ => fill(cache, table, at),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn fill<T: Clone>(
+    cache: &mut Vec<Option<Rc<T>>>,
+    table: impl FnOnce() -> Result<T, String>,
+    at: usize,
+) -> Result<Rc<T>, String> {
+    // Looked up before the cache grows: `at` may be wire-supplied.
+    let found = Rc::new(table()?);
+    if cache.len() <= at {
+        cache.resize(at + 1, None);
+    }
+    cache[at] = Some(found.clone());
+    Ok(found)
+}
+
+/// Entry `at` of one of image `img`'s tables; `id` names it in the
+/// refusal, as a `SegmentId` or `FlagId` prints.
+fn entry<T: Clone>(table: &[T], img: usize, at: usize, id: impl fmt::Debug) -> Result<T, String> {
+    let missing = || format!("image {img} has no {id:?} (out of {})", table.len());
+    table.get(at).cloned().ok_or_else(missing)
+}
+
+/// One image's tables as a thread holds them for a run of lookups
+/// ([`Tables::with_image`]): its view of them, current, and the tables
+/// behind it for what the view does not have yet.
+pub(crate) struct Held<'a> {
+    img: usize,
+    seen: &'a mut ImageView,
+    entries: &'a Versioned<Entries>,
+}
+
+impl Held<'_> {
+    /// The image's window `seg`.
+    #[inline(always)]
+    pub(crate) fn window(&mut self, seg: usize) -> Result<Rc<Window>, String> {
+        let (img, entries) = (self.img, self.entries);
+        let table = || entry(&entries.value.read().segs, img, seg, SegmentId(seg));
+        cached(&mut self.seen.segs, table, seg)
+    }
+
+    /// The image's flag cell `flag`.
+    #[inline(always)]
+    pub(crate) fn flag(&mut self, flag: usize) -> Result<Rc<FlagCell>, String> {
+        let (img, entries) = (self.img, self.entries);
+        let table = || entry(&entries.value.read().flags, img, flag, FlagId(flag));
+        cached(&mut self.seen.flags, table, flag)
+    }
+}
+
+impl Tables {
+    /// Empty tables for the images `hosted` (in the order of their slots)
+    /// out of `n_images`, and `n_peers` unmapped peer slots.
+    pub(crate) fn new(n_images: usize, hosted: &[ProcId], n_peers: usize) -> Tables {
+        let mut images: Vec<Option<ImageTables>> = (0..n_images).map(|_| None).collect();
+        for (local, img) in hosted.iter().enumerate() {
+            images[img.index()] = Some(ImageTables {
+                local,
+                entries: Versioned::new(Entries::default()),
+            });
+        }
+        Tables {
+            alive: Arc::new(()),
+            images,
+            peers: (0..n_peers).map(|_| Versioned::new(None)).collect(),
+        }
+    }
+
+    /// Image `img`'s tables; a refusal, never a panic, for one not hosted
+    /// here (the index may be wire-supplied).
+    #[inline]
+    pub(crate) fn image(&self, img: usize) -> Result<&ImageTables, String> {
+        (self.images.get(img).and_then(Option::as_ref))
+            .ok_or_else(|| format!("image {img} is not hosted by this process"))
+    }
+
+    pub(crate) fn hosted(&self) -> impl Iterator<Item = &ImageTables> {
+        self.images.iter().flatten()
+    }
+
+    /// Run `f` on this thread's view of these tables, building it on first
+    /// use — which is also when the thread lets go of views whose tables
+    /// are gone.
+    #[inline(always)]
+    fn with_view<R>(&self, f: impl FnOnce(&mut View) -> R) -> R {
+        VIEWS.with_borrow_mut(|views| {
+            let me = Arc::as_ptr(&self.alive);
+            let at = match views.iter().position(|v| std::ptr::eq(v.of.as_ptr(), me)) {
+                Some(at) => at,
+                None => self.build_view(views),
+            };
+            f(&mut views[at])
+        })
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn build_view(&self, views: &mut Vec<View>) -> usize {
+        views.retain(|v| v.of.strong_count() > 0);
+        let mut view = View {
+            of: Arc::downgrade(&self.alive),
+            images: Vec::new(),
+            peers: Vec::new(),
+        };
+        view.images
+            .resize_with(self.images.len(), ImageView::default);
+        view.peers.resize_with(self.peers.len(), PeerView::default);
+        views.push(view);
+        views.len() - 1
+    }
+
+    /// Run `f` with this thread's view of image `img` in hand — emptied
+    /// first if the image's tables have changed since it was filled — for
+    /// as many lookups as `f` makes: a batch pays for the way there once.
+    /// `f` may not come back to these tables any other way (the thread's
+    /// views are borrowed while it runs).
+    #[inline(always)]
+    pub(crate) fn with_image<R>(
+        &self,
+        img: usize,
+        f: impl FnOnce(&mut Held<'_>) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let entries = &self.image(img)?.entries;
+        self.with_view(|view| {
+            let seen = &mut view.images[img];
+            let gen = entries.gen.load(Ordering::Acquire);
+            if seen.gen != gen {
+                *seen = ImageView {
+                    gen,
+                    ..ImageView::default()
+                };
+            }
+            f(&mut Held { img, seen, entries })
+        })
+    }
+
+    /// Image `img`'s window `seg`.
+    #[inline(always)]
+    pub(crate) fn window(&self, img: usize, seg: usize) -> Result<Rc<Window>, String> {
+        self.with_image(img, |held| held.window(seg))
+    }
+
+    /// Image `img`'s flag cell `flag`.
+    #[inline(always)]
+    pub(crate) fn flag(&self, img: usize, flag: usize) -> Result<Rc<FlagCell>, String> {
+        self.with_image(img, |held| held.flag(flag))
+    }
+
+    /// Process `rank`'s mapped segment, if it has one.
+    #[inline(always)]
+    pub(crate) fn peer(&self, rank: usize) -> Option<Rc<PeerShm>> {
+        let slot = &self.peers[rank];
+        self.with_view(|view| {
+            let seen = &mut view.peers[rank];
+            let gen = slot.gen.load(Ordering::Acquire);
+            if seen.gen != gen {
+                seen.shm = slot.value.read().clone().map(Rc::new);
+                seen.gen = gen;
+            }
+            seen.shm.clone()
+        })
+    }
+
+    /// Process `rank` announced the segment `shm` (a rejoin: its new
+    /// incarnation's), or is left without one.
+    pub(crate) fn set_peer(&self, rank: usize, shm: Option<PeerShm>) {
+        self.peers[rank].update(|slot| *slot = shm);
+    }
+
+    /// Cut every image's tables back to their first `keep_segs` windows
+    /// and `keep_flags` cells, zeroed.
+    pub(crate) fn reset(&self, keep_segs: usize, keep_flags: usize) {
+        for image in self.hosted() {
+            image.entries.update(|e| {
+                e.segs.truncate(keep_segs);
+                for w in &e.segs {
+                    w.write(0, &vec![0u8; w.len()]);
+                }
+                e.flags.truncate(keep_flags);
+                for f in &e.flags {
+                    f.cell().store(0, Ordering::Release);
+                }
+            });
+        }
     }
 }
 
@@ -544,6 +956,77 @@ pub(crate) mod tests {
     fn amo_alignment_enforced() {
         let s = SharedBytes::new(24);
         s.as_atomic_u64(4);
+    }
+
+    /// A wait that is already satisfied checks nothing — so reads no
+    /// clock; one that is not is told to read it on its first miss, then
+    /// not again while it spins, then once per park.
+    #[test]
+    fn a_wait_says_when_a_clock_read_is_due() {
+        let waiters = FlagWaiters::default();
+        let cell = AtomicU64::new(3);
+        waiters.wait_ge(&cell, 3, |_| {
+            panic!("a satisfied wait has nothing to check")
+        });
+        let mut due = Vec::new();
+        waiters.wait_ge(&cell, 4, |clock_due| {
+            due.push(clock_due);
+            if due.len() == 16 {
+                cell.store(4, Ordering::Release);
+            }
+        });
+        let spins = due.iter().skip(1).take_while(|d| !**d).count();
+        assert!(due[0] && spins >= 8, "{due:?}");
+        assert!(due[1 + spins..].iter().all(|d| *d), "{due:?}");
+        assert_eq!(due.len(), 16);
+    }
+
+    /// The resolver's refusals, and what a view must not keep: an entry of
+    /// tables that were reset, in this thread or another.
+    #[test]
+    fn tables_resolve_through_a_view_that_a_reset_empties() {
+        let tables = Tables::new(3, &[ProcId(0), ProcId(2)], 0);
+        let heap = |bytes| Window::Heap(Arc::new(SharedBytes::new(bytes)));
+        for image in tables.hosted() {
+            assert_eq!(image.push_segment(|id| heap(8 + id)), SegmentId(0));
+            assert_eq!(image.push_flags(2, |_| FlagCell::heap()), FlagId(0));
+        }
+        assert_eq!(tables.image(2).map(ImageTables::local), Ok(1));
+        let refused = |r: Result<Rc<Window>, String>| r.map(|w| w.len()).unwrap_err();
+        assert_eq!(
+            refused(tables.window(1, 0)),
+            "image 1 is not hosted by this process"
+        );
+        assert_eq!(
+            refused(tables.window(7, 0)),
+            "image 7 is not hosted by this process"
+        );
+        assert_eq!(
+            refused(tables.window(2, usize::MAX)),
+            format!("image 2 has no seg{} (out of 1)", usize::MAX)
+        );
+        let missing = tables.flag(0, 2).map(|_| ()).unwrap_err();
+        assert_eq!(missing, "image 0 has no flag2 (out of 2)");
+        // Two looks give the one cached entry.
+        let first = tables.window(2, 0).expect("allocated");
+        assert!(Rc::ptr_eq(&first, &tables.window(2, 0).expect("cached")));
+        let image = tables.image(2).expect("hosted");
+        let grown = image.push_segment(|_| heap(100));
+        let kept = tables.flag(2, 0).expect("allocated");
+        kept.cell().store(9, Ordering::Release);
+        std::thread::scope(|s| {
+            // Another thread fills its own view, then resets under ours.
+            s.spawn(|| {
+                assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 100);
+                tables.reset(1, 1);
+                assert_eq!(image.push_segment(|_| heap(40)), grown);
+                assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 40);
+            });
+        });
+        assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 40);
+        assert!(tables.flag(2, 1).is_err(), "cut by the reset");
+        assert_eq!(kept.cell().load(Ordering::Acquire), 0, "kept, zeroed");
+        assert_eq!(first.len(), 8, "a window in hand stays what it was");
     }
 
     #[test]

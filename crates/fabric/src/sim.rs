@@ -405,7 +405,7 @@ impl SimCore {
                     let start = ev_time.max(self.nic_free[node]);
                     self.nic_free[node] = start + self.gap_nic_ns;
                     if nb {
-                        self.stats.record_put_nb_complete();
+                        self.stats.shared().record_put_nb_complete();
                     }
                     if let Some(n) = notify {
                         self.push_event(start + self.gap_nic_ns, EvKind::FlagArrive(n));
@@ -979,7 +979,7 @@ impl SimFabric {
             let intra = self.map.colocated(ProcId(me), ProcId(dst));
             let tr = self.model_transfer(core, me, dst, t, bytes.len(), None, false);
             core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            self.stats.record_put(intra, bytes.len());
+            self.stats.shared().record_put(intra, bytes.len());
             let dur = core.time[me] - t;
             self.cfg.tracer.record(
                 me,
@@ -1041,7 +1041,7 @@ impl SimFabric {
             // A notification is an 8-byte put followed by a wakeup.
             let tr = self.model_transfer(core, me, target, t, 8, Some((flag.0, delta)), false);
             core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            self.stats.record_flag(intra);
+            self.stats.shared().record_flag(intra);
             self.cfg.tracer.record(
                 me,
                 Event::instant(EventKind::FlagAdd, t)
@@ -1293,12 +1293,12 @@ impl Fabric for SimFabric {
             let via_bus = intra && !self.cfg.overheads.intra_via_nic;
             let tr = self.model_transfer(&mut core, me, dst, t, bytes.len(), None, true);
             core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            self.stats.record_put_nb(intra, bytes.len());
+            self.stats.shared().record_put_nb(intra, bytes.len());
             if via_bus {
                 // The sender's CPU drove the copy through the bus before
                 // model_transfer returned; only NIC-path transfers remain
                 // in flight after injection.
-                self.stats.record_put_nb_complete();
+                self.stats.shared().record_put_nb_complete();
             }
             let dur = core.time[me] - t;
             self.cfg.tracer.record(
@@ -1370,7 +1370,7 @@ impl Fabric for SimFabric {
             let start = Self::reserve_bus(&mut core, node, ready, busy);
             queue_ns = start - ready;
             core.set_time(me, start + busy + c.l_intra_ns);
-            self.stats.record_get(true, out.len());
+            self.stats.shared().record_get(true, out.len());
         } else {
             // RDMA get: request wire + response wire + payload on response.
             // Only the requester's NIC is reserved (at near-commit time);
@@ -1385,7 +1385,7 @@ impl Fabric for SimFabric {
             let req_at = inj + gap + c.l_inter_ns;
             let busy = gap + c.inter_payload_ns(out.len());
             core.set_time(me, req_at + busy + c.l_inter_ns);
-            self.stats.record_get(false, out.len());
+            self.stats.shared().record_get(false, out.len());
         }
         {
             let dur = core.time[me] - t;

@@ -61,7 +61,7 @@ use parking_lot::Mutex;
 use std::io::{self, IoSlice, Write};
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Corked bytes that force a flush, and the payload size from which a
@@ -286,8 +286,10 @@ pub(super) struct Egress {
     /// *wire debt*: a flag routed through shared memory could overtake a
     /// payload still travelling by frame, so the shm fast path yields to
     /// the frame path until it is zero again (acks are sent after the
-    /// remote write applies).
-    unacked: AtomicU64,
+    /// remote write applies). The fabric owns the cell (`wire_debt`, one
+    /// per peer rank, which `route` reads without a lock) and hands it to
+    /// every connection it dials to that rank.
+    unacked: Arc<AtomicU64>,
     /// Something is corked. Written under the cork lock only; read
     /// without it by waits (to skip the lock) and by the response reader
     /// (to skip the poke) — the latter is half of the lost-flush rule.
@@ -295,10 +297,10 @@ pub(super) struct Egress {
 }
 
 impl Egress {
-    pub(super) fn new(stream: Stream) -> Self {
+    pub(super) fn new(stream: Stream, unacked: Arc<AtomicU64>) -> Self {
         Self {
             cork: Mutex::new(Cork::new(stream)),
-            unacked: AtomicU64::new(0),
+            unacked,
             dirty: AtomicBool::new(false),
         }
     }
@@ -397,6 +399,7 @@ impl Egress {
     }
 
     /// See [`Egress::unacked`].
+    #[cfg(test)]
     pub(super) fn has_debt(&self) -> bool {
         self.unacked.load(Ordering::SeqCst) > 0
     }

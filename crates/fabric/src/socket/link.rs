@@ -15,18 +15,19 @@
 
 use super::egress::{Cork, Egress, Left, Urgency};
 use super::pending::Reply;
-use super::route::Landing;
-use super::store::FlagCell;
+use super::route::apply_held;
+use super::store::Store;
 use super::wire::{
     is_timeout, write_frame, Addr, Frame, FrameReader, FrameRef, Incoming, Listener, PutHead,
     Stream, MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
 };
 use super::{shm, SocketFabric, PEER_ALIVE, PEER_DEAD, PEER_GRACEFUL, POLL};
 use crate::am::AmOp;
-use crate::seg::{Access, Amo, FlagId, Window};
+use crate::seg::{Access, Amo, FlagCell, FlagId, Window};
 use crate::Fabric;
 use std::fmt::Display;
 use std::io;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -276,7 +277,7 @@ impl SocketFabric {
         self.dial_peer(node, &peer_addr, &self.open_frame())?;
         // The dead incarnation's segment is gone; remap (or drop) before
         // anyone observes PEER_ALIVE and routes data ops through shm.
-        self.shm_peers[node].write().take();
+        self.store.tables.set_peer(node, None);
         if !shm_path.is_empty() {
             self.map_shm_peer(node, shm_path);
         }
@@ -304,7 +305,7 @@ impl SocketFabric {
             return;
         }
         match shm::PeerShm::open(std::path::Path::new(path)) {
-            Ok(seg) => *self.shm_peers[rank].write() = Some(Arc::new(seg)),
+            Ok(seg) => self.store.tables.set_peer(rank, Some(seg)),
             Err(e) => eprintln!(
                 "caf-socket: cannot map shared segment of process {rank} ({path}): {e}; \
                  using the wire for it"
@@ -360,7 +361,7 @@ impl SocketFabric {
             writes: 1,
         };
         self.count_sent(rank, hello_left);
-        let egress = Arc::new(Egress::new(stream));
+        let egress = Arc::new(Egress::new(stream, self.wire_debt[rank].clone()));
         *self.egress[rank].write() = Some(egress.clone());
         self.mark_seen(rank);
         let fab = self.clone();
@@ -489,7 +490,7 @@ impl SocketFabric {
         (src, dst, seg, off): (u32, u32, u64, u64),
         len: usize,
         access: Access,
-    ) -> io::Result<Window> {
+    ) -> io::Result<Rc<Window>> {
         let window = if len > MAX_FRAME_BYTES {
             Err(format!("longer than any frame ({MAX_FRAME_BYTES} bytes)"))
         } else {
@@ -523,7 +524,7 @@ impl SocketFabric {
         })?;
         if let Some((cell, flag, delta)) = flag {
             self.land_flag(
-                &cell,
+                cell.cell(),
                 put.src as usize,
                 put.dst as usize,
                 flag,
@@ -542,7 +543,7 @@ impl SocketFabric {
         (src, dst): (u32, u32),
         flag: u64,
         delta: u64,
-    ) -> io::Result<(FlagCell, FlagId, u64)> {
+    ) -> io::Result<(Rc<FlagCell>, FlagId, u64)> {
         match self.store.flag(dst as usize, index(flag)) {
             Ok(cell) => Ok((cell, FlagId(flag as usize), delta)),
             Err(why) => {
@@ -555,19 +556,23 @@ impl SocketFabric {
     /// Land an `AmBatch`: every op is checked before any is applied,
     /// against the very tables the batch is then applied to.
     fn land_batch(&self, src: u32, dst: u32, ops: &[AmOp]) -> io::Result<()> {
-        let refuse = |op: &dyn Display, why| {
+        let (from, img) = (src as usize, dst as usize);
+        // Which op was refused; empty when it is the batch's image.
+        let mut op = String::new();
+        let landed = self.store.tables.with_image(img, |held| {
+            for (k, checked) in ops.iter().enumerate() {
+                Store::check(held, checked).inspect_err(|_| op = format!(" op {k}"))?;
+            }
+            apply_held(self, held, (from, img), false, ops);
+            Ok(())
+        });
+        landed.map_err(|why| {
             let n = ops.len();
             refused(
                 format_args!("AmBatch {{ src: {src}, dst: {dst}, ops: {n} }}{op}"),
                 why,
             )
-        };
-        let tables = (self.store.tables(dst as usize)).map_err(|why| refuse(&"", why))?;
-        for (k, op) in ops.iter().enumerate() {
-            (tables.check(op)).map_err(|why| refuse(&format_args!(" op {k}"), why))?;
-        }
-        Landing::Own(tables).apply(self, src as usize, false, ops);
-        Ok(())
+        })
     }
 
     /// Apply one non-put request from `peer`; returns the response it is
@@ -634,7 +639,7 @@ impl SocketFabric {
             } => {
                 let (cell, flag, delta) =
                     self.requested_flag("FlagAdd", (src, dst), flag, delta)?;
-                self.land_flag(&cell, src as usize, dst as usize, flag, delta, false);
+                self.land_flag(cell.cell(), src as usize, dst as usize, flag, delta, false);
                 None
             }
             Frame::AmBatch { src, dst, ack, ops } => {
@@ -890,7 +895,7 @@ mod tests {
 
     /// The previous wire protocol's magic: what a process of the last
     /// release opens with.
-    const OLD_MAGIC: u32 = 0xCAF5_0C05;
+    const OLD_MAGIC: u32 = 0xCAF5_0C06;
 
     /// Process 0 of a two-process fleet whose process 1 is the test.
     struct Lone {
@@ -992,7 +997,7 @@ mod tests {
         assert!(
             msg.contains(
                 "malformed frame from a dialing process: hello from peer process 1 (node 1, \
-                 images 2): it speaks wire protocol 0xcaf50c05, this process 0xcaf50c06"
+                 images 2): it speaks wire protocol 0xcaf50c06, this process 0xcaf50c07"
             ),
             "{msg}"
         );
@@ -1004,7 +1009,7 @@ mod tests {
             shm: String::new(),
         };
         let msg = lone.refused(&rejoin.encode());
-        assert!(msg.contains("it speaks wire protocol 0xcaf50c05"), "{msg}");
+        assert!(msg.contains("it speaks wire protocol 0xcaf50c06"), "{msg}");
         // A rank that is not a peer: out of the fleet, and its own.
         for node in [7, 0] {
             let open = Frame::Open {

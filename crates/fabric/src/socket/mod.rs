@@ -46,9 +46,13 @@
 //! every data operation below is that decision followed by one direct arm
 //! or one wire arm (DESIGN.md §3.2b tabulates the outcome per op). The
 //! rest sits behind narrow seams: hosted storage and the checked resolver
-//! (`store`), the completion core (`pending`), write combining
-//! (`egress`), connections and service threads (`link`), recovery
-//! (`recover`).
+//! (`store`, over `seg::Tables` — which also keeps the mapped peers, and
+//! is read through per-thread views: a direct op takes no lock and touches
+//! no shared reference count on its way to memory), the completion core
+//! (`pending`), write combining (`egress`), connections and service
+//! threads (`link`), recovery (`recover`). A data op counts itself in its
+//! image's lane of the `FabricStats` (`stats`), service threads in the
+//! shared cells.
 
 mod egress;
 mod link;
@@ -70,7 +74,7 @@ pub use wire::{Addr, Frame, FrameRef, Listener, Stream, Transport};
 
 use crate::am::AmOp;
 use crate::seg::{bump_flag, Access, Amo, FlagId, FlagWaiters, SegmentId};
-use crate::stats::{FabricStats, StatsSnapshot};
+use crate::stats::{FabricStats, Lane, StatsSnapshot};
 use crate::{Fabric, PutToken, RecoveryError};
 use caf_topology::{CostParams, ImageMap, NodeId, ProcId, SoftwareOverheads};
 use caf_trace::{Event, EventKind, Tracer};
@@ -83,7 +87,7 @@ use std::io;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use store::{FlagCell, Store};
+use store::Store;
 use wire::WIRE_MAGIC;
 
 /// Configuration for a [`SocketFabric`].
@@ -236,6 +240,11 @@ pub struct SocketFabric {
     /// Replaceable (not write-once): a rejoin handshake swaps in a fresh
     /// connection to a respawned peer.
     egress: Vec<RwLock<Option<Arc<Egress>>>>,
+    /// Per peer process rank, the response-carrying requests to it that
+    /// are unacked — its *wire debt* (see `route`). Counted by the rank's
+    /// `Egress`, every incarnation of it, and owned here so that `route`
+    /// reads it with one load, behind no lock.
+    wire_debt: Vec<Arc<AtomicU64>>,
     /// How response readers hand the ack-clocked flush to the
     /// `caf-sock-egress` thread (see [`egress`]).
     ack_clock: egress::AckClock,
@@ -260,10 +269,6 @@ pub struct SocketFabric {
     last_peer_stats: Vec<Mutex<Option<StatsSnapshot>>>,
     /// Ingress connections established so far (fleet bring-up gate).
     ingress_up: AtomicUsize,
-    /// Same-host peers' mapped segments, per process rank (`None` until
-    /// the peer's `Open`/`Rejoin` announces one). A rejoin swaps in the
-    /// new incarnation's segment.
-    shm_peers: Vec<RwLock<Option<Arc<shm::PeerShm>>>>,
     /// Hosted images that called `image_done`.
     done_count: AtomicUsize,
     /// All hosted images finished — EOFs are expected from here on.
@@ -328,7 +333,8 @@ impl SocketFabric {
         } else {
             None
         };
-        let store = Store::new(n_images, &hosted, node_shm);
+        let stats = FabricStats::with_lanes(hosted.len());
+        let store = Store::new(n_images, &hosted, (node_rank, n_procs), node_shm, &stats);
 
         let listener = Listener::bind(cfg.transport)?;
         let listen_addr = listener.local_addr()?;
@@ -347,7 +353,7 @@ impl SocketFabric {
 
         let fabric = Arc::new(SocketFabric {
             map,
-            stats: FabricStats::default(),
+            stats,
             start: Instant::now(),
             proc_of_image,
             local_of_image,
@@ -355,6 +361,7 @@ impl SocketFabric {
             hosted,
             store,
             egress: (0..n_procs).map(|_| RwLock::new(None)).collect(),
+            wire_debt: (0..n_procs).map(|_| Arc::default()).collect(),
             ack_clock: egress::AckClock::default(),
             pending: Pending::new(n_images, n_procs),
             get_bufs: Mutex::new(Vec::new()),
@@ -369,7 +376,6 @@ impl SocketFabric {
             obs: obs::SocketObs::new(n_procs, cfg.heartbeat_period.as_nanos() as u64),
             last_peer_stats: (0..n_procs).map(|_| Mutex::new(None)).collect(),
             ingress_up: AtomicUsize::new(0),
-            shm_peers: (0..n_procs).map(|_| RwLock::new(None)).collect(),
             done_count: AtomicUsize::new(0),
             all_done: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
@@ -500,6 +506,13 @@ impl SocketFabric {
         self.start.elapsed().as_nanos() as u64
     }
 
+    /// Hosted image `me`'s counter lane: where the ops it issues count
+    /// themselves.
+    #[inline]
+    fn lane(&self, me: ProcId) -> Lane<'_> {
+        self.stats.lane(self.local_of_image[me.index()] as usize)
+    }
+
     #[inline]
     fn trace_now(&self) -> u64 {
         if self.cfg.tracer.enabled() {
@@ -528,14 +541,14 @@ impl SocketFabric {
     #[inline]
     fn land_flag(
         &self,
-        cell: &FlagCell,
+        cell: &AtomicU64,
         from: usize,
         img: usize,
         flag: FlagId,
         delta: u64,
         intra: bool,
     ) {
-        bump_flag(cell.cell(), img, flag, delta);
+        bump_flag(cell, img, flag, delta);
         if self.cfg.tracer.enabled() {
             let t = self.trace_now();
             let _g = self.trace_sys_lock.lock();
@@ -556,7 +569,7 @@ impl SocketFabric {
     /// sent to the hosting process, which answers with the old value.
     #[inline]
     fn amo(&self, me: ProcId, target: ProcId, seg: SegmentId, offset: usize, amo: Amo) -> u64 {
-        self.stats.amos.fetch_add(1, Ordering::Relaxed);
+        self.lane(me).record_amo();
         let (kind, doing) = match amo {
             Amo::Add(_) => (EventKind::AmoFetchAdd, "remote fetch-add"),
             Amo::Cas { .. } => (EventKind::AmoCas, "remote compare-and-swap"),
@@ -566,7 +579,7 @@ impl SocketFabric {
             Route::Direct(window, tier) => {
                 let old = window.amo(offset, amo);
                 if tier == Tier::Mapped {
-                    self.stats.record_shm_flag();
+                    self.lane(me).record_shm_flag();
                 }
                 op.direct(offset as u64);
                 old
@@ -719,11 +732,11 @@ impl Fabric for SocketFabric {
     }
 
     fn alloc_segment(&self, me: ProcId, bytes: usize) -> SegmentId {
-        self.store.alloc_segment(me, bytes)
+        self.store.alloc_segment(me, bytes, &self.stats)
     }
 
     fn alloc_flags(&self, me: ProcId, count: usize) -> FlagId {
-        self.store.alloc_flags(me, count)
+        self.store.alloc_flags(me, count, &self.stats)
     }
 
     fn put(&self, me: ProcId, dst: ProcId, seg: SegmentId, offset: usize, bytes: &[u8]) {
@@ -734,19 +747,19 @@ impl Fabric for SocketFabric {
                 window.write(offset, bytes);
                 match tier {
                     Tier::Own if me == dst => {}
-                    Tier::Own => self.stats.record_put(true, len),
+                    Tier::Own => self.lane(me).record_put(true, len),
                     Tier::Mapped => {
                         // The data is globally visible before any later
                         // flag/AMO the peer could observe. No frame, no
                         // ack, nothing for `quiet` to drain.
                         fence(Ordering::Release);
-                        self.stats.record_shm_put(len);
+                        self.lane(me).record_shm_put(len);
                     }
                 }
                 op.direct(len as u64);
             }
             Route::Wire => {
-                self.stats.record_put(false, len);
+                self.lane(me).record_put(false, len);
                 let (reply, queue_ns, service_ns) =
                     self.call(me, dst, "remote put", Kind::Ack, |ack, b| {
                         put_frame(me, dst, seg, offset, ack, bytes).encode_head(b)
@@ -768,13 +781,14 @@ impl Fabric for SocketFabric {
                 // fused put+flag visibility holds as it does on the wire.
                 landing.apply(self, me.index(), true, ops);
                 if tier == Tier::Mapped {
+                    let lane = self.lane(me);
                     for op in ops {
                         if matches!(op, AmOp::Put { .. } | AmOp::PutFlag { .. }) {
-                            self.stats.record_shm_put(op.payload_len());
+                            lane.record_shm_put(op.payload_len());
                         }
                         // An AMO, a flag, or a fused put's flag.
                         if !matches!(op, AmOp::Put { .. }) {
-                            self.stats.record_shm_flag();
+                            lane.record_shm_flag();
                         }
                     }
                     fence(Ordering::Release);
@@ -813,24 +827,25 @@ impl Fabric for SocketFabric {
                 // both nb counters so the injected == completed invariant
                 // the litmus suite checks holds across the mixed fabric.
                 window.write(offset, bytes);
+                let lane = self.lane(me);
                 match tier {
                     Tier::Own if me == dst => {}
                     Tier::Own => {
-                        self.stats.record_put_nb(true, len);
-                        self.stats.record_put_nb_complete();
+                        lane.record_put_nb(true, len);
+                        lane.record_put_nb_complete();
                     }
                     Tier::Mapped => {
                         fence(Ordering::Release);
-                        self.stats.record_shm_put(len);
-                        self.stats.puts_nb_injected.fetch_add(1, Ordering::Relaxed);
-                        self.stats.record_put_nb_complete();
+                        lane.record_shm_put(len);
+                        lane.record_put_nb_inject();
+                        lane.record_put_nb_complete();
                     }
                 }
                 op.direct(len as u64);
                 PutToken::DONE
             }
             Route::Wire => {
-                self.stats.record_put_nb(false, len);
+                self.lane(me).record_put_nb(false, len);
                 let (img, put) = (me.index() as u32, true);
                 let awaits = Some(Entry::Nb { img, put });
                 let (rank, sent) = self.send_request(me, dst, awaits, Urgency::Data, |ack, b| {
@@ -877,17 +892,17 @@ impl Fabric for SocketFabric {
             Route::Direct(window, tier) => {
                 match tier {
                     Tier::Own if me == src => {}
-                    Tier::Own => self.stats.record_get(true, len),
+                    Tier::Own => self.lane(me).record_get(true, len),
                     Tier::Mapped => {
                         fence(Ordering::Acquire);
-                        self.stats.record_shm_get(len);
+                        self.lane(me).record_shm_get(len);
                     }
                 }
                 window.read(offset, out);
                 op.direct(len as u64);
             }
             Route::Wire => {
-                self.stats.record_get(false, len);
+                self.lane(me).record_get(false, len);
                 let frame = |req| Frame::Get {
                     src: me.index() as u32,
                     dst: src.index() as u32,
@@ -943,9 +958,9 @@ impl Fabric for SocketFabric {
                 match tier {
                     Tier::Own => {
                         if me != target {
-                            self.stats.record_flag(true);
+                            self.lane(me).record_flag(true);
                         }
-                        self.land_flag(&cell, me.index(), target.index(), flag, delta, true);
+                        self.land_flag(cell.cell(), me.index(), target.index(), flag, delta, true);
                     }
                     Tier::Mapped => {
                         // Release on the shared cell publishes every prior
@@ -954,13 +969,13 @@ impl Fabric for SocketFabric {
                         // (200µs) poll, so no cross-process notification
                         // is needed.
                         bump_flag(cell.cell(), target.index(), flag, delta);
-                        self.stats.record_shm_flag();
+                        self.lane(me).record_shm_flag();
                     }
                 }
                 true
             }
             Route::Wire => {
-                self.stats.record_flag(false);
+                self.lane(me).record_flag(false);
                 // Fire-and-forget: ordering with prior puts to the same
                 // target comes from the shared per-peer connection (frames
                 // apply in send order) — or from sharing the frame of the
@@ -987,15 +1002,21 @@ impl Fabric for SocketFabric {
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
-        self.stats.flag_waits.fetch_add(1, Ordering::Relaxed);
+        self.lane(me).record_flag_wait();
         self.flush_corked();
         let t0 = self.trace_now();
-        let deadline = Instant::now() + self.cfg.flag_wait_timeout;
         let cell_owner = (self.store.flag(me.index(), flag.0)).unwrap_or_else(|e| panic!("{e}"));
         let cell = cell_owner.cell();
-        self.waiters.wait_ge(cell, at_least, || {
+        // Built on the first miss: a wait that is already satisfied reads
+        // no clock.
+        let mut deadline = None;
+        self.waiters.wait_ge(cell, at_least, |clock_due| {
             self.check_poison(me, "flag wait");
-            if Instant::now() > deadline {
+            if !clock_due {
+                return;
+            }
+            let now = Instant::now();
+            if now > *deadline.get_or_insert(now + self.cfg.flag_wait_timeout) {
                 let mut msg = format!(
                     "image {} flag wait timed out after {:?} ({flag:?} = {} < {at_least})",
                     me.index() + 1,
@@ -1116,7 +1137,7 @@ mod tests {
     }
 
     /// Hosted image `img`'s bootstrap window, through the resolver.
-    fn boot_window(f: &SocketFabric, img: usize) -> Window {
+    fn boot_window(f: &SocketFabric, img: usize) -> std::rc::Rc<Window> {
         (f.store.window(Access::Get, img, BSEG.0, 0, 0)).expect("bootstrap window")
     }
 
@@ -1703,8 +1724,11 @@ mod tests {
         let (f0, f1_old) = (j0.join().unwrap(), j1.join().unwrap());
 
         // Image 0's whole life, concurrent with the kill + respawn below:
-        // normal traffic, observe the poison, heal, traffic again.
+        // normal traffic, observe the poison, heal, traffic again — all on
+        // one thread, whose view of the peer's mapping is filled by the
+        // first put and must not outlive the incarnation it maps.
         let f = f0.clone();
+        let (refused_tx, refused_rx) = std::sync::mpsc::channel();
         let img0 = std::thread::spawn(move || {
             let me = ProcId(0);
             for round in 1..=2u64 {
@@ -1720,9 +1744,16 @@ mod tests {
                 );
                 std::thread::sleep(Duration::from_millis(10));
             }
-            // (No alive_images assertion here: the in-process respawn can
-            // complete its rejoin before this thread polls, racing the
-            // shrunken view away.)
+            // The peer is dead and not yet replaced (the respawn waits for
+            // `refused`): the mapping this thread holds is still there, and
+            // an op through it is refused before a byte moves.
+            assert_eq!(f.alive_images(), [me]);
+            let dead = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f.put(me, ProcId(1), BSEG, 0, &[0xEE; 8])
+            }));
+            let msg = crate::panic_message(dead.expect_err("served a dead peer").as_ref());
+            assert!(msg.contains("shared-memory op to a dead peer"), "{msg}");
+            refused_tx.send(()).expect("main is waiting");
             f.heal(me).expect("heal after rejoin");
             assert_eq!(f.generation(), 1);
             assert_eq!(f.alive_images().len(), 2, "rejoiner counts again");
@@ -1747,8 +1778,15 @@ mod tests {
                 assert_eq!(u64::from_ne_bytes(out), round);
                 f.flag_add(me, ProcId(0), SPARE_FLAG2, 1);
             }
+            let window = boot_window(&f1_old, 1);
             f1_old.shutdown();
             drop(f1_old);
+            // What the survivor's refused put would have overwritten, in
+            // the dead incarnation's segment (this window keeps it mapped).
+            refused_rx.recv().expect("image 0 tried the dead peer");
+            let mut out = [0u8; 8];
+            window.read(0, &mut out);
+            assert_eq!(u64::from_ne_bytes(out), 2, "a refused put moved bytes");
         }
 
         // Respawned incarnation: generation 1, fresh listener + Rejoin
@@ -1836,6 +1874,84 @@ mod tests {
         assert_eq!(s0.gets_intra + s0.gets_inter, 0, "no wire gets: {s0:?}");
         assert_eq!(s0.puts_nb_injected, s0.puts_nb_completed, "nb debt retired");
         assert!(s1.shm_flag_ops >= 1, "peer's ack flag via shm: {s1:?}");
+    }
+
+    /// The recovery reset is what a cached window must not survive: a
+    /// segment re-allocated under the same id with another size is resolved
+    /// anew — by the thread that held the old window in its view, by a
+    /// mapped peer, and by the ingress thread serving a frame.
+    #[test]
+    fn a_window_reallocated_after_a_reset_is_resolved_anew() {
+        let past_the_new_end = |put: &dyn Fn()| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(put));
+            let msg = crate::panic_message(r.expect_err("valid for the old size only").as_ref());
+            let want = "put of 64 bytes at offset 64 exceeds segment of 32 bytes";
+            assert!(msg.contains(want), "{msg}");
+        };
+        for shm in [cfg!(unix), false] {
+            let cfg = SocketConfig { shm, ..quick_cfg() };
+            let fabrics = fleet(&map(2, 1, 2), &cfg);
+            let (f0, f1) = (&fabrics[0], &fabrics[1]);
+            let (me, peer) = (ProcId(0), ProcId(1));
+            let seg = f0.alloc_segment(me, 128);
+            let flag = f0.alloc_flags(me, 1);
+            // Own tier, mapped tier (or the wire: process 0's ingress
+            // thread), all with the 128-byte window in their views.
+            f0.put(me, me, seg, 64, &[1; 64]);
+            f1.put(peer, me, seg, 64, &[2; 64]);
+            f0.flag_add(me, me, flag, 1);
+            f0.store.reset();
+            assert_eq!(f0.alloc_segment(me, 32), seg);
+            f0.put(me, me, seg, 0, &[3; 32]);
+            f1.put(peer, me, seg, 0, &[4; 32]);
+            past_the_new_end(&|| f0.put(me, me, seg, 64, &[1; 64]));
+            if shm {
+                past_the_new_end(&|| f1.put(peer, me, seg, 64, &[2; 64]));
+            }
+            // The flag went with the reset; a cached cell does not bring
+            // it back.
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f0.flag_add(me, me, flag, 1)
+            }));
+            let msg = crate::panic_message(r.expect_err("truncated").as_ref());
+            assert!(msg.contains("image 0 has no flag4 (out of 4)"), "{msg}");
+            for f in &fabrics {
+                f.hosted().iter().for_each(|img| f.image_done(*img));
+            }
+            for f in &fabrics {
+                f.shutdown();
+            }
+        }
+    }
+
+    /// Threads keep windows and mappings in their views; a segment *file*
+    /// does not wait for them. Every op here is issued from the test's own
+    /// thread, which outlives the fleet.
+    #[test]
+    #[cfg(unix)]
+    fn a_dropped_fleet_leaves_no_segment_file_whoever_issued_its_ops() {
+        let fabrics = fleet(&map(2, 1, 2), &quick_cfg());
+        let files: Vec<_> = fabrics
+            .iter()
+            .map(|f| std::path::PathBuf::from(f.store.shm_path()))
+            .collect();
+        assert!(files.iter().all(|file| file.exists()), "{files:?}");
+        let (f0, f1) = (&fabrics[0], &fabrics[1]);
+        f0.put(ProcId(0), ProcId(0), BSEG, 8, &[1; 8]);
+        f0.put(ProcId(0), ProcId(1), BSEG, 0, &[2; 8]);
+        f1.put(ProcId(1), ProcId(0), BSEG, 0, &[3; 8]);
+        f1.flag_add(ProcId(1), ProcId(0), SPARE_FLAG, 1);
+        assert_eq!(f0.stats().snapshot().shm_puts, 1, "mapped, not framed");
+        for f in &fabrics {
+            f.hosted().iter().for_each(|img| f.image_done(*img));
+        }
+        for f in &fabrics {
+            f.shutdown();
+        }
+        drop(fabrics);
+        for file in files {
+            assert!(!file.exists(), "{} outlived its fleet", file.display());
+        }
     }
 
     /// Segments allocated after bootstrap live in the shared arena and are

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Version magic leading every encoded [`NodeTelemetry`]; bump on any
 /// incompatible payload-format change (independent of the frame protocol's
 /// `WIRE_MAGIC`).
-pub const TELEMETRY_MAGIC: u32 = 0xCAF0_0B54;
+pub const TELEMETRY_MAGIC: u32 = 0xCAF0_0B55;
 
 /// Bucket count of [`HistSnapshot`]: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` ns, with the top bucket absorbing everything larger.
@@ -593,13 +593,13 @@ mod tests {
         let stats = StatsSnapshot::from_words(std::array::from_fn(|i| i as u64 + 1));
         let hb = super::super::wire::Frame::Heartbeat { node: 3, stats };
         let want_hb = [
-            "f50000000a0300000001000000000000000200000000000000030000000000000004000000000000",
+            "0d0100000a0300000001000000000000000200000000000000030000000000000004000000000000",
             "00050000000000000006000000000000000700000000000000080000000000000009000000000000",
             "000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000",
             "000f0000000000000010000000000000001100000000000000120000000000000013000000000000",
             "00140000000000000015000000000000001600000000000000170000000000000018000000000000",
             "0019000000000000001a000000000000001b000000000000001c000000000000001d000000000000",
-            "001e00000000000000",
+            "001e000000000000001f0000000000000020000000000000002100000000000000",
         ];
         assert_eq!(hex(&hb.encode()), want_hb.concat());
 
@@ -631,24 +631,25 @@ mod tests {
             events: vec![Event::span(EventKind::Put, 10, 5).a(2).b(64)],
         };
         let want_tm = [
-            "540bf0ca010100000002010000000000000100000078020000000400000005000000010000000000",
+            "550bf0ca010100000002010000000000000100000078020000000400000005000000010000000000",
             "00000200000000000000030000000000000004000000000000000500000000000000060000000000",
             "00000700000000000000080000000000000009000000000000000a000000000000000b0000000000",
             "00000c000000000000000d000000000000000e000000000000000f00000000000000100000000000",
             "00001100000000000000120000000000000013000000000000001400000000000000150000000000",
             "000016000000000000001700000000000000180000000000000019000000000000001a0000000000",
-            "00001b000000000000001c000000000000001d000000000000001e00000000000000070000000000",
-            "00000100000001000000000000000200000000000000030000000000000004000000000000000500",
-            "00000000000006000000000000000700000000000000010000000800000000000000090000000000",
-            "00000a000000000000000300000000000000581b0000000000000010000000000000000000000000",
+            "00001b000000000000001c000000000000001d000000000000001e000000000000001f0000000000",
+            "00002000000000000000210000000000000007000000000000000100000001000000000000000200",
+            "00000000000003000000000000000400000000000000050000000000000006000000000000000700",
+            "00000000000001000000080000000000000009000000000000000a00000000000000030000000000",
+            "0000581b000000000000001000000000000000000000000000000000000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "00000000000000000000000000000000000000000000000000000000000000000000020000000000",
-            "00000000000000000000010000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000002000000000000000000000000000000010000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "00000000000000000000010000000a00000000000000050000000000000001000000000000000000",
-            "0000000000000200000000000000400000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000010000000a00",
+            "00000000000005000000000000000100000000000000000000000000000002000000000000004000",
+            "00000000000000000000000000000000000000000000",
         ];
         assert_eq!(hex(&t.encode()), want_tm.concat());
         assert_eq!(NodeTelemetry::decode(&t.encode()).unwrap(), t);

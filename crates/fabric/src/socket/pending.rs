@@ -362,7 +362,7 @@ mod tests {
     /// egress toward peer 1 with the other end of its connection.
     fn table() -> (Pending, FabricStats, Egress, Stream) {
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
-        let egress = Egress::new(Stream::Uds(ours));
+        let egress = Egress::new(Stream::Uds(ours), Default::default());
         let stats = FabricStats::default();
         (Pending::new(4, 2), stats, egress, Stream::Uds(theirs))
     }

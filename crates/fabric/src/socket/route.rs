@@ -22,18 +22,26 @@
 //!   sent after the remote write lands, so zero debt means every earlier
 //!   wire put has been applied.
 //!
-//! The decision allocates nothing and takes no lock a direct op did not
-//! always take: one read of the mapped-peer slot and one liveness load per
-//! mapped op, one more slot read for a signal.
+//! The decision allocates nothing and, in steady state, takes no lock and
+//! touches no shared reference count: an own-process target costs one
+//! generation load (its image's tables, through the calling thread's view
+//! — `seg::Tables`), a mapped one a generation load for the peer's
+//! mapping, a liveness load, for a signal a load of the peer's wire debt
+//! (an atomic the fabric owns, the peer's `Egress` counts on), and the
+//! acquire-load of the directory entry the op addresses. What it hands to
+//! a direct arm ([`Span`], [`Cell`]) is held through the thread's own
+//! handles. An op to a *mapped* peer that goes by wire because of the
+//! first rule is counted (`wire_fallback_ops`): the tier never falls
+//! through silently.
 
 use super::shm::{self, PeerShm};
-use super::store::{FlagCell, Tables};
 use super::{SocketFabric, PEER_DEAD};
 use crate::am::{self, AmOp};
-use crate::seg::{bump_flag, Access, FlagId, SegmentId, Window};
+use crate::seg::{bump_flag, Access, FlagCell, FlagId, Held, SegmentId, Span};
 use caf_topology::ProcId;
-use std::sync::atomic::{fence, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Whose memory a direct op touches. The memory operation is the same;
 /// the tier picks the `FabricStats` counter and the fence.
@@ -57,14 +65,32 @@ pub(super) enum Route<T> {
 enum Reach {
     Own,
     /// Through the peer's mapping, at this image slot of it.
-    Mapped(Arc<PeerShm>, usize),
+    Mapped(Rc<PeerShm>, usize),
     Wire,
+}
+
+/// The flag cell a direct `flag_add` bumps, held like a [`Span`].
+pub(super) enum Cell {
+    Own(Rc<FlagCell>),
+    /// In the peer's flag table: this image slot, this flag.
+    Mapped(Rc<PeerShm>, usize, usize),
+}
+
+impl Cell {
+    #[inline]
+    pub(super) fn cell(&self) -> &AtomicU64 {
+        match self {
+            Cell::Own(c) => c.cell(),
+            Cell::Mapped(peer, local, flag) => peer.flag_cell(*local, *flag),
+        }
+    }
 }
 
 impl SocketFabric {
     /// The decision. `signal`: the op publishes data at `img` (subject to
     /// the wire-debt rule). `shareable`: `false` when no mapping can hold
-    /// what is addressed, known from its index alone. Order matters: a
+    /// what is addressed, known from its index alone. Order matters: what
+    /// no mapping could hold goes by wire whatever the peer's state, a
     /// dead mapped peer panics before any byte moves, and debt is read
     /// only for a signal.
     ///
@@ -78,12 +104,13 @@ impl SocketFabric {
         if rank == self.node_rank {
             return Reach::Own;
         }
-        if !shareable {
-            return Reach::Wire;
-        }
-        let Some(peer) = self.shm_peers[rank].read().clone() else {
+        let Some(peer) = self.store.tables.peer(rank) else {
             return Reach::Wire;
         };
+        if !shareable {
+            self.lane(me).record_wire_fallback();
+            return Reach::Wire;
+        }
         if self.peer_state[rank].load(Ordering::Acquire) == PEER_DEAD {
             // Never serviced through shared memory: poison wins, loudly.
             self.check_poison(me, "shared-memory op to a dead peer");
@@ -93,7 +120,7 @@ impl SocketFabric {
                 self.peer_desc(rank)
             );
         }
-        if signal && (self.egress[rank].read().as_ref()).is_some_and(|e| e.has_debt()) {
+        if signal && self.wire_debt[rank].load(Ordering::SeqCst) > 0 {
             return Reach::Wire;
         }
         Reach::Mapped(peer, self.local_of_image[img.index()] as usize)
@@ -111,15 +138,19 @@ impl SocketFabric {
         seg: SegmentId,
         off: usize,
         len: usize,
-    ) -> Route<Window> {
+    ) -> Route<Span> {
         match self.route(me, img, false, true) {
             Reach::Own => {
                 let window = (self.store).window(access, img.index(), seg.0, off as u64, len);
-                Route::Direct(window.unwrap_or_else(|e| panic!("{e}")), Tier::Own)
+                let window = window.unwrap_or_else(|e| panic!("{e}"));
+                Route::Direct(Span::Own(window), Tier::Own)
             }
-            Reach::Mapped(peer, local) => match peer.window(local, seg.0) {
-                Some(window) => Route::Direct(Window::Shm(window), Tier::Mapped),
-                None => Route::Wire,
+            Reach::Mapped(peer, local) => match PeerShm::window_of(&peer, local, seg.0) {
+                Some(window) => Route::Direct(Span::Mapped(window), Tier::Mapped),
+                None => {
+                    self.lane(me).record_wire_fallback();
+                    Route::Wire
+                }
             },
             Reach::Wire => Route::Wire,
         }
@@ -127,14 +158,15 @@ impl SocketFabric {
 
     /// Route a flag add.
     #[inline(always)]
-    pub(super) fn route_flag(&self, me: ProcId, img: ProcId, flag: FlagId) -> Route<FlagCell> {
+    pub(super) fn route_flag(&self, me: ProcId, img: ProcId, flag: FlagId) -> Route<Cell> {
         match self.route(me, img, true, flag.0 < shm::MAX_FLAGS) {
             Reach::Own => {
                 let cell = self.store.flag(img.index(), flag.0);
-                Route::Direct(cell.unwrap_or_else(|e| panic!("{e}")), Tier::Own)
+                let cell = cell.unwrap_or_else(|e| panic!("{e}"));
+                Route::Direct(Cell::Own(cell), Tier::Own)
             }
             Reach::Mapped(peer, local) => {
-                Route::Direct(FlagCell::Shm(peer.flag(local, flag.0)), Tier::Mapped)
+                Route::Direct(Cell::Mapped(peer, local, flag.0), Tier::Mapped)
             }
             Reach::Wire => Route::Wire,
         }
@@ -144,23 +176,18 @@ impl SocketFabric {
     /// the mapping, or the whole batch travels as one frame and keeps its
     /// vector order.
     #[inline]
-    pub(super) fn route_batch(&self, me: ProcId, img: ProcId, ops: &[AmOp]) -> Route<Landing<'_>> {
+    pub(super) fn route_batch(&self, me: ProcId, img: ProcId, ops: &[AmOp]) -> Route<Landing> {
         match self.route(me, img, true, true) {
-            Reach::Own => {
-                let tables = self.store.tables(img.index());
-                Route::Direct(
-                    Landing::Own(tables.unwrap_or_else(|e| panic!("{e}"))),
-                    Tier::Own,
-                )
-            }
+            Reach::Own => Route::Direct(Landing::Own(img.index()), Tier::Own),
             Reach::Mapped(peer, local) => {
-                let published = |seg: &SegmentId| peer.window(local, seg.0).is_some();
+                let published = |seg: &SegmentId| PeerShm::window_of(&peer, local, seg.0).is_some();
                 let shared = ops.iter().all(|op| match op {
                     AmOp::Put { seg, .. } | AmOp::AmoAdd { seg, .. } => published(seg),
                     AmOp::FlagAdd { flag, .. } => flag.0 < shm::MAX_FLAGS,
                     AmOp::PutFlag { seg, flag, .. } => flag.0 < shm::MAX_FLAGS && published(seg),
                 });
                 if !shared {
+                    self.lane(me).record_wire_fallback();
                     return Route::Wire;
                 }
                 Route::Direct(Landing::Mapped(peer, local, img.index()), Tier::Mapped)
@@ -170,35 +197,56 @@ impl SocketFabric {
     }
 }
 
-/// Where a batch lands directly.
-pub(super) enum Landing<'f> {
-    /// A hosted image, its tables held for the batch.
-    Own(Tables<'f>),
-    /// A mapped peer, this slot of it, which is this global image.
-    Mapped(Arc<PeerShm>, usize, usize),
+/// Apply `ops`, sent by image `from`, to hosted image `img`, whose tables
+/// the caller holds for the batch.
+pub(super) fn apply_held(
+    fab: &SocketFabric,
+    held: &mut Held<'_>,
+    (from, img): (usize, usize),
+    intra: bool,
+    ops: &[AmOp],
+) {
+    let held = RefCell::new(held);
+    am::apply(
+        ops,
+        |seg| Span::Own((held.borrow_mut().window(seg.0)).unwrap_or_else(|e| panic!("{e}"))),
+        |flag, delta| {
+            let cell = (held.borrow_mut().flag(flag.0)).unwrap_or_else(|e| panic!("{e}"));
+            fab.land_flag(cell.cell(), from, img, flag, delta, intra);
+        },
+    )
 }
 
-impl Landing<'_> {
+/// Where a batch lands directly.
+pub(super) enum Landing {
+    /// This hosted image.
+    Own(usize),
+    /// A mapped peer, this slot of it, which is this global image.
+    Mapped(Rc<PeerShm>, usize, usize),
+}
+
+impl Landing {
     /// Apply `ops`, sent by image `from` — of this process (`intra`) or a
     /// frame's — in vector order.
     pub(super) fn apply(&self, fab: &SocketFabric, from: usize, intra: bool, ops: &[AmOp]) {
         match self {
-            Landing::Own(tables) => am::apply(
-                ops,
-                |seg| (tables.window(seg).unwrap_or_else(|e| panic!("{e}"))).clone(),
-                |flag, delta| {
-                    let cell = tables.flag(flag).unwrap_or_else(|e| panic!("{e}"));
-                    fab.land_flag(cell, from, tables.img, flag, delta, intra);
-                },
-            ),
+            Landing::Own(img) => (fab.store.tables)
+                .with_image(*img, |held| {
+                    apply_held(fab, held, (from, *img), intra, ops);
+                    Ok(())
+                })
+                .unwrap_or_else(|e| panic!("{e}")),
             // Windows only unpublish inside the recovery fence, when no
             // image issues traffic, so the lookup cannot miss.
             Landing::Mapped(peer, local, img) => am::apply(
                 ops,
-                |seg| Window::Shm((peer.window(*local, seg.0)).expect("published when routed")),
+                |seg| {
+                    let window = PeerShm::window_of(peer, *local, seg.0);
+                    Span::Mapped(window.expect("published when routed"))
+                },
                 |flag, delta| {
                     fence(Ordering::Release);
-                    bump_flag(peer.flag(*local, flag.0).cell(), *img, flag, delta);
+                    bump_flag(peer.flag_cell(*local, flag.0), *img, flag, delta);
                 },
             ),
         }
@@ -352,7 +400,9 @@ mod tests {
     /// flag then flushes the cork on the idle link, and whether the peer is
     /// still owed an ack after that is the peer's business — so the batch
     /// that follows names a flag past the shared table and travels by frame
-    /// whatever the debt. (`the_route_table` pins a batch under debt.)
+    /// whatever the debt, and a `quiet` before it settles *why* it does
+    /// (`wire_fallback_ops` counts a fall-through, not the debt rule).
+    /// (`the_route_table` pins a batch under debt.)
     fn mixed_program(cfg: &SocketConfig) -> StatsSnapshot {
         let map = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
         let fabrics = fleet(&map, cfg);
@@ -399,6 +449,7 @@ mod tests {
         f0.get(me, far, spilled, 0, &mut out);
         f0.put_nb(me, far, spilled, 8, &word);
         f0.flag_add(me, far, FLAG, 1);
+        f0.quiet(me);
         let flag = AmOp::FlagAdd {
             flag: OVER_TABLE,
             delta: 1,
@@ -413,11 +464,113 @@ mod tests {
         stats
     }
 
+    /// Two nodes of four images, every image issuing a known mix on every
+    /// tier at once: each process's snapshot — four lanes, written with
+    /// plain loads and stores, plus the shared cells its service threads
+    /// add to — is the closed form, field by field.
+    ///
+    /// Signals race a sibling's wire debt for their tier (the debt is per
+    /// peer *process*), so the phases that owe acks and the phase that
+    /// signals over the mapping are kept apart by a barrier of the test's
+    /// own; nothing else is timed.
+    #[test]
+    fn lanes_and_shared_cells_add_up_to_the_closed_form() {
+        use crate::socket::testing::run_fleet;
+        const ROUNDS: u64 = 300;
+        let map = ImageMap::new(presets::mini(2, 4), 8, &Placement::Packed);
+        let fabrics = fleet(&map, &cfg());
+        let phase = std::sync::Arc::new(std::sync::Barrier::new(8));
+        run_fleet(&fabrics, move |f, me| {
+            let sibling = ProcId(me.index() / 4 * 4 + (me.index() + 1) % 4);
+            let far = ProcId((me.index() + 4) % 8);
+            // Same allocations on every image, so ids agree fleet-wide.
+            let spilled = f.alloc_segment(me, 1 << 16);
+            let over_table = f.alloc_flags(me, shm::MAX_FLAGS).nth(shm::MAX_FLAGS - 1);
+            phase.wait();
+            let word = 7u64.to_ne_bytes();
+            let mut out = [0u8; 8];
+            // Own tier and mapped tier; no frame, so no debt.
+            for _ in 0..ROUNDS {
+                f.put(me, sibling, SEG0, 8 * me.index(), &word);
+                f.put_nb(me, sibling, SEG0, 8 * me.index(), &word);
+                f.get(me, sibling, SEG0, 0, &mut out);
+                f.amo_fetch_add_u64(me, sibling, SEG0, 64, 1);
+                f.flag_add(me, sibling, FLAG, 1);
+                f.put(me, me, SEG0, 72, &word); // own image: never counted
+                f.put(me, far, SEG0, 8 * me.index(), &word);
+                f.put_nb(me, far, SEG0, 8 * me.index(), &word);
+                f.get(me, far, SEG0, 0, &mut out);
+                f.amo_cas_u64(me, far, SEG0, 64, 0, 1);
+                f.flag_add(me, far, FLAG, 1);
+            }
+            f.flag_wait_ge(me, FLAG, 2 * ROUNDS);
+            phase.wait();
+            // The wire, between mapped peers: what is addressed is
+            // unpublished. No signal a mapping could carry is sent here.
+            for _ in 0..ROUNDS {
+                f.put_nb(me, far, spilled, 0, &word);
+                f.put(me, far, spilled, 8, &word);
+                f.get(me, far, spilled, 8, &mut out);
+                f.amo_fetch_add_u64(me, far, spilled, 16, 1);
+                f.flag_add(me, far, over_table, 1);
+            }
+            f.quiet(me);
+            f.flag_wait_ge(me, over_table, ROUNDS);
+            phase.wait();
+            f.image_done(me);
+        });
+        let (images, n) = (4, ROUNDS);
+        for f in &fabrics {
+            let s = f.stats().snapshot();
+            let want = StatsSnapshot {
+                puts_intra: images * 2 * n,
+                gets_intra: images * n,
+                flags_intra: images * n,
+                bytes_intra: images * 3 * n * 8,
+                puts_inter: images * 2 * n,
+                gets_inter: images * n,
+                flags_inter: images * n,
+                bytes_inter: images * 3 * n * 8,
+                shm_puts: images * 2 * n,
+                shm_bytes: images * 3 * n * 8,
+                // A flag add and an AMO per round.
+                shm_flag_ops: images * 2 * n,
+                amos: images * 3 * n,
+                flag_waits: images * 2,
+                // Own, mapped and wire: each completed, by the image or by
+                // the response reader.
+                puts_nb_injected: images * 3 * n,
+                puts_nb_completed: images * 3 * n,
+                shm_spilled_windows: images,
+                shm_spilled_flags: images * 4,
+                wire_fallback_ops: images * 5 * n,
+                // Frames are the cork's business (and the heartbeat's),
+                // retries the dialer's.
+                wire_frames_tx: s.wire_frames_tx,
+                wire_frames_rx: s.wire_frames_rx,
+                wire_bytes_tx: s.wire_bytes_tx,
+                wire_bytes_rx: s.wire_bytes_rx,
+                wire_retries: s.wire_retries,
+                wire_reconnects: s.wire_reconnects,
+                ..StatsSnapshot::default()
+            };
+            assert_eq!(s, want);
+            assert!(s.wire_frames_tx >= images * 3 * n, "{s:?}");
+            f.stats().reset();
+            assert_eq!(f.stats().snapshot(), StatsSnapshot::default());
+        }
+    }
+
     /// The counters each tier takes are part of the contract
     /// (`fleet_report.json`, `/metrics`): the four op rows were recorded by
     /// running this program at the commit before the routing refactor and
-    /// have not moved since. Wire bytes are left out on the shm fleet — its
-    /// `Open` frame carries a segment path whose length varies.
+    /// have not moved since (`wire_fallback_ops` joined the fourth later: on
+    /// the shm fleet the tail's `put`, `get`, `put_nb` and over-table batch
+    /// fall through for what they address — the `flag_add` behind the
+    /// `put_nb` goes by wire for the debt, which is not a fall-through — and
+    /// a wire fleet has no mapped peer to fall through from). Wire bytes
+    /// are left out on the shm fleet — its `Open` frame carries a segment
+    /// path whose length varies.
     ///
     /// The frame and byte pins moved once, when the cork began to fuse a
     /// `put_nb` with the `flag_add` behind it. Frames process 0 sends on
@@ -445,10 +598,10 @@ mod tests {
                 (s.puts_intra, s.puts_inter, s.bytes_intra, s.bytes_inter),
                 (s.gets_intra, s.gets_inter, s.flags_intra, s.flags_inter),
                 (s.puts_nb_injected, s.puts_nb_completed, s.amos, 0),
-                (s.shm_puts, s.shm_bytes, s.shm_flag_ops, 0),
+                (s.shm_puts, s.shm_bytes, s.shm_flag_ops, s.wire_fallback_ops),
             ]
         };
-        let shm_fleet = [(2, 2, 24, 24), (1, 1, 1, 1), (3, 3, 6, 0), (4, 48, 7, 0)];
+        let shm_fleet = [(2, 2, 24, 24), (1, 1, 1, 1), (3, 3, 6, 0), (4, 48, 7, 4)];
         assert_eq!(ops(&s), shm_fleet, "{s:?}");
         assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (5, 5), "{s:?}");
         let s = mixed_program(&SocketConfig {

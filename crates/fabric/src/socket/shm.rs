@@ -28,13 +28,16 @@
 //! waits acquire loads, which give properly-synchronized programs full
 //! payload visibility across processes.
 //!
-//! Segment files are unlinked when the owning fabric drops; `caf-launch`
-//! additionally sets [`ENV_FLEET`] so it can sweep `/dev/shm` for the
-//! litter of a crashed fleet (see [`file_name`] for the naming scheme).
+//! A segment file is unlinked when its owner's [`NodeShm`] drops — with
+//! the owning fabric, however many windows into the mapping threads still
+//! hold; `caf-launch` additionally sets [`ENV_FLEET`] so it can sweep
+//! `/dev/shm` for the litter of a crashed fleet (see [`file_name`] for
+//! the naming scheme).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -217,14 +220,13 @@ fn map_shared(_file: &fs::File, _len: usize) -> io::Result<*mut u8> {
     ))
 }
 
-/// One mapped segment file. Dropping the owning side unlinks the file;
-/// the mapping itself stays valid for every holder until its last
-/// `Arc` drops.
+/// One mapped segment file. The mapping stays valid for every holder
+/// until its last `Arc` drops; the *file* is its owner's to unlink
+/// ([`NodeShm`]).
 pub struct ShmSegment {
     ptr: *mut u8,
     len: usize,
     path: PathBuf,
-    owner: bool,
 }
 
 // SAFETY: all access to the mapping goes through atomic operations (the
@@ -238,9 +240,6 @@ impl Drop for ShmSegment {
         #[cfg(unix)]
         unsafe {
             sys::munmap(self.ptr as *mut std::ffi::c_void, self.len);
-        }
-        if self.owner {
-            let _ = fs::remove_file(&self.path);
         }
     }
 }
@@ -260,12 +259,7 @@ impl ShmSegment {
                 return Err(e);
             }
         };
-        Ok(Arc::new(Self {
-            ptr,
-            len,
-            path,
-            owner: true,
-        }))
+        Ok(Arc::new(Self { ptr, len, path }))
     }
 
     fn open(path: PathBuf) -> io::Result<Arc<Self>> {
@@ -281,12 +275,7 @@ impl ShmSegment {
             ));
         }
         let ptr = map_shared(&file, len)?;
-        Ok(Arc::new(Self {
-            ptr,
-            len,
-            path,
-            owner: false,
-        }))
+        Ok(Arc::new(Self { ptr, len, path }))
     }
 
     /// The segment file's path (what rides the `Open`/`Rejoin` frame).
@@ -335,17 +324,41 @@ impl ShmSegment {
     }
 }
 
+/// What keeps a window's mapping alive while it is used: a counted
+/// reference to the segment (table entries, anything handed to another
+/// thread), or the issuing thread's own handle on a peer's mapping — the
+/// borrowed form, which a direct op takes and drops without touching a
+/// shared reference count.
+pub trait Mapping {
+    /// The mapped segment.
+    fn segment(&self) -> &ShmSegment;
+}
+
+impl Mapping for Arc<ShmSegment> {
+    #[inline]
+    fn segment(&self) -> &ShmSegment {
+        self
+    }
+}
+
+impl Mapping for Rc<PeerShm> {
+    #[inline]
+    fn segment(&self) -> &ShmSegment {
+        &self.seg
+    }
+}
+
 /// A bounds-checked view of one published segment inside a mapped file —
 /// the shared-memory counterpart of [`crate::seg::SharedBytes`], with the
 /// same API and panic contract.
 #[derive(Clone)]
-pub struct ShmWindow {
-    seg: Arc<ShmSegment>,
+pub struct ShmWindow<M = Arc<ShmSegment>> {
+    map: M,
     base: usize,
     len: usize,
 }
 
-impl ShmWindow {
+impl<M: Mapping> ShmWindow<M> {
     /// Window length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -359,6 +372,7 @@ impl ShmWindow {
     }
 
     /// Copy `src` into the window at `offset` (relaxed stores).
+    #[inline]
     pub fn write(&self, offset: usize, src: &[u8]) {
         let end = offset
             .checked_add(src.len())
@@ -369,10 +383,11 @@ impl ShmWindow {
             src.len(),
             self.len
         );
-        self.seg.write_bytes(self.base + offset, src);
+        self.map.segment().write_bytes(self.base + offset, src);
     }
 
     /// Copy from the window at `offset` into `dst` (relaxed loads).
+    #[inline]
     pub fn read(&self, offset: usize, dst: &mut [u8]) {
         let end = offset
             .checked_add(dst.len())
@@ -383,13 +398,14 @@ impl ShmWindow {
             dst.len(),
             self.len
         );
-        self.seg.read_bytes(self.base + offset, dst);
+        self.map.segment().read_bytes(self.base + offset, dst);
     }
 
     /// View an aligned 8-byte cell as an `AtomicU64` for remote atomics.
     ///
     /// # Panics
     /// Panics if `offset` is not 8-byte aligned or out of range.
+    #[inline]
     pub fn as_atomic_u64(&self, offset: usize) -> &AtomicU64 {
         assert!(
             offset.is_multiple_of(8),
@@ -402,7 +418,7 @@ impl ShmWindow {
         );
         // Window bases are 64-byte aligned, so offset alignment implies
         // absolute alignment.
-        self.seg.u64_at(self.base + offset)
+        self.map.segment().u64_at(self.base + offset)
     }
 }
 
@@ -490,6 +506,15 @@ pub struct NodeShm {
     /// Arena watermark right after bootstrap allocation — what a
     /// recovery-fence reset rolls back to.
     boot_mark: AtomicU64,
+}
+
+impl Drop for NodeShm {
+    /// The owner unlinks its file here, not when the last reference to the
+    /// mapping goes: threads keep windows into it in their views
+    /// (`seg::Tables`), and a file must not outlive its fabric for that.
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.seg.path);
+    }
 }
 
 impl NodeShm {
@@ -581,7 +606,7 @@ impl NodeShm {
             .u64_at(dir)
             .store(STATE_PUBLISHED, Ordering::Release);
         Ok(ShmWindow {
-            seg: self.seg.clone(),
+            map: self.seg.clone(),
             base,
             len: bytes,
         })
@@ -625,7 +650,9 @@ impl NodeShm {
 }
 
 /// A peer's mapped segment: windows and flag cells resolved against the
-/// peer's published directory.
+/// peer's published directory. A clone is one more reference to the same
+/// mapping.
+#[derive(Clone)]
 pub struct PeerShm {
     seg: Arc<ShmSegment>,
     layout: Layout,
@@ -650,9 +677,11 @@ impl PeerShm {
         Ok(PeerShm { seg, layout })
     }
 
-    /// The published window for segment id `seg` of the peer's hosted
-    /// image slot `local`, or `None` when the peer has not allocated it.
-    pub fn window(&self, local: usize, seg: usize) -> Option<ShmWindow> {
+    /// Where the peer's directory puts segment id `seg` of its hosted image
+    /// slot `local` — `(base, len)` — or `None` while the entry is not
+    /// published. Read anew by every op: the directory is the truth.
+    #[inline]
+    fn published(&self, local: usize, seg: usize) -> Option<(usize, usize)> {
         if local >= self.layout.n_hosted || seg >= self.layout.max_segs {
             return None;
         }
@@ -662,11 +691,28 @@ impl PeerShm {
         }
         let base = self.seg.u64_at(dir + 8).load(Ordering::Relaxed) as usize;
         let len = self.seg.u64_at(dir + 16).load(Ordering::Relaxed) as usize;
-        Some(ShmWindow {
-            seg: self.seg.clone(),
-            base,
-            len,
-        })
+        Some((base, len))
+    }
+
+    /// The published window for segment id `seg` of the peer's hosted
+    /// image slot `local`, or `None` when the peer has not allocated it.
+    pub fn window(&self, local: usize, seg: usize) -> Option<ShmWindow> {
+        let (base, len) = self.published(local, seg)?;
+        let map = self.seg.clone();
+        Some(ShmWindow { map, base, len })
+    }
+
+    /// [`PeerShm::window`] held through a thread's own handle `peer`: the
+    /// form a direct op takes.
+    #[inline]
+    pub(crate) fn window_of(
+        peer: &Rc<PeerShm>,
+        local: usize,
+        seg: usize,
+    ) -> Option<ShmWindow<Rc<PeerShm>>> {
+        let (base, len) = peer.published(local, seg)?;
+        let map = peer.clone();
+        Some(ShmWindow { map, base, len })
     }
 
     /// Flag cell `flag` of the peer's hosted image slot `local`.
@@ -675,6 +721,12 @@ impl PeerShm {
             seg: self.seg.clone(),
             off: self.layout.flag_off(local, flag),
         }
+    }
+
+    /// The cell of [`PeerShm::flag`], borrowed: the form a direct op bumps.
+    #[inline]
+    pub(crate) fn flag_cell(&self, local: usize, flag: usize) -> &AtomicU64 {
+        self.seg.u64_at(self.layout.flag_off(local, flag))
     }
 
     /// Number of image slots the peer's segment holds.

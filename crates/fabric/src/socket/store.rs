@@ -2,90 +2,72 @@
 //! hosts, the one checked resolver every request for them goes through,
 //! and allocation.
 //!
-//! Owns the per-image tables, this process's shared segment (arena,
-//! directory, flag table) and the spill decision taken at allocation. It
-//! knows nothing of peers: whether a request is served here at all is
-//! [`route`](super::route)'s call, and a mapped peer's windows are
-//! resolved against *its* directory, not this one. It may not touch
-//! liveness, the pending table or a socket.
+//! Owns the [`Tables`] — the hosted images' windows and cells, and the
+//! slots its same-host peers' mapped segments are kept in — this process's
+//! shared segment (arena, directory, flag table) and the spill decision
+//! taken at allocation. A resolve goes through the calling thread's view
+//! of the tables (`seg::Tables`): one generation load in steady state, no
+//! lock and no reference count, for an image thread and an ingress thread
+//! alike; allocation, the recovery reset and a peer's (re)mapping are what
+//! move a generation. Whether a request is served here at all is
+//! [`route`](super::route)'s call, and a mapped peer's windows are resolved
+//! against *its* directory, not this one. It may not touch liveness, the
+//! pending table or a socket.
 
 use super::shm;
 use crate::am::AmOp;
-use crate::seg::{Access, FlagId, SegmentId, SharedBytes, Window};
+use crate::seg::{Access, FlagCell, FlagId, Held, SegmentId, SharedBytes, Tables, Window};
+use crate::stats::FabricStats;
 use caf_topology::ProcId;
-use crossbeam::utils::CachePadded;
-use parking_lot::{RwLock, RwLockReadGuard};
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// One sync flag's cell: heap, or a slot in a shared flag table (this
-/// process's own, or a same-host peer's) where mappers bump it without a
-/// frame.
-#[derive(Clone)]
-pub(super) enum FlagCell {
-    Heap(Arc<CachePadded<AtomicU64>>),
-    Shm(shm::ShmFlag),
-}
-
-impl FlagCell {
-    fn heap() -> Self {
-        FlagCell::Heap(Arc::new(CachePadded::new(AtomicU64::new(0))))
-    }
-
-    #[inline]
-    pub(super) fn cell(&self) -> &AtomicU64 {
-        match self {
-            FlagCell::Heap(c) => c,
-            FlagCell::Shm(f) => f.cell(),
-        }
-    }
-}
-
-/// Per-hosted-image storage — same shape as the thread fabric's slots.
-struct ImageSlot {
-    /// Index among this process's hosted images: the image's slot in the
-    /// shared segment's tables.
-    local: usize,
-    segs: RwLock<Vec<Window>>,
-    flags: RwLock<Vec<FlagCell>>,
-}
+use std::io::Write;
+use std::rc::Rc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Once};
 
 /// Everything this process hosts. Requests name a *global* image index;
 /// one this process does not host is refused, never a panic.
 pub(super) struct Store {
-    /// Storage per global image; `Some` only for hosted images.
-    slots: Vec<Option<ImageSlot>>,
+    /// This process's rank, for the spill report.
+    rank: usize,
+    pub(super) tables: Tables,
     /// This process's shared-memory segment (`None`: tier disabled,
     /// single-process fleet, or unsupported platform).
     shm: Option<shm::NodeShm>,
 }
 
-/// Entry `at` of one of image `img`'s tables; `id` names it in the
-/// refusal, as a `SegmentId` or `FlagId` prints.
-fn entry<T>(table: &[T], img: usize, at: usize, id: impl fmt::Debug) -> Result<&T, String> {
-    let missing = || format!("image {img} has no {id:?} (out of {})", table.len());
-    table.get(at).ok_or_else(missing)
+/// An allocation fell out of the shared segment: say so once per process,
+/// naming the rank — every later one only counts (`shm_spilled_*`).
+fn report_spill(rank: usize, what: std::fmt::Arguments<'_>) {
+    static FIRST: Once = Once::new();
+    FIRST.call_once(|| {
+        let line = format!(
+            "caf-socket: process {rank} spills out of its shared segment: {what}. What spills \
+             lives on this process's heap and is reached over the wire; every spill is counted \
+             (shm_spilled_windows, shm_spilled_flags), this first one reported.\n"
+        );
+        // One write: the members of a fleet share a stderr.
+        let _ = std::io::stderr().write_all(line.as_bytes());
+    });
 }
 
 impl Store {
     /// Bootstrap storage (segment 0 and the control flags) for `hosted`,
-    /// in rank order, out of `n_images` fleet-wide. With a shared segment,
-    /// every hosted window lives in it so same-host peers (and
-    /// direct-landing wire puts) reach it without staging.
-    pub(super) fn new(n_images: usize, hosted: &[ProcId], shm: Option<shm::NodeShm>) -> Store {
-        let mut slots: Vec<Option<ImageSlot>> = (0..n_images).map(|_| None).collect();
-        for (local, img) in hosted.iter().enumerate() {
-            slots[img.index()] = Some(ImageSlot {
-                local,
-                segs: RwLock::default(),
-                flags: RwLock::default(),
-            });
-        }
-        let store = Store { slots, shm };
+    /// in rank order, out of `n_images` fleet-wide, in process `rank` of
+    /// `n_procs`. With a shared segment, every hosted window lives in it
+    /// so same-host peers (and direct-landing wire puts) reach it without
+    /// staging.
+    pub(super) fn new(
+        n_images: usize,
+        hosted: &[ProcId],
+        (rank, n_procs): (usize, usize),
+        shm: Option<shm::NodeShm>,
+        stats: &FabricStats,
+    ) -> Store {
+        let tables = Tables::new(n_images, hosted, n_procs);
+        let store = Store { rank, tables, shm };
         for img in hosted {
-            store.alloc_segment(*img, n_images * crate::bootstrap::SLOT_BYTES);
-            store.alloc_flags(*img, crate::bootstrap::NUM_FLAGS);
+            store.alloc_segment(*img, n_images * crate::bootstrap::SLOT_BYTES, stats);
+            store.alloc_flags(*img, crate::bootstrap::NUM_FLAGS, stats);
         }
         if let Some(s) = &store.shm {
             s.seal_bootstrap();
@@ -102,14 +84,6 @@ impl Store {
             .unwrap_or_default()
     }
 
-    #[inline]
-    fn slot(&self, img: usize) -> Result<&ImageSlot, String> {
-        self.slots
-            .get(img)
-            .and_then(Option::as_ref)
-            .ok_or_else(|| format!("image {img} is not hosted by this process"))
-    }
-
     /// The checked resolver: image `img`'s window `seg`, good for an
     /// `access` of `len` bytes at `off` — image hosted, segment exists,
     /// `off + len` (checked) inside it, aligned for an AMO. Local callers
@@ -122,28 +96,35 @@ impl Store {
         seg: usize,
         off: u64,
         len: usize,
-    ) -> Result<Window, String> {
-        let segs = self.slot(img)?.segs.read();
-        let window = entry(&segs, img, seg, SegmentId(seg))?;
+    ) -> Result<Rc<Window>, String> {
+        let window = self.tables.window(img, seg)?;
         window.check(access, off, len)?;
-        Ok(window.clone())
+        Ok(window)
     }
 
     /// Image `img`'s flag cell `flag`, if it hosts one.
     #[inline(always)]
-    pub(super) fn flag(&self, img: usize, flag: usize) -> Result<FlagCell, String> {
-        entry(&self.slot(img)?.flags.read(), img, flag, FlagId(flag)).cloned()
+    pub(super) fn flag(&self, img: usize, flag: usize) -> Result<Rc<FlagCell>, String> {
+        self.tables.flag(img, flag)
     }
 
-    /// Image `img`'s tables, held for the length of an active-message
-    /// batch: every op is checked and applied against one snapshot.
-    pub(super) fn tables(&self, img: usize) -> Result<Tables<'_>, String> {
-        let slot = self.slot(img)?;
-        Ok(Tables {
-            img,
-            segs: slot.segs.read(),
-            flags: slot.flags.read(),
-        })
+    /// Would `op` apply to the image `held`? Every field of it is checked
+    /// as [`Store::window`] and [`Store::flag`] check a lone request, and
+    /// nothing is touched.
+    pub(super) fn check(held: &mut Held<'_>, op: &AmOp) -> Result<(), String> {
+        match op {
+            AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {
+                (held.window(seg.0)?).check(Access::Put, *off as u64, data.len())?
+            }
+            AmOp::AmoAdd { seg, off, .. } => {
+                held.window(seg.0)?.check(Access::Amo, *off as u64, 8)?
+            }
+            AmOp::FlagAdd { .. } => {}
+        }
+        match op {
+            AmOp::FlagAdd { flag, .. } | AmOp::PutFlag { flag, .. } => held.flag(flag.0).map(drop),
+            AmOp::Put { .. } | AmOp::AmoAdd { .. } => Ok(()),
+        }
     }
 
     /// With the shm tier on, windows come from the shared arena so
@@ -152,43 +133,49 @@ impl Store {
     /// see `SocketConfig::shm_bytes_per_image`), the window spills to this
     /// process's heap and its directory entry stays unpublished: the
     /// shared directory is the single source of truth, so both sides agree
-    /// without a handshake (DESIGN.md §3.2b, "unpublished window").
-    pub(super) fn alloc_segment(&self, me: ProcId, bytes: usize) -> SegmentId {
-        let slot = self
-            .slot(me.index())
+    /// without a handshake (DESIGN.md §3.2b, "unpublished window"). A
+    /// spill is counted and, the first time in a process, reported.
+    pub(super) fn alloc_segment(&self, me: ProcId, bytes: usize, stats: &FabricStats) -> SegmentId {
+        let image = (self.tables.image(me.index()))
             .unwrap_or_else(|_| panic!("alloc_segment: image {me:?} not hosted here"));
-        let mut segs = slot.segs.write();
-        let id = segs.len();
-        segs.push(
-            match self.shm.as_ref().map(|s| s.alloc(slot.local, id, bytes)) {
-                Some(Ok(window)) => Window::Shm(window),
+        image.push_segment(|id| {
+            match self.shm.as_ref().map(|s| s.alloc(image.local(), id, bytes)) {
+                Some(Ok(window)) => return Window::Shm(window),
                 // Peers rendezvous through the bootstrap segment: it may not spill.
                 Some(Err(e)) if id < crate::bootstrap::NUM_SEGS => {
                     panic!("image {} bootstrap segment: {e}", me.index())
                 }
-                _ => Window::Heap(Arc::new(SharedBytes::new(bytes))),
-            },
-        );
-        SegmentId(id)
+                Some(Err(why)) => {
+                    stats.shm_spilled_windows.fetch_add(1, Ordering::Relaxed);
+                    let what = format_args!("image {}'s seg{id} does not fit: {why}", me.index());
+                    report_spill(self.rank, what);
+                }
+                None => {}
+            }
+            Window::Heap(Arc::new(SharedBytes::new(bytes)))
+        })
     }
 
     /// The shared flag table is sized at segment creation; flags past it
     /// are heap cells reached over the wire. The index alone decides the
     /// backing, so same-host peers agree on which side of the boundary a
     /// flag lives without a handshake.
-    pub(super) fn alloc_flags(&self, me: ProcId, count: usize) -> FlagId {
-        let slot = self
-            .slot(me.index())
+    pub(super) fn alloc_flags(&self, me: ProcId, count: usize, stats: &FabricStats) -> FlagId {
+        let image = (self.tables.image(me.index()))
             .unwrap_or_else(|_| panic!("alloc_flags: image {me:?} not hosted here"));
-        let mut flags = slot.flags.write();
-        let id = flags.len();
-        for k in id..id + count {
-            flags.push(match &self.shm {
-                Some(s) if k < shm::MAX_FLAGS => FlagCell::Shm(s.flag(slot.local, k)),
-                _ => FlagCell::heap(),
-            });
+        let first = image.push_flags(count, |k| match &self.shm {
+            Some(s) if k < shm::MAX_FLAGS => FlagCell::Shm(s.flag(image.local(), k)),
+            _ => FlagCell::heap(),
+        });
+        let spilled = (first.0 + count).saturating_sub(first.0.max(shm::MAX_FLAGS));
+        if self.shm.is_some() && spilled > 0 {
+            (stats.shm_spilled_flags).fetch_add(spilled as u64, Ordering::Relaxed);
+            let (img, max) = (me.index(), shm::MAX_FLAGS);
+            let what =
+                format_args!("image {img}'s flags from flag{max} on are past its flag table");
+            report_spill(self.rank, what);
         }
-        FlagId(id)
+        first
     }
 
     /// Recovery reset to the post-bootstrap shape a freshly-joined process
@@ -197,55 +184,9 @@ impl Store {
     /// table zeroed and the arena rolled back, so re-allocated segments
     /// land where peers expect them.
     pub(super) fn reset(&self) {
-        for slot in self.slots.iter().flatten() {
-            let mut segs = slot.segs.write();
-            segs.truncate(crate::bootstrap::NUM_SEGS);
-            let boot = &segs[crate::bootstrap::SEG.0];
-            boot.write(0, &vec![0u8; boot.len()]);
-            let mut flags = slot.flags.write();
-            flags.truncate(crate::bootstrap::NUM_FLAGS);
-            for f in flags.iter() {
-                f.cell().store(0, Ordering::Release);
-            }
-        }
+        (self.tables).reset(crate::bootstrap::NUM_SEGS, crate::bootstrap::NUM_FLAGS);
         if let Some(s) = &self.shm {
             s.reset(crate::bootstrap::NUM_SEGS);
-        }
-    }
-}
-
-/// One hosted image's tables, read-locked (see [`Store::tables`]).
-pub(super) struct Tables<'a> {
-    pub(super) img: usize,
-    segs: RwLockReadGuard<'a, Vec<Window>>,
-    flags: RwLockReadGuard<'a, Vec<FlagCell>>,
-}
-
-impl Tables<'_> {
-    pub(super) fn window(&self, seg: SegmentId) -> Result<&Window, String> {
-        entry(&self.segs, self.img, seg.0, seg)
-    }
-
-    pub(super) fn flag(&self, flag: FlagId) -> Result<&FlagCell, String> {
-        entry(&self.flags, self.img, flag.0, flag)
-    }
-
-    /// Would `op` apply? Every field of it is checked as
-    /// [`Store::window`] and [`Store::flag`] check a lone request, and
-    /// nothing is touched.
-    pub(super) fn check(&self, op: &AmOp) -> Result<(), String> {
-        match op {
-            AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => self
-                .window(*seg)?
-                .check(Access::Put, *off as u64, data.len())?,
-            AmOp::AmoAdd { seg, off, .. } => {
-                self.window(*seg)?.check(Access::Amo, *off as u64, 8)?
-            }
-            AmOp::FlagAdd { .. } => {}
-        }
-        match op {
-            AmOp::FlagAdd { flag, .. } | AmOp::PutFlag { flag, .. } => self.flag(*flag).map(drop),
-            AmOp::Put { .. } | AmOp::AmoAdd { .. } => Ok(()),
         }
     }
 }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 /// Protocol magic carried by [`Frame::Open`] and [`Frame::Hello`]; bump on
 /// any incompatible frame-format change.
-pub const WIRE_MAGIC: u32 = 0xCAF5_0C06;
+pub const WIRE_MAGIC: u32 = 0xCAF5_0C07;
 
 /// Upper bound on one frame body — a corrupted length prefix fails here
 /// instead of attempting a multi-gigabyte allocation.
@@ -1470,6 +1470,8 @@ pub fn read_frame<R: Read>(r: &mut BufReader<R>) -> io::Result<(Frame, usize)> {
 /// A frame read by [`read_frame_direct`]: a `Put`'s payload is read from
 /// the stream straight into `buf`, never passing through a frame-sized
 /// staging body.
+// As for `Incoming`: returned by value once per frame, never stored.
+#[allow(clippy::large_enum_variant)]
 pub enum RawFrame {
     /// A `Put`; `buf[payload..]` is the payload.
     Put {

@@ -5,7 +5,18 @@
 //! 2(n−1), and TDLB turns most of them intra-node. [`FabricStats`] lets the
 //! test-suite and the EXP-A1 ablation assert those closed forms against the
 //! actual traffic the algorithms generate.
+//!
+//! A [`FabricStats`] is one set of *shared* cells, which any thread bumps
+//! with an atomic add (service threads, the simulator, the active-message
+//! tier), plus one cache-padded *lane* of the same cells per hosted image
+//! of a real-memory fabric. A lane is written by its image's thread alone,
+//! so a data op counts itself with a load and a store — no locked
+//! instruction, no line another image writes — and [`FabricStats::snapshot`]
+//! adds the lanes to the shared cells. Who records where is the [`Lane`]
+//! the caller holds; the `record_*` helpers are written once, on it.
 
+use crossbeam::utils::CachePadded;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One row of a counter table: the field's name plus the Prometheus family
@@ -115,9 +126,10 @@ macro_rules! counters {
 pub(crate) use counters;
 
 counters! {
-    /// Monotonic operation counters maintained by every fabric. All counters are
-    /// relaxed — they are diagnostics, not synchronization.
-    pub struct FabricStats;
+    /// One set of the operation counters: a [`FabricStats`]' shared cells,
+    /// or one image's lane. All counters are relaxed — they are
+    /// diagnostics, not synchronization.
+    pub struct StatCells;
     /// A plain-data copy of [`FabricStats`] at one instant.
     pub struct StatsSnapshot;
 
@@ -196,30 +208,129 @@ counters! {
     /// Flag adds and AMOs applied directly in a peer's shared flag/AMO
     /// table — the notifications that skipped the wire entirely.
     shm_flag_ops => "caf_shm_flag_ops_total" "flag/AMO operations on shared-table atomics (no wire frame)";
+    /// Windows allocated with the shared-memory tier on that fell to the
+    /// owner's heap (arena exhausted, or past the shared directory): every
+    /// op on one takes the wire, also between mapped peers.
+    shm_spilled_windows => "caf_shm_spilled_total" [kind = "window"] "allocations that fell from the shared segment to the owner's heap";
+    /// Flags allocated with the tier on at or past the shared flag table's
+    /// capacity: heap cells, reached over the wire.
+    shm_spilled_flags => "caf_shm_spilled_total" [kind = "flag"];
+    /// Ops to an image of a *mapped* peer that took the wire because what
+    /// they address is unpublished (a spilled window, a flag past the
+    /// shared table; a batch counts once). The wire-debt rule is ordering,
+    /// not spill, and is not counted.
+    wire_fallback_ops => "caf_wire_fallback_ops_total" "ops between mapped peers that took the wire because their target is unpublished";
+}
+
+/// Monotonic operation counters maintained by every fabric: the shared
+/// cells (which it dereferences to — `stats.amos`, `record_wire_tx`, …)
+/// plus one lane per hosted image (see the module docs).
+#[derive(Debug, Default)]
+pub struct FabricStats {
+    shared: StatCells,
+    lanes: Box<[CachePadded<StatCells>]>,
+}
+
+impl Deref for FabricStats {
+    type Target = StatCells;
+
+    fn deref(&self) -> &StatCells {
+        &self.shared
+    }
 }
 
 impl FabricStats {
+    /// Counters with `n` lanes, one per hosted image.
+    pub fn with_lanes(n: usize) -> Self {
+        Self {
+            shared: StatCells::default(),
+            lanes: (0..n).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// Hosted image `i`'s lane, for that image's own thread: it is the
+    /// only writer, which is what makes load-then-store an exact count.
+    #[inline]
+    pub fn lane(&self, i: usize) -> Lane<'_> {
+        Lane {
+            cells: &self.lanes[i],
+            owned: true,
+        }
+    }
+
+    /// The shared cells, as the lane any thread may write.
+    #[inline]
+    pub fn shared(&self) -> Lane<'_> {
+        Lane {
+            cells: &self.shared,
+            owned: false,
+        }
+    }
+
+    /// Capture the current counter values: shared cells plus every lane.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let mut words = self.shared.snapshot().to_words();
+        for lane in &*self.lanes {
+            for (sum, w) in words.iter_mut().zip(lane.snapshot().to_words()) {
+                *sum = sum.wrapping_add(w);
+            }
+        }
+        StatsSnapshot::from_words(words)
+    }
+
+    /// Reset every counter to zero (between benchmark phases).
+    pub fn reset(&self) {
+        self.shared.reset();
+        for lane in &*self.lanes {
+            lane.reset();
+        }
+    }
+}
+
+/// Where a data op counts itself, and how: an image's own lane (load and
+/// store — see [`FabricStats::lane`]) or the shared cells (atomic add).
+#[derive(Clone, Copy, Debug)]
+pub struct Lane<'a> {
+    cells: &'a StatCells,
+    owned: bool,
+}
+
+impl Lane<'_> {
+    #[inline]
+    fn add(&self, cell: &AtomicU64, by: u64) {
+        if self.owned {
+            cell.store(
+                cell.load(Ordering::Relaxed).wrapping_add(by),
+                Ordering::Relaxed,
+            );
+        } else {
+            cell.fetch_add(by, Ordering::Relaxed);
+        }
+    }
+
     /// Record one put of `bytes` bytes; `intra` selects the hierarchy level.
     #[inline]
     pub fn record_put(&self, intra: bool, bytes: usize) {
+        let c = self.cells;
         if intra {
-            self.puts_intra.fetch_add(1, Ordering::Relaxed);
-            self.bytes_intra.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.add(&c.puts_intra, 1);
+            self.add(&c.bytes_intra, bytes as u64);
         } else {
-            self.puts_inter.fetch_add(1, Ordering::Relaxed);
-            self.bytes_inter.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.add(&c.puts_inter, 1);
+            self.add(&c.bytes_inter, bytes as u64);
         }
     }
 
     /// Record one get of `bytes` bytes.
     #[inline]
     pub fn record_get(&self, intra: bool, bytes: usize) {
+        let c = self.cells;
         if intra {
-            self.gets_intra.fetch_add(1, Ordering::Relaxed);
-            self.bytes_intra.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.add(&c.gets_intra, 1);
+            self.add(&c.bytes_intra, bytes as u64);
         } else {
-            self.gets_inter.fetch_add(1, Ordering::Relaxed);
-            self.bytes_inter.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.add(&c.gets_inter, 1);
+            self.add(&c.bytes_inter, bytes as u64);
         }
     }
 
@@ -227,16 +338,75 @@ impl FabricStats {
     /// counted as an ordinary put at its hierarchy level).
     #[inline]
     pub fn record_put_nb(&self, intra: bool, bytes: usize) {
-        self.puts_nb_injected.fetch_add(1, Ordering::Relaxed);
+        self.record_put_nb_inject();
         self.record_put(intra, bytes);
+    }
+
+    /// Record the injection of one nonblocking put whose bytes are counted
+    /// elsewhere ([`Lane::record_shm_put`]).
+    #[inline]
+    pub fn record_put_nb_inject(&self) {
+        self.add(&self.cells.puts_nb_injected, 1);
     }
 
     /// Record the completion (payload landed) of one nonblocking put.
     #[inline]
     pub fn record_put_nb_complete(&self) {
-        self.puts_nb_completed.fetch_add(1, Ordering::Relaxed);
+        self.add(&self.cells.puts_nb_completed, 1);
     }
 
+    /// Record one flag notification.
+    #[inline]
+    pub fn record_flag(&self, intra: bool) {
+        if intra {
+            self.add(&self.cells.flags_intra, 1);
+        } else {
+            self.add(&self.cells.flags_inter, 1);
+        }
+    }
+
+    /// Record one blocking flag wait.
+    #[inline]
+    pub fn record_flag_wait(&self) {
+        self.add(&self.cells.flag_waits, 1);
+    }
+
+    /// Record one remote atomic.
+    #[inline]
+    pub fn record_amo(&self) {
+        self.add(&self.cells.amos, 1);
+    }
+
+    /// Record one put of `bytes` bytes serviced through a shared-memory
+    /// segment.
+    #[inline]
+    pub fn record_shm_put(&self, bytes: usize) {
+        self.add(&self.cells.shm_puts, 1);
+        self.add(&self.cells.shm_bytes, bytes as u64);
+    }
+
+    /// Record one get of `bytes` bytes serviced through a shared-memory
+    /// segment.
+    #[inline]
+    pub fn record_shm_get(&self, bytes: usize) {
+        self.add(&self.cells.shm_bytes, bytes as u64);
+    }
+
+    /// Record one flag add or AMO applied in a shared flag/AMO table.
+    #[inline]
+    pub fn record_shm_flag(&self) {
+        self.add(&self.cells.shm_flag_ops, 1);
+    }
+
+    /// Record one op to a mapped peer that took the wire because its
+    /// target is unpublished.
+    #[inline]
+    pub fn record_wire_fallback(&self) {
+        self.add(&self.cells.wire_fallback_ops, 1);
+    }
+}
+
+impl StatCells {
     /// Record `frames` wire frames, `bytes` bytes in all, written to a peer
     /// process (a burst is counted at once, as it leaves).
     #[inline]
@@ -251,16 +421,6 @@ impl FabricStats {
     pub fn record_wire_rx(&self, frames: u64, bytes: u64) {
         self.wire_frames_rx.fetch_add(frames, Ordering::Relaxed);
         self.wire_bytes_rx.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one flag notification.
-    #[inline]
-    pub fn record_flag(&self, intra: bool) {
-        if intra {
-            self.flags_intra.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.flags_inter.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Record one simulator event scheduled; `queue_len` is the pending
@@ -309,27 +469,6 @@ impl FabricStats {
     pub fn record_am_fused(&self) {
         self.am_fused.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Record one put of `bytes` bytes serviced through a shared-memory
-    /// segment.
-    #[inline]
-    pub fn record_shm_put(&self, bytes: usize) {
-        self.shm_puts.fetch_add(1, Ordering::Relaxed);
-        self.shm_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record one get of `bytes` bytes serviced through a shared-memory
-    /// segment.
-    #[inline]
-    pub fn record_shm_get(&self, bytes: usize) {
-        self.shm_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record one flag add or AMO applied in a shared flag/AMO table.
-    #[inline]
-    pub fn record_shm_flag(&self) {
-        self.shm_flag_ops.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 impl StatsSnapshot {
@@ -376,12 +515,13 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let s = FabricStats::default();
-        s.record_put(true, 100);
-        s.record_put(false, 8);
-        s.record_flag(true);
-        s.record_flag(false);
-        s.record_get(false, 64);
+        let s = FabricStats::with_lanes(2);
+        // Shared cells and two images' lanes add up in the snapshot.
+        s.shared().record_put(true, 100);
+        s.lane(0).record_put(false, 8);
+        s.lane(1).record_flag(true);
+        s.shared().record_flag(false);
+        s.lane(1).record_get(false, 64);
         let snap = s.snapshot();
         assert_eq!(snap.puts_intra, 1);
         assert_eq!(snap.puts_inter, 1);
@@ -394,7 +534,7 @@ mod tests {
     /// What `record` leaves in a fresh `FabricStats`; also checks that
     /// `reset()` takes all of it back.
     fn recorded(record: impl Fn(&FabricStats)) -> StatsSnapshot {
-        let s = FabricStats::default();
+        let s = FabricStats::with_lanes(1);
         record(&s);
         let snap = s.snapshot();
         s.reset();
@@ -402,12 +542,20 @@ mod tests {
         snap
     }
 
+    /// [`recorded`] for a data-op helper: the same through the shared
+    /// cells and through an image's own lane.
+    fn recorded_either_way(record: impl Fn(Lane<'_>)) -> StatsSnapshot {
+        let shared = recorded(|s| record(s.shared()));
+        assert_eq!(recorded(|s| record(s.lane(0))), shared);
+        shared
+    }
+
     /// Every `record_*` helper lands on the counters it names and on no
     /// other: each case compares the whole snapshot.
     #[test]
     fn record_helpers_bump_exactly_their_counters() {
         let zero = StatsSnapshot::default();
-        let nb = recorded(|s| {
+        let nb = recorded_either_way(|s| {
             s.record_put_nb(false, 1024);
             s.record_put_nb(false, 1024);
             s.record_put_nb_complete();
@@ -470,9 +618,10 @@ mod tests {
         };
         assert_eq!(am, want);
 
-        let shm = recorded(|s| {
+        let shm = recorded_either_way(|s| {
             s.record_shm_put(64);
             s.record_shm_put(8);
+            s.record_put_nb_inject();
             s.record_shm_get(32);
             s.record_shm_flag();
             s.record_shm_flag();
@@ -481,9 +630,24 @@ mod tests {
             shm_puts: 2,
             shm_bytes: 64 + 8 + 32, // puts and gets share shm_bytes
             shm_flag_ops: 2,
+            puts_nb_injected: 1,
             ..zero
         };
         assert_eq!(shm, want, "shm ops stay off the level counters");
+
+        let rest = recorded_either_way(|s| {
+            s.record_amo();
+            s.record_flag_wait();
+            s.record_flag_wait();
+            s.record_wire_fallback();
+        });
+        let want = StatsSnapshot {
+            amos: 1,
+            flag_waits: 2,
+            wire_fallback_ops: 1,
+            ..zero
+        };
+        assert_eq!(rest, want);
     }
 
     #[test]
@@ -516,14 +680,14 @@ mod tests {
 
     #[test]
     fn since_and_minus_subtract_every_counter() {
-        let s = FabricStats::default();
-        s.record_put(true, 32);
-        s.record_get(false, 8);
-        s.record_flag(true);
+        let s = FabricStats::with_lanes(1);
+        s.lane(0).record_put(true, 32);
+        s.lane(0).record_get(false, 8);
+        s.shared().record_flag(true);
         let a = s.snapshot();
-        s.record_put(true, 32);
-        s.record_flag(true);
-        s.record_flag(false);
+        s.shared().record_put(true, 32);
+        s.lane(0).record_flag(true);
+        s.lane(0).record_flag(false);
         let b = s.snapshot();
         assert_eq!(b - a, b.since(&a));
         assert_eq!((b - a).puts_intra, 1);

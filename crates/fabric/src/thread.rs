@@ -1,6 +1,9 @@
 //! A real shared-memory fabric: images are OS threads, flags are atomics,
 //! puts are relaxed-atomic memcpys with release/acquire edges provided by
-//! the flag operations.
+//! the flag operations. Windows and flag cells live in the same
+//! [`seg::Tables`](crate::seg) a socket process hosts its images in, and
+//! ops count themselves in their image's lane of the [`FabricStats`]: an
+//! op's cost is its memory operation.
 //!
 //! This fabric validates the collective algorithms under genuine concurrency
 //! (the simulator, being turn-based, cannot exhibit real races) and powers
@@ -11,13 +14,17 @@
 //! laptop run shows a two-level cost structure.
 
 use crate::am::AmOp;
-use crate::seg::{bump_flag, Amo, FlagId, FlagWaiters, SegmentId, SharedBytes, Window};
-use crate::stats::FabricStats;
+use crate::seg::{
+    bump_flag, Amo, FlagCell, FlagId, FlagWaiters, ImageTables, SegmentId, SharedBytes, Span,
+    Tables, Window,
+};
+use crate::stats::{FabricStats, Lane};
 use crate::{Fabric, PutToken};
 use caf_topology::{CostParams, ImageMap, ProcId, SoftwareOverheads};
 use caf_trace::{Event, EventKind, Tracer};
 use crossbeam::utils::CachePadded;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,19 +62,15 @@ impl Default for ThreadConfig {
     }
 }
 
-/// Per-image storage.
-struct ImageSlot {
-    segs: RwLock<Vec<Arc<SharedBytes>>>,
-    flags: RwLock<Vec<Arc<CachePadded<AtomicU64>>>>,
-}
-
 /// The real-threads fabric. See the module docs.
 pub struct ThreadFabric {
     map: ImageMap,
     cfg: ThreadConfig,
     stats: FabricStats,
     start: Instant,
-    slots: Vec<ImageSlot>,
+    /// Every image's windows and flag cells (all heap), resolved through
+    /// the issuing thread's view of them.
+    tables: Tables,
     waiters: FlagWaiters,
     /// Set when an image died; waits panic instead of spinning forever.
     poisoned: Mutex<Option<String>>,
@@ -85,25 +88,20 @@ impl ThreadFabric {
     /// Build a fabric for the images of `map`.
     pub fn new(map: ImageMap, cfg: ThreadConfig) -> Arc<Self> {
         let n = map.n_images();
-        let slots = (0..n)
-            .map(|_| ImageSlot {
-                // Bootstrap resources: segment 0 and the control flags.
-                segs: RwLock::new(vec![Arc::new(SharedBytes::new(
-                    n * crate::bootstrap::SLOT_BYTES,
-                ))]),
-                flags: RwLock::new(
-                    (0..crate::bootstrap::NUM_FLAGS)
-                        .map(|_| Arc::new(CachePadded::new(AtomicU64::new(0))))
-                        .collect(),
-                ),
-            })
-            .collect();
+        let images: Vec<ProcId> = (0..n).map(ProcId).collect();
+        let tables = Tables::new(n, &images, 0);
+        for image in tables.hosted() {
+            // Bootstrap resources: segment 0 and the control flags.
+            let boot = SharedBytes::new(n * crate::bootstrap::SLOT_BYTES);
+            image.push_segment(|_| Window::Heap(Arc::new(boot)));
+            image.push_flags(crate::bootstrap::NUM_FLAGS, |_| FlagCell::heap());
+        }
         Arc::new(Self {
             map,
             cfg,
-            stats: FabricStats::default(),
+            stats: FabricStats::with_lanes(n),
             start: Instant::now(),
-            slots,
+            tables,
             waiters: FlagWaiters::default(),
             poisoned: Mutex::new(None),
             poison_flag: std::sync::atomic::AtomicBool::new(false),
@@ -119,19 +117,23 @@ impl ThreadFabric {
         Self::new(map, ThreadConfig::default())
     }
 
-    fn seg_of(&self, img: usize, seg: SegmentId) -> Arc<SharedBytes> {
-        let segs = self.slots[img].segs.read();
-        segs.get(seg.0)
-            .unwrap_or_else(|| panic!("image {img} has no {seg:?} (out of {})", segs.len()))
-            .clone()
+    /// Image `me`'s tables, to allocate in.
+    fn image(&self, me: ProcId) -> &ImageTables {
+        (self.tables.image(me.index())).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn flag_cell(&self, img: usize, flag: FlagId) -> Arc<CachePadded<AtomicU64>> {
-        let flags = self.slots[img].flags.read();
-        flags
-            .get(flag.0)
-            .unwrap_or_else(|| panic!("image {img} has no {flag:?} (out of {})", flags.len()))
-            .clone()
+    fn window(&self, img: usize, seg: SegmentId) -> Rc<Window> {
+        (self.tables.window(img, seg.0)).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn flag_cell(&self, img: usize, flag: FlagId) -> Rc<FlagCell> {
+        (self.tables.flag(img, flag.0)).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Image `me`'s counter lane: where the ops it issues count themselves.
+    #[inline]
+    fn lane(&self, me: ProcId) -> Lane<'_> {
+        self.stats.lane(me.index())
     }
 
     /// Wall timestamp for trace records, or 0 when tracing is off — spares
@@ -223,29 +225,21 @@ impl Fabric for ThreadFabric {
     }
 
     fn alloc_segment(&self, me: ProcId, bytes: usize) -> SegmentId {
-        let mut segs = self.slots[me.index()].segs.write();
-        let id = segs.len();
-        segs.push(Arc::new(SharedBytes::new(bytes)));
-        SegmentId(id)
+        (self.image(me)).push_segment(|_| Window::Heap(Arc::new(SharedBytes::new(bytes))))
     }
 
     fn alloc_flags(&self, me: ProcId, count: usize) -> FlagId {
-        let mut flags = self.slots[me.index()].flags.write();
-        let id = flags.len();
-        for _ in 0..count {
-            flags.push(Arc::new(CachePadded::new(AtomicU64::new(0))));
-        }
-        FlagId(id)
+        self.image(me).push_flags(count, |_| FlagCell::heap())
     }
 
     fn put(&self, me: ProcId, dst: ProcId, seg: SegmentId, offset: usize, bytes: &[u8]) {
         let intra = self.map.colocated(me, dst);
         if me != dst {
-            self.stats.record_put(intra, bytes.len());
+            self.lane(me).record_put(intra, bytes.len());
         }
         let t0 = self.trace_now();
         self.maybe_inject(!intra);
-        self.seg_of(dst.index(), seg).write(offset, bytes);
+        self.window(dst.index(), seg).write(offset, bytes);
         self.trace_span(EventKind::Put, me, dst, t0, bytes.len() as u64);
     }
 
@@ -259,9 +253,10 @@ impl Fabric for ThreadFabric {
         let bumped = std::cell::Cell::new(false);
         crate::am::apply(
             ops,
-            |seg| Window::Heap(self.seg_of(dst.index(), seg)),
+            |seg| Span::Own(self.window(dst.index(), seg)),
             |flag, delta| {
-                bump_flag(&self.flag_cell(dst.index(), flag), dst.index(), flag, delta);
+                let cell = self.flag_cell(dst.index(), flag);
+                bump_flag(cell.cell(), dst.index(), flag, delta);
                 bumped.set(true);
             },
         );
@@ -288,16 +283,17 @@ impl Fabric for ThreadFabric {
         // collectives are after.
         let intra = self.map.colocated(me, dst);
         let t0 = self.trace_now();
-        self.seg_of(dst.index(), seg).write(offset, bytes);
+        self.window(dst.index(), seg).write(offset, bytes);
         if me == dst {
             self.trace_span(EventKind::PutNb, me, dst, t0, bytes.len() as u64);
             return PutToken::DONE;
         }
-        self.stats.record_put_nb(intra, bytes.len());
+        let lane = self.lane(me);
+        lane.record_put_nb(intra, bytes.len());
         // On shared memory the payload is physically resident as soon as the
         // copy returns; completion == injection here (the simulator is where
         // the two genuinely diverge).
-        self.stats.record_put_nb_complete();
+        lane.record_put_nb_complete();
         let mut arrival = 0u64;
         if self.cfg.inject_internode_delay && !intra {
             let ns = self.cfg.cost.l_inter_ns * self.cfg.delay_scale_milli / 1000;
@@ -326,11 +322,11 @@ impl Fabric for ThreadFabric {
     fn get(&self, me: ProcId, src: ProcId, seg: SegmentId, offset: usize, out: &mut [u8]) {
         let intra = self.map.colocated(me, src);
         if me != src {
-            self.stats.record_get(intra, out.len());
+            self.lane(me).record_get(intra, out.len());
         }
         let t0 = self.trace_now();
         self.maybe_inject(!intra);
-        self.seg_of(src.index(), seg).read(offset, out);
+        self.window(src.index(), seg).read(offset, out);
         self.trace_span(EventKind::Get, me, src, t0, out.len() as u64);
     }
 
@@ -342,10 +338,10 @@ impl Fabric for ThreadFabric {
         offset: usize,
         delta: u64,
     ) -> u64 {
-        self.stats.amos.fetch_add(1, Ordering::Relaxed);
+        self.lane(me).record_amo();
         let t0 = self.trace_now();
         self.maybe_inject(!self.map.colocated(me, target));
-        let old = Window::Heap(self.seg_of(target.index(), seg)).amo(offset, Amo::Add(delta));
+        let old = (self.window(target.index(), seg)).amo(offset, Amo::Add(delta));
         self.trace_span(EventKind::AmoFetchAdd, me, target, t0, offset as u64);
         old
     }
@@ -359,10 +355,10 @@ impl Fabric for ThreadFabric {
         expected: u64,
         new: u64,
     ) -> u64 {
-        self.stats.amos.fetch_add(1, Ordering::Relaxed);
+        self.lane(me).record_amo();
         let t0 = self.trace_now();
         self.maybe_inject(!self.map.colocated(me, target));
-        let window = Window::Heap(self.seg_of(target.index(), seg));
+        let window = self.window(target.index(), seg);
         let old = window.amo(offset, Amo::Cas { expected, new });
         self.trace_span(EventKind::AmoCas, me, target, t0, offset as u64);
         old
@@ -371,16 +367,12 @@ impl Fabric for ThreadFabric {
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
         let intra = self.map.colocated(me, target);
         if me != target {
-            self.stats.record_flag(intra);
+            self.lane(me).record_flag(intra);
         }
         let t0 = self.trace_now();
         self.maybe_inject(!intra);
-        bump_flag(
-            &self.flag_cell(target.index(), flag),
-            target.index(),
-            flag,
-            delta,
-        );
+        let cell = self.flag_cell(target.index(), flag);
+        bump_flag(cell.cell(), target.index(), flag, delta);
         if self.cfg.tracer.enabled() {
             // Delivery is synchronous on shared memory: the add and its
             // landing are one instant. Record both views so the critical-
@@ -413,10 +405,10 @@ impl Fabric for ThreadFabric {
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
-        self.stats.flag_waits.fetch_add(1, Ordering::Relaxed);
+        self.lane(me).record_flag_wait();
         let t0 = self.trace_now();
         let cell = self.flag_cell(me.index(), flag);
-        self.waiters.wait_ge(&cell, at_least, || {
+        self.waiters.wait_ge(cell.cell(), at_least, |_| {
             if self.poison_flag.load(Ordering::Acquire) {
                 let msg = self.poisoned.lock().clone().unwrap_or_default();
                 panic!("fabric poisoned while image {me:?} waited: {msg}");
@@ -434,7 +426,7 @@ impl Fabric for ThreadFabric {
     }
 
     fn flag_read(&self, me: ProcId, flag: FlagId) -> u64 {
-        self.flag_cell(me.index(), flag).load(Ordering::Acquire)
+        (self.flag_cell(me.index(), flag).cell()).load(Ordering::Acquire)
     }
 
     fn quiet(&self, me: ProcId) {
@@ -529,7 +521,7 @@ mod tests {
         });
         // Check the final value from outside.
         let mut out = [0u8; 8];
-        f.seg_of(0, BSEG).read(0, &mut out);
+        f.window(0, BSEG).read(0, &mut out);
         assert_eq!(u64::from_ne_bytes(out), 4000);
     }
 
@@ -601,6 +593,69 @@ mod tests {
     fn unknown_segment_panics() {
         let f = fabric(1, 1, 1);
         f.put(ProcId(0), ProcId(0), SegmentId(3), 0, &[0]);
+    }
+
+    /// A view another thread keeps does not hide a table's growth: the
+    /// sender resolves one of image 1's flags (its view of that image is
+    /// filled), image 1 then allocates more, and the sender reaches the new
+    /// ones — and the old one — through the same view.
+    #[test]
+    fn a_table_grown_behind_a_cached_view_is_seen() {
+        use std::sync::mpsc::channel;
+        let f = fabric(1, 2, 2);
+        let (grown_tx, grown_rx) = channel::<(FlagId, SegmentId)>();
+        let (cached_tx, cached_rx) = channel::<()>();
+        let sender = {
+            let f = f.clone();
+            std::thread::spawn(move || {
+                let me = ProcId(0);
+                f.flag_add(me, ProcId(1), SPARE_FLAG, 1);
+                f.put(me, ProcId(1), BSEG, 0, &[1; 8]);
+                cached_tx.send(()).expect("main is waiting");
+                let (flag, seg) = grown_rx.recv().expect("image 1 allocated");
+                f.flag_add(me, ProcId(1), flag.nth(1), 5);
+                f.put(me, ProcId(1), seg, 24, &[7; 8]);
+                f.flag_add(me, ProcId(1), SPARE_FLAG, 1);
+            })
+        };
+        cached_rx.recv().expect("sender resolved");
+        let flag = f.alloc_flags(ProcId(1), 2);
+        let seg = f.alloc_segment(ProcId(1), 32);
+        grown_tx.send((flag, seg)).expect("sender is waiting");
+        sender.join().expect("sender");
+        assert_eq!(f.flag_read(ProcId(1), flag.nth(1)), 5);
+        assert_eq!(f.flag_read(ProcId(1), SPARE_FLAG), 2);
+        let mut out = [0u8; 8];
+        f.get(ProcId(1), ProcId(1), seg, 24, &mut out);
+        assert_eq!(out, [7; 8]);
+    }
+
+    /// One thread's views are per fabric: two fabrics whose tables differ
+    /// under the same ids, used in turn, each resolve their own.
+    #[test]
+    fn two_fabrics_on_one_thread_keep_their_own_entries() {
+        let (small, large) = (fabric(1, 1, 1), fabric(1, 1, 1));
+        let me = ProcId(0);
+        let seg = small.alloc_segment(me, 16);
+        assert_eq!(large.alloc_segment(me, 64), seg);
+        for round in 0..3u8 {
+            large.put(me, me, seg, 40, &[round; 8]);
+            small.put(me, me, seg, 8, &[round + 100; 8]);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                small.put(me, me, seg, 40, &[0xEE; 8])
+            }));
+            let msg = crate::panic_message(r.expect_err("past the small segment").as_ref());
+            assert!(msg.contains("exceeds segment of 16 bytes"), "{msg}");
+            let mut out = [0u8; 8];
+            large.get(me, me, seg, 40, &mut out);
+            assert_eq!(out, [round; 8], "the other fabric's put landed here");
+            small.get(me, me, seg, 8, &mut out);
+            assert_eq!(out, [round + 100; 8]);
+        }
+        // Flags likewise: the same id, two cells.
+        small.flag_add(me, me, SPARE_FLAG, 3);
+        assert_eq!(large.flag_read(me, SPARE_FLAG), 0);
+        assert_eq!(small.flag_read(me, SPARE_FLAG), 3);
     }
 
     #[test]
