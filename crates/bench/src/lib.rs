@@ -15,7 +15,7 @@
 pub mod results;
 
 use caf_fabric::{SimConfig, SimFabric};
-use caf_hpl::{factorize, HplConfig};
+use caf_hpl::{factorize, HplConfig, PhaseNs};
 use caf_runtime::{run_on_fabric, BarrierAlgo, CollectiveConfig};
 use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
 
@@ -154,11 +154,20 @@ pub fn print_hpl_preamble(label: &str) {
     println!("[{label}] local kernel: {}", caf_hpl::blas::kernel_name());
 }
 
+/// Image 1's view of one modeled HPL factorization.
+pub struct ModeledHpl {
+    /// Virtual nanoseconds between the factorization's barriers.
+    pub time_ns: u64,
+    /// Modeled GFLOP/s.
+    pub gflops: f64,
+    /// `time_ns` split by step of the block loop.
+    pub phase_ns: PhaseNs,
+}
+
 /// One modeled HPL factorization of EXP-F1: `images` images on `nodes`
 /// whale nodes (block placement), matrix seed 2015, `nb = 64` capped at
-/// `n / 4`, run on SimFabric under comparator `c`. Returns image 1's
-/// virtual nanoseconds and modeled GFLOP/s.
-pub fn modeled_hpl(images: usize, nodes: usize, n: usize, c: &Comparator) -> (u64, f64) {
+/// `n / 4`, run on SimFabric under comparator `c`.
+pub fn modeled_hpl(images: usize, nodes: usize, n: usize, c: &Comparator) -> ModeledHpl {
     let per_node = images / nodes;
     let map = ImageMap::new(presets::whale(), images, &Placement::Block { per_node });
     let fabric = SimFabric::new(
@@ -174,10 +183,15 @@ pub fn modeled_hpl(images: usize, nodes: usize, n: usize, c: &Comparator) -> (u6
         nb: 64.min(n / 4).max(8),
         seed: 2015,
     };
-    run_on_fabric(fabric, c.collectives, move |img| {
+    let mut per_image = run_on_fabric(fabric, c.collectives, move |img| {
         let out = factorize(img, &hpl);
-        (out.time_ns, out.gflops())
-    })[0]
+        ModeledHpl {
+            time_ns: out.time_ns,
+            gflops: out.gflops(),
+            phase_ns: out.phase_ns,
+        }
+    });
+    per_image.swap_remove(0)
 }
 
 #[cfg(test)]

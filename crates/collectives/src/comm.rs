@@ -912,11 +912,20 @@ impl TeamComm {
     /// Collective: all members must request the same size (they do, because
     /// collectives are called with matching buffers — asserted via the
     /// exchange).
+    ///
+    /// A slot fits the payload that asked for it, to the cache line; a
+    /// later, larger payload at least doubles it, so a creeping size
+    /// regrows O(log) times. (Rounding every request up to a power of two
+    /// instead made a payload of 2^k + ε bytes cost 2^(k+1) in each of the
+    /// team's slots — HPL's 1 MiB panel with its pivots in front doubled
+    /// twelve slots per image.)
     pub(crate) fn ensure_scratch(&mut self, slot_bytes: usize) {
         if self.scratch_slot_bytes >= slot_bytes {
             return;
         }
-        let new_slot = slot_bytes.next_power_of_two().max(64);
+        let new_slot = slot_bytes
+            .max(2 * self.scratch_slot_bytes)
+            .next_multiple_of(64);
         let slots = self.scratch_slots();
         let seg = self.fabric.alloc_segment(self.me, slots * new_slot);
         let g = self.allgather4([seg.0 as u64, new_slot as u64, 0, 0]);

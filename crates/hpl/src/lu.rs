@@ -1,11 +1,17 @@
 //! Distributed right-looking LU factorization with partial pivoting on a
 //! 2-D block-cyclic grid — the communication skeleton of HPL, expressed
 //! through `caf-rs` **row teams and column teams** exactly as the paper's
-//! CAF port does (§V-B):
+//! CAF port does (§V-B). A block step costs what it logically is:
 //!
-//! * pivot search: `co_reduce` MAXLOC over the **column team**;
-//! * pivot row exchange: pairwise coarray puts + `sync images`;
-//! * panel broadcast (L blocks + pivots): `co_broadcast` over **row teams**;
+//! * pivot search, row swap and pivot-row broadcast: **one** `co_reduce`
+//!   per panel column over the **column team**, on a derived type that
+//!   carries the candidate's row and the diagonal row with their keys —
+//!   HPL's own max-loc/swap/broadcast exchange;
+//! * panel broadcast (the panel's pivots, then its L blocks): one
+//!   `co_broadcast` per block step over **row teams**;
+//! * row interchanges outside the panel: the panel's transpositions folded
+//!   into one permutation, one coarray put per partner grid row inside one
+//!   `sync images` pair;
 //! * U-block-row broadcast: `co_broadcast` over **column teams**;
 //! * trailing update: local `dgemm`.
 //!
@@ -30,10 +36,56 @@ pub struct HplConfig {
     pub seed: u64,
 }
 
+/// Where one image's factorization time went, by step of the block loop.
+/// Read off `ImageCtx::now_ns` at the step boundaries (virtual time on the
+/// simulator, where reading the clock charges nothing), so the seven
+/// entries add up to [`HplOutcome::time_ns`] exactly. An image that is not
+/// on the panel's grid column spends step (a) waiting inside the panel
+/// broadcast, and that is where its wait is booked.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseNs {
+    /// (a) panel factorization: pivot reductions and rank-1 updates.
+    pub panel: u64,
+    /// (b)+(c) the panel's pivots and L slab along the row team.
+    pub panel_bcast: u64,
+    /// (d) row interchanges outside the panel.
+    pub interchange: u64,
+    /// (e) the `dtrsm` that turns the block row into U12.
+    pub dtrsm: u64,
+    /// (f) U12 along the column team.
+    pub u12_bcast: u64,
+    /// (g) trailing `dgemm` update.
+    pub update: u64,
+    /// The barrier that closes the timed region.
+    pub closing_sync: u64,
+}
+
+impl PhaseNs {
+    /// The phases in execution order, named as the result files name them.
+    pub fn rows(&self) -> [(&'static str, u64); 7] {
+        [
+            ("panel", self.panel),
+            ("panel_bcast", self.panel_bcast),
+            ("interchange", self.interchange),
+            ("dtrsm", self.dtrsm),
+            ("u12_bcast", self.u12_bcast),
+            ("update", self.update),
+            ("closing_sync", self.closing_sync),
+        ]
+    }
+
+    /// Sum of all phases.
+    pub fn total(&self) -> u64 {
+        self.rows().iter().map(|r| r.1).sum()
+    }
+}
+
 /// Per-image result of a factorization.
 pub struct HplOutcome {
     /// Wall/virtual nanoseconds between the start and end barriers.
     pub time_ns: u64,
+    /// The same nanoseconds split by step of the block loop.
+    pub phase_ns: PhaseNs,
     /// Pivot vector: global row exchanged with row `s` at step `s`.
     pub pivots: Vec<usize>,
     /// My local piece of the factored matrix (L strictly below the
@@ -61,106 +113,231 @@ impl HplOutcome {
     }
 }
 
-/// What a swap of global rows `r1` and `r2` asks of an image on grid row
-/// `prow`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SwapKind {
-    /// Same row, or neither row lives on my grid row: nothing to do.
-    Skip,
-    /// Both rows live on my grid row: a local swap of these local rows.
-    Local(usize, usize),
-    /// My local row `my_lr` trades places with a row on grid row
-    /// `partner_prow`.
-    Exchange { my_lr: usize, partner_prow: usize },
-}
-
-fn swap_kind(grid: &BlockCyclic, prow: usize, r1: usize, r2: usize) -> SwapKind {
-    let (p1, p2) = (grid.owner_row(r1), grid.owner_row(r2));
-    if r1 == r2 || (prow != p1 && prow != p2) {
-        SwapKind::Skip
-    } else if p1 == p2 {
-        SwapKind::Local(grid.local_row(r1), grid.local_row(r2))
-    } else if prow == p1 {
-        SwapKind::Exchange {
-            my_lr: grid.local_row(r1),
-            partner_prow: p2,
-        }
-    } else {
-        SwapKind::Exchange {
-            my_lr: grid.local_row(r2),
-            partner_prow: p1,
-        }
-    }
-}
-
-/// Exchange (or locally swap) global rows `r1` and `r2` across my columns
-/// in global column range `gc_lo..gc_hi`. Pairwise-synchronized through
-/// `sync images` (rendezvous before the put, completion after), so no
-/// global synchronization is needed — see the paper's point that teams let
-/// disjoint communication proceed independently.
-#[allow(clippy::too_many_arguments)]
-fn swap_rows_distributed(
-    img: &mut ImageCtx,
-    grid: &BlockCyclic,
-    local: &mut Matrix,
-    prow: usize,
-    pcol: usize,
-    q_width: usize,
-    r1: usize,
-    r2: usize,
-    gc_lo: usize,
-    gc_hi: usize,
-    swap_buf: &Coarray<f64>,
-    row_buf: &mut [f64],
-) {
-    let lc_lo = grid.first_local_col_ge(pcol, gc_lo);
-    let lc_hi = grid.first_local_col_ge(pcol, gc_hi);
-    let (my_lr, partner_prow) = match swap_kind(grid, prow, r1, r2) {
-        SwapKind::Skip => return,
-        SwapKind::Local(a, b) => return local.swap_rows(a, b, lc_lo, lc_hi),
-        SwapKind::Exchange {
-            my_lr,
-            partner_prow,
-        } => (my_lr, partner_prow),
-    };
-    if lc_lo == lc_hi {
-        return; // no columns of mine in range; partner skips likewise
-    }
-    let partner_image = partner_prow * q_width + pcol + 1; // 1-based initial
-
-    let row = &mut row_buf[..lc_hi - lc_lo];
-    for (slot, lj) in row.iter_mut().zip(lc_lo..lc_hi) {
-        *slot = local.get(my_lr, lj);
-    }
-    img.sync_images(&[partner_image]); // rendezvous: partner's buffer free
-    swap_buf.put(partner_image, 0, row);
-    img.sync_images(&[partner_image]); // both payloads have landed
-    swap_buf.get(img.this_image(), 0, row);
-    for (&v, lj) in row.iter().zip(lc_lo..lc_hi) {
-        local.set(my_lr, lj, v);
-    }
-}
-
 /// Account `flops` of local computation to the virtual clock.
 fn account(img: &ImageCtx, flops: u64) {
     let ns = img.fabric().cost().flops_to_ns(flops);
     img.compute(ns);
 }
 
-/// Every buffer a factorization needs besides the matrix, sized once for
-/// the largest block step and allocated before the clock starts, so the
-/// timed loop never touches the allocator.
+/// One element of step (a)'s reduction: a value of a matrix row, keyed by
+/// that row's claim `(|candidate|, global row)` — what a CAF `co_reduce`
+/// over a derived type carries. Every element of a row has the same key,
+/// so the whole row follows the winner.
+type Keyed = ((f64, u64), f64);
+
+/// MAXLOC on the key: the larger magnitude wins, the smaller row on a tie.
+fn stronger(a: Keyed, b: Keyed) -> Keyed {
+    let ((mag_a, row_a), (mag_b, row_b)) = (a.0, b.0);
+    if mag_a > mag_b || (mag_a == mag_b && row_a <= row_b) {
+        a
+    } else {
+        b
+    }
+}
+
+/// Fold the transpositions `(first + j) ↔ pivots[j]`, applied in order,
+/// into the one permutation they amount to: `perm` receives a
+/// `(position, source)` pair for every row a transposition touches (at
+/// most `2 · pivots.len()` of them, in order of first touch — the same
+/// list on every image). None of them ends up holding its own content
+/// again: a row's content moves either to a diagonal position, where it
+/// stays, or from one to a row further down.
+fn net_permutation(first: usize, pivots: &[usize], perm: &mut Vec<(usize, usize)>) {
+    fn entry(perm: &mut Vec<(usize, usize)>, row: usize) -> usize {
+        perm.iter().position(|e| e.0 == row).unwrap_or_else(|| {
+            perm.push((row, row));
+            perm.len() - 1
+        })
+    }
+    perm.clear();
+    for (j, &piv) in pivots.iter().enumerate() {
+        let s = first + j;
+        if piv != s {
+            let (a, b) = (entry(perm, s), entry(perm, piv));
+            (perm[a].1, perm[b].1) = (perm[b].1, perm[a].1);
+        }
+    }
+}
+
+/// Step (d): the row interchanges of one panel, applied to my columns
+/// outside it. Owns everything the step needs, sized from the grid before
+/// the clock starts.
+struct Interchange {
+    grid: BlockCyclic,
+    prow: usize,
+    pcol: usize,
+    /// Landing zone for rows from the other grid rows of my grid column:
+    /// one slot of `slot_len` per source row (initial-team coarray). A
+    /// one-row grid exchanges nothing and has none.
+    exchange: Option<Coarray<f64>>,
+    slot_len: usize,
+    /// One-row grid: the panel's local swaps, applied in one pass.
+    swaps: Vec<(usize, usize)>,
+    /// The panel's net `(position, source)` permutation, global rows.
+    perm: Vec<(usize, usize)>,
+    /// Local indices of the rows one gather or scatter moves.
+    rows: Vec<usize>,
+    /// Images (1-based, initial team) I trade rows with in this panel.
+    partners: Vec<usize>,
+    /// Rows of mine that move to another row of mine, kept until every
+    /// gather is done.
+    snap: Vec<f64>,
+    /// Rows on their way to, then from, one partner.
+    stage: Vec<f64>,
+}
+
+impl Interchange {
+    /// Collective over the initial team when the grid has several rows.
+    fn new(img: &mut ImageCtx, grid: BlockCyclic, prow: usize, pcol: usize) -> Self {
+        let nb = grid.nb;
+        // One source row can send me at most the 2·nb rows a panel touches.
+        let slot_len = 2 * nb * grid.local_cols(0).max(1);
+        let several = grid.p > 1;
+        let staging = if several {
+            2 * nb * grid.local_cols(pcol)
+        } else {
+            0
+        };
+        Interchange {
+            grid,
+            prow,
+            pcol,
+            exchange: several.then(|| img.coarray::<f64>((grid.p - 1) * slot_len)),
+            slot_len,
+            swaps: Vec::with_capacity(nb),
+            perm: Vec::with_capacity(2 * nb),
+            rows: Vec::with_capacity(2 * nb),
+            partners: Vec::with_capacity(grid.p),
+            snap: vec![0.0; staging],
+            stage: vec![0.0; staging],
+        }
+    }
+
+    /// Apply the interchanges `(first + j) ↔ pivots[j]`, in order, to my
+    /// columns outside the panel `first .. first + pivots.len()`.
+    ///
+    /// On a one-row grid that is a `dlaswp`. Otherwise the net permutation
+    /// says which rows change place: those headed for another grid row are
+    /// gathered and put into that row's image — one put per partner,
+    /// inside one `sync images` pair (slots free / payloads landed), so
+    /// disjoint grid columns and disjoint partner sets proceed
+    /// independently — and afterwards every position is written from the
+    /// snapshot of my own rows or from a landing slot.
+    fn apply(&mut self, img: &mut ImageCtx, local: &mut Matrix, first: usize, pivots: &[usize]) {
+        let g = self.grid;
+        let (me, pcol, slot_len) = (self.prow, self.pcol, self.slot_len);
+        // The image on grid row `row` of my grid column, and where in its
+        // exchange coarray the rows from grid row `from` land.
+        let landing = move |row: usize, from: usize| {
+            let slot = if from < row { from } else { from - 1 };
+            (row * g.q + pcol + 1, slot * slot_len)
+        };
+        let outside = [
+            (0, g.first_local_col_ge(pcol, first)),
+            (
+                g.first_local_col_ge(pcol, first + pivots.len()),
+                g.local_cols(pcol),
+            ),
+        ];
+        let Some(exchange) = &self.exchange else {
+            self.swaps.clear();
+            let moved = pivots
+                .iter()
+                .enumerate()
+                .filter(|&(j, &piv)| piv != first + j);
+            self.swaps
+                .extend(moved.map(|(j, &piv)| (g.local_row(first + j), g.local_row(piv))));
+            for (lo, hi) in outside {
+                local.swap_rows_batched(&self.swaps, lo, hi);
+            }
+            return;
+        };
+        net_permutation(first, pivots, &mut self.perm);
+        let ncols: usize = outside.iter().map(|(lo, hi)| hi - lo).sum();
+        if self.perm.is_empty() || ncols == 0 {
+            return; // and so says every image of my grid column
+        }
+        // Where each outside range sits in a packed buffer of `nrows` rows.
+        let spans = |nrows: usize| {
+            let mut at = 0;
+            outside.map(|(lo, hi)| {
+                let span = at..at + nrows * (hi - lo);
+                at = span.end;
+                (lo, hi, span)
+            })
+        };
+        // The permutation's entries that take a row from grid row `from`
+        // to grid row `to`, in the order both ends see them.
+        let perm = &self.perm;
+        let moving = |from: usize, to: usize| {
+            perm.iter().filter(move |&&(position, source)| {
+                g.owner_row(source) == from && g.owner_row(position) == to
+            })
+        };
+        self.partners.clear();
+        for row in (0..g.p).filter(|&row| row != me) {
+            if moving(me, row).chain(moving(row, me)).next().is_some() {
+                self.partners.push(landing(row, me).0);
+            }
+        }
+
+        img.sync_images(&self.partners); // my slots on the partners are free
+        for to in 0..g.p {
+            self.rows.clear();
+            self.rows
+                .extend(moving(me, to).map(|&(_, source)| g.local_row(source)));
+            if self.rows.is_empty() {
+                continue;
+            }
+            let buf = if to == me {
+                &mut self.snap
+            } else {
+                &mut self.stage
+            };
+            let buf = &mut buf[..self.rows.len() * ncols];
+            for (lo, hi, span) in spans(self.rows.len()) {
+                local.gather_rows(&self.rows, lo, hi, &mut buf[span]);
+            }
+            if to != me {
+                let (image, start) = landing(to, me);
+                exchange.put(image, start, buf);
+            }
+        }
+        img.sync_images(&self.partners); // every payload has landed
+        for from in 0..g.p {
+            self.rows.clear();
+            self.rows
+                .extend(moving(from, me).map(|&(position, _)| g.local_row(position)));
+            if self.rows.is_empty() {
+                continue;
+            }
+            let len = self.rows.len() * ncols;
+            let buf = if from == me {
+                &self.snap[..len]
+            } else {
+                let (image, start) = landing(me, from);
+                exchange.get(image, start, &mut self.stage[..len]);
+                &self.stage[..len]
+            };
+            for (lo, hi, span) in spans(self.rows.len()) {
+                local.scatter_rows(&self.rows, lo, hi, &buf[span]);
+            }
+        }
+    }
+}
+
+/// Every other buffer a factorization needs besides the matrix, sized once
+/// for the largest block step and allocated before the clock starts, so
+/// the timed loop never touches the allocator.
 struct Workspace {
-    /// Pivot rows chosen in the current panel.
-    pivots_k: Vec<u64>,
+    /// Step (a)'s reduction buffer: the candidate's row across the panel,
+    /// then the diagonal row.
+    reduce: Vec<Keyed>,
     /// The pivot row's segment right of the diagonal, within the panel.
     rowseg: Vec<f64>,
-    /// One row's worth of my columns, out and back in a distributed swap.
-    row_buf: Vec<f64>,
-    /// Local swaps of step (d) waiting to be applied in one pass.
-    swaps: Vec<(usize, usize)>,
-    /// The panel's active rows × `nb`, as broadcast along the row team.
-    slab: Vec<f64>,
+    /// The panel as broadcast along the row team: its `nb` pivots (as bit
+    /// patterns), then its active rows × `nb`.
+    panel: Vec<f64>,
     /// `nb` × my trailing columns, as broadcast along the column team.
     u12: Vec<f64>,
 }
@@ -169,11 +346,9 @@ impl Workspace {
     fn new(grid: &BlockCyclic, prow: usize, pcol: usize) -> Self {
         let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
         Workspace {
-            pivots_k: vec![0; grid.nb],
+            reduce: vec![((0.0, 0), 0.0); 2 * grid.nb],
             rowseg: vec![0.0; grid.nb],
-            row_buf: vec![0.0; lc],
-            swaps: Vec::with_capacity(grid.nb),
-            slab: vec![0.0; lr * grid.nb],
+            panel: vec![0.0; (1 + lr) * grid.nb],
             u12: vec![0.0; grid.nb * lc],
         }
     }
@@ -212,14 +387,19 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
     debug_assert_eq!(row_team.this_image() - 1, pcol);
     debug_assert_eq!(col_team.this_image() - 1, prow);
 
-    // Pivot-row exchange buffer (initial-team coarray, one row slice).
-    let max_lc = grid.local_cols(0).max(1);
-    let swap_buf = img.coarray::<f64>(max_lc);
-
     let mut pivots = vec![0usize; cfg.n];
     let mut ws = Workspace::new(&grid, prow, pcol);
+    let mut interchange = Interchange::new(img, grid, prow, pcol);
     img.sync_all();
     let t0 = img.now_ns();
+    let mut phase_ns = PhaseNs::default();
+    let mut mark = t0;
+    // Book the time since the previous boundary to `phase`.
+    let mut lap = |img: &ImageCtx, phase: &mut u64| {
+        let now = img.now_ns();
+        *phase += now - mark;
+        mark = now;
+    };
 
     let nblocks = cfg.n.div_ceil(cfg.nb);
     for k in 0..nblocks {
@@ -230,12 +410,14 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
         let lj0 = grid.local_col(gcol0); // valid only on pcol == q_k
 
         // -------- (a) panel factorization, on grid column q_k ----------
-        // Column at a time: every column costs the column team one MAXLOC
-        // reduction and one row broadcast, and that sequence is the
-        // communication skeleton the model is calibrated on.
-        let pivots_k = &mut ws.pivots_k[..nb_k];
+        // Column at a time, and every column costs the column team one
+        // reduction: each image offers its candidate's row (all `nb_k`
+        // panel columns of it) keyed by the candidate, and the diagonal
+        // row keyed so that its owner wins. The result holds the pivot row
+        // and the diagonal row on every image — pivot search, row swap and
+        // pivot-row broadcast in one exchange.
         if pcol == q_k {
-            for (j, pivot_slot) in pivots_k.iter_mut().enumerate() {
+            for j in 0..nb_k {
                 let gdiag = gcol0 + j;
                 let lj = lj0 + j;
                 // Local pivot candidate among my rows >= gdiag.
@@ -247,46 +429,58 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
                     }
                 }
                 account(img, 2 * (lr - li_from) as u64);
-                // MAXLOC over the column team (smaller row wins ties).
-                let mut m = [cand];
-                col_team.comm_mut().co_reduce_with(&mut m, |a, b| {
-                    if a.0 > b.0 || (a.0 == b.0 && a.1 <= b.1) {
-                        a
-                    } else {
-                        b
+                let diag_owner = grid.owner_row(gdiag);
+                let diag_lr = grid.local_row(gdiag); // valid only on diag_owner
+                if p > 1 {
+                    // The rows I can offer; an image without one offers
+                    // zeros under a key that loses.
+                    let cand_row = (cand.0 >= 0.0).then(|| grid.local_row(cand.1 as usize));
+                    let diag_row = (prow == diag_owner).then_some(diag_lr);
+                    let diag_key = (if diag_row.is_some() { 1.0 } else { -1.0 }, 0);
+                    let value = |row: Option<usize>, c| row.map_or(0.0, |r| local.get(r, lj0 + c));
+                    let (cands, diags) = ws.reduce[..2 * nb_k].split_at_mut(nb_k);
+                    for (c, (cand_slot, diag_slot)) in cands.iter_mut().zip(diags).enumerate() {
+                        *cand_slot = (cand, value(cand_row, c));
+                        *diag_slot = (diag_key, value(diag_row, c));
                     }
-                });
+                    col_team
+                        .comm_mut()
+                        .co_reduce_with(&mut ws.reduce[..2 * nb_k], stronger);
+                    cand = ws.reduce[0].0;
+                }
                 assert!(
-                    m[0].0 > 0.0,
+                    cand.0 > 0.0,
                     "HPL: matrix numerically singular at global column {gdiag}"
                 );
-                let piv = m[0].1 as usize;
-                *pivot_slot = piv as u64;
-                // Swap within the panel columns only (deferred elsewhere).
-                swap_rows_distributed(
-                    img,
-                    &grid,
-                    &mut local,
-                    prow,
-                    pcol,
-                    q,
-                    gdiag,
-                    piv,
-                    gcol0,
-                    gcol0 + nb_k,
-                    &swap_buf,
-                    &mut ws.row_buf,
-                );
-                // Broadcast the (post-swap) pivot row segment to the team.
-                let owner = grid.owner_row(gdiag);
+                let piv = cand.1 as usize;
+                pivots[gdiag] = piv;
+                // Swap within the panel columns only (deferred elsewhere)
+                // and read the pivot row's segment from the diagonal on.
                 let rowseg = &mut ws.rowseg[..nb_k - j];
-                if prow == owner {
-                    let plr = grid.local_row(gdiag);
+                if p > 1 {
+                    // The diagonal's owner stores the pivot row, the
+                    // pivot's owner the diagonal row.
+                    let (pivot_row, diag_row) = ws.reduce[..2 * nb_k].split_at(nb_k);
+                    if prow == diag_owner {
+                        for (c, e) in pivot_row.iter().enumerate() {
+                            local.set(diag_lr, lj0 + c, e.1);
+                        }
+                    }
+                    if prow == grid.owner_row(piv) && piv != gdiag {
+                        for (c, e) in diag_row.iter().enumerate() {
+                            local.set(grid.local_row(piv), lj0 + c, e.1);
+                        }
+                    }
+                    for (slot, e) in rowseg.iter_mut().zip(&pivot_row[j..]) {
+                        *slot = e.1;
+                    }
+                } else {
+                    // A column team of one: both rows are mine.
+                    local.swap_rows(diag_lr, grid.local_row(piv), lj0, lj0 + nb_k);
                     for (slot, col) in rowseg.iter_mut().zip(lj..lj0 + nb_k) {
-                        *slot = local.get(plr, col);
+                        *slot = local.get(diag_lr, col);
                     }
                 }
-                col_team.comm_mut().co_broadcast(rowseg, owner);
                 let pivot_val = rowseg[0];
                 // Scale my subdiagonal column and rank-1 update the panel.
                 let li1 = grid.first_local_row_ge(prow, gdiag + 1);
@@ -302,91 +496,65 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
                 }
             }
         }
+        lap(img, &mut phase_ns.panel);
 
-        // -------- (b) pivots travel along row teams --------------------
-        row_team.comm_mut().co_broadcast(pivots_k, q_k);
-        for (slot, &pv) in pivots[gcol0..].iter_mut().zip(pivots_k.iter()) {
-            *slot = pv as usize;
-        }
-
-        // -------- (c) panel L slab travels along row teams -------------
+        // -------- (b)+(c) the panel travels along row teams ------------
+        // One broadcast: the pivots at the head (as bit patterns, exact
+        // through the byte copy), then the L slab — only the pivots where
+        // no active row is left.
         let act0 = grid.first_local_row_ge(prow, gcol0);
         let slab_rows = lr - act0;
-        let slab = &mut ws.slab[..slab_rows * nb_k];
-        if slab_rows > 0 {
-            if pcol == q_k {
+        let panel = &mut ws.panel[..(1 + slab_rows) * nb_k];
+        if pcol == q_k {
+            let (head, slab) = panel.split_at_mut(nb_k);
+            for (slot, &piv) in head.iter_mut().zip(&pivots[gcol0..]) {
+                *slot = f64::from_bits(piv as u64);
+            }
+            if slab_rows > 0 {
                 for (jj, dst) in slab.chunks_exact_mut(slab_rows).enumerate() {
                     dst.copy_from_slice(&local.col(lj0 + jj)[act0..lr]);
                 }
             }
-            row_team.comm_mut().co_broadcast(slab, q_k);
         }
+        row_team.comm_mut().co_broadcast(panel, q_k);
+        let (head, slab) = panel.split_at(nb_k);
+        let pivots_k = &mut pivots[gcol0..gcol0 + nb_k];
+        for (slot, bits) in pivots_k.iter_mut().zip(head) {
+            *slot = bits.to_bits() as usize;
+        }
+        lap(img, &mut phase_ns.panel_bcast);
 
         // -------- (d) apply row interchanges outside the panel ---------
-        // Swaps whose two rows are both mine (all of them when p == 1)
-        // queue up and are applied dlaswp-style, one pass per column; a
-        // swap that needs the partner grid row flushes the queue first,
-        // so every element sees the interchanges in pivot order.
-        let lc_left = grid.first_local_col_ge(pcol, gcol0);
-        let lt_c0 = grid.first_local_col_ge(pcol, gcol0 + nb_k);
-        let apply_queued = |local: &mut Matrix, queued: &mut Vec<(usize, usize)>| {
-            local.swap_rows_batched(queued, 0, lc_left);
-            local.swap_rows_batched(queued, lt_c0, lc);
-            queued.clear();
-        };
-        for (j, &pv) in pivots_k.iter().enumerate() {
-            let s = gcol0 + j;
-            let piv = pv as usize;
-            match swap_kind(&grid, prow, s, piv) {
-                SwapKind::Skip => {}
-                SwapKind::Local(a, b) => ws.swaps.push((a, b)),
-                SwapKind::Exchange { .. } => {
-                    apply_queued(&mut local, &mut ws.swaps);
-                    for (gc_lo, gc_hi) in [(0, gcol0), (gcol0 + nb_k, cfg.n)] {
-                        swap_rows_distributed(
-                            img,
-                            &grid,
-                            &mut local,
-                            prow,
-                            pcol,
-                            q,
-                            s,
-                            piv,
-                            gc_lo,
-                            gc_hi,
-                            &swap_buf,
-                            &mut ws.row_buf,
-                        );
-                    }
-                }
-            }
-        }
-        apply_queued(&mut local, &mut ws.swaps);
+        interchange.apply(img, &mut local, gcol0, pivots_k);
+        lap(img, &mut phase_ns.interchange);
 
         // -------- (e) U12 = L11⁻¹ · A(K, trailing) on grid row p_k ------
         // Solved in the contiguous broadcast buffer (the block row of the
         // local matrix is `nb` doubles every `ld`), then written back.
+        let lt_c0 = grid.first_local_col_ge(pcol, gcol0 + nb_k);
         let tcols = lc - lt_c0;
         let u12 = &mut ws.u12[..nb_k * tcols];
-        if tcols > 0 {
-            if prow == p_k {
-                let li_k0 = grid.local_row(gcol0);
-                for (jj, dst) in u12.chunks_exact_mut(nb_k).enumerate() {
-                    dst.copy_from_slice(&local.col(lt_c0 + jj)[li_k0..li_k0 + nb_k]);
-                }
-                // L11 (unit diagonal implied) sits in the slab at my rows
-                // of block K.
-                let l11 = &slab[li_k0 - act0..];
-                blas::dtrsm_lower_unit(nb_k, tcols, l11, slab_rows, u12, nb_k);
-                account(img, blas::dtrsm_flops(nb_k, tcols));
-                for (jj, src) in u12.chunks_exact(nb_k).enumerate() {
-                    local.col_mut(lt_c0 + jj)[li_k0..li_k0 + nb_k].copy_from_slice(src);
-                }
+        if tcols > 0 && prow == p_k {
+            let li_k0 = grid.local_row(gcol0);
+            for (jj, dst) in u12.chunks_exact_mut(nb_k).enumerate() {
+                dst.copy_from_slice(&local.col(lt_c0 + jj)[li_k0..li_k0 + nb_k]);
             }
+            // L11 (unit diagonal implied) sits in the slab at my rows
+            // of block K.
+            let l11 = &slab[li_k0 - act0..];
+            blas::dtrsm_lower_unit(nb_k, tcols, l11, slab_rows, u12, nb_k);
+            account(img, blas::dtrsm_flops(nb_k, tcols));
+            for (jj, src) in u12.chunks_exact(nb_k).enumerate() {
+                local.col_mut(lt_c0 + jj)[li_k0..li_k0 + nb_k].copy_from_slice(src);
+            }
+        }
+        lap(img, &mut phase_ns.dtrsm);
 
-            // -------- (f) U12 travels along column teams ----------------
+        // -------- (f) U12 travels along column teams --------------------
+        if tcols > 0 {
             col_team.comm_mut().co_broadcast(u12, p_k);
         }
+        lap(img, &mut phase_ns.u12_bcast);
 
         // -------- (g) trailing update: A22 -= L21 · U12 -----------------
         let lt_r0 = grid.first_local_row_ge(prow, gcol0 + nb_k);
@@ -397,17 +565,237 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
             blas::dgemm_minus(trows, tcols, nb_k, a, slab_rows, u12, nb_k, c, ld);
             account(img, blas::dgemm_flops(trows, tcols, nb_k));
         }
+        lap(img, &mut phase_ns.update);
     }
 
     img.sync_all();
-    let time_ns = img.now_ns() - t0;
+    lap(img, &mut phase_ns.closing_sync);
 
     HplOutcome {
-        time_ns,
+        time_ns: phase_ns.total(),
+        phase_ns,
         pivots,
         local,
         grid,
         prow,
         pcol,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caf_fabric::StatsSnapshot;
+    use caf_runtime::{run_on_fabric, CollectiveConfig, RunConfig};
+    use caf_topology::presets;
+    use proptest::prelude::*;
+
+    /// Run `body` on `images` simulated images (2 nodes × 4 cores) and
+    /// return what each image returned plus everything the fabric counted.
+    fn counted<R: Send + 'static>(
+        images: usize,
+        body: impl Fn(&mut ImageCtx) -> R + Send + Sync + 'static,
+    ) -> (Vec<R>, StatsSnapshot) {
+        let fabric = RunConfig::sim_packed(presets::mini(2, 4), images).build_fabric();
+        let out = run_on_fabric(fabric.clone(), CollectiveConfig::auto(), body);
+        (out, fabric.stats().snapshot())
+    }
+
+    fn puts(s: &StatsSnapshot) -> u64 {
+        s.puts_intra + s.puts_inter
+    }
+
+    fn flags(s: &StatsSnapshot) -> u64 {
+        s.flags_intra + s.flags_inter
+    }
+
+    #[test]
+    fn net_permutation_of_a_three_cycle_and_of_nothing() {
+        let mut perm = Vec::new();
+        // 0↔5, then 1↔5: row 5's content ends at 0, row 0's at 1, row 1's at 5.
+        net_permutation(0, &[5, 5], &mut perm);
+        perm.sort_unstable();
+        assert_eq!(perm, [(0, 5), (1, 0), (5, 1)]);
+        // Pivots on the diagonal move nothing; a row picked twice moves on.
+        net_permutation(4, &[9, 5, 6], &mut perm);
+        assert_eq!(perm, [(4, 9), (9, 4)]);
+        net_permutation(4, &[9, 5, 6, 7, 9], &mut perm);
+        assert_eq!(perm, [(4, 9), (9, 8), (8, 4)]);
+        net_permutation(2, &[2, 3], &mut perm);
+        assert!(perm.is_empty());
+    }
+
+    proptest! {
+        #[test]
+        fn net_permutation_is_the_sequence_of_transpositions(
+            first in 0usize..6,
+            picks in proptest::collection::vec(0usize..40, 0..9),
+        ) {
+            let n = 24;
+            let pivots: Vec<usize> = picks
+                .iter()
+                .enumerate()
+                .map(|(j, pick)| first + j + pick % (n - first - j))
+                .collect();
+            let mut rows: Vec<usize> = (0..n).collect();
+            for (j, &piv) in pivots.iter().enumerate() {
+                rows.swap(first + j, piv);
+            }
+            let mut perm = Vec::with_capacity(2 * pivots.len());
+            net_permutation(first, &pivots, &mut perm);
+            prop_assert!(perm.len() <= 2 * pivots.len());
+            let mut folded: Vec<usize> = (0..n).collect();
+            for &(position, source) in &perm {
+                prop_assert!(position != source);
+                folded[position] = source;
+            }
+            prop_assert_eq!(folded, rows);
+        }
+
+        /// A matrix of row ids, every panel of it interchanged by step
+        /// (d) on a p × q grid, ends up where one transposition at a time
+        /// puts it — pivots on the diagonal, repeated pivot rows, pivots
+        /// inside and outside the block, cycles through three grid rows —
+        /// with at most p − 1 puts per image and panel.
+        #[test]
+        fn batched_interchange_equals_sequential_transpositions(
+            p in 1usize..=4,
+            q in 1usize..=2,
+            picks in proptest::collection::vec(0usize..30, 26),
+        ) {
+            let (n, nb) = (26, 4); // 7 panels, the last one partial
+            let pivots: Vec<usize> = picks
+                .iter()
+                .enumerate()
+                .map(|(s, pick)| s + pick % (n - s).min(12))
+                .collect();
+            let id = |gi: usize, gj: usize| (gi * 100 + gj) as f64;
+            let mut want = Matrix::zeros(n, n);
+            for gj in 0..n {
+                for gi in 0..n {
+                    want.set(gi, gj, id(gi, gj));
+                }
+            }
+            for (s, &piv) in pivots.iter().enumerate() {
+                let panel = s / nb * nb;
+                want.swap_rows(s, piv, 0, panel);
+                want.swap_rows(s, piv, (panel + nb).min(n), n);
+            }
+
+            let grid = BlockCyclic::new(n, nb, p, q);
+            let program = move |panels: bool| {
+                let pivots = pivots.clone();
+                counted(p * q, move |img| {
+                    let rank0 = img.this_image() - 1;
+                    let (prow, pcol) = (rank0 / q, rank0 % q);
+                    let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
+                    let mut local = Matrix::zeros(lr.max(1), lc.max(1));
+                    for lj in 0..lc {
+                        for li in 0..lr {
+                            let (gi, gj) = (grid.global_row(prow, li), grid.global_col(pcol, lj));
+                            local.set(li, lj, id(gi, gj));
+                        }
+                    }
+                    let mut interchange = Interchange::new(img, grid, prow, pcol);
+                    for first in (0..n).step_by(nb).filter(|_| panels) {
+                        let panel = &pivots[first..(first + nb).min(n)];
+                        interchange.apply(img, &mut local, first, panel);
+                    }
+                    img.sync_all();
+                    local
+                })
+            };
+            let (locals, with_panels) = program(true);
+            let (_, without) = program(false);
+            for (rank0, local) in locals.iter().enumerate() {
+                let (prow, pcol) = (rank0 / q, rank0 % q);
+                for lj in 0..grid.local_cols(pcol) {
+                    for li in 0..grid.local_rows(prow) {
+                        let (gi, gj) = (grid.global_row(prow, li), grid.global_col(pcol, lj));
+                        prop_assert_eq!(
+                            local.get(li, lj), want.get(gi, gj),
+                            "global ({}, {}) on image {}", gi, gj, rank0 + 1
+                        );
+                    }
+                }
+            }
+            let panels = n.div_ceil(nb) as u64;
+            let sent = puts(&with_panels) - puts(&without);
+            prop_assert!(
+                sent <= panels * (p * q * (p - 1)) as u64,
+                "{} interchange puts over {} panels on a {}x{} grid", sent, panels, p, q
+            );
+        }
+    }
+
+    /// What a panel column adds to a factorization's traffic is one
+    /// `co_reduce` of its size on its column team — nothing besides.
+    #[test]
+    fn a_panel_column_costs_one_reduction_on_the_column_team() {
+        // Grid 2 × 2. With `n == nb` a factorization is one panel on grid
+        // column 0, one panel broadcast per row team, and neither an
+        // interchange (no column outside the panel) nor a U12.
+        let one_panel = |nb: usize| {
+            let hpl = HplConfig { n: nb, nb, seed: 5 };
+            counted(4, move |img| factorize(img, &hpl).pivots).1
+        };
+        // The same teams, then `calls` reductions of a panel column's size
+        // on grid column 0's team.
+        let reductions = |nb: usize, calls: usize| {
+            counted(4, move |img| {
+                let rank0 = img.this_image() - 1;
+                let _row_team = img.form_team((rank0 / 2) as i64);
+                let mut col_team = img.form_team((rank0 % 2) as i64);
+                if rank0 % 2 == 0 {
+                    let mut buf: Vec<Keyed> = vec![((rank0 as f64, 0), 1.0); 2 * nb];
+                    for _ in 0..calls {
+                        col_team.comm_mut().co_reduce_with(&mut buf, stronger);
+                    }
+                }
+            })
+            .1
+        };
+        let (small, large) = (one_panel(8), one_panel(16));
+        for (what, count) in [
+            ("notifications", flags as fn(&StatsSnapshot) -> u64),
+            ("puts", puts),
+        ] {
+            let per_call = |nb| count(&reductions(nb, 3)) - count(&reductions(nb, 2));
+            assert!(per_call(8) > 0, "a reduction sends {what}");
+            assert_eq!(
+                count(&large) - count(&small),
+                16 * per_call(16) - 8 * per_call(8),
+                "{what}: 16 columns of a 16-wide panel against 8 of an 8-wide one"
+            );
+        }
+    }
+
+    /// On a 2 × 2 grid every image has one partner at most: a panel whose
+    /// pivots all cross the grid rows costs each image exactly one put and
+    /// one `sync images` pair, however many rows move.
+    #[test]
+    fn a_panel_of_crossing_pivots_is_one_put_per_image() {
+        let (n, nb) = (32, 4);
+        let grid = BlockCyclic::new(n, nb, 2, 2);
+        let traffic = |panels: usize| {
+            counted(4, move |img| {
+                let rank0 = img.this_image() - 1;
+                let (prow, pcol) = (rank0 / 2, rank0 % 2);
+                let mut local = Matrix::zeros(grid.local_rows(prow), grid.local_cols(pcol));
+                let mut interchange = Interchange::new(img, grid, prow, pcol);
+                for k in 0..panels {
+                    // Block k lives on grid row k % 2, block k + 1 on the other.
+                    let first = k * nb;
+                    let pivots: Vec<usize> = (first + nb..first + 2 * nb).collect();
+                    interchange.apply(img, &mut local, first, &pivots);
+                }
+                img.sync_all();
+            })
+            .1
+        };
+        let (none, three) = (traffic(0), traffic(3));
+        assert_eq!(puts(&three) - puts(&none), 3 * 4);
+        // Two `sync images` with one partner each, per image and panel.
+        assert_eq!(flags(&three) - flags(&none), 3 * 4 * 2);
     }
 }

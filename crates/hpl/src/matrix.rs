@@ -100,6 +100,38 @@ impl Matrix {
         }
     }
 
+    /// Copy rows `rows` of columns `c_lo..c_hi` into `out`, one column after
+    /// the other (`out[(j − c_lo)·rows.len() + i]` = element `(rows[i], j)`)
+    /// — columns outer, like [`Matrix::swap_rows_batched`], so each column
+    /// is brought into cache once however many rows are taken from it.
+    pub fn gather_rows(&self, rows: &[usize], c_lo: usize, c_hi: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), rows.len() * (c_hi - c_lo), "gather size");
+        if rows.is_empty() {
+            return;
+        }
+        for (j, dst) in (c_lo..c_hi).zip(out.chunks_exact_mut(rows.len())) {
+            let col = self.col(j);
+            for (slot, &r) in dst.iter_mut().zip(rows) {
+                *slot = col[r];
+            }
+        }
+    }
+
+    /// The inverse of [`Matrix::gather_rows`]: overwrite rows `rows` of
+    /// columns `c_lo..c_hi` from `src` in the same layout.
+    pub fn scatter_rows(&mut self, rows: &[usize], c_lo: usize, c_hi: usize, src: &[f64]) {
+        assert_eq!(src.len(), rows.len() * (c_hi - c_lo), "scatter size");
+        if rows.is_empty() {
+            return;
+        }
+        for (j, from) in (c_lo..c_hi).zip(src.chunks_exact(rows.len())) {
+            let col = self.col_mut(j);
+            for (&v, &r) in from.iter().zip(rows) {
+                col[r] = v;
+            }
+        }
+    }
+
     /// Max-absolute-value norm (‖·‖_max).
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
@@ -203,6 +235,37 @@ mod tests {
             batched.swap_rows_batched(&swaps, c_lo, c_hi);
             prop_assert_eq!(batched, sequential);
         }
+    }
+
+    #[test]
+    fn gather_is_columns_outer_and_scatter_undoes_it() {
+        let mut m = hpl_matrix(9, 6);
+        let original = m.clone();
+        let rows = [4, 0, 5];
+        let mut packed = [0.0; 6];
+        m.gather_rows(&rows, 2, 4, &mut packed);
+        let want: Vec<f64> = [(4, 2), (0, 2), (5, 2), (4, 3), (0, 3), (5, 3)]
+            .iter()
+            .map(|&(i, j)| original.get(i, j))
+            .collect();
+        assert_eq!(packed.as_slice(), want);
+        // Scattered one row down the list, rows 4, 0, 5 rotate; columns
+        // outside 2..4 and the other rows stay.
+        m.scatter_rows(&[0, 5, 4], 2, 4, &packed);
+        for j in 0..6 {
+            for i in 0..6 {
+                let from = match (i, (2..4).contains(&j)) {
+                    (0, true) => 4,
+                    (5, true) => 0,
+                    (4, true) => 5,
+                    _ => i,
+                };
+                assert_eq!(m.get(i, j), original.get(from, j), "({i}, {j})");
+            }
+        }
+        // No rows, or no columns: nothing to size, nothing moves.
+        m.gather_rows(&[], 0, 6, &mut []);
+        m.scatter_rows(&rows, 3, 3, &[]);
     }
 
     #[test]
