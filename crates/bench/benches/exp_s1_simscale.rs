@@ -1,6 +1,7 @@
-//! EXP-S1-simscale — simulator throughput at fleet scale: the sharded
-//! event core + indexed O(log n) scheduler vs the pre-scale global heap +
-//! O(n) argmin scans, driven through the hosted-image stepper
+//! EXP-S1-simscale — simulator throughput at fleet scale: the one-queue
+//! event core (events and image turns in one radix-bucketed monotone
+//! queue, `caf_fabric::evq`) vs the pre-scale global heap + O(n) argmin
+//! scans, driven through the hosted-image stepper
 //! ([`caf_fabric::run_stepped`]) so fleet sizes are bounded by memory, not
 //! OS threads.
 //!
@@ -10,9 +11,15 @@
 //! (`sharded_virt` rows — bit-for-bit reproducible, gated at the default
 //! 10% by `cargo xtask bench-diff`) and the wall-clock cost per simulated
 //! op (`*_wall` rows — host-noisy, gated loosely via `--wall-tolerance`).
-//! At 10k images the legacy core (`SimConfig::legacy_queue`, the pre-PR
-//! scheduler) runs the same kernels as the speedup reference, and its
-//! virtual makespans are asserted bit-identical to the sharded core's.
+//! A point shorter than [`MIN_TIMED_S`] is repeated until that much wall
+//! time has been spent on it and reports its best repetition: a 1k-image
+//! kernel is ~10 ms of work, and one shot of that reads anywhere within
+//! ±25 % on a shared host. At 10k images the legacy core
+//! (`SimConfig::legacy_queue`) runs the same kernels as the speedup
+//! reference, and its virtual makespans are asserted bit-identical to the
+//! default core's. The `sharded_*` row names predate the one-queue core
+//! (they date from the per-node event shards it replaced) and are kept so
+//! the bench-diff history of each row continues.
 //!
 //! Results go to `BENCH_simscale.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
@@ -83,23 +90,41 @@ fn fabric(n: usize, legacy: bool, chaos_seed: Option<u64>) -> Arc<SimFabric> {
 struct Point {
     virt_ns: u64,
     total_ops: u64,
+    /// Wall time of the best repetition.
     wall_s: f64,
     ops_per_s: f64,
 }
 
+/// A point is repeated until this much wall time has gone into it.
+const MIN_TIMED_S: f64 = 0.2;
+
 fn run_point(kernel: &str, n: usize, legacy: bool, chaos_seed: Option<u64>) -> Point {
     let epochs = if n >= 100_000 { 1 } else { 2 };
-    let f = fabric(n, legacy, chaos_seed);
-    let progs = programs(kernel, n, epochs);
-    let t0 = Instant::now();
-    let report = run_stepped(&f, progs);
-    let wall_s = t0.elapsed().as_secs_f64();
-    Point {
-        virt_ns: report.max_time_ns,
-        total_ops: report.total_ops(),
-        wall_s,
-        ops_per_s: report.total_ops() as f64 / wall_s.max(1e-9),
+    let (mut spent_s, mut best): (f64, Option<Point>) = (0.0, None);
+    while spent_s < MIN_TIMED_S {
+        let f = fabric(n, legacy, chaos_seed);
+        let progs = programs(kernel, n, epochs);
+        let t0 = Instant::now();
+        let report = run_stepped(&f, progs);
+        let wall_s = t0.elapsed().as_secs_f64();
+        spent_s += wall_s;
+        if let Some(b) = &best {
+            assert_eq!(
+                (b.virt_ns, b.total_ops),
+                (report.max_time_ns, report.total_ops()),
+                "{kernel}@{n}: two repetitions of one point disagree"
+            );
+        }
+        if best.as_ref().is_none_or(|b| wall_s < b.wall_s) {
+            best = Some(Point {
+                virt_ns: report.max_time_ns,
+                total_ops: report.total_ops(),
+                wall_s,
+                ops_per_s: report.total_ops() as f64 / wall_s.max(1e-9),
+            });
+        }
     }
+    best.expect("at least one repetition")
 }
 
 fn human(n: usize) -> String {
@@ -119,7 +144,7 @@ fn main() {
     };
     let mut recs: Vec<Rec> = Vec::new();
     let mut t = Table::new(
-        "EXP-S1-simscale: hosted-image stepping, sharded event core (legacy \
+        "EXP-S1-simscale: hosted-image stepping, one-queue event core (legacy \
          reference at 10k images)"
             .to_string(),
         &[
@@ -156,7 +181,7 @@ fn main() {
                 Some(l) => {
                     assert_eq!(
                         l.virt_ns, p.virt_ns,
-                        "{kernel}@{n}: legacy and sharded cores disagree on the simulated makespan"
+                        "{kernel}@{n}: legacy and one-queue cores disagree on the simulated makespan"
                     );
                     recs.push(Rec {
                         op: kernel,
@@ -187,13 +212,21 @@ fn main() {
     }
     // Chaos smoke: the perturbed scheduler through the stepped driver is
     // part of the tracked surface too (deterministic per seed, so the
-    // makespan is gateable like any virt row).
+    // makespan is gateable like any virt row). Its wall cost is a row of
+    // its own: seed 42 reshuffles priorities every few commits, a path the
+    // plain points never take, and a slowdown there moves no virt row.
     let chaos = run_point("barrier", 1_000, false, Some(42));
     recs.push(Rec {
         op: "barrier",
         bytes: 1_000,
         algo: "sharded_chaos_virt".into(),
         ns: chaos.virt_ns as f64,
+    });
+    recs.push(Rec {
+        op: "barrier",
+        bytes: 1_000,
+        algo: "sharded_chaos_wall".into(),
+        ns: chaos.wall_s * 1e9 / chaos.total_ops as f64,
     });
     t.note(format!(
         "chaos seed 42, barrier @1k: virt {:.2} ms, {:.2} Mops/s",
@@ -219,11 +252,11 @@ fn main() {
     if !quick_mode() {
         assert!(
             min_speedup_10k >= 5.0,
-            "sharded core throughput speedup {min_speedup_10k:.2}x at 10k images \
-             misses the 5x target over the pre-PR core"
+            "one-queue core throughput speedup {min_speedup_10k:.2}x at 10k images \
+             misses the 5x target over the pre-scale core"
         );
         println!(
-            "acceptance: 100k/1M points completed, sharded >={min_speedup_10k:.1}x \
+            "acceptance: 100k/1M points completed, one queue >={min_speedup_10k:.1}x \
              legacy ops/sec at 10k images -- PASS"
         );
     }

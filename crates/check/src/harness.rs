@@ -107,7 +107,7 @@ enum Spec {
     /// The simulator with the pre-scale O(n)-scan scheduler and global
     /// event heap ([`caf_fabric::SimConfig::legacy_queue`], also reachable
     /// via `CAF_SIM_LEGACY_QUEUE=1`) — the comparison basis for the
-    /// sharded event core.
+    /// default one-queue event core.
     SimLegacy(Option<ChaosConfig>),
     Threads,
 }
@@ -361,12 +361,12 @@ pub fn check_program(
 }
 
 /// The legacy-queue column: run `prog` once per chaos spec (`None` plus
-/// each seed) under the sharded event core, re-run it under the pre-scale
-/// O(n) core (`SimConfig::legacy_queue`, the `CAF_SIM_LEGACY_QUEUE=1`
-/// escape hatch), and diff the digests. The two cores must agree
-/// bit-for-bit — the sharded queue and indexed scheduler are pure
-/// data-structure swaps, so any divergence is a scheduler-order bug, not a
-/// modeling change. Returns the number of executions on success.
+/// each seed) under the default event core (events and image turns in one
+/// monotone queue), re-run it under the pre-scale O(n) core
+/// (`SimConfig::legacy_queue`, the `CAF_SIM_LEGACY_QUEUE=1` escape hatch),
+/// and diff the digests. The two cores must agree bit-for-bit — the queue
+/// is a pure data-structure swap, so any divergence is a scheduler-order
+/// bug, not a modeling change. Returns the number of executions on success.
 pub fn check_legacy_queue(
     scn: &Scenario,
     algo_name: &str,
@@ -386,20 +386,20 @@ pub fn check_legacy_queue(
             Box::new(Failure {
                 scenario: scn.name.clone(),
                 algo: algo_name.to_string(),
-                kind: format!("legacy queue vs sharded, {label}"),
+                kind: format!("legacy queue vs one queue, {label}"),
                 seed: chaos.map(|c| c.seed),
                 minimal: None,
                 detail,
                 trace_window: String::new(),
             })
         };
-        let sharded = match run_once(scn, algo, &Spec::Sim(chaos), prog, Tracer::off()) {
+        let queue = match run_once(scn, algo, &Spec::Sim(chaos), prog, Tracer::off()) {
             Ok(v) => v,
-            Err(msg) => return Err(fail(format!("sharded core panicked: {msg}"))),
+            Err(msg) => return Err(fail(format!("one-queue core panicked: {msg}"))),
         };
         let legacy = run_once(scn, algo, &Spec::SimLegacy(chaos), prog, Tracer::off());
         runs += 2;
-        if let Some(detail) = diff(&sharded, &legacy) {
+        if let Some(detail) = diff(&queue, &legacy) {
             return Err(fail(detail));
         }
     }

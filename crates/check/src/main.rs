@@ -255,17 +255,17 @@ fn sweep(args: &Args) -> Result<(), ExitCode> {
         t0.elapsed().as_secs_f64()
     );
     // The legacy event-core column: the mini scenario across the full
-    // algorithm matrix, diffing the sharded event core against the
-    // pre-scale O(n) queue (`CAF_SIM_LEGACY_QUEUE=1` path) with and
+    // algorithm matrix, diffing the default one-queue event core against
+    // the pre-scale O(n) core (`CAF_SIM_LEGACY_QUEUE=1` path) with and
     // without chaos. Cheap enough to run in every sweep, and the only
-    // guard that the scale rewrite never drifts from the reference
+    // guard that the scale core never drifts from the reference
     // scheduler.
     let scn = Scenario::mini();
     let t = column(None, |_, name, algo| {
         check_legacy_queue(&scn, name, algo, &prog, &[5, 17])
     })?;
     println!(
-        "caf-check: legacy event core matched the sharded core — {} runs \
+        "caf-check: legacy event core matched the one-queue core — {} runs \
          across {} algo configs ({:.1}s)",
         t.runs, t.cells, t.secs
     );

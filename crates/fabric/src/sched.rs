@@ -1,19 +1,20 @@
-//! An indexed binary min-heap over alive images, keyed `(time, prio, rank)`.
+//! An indexed binary min-heap over alive images, keyed `(time, prio, rank)`
+//! — the alive index of the **legacy oracle** only.
 //!
-//! The conservative simulator needs three queries on every scheduling
-//! decision: the argmin image (`next_eligible`), whether a given image *is*
-//! that argmin (`may_commit`), and the minimal alive clock (the event-drain
-//! bound). The pre-scale core answered all three with O(n) scans per
-//! commit — fine at whale's 352 images, ruinous at a million. This index
-//! answers all three in O(1) (peeks) and pays O(log n) only when a key
-//! actually changes: clock advance, block, wake, death, or a chaos
-//! priority reshuffle.
+//! The default simulator core keeps image turns in the same queue as the
+//! events ([`crate::evq`]) and no longer uses this. It survives because the
+//! core behind [`SimConfig::legacy_queue`](crate::SimConfig::legacy_queue)
+//! — global event heap, O(n) argmin scans — still reads its event drain's
+//! due-bound (the minimal alive clock) off this heap's root, and that core
+//! is the oracle caf-check and `exp_s1_simscale` diff the queue against: it
+//! is kept as it was, updated on every clock advance, block, wake, death
+//! and chaos reshuffle.
 //!
 //! The heap stores image ranks; `pos[i]` is the back-pointer that makes
 //! targeted `update`/`remove` possible. Keys are `(time, prio)` with the
 //! rank itself as the final tie-break, so the argmin is *exactly* the
 //! image `min_by_key` would have picked on a linear scan (lowest rank wins
-//! ties) — the property the bit-for-bit oracle guarantee rests on.
+//! ties).
 
 /// Sentinel for "image not in the heap" (Blocked or Done).
 const ABSENT: u32 = u32::MAX;
@@ -56,6 +57,7 @@ impl SchedIndex {
     }
 
     /// The argmin image by `(time, prio, rank)`, in O(1).
+    #[cfg(test)]
     pub(crate) fn peek(&self) -> Option<usize> {
         self.heap.first().map(|&i| i as usize)
     }

@@ -14,6 +14,18 @@
 //! scheduling) and **causally correct** (shared resources are reserved in
 //! virtual-time order).
 //!
+//! Both halves of that rule are one read. Pending notifications and every
+//! alive image's commit turn live in **one queue** ([`crate::evq`]), keyed
+//! `(time, event before turn, tie | prio, seq | rank)`: an event sorts ahead
+//! of every turn of its time, so "due" means "at the head", the due events
+//! are drained by popping while the head is an event, and the image whose
+//! turn is then at the head is the one that may commit. A clock advance, a
+//! block, a wake or a death replaces the image's turn (the old entry falls
+//! out when it surfaces); with nothing queued and someone not retired, the
+//! fleet is deadlocked. [`SimConfig::legacy_queue`] keeps the pre-scale
+//! representation — a global event heap, O(n) scans over the images — as
+//! the oracle this one is diffed against.
+//!
 //! # Cost model
 //!
 //! Costs come from [`caf_topology::CostParams`] (see DESIGN.md
@@ -53,7 +65,7 @@
 
 use crate::am::AmOp;
 use crate::chaos::ChaosConfig;
-use crate::evq::{EvKey, ShardedEvq};
+use crate::evq::{EvKey, Footprint, ShardedEvq};
 use crate::sched::SchedIndex;
 use crate::seg::{FlagId, SegmentId};
 use crate::stats::FabricStats;
@@ -85,11 +97,11 @@ pub struct SimConfig {
     /// orders.
     pub chaos: Option<ChaosConfig>,
     /// Test-only escape hatch: keep events in the pre-scale single global
-    /// `BinaryHeap` instead of the sharded per-node queue. The scheduler's
-    /// argmin scans also revert to the O(n) linear form. Schedules are
-    /// bit-for-bit identical either way — `caf-check` diffs the two and
-    /// `exp_s1_simscale` uses this path as its pre-PR throughput
-    /// reference. The [`Default`] reads `CAF_SIM_LEGACY_QUEUE=1`.
+    /// `BinaryHeap` and decide whose turn it is by O(n) scans over the
+    /// images, instead of reading both off the one queue of [`crate::evq`].
+    /// Schedules are bit-for-bit identical either way — `caf-check` diffs
+    /// the two and `exp_s1_simscale` uses this path as its pre-scale
+    /// throughput reference. The [`Default`] reads `CAF_SIM_LEGACY_QUEUE=1`.
     pub legacy_queue: bool,
     /// Bootstrap-segment slots to pre-allocate per image. `None` (the
     /// default) keeps the historical one-slot-per-peer layout — O(n²)
@@ -185,51 +197,59 @@ impl PartialOrd for Ev {
     }
 }
 
-/// The pending-event container, in one of two provably order-identical
-/// representations: the scale path shards events by destination node
-/// ([`ShardedEvq`]); the legacy path keeps the pre-scale single global
-/// heap behind [`SimConfig::legacy_queue`] so conformance sweeps and the
-/// simscale bench can diff the rebuilt core against the original.
-enum EventStore {
-    /// Pre-scale reference: one global heap over all in-flight events.
-    Legacy(BinaryHeap<Reverse<Ev>>),
-    /// Scale path: per-node lazy queues under a frontier heap.
-    Sharded(ShardedEvq<EvKind>),
+/// The oracle core behind [`SimConfig::legacy_queue`]: the pre-scale
+/// global event heap, O(n) argmin scans over `state`, and the alive index
+/// the event drain reads its due-bound from. Kept as it was so caf-check
+/// and `exp_s1_simscale` can diff the one-queue core against it.
+struct Legacy {
+    /// One global heap over all in-flight events.
+    events: BinaryHeap<Reverse<Ev>>,
+    /// Indexed min-heap over Alive images keyed `(time, prio, rank)`; the
+    /// scans ignore it, the drain's due-bound is its root's clock.
+    index: SchedIndex,
 }
 
-impl EventStore {
-    fn len(&self) -> usize {
+impl Legacy {
+    /// The earliest event, if it is due: at or before the earliest clock
+    /// of any image that could still commit (vacuously so with no such
+    /// image).
+    fn pop_due(&mut self) -> Option<(u64, EvKind)> {
+        let min_alive = self.index.peek_time();
+        let Reverse(ev) = self.events.peek()?;
+        if min_alive.is_some_and(|m| ev.time > m) {
+            return None;
+        }
+        self.events.pop().map(|Reverse(ev)| (ev.time, ev.kind))
+    }
+}
+
+/// What is pending — events and whose turn it is — in one of two provably
+/// order-identical representations.
+// One per fabric and never moved: the queue's bucket tables stay inline.
+#[allow(clippy::large_enum_variant)]
+enum Sched {
+    /// The default core: events and image turns in one monotone queue
+    /// (see [`crate::evq`]); every scheduling question is a read of its
+    /// head.
+    Queue(ShardedEvq<EvKind>),
+    /// The pre-scale reference ([`SimConfig::legacy_queue`]).
+    Legacy(Legacy),
+}
+
+impl Sched {
+    /// Image `i` becomes runnable with key `(time, prio)`; it held no turn.
+    fn give_turn(&mut self, i: usize, key: (u64, u64)) {
         match self {
-            EventStore::Legacy(h) => h.len(),
-            EventStore::Sharded(q) => q.len(),
+            Sched::Queue(q) => q.set_turn(i, key.0, key.1),
+            Sched::Legacy(l) => l.index.insert(i, key),
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Due time of the earliest event. `&mut` because the sharded frontier
-    /// discards stale entries on peek.
-    fn peek_time(&mut self) -> Option<u64> {
+    /// Image `i` blocks or retires. No-op if it held no turn.
+    fn take_turn(&mut self, i: usize) {
         match self {
-            EventStore::Legacy(h) => h.peek().map(|Reverse(ev)| ev.time),
-            EventStore::Sharded(q) => q.peek_key().map(|k| k.time),
-        }
-    }
-
-    /// Remove the globally minimal event by `(time, tie, seq)`.
-    fn pop(&mut self) -> Option<(u64, EvKind)> {
-        match self {
-            EventStore::Legacy(h) => h.pop().map(|Reverse(ev)| (ev.time, ev.kind)),
-            EventStore::Sharded(q) => q.pop().map(|(k, kind)| (k.time, kind)),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventStore::Legacy(h) => h.clear(),
-            EventStore::Sharded(q) => q.clear(),
+            Sched::Queue(q) => q.drop_turn(i),
+            Sched::Legacy(l) => l.index.remove(i),
         }
     }
 }
@@ -253,23 +273,11 @@ pub(crate) struct SimCore {
     socket_bus_free: Vec<u64>,
     /// Virtual time at which each node's NIC is next free.
     nic_free: Vec<u64>,
-    events: EventStore,
-    /// Indexed min-heap over Alive images keyed `(time, prio, rank)` —
-    /// answers argmin / may-commit / min-alive-clock queries in O(1) and
-    /// is updated incrementally on every clock advance, block, wake,
-    /// death, and chaos reshuffle (see [`SchedIndex`]). Maintained in
-    /// legacy mode too (the scans there ignore it, but the event drain's
-    /// memoized bound reads it).
-    sched: SchedIndex,
-    /// Destination node per image — the event queue's shard router.
-    node_of: Vec<u32>,
-    /// Retired images; with `sched.len()` this classifies the whole fleet
-    /// without scanning `state` (deadlock = no events, none alive, not
-    /// everyone done).
+    /// Pending events and commit turns (see [`Sched`]).
+    sched: Sched,
+    /// Retired images: a fleet with nothing pending and someone not yet
+    /// retired is deadlocked.
     done_count: usize,
-    /// Use O(n) scans for scheduling decisions (pre-scale reference
-    /// behavior; see [`SimConfig::legacy_queue`]).
-    legacy_scans: bool,
     event_seq: u64,
     /// Set when a global deadlock was detected; all threads panic with it.
     pub(crate) poisoned: Option<String>,
@@ -311,28 +319,39 @@ fn flag_bump(cell: &mut u64, img: usize, flag: usize, delta: u64) {
 }
 
 impl SimCore {
-    /// Advance (or rewind — wakes clamp with `max` themselves) image `i`'s
-    /// virtual clock, keeping the scheduling index in sync. Every clock
-    /// write in the fabric funnels through here; Blocked/Done images are
-    /// not in the index and need no update.
+    /// Advance image `i`'s virtual clock, keeping its commit turn in sync.
+    /// Every clock write in the fabric funnels through here; Blocked/Done
+    /// images hold no turn and need no update.
     pub(crate) fn set_time(&mut self, i: usize, t: u64) {
+        let moved = self.time[i] != t;
         self.time[i] = t;
-        if self.sched.contains(i) {
-            self.sched.update(i, (t, self.prio[i]));
+        match &mut self.sched {
+            Sched::Queue(q) => {
+                if moved && matches!(self.state[i], ImgState::Alive) {
+                    q.set_turn(i, t, self.prio[i]);
+                }
+            }
+            Sched::Legacy(l) => {
+                if l.index.contains(i) {
+                    l.index.update(i, (t, self.prio[i]));
+                }
+            }
         }
     }
 
-    /// Park image `i` on a flag wait: drop it from the alive index.
-    fn set_blocked(&mut self, i: usize, flag: usize, at_least: u64) {
+    /// Park image `i` on a flag wait entered at clock `t`: one state
+    /// change — the clock is set and the turn given up together.
+    fn block_at(&mut self, i: usize, t: u64, flag: usize, at_least: u64) {
+        self.time[i] = t;
         self.state[i] = ImgState::Blocked { flag, at_least };
-        self.sched.remove(i);
+        self.sched.take_turn(i);
     }
 
     /// Wake image `i` at delivery time `at` (clocks never move backwards).
     fn set_wake(&mut self, i: usize, at: u64) {
         self.state[i] = ImgState::Alive;
         self.time[i] = self.time[i].max(at);
-        self.sched.insert(i, (self.time[i], self.prio[i]));
+        self.sched.give_turn(i, (self.time[i], self.prio[i]));
         self.stats.record_sim_wakeup();
     }
 
@@ -342,14 +361,35 @@ impl SimCore {
             self.done_count += 1;
         }
         self.state[i] = ImgState::Done;
-        self.sched.remove(i);
+        self.sched.take_turn(i);
     }
 
     /// Re-key every alive image after a chaos priority reshuffle.
     fn resort_priorities(&mut self) {
         let time = &self.time;
         let prio = &self.prio;
-        self.sched.refresh(|i| (time[i], prio[i]));
+        match &mut self.sched {
+            Sched::Queue(q) => q.rekey_turns(|i| prio[i]),
+            Sched::Legacy(l) => l.index.refresh(|i| (time[i], prio[i])),
+        }
+    }
+
+    /// Everyone not retired is Alive again at its current clock and
+    /// nothing is in flight (the heal reset).
+    fn reset_pending(&mut self) {
+        match &mut self.sched {
+            Sched::Queue(q) => q.clear(),
+            Sched::Legacy(l) => {
+                l.index.clear();
+                l.events.clear();
+            }
+        }
+        for i in 0..self.state.len() {
+            if !matches!(self.state[i], ImgState::Done) {
+                self.state[i] = ImgState::Alive;
+                self.sched.give_turn(i, (self.time[i], self.prio[i]));
+            }
+        }
     }
 
     /// Apply all notifications that are due: those at or before the earliest
@@ -357,50 +397,21 @@ impl SimCore {
     /// earliest notification is (vacuously) due. Images unblocked by an
     /// applied notification are appended to `woken`.
     ///
-    /// The due-bound (min alive clock) is **memoized across the drain**:
-    /// it is read once from the index and re-read only when an applied
-    /// event actually woke an image — the only transition that can change
-    /// it mid-drain (pops never touch alive clocks). The pre-scale core
-    /// recomputed it with a full O(n) state scan on every loop iteration;
-    /// a same-timestamp burst of `FlagArrive`s now applies in one pass at
-    /// O(1) scheduling overhead per event.
+    /// In the one-queue core an event sorts before every turn of its time,
+    /// so "due" is "at the head": a same-timestamp burst of `FlagArrive`s
+    /// applies in one pass of pops.
     pub(crate) fn apply_due_events(&mut self, woken: &mut Vec<usize>) {
-        let mut min_alive = self.sched.peek_time();
         loop {
-            let due = match self.events.peek_time() {
-                Some(t) => min_alive.is_none_or(|m| t <= m),
-                None => false,
+            let due = match &mut self.sched {
+                Sched::Queue(q) => q.pop().map(|(key, kind)| (key.time, kind)),
+                Sched::Legacy(l) => l.pop_due(),
             };
-            if !due {
+            let Some((ev_time, kind)) = due else {
                 return;
-            }
-            let (ev_time, kind) = self.events.pop().expect("peeked");
+            };
             self.stats.record_sim_event_pop();
             match kind {
-                EvKind::FlagArrive(n) => {
-                    flag_bump(&mut self.flags[n.img][n.flag], n.img, n.flag, n.delta);
-                    self.tracer.record_system(
-                        Event::instant(EventKind::FlagDeliver, ev_time)
-                            .a(n.src as u64)
-                            .b(n.flag as u64)
-                            .c(n.posted)
-                            .d(n.img as u64)
-                            .intra(n.intra),
-                    );
-                    if let ImgState::Blocked {
-                        flag: wflag,
-                        at_least,
-                    } = self.state[n.img]
-                    {
-                        if wflag == n.flag && self.flags[n.img][n.flag] >= at_least {
-                            self.set_wake(n.img, ev_time);
-                            woken.push(n.img);
-                            // A wake is the one transition that can lower
-                            // the due-bound: invalidate the memo.
-                            min_alive = self.sched.peek_time();
-                        }
-                    }
-                }
+                EvKind::FlagArrive(n) => self.deliver(n, ev_time, woken),
                 EvKind::Landing { node, notify, nb } => {
                     let start = ev_time.max(self.nic_free[node]);
                     self.nic_free[node] = start + self.gap_nic_ns;
@@ -411,33 +422,38 @@ impl SimCore {
                         self.push_event(start + self.gap_nic_ns, EvKind::FlagArrive(n));
                     }
                 }
+                // The whole batch lands now; its notifications apply in
+                // program order so intra-batch flag ordering is exactly
+                // what an unbatched replay would produce.
                 EvKind::AmArrive(list) => {
-                    // The whole batch lands now; its notifications apply
-                    // in program order so intra-batch flag ordering is
-                    // exactly what an unbatched replay would produce.
                     for n in list {
-                        flag_bump(&mut self.flags[n.img][n.flag], n.img, n.flag, n.delta);
-                        self.tracer.record_system(
-                            Event::instant(EventKind::FlagDeliver, ev_time)
-                                .a(n.src as u64)
-                                .b(n.flag as u64)
-                                .c(n.posted)
-                                .d(n.img as u64)
-                                .intra(n.intra),
-                        );
-                        if let ImgState::Blocked {
-                            flag: wflag,
-                            at_least,
-                        } = self.state[n.img]
-                        {
-                            if wflag == n.flag && self.flags[n.img][n.flag] >= at_least {
-                                self.set_wake(n.img, ev_time);
-                                woken.push(n.img);
-                                min_alive = self.sched.peek_time();
-                            }
-                        }
+                        self.deliver(n, ev_time, woken);
                     }
                 }
+            }
+        }
+    }
+
+    /// Land one flag notification at `at`: bump the counter, record the
+    /// delivery, and wake the target if this satisfied its wait.
+    fn deliver(&mut self, n: Notify, at: u64, woken: &mut Vec<usize>) {
+        flag_bump(&mut self.flags[n.img][n.flag], n.img, n.flag, n.delta);
+        self.tracer.record_system(
+            Event::instant(EventKind::FlagDeliver, at)
+                .a(n.src as u64)
+                .b(n.flag as u64)
+                .c(n.posted)
+                .d(n.img as u64)
+                .intra(n.intra),
+        );
+        if let ImgState::Blocked {
+            flag: wflag,
+            at_least,
+        } = self.state[n.img]
+        {
+            if wflag == n.flag && self.flags[n.img][n.flag] >= at_least {
+                self.set_wake(n.img, at);
+                woken.push(n.img);
             }
         }
     }
@@ -450,39 +466,44 @@ impl SimCore {
         (self.time[i], self.prio[i], i)
     }
 
-    /// The image that should run next: argmin over Alive of the key —
-    /// an O(1) index peek on the scale path, the original O(n) scan in
-    /// legacy mode (both provably pick the same image; the index breaks
-    /// exact key ties by lowest rank exactly as `min_by_key` does).
-    pub(crate) fn next_eligible(&self) -> Option<usize> {
-        if !self.legacy_scans {
-            return self.sched.peek();
+    /// The image that should run next: argmin over Alive of the key — the
+    /// queue's head once due events are drained (callers drain first; an
+    /// undrained head is an event and answers `None`), the original O(n)
+    /// scan in legacy mode. Both pick the same image: the queue breaks
+    /// exact key ties by lowest rank exactly as `min_by_key` does.
+    pub(crate) fn next_eligible(&mut self) -> Option<usize> {
+        match &mut self.sched {
+            Sched::Queue(q) => q.next_turn(),
+            Sched::Legacy(_) => self
+                .state
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| matches!(s, ImgState::Alive))
+                .min_by_key(|(i, _)| self.sched_key(*i))
+                .map(|(i, _)| i),
         }
-        self.state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, ImgState::Alive))
-            .min_by_key(|(i, _)| self.sched_key(*i))
-            .map(|(i, _)| i)
     }
 
     /// May image `me` (which is Alive, inside a fabric call) commit now?
-    /// `&mut` because peeking the sharded event frontier settles it.
     fn may_commit(&mut self, me: usize) -> bool {
         debug_assert!(matches!(self.state[me], ImgState::Alive));
-        if self.legacy_scans {
-            let key = self.sched_key(me);
-            for (j, s) in self.state.iter().enumerate() {
-                if j != me && matches!(s, ImgState::Alive) && self.sched_key(j) < key {
-                    return false;
-                }
+        if let Sched::Queue(q) = &mut self.sched {
+            // My turn is at the head: nobody is earlier, and any
+            // notification due at or before my clock has landed.
+            return q.next_turn() == Some(me);
+        }
+        let Sched::Legacy(legacy) = &self.sched else {
+            unreachable!("not the queue")
+        };
+        let key = self.sched_key(me);
+        for (j, s) in self.state.iter().enumerate() {
+            if j != me && matches!(s, ImgState::Alive) && self.sched_key(j) < key {
+                return false;
             }
-        } else if self.sched.peek() != Some(me) {
-            return false;
         }
         // Any notification due at or before my clock must land first.
-        match self.events.peek_time() {
-            Some(t) => t > self.time[me],
+        match legacy.events.peek() {
+            Some(Reverse(ev)) => ev.time > self.time[me],
             None => true,
         }
     }
@@ -494,34 +515,32 @@ impl SimCore {
             Some(ch) => (time + ch.event_delay(seq), ch.event_tiebreak(seq)),
             None => (time, 0),
         };
-        match &mut self.events {
-            EventStore::Legacy(h) => h.push(Reverse(Ev {
-                time,
-                tie,
-                seq,
-                kind,
-            })),
-            EventStore::Sharded(q) => {
-                // Route to the destination node's shard: a flag arrival
-                // belongs to its target image's node, a landing names its
-                // node directly.
-                let shard = match &kind {
-                    EvKind::FlagArrive(n) => self.node_of[n.img] as usize,
-                    EvKind::Landing { node, .. } => *node,
-                    // All notifies in a batch target the same image, so
-                    // the first one names the batch's home shard.
-                    EvKind::AmArrive(l) => l.first().map_or(0, |n| self.node_of[n.img] as usize),
-                };
-                q.push(shard, EvKey { time, tie, seq }, kind);
+        let queued = match &mut self.sched {
+            Sched::Queue(q) => {
+                q.push(0, EvKey { time, tie, seq }, kind);
+                q.len()
             }
-        }
-        self.stats.record_sim_event_push(self.events.len() as u64);
+            Sched::Legacy(l) => {
+                l.events.push(Reverse(Ev {
+                    time,
+                    tie,
+                    seq,
+                    kind,
+                }));
+                l.events.len()
+            }
+        };
+        self.stats.record_sim_event_push(queued as u64);
     }
 
     /// True when no image can make progress ever again: nothing in
     /// flight, nobody alive, and at least one image still blocked.
     pub(crate) fn is_deadlocked(&self) -> bool {
-        self.events.is_empty() && self.sched.is_empty() && self.done_count < self.state.len()
+        let idle = match &self.sched {
+            Sched::Queue(q) => q.is_empty() && q.turns() == 0,
+            Sched::Legacy(l) => l.events.is_empty() && l.index.is_empty(),
+        };
+        idle && self.done_count < self.state.len()
     }
 
     /// Commit-turn bookkeeping shared by the threaded driver
@@ -644,17 +663,23 @@ impl SimFabric {
             None => vec![0; n],
         };
         // Everyone starts Alive at t=0 with its initial priority.
-        let mut sched = SchedIndex::new(n);
-        for (i, &p) in prio.iter().enumerate() {
-            sched.insert(i, (0, p));
-        }
-        let node_of: Vec<u32> = (0..n)
-            .map(|i| map.node_of(ProcId(i)).index() as u32)
-            .collect();
-        let events = if cfg.legacy_queue {
-            EventStore::Legacy(BinaryHeap::new())
+        let sched = if cfg.legacy_queue {
+            let mut index = SchedIndex::new(n);
+            for (i, &p) in prio.iter().enumerate() {
+                index.insert(i, (0, p));
+            }
+            Sched::Legacy(Legacy {
+                events: BinaryHeap::new(),
+                index,
+            })
         } else {
-            EventStore::Sharded(ShardedEvq::new(nodes))
+            // Highest rank first: each turn sorts before the ones already
+            // in, which is what extends the queue's sorted run in O(1).
+            let mut q = ShardedEvq::with_images(n);
+            for (i, &p) in prio.iter().enumerate().rev() {
+                q.set_turn(i, 0, p);
+            }
+            Sched::Queue(q)
         };
         let slots = cfg.bootstrap_slots.unwrap_or(n);
         Arc::new(Self {
@@ -672,11 +697,8 @@ impl SimFabric {
                 node_bus_free: vec![0; nodes],
                 socket_bus_free: vec![0; sockets],
                 nic_free: vec![0; nodes],
-                events,
                 sched,
-                node_of,
                 done_count: 0,
-                legacy_scans: cfg.legacy_queue,
                 event_seq: 0,
                 poisoned: None,
                 stats,
@@ -706,6 +728,16 @@ impl SimFabric {
         core.time.iter().copied().max().unwrap_or(0)
     }
 
+    /// What the event-and-turn queue holds on to, against what it has had
+    /// to hold (see [`Footprint`]); `None` on the legacy core, which has no
+    /// such queue.
+    pub fn queue_footprint(&self) -> Option<Footprint> {
+        match &self.core.lock().sched {
+            Sched::Queue(q) => Some(q.footprint()),
+            Sched::Legacy(_) => None,
+        }
+    }
+
     /// Block (wall-clock) until image `me` holds the commit turn.
     fn lock_turn(&self, me: usize) -> MutexGuard<'_, SimCore> {
         let mut core = self.core.lock();
@@ -725,9 +757,7 @@ impl SimFabric {
             if let Some(msg) = &core.poisoned {
                 panic!("{msg}");
             }
-            let mut woken = Vec::new();
-            core.apply_due_events(&mut woken);
-            self.notify(&core, &woken);
+            self.notify(&mut core);
             if core.may_commit(me) {
                 if let Err(msg) = core.grant_commit(me, my_op) {
                     drop(core);
@@ -740,9 +770,14 @@ impl SimFabric {
         }
     }
 
-    /// Wake the listed (just-unblocked) images and the next eligible image.
-    fn notify(&self, core: &SimCore, woken: &[usize]) {
-        for &w in woken {
+    /// Drain the due events, then wake the images they unblocked and the
+    /// next eligible image. Every path that moves a clock or a state ends
+    /// here: whose turn it is can only be read off a drained queue, so a
+    /// notify without the drain could be a wake-up lost.
+    fn notify(&self, core: &mut SimCore) {
+        let mut woken = Vec::new();
+        core.apply_due_events(&mut woken);
+        for &w in &woken {
             self.cvs[w].notify_one();
         }
         if let Some(next) = core.next_eligible() {
@@ -931,14 +966,7 @@ impl SimFabric {
     }
 
     fn finish_op(&self, mut core: MutexGuard<'_, SimCore>) {
-        let mut woken = Vec::new();
-        core.apply_due_events(&mut woken);
-        for &w in &woken {
-            self.cvs[w].notify_one();
-        }
-        if let Some(next) = core.next_eligible() {
-            self.cvs[next].notify_one();
-        }
+        self.notify(&mut core);
         drop(core);
     }
 
@@ -1070,12 +1098,12 @@ impl SimFabric {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let t_entry = core.time[me];
         let end = t_entry + self.cfg.overheads.per_wait_ns + self.cfg.cost.poll_ns;
-        core.set_time(me, end);
         if core.flags[me][flag.0] >= at_least {
+            core.set_time(me, end);
             self.record_wait_span(core, me, t_entry, flag, at_least);
             return true;
         }
-        core.set_blocked(me, flag.0, at_least);
+        core.block_at(me, end, flag.0, at_least);
         false
     }
 
@@ -1333,9 +1361,7 @@ impl Fabric for SimFabric {
         let polled = core.time[me] + self.cfg.cost.poll_ns;
         core.set_time(me, polled);
         let done = core.time[me] >= token.arrival_ns;
-        let mut woken = Vec::new();
-        core.apply_due_events(&mut woken);
-        self.notify(&core, &woken);
+        self.notify(&mut core);
         drop(core);
         done
     }
@@ -1348,9 +1374,7 @@ impl Fabric for SimFabric {
         self.cfg
             .tracer
             .record(me, Event::span(EventKind::Quiet, t, core.time[me] - t));
-        let mut woken = Vec::new();
-        core.apply_due_events(&mut woken);
-        self.notify(&core, &woken);
+        self.notify(&mut core);
         drop(core);
     }
 
@@ -1539,9 +1563,7 @@ impl Fabric for SimFabric {
             self.finish_op(core);
             return;
         }
-        let mut woken = Vec::new();
-        core.apply_due_events(&mut woken);
-        self.notify(&core, &woken);
+        self.notify(&mut core);
         loop {
             if let Some(msg) = &core.poisoned {
                 panic!("{msg}");
@@ -1580,7 +1602,7 @@ impl Fabric for SimFabric {
         self.cfg
             .tracer
             .record(me, Event::span(EventKind::Quiet, t, core.time[me] - t));
-        self.notify(&core, &[]);
+        self.notify(&mut core);
         drop(core);
     }
 
@@ -1588,9 +1610,7 @@ impl Fabric for SimFabric {
         let me = me.index();
         let mut core = self.core.lock();
         self.compute_body(&mut core, me, ns);
-        let mut woken = Vec::new();
-        core.apply_due_events(&mut woken);
-        self.notify(&core, &woken);
+        self.notify(&mut core);
         drop(core);
     }
 
@@ -1611,14 +1631,11 @@ impl Fabric for SimFabric {
         let me = me.index();
         let mut core = self.core.lock();
         core.set_done(me);
-        let mut woken = Vec::new();
-        core.apply_due_events(&mut woken);
+        self.notify(&mut core);
         if core.is_deadlocked() {
             let msg = core.deadlock_report();
             core.poisoned = Some(msg);
             self.notify_everyone();
-        } else {
-            self.notify(&core, &woken);
         }
         drop(core);
     }
@@ -1670,19 +1687,13 @@ impl Fabric for SimFabric {
             // Last survivor in: perform the global reset exactly once.
             let mut guard = self.core.lock();
             let core = &mut *guard;
-            let n = core.state.len();
-            core.sched.clear();
-            for i in 0..n {
-                if !matches!(core.state[i], ImgState::Done) {
-                    core.state[i] = ImgState::Alive;
-                    core.sched.insert(i, (core.time[i], core.prio[i]));
-                }
+            core.reset_pending();
+            for i in 0..core.state.len() {
                 core.flags[i] = vec![0; crate::bootstrap::NUM_FLAGS];
                 core.segs[i].truncate(crate::bootstrap::NUM_SEGS);
                 core.segs[i][crate::bootstrap::SEG.0].fill(0);
                 core.last_arrival[i] = 0;
             }
-            core.events.clear();
             core.poisoned = None;
             drop(guard);
             hs.waiting = 0;
@@ -1895,9 +1906,13 @@ mod tests {
                     f2.flag_wait_ge(me, SPARE_FLAG, 7 * 3);
                     let mut buf = vec![0u8; 7 * 8];
                     f2.get(me, me, BSEG, 0, &mut buf);
+                    // Read before locking: a turn-taking call made under
+                    // the test's own mutex would wait for an image that is
+                    // waiting for the mutex.
+                    let total = f2.flag_read(me, SPARE_FLAG);
                     let mut g = o2.lock();
                     g.0 = buf;
-                    g.1 = f2.flag_read(me, SPARE_FLAG);
+                    g.1 = total;
                 } else {
                     let af: ArcFabric = f2.clone();
                     let mut am = Am::new(af, me, policy);
@@ -1991,6 +2006,90 @@ mod tests {
             }
             f2.image_done(me);
         });
+    }
+
+    #[test]
+    fn quiet_wakes_the_image_behind_an_undrained_event() {
+        use crate::stepper::{run_stepped, StepOp, StepProgram};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        // Image 0 puts to image 1 (another node) and quiets; image 1 sits
+        // parked for its turn at exactly the put's landing time. When the
+        // quiet moves image 0's clock past that, the queue's head is the
+        // Landing event (due: events sort before turns of their time) and
+        // image 1's turn is right behind it. A notify that read the head
+        // without draining it would wake nobody, and image 0 — which makes
+        // no further fabric call until image 1 is through — would never
+        // give anyone a second chance.
+        let c = presets::whale_cost();
+        let posted = c.o_inter_ns;
+        let landing = posted + c.gap_nic_ns + c.inter_payload_ns(8) + c.l_inter_ns;
+        let arrival = landing + c.gap_nic_ns;
+        let f = sim(2, 1, 2, 1);
+        let f2 = f.clone();
+        let parked = Arc::new(AtomicBool::new(false));
+        let through = Arc::new(AtomicBool::new(false));
+        run_spmd(f.clone(), move |me| {
+            if me == ProcId(0) {
+                while !parked.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // Let image 1 reach its condvar (if it has not, it finds
+                // its turn by itself and the test passes vacuously).
+                std::thread::sleep(Duration::from_millis(50));
+                f2.put(me, ProcId(1), BSEG, 0, &7u64.to_ne_bytes());
+                assert_eq!(f2.now_ns(me), posted);
+                f2.quiet(me);
+                assert_eq!(f2.now_ns(me), arrival);
+                let t0 = Instant::now();
+                while !through.load(Ordering::Acquire) {
+                    if t0.elapsed() > Duration::from_secs(10) {
+                        f2.poison("image 1 was never told that its turn had come");
+                        panic!("quiet lost a wake-up");
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            } else {
+                f2.compute(me, landing);
+                parked.store(true, Ordering::Release);
+                f2.flag_add(me, me, SPARE_FLAG, 1);
+                through.store(true, Ordering::Release);
+            }
+            f2.image_done(me);
+        });
+        let threaded = [f.now_ns(ProcId(0)), f.now_ns(ProcId(1))];
+        assert_eq!(threaded, [arrival, landing + c.o_intra_ns]);
+
+        // The same clocks from the stepped driver (a compute stands in for
+        // the quiet: same clock, and it holds no turn either).
+        struct Script(std::vec::IntoIter<StepOp>);
+        impl StepProgram for Script {
+            fn next(&mut self) -> StepOp {
+                self.0.next().unwrap_or(StepOp::Done)
+            }
+        }
+        let put = StepOp::Put {
+            dst: 1,
+            offset: 0,
+            val: 7,
+        };
+        let settle = StepOp::Compute {
+            ns: arrival - posted,
+        };
+        let add = StepOp::FlagAdd {
+            dst: 1,
+            flag: SPARE_FLAG,
+            delta: 1,
+        };
+        let g = sim(2, 1, 2, 1);
+        run_stepped(
+            &g,
+            vec![
+                Script(vec![put, settle].into_iter()),
+                Script(vec![StepOp::Compute { ns: landing }, add].into_iter()),
+            ],
+        );
+        assert_eq!([g.now_ns(ProcId(0)), g.now_ns(ProcId(1))], threaded);
     }
 
     #[test]
@@ -2115,9 +2214,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_queue_matches_legacy_bit_for_bit() {
-        // The tentpole determinism guarantee: the sharded per-node event
-        // core and the pre-scale global heap produce identical schedules
+    fn one_queue_matches_legacy_bit_for_bit() {
+        // The determinism guarantee: the one-queue core and the pre-scale
+        // global heap with its scans produce identical schedules
         // (virtual-time fingerprints), with and without chaos reordering.
         assert_eq!(fingerprint(true, None), fingerprint(false, None));
         for seed in [3u64, 11, 29] {

@@ -3,8 +3,8 @@
 //!
 //! The threaded fabric ([`crate::sim::SimFabric`] + [`crate::spmd::run_spmd`])
 //! dedicates an OS thread to every image, which tops out around a few
-//! thousand images per process — far short of the fleet sizes the sharded
-//! event core can simulate. This module adds a *cooperative* driver:
+//! thousand images per process — far short of the fleet sizes the event
+//! core can simulate. This module adds a *cooperative* driver:
 //! programs are expressed as resumable state machines ([`StepProgram`])
 //! yielding one fabric op at a time ([`StepOp`]), and [`run_stepped`]
 //! executes the whole fleet on the caller's thread by always advancing the
@@ -14,18 +14,20 @@
 //!
 //! # Schedule equivalence with the threaded driver
 //!
-//! Both drivers commit fabric ops in ascending `(time, prio, rank)` order
-//! over post-chaos-charge keys, so they produce bit-identical virtual
-//! times, flag values, and traces:
+//! Both drivers read one queue ([`crate::evq`]) that holds the pending
+//! events and every alive image's commit turn, keyed `(time, event before
+//! turn, prio, rank)` over post-chaos-charge clocks: whatever is at its
+//! head happens next. So they commit fabric ops in the same order and
+//! produce bit-identical virtual times, flag values, and traces:
 //!
 //! - Turn-taking ops (put / flag-add / wait entry) charge their chaos
 //!   delay when they become *pending* — exactly what the threaded
-//!   `lock_turn` does on call entry — and commit only when the image is
-//!   the scheduler argmin with no earlier event due. In the threaded
-//!   driver an image whose charge has not landed yet can hold peers back
-//!   for a moment of wall-clock time, but never changes who commits next:
-//!   that is always the argmin of the *charged* keys, which is what this
-//!   driver computes directly.
+//!   `lock_turn` does on call entry — and commit only when the image's
+//!   turn is at the head of the queue (nobody earlier, no event due). In
+//!   the threaded driver an image whose charge has not landed yet can hold
+//!   peers back for a moment of wall-clock time, but never changes who
+//!   commits next: that is always the head over the *charged* keys, which
+//!   is what this driver reads directly.
 //! - Local ops (compute, retirement) touch only the issuing image's own
 //!   clock and alive-set membership. The threaded driver applies them at
 //!   an arbitrary wall-clock point; applying them at the argmin turn
@@ -34,7 +36,8 @@
 //!
 //! The parity tests at the bottom hold `run_stepped` to
 //! [`run_program_spmd`] (the same programs on real threads) with and
-//! without chaos, and the sharded event core to the legacy global heap.
+//! without chaos, and the one-queue core to the legacy global heap with
+//! its O(n) scans ([`crate::SimConfig::legacy_queue`]).
 
 use crate::seg::FlagId;
 use crate::sim::{SimCore, SimFabric};
@@ -179,9 +182,9 @@ pub fn run_stepped<P: StepProgram>(fab: &SimFabric, mut progs: Vec<P>) -> Steppe
             panic!("{msg}");
         }
         // Drain to a fixpoint: admitting a woken image charges its next
-        // op (raising its clock, and with it the due-bound), which can
-        // make further events due — exactly the re-check the threaded
-        // driver's `may_commit` gate performs before every grant.
+        // op (moving its turn later in the queue), which can bring further
+        // events to the head — exactly the re-check the threaded driver's
+        // `may_commit` gate performs before every grant.
         loop {
             woken.clear();
             core.apply_due_events(&mut woken);
@@ -205,8 +208,8 @@ pub fn run_stepped<P: StepProgram>(fab: &SimFabric, mut progs: Vec<P>) -> Steppe
             if live == 0 {
                 break;
             }
-            // apply_due_events drains *everything* once nobody is alive,
-            // so an empty scheduler here is a true global deadlock.
+            // With no turn queued every event is at the head and has been
+            // drained, so no turn here is a true global deadlock.
             let msg = core.deadlock_report();
             core.poisoned = Some(msg.clone());
             panic!("{msg}");
@@ -684,10 +687,20 @@ mod tests {
     use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
 
     fn fabric(images: usize, chaos_seed: Option<u64>, legacy_queue: bool) -> Arc<SimFabric> {
+        fabric_on(2, 4, images, chaos_seed, legacy_queue)
+    }
+
+    fn fabric_on(
+        nodes: usize,
+        per_node: usize,
+        images: usize,
+        chaos_seed: Option<u64>,
+        legacy_queue: bool,
+    ) -> Arc<SimFabric> {
         let map = ImageMap::new(
-            presets::mini(2, 4),
+            presets::mini(nodes, per_node),
             images,
-            &Placement::Block { per_node: 4 },
+            &Placement::Block { per_node },
         );
         SimFabric::new(
             map,
@@ -737,6 +750,30 @@ mod tests {
         (0..fab.n_images()).map(|i| fab.now_ns(ProcId(i))).collect()
     }
 
+    /// Both runs granted the same `(image, op index, clock)` commits in
+    /// the same order.
+    fn assert_same_commits(a: &SimFabric, b: &SimFabric, what: &str) {
+        let la = a.core.lock().commit_log.clone();
+        let lb = b.core.lock().commit_log.clone();
+        for (k, (x, y)) in la.iter().zip(lb.iter()).enumerate() {
+            assert_eq!(
+                x,
+                y,
+                "commit #{k} diverged ({what}): {x:?} vs {y:?}\n\
+                 left tail: {:?}\nright tail: {:?}",
+                &la[k..(k + 8).min(la.len())],
+                &lb[k..(k + 8).min(lb.len())]
+            );
+        }
+        assert_eq!(la.len(), lb.len(), "commit counts ({what})");
+    }
+
+    /// The run never pushed behind the time its queue had reached.
+    fn assert_monotone(fab: &SimFabric) {
+        let f = fab.queue_footprint().expect("the one-queue core");
+        assert_eq!(f.behind_pushes, 0);
+    }
+
     #[test]
     fn stepped_matches_threaded_bit_for_bit() {
         for chaos_seed in [None, Some(3), Some(11)] {
@@ -744,22 +781,13 @@ mod tests {
             run_program_spmd(Arc::clone(&f_threaded), mixed_programs(8, 3));
             let f_stepped = fabric(8, chaos_seed, false);
             let report = run_stepped(&f_stepped, mixed_programs(8, 3));
-            {
-                let lt = f_threaded.core.lock().commit_log.clone();
-                let ls = f_stepped.core.lock().commit_log.clone();
-                for (k, (a, b)) in lt.iter().zip(ls.iter()).enumerate() {
-                    assert_eq!(
-                        a,
-                        b,
-                        "commit #{k} diverged (chaos {chaos_seed:?}): \
-                         threaded {a:?} vs stepped {b:?}\n\
-                         threaded tail: {:?}\nstepped tail: {:?}",
-                        &lt[k..(k + 8).min(lt.len())],
-                        &ls[k..(k + 8).min(ls.len())]
-                    );
-                }
-                assert_eq!(lt.len(), ls.len(), "commit counts (chaos {chaos_seed:?})");
-            }
+            assert_same_commits(
+                &f_threaded,
+                &f_stepped,
+                &format!("threaded vs stepped, chaos {chaos_seed:?}"),
+            );
+            assert_monotone(&f_threaded);
+            assert_monotone(&f_stepped);
             assert_eq!(
                 final_times(&f_stepped),
                 final_times(&f_threaded),
@@ -775,15 +803,47 @@ mod tests {
     }
 
     #[test]
-    fn stepped_legacy_and_sharded_queues_agree() {
+    fn stepped_legacy_and_one_queue_cores_agree() {
         for chaos_seed in [None, Some(29)] {
             let f_legacy = fabric(8, chaos_seed, true);
             let r_legacy = run_stepped(&f_legacy, mixed_programs(8, 3));
-            let f_sharded = fabric(8, chaos_seed, false);
-            let r_sharded = run_stepped(&f_sharded, mixed_programs(8, 3));
-            assert_eq!(final_times(&f_legacy), final_times(&f_sharded));
-            assert_eq!(r_legacy, r_sharded);
+            let f_queue = fabric(8, chaos_seed, false);
+            let r_queue = run_stepped(&f_queue, mixed_programs(8, 3));
+            assert_eq!(final_times(&f_legacy), final_times(&f_queue));
+            assert_eq!(r_legacy, r_queue);
+            assert_monotone(&f_queue);
         }
+    }
+
+    #[test]
+    fn reshuffles_with_turns_in_many_buckets_keep_the_cores_in_step() {
+        // A chaos seed whose PCT reshuffle fires every 7 commits, on 48
+        // images over 4 nodes: at any reshuffle the alive images' turns
+        // are spread over the run, the side heap and buckets of several
+        // levels (clocks differ by tens of ns to tens of µs), and every
+        // one of them must be re-keyed where it sits.
+        let seed = (0u64..)
+            .find(|&s| crate::chaos::ChaosConfig::from_seed(s).pct_interval == 7)
+            .expect("a third of the seeds");
+        let (nodes, per_node, n, epochs) = (4, 12, 48, 4);
+        let f_threaded = fabric_on(nodes, per_node, n, Some(seed), false);
+        run_program_spmd(Arc::clone(&f_threaded), mixed_programs(n, epochs));
+        let f_stepped = fabric_on(nodes, per_node, n, Some(seed), false);
+        let r_stepped = run_stepped(&f_stepped, mixed_programs(n, epochs));
+        let f_legacy = fabric_on(nodes, per_node, n, Some(seed), true);
+        let r_legacy = run_stepped(&f_legacy, mixed_programs(n, epochs));
+        assert_same_commits(&f_threaded, &f_stepped, "threaded vs stepped");
+        assert_same_commits(&f_legacy, &f_stepped, "legacy vs one queue");
+        assert_eq!(final_times(&f_threaded), final_times(&f_stepped));
+        assert_eq!(final_times(&f_legacy), final_times(&f_stepped));
+        assert_eq!(r_legacy, r_stepped);
+        assert!(
+            r_stepped.committed_ops / 7 > 100,
+            "only {} commits: too few reshuffles to mean anything",
+            r_stepped.committed_ops
+        );
+        assert_monotone(&f_threaded);
+        assert_monotone(&f_stepped);
     }
 
     #[test]
