@@ -12,6 +12,10 @@
 //! while `Auto` keeps picking the latency-optimal tree at 8 B (no
 //! small-message regression).
 //!
+//! Two sets of rows ride along so that every algorithm has a committed,
+//! gated number: the linear broadcast strawman at each size, and one
+//! `op: "barrier"` row per barrier algorithm (`bytes: 0`).
+//!
 //! Besides the usual table, this harness emits machine-readable results to
 //! `BENCH_collectives.json` (override with `CAF_BENCH_OUT`); CI reruns it
 //! at quick scale and `cargo xtask bench-diff`s against the committed
@@ -19,8 +23,10 @@
 
 use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode, scaled};
-use caf_microbench::{allreduce_latency, broadcast_latency, report, MicroConfig, Table};
-use caf_runtime::{BcastAlgo, CollectiveConfig, ReduceAlgo};
+use caf_microbench::{
+    allreduce_latency, barrier_latency, broadcast_latency, report, MicroConfig, Table,
+};
+use caf_runtime::{BarrierAlgo, BcastAlgo, CollectiveConfig, ReduceAlgo};
 
 fn mc(n: usize, cfg: CollectiveConfig, iters: usize) -> MicroConfig {
     let mut mc = MicroConfig::whale(n, 8).with_collectives(cfg);
@@ -35,6 +41,14 @@ fn bcast_ns(n: usize, elems: usize, algo: BcastAlgo, iters: usize) -> f64 {
         ..CollectiveConfig::default()
     };
     broadcast_latency(&mc(n, cfg, iters), elems).ns_per_op
+}
+
+fn barrier_ns(n: usize, algo: BarrierAlgo, iters: usize) -> f64 {
+    let cfg = CollectiveConfig {
+        barrier: algo,
+        ..CollectiveConfig::default()
+    };
+    barrier_latency(&mc(n, cfg, iters)).ns_per_op
 }
 
 fn reduce_ns(n: usize, elems: usize, algo: ReduceAlgo, iters: usize) -> f64 {
@@ -82,23 +96,35 @@ fn main() {
             "EXP-C1-msgsize (broadcast): co_broadcast latency vs payload, {n} images ({} nodes), modeled us",
             n / 8
         ),
-        &["bytes", "flat-binomial", "two-level", "pipelined", "auto", "auto=", "2lvl/pipe"],
+        &[
+            "bytes",
+            "flat-linear",
+            "flat-binomial",
+            "two-level",
+            "pipelined",
+            "auto",
+            "auto=",
+            "2lvl/pipe",
+        ],
     );
     let mut bcast_big_speedup: f64 = f64::INFINITY;
     let mut bcast_small_ok = true;
     for &elems in &sizes {
         let bytes = elems * 8;
+        let linear = bcast_ns(n, elems, BcastAlgo::FlatLinear, iters);
         let flat = bcast_ns(n, elems, BcastAlgo::FlatBinomial, iters);
         let two = bcast_ns(n, elems, BcastAlgo::TwoLevel, iters);
         let pipe = bcast_ns(n, elems, BcastAlgo::TwoLevelPipelined, iters);
         let auto = bcast_ns(n, elems, BcastAlgo::Auto, iters);
         let named = [
+            ("flat_linear", linear),
             ("flat_binomial", flat),
             ("two_level", two),
             ("two_level_pipelined", pipe),
         ];
         t1.row(&[
             bytes.to_string(),
+            report::us(linear),
             report::us(flat),
             report::us(two),
             report::us(pipe),
@@ -189,6 +215,33 @@ fn main() {
         });
     }
     t2.print();
+
+    // The five barrier algorithms (no payload: `bytes` is 0). These rows
+    // are what pins the three comparators no other committed row runs.
+    let mut t3 = Table::new(
+        format!(
+            "EXP-C1-msgsize (barrier): sync_all latency by algorithm, {n} images ({} nodes), modeled us",
+            n / 8
+        ),
+        &["algo", "latency"],
+    );
+    for (algo, which) in [
+        ("central_counter", BarrierAlgo::CentralCounter),
+        ("binomial_tree", BarrierAlgo::BinomialTree),
+        ("dissemination", BarrierAlgo::Dissemination),
+        ("tdlb", BarrierAlgo::Tdlb),
+        ("tdlb_multilevel", BarrierAlgo::TdlbMultilevel),
+    ] {
+        let ns = barrier_ns(n, which, iters);
+        t3.row(&[algo.to_string(), report::us(ns)]);
+        recs.push(Rec {
+            op: "barrier",
+            bytes: 0,
+            algo: algo.into(),
+            ns,
+        });
+    }
+    t3.print();
 
     results::write(
         &Surface {

@@ -1,13 +1,20 @@
-//! Barrier algorithms: centralized linear counter, PGAS dissemination, the
-//! paper's TDLB (Algorithm 1), and the §VII multi-level extension.
+//! Barriers: **one gather/release walk over per-rank levels**
+//! ([`crate::shape::barrier_shape`]) with a PGAS dissemination among the
+//! levels' roots. A centralized linear counter is one level with a star at
+//! rank 0, the binomial-tree barrier one level with a binomial tree, pure
+//! dissemination no level at all, the paper's TDLB (Algorithm 1) one level
+//! with a star per node and the dissemination among node leaders, and the
+//! §VII multi-level extension a socket level under TDLB's node level.
 //!
 //! All algorithms share the team's accumulating flags and the single
 //! `barrier` epoch counter, so a team must use one algorithm for its whole
-//! life (enforced by resolving the algorithm at formation).
+//! life (enforced by resolving the algorithm — and building its levels —
+//! at formation).
 
-use crate::comm::{flag, TeamComm};
+use crate::comm::TeamComm;
 use crate::config::BarrierAlgo;
-use crate::util::{binomial_children, binomial_parent, ceil_log2};
+use crate::shape::{Among, BarrierLevel};
+use crate::util::ceil_log2;
 use caf_trace::{Event, EventKind, Level};
 
 /// Stable trace operand for a barrier algorithm (`Barrier` event `a`).
@@ -30,85 +37,93 @@ pub(crate) fn barrier(comm: &mut TeamComm) {
         return;
     }
     let t0 = comm.trace_now();
-    match comm.barrier_algo {
-        BarrierAlgo::CentralCounter => central_counter(comm, e),
-        BarrierAlgo::BinomialTree => binomial_tree(comm, e),
-        BarrierAlgo::Dissemination => {
-            let all: Vec<usize> = (0..comm.size()).collect();
-            dissemination_over(comm, &all, comm.rank, e, Level::Whole);
+    let staged = comm.barrier_algo == BarrierAlgo::Tdlb;
+    walk(comm, &comm.barrier_levels, comm.barrier_roots, e, staged);
+    let code = algo_code(comm.barrier_algo);
+    comm.trace_span(EventKind::Barrier, t0, Level::Whole, code, e, 0);
+}
+
+/// One episode `e` of the gather/release barrier over `levels` (bottom
+/// first). The paper's Algorithm 1 is the one-level case:
+///
+/// ```text
+/// procedure TDLB(team)
+///   me       = this_image(team)
+///   leader   = get_leader(team, me)
+///   linear_counter_1(team, me, leader)      // slaves sync with the leader
+///   if leader == me then
+///       pgased_dissemination(team, leader)  // leaders sync across nodes
+///       linear_counter_2(team, me, leader)  // leaders release their slaves
+/// ```
+///
+/// **Gather**: at each level wait for my children on the level's counter;
+/// where I have a parent, notify it, wait for its release, and climb no
+/// further. **Top**: a rank with no parent anywhere is a root; the roots
+/// — `roots`, when there is more than one — disseminate. **Release**: back
+/// down the levels I gathered at, top level first. `staged` records
+/// TDLB's three phase spans on the roots.
+pub(crate) fn walk(
+    comm: &TeamComm,
+    levels: &[BarrierLevel],
+    roots: Option<Among>,
+    e: u64,
+    staged: bool,
+) {
+    let t0 = comm.trace_now();
+    let mut held = 0;
+    let mut root = true;
+    for lv in levels {
+        held += 1;
+        if !lv.tree.children.is_empty() {
+            comm.wait_flag(lv.counter, lv.tree.children.len() as u64 * e);
         }
-        BarrierAlgo::Tdlb => tdlb(comm, e),
-        BarrierAlgo::TdlbMultilevel => tdlb_multilevel(comm, e),
-        BarrierAlgo::Auto => unreachable!("Auto resolved at formation"),
-    }
-    comm.trace(
-        Event::span(EventKind::Barrier, t0, comm.trace_now().saturating_sub(t0))
-            .a(algo_code(comm.barrier_algo))
-            .b(comm.trace_tag())
-            .c(e),
-    );
-}
-
-/// Centralized linear barrier: 2(n−1) notifications, all via team rank 0.
-fn central_counter(comm: &mut TeamComm, e: u64) {
-    let n = comm.size();
-    if comm.rank == 0 {
-        comm.wait_flag(flag::COUNTER, (n as u64 - 1) * e);
-        for j in 1..n {
-            comm.add_flag(j, flag::RELEASE, 1);
+        if let Some(parent) = lv.tree.parent {
+            comm.add_flag(parent, lv.counter, 1);
+            comm.wait_flag(lv.release, e);
+            root = false;
+            break;
         }
-    } else {
-        comm.add_flag(0, flag::COUNTER, 1);
-        comm.wait_flag(flag::RELEASE, e);
+    }
+    let staged = staged && root;
+    let slaves = levels.first().map_or(0, |lv| lv.tree.children.len() as u64);
+    if staged {
+        comm.trace_span(EventKind::TdlbGather, t0, Level::Intra, slaves, e, 0);
+    }
+    if let (true, Some(among)) = (root, roots) {
+        let t1 = comm.trace_now();
+        dissemination_over(comm, among, e);
+        if staged {
+            let l = comm.hier.n_nodes() as u64;
+            comm.trace_span(EventKind::TdlbDissem, t1, Level::Inter, l, e, 0);
+        }
+    }
+    let t2 = comm.trace_now();
+    for lv in levels[..held].iter().rev() {
+        for &child in &lv.tree.children {
+            comm.add_flag(child, lv.release, 1);
+        }
+    }
+    if staged {
+        comm.trace_span(EventKind::TdlbRelease, t2, Level::Intra, slaves, e, 0);
     }
 }
 
-/// Binomial-tree barrier: each rank waits for its (fixed) children on the
-/// gather counter, notifies its parent, then waits for the release and
-/// forwards it down — 2(n−1) notifications in 2·log n depth.
-fn binomial_tree(comm: &mut TeamComm, e: u64) {
-    let n = comm.size();
-    let v = comm.rank;
-    let children = binomial_children(v, n);
-    if !children.is_empty() {
-        comm.wait_flag(flag::COUNTER, children.len() as u64 * e);
-    }
-    if v != 0 {
-        comm.add_flag(binomial_parent(v), flag::COUNTER, 1);
-        comm.wait_flag(flag::RELEASE, e);
-    }
-    for &c in &children {
-        comm.add_flag(c, flag::RELEASE, 1);
-    }
-}
-
-/// PGAS dissemination barrier over an arbitrary participant list
-/// (`parts[i]` = team rank of participant `i`); `my_rank` must appear in
-/// `parts`. Used both flat (over all ranks) and by TDLB's leader stage.
+/// PGAS dissemination barrier among `among`, which the caller must be one
+/// of. Used both flat (over all ranks) and by TDLB's leader stage.
 ///
 /// Round `k`: notify participant `(me + 2^k) mod L`, then perform the
 /// paper's **single wait**: my round-`k` flag is an accumulating counter,
 /// so waiting for `≥ epoch` needs no flag reset and no second array
 /// (contrast Mellor-Crummey & Scott's two-array formulation and Hensgen et
 /// al.'s two waits).
-pub(crate) fn dissemination_over(
-    comm: &mut TeamComm,
-    parts: &[usize],
-    my_rank: usize,
-    e: u64,
-    lvl: Level,
-) {
-    let l = parts.len();
-    if l <= 1 {
-        return;
-    }
-    let my_pos = parts
-        .iter()
-        .position(|&r| r == my_rank)
-        .expect("caller participates");
-    let rounds = ceil_log2(l);
-    for k in 0..rounds {
-        let partner = parts[(my_pos + (1 << k)) % l];
+pub(crate) fn dissemination_over(comm: &TeamComm, among: Among, e: u64) {
+    let (l, my_pos) = among.place(&comm.hier, comm.rank);
+    let lvl = match among {
+        Among::All => Level::Whole,
+        Among::Leaders => Level::Inter,
+    };
+    for k in 0..ceil_log2(l) {
+        let partner = among.rank_at(&comm.hier, (my_pos + (1 << k)) % l);
         let t0 = comm.trace_now();
         comm.add_flag(partner, comm.layout.dissem(k), 1);
         comm.wait_flag(comm.layout.dissem(k), e);
@@ -123,132 +138,5 @@ pub(crate) fn dissemination_over(
             .c(e)
             .level(lvl),
         );
-    }
-}
-
-/// The paper's Team Dissemination Linear Barrier (Algorithm 1):
-///
-/// ```text
-/// procedure TDLB(team)
-///   me       = this_image(team)
-///   leader   = get_leader(team, me)
-///   linear_counter_1(team, me, leader)      // slaves sync with the leader
-///   if leader == me then
-///       pgased_dissemination(team, leader)  // leaders sync across nodes
-///       linear_counter_2(team, me, leader)  // leaders release their slaves
-/// ```
-fn tdlb(comm: &mut TeamComm, e: u64) {
-    let hier = comm.hier.clone();
-    let set = hier.set_for(comm.rank);
-    let leader = set.leader;
-
-    if comm.rank != leader {
-        // Step 1 (slave side): signal the node leader's cocounter...
-        comm.add_flag(leader, flag::COUNTER, 1);
-        // ...and Step 3 (slave side): wait for the leader's release.
-        comm.wait_flag(flag::RELEASE, e);
-        return;
-    }
-
-    // Step 1 (leader side): wait for all intranode slaves.
-    let slaves = set.len() as u64 - 1;
-    let tag = comm.trace_tag();
-    let t0 = comm.trace_now();
-    if slaves > 0 {
-        comm.wait_flag(flag::COUNTER, slaves * e);
-    }
-    comm.trace(
-        Event::span(
-            EventKind::TdlbGather,
-            t0,
-            comm.trace_now().saturating_sub(t0),
-        )
-        .a(slaves)
-        .b(tag)
-        .c(e)
-        .level(Level::Intra),
-    );
-    // Step 2: dissemination among the node leaders.
-    let leaders: Vec<usize> = hier.leaders().to_vec();
-    let t1 = comm.trace_now();
-    dissemination_over(comm, &leaders, comm.rank, e, Level::Inter);
-    comm.trace(
-        Event::span(
-            EventKind::TdlbDissem,
-            t1,
-            comm.trace_now().saturating_sub(t1),
-        )
-        .a(leaders.len() as u64)
-        .b(tag)
-        .c(e)
-        .level(Level::Inter),
-    );
-    // Step 3 (leader side): release the intranode set.
-    let t2 = comm.trace_now();
-    for &s in set.slaves() {
-        comm.add_flag(s, flag::RELEASE, 1);
-    }
-    comm.trace(
-        Event::span(
-            EventKind::TdlbRelease,
-            t2,
-            comm.trace_now().saturating_sub(t2),
-        )
-        .a(slaves)
-        .b(tag)
-        .c(e)
-        .level(Level::Intra),
-    );
-}
-
-/// §VII future work: socket level below the node level. Within each
-/// intranode set, images first gather at a per-socket leader, socket
-/// leaders gather at the node leader, node leaders disseminate, and the
-/// releases run back down the two intra-node levels.
-fn tdlb_multilevel(comm: &mut TeamComm, e: u64) {
-    let hier = comm.hier.clone();
-    let set = hier.set_for(comm.rank);
-    let node_leader = set.leader;
-    let groups = hier.socket_groups(comm.rank);
-    let my_group = groups
-        .iter()
-        .find(|g| g.contains(&comm.rank))
-        .expect("every rank is in a socket group")
-        .clone();
-    let socket_leader = my_group[0];
-
-    if comm.rank != socket_leader {
-        comm.add_flag(socket_leader, flag::S_COUNTER, 1);
-        comm.wait_flag(flag::S_RELEASE, e);
-        return;
-    }
-
-    // Socket leader: gather my socket.
-    let socket_slaves = my_group.len() as u64 - 1;
-    if socket_slaves > 0 {
-        comm.wait_flag(flag::S_COUNTER, socket_slaves * e);
-    }
-
-    if comm.rank != node_leader {
-        comm.add_flag(node_leader, flag::COUNTER, 1);
-        comm.wait_flag(flag::RELEASE, e);
-    } else {
-        // Node leader: gather the other socket leaders of this node.
-        let other_sockets = groups.len() as u64 - 1;
-        if other_sockets > 0 {
-            comm.wait_flag(flag::COUNTER, other_sockets * e);
-        }
-        let leaders: Vec<usize> = hier.leaders().to_vec();
-        dissemination_over(comm, &leaders, comm.rank, e, Level::Inter);
-        for g in &groups {
-            if g[0] != node_leader {
-                comm.add_flag(g[0], flag::RELEASE, 1);
-            }
-        }
-    }
-
-    // Release my socket.
-    for &m in &my_group[1..] {
-        comm.add_flag(m, flag::S_RELEASE, 1);
     }
 }

@@ -1,11 +1,13 @@
-//! One-to-all broadcast algorithms: linear, flat binomial tree, the
-//! paper's two-level scheme (binomial over node leaders — with the root
-//! standing in as its node's leader — then an intra-node linear fan-out),
-//! and a chunked pipelined two-level scheme for large payloads: K-byte
-//! chunks stream down a *pipelined binary tree* of node leaders with
-//! nonblocking puts, and each leader fans a chunk out through shared
-//! memory while its NIC forwards it downstream — the inter-node stage and
-//! the intranode fan-out overlap instead of serializing.
+//! One-to-all broadcast: **one protocol over a tree**. The algorithms
+//! differ only in the tree each rank is handed ([`Tree::for_bcast`]): a
+//! star at the root (linear), a flat binomial tree, the paper's two-level
+//! tree (binomial over node leaders — with the root standing in as its
+//! node's leader — then each leader's node), and the pipelined two-level
+//! tree for large payloads, where K-byte chunks stream down a *binary* tree
+//! of node leaders with nonblocking puts and each leader fans a chunk out
+//! through shared memory while its NIC forwards it downstream — the
+//! inter-node stage and the intranode fan-out overlap instead of
+//! serializing.
 //!
 //! # Flow control: three waves
 //!
@@ -13,7 +15,7 @@
 //! the **root rotates** call to call: the root of episode e+2 only needs
 //! episode e+1's *data* to proceed, so a chain of fast roots can outrun a
 //! slow receiver by any number of episodes and overwrite a payload slot it
-//! has not read yet. Every algorithm here therefore runs three waves:
+//! has not read yet. The protocol therefore runs three waves:
 //!
 //! 1. **data** down the tree (payload put + `B_ARRIVE` notification),
 //! 2. **ack** back up (`B_ACK`, collected subtree-by-subtree),
@@ -26,12 +28,30 @@
 //! were consumed everywhere. Because roots change, the per-image
 //! expectations (`bcast_arrived`, `bcast_acks`, `bcast_released`) are
 //! cumulative counters rather than the bare episode number.
+//!
+//! Wave 1 is counted *per chunk*: every receiver has exactly one payload
+//! source per episode, and the fabric orders a flag behind a prior put to
+//! the same target, so a cumulative `B_ARRIVE` count identifies chunk
+//! boundaries without tokens. Acks and releases stay per-episode.
+//!
+//! # Why a binary tree when pipelining
+//!
+//! With nonblocking puts each leader forwards chunk `c` to its (at most
+//! two) children while its own NIC is still receiving chunk `c+1`, so for
+//! payloads of many chunks the total time approaches one payload's NIC
+//! time plus a `⌈log₂ l⌉`-deep fill term — instead of the binomial tree's
+//! `log l × payload` store-and-forward time, and instead of the `l`-deep
+//! fill a chain would pay (a chain halves per-chunk NIC load but its fill
+//! dominates everything below multi-MiB payloads at 44 nodes). Two
+//! children per chunk keep the NIC busy below the intranode fan-out time,
+//! so the fan-out — which overlaps the inter-node transfer of the next
+//! chunk — remains the steady-state bound.
 
 use crate::comm::{flag, TeamComm};
 use crate::config::BcastAlgo;
-use crate::util::{binomial_children, binomial_parent};
+use crate::shape::Tree;
 use crate::value::CoValue;
-use caf_trace::{Event, EventKind, Level};
+use caf_trace::{EventKind, Level};
 
 /// Stable trace operand for a broadcast algorithm (`Bcast` event `a`).
 fn algo_code(a: BcastAlgo) -> u64 {
@@ -65,318 +85,83 @@ pub(crate) fn broadcast_using<T: CoValue>(
     if comm.size() == 1 {
         return;
     }
-    comm.ensure_scratch(buf.len() * T::SIZE);
-    let par = (comm.epochs.bcast % 2) as usize;
+    let bytes = buf.len() * T::SIZE;
+    comm.ensure_scratch(bytes);
     let e = comm.epochs.bcast;
     let t0 = comm.trace_now();
-    match algo {
-        BcastAlgo::FlatLinear => linear(comm, buf, root, par),
-        BcastAlgo::FlatBinomial => binomial(comm, buf, root, par),
-        BcastAlgo::TwoLevel => two_level(comm, buf, root, par),
-        BcastAlgo::TwoLevelPipelined => two_level_pipelined(comm, buf, root, par),
-        BcastAlgo::Auto => unreachable!("Auto resolved per call"),
-    }
-    comm.trace(
-        Event::span(EventKind::Bcast, t0, comm.trace_now().saturating_sub(t0))
-            .a(algo_code(algo))
-            .b(comm.trace_tag())
-            .c(e)
-            .d((buf.len() * T::SIZE) as u64),
-    );
-}
-
-/// Receiver-side wait for the episode-completion release (wave 3).
-fn await_release(comm: &mut TeamComm) {
-    comm.epochs.bcast_released += 1;
-    comm.wait_flag(flag::B_DONE, comm.epochs.bcast_released);
-}
-
-/// Root puts the payload to every member directly: n−1 sends serialized at
-/// the root — the worst 1-level strawman, kept as a measurable baseline.
-fn linear<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize, par: usize) {
-    let n = comm.size();
-    if comm.rank == root {
-        let off = comm.sl_bcast(par);
-        for j in 0..n {
-            if j != root {
-                comm.send_values(j, off, buf);
-                comm.add_flag(j, flag::B_ARRIVE, 1);
-            }
-        }
-        comm.epochs.bcast_acks += n as u64 - 1;
-        comm.wait_flag(flag::B_ACK, comm.epochs.bcast_acks);
-        for j in 0..n {
-            if j != root {
-                comm.add_flag(j, flag::B_DONE, 1);
-            }
-        }
+    let tree = Tree::for_bcast(algo, &comm.hier, comm.rank, root);
+    // Only the pipelined tree cuts the payload up and streams it.
+    let pipelined = algo == BcastAlgo::TwoLevelPipelined;
+    let chunk = if pipelined {
+        comm.chunk_elems(T::SIZE)
     } else {
-        comm.epochs.bcast_arrived += 1;
-        comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
-        let off = comm.sl_bcast(par);
-        comm.load_from_scratch(off, buf);
-        comm.add_flag(root, flag::B_ACK, 1);
-        await_release(comm);
-    }
-}
-
-/// Flat binomial tree over virtual ranks `(rank − root) mod n` — the
-/// 1-level baseline with log n depth. The release wave reuses the same
-/// tree.
-fn binomial<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize, par: usize) {
-    let n = comm.size();
-    let v = (comm.rank + n - root) % n;
-    let to_rank = |vr: usize| (vr + root) % n;
-
-    if v != 0 {
-        comm.epochs.bcast_arrived += 1;
-        comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
-        let off = comm.sl_bcast(par);
-        comm.load_from_scratch(off, buf);
-    }
-    let children = binomial_children(v, n);
-    for &c in &children {
-        let off = comm.sl_bcast(par);
-        comm.send_values(to_rank(c), off, buf);
-        comm.add_flag(to_rank(c), flag::B_ARRIVE, 1);
-    }
-    if !children.is_empty() {
-        comm.epochs.bcast_acks += children.len() as u64;
-        comm.wait_flag(flag::B_ACK, comm.epochs.bcast_acks);
-    }
-    if v != 0 {
-        comm.add_flag(to_rank(binomial_parent(v)), flag::B_ACK, 1);
-        await_release(comm);
-    }
-    // Release wave: forward down the same tree after my own release (the
-    // root forwards right after collecting all acks).
-    for &c in &children {
-        comm.add_flag(to_rank(c), flag::B_DONE, 1);
-    }
-}
-
-/// The paper's two-level broadcast: a binomial tree across *effective node
-/// leaders* (the root acts as leader of its own node), then a linear
-/// shared-memory fan-out within each node; acks and releases run the same
-/// two-level shape.
-fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize, par: usize) {
-    let hier = comm.hier.clone();
-    let root_set = hier.leader_index_of(root);
-    let my_set = hier.leader_index_of(comm.rank);
-    let l = hier.n_nodes();
-    let eff_leader_of = |set_idx: usize| -> usize {
-        if set_idx == root_set {
-            root
-        } else {
-            hier.sets()[set_idx].leader
-        }
+        buf.len().max(1)
     };
-    let el = eff_leader_of(my_set);
-
-    if comm.rank != el {
-        // Plain member: data from my effective leader, ack it, await
-        // release (also via my leader).
-        comm.epochs.bcast_arrived += 1;
-        comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
-        let off = comm.sl_bcast(par);
-        comm.load_from_scratch(off, buf);
-        comm.add_flag(el, flag::B_ACK, 1);
-        await_release(comm);
-        return;
-    }
-
-    // Effective leader: stage 1, binomial over the leader set.
-    let tag = comm.trace_tag();
-    let e = comm.epochs.bcast;
-    let t0 = comm.trace_now();
-    let lv = (my_set + l - root_set) % l;
-    let leader_rank = |lvr: usize| eff_leader_of((lvr + root_set) % l);
-    if lv != 0 {
-        comm.epochs.bcast_arrived += 1;
-        comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
-        let off = comm.sl_bcast(par);
-        comm.load_from_scratch(off, buf);
-    }
-    let lchildren = binomial_children(lv, l);
-    for &c in &lchildren {
-        let off = comm.sl_bcast(par);
-        comm.send_values(leader_rank(c), off, buf);
-        comm.add_flag(leader_rank(c), flag::B_ARRIVE, 1);
-    }
-    comm.trace(
-        Event::span(
-            EventKind::BcastStage,
-            t0,
-            comm.trace_now().saturating_sub(t0),
-        )
-        .a(1)
-        .b(tag)
-        .c(e)
-        .level(Level::Inter),
-    );
-
-    // Stage 2: linear fan-out within my node.
-    let t1 = comm.trace_now();
-    let locals: Vec<usize> = hier.sets()[my_set]
-        .ranks
-        .iter()
-        .copied()
-        .filter(|&m| m != el)
-        .collect();
-    for &m in &locals {
-        let off = comm.sl_bcast(par);
-        comm.send_values(m, off, buf);
-        comm.add_flag(m, flag::B_ARRIVE, 1);
-    }
-    comm.trace(
-        Event::span(
-            EventKind::BcastStage,
-            t1,
-            comm.trace_now().saturating_sub(t1),
-        )
-        .a(2)
-        .b(tag)
-        .c(e)
-        .level(Level::Intra),
-    );
-
-    // Ack wave: wait for my subtree, ack my parent leader.
-    let expected = (lchildren.len() + locals.len()) as u64;
-    if expected > 0 {
-        comm.epochs.bcast_acks += expected;
-        comm.wait_flag(flag::B_ACK, comm.epochs.bcast_acks);
-    }
-    if lv != 0 {
-        comm.add_flag(leader_rank(binomial_parent(lv)), flag::B_ACK, 1);
-        await_release(comm);
-    }
-    // Release wave: down the leader tree and into my node.
-    for &c in &lchildren {
-        comm.add_flag(leader_rank(c), flag::B_DONE, 1);
-    }
-    for &m in &locals {
-        comm.add_flag(m, flag::B_DONE, 1);
-    }
+    tree_bcast(comm, buf, &tree, chunk, pipelined);
+    let code = algo_code(algo);
+    comm.trace_span(EventKind::Bcast, t0, Level::Whole, code, e, bytes as u64);
 }
 
-/// Pipelined two-level broadcast for large payloads: the payload is cut
-/// into policy-sized chunks and the leader stage is a *pipelined binary
-/// tree* over the effective node leaders (heap-ordered by
-/// `(set − root_set) mod l`), not a store-and-forward binomial tree.
-/// With nonblocking puts each leader forwards chunk `c` to its (at most
-/// two) children while its own NIC is still receiving chunk `c+1`, so for
-/// payloads of many chunks the total time approaches one payload's NIC
-/// time plus a `⌈log₂ l⌉`-deep fill term — instead of the binomial tree's
-/// `log l × payload` store-and-forward time, and instead of the `l`-deep
-/// fill a chain would pay (a chain halves per-chunk NIC load but its fill
-/// dominates everything below multi-MiB payloads at 44 nodes). Two
-/// children per chunk keep the NIC busy below the intranode fan-out time,
-/// so the fan-out — which overlaps the inter-node transfer of the next
-/// chunk — remains the steady-state bound. The intra-node fan-out of
-/// chunk `c` overlaps the inter-node transfer of chunk `c+1`.
-///
-/// Flow control is the same three-wave scheme, with wave 1 counted *per
-/// chunk*: every receiver has exactly one payload source per episode, and
-/// the fabric orders a flag behind a prior put to the same target, so a
-/// cumulative `B_ARRIVE` count identifies chunk boundaries without
-/// tokens. Acks and releases stay per-episode.
-fn two_level_pipelined<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize, par: usize) {
-    let hier = comm.hier.clone();
-    let root_set = hier.leader_index_of(root);
-    let my_set = hier.leader_index_of(comm.rank);
-    let l = hier.n_nodes();
-    let eff_leader_of = |set_idx: usize| -> usize {
-        if set_idx == root_set {
-            root
-        } else {
-            hier.sets()[set_idx].leader
-        }
-    };
-    let el = eff_leader_of(my_set);
-
+/// The three waves over `tree`, the payload cut into `chunk`-element
+/// pieces; `nb` streams the pieces with nonblocking puts. An effective
+/// leader of a two-level tree also records its stages: store-and-forward
+/// has an inter-node stage (receive, forward to other leaders) and then an
+/// intranode one; a stream overlaps the two, so it records one span.
+fn tree_bcast<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], tree: &Tree, chunk: usize, nb: bool) {
     let len = buf.len();
-    let ce = comm.chunk_elems(T::SIZE);
-    let nchunks = len.div_ceil(ce).max(1);
-    let chunk = |c: usize| (c * ce, ((c + 1) * ce).min(len));
-    let off = comm.sl_bcast(par);
-
-    if comm.rank != el {
-        // Plain member: consume each chunk as it lands, then ack once.
-        for c in 0..nchunks {
-            let (lo, hi) = chunk(c);
-            comm.epochs.bcast_arrived += 1;
-            comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
-            comm.load_from_scratch(off + lo * T::SIZE, &mut buf[lo..hi]);
-        }
-        comm.add_flag(el, flag::B_ACK, 1);
-        await_release(comm);
-        return;
-    }
-
-    // Effective leader: heap position in the binary tree over leaders.
-    let tag = comm.trace_tag();
-    let e = comm.epochs.bcast;
-    let t0 = comm.trace_now();
-    let lv = (my_set + l - root_set) % l;
-    let leader_rank = |lvr: usize| eff_leader_of((lvr + root_set) % l);
-    let tree_children: Vec<usize> = [2 * lv + 1, 2 * lv + 2]
-        .into_iter()
-        .filter(|&c| c < l)
-        .map(leader_rank)
-        .collect();
-    let locals: Vec<usize> = hier.sets()[my_set]
-        .ranks
-        .iter()
-        .copied()
-        .filter(|&m| m != el)
-        .collect();
-
-    for c in 0..nchunks {
-        let (lo, hi) = chunk(c);
-        if lv != 0 {
-            comm.epochs.bcast_arrived += 1;
-            comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
-            comm.load_from_scratch(off + lo * T::SIZE, &mut buf[lo..hi]);
-        }
-        // Forward down the tree first — the nonblocking puts free this
-        // CPU to run the local fan-out while the NIC streams the chunk.
-        for &child in &tree_children {
-            comm.send_values_nb(child, off + lo * T::SIZE, &buf[lo..hi]);
+    let chunks = len.div_ceil(chunk).max(1);
+    let off = comm.sl_bcast((comm.epochs.bcast % 2) as usize);
+    let (far, near) = tree.children.split_at(tree.far.unwrap_or(0));
+    let staged = tree.far.is_some();
+    let send = |comm: &mut TeamComm, to: &[usize], at: usize, piece: &[T]| {
+        for &child in to {
+            if nb {
+                comm.send_values_nb(child, at, piece);
+            } else {
+                comm.send_values(child, at, piece);
+            }
             comm.add_flag(child, flag::B_ARRIVE, 1);
         }
-        for &m in &locals {
-            comm.send_values_nb(m, off + lo * T::SIZE, &buf[lo..hi]);
-            comm.add_flag(m, flag::B_ARRIVE, 1);
-        }
-    }
-    comm.trace(
-        Event::span(
-            EventKind::BcastStage,
-            t0,
-            comm.trace_now().saturating_sub(t0),
-        )
-        .a(1)
-        .b(tag)
-        .c(e)
-        .d(nchunks as u64)
-        .level(Level::Inter),
-    );
+    };
+    let e = comm.epochs.bcast;
+    let t0 = comm.trace_now();
+    let mut t1 = t0;
 
-    // Ack wave: my tree children plus my locals, then my tree parent.
-    let expected = (tree_children.len() + locals.len()) as u64;
-    if expected > 0 {
-        comm.epochs.bcast_acks += expected;
+    // Wave 1: data down. Inter-node children first — a nonblocking put
+    // frees this CPU to serve the node while the NIC streams the chunk.
+    for c in 0..chunks {
+        let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(len));
+        let at = off + lo * T::SIZE;
+        if tree.parent.is_some() {
+            comm.epochs.bcast_arrived += 1;
+            comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
+            comm.load_from_scratch(at, &mut buf[lo..hi]);
+        }
+        send(comm, far, at, &buf[lo..hi]);
+        if staged && !nb {
+            comm.trace_span(EventKind::BcastStage, t0, Level::Inter, 1, e, 0);
+            t1 = comm.trace_now();
+        }
+        send(comm, near, at, &buf[lo..hi]);
+    }
+    if staged && nb {
+        comm.trace_span(EventKind::BcastStage, t0, Level::Inter, 1, e, chunks as u64);
+    } else if staged {
+        comm.trace_span(EventKind::BcastStage, t1, Level::Intra, 2, e, 0);
+    }
+
+    // Wave 2: acks up — my subtree's, then mine to my parent.
+    if !tree.children.is_empty() {
+        comm.epochs.bcast_acks += tree.children.len() as u64;
         comm.wait_flag(flag::B_ACK, comm.epochs.bcast_acks);
     }
-    if lv != 0 {
-        comm.add_flag(leader_rank((lv - 1) / 2), flag::B_ACK, 1);
-        await_release(comm);
+    // Wave 3: release down; the root starts it once it holds every ack.
+    if let Some(parent) = tree.parent {
+        comm.add_flag(parent, flag::B_ACK, 1);
+        comm.epochs.bcast_released += 1;
+        comm.wait_flag(flag::B_DONE, comm.epochs.bcast_released);
     }
-    // Release wave: down the tree and into my node.
-    for &child in &tree_children {
+    for &child in &tree.children {
         comm.add_flag(child, flag::B_DONE, 1);
-    }
-    for &m in &locals {
-        comm.add_flag(m, flag::B_DONE, 1);
     }
 }

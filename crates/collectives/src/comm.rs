@@ -5,7 +5,9 @@
 //! * the team's **image-index → process mapping** (`members`), exactly the
 //!   mapping array the paper adds to OpenUH's `team_type`;
 //! * the **hierarchy view** (intranode sets + leaders) computed once at
-//!   formation, which every two-level collective consults;
+//!   formation, which every two-level collective consults, and the
+//!   **barrier levels** its resolved barrier algorithm walks (see
+//!   `shape.rs`);
 //! * per-member **resource tables**: because fabric allocation is
 //!   image-local, each member records its co-members' flag-block and
 //!   segment ids, learned through an id exchange at formation time;
@@ -15,19 +17,21 @@
 //!
 //! # Formation
 //!
-//! The initial team ([`TeamComm::create_initial`]) bootstraps its id
-//! exchange through the fabric's pre-created [`caf_fabric::bootstrap`]
+//! A team without a parent ([`TeamComm::create_among`]; the initial team,
+//! [`TeamComm::create_initial`], is that over every image) bootstraps its
+//! id exchange through the fabric's pre-created [`caf_fabric::bootstrap`]
 //! resources. Subteams ([`TeamComm::create_sub`], the runtime's
 //! `form_team`) exchange their fresh ids through the **parent** team's
 //! machinery — mirroring how a real runtime coordinates team-scoped
 //! symmetric allocations through the parent team.
 
 use crate::config::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy};
+use crate::shape::{barrier_shape, Among, BarrierLevel};
 use crate::util::ceil_log2;
 use crate::value::{bytes_to_slice, slice_to_bytes, CoNumeric, CoOp, CoValue};
 use caf_fabric::{bootstrap, Am, AmPolicy, ArcFabric, FlagId, PutToken, SegmentId};
 use caf_topology::{HierarchyView, ProcId};
-use caf_trace::Event;
+use caf_trace::{Event, EventKind, Level};
 use std::sync::Arc;
 
 /// Bytes per member slot in a team's exchange segment (4 × u64).
@@ -140,6 +144,20 @@ pub(crate) struct MemberRsrc {
     pub gather: SegmentId,
 }
 
+impl MemberRsrc {
+    /// A member as known right after formation: its flag block and exchange
+    /// segment; scratch and gather regions come with the first collective
+    /// that needs them.
+    fn new(flags: u64, exch: u64) -> Self {
+        Self {
+            flags: FlagId(flags as usize),
+            exch: SegmentId(exch as usize),
+            scratch: SegmentId(usize::MAX),
+            gather: SegmentId(usize::MAX),
+        }
+    }
+}
+
 /// Per-collective epoch counters (local to this image).
 ///
 /// Every counter is **cumulative**: it records how many arrivals of its
@@ -181,14 +199,10 @@ pub(crate) struct Epochs {
     /// Cumulative episode-completion releases this image must have seen
     /// (one per episode in which it was not the root).
     pub bcast_released: u64,
-    /// Gather era.
-    pub gather: u64,
     /// Cumulative gather contributions this image must have collected.
     pub gather_arrived: u64,
     /// Cumulative gather releases this image must have seen.
     pub gather_released: u64,
-    /// Scatter era.
-    pub scatter: u64,
     /// Cumulative scatter slices this image must have received.
     pub scatter_arrived: u64,
     /// Cumulative scatter acks the root side must have collected.
@@ -232,6 +246,12 @@ pub struct TeamComm {
     raw_cfg: CollectiveConfig,
     /// Algorithms resolved against this team's hierarchy.
     pub(crate) barrier_algo: BarrierAlgo,
+    /// The levels my rank climbs in `barrier_algo` and who disseminates at
+    /// the top — fixed with the algorithm, so built once.
+    pub(crate) barrier_levels: Vec<BarrierLevel>,
+    pub(crate) barrier_roots: Option<Among>,
+    /// The one level of the control barrier.
+    control: BarrierLevel,
     pub(crate) reduce_algo: ReduceAlgo,
     pub(crate) bcast_algo: BcastAlgo,
     pub(crate) gather_algo: GatherAlgo,
@@ -245,8 +265,6 @@ pub struct TeamComm {
     pub(crate) scratch_slot_bytes: usize,
     /// Current gather/scatter slot size in bytes (0 = not yet allocated).
     pub(crate) gather_slot_bytes: usize,
-    /// Largest intranode-set size, fixed at formation (scratch layout).
-    pub(crate) local_max: usize,
     /// Workhorse byte buffers (reused across collective calls).
     pub(crate) buf: Vec<u8>,
     pub(crate) buf2: Vec<u8>,
@@ -266,7 +284,8 @@ impl TeamComm {
     // Formation
     // ------------------------------------------------------------------
 
-    /// Create the initial team spanning every image of `fabric`.
+    /// Create the initial team spanning every image of `fabric`:
+    /// [`TeamComm::create_among`] over all of them.
     ///
     /// Collective: every image must call it, once, before any other team
     /// operation. `boot_epoch` is this image's bootstrap-barrier counter
@@ -278,62 +297,23 @@ impl TeamComm {
         cfg: CollectiveConfig,
         boot_epoch: &mut u64,
     ) -> Self {
-        let n = fabric.n_images();
-        let members: Arc<Vec<ProcId>> = Arc::new((0..n).map(ProcId).collect());
-        let hier = Arc::new(HierarchyView::build(fabric.image_map(), &members));
-        let local_max = hier.sets().iter().map(|s| s.len()).max().unwrap_or(1);
-        let layout = FlagLayout::new(n, local_max);
-        let flags = fabric.alloc_flags(me, layout.total());
-        let exch = fabric.alloc_segment(me, n * EXCH_SLOT);
-
-        // Publish (flags, exch) through the bootstrap segment; slot = sender.
-        let mut slot = [0u8; bootstrap::SLOT_BYTES];
-        slot[0..8].copy_from_slice(&(flags.0 as u64).to_ne_bytes());
-        slot[8..16].copy_from_slice(&(exch.0 as u64).to_ne_bytes());
-        for j in 0..n {
-            fabric.put(
-                me,
-                ProcId(j),
-                bootstrap::SEG,
-                me.index() * bootstrap::SLOT_BYTES,
-                &slot,
-            );
-        }
-        bootstrap::control_barrier(&*fabric, me, boot_epoch);
-
-        let mut all = vec![0u8; n * bootstrap::SLOT_BYTES];
-        fabric.get(me, me, bootstrap::SEG, 0, &mut all);
-        let rsrc: Vec<MemberRsrc> = (0..n)
-            .map(|j| {
-                let base = j * bootstrap::SLOT_BYTES;
-                let f = u64::from_ne_bytes(all[base..base + 8].try_into().expect("8"));
-                let e = u64::from_ne_bytes(all[base + 8..base + 16].try_into().expect("8"));
-                MemberRsrc {
-                    flags: FlagId(f as usize),
-                    exch: SegmentId(e as usize),
-                    scratch: SegmentId(usize::MAX),
-                    gather: SegmentId(usize::MAX),
-                }
-            })
-            .collect();
-        // Nobody may reuse the bootstrap slots until everyone has read them.
-        bootstrap::control_barrier(&*fabric, me, boot_epoch);
-
-        Self::assemble(fabric, me, me.index(), members, hier, cfg, layout, rsrc)
+        let all = (0..fabric.n_images()).map(ProcId).collect();
+        Self::create_among(fabric, me, all, cfg, boot_epoch)
     }
 
     /// Create a team spanning an explicit member list **without** a parent
-    /// team — the formation path of `form_recovery_team()`. Every member
-    /// passes the same `members` list (each survivor computes it locally
-    /// from `Fabric::alive_images`, so no agreement protocol is needed)
-    /// and a fresh `boot_epoch` counter matching the post-heal flag state.
+    /// team — the initial team, and the formation path of
+    /// `form_recovery_team()`. Every member passes the same `members` list
+    /// (each survivor computes it locally from `Fabric::alive_images`, so
+    /// no agreement protocol is needed) and a `boot_epoch` counter matching
+    /// the flag state (fresh after a heal).
     ///
-    /// Identical in mechanism to [`TeamComm::create_initial`] — bootstrap
-    /// slots indexed by global rank, two control barriers around the id
-    /// exchange — except both barriers run only over `members`, with
-    /// `members[0]` as leader, so a dead rank 0 (or a whole dead node)
-    /// cannot block formation. Ranks in the new team are dense: member `i`
-    /// of the list becomes team rank `i`.
+    /// The id exchange goes through the bootstrap segment — slots indexed
+    /// by *global* rank, since the segment spans all images — between two
+    /// control barriers that run only over `members`, with `members[0]` as
+    /// leader, so a dead rank 0 (or a whole dead node) cannot block
+    /// formation. Ranks in the new team are dense: member `i` of the list
+    /// becomes team rank `i`.
     pub fn create_among(
         fabric: ArcFabric,
         me: ProcId,
@@ -346,49 +326,47 @@ impl TeamComm {
             .position(|&p| p == me)
             .expect("create_among: caller must be in the member list");
         let members: Arc<Vec<ProcId>> = Arc::new(members);
-        let m = members.len();
-        let hier = Arc::new(HierarchyView::build(fabric.image_map(), &members));
-        let local_max = hier.sets().iter().map(|s| s.len()).max().unwrap_or(1);
-        let layout = FlagLayout::new(m, local_max);
-        let flags = fabric.alloc_flags(me, layout.total());
-        let exch = fabric.alloc_segment(me, m * EXCH_SLOT);
+        let (hier, layout, [flags, exch]) = Self::provision(&fabric, me, &members);
 
-        // Publish (flags, exch) through the bootstrap segment, slot = the
-        // sender's *global* rank (the segment spans all images by size).
+        // Publish (flags, exch) in my slot on every member.
         let mut slot = [0u8; bootstrap::SLOT_BYTES];
-        slot[0..8].copy_from_slice(&(flags.0 as u64).to_ne_bytes());
-        slot[8..16].copy_from_slice(&(exch.0 as u64).to_ne_bytes());
+        slot[0..8].copy_from_slice(&flags.to_ne_bytes());
+        slot[8..16].copy_from_slice(&exch.to_ne_bytes());
+        let at = me.index() * bootstrap::SLOT_BYTES;
         for &j in members.iter() {
-            fabric.put(
-                me,
-                j,
-                bootstrap::SEG,
-                me.index() * bootstrap::SLOT_BYTES,
-                &slot,
-            );
+            fabric.put(me, j, bootstrap::SEG, at, &slot);
         }
         bootstrap::control_barrier_among(&*fabric, me, &members, boot_epoch);
 
         let mut all = vec![0u8; fabric.n_images() * bootstrap::SLOT_BYTES];
         fabric.get(me, me, bootstrap::SEG, 0, &mut all);
+        let word = |at: usize| u64::from_ne_bytes(all[at..at + 8].try_into().expect("8"));
         let rsrc: Vec<MemberRsrc> = members
             .iter()
-            .map(|p| {
-                let base = p.index() * bootstrap::SLOT_BYTES;
-                let f = u64::from_ne_bytes(all[base..base + 8].try_into().expect("8"));
-                let e = u64::from_ne_bytes(all[base + 8..base + 16].try_into().expect("8"));
-                MemberRsrc {
-                    flags: FlagId(f as usize),
-                    exch: SegmentId(e as usize),
-                    scratch: SegmentId(usize::MAX),
-                    gather: SegmentId(usize::MAX),
-                }
-            })
+            .map(|p| p.index() * bootstrap::SLOT_BYTES)
+            .map(|base| MemberRsrc::new(word(base), word(base + 8)))
             .collect();
         // Nobody may reuse the bootstrap slots until everyone has read them.
         bootstrap::control_barrier_among(&*fabric, me, &members, boot_epoch);
 
         Self::assemble(fabric, me, rank, members, hier, cfg, layout, rsrc)
+    }
+
+    /// Decompose `members` along the machine, size the team's flag block
+    /// (it includes per-set-position chunk-stream flags, so the hierarchy
+    /// comes first) and allocate my flag block and exchange segment;
+    /// returns their ids as the words the id exchange ships.
+    fn provision(
+        fabric: &ArcFabric,
+        me: ProcId,
+        members: &[ProcId],
+    ) -> (Arc<HierarchyView>, FlagLayout, [u64; 2]) {
+        let hier = Arc::new(HierarchyView::build(fabric.image_map(), members));
+        let local_max = hier.sets().iter().map(|s| s.len()).max().unwrap_or(1);
+        let layout = FlagLayout::new(members.len(), local_max);
+        let flags = fabric.alloc_flags(me, layout.total());
+        let exch = fabric.alloc_segment(me, members.len() * EXCH_SLOT);
+        (hier, layout, [flags.0 as u64, exch.0 as u64])
     }
 
     /// Split the parent team into subteams by `team_number` — the runtime's
@@ -444,24 +422,11 @@ impl TeamComm {
             .expect("caller is in its own subteam");
 
         // Allocate my new team's resources and exchange ids parent-wide.
-        // (The hierarchy is needed first: the flag block includes per-set-
-        // position chunk-stream flags sized by the largest intranode set.)
-        let m = members.len();
-        let hier = Arc::new(HierarchyView::build(self.fabric.image_map(), &members));
-        let local_max = hier.sets().iter().map(|s| s.len()).max().unwrap_or(1);
-        let layout = FlagLayout::new(m, local_max);
-        let flags = self.fabric.alloc_flags(self.me, layout.total());
-        let exch = self.fabric.alloc_segment(self.me, m * EXCH_SLOT);
-        let g2 = self.allgather4([flags.0 as u64, exch.0 as u64, 0, 0]);
-
+        let (hier, layout, [flags, exch]) = Self::provision(&self.fabric, self.me, &members);
+        let g2 = self.allgather4([flags, exch, 0, 0]);
         let rsrc: Vec<MemberRsrc> = parent_ranks
             .iter()
-            .map(|&r| MemberRsrc {
-                flags: FlagId(g2[r][0] as usize),
-                exch: SegmentId(g2[r][1] as usize),
-                scratch: SegmentId(usize::MAX),
-                gather: SegmentId(usize::MAX),
-            })
+            .map(|&r| MemberRsrc::new(g2[r][0], g2[r][1]))
             .collect();
 
         Self::assemble(
@@ -487,7 +452,6 @@ impl TeamComm {
         layout: FlagLayout,
         rsrc: Vec<MemberRsrc>,
     ) -> Self {
-        let local_max = layout.lm;
         let policy = SizePolicy::from_cost(fabric.cost());
         let am_on = cfg.am
             || std::env::var("CAF_AM")
@@ -500,9 +464,14 @@ impl TeamComm {
                 AmPolicy::from_cost(fabric.cost()),
             ))
         });
+        let barrier_algo = cfg.barrier.resolve(&hier);
+        let (barrier_levels, barrier_roots) = barrier_shape(barrier_algo, &hier, rank);
         Self {
             am,
-            barrier_algo: cfg.barrier.resolve(&hier),
+            barrier_algo,
+            barrier_levels,
+            barrier_roots,
+            control: BarrierLevel::control(members.len(), rank),
             reduce_algo: cfg.reduce.resolve(&hier),
             bcast_algo: cfg.bcast.resolve(&hier),
             gather_algo: cfg.gather.resolve(&hier),
@@ -518,7 +487,6 @@ impl TeamComm {
             epochs: Epochs::default(),
             scratch_slot_bytes: 0,
             gather_slot_bytes: 0,
-            local_max,
             buf: Vec::new(),
             buf2: Vec::new(),
             stage: Vec::new(),
@@ -810,23 +778,14 @@ impl TeamComm {
     /// flag history clean.
     pub fn control_barrier(&mut self) {
         self.epochs.exch += 1;
-        let e = self.epochs.exch;
-        let n = self.size() as u64;
-        if n == 1 {
+        if self.size() == 1 {
             return;
         }
-        if self.rank == 0 {
-            self.wait_flag(flag::EXCH_COUNTER, (n - 1) * e);
-            for j in 1..n as usize {
-                self.add_flag(j, flag::EXCH_RELEASE, 1);
-            }
-            // The release storm is the barrier's last act; with the AM
-            // tier on it is sitting in per-destination buffers right now.
-            self.flush_am();
-        } else {
-            self.add_flag(0, flag::EXCH_COUNTER, 1);
-            self.wait_flag(flag::EXCH_RELEASE, e);
-        }
+        let level = std::slice::from_ref(&self.control);
+        crate::barrier::walk(self, level, None, self.epochs.exch, false);
+        // The release storm is the barrier's last act; with the AM tier on
+        // it is sitting in per-destination buffers right now.
+        self.flush_am();
     }
 
     // ------------------------------------------------------------------
@@ -854,6 +813,15 @@ impl TeamComm {
     /// Record a collective-layer trace event on this image's ring.
     pub(crate) fn trace(&self, ev: Event) {
         self.fabric.tracer().record(self.me.index(), ev);
+    }
+
+    /// Record the span `[t0, now]` of a collective phase of this team:
+    /// operand `a` is per kind, `b` the team tag, `c` the episode, `d` per
+    /// kind (0 when the kind has none).
+    pub(crate) fn trace_span(&self, kind: EventKind, t0: u64, lvl: Level, a: u64, c: u64, d: u64) {
+        let dur = self.trace_now().saturating_sub(t0);
+        let ev = Event::span(kind, t0, dur).a(a).b(self.trace_tag());
+        self.trace(ev.c(c).d(d).level(lvl));
     }
 
     /// Notify team rank `to`: add `delta` to its flag `idx`. Routed through
@@ -942,7 +910,7 @@ impl TeamComm {
 
     /// Number of scratch slots in the team layout.
     fn scratch_slots(&self) -> usize {
-        2 * self.layout.d + 2 * self.local_max + 8
+        2 * self.layout.d + 2 * self.layout.lm + 8
     }
 
     /// Byte offset of recursive-doubling slot for round `k`, parity `p`.
@@ -953,13 +921,13 @@ impl TeamComm {
 
     /// Byte offset of the intranode gather slot for set position `pos`.
     pub(crate) fn sl_gather(&self, pos: usize, p: usize) -> usize {
-        debug_assert!(pos < self.local_max && p < 2);
+        debug_assert!(pos < self.layout.lm && p < 2);
         (2 * self.layout.d + 2 * pos + p) * self.scratch_slot_bytes
     }
 
     /// Byte offset of the fold-in (pre) slot.
     pub(crate) fn sl_pre(&self, p: usize) -> usize {
-        (2 * self.layout.d + 2 * self.local_max + p) * self.scratch_slot_bytes
+        (2 * self.layout.d + 2 * self.layout.lm + p) * self.scratch_slot_bytes
     }
 
     /// Byte offset of the fold-out (post) slot.

@@ -74,11 +74,10 @@ pub enum BcastAlgo {
     /// (with the root acting as its node's leader), then an intra-node
     /// linear fan-out.
     TwoLevel,
-    /// Chunked pipelined two-level broadcast for large payloads: the root
-    /// streams K-byte chunks down a *chain* of node leaders (the root's NIC
-    /// injects the payload exactly once, vs. once per tree child in the
-    /// store-and-forward tree), and each leader forwards a chunk inter-node
-    /// while fanning the previous one out over its node bus.
+    /// Chunked pipelined two-level broadcast for large payloads: K-byte
+    /// chunks stream down a *binary* tree of node leaders with nonblocking
+    /// puts, and each leader forwards a chunk inter-node while fanning the
+    /// previous one out over its node bus.
     TwoLevelPipelined,
     /// Hierarchy- and size-aware choice: binomial for flat teams, two-level
     /// otherwise; above the pipeline crossover, the pipelined scheme.

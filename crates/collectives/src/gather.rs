@@ -25,6 +25,7 @@
 
 use crate::comm::{flag, TeamComm};
 use crate::config::GatherAlgo;
+use crate::shape::Rooted;
 use crate::value::{bytes_to_slice, CoValue};
 
 /// All-to-all personalized exchange over a ring schedule; see
@@ -71,7 +72,6 @@ pub(crate) fn alltoall<T: CoValue>(comm: &mut TeamComm, send: &[T], len: usize) 
 /// member; returns `Some(concatenation)` on the root, `None` elsewhere.
 pub(crate) fn gather<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
     assert!(root < comm.size(), "gather root {root} out of team");
-    comm.epochs.gather += 1;
     let n = comm.size();
     if n == 1 {
         return Some(mine.to_vec());
@@ -85,14 +85,20 @@ pub(crate) fn gather<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -
     }
 }
 
-fn read_all_slots<T: CoValue>(comm: &mut TeamComm, len: usize, order: &[usize]) -> Vec<T> {
-    // Read slot `order[i]`'s payload as the contribution of team rank i.
+/// Read my whole gather region, taking slot `slot_of(r)`'s payload as the
+/// contribution of team rank `r`.
+fn read_all_slots<T: CoValue>(
+    comm: &mut TeamComm,
+    len: usize,
+    slot_of: impl Fn(usize) -> usize,
+) -> Vec<T> {
     let n = comm.size();
     let gs = comm.gather_slot_bytes;
     let mut bytes = comm.take_stage(n * gs);
     comm.read_my_gather(0, &mut bytes);
     let mut out = vec![T::load(&vec![0u8; T::SIZE]); n * len];
-    for (rank, &slot) in order.iter().enumerate() {
+    for rank in 0..n {
+        let slot = slot_of(rank);
         let src = &bytes[slot * gs..slot * gs + len * T::SIZE];
         bytes_to_slice(src, &mut out[rank * len..(rank + 1) * len]);
     }
@@ -107,8 +113,7 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
         comm.send_values_gather(root, comm.rank, mine);
         comm.epochs.gather_arrived += n as u64 - 1;
         comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
-        let order: Vec<usize> = (0..n).collect();
-        let out = read_all_slots(comm, mine.len(), &order);
+        let out = read_all_slots(comm, mine.len(), |r| r);
         for j in 0..n {
             if j != root {
                 comm.add_flag(j, flag::GA_DONE, 1);
@@ -125,18 +130,8 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
 }
 
 fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
-    let hier = comm.hier.clone();
-    let root_set = hier.leader_index_of(root);
-    let my_set = hier.leader_index_of(comm.rank);
-    let eff_leader_of = |s: usize| -> usize {
-        if s == root_set {
-            root
-        } else {
-            hier.sets()[s].leader
-        }
-    };
-    let el = eff_leader_of(my_set);
-    let len = mine.len();
+    let r = Rooted::new(&comm.hier, comm.rank, root);
+    let hier = r.hier();
 
     // Slot map: contributions are stored by (set, position-within-set):
     // slot(rank) = prefix[set(rank)] + pos(rank). This makes each node's
@@ -145,80 +140,57 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
     for (s, set) in hier.sets().iter().enumerate() {
         prefix[s + 1] = prefix[s] + set.len();
     }
-    let my_pos = hier.sets()[my_set]
-        .ranks
-        .iter()
-        .position(|&r| r == comm.rank)
-        .expect("member of own set");
-    let my_slot = prefix[my_set] + my_pos;
+    let slot_of = |rank: usize| prefix[hier.leader_index_of(rank)] + hier.pos_in_set(rank);
 
-    if comm.rank != el {
-        // Stage 1: contribute to my effective leader's region.
-        comm.send_values_gather(el, my_slot, mine);
-        comm.add_flag(el, flag::GA_ARRIVE, 1);
+    // Stage 1: contribute to my effective leader's region (my own, when I
+    // am it).
+    comm.send_values_gather(r.el, slot_of(comm.rank), mine);
+    if comm.rank != r.el {
+        comm.add_flag(r.el, flag::GA_ARRIVE, 1);
         comm.epochs.gather_released += 1;
         comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
         return None;
     }
 
-    // Effective leader: deposit my own contribution...
-    comm.send_values_gather(el, my_slot, mine);
-    // ...and wait for the rest of my node (minus root's extra member:
-    // within root's set the nominal leader contributes like anyone else).
-    let locals = hier.sets()[my_set].len() as u64 - 1;
+    // Effective leader: wait for the rest of my node (within root's set
+    // the nominal leader contributes like anyone else).
+    let locals = r.my_ranks().len() as u64 - 1;
     if locals > 0 {
         comm.epochs.gather_arrived += locals;
         comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
     }
 
-    if comm.rank == root {
+    let out = if comm.rank == root {
         // Root: wait for every other node's block (one notification each).
         let other_nodes = hier.n_nodes() as u64 - 1;
         if other_nodes > 0 {
             comm.epochs.gather_arrived += other_nodes;
             comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
         }
-        // Reorder: rank r's data sits at slot prefix[set]+pos.
-        let mut order = vec![0usize; comm.size()];
-        for (s, set) in hier.sets().iter().enumerate() {
-            for (pos, &r) in set.ranks.iter().enumerate() {
-                order[r] = prefix[s] + pos;
-            }
-        }
-        let out = read_all_slots(comm, len, &order);
+        let out = read_all_slots(comm, mine.len(), slot_of);
         // Release wave: root -> leaders -> members.
-        for (s, _) in hier.sets().iter().enumerate() {
-            let l = eff_leader_of(s);
-            if l != root {
-                comm.add_flag(l, flag::GA_DONE, 1);
-            }
-        }
-        for &m in hier.sets()[root_set].ranks.iter() {
-            if m != root {
-                comm.add_flag(m, flag::GA_DONE, 1);
-            }
+        for l in r.other_leaders() {
+            comm.add_flag(l, flag::GA_DONE, 1);
         }
         Some(out)
     } else {
         // Forward my node's contiguous block to the root in one put.
         let gs = comm.gather_slot_bytes;
-        let base = prefix[my_set];
-        let count = hier.sets()[my_set].len();
-        let mut block = comm.take_stage(count * gs);
+        let base = prefix[r.my_set];
+        let mut block = comm.take_stage(r.my_ranks().len() * gs);
         comm.read_my_gather(base * gs, &mut block);
         comm.put_gather_raw(root, base * gs, &block);
         comm.restore_stage(block);
         comm.add_flag(root, flag::GA_ARRIVE, 1);
-        // Await my release, then release my members.
+        // Await my release before releasing my members.
         comm.epochs.gather_released += 1;
         comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
-        for &m in hier.sets()[my_set].ranks.iter() {
-            if m != el {
-                comm.add_flag(m, flag::GA_DONE, 1);
-            }
-        }
         None
+    };
+    for m in r.locals() {
+        comm.add_flag(m, flag::GA_DONE, 1);
     }
+    out
 }
 
 /// Collective scatter; see module docs. On the root, `all` must hold
@@ -231,7 +203,6 @@ pub(crate) fn scatter<T: CoValue>(
     root: usize,
 ) {
     assert!(root < comm.size(), "scatter root {root} out of team");
-    comm.epochs.scatter += 1;
     let n = comm.size();
     let len = out.len();
     if comm.rank == root {
@@ -291,17 +262,7 @@ fn scatter_two_level<T: CoValue>(
     out: &mut [T],
     root: usize,
 ) {
-    let hier = comm.hier.clone();
-    let root_set = hier.leader_index_of(root);
-    let my_set = hier.leader_index_of(comm.rank);
-    let eff_leader_of = |s: usize| -> usize {
-        if s == root_set {
-            root
-        } else {
-            hier.sets()[s].leader
-        }
-    };
-    let el = eff_leader_of(my_set);
+    let r = Rooted::new(&comm.hier, comm.rank, root);
     let len = out.len();
     let gs = comm.gather_slot_bytes;
 
@@ -309,97 +270,71 @@ fn scatter_two_level<T: CoValue>(
         let all = all.expect("root buffer");
         // Stage 1: one contiguous block per other node, ordered by that
         // node's member positions (slots 0..set_len on the leader).
-        for (s, set) in hier.sets().iter().enumerate() {
-            let l = eff_leader_of(s);
-            if s == root_set {
+        for (s, set) in r.hier().sets().iter().enumerate() {
+            if s == r.root_set {
                 continue;
             }
             let mut block = comm.take_stage(set.len() * gs);
             block.iter_mut().for_each(|b| *b = 0);
-            for (pos, &r) in set.ranks.iter().enumerate() {
-                // Serialize rank r's slice directly into the block.
+            for (pos, &m) in set.ranks.iter().enumerate() {
+                // Serialize rank m's slice directly into the block.
                 let dst = &mut block[pos * gs..pos * gs + len * T::SIZE];
-                for (i, v) in all[r * len..(r + 1) * len].iter().enumerate() {
+                for (i, v) in all[m * len..(m + 1) * len].iter().enumerate() {
                     v.store(&mut dst[i * T::SIZE..(i + 1) * T::SIZE]);
                 }
             }
-            comm.put_gather_raw(l, 0, &block);
+            comm.put_gather_raw(set.leader, 0, &block);
             comm.restore_stage(block);
-            comm.add_flag(l, flag::SC_ARRIVE, 1);
+            comm.add_flag(set.leader, flag::SC_ARRIVE, 1);
         }
         // Root acts as its own node's leader: deliver locally.
-        for (pos, &r) in hier.sets()[root_set].ranks.iter().enumerate() {
-            let _ = pos;
-            if r != root {
-                comm.send_values_gather(r, 0, &all[r * len..(r + 1) * len]);
-                comm.add_flag(r, flag::SC_ARRIVE, 1);
-            }
+        for m in r.locals() {
+            comm.send_values_gather(m, 0, &all[m * len..(m + 1) * len]);
+            comm.add_flag(m, flag::SC_ARRIVE, 1);
         }
         // Wait for every member's ack (directly counted at the root),
         // then release through the leader tree.
         comm.epochs.scatter_acked += comm.size() as u64 - 1;
         comm.wait_flag(flag::SC_ACK, comm.epochs.scatter_acked);
-        for (s, _) in hier.sets().iter().enumerate() {
-            let l = eff_leader_of(s);
-            if l != root {
-                comm.add_flag(l, flag::SC_DONE, 1);
-            }
-        }
-        for &m in hier.sets()[root_set].ranks.iter() {
-            if m != root {
-                comm.add_flag(m, flag::SC_DONE, 1);
-            }
-        }
-        return;
-    }
-
-    if comm.rank == el {
-        // Leader of a non-root node: receive my node's block, fan out.
-        comm.epochs.scatter_arrived += 1;
-        comm.wait_flag(flag::SC_ARRIVE, comm.epochs.scatter_arrived);
-        let set_len = hier.sets()[my_set].len();
-        let mut block = comm.take_stage(set_len * gs);
-        comm.read_my_gather(0, &mut block);
-        let set = &hier.sets()[my_set];
-        let my_pos = set
-            .ranks
-            .iter()
-            .position(|&r| r == comm.rank)
-            .expect("member");
-        bytes_to_slice(&block[my_pos * gs..my_pos * gs + len * T::SIZE], out);
-        for (pos, &r) in set.ranks.iter().enumerate() {
-            if r != el {
-                // Forward slice `pos` into member r's slot 1 (slot 0 would
-                // also work — each image owns its whole region — but a
-                // distinct slot keeps root-direct and leader-forwarded
-                // deliveries from ever aliasing).
-                comm.put_gather_raw(r, gs, &block[pos * gs..(pos + 1) * gs]);
-                comm.add_flag(r, flag::SC_ARRIVE, 1);
-            }
-        }
-        comm.restore_stage(block);
-        comm.add_flag(root, flag::SC_ACK, 1);
-        // Await my release, then release my members.
-        comm.epochs.scatter_released += 1;
-        comm.wait_flag(flag::SC_DONE, comm.epochs.scatter_released);
-        for &m in set.ranks.iter() {
-            if m != el {
-                comm.add_flag(m, flag::SC_DONE, 1);
-            }
+        for l in r.other_leaders() {
+            comm.add_flag(l, flag::SC_DONE, 1);
         }
     } else {
-        // Plain member: my slice arrives in slot `delivery` (slot 0 when it
-        // comes straight from the root, slot 1 when forwarded by a leader).
-        let from_root = my_set == root_set;
+        // My slice — or, on a leader, my node's block — arrives.
         comm.epochs.scatter_arrived += 1;
         comm.wait_flag(flag::SC_ARRIVE, comm.epochs.scatter_arrived);
-        let off = if from_root { 0 } else { gs };
-        let mut bytes = comm.take_stage(len * T::SIZE);
-        comm.read_my_gather(off, &mut bytes);
-        bytes_to_slice(&bytes, out);
-        comm.restore_stage(bytes);
+        if comm.rank == r.el {
+            // Leader of a non-root node: take my slice, fan the rest out.
+            let set = r.my_ranks();
+            let mut block = comm.take_stage(set.len() * gs);
+            comm.read_my_gather(0, &mut block);
+            bytes_to_slice(&block[r.my_pos * gs..r.my_pos * gs + len * T::SIZE], out);
+            for (pos, &m) in set.iter().enumerate() {
+                if m != r.el {
+                    // Forward slice `pos` into member m's slot 1 (slot 0
+                    // would also work — each image owns its whole region —
+                    // but a distinct slot keeps root-direct and
+                    // leader-forwarded deliveries from ever aliasing).
+                    comm.put_gather_raw(m, gs, &block[pos * gs..(pos + 1) * gs]);
+                    comm.add_flag(m, flag::SC_ARRIVE, 1);
+                }
+            }
+            comm.restore_stage(block);
+        } else {
+            // Plain member: slot 0 when it comes straight from the root,
+            // slot 1 when forwarded by a leader.
+            let off = if r.my_set == r.root_set { 0 } else { gs };
+            let mut bytes = comm.take_stage(len * T::SIZE);
+            comm.read_my_gather(off, &mut bytes);
+            bytes_to_slice(&bytes, out);
+            comm.restore_stage(bytes);
+        }
         comm.add_flag(root, flag::SC_ACK, 1);
+        // Await my release before releasing my members.
         comm.epochs.scatter_released += 1;
         comm.wait_flag(flag::SC_DONE, comm.epochs.scatter_released);
+    }
+    for m in r.locals() {
+        comm.add_flag(m, flag::SC_DONE, 1);
     }
 }

@@ -25,6 +25,11 @@
 //!   with nonblocking puts while each leader fans received chunks out
 //!   through shared memory.
 //!
+//! The tree collectives are **a shape plus one protocol**: `shape.rs` turns
+//! the team's hierarchy into per-rank trees and barrier levels, `bcast.rs`
+//! and `barrier.rs` each hold the one body that walks them — so the
+//! algorithms above differ in the tree they name, not in code.
+//!
 //! `Auto` resolves per call by (hierarchy shape × message size): the
 //! latency-optimal tree below the crossover, the pipelined/bandwidth
 //! algorithms at or above it ([`config::SizePolicy`], derived from the
@@ -47,6 +52,7 @@ pub mod comm;
 pub mod config;
 mod gather;
 mod reduce;
+mod shape;
 pub mod util;
 pub mod value;
 

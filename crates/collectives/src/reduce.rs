@@ -20,9 +20,10 @@
 
 use crate::comm::{flag, TeamComm};
 use crate::config::ReduceAlgo;
+use crate::shape::Among;
 use crate::util::{ceil_log2, floor_pow2};
 use crate::value::CoValue;
-use caf_trace::{Event, EventKind, Level};
+use caf_trace::{EventKind, Level};
 
 /// Stable trace operand for a reduction algorithm (`Reduce` event `a`).
 fn algo_code(a: ReduceAlgo) -> u64 {
@@ -49,54 +50,43 @@ pub(crate) fn allreduce<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl
     comm.ensure_scratch(buf.len() * T::SIZE);
     let t0 = comm.trace_now();
     match algo {
-        ReduceAlgo::FlatRecursiveDoubling => {
-            let all: Vec<usize> = (0..comm.size()).collect();
-            rd_over(comm, &all, buf, f, e);
-        }
+        ReduceAlgo::FlatRecursiveDoubling => rd_over(comm, Among::All, buf, f, e),
         ReduceAlgo::FlatBinomial => flat_binomial(comm, buf, f, e),
         ReduceAlgo::TwoLevel => two_level(comm, buf, f, e),
         ReduceAlgo::TwoLevelPipelined => two_level_pipelined(comm, buf, f, e),
-        ReduceAlgo::Rabenseifner => {
-            let all: Vec<usize> = (0..comm.size()).collect();
-            rabenseifner_over(comm, &all, buf, f, e);
-        }
+        ReduceAlgo::Rabenseifner => rabenseifner_over(comm, Among::All, buf, f, e),
         ReduceAlgo::Auto => unreachable!("Auto resolved per call"),
     }
-    comm.trace(
-        Event::span(EventKind::Reduce, t0, comm.trace_now().saturating_sub(t0))
-            .a(algo_code(algo))
-            .b(comm.trace_tag())
-            .c(e)
-            .d((buf.len() * T::SIZE) as u64),
+    let bytes = (buf.len() * T::SIZE) as u64;
+    comm.trace_span(
+        EventKind::Reduce,
+        t0,
+        Level::Whole,
+        algo_code(algo),
+        e,
+        bytes,
     );
 }
 
-/// Recursive-doubling allreduce over an arbitrary participant list
-/// (`parts[i]` = team rank), with the standard fold-in/fold-out handling of
-/// non-power-of-two sizes: the `extras` (positions ≥ 2^⌊log₂L⌋) contribute
-/// to a partner up front and receive the final result afterwards.
-pub(crate) fn rd_over<T: CoValue>(
+/// The power-of-two core of an exchange among `among`, which the caller
+/// must be one of: the standard fold-in/fold-out handling of other sizes.
+/// The `extras` (positions ≥ p2 = 2^⌊log₂L⌋) contribute to a partner up
+/// front and receive the final result afterwards — for them this is the
+/// whole reduction and `None` comes back; the first p2 participants get
+/// `(my position, p2, my extra if I folded one in)`, run their exchange,
+/// and finish with [`fold_out`].
+fn fold_in<T: CoValue>(
     comm: &mut TeamComm,
-    parts: &[usize],
+    among: Among,
     buf: &mut [T],
     f: &impl Fn(T, T) -> T,
-    e: u64,
-) {
-    let l = parts.len();
-    if l <= 1 {
-        return;
-    }
-    let pos = parts
-        .iter()
-        .position(|&r| r == comm.rank)
-        .expect("caller participates in the reduction");
-    let par = (e % 2) as usize;
+    par: usize,
+) -> Option<(usize, usize, Option<usize>)> {
+    let (l, pos) = among.place(&comm.hier, comm.rank);
     let p2 = floor_pow2(l);
-    let extras = l - p2;
-
     if pos >= p2 {
         // Fold in: hand my contribution to my partner, collect the result.
-        let partner = parts[pos - p2];
+        let partner = among.rank_at(&comm.hier, pos - p2);
         let off = comm.sl_pre(par);
         comm.send_values(partner, off, buf);
         comm.add_flag(partner, flag::R_PRE, 1);
@@ -104,20 +94,43 @@ pub(crate) fn rd_over<T: CoValue>(
         comm.wait_flag(flag::R_POST, comm.epochs.r_post);
         let off = comm.sl_post(par);
         comm.load_from_scratch(off, buf);
-        return;
+        return None;
     }
-
-    if pos < extras {
+    let extra = (pos + p2 < l).then(|| among.rank_at(&comm.hier, pos + p2));
+    if extra.is_some() {
         comm.epochs.r_pre += 1;
         comm.wait_flag(flag::R_PRE, comm.epochs.r_pre);
         let off = comm.sl_pre(par);
         comm.combine_from_scratch(off, buf, f);
     }
+    Some((pos, p2, extra))
+}
 
+/// Return the finished result to the extra I folded in, if any.
+fn fold_out<T: CoValue>(comm: &mut TeamComm, extra: Option<usize>, buf: &[T], par: usize) {
+    if let Some(extra) = extra {
+        let off = comm.sl_post(par);
+        comm.send_values(extra, off, buf);
+        comm.add_flag(extra, flag::R_POST, 1);
+    }
+}
+
+/// Recursive-doubling allreduce among `among` (see [`fold_in`] for sizes
+/// that are not a power of two).
+pub(crate) fn rd_over<T: CoValue>(
+    comm: &mut TeamComm,
+    among: Among,
+    buf: &mut [T],
+    f: &impl Fn(T, T) -> T,
+    e: u64,
+) {
+    let par = (e % 2) as usize;
+    let Some((pos, p2, extra)) = fold_in(comm, among, buf, f, par) else {
+        return;
+    };
     // Main phase: hypercube exchange among the first p2 participants.
-    let rounds = ceil_log2(p2);
-    for k in 0..rounds {
-        let partner = parts[pos ^ (1 << k)];
+    for k in 0..ceil_log2(p2) {
+        let partner = among.rank_at(&comm.hier, pos ^ (1 << k));
         let off = comm.sl_rd(k, par);
         comm.send_values(partner, off, buf);
         comm.add_flag(partner, comm.layout.r_arrive(k), 1);
@@ -125,14 +138,7 @@ pub(crate) fn rd_over<T: CoValue>(
         comm.wait_flag(comm.layout.r_arrive(k), target);
         comm.combine_from_scratch(off, buf, f);
     }
-
-    if pos < extras {
-        // Fold out: return the finished result to my extra.
-        let extra = parts[pos + p2];
-        let off = comm.sl_post(par);
-        comm.send_values(extra, off, buf);
-        comm.add_flag(extra, flag::R_POST, 1);
-    }
+    fold_out(comm, extra, buf, par);
 }
 
 /// Binomial-tree reduce to team rank 0, then a flat binomial broadcast of
@@ -176,12 +182,7 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
     let par = (e % 2) as usize;
 
     if comm.rank != leader {
-        let pos = set
-            .ranks
-            .iter()
-            .position(|&r| r == comm.rank)
-            .expect("member of own set");
-        let off = comm.sl_gather(pos, par);
+        let off = comm.sl_gather(hier.pos_in_set(comm.rank), par);
         comm.send_values(leader, off, buf);
         comm.add_flag(leader, flag::R_COUNTER, 1);
         comm.epochs.r_release += 1;
@@ -192,65 +193,31 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
     }
 
     // Leader: linear gather of the intranode set.
-    let tag = comm.trace_tag();
     let t0 = comm.trace_now();
     let slaves = set.len() as u64 - 1;
     if slaves > 0 {
         comm.epochs.r_counter += slaves;
         comm.wait_flag(flag::R_COUNTER, comm.epochs.r_counter);
-        let positions: Vec<usize> = (1..set.len()).collect();
-        for pos in positions {
+        for pos in 1..set.len() {
             let off = comm.sl_gather(pos, par);
             comm.combine_from_scratch(off, buf, f);
         }
     }
-    comm.trace(
-        Event::span(
-            EventKind::ReduceStage,
-            t0,
-            comm.trace_now().saturating_sub(t0),
-        )
-        .a(1)
-        .b(tag)
-        .c(e)
-        .level(Level::Intra),
-    );
+    comm.trace_span(EventKind::ReduceStage, t0, Level::Intra, 1, e, 0);
 
     // Leaders: recursive doubling across nodes.
     let t1 = comm.trace_now();
-    let leaders: Vec<usize> = hier.leaders().to_vec();
-    rd_over(comm, &leaders, buf, f, e);
-    comm.trace(
-        Event::span(
-            EventKind::ReduceStage,
-            t1,
-            comm.trace_now().saturating_sub(t1),
-        )
-        .a(2)
-        .b(tag)
-        .c(e)
-        .level(Level::Inter),
-    );
+    rd_over(comm, Among::Leaders, buf, f, e);
+    comm.trace_span(EventKind::ReduceStage, t1, Level::Inter, 2, e, 0);
 
     // Release the intranode set.
     let t2 = comm.trace_now();
-    let slaves: Vec<usize> = set.slaves().to_vec();
-    for s in slaves {
+    for &s in set.slaves() {
         let off = comm.sl_release(par);
         comm.send_values(s, off, buf);
         comm.add_flag(s, flag::R_RELEASE, 1);
     }
-    comm.trace(
-        Event::span(
-            EventKind::ReduceStage,
-            t2,
-            comm.trace_now().saturating_sub(t2),
-        )
-        .a(3)
-        .b(tag)
-        .c(e)
-        .level(Level::Intra),
-    );
+    comm.trace_span(EventKind::ReduceStage, t2, Level::Intra, 3, e, 0);
 }
 
 /// Pipelined two-level reduction for large payloads: slaves *stream* their
@@ -280,11 +247,7 @@ fn two_level_pipelined<T: CoValue>(
     let chunk = |c: usize| (c * ce, ((c + 1) * ce).min(len));
 
     if comm.rank != leader {
-        let pos = set
-            .ranks
-            .iter()
-            .position(|&r| r == comm.rank)
-            .expect("member of own set");
+        let pos = hier.pos_in_set(comm.rank);
         let g_off = comm.sl_gather(pos, par);
         for c in 0..nchunks {
             let (lo, hi) = chunk(c);
@@ -302,7 +265,6 @@ fn two_level_pipelined<T: CoValue>(
     }
 
     // Leader: fold each slave's chunk as soon as it lands.
-    let tag = comm.trace_tag();
     let t0 = comm.trace_now();
     let npos = set.len();
     for c in 0..nchunks {
@@ -314,57 +276,37 @@ fn two_level_pipelined<T: CoValue>(
             comm.combine_from_scratch(g_off + lo * T::SIZE, &mut buf[lo..hi], f);
         }
     }
-    comm.trace(
-        Event::span(
-            EventKind::ReduceStage,
-            t0,
-            comm.trace_now().saturating_sub(t0),
-        )
-        .a(1)
-        .b(tag)
-        .c(e)
-        .d(nchunks as u64)
-        .level(Level::Intra),
+    comm.trace_span(
+        EventKind::ReduceStage,
+        t0,
+        Level::Intra,
+        1,
+        e,
+        nchunks as u64,
     );
 
     // Leaders: bandwidth-optimal exchange across nodes.
     let t1 = comm.trace_now();
-    let leaders: Vec<usize> = hier.leaders().to_vec();
-    rabenseifner_over(comm, &leaders, buf, f, e);
-    comm.trace(
-        Event::span(
-            EventKind::ReduceStage,
-            t1,
-            comm.trace_now().saturating_sub(t1),
-        )
-        .a(2)
-        .b(tag)
-        .c(e)
-        .level(Level::Inter),
-    );
+    rabenseifner_over(comm, Among::Leaders, buf, f, e);
+    comm.trace_span(EventKind::ReduceStage, t1, Level::Inter, 2, e, 0);
 
     // Stream the result back to the intranode set.
     let t2 = comm.trace_now();
-    let slaves: Vec<usize> = set.slaves().to_vec();
     let r_off = comm.sl_release(par);
     for c in 0..nchunks {
         let (lo, hi) = chunk(c);
-        for &s in &slaves {
+        for &s in set.slaves() {
             comm.send_values_nb(s, r_off + lo * T::SIZE, &buf[lo..hi]);
             comm.add_flag(s, flag::R_RELEASE, 1);
         }
     }
-    comm.trace(
-        Event::span(
-            EventKind::ReduceStage,
-            t2,
-            comm.trace_now().saturating_sub(t2),
-        )
-        .a(3)
-        .b(tag)
-        .c(e)
-        .d(nchunks as u64)
-        .level(Level::Intra),
+    comm.trace_span(
+        EventKind::ReduceStage,
+        t2,
+        Level::Intra,
+        3,
+        e,
+        nchunks as u64,
     );
 }
 
@@ -375,51 +317,22 @@ fn two_level_pipelined<T: CoValue>(
 /// the large-message algorithm of choice; the elementwise operation is
 /// applied to ever-shrinking ranges, so compute is also ~halved.
 ///
-/// Non-power-of-two sizes use the same fold-in/fold-out scheme as
-/// [`rd_over`]. Scratch reuse is safe within an episode because the
+/// Other sizes than a power of two go through [`fold_in`]. Scratch reuse is safe within an episode because the
 /// halving round `k` deposit (my kept half) and the allgather round `k`
 /// deposit (the complementary half) land at disjoint absolute element
 /// offsets of the same `sl_rd(k)` slot; across episodes parity
 /// double-buffering applies as usual.
 pub(crate) fn rabenseifner_over<T: CoValue>(
     comm: &mut TeamComm,
-    parts: &[usize],
+    among: Among,
     buf: &mut [T],
     f: &impl Fn(T, T) -> T,
     e: u64,
 ) {
-    let l = parts.len();
-    if l <= 1 {
-        return;
-    }
-    let pos = parts
-        .iter()
-        .position(|&r| r == comm.rank)
-        .expect("caller participates in the reduction");
     let par = (e % 2) as usize;
-    let p2 = floor_pow2(l);
-    let extras = l - p2;
-
-    if pos >= p2 {
-        // Fold in: hand my contribution to my partner, collect the result.
-        let partner = parts[pos - p2];
-        let off = comm.sl_pre(par);
-        comm.send_values(partner, off, buf);
-        comm.add_flag(partner, flag::R_PRE, 1);
-        comm.epochs.r_post += 1;
-        comm.wait_flag(flag::R_POST, comm.epochs.r_post);
-        let off = comm.sl_post(par);
-        comm.load_from_scratch(off, buf);
+    let Some((pos, p2, extra)) = fold_in(comm, among, buf, f, par) else {
         return;
-    }
-
-    if pos < extras {
-        comm.epochs.r_pre += 1;
-        comm.wait_flag(flag::R_PRE, comm.epochs.r_pre);
-        let off = comm.sl_pre(par);
-        comm.combine_from_scratch(off, buf, f);
-    }
-
+    };
     // Reduce-scatter by recursive halving: at round k my partner is
     // `pos ^ (p2 >> (k+1))`; we split my current range, each side sends
     // the half the *other* keeps, and I fold the received half into mine.
@@ -428,7 +341,7 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
     let mut parents: Vec<(usize, usize)> = Vec::with_capacity(rounds);
     for k in 0..rounds {
         let d = p2 >> (k + 1);
-        let partner = parts[pos ^ d];
+        let partner = among.rank_at(&comm.hier, pos ^ d);
         parents.push((lo, hi));
         let mid = lo + (hi - lo) / 2;
         let (keep, send) = if pos & d == 0 {
@@ -450,7 +363,7 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
     // round-k parent range, and we swap.
     for k in (0..rounds).rev() {
         let d = p2 >> (k + 1);
-        let partner = parts[pos ^ d];
+        let partner = among.rank_at(&comm.hier, pos ^ d);
         let (plo, phi) = parents[k];
         let off = comm.sl_rd(k, par);
         comm.send_values(partner, off + lo * T::SIZE, &buf[lo..hi]);
@@ -461,12 +374,5 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
         comm.load_from_scratch(off + olo * T::SIZE, &mut buf[olo..ohi]);
         (lo, hi) = (plo, phi);
     }
-
-    if pos < extras {
-        // Fold out: return the finished result to my extra.
-        let extra = parts[pos + p2];
-        let off = comm.sl_post(par);
-        comm.send_values(extra, off, buf);
-        comm.add_flag(extra, flag::R_POST, 1);
-    }
+    fold_out(comm, extra, buf, par);
 }

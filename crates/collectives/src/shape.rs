@@ -1,0 +1,499 @@
+//! Communication shapes — *who talks to whom* in a collective, as values.
+//!
+//! The paper's methodology computes a team's hierarchy once and has every
+//! collective consult it. This module is where that consultation happens:
+//! an algorithm is a **shape** (built here, from the team's
+//! [`HierarchyView`]) plus one **protocol** that walks it (`bcast.rs`'s
+//! three waves, `barrier.rs`'s gather/release). Adding a hierarchy-aware
+//! tree collective means naming its tree here.
+//!
+//! | algorithm | shape |
+//! |-----------|-------|
+//! | `BcastAlgo::FlatLinear` | [`Tree::star`] at the root, children ascending |
+//! | `BcastAlgo::FlatBinomial` | [`Tree::binomial`] over `(rank − root) mod n` |
+//! | `BcastAlgo::TwoLevel` | [`Tree::two_level`]: binomial over the rotated effective-leader index, then the node's other ranks |
+//! | `BcastAlgo::TwoLevelPipelined` | [`Tree::two_level`] with heap children `2v+1, 2v+2` over the same index |
+//! | `BarrierAlgo::CentralCounter` | one level, star at rank 0 |
+//! | `BarrierAlgo::BinomialTree` | one level, binomial tree at rank 0 |
+//! | `BarrierAlgo::Dissemination` | no level; everyone disseminates |
+//! | `BarrierAlgo::Tdlb` | one level, star per node; leaders disseminate |
+//! | `BarrierAlgo::TdlbMultilevel` | star per socket under star per node; leaders disseminate |
+
+use crate::comm::flag;
+use crate::config::{BarrierAlgo, BcastAlgo};
+use crate::util::{binomial_children, binomial_parent};
+use caf_topology::HierarchyView;
+use std::sync::Arc;
+
+/// The participants of a flat exchange stage (dissemination, recursive
+/// doubling, Rabenseifner): every team rank, or one leader per node. Both
+/// lists and the caller's place in them are the hierarchy's own
+/// formation-time tables, so a stage costs no allocation and no search.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Among {
+    /// Every rank of the team, in rank order.
+    All,
+    /// The node leaders, in set order.
+    Leaders,
+}
+
+impl Among {
+    /// `(participant count, position of rank)`; `rank` must take part.
+    pub(crate) fn place(self, hier: &HierarchyView, rank: usize) -> (usize, usize) {
+        match self {
+            Among::All => (hier.n_ranks(), rank),
+            Among::Leaders => {
+                debug_assert!(hier.is_leader(rank), "rank {rank} is not a leader");
+                (hier.n_nodes(), hier.leader_index_of(rank))
+            }
+        }
+    }
+
+    /// Team rank of participant `i`.
+    pub(crate) fn rank_at(self, hier: &HierarchyView, i: usize) -> usize {
+        match self {
+            Among::All => i,
+            Among::Leaders => hier.leaders()[i],
+        }
+    }
+}
+
+/// The two-level view of a team for one root, as one rank sees it. In a
+/// rooted collective the **root stands in for its node's leader**: it is
+/// the *effective leader* of its set, every other set keeps its own. All
+/// rooted two-level collectives (broadcast, gather, scatter) derive their
+/// roles from this one value.
+pub(crate) struct Rooted {
+    hier: Arc<HierarchyView>,
+    /// The rank this view belongs to.
+    rank: usize,
+    /// The collective's root.
+    root: usize,
+    /// Index of the root's intranode set.
+    pub root_set: usize,
+    /// Index of my intranode set.
+    pub my_set: usize,
+    /// My position within my set.
+    pub my_pos: usize,
+    /// My effective leader (myself when I am one).
+    pub el: usize,
+}
+
+impl Rooted {
+    pub(crate) fn new(hier: &Arc<HierarchyView>, rank: usize, root: usize) -> Self {
+        let mut r = Self {
+            hier: hier.clone(),
+            rank,
+            root,
+            root_set: hier.leader_index_of(root),
+            my_set: hier.leader_index_of(rank),
+            my_pos: hier.pos_in_set(rank),
+            el: rank,
+        };
+        r.el = r.eff_leader(r.my_set);
+        r
+    }
+
+    /// The hierarchy this view was taken from.
+    pub(crate) fn hier(&self) -> &HierarchyView {
+        &self.hier
+    }
+
+    /// Effective leader of set `s`.
+    pub(crate) fn eff_leader(&self, s: usize) -> usize {
+        if s == self.root_set {
+            self.root
+        } else {
+            self.hier.sets()[s].leader
+        }
+    }
+
+    /// My set's index rotated so that the root's set is 0 — the virtual
+    /// rank of my effective leader in the leader tree.
+    pub(crate) fn lv(&self) -> usize {
+        let l = self.hier.n_nodes();
+        (self.my_set + l - self.root_set) % l
+    }
+
+    /// Effective leader at rotated leader index `lv`.
+    pub(crate) fn leader_at(&self, lv: usize) -> usize {
+        self.eff_leader((lv + self.root_set) % self.hier.n_nodes())
+    }
+
+    /// The effective leaders of every set but the root's, in set order.
+    pub(crate) fn other_leaders(&self) -> impl Iterator<Item = usize> + '_ {
+        let sets = self.hier.sets().iter().enumerate();
+        sets.filter(|(s, _)| *s != self.root_set)
+            .map(|(_, set)| set.leader)
+    }
+
+    /// My set's ranks.
+    pub(crate) fn my_ranks(&self) -> &[usize] {
+        &self.hier.sets()[self.my_set].ranks
+    }
+
+    /// The ranks I serve as my node's effective leader — my set minus me, in
+    /// set order; none when I am not it.
+    pub(crate) fn locals(&self) -> impl Iterator<Item = usize> + '_ {
+        let led = if self.rank == self.el {
+            self.my_ranks()
+        } else {
+            &[]
+        };
+        led.iter().copied().filter(|&m| m != self.el)
+    }
+}
+
+/// One rank's place in a rooted tree.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Tree {
+    /// Who I receive from; `None` at the root.
+    pub parent: Option<usize>,
+    /// Who I send to, in send order.
+    pub children: Vec<usize>,
+    /// On an effective leader of a two-level shape, how many leading
+    /// `children` are leaders of *other* nodes (the rest share my node).
+    /// `None` on flat shapes and on plain members.
+    pub far: Option<usize>,
+}
+
+impl Tree {
+    /// Star over `ranks`: `root` parents every other one, in the order given.
+    pub(crate) fn star(rank: usize, root: usize, ranks: impl IntoIterator<Item = usize>) -> Self {
+        if rank != root {
+            return Self {
+                parent: Some(root),
+                ..Self::default()
+            };
+        }
+        Self {
+            children: ranks.into_iter().filter(|&j| j != root).collect(),
+            ..Self::default()
+        }
+    }
+
+    /// Binomial tree over the virtual ranks `(rank − root) mod n`.
+    pub(crate) fn binomial(rank: usize, root: usize, n: usize) -> Self {
+        let v = (rank + n - root) % n;
+        let real = |vr: usize| (vr + root) % n;
+        Self {
+            parent: (v != 0).then(|| real(binomial_parent(v))),
+            children: binomial_children(v, n).into_iter().map(real).collect(),
+            far: None,
+        }
+    }
+
+    /// The paper's two-level tree: a tree over the effective leaders —
+    /// binomial, or (`heap`) the binary heap `2v+1, 2v+2` that a pipelined
+    /// stream wants — indexed by [`Rooted::lv`], then each effective leader
+    /// fans out to its node. Inter-node children come first so their
+    /// transfers are in flight while the node is served.
+    pub(crate) fn two_level(r: &Rooted, heap: bool) -> Self {
+        if r.rank != r.el {
+            return Self {
+                parent: Some(r.el),
+                ..Self::default()
+            };
+        }
+        let (l, lv) = (r.hier().n_nodes(), r.lv());
+        let up = |v: usize| {
+            if heap {
+                (v - 1) / 2
+            } else {
+                binomial_parent(v)
+            }
+        };
+        let down = if heap {
+            vec![2 * lv + 1, 2 * lv + 2]
+        } else {
+            binomial_children(lv, l)
+        };
+        let far = down.into_iter().filter(|&c| c < l).map(|c| r.leader_at(c));
+        let mut children: Vec<usize> = far.collect();
+        let far = children.len();
+        children.extend(r.locals());
+        Self {
+            parent: (lv != 0).then(|| r.leader_at(up(lv))),
+            children,
+            far: Some(far),
+        }
+    }
+
+    /// The tree `algo` broadcasts down from `root`, as `rank` sees it.
+    pub(crate) fn for_bcast(
+        algo: BcastAlgo,
+        hier: &Arc<HierarchyView>,
+        rank: usize,
+        root: usize,
+    ) -> Self {
+        let n = hier.n_ranks();
+        match algo {
+            BcastAlgo::FlatLinear => Self::star(rank, root, 0..n),
+            BcastAlgo::FlatBinomial => Self::binomial(rank, root, n),
+            BcastAlgo::TwoLevel | BcastAlgo::TwoLevelPipelined => Self::two_level(
+                &Rooted::new(hier, rank, root),
+                algo == BcastAlgo::TwoLevelPipelined,
+            ),
+            BcastAlgo::Auto => unreachable!("Auto resolved per call"),
+        }
+    }
+}
+
+/// One level of a gather/release barrier as one rank sees it: its place in
+/// the level's tree and the flag pair the level counts on.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct BarrierLevel {
+    pub tree: Tree,
+    /// Gather counter (on the parent).
+    pub counter: usize,
+    /// Release notification (on each child).
+    pub release: usize,
+}
+
+impl BarrierLevel {
+    /// The level every team's control barrier runs on: a star at rank 0.
+    pub(crate) fn control(n: usize, rank: usize) -> Self {
+        Self {
+            tree: Tree::star(rank, 0, 0..n),
+            counter: flag::EXCH_COUNTER,
+            release: flag::EXCH_RELEASE,
+        }
+    }
+}
+
+/// The levels `rank` climbs in barrier `algo`, bottom first, and who runs
+/// the dissemination among the levels' roots (`None`: there is one root).
+/// A rank's list ends at the level where it has a parent.
+pub(crate) fn barrier_shape(
+    algo: BarrierAlgo,
+    hier: &HierarchyView,
+    rank: usize,
+) -> (Vec<BarrierLevel>, Option<Among>) {
+    let n = hier.n_ranks();
+    let node = |tree| BarrierLevel {
+        tree,
+        counter: flag::COUNTER,
+        release: flag::RELEASE,
+    };
+    let set = hier.set_for(rank);
+    match algo {
+        BarrierAlgo::CentralCounter => (vec![node(Tree::star(rank, 0, 0..n))], None),
+        BarrierAlgo::BinomialTree => (vec![node(Tree::binomial(rank, 0, n))], None),
+        BarrierAlgo::Dissemination => (Vec::new(), Some(Among::All)),
+        BarrierAlgo::Tdlb => {
+            let star = Tree::star(rank, set.leader, set.ranks.iter().copied());
+            (vec![node(star)], Some(Among::Leaders))
+        }
+        BarrierAlgo::TdlbMultilevel => {
+            // §VII: images gather at their socket's first rank, socket
+            // leaders at the node leader (the first socket's first rank).
+            let groups = hier.socket_groups(rank);
+            let mine = groups
+                .iter()
+                .find(|g| g.contains(&rank))
+                .expect("every rank is in a socket group");
+            let mut levels = vec![BarrierLevel {
+                tree: Tree::star(rank, mine[0], mine.iter().copied()),
+                counter: flag::S_COUNTER,
+                release: flag::S_RELEASE,
+            }];
+            if rank == mine[0] {
+                let heads = groups.iter().map(|g| g[0]);
+                levels.push(node(Tree::star(rank, set.leader, heads)));
+            }
+            (levels, Some(Among::Leaders))
+        }
+        BarrierAlgo::Auto => unreachable!("Auto resolved at formation"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caf_topology::{ImageMap, MachineModel, Placement, ProcId};
+
+    const BCASTS: [BcastAlgo; 4] = [
+        BcastAlgo::FlatLinear,
+        BcastAlgo::FlatBinomial,
+        BcastAlgo::TwoLevel,
+        BcastAlgo::TwoLevelPipelined,
+    ];
+
+    /// The whole team of `n` images on 50 nodes × 2 sockets × 2 cores,
+    /// image `i` on global core `cores[i]`.
+    fn team(cores: Vec<usize>) -> Arc<HierarchyView> {
+        let n = cores.len();
+        let machine = MachineModel::new("ragged", 50, 2, 2);
+        let map = ImageMap::new(machine, n, &Placement::Custom(cores));
+        let members: Vec<ProcId> = (0..n).map(ProcId).collect();
+        Arc::new(HierarchyView::build(&map, &members))
+    }
+
+    /// Placements of `n` images: one per node (flat), packed four to a node,
+    /// and ragged — nodes holding 4, 3, 1, 4, 3, 1, … images, with image
+    /// order striding across them so no set is a contiguous rank range.
+    fn placements(n: usize) -> Vec<Arc<HierarchyView>> {
+        let flat: Vec<usize> = (0..n).map(|i| i * 4).collect();
+        let packed: Vec<usize> = (0..n).collect();
+        let mut slots = Vec::new();
+        for node in 0.. {
+            let take = [4, 3, 1][node % 3].min(n - slots.len());
+            slots.extend((0..take).map(|c| node * 4 + c));
+            if slots.len() == n {
+                break;
+            }
+        }
+        let gcd = |mut a: usize, mut b: usize| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        let stride = [7, 5, 3, 1].into_iter().find(|&s| gcd(s, n) == 1).unwrap();
+        let ragged: Vec<usize> = (0..n).map(|i| slots[i * stride % n]).collect();
+        vec![team(flat), team(packed), team(ragged)]
+    }
+
+    fn trees(algo: BcastAlgo, hier: &Arc<HierarchyView>, root: usize) -> Vec<Tree> {
+        (0..hier.n_ranks())
+            .map(|rank| Tree::for_bcast(algo, hier, rank, root))
+            .collect()
+    }
+
+    #[test]
+    fn every_broadcast_shape_is_a_tree_that_spans_the_team() {
+        for n in 1..50 {
+            for hier in placements(n) {
+                for (algo, root) in BCASTS.into_iter().flat_map(|a| (0..n).map(move |r| (a, r))) {
+                    let what = format!("{algo:?} n={n} root={root} nodes={}", hier.n_nodes());
+                    let t = trees(algo, &hier, root);
+                    // Every non-root has one parent, and that parent's child
+                    // list holds it; nobody else's does.
+                    assert_eq!(t[root].parent, None, "{what}");
+                    let edges: usize = t.iter().map(|x| x.children.len()).sum();
+                    assert_eq!(edges, n - 1, "{what}");
+                    for (rank, tree) in t.iter().enumerate().filter(|(r, _)| *r != root) {
+                        let p = tree
+                            .parent
+                            .unwrap_or_else(|| panic!("{what}: {rank} orphaned"));
+                        let holds = t[p].children.iter().filter(|&&c| c == rank).count();
+                        assert_eq!(holds, 1, "{what}: {p} -> {rank}");
+                    }
+                    // The root reaches everyone.
+                    let mut seen = vec![false; n];
+                    let mut todo = vec![root];
+                    while let Some(r) = todo.pop() {
+                        assert!(
+                            !std::mem::replace(&mut seen[r], true),
+                            "{what}: cycle at {r}"
+                        );
+                        todo.extend(&t[r].children);
+                    }
+                    assert!(seen.iter().all(|&s| s), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_level_shapes_cross_each_node_boundary_once_between_effective_leaders() {
+        for n in 1..50 {
+            for hier in placements(n) {
+                let node = |r: usize| hier.set_for(r).node;
+                for heap in [false, true] {
+                    for root in 0..n {
+                        let what = format!("heap={heap} n={n} root={root}");
+                        let mut crossings = 0;
+                        for rank in 0..n {
+                            let r = Rooted::new(&hier, rank, root);
+                            let leads = |x: usize| r.eff_leader(hier.leader_index_of(x)) == x;
+                            let t = Tree::two_level(&r, heap);
+                            let far = t.children.iter().filter(|&&c| node(c) != node(rank));
+                            let far: Vec<usize> = far.copied().collect();
+                            // Inter-node children lead the list, `far` counts
+                            // them, and both ends of each are effective leaders.
+                            assert_eq!(t.children[..far.len()], far[..], "{what} rank={rank}");
+                            assert_eq!(
+                                t.far,
+                                leads(rank).then_some(far.len()),
+                                "{what} rank={rank}"
+                            );
+                            assert!(far.iter().all(|&c| leads(c)), "{what} rank={rank}");
+                            assert!(far.is_empty() || leads(rank), "{what} rank={rank}");
+                            crossings += far.len();
+                        }
+                        assert_eq!(crossings, hier.n_nodes() - 1, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rooted_on_a_flat_hierarchy_gives_the_flat_shapes() {
+        for n in 1..50 {
+            let hier = placements(n).swap_remove(0);
+            assert!(hier.is_flat());
+            for (root, rank) in (0..n).flat_map(|root| (0..n).map(move |rank| (root, rank))) {
+                let r = Rooted::new(&hier, rank, root);
+                assert_eq!((r.el, r.my_pos, r.locals().count()), (rank, 0, 0));
+                let flat = Tree::binomial(rank, root, n);
+                let two = Tree::two_level(&r, false);
+                assert_eq!((two.parent, &two.children), (flat.parent, &flat.children));
+                assert_eq!(two.far, Some(flat.children.len()));
+            }
+        }
+    }
+
+    /// Each barrier algorithm's levels name the same edges from both ends,
+    /// and the named shapes are the ones the table in the module docs says.
+    #[test]
+    fn barrier_levels_agree_from_both_ends() {
+        use BarrierAlgo::*;
+        for n in [1, 2, 7, 8, 13, 24] {
+            for hier in placements(n) {
+                for algo in [
+                    CentralCounter,
+                    BinomialTree,
+                    Dissemination,
+                    Tdlb,
+                    TdlbMultilevel,
+                ] {
+                    let shapes: Vec<_> = (0..n).map(|r| barrier_shape(algo, &hier, r)).collect();
+                    for (rank, (levels, roots)) in shapes.iter().enumerate() {
+                        for (i, lv) in levels.iter().enumerate() {
+                            if let Some(p) = lv.tree.parent {
+                                assert_eq!(i + 1, levels.len(), "{algo:?}: climbs past a parent");
+                                assert!(shapes[p].0[i].tree.children.contains(&rank));
+                            }
+                            for &c in &lv.tree.children {
+                                assert_eq!(shapes[c].0[i].tree.parent, Some(rank), "{algo:?}");
+                            }
+                        }
+                        let is_root = levels.iter().all(|lv| lv.tree.parent.is_none());
+                        match algo {
+                            CentralCounter | BinomialTree => {
+                                assert_eq!((is_root, *roots), (rank == 0, None))
+                            }
+                            Dissemination => {
+                                assert_eq!((is_root, *roots), (true, Some(Among::All)))
+                            }
+                            Tdlb | TdlbMultilevel => {
+                                assert_eq!(is_root, hier.is_leader(rank), "{algo:?} rank {rank}");
+                                assert_eq!(*roots, Some(Among::Leaders));
+                            }
+                            Auto => unreachable!(),
+                        }
+                    }
+                    if algo == Tdlb {
+                        for (rank, (levels, _)) in shapes.iter().enumerate() {
+                            let set = hier.set_for(rank);
+                            let star = Tree::star(rank, set.leader, set.ranks.iter().copied());
+                            assert_eq!(levels[0].tree, star);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

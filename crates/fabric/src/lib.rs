@@ -440,20 +440,7 @@ pub mod bootstrap {
     /// not a benchmarked collective; the real barrier algorithms live in
     /// `caf-collectives`.
     pub fn control_barrier<F: Fabric + ?Sized>(fabric: &F, me: ProcId, epoch: &mut u64) {
-        *epoch += 1;
-        let n = fabric.n_images() as u64;
-        if n == 1 {
-            return;
-        }
-        if me.index() == 0 {
-            fabric.flag_wait_ge(me, COUNTER, (n - 1) * *epoch);
-            for j in 1..n as usize {
-                fabric.flag_add(me, ProcId(j), RELEASE, 1);
-            }
-        } else {
-            fabric.flag_add(me, ProcId(0), COUNTER, 1);
-            fabric.flag_wait_ge(me, RELEASE, *epoch);
-        }
+        barrier_over(fabric, me, fabric.n_images(), ProcId, epoch);
     }
 
     /// [`control_barrier`] restricted to an explicit member list — the
@@ -469,16 +456,26 @@ pub mod bootstrap {
         members: &[ProcId],
         epoch: &mut u64,
     ) {
+        barrier_over(fabric, me, members.len(), |i| members[i], epoch);
+    }
+
+    /// The one body of both: `n` members, `member(0)` leads.
+    fn barrier_over<F: Fabric + ?Sized>(
+        fabric: &F,
+        me: ProcId,
+        n: usize,
+        member: impl Fn(usize) -> ProcId,
+        epoch: &mut u64,
+    ) {
         *epoch += 1;
-        let n = members.len() as u64;
         if n <= 1 {
             return;
         }
-        let leader = members[0];
+        let leader = member(0);
         if me == leader {
-            fabric.flag_wait_ge(me, COUNTER, (n - 1) * *epoch);
-            for &j in &members[1..] {
-                fabric.flag_add(me, j, RELEASE, 1);
+            fabric.flag_wait_ge(me, COUNTER, (n as u64 - 1) * *epoch);
+            for j in 1..n {
+                fabric.flag_add(me, member(j), RELEASE, 1);
             }
         } else {
             fabric.flag_add(me, leader, COUNTER, 1);

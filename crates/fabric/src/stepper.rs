@@ -317,11 +317,11 @@ where
 /// Collective kernels as hosted-image state machines — the workloads of
 /// the `exp_s1_simscale` bench. They mirror `caf-collectives`' shapes
 /// (dissemination barrier, binomial trees) over the bootstrap resources,
-/// re-deriving the tree helpers locally because the fabric crate sits
-/// *below* the collectives crate in the dependency order.
+/// on the same tree helpers (`caf_topology::tree`, below both crates).
 pub mod kernels {
     use super::{StepOp, StepProgram};
     use crate::seg::FlagId;
+    use caf_topology::tree::{binomial_children, binomial_parent, ceil_log2};
 
     /// Bootstrap flag used by [`DisseminationBarrier`].
     pub const BARRIER_FLAG: FlagId = FlagId(0);
@@ -329,40 +329,6 @@ pub mod kernels {
     pub const BCAST_FLAG: FlagId = FlagId(1);
     /// Bootstrap flag used by [`BinomialReduce`].
     pub const REDUCE_FLAG: FlagId = FlagId(2);
-
-    /// ⌈log₂ n⌉ for n ≥ 1 (mirrors `caf_collectives::util::ceil_log2`).
-    fn ceil_log2(n: usize) -> usize {
-        assert!(n >= 1);
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
-
-    /// Parent of rank `v` (> 0) in the binomial tree rooted at 0: clear
-    /// the highest set bit (mirrors `caf_collectives::util`).
-    fn binomial_parent(v: usize) -> usize {
-        debug_assert!(v > 0);
-        v & !(1 << (usize::BITS as usize - 1 - v.leading_zeros() as usize))
-    }
-
-    /// Children of rank `v` in a binomial tree over `n` ranks, in send
-    /// order (closest subtree first); child `v + 2^k` exists for every
-    /// `2^k > v` with `v + 2^k < n` (mirrors `caf_collectives::util`).
-    fn binomial_children(v: usize, n: usize) -> Vec<usize> {
-        debug_assert!(v < n);
-        let mut k = if v == 0 {
-            0
-        } else {
-            usize::BITS as usize - v.leading_zeros() as usize
-        };
-        let mut out = Vec::new();
-        while v + (1 << k) < n {
-            out.push(v + (1 << k));
-            k += 1;
-            if 1usize << k == 0 {
-                break;
-            }
-        }
-        out
-    }
 
     /// Dissemination barrier over [`BARRIER_FLAG`], `epochs` times. Round
     /// `k` notifies `(me + 2^k) mod n` and waits for the cumulative count
@@ -615,28 +581,6 @@ pub mod kernels {
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn tree_helpers_match_collectives_shapes() {
-            assert_eq!(ceil_log2(1), 0);
-            assert_eq!(ceil_log2(8), 3);
-            assert_eq!(ceil_log2(9), 4);
-            assert_eq!(binomial_children(0, 8), vec![1, 2, 4]);
-            assert_eq!(binomial_children(1, 8), vec![3, 5]);
-            assert_eq!(binomial_children(4, 8), Vec::<usize>::new());
-            for n in 1..40 {
-                let mut indeg = vec![0usize; n];
-                for v in 0..n {
-                    for c in binomial_children(v, n) {
-                        assert_eq!(binomial_parent(c), v);
-                        indeg[c] += 1;
-                    }
-                }
-                for (v, d) in indeg.iter().enumerate() {
-                    assert_eq!(*d, usize::from(v != 0), "rank {v} of {n}");
-                }
-            }
-        }
 
         #[test]
         fn barrier_program_yields_notify_wait_pairs() {

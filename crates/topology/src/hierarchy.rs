@@ -51,11 +51,11 @@ pub struct HierarchyView {
     sets: Vec<IntranodeSet>,
     /// team rank → index into `sets`.
     set_of: Vec<usize>,
-    /// Team-relative ranks of all leaders, one per occupied node, in set order.
+    /// team rank → position within its set's `ranks` (0 for a leader).
+    pos_in_set: Vec<usize>,
+    /// Team-relative ranks of all leaders, one per occupied node, in set
+    /// order — `sets` and `leaders` share indices.
     leaders: Vec<usize>,
-    /// team rank → position of that image's leader in `leaders` (i.e. the
-    /// "leader rank" used by the inter-node dissemination stage).
-    leader_index_of: Vec<usize>,
     /// team rank → (node, socket) for the multi-level extension.
     sockets: Vec<(NodeId, SocketId)>,
 }
@@ -74,6 +74,7 @@ impl HierarchyView {
         // numbering.
         let mut sets: Vec<IntranodeSet> = Vec::new();
         let mut set_of = vec![usize::MAX; members.len()];
+        let mut pos_in_set = vec![0; members.len()];
         let mut sockets = Vec::with_capacity(members.len());
         for (rank, &p) in members.iter().enumerate() {
             assert!(
@@ -86,6 +87,7 @@ impl HierarchyView {
             match sets.iter().position(|s| s.node == loc.node) {
                 Some(idx) => {
                     set_of[rank] = idx;
+                    pos_in_set[rank] = sets[idx].ranks.len();
                     sets[idx].ranks.push(rank);
                 }
                 None => {
@@ -99,15 +101,11 @@ impl HierarchyView {
             }
         }
         let leaders: Vec<usize> = sets.iter().map(|s| s.leader).collect();
-        let mut leader_index_of = vec![usize::MAX; members.len()];
-        for (rank, &set_idx) in set_of.iter().enumerate() {
-            leader_index_of[rank] = set_idx; // sets and leaders share indices
-        }
         Self {
             sets,
             set_of,
+            pos_in_set,
             leaders,
-            leader_index_of,
             sockets,
         }
     }
@@ -120,6 +118,12 @@ impl HierarchyView {
     /// The intranode set containing team rank `rank`.
     pub fn set_for(&self, rank: usize) -> &IntranodeSet {
         &self.sets[self.set_of[rank]]
+    }
+
+    /// Position of `rank` within its set's `ranks` — 0 for the leader. The
+    /// slot index of every per-member intranode resource.
+    pub fn pos_in_set(&self, rank: usize) -> usize {
+        self.pos_in_set[rank]
     }
 
     /// Team-relative rank of the leader for team rank `rank` — the paper's
@@ -140,9 +144,9 @@ impl HierarchyView {
 
     /// Position of `rank`'s leader within [`Self::leaders`] — the rank used
     /// in the inter-node dissemination stage. For a leader this is its own
-    /// dissemination rank.
+    /// dissemination rank, and the index of `rank`'s set in [`Self::sets`].
     pub fn leader_index_of(&self, rank: usize) -> usize {
-        self.leader_index_of[rank]
+        self.set_of[rank]
     }
 
     /// Number of occupied nodes.
@@ -279,6 +283,11 @@ mod tests {
         assert_eq!(h.sets()[1].node, NodeId(0));
         assert_eq!(h.sets()[0].ranks, vec![0, 2]);
         assert_eq!(h.sets()[1].ranks, vec![1, 3]);
+        for set in h.sets() {
+            for (pos, &r) in set.ranks.iter().enumerate() {
+                assert_eq!(h.pos_in_set(r), pos);
+            }
+        }
     }
 
     #[test]

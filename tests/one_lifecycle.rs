@@ -4,6 +4,12 @@
 //! beside `caf_fabric::panic_message`, a thread spawner for images beside
 //! `caf_fabric::run_images`, or a parent that talks to its children by
 //! editing its own environment instead of `LaunchSpec::child_env`.
+//!
+//! The same scan holds `caf-collectives` to "a tree collective is a shape
+//! plus one protocol": a second function that runs the broadcast's ack or
+//! release wave, a second barrier that releases, or a second place that
+//! works out which set the root belongs to (the start of every "effective
+//! leader" derivation) fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -87,4 +93,37 @@ fn each_piece_of_the_fleet_lifecycle_has_one_home() {
              hand children their settings in LaunchSpec::child_env"
         );
     }
+}
+
+#[test]
+fn each_tree_protocol_has_one_body() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/collectives");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+    let hits = |needle: &str| hits(&files, needle, false);
+
+    // The three-wave broadcast: one wait and one add per wave flag.
+    for flag in ["flag::B_ACK", "flag::B_DONE"] {
+        assert_eq!(
+            hits(flag),
+            ["collectives/src/bcast.rs"; 2],
+            "{flag}: a broadcast algorithm is a Tree for bcast::tree_bcast, not a new body"
+        );
+    }
+    // The gather/release barrier: its flags are named by the shape only,
+    // and one function walks the levels.
+    for flag in ["flag::RELEASE", "flag::S_RELEASE"] {
+        assert_eq!(
+            hits(flag),
+            ["collectives/src/shape.rs"],
+            "{flag}: a barrier algorithm is a list of levels for barrier::walk"
+        );
+    }
+    assert_eq!(hits("lv.release"), ["collectives/src/barrier.rs"; 2]);
+    // The root stands in for its node's leader: derived in Rooted::new.
+    assert_eq!(
+        hits("leader_index_of(root)"),
+        ["collectives/src/shape.rs"],
+        "use shape::Rooted for the effective leaders of a rooted collective"
+    );
 }
