@@ -1,79 +1,93 @@
-//! EXP-S1-simscale — simulator throughput at fleet scale: the one-queue
-//! event core (events and image turns in one radix-bucketed monotone
-//! queue, `caf_fabric::evq`) vs the pre-scale global heap + O(n) argmin
-//! scans, driven through the hosted-image stepper
-//! ([`caf_fabric::run_stepped`]) so fleet sizes are bounded by memory, not
-//! OS threads.
+//! EXP-S1-simscale — the paper's collectives at fleet scale: the real
+//! `caf-collectives` bodies, hosted ([`caf_collectives::hosted`]) and
+//! stepped from one thread ([`caf_fabric::run_stepped`]), so fleet sizes
+//! are bounded by memory, not OS threads. Nothing here is a re-encoding of
+//! an algorithm: each point runs `TeamComm::barrier` / `co_broadcast` /
+//! `co_sum` of a team configured for the algorithm the row names.
 //!
-//! Three synchronization kernels (dissemination barrier, binomial
-//! broadcast, binomial reduce) run at 1k/10k (quick) and up to 1M images
-//! (full). Each point reports the *deterministic* simulated makespan
-//! (`sharded_virt` rows — bit-for-bit reproducible, gated at the default
+//! The machine is whale-like — nodes of 2 sockets × 4 cores, 8 images per
+//! node, whale's cost model — with as many nodes as the fleet needs. Every
+//! barrier algorithm (TDLB and dissemination are the headline pair), the
+//! flat-binomial and two-level 8-byte broadcasts and the flat
+//! recursive-doubling and two-level 8-byte allreduces run at 1k/10k images
+//! (quick) and 100k (full); the full run adds a 1M-image TDLB /
+//! dissemination barrier. Each point reports the *deterministic* simulated
+//! makespan (`*_virt` rows — bit-for-bit reproducible, gated at the default
 //! 10% by `cargo xtask bench-diff`) and the wall-clock cost per simulated
 //! op (`*_wall` rows — host-noisy, gated loosely via `--wall-tolerance`).
 //! A point shorter than [`MIN_TIMED_S`] is repeated until that much wall
 //! time has been spent on it and reports its best repetition: a 1k-image
-//! kernel is ~10 ms of work, and one shot of that reads anywhere within
-//! ±25 % on a shared host. At 10k images the legacy core
-//! (`SimConfig::legacy_queue`) runs the same kernels as the speedup
-//! reference, and its virtual makespans are asserted bit-identical to the
-//! default core's. The `sharded_*` row names predate the one-queue core
-//! (they date from the per-node event shards it replaced) and are kept so
-//! the bench-diff history of each row continues.
+//! barrier is a few ms of work, and one shot of that reads anywhere within
+//! ±25 % on a shared host. At 10k images the legacy event core
+//! (`SimConfig::legacy_queue`) runs the dissemination barrier as the
+//! speedup reference, and its virtual makespan is asserted bit-identical
+//! to the default core's.
 //!
 //! Results go to `BENCH_simscale.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
 use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode};
-use caf_fabric::stepper::kernels::{BinomialBroadcast, BinomialReduce, DisseminationBarrier};
-use caf_fabric::{run_stepped, ChaosConfig, SimConfig, SimFabric, StepOp, StepProgram};
+use caf_collectives::{
+    hosted, BarrierAlgo, BcastAlgo, CollectiveConfig, Provisioned, ReduceAlgo, TeamComm,
+};
+use caf_fabric::{run_stepped, ChaosConfig, SimConfig, SimFabric};
 use caf_microbench::Table;
-use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
+use caf_topology::{presets, ImageMap, MachineModel, Placement, ProcId, SoftwareOverheads};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One hosted image running one of the three kernels.
-enum Kern {
-    Barrier(DisseminationBarrier),
-    Bcast(BinomialBroadcast),
-    Reduce(BinomialReduce),
+const PER_NODE: usize = 8;
+
+/// One row family: an operation and the algorithm its team is formed with.
+#[derive(Clone, Copy)]
+struct Case {
+    op: &'static str,
+    algo: &'static str,
+    cfg: CollectiveConfig,
+    /// Largest fleet the case runs at.
+    up_to: usize,
 }
 
-impl StepProgram for Kern {
-    fn next(&mut self) -> StepOp {
-        match self {
-            Kern::Barrier(p) => p.next(),
-            Kern::Bcast(p) => p.next(),
-            Kern::Reduce(p) => p.next(),
-        }
-    }
+fn cases() -> Vec<Case> {
+    let base = CollectiveConfig::two_level();
+    let barrier = |algo, barrier, up_to| Case {
+        op: "barrier",
+        algo,
+        cfg: CollectiveConfig { barrier, ..base },
+        up_to,
+    };
+    let bcast = |algo, bcast| Case {
+        op: "broadcast",
+        algo,
+        cfg: CollectiveConfig { bcast, ..base },
+        up_to: 100_000,
+    };
+    let reduce = |algo, reduce| Case {
+        op: "allreduce",
+        algo,
+        cfg: CollectiveConfig { reduce, ..base },
+        up_to: 100_000,
+    };
+    vec![
+        barrier("tdlb", BarrierAlgo::Tdlb, 1_000_000),
+        barrier("dissemination", BarrierAlgo::Dissemination, 1_000_000),
+        barrier("tdlb_multilevel", BarrierAlgo::TdlbMultilevel, 100_000),
+        barrier("binomial_tree", BarrierAlgo::BinomialTree, 100_000),
+        barrier("central_counter", BarrierAlgo::CentralCounter, 100_000),
+        bcast("two_level", BcastAlgo::TwoLevel),
+        bcast("flat_binomial", BcastAlgo::FlatBinomial),
+        reduce("two_level", ReduceAlgo::TwoLevel),
+        reduce("flat_recursive_doubling", ReduceAlgo::FlatRecursiveDoubling),
+    ]
 }
 
-const KERNELS: [&str; 3] = ["barrier", "broadcast", "reduce"];
-
-fn programs(kernel: &str, n: usize, epochs: u64) -> Vec<Kern> {
-    (0..n)
-        .map(|me| match kernel {
-            "barrier" => Kern::Barrier(DisseminationBarrier::new(me, n, epochs)),
-            "broadcast" => Kern::Bcast(BinomialBroadcast::new(me, n, epochs)),
-            "reduce" => Kern::Reduce(BinomialReduce::new(me, n, epochs)),
-            other => unreachable!("unknown kernel {other}"),
-        })
-        .collect()
-}
-
-/// A synthetic fat cluster: 512 images per node, as many nodes as the
-/// fleet needs. Capped bootstrap slots keep the segment footprint linear
-/// in the fleet (the kernels touch only the first few slots).
+/// The whale-like cluster: 8 images per node on 2 sockets × 4 cores, as
+/// many nodes as the fleet needs, one bootstrap slot per image (hosted
+/// teams are provisioned, so nothing is exchanged through it).
 fn fabric(n: usize, legacy: bool, chaos_seed: Option<u64>) -> Arc<SimFabric> {
-    let per_node = 512usize;
-    let nodes = n.div_ceil(per_node).max(2);
-    let map = ImageMap::new(
-        presets::mini(nodes, per_node),
-        n,
-        &Placement::Block { per_node },
-    );
+    let machine = MachineModel::new("whale-like", n.div_ceil(PER_NODE).max(2), 2, 4);
+    let map = ImageMap::new(machine, n, &Placement::Block { per_node: PER_NODE });
     SimFabric::new(
         map,
         SimConfig {
@@ -81,10 +95,25 @@ fn fabric(n: usize, legacy: bool, chaos_seed: Option<u64>) -> Arc<SimFabric> {
             overheads: SoftwareOverheads::NONE,
             chaos: chaos_seed.map(ChaosConfig::from_seed),
             legacy_queue: legacy,
-            bootstrap_slots: Some(4),
+            bootstrap_slots: Some(1),
             ..SimConfig::default()
         },
     )
+}
+
+/// One image's episode of `op`: 8-byte payloads, the broadcast root moving
+/// on by one rank each episode.
+fn episode(op: &'static str) -> impl FnMut(&mut TeamComm) + Clone {
+    let mut e = 0;
+    move |c: &mut TeamComm| {
+        match op {
+            "barrier" => c.barrier(),
+            "broadcast" => c.co_broadcast(&mut [0u64], e % c.size()),
+            "allreduce" => c.co_sum(&mut [0u64]),
+            other => unreachable!("unknown op {other}"),
+        }
+        e += 1;
+    }
 }
 
 struct Point {
@@ -98,12 +127,14 @@ struct Point {
 /// A point is repeated until this much wall time has gone into it.
 const MIN_TIMED_S: f64 = 0.2;
 
-fn run_point(kernel: &str, n: usize, legacy: bool, chaos_seed: Option<u64>) -> Point {
+fn run_point(case: &Case, n: usize, legacy: bool, chaos_seed: Option<u64>) -> Point {
     let epochs = if n >= 100_000 { 1 } else { 2 };
     let (mut spent_s, mut best): (f64, Option<Point>) = (0.0, None);
     while spent_s < MIN_TIMED_S {
         let f = fabric(n, legacy, chaos_seed);
-        let progs = programs(kernel, n, epochs);
+        let payload = if case.op == "barrier" { 0 } else { 8 };
+        let team = Provisioned::new(&*f, (0..n).map(ProcId).collect(), case.cfg, payload);
+        let progs = hosted::fleet(&f, &team, epochs, episode(case.op));
         let t0 = Instant::now();
         let report = run_stepped(&f, progs);
         let wall_s = t0.elapsed().as_secs_f64();
@@ -112,7 +143,9 @@ fn run_point(kernel: &str, n: usize, legacy: bool, chaos_seed: Option<u64>) -> P
             assert_eq!(
                 (b.virt_ns, b.total_ops),
                 (report.max_time_ns, report.total_ops()),
-                "{kernel}@{n}: two repetitions of one point disagree"
+                "{} {}@{n}: two repetitions of one point disagree",
+                case.op,
+                case.algo
             );
         }
         if best.as_ref().is_none_or(|b| wall_s < b.wall_s) {
@@ -127,12 +160,36 @@ fn run_point(kernel: &str, n: usize, legacy: bool, chaos_seed: Option<u64>) -> P
     best.expect("at least one repetition")
 }
 
+/// The two rows of a point: its makespan and its wall cost per op.
+fn rows(case: &Case, n: usize, tag: &str, p: &Point, recs: &mut Vec<Rec>) {
+    recs.push(Rec {
+        op: case.op,
+        bytes: n,
+        algo: format!("{}{tag}_virt", case.algo),
+        ns: p.virt_ns as f64,
+    });
+    recs.push(Rec {
+        op: case.op,
+        bytes: n,
+        algo: format!("{}{tag}_wall", case.algo),
+        ns: p.wall_s * 1e9 / p.total_ops as f64,
+    });
+}
+
 fn human(n: usize) -> String {
     if n >= 1_000_000 {
         format!("{}M", n / 1_000_000)
     } else {
         format!("{}k", n / 1_000)
     }
+}
+
+/// This process's peak resident set so far, in MB (0 where `/proc` is not).
+fn peak_rss_mb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    let kb = hwm.and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok());
+    kb.unwrap_or(0) / 1024
 }
 
 fn main() {
@@ -142,94 +199,73 @@ fn main() {
     } else {
         vec![1_000, 10_000, 100_000, 1_000_000]
     };
+    let cases = cases();
     let mut recs: Vec<Rec> = Vec::new();
     let mut t = Table::new(
-        "EXP-S1-simscale: hosted-image stepping, one-queue event core (legacy \
-         reference at 10k images)"
+        "EXP-S1-simscale: the real collectives, hosted and stepped from one thread \
+         (whale-like, 8 images per node)"
             .to_string(),
         &[
-            "kernel",
+            "op",
+            "algorithm",
             "images",
             "sim ops",
             "virt ms",
             "wall s",
             "Mops/s",
-            "legacy Mops/s",
-            "speedup",
         ],
     );
-    let mut min_speedup_10k = f64::INFINITY;
+    let mut legacy_speedup = f64::NAN;
     for &n in &scales {
-        for kernel in KERNELS {
-            let p = run_point(kernel, n, false, None);
-            recs.push(Rec {
-                op: kernel,
-                bytes: n,
-                algo: "sharded_virt".into(),
-                ns: p.virt_ns as f64,
-            });
-            recs.push(Rec {
-                op: kernel,
-                bytes: n,
-                algo: "sharded_wall".into(),
-                ns: p.wall_s * 1e9 / p.total_ops as f64,
-            });
-            // The pre-PR core is only affordable (and only interesting) at
-            // the 10k reference point: O(n) argmin scans per commit.
-            let legacy = (n == 10_000).then(|| run_point(kernel, n, true, None));
-            let (legacy_col, speedup_col) = match &legacy {
-                Some(l) => {
-                    assert_eq!(
-                        l.virt_ns, p.virt_ns,
-                        "{kernel}@{n}: legacy and one-queue cores disagree on the simulated makespan"
-                    );
-                    recs.push(Rec {
-                        op: kernel,
-                        bytes: n,
-                        algo: "legacy_wall".into(),
-                        ns: l.wall_s * 1e9 / l.total_ops as f64,
-                    });
-                    let speedup = p.ops_per_s / l.ops_per_s;
-                    min_speedup_10k = min_speedup_10k.min(speedup);
-                    (
-                        format!("{:.2}", l.ops_per_s / 1e6),
-                        format!("{speedup:.1}x"),
-                    )
-                }
-                None => ("-".into(), "-".into()),
-            };
+        for case in cases.iter().filter(|c| n <= c.up_to) {
+            let p = run_point(case, n, false, None);
+            rows(case, n, "", &p, &mut recs);
             t.row(&[
-                kernel.to_string(),
+                case.op.to_string(),
+                case.algo.to_string(),
                 human(n),
                 p.total_ops.to_string(),
-                format!("{:.2}", p.virt_ns as f64 / 1e6),
+                format!("{:.3}", p.virt_ns as f64 / 1e6),
                 format!("{:.2}", p.wall_s),
                 format!("{:.2}", p.ops_per_s / 1e6),
-                legacy_col,
-                speedup_col,
             ]);
+            // The pre-scale core is only affordable (and only interesting)
+            // at one reference point: O(n) argmin scans per commit.
+            if (n, case.algo) == (10_000, "dissemination") {
+                let l = run_point(case, n, true, None);
+                assert_eq!(
+                    l.virt_ns, p.virt_ns,
+                    "legacy and one-queue cores disagree on the simulated makespan"
+                );
+                recs.push(Rec {
+                    op: case.op,
+                    bytes: n,
+                    algo: format!("{}_legacy_wall", case.algo),
+                    ns: l.wall_s * 1e9 / l.total_ops as f64,
+                });
+                legacy_speedup = p.ops_per_s / l.ops_per_s;
+                t.note(format!(
+                    "legacy event core, dissemination barrier @10k: {:.2} Mops/s, \
+                     one queue {legacy_speedup:.1}x",
+                    l.ops_per_s / 1e6
+                ));
+            }
         }
+        t.note(format!(
+            "peak RSS through {} images: {} MB",
+            human(n),
+            peak_rss_mb()
+        ));
     }
     // Chaos smoke: the perturbed scheduler through the stepped driver is
     // part of the tracked surface too (deterministic per seed, so the
     // makespan is gateable like any virt row). Its wall cost is a row of
     // its own: seed 42 reshuffles priorities every few commits, a path the
     // plain points never take, and a slowdown there moves no virt row.
-    let chaos = run_point("barrier", 1_000, false, Some(42));
-    recs.push(Rec {
-        op: "barrier",
-        bytes: 1_000,
-        algo: "sharded_chaos_virt".into(),
-        ns: chaos.virt_ns as f64,
-    });
-    recs.push(Rec {
-        op: "barrier",
-        bytes: 1_000,
-        algo: "sharded_chaos_wall".into(),
-        ns: chaos.wall_s * 1e9 / chaos.total_ops as f64,
-    });
+    let chaos = run_point(&cases[0], 1_000, false, Some(42));
+    rows(&cases[0], 1_000, "_chaos", &chaos, &mut recs);
     t.note(format!(
-        "chaos seed 42, barrier @1k: virt {:.2} ms, {:.2} Mops/s",
+        "chaos seed 42, tdlb barrier @1k: virt {:.3} ms, {:.2} Mops/s",
         chaos.virt_ns as f64 / 1e6,
         chaos.ops_per_s / 1e6
     ));
@@ -240,8 +276,8 @@ fn main() {
             experiment: "exp_s1_simscale",
             file: "BENCH_simscale.json",
             header: &[
-                ("machine", Meta::Str("synthetic-512-per-node")),
-                ("per_node", Meta::Num(512)),
+                ("machine", Meta::Str("whale-like-8-per-node")),
+                ("per_node", Meta::Num(PER_NODE)),
             ],
             unit: "virt_rows_modeled_makespan_ns_wall_rows_wall_ns_per_op",
             ns_decimals: 3,
@@ -251,12 +287,12 @@ fn main() {
 
     if !quick_mode() {
         assert!(
-            min_speedup_10k >= 5.0,
-            "one-queue core throughput speedup {min_speedup_10k:.2}x at 10k images \
+            legacy_speedup >= 5.0,
+            "one-queue core throughput speedup {legacy_speedup:.2}x at 10k images \
              misses the 5x target over the pre-scale core"
         );
         println!(
-            "acceptance: 100k/1M points completed, one queue >={min_speedup_10k:.1}x \
+            "acceptance: 100k/1M points completed, one queue >={legacy_speedup:.1}x \
              legacy ops/sec at 10k images -- PASS"
         );
     }

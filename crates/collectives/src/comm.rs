@@ -23,13 +23,17 @@
 //! resources. Subteams ([`TeamComm::create_sub`], the runtime's
 //! `form_team`) exchange their fresh ids through the **parent** team's
 //! machinery — mirroring how a real runtime coordinates team-scoped
-//! symmetric allocations through the parent team.
+//! symmetric allocations through the parent team. A [`Provisioned`] team
+//! exchanges nothing: a harness that can reach every image's fabric tables
+//! allocates all members' resources itself, in one order.
 
-use crate::config::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy};
+use crate::config::{
+    env_knobs, BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy,
+};
 use crate::shape::{barrier_shape, Among, BarrierLevel};
 use crate::util::ceil_log2;
 use crate::value::{bytes_to_slice, slice_to_bytes, CoNumeric, CoOp, CoValue};
-use caf_fabric::{bootstrap, Am, AmPolicy, ArcFabric, FlagId, PutToken, SegmentId};
+use caf_fabric::{bootstrap, Am, AmPolicy, ArcFabric, Fabric, FlagId, PutToken, SegmentId};
 use caf_topology::{HierarchyView, ProcId};
 use caf_trace::{Event, EventKind, Level};
 use std::sync::Arc;
@@ -100,9 +104,12 @@ pub(crate) struct FlagLayout {
 }
 
 impl FlagLayout {
-    pub(crate) fn new(team_size: usize, local_max: usize) -> Self {
+    /// The layout of a team decomposed as `hier` (the chunk-stream flags
+    /// are per set position, so the hierarchy comes first).
+    pub(crate) fn new(hier: &HierarchyView) -> Self {
+        let local_max = hier.sets().iter().map(|s| s.len()).max().unwrap_or(1);
         Self {
-            d: ceil_log2(team_size).max(1),
+            d: ceil_log2(hier.n_ranks()).max(1),
             lm: local_max.max(1),
         }
     }
@@ -126,6 +133,11 @@ impl FlagLayout {
     pub(crate) fn chunk(&self, pos: usize) -> usize {
         debug_assert!(pos < self.lm);
         flag::DISSEM + 2 * self.d + pos
+    }
+
+    /// Number of scratch slots in the team layout.
+    pub(crate) fn scratch_slots(&self) -> usize {
+        2 * self.d + 2 * self.lm + 8
     }
 }
 
@@ -155,6 +167,97 @@ impl MemberRsrc {
             scratch: SegmentId(usize::MAX),
             gather: SegmentId(usize::MAX),
         }
+    }
+}
+
+/// A team formed **without communication**, for a harness that can reach
+/// every member's fabric tables itself (the simulator's hosted fleets, and
+/// the threaded runs they are checked against). [`Provisioned::new`]
+/// allocates each member's flag block and scratch, in one order, so every
+/// member holds the same ids; [`Provisioned::comm`] then hands each image a
+/// [`TeamComm`] that shares the member list, the hierarchy and the resource
+/// table instead of holding `n` entries of its own.
+///
+/// What such a team gives up is everything that needs an id exchange: it
+/// has no exchange segment, so it cannot be split, cannot gather/scatter,
+/// and cannot grow its scratch — a payload larger than it was provisioned
+/// for is refused by name, on every fabric.
+pub struct Provisioned {
+    members: Arc<Vec<ProcId>>,
+    hier: Arc<HierarchyView>,
+    layout: FlagLayout,
+    rsrc: Arc<Vec<MemberRsrc>>,
+    cfg: CollectiveConfig,
+    scratch_slot_bytes: usize,
+}
+
+impl Provisioned {
+    /// Provision a team of `members` (rank `r` is `members[r]`) on `fabric`,
+    /// with scratch for collective payloads of up to `scratch_slot_bytes`
+    /// (0: barriers only). Call it once, from one thread, before any member
+    /// runs; every member must have made the same allocations so far.
+    pub fn new(
+        fabric: &dyn Fabric,
+        members: Vec<ProcId>,
+        cfg: CollectiveConfig,
+        scratch_slot_bytes: usize,
+    ) -> Self {
+        let hier = Arc::new(HierarchyView::build(fabric.image_map(), &members));
+        let layout = FlagLayout::new(&hier);
+        let scratch_bytes = layout.scratch_slots() * scratch_slot_bytes;
+        let mut ids = None;
+        for &p in &members {
+            let flags = fabric.alloc_flags(p, layout.total());
+            let scratch = match scratch_bytes {
+                0 => SegmentId(usize::MAX),
+                bytes => fabric.alloc_segment(p, bytes),
+            };
+            let first = *ids.get_or_insert((flags, scratch));
+            assert_eq!(
+                (flags, scratch),
+                first,
+                "image {}: provisioning needs one allocation history on every member",
+                p.index()
+            );
+        }
+        let (flags, scratch) = ids.expect("a team needs at least one image");
+        let one = MemberRsrc {
+            flags,
+            exch: SegmentId(usize::MAX),
+            scratch,
+            gather: SegmentId(usize::MAX),
+        };
+        Self {
+            rsrc: Arc::new(vec![one; members.len()]),
+            members: Arc::new(members),
+            hier,
+            layout,
+            cfg,
+            scratch_slot_bytes,
+        }
+    }
+
+    /// Number of images in the team.
+    pub fn size(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Team rank `rank`'s context, communicating through `fabric` — the
+    /// fabric the team was provisioned on, or a recorder in front of it.
+    pub fn comm(&self, fabric: ArcFabric, rank: usize) -> TeamComm {
+        let mut comm = TeamComm::assemble(
+            fabric,
+            self.members[rank],
+            rank,
+            self.members.clone(),
+            self.hier.clone(),
+            self.cfg,
+            self.layout,
+            self.rsrc.clone(),
+        );
+        comm.provisioned = true;
+        comm.scratch_slot_bytes = self.scratch_slot_bytes;
+        comm
     }
 }
 
@@ -259,7 +362,12 @@ pub struct TeamComm {
     /// derived from the fabric's cost model at formation.
     pub(crate) policy: SizePolicy,
     pub(crate) layout: FlagLayout,
-    pub(crate) rsrc: Vec<MemberRsrc>,
+    /// Co-members' resource ids by team rank. A formed team's image owns its
+    /// table; the images of a [`Provisioned`] team share one.
+    pub(crate) rsrc: Arc<Vec<MemberRsrc>>,
+    /// Formed without an id exchange ([`Provisioned`]): there is no
+    /// exchange segment, so nothing can be grown or split off later.
+    provisioned: bool,
     pub(crate) epochs: Epochs,
     /// Current scratch slot size in bytes (0 = scratch not yet allocated).
     pub(crate) scratch_slot_bytes: usize,
@@ -349,7 +457,7 @@ impl TeamComm {
         // Nobody may reuse the bootstrap slots until everyone has read them.
         bootstrap::control_barrier_among(&*fabric, me, &members, boot_epoch);
 
-        Self::assemble(fabric, me, rank, members, hier, cfg, layout, rsrc)
+        Self::assemble(fabric, me, rank, members, hier, cfg, layout, Arc::new(rsrc))
     }
 
     /// Decompose `members` along the machine, size the team's flag block
@@ -362,8 +470,7 @@ impl TeamComm {
         members: &[ProcId],
     ) -> (Arc<HierarchyView>, FlagLayout, [u64; 2]) {
         let hier = Arc::new(HierarchyView::build(fabric.image_map(), members));
-        let local_max = hier.sets().iter().map(|s| s.len()).max().unwrap_or(1);
-        let layout = FlagLayout::new(members.len(), local_max);
+        let layout = FlagLayout::new(&hier);
         let flags = fabric.alloc_flags(me, layout.total());
         let exch = fabric.alloc_segment(me, members.len() * EXCH_SLOT);
         (hier, layout, [flags.0 as u64, exch.0 as u64])
@@ -437,7 +544,7 @@ impl TeamComm {
             hier,
             cfg,
             layout,
-            rsrc,
+            Arc::new(rsrc),
         )
     }
 
@@ -450,14 +557,10 @@ impl TeamComm {
         hier: Arc<HierarchyView>,
         cfg: CollectiveConfig,
         layout: FlagLayout,
-        rsrc: Vec<MemberRsrc>,
+        rsrc: Arc<Vec<MemberRsrc>>,
     ) -> Self {
         let policy = SizePolicy::from_cost(fabric.cost());
-        let am_on = cfg.am
-            || std::env::var("CAF_AM")
-                .map(|v| v.trim() == "1")
-                .unwrap_or(false);
-        let am = am_on.then(|| {
+        let am = (cfg.am || env_knobs().am).then(|| {
             std::sync::Mutex::new(Am::new(
                 fabric.clone(),
                 me,
@@ -484,6 +587,7 @@ impl TeamComm {
             hier,
             layout,
             rsrc,
+            provisioned: false,
             epochs: Epochs::default(),
             scratch_slot_bytes: 0,
             gather_slot_bytes: 0,
@@ -688,6 +792,12 @@ impl TeamComm {
             }
             out
         };
+        assert!(
+            !self.provisioned,
+            "image {}: a provisioned team has no exchange segment — it cannot \
+             split (form_team), allgather, or grow a gather region",
+            self.me.index()
+        );
         let n = self.size();
         self.epochs.exch_tree += 1;
         let era = self.epochs.exch_tree;
@@ -891,26 +1001,29 @@ impl TeamComm {
         if self.scratch_slot_bytes >= slot_bytes {
             return;
         }
+        assert!(
+            !self.provisioned,
+            "image {}: a provisioned team cannot grow its scratch: a payload of \
+             {slot_bytes} B needs more than the {} B per slot it was provisioned with",
+            self.me.index(),
+            self.scratch_slot_bytes
+        );
         let new_slot = slot_bytes
             .max(2 * self.scratch_slot_bytes)
             .next_multiple_of(64);
-        let slots = self.scratch_slots();
+        let slots = self.layout.scratch_slots();
         let seg = self.fabric.alloc_segment(self.me, slots * new_slot);
         let g = self.allgather4([seg.0 as u64, new_slot as u64, 0, 0]);
+        let rsrc = Arc::make_mut(&mut self.rsrc);
         for (j, v) in g.iter().enumerate() {
             assert_eq!(
                 v[1] as usize, new_slot,
                 "scratch growth disagreement: rank {j} wants {} bytes, rank {} wants {new_slot}",
                 v[1], self.rank
             );
-            self.rsrc[j].scratch = SegmentId(v[0] as usize);
+            rsrc[j].scratch = SegmentId(v[0] as usize);
         }
         self.scratch_slot_bytes = new_slot;
-    }
-
-    /// Number of scratch slots in the team layout.
-    fn scratch_slots(&self) -> usize {
-        2 * self.layout.d + 2 * self.layout.lm + 8
     }
 
     /// Byte offset of recursive-doubling slot for round `k`, parity `p`.
@@ -954,12 +1067,13 @@ impl TeamComm {
         let new_slot = slot_bytes.next_power_of_two().max(64);
         let seg = self.fabric.alloc_segment(self.me, self.size() * new_slot);
         let g = self.allgather4([seg.0 as u64, new_slot as u64, 1, 0]);
+        let rsrc = Arc::make_mut(&mut self.rsrc);
         for (j, v) in g.iter().enumerate() {
             assert_eq!(
                 v[1] as usize, new_slot,
                 "gather-region growth disagreement at rank {j}"
             );
-            self.rsrc[j].gather = SegmentId(v[0] as usize);
+            rsrc[j].gather = SegmentId(v[0] as usize);
         }
         self.gather_slot_bytes = new_slot;
     }

@@ -5,6 +5,7 @@
 //! does.
 
 use caf_topology::{CostParams, HierarchyView};
+use std::sync::OnceLock;
 
 /// Barrier algorithm choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -135,22 +136,45 @@ pub struct SizePolicy {
     pub reduce_crossover_bytes: usize,
 }
 
-fn env_bytes(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
+/// The process-wide knobs this crate reads from the environment.
+pub(crate) struct EnvKnobs {
+    /// `CAF_AM=1`: route flag traffic through the active-message tier.
+    pub am: bool,
+    chunk_bytes: Option<usize>,
+    bcast_crossover: Option<usize>,
+    reduce_crossover: Option<usize>,
+}
+
+/// The environment's knobs, read once per process: a team formation (every
+/// `form_team` of every image, and every image of a hosted fleet) must not
+/// take the process's environment lock.
+pub(crate) fn env_knobs() -> &'static EnvKnobs {
+    static KNOBS: OnceLock<EnvKnobs> = OnceLock::new();
+    KNOBS.get_or_init(|| {
+        let bytes = |name: &str| std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
+        EnvKnobs {
+            am: std::env::var("CAF_AM").is_ok_and(|v| v.trim() == "1"),
+            chunk_bytes: bytes("CAF_CHUNK_BYTES"),
+            bcast_crossover: bytes("CAF_BCAST_CROSSOVER"),
+            reduce_crossover: bytes("CAF_REDUCE_CROSSOVER"),
+        }
+    })
 }
 
 impl SizePolicy {
     /// Derive the policy from a machine's cost parameters, honoring the
-    /// env-var overrides.
+    /// env-var overrides (as they stood when this process first asked).
     pub fn from_cost(cost: &CostParams) -> Self {
-        let chunk = env_bytes("CAF_CHUNK_BYTES")
+        let env = env_knobs();
+        let chunk = env
+            .chunk_bytes
             .unwrap_or_else(|| cost.pipeline_chunk_bytes())
             .max(1);
         let crossover = cost.pipeline_crossover_bytes();
         Self {
             chunk_bytes: chunk,
-            bcast_crossover_bytes: env_bytes("CAF_BCAST_CROSSOVER").unwrap_or(crossover),
-            reduce_crossover_bytes: env_bytes("CAF_REDUCE_CROSSOVER").unwrap_or(crossover),
+            bcast_crossover_bytes: env.bcast_crossover.unwrap_or(crossover),
+            reduce_crossover_bytes: env.reduce_crossover.unwrap_or(crossover),
         }
     }
 }

@@ -51,12 +51,13 @@ mod bcast;
 pub mod comm;
 pub mod config;
 mod gather;
+pub mod hosted;
 mod reduce;
 mod shape;
 pub mod util;
 pub mod value;
 
-pub use comm::TeamComm;
+pub use comm::{Provisioned, TeamComm};
 pub use config::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy};
 pub use value::{CoNumeric, CoOp, CoValue};
 

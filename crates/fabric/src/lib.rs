@@ -38,6 +38,12 @@
 //!   memory within. Launched by the `caf-launch` binary (or in-process via
 //!   [`socket::testing`]); the first backend where the paper's leader/slave
 //!   split crosses genuine process boundaries.
+//!
+//! [`SimFabric`] has a second driver besides a thread per image:
+//! [`stepper::run_stepped`] commits the ops of *hosted* images from one
+//! thread, and [`stepper::Script`] — a `Fabric` that records instead of
+//! executing — is how code written against this trait (the collectives)
+//! becomes such a program without being written twice.
 
 #![warn(missing_docs)]
 
@@ -67,7 +73,7 @@ pub use socket::obs::{
 pub use socket::{SocketConfig, SocketFabric};
 pub use spmd::{panic_message, run_images, run_spmd};
 pub use stats::{Counter, FabricStats, StatsSnapshot};
-pub use stepper::{run_program_spmd, run_stepped, StepOp, StepProgram, SteppedReport};
+pub use stepper::{run_program_spmd, run_stepped, Script, StepOp, StepProgram, SteppedReport};
 pub use thread::{ThreadConfig, ThreadFabric};
 
 use caf_topology::{CostParams, ImageMap, ProcId, SoftwareOverheads};

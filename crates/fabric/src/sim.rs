@@ -105,10 +105,10 @@ pub struct SimConfig {
     pub legacy_queue: bool,
     /// Bootstrap-segment slots to pre-allocate per image. `None` (the
     /// default) keeps the historical one-slot-per-peer layout — O(n²)
-    /// bytes fleet-wide, fine up to a few thousand images. Million-image
-    /// runs whose programs touch only the first few slots (the simscale
-    /// bench kernels stay within 4) pass `Some(slots)` to keep the
-    /// footprint linear.
+    /// bytes fleet-wide, fine up to a few thousand images. Fleet-scale
+    /// runs pass `Some(slots)` to keep the footprint linear: hosted teams
+    /// are provisioned and never touch the segment (`Some(1)`), hand-written
+    /// step programs use the first few slots.
     pub bootstrap_slots: Option<usize>,
 }
 
@@ -306,19 +306,63 @@ pub(crate) struct SimCore {
     pub(crate) commit_log: Vec<(usize, u64, u64)>,
 }
 
-/// Bump an accumulating sync-flag counter, panicking on wraparound: the
-/// counters are cumulative by design (never reset), so silent `u64`
-/// overflow would corrupt every threshold comparison downstream.
-fn flag_bump(cell: &mut u64, img: usize, flag: usize, delta: u64) {
-    *cell = cell.checked_add(delta).unwrap_or_else(|| {
-        panic!(
-            "sync flag counter overflow: image {img} flag {flag} \
-             (cumulative counter wrapped adding {delta})"
-        )
-    });
+/// An op named a flag or segment id its target never allocated: a program
+/// bug — or a recorded op replayed on a fabric its team was not provisioned
+/// on — that would otherwise read `index out of bounds: the len is 4`.
+#[cold]
+fn unallocated(img: usize, what: &str, id: usize, has: usize) -> ! {
+    panic!("image {img}: {what} {id} not allocated (has {has})")
 }
 
 impl SimCore {
+    /// Image `img`'s flag `flag`.
+    #[inline]
+    fn flag_mut(&mut self, img: usize, flag: usize) -> &mut u64 {
+        let has = self.flags[img].len();
+        match self.flags[img].get_mut(flag) {
+            Some(cell) => cell,
+            None => unallocated(img, "flag", flag, has),
+        }
+    }
+
+    /// Bump an accumulating sync-flag counter and return its new value,
+    /// panicking on wraparound: the counters are cumulative by design
+    /// (never reset), so silent `u64` overflow would corrupt every
+    /// threshold comparison downstream.
+    fn flag_bump(&mut self, img: usize, flag: usize, delta: u64) -> u64 {
+        let cell = self.flag_mut(img, flag);
+        *cell = cell.checked_add(delta).unwrap_or_else(|| {
+            panic!(
+                "sync flag counter overflow: image {img} flag {flag} \
+                 (cumulative counter wrapped adding {delta})"
+            )
+        });
+        *cell
+    }
+
+    /// The `len` bytes at `offset` of `img`'s segment `seg`, for the op
+    /// `what` (named when the range does not fit).
+    #[inline]
+    fn window(
+        &mut self,
+        img: usize,
+        seg: SegmentId,
+        offset: usize,
+        len: usize,
+        what: &str,
+    ) -> &mut [u8] {
+        let has = self.segs[img].len();
+        let Some(bytes) = self.segs[img].get_mut(seg.0) else {
+            unallocated(img, "segment", seg.0, has)
+        };
+        assert!(
+            offset + len <= bytes.len(),
+            "{what} of {len} bytes at {offset} exceeds {seg:?} ({} bytes)",
+            bytes.len()
+        );
+        &mut bytes[offset..offset + len]
+    }
+
     /// Advance image `i`'s virtual clock, keeping its commit turn in sync.
     /// Every clock write in the fabric funnels through here; Blocked/Done
     /// images hold no turn and need no update.
@@ -437,7 +481,7 @@ impl SimCore {
     /// Land one flag notification at `at`: bump the counter, record the
     /// delivery, and wake the target if this satisfied its wait.
     fn deliver(&mut self, n: Notify, at: u64, woken: &mut Vec<usize>) {
-        flag_bump(&mut self.flags[n.img][n.flag], n.img, n.flag, n.delta);
+        let value = self.flag_bump(n.img, n.flag, n.delta);
         self.tracer.record_system(
             Event::instant(EventKind::FlagDeliver, at)
                 .a(n.src as u64)
@@ -451,7 +495,7 @@ impl SimCore {
             at_least,
         } = self.state[n.img]
         {
-            if wflag == n.flag && self.flags[n.img][n.flag] >= at_least {
+            if wflag == n.flag && value >= at_least {
                 self.set_wake(n.img, at);
                 woken.push(n.img);
             }
@@ -937,18 +981,48 @@ impl SimFabric {
         }
     }
 
-    /// Record the span of a just-modeled AMO (shared by fetch-add and CAS).
-    #[allow(clippy::too_many_arguments)]
-    fn record_amo(
+    /// One remote atomic on `target`'s `u64` cell: a round trip (through the
+    /// node bus or the NIC), then `update(old)` decides what — if anything —
+    /// is stored. Returns the previous value.
+    fn amo(
         &self,
-        core: &SimCore,
         kind: EventKind,
         me: usize,
         target: usize,
+        seg: SegmentId,
         offset: usize,
-        t: u64,
-        queue_ns: u64,
-    ) {
+        update: impl FnOnce(u64) -> Option<u64>,
+    ) -> u64 {
+        assert!(
+            offset.is_multiple_of(8),
+            "AMO offset {offset} not 8-byte aligned"
+        );
+        let mut core = self.lock_turn(me);
+        let t = core.time[me];
+        let c = &self.cfg.cost;
+        let o_sw = self.cfg.overheads.per_op_ns;
+        let colocated = self.map.colocated(ProcId(me), ProcId(target));
+        let mut queue_ns = 0;
+        if me == target {
+            core.set_time(me, t + o_sw + c.o_intra_ns);
+        } else if colocated && !self.cfg.overheads.intra_via_nic {
+            let ready = t + o_sw + c.o_intra_ns;
+            let node = self.map.node_of(ProcId(me)).index();
+            let start = Self::reserve_bus(&mut core, node, ready, c.gap_intra_ns);
+            queue_ns = start - ready;
+            core.set_time(me, start + c.gap_intra_ns + 2 * c.l_intra_ns);
+        } else {
+            let ready = t + o_sw + c.o_inter_ns;
+            let src_node = self.map.node_of(ProcId(me)).index();
+            let gap = c.gap_nic_ns + self.cfg.overheads.nic_busy_extra_ns;
+            let inj = Self::reserve_nic(&mut core, src_node, ready, gap);
+            queue_ns = inj - ready;
+            let req_at = inj + gap + c.l_inter_ns;
+            core.set_time(me, req_at + gap + c.l_inter_ns);
+        }
+        self.stats
+            .amos
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dur = core.time[me] - t;
         let ev = Event::span(kind, t, dur)
             .a(target as u64)
@@ -960,9 +1034,16 @@ impl SimFabric {
             if me == target {
                 ev.self_target()
             } else {
-                ev.intra(self.map.colocated(ProcId(me), ProcId(target)))
+                ev.intra(colocated)
             },
         );
+        let cell = core.window(target, seg, offset, 8, "AMO");
+        let old = u64::from_ne_bytes((&*cell).try_into().expect("8 bytes"));
+        if let Some(new) = update(old) {
+            cell.copy_from_slice(&new.to_ne_bytes());
+        }
+        self.finish_op(core);
+        old
     }
 
     fn finish_op(&self, mut core: MutexGuard<'_, SimCore>) {
@@ -980,7 +1061,11 @@ impl SimFabric {
     // turn for `me` (threaded: via `lock_turn`; stepped: by construction,
     // the driver only runs the argmin image).
 
-    /// Commit a blocking put from `me` to `dst`; see [`Fabric::put`].
+    /// Commit a put from `me` to `dst` — blocking ([`Fabric::put`]) or, with
+    /// `nb`, nonblocking ([`Fabric::put_nb`]): the same transfer, except that
+    /// a nonblocking one is counted as injected and, on the NIC path, as
+    /// completed only when its `Landing` comes due.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn put_body(
         &self,
         core: &mut SimCore,
@@ -989,8 +1074,15 @@ impl SimFabric {
         seg: SegmentId,
         offset: usize,
         bytes: &[u8],
-    ) {
+        nb: bool,
+    ) -> PutToken {
         let t = core.time[me];
+        let (kind, what) = if nb {
+            (EventKind::PutNb, "put_nb")
+        } else {
+            (EventKind::Put, "put")
+        };
+        let mut token = PutToken::DONE;
         if me == dst {
             let c = &self.cfg.cost;
             let end = t + self.cfg.overheads.per_op_ns + c.intra_payload_ns(bytes.len());
@@ -998,36 +1090,81 @@ impl SimFabric {
             let dur = core.time[me] - t;
             self.cfg.tracer.record(
                 me,
-                Event::span(EventKind::Put, t, dur)
+                Event::span(kind, t, dur)
                     .a(dst as u64)
                     .b(bytes.len() as u64)
                     .self_target(),
             );
         } else {
             let intra = self.map.colocated(ProcId(me), ProcId(dst));
-            let tr = self.model_transfer(core, me, dst, t, bytes.len(), None, false);
+            let tr = self.model_transfer(core, me, dst, t, bytes.len(), None, nb);
             core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            self.stats.shared().record_put(intra, bytes.len());
+            if nb {
+                self.stats.shared().record_put_nb(intra, bytes.len());
+                if intra && !self.cfg.overheads.intra_via_nic {
+                    // The sender's CPU drove the copy through the bus before
+                    // model_transfer returned; only NIC-path transfers remain
+                    // in flight after injection.
+                    self.stats.shared().record_put_nb_complete();
+                }
+            } else {
+                self.stats.shared().record_put(intra, bytes.len());
+            }
             let dur = core.time[me] - t;
             self.cfg.tracer.record(
                 me,
-                Event::span(EventKind::Put, t, dur)
+                Event::span(kind, t, dur)
                     .a(dst as u64)
                     .b(bytes.len() as u64)
                     .c(tr.queue_ns)
                     .d(tr.service_ns)
                     .intra(intra),
             );
+            token = PutToken {
+                arrival_ns: tr.arrival,
+            };
         }
-        let dseg = &mut core.segs[dst][seg.0];
-        assert!(
-            offset + bytes.len() <= dseg.len(),
-            "put of {} bytes at {offset} exceeds {:?} ({} bytes)",
-            bytes.len(),
-            seg,
-            dseg.len()
+        core.window(dst, seg, offset, bytes.len(), what)
+            .copy_from_slice(bytes);
+        token
+    }
+
+    /// Commit a read of `me`'s own memory — the self arm of [`Fabric::get`],
+    /// and the only read a hosted program can issue.
+    pub(crate) fn get_body(
+        &self,
+        core: &mut SimCore,
+        me: usize,
+        seg: SegmentId,
+        offset: usize,
+        out: &mut [u8],
+    ) {
+        let t = core.time[me];
+        let c = &self.cfg.cost;
+        core.set_time(
+            me,
+            t + self.cfg.overheads.per_op_ns + c.intra_payload_ns(out.len()),
         );
-        dseg[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.record_get(core, me, me, t, out.len(), 0);
+        out.copy_from_slice(core.window(me, seg, offset, out.len(), "get"));
+    }
+
+    /// Record the span of a just-modeled get.
+    fn record_get(&self, core: &SimCore, me: usize, src: usize, t: u64, len: usize, queue_ns: u64) {
+        let dur = core.time[me] - t;
+        let ev = Event::span(EventKind::Get, t, dur)
+            .a(src as u64)
+            .b(len as u64)
+            .c(queue_ns)
+            .d(dur - queue_ns);
+        self.cfg.tracer.record(
+            me,
+            if me == src {
+                ev.self_target()
+            } else {
+                ev.intra(self.map.colocated(ProcId(me), ProcId(src)))
+            },
+        );
     }
 
     /// Commit a flag add from `me` onto `target`; see [`Fabric::flag_add`].
@@ -1043,7 +1180,7 @@ impl SimFabric {
         if me == target {
             let end = t + self.cfg.overheads.per_op_ns + self.cfg.cost.o_intra_ns;
             core.set_time(me, end);
-            flag_bump(&mut core.flags[me][flag.0], me, flag.0, delta);
+            core.flag_bump(me, flag.0, delta);
             let now = core.time[me];
             self.cfg.tracer.record(
                 me,
@@ -1098,7 +1235,7 @@ impl SimFabric {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let t_entry = core.time[me];
         let end = t_entry + self.cfg.overheads.per_wait_ns + self.cfg.cost.poll_ns;
-        if core.flags[me][flag.0] >= at_least {
+        if *core.flag_mut(me, flag.0) >= at_least {
             core.set_time(me, end);
             self.record_wait_span(core, me, t_entry, flag, at_least);
             return true;
@@ -1182,7 +1319,7 @@ impl Fabric for SimFabric {
     fn put(&self, me: ProcId, dst: ProcId, seg: SegmentId, offset: usize, bytes: &[u8]) {
         let (me, dst) = (me.index(), dst.index());
         let mut core = self.lock_turn(me);
-        self.put_body(&mut core, me, dst, seg, offset, bytes);
+        self.put_body(&mut core, me, dst, seg, offset, bytes, false);
         self.finish_op(core);
     }
 
@@ -1194,15 +1331,13 @@ impl Fabric for SimFabric {
         // Data bytes land eagerly at commit time, exactly like `put`; a
         // bounds failure is a program bug and panics like `put` would.
         let store = |core: &mut SimCore, seg: SegmentId, off: usize, data: &[u8]| {
-            let dseg = &mut core.segs[dst][seg.0];
-            assert!(
-                off + data.len() <= dseg.len(),
-                "am put of {} bytes at {off} exceeds {:?} ({} bytes)",
-                data.len(),
-                seg,
-                dseg.len()
-            );
-            dseg[off..off + data.len()].copy_from_slice(data);
+            core.window(dst, seg, off, data.len(), "am put")
+                .copy_from_slice(data);
+        };
+        let amo_add = |core: &mut SimCore, seg: SegmentId, off: usize, delta: u64| {
+            let cell = core.window(dst, seg, off, 8, "am amo");
+            let cur = u64::from_le_bytes((&*cell).try_into().expect("8 bytes"));
+            cell.copy_from_slice(&cur.wrapping_add(delta).to_le_bytes());
         };
         if me == dst {
             // Local delivery: one software op plus the memcpy of the
@@ -1213,17 +1348,12 @@ impl Fabric for SimFabric {
             for op in ops {
                 match op {
                     AmOp::Put { seg, off, data } => store(&mut core, *seg, *off, data),
-                    AmOp::AmoAdd { seg, off, delta } => {
-                        let dseg = &mut core.segs[dst][seg.0];
-                        let cur = u64::from_le_bytes(dseg[*off..*off + 8].try_into().unwrap());
-                        dseg[*off..*off + 8]
-                            .copy_from_slice(&cur.wrapping_add(*delta).to_le_bytes());
-                    }
+                    AmOp::AmoAdd { seg, off, delta } => amo_add(&mut core, *seg, *off, *delta),
                     AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } => {
                         if let AmOp::PutFlag { seg, off, data, .. } = op {
                             store(&mut core, *seg, *off, data);
                         }
-                        flag_bump(&mut core.flags[me][flag.0], me, flag.0, *delta);
+                        core.flag_bump(me, flag.0, *delta);
                         core.tracer.record_system(
                             Event::instant(EventKind::FlagDeliver, now)
                                 .a(me as u64)
@@ -1253,12 +1383,7 @@ impl Fabric for SimFabric {
             for op in ops {
                 match op {
                     AmOp::Put { seg, off, data } => store(&mut core, *seg, *off, data),
-                    AmOp::AmoAdd { seg, off, delta } => {
-                        let dseg = &mut core.segs[dst][seg.0];
-                        let cur = u64::from_le_bytes(dseg[*off..*off + 8].try_into().unwrap());
-                        dseg[*off..*off + 8]
-                            .copy_from_slice(&cur.wrapping_add(*delta).to_le_bytes());
-                    }
+                    AmOp::AmoAdd { seg, off, delta } => amo_add(&mut core, *seg, *off, *delta),
                     AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } => {
                         if let AmOp::PutFlag { seg, off, data, .. } = op {
                             store(&mut core, *seg, *off, data);
@@ -1301,56 +1426,7 @@ impl Fabric for SimFabric {
     ) -> PutToken {
         let (me, dst) = (me.index(), dst.index());
         let mut core = self.lock_turn(me);
-        let t = core.time[me];
-        let token;
-        if me == dst {
-            let c = &self.cfg.cost;
-            let end = t + self.cfg.overheads.per_op_ns + c.intra_payload_ns(bytes.len());
-            core.set_time(me, end);
-            let dur = core.time[me] - t;
-            self.cfg.tracer.record(
-                me,
-                Event::span(EventKind::PutNb, t, dur)
-                    .a(dst as u64)
-                    .b(bytes.len() as u64)
-                    .self_target(),
-            );
-            token = PutToken::DONE;
-        } else {
-            let intra = self.map.colocated(ProcId(me), ProcId(dst));
-            let via_bus = intra && !self.cfg.overheads.intra_via_nic;
-            let tr = self.model_transfer(&mut core, me, dst, t, bytes.len(), None, true);
-            core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            self.stats.shared().record_put_nb(intra, bytes.len());
-            if via_bus {
-                // The sender's CPU drove the copy through the bus before
-                // model_transfer returned; only NIC-path transfers remain
-                // in flight after injection.
-                self.stats.shared().record_put_nb_complete();
-            }
-            let dur = core.time[me] - t;
-            self.cfg.tracer.record(
-                me,
-                Event::span(EventKind::PutNb, t, dur)
-                    .a(dst as u64)
-                    .b(bytes.len() as u64)
-                    .c(tr.queue_ns)
-                    .d(tr.service_ns)
-                    .intra(intra),
-            );
-            token = PutToken {
-                arrival_ns: tr.arrival,
-            };
-        }
-        let dseg = &mut core.segs[dst][seg.0];
-        assert!(
-            offset + bytes.len() <= dseg.len(),
-            "put_nb of {} bytes at {offset} exceeds {:?} ({} bytes)",
-            bytes.len(),
-            seg,
-            dseg.len()
-        );
-        dseg[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let token = self.put_body(&mut core, me, dst, seg, offset, bytes, true);
         self.finish_op(core);
         token
     }
@@ -1381,20 +1457,23 @@ impl Fabric for SimFabric {
     fn get(&self, me: ProcId, src: ProcId, seg: SegmentId, offset: usize, out: &mut [u8]) {
         let (me, src) = (me.index(), src.index());
         let mut core = self.lock_turn(me);
+        if me == src {
+            self.get_body(&mut core, me, seg, offset, out);
+            return self.finish_op(core);
+        }
         let t = core.time[me];
         let c = &self.cfg.cost;
         let o_sw = self.cfg.overheads.per_op_ns;
-        let mut queue_ns = 0;
-        if me == src {
-            core.set_time(me, t + o_sw + c.intra_payload_ns(out.len()));
-        } else if self.map.colocated(ProcId(me), ProcId(src)) && !self.cfg.overheads.intra_via_nic {
+        let intra =
+            self.map.colocated(ProcId(me), ProcId(src)) && !self.cfg.overheads.intra_via_nic;
+        let queue_ns;
+        if intra {
             let ready = t + o_sw + c.o_intra_ns;
             let busy = c.gap_intra_ns + c.intra_payload_ns(out.len());
             let node = self.map.node_of(ProcId(me)).index();
             let start = Self::reserve_bus(&mut core, node, ready, busy);
             queue_ns = start - ready;
             core.set_time(me, start + busy + c.l_intra_ns);
-            self.stats.shared().record_get(true, out.len());
         } else {
             // RDMA get: request wire + response wire + payload on response.
             // Only the requester's NIC is reserved (at near-commit time);
@@ -1409,33 +1488,10 @@ impl Fabric for SimFabric {
             let req_at = inj + gap + c.l_inter_ns;
             let busy = gap + c.inter_payload_ns(out.len());
             core.set_time(me, req_at + busy + c.l_inter_ns);
-            self.stats.shared().record_get(false, out.len());
         }
-        {
-            let dur = core.time[me] - t;
-            let ev = Event::span(EventKind::Get, t, dur)
-                .a(src as u64)
-                .b(out.len() as u64)
-                .c(queue_ns)
-                .d(dur - queue_ns);
-            self.cfg.tracer.record(
-                me,
-                if me == src {
-                    ev.self_target()
-                } else {
-                    ev.intra(self.map.colocated(ProcId(me), ProcId(src)))
-                },
-            );
-        }
-        let sseg = &core.segs[src][seg.0];
-        assert!(
-            offset + out.len() <= sseg.len(),
-            "get of {} bytes at {offset} exceeds {:?} ({} bytes)",
-            out.len(),
-            seg,
-            sseg.len()
-        );
-        out.copy_from_slice(&sseg[offset..offset + out.len()]);
+        self.stats.shared().record_get(intra, out.len());
+        self.record_get(&core, me, src, t, out.len(), queue_ns);
+        out.copy_from_slice(core.window(src, seg, offset, out.len(), "get"));
         self.finish_op(core);
     }
 
@@ -1447,53 +1503,10 @@ impl Fabric for SimFabric {
         offset: usize,
         delta: u64,
     ) -> u64 {
-        let (me, target) = (me.index(), target.index());
-        assert!(
-            offset.is_multiple_of(8),
-            "AMO offset {offset} not 8-byte aligned"
-        );
-        let mut core = self.lock_turn(me);
-        let t = core.time[me];
-        let c = &self.cfg.cost;
-        let o_sw = self.cfg.overheads.per_op_ns;
-        let mut queue_ns = 0;
-        if me == target {
-            core.set_time(me, t + o_sw + c.o_intra_ns);
-        } else if self.map.colocated(ProcId(me), ProcId(target))
-            && !self.cfg.overheads.intra_via_nic
-        {
-            let ready = t + o_sw + c.o_intra_ns;
-            let node = self.map.node_of(ProcId(me)).index();
-            let start = Self::reserve_bus(&mut core, node, ready, c.gap_intra_ns);
-            queue_ns = start - ready;
-            core.set_time(me, start + c.gap_intra_ns + 2 * c.l_intra_ns);
-        } else {
-            let ready = t + o_sw + c.o_inter_ns;
-            let src_node = self.map.node_of(ProcId(me)).index();
-            let gap = c.gap_nic_ns + self.cfg.overheads.nic_busy_extra_ns;
-            let inj = Self::reserve_nic(&mut core, src_node, ready, gap);
-            queue_ns = inj - ready;
-            let req_at = inj + gap + c.l_inter_ns;
-            core.set_time(me, req_at + gap + c.l_inter_ns);
-        }
-        self.stats
-            .amos
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.record_amo(
-            &core,
-            EventKind::AmoFetchAdd,
-            me,
-            target,
-            offset,
-            t,
-            queue_ns,
-        );
-        let cell = &mut core.segs[target][seg.0];
-        assert!(offset + 8 <= cell.len(), "AMO out of segment bounds");
-        let old = u64::from_ne_bytes(cell[offset..offset + 8].try_into().expect("8 bytes"));
-        cell[offset..offset + 8].copy_from_slice(&old.wrapping_add(delta).to_ne_bytes());
-        self.finish_op(core);
-        old
+        let (kind, me, target) = (EventKind::AmoFetchAdd, me.index(), target.index());
+        self.amo(kind, me, target, seg, offset, |old| {
+            Some(old.wrapping_add(delta))
+        })
     }
 
     fn amo_cas_u64(
@@ -1505,47 +1518,10 @@ impl Fabric for SimFabric {
         expected: u64,
         new: u64,
     ) -> u64 {
-        let me_p = me;
-        let (me, target) = (me.index(), target.index());
-        assert!(
-            offset.is_multiple_of(8),
-            "AMO offset {offset} not 8-byte aligned"
-        );
-        let mut core = self.lock_turn(me);
-        // Same timing as fetch-add; share the path by computing inline.
-        let t = core.time[me];
-        let c = &self.cfg.cost;
-        let o_sw = self.cfg.overheads.per_op_ns;
-        let mut queue_ns = 0;
-        if me == target {
-            core.set_time(me, t + o_sw + c.o_intra_ns);
-        } else if self.map.colocated(me_p, ProcId(target)) && !self.cfg.overheads.intra_via_nic {
-            let ready = t + o_sw + c.o_intra_ns;
-            let node = self.map.node_of(me_p).index();
-            let start = Self::reserve_bus(&mut core, node, ready, c.gap_intra_ns);
-            queue_ns = start - ready;
-            core.set_time(me, start + c.gap_intra_ns + 2 * c.l_intra_ns);
-        } else {
-            let ready = t + o_sw + c.o_inter_ns;
-            let src_node = self.map.node_of(me_p).index();
-            let gap = c.gap_nic_ns + self.cfg.overheads.nic_busy_extra_ns;
-            let inj = Self::reserve_nic(&mut core, src_node, ready, gap);
-            queue_ns = inj - ready;
-            let req_at = inj + gap + c.l_inter_ns;
-            core.set_time(me, req_at + gap + c.l_inter_ns);
-        }
-        self.stats
-            .amos
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.record_amo(&core, EventKind::AmoCas, me, target, offset, t, queue_ns);
-        let cell = &mut core.segs[target][seg.0];
-        assert!(offset + 8 <= cell.len(), "AMO out of segment bounds");
-        let old = u64::from_ne_bytes(cell[offset..offset + 8].try_into().expect("8 bytes"));
-        if old == expected {
-            cell[offset..offset + 8].copy_from_slice(&new.to_ne_bytes());
-        }
-        self.finish_op(core);
-        old
+        let (kind, me, target) = (EventKind::AmoCas, me.index(), target.index());
+        self.amo(kind, me, target, seg, offset, |old| {
+            (old == expected).then_some(new)
+        })
     }
 
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
@@ -1588,7 +1564,7 @@ impl Fabric for SimFabric {
         let mut core = self.lock_turn(me);
         let polled = core.time[me] + self.cfg.cost.poll_ns;
         core.set_time(me, polled);
-        let v = core.flags[me][flag.0];
+        let v = *core.flag_mut(me, flag.0);
         self.finish_op(core);
         v
     }
@@ -2375,5 +2351,40 @@ mod tests {
         let s = f.stats().snapshot();
         assert_eq!(s.flags_intra, 1);
         assert_eq!(s.flags_inter, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "image 0: segment 3 not allocated (has 1)")]
+    fn a_put_to_a_segment_nobody_allocated_names_it() {
+        let f = sim(1, 1, 1, 1);
+        f.put(ProcId(0), ProcId(0), SegmentId(3), 0, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "image 0: segment 1 not allocated (has 1)")]
+    fn a_read_of_a_segment_nobody_allocated_names_it() {
+        let f = sim(1, 1, 1, 1);
+        f.get(ProcId(0), ProcId(0), SegmentId(1), 0, &mut [0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "image 0: flag 9 not allocated (has 4)")]
+    fn a_wait_on_a_flag_nobody_allocated_names_it() {
+        let f = sim(1, 1, 1, 1);
+        f.flag_wait_ge(ProcId(0), FlagId(9), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "image 0: flag 4 not allocated (has 4)")]
+    fn an_add_to_a_flag_nobody_allocated_names_it() {
+        let f = sim(1, 1, 1, 1);
+        f.flag_add(ProcId(0), ProcId(0), FlagId(4), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "put_nb of 9 bytes at 60 exceeds seg0 (64 bytes)")]
+    fn a_put_past_the_end_names_the_op_and_the_range() {
+        let f = sim(1, 1, 1, 1);
+        f.put_nb(ProcId(0), ProcId(0), BSEG, 60, &[0; 9]);
     }
 }

@@ -12,6 +12,20 @@
 //! hosted images is then just a million small structs, not a million
 //! stacks.
 //!
+//! # Where the programs come from
+//!
+//! Nobody writes a collective as a state machine. Code written against
+//! [`Fabric`] — `caf-collectives`' barrier, broadcast and reduction bodies
+//! — is run against a [`Script`], a `Fabric` that *writes down* each call
+//! as a [`StepOp`] and returns at once; the hosted program hands the
+//! recorded ops to [`run_stepped`] one at a time and runs the body again
+//! when they are used up. That is sound exactly when the body's op sequence
+//! does not depend on anything the fabric would have answered, so the
+//! `Script` panics — naming the call and the image — on every call whose
+//! result could steer its caller (a remote `get`, `flag_read`, an AMO, a
+//! clock read, an active-message flush). DESIGN.md, "one definition, two
+//! drivers", has the invariant; `caf_collectives::hosted` is the program.
+//!
 //! # Schedule equivalence with the threaded driver
 //!
 //! Both drivers read one queue ([`crate::evq`]) that holds the pending
@@ -20,8 +34,8 @@
 //! head happens next. So they commit fabric ops in the same order and
 //! produce bit-identical virtual times, flag values, and traces:
 //!
-//! - Turn-taking ops (put / flag-add / wait entry) charge their chaos
-//!   delay when they become *pending* — exactly what the threaded
+//! - Turn-taking ops (puts / reads / flag-add / wait entry) charge their
+//!   chaos delay when they become *pending* — exactly what the threaded
 //!   `lock_turn` does on call entry — and commit only when the image's
 //!   turn is at the head of the queue (nobody earlier, no event due). In
 //!   the threaded driver an image whose charge has not landed yet can hold
@@ -37,25 +51,31 @@
 //! The parity tests at the bottom hold `run_stepped` to
 //! [`run_program_spmd`] (the same programs on real threads) with and
 //! without chaos, and the one-queue core to the legacy global heap with
-//! its O(n) scans ([`crate::SimConfig::legacy_queue`]).
+//! its O(n) scans ([`crate::SimConfig::legacy_queue`]);
+//! `caf-collectives`' `hosted_parity` test holds recorded collectives to
+//! the same bodies called from threads.
 
-use crate::seg::FlagId;
+use crate::am::AmOp;
+use crate::seg::{FlagId, SegmentId};
 use crate::sim::{SimCore, SimFabric};
 use crate::spmd::run_spmd;
-use crate::Fabric;
-use caf_topology::ProcId;
+use crate::stats::FabricStats;
+use crate::{Fabric, PutToken};
+use caf_topology::{CostParams, ImageMap, ProcId, SoftwareOverheads};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One fabric operation yielded by a hosted image program.
 ///
-/// The op set covers what the scale kernels need: bootstrap-segment puts,
-/// flag notifications, threshold waits, compute blocks, and retirement.
-/// Data puts address [`crate::bootstrap::SEG`] (the bootstrap segment) —
-/// hosted programs share it the way bootstrap-time runtime code does.
+/// Ops carry sizes, not data: what a [`StepOp::PutSeg`] / [`StepOp::PutNb`]
+/// lands and what a [`StepOp::Read`] sees are unspecified bytes. A program
+/// whose next op depends on them cannot be hosted (see the module docs).
+/// The type stays at 32 bytes — the driver holds one per hosted image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOp {
-    /// Blocking 8-byte put of `val` into `dst`'s bootstrap segment.
+    /// Blocking 8-byte put of `val` into `dst`'s bootstrap segment
+    /// ([`crate::bootstrap::SEG`]).
     Put {
         /// Destination image rank.
         dst: usize,
@@ -64,18 +84,50 @@ pub enum StepOp {
         /// Value written (native-endian).
         val: u64,
     },
+    /// Blocking put of `len` bytes into `dst`'s segment `seg`.
+    PutSeg {
+        /// Destination image rank.
+        dst: usize,
+        /// Byte offset inside the segment.
+        offset: usize,
+        /// Segment id on `dst`.
+        seg: u32,
+        /// Payload bytes.
+        len: u32,
+    },
+    /// Nonblocking put ([`Fabric::put_nb`]) of `len` bytes into `dst`'s
+    /// segment `seg`.
+    PutNb {
+        /// Destination image rank.
+        dst: usize,
+        /// Byte offset inside the segment.
+        offset: usize,
+        /// Segment id on `dst`.
+        seg: u32,
+        /// Payload bytes.
+        len: u32,
+    },
+    /// Read `len` bytes of the image's own segment `seg` (a self-`get`).
+    Read {
+        /// Byte offset inside the segment.
+        offset: usize,
+        /// Segment id on this image.
+        seg: u32,
+        /// Bytes read.
+        len: u32,
+    },
     /// Add `delta` to `dst`'s accumulating sync flag.
     FlagAdd {
         /// Target image rank.
         dst: usize,
-        /// Which bootstrap flag.
+        /// Which flag.
         flag: FlagId,
         /// Increment.
         delta: u64,
     },
     /// Block until the local flag reaches `at_least` (cumulative).
     WaitGe {
-        /// Which bootstrap flag.
+        /// Which flag.
         flag: FlagId,
         /// Cumulative threshold.
         at_least: u64,
@@ -89,6 +141,13 @@ pub enum StepOp {
     Done,
 }
 
+impl StepOp {
+    /// Local ops (compute, retirement) commit without a turn.
+    fn takes_turn(&self) -> bool {
+        !matches!(self, StepOp::Compute { .. } | StepOp::Done)
+    }
+}
+
 /// A resumable hosted-image program: a state machine that yields the
 /// image's next fabric op each time it is resumed. After yielding
 /// [`StepOp::Done`] it is never polled again.
@@ -97,10 +156,195 @@ pub trait StepProgram {
     fn next(&mut self) -> StepOp;
 }
 
+/// A [`Fabric`] that writes a program down instead of running it: each
+/// `put` / `put_nb` / self-`get` / `flag_add` / `flag_wait_ge` / `compute`
+/// of image `me` is appended to `me`'s tape as one [`StepOp`] and returns
+/// at once (a read fills `out` with zeros). Machine, cost model, overheads
+/// and counters are those of the [`SimFabric`] it fronts, on which the
+/// taped ops are later committed by [`run_stepped`].
+///
+/// Everything else **panics, naming the call and the image**: a call whose
+/// answer could steer the caller (remote `get`, `flag_read`, AMOs, `now_ns`,
+/// `put_test`), one whose cost depends on when it happens rather than on
+/// the program (`am_deliver`, `quiet`, `put_wait`), and `alloc_*` — a
+/// hosted team's resources are allocated on the `SimFabric` up front, in
+/// one order on every image, because an id handed out here would be a
+/// value read. The tracer is off: spans of the calling layer need a clock,
+/// and the fabric-level records are written when the ops commit.
+pub struct Script {
+    sim: Arc<SimFabric>,
+    tapes: Vec<Mutex<VecDeque<StepOp>>>,
+}
+
+impl Script {
+    /// A recorder for the images of `sim`.
+    pub fn new(sim: Arc<SimFabric>) -> Arc<Self> {
+        let tapes = (0..sim.n_images()).map(|_| Mutex::default()).collect();
+        Arc::new(Self { sim, tapes })
+    }
+
+    /// Image `me`'s oldest recorded op not yet taken.
+    pub fn pop(&self, me: ProcId) -> Option<StepOp> {
+        self.tapes[me.index()].lock().pop_front()
+    }
+
+    fn record(&self, me: ProcId, op: StepOp) {
+        self.tapes[me.index()].lock().push_back(op);
+    }
+
+    fn refuse(&self, me: ProcId, call: &str) -> ! {
+        panic!(
+            "hosted image {}: {call} cannot be recorded — its effect depends on an \
+             answer or a time the recorder does not have (DESIGN.md, \"one \
+             definition, two drivers\")",
+            me.index()
+        )
+    }
+
+    /// `(segment, length)` as a [`StepOp`] carries them.
+    fn sized(&self, me: ProcId, call: &str, seg: SegmentId, len: usize) -> (u32, u32) {
+        match (u32::try_from(seg.0), u32::try_from(len)) {
+            (Ok(seg), Ok(len)) => (seg, len),
+            _ => panic!(
+                "hosted image {}: {call} of {len} bytes to {seg:?} does not fit a StepOp",
+                me.index()
+            ),
+        }
+    }
+}
+
+impl Fabric for Script {
+    fn n_images(&self) -> usize {
+        self.sim.n_images()
+    }
+
+    fn image_map(&self) -> &ImageMap {
+        self.sim.image_map()
+    }
+
+    fn cost(&self) -> &CostParams {
+        self.sim.cost()
+    }
+
+    fn overheads(&self) -> &SoftwareOverheads {
+        self.sim.overheads()
+    }
+
+    fn stats(&self) -> &FabricStats {
+        self.sim.stats()
+    }
+
+    fn alloc_segment(&self, me: ProcId, _bytes: usize) -> SegmentId {
+        self.refuse(me, "alloc_segment")
+    }
+
+    fn alloc_flags(&self, me: ProcId, _count: usize) -> FlagId {
+        self.refuse(me, "alloc_flags")
+    }
+
+    fn put(&self, me: ProcId, dst: ProcId, seg: SegmentId, offset: usize, bytes: &[u8]) {
+        let (dst, (seg, len)) = (dst.index(), self.sized(me, "put", seg, bytes.len()));
+        self.record(
+            me,
+            StepOp::PutSeg {
+                dst,
+                offset,
+                seg,
+                len,
+            },
+        );
+    }
+
+    fn put_nb(
+        &self,
+        me: ProcId,
+        dst: ProcId,
+        seg: SegmentId,
+        offset: usize,
+        bytes: &[u8],
+    ) -> PutToken {
+        let (dst, (seg, len)) = (dst.index(), self.sized(me, "put_nb", seg, bytes.len()));
+        self.record(
+            me,
+            StepOp::PutNb {
+                dst,
+                offset,
+                seg,
+                len,
+            },
+        );
+        // Nothing may be asked of it: `put_test` and `put_wait` refuse.
+        PutToken::DONE
+    }
+
+    fn put_test(&self, me: ProcId, _token: PutToken) -> bool {
+        self.refuse(me, "put_test")
+    }
+
+    fn put_wait(&self, me: ProcId, _token: PutToken) {
+        self.refuse(me, "put_wait")
+    }
+
+    fn get(&self, me: ProcId, src: ProcId, seg: SegmentId, offset: usize, out: &mut [u8]) {
+        if src != me {
+            self.refuse(me, "get from another image");
+        }
+        let (seg, len) = self.sized(me, "get", seg, out.len());
+        self.record(me, StepOp::Read { offset, seg, len });
+        out.fill(0);
+    }
+
+    fn amo_fetch_add_u64(&self, me: ProcId, _: ProcId, _: SegmentId, _: usize, _: u64) -> u64 {
+        self.refuse(me, "amo_fetch_add_u64")
+    }
+
+    fn amo_cas_u64(&self, me: ProcId, _: ProcId, _: SegmentId, _: usize, _: u64, _: u64) -> u64 {
+        self.refuse(me, "amo_cas_u64")
+    }
+
+    fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
+        let dst = target.index();
+        self.record(me, StepOp::FlagAdd { dst, flag, delta });
+    }
+
+    fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
+        self.record(me, StepOp::WaitGe { flag, at_least });
+    }
+
+    fn flag_read(&self, me: ProcId, _flag: FlagId) -> u64 {
+        self.refuse(me, "flag_read")
+    }
+
+    fn am_deliver(&self, me: ProcId, _dst: ProcId, _ops: &[AmOp]) {
+        self.refuse(me, "am_deliver")
+    }
+
+    fn quiet(&self, me: ProcId) {
+        self.refuse(me, "quiet")
+    }
+
+    fn compute(&self, me: ProcId, ns: u64) {
+        self.record(me, StepOp::Compute { ns });
+    }
+
+    fn now_ns(&self, me: ProcId) -> u64 {
+        self.refuse(me, "now_ns")
+    }
+
+    fn image_done(&self, me: ProcId) {
+        self.refuse(me, "image_done")
+    }
+
+    fn poison(&self, msg: &str) {
+        self.sim.poison(msg);
+    }
+}
+
 /// What [`run_stepped`] simulated, for throughput accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SteppedReport {
-    /// Ops committed through the scheduler (puts, flag-adds, wait entries).
+    /// Ops committed through the scheduler (puts, reads, flag-adds, wait
+    /// entries).
     pub committed_ops: u64,
     /// Local ops applied (compute blocks and retirements).
     pub local_ops: u64,
@@ -142,12 +386,8 @@ fn admit<P: StepProgram>(
 ) {
     let op = progs[me].next();
     let mut my_op = 0;
-    let turn_taking = matches!(
-        op,
-        StepOp::Put { .. } | StepOp::FlagAdd { .. } | StepOp::WaitGe { .. }
-    );
     match &fab.cfg.chaos {
-        Some(ch) if turn_taking => {
+        Some(ch) if op.takes_turn() => {
             let o = core.chaos_ops[me];
             my_op = o;
             core.chaos_ops[me] += 1;
@@ -157,6 +397,15 @@ fn admit<P: StepProgram>(
         _ => {}
     }
     hosts[me] = Host::Pending { op, my_op };
+}
+
+/// The first `len` bytes of the driver's payload buffer, grown on demand.
+fn payload(buf: &mut Vec<u8>, len: u32) -> &mut [u8] {
+    let len = len as usize;
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
 }
 
 /// Run one [`StepProgram`] per image to completion on the calling thread,
@@ -172,6 +421,8 @@ pub fn run_stepped<P: StepProgram>(fab: &SimFabric, mut progs: Vec<P>) -> Steppe
     let mut hosts: Vec<Host> = (0..n).map(|_| Host::Done).collect();
     let mut live = n;
     let mut report = SteppedReport::default();
+    // Sized ops carry no data: they move (and read into) this buffer.
+    let mut bytes = Vec::new();
     let mut core = fab.core.lock();
     for me in 0..n {
         admit(fab, &mut core, &nodes, &mut progs, &mut hosts, me);
@@ -217,63 +468,67 @@ pub fn run_stepped<P: StepProgram>(fab: &SimFabric, mut progs: Vec<P>) -> Steppe
         let Host::Pending { op, my_op } = hosts[me] else {
             unreachable!("eligible image {me} has no pending op");
         };
+        if op.takes_turn() {
+            // Commit-turn bookkeeping; a chaos kill poisons the core and
+            // panics, matching the threaded driver's behavior.
+            if let Err(msg) = core.grant_commit(me, my_op) {
+                panic!("{msg}");
+            }
+            report.committed_ops += 1;
+        } else {
+            report.local_ops += 1;
+        }
         match op {
             StepOp::Put { dst, offset, val } => {
-                grant(&mut core, me, my_op);
-                report.committed_ops += 1;
-                fab.put_body(
-                    &mut core,
-                    me,
-                    dst,
-                    crate::bootstrap::SEG,
-                    offset,
-                    &val.to_ne_bytes(),
-                );
-                admit(fab, &mut core, &nodes, &mut progs, &mut hosts, me);
+                let seg = crate::bootstrap::SEG;
+                fab.put_body(&mut core, me, dst, seg, offset, &val.to_ne_bytes(), false);
+            }
+            StepOp::PutSeg {
+                dst,
+                offset,
+                seg,
+                len,
+            }
+            | StepOp::PutNb {
+                dst,
+                offset,
+                seg,
+                len,
+            } => {
+                let (seg, nb) = (SegmentId(seg as usize), matches!(op, StepOp::PutNb { .. }));
+                let data = payload(&mut bytes, len);
+                fab.put_body(&mut core, me, dst, seg, offset, data, nb);
+            }
+            StepOp::Read { offset, seg, len } => {
+                let out = payload(&mut bytes, len);
+                fab.get_body(&mut core, me, SegmentId(seg as usize), offset, out);
             }
             StepOp::FlagAdd { dst, flag, delta } => {
-                grant(&mut core, me, my_op);
-                report.committed_ops += 1;
                 fab.flag_add_body(&mut core, me, dst, flag, delta);
-                admit(fab, &mut core, &nodes, &mut progs, &mut hosts, me);
             }
             StepOp::WaitGe { flag, at_least } => {
-                grant(&mut core, me, my_op);
-                report.committed_ops += 1;
                 let t_entry = core.time[me];
-                if fab.flag_wait_enter(&mut core, me, flag, at_least) {
-                    admit(fab, &mut core, &nodes, &mut progs, &mut hosts, me);
-                } else {
+                if !fab.flag_wait_enter(&mut core, me, flag, at_least) {
                     hosts[me] = Host::Waiting {
                         flag,
                         at_least,
                         t_entry,
                     };
+                    continue;
                 }
             }
-            StepOp::Compute { ns } => {
-                report.local_ops += 1;
-                fab.compute_body(&mut core, me, ns);
-                admit(fab, &mut core, &nodes, &mut progs, &mut hosts, me);
-            }
+            StepOp::Compute { ns } => fab.compute_body(&mut core, me, ns),
             StepOp::Done => {
-                report.local_ops += 1;
                 core.set_done(me);
                 hosts[me] = Host::Done;
                 live -= 1;
+                continue;
             }
         }
+        admit(fab, &mut core, &nodes, &mut progs, &mut hosts, me);
     }
     report.max_time_ns = core.time.iter().copied().max().unwrap_or(0);
     report
-}
-
-/// Commit-turn bookkeeping; a chaos kill poisons the core and panics,
-/// matching the threaded driver's behavior.
-fn grant(core: &mut SimCore, me: usize, my_op: u64) {
-    if let Err(msg) = core.grant_commit(me, my_op) {
-        panic!("{msg}");
-    }
 }
 
 /// The threaded reference for [`run_stepped`]: execute the same programs
@@ -293,6 +548,7 @@ where
             .lock()
             .take()
             .expect("one thread per image");
+        let mut bytes = Vec::new();
         loop {
             match prog.next() {
                 StepOp::Put { dst, offset, val } => f.put(
@@ -302,6 +558,28 @@ where
                     offset,
                     &val.to_ne_bytes(),
                 ),
+                StepOp::PutSeg {
+                    dst,
+                    offset,
+                    seg,
+                    len,
+                } => {
+                    let data = payload(&mut bytes, len);
+                    f.put(me, ProcId(dst), SegmentId(seg as usize), offset, data);
+                }
+                StepOp::PutNb {
+                    dst,
+                    offset,
+                    seg,
+                    len,
+                } => {
+                    let data = payload(&mut bytes, len);
+                    f.put_nb(me, ProcId(dst), SegmentId(seg as usize), offset, data);
+                }
+                StepOp::Read { offset, seg, len } => {
+                    let out = payload(&mut bytes, len);
+                    f.get(me, me, SegmentId(seg as usize), offset, out);
+                }
                 StepOp::FlagAdd { dst, flag, delta } => f.flag_add(me, ProcId(dst), flag, delta),
                 StepOp::WaitGe { flag, at_least } => f.flag_wait_ge(me, flag, at_least),
                 StepOp::Compute { ns } => f.compute(me, ns),
@@ -314,318 +592,8 @@ where
     });
 }
 
-/// Collective kernels as hosted-image state machines — the workloads of
-/// the `exp_s1_simscale` bench. They mirror `caf-collectives`' shapes
-/// (dissemination barrier, binomial trees) over the bootstrap resources,
-/// on the same tree helpers (`caf_topology::tree`, below both crates).
-pub mod kernels {
-    use super::{StepOp, StepProgram};
-    use crate::seg::FlagId;
-    use caf_topology::tree::{binomial_children, binomial_parent, ceil_log2};
-
-    /// Bootstrap flag used by [`DisseminationBarrier`].
-    pub const BARRIER_FLAG: FlagId = FlagId(0);
-    /// Bootstrap flag used by [`BinomialBroadcast`].
-    pub const BCAST_FLAG: FlagId = FlagId(1);
-    /// Bootstrap flag used by [`BinomialReduce`].
-    pub const REDUCE_FLAG: FlagId = FlagId(2);
-
-    /// Dissemination barrier over [`BARRIER_FLAG`], `epochs` times. Round
-    /// `k` notifies `(me + 2^k) mod n` and waits for the cumulative count
-    /// `epoch * rounds + k + 1` — every image receives exactly one
-    /// notification per round, so thresholds never reset.
-    pub struct DisseminationBarrier {
-        me: usize,
-        n: usize,
-        rounds: usize,
-        epochs: u64,
-        epoch: u64,
-        round: usize,
-        /// False = the round's notify is next; true = its wait is next.
-        waiting: bool,
-    }
-
-    impl DisseminationBarrier {
-        /// A barrier program for image `me` of `n`, run `epochs` times.
-        pub fn new(me: usize, n: usize, epochs: u64) -> Self {
-            Self {
-                me,
-                n,
-                rounds: ceil_log2(n),
-                epochs,
-                epoch: 0,
-                round: 0,
-                waiting: false,
-            }
-        }
-    }
-
-    impl StepProgram for DisseminationBarrier {
-        fn next(&mut self) -> StepOp {
-            if self.epoch == self.epochs || self.rounds == 0 {
-                return StepOp::Done;
-            }
-            if !self.waiting {
-                self.waiting = true;
-                let dst = (self.me + (1 << self.round)) % self.n;
-                StepOp::FlagAdd {
-                    dst,
-                    flag: BARRIER_FLAG,
-                    delta: 1,
-                }
-            } else {
-                self.waiting = false;
-                let at_least = self.epoch * self.rounds as u64 + self.round as u64 + 1;
-                self.round += 1;
-                if self.round == self.rounds {
-                    self.round = 0;
-                    self.epoch += 1;
-                }
-                StepOp::WaitGe {
-                    flag: BARRIER_FLAG,
-                    at_least,
-                }
-            }
-        }
-    }
-
-    /// Per-epoch phase of a broadcast image: waiting for the payload from
-    /// the parent, or forwarding to child `idx`.
-    enum BcastPhase {
-        Wait,
-        /// `(child index, payload already put — flag-add is next)`.
-        Child(usize, bool),
-    }
-
-    /// Binomial-tree broadcast rooted at image 0, `epochs` times: each
-    /// non-root waits for [`BCAST_FLAG`] ≥ epoch+1, then every image puts
-    /// the 8-byte payload to each child (offset 0) and notifies it.
-    pub struct BinomialBroadcast {
-        me: usize,
-        children: Vec<usize>,
-        epochs: u64,
-        epoch: u64,
-        phase: BcastPhase,
-    }
-
-    impl BinomialBroadcast {
-        /// A broadcast program for image `me` of `n`, run `epochs` times.
-        pub fn new(me: usize, n: usize, epochs: u64) -> Self {
-            Self {
-                me,
-                children: binomial_children(me, n),
-                epochs,
-                epoch: 0,
-                phase: if me == 0 {
-                    BcastPhase::Child(0, false)
-                } else {
-                    BcastPhase::Wait
-                },
-            }
-        }
-
-        fn advance_epoch(&mut self) {
-            self.epoch += 1;
-            self.phase = if self.me == 0 {
-                BcastPhase::Child(0, false)
-            } else {
-                BcastPhase::Wait
-            };
-        }
-    }
-
-    impl StepProgram for BinomialBroadcast {
-        fn next(&mut self) -> StepOp {
-            loop {
-                if self.epoch == self.epochs {
-                    return StepOp::Done;
-                }
-                match self.phase {
-                    BcastPhase::Wait => {
-                        self.phase = BcastPhase::Child(0, false);
-                        return StepOp::WaitGe {
-                            flag: BCAST_FLAG,
-                            at_least: self.epoch + 1,
-                        };
-                    }
-                    BcastPhase::Child(idx, sent_payload) => {
-                        if idx == self.children.len() {
-                            self.advance_epoch();
-                            continue;
-                        }
-                        let dst = self.children[idx];
-                        if !sent_payload {
-                            self.phase = BcastPhase::Child(idx, true);
-                            return StepOp::Put {
-                                dst,
-                                offset: 0,
-                                val: self.epoch + 1,
-                            };
-                        }
-                        self.phase = BcastPhase::Child(idx + 1, false);
-                        return StepOp::FlagAdd {
-                            dst,
-                            flag: BCAST_FLAG,
-                            delta: 1,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    /// Per-epoch phase of a reduce image: waiting for all children, putting
-    /// the partial to the parent, or notifying the parent.
-    enum ReducePhase {
-        Wait,
-        PutUp,
-        NotifyUp,
-    }
-
-    /// Binomial-tree reduction to image 0, `epochs` times: each parent
-    /// waits on [`REDUCE_FLAG`] for the cumulative arrival count of all
-    /// its children, then each non-root puts its 8-byte partial into its
-    /// per-child slot (`child_index * 8`) in the parent's bootstrap
-    /// segment and notifies it. A tree node has at most ⌈log₂ n⌉
-    /// children, so the slots fit any bootstrap segment of ≥ 4 slots up
-    /// to astronomically large fleets.
-    pub struct BinomialReduce {
-        me: usize,
-        parent: usize,
-        /// My position among the parent's children (slot index).
-        child_index: usize,
-        n_children: u64,
-        epochs: u64,
-        epoch: u64,
-        phase: ReducePhase,
-    }
-
-    impl BinomialReduce {
-        /// A reduce program for image `me` of `n`, run `epochs` times.
-        pub fn new(me: usize, n: usize, epochs: u64) -> Self {
-            let n_children = binomial_children(me, n).len() as u64;
-            let (parent, child_index) = if me == 0 {
-                (0, 0)
-            } else {
-                let p = binomial_parent(me);
-                let idx = binomial_children(p, n)
-                    .iter()
-                    .position(|&c| c == me)
-                    .expect("me is a child of its parent");
-                (p, idx)
-            };
-            Self {
-                me,
-                parent,
-                child_index,
-                n_children,
-                epochs,
-                epoch: 0,
-                phase: if n_children > 0 {
-                    ReducePhase::Wait
-                } else {
-                    ReducePhase::PutUp
-                },
-            }
-        }
-
-        fn advance_epoch(&mut self) {
-            self.epoch += 1;
-            self.phase = if self.n_children > 0 {
-                ReducePhase::Wait
-            } else {
-                ReducePhase::PutUp
-            };
-        }
-    }
-
-    impl StepProgram for BinomialReduce {
-        fn next(&mut self) -> StepOp {
-            loop {
-                if self.epoch == self.epochs {
-                    return StepOp::Done;
-                }
-                match self.phase {
-                    ReducePhase::Wait => {
-                        self.phase = ReducePhase::PutUp;
-                        return StepOp::WaitGe {
-                            flag: REDUCE_FLAG,
-                            at_least: (self.epoch + 1) * self.n_children,
-                        };
-                    }
-                    ReducePhase::PutUp => {
-                        if self.me == 0 {
-                            self.advance_epoch();
-                            continue;
-                        }
-                        self.phase = ReducePhase::NotifyUp;
-                        return StepOp::Put {
-                            dst: self.parent,
-                            offset: self.child_index * 8,
-                            val: self.epoch + 1,
-                        };
-                    }
-                    ReducePhase::NotifyUp => {
-                        self.advance_epoch();
-                        return StepOp::FlagAdd {
-                            dst: self.parent,
-                            flag: REDUCE_FLAG,
-                            delta: 1,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn barrier_program_yields_notify_wait_pairs() {
-            let mut p = DisseminationBarrier::new(1, 4, 2);
-            let mut ops = Vec::new();
-            loop {
-                let op = p.next();
-                ops.push(op);
-                if op == StepOp::Done {
-                    break;
-                }
-            }
-            // 2 epochs x 2 rounds x (notify + wait) + Done.
-            assert_eq!(ops.len(), 9);
-            // Round 0 from rank 1 of 4 notifies (1 + 2^0) % 4 = 2.
-            assert_eq!(
-                ops[0],
-                StepOp::FlagAdd {
-                    dst: 2,
-                    flag: BARRIER_FLAG,
-                    delta: 1
-                }
-            );
-            assert_eq!(
-                ops[1],
-                StepOp::WaitGe {
-                    flag: BARRIER_FLAG,
-                    at_least: 1
-                }
-            );
-            // Second epoch's thresholds are cumulative.
-            assert_eq!(
-                ops[5],
-                StepOp::WaitGe {
-                    flag: BARRIER_FLAG,
-                    at_least: 3
-                }
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::kernels::{BinomialBroadcast, BinomialReduce, DisseminationBarrier};
     use super::*;
     use crate::sim::{SimConfig, SimFabric};
     use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
@@ -646,7 +614,7 @@ mod tests {
             images,
             &Placement::Block { per_node },
         );
-        SimFabric::new(
+        let f = SimFabric::new(
             map,
             SimConfig {
                 cost: presets::whale_cost(),
@@ -655,39 +623,85 @@ mod tests {
                 legacy_queue,
                 ..SimConfig::default()
             },
-        )
-    }
-
-    /// All three kernels back to back, as one program per image.
-    fn mixed_programs(n: usize, epochs: u64) -> Vec<Chained> {
-        (0..n)
-            .map(|me| Chained {
-                stages: vec![
-                    Box::new(DisseminationBarrier::new(me, n, epochs)),
-                    Box::new(BinomialBroadcast::new(me, n, epochs)),
-                    Box::new(BinomialReduce::new(me, n, epochs)),
-                ],
-                at: 0,
-            })
-            .collect()
-    }
-
-    /// Runs a list of programs in sequence (Done of one starts the next).
-    struct Chained {
-        stages: Vec<Box<dyn StepProgram + Send>>,
-        at: usize,
-    }
-
-    impl StepProgram for Chained {
-        fn next(&mut self) -> StepOp {
-            while self.at < self.stages.len() {
-                match self.stages[self.at].next() {
-                    StepOp::Done => self.at += 1,
-                    op => return op,
-                }
-            }
-            StepOp::Done
+        );
+        // The ring's segment: the first allocation on every image.
+        for i in 0..images {
+            assert_eq!(f.alloc_segment(ProcId(i), 4096), RING_SEG);
         }
+        f
+    }
+
+    const RING_SEG: SegmentId = SegmentId(crate::bootstrap::NUM_SEGS);
+    const RING_FLAG: FlagId = FlagId(2);
+
+    /// Traffic, not a collective: each lap, image `me` sends one op of
+    /// every kind to its right-hand neighbour and a notification `me + 5`
+    /// further on (another node), waits for its own two, reads what landed
+    /// and computes for a while that depends on who it is.
+    struct Ring {
+        me: usize,
+        n: usize,
+        laps: u64,
+        step: u64,
+    }
+
+    impl StepProgram for Ring {
+        fn next(&mut self) -> StepOp {
+            let (lap, at) = (self.step / 8, self.step % 8);
+            if lap == self.laps {
+                return StepOp::Done;
+            }
+            self.step += 1;
+            let (dst, far) = ((self.me + 1) % self.n, (self.me + 5) % self.n);
+            let (flag, seg) = (RING_FLAG, RING_SEG.0 as u32);
+            let offset = 8 * (lap as usize % 4);
+            match at {
+                0 => StepOp::Put {
+                    dst,
+                    offset,
+                    val: lap,
+                },
+                1 => StepOp::PutSeg {
+                    dst,
+                    offset,
+                    seg,
+                    len: 24,
+                },
+                2 => StepOp::PutNb {
+                    dst: far,
+                    offset: 64,
+                    seg,
+                    len: 3000,
+                },
+                3 => StepOp::FlagAdd {
+                    dst,
+                    flag,
+                    delta: 1,
+                },
+                4 => StepOp::FlagAdd {
+                    dst: far,
+                    flag,
+                    delta: 1,
+                },
+                5 => StepOp::WaitGe {
+                    flag,
+                    at_least: 2 * (lap + 1),
+                },
+                6 => StepOp::Read {
+                    offset: 64,
+                    seg,
+                    len: 3000,
+                },
+                _ => StepOp::Compute {
+                    ns: 40 * (self.me as u64 % 3),
+                },
+            }
+        }
+    }
+
+    fn ring(n: usize, laps: u64) -> Vec<Ring> {
+        let step = 0;
+        (0..n).map(|me| Ring { me, n, laps, step }).collect()
     }
 
     fn final_times(fab: &SimFabric) -> Vec<u64> {
@@ -719,12 +733,17 @@ mod tests {
     }
 
     #[test]
+    fn a_step_op_stays_four_words() {
+        assert_eq!(std::mem::size_of::<StepOp>(), 32);
+    }
+
+    #[test]
     fn stepped_matches_threaded_bit_for_bit() {
         for chaos_seed in [None, Some(3), Some(11)] {
             let f_threaded = fabric(8, chaos_seed, false);
-            run_program_spmd(Arc::clone(&f_threaded), mixed_programs(8, 3));
+            run_program_spmd(Arc::clone(&f_threaded), ring(8, 6));
             let f_stepped = fabric(8, chaos_seed, false);
-            let report = run_stepped(&f_stepped, mixed_programs(8, 3));
+            let report = run_stepped(&f_stepped, ring(8, 6));
             assert_same_commits(
                 &f_threaded,
                 &f_stepped,
@@ -742,7 +761,14 @@ mod tests {
                 f_threaded.max_time_ns(),
                 "makespan diverged (chaos {chaos_seed:?})"
             );
-            assert!(report.committed_ops > 0 && report.local_ops > 0);
+            assert_eq!(
+                f_stepped.stats().snapshot(),
+                f_threaded.stats().snapshot(),
+                "counters diverged (chaos {chaos_seed:?})"
+            );
+            // 7 turn-taking ops and one compute a lap, one retirement.
+            assert_eq!(report.committed_ops, 8 * 6 * 7);
+            assert_eq!(report.local_ops, 8 * 6 + 8);
         }
     }
 
@@ -750,9 +776,9 @@ mod tests {
     fn stepped_legacy_and_one_queue_cores_agree() {
         for chaos_seed in [None, Some(29)] {
             let f_legacy = fabric(8, chaos_seed, true);
-            let r_legacy = run_stepped(&f_legacy, mixed_programs(8, 3));
+            let r_legacy = run_stepped(&f_legacy, ring(8, 6));
             let f_queue = fabric(8, chaos_seed, false);
-            let r_queue = run_stepped(&f_queue, mixed_programs(8, 3));
+            let r_queue = run_stepped(&f_queue, ring(8, 6));
             assert_eq!(final_times(&f_legacy), final_times(&f_queue));
             assert_eq!(r_legacy, r_queue);
             assert_monotone(&f_queue);
@@ -769,13 +795,13 @@ mod tests {
         let seed = (0u64..)
             .find(|&s| crate::chaos::ChaosConfig::from_seed(s).pct_interval == 7)
             .expect("a third of the seeds");
-        let (nodes, per_node, n, epochs) = (4, 12, 48, 4);
+        let (nodes, per_node, n, laps) = (4, 12, 48, 8);
         let f_threaded = fabric_on(nodes, per_node, n, Some(seed), false);
-        run_program_spmd(Arc::clone(&f_threaded), mixed_programs(n, epochs));
+        run_program_spmd(Arc::clone(&f_threaded), ring(n, laps));
         let f_stepped = fabric_on(nodes, per_node, n, Some(seed), false);
-        let r_stepped = run_stepped(&f_stepped, mixed_programs(n, epochs));
+        let r_stepped = run_stepped(&f_stepped, ring(n, laps));
         let f_legacy = fabric_on(nodes, per_node, n, Some(seed), true);
-        let r_legacy = run_stepped(&f_legacy, mixed_programs(n, epochs));
+        let r_legacy = run_stepped(&f_legacy, ring(n, laps));
         assert_same_commits(&f_threaded, &f_stepped, "threaded vs stepped");
         assert_same_commits(&f_legacy, &f_stepped, "legacy vs one queue");
         assert_eq!(final_times(&f_threaded), final_times(&f_stepped));
@@ -792,14 +818,14 @@ mod tests {
 
     #[test]
     fn stepped_run_is_deterministic() {
-        let r1 = run_stepped(&fabric(8, Some(7), false), mixed_programs(8, 2));
+        let r1 = run_stepped(&fabric(8, Some(7), false), ring(8, 4));
         let t1 = {
             let f = fabric(8, Some(7), false);
-            run_stepped(&f, mixed_programs(8, 2));
+            run_stepped(&f, ring(8, 4));
             final_times(&f)
         };
         let f2 = fabric(8, Some(7), false);
-        let r2 = run_stepped(&f2, mixed_programs(8, 2));
+        let r2 = run_stepped(&f2, ring(8, 4));
         assert_eq!(r1, r2);
         assert_eq!(t1, final_times(&f2));
     }
@@ -810,7 +836,7 @@ mod tests {
         impl StepProgram for Stuck {
             fn next(&mut self) -> StepOp {
                 StepOp::WaitGe {
-                    flag: kernels::BARRIER_FLAG,
+                    flag: RING_FLAG,
                     at_least: 1,
                 }
             }
@@ -819,10 +845,7 @@ mod tests {
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_stepped(&f, vec![Stuck, Stuck]);
         }));
-        let msg = *out
-            .expect_err("must deadlock")
-            .downcast::<String>()
-            .unwrap();
+        let msg = crate::panic_message(&*out.expect_err("must deadlock"));
         assert!(msg.contains("deadlock"), "got: {msg}");
     }
 
@@ -830,28 +853,112 @@ mod tests {
     fn hosted_fleet_larger_than_sane_thread_counts() {
         // 4096 hosted images on one thread: far past what run_spmd should
         // be asked to do, trivial for the stepped driver.
-        let n = 4096;
-        let map = ImageMap::new(
-            presets::mini(8, 512),
-            n,
-            &Placement::Block { per_node: 512 },
-        );
-        let f = SimFabric::new(
-            map,
-            SimConfig {
-                cost: presets::whale_cost(),
-                overheads: SoftwareOverheads::NONE,
-                bootstrap_slots: Some(4),
-                ..SimConfig::default()
-            },
-        );
-        let progs: Vec<_> = (0..n)
-            .map(|me| DisseminationBarrier::new(me, n, 2))
-            .collect();
-        let report = run_stepped(&f, progs);
-        // 2 epochs x ceil_log2(4096)=12 rounds x (notify + wait) per image.
-        assert_eq!(report.committed_ops, (n as u64) * 2 * 12 * 2);
-        assert_eq!(report.local_ops, n as u64);
+        let (n, laps) = (4096, 2);
+        let report = run_stepped(&fabric_on(8, 512, n, None, false), ring(n, laps));
+        assert_eq!(report.committed_ops, n as u64 * laps * 7);
+        assert_eq!(report.local_ops, n as u64 * (laps + 1));
         assert!(report.max_time_ns > 0);
+    }
+
+    /// Run `call` against a recorder for image 1 of 4 and return its panic.
+    fn refusal(call: impl FnOnce(&Script, ProcId)) -> String {
+        let script = Script::new(fabric(4, None, false));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            call(&script, ProcId(1));
+        }));
+        crate::panic_message(&*out.expect_err("the recorder must refuse"))
+    }
+
+    #[test]
+    fn the_recorder_tapes_what_it_can_and_names_what_it_cannot() {
+        let script = Script::new(fabric(4, None, false));
+        let me = ProcId(1);
+        script.put(me, ProcId(2), RING_SEG, 8, &[7; 24]);
+        assert_eq!(script.put_nb(me, me, RING_SEG, 0, &[7; 5]), PutToken::DONE);
+        let mut out = [9u8; 16];
+        script.get(me, me, RING_SEG, 32, &mut out);
+        assert_eq!(out, [0; 16]);
+        script.flag_add(me, ProcId(0), RING_FLAG, 3);
+        script.flag_wait_ge(me, RING_FLAG, 2);
+        script.compute(me, 70);
+        let seg = RING_SEG.0 as u32;
+        let taped: Vec<StepOp> = std::iter::from_fn(|| script.pop(me)).collect();
+        assert_eq!(
+            taped,
+            [
+                StepOp::PutSeg {
+                    dst: 2,
+                    offset: 8,
+                    seg,
+                    len: 24
+                },
+                StepOp::PutNb {
+                    dst: 1,
+                    offset: 0,
+                    seg,
+                    len: 5
+                },
+                StepOp::Read {
+                    offset: 32,
+                    seg,
+                    len: 16
+                },
+                StepOp::FlagAdd {
+                    dst: 0,
+                    flag: RING_FLAG,
+                    delta: 3
+                },
+                StepOp::WaitGe {
+                    flag: RING_FLAG,
+                    at_least: 2
+                },
+                StepOp::Compute { ns: 70 },
+            ]
+        );
+        assert_eq!(script.pop(ProcId(0)), None, "tapes are per image");
+        // Nothing was committed: recording costs the fleet no time.
+        assert_eq!(script.sim.max_time_ns(), 0);
+
+        type Call = Box<dyn FnOnce(&Script, ProcId)>;
+        let refused: Vec<(&str, Call)> = vec![
+            (
+                "get from another image",
+                Box::new(|s, me| s.get(me, ProcId(0), RING_SEG, 0, &mut [0; 8])),
+            ),
+            (
+                "flag_read",
+                Box::new(|s, me| _ = s.flag_read(me, RING_FLAG)),
+            ),
+            (
+                "amo_fetch_add_u64",
+                Box::new(|s, me| _ = s.amo_fetch_add_u64(me, me, RING_SEG, 0, 1)),
+            ),
+            (
+                "amo_cas_u64",
+                Box::new(|s, me| _ = s.amo_cas_u64(me, me, RING_SEG, 0, 0, 1)),
+            ),
+            (
+                "am_deliver",
+                Box::new(|s, me| s.am_deliver(me, ProcId(0), &[])),
+            ),
+            (
+                "alloc_segment",
+                Box::new(|s, me| _ = s.alloc_segment(me, 8)),
+            ),
+            ("alloc_flags", Box::new(|s, me| _ = s.alloc_flags(me, 1))),
+            ("quiet", Box::new(|s, me| s.quiet(me))),
+            ("put_wait", Box::new(|s, me| s.put_wait(me, PutToken::DONE))),
+            (
+                "put_test",
+                Box::new(|s, me| _ = s.put_test(me, PutToken::DONE)),
+            ),
+            ("now_ns", Box::new(|s, me| _ = s.now_ns(me))),
+            ("image_done", Box::new(|s, me| s.image_done(me))),
+        ];
+        for (name, call) in refused {
+            let msg = refusal(call);
+            let want = format!("hosted image 1: {name} cannot be recorded");
+            assert!(msg.starts_with(&want), "{name}: {msg}");
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! ordered": one transposition would change flag-delivery order and with
 //! it every downstream virtual time.
 
-use caf_fabric::stepper::kernels::DisseminationBarrier;
-use caf_fabric::{run_stepped, EvKey, ShardedEvq, SimConfig, SimFabric};
+use caf_fabric::{
+    run_stepped, EvKey, FlagId, ShardedEvq, SimConfig, SimFabric, StepOp, StepProgram,
+};
 use caf_topology::{presets, ImageMap, Placement, SoftwareOverheads};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -330,9 +331,45 @@ fn pushes_behind_the_last_pop_still_pop_like_a_global_heap() {
     );
 }
 
-/// After a 10 000-image, two-epoch barrier the queue holds on to little
-/// more than it ever had to hold at once — no bucket keeps a high-water
-/// mark of its own — and the simulator never pushed behind the last pop.
+/// Traffic for the footprint test: every lap each image notifies its
+/// right-hand neighbour and the image one node over, then waits for its
+/// own two notifications.
+struct Ring {
+    me: usize,
+    n: usize,
+    laps: u64,
+    step: u64,
+}
+
+impl StepProgram for Ring {
+    fn next(&mut self) -> StepOp {
+        let (lap, at) = (self.step / 3, self.step % 3);
+        if lap == self.laps {
+            return StepOp::Done;
+        }
+        self.step += 1;
+        let (flag, delta) = (FlagId(2), 1);
+        let at_least = 2 * (lap + 1);
+        match at {
+            0 => StepOp::FlagAdd {
+                dst: (self.me + 1) % self.n,
+                flag,
+                delta,
+            },
+            1 => StepOp::FlagAdd {
+                dst: (self.me + 512) % self.n,
+                flag,
+                delta,
+            },
+            _ => StepOp::WaitGe { flag, at_least },
+        }
+    }
+}
+
+/// After 10 000 images have gone round the ring eight times the queue
+/// holds on to little more than it ever had to hold at once — no bucket
+/// keeps a high-water mark of its own — and the simulator never pushed
+/// behind the last pop.
 #[test]
 fn footprint_follows_the_high_water_mark_of_queued_entries() {
     let (n, per_node) = (10_000usize, 512usize);
@@ -352,11 +389,10 @@ fn footprint_follows_the_high_water_mark_of_queued_entries() {
             ..SimConfig::default()
         },
     );
-    let progs: Vec<_> = (0..n)
-        .map(|me| DisseminationBarrier::new(me, n, 2))
-        .collect();
+    let (laps, step) = (8, 0);
+    let progs: Vec<_> = (0..n).map(|me| Ring { me, n, laps, step }).collect();
     let report = run_stepped(&fabric, progs);
-    assert_eq!(report.max_time_ns, 2_387_056, "BENCH_simscale's 10k row");
+    assert_eq!(report.total_ops(), n as u64 * (3 * laps + 1));
     let f = fabric.queue_footprint().expect("the default core");
     assert_eq!(f.behind_pushes, 0);
     assert!(

@@ -73,6 +73,9 @@ impl HierarchyView {
         // hence leader order) is deterministic and independent of NodeId
         // numbering.
         let mut sets: Vec<IntranodeSet> = Vec::new();
+        // node → its set, so a fleet-sized team is one pass, not one scan
+        // of the sets per member.
+        let mut set_at = vec![usize::MAX; map.machine().nodes];
         let mut set_of = vec![usize::MAX; members.len()];
         let mut pos_in_set = vec![0; members.len()];
         let mut sockets = Vec::with_capacity(members.len());
@@ -84,13 +87,14 @@ impl HierarchyView {
             );
             let loc = map.location(p);
             sockets.push((loc.node, loc.socket));
-            match sets.iter().position(|s| s.node == loc.node) {
-                Some(idx) => {
+            match set_at[loc.node.index()] {
+                idx if idx != usize::MAX => {
                     set_of[rank] = idx;
                     pos_in_set[rank] = sets[idx].ranks.len();
                     sets[idx].ranks.push(rank);
                 }
-                None => {
+                _ => {
+                    set_at[loc.node.index()] = sets.len();
                     set_of[rank] = sets.len();
                     sets.push(IntranodeSet {
                         node: loc.node,

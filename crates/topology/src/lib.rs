@@ -20,8 +20,8 @@
 //!   gaps; consumed by the virtual-time fabric in `caf-fabric`.
 //! * [`hierarchy`] — the intranode-set / leader computation used by the
 //!   team runtime structure (the paper's `team_type`).
-//! * [`tree`] — power-of-two arithmetic and binomial-tree shape functions,
-//!   shared by the collectives and the fabric's step-form kernels.
+//! * [`tree`] — power-of-two arithmetic and binomial-tree shape functions
+//!   for the collectives' shapes (one copy, re-exported there as `util`).
 //!
 //! Image identifiers at this layer are **0-based process ranks**
 //! ([`ProcId`]); the Fortran-style 1-based *image numbers* are a concern of

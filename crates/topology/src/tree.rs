@@ -1,6 +1,6 @@
-//! Small combinatorial helpers shared by the collective algorithms and the
-//! fabric's step-form kernels: power-of-two arithmetic and binomial-tree
-//! shape functions. They live here, below both users, so there is one copy.
+//! Small combinatorial helpers of the collective algorithms: power-of-two
+//! arithmetic and binomial-tree shape functions. They live here, below every
+//! crate that shapes a tree, so there is one copy.
 
 /// ⌈log₂ n⌉ for n ≥ 1 (0 for n = 1) — the round count of dissemination and
 /// the depth of binomial trees.

@@ -10,6 +10,11 @@
 //! release wave, a second barrier that releases, or a second place that
 //! works out which set the root belongs to (the start of every "effective
 //! leader" derivation) fails it.
+//!
+//! And it keeps each collective at one definition: the hosted stepper runs
+//! the real bodies through a recorder (`collectives/src/hosted.rs`), so a
+//! `StepProgram` anywhere else under `crates/` — outside test code — is a
+//! collective written a second time as a state machine.
 
 use std::path::{Path, PathBuf};
 
@@ -126,4 +131,35 @@ fn each_tree_protocol_has_one_body() {
         ["collectives/src/shape.rs"],
         "use shape::Rooted for the effective leaders of a rooted collective"
     );
+}
+
+#[test]
+fn each_collective_has_one_definition() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+
+    // Test-local traffic programs (unit-test modules, `tests/` directories)
+    // may step whatever they like; sources, benches and binaries may not.
+    let programs: Vec<&str> = hits(&files, "StepProgram for", false)
+        .into_iter()
+        .filter(|f| !f.contains("/tests/"))
+        .collect();
+    assert_eq!(
+        programs,
+        ["collectives/src/hosted.rs"],
+        "host the real TeamComm body (caf_collectives::hosted), do not re-encode it"
+    );
+
+    // The stepper knows ops, not algorithms: no tree arithmetic, tests included.
+    for needle in ["binomial_", "ceil_log2"] {
+        let found: Vec<&str> = hits(&files, needle, true)
+            .into_iter()
+            .filter(|f| *f == "fabric/src/stepper.rs")
+            .collect();
+        assert!(
+            found.is_empty(),
+            "fabric/src/stepper.rs mentions `{needle}`: a collective's shape belongs to caf-collectives"
+        );
+    }
 }
