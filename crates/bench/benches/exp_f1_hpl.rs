@@ -151,7 +151,7 @@ fn main() {
     );
     table.print();
     phases.note(
-        "an image off the panel's grid column waits for the panel inside panel_bcast; \
+        "panel_bcast is waiting for the next panel plus finishing earlier broadcasts; \
          the rows add up to the total (asserted)",
     );
     phases.print();

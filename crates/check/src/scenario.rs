@@ -142,9 +142,10 @@ fn fnv(h: &mut u64, x: u64) {
 const BIG: usize = 2_500;
 
 /// The built-in SPMD conformance program: point-to-point coarray traffic
-/// plus every collective family, small and multi-chunk payloads, and a
-/// subteam phase. Returns a per-image digest of everything observed; any
-/// schedule- or fabric-dependent divergence changes the digest. Integer
+/// plus every collective family, small and multi-chunk payloads, a
+/// subteam phase and split-phase broadcasts. Returns a per-image digest of
+/// everything observed; any schedule- or fabric-dependent divergence
+/// changes the digest. Integer
 /// arithmetic only — u64 sums are exactly associative, so the digest is
 /// fabric- and schedule-independent for a correct runtime.
 pub fn conformance(img: &mut ImageCtx) -> u64 {
@@ -217,6 +218,23 @@ pub fn conformance(img: &mut ImageCtx) -> u64 {
         s[0]
     });
     fnv(&mut h, sub);
+
+    // 10. Split-phase broadcasts from rotating roots, a reduction between
+    //     each begin and its finish; the even rounds stay in flight until
+    //     the next round finishes both.
+    for k in 0..4u64 {
+        let root = (3 * k as usize) % n + 1;
+        let mut b = [me as u64 * 11 + k; 3];
+        img.co_broadcast_begin(&mut b, root);
+        let mut s = [b[0] ^ me as u64];
+        img.co_sum(&mut s);
+        if k % 2 == 1 {
+            img.co_broadcast_finish();
+        }
+        for v in b.into_iter().chain(s) {
+            fnv(&mut h, v);
+        }
+    }
 
     img.sync_all();
     h

@@ -20,19 +20,38 @@
 //! 1. **data** down the tree (payload put + `B_ARRIVE` notification),
 //! 2. **ack** back up (`B_ACK`, collected subtree-by-subtree),
 //! 3. **release** down again (`B_DONE`), sent once the root holds every
-//!    ack; receivers return only after their release.
+//!    ack.
 //!
-//! Wave 3 makes an episode's completion globally visible: any image
-//! *starting* episode e has finished e−1, whose release certifies that all
-//! of e−1's payloads (and a fortiori e−2's, whose parity slot e reuses)
-//! were consumed everywhere. Because roots change, the per-image
-//! expectations (`bcast_arrived`, `bcast_acks`, `bcast_released`) are
-//! cumulative counters rather than the bare episode number.
+//! Because roots change, the per-image expectations (`bcast_arrived`,
+//! `bcast_acks`, `bcast_released`) are cumulative counters rather than the
+//! bare episode number.
 //!
 //! Wave 1 is counted *per chunk*: every receiver has exactly one payload
 //! source per episode, and the fabric orders a flag behind a prior put to
 //! the same target, so a cumulative `B_ARRIVE` count identifies chunk
 //! boundaries without tokens. Acks and releases stay per-episode.
+//!
+//! # Split phase: two broadcasts in flight
+//!
+//! [`begin`] runs wave 1, and below the root also wave 2: a member returns
+//! holding the data, once its subtree has acked and it has sent its own
+//! ack. [`finish`] runs what is left — the root's ack collection and
+//! wave 3 — for every broadcast this image has begun, oldest first;
+//! `co_broadcast` is the two back to back, today's operations in today's
+//! order. The time between them is the caller's: HPL factors its next
+//! panel there.
+//!
+//! Episode e uses scratch slot `e mod 2` and that parity's own three
+//! counters (`B_ARRIVE`, `B_ACK` and `B_DONE` are flag pairs, the epochs
+//! `[u64; 2]`), so the two parities never share a cumulative count and an
+//! image may hold one unfinished broadcast per parity. `begin(e)` finishes
+//! e − 2 — the last user of its slot and counters — and leaves e − 1 in
+//! flight. That is enough: e − 2 finished here means its release (or, at
+//! its root, every ack) has come, so every member consumed e − 2's payload
+//! before any data of e can reach its slot; and an image sends e's ack only
+//! after its own `begin(e)`, so no count of e can be taken for one of e − 2.
+//! A barrier finishes everything, and a team dropped with a broadcast
+//! unfinished panics, naming the rank.
 //!
 //! # Why a binary tree when pipelining
 //!
@@ -64,17 +83,29 @@ fn algo_code(a: BcastAlgo) -> u64 {
     }
 }
 
-/// Broadcast `buf` from team rank `root`, picking the algorithm by
-/// (hierarchy × payload size) — all members see the same length, so they
-/// agree on the choice.
-pub(crate) fn broadcast<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize) {
-    let algo = comm.bcast_algo_for(buf.len() * T::SIZE);
-    broadcast_using(comm, buf, root, algo);
+/// A broadcast this image has begun and not finished: what its waves 2–3
+/// need.
+pub(crate) struct Pending {
+    /// The episode (its parity picks the slot and the counters).
+    pub e: u64,
+    tree: Tree,
+    /// Trace: start of the `Bcast` span, algorithm code, payload bytes.
+    t0: u64,
+    code: u64,
+    bytes: u64,
 }
 
-/// Broadcast with an explicit algorithm (used by `FlatBinomial` allreduce,
+/// Begin broadcasting `buf` from team rank `root`, picking the algorithm
+/// by (hierarchy × payload size) — all members see the same length, so
+/// they agree on the choice.
+pub(crate) fn begin<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize) {
+    let algo = comm.bcast_algo_for(buf.len() * T::SIZE);
+    begin_using(comm, buf, root, algo);
+}
+
+/// [`begin`] with an explicit algorithm (used by `FlatBinomial` allreduce,
 /// which embeds a flat broadcast regardless of the team's bcast choice).
-pub(crate) fn broadcast_using<T: CoValue>(
+pub(crate) fn begin_using<T: CoValue>(
     comm: &mut TeamComm,
     buf: &mut [T],
     root: usize,
@@ -85,9 +116,14 @@ pub(crate) fn broadcast_using<T: CoValue>(
     if comm.size() == 1 {
         return;
     }
+    let e = comm.epochs.bcast;
+    let par = (e % 2) as usize;
+    // Episode e − 2 is the last user of this parity's slot and counters.
+    if let Some(owed) = comm.bcast_pending[par].take() {
+        complete(comm, owed);
+    }
     let bytes = buf.len() * T::SIZE;
     comm.ensure_scratch(bytes);
-    let e = comm.epochs.bcast;
     let t0 = comm.trace_now();
     let tree = Tree::for_bcast(algo, &comm.hier, comm.rank, root);
     // Only the pipelined tree cuts the payload up and streams it.
@@ -97,20 +133,71 @@ pub(crate) fn broadcast_using<T: CoValue>(
     } else {
         buf.len().max(1)
     };
-    tree_bcast(comm, buf, &tree, chunk, pipelined);
-    let code = algo_code(algo);
-    comm.trace_span(EventKind::Bcast, t0, Level::Whole, code, e, bytes as u64);
+    data_wave(comm, buf, &tree, chunk, pipelined, par);
+    // Wave 2 below the root: my subtree's acks, then mine to my parent.
+    if let Some(parent) = tree.parent {
+        collect_acks(comm, &tree, par);
+        comm.add_flag(parent, flag::B_ACK[par], 1);
+    }
+    comm.bcast_pending[par] = Some(Pending {
+        e,
+        tree,
+        t0,
+        code: algo_code(algo),
+        bytes: bytes as u64,
+    });
 }
 
-/// The three waves over `tree`, the payload cut into `chunk`-element
-/// pieces; `nb` streams the pieces with nonblocking puts. An effective
-/// leader of a two-level tree also records its stages: store-and-forward
-/// has an inter-node stage (receive, forward to other leaders) and then an
+/// Finish every broadcast this image has begun, oldest first.
+pub(crate) fn finish(comm: &mut TeamComm) {
+    let last = (comm.epochs.bcast % 2) as usize;
+    for par in [1 - last, last] {
+        if let Some(owed) = comm.bcast_pending[par].take() {
+            complete(comm, owed);
+        }
+    }
+}
+
+/// Waves 2–3 of one begun broadcast: the root collects its acks, a member
+/// waits for its release; both pass the release on.
+fn complete(comm: &mut TeamComm, p: Pending) {
+    let par = (p.e % 2) as usize;
+    if p.tree.parent.is_none() {
+        collect_acks(comm, &p.tree, par);
+    } else {
+        comm.epochs.bcast_released[par] += 1;
+        comm.wait_flag(flag::B_DONE[par], comm.epochs.bcast_released[par]);
+    }
+    for &child in &p.tree.children {
+        comm.add_flag(child, flag::B_DONE[par], 1);
+    }
+    comm.trace_span(EventKind::Bcast, p.t0, Level::Whole, p.code, p.e, p.bytes);
+}
+
+/// Wave 2 at one rank: wait until every child has acked.
+fn collect_acks(comm: &mut TeamComm, tree: &Tree, par: usize) {
+    if !tree.children.is_empty() {
+        comm.epochs.bcast_acks[par] += tree.children.len() as u64;
+        comm.wait_flag(flag::B_ACK[par], comm.epochs.bcast_acks[par]);
+    }
+}
+
+/// Wave 1 over `tree`, the payload cut into `chunk`-element pieces; `nb`
+/// streams the pieces with nonblocking puts. An effective leader of a
+/// two-level tree also records its stages: store-and-forward has an
+/// inter-node stage (receive, forward to other leaders) and then an
 /// intranode one; a stream overlaps the two, so it records one span.
-fn tree_bcast<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], tree: &Tree, chunk: usize, nb: bool) {
+fn data_wave<T: CoValue>(
+    comm: &mut TeamComm,
+    buf: &mut [T],
+    tree: &Tree,
+    chunk: usize,
+    nb: bool,
+    par: usize,
+) {
     let len = buf.len();
     let chunks = len.div_ceil(chunk).max(1);
-    let off = comm.sl_bcast((comm.epochs.bcast % 2) as usize);
+    let off = comm.sl_bcast(par);
     let (far, near) = tree.children.split_at(tree.far.unwrap_or(0));
     let staged = tree.far.is_some();
     let send = |comm: &mut TeamComm, to: &[usize], at: usize, piece: &[T]| {
@@ -120,21 +207,21 @@ fn tree_bcast<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], tree: &Tree, chunk
             } else {
                 comm.send_values(child, at, piece);
             }
-            comm.add_flag(child, flag::B_ARRIVE, 1);
+            comm.add_flag(child, flag::B_ARRIVE[par], 1);
         }
     };
     let e = comm.epochs.bcast;
     let t0 = comm.trace_now();
     let mut t1 = t0;
 
-    // Wave 1: data down. Inter-node children first — a nonblocking put
-    // frees this CPU to serve the node while the NIC streams the chunk.
+    // Inter-node children first — a nonblocking put frees this CPU to
+    // serve the node while the NIC streams the chunk.
     for c in 0..chunks {
         let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(len));
         let at = off + lo * T::SIZE;
         if tree.parent.is_some() {
-            comm.epochs.bcast_arrived += 1;
-            comm.wait_flag(flag::B_ARRIVE, comm.epochs.bcast_arrived);
+            comm.epochs.bcast_arrived[par] += 1;
+            comm.wait_flag(flag::B_ARRIVE[par], comm.epochs.bcast_arrived[par]);
             comm.load_from_scratch(at, &mut buf[lo..hi]);
         }
         send(comm, far, at, &buf[lo..hi]);
@@ -148,20 +235,5 @@ fn tree_bcast<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], tree: &Tree, chunk
         comm.trace_span(EventKind::BcastStage, t0, Level::Inter, 1, e, chunks as u64);
     } else if staged {
         comm.trace_span(EventKind::BcastStage, t1, Level::Intra, 2, e, 0);
-    }
-
-    // Wave 2: acks up — my subtree's, then mine to my parent.
-    if !tree.children.is_empty() {
-        comm.epochs.bcast_acks += tree.children.len() as u64;
-        comm.wait_flag(flag::B_ACK, comm.epochs.bcast_acks);
-    }
-    // Wave 3: release down; the root starts it once it holds every ack.
-    if let Some(parent) = tree.parent {
-        comm.add_flag(parent, flag::B_ACK, 1);
-        comm.epochs.bcast_released += 1;
-        comm.wait_flag(flag::B_DONE, comm.epochs.bcast_released);
-    }
-    for &child in &tree.children {
-        comm.add_flag(child, flag::B_DONE, 1);
     }
 }

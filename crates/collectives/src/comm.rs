@@ -27,6 +27,7 @@
 //! exchanges nothing: a harness that can reach every image's fabric tables
 //! allocates all members' resources itself, in one order.
 
+use crate::bcast::Pending;
 use crate::config::{
     env_knobs, BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy,
 };
@@ -59,17 +60,18 @@ pub(crate) mod flag {
     pub const R_PRE: usize = 6;
     /// Reduction: non-power-of-two fold-out notification.
     pub const R_POST: usize = 7;
-    /// Broadcast: payload-arrived notification.
-    pub const B_ARRIVE: usize = 8;
-    /// Broadcast: consumption ack (flow control).
-    pub const B_ACK: usize = 9;
+    /// Broadcast: payload-arrived notification, one counter per scratch
+    /// parity (so two broadcasts can be in flight; see `bcast.rs`).
+    pub const B_ARRIVE: [usize; 2] = [8, 21];
+    /// Broadcast: consumption ack (flow control), per parity.
+    pub const B_ACK: [usize; 2] = [9, 22];
     /// Team control barrier: gather counter (control plane only).
     pub const EXCH_COUNTER: usize = 10;
     /// Team control barrier: release.
     pub const EXCH_RELEASE: usize = 11;
     /// Broadcast: episode-completion release (the third wave; see
-    /// `bcast.rs` — required because roots rotate call-to-call).
-    pub const B_DONE: usize = 12;
+    /// `bcast.rs` — required because roots rotate call-to-call), per parity.
+    pub const B_DONE: [usize; 2] = [12, 23];
     /// Control-plane allgather: tree-gather arrival counter.
     pub const EXCH_GATHER: usize = 13;
     /// Control-plane allgather: tree-broadcast arrival counter.
@@ -87,10 +89,10 @@ pub(crate) mod flag {
     /// All-to-all: slice-arrived counter.
     pub const A2A_ARRIVE: usize = 20;
     /// First dissemination-round flag; round `k` is `DISSEM + k`.
-    pub const DISSEM: usize = 21;
+    pub const DISSEM: usize = 24;
 }
 
-/// Per-team flag-block layout: 21 fixed flags, then `d` dissemination
+/// Per-team flag-block layout: 24 fixed flags, then `d` dissemination
 /// flags, then `d` reduction-round flags, then `lm` per-set-position
 /// chunk-stream flags (pipelined reduction: the leader must count each
 /// slave's chunks separately — one shared counter cannot tell "slave A
@@ -293,15 +295,17 @@ pub(crate) struct Epochs {
     /// Cumulative per-set-position chunk arrivals (`chunk(pos)`), grown on
     /// demand (pipelined reduction gather).
     pub chunk_streams: Vec<u64>,
-    /// Cumulative number of broadcast payloads this image has consumed
-    /// (differs from `bcast` on episodes where it was the root).
-    pub bcast_arrived: u64,
+    /// Cumulative number of broadcast payloads this image has consumed, per
+    /// scratch parity (differs from `bcast` on episodes where it was the
+    /// root).
+    pub bcast_arrived: [u64; 2],
     /// Cumulative number of broadcast acks this image must have collected
-    /// before its next overwrite (varies with per-episode fan-out).
-    pub bcast_acks: u64,
+    /// before its next overwrite (varies with per-episode fan-out), per
+    /// parity.
+    pub bcast_acks: [u64; 2],
     /// Cumulative episode-completion releases this image must have seen
-    /// (one per episode in which it was not the root).
-    pub bcast_released: u64,
+    /// (one per episode in which it was not the root), per parity.
+    pub bcast_released: [u64; 2],
     /// Cumulative gather contributions this image must have collected.
     pub gather_arrived: u64,
     /// Cumulative gather releases this image must have seen.
@@ -369,6 +373,11 @@ pub struct TeamComm {
     /// exchange segment, so nothing can be grown or split off later.
     provisioned: bool,
     pub(crate) epochs: Epochs,
+    /// Broadcasts begun and not yet finished, by scratch parity.
+    pub(crate) bcast_pending: [Option<Pending>; 2],
+    /// The fabric's recovery generation at formation: a heal invalidates
+    /// the team, unfinished broadcasts included.
+    generation: u64,
     /// Current scratch slot size in bytes (0 = scratch not yet allocated).
     pub(crate) scratch_slot_bytes: usize,
     /// Current gather/scatter slot size in bytes (0 = not yet allocated).
@@ -560,6 +569,7 @@ impl TeamComm {
         rsrc: Arc<Vec<MemberRsrc>>,
     ) -> Self {
         let policy = SizePolicy::from_cost(fabric.cost());
+        let generation = fabric.generation();
         let am = (cfg.am || env_knobs().am).then(|| {
             std::sync::Mutex::new(Am::new(
                 fabric.clone(),
@@ -589,6 +599,8 @@ impl TeamComm {
             rsrc,
             provisioned: false,
             epochs: Epochs::default(),
+            bcast_pending: [None, None],
+            generation,
             scratch_slot_bytes: 0,
             gather_slot_bytes: 0,
             buf: Vec::new(),
@@ -688,8 +700,10 @@ impl TeamComm {
     // ------------------------------------------------------------------
 
     /// Team barrier (`sync all` / `sync team`), using the algorithm
-    /// resolved at formation.
+    /// resolved at formation. Finishes every unfinished broadcast first, so
+    /// `sync team` and `end team` leave nothing in flight.
     pub fn barrier(&mut self) {
+        crate::bcast::finish(self);
         crate::barrier::barrier(self);
         // The algorithm's last act may be a buffered release storm (e.g.
         // the central-counter root): hand it to the fabric before
@@ -726,9 +740,31 @@ impl TeamComm {
     }
 
     /// CAF `co_broadcast`: `buf` on team rank `root` is replicated into
-    /// every member's `buf`.
+    /// every member's `buf`. [`Self::co_broadcast_begin`] and
+    /// [`Self::co_broadcast_finish`] back to back.
     pub fn co_broadcast<T: CoValue>(&mut self, buf: &mut [T], root: usize) {
-        crate::bcast::broadcast(self, buf, root);
+        crate::bcast::begin(self, buf, root);
+        crate::bcast::finish(self);
+        self.flush_am();
+    }
+
+    /// Start a broadcast of `buf` from team rank `root`. On return every
+    /// member's `buf` holds the root's data; what is left — the root
+    /// learning that everyone has it, and telling them so — runs in
+    /// [`Self::co_broadcast_finish`], the next barrier, or the `begin` two
+    /// broadcasts later, whichever comes first. A team holds at most two
+    /// unfinished broadcasts: this call finishes the one before the
+    /// previous one.
+    pub fn co_broadcast_begin<T: CoValue>(&mut self, buf: &mut [T], root: usize) {
+        crate::bcast::begin(self, buf, root);
+        self.flush_am();
+    }
+
+    /// Finish every broadcast this image has begun on the team, oldest
+    /// first: as a broadcast's root it returns once every member holds
+    /// the data, as a member once the root's release has reached it.
+    pub fn co_broadcast_finish(&mut self) {
+        crate::bcast::finish(self);
         self.flush_am();
     }
 
@@ -1181,5 +1217,24 @@ impl TeamComm {
         self.read_my_scratch(off, &mut b);
         bytes_to_slice(&b, buf);
         self.buf2 = b;
+    }
+}
+
+impl Drop for TeamComm {
+    /// A broadcast still owed its waves 2–3 strands the members waiting for
+    /// this image's release (or its ack): say so here, not in their hang.
+    /// Not while unwinding (a second panic would abort), and not for a team
+    /// a recovery has already invalidated.
+    fn drop(&mut self) {
+        let owed = self.bcast_pending.iter().flatten().map(|p| p.e).min();
+        let live = || !std::thread::panicking() && self.fabric.generation() == self.generation;
+        if let Some(e) = owed.filter(|_| live()) {
+            panic!(
+                "image {}: team rank {} dropped its team with broadcast {e} begun and not \
+                 finished — call co_broadcast_finish (or sync the team) first",
+                self.me.index(),
+                self.rank
+            );
+        }
     }
 }

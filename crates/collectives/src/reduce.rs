@@ -168,7 +168,8 @@ fn flat_binomial<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, 
     }
     // Everyone (root included) picks up the result through the broadcast,
     // whose full-ack flow control also fences the rd slots for reuse.
-    crate::bcast::broadcast_using(comm, buf, 0, crate::config::BcastAlgo::FlatBinomial);
+    crate::bcast::begin_using(comm, buf, 0, crate::config::BcastAlgo::FlatBinomial);
+    crate::bcast::finish(comm);
 }
 
 /// The paper's two-level reduction (§IV applied to all-to-all reduction):

@@ -57,6 +57,24 @@ impl<A: CoValue, B: CoValue> CoValue for (A, B) {
     }
 }
 
+/// A fixed run of values travels as one element — what lets a derived type
+/// carry one key for several values (HPL's pivot lanes).
+impl<T: CoValue, const N: usize> CoValue for [T; N] {
+    const SIZE: usize = N * T::SIZE;
+
+    #[inline]
+    fn store(&self, out: &mut [u8]) {
+        for (i, v) in self.iter().enumerate() {
+            v.store(&mut out[i * T::SIZE..(i + 1) * T::SIZE]);
+        }
+    }
+
+    #[inline]
+    fn load(bytes: &[u8]) -> Self {
+        std::array::from_fn(|i| T::load(&bytes[i * T::SIZE..(i + 1) * T::SIZE]))
+    }
+}
+
 /// Serialize a slice of values into a byte vector, reusing its capacity.
 /// Every byte of the result is overwritten by `store`, so the length is
 /// adjusted without a zero-refill — on the collectives' hot paths the same
@@ -205,6 +223,47 @@ mod tests {
         v.store(&mut buf);
         assert_eq!(<(f64, u64)>::load(&buf), v);
         assert_eq!(<(f64, u64)>::SIZE, 16);
+    }
+
+    #[test]
+    fn array_size_is_its_elements() {
+        assert_eq!(<[f64; 8]>::SIZE, 64);
+        assert_eq!(<[u16; 3]>::SIZE, 6);
+        assert_eq!(<[u64; 0]>::SIZE, 0);
+        // HPL's pivot lane: a 16 B key and eight values.
+        assert_eq!(<((f64, u64), [f64; 8])>::SIZE, 80);
+    }
+
+    #[test]
+    fn array_roundtrip_is_bit_for_bit() {
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let signalling = f64::from_bits(0x7ff0_0000_0000_0abc);
+        let lane = (
+            (-0.0f64, u64::MAX),
+            [
+                nan,
+                1.5,
+                -0.0,
+                signalling,
+                f64::MIN_POSITIVE / 2.0,
+                0.0,
+                f64::INFINITY,
+                -3.0,
+            ],
+        );
+        let mut buf = vec![0u8; 80];
+        lane.store(&mut buf);
+        let back = <((f64, u64), [f64; 8])>::load(&buf);
+        let bits = |l: &((f64, u64), [f64; 8])| (l.0 .0.to_bits(), l.0 .1, l.1.map(f64::to_bits));
+        assert_eq!(bits(&back), bits(&lane));
+        // Arrays of arrays, and a slice of them through the byte helpers.
+        let src = [[1u32, 2], [3, u32::MAX]];
+        let mut bytes = Vec::new();
+        slice_to_bytes(&src, &mut bytes);
+        assert_eq!(bytes.len(), 16);
+        let mut dst = [[0u32; 2]; 2];
+        bytes_to_slice(&bytes, &mut dst);
+        assert_eq!(dst, src);
     }
 
     #[test]

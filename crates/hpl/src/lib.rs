@@ -106,6 +106,21 @@ mod tests {
     }
 
     #[test]
+    fn odd_block_size_fills_a_partial_pivot_lane() {
+        // nb = 61 is seven lanes of 8 and one of 5, the last block (17)
+        // two and one of 1; on a 2 × 3 grid every panel column is a
+        // column-team reduction, and the pivots are the serial run's.
+        let (n, nb) = (200, 61);
+        check(6, 2, 3, n, nb, CollectiveConfig::auto());
+        let pivots = |images, nodes, cores| {
+            let rc = RunConfig::sim_packed(presets::mini(nodes, cores), images);
+            let hpl = HplConfig { n, nb, seed: 42 };
+            run(rc, move |img| factorize(img, &hpl).pivots).swap_remove(0)
+        };
+        assert_eq!(pivots(6, 2, 3), pivots(1, 1, 1));
+    }
+
+    #[test]
     fn gflops_accounting_sane() {
         let rc = RunConfig::sim_packed(presets::mini(2, 2), 4);
         let hpl = HplConfig {

@@ -8,12 +8,16 @@
 //!   carries the candidate's row and the diagonal row with their keys —
 //!   HPL's own max-loc/swap/broadcast exchange;
 //! * panel broadcast (the panel's pivots, then its L blocks): one
-//!   `co_broadcast` per block step over **row teams**;
+//!   split-phase broadcast per block step over **row teams**;
 //! * row interchanges outside the panel: the panel's transpositions folded
 //!   into one permutation, one coarray put per partner grid row inside one
 //!   `sync images` pair;
 //! * U-block-row broadcast: `co_broadcast` over **column teams**;
 //! * trailing update: local `dgemm`.
+//!
+//! The loop looks one panel ahead: the owner of panel k + 1 factors and
+//! sends it before finishing step k's update, and the broadcast travels
+//! while it does (see [`factorize`]).
 //!
 //! Local computation is accounted to the simulator's virtual clock through
 //! `ImageCtx::compute`, converting flop counts with the machine model's
@@ -24,6 +28,7 @@ use crate::blas;
 use crate::grid::{grid_dims, BlockCyclic};
 use crate::matrix::{hpl_element, Matrix};
 use caf_runtime::{Coarray, ImageCtx, Team};
+use std::ops::Range;
 
 /// Parameters of one HPL factorization.
 #[derive(Clone, Copy, Debug)]
@@ -39,14 +44,16 @@ pub struct HplConfig {
 /// Where one image's factorization time went, by step of the block loop.
 /// Read off `ImageCtx::now_ns` at the step boundaries (virtual time on the
 /// simulator, where reading the clock charges nothing), so the seven
-/// entries add up to [`HplOutcome::time_ns`] exactly. An image that is not
-/// on the panel's grid column spends step (a) waiting inside the panel
-/// broadcast, and that is where its wait is booked.
+/// entries add up to [`HplOutcome::time_ns`] exactly. With look-ahead the
+/// steps of two block steps interleave on the next panel's grid column;
+/// each stretch is booked to the step it ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNs {
     /// (a) panel factorization: pivot reductions and rank-1 updates.
     pub panel: u64,
-    /// (b)+(c) the panel's pivots and L slab along the row team.
+    /// (b)+(c) the panel's pivots and L slab along the row team: waiting
+    /// for the next panel, and finishing earlier broadcasts (on a panel's
+    /// owner, the wait for every member's ack).
     pub panel_bcast: u64,
     /// (d) row interchanges outside the panel.
     pub interchange: u64,
@@ -119,20 +126,29 @@ fn account(img: &ImageCtx, flops: u64) {
     img.compute(ns);
 }
 
-/// One element of step (a)'s reduction: a value of a matrix row, keyed by
-/// that row's claim `(|candidate|, global row)` — what a CAF `co_reduce`
-/// over a derived type carries. Every element of a row has the same key,
-/// so the whole row follows the winner.
-type Keyed = ((f64, u64), f64);
+/// Values per lane of step (a)'s reduction.
+const LANE: usize = 8;
+
+/// One lane of step (a)'s reduction: eight consecutive values of a matrix
+/// row, keyed by that row's claim `(|candidate|, global row)` — what a CAF
+/// `co_reduce` over a derived type carries. Every lane of a row has the
+/// same key, so the whole row follows the winner, and the key travels once
+/// per eight values. A partial last lane is padded with zeros.
+type PivotLane = ((f64, u64), [f64; LANE]);
 
 /// MAXLOC on the key: the larger magnitude wins, the smaller row on a tie.
-fn stronger(a: Keyed, b: Keyed) -> Keyed {
+fn maxloc(a: PivotLane, b: PivotLane) -> PivotLane {
     let ((mag_a, row_a), (mag_b, row_b)) = (a.0, b.0);
     if mag_a > mag_b || (mag_a == mag_b && row_a <= row_b) {
         a
     } else {
         b
     }
+}
+
+/// The first `n` values a run of lanes carries, in row order.
+fn lane_values(lanes: &[PivotLane], n: usize) -> impl Iterator<Item = f64> + '_ {
+    lanes.iter().flat_map(|lane| lane.1).take(n)
 }
 
 /// Fold the transpositions `(first + j) ↔ pivots[j]`, applied in order,
@@ -214,7 +230,9 @@ impl Interchange {
     }
 
     /// Apply the interchanges `(first + j) ↔ pivots[j]`, in order, to my
-    /// columns outside the panel `first .. first + pivots.len()`.
+    /// local column ranges `cols` (`lo..hi` each, outside the panel
+    /// `first .. first + pivots.len()`). Every image of my grid column must
+    /// pass the same ranges.
     ///
     /// On a one-row grid that is a `dlaswp`. Otherwise the net permutation
     /// says which rows change place: those headed for another grid row are
@@ -223,7 +241,14 @@ impl Interchange {
     /// disjoint grid columns and disjoint partner sets proceed
     /// independently — and afterwards every position is written from the
     /// snapshot of my own rows or from a landing slot.
-    fn apply(&mut self, img: &mut ImageCtx, local: &mut Matrix, first: usize, pivots: &[usize]) {
+    fn apply(
+        &mut self,
+        img: &mut ImageCtx,
+        local: &mut Matrix,
+        first: usize,
+        pivots: &[usize],
+        cols: &[(usize, usize)],
+    ) {
         let g = self.grid;
         let (me, pcol, slot_len) = (self.prow, self.pcol, self.slot_len);
         // The image on grid row `row` of my grid column, and where in its
@@ -232,13 +257,6 @@ impl Interchange {
             let slot = if from < row { from } else { from - 1 };
             (row * g.q + pcol + 1, slot * slot_len)
         };
-        let outside = [
-            (0, g.first_local_col_ge(pcol, first)),
-            (
-                g.first_local_col_ge(pcol, first + pivots.len()),
-                g.local_cols(pcol),
-            ),
-        ];
         let Some(exchange) = &self.exchange else {
             self.swaps.clear();
             let moved = pivots
@@ -247,20 +265,20 @@ impl Interchange {
                 .filter(|&(j, &piv)| piv != first + j);
             self.swaps
                 .extend(moved.map(|(j, &piv)| (g.local_row(first + j), g.local_row(piv))));
-            for (lo, hi) in outside {
+            for &(lo, hi) in cols {
                 local.swap_rows_batched(&self.swaps, lo, hi);
             }
             return;
         };
         net_permutation(first, pivots, &mut self.perm);
-        let ncols: usize = outside.iter().map(|(lo, hi)| hi - lo).sum();
+        let ncols: usize = cols.iter().map(|(lo, hi)| hi - lo).sum();
         if self.perm.is_empty() || ncols == 0 {
             return; // and so says every image of my grid column
         }
-        // Where each outside range sits in a packed buffer of `nrows` rows.
+        // Where each column range sits in a packed buffer of `nrows` rows.
         let spans = |nrows: usize| {
             let mut at = 0;
-            outside.map(|(lo, hi)| {
+            cols.iter().map(move |&(lo, hi)| {
                 let span = at..at + nrows * (hi - lo);
                 at = span.end;
                 (lo, hi, span)
@@ -331,13 +349,15 @@ impl Interchange {
 /// the timed loop never touches the allocator.
 struct Workspace {
     /// Step (a)'s reduction buffer: the candidate's row across the panel,
-    /// then the diagonal row.
-    reduce: Vec<Keyed>,
+    /// in lanes, then the diagonal row.
+    reduce: Vec<PivotLane>,
     /// The pivot row's segment right of the diagonal, within the panel.
     rowseg: Vec<f64>,
-    /// The panel as broadcast along the row team: its `nb` pivots (as bit
-    /// patterns), then its active rows × `nb`.
-    panel: Vec<f64>,
+    /// The panels as broadcast along the row team — panel k in
+    /// `panel[k % 2]`, so panel k + 1 can be factored and sent while panel
+    /// k still updates the rest of step k. Each holds its `nb` pivots (as
+    /// bit patterns), then its active rows × `nb`.
+    panel: [Vec<f64>; 2],
     /// `nb` × my trailing columns, as broadcast along the column team.
     u12: Vec<f64>,
 }
@@ -345,17 +365,287 @@ struct Workspace {
 impl Workspace {
     fn new(grid: &BlockCyclic, prow: usize, pcol: usize) -> Self {
         let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
+        let panel = || vec![0.0; (1 + lr) * grid.nb];
         Workspace {
-            reduce: vec![((0.0, 0), 0.0); 2 * grid.nb],
+            reduce: vec![((0.0, 0), [0.0; LANE]); 2 * grid.nb.div_ceil(LANE)],
             rowseg: vec![0.0; grid.nb],
-            panel: vec![0.0; (1 + lr) * grid.nb],
+            panel: [panel(), panel()],
             u12: vec![0.0; grid.nb * lc],
         }
     }
 }
 
+/// Block step `k`'s place on the grid.
+#[derive(Clone, Copy)]
+struct Block {
+    /// Its first global row and column.
+    first: usize,
+    /// Its width.
+    nb: usize,
+    /// The grid column that owns its panel.
+    q: usize,
+    /// The grid row that owns its block row.
+    p: usize,
+    /// Which of the two panel buffers it travels in.
+    buf: usize,
+}
+
+impl Block {
+    fn new(grid: &BlockCyclic, k: usize) -> Self {
+        let first = k * grid.nb;
+        Block {
+            first,
+            nb: grid.nb.min(grid.n - first),
+            q: grid.owner_col(first),
+            p: grid.owner_row(first),
+            buf: k % 2,
+        }
+    }
+}
+
+/// One image's factorization in progress: its piece of the matrix, its
+/// teams, the buffers the block loop reuses and where its time went.
+struct Lu {
+    grid: BlockCyclic,
+    prow: usize,
+    pcol: usize,
+    local: Matrix,
+    pivots: Vec<usize>,
+    ws: Workspace,
+    interchange: Interchange,
+    /// My grid row (team rank == pcol) and my grid column (team rank ==
+    /// prow), both formed from the initial team.
+    row_team: Team,
+    col_team: Team,
+    laps: Laps,
+}
+
+/// Where an image's time went so far, and the clock at the last boundary.
+#[derive(Default)]
+struct Laps {
+    ns: PhaseNs,
+    mark: u64,
+}
+
+impl Laps {
+    /// Book the time since the previous boundary to `phase`.
+    fn book(&mut self, img: &ImageCtx, phase: fn(&mut PhaseNs) -> &mut u64) {
+        let now = img.now_ns();
+        *phase(&mut self.ns) += now - self.mark;
+        self.mark = now;
+    }
+}
+
+impl Lu {
+    /// (a) Factor panel `b` — on its grid column — and pack it with its
+    /// pivots for the row team.
+    ///
+    /// Column at a time, and every column costs the column team one
+    /// reduction: each image offers its candidate's row (all `b.nb` panel
+    /// columns of it) keyed by the candidate, and the diagonal row keyed so
+    /// that its owner wins. The result holds the pivot row and the
+    /// diagonal row on every image — pivot search, row swap and pivot-row
+    /// broadcast in one exchange.
+    fn factor_panel(&mut self, img: &mut ImageCtx, b: Block) {
+        let (grid, prow, p) = (self.grid, self.prow, self.grid.p);
+        let lr = grid.local_rows(prow);
+        let ld = self.local.ld();
+        let lj0 = grid.local_col(b.first);
+        let lanes = b.nb.div_ceil(LANE);
+        let local = &mut self.local;
+        for j in 0..b.nb {
+            let gdiag = b.first + j;
+            let lj = lj0 + j;
+            // Local pivot candidate among my rows >= gdiag.
+            let li_from = grid.first_local_row_ge(prow, gdiag);
+            let mut cand = (-1.0f64, 0u64);
+            for (li, v) in (li_from..lr).zip(&local.col(lj)[li_from..lr]) {
+                if v.abs() > cand.0 {
+                    cand = (v.abs(), grid.global_row(prow, li) as u64);
+                }
+            }
+            account(img, 2 * (lr - li_from) as u64);
+            let diag_owner = grid.owner_row(gdiag);
+            let diag_lr = grid.local_row(gdiag); // valid only on diag_owner
+            if p > 1 {
+                // The rows I can offer; an image without one offers zeros
+                // under a key that loses.
+                let cand_row = (cand.0 >= 0.0).then(|| grid.local_row(cand.1 as usize));
+                let diag_row = (prow == diag_owner).then_some(diag_lr);
+                let diag_key = (if diag_row.is_some() { 1.0 } else { -1.0 }, 0);
+                let lane = |row: Option<usize>, l: usize| {
+                    let mut vals = [0.0; LANE];
+                    for (c, v) in (l * LANE..b.nb).zip(&mut vals) {
+                        *v = row.map_or(0.0, |r| local.get(r, lj0 + c));
+                    }
+                    vals
+                };
+                let (cands, diags) = self.ws.reduce[..2 * lanes].split_at_mut(lanes);
+                for (l, (cand_lane, diag_lane)) in cands.iter_mut().zip(diags).enumerate() {
+                    *cand_lane = (cand, lane(cand_row, l));
+                    *diag_lane = (diag_key, lane(diag_row, l));
+                }
+                self.col_team
+                    .comm_mut()
+                    .co_reduce_with(&mut self.ws.reduce[..2 * lanes], maxloc);
+                cand = self.ws.reduce[0].0;
+            }
+            assert!(
+                cand.0 > 0.0,
+                "HPL: matrix numerically singular at global column {gdiag}"
+            );
+            let piv = cand.1 as usize;
+            self.pivots[gdiag] = piv;
+            // Swap within the panel columns only (deferred elsewhere) and
+            // read the pivot row's segment from the diagonal on.
+            let rowseg = &mut self.ws.rowseg[..b.nb - j];
+            if p > 1 {
+                // The diagonal's owner stores the pivot row, the pivot's
+                // owner the diagonal row.
+                let (pivot_row, diag_row) = self.ws.reduce[..2 * lanes].split_at(lanes);
+                if prow == diag_owner {
+                    for (c, v) in lane_values(pivot_row, b.nb).enumerate() {
+                        local.set(diag_lr, lj0 + c, v);
+                    }
+                }
+                if prow == grid.owner_row(piv) && piv != gdiag {
+                    for (c, v) in lane_values(diag_row, b.nb).enumerate() {
+                        local.set(grid.local_row(piv), lj0 + c, v);
+                    }
+                }
+                for (slot, v) in rowseg.iter_mut().zip(lane_values(pivot_row, b.nb).skip(j)) {
+                    *slot = v;
+                }
+            } else {
+                // A column team of one: both rows are mine.
+                local.swap_rows(diag_lr, grid.local_row(piv), lj0, lj0 + b.nb);
+                for (slot, col) in rowseg.iter_mut().zip(lj..lj0 + b.nb) {
+                    *slot = local.get(diag_lr, col);
+                }
+            }
+            let pivot_val = rowseg[0];
+            // Scale my subdiagonal column and rank-1 update the panel.
+            let li1 = grid.first_local_row_ge(prow, gdiag + 1);
+            blas::dscal(1.0 / pivot_val, &mut local.col_mut(lj)[li1..lr]);
+            if li1 < lr && j + 1 < b.nb {
+                let m_rows = lr - li1;
+                let n_cols = b.nb - j - 1;
+                // x = L column (li1.., lj), y = rowseg[1..].
+                let (left, right) = local.as_mut_slice().split_at_mut((lj + 1) * ld);
+                let x = &left[lj * ld + li1..lj * ld + lr];
+                blas::dger_minus(m_rows, n_cols, x, &rowseg[1..], &mut right[li1..], ld);
+                account(img, blas::dgemm_flops(m_rows, n_cols, 1) + m_rows as u64);
+            }
+        }
+        // The panel as it travels: the pivots at the head (as bit patterns,
+        // exact through the byte copy), then the L slab.
+        let act0 = grid.first_local_row_ge(prow, b.first);
+        let slab_rows = lr - act0;
+        let panel = &mut self.ws.panel[b.buf][..(1 + slab_rows) * b.nb];
+        let (head, slab) = panel.split_at_mut(b.nb);
+        for (slot, &piv) in head.iter_mut().zip(&self.pivots[b.first..]) {
+            *slot = f64::from_bits(piv as u64);
+        }
+        if slab_rows > 0 {
+            for (jj, dst) in slab.chunks_exact_mut(slab_rows).enumerate() {
+                dst.copy_from_slice(&local.col(lj0 + jj)[act0..lr]);
+            }
+        }
+        self.laps.book(img, |t| &mut t.panel);
+    }
+
+    /// (b)+(c) Panel `b` along my row team, as one broadcast — the pivots,
+    /// then the L slab (only the pivots where no active row is left): its
+    /// grid column sends it, everyone else comes away holding it.
+    fn begin_panel(&mut self, img: &ImageCtx, b: Block) {
+        let act0 = self.grid.first_local_row_ge(self.prow, b.first);
+        let slab_rows = self.grid.local_rows(self.prow) - act0;
+        let panel = &mut self.ws.panel[b.buf][..(1 + slab_rows) * b.nb];
+        self.row_team.comm_mut().co_broadcast_begin(panel, b.q);
+        let pivots = &mut self.pivots[b.first..b.first + b.nb];
+        for (slot, bits) in pivots.iter_mut().zip(&panel[..b.nb]) {
+            *slot = bits.to_bits() as usize;
+        }
+        self.laps.book(img, |t| &mut t.panel_bcast);
+    }
+
+    /// Finish every panel broadcast this image has begun.
+    fn finish_panels(&mut self, img: &ImageCtx) {
+        self.row_team.comm_mut().co_broadcast_finish();
+        self.laps.book(img, |t| &mut t.panel_bcast);
+    }
+
+    /// (d)–(g) of block step `b` on my trailing local columns `cols` and,
+    /// with `left`, (d) on my L columns left of the panel too. Every image
+    /// of my grid column passes the same arguments.
+    fn update(&mut self, img: &mut ImageCtx, b: Block, cols: Range<usize>, left: bool) {
+        let (grid, prow, pcol) = (self.grid, self.prow, self.pcol);
+        let lr = grid.local_rows(prow);
+        let ld = self.local.ld();
+        let act0 = grid.first_local_row_ge(prow, b.first);
+        let slab_rows = lr - act0;
+        let slab = &self.ws.panel[b.buf][b.nb..(1 + slab_rows) * b.nb];
+        let lt_c0 = grid.first_local_col_ge(pcol, b.first + b.nb);
+        let u12 = &mut self.ws.u12[(cols.start - lt_c0) * b.nb..(cols.end - lt_c0) * b.nb];
+        let local = &mut self.local;
+
+        // -------- (d) apply the panel's row interchanges ----------------
+        let l_end = if left {
+            grid.first_local_col_ge(pcol, b.first)
+        } else {
+            0
+        };
+        let pivots = &self.pivots[b.first..b.first + b.nb];
+        let ranges = [(0, l_end), (cols.start, cols.end)];
+        self.interchange.apply(img, local, b.first, pivots, &ranges);
+        self.laps.book(img, |t| &mut t.interchange);
+
+        // -------- (e) U12 = L11⁻¹ · A(K, cols) on grid row p_k ----------
+        // Solved in the contiguous broadcast buffer (the block row of the
+        // local matrix is `nb` doubles every `ld`), then written back.
+        if !cols.is_empty() && prow == b.p {
+            let li_k0 = grid.local_row(b.first);
+            for (jj, dst) in u12.chunks_exact_mut(b.nb).enumerate() {
+                dst.copy_from_slice(&local.col(cols.start + jj)[li_k0..li_k0 + b.nb]);
+            }
+            // L11 (unit diagonal implied) sits in the slab at my rows of
+            // block K.
+            let l11 = &slab[li_k0 - act0..];
+            blas::dtrsm_lower_unit(b.nb, cols.len(), l11, slab_rows, u12, b.nb);
+            account(img, blas::dtrsm_flops(b.nb, cols.len()));
+            for (jj, src) in u12.chunks_exact(b.nb).enumerate() {
+                local.col_mut(cols.start + jj)[li_k0..li_k0 + b.nb].copy_from_slice(src);
+            }
+        }
+        self.laps.book(img, |t| &mut t.dtrsm);
+
+        // -------- (f) U12 travels along the column team -----------------
+        if !cols.is_empty() {
+            self.col_team.comm_mut().co_broadcast(u12, b.p);
+        }
+        self.laps.book(img, |t| &mut t.u12_bcast);
+
+        // -------- (g) trailing update: A22 -= L21 · U12 -----------------
+        let lt_r0 = grid.first_local_row_ge(prow, b.first + b.nb);
+        let trows = lr - lt_r0;
+        if trows > 0 && !cols.is_empty() {
+            let a = &slab[lt_r0 - act0..];
+            let c = &mut local.as_mut_slice()[cols.start * ld + lt_r0..];
+            blas::dgemm_minus(trows, cols.len(), b.nb, a, slab_rows, u12, b.nb, c, ld);
+            account(img, blas::dgemm_flops(trows, cols.len(), b.nb));
+        }
+        self.laps.book(img, |t| &mut t.update);
+    }
+}
+
 /// Run one distributed factorization. Collective over all images of the
 /// run; every image receives its own [`HplOutcome`].
+///
+/// The block loop looks one panel ahead, as netlib HPL does: during step
+/// k, the grid column that owns panel k + 1 takes only that panel's
+/// columns through the step, factors it and begins its broadcast, and
+/// then finishes step k on its other columns while the panel travels; the
+/// other grid columns run step k whole and then receive panel k + 1.
 ///
 /// # Panics
 /// Panics if the matrix turns out numerically singular (never the case for
@@ -378,204 +668,71 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
             local.set(li, lj, hpl_element(cfg.seed, cfg.n, gi, gj));
         }
     }
-    let ld = local.ld();
 
-    // Row team = my grid row (team rank == pcol); column team = my grid
-    // column (team rank == prow). Both formed from the initial team.
-    let mut row_team: Team = img.form_team(prow as i64);
-    let mut col_team: Team = img.form_team(pcol as i64);
+    let row_team: Team = img.form_team(prow as i64);
+    let col_team: Team = img.form_team(pcol as i64);
     debug_assert_eq!(row_team.this_image() - 1, pcol);
     debug_assert_eq!(col_team.this_image() - 1, prow);
-
-    let mut pivots = vec![0usize; cfg.n];
-    let mut ws = Workspace::new(&grid, prow, pcol);
-    let mut interchange = Interchange::new(img, grid, prow, pcol);
-    img.sync_all();
-    let t0 = img.now_ns();
-    let mut phase_ns = PhaseNs::default();
-    let mut mark = t0;
-    // Book the time since the previous boundary to `phase`.
-    let mut lap = |img: &ImageCtx, phase: &mut u64| {
-        let now = img.now_ns();
-        *phase += now - mark;
-        mark = now;
+    let interchange = Interchange::new(img, grid, prow, pcol);
+    let mut lu = Lu {
+        grid,
+        prow,
+        pcol,
+        local,
+        pivots: vec![0usize; cfg.n],
+        ws: Workspace::new(&grid, prow, pcol),
+        interchange,
+        row_team,
+        col_team,
+        laps: Laps::default(),
     };
+    img.sync_all();
+    lu.laps.mark = img.now_ns();
 
     let nblocks = cfg.n.div_ceil(cfg.nb);
-    for k in 0..nblocks {
-        let gcol0 = k * cfg.nb;
-        let nb_k = cfg.nb.min(cfg.n - gcol0);
-        let q_k = grid.owner_col(gcol0);
-        let p_k = grid.owner_row(gcol0);
-        let lj0 = grid.local_col(gcol0); // valid only on pcol == q_k
-
-        // -------- (a) panel factorization, on grid column q_k ----------
-        // Column at a time, and every column costs the column team one
-        // reduction: each image offers its candidate's row (all `nb_k`
-        // panel columns of it) keyed by the candidate, and the diagonal
-        // row keyed so that its owner wins. The result holds the pivot row
-        // and the diagonal row on every image — pivot search, row swap and
-        // pivot-row broadcast in one exchange.
-        if pcol == q_k {
-            for j in 0..nb_k {
-                let gdiag = gcol0 + j;
-                let lj = lj0 + j;
-                // Local pivot candidate among my rows >= gdiag.
-                let li_from = grid.first_local_row_ge(prow, gdiag);
-                let mut cand = (-1.0f64, 0u64);
-                for (li, v) in (li_from..lr).zip(&local.col(lj)[li_from..lr]) {
-                    if v.abs() > cand.0 {
-                        cand = (v.abs(), grid.global_row(prow, li) as u64);
-                    }
-                }
-                account(img, 2 * (lr - li_from) as u64);
-                let diag_owner = grid.owner_row(gdiag);
-                let diag_lr = grid.local_row(gdiag); // valid only on diag_owner
-                if p > 1 {
-                    // The rows I can offer; an image without one offers
-                    // zeros under a key that loses.
-                    let cand_row = (cand.0 >= 0.0).then(|| grid.local_row(cand.1 as usize));
-                    let diag_row = (prow == diag_owner).then_some(diag_lr);
-                    let diag_key = (if diag_row.is_some() { 1.0 } else { -1.0 }, 0);
-                    let value = |row: Option<usize>, c| row.map_or(0.0, |r| local.get(r, lj0 + c));
-                    let (cands, diags) = ws.reduce[..2 * nb_k].split_at_mut(nb_k);
-                    for (c, (cand_slot, diag_slot)) in cands.iter_mut().zip(diags).enumerate() {
-                        *cand_slot = (cand, value(cand_row, c));
-                        *diag_slot = (diag_key, value(diag_row, c));
-                    }
-                    col_team
-                        .comm_mut()
-                        .co_reduce_with(&mut ws.reduce[..2 * nb_k], stronger);
-                    cand = ws.reduce[0].0;
-                }
-                assert!(
-                    cand.0 > 0.0,
-                    "HPL: matrix numerically singular at global column {gdiag}"
-                );
-                let piv = cand.1 as usize;
-                pivots[gdiag] = piv;
-                // Swap within the panel columns only (deferred elsewhere)
-                // and read the pivot row's segment from the diagonal on.
-                let rowseg = &mut ws.rowseg[..nb_k - j];
-                if p > 1 {
-                    // The diagonal's owner stores the pivot row, the
-                    // pivot's owner the diagonal row.
-                    let (pivot_row, diag_row) = ws.reduce[..2 * nb_k].split_at(nb_k);
-                    if prow == diag_owner {
-                        for (c, e) in pivot_row.iter().enumerate() {
-                            local.set(diag_lr, lj0 + c, e.1);
-                        }
-                    }
-                    if prow == grid.owner_row(piv) && piv != gdiag {
-                        for (c, e) in diag_row.iter().enumerate() {
-                            local.set(grid.local_row(piv), lj0 + c, e.1);
-                        }
-                    }
-                    for (slot, e) in rowseg.iter_mut().zip(&pivot_row[j..]) {
-                        *slot = e.1;
-                    }
-                } else {
-                    // A column team of one: both rows are mine.
-                    local.swap_rows(diag_lr, grid.local_row(piv), lj0, lj0 + nb_k);
-                    for (slot, col) in rowseg.iter_mut().zip(lj..lj0 + nb_k) {
-                        *slot = local.get(diag_lr, col);
-                    }
-                }
-                let pivot_val = rowseg[0];
-                // Scale my subdiagonal column and rank-1 update the panel.
-                let li1 = grid.first_local_row_ge(prow, gdiag + 1);
-                blas::dscal(1.0 / pivot_val, &mut local.col_mut(lj)[li1..lr]);
-                if li1 < lr && j + 1 < nb_k {
-                    let m_rows = lr - li1;
-                    let n_cols = nb_k - j - 1;
-                    // x = L column (li1.., lj), y = rowseg[1..].
-                    let (left, right) = local.as_mut_slice().split_at_mut((lj + 1) * ld);
-                    let x = &left[lj * ld + li1..lj * ld + lr];
-                    blas::dger_minus(m_rows, n_cols, x, &rowseg[1..], &mut right[li1..], ld);
-                    account(img, blas::dgemm_flops(m_rows, n_cols, 1) + m_rows as u64);
-                }
-            }
-        }
-        lap(img, &mut phase_ns.panel);
-
-        // -------- (b)+(c) the panel travels along row teams ------------
-        // One broadcast: the pivots at the head (as bit patterns, exact
-        // through the byte copy), then the L slab — only the pivots where
-        // no active row is left.
-        let act0 = grid.first_local_row_ge(prow, gcol0);
-        let slab_rows = lr - act0;
-        let panel = &mut ws.panel[..(1 + slab_rows) * nb_k];
-        if pcol == q_k {
-            let (head, slab) = panel.split_at_mut(nb_k);
-            for (slot, &piv) in head.iter_mut().zip(&pivots[gcol0..]) {
-                *slot = f64::from_bits(piv as u64);
-            }
-            if slab_rows > 0 {
-                for (jj, dst) in slab.chunks_exact_mut(slab_rows).enumerate() {
-                    dst.copy_from_slice(&local.col(lj0 + jj)[act0..lr]);
-                }
-            }
-        }
-        row_team.comm_mut().co_broadcast(panel, q_k);
-        let (head, slab) = panel.split_at(nb_k);
-        let pivots_k = &mut pivots[gcol0..gcol0 + nb_k];
-        for (slot, bits) in pivots_k.iter_mut().zip(head) {
-            *slot = bits.to_bits() as usize;
-        }
-        lap(img, &mut phase_ns.panel_bcast);
-
-        // -------- (d) apply row interchanges outside the panel ---------
-        interchange.apply(img, &mut local, gcol0, pivots_k);
-        lap(img, &mut phase_ns.interchange);
-
-        // -------- (e) U12 = L11⁻¹ · A(K, trailing) on grid row p_k ------
-        // Solved in the contiguous broadcast buffer (the block row of the
-        // local matrix is `nb` doubles every `ld`), then written back.
-        let lt_c0 = grid.first_local_col_ge(pcol, gcol0 + nb_k);
-        let tcols = lc - lt_c0;
-        let u12 = &mut ws.u12[..nb_k * tcols];
-        if tcols > 0 && prow == p_k {
-            let li_k0 = grid.local_row(gcol0);
-            for (jj, dst) in u12.chunks_exact_mut(nb_k).enumerate() {
-                dst.copy_from_slice(&local.col(lt_c0 + jj)[li_k0..li_k0 + nb_k]);
-            }
-            // L11 (unit diagonal implied) sits in the slab at my rows
-            // of block K.
-            let l11 = &slab[li_k0 - act0..];
-            blas::dtrsm_lower_unit(nb_k, tcols, l11, slab_rows, u12, nb_k);
-            account(img, blas::dtrsm_flops(nb_k, tcols));
-            for (jj, src) in u12.chunks_exact(nb_k).enumerate() {
-                local.col_mut(lt_c0 + jj)[li_k0..li_k0 + nb_k].copy_from_slice(src);
-            }
-        }
-        lap(img, &mut phase_ns.dtrsm);
-
-        // -------- (f) U12 travels along column teams --------------------
-        if tcols > 0 {
-            col_team.comm_mut().co_broadcast(u12, p_k);
-        }
-        lap(img, &mut phase_ns.u12_bcast);
-
-        // -------- (g) trailing update: A22 -= L21 · U12 -----------------
-        let lt_r0 = grid.first_local_row_ge(prow, gcol0 + nb_k);
-        let trows = lr - lt_r0;
-        if trows > 0 && tcols > 0 {
-            let a = &slab[lt_r0 - act0..];
-            let c = &mut local.as_mut_slice()[lt_c0 * ld + lt_r0..];
-            blas::dgemm_minus(trows, tcols, nb_k, a, slab_rows, u12, nb_k, c, ld);
-            account(img, blas::dgemm_flops(trows, tcols, nb_k));
-        }
-        lap(img, &mut phase_ns.update);
+    let first = Block::new(&grid, 0);
+    if pcol == first.q {
+        lu.factor_panel(img, first);
+        lu.begin_panel(img, first);
+        // Nothing of step 0 to overlap with: let the panel's receivers
+        // know at once that it has landed everywhere.
+        lu.finish_panels(img);
+    } else {
+        lu.begin_panel(img, first);
     }
+    for k in 0..nblocks {
+        let b = Block::new(&grid, k);
+        let trailing = grid.first_local_col_ge(pcol, b.first + b.nb);
+        match (k + 1 < nblocks).then(|| Block::new(&grid, k + 1)) {
+            Some(next) if pcol == next.q => {
+                // Panel k + 1 is my trailing columns' head: take it through
+                // step k, factor and send it, then the rest of step k
+                // while it travels.
+                let split = trailing + next.nb;
+                lu.update(img, b, trailing..split, false);
+                lu.factor_panel(img, next);
+                lu.begin_panel(img, next);
+                lu.update(img, b, split..lc, true);
+                lu.finish_panels(img);
+            }
+            next => {
+                lu.update(img, b, trailing..lc, true);
+                if let Some(next) = next {
+                    lu.begin_panel(img, next);
+                }
+            }
+        }
+    }
+    lu.finish_panels(img);
 
     img.sync_all();
-    lap(img, &mut phase_ns.closing_sync);
+    lu.laps.book(img, |t| &mut t.closing_sync);
 
     HplOutcome {
-        time_ns: phase_ns.total(),
-        phase_ns,
-        pivots,
-        local,
+        time_ns: lu.laps.ns.total(),
+        phase_ns: lu.laps.ns,
+        pivots: lu.pivots,
+        local: lu.local,
         grid,
         prow,
         pcol,
@@ -586,6 +743,7 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
 mod tests {
     use super::*;
     use caf_fabric::StatsSnapshot;
+    use caf_runtime::CoValue;
     use caf_runtime::{run_on_fabric, CollectiveConfig, RunConfig};
     use caf_topology::presets;
     use proptest::prelude::*;
@@ -607,6 +765,21 @@ mod tests {
 
     fn flags(s: &StatsSnapshot) -> u64 {
         s.flags_intra + s.flags_inter
+    }
+
+    fn bytes(s: &StatsSnapshot) -> u64 {
+        s.bytes_intra + s.bytes_inter
+    }
+
+    /// My local column ranges outside the panel `first .. first + len`.
+    fn outside(grid: &BlockCyclic, pcol: usize, first: usize, len: usize) -> [(usize, usize); 2] {
+        [
+            (0, grid.first_local_col_ge(pcol, first)),
+            (
+                grid.first_local_col_ge(pcol, first + len),
+                grid.local_cols(pcol),
+            ),
+        ]
     }
 
     #[test]
@@ -699,7 +872,8 @@ mod tests {
                     let mut interchange = Interchange::new(img, grid, prow, pcol);
                     for first in (0..n).step_by(nb).filter(|_| panels) {
                         let panel = &pivots[first..(first + nb).min(n)];
-                        interchange.apply(img, &mut local, first, panel);
+                        let cols = outside(&grid, pcol, first, panel.len());
+                        interchange.apply(img, &mut local, first, panel, &cols);
                     }
                     img.sync_all();
                     local
@@ -729,7 +903,9 @@ mod tests {
     }
 
     /// What a panel column adds to a factorization's traffic is one
-    /// `co_reduce` of its size on its column team — nothing besides.
+    /// `co_reduce` of its size on its column team — nothing besides — and
+    /// that reduction carries the candidate's and the diagonal row in
+    /// ⌈nb/8⌉ lanes each, one key per eight values.
     #[test]
     fn a_panel_column_costs_one_reduction_on_the_column_team() {
         // Grid 2 × 2. With `n == nb` a factorization is one panel on grid
@@ -747,9 +923,10 @@ mod tests {
                 let _row_team = img.form_team((rank0 / 2) as i64);
                 let mut col_team = img.form_team((rank0 % 2) as i64);
                 if rank0 % 2 == 0 {
-                    let mut buf: Vec<Keyed> = vec![((rank0 as f64, 0), 1.0); 2 * nb];
+                    let lane: PivotLane = ((rank0 as f64, 0), [1.0; LANE]);
+                    let mut buf = vec![lane; 2 * nb.div_ceil(LANE)];
                     for _ in 0..calls {
-                        col_team.comm_mut().co_reduce_with(&mut buf, stronger);
+                        col_team.comm_mut().co_reduce_with(&mut buf, maxloc);
                     }
                 }
             })
@@ -767,6 +944,15 @@ mod tests {
                 16 * per_call(16) - 8 * per_call(8),
                 "{what}: 16 columns of a 16-wide panel against 8 of an 8-wide one"
             );
+        }
+        // The payload, in bytes on the fabric: a lane is a 16 B key and
+        // 64 B of values, and a two-image reduction moves it twice (in to
+        // the leader, back out). At nb = 64 that is 1 280 B per column
+        // where one key per value made it 3 072 B.
+        assert_eq!(<PivotLane as CoValue>::SIZE, 80);
+        for (nb, lanes) in [(8, 2), (16, 4), (61, 16), (64, 16)] {
+            let per_call = bytes(&reductions(nb, 3)) - bytes(&reductions(nb, 2));
+            assert_eq!(per_call, 2 * lanes * 80, "nb = {nb}");
         }
     }
 
@@ -787,7 +973,8 @@ mod tests {
                     // Block k lives on grid row k % 2, block k + 1 on the other.
                     let first = k * nb;
                     let pivots: Vec<usize> = (first + nb..first + 2 * nb).collect();
-                    interchange.apply(img, &mut local, first, &pivots);
+                    let cols = outside(&grid, pcol, first, nb);
+                    interchange.apply(img, &mut local, first, &pivots, &cols);
                 }
                 img.sync_all();
             })

@@ -430,6 +430,22 @@ impl ImageCtx {
         self.current_mut().comm.co_broadcast(buf, root);
     }
 
+    /// Split-phase `co_broadcast` over the current team: on return every
+    /// image's `buf` holds `source_image`'s data, and the broadcast is
+    /// finished by [`Self::co_broadcast_finish`], the next `sync all`, or
+    /// the `begin` two broadcasts later (`TeamComm::co_broadcast_begin`).
+    pub fn co_broadcast_begin<T: CoValue>(&mut self, buf: &mut [T], source_image: usize) {
+        let root = source_image
+            .checked_sub(1)
+            .expect("source_image is 1-based");
+        self.current_mut().comm.co_broadcast_begin(buf, root);
+    }
+
+    /// Finish every broadcast begun on the current team.
+    pub fn co_broadcast_finish(&mut self) {
+        self.current_mut().comm.co_broadcast_finish();
+    }
+
     // ------------------------------------------------------------------
     // Coarrays and events
     // ------------------------------------------------------------------

@@ -107,13 +107,13 @@ fn each_tree_protocol_has_one_body() {
     sources(&root, &mut files);
     let hits = |needle: &str| hits(&files, needle, false);
 
-    // The three-wave broadcast: one wait and one add per wave flag.
-    for flag in ["flag::B_ACK", "flag::B_DONE"] {
-        assert_eq!(
-            hits(flag),
-            ["collectives/src/bcast.rs"; 2],
-            "{flag}: a broadcast algorithm is a Tree for bcast::tree_bcast, not a new body"
-        );
+    // The three-wave broadcast: one wait and one add per wave flag, each
+    // flag indexed by the episode's scratch parity.
+    for flag in ["flag::B_ACK[", "flag::B_DONE["] {
+        let why = "a broadcast algorithm is a Tree for the waves in bcast.rs, not a new body";
+        assert_eq!(hits(flag), ["collectives/src/bcast.rs"; 2], "{flag}: {why}");
+        let wait = format!("wait_flag({flag}");
+        assert_eq!(hits(&wait), ["collectives/src/bcast.rs"], "{wait}: {why}");
     }
     // The gather/release barrier: its flags are named by the shape only,
     // and one function walks the levels.
