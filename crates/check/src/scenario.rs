@@ -142,10 +142,10 @@ fn fnv(h: &mut u64, x: u64) {
 const BIG: usize = 2_500;
 
 /// The built-in SPMD conformance program: point-to-point coarray traffic
-/// plus every collective family, small and multi-chunk payloads, a
-/// subteam phase and split-phase broadcasts. Returns a per-image digest of
-/// everything observed; any schedule- or fabric-dependent divergence
-/// changes the digest. Integer
+/// plus every collective family, small and multi-chunk payloads, subteam
+/// phases (one uneven, whose siblings allocate differently) and split-phase
+/// broadcasts. Returns a per-image digest of everything observed; any
+/// schedule- or fabric-dependent divergence changes the digest. Integer
 /// arithmetic only — u64 sums are exactly associative, so the digest is
 /// fabric- and schedule-independent for a correct runtime.
 pub fn conformance(img: &mut ImageCtx) -> u64 {
@@ -235,6 +235,34 @@ pub fn conformance(img: &mut ImageCtx) -> u64 {
             fnv(&mut h, v);
         }
     }
+
+    // 11. An uneven split, a third against the rest: the siblings allocate
+    //     different numbers of coarrays and event blocks, and the smaller
+    //     grows its scratch with a multi-chunk broadcast. Back in the initial
+    //     team, a new coarray must line up on every image.
+    let third = me <= n.div_ceil(3);
+    let team = img.form_team(1 + !third as i64);
+    let (_team, sub) = img.change_team(team, |img| {
+        let (m, k) = (img.num_images(), img.this_image());
+        let mut bb = vec![k as u64; if third { BIG } else { 1 }];
+        for r in 0..if third { 1 } else { 3 } {
+            let co = img.coarray::<u64>(1 + r);
+            co.put(k % m + 1, r, &[k as u64 * 13 + r as u64]);
+            img.sync_all();
+            bb[0] += co.read_local()[r];
+            img.sync_all();
+        }
+        let mut ev = img.events(if third { 2 } else { 1 });
+        ev.post(k % m + 1, 0);
+        ev.wait(0, 1);
+        img.co_broadcast(&mut bb, m);
+        bb[0] ^ bb[bb.len() - 1] << 1
+    });
+    fnv(&mut h, sub);
+    let ring = img.coarray::<u64>(1);
+    ring.put(right, 0, &[me as u64 * 29 + 5]);
+    img.sync_all();
+    fnv(&mut h, ring.read_local()[0] ^ ring.get_elem(right, 0) << 1);
 
     img.sync_all();
     h

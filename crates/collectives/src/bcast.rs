@@ -66,7 +66,7 @@
 //! so the fan-out — which overlaps the inter-node transfer of the next
 //! chunk — remains the steady-state bound.
 
-use crate::comm::{flag, TeamComm};
+use crate::comm::{flag, Region::Scratch, TeamComm};
 use crate::config::BcastAlgo;
 use crate::shape::Tree;
 use crate::value::CoValue;
@@ -205,7 +205,7 @@ fn data_wave<T: CoValue>(
             if nb {
                 comm.send_values_nb(child, at, piece);
             } else {
-                comm.send_values(child, at, piece);
+                comm.send_values(Scratch, child, at, piece);
             }
             comm.add_flag(child, flag::B_ARRIVE[par], 1);
         }
@@ -222,7 +222,7 @@ fn data_wave<T: CoValue>(
         if tree.parent.is_some() {
             comm.epochs.bcast_arrived[par] += 1;
             comm.wait_flag(flag::B_ARRIVE[par], comm.epochs.bcast_arrived[par]);
-            comm.load_from_scratch(at, &mut buf[lo..hi]);
+            comm.load_values(Scratch, at, &mut buf[lo..hi]);
         }
         send(comm, far, at, &buf[lo..hi]);
         if staged && !nb {

@@ -8,24 +8,25 @@
 //!   formation, which every two-level collective consults, and the
 //!   **barrier levels** its resolved barrier algorithm walks (see
 //!   `shape.rs`);
-//! * per-member **resource tables**: because fabric allocation is
-//!   image-local, each member records its co-members' flag-block and
-//!   segment ids, learned through an id exchange at formation time;
+//! * **one resource record**: its flag block and exchange, scratch and
+//!   gather segments, each under one id, the same on every member;
 //! * per-collective **epoch counters**: all flags are accumulating
 //!   `sync_flags` counters (never reset), so algorithms wait for
 //!   `≥ epoch`-scaled thresholds — the paper's one-wait carry.
 //!
-//! # Formation
+//! # Symmetric allocation and formation
 //!
-//! A team without a parent ([`TeamComm::create_among`]; the initial team,
-//! [`TeamComm::create_initial`], is that over every image) bootstraps its
-//! id exchange through the fabric's pre-created [`caf_fabric::bootstrap`]
-//! resources. Subteams ([`TeamComm::create_sub`], the runtime's
-//! `form_team`) exchange their fresh ids through the **parent** team's
-//! machinery — mirroring how a real runtime coordinates team-scoped
-//! symmetric allocations through the parent team. A [`Provisioned`] team
-//! exchanges nothing: a harness that can reach every image's fabric tables
-//! allocates all members' resources itself, in one order.
+//! Fabric allocation is image-local; one placement rule (`place`) makes
+//! ids symmetric: members *peek* at their next ids (a zero-size
+//! allocation), *agree* on the largest in an exchange the operation runs
+//! anyway, *pad* up to it, and *allocate* there. The exchange's closing
+//! fence runs after the allocation, so nobody addresses a member's new
+//! resource before it exists; sibling teams may have allocated anything.
+//! Subteams ([`TeamComm::create_sub`], the runtime's `form_team`) agree
+//! through the **parent** team. A team without a parent
+//! ([`TeamComm::create_among`]) forms in one barrier on the fabric's
+//! [`caf_fabric::bootstrap`] resources. A [`Provisioned`] team exchanges
+//! nothing: a harness that reaches every image's tables allocates for all.
 
 use crate::bcast::Pending;
 use crate::config::{
@@ -143,33 +144,74 @@ impl FlagLayout {
     }
 }
 
-/// Resource ids of one co-member, learned at formation time.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct MemberRsrc {
-    /// Base of the member's team flag block.
-    pub flags: FlagId,
-    /// The member's exchange segment.
-    pub exch: SegmentId,
-    /// The member's current scratch segment (valid when
-    /// `TeamComm::scratch_slot_bytes > 0`).
-    pub scratch: SegmentId,
-    /// The member's gather/scatter region (valid when
-    /// `TeamComm::gather_slot_bytes > 0`).
-    pub gather: SegmentId,
+/// A team's resource ids — one record, the same on every member. Scratch
+/// and gather segments are valid once their slot size is nonzero.
+#[derive(Clone, Copy)]
+struct Rsrc {
+    flags: FlagId,
+    exch: SegmentId,
+    scratch: SegmentId,
+    gather: SegmentId,
 }
 
-impl MemberRsrc {
-    /// A member as known right after formation: its flag block and exchange
-    /// segment; scratch and gather regions come with the first collective
+impl Rsrc {
+    /// A team as formed: scratch and gather come with the first collective
     /// that needs them.
-    fn new(flags: u64, exch: u64) -> Self {
+    fn formed(flags: FlagId, exch: SegmentId) -> Self {
+        let none = SegmentId(usize::MAX);
         Self {
-            flags: FlagId(flags as usize),
-            exch: SegmentId(exch as usize),
-            scratch: SegmentId(usize::MAX),
-            gather: SegmentId(usize::MAX),
+            flags,
+            exch,
+            scratch: none,
+            gather: none,
         }
     }
+}
+
+/// A team's two growable segments.
+#[derive(Clone, Copy)]
+pub(crate) enum Region {
+    Scratch,
+    Gather,
+}
+
+/// The ids image `me`'s next flag block and next segment would get.
+fn peek(fabric: &dyn Fabric, me: ProcId) -> [u64; 2] {
+    let (flags, seg) = (fabric.alloc_flags(me, 0), fabric.alloc_segment(me, 0));
+    [flags.0 as u64, seg.0 as u64]
+}
+
+/// The one placement rule (module docs): given every member's [`peek`],
+/// pad `me`'s tables up to the largest — one flag block, and 1-byte
+/// placeholder segments — and allocate `flags` flags and a `bytes`-byte
+/// segment there. A kind asked for with 0 is neither padded nor allocated.
+fn place(
+    fabric: &dyn Fabric,
+    me: ProcId,
+    peeks: impl IntoIterator<Item = [u64; 2]>,
+    flags: usize,
+    bytes: usize,
+) -> (FlagId, SegmentId) {
+    let most = |a: [u64; 2], b: [u64; 2]| [a[0].max(b[0]), a[1].max(b[1])];
+    let [f, s] = peeks.into_iter().fold([0, 0], most).map(|w| w as usize);
+    let (mut flag, mut seg) = (FlagId(f), SegmentId(s));
+    if flags > 0 {
+        fabric.alloc_flags(me, f - fabric.alloc_flags(me, 0).0);
+        flag = fabric.alloc_flags(me, flags);
+    }
+    if bytes > 0 {
+        for _ in fabric.alloc_segment(me, 0).0..s {
+            fabric.alloc_segment(me, 1);
+        }
+        seg = fabric.alloc_segment(me, bytes);
+    }
+    assert_eq!(
+        (flag, seg),
+        (FlagId(f), SegmentId(s)),
+        "image {}",
+        me.index()
+    );
+    (flag, seg)
 }
 
 /// A team formed **without communication**, for a harness that can reach
@@ -177,10 +219,10 @@ impl MemberRsrc {
 /// the threaded runs they are checked against). [`Provisioned::new`]
 /// allocates each member's flag block and scratch, in one order, so every
 /// member holds the same ids; [`Provisioned::comm`] then hands each image a
-/// [`TeamComm`] that shares the member list, the hierarchy and the resource
-/// table instead of holding `n` entries of its own.
+/// [`TeamComm`] that shares the member list and the hierarchy, and holds
+/// the team's one resource record.
 ///
-/// What such a team gives up is everything that needs an id exchange: it
+/// What such a team gives up is everything that needs an exchange: it
 /// has no exchange segment, so it cannot be split, cannot gather/scatter,
 /// and cannot grow its scratch — a payload larger than it was provisioned
 /// for is refused by name, on every fabric.
@@ -188,7 +230,7 @@ pub struct Provisioned {
     members: Arc<Vec<ProcId>>,
     hier: Arc<HierarchyView>,
     layout: FlagLayout,
-    rsrc: Arc<Vec<MemberRsrc>>,
+    rsrc: Rsrc,
     cfg: CollectiveConfig,
     scratch_slot_bytes: usize,
 }
@@ -204,33 +246,25 @@ impl Provisioned {
         cfg: CollectiveConfig,
         scratch_slot_bytes: usize,
     ) -> Self {
-        let hier = Arc::new(HierarchyView::build(fabric.image_map(), &members));
-        let layout = FlagLayout::new(&hier);
+        let (hier, layout) = TeamComm::decompose(fabric, &members);
         let scratch_bytes = layout.scratch_slots() * scratch_slot_bytes;
-        let mut ids = None;
+        let first = peek(fabric, members[0]);
+        let mut ids = (FlagId(0), SegmentId(0));
         for &p in &members {
-            let flags = fabric.alloc_flags(p, layout.total());
-            let scratch = match scratch_bytes {
-                0 => SegmentId(usize::MAX),
-                bytes => fabric.alloc_segment(p, bytes),
-            };
-            let first = *ids.get_or_insert((flags, scratch));
             assert_eq!(
-                (flags, scratch),
+                peek(fabric, p),
                 first,
                 "image {}: provisioning needs one allocation history on every member",
                 p.index()
             );
+            ids = place(fabric, p, [first], layout.total(), scratch_bytes);
         }
-        let (flags, scratch) = ids.expect("a team needs at least one image");
-        let one = MemberRsrc {
-            flags,
-            exch: SegmentId(usize::MAX),
-            scratch,
-            gather: SegmentId(usize::MAX),
-        };
+        let (flags, scratch) = ids;
         Self {
-            rsrc: Arc::new(vec![one; members.len()]),
+            rsrc: Rsrc {
+                scratch,
+                ..Rsrc::formed(flags, SegmentId(usize::MAX))
+            },
             members: Arc::new(members),
             hier,
             layout,
@@ -255,7 +289,7 @@ impl Provisioned {
             self.hier.clone(),
             self.cfg,
             self.layout,
-            self.rsrc.clone(),
+            self.rsrc,
         );
         comm.provisioned = true;
         comm.scratch_slot_bytes = self.scratch_slot_bytes;
@@ -366,10 +400,9 @@ pub struct TeamComm {
     /// derived from the fabric's cost model at formation.
     pub(crate) policy: SizePolicy,
     pub(crate) layout: FlagLayout,
-    /// Co-members' resource ids by team rank. A formed team's image owns its
-    /// table; the images of a [`Provisioned`] team share one.
-    pub(crate) rsrc: Arc<Vec<MemberRsrc>>,
-    /// Formed without an id exchange ([`Provisioned`]): there is no
+    /// The team's resource ids, which are every member's.
+    rsrc: Rsrc,
+    /// Formed without an exchange ([`Provisioned`]): there is no
     /// exchange segment, so nothing can be grown or split off later.
     provisioned: bool,
     pub(crate) epochs: Epochs,
@@ -425,12 +458,13 @@ impl TeamComm {
     /// no agreement protocol is needed) and a `boot_epoch` counter matching
     /// the flag state (fresh after a heal).
     ///
-    /// The id exchange goes through the bootstrap segment — slots indexed
-    /// by *global* rank, since the segment spans all images — between two
-    /// control barriers that run only over `members`, with `members[0]` as
-    /// leader, so a dead rank 0 (or a whole dead node) cannot block
-    /// formation. Ranks in the new team are dense: member `i` of the list
-    /// becomes team rank `i`.
+    /// Formation is one barrier over `members` (`members[0]` leads, so a
+    /// dead rank 0 or node cannot block it). Each member places its flag
+    /// block and exchange segment *before* the barrier, since nothing after
+    /// it could fence a late allocation: a team without a parent needs one
+    /// allocation history on every member, as at startup and after a heal,
+    /// and the barrier checks it ([`bootstrap::max_among`]). Ranks are
+    /// dense: member `i` of the list becomes team rank `i`.
     pub fn create_among(
         fabric: ArcFabric,
         me: ProcId,
@@ -442,47 +476,29 @@ impl TeamComm {
             .iter()
             .position(|&p| p == me)
             .expect("create_among: caller must be in the member list");
-        let members: Arc<Vec<ProcId>> = Arc::new(members);
-        let (hier, layout, [flags, exch]) = Self::provision(&fabric, me, &members);
-
-        // Publish (flags, exch) in my slot on every member.
-        let mut slot = [0u8; bootstrap::SLOT_BYTES];
-        slot[0..8].copy_from_slice(&flags.to_ne_bytes());
-        slot[8..16].copy_from_slice(&exch.to_ne_bytes());
-        let at = me.index() * bootstrap::SLOT_BYTES;
-        for &j in members.iter() {
-            fabric.put(me, j, bootstrap::SEG, at, &slot);
-        }
-        bootstrap::control_barrier_among(&*fabric, me, &members, boot_epoch);
-
-        let mut all = vec![0u8; fabric.n_images() * bootstrap::SLOT_BYTES];
-        fabric.get(me, me, bootstrap::SEG, 0, &mut all);
-        let word = |at: usize| u64::from_ne_bytes(all[at..at + 8].try_into().expect("8"));
-        let rsrc: Vec<MemberRsrc> = members
-            .iter()
-            .map(|p| p.index() * bootstrap::SLOT_BYTES)
-            .map(|base| MemberRsrc::new(word(base), word(base + 8)))
-            .collect();
-        // Nobody may reuse the bootstrap slots until everyone has read them.
-        bootstrap::control_barrier_among(&*fabric, me, &members, boot_epoch);
-
-        Self::assemble(fabric, me, rank, members, hier, cfg, layout, Arc::new(rsrc))
+        let (hier, layout) = Self::decompose(&*fabric, &members);
+        let mine = peek(&*fabric, me);
+        let exch_bytes = members.len() * EXCH_SLOT;
+        let (flags, exch) = place(&*fabric, me, [mine], layout.total(), exch_bytes);
+        let most = bootstrap::max_among(&*fabric, me, &members, boot_epoch, mine);
+        assert_eq!(
+            mine,
+            most,
+            "image {}: a team without a parent needs one allocation history on every \
+             member, and this one's next flag/segment ids fall short of another's",
+            me.index()
+        );
+        let rsrc = Rsrc::formed(flags, exch);
+        Self::assemble(fabric, me, rank, Arc::new(members), hier, cfg, layout, rsrc)
     }
 
-    /// Decompose `members` along the machine, size the team's flag block
-    /// (it includes per-set-position chunk-stream flags, so the hierarchy
-    /// comes first) and allocate my flag block and exchange segment;
-    /// returns their ids as the words the id exchange ships.
-    fn provision(
-        fabric: &ArcFabric,
-        me: ProcId,
-        members: &[ProcId],
-    ) -> (Arc<HierarchyView>, FlagLayout, [u64; 2]) {
+    /// Decompose `members` along the machine and size the team's flag
+    /// block (it includes per-set-position chunk-stream flags, so the
+    /// hierarchy comes first).
+    fn decompose(fabric: &dyn Fabric, members: &[ProcId]) -> (Arc<HierarchyView>, FlagLayout) {
         let hier = Arc::new(HierarchyView::build(fabric.image_map(), members));
         let layout = FlagLayout::new(&hier);
-        let flags = fabric.alloc_flags(me, layout.total());
-        let exch = fabric.alloc_segment(me, members.len() * EXCH_SLOT);
-        (hier, layout, [flags.0 as u64, exch.0 as u64])
+        (hier, layout)
     }
 
     /// Split the parent team into subteams by `team_number` — the runtime's
@@ -503,6 +519,7 @@ impl TeamComm {
         // Round 1: gather everyone's (number, key, has_index).
         let key = new_index.unwrap_or(0) as u64;
         let g1 = self.allgather4([team_number as u64, key, new_index.is_some() as u64, 0]);
+        self.control_barrier();
 
         // My subteam: parent ranks with my number, ordered by key or rank.
         let mut group: Vec<(usize, u64, bool)> = g1
@@ -537,13 +554,16 @@ impl TeamComm {
             .position(|&r| r == self.rank)
             .expect("caller is in its own subteam");
 
-        // Allocate my new team's resources and exchange ids parent-wide.
-        let (hier, layout, [flags, exch]) = Self::provision(&self.fabric, self.me, &members);
-        let g2 = self.allgather4([flags, exch, 0, 0]);
-        let rsrc: Vec<MemberRsrc> = parent_ranks
-            .iter()
-            .map(|&r| MemberRsrc::new(g2[r][0], g2[r][1]))
-            .collect();
+        // Round 2: exchange peeks parent-wide, place my new team's
+        // resources at its members' largest, and fence (the new team's
+        // members address each other only after every one has allocated).
+        let (hier, layout) = Self::decompose(&*self.fabric, &members);
+        let [f, s] = peek(&*self.fabric, self.me);
+        let g2 = self.allgather4([f, s, 0, 0]);
+        let peeks = parent_ranks.iter().map(|&r| [g2[r][0], g2[r][1]]);
+        let exch_bytes = members.len() * EXCH_SLOT;
+        let (flags, exch) = place(&*self.fabric, self.me, peeks, layout.total(), exch_bytes);
+        self.control_barrier();
 
         Self::assemble(
             self.fabric.clone(),
@@ -553,7 +573,7 @@ impl TeamComm {
             hier,
             cfg,
             layout,
-            Arc::new(rsrc),
+            Rsrc::formed(flags, exch),
         )
     }
 
@@ -566,7 +586,7 @@ impl TeamComm {
         hier: Arc<HierarchyView>,
         cfg: CollectiveConfig,
         layout: FlagLayout,
-        rsrc: Arc<Vec<MemberRsrc>>,
+        rsrc: Rsrc,
     ) -> Self {
         let policy = SizePolicy::from_cost(fabric.cost());
         let generation = fabric.generation();
@@ -804,15 +824,52 @@ impl TeamComm {
     // Control plane (used by formation, scratch growth, and the runtime)
     // ------------------------------------------------------------------
 
+    /// Collective allocation over the team: `flags` sync flags and a
+    /// `bytes`-byte segment (0: none of that kind), under the **same** ids on
+    /// every member — the placement rule, its peeks riding in one exchange
+    /// with `sizes`, two words every member must pass equal (`what` names
+    /// the allocation when one does not).
+    pub fn alloc_symmetric(
+        &mut self,
+        what: &str,
+        flags: usize,
+        bytes: usize,
+        sizes: [u64; 2],
+    ) -> (FlagId, SegmentId) {
+        let [f, s] = peek(&*self.fabric, self.me);
+        let g = self.allgather4([f, s, sizes[0], sizes[1]]);
+        if let Some(j) = g.iter().position(|v| v[2..] != sizes) {
+            panic!(
+                "image {}: {what} allocation mismatch: team rank {j} asked for {:?}, rank {} for \
+                 {sizes:?}",
+                self.me.index(),
+                &g[j][2..],
+                self.rank
+            );
+        }
+        let ids = place(
+            &*self.fabric,
+            self.me,
+            g.iter().map(|v| [v[0], v[1]]),
+            flags,
+            bytes,
+        );
+        // The exchange's fence, after the allocation: nobody addresses the
+        // new resource on a member before that member has allocated it.
+        self.control_barrier();
+        ids
+    }
+
     /// Exchange four `u64`s with every team member; returns the values
     /// indexed by team rank.
     ///
     /// Implemented as a binomial-tree gather to rank 0 followed by a tree
     /// broadcast of the combined array — 2(n−1) messages in 2·log n depth
     /// (a flat exchange would be n² messages, which dominates team-
-    /// formation cost at scale). A trailing control barrier fences the
-    /// exchange slots for reuse.
-    pub fn allgather4(&mut self, vals: [u64; 4]) -> Vec<[u64; 4]> {
+    /// formation cost at scale). The exchange slots stay busy until the
+    /// caller's [`Self::control_barrier`], which every caller runs before
+    /// the next exchange (after placing what the exchange agreed on).
+    pub(crate) fn allgather4(&mut self, vals: [u64; 4]) -> Vec<[u64; 4]> {
         // Clear-lowest-bit binomial tree: parent(v) = v & (v-1); the
         // subtree of v is the contiguous range [v, v + lowbit(v)) — which
         // is what lets each gather hop ship one contiguous slot range.
@@ -831,7 +888,7 @@ impl TeamComm {
         assert!(
             !self.provisioned,
             "image {}: a provisioned team has no exchange segment — it cannot \
-             split (form_team), allgather, or grow a gather region",
+             split (form_team), allgather, or allocate",
             self.me.index()
         );
         let n = self.size();
@@ -846,10 +903,9 @@ impl TeamComm {
             slot[i * 8..(i + 1) * 8].copy_from_slice(&v.to_ne_bytes());
         }
         if n == 1 {
-            self.control_barrier();
             return vec![vals];
         }
-        let my_exch = self.rsrc[self.rank].exch;
+        let my_exch = self.rsrc.exch;
         let v = self.rank;
         let children = children_of(v, n);
         // Gather: wait for each child's subtree, then ship my whole
@@ -873,13 +929,8 @@ impl TeamComm {
                     &mut sub[EXCH_SLOT..],
                 );
             }
-            self.fabric.put(
-                self.me,
-                self.members[parent],
-                self.rsrc[parent].exch,
-                v * EXCH_SLOT,
-                &sub,
-            );
+            let to = self.members[parent];
+            self.fabric.put(self.me, to, my_exch, v * EXCH_SLOT, &sub);
             self.add_flag(parent, flag::EXCH_GATHER, 1);
             self.restore_stage(sub);
             // Broadcast: wait for the combined array from my parent.
@@ -898,8 +949,7 @@ impl TeamComm {
         full[v * EXCH_SLOT..(v + 1) * EXCH_SLOT].copy_from_slice(&slot);
         // Forward the full array to my children and decode it locally.
         for &c in &children {
-            self.fabric
-                .put(self.me, self.members[c], self.rsrc[c].exch, 0, &full);
+            self.fabric.put(self.me, self.members[c], my_exch, 0, &full);
             self.add_flag(c, flag::EXCH_BCAST, 1);
         }
         let out: Vec<[u64; 4]> = (0..n)
@@ -913,9 +963,6 @@ impl TeamComm {
             })
             .collect();
         self.restore_stage(full);
-        // Fence: nobody starts the next exchange into these slots until
-        // everyone has read this one.
-        self.control_barrier();
         out
     }
 
@@ -976,7 +1023,7 @@ impl TeamComm {
     /// delivery per destination.
     pub(crate) fn add_flag(&self, to: usize, idx: usize, delta: u64) {
         let dst = self.members[to];
-        let flag = self.rsrc[to].flags.nth(idx);
+        let flag = self.rsrc.flags.nth(idx);
         if let Some(am) = &self.am {
             am.lock().expect("am sender").flag_add(dst, flag, delta);
         } else {
@@ -990,7 +1037,7 @@ impl TeamComm {
     pub(crate) fn wait_flag(&self, idx: usize, target: u64) {
         self.flush_am();
         self.fabric
-            .flag_wait_ge(self.me, self.rsrc[self.rank].flags.nth(idx), target);
+            .flag_wait_ge(self.me, self.rsrc.flags.nth(idx), target);
     }
 
     /// Flush every buffered active message (no-op with the AM tier off or
@@ -1024,42 +1071,49 @@ impl TeamComm {
 
     /// Grow (collectively) the team scratch so each slot holds `slot_bytes`.
     /// Collective: all members must request the same size (they do, because
-    /// collectives are called with matching buffers — asserted via the
+    /// collectives are called with matching buffers — checked in the
     /// exchange).
-    ///
-    /// A slot fits the payload that asked for it, to the cache line; a
-    /// later, larger payload at least doubles it, so a creeping size
-    /// regrows O(log) times. (Rounding every request up to a power of two
-    /// instead made a payload of 2^k + ε bytes cost 2^(k+1) in each of the
-    /// team's slots — HPL's 1 MiB panel with its pivots in front doubled
-    /// twelve slots per image.)
     pub(crate) fn ensure_scratch(&mut self, slot_bytes: usize) {
-        if self.scratch_slot_bytes >= slot_bytes {
-            return;
+        if self.scratch_slot_bytes < slot_bytes {
+            self.grow(Region::Scratch, slot_bytes);
         }
+    }
+
+    /// Grow (collectively) the gather/scatter region so each of its `n`
+    /// slots holds `slot_bytes`.
+    pub(crate) fn ensure_gather(&mut self, slot_bytes: usize) {
+        if self.gather_slot_bytes < slot_bytes {
+            self.grow(Region::Gather, slot_bytes);
+        }
+    }
+
+    /// The one growth path of both regions: a slot fits the payload to 64 B
+    /// and at least doubles on regrowth. (Rounding up to a power of two made
+    /// a payload of 2^k + ε bytes cost 2^(k+1) per slot — HPL's panel
+    /// broadcast doubled twelve scratch slots, a two-level gather forwarded
+    /// the padding between nodes.)
+    fn grow(&mut self, region: Region, slot_bytes: usize) {
+        let (have, slots, what) = match region {
+            Region::Scratch => (
+                self.scratch_slot_bytes,
+                self.layout.scratch_slots(),
+                "scratch",
+            ),
+            Region::Gather => (self.gather_slot_bytes, self.size(), "gather region"),
+        };
         assert!(
             !self.provisioned,
-            "image {}: a provisioned team cannot grow its scratch: a payload of \
-             {slot_bytes} B needs more than the {} B per slot it was provisioned with",
+            "image {}: a provisioned team cannot grow its {what}: a payload of \
+             {slot_bytes} B needs more than the {have} B per slot it was provisioned with",
             self.me.index(),
-            self.scratch_slot_bytes
         );
-        let new_slot = slot_bytes
-            .max(2 * self.scratch_slot_bytes)
-            .next_multiple_of(64);
-        let slots = self.layout.scratch_slots();
-        let seg = self.fabric.alloc_segment(self.me, slots * new_slot);
-        let g = self.allgather4([seg.0 as u64, new_slot as u64, 0, 0]);
-        let rsrc = Arc::make_mut(&mut self.rsrc);
-        for (j, v) in g.iter().enumerate() {
-            assert_eq!(
-                v[1] as usize, new_slot,
-                "scratch growth disagreement: rank {j} wants {} bytes, rank {} wants {new_slot}",
-                v[1], self.rank
-            );
-            rsrc[j].scratch = SegmentId(v[0] as usize);
+        let new_slot = slot_bytes.max(2 * have).next_multiple_of(64);
+        let sizes = [new_slot as u64, region as u64];
+        let (_, seg) = self.alloc_symmetric(what, 0, slots * new_slot, sizes);
+        match region {
+            Region::Scratch => (self.rsrc.scratch, self.scratch_slot_bytes) = (seg, new_slot),
+            Region::Gather => (self.rsrc.gather, self.gather_slot_bytes) = (seg, new_slot),
         }
-        self.scratch_slot_bytes = new_slot;
     }
 
     /// Byte offset of recursive-doubling slot for round `k`, parity `p`.
@@ -1094,78 +1148,30 @@ impl TeamComm {
         self.sl_pre(p) + 6 * self.scratch_slot_bytes
     }
 
-    /// Grow (collectively) the gather/scatter region: `n` slots of
-    /// `slot_bytes` on every member.
-    pub(crate) fn ensure_gather(&mut self, slot_bytes: usize) {
-        if self.gather_slot_bytes >= slot_bytes {
-            return;
+    /// Region `r`'s segment (valid once its slot size is nonzero).
+    fn seg_of(&self, r: Region) -> SegmentId {
+        match r {
+            Region::Scratch => self.rsrc.scratch,
+            Region::Gather => self.rsrc.gather,
         }
-        let new_slot = slot_bytes.next_power_of_two().max(64);
-        let seg = self.fabric.alloc_segment(self.me, self.size() * new_slot);
-        let g = self.allgather4([seg.0 as u64, new_slot as u64, 1, 0]);
-        let rsrc = Arc::make_mut(&mut self.rsrc);
-        for (j, v) in g.iter().enumerate() {
-            assert_eq!(
-                v[1] as usize, new_slot,
-                "gather-region growth disagreement at rank {j}"
-            );
-            rsrc[j].gather = SegmentId(v[0] as usize);
-        }
-        self.gather_slot_bytes = new_slot;
     }
 
-    /// Serialize `src` into team rank `to`'s gather region at slot `slot`.
-    pub(crate) fn send_values_gather<T: CoValue>(&mut self, to: usize, slot: usize, src: &[T]) {
-        debug_assert!(self.gather_slot_bytes > 0, "gather region not allocated");
-        let off = slot * self.gather_slot_bytes;
-        let mut b = std::mem::take(&mut self.buf);
-        slice_to_bytes(src, &mut b);
-        self.fabric
-            .put(self.me, self.members[to], self.rsrc[to].gather, off, &b);
-        self.buf = b;
+    /// Put `bytes` into team rank `to`'s region `r` at byte offset `off`.
+    pub(crate) fn put_raw(&self, r: Region, to: usize, off: usize, bytes: &[u8]) {
+        (self.fabric).put(self.me, self.members[to], self.seg_of(r), off, bytes);
     }
 
-    /// Raw byte put into team rank `to`'s gather region.
-    pub(crate) fn put_gather_raw(&self, to: usize, off: usize, bytes: &[u8]) {
-        self.fabric
-            .put(self.me, self.members[to], self.rsrc[to].gather, off, bytes);
+    /// Read `out.len()` bytes from my own region `r` at byte offset `off`.
+    pub(crate) fn read_raw(&self, r: Region, off: usize, out: &mut [u8]) {
+        (self.fabric).get(self.me, self.me, self.seg_of(r), off, out);
     }
 
-    /// Read raw bytes from my own gather region.
-    pub(crate) fn read_my_gather(&self, off: usize, out: &mut [u8]) {
-        self.fabric
-            .get(self.me, self.me, self.rsrc[self.rank].gather, off, out);
-    }
-
-    /// Read my gather slot at byte offset `off` into `buf` (overwrite).
-    pub(crate) fn load_from_gather<T: CoValue>(&mut self, off: usize, buf: &mut [T]) {
-        let nbytes = buf.len() * T::SIZE;
-        let mut b = std::mem::take(&mut self.buf2);
-        b.resize(nbytes, 0);
-        self.read_my_gather(off, &mut b);
-        bytes_to_slice(&b, buf);
-        self.buf2 = b;
-    }
-
-    /// Put `bytes` into team rank `to`'s scratch at byte offset `off`.
-    pub(crate) fn put_scratch(&self, to: usize, off: usize, bytes: &[u8]) {
-        debug_assert!(self.scratch_slot_bytes > 0, "scratch not allocated");
-        self.fabric
-            .put(self.me, self.members[to], self.rsrc[to].scratch, off, bytes);
-    }
-
-    /// Read `out.len()` bytes from my own scratch at byte offset `off`.
-    pub(crate) fn read_my_scratch(&self, off: usize, out: &mut [u8]) {
-        self.fabric
-            .get(self.me, self.me, self.rsrc[self.rank].scratch, off, out);
-    }
-
-    /// Serialize `src` and put it into team rank `to`'s scratch at byte
+    /// Serialize `src` and put it into team rank `to`'s region `r` at byte
     /// offset `off` (the workhorse data-plane send of every collective).
-    pub(crate) fn send_values<T: CoValue>(&mut self, to: usize, off: usize, src: &[T]) {
+    pub(crate) fn send_values<T: CoValue>(&mut self, r: Region, to: usize, off: usize, src: &[T]) {
         let mut b = std::mem::take(&mut self.buf);
         slice_to_bytes(src, &mut b);
-        self.put_scratch(to, off, &b);
+        self.put_raw(r, to, off, &b);
         self.buf = b;
     }
 
@@ -1186,7 +1192,7 @@ impl TeamComm {
         slice_to_bytes(src, &mut b);
         let tok = self
             .fabric
-            .put_nb(self.me, self.members[to], self.rsrc[to].scratch, off, &b);
+            .put_nb(self.me, self.members[to], self.rsrc.scratch, off, &b);
         self.buf = b;
         tok
     }
@@ -1201,7 +1207,7 @@ impl TeamComm {
         let nbytes = buf.len() * T::SIZE;
         let mut b = std::mem::take(&mut self.buf2);
         b.resize(nbytes, 0);
-        self.read_my_scratch(off, &mut b);
+        self.read_raw(Region::Scratch, off, &mut b);
         for (i, slot) in buf.iter_mut().enumerate() {
             let v = T::load(&b[i * T::SIZE..(i + 1) * T::SIZE]);
             *slot = f(*slot, v);
@@ -1209,12 +1215,12 @@ impl TeamComm {
         self.buf2 = b;
     }
 
-    /// Read my scratch slot at `off` into `buf` (overwrite).
-    pub(crate) fn load_from_scratch<T: CoValue>(&mut self, off: usize, buf: &mut [T]) {
+    /// Read my region `r` at `off` into `buf` (overwrite).
+    pub(crate) fn load_values<T: CoValue>(&mut self, r: Region, off: usize, buf: &mut [T]) {
         let nbytes = buf.len() * T::SIZE;
         let mut b = std::mem::take(&mut self.buf2);
         b.resize(nbytes, 0);
-        self.read_my_scratch(off, &mut b);
+        self.read_raw(r, off, &mut b);
         bytes_to_slice(&b, buf);
         self.buf2 = b;
     }

@@ -23,7 +23,7 @@
 //!   slots across eras — roots rotate, so era `e+1`'s (different) root
 //!   must not start until era `e` was read everywhere.
 
-use crate::comm::{flag, TeamComm};
+use crate::comm::{flag, Region::Gather, TeamComm};
 use crate::config::GatherAlgo;
 use crate::shape::Rooted;
 use crate::value::{bytes_to_slice, CoValue};
@@ -49,12 +49,12 @@ pub(crate) fn alltoall<T: CoValue>(comm: &mut TeamComm, send: &[T], len: usize) 
     let gs = comm.gather_slot_bytes;
     for k in 1..n {
         let to = (comm.rank + k) % n;
-        comm.send_values_gather(to, comm.rank, &send[to * len..(to + 1) * len]);
+        comm.send_values(Gather, to, comm.rank * gs, &send[to * len..(to + 1) * len]);
         comm.add_flag(to, flag::A2A_ARRIVE, 1);
     }
     comm.wait_flag(flag::A2A_ARRIVE, (n as u64 - 1) * era);
     let mut bytes = comm.take_stage(n * gs);
-    comm.read_my_gather(0, &mut bytes);
+    comm.read_raw(Gather, 0, &mut bytes);
     for r in 0..n {
         if r != comm.rank {
             bytes_to_slice(
@@ -95,7 +95,7 @@ fn read_all_slots<T: CoValue>(
     let n = comm.size();
     let gs = comm.gather_slot_bytes;
     let mut bytes = comm.take_stage(n * gs);
-    comm.read_my_gather(0, &mut bytes);
+    comm.read_raw(Gather, 0, &mut bytes);
     let mut out = vec![T::load(&vec![0u8; T::SIZE]); n * len];
     for rank in 0..n {
         let slot = slot_of(rank);
@@ -110,7 +110,7 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
     let n = comm.size();
     if comm.rank == root {
         // Deposit my own contribution locally, collect the rest.
-        comm.send_values_gather(root, comm.rank, mine);
+        comm.send_values(Gather, root, comm.rank * comm.gather_slot_bytes, mine);
         comm.epochs.gather_arrived += n as u64 - 1;
         comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
         let out = read_all_slots(comm, mine.len(), |r| r);
@@ -121,7 +121,7 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
         }
         Some(out)
     } else {
-        comm.send_values_gather(root, comm.rank, mine);
+        comm.send_values(Gather, root, comm.rank * comm.gather_slot_bytes, mine);
         comm.add_flag(root, flag::GA_ARRIVE, 1);
         comm.epochs.gather_released += 1;
         comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
@@ -144,7 +144,8 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
 
     // Stage 1: contribute to my effective leader's region (my own, when I
     // am it).
-    comm.send_values_gather(r.el, slot_of(comm.rank), mine);
+    let gs = comm.gather_slot_bytes;
+    comm.send_values(Gather, r.el, slot_of(comm.rank) * gs, mine);
     if comm.rank != r.el {
         comm.add_flag(r.el, flag::GA_ARRIVE, 1);
         comm.epochs.gather_released += 1;
@@ -175,11 +176,10 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
         Some(out)
     } else {
         // Forward my node's contiguous block to the root in one put.
-        let gs = comm.gather_slot_bytes;
         let base = prefix[r.my_set];
         let mut block = comm.take_stage(r.my_ranks().len() * gs);
-        comm.read_my_gather(base * gs, &mut block);
-        comm.put_gather_raw(root, base * gs, &block);
+        comm.read_raw(Gather, base * gs, &mut block);
+        comm.put_raw(Gather, root, base * gs, &block);
         comm.restore_stage(block);
         comm.add_flag(root, flag::GA_ARRIVE, 1);
         // Await my release before releasing my members.
@@ -235,7 +235,7 @@ fn scatter_flat<T: CoValue>(comm: &mut TeamComm, all: Option<&[T]>, out: &mut [T
         for j in 0..n {
             if j != root {
                 // Each member's slice goes into ITS slot 0.
-                comm.send_values_gather(j, 0, &all[j * len..(j + 1) * len]);
+                comm.send_values(Gather, j, 0, &all[j * len..(j + 1) * len]);
                 comm.add_flag(j, flag::SC_ARRIVE, 1);
             }
         }
@@ -249,7 +249,7 @@ fn scatter_flat<T: CoValue>(comm: &mut TeamComm, all: Option<&[T]>, out: &mut [T
     } else {
         comm.epochs.scatter_arrived += 1;
         comm.wait_flag(flag::SC_ARRIVE, comm.epochs.scatter_arrived);
-        comm.load_from_gather(0, out);
+        comm.load_values(Gather, 0, out);
         comm.add_flag(root, flag::SC_ACK, 1);
         comm.epochs.scatter_released += 1;
         comm.wait_flag(flag::SC_DONE, comm.epochs.scatter_released);
@@ -283,13 +283,13 @@ fn scatter_two_level<T: CoValue>(
                     v.store(&mut dst[i * T::SIZE..(i + 1) * T::SIZE]);
                 }
             }
-            comm.put_gather_raw(set.leader, 0, &block);
+            comm.put_raw(Gather, set.leader, 0, &block);
             comm.restore_stage(block);
             comm.add_flag(set.leader, flag::SC_ARRIVE, 1);
         }
         // Root acts as its own node's leader: deliver locally.
         for m in r.locals() {
-            comm.send_values_gather(m, 0, &all[m * len..(m + 1) * len]);
+            comm.send_values(Gather, m, 0, &all[m * len..(m + 1) * len]);
             comm.add_flag(m, flag::SC_ARRIVE, 1);
         }
         // Wait for every member's ack (directly counted at the root),
@@ -307,7 +307,7 @@ fn scatter_two_level<T: CoValue>(
             // Leader of a non-root node: take my slice, fan the rest out.
             let set = r.my_ranks();
             let mut block = comm.take_stage(set.len() * gs);
-            comm.read_my_gather(0, &mut block);
+            comm.read_raw(Gather, 0, &mut block);
             bytes_to_slice(&block[r.my_pos * gs..r.my_pos * gs + len * T::SIZE], out);
             for (pos, &m) in set.iter().enumerate() {
                 if m != r.el {
@@ -315,7 +315,7 @@ fn scatter_two_level<T: CoValue>(
                     // would also work — each image owns its whole region —
                     // but a distinct slot keeps root-direct and
                     // leader-forwarded deliveries from ever aliasing).
-                    comm.put_gather_raw(m, gs, &block[pos * gs..(pos + 1) * gs]);
+                    comm.put_raw(Gather, m, gs, &block[pos * gs..(pos + 1) * gs]);
                     comm.add_flag(m, flag::SC_ARRIVE, 1);
                 }
             }
@@ -325,7 +325,7 @@ fn scatter_two_level<T: CoValue>(
             // slot 1 when forwarded by a leader.
             let off = if r.my_set == r.root_set { 0 } else { gs };
             let mut bytes = comm.take_stage(len * T::SIZE);
-            comm.read_my_gather(off, &mut bytes);
+            comm.read_raw(Gather, off, &mut bytes);
             bytes_to_slice(&bytes, out);
             comm.restore_stage(bytes);
         }

@@ -434,12 +434,56 @@ mod tests {
         with_team(fabric, CollectiveConfig::auto(), |comm, _me| {
             let r = comm.rank() as u64;
             let got = comm.allgather4([r, r * 10, 0, 7]);
+            comm.control_barrier();
             for (j, v) in got.iter().enumerate() {
                 assert_eq!(v[0], j as u64);
                 assert_eq!(v[1], j as u64 * 10);
                 assert_eq!(v[3], 7);
             }
         });
+    }
+
+    /// Formation of a team without a parent is one bootstrap barrier whose
+    /// slots carry the id agreement: each member puts its words to the
+    /// leader, the leader puts the answer back — 2·(n − 1) puts and the
+    /// barrier's 2·(n − 1) notifications, not a put from every member to
+    /// every member.
+    #[test]
+    fn initial_formation_is_one_barrier_of_two_puts_per_member() {
+        let fabric = sim_fabric(8, 8, 64, 8);
+        let f2 = fabric.clone();
+        with_team(fabric, CollectiveConfig::auto(), |_, _| {});
+        let s = f2.stats().snapshot();
+        let n = 64;
+        assert!(s.puts_intra + s.puts_inter <= 2 * (n - 1), "{s:?}");
+        assert_eq!(s.flags_intra + s.flags_inter, 2 * (n - 1), "{s:?}");
+    }
+
+    /// A gather region fits its payload to the cache line: a two-level
+    /// gather of 4 104 B per member forwards a node's block across nodes
+    /// at 4 160 B per member, not at the next power of two (8 192).
+    #[test]
+    fn a_two_level_gather_forwards_no_padding_between_nodes() {
+        let inter_bytes = |episodes: usize| {
+            let fabric = sim_fabric(2, 4, 8, 4);
+            let f2 = fabric.clone();
+            let cfg = CollectiveConfig {
+                gather: GatherAlgo::TwoLevel,
+                ..CollectiveConfig::default()
+            };
+            with_team(fabric, cfg, move |comm, me| {
+                let mine = vec![me.index() as u64; 4104 / 8];
+                for _ in 0..episodes {
+                    comm.co_gather(&mine, 0);
+                }
+            });
+            f2.stats().snapshot().bytes_inter
+        };
+        // The second gather minus the first: the region grew in both runs.
+        let per_gather = inter_bytes(2) - inter_bytes(1);
+        let set_len = 4;
+        assert!(per_gather >= set_len * 4104, "{per_gather} B");
+        assert!(per_gather <= set_len * 4160, "{per_gather} B");
     }
 
     /// Total notifications of a fresh deterministic run with `episodes`

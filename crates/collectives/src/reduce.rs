@@ -18,7 +18,7 @@
 //! `e+2` requires finishing `e+1`, which requires the receiver to have
 //! *started* `e+1` and hence consumed all of `e`.
 
-use crate::comm::{flag, TeamComm};
+use crate::comm::{flag, Region::Scratch, TeamComm};
 use crate::config::ReduceAlgo;
 use crate::shape::Among;
 use crate::util::{ceil_log2, floor_pow2};
@@ -88,12 +88,12 @@ fn fold_in<T: CoValue>(
         // Fold in: hand my contribution to my partner, collect the result.
         let partner = among.rank_at(&comm.hier, pos - p2);
         let off = comm.sl_pre(par);
-        comm.send_values(partner, off, buf);
+        comm.send_values(Scratch, partner, off, buf);
         comm.add_flag(partner, flag::R_PRE, 1);
         comm.epochs.r_post += 1;
         comm.wait_flag(flag::R_POST, comm.epochs.r_post);
         let off = comm.sl_post(par);
-        comm.load_from_scratch(off, buf);
+        comm.load_values(Scratch, off, buf);
         return None;
     }
     let extra = (pos + p2 < l).then(|| among.rank_at(&comm.hier, pos + p2));
@@ -110,7 +110,7 @@ fn fold_in<T: CoValue>(
 fn fold_out<T: CoValue>(comm: &mut TeamComm, extra: Option<usize>, buf: &[T], par: usize) {
     if let Some(extra) = extra {
         let off = comm.sl_post(par);
-        comm.send_values(extra, off, buf);
+        comm.send_values(Scratch, extra, off, buf);
         comm.add_flag(extra, flag::R_POST, 1);
     }
 }
@@ -132,7 +132,7 @@ pub(crate) fn rd_over<T: CoValue>(
     for k in 0..ceil_log2(p2) {
         let partner = among.rank_at(&comm.hier, pos ^ (1 << k));
         let off = comm.sl_rd(k, par);
-        comm.send_values(partner, off, buf);
+        comm.send_values(Scratch, partner, off, buf);
         comm.add_flag(partner, comm.layout.r_arrive(k), 1);
         let target = comm.epochs.bump_r_round(k);
         comm.wait_flag(comm.layout.r_arrive(k), target);
@@ -154,7 +154,7 @@ fn flat_binomial<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, 
             // Send my partial to the parent and retire from the gather.
             let parent = v & !(1 << k);
             let off = comm.sl_rd(k, par);
-            comm.send_values(parent, off, buf);
+            comm.send_values(Scratch, parent, off, buf);
             comm.add_flag(parent, comm.layout.r_arrive(k), 1);
             break;
         }
@@ -184,12 +184,12 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
 
     if comm.rank != leader {
         let off = comm.sl_gather(hier.pos_in_set(comm.rank), par);
-        comm.send_values(leader, off, buf);
+        comm.send_values(Scratch, leader, off, buf);
         comm.add_flag(leader, flag::R_COUNTER, 1);
         comm.epochs.r_release += 1;
         comm.wait_flag(flag::R_RELEASE, comm.epochs.r_release);
         let off = comm.sl_release(par);
-        comm.load_from_scratch(off, buf);
+        comm.load_values(Scratch, off, buf);
         return;
     }
 
@@ -215,7 +215,7 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
     let t2 = comm.trace_now();
     for &s in set.slaves() {
         let off = comm.sl_release(par);
-        comm.send_values(s, off, buf);
+        comm.send_values(Scratch, s, off, buf);
         comm.add_flag(s, flag::R_RELEASE, 1);
     }
     comm.trace_span(EventKind::ReduceStage, t2, Level::Intra, 3, e, 0);
@@ -260,7 +260,7 @@ fn two_level_pipelined<T: CoValue>(
             let (lo, hi) = chunk(c);
             comm.epochs.r_release += 1;
             comm.wait_flag(flag::R_RELEASE, comm.epochs.r_release);
-            comm.load_from_scratch(r_off + lo * T::SIZE, &mut buf[lo..hi]);
+            comm.load_values(Scratch, r_off + lo * T::SIZE, &mut buf[lo..hi]);
         }
         return;
     }
@@ -351,7 +351,8 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
             ((mid, hi), (lo, mid))
         };
         let off = comm.sl_rd(k, par);
-        comm.send_values(partner, off + send.0 * T::SIZE, &buf[send.0..send.1]);
+        let (at, piece) = (off + send.0 * T::SIZE, &buf[send.0..send.1]);
+        comm.send_values(Scratch, partner, at, piece);
         comm.add_flag(partner, comm.layout.r_arrive(k), 1);
         let target = comm.epochs.bump_r_round(k);
         comm.wait_flag(comm.layout.r_arrive(k), target);
@@ -367,12 +368,12 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
         let partner = among.rank_at(&comm.hier, pos ^ d);
         let (plo, phi) = parents[k];
         let off = comm.sl_rd(k, par);
-        comm.send_values(partner, off + lo * T::SIZE, &buf[lo..hi]);
+        comm.send_values(Scratch, partner, off + lo * T::SIZE, &buf[lo..hi]);
         comm.add_flag(partner, comm.layout.r_arrive(k), 1);
         let target = comm.epochs.bump_r_round(k);
         comm.wait_flag(comm.layout.r_arrive(k), target);
         let (olo, ohi) = if lo == plo { (hi, phi) } else { (plo, lo) };
-        comm.load_from_scratch(off + olo * T::SIZE, &mut buf[olo..ohi]);
+        comm.load_values(Scratch, off + olo * T::SIZE, &mut buf[olo..ohi]);
         (lo, hi) = (plo, phi);
     }
     fold_out(comm, extra, buf, par);

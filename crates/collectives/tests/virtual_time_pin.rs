@@ -162,65 +162,69 @@ fn tree_collectives_keep_the_parents_virtual_times() {
 }
 
 /// Recorded on commit c77d515 (the four broadcast and four tree-barrier
-/// bodies as separate functions).
+/// bodies as separate functions); re-recorded when formation became one
+/// bootstrap barrier, which moved every clock by formation's share only —
+/// the same runs fenced after formation (a 10 ms idle and a control
+/// barrier, clocks read from the fence) gave identical tables before and
+/// after.
 #[rustfmt::skip]
 const PIN: &[(&str, [u64; IMAGES])] = &[
-    ("initial barrier CentralCounter", [35376, 35885, 34012, 36417, 36817, 34944, 35076, 37481]),
-    ("initial barrier BinomialTree", [56238, 58611, 56070, 60716, 58516, 60716, 56170, 62821]),
-    ("initial barrier Dissemination", [37731, 37416, 36553, 37026, 36136, 36036, 36473, 38121]),
-    ("initial barrier Tdlb", [32854, 34258, 32690, 31909, 34226, 32822, 32954, 34358]),
-    ("initial barrier TdlbMultilevel", [33486, 35022, 33454, 32805, 35254, 33586, 33322, 35354]),
-    ("initial bcast FlatLinear root=rank0 len=1", [73963, 74472, 72599, 75004, 75404, 73531, 73663, 76068]),
-    ("initial bcast FlatLinear root=rank0 len=25", [74539, 75048, 73175, 75580, 75980, 74107, 74239, 76644]),
-    ("initial bcast FlatLinear root=nonleader len=1", [71767, 74172, 72299, 74704, 75104, 73531, 73231, 75636]),
-    ("initial bcast FlatLinear root=nonleader len=25", [72343, 74748, 72875, 75280, 75680, 74107, 73807, 76212]),
-    ("initial bcast FlatLinear root=lone len=1", [81945, 82345, 82745, 82240, 83145, 83545, 83945, 84345]),
-    ("initial bcast FlatLinear root=lone len=25", [82089, 82489, 82889, 82384, 83289, 83689, 84089, 84489]),
-    ("initial bcast FlatBinomial root=rank0 len=1", [93667, 96040, 93499, 98145, 95945, 98145, 93599, 100250]),
-    ("initial bcast FlatBinomial root=rank0 len=25", [94099, 96472, 93931, 98577, 96377, 98577, 94031, 100682]),
-    ("initial bcast FlatBinomial root=nonleader len=1", [77890, 80518, 77622, 82168, 80368, 77958, 77522, 80063]),
-    ("initial bcast FlatBinomial root=nonleader len=25", [78283, 80911, 78015, 82561, 80761, 78351, 77915, 80456]),
-    ("initial bcast FlatBinomial root=lone len=1", [87401, 87401, 87233, 83191, 85296, 85296, 87133, 85601]),
-    ("initial bcast FlatBinomial root=lone len=25", [87622, 87622, 87454, 83412, 85517, 85517, 87354, 85822]),
-    ("initial bcast TwoLevel root=rank0 len=1", [64837, 66410, 64673, 66546, 66378, 64805, 64937, 66510]),
-    ("initial bcast TwoLevel root=rank0 len=25", [65365, 66938, 65201, 67074, 66906, 65333, 65465, 67038]),
-    ("initial bcast TwoLevel root=nonleader len=1", [64241, 65978, 64373, 66114, 65946, 64405, 64505, 66078]),
-    ("initial bcast TwoLevel root=nonleader len=25", [64816, 66553, 64948, 66689, 66521, 64980, 65080, 66653]),
-    ("initial bcast TwoLevel root=lone len=1", [69143, 69411, 68979, 67042, 69379, 69111, 69243, 69511]),
-    ("initial bcast TwoLevel root=lone len=25", [69719, 69987, 69555, 67618, 69955, 69687, 69819, 70087]),
-    ("initial bcast TwoLevelPipelined root=rank0 len=1", [64837, 66410, 64673, 66546, 66378, 64805, 64937, 66510]),
-    ("initial bcast TwoLevelPipelined root=rank0 len=25", [86743, 88316, 86579, 88452, 88284, 86711, 86843, 88416]),
-    ("initial bcast TwoLevelPipelined root=nonleader len=1", [64241, 65978, 64373, 66114, 65946, 64405, 64505, 66078]),
-    ("initial bcast TwoLevelPipelined root=nonleader len=25", [86147, 87884, 86279, 88020, 87852, 86311, 86411, 87984]),
-    ("initial bcast TwoLevelPipelined root=lone len=1", [69143, 69411, 68979, 67042, 69379, 69111, 69243, 69511]),
-    ("initial bcast TwoLevelPipelined root=lone len=25", [83543, 83811, 83379, 81442, 83779, 83511, 83643, 83911]),
-    ("sub barrier CentralCounter", [84067, 87199, 87972, 88372, 86572, 88772, 89172, 87299]),
-    ("sub barrier BinomialTree", [83257, 97551, 99388, 99256, 85362, 99088, 99693, 101493]),
-    ("sub barrier Dissemination", [78384, 88031, 88119, 88219, 77629, 89641, 88786, 90204]),
-    ("sub barrier Tdlb", [77847, 87359, 85823, 85427, 77448, 85791, 85923, 87459]),
-    ("sub barrier TdlbMultilevel", [77847, 87359, 85843, 85427, 77448, 85943, 85811, 87459]),
-    ("sub bcast FlatLinear root=rank0 len=1", [97350, 117199, 117972, 118372, 99902, 118772, 119172, 117299]),
-    ("sub bcast FlatLinear root=rank0 len=25", [97563, 117544, 118317, 118717, 100055, 119117, 119517, 117644]),
-    ("sub bcast FlatLinear root=nonleader len=1", [101107, 119051, 117178, 119583, 98672, 117710, 118010, 120115]),
-    ("sub bcast FlatLinear root=nonleader len=25", [101336, 119568, 117695, 120100, 98853, 118227, 118527, 120632]),
-    ("sub bcast FlatLinear root=lone len=1", [101084, 122539, 122939, 122034, 98979, 123339, 123739, 124139]),
-    ("sub bcast FlatLinear root=lone len=25", [101308, 122768, 123168, 122263, 99203, 123568, 123968, 124368]),
-    ("sub bcast FlatBinomial root=rank0 len=1", [97288, 126176, 128013, 127881, 99393, 127713, 128318, 130118]),
-    ("sub bcast FlatBinomial root=rank0 len=25", [97453, 126527, 128364, 128232, 99558, 128064, 128669, 130469]),
-    ("sub bcast FlatBinomial root=nonleader len=1", [100777, 132313, 134113, 132408, 98672, 134513, 130303, 132408]),
-    ("sub bcast FlatBinomial root=nonleader len=25", [100958, 133154, 134954, 133249, 98853, 135354, 131144, 133249]),
-    ("sub bcast FlatBinomial root=lone len=1", [100777, 128375, 128207, 126270, 98672, 128107, 128280, 130080]),
-    ("sub bcast FlatBinomial root=lone len=25", [100958, 128874, 128706, 126769, 98853, 128606, 128779, 130579]),
-    ("sub bcast TwoLevel root=rank0 len=1", [97288, 110758, 112595, 112731, 99393, 112563, 112695, 110858]),
-    ("sub bcast TwoLevel root=rank0 len=25", [97453, 111187, 113024, 113160, 99558, 112992, 113124, 111287]),
-    ("sub bcast TwoLevel root=nonleader len=1", [100777, 116593, 114588, 116061, 98672, 114720, 114620, 116693]),
-    ("sub bcast TwoLevel root=nonleader len=25", [101006, 117110, 115105, 116578, 98853, 115237, 115137, 117210]),
-    ("sub bcast TwoLevel root=lone len=1", [100784, 115657, 116189, 113820, 98679, 116157, 116289, 115757]),
-    ("sub bcast TwoLevel root=lone len=25", [101000, 116318, 116850, 114481, 98895, 116818, 116950, 116418]),
-    ("sub bcast TwoLevelPipelined root=rank0 len=1", [97288, 110758, 112595, 112731, 99393, 112563, 112695, 110858]),
-    ("sub bcast TwoLevelPipelined root=rank0 len=25", [104476, 127652, 129489, 129625, 107097, 129457, 129589, 127752]),
-    ("sub bcast TwoLevelPipelined root=nonleader len=1", [100777, 116593, 114588, 116061, 98672, 114720, 114620, 116693]),
-    ("sub bcast TwoLevelPipelined root=nonleader len=25", [108182, 135938, 133933, 135406, 105819, 134065, 133965, 136038]),
-    ("sub bcast TwoLevelPipelined root=lone len=1", [100784, 115657, 116189, 113820, 98679, 116157, 116289, 115757]),
-    ("sub bcast TwoLevelPipelined root=lone len=25", [108008, 129548, 130080, 127711, 105903, 130048, 130180, 129648]),
+    ("initial barrier CentralCounter", [27591, 28100, 26227, 28632, 29032, 27159, 27291, 29696]),
+    ("initial barrier BinomialTree", [48303, 50676, 48135, 52781, 50581, 52781, 48235, 54886]),
+    ("initial barrier Dissemination", [29126, 28811, 27948, 28421, 27472, 27431, 27868, 29516]),
+    ("initial barrier Tdlb", [25110, 26514, 24946, 24165, 26482, 25078, 25210, 26614]),
+    ("initial barrier TdlbMultilevel", [25801, 27337, 25769, 25120, 27569, 25901, 25637, 27669]),
+    ("initial bcast FlatLinear root=rank0 len=1", [66079, 66588, 64715, 67120, 67520, 65647, 65779, 68184]),
+    ("initial bcast FlatLinear root=rank0 len=25", [66655, 67164, 65291, 67696, 68096, 66223, 66355, 68760]),
+    ("initial bcast FlatLinear root=nonleader len=1", [63883, 66288, 64415, 66820, 67220, 65647, 65347, 67752]),
+    ("initial bcast FlatLinear root=nonleader len=25", [64459, 66864, 64991, 67396, 67796, 66223, 65923, 68328]),
+    ("initial bcast FlatLinear root=lone len=1", [74061, 74461, 74861, 74356, 75261, 75661, 76061, 76461]),
+    ("initial bcast FlatLinear root=lone len=25", [74205, 74605, 75005, 74500, 75405, 75805, 76205, 76605]),
+    ("initial bcast FlatBinomial root=rank0 len=1", [85783, 88156, 85615, 90261, 88061, 90261, 85715, 92366]),
+    ("initial bcast FlatBinomial root=rank0 len=25", [86215, 88588, 86047, 90693, 88493, 90693, 86147, 92798]),
+    ("initial bcast FlatBinomial root=nonleader len=1", [70006, 72634, 69738, 74284, 72484, 70074, 69638, 72179]),
+    ("initial bcast FlatBinomial root=nonleader len=25", [70399, 73027, 70131, 74677, 72877, 70467, 70031, 72572]),
+    ("initial bcast FlatBinomial root=lone len=1", [79517, 79517, 79349, 75307, 77412, 77412, 79249, 77717]),
+    ("initial bcast FlatBinomial root=lone len=25", [79738, 79738, 79570, 75528, 77633, 77633, 79470, 77938]),
+    ("initial bcast TwoLevel root=rank0 len=1", [56953, 58526, 56789, 58662, 58494, 56921, 57053, 58626]),
+    ("initial bcast TwoLevel root=rank0 len=25", [57481, 59054, 57317, 59190, 59022, 57449, 57581, 59154]),
+    ("initial bcast TwoLevel root=nonleader len=1", [56357, 58094, 56489, 58230, 58062, 56521, 56621, 58194]),
+    ("initial bcast TwoLevel root=nonleader len=25", [56932, 58669, 57064, 58805, 58637, 57096, 57196, 58769]),
+    ("initial bcast TwoLevel root=lone len=1", [61259, 61527, 61095, 59158, 61495, 61227, 61359, 61627]),
+    ("initial bcast TwoLevel root=lone len=25", [61835, 62103, 61671, 59734, 62071, 61803, 61935, 62203]),
+    ("initial bcast TwoLevelPipelined root=rank0 len=1", [56953, 58526, 56789, 58662, 58494, 56921, 57053, 58626]),
+    ("initial bcast TwoLevelPipelined root=rank0 len=25", [78859, 80432, 78695, 80568, 80400, 78827, 78959, 80532]),
+    ("initial bcast TwoLevelPipelined root=nonleader len=1", [56357, 58094, 56489, 58230, 58062, 56521, 56621, 58194]),
+    ("initial bcast TwoLevelPipelined root=nonleader len=25", [78263, 80000, 78395, 80136, 79968, 78427, 78527, 80100]),
+    ("initial bcast TwoLevelPipelined root=lone len=1", [61259, 61527, 61095, 59158, 61495, 61227, 61359, 61627]),
+    ("initial bcast TwoLevelPipelined root=lone len=25", [75659, 75927, 75495, 73558, 75895, 75627, 75759, 76027]),
+    ("sub barrier CentralCounter", [76183, 79315, 80088, 80488, 78688, 80888, 81288, 79415]),
+    ("sub barrier BinomialTree", [75373, 89667, 91504, 91372, 77478, 91204, 91809, 93609]),
+    ("sub barrier Dissemination", [70500, 80147, 80235, 80335, 69745, 81757, 80902, 82320]),
+    ("sub barrier Tdlb", [69963, 79475, 77939, 77543, 69564, 77907, 78039, 79575]),
+    ("sub barrier TdlbMultilevel", [69963, 79475, 77959, 77543, 69564, 78059, 77927, 79575]),
+    ("sub bcast FlatLinear root=rank0 len=1", [89466, 109315, 110088, 110488, 92018, 110888, 111288, 109415]),
+    ("sub bcast FlatLinear root=rank0 len=25", [89679, 109660, 110433, 110833, 92171, 111233, 111633, 109760]),
+    ("sub bcast FlatLinear root=nonleader len=1", [93223, 111167, 109294, 111699, 90788, 109826, 110126, 112231]),
+    ("sub bcast FlatLinear root=nonleader len=25", [93452, 111684, 109811, 112216, 90969, 110343, 110643, 112748]),
+    ("sub bcast FlatLinear root=lone len=1", [93200, 114655, 115055, 114150, 91095, 115455, 115855, 116255]),
+    ("sub bcast FlatLinear root=lone len=25", [93424, 114884, 115284, 114379, 91319, 115684, 116084, 116484]),
+    ("sub bcast FlatBinomial root=rank0 len=1", [89404, 118292, 120129, 119997, 91509, 119829, 120434, 122234]),
+    ("sub bcast FlatBinomial root=rank0 len=25", [89569, 118643, 120480, 120348, 91674, 120180, 120785, 122585]),
+    ("sub bcast FlatBinomial root=nonleader len=1", [92893, 124429, 126229, 124524, 90788, 126629, 122419, 124524]),
+    ("sub bcast FlatBinomial root=nonleader len=25", [93074, 125270, 127070, 125365, 90969, 127470, 123260, 125365]),
+    ("sub bcast FlatBinomial root=lone len=1", [92893, 120491, 120323, 118386, 90788, 120223, 120396, 122196]),
+    ("sub bcast FlatBinomial root=lone len=25", [93074, 120990, 120822, 118885, 90969, 120722, 120895, 122695]),
+    ("sub bcast TwoLevel root=rank0 len=1", [89404, 102874, 104711, 104847, 91509, 104679, 104811, 102974]),
+    ("sub bcast TwoLevel root=rank0 len=25", [89569, 103303, 105140, 105276, 91674, 105108, 105240, 103403]),
+    ("sub bcast TwoLevel root=nonleader len=1", [92893, 108709, 106704, 108177, 90788, 106836, 106736, 108809]),
+    ("sub bcast TwoLevel root=nonleader len=25", [93122, 109226, 107221, 108694, 90969, 107353, 107253, 109326]),
+    ("sub bcast TwoLevel root=lone len=1", [92900, 107773, 108305, 105936, 90795, 108273, 108405, 107873]),
+    ("sub bcast TwoLevel root=lone len=25", [93116, 108434, 108966, 106597, 91011, 108934, 109066, 108534]),
+    ("sub bcast TwoLevelPipelined root=rank0 len=1", [89404, 102874, 104711, 104847, 91509, 104679, 104811, 102974]),
+    ("sub bcast TwoLevelPipelined root=rank0 len=25", [96592, 119768, 121605, 121741, 99213, 121573, 121705, 119868]),
+    ("sub bcast TwoLevelPipelined root=nonleader len=1", [92893, 108709, 106704, 108177, 90788, 106836, 106736, 108809]),
+    ("sub bcast TwoLevelPipelined root=nonleader len=25", [100298, 128054, 126049, 127522, 97935, 126181, 126081, 128154]),
+    ("sub bcast TwoLevelPipelined root=lone len=1", [92900, 107773, 108305, 105936, 90795, 108273, 108405, 107873]),
+    ("sub bcast TwoLevelPipelined root=lone len=25", [100124, 121664, 122196, 119827, 98019, 122164, 122296, 121764]),
 ];

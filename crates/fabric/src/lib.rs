@@ -194,17 +194,19 @@ pub trait Fabric: Send + Sync + 'static {
         None
     }
 
-    /// Allocate a zeroed segment of `bytes` bytes **on image `me` only**.
-    /// The returned id indexes `me`'s segment table; remote images that want
-    /// to address this segment must learn the id through communication (or
-    /// by symmetry of identical SPMD allocation sequences). Every fabric
-    /// pre-creates the [`bootstrap`] resources so that this first exchange
-    /// has somewhere to happen.
+    /// Allocate a zeroed segment of `bytes` bytes **on image `me` only**;
+    /// the id indexes `me`'s segment table, in allocation order. `bytes ==
+    /// 0` is a **peek**: the id `me`'s next allocation gets, with nothing
+    /// allocated (no table entry; on [`SocketFabric`] no shared-directory
+    /// entry). Teams make ids symmetric with it — peek, agree on the
+    /// largest, pad, allocate (`caf-collectives`' `alloc_symmetric`); a team
+    /// without a parent agrees through the [`bootstrap`] resources.
     fn alloc_segment(&self, me: ProcId, bytes: usize) -> SegmentId;
 
     /// Allocate `count` fresh sync flags (initialized to 0) on image `me`
     /// only; same locality rules as [`Self::alloc_segment`]. Returns the id
-    /// of the first flag; the rest follow consecutively.
+    /// of the first flag; the rest follow consecutively. `count == 0` is a
+    /// peek at the next id, allocating nothing.
     fn alloc_flags(&self, me: ProcId, count: usize) -> FlagId;
 
     /// One-sided write of `bytes` into `dst`'s segment at `offset`.
@@ -404,9 +406,8 @@ pub trait Fabric: Send + Sync + 'static {
     /// exactly once per round — resets the fabric's synchronization state:
     /// sync flags zeroed, segment tables truncated to the [`bootstrap`]
     /// resources, in-flight notifications dropped, poison cleared, and the
-    /// generation bumped. After a successful heal, identical SPMD
-    /// allocation sequences on the survivors re-align segment and flag ids
-    /// exactly as at startup.
+    /// generation bumped. After a successful heal every survivor's tables
+    /// have the shape they had at startup.
     fn heal(&self, me: ProcId) -> Result<(), RecoveryError> {
         let _ = me;
         Err(RecoveryError::Unsupported)
@@ -418,13 +419,14 @@ pub type ArcFabric = Arc<dyn Fabric>;
 
 /// Pre-created resources every fabric guarantees to exist on every image
 /// from construction time, solving the bootstrap problem of image-local
-/// allocation: before any ids can be exchanged, images need *some* agreed
-/// place to exchange them through.
+/// allocation: a team without a parent needs *some* agreed place to agree
+/// on its ids through — one barrier whose slots carry the agreement.
 pub mod bootstrap {
     use super::{Fabric, FlagId, ProcId, SegmentId};
 
-    /// Segment 0 on every image: `n_images × SLOT_BYTES` bytes of scratch
-    /// for startup id exchange (slot `i` belongs to sender `i`).
+    /// Segment 0 on every image: `n_images × SLOT_BYTES` bytes for the
+    /// formation agreement (slot `i` is image `i`'s, on the leader and on
+    /// image `i` alike).
     pub const SEG: SegmentId = SegmentId(0);
     /// Bytes per sender slot in the bootstrap segment.
     pub const SLOT_BYTES: usize = 64;
@@ -446,7 +448,7 @@ pub mod bootstrap {
     /// not a benchmarked collective; the real barrier algorithms live in
     /// `caf-collectives`.
     pub fn control_barrier<F: Fabric + ?Sized>(fabric: &F, me: ProcId, epoch: &mut u64) {
-        barrier_over(fabric, me, fabric.n_images(), ProcId, epoch);
+        barrier_over(fabric, me, fabric.n_images(), ProcId, epoch, None);
     }
 
     /// [`control_barrier`] restricted to an explicit member list — the
@@ -462,41 +464,125 @@ pub mod bootstrap {
         members: &[ProcId],
         epoch: &mut u64,
     ) {
-        barrier_over(fabric, me, members.len(), |i| members[i], epoch);
+        barrier_over(fabric, me, members.len(), |i| members[i], epoch, None);
     }
 
-    /// The one body of both: `n` members, `member(0)` leads.
+    /// [`control_barrier_among`] that also agrees on two words: each member
+    /// brings `mine` and leaves with the element-wise maximum over
+    /// `members`. A member puts its words into its [`SEG`] slot on the
+    /// leader before it arrives; the leader reads its slots at once and puts
+    /// the maximum into each member's own slot before releasing it.
+    pub fn max_among<F: Fabric + ?Sized>(
+        fabric: &F,
+        me: ProcId,
+        members: &[ProcId],
+        epoch: &mut u64,
+        mine: [u64; 2],
+    ) -> [u64; 2] {
+        let (mut w, n) = (mine, members.len());
+        barrier_over(fabric, me, n, |i| members[i], epoch, Some(&mut w));
+        w
+    }
+
+    /// The one body of all three: `n` members, `member(0)` leads, and
+    /// `words`, when given, are agreed on as [`max_among`] describes.
     fn barrier_over<F: Fabric + ?Sized>(
         fabric: &F,
         me: ProcId,
         n: usize,
         member: impl Fn(usize) -> ProcId,
         epoch: &mut u64,
+        mut words: Option<&mut [u64; 2]>,
     ) {
         *epoch += 1;
         if n <= 1 {
             return;
         }
+        let slot = |p: ProcId| p.index() * SLOT_BYTES;
+        let bytes = |w: &[u64; 2]| w.map(u64::to_ne_bytes).concat();
+        let word = |b: &[u8], i: usize| u64::from_ne_bytes(b[i..i + 8].try_into().expect("8"));
         let leader = member(0);
         if me == leader {
             fabric.flag_wait_ge(me, COUNTER, (n as u64 - 1) * *epoch);
+            if let Some(w) = words.as_deref_mut() {
+                let mut all = vec![0u8; fabric.n_images() * SLOT_BYTES];
+                fabric.get(me, me, SEG, 0, &mut all);
+                for at in (1..n).map(|j| slot(member(j))) {
+                    *w = [w[0].max(word(&all, at)), w[1].max(word(&all, at + 8))];
+                }
+            }
             for j in 1..n {
+                if let Some(w) = &words {
+                    fabric.put(me, member(j), SEG, slot(member(j)), &bytes(w));
+                }
                 fabric.flag_add(me, member(j), RELEASE, 1);
             }
         } else {
+            if let Some(w) = &words {
+                fabric.put(me, leader, SEG, slot(me), &bytes(w));
+            }
             fabric.flag_add(me, leader, COUNTER, 1);
             fabric.flag_wait_ge(me, RELEASE, *epoch);
+            if let Some(w) = words {
+                let mut answer = [0u8; 16];
+                fabric.get(me, me, SEG, slot(me), &mut answer);
+                *w = [word(&answer, 0), word(&answer, 8)];
+            }
         }
     }
 }
 
 #[cfg(test)]
-mod trait_tests {
+pub(crate) mod trait_tests {
     use super::*;
+    use caf_topology::{presets, Placement};
 
     #[test]
     fn fabric_trait_is_object_safe() {
         // Compile-time check: we can name the trait object.
         fn _takes(_: &ArcFabric) {}
+    }
+
+    /// The zero-size contract on `f` for image `me`: a peek answers the id
+    /// the next real allocation gets, as often as it is asked, and a real
+    /// allocation moves the answer on by its size. Returns the peeked ids
+    /// (both allocated by the time this returns).
+    pub(crate) fn zero_size_is_a_peek(f: &dyn Fabric, me: ProcId) -> (SegmentId, FlagId) {
+        let (seg, flag) = (f.alloc_segment(me, 0), f.alloc_flags(me, 0));
+        assert_eq!((f.alloc_segment(me, 0), f.alloc_flags(me, 0)), (seg, flag));
+        assert_eq!(
+            f.alloc_segment(me, 24),
+            seg,
+            "the peek named the next segment"
+        );
+        assert_eq!(f.alloc_flags(me, 3), flag, "the peek named the next flag");
+        let next = (SegmentId(seg.0 + 1), flag.nth(3));
+        assert_eq!((f.alloc_segment(me, 0), f.alloc_flags(me, 0)), next);
+        (seg, flag)
+    }
+
+    /// A peek adds no table entry: an op on the peeked id is refused until
+    /// the real allocation lands.
+    #[test]
+    fn zero_size_allocation_is_a_peek_on_sim_and_threads() {
+        let map = ImageMap::new(presets::mini(1, 1), 1, &Placement::Packed);
+        let sim = || -> ArcFabric { SimFabric::new(map.clone(), SimConfig::default()) };
+        let threads = || -> ArcFabric { ThreadFabric::new(map.clone(), ThreadConfig::default()) };
+        let me = ProcId(0);
+        for fresh in [&sim as &dyn Fn() -> ArcFabric, &threads] {
+            for op in 0..2 {
+                let f = fresh();
+                let (seg, flag) = (f.alloc_segment(me, 0), f.alloc_flags(me, 0));
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
+                    0 => f.put(me, me, seg, 0, &[7; 8]),
+                    _ => _ = f.flag_read(me, flag),
+                }));
+                assert!(refused.is_err(), "op {op} on a peeked id must be refused");
+            }
+            let f = fresh();
+            let (seg, flag) = zero_size_is_a_peek(&*f, me);
+            f.put(me, me, seg, 16, &[7; 8]);
+            assert_eq!(f.flag_read(me, flag.nth(2)), 0);
+        }
     }
 }

@@ -42,11 +42,10 @@ use std::time::Duration;
 /// Handle to one segment of one image's memory.
 ///
 /// Allocation is **image-local**: `alloc_segment(me, …)` creates storage on
-/// `me` only and the returned id indexes `me`'s table. Remote access
-/// therefore needs the *owner's* id. Teams obtain co-members' ids by
-/// exchanging them through their parent team's communication structures
-/// (see `caf-collectives`); images executing identical allocation sequences
-/// (classic SPMD symmetry) get identical ids by construction.
+/// `me` only and the returned id indexes `me`'s table; `alloc_segment(me,
+/// 0)` is a peek at the next id. Teams make ids symmetric with it — peek,
+/// agree on the largest, pad, allocate (see `caf-collectives`) — so a
+/// team's members address a co-member's segment by their own id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(pub usize);
 
@@ -56,8 +55,8 @@ impl fmt::Debug for SegmentId {
     }
 }
 
-/// Handle to one sync flag of one image. Allocation is image-local, like
-/// [`SegmentId`].
+/// Handle to one sync flag of one image. Allocation (and the peek) is
+/// image-local, like [`SegmentId`]'s.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlagId(pub usize);
 
@@ -561,8 +560,12 @@ impl ImageTables {
         self.local
     }
 
-    /// Append the window `make` builds for the id it is given.
-    pub(crate) fn push_segment(&self, make: impl FnOnce(usize) -> Window) -> SegmentId {
+    /// Append the window `make` builds for the id it is given; a `len` of 0
+    /// is a peek at the id, which moves nothing (not even the generation).
+    pub(crate) fn push_segment(&self, len: usize, make: impl FnOnce(usize) -> Window) -> SegmentId {
+        if len == 0 {
+            return SegmentId(self.entries.value.read().segs.len());
+        }
         self.entries.update(|e| {
             let id = e.segs.len();
             e.segs.push(make(id));
@@ -988,7 +991,7 @@ pub(crate) mod tests {
         let tables = Tables::new(3, &[ProcId(0), ProcId(2)], 0);
         let heap = |bytes| Window::Heap(Arc::new(SharedBytes::new(bytes)));
         for image in tables.hosted() {
-            assert_eq!(image.push_segment(|id| heap(8 + id)), SegmentId(0));
+            assert_eq!(image.push_segment(8, |id| heap(8 + id)), SegmentId(0));
             assert_eq!(image.push_flags(2, |_| FlagCell::heap()), FlagId(0));
         }
         assert_eq!(tables.image(2).map(ImageTables::local), Ok(1));
@@ -1011,7 +1014,7 @@ pub(crate) mod tests {
         let first = tables.window(2, 0).expect("allocated");
         assert!(Rc::ptr_eq(&first, &tables.window(2, 0).expect("cached")));
         let image = tables.image(2).expect("hosted");
-        let grown = image.push_segment(|_| heap(100));
+        let grown = image.push_segment(100, |_| heap(100));
         let kept = tables.flag(2, 0).expect("allocated");
         kept.cell().store(9, Ordering::Release);
         std::thread::scope(|s| {
@@ -1019,7 +1022,7 @@ pub(crate) mod tests {
             s.spawn(|| {
                 assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 100);
                 tables.reset(1, 1);
-                assert_eq!(image.push_segment(|_| heap(40)), grown);
+                assert_eq!(image.push_segment(40, |_| heap(40)), grown);
                 assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 40);
             });
         });

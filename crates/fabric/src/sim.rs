@@ -1302,7 +1302,9 @@ impl Fabric for SimFabric {
         let mut core = self.core.lock();
         let me = me.index();
         let id = core.segs[me].len();
-        core.segs[me].push(vec![0u8; bytes]);
+        if bytes > 0 {
+            core.segs[me].push(vec![0u8; bytes]);
+        }
         drop(core);
         SegmentId(id)
     }

@@ -1924,6 +1924,43 @@ mod tests {
         }
     }
 
+    /// A zero-size allocation is a peek on the socket tier too: no table
+    /// entry and, with the shared segment on, no directory entry — a mapped
+    /// peer finds the id unpublished until the real allocation.
+    #[test]
+    fn a_zero_size_allocation_adds_no_table_or_directory_entry() {
+        for shm in [cfg!(unix), false] {
+            let cfg = SocketConfig { shm, ..quick_cfg() };
+            let fabrics = fleet(&map(2, 1, 2), &cfg);
+            let (f0, me) = (&fabrics[0], ProcId(0));
+            let (seg, flag) = (f0.alloc_segment(me, 0), f0.alloc_flags(me, 0));
+            assert!(f0.store.window(Access::Get, 0, seg.0, 0, 0).is_err());
+            assert!(f0.store.flag(0, flag.0).is_err());
+            let published = || {
+                let path = std::path::PathBuf::from(f0.store.shm_path());
+                shm::PeerShm::open(&path).map(|peer| peer.window(0, seg.0).is_some())
+            };
+            if shm {
+                assert!(
+                    !published().expect("mapped"),
+                    "a peek published seg{}",
+                    seg.0
+                );
+            }
+            crate::trait_tests::zero_size_is_a_peek(&**f0, me);
+            assert!(f0.store.window(Access::Get, 0, seg.0, 0, 24).is_ok());
+            if shm {
+                assert!(published().expect("mapped"), "the allocation is published");
+            }
+            for f in &fabrics {
+                f.hosted().iter().for_each(|img| f.image_done(*img));
+            }
+            for f in &fabrics {
+                f.shutdown();
+            }
+        }
+    }
+
     /// Threads keep windows and mappings in their views; a segment *file*
     /// does not wait for them. Every op here is issued from the test's own
     /// thread, which outlives the fleet.

@@ -138,7 +138,7 @@ impl Store {
     pub(super) fn alloc_segment(&self, me: ProcId, bytes: usize, stats: &FabricStats) -> SegmentId {
         let image = (self.tables.image(me.index()))
             .unwrap_or_else(|_| panic!("alloc_segment: image {me:?} not hosted here"));
-        image.push_segment(|id| {
+        image.push_segment(bytes, |id| {
             match self.shm.as_ref().map(|s| s.alloc(image.local(), id, bytes)) {
                 Some(Ok(window)) => return Window::Shm(window),
                 // Peers rendezvous through the bootstrap segment: it may not spill.

@@ -93,7 +93,7 @@ impl ThreadFabric {
         for image in tables.hosted() {
             // Bootstrap resources: segment 0 and the control flags.
             let boot = SharedBytes::new(n * crate::bootstrap::SLOT_BYTES);
-            image.push_segment(|_| Window::Heap(Arc::new(boot)));
+            image.push_segment(boot.len(), |_| Window::Heap(Arc::new(boot)));
             image.push_flags(crate::bootstrap::NUM_FLAGS, |_| FlagCell::heap());
         }
         Arc::new(Self {
@@ -225,7 +225,7 @@ impl Fabric for ThreadFabric {
     }
 
     fn alloc_segment(&self, me: ProcId, bytes: usize) -> SegmentId {
-        (self.image(me)).push_segment(|_| Window::Heap(Arc::new(SharedBytes::new(bytes))))
+        (self.image(me)).push_segment(bytes, |_| Window::Heap(Arc::new(SharedBytes::new(bytes))))
     }
 
     fn alloc_flags(&self, me: ProcId, count: usize) -> FlagId {

@@ -19,8 +19,8 @@ pub struct Coarray<T: CoValue> {
     me: ProcId,
     my_rank: usize,
     members: Arc<Vec<ProcId>>,
-    /// Per team rank: that member's segment id.
-    segs: Arc<Vec<SegmentId>>,
+    /// The segment, under the same id on every member.
+    seg: SegmentId,
     len: usize,
     _t: PhantomData<T>,
 }
@@ -28,32 +28,16 @@ pub struct Coarray<T: CoValue> {
 impl<T: CoValue> Coarray<T> {
     /// Collective allocation over `comm`'s team (every member calls with
     /// the same `len`).
-    pub(crate) fn allocate(fabric: ArcFabric, me: ProcId, comm: &mut TeamComm, len: usize) -> Self {
-        let seg = fabric.alloc_segment(me, len * T::SIZE);
-        let g = comm.allgather4([seg.0 as u64, len as u64, T::SIZE as u64, 0]);
-        let segs: Vec<SegmentId> = g
-            .iter()
-            .enumerate()
-            .map(|(j, v)| {
-                assert_eq!(
-                    v[1] as usize, len,
-                    "coarray allocation mismatch: rank {j} allocated {} elems, expected {len}",
-                    v[1]
-                );
-                assert_eq!(
-                    v[2] as usize,
-                    T::SIZE,
-                    "coarray element size mismatch at rank {j}"
-                );
-                SegmentId(v[0] as usize)
-            })
-            .collect();
+    pub(crate) fn allocate(comm: &mut TeamComm, len: usize) -> Self {
+        // A zero-length coarray still takes an id of its own.
+        let bytes = (len * T::SIZE).max(1);
+        let (_, seg) = comm.alloc_symmetric("coarray", 0, bytes, [len as u64, T::SIZE as u64]);
         Self {
-            fabric,
-            me,
+            fabric: comm.fabric().clone(),
+            me: comm.proc_of(comm.rank()),
             my_rank: comm.rank(),
             members: comm.members().clone(),
-            segs: Arc::new(segs),
+            seg,
             len,
             _t: PhantomData,
         }
@@ -85,7 +69,7 @@ impl<T: CoValue> Coarray<T> {
             "coarray image index {image1} outside team of {}",
             self.members.len()
         );
-        (self.members[image1 - 1], self.segs[image1 - 1])
+        (self.members[image1 - 1], self.seg)
     }
 
     fn check_range(&self, start: usize, count: usize) {

@@ -15,42 +15,23 @@ use std::sync::Arc;
 pub struct Events {
     fabric: ArcFabric,
     me: ProcId,
-    my_rank: usize,
     members: Arc<Vec<ProcId>>,
-    /// Per team rank: base flag id of that member's event block.
-    flags: Arc<Vec<FlagId>>,
+    /// Base flag id of the event block, the same on every member.
+    flags: FlagId,
     count: usize,
     /// Posts I have already consumed, per local event variable.
     consumed: Vec<u64>,
 }
 
 impl Events {
-    pub(crate) fn allocate(
-        fabric: ArcFabric,
-        me: ProcId,
-        comm: &mut TeamComm,
-        count: usize,
-    ) -> Self {
+    pub(crate) fn allocate(comm: &mut TeamComm, count: usize) -> Self {
         assert!(count > 0, "event block needs at least one variable");
-        let base = fabric.alloc_flags(me, count);
-        let g = comm.allgather4([base.0 as u64, count as u64, 0, 0]);
-        let flags: Vec<FlagId> = g
-            .iter()
-            .enumerate()
-            .map(|(j, v)| {
-                assert_eq!(
-                    v[1] as usize, count,
-                    "event allocation mismatch at rank {j}"
-                );
-                FlagId(v[0] as usize)
-            })
-            .collect();
+        let (flags, _) = comm.alloc_symmetric("event block", count, 0, [count as u64, 0]);
         Self {
-            fabric,
-            me,
-            my_rank: comm.rank(),
+            fabric: comm.fabric().clone(),
+            me: comm.proc_of(comm.rank()),
             members: comm.members().clone(),
-            flags: Arc::new(flags),
+            flags,
             count,
             consumed: vec![0; count],
         }
@@ -70,12 +51,8 @@ impl Events {
             "event image {image1} outside team of {}",
             self.members.len()
         );
-        self.fabric.flag_add(
-            self.me,
-            self.members[image1 - 1],
-            self.flags[image1 - 1].nth(idx),
-            1,
-        );
+        self.fabric
+            .flag_add(self.me, self.members[image1 - 1], self.flags.nth(idx), 1);
         let tracer = self.fabric.tracer();
         if tracer.enabled() {
             tracer.record(
@@ -100,7 +77,7 @@ impl Events {
             0
         };
         self.fabric
-            .flag_wait_ge(self.me, self.flags[self.my_rank].nth(idx), target);
+            .flag_wait_ge(self.me, self.flags.nth(idx), target);
         if tracer.enabled() {
             let t1 = self.fabric.now_ns(self.me);
             tracer.record(
@@ -117,9 +94,7 @@ impl Events {
     /// my event `idx` (never blocks).
     pub fn query(&self, idx: usize) -> u64 {
         assert!(idx < self.count, "event index {idx} out of {}", self.count);
-        let raw = self
-            .fabric
-            .flag_read(self.me, self.flags[self.my_rank].nth(idx));
+        let raw = self.fabric.flag_read(self.me, self.flags.nth(idx));
         raw - self.consumed[idx]
     }
 }

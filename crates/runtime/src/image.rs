@@ -39,12 +39,40 @@ impl ImageCtx {
     /// Build the context for image `me`; collective across all images
     /// (called by the launcher on every image thread).
     pub(crate) fn new(fabric: ArcFabric, me: ProcId, cfg: CollectiveConfig) -> Self {
+        let all = (0..fabric.n_images()).map(ProcId).collect();
+        Self::formed(fabric, me, all, cfg)
+    }
+
+    /// Build the context for image `me` on a **respawned** process
+    /// rejoining a running fleet (a fabric constructed with a rejoin
+    /// generation). The initial-team bootstrap would wait forever on
+    /// survivors that are long past it; instead this joins the survivors'
+    /// recovery fence ([`caf_fabric::Fabric::heal`]) and then forms the
+    /// same team as [`Self::form_recovery_team`], so the rejoined image
+    /// comes up already inside the recovery team — at checkpoint epoch 0,
+    /// ready for [`Self::restore`] to resolve the last globally complete
+    /// epoch with the survivors.
+    pub fn rejoin(
+        fabric: ArcFabric,
+        me: ProcId,
+        cfg: CollectiveConfig,
+    ) -> Result<Self, RecoveryError> {
+        fabric.heal(me)?;
+        let survivors = fabric.alive_images();
+        Ok(Self::formed(fabric, me, survivors, cfg))
+    }
+
+    /// The context of image `me` with `members` as its initial team, on a
+    /// fabric whose tables have their startup shape (fresh, or healed):
+    /// the `sync images` flags, the team and the `critical` lock, in one
+    /// allocation order on every member — what a team without a parent
+    /// needs (`TeamComm::create_among`).
+    fn formed(fabric: ArcFabric, me: ProcId, members: Vec<ProcId>, cfg: CollectiveConfig) -> Self {
         let n = fabric.n_images();
-        // Identical allocation sequence on every image => identical ids.
         let sync_flags = fabric.alloc_flags(me, n);
         let mut boot_epoch = 0;
-        let mut comm = TeamComm::create_initial(fabric.clone(), me, cfg, &mut boot_epoch);
-        let critical_lock = Coarray::allocate(fabric.clone(), me, &mut comm, 1);
+        let mut comm = TeamComm::create_among(fabric.clone(), me, members, cfg, &mut boot_epoch);
+        let critical_lock = Coarray::allocate(&mut comm, 1);
         let initial = Team {
             comm,
             number: INITIAL_TEAM_NUMBER,
@@ -61,47 +89,6 @@ impl ImageCtx {
             critical_lock,
             ckpt_epoch: 0,
         }
-    }
-
-    /// Build the context for image `me` on a **respawned** process
-    /// rejoining a running fleet (a fabric constructed with a rejoin
-    /// generation). The initial-team bootstrap would wait forever on
-    /// survivors that are long past it; instead this joins the survivors'
-    /// recovery fence ([`caf_fabric::Fabric::heal`]) and then runs the
-    /// same re-alignment sequence as [`Self::form_recovery_team`], so the
-    /// rejoined image comes up already inside the recovery team — at
-    /// checkpoint epoch 0, ready for [`Self::restore`] to resolve the last
-    /// globally complete epoch with the survivors.
-    pub fn rejoin(
-        fabric: ArcFabric,
-        me: ProcId,
-        cfg: CollectiveConfig,
-    ) -> Result<Self, RecoveryError> {
-        fabric.heal(me)?;
-        let survivors = fabric.alive_images();
-        let n = fabric.n_images();
-        let mut boot_epoch = 0;
-        // Mirrors `form_recovery_team` exactly — heal, then the identical
-        // allocation sequence every survivor runs — so flag/segment ids
-        // line up across old and new incarnations.
-        let sync_flags = fabric.alloc_flags(me, n);
-        let mut comm = TeamComm::create_among(fabric.clone(), me, survivors, cfg, &mut boot_epoch);
-        let critical_lock = Coarray::allocate(fabric.clone(), me, &mut comm, 1);
-        Ok(Self {
-            fabric,
-            me,
-            boot_epoch,
-            default_cfg: cfg,
-            teams: vec![Team {
-                comm,
-                number: INITIAL_TEAM_NUMBER,
-                depth: 0,
-            }],
-            sync_flags,
-            sync_count: vec![0; n],
-            critical_lock,
-            ckpt_epoch: 0,
-        })
     }
 
     /// Final implicit synchronization at program end (called by the
@@ -454,23 +441,13 @@ impl ImageCtx {
     /// team** (the paper's memory benefit: allocation inside a `change
     /// team` block involves only that team's images). Collective.
     pub fn coarray<T: CoValue>(&mut self, elems: usize) -> Coarray<T> {
-        Coarray::allocate(
-            self.fabric.clone(),
-            self.me,
-            &mut self.current_mut().comm,
-            elems,
-        )
+        Coarray::allocate(&mut self.current_mut().comm, elems)
     }
 
     /// Allocate `count` event variables per image over the current team
     /// (CAF `event_type` coarray). Collective.
     pub fn events(&mut self, count: usize) -> Events {
-        Events::allocate(
-            self.fabric.clone(),
-            self.me,
-            &mut self.current_mut().comm,
-            count,
-        )
+        Events::allocate(&mut self.current_mut().comm, count)
     }
 
     // ------------------------------------------------------------------
@@ -561,29 +538,11 @@ impl ImageCtx {
         }
         self.fabric.heal(self.me)?;
         let survivors = self.fabric.alive_images();
-        // Identical re-allocation sequence on every survivor re-aligns
-        // flag/segment ids exactly as at startup.
-        let n = self.fabric.n_images();
-        self.boot_epoch = 0;
-        self.sync_flags = self.fabric.alloc_flags(self.me, n);
-        self.sync_count = vec![0; n];
-        let mut comm = TeamComm::create_among(
-            self.fabric.clone(),
-            self.me,
-            survivors.clone(),
-            self.default_cfg,
-            &mut self.boot_epoch,
-        );
-        self.critical_lock = Coarray::allocate(self.fabric.clone(), self.me, &mut comm, 1);
-        self.teams = vec![Team {
-            comm,
-            number: INITIAL_TEAM_NUMBER,
-            depth: 0,
-        }];
-        // restore() re-establishes the agreed epoch; until then survivors
-        // and rejoiners must not diverge on it.
-        self.ckpt_epoch = 0;
-        Ok(survivors.len())
+        let n = survivors.len();
+        // Every pre-failure handle goes with the old context; restore()
+        // re-establishes the agreed checkpoint epoch from 0.
+        *self = Self::formed(self.fabric.clone(), self.me, survivors, self.default_cfg);
+        Ok(n)
     }
 
     /// Take checkpoint epoch `N+1` (one past the last completed/restored
@@ -731,11 +690,6 @@ impl ImageCtx {
 
     fn current_mut(&mut self) -> &mut Team {
         self.teams.last_mut().expect("team stack never empty")
-    }
-
-    /// My global process id (crate-internal plumbing).
-    pub(crate) fn proc(&self) -> ProcId {
-        self.me
     }
 
     /// The current team's communication structure (crate-internal).

@@ -9,8 +9,6 @@
 use crate::coarray::Coarray;
 use crate::image::ImageCtx;
 use caf_collectives::TeamComm;
-use caf_fabric::ArcFabric;
-use caf_topology::ProcId;
 
 /// A coarray of `count` lock variables per image of the allocating team.
 pub struct LockSet {
@@ -26,14 +24,9 @@ pub struct LockSet {
 /// guard-free style matches the language. (A closure API is on
 /// [`ImageCtx::critical`].)
 impl LockSet {
-    pub(crate) fn allocate(
-        fabric: ArcFabric,
-        me: ProcId,
-        comm: &mut TeamComm,
-        count: usize,
-    ) -> Self {
+    pub(crate) fn allocate(comm: &mut TeamComm, count: usize) -> Self {
         assert!(count > 0, "lock set needs at least one lock");
-        let cells = Coarray::allocate(fabric, me, comm, count);
+        let cells = Coarray::allocate(comm, count);
         Self {
             ticket: comm.rank() as u64 + 1,
             cells,
@@ -109,8 +102,6 @@ impl ImageCtx {
     /// Allocate a coarray of `count` lock variables per image over the
     /// current team (CAF `type(lock_type) :: l(count)[*]`). Collective.
     pub fn locks(&mut self, count: usize) -> LockSet {
-        let fabric = self.fabric().clone();
-        let me = self.proc();
-        LockSet::allocate(fabric, me, self.current_comm_mut(), count)
+        LockSet::allocate(self.current_comm_mut(), count)
     }
 }

@@ -4,8 +4,8 @@
 //! synchronization resources) and carries the Fortran-level identity: the
 //! `team_number` passed to `form team` and the nesting depth. As in
 //! Fortran, each image holds its **own** team value; what is shared is the
-//! underlying communication structure, addressed symmetrically through
-//! per-member resource tables.
+//! underlying communication structure, whose resources every member holds
+//! under the same ids.
 
 use caf_collectives::TeamComm;
 

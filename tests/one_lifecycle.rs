@@ -14,7 +14,9 @@
 //! And it keeps each collective at one definition: the hosted stepper runs
 //! the real bodies through a recorder (`collectives/src/hosted.rs`), so a
 //! `StepProgram` anywhere else under `crates/` — outside test code — is a
-//! collective written a second time as a state machine.
+//! collective written a second time as a state machine. Team resources keep
+//! one id each: a per-member id table in the collectives or the runtime
+//! (`Vec<SegmentId>`, `Vec<FlagId>`, the old `MemberRsrc`) fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -150,6 +152,23 @@ fn each_collective_has_one_definition() {
         ["collectives/src/hosted.rs"],
         "host the real TeamComm body (caf_collectives::hosted), do not re-encode it"
     );
+
+    // A team resource has one id, the same on every member (the placement
+    // rule in collectives/src/comm.rs): no per-member table of ids comes
+    // back, in the collectives or the runtime above them.
+    for dir in ["collectives/src/", "runtime/src/"] {
+        for needle in ["MemberRsrc", "Vec<SegmentId>", "Vec<FlagId>"] {
+            let tables: Vec<&str> = hits(&files, needle, false)
+                .into_iter()
+                .filter(|f| f.starts_with(dir))
+                .collect();
+            assert!(
+                tables.is_empty(),
+                "{needle} in {tables:?}: allocate through TeamComm::alloc_symmetric and \
+                 keep one id"
+            );
+        }
+    }
 
     // The stepper knows ops, not algorithms: no tree arithmetic, tests included.
     for needle in ["binomial_", "ceil_log2"] {
