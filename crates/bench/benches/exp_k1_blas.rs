@@ -1,6 +1,7 @@
 //! EXP-K1 (extension) — the local compute kernels under `caf-hpl`, in
 //! wall-clock: the packed, register-blocked `dgemm_minus` at the shape
-//! HPL's trailing update spends its time in and at an edge-heavy shape,
+//! HPL's trailing update spends its time in (whole, and split into the
+//! 64-column blocks the pipelined update issues) and at an edge-heavy shape,
 //! the halved `dtrsm_lower_unit`, one block step's batched row
 //! interchange, and a whole single-image factorization on ThreadFabric.
 //!
@@ -73,7 +74,17 @@ fn operand(seed: u64, rows: usize, cols: usize) -> Vec<f64> {
         .collect()
 }
 
-fn dgemm_rows(recs: &mut Vec<Rec>, op: &'static str, (m, n, k): (usize, usize, usize)) -> f64 {
+/// The dispatched and the textbook `C −= A·B` at `(m, n, k)`, and — with
+/// `blocks` — the dispatched one as one call per `blocks` columns of `C`,
+/// HPL's pipelined update: `dgemm_minus` packing `A` for every call, and
+/// `A` packed once (`PackedA`, what `lu.rs` runs). Returns the textbook
+/// loop's time and the two split ones, each over one whole call.
+fn dgemm_rows(
+    recs: &mut Vec<Rec>,
+    op: &'static str,
+    (m, n, k): (usize, usize, usize),
+    blocks: Option<usize>,
+) -> [f64; 3] {
     let reps = scaled(20, 5);
     let (a, b) = (operand(1, m, k), operand(2, k, n));
     let mut c = operand(3, m, n);
@@ -81,9 +92,27 @@ fn dgemm_rows(recs: &mut Vec<Rec>, op: &'static str, (m, n, k): (usize, usize, u
     let textbook = best_ns(reps, || {
         textbook_dgemm_minus(m, n, k, &a, m, &b, k, &mut c, m)
     });
+    let mut rows = vec![("dispatched_wall", packed), ("textbook_wall", textbook)];
+    if let Some(w) = blocks {
+        let blocked = best_ns(reps, || {
+            for j in (0..n).step_by(w) {
+                let (b, c) = (&b[j * k..], &mut c[j * m..]);
+                blas::dgemm_minus(m, w.min(n - j), k, &a, m, b, k, c, m);
+            }
+        });
+        let mut once = blas::PackedA::with_capacity(m, k);
+        let packed_once = best_ns(reps, || {
+            once.pack(m, k, &a, m);
+            for j in (0..n).step_by(w) {
+                once.gemm_minus(w.min(n - j), &b[j * k..], k, &mut c[j * m..], m);
+            }
+        });
+        rows.push(("blocks64_wall", blocked));
+        rows.push(("packed64_wall", packed_once));
+    }
     black_box(&c);
     let flops = blas::dgemm_flops(m, n, k);
-    for (algo, ns) in [("dispatched_wall", packed), ("textbook_wall", textbook)] {
+    for &(algo, ns) in &rows {
         recs.push(Rec {
             op,
             bytes: flops as usize,
@@ -91,17 +120,21 @@ fn dgemm_rows(recs: &mut Vec<Rec>, op: &'static str, (m, n, k): (usize, usize, u
             ns,
         });
     }
-    textbook / packed
+    let over = |i: usize| rows.get(i).map_or(1.0, |r| r.1 / packed);
+    [over(1), over(2), over(3)]
 }
 
 fn main() {
     print_hpl_preamble("EXP-K1");
     let mut recs: Vec<Rec> = Vec::new();
 
-    // dgemm: the nb = 64 trailing update, and a shape where every tile
-    // row, tile column and the depth end in a partial tile.
-    let speedup = dgemm_rows(&mut recs, "dgemm_1024x1024x64", (1024, 1024, 64));
-    dgemm_rows(&mut recs, "dgemm_1000x999x61", (1000, 999, 61));
+    // dgemm: the nb = 64 trailing update — whole, and as the pipelined
+    // update issues it, one block column of 64 at a time — and a shape
+    // where every tile row, tile column and the depth end in a partial
+    // tile.
+    let [speedup, split, packed_once] =
+        dgemm_rows(&mut recs, "dgemm_1024x1024x64", (1024, 1024, 64), Some(64));
+    dgemm_rows(&mut recs, "dgemm_1000x999x61", (1000, 999, 61), None);
 
     // dtrsm: the 64-wide U12 block-row solve.
     {
@@ -207,6 +240,12 @@ fn main() {
         ]);
     }
     t.note("wall rows: best repetition; the virt row is modeled time and must not move");
+    t.note(format!(
+        "16 calls of 64 columns cost {:+.1} % over one call of 1024 when each packs A, \
+         {:+.1} % with A packed once",
+        100.0 * (split - 1.0),
+        100.0 * (packed_once - 1.0)
+    ));
     t.print();
 
     results::write(

@@ -17,7 +17,9 @@
 //! slow receiver by any number of episodes and overwrite a payload slot it
 //! has not read yet. The protocol therefore runs three waves:
 //!
-//! 1. **data** down the tree (payload put + `B_ARRIVE` notification),
+//! 1. **data** down the tree (payload put + `B_ARRIVE` notification: one
+//!    signalled put, or a stream of nonblocking chunks each with its own
+//!    notification),
 //! 2. **ack** back up (`B_ACK`, collected subtree-by-subtree),
 //! 3. **release** down again (`B_DONE`), sent once the root holds every
 //!    ack.
@@ -204,10 +206,10 @@ fn data_wave<T: CoValue>(
         for &child in to {
             if nb {
                 comm.send_values_nb(child, at, piece);
+                comm.add_flag(child, flag::B_ARRIVE[par], 1);
             } else {
-                comm.send_values(Scratch, child, at, piece);
+                comm.send_flagged(Scratch, child, at, piece, flag::B_ARRIVE[par]);
             }
-            comm.add_flag(child, flag::B_ARRIVE[par], 1);
         }
     };
     let e = comm.epochs.bcast;

@@ -929,9 +929,7 @@ impl TeamComm {
                     &mut sub[EXCH_SLOT..],
                 );
             }
-            let to = self.members[parent];
-            self.fabric.put(self.me, to, my_exch, v * EXCH_SLOT, &sub);
-            self.add_flag(parent, flag::EXCH_GATHER, 1);
+            self.put_flag_into(my_exch, parent, v * EXCH_SLOT, &sub, flag::EXCH_GATHER);
             self.restore_stage(sub);
             // Broadcast: wait for the combined array from my parent.
             self.wait_flag(flag::EXCH_BCAST, era);
@@ -949,8 +947,7 @@ impl TeamComm {
         full[v * EXCH_SLOT..(v + 1) * EXCH_SLOT].copy_from_slice(&slot);
         // Forward the full array to my children and decode it locally.
         for &c in &children {
-            self.fabric.put(self.me, self.members[c], my_exch, 0, &full);
-            self.add_flag(c, flag::EXCH_BCAST, 1);
+            self.put_flag_into(my_exch, c, 0, &full, flag::EXCH_BCAST);
         }
         let out: Vec<[u64; 4]> = (0..n)
             .map(|j| {
@@ -1156,9 +1153,27 @@ impl TeamComm {
         }
     }
 
-    /// Put `bytes` into team rank `to`'s region `r` at byte offset `off`.
-    pub(crate) fn put_raw(&self, r: Region, to: usize, off: usize, bytes: &[u8]) {
-        (self.fabric).put(self.me, self.members[to], self.seg_of(r), off, bytes);
+    /// Put `bytes` into team rank `to`'s segment `seg` at byte offset `off`
+    /// and add 1 to its flag `idx`: one signalled put
+    /// ([`Fabric::put_flag`]), buffered by the active-message tier when it
+    /// is on.
+    fn put_flag_into(&self, seg: SegmentId, to: usize, off: usize, bytes: &[u8], idx: usize) {
+        let dst = self.members[to];
+        let flag = self.rsrc.flags.nth(idx);
+        if let Some(am) = &self.am {
+            am.lock()
+                .expect("am sender")
+                .put_flag(dst, seg, off, bytes, flag, 1);
+        } else {
+            (self.fabric).put_flag(self.me, dst, seg, off, bytes, flag, 1);
+        }
+    }
+
+    /// Put `bytes` into team rank `to`'s region `r` at byte offset `off`,
+    /// announced by one more arrival on its flag `idx` — payload and
+    /// notification as one message (the data plane of every blocking hop).
+    pub(crate) fn put_flag(&self, r: Region, to: usize, off: usize, bytes: &[u8], idx: usize) {
+        self.put_flag_into(self.seg_of(r), to, off, bytes, idx);
     }
 
     /// Read `out.len()` bytes from my own region `r` at byte offset `off`.
@@ -1166,21 +1181,29 @@ impl TeamComm {
         (self.fabric).get(self.me, self.me, self.seg_of(r), off, out);
     }
 
-    /// Serialize `src` and put it into team rank `to`'s region `r` at byte
-    /// offset `off` (the workhorse data-plane send of every collective).
-    pub(crate) fn send_values<T: CoValue>(&mut self, r: Region, to: usize, off: usize, src: &[T]) {
+    /// Serialize `src` and [`Self::put_flag`] it (the workhorse data-plane
+    /// send of every collective).
+    pub(crate) fn send_flagged<T: CoValue>(
+        &mut self,
+        r: Region,
+        to: usize,
+        off: usize,
+        src: &[T],
+        idx: usize,
+    ) {
         let mut b = std::mem::take(&mut self.buf);
         slice_to_bytes(src, &mut b);
-        self.put_raw(r, to, off, &b);
+        self.put_flag(r, to, off, &b, idx);
         self.buf = b;
     }
 
-    /// Nonblocking variant of [`Self::send_values`]: the put is *injected*
-    /// but the wire time is not paid by the initiator. The pipelined
-    /// collectives rely on the fabric's point-to-point ordering guarantee
-    /// — a flag posted to the same target after this call lands after the
-    /// payload — so the returned token normally goes unused; `quiet`
-    /// drains anything still in flight.
+    /// A pipelined chunk: serialize `src` and put it, nonblocking, into
+    /// team rank `to`'s scratch at `off` — *injected*, but the wire time is
+    /// not paid by the initiator. The chunk's flag follows as a separate
+    /// [`Self::add_flag`]; the fabric's point-to-point ordering lands it
+    /// after the payload (and the socket wire fuses the two while the put
+    /// is still corked), so the returned token normally goes unused;
+    /// `quiet` drains anything still in flight.
     pub(crate) fn send_values_nb<T: CoValue>(
         &mut self,
         to: usize,

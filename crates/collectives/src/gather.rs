@@ -49,8 +49,8 @@ pub(crate) fn alltoall<T: CoValue>(comm: &mut TeamComm, send: &[T], len: usize) 
     let gs = comm.gather_slot_bytes;
     for k in 1..n {
         let to = (comm.rank + k) % n;
-        comm.send_values(Gather, to, comm.rank * gs, &send[to * len..(to + 1) * len]);
-        comm.add_flag(to, flag::A2A_ARRIVE, 1);
+        let slice = &send[to * len..(to + 1) * len];
+        comm.send_flagged(Gather, to, comm.rank * gs, slice, flag::A2A_ARRIVE);
     }
     comm.wait_flag(flag::A2A_ARRIVE, (n as u64 - 1) * era);
     let mut bytes = comm.take_stage(n * gs);
@@ -85,6 +85,13 @@ pub(crate) fn gather<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -
     }
 }
 
+/// Serialize `src` into the front of `dst`.
+fn store_into<T: CoValue>(src: &[T], dst: &mut [u8]) {
+    for (v, at) in src.iter().zip(dst.chunks_exact_mut(T::SIZE)) {
+        v.store(at);
+    }
+}
+
 /// Read my whole gather region, taking slot `slot_of(r)`'s payload as the
 /// contribution of team rank `r`.
 fn read_all_slots<T: CoValue>(
@@ -109,11 +116,11 @@ fn read_all_slots<T: CoValue>(
 fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
     let n = comm.size();
     if comm.rank == root {
-        // Deposit my own contribution locally, collect the rest.
-        comm.send_values(Gather, root, comm.rank * comm.gather_slot_bytes, mine);
+        // Collect the rest; my own contribution never leaves my memory.
         comm.epochs.gather_arrived += n as u64 - 1;
         comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
-        let out = read_all_slots(comm, mine.len(), |r| r);
+        let mut out = read_all_slots(comm, mine.len(), |r| r);
+        out[root * mine.len()..(root + 1) * mine.len()].copy_from_slice(mine);
         for j in 0..n {
             if j != root {
                 comm.add_flag(j, flag::GA_DONE, 1);
@@ -121,8 +128,8 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
         }
         Some(out)
     } else {
-        comm.send_values(Gather, root, comm.rank * comm.gather_slot_bytes, mine);
-        comm.add_flag(root, flag::GA_ARRIVE, 1);
+        let at = comm.rank * comm.gather_slot_bytes;
+        comm.send_flagged(Gather, root, at, mine, flag::GA_ARRIVE);
         comm.epochs.gather_released += 1;
         comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
         None
@@ -142,12 +149,12 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
     }
     let slot_of = |rank: usize| prefix[hier.leader_index_of(rank)] + hier.pos_in_set(rank);
 
-    // Stage 1: contribute to my effective leader's region (my own, when I
-    // am it).
+    // Stage 1: contribute to my effective leader's region — unless I am
+    // it: then my contribution stays in my memory until it is needed.
     let gs = comm.gather_slot_bytes;
-    comm.send_values(Gather, r.el, slot_of(comm.rank) * gs, mine);
+    let my_slot = slot_of(comm.rank) * gs;
     if comm.rank != r.el {
-        comm.add_flag(r.el, flag::GA_ARRIVE, 1);
+        comm.send_flagged(Gather, r.el, my_slot, mine, flag::GA_ARRIVE);
         comm.epochs.gather_released += 1;
         comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
         return None;
@@ -168,20 +175,22 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
             comm.epochs.gather_arrived += other_nodes;
             comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
         }
-        let out = read_all_slots(comm, mine.len(), slot_of);
+        let mut out = read_all_slots(comm, mine.len(), slot_of);
+        out[root * mine.len()..(root + 1) * mine.len()].copy_from_slice(mine);
         // Release wave: root -> leaders -> members.
         for l in r.other_leaders() {
             comm.add_flag(l, flag::GA_DONE, 1);
         }
         Some(out)
     } else {
-        // Forward my node's contiguous block to the root in one put.
-        let base = prefix[r.my_set];
+        // Forward my node's contiguous block, my own slot filled in from
+        // memory, to the root in one put.
+        let base = prefix[r.my_set] * gs;
         let mut block = comm.take_stage(r.my_ranks().len() * gs);
-        comm.read_raw(Gather, base * gs, &mut block);
-        comm.put_raw(Gather, root, base * gs, &block);
+        comm.read_raw(Gather, base, &mut block);
+        store_into(mine, &mut block[my_slot - base..]);
+        comm.put_flag(Gather, root, base, &block, flag::GA_ARRIVE);
         comm.restore_stage(block);
-        comm.add_flag(root, flag::GA_ARRIVE, 1);
         // Await my release before releasing my members.
         comm.epochs.gather_released += 1;
         comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
@@ -235,8 +244,7 @@ fn scatter_flat<T: CoValue>(comm: &mut TeamComm, all: Option<&[T]>, out: &mut [T
         for j in 0..n {
             if j != root {
                 // Each member's slice goes into ITS slot 0.
-                comm.send_values(Gather, j, 0, &all[j * len..(j + 1) * len]);
-                comm.add_flag(j, flag::SC_ARRIVE, 1);
+                comm.send_flagged(Gather, j, 0, &all[j * len..(j + 1) * len], flag::SC_ARRIVE);
             }
         }
         comm.epochs.scatter_acked += n as u64 - 1;
@@ -278,19 +286,14 @@ fn scatter_two_level<T: CoValue>(
             block.iter_mut().for_each(|b| *b = 0);
             for (pos, &m) in set.ranks.iter().enumerate() {
                 // Serialize rank m's slice directly into the block.
-                let dst = &mut block[pos * gs..pos * gs + len * T::SIZE];
-                for (i, v) in all[m * len..(m + 1) * len].iter().enumerate() {
-                    v.store(&mut dst[i * T::SIZE..(i + 1) * T::SIZE]);
-                }
+                store_into(&all[m * len..(m + 1) * len], &mut block[pos * gs..]);
             }
-            comm.put_raw(Gather, set.leader, 0, &block);
+            comm.put_flag(Gather, set.leader, 0, &block, flag::SC_ARRIVE);
             comm.restore_stage(block);
-            comm.add_flag(set.leader, flag::SC_ARRIVE, 1);
         }
         // Root acts as its own node's leader: deliver locally.
         for m in r.locals() {
-            comm.send_values(Gather, m, 0, &all[m * len..(m + 1) * len]);
-            comm.add_flag(m, flag::SC_ARRIVE, 1);
+            comm.send_flagged(Gather, m, 0, &all[m * len..(m + 1) * len], flag::SC_ARRIVE);
         }
         // Wait for every member's ack (directly counted at the root),
         // then release through the leader tree.
@@ -315,8 +318,8 @@ fn scatter_two_level<T: CoValue>(
                     // would also work — each image owns its whole region —
                     // but a distinct slot keeps root-direct and
                     // leader-forwarded deliveries from ever aliasing).
-                    comm.put_raw(Gather, m, gs, &block[pos * gs..(pos + 1) * gs]);
-                    comm.add_flag(m, flag::SC_ARRIVE, 1);
+                    let slice = &block[pos * gs..(pos + 1) * gs];
+                    comm.put_flag(Gather, m, gs, slice, flag::SC_ARRIVE);
                 }
             }
             comm.restore_stage(block);

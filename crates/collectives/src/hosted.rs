@@ -17,8 +17,8 @@
 //!
 //! Running a body ahead of the fleet is sound because, past formation, the
 //! bodies are **data-independent**: they reach the fabric only through
-//! `comm.rs`'s primitives (`put`, `put_nb`, a read of their own scratch,
-//! `flag_add`, `flag_wait_ge`), never branch on a value they read, and
+//! `comm.rs`'s primitives (`put_flag`, `put_nb`, a read of their own
+//! scratch, `flag_add`, `flag_wait_ge`), never branch on a value they read, and
 //! wait only on thresholds they computed. The recorder enforces it: any
 //! call that would hand back a value panics, naming the call and the image.
 //! The values themselves are not simulated — a hosted `co_sum` moves the

@@ -88,8 +88,7 @@ fn fold_in<T: CoValue>(
         // Fold in: hand my contribution to my partner, collect the result.
         let partner = among.rank_at(&comm.hier, pos - p2);
         let off = comm.sl_pre(par);
-        comm.send_values(Scratch, partner, off, buf);
-        comm.add_flag(partner, flag::R_PRE, 1);
+        comm.send_flagged(Scratch, partner, off, buf, flag::R_PRE);
         comm.epochs.r_post += 1;
         comm.wait_flag(flag::R_POST, comm.epochs.r_post);
         let off = comm.sl_post(par);
@@ -110,8 +109,7 @@ fn fold_in<T: CoValue>(
 fn fold_out<T: CoValue>(comm: &mut TeamComm, extra: Option<usize>, buf: &[T], par: usize) {
     if let Some(extra) = extra {
         let off = comm.sl_post(par);
-        comm.send_values(Scratch, extra, off, buf);
-        comm.add_flag(extra, flag::R_POST, 1);
+        comm.send_flagged(Scratch, extra, off, buf, flag::R_POST);
     }
 }
 
@@ -132,8 +130,7 @@ pub(crate) fn rd_over<T: CoValue>(
     for k in 0..ceil_log2(p2) {
         let partner = among.rank_at(&comm.hier, pos ^ (1 << k));
         let off = comm.sl_rd(k, par);
-        comm.send_values(Scratch, partner, off, buf);
-        comm.add_flag(partner, comm.layout.r_arrive(k), 1);
+        comm.send_flagged(Scratch, partner, off, buf, comm.layout.r_arrive(k));
         let target = comm.epochs.bump_r_round(k);
         comm.wait_flag(comm.layout.r_arrive(k), target);
         comm.combine_from_scratch(off, buf, f);
@@ -154,8 +151,7 @@ fn flat_binomial<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, 
             // Send my partial to the parent and retire from the gather.
             let parent = v & !(1 << k);
             let off = comm.sl_rd(k, par);
-            comm.send_values(Scratch, parent, off, buf);
-            comm.add_flag(parent, comm.layout.r_arrive(k), 1);
+            comm.send_flagged(Scratch, parent, off, buf, comm.layout.r_arrive(k));
             break;
         }
         let child = v | (1 << k);
@@ -184,8 +180,7 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
 
     if comm.rank != leader {
         let off = comm.sl_gather(hier.pos_in_set(comm.rank), par);
-        comm.send_values(Scratch, leader, off, buf);
-        comm.add_flag(leader, flag::R_COUNTER, 1);
+        comm.send_flagged(Scratch, leader, off, buf, flag::R_COUNTER);
         comm.epochs.r_release += 1;
         comm.wait_flag(flag::R_RELEASE, comm.epochs.r_release);
         let off = comm.sl_release(par);
@@ -215,8 +210,7 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
     let t2 = comm.trace_now();
     for &s in set.slaves() {
         let off = comm.sl_release(par);
-        comm.send_values(Scratch, s, off, buf);
-        comm.add_flag(s, flag::R_RELEASE, 1);
+        comm.send_flagged(Scratch, s, off, buf, flag::R_RELEASE);
     }
     comm.trace_span(EventKind::ReduceStage, t2, Level::Intra, 3, e, 0);
 }
@@ -352,8 +346,7 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
         };
         let off = comm.sl_rd(k, par);
         let (at, piece) = (off + send.0 * T::SIZE, &buf[send.0..send.1]);
-        comm.send_values(Scratch, partner, at, piece);
-        comm.add_flag(partner, comm.layout.r_arrive(k), 1);
+        comm.send_flagged(Scratch, partner, at, piece, comm.layout.r_arrive(k));
         let target = comm.epochs.bump_r_round(k);
         comm.wait_flag(comm.layout.r_arrive(k), target);
         comm.combine_from_scratch(off + keep.0 * T::SIZE, &mut buf[keep.0..keep.1], f);
@@ -368,8 +361,8 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
         let partner = among.rank_at(&comm.hier, pos ^ d);
         let (plo, phi) = parents[k];
         let off = comm.sl_rd(k, par);
-        comm.send_values(Scratch, partner, off + lo * T::SIZE, &buf[lo..hi]);
-        comm.add_flag(partner, comm.layout.r_arrive(k), 1);
+        let (at, piece) = (off + lo * T::SIZE, &buf[lo..hi]);
+        comm.send_flagged(Scratch, partner, at, piece, comm.layout.r_arrive(k));
         let target = comm.epochs.bump_r_round(k);
         comm.wait_flag(comm.layout.r_arrive(k), target);
         let (olo, ohi) = if lo == plo { (hi, phi) } else { (plo, lo) };

@@ -307,6 +307,38 @@ pub trait Fabric: Send + Sync + 'static {
     /// — the ordering is the same either way.
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64);
 
+    /// A **signalled put** (OpenSHMEM's `shmem_put_signal`): write `bytes`
+    /// into `dst`'s segment at `offset`, then add `delta` to `dst`'s flag
+    /// `flag` — one operation, one message. Whoever sees the flag's new
+    /// value sees the payload, exactly as after a `put` then a `flag_add`
+    /// to the same target. Completion is a [`Self::put_nb`]'s: the payload
+    /// is visible at `dst` once the flag is, [`Self::quiet`] waits for it,
+    /// and `bytes` may be reused as soon as this returns. A zero-length
+    /// payload is a plain [`Self::flag_add`].
+    ///
+    /// The default is that pair — what [`ThreadFabric`] runs, where both
+    /// halves are memory operations. The simulator overrides it with one
+    /// modeled transfer whose flag lands with the payload, the socket
+    /// fabric with one `PutFlag` frame that `quiet` covers (over shared
+    /// memory: the window write, then the flag's release add). It counts
+    /// as one put and one flag.
+    #[allow(clippy::too_many_arguments)]
+    fn put_flag(
+        &self,
+        me: ProcId,
+        dst: ProcId,
+        seg: SegmentId,
+        offset: usize,
+        bytes: &[u8],
+        flag: FlagId,
+        delta: u64,
+    ) {
+        if !bytes.is_empty() {
+            self.put(me, dst, seg, offset, bytes);
+        }
+        self.flag_add(me, dst, flag, delta);
+    }
+
     /// Block until `me`'s own flag `flag` is ≥ `at_least`.
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64);
 
@@ -340,10 +372,7 @@ pub trait Fabric: Send + Sync + 'static {
                     data,
                     flag,
                     delta,
-                } => {
-                    self.put(me, dst, *seg, *off, data);
-                    self.flag_add(me, dst, *flag, *delta);
-                }
+                } => self.put_flag(me, dst, *seg, *off, data, *flag, *delta),
             }
         }
     }
@@ -469,9 +498,9 @@ pub mod bootstrap {
 
     /// [`control_barrier_among`] that also agrees on two words: each member
     /// brings `mine` and leaves with the element-wise maximum over
-    /// `members`. A member puts its words into its [`SEG`] slot on the
-    /// leader before it arrives; the leader reads its slots at once and puts
-    /// the maximum into each member's own slot before releasing it.
+    /// `members`. A member's arrival carries its words into its [`SEG`]
+    /// slot on the leader; the leader reads its slots at once, and each
+    /// member's release carries the maximum into that member's own slot.
     pub fn max_among<F: Fabric + ?Sized>(
         fabric: &F,
         me: ProcId,
@@ -485,7 +514,9 @@ pub mod bootstrap {
     }
 
     /// The one body of all three: `n` members, `member(0)` leads, and
-    /// `words`, when given, are agreed on as [`max_among`] describes.
+    /// `words`, when given, are agreed on as [`max_among`] describes — they
+    /// ride the barrier's own notifications as signalled puts (with no
+    /// words, an empty payload: a plain flag add).
     fn barrier_over<F: Fabric + ?Sized>(
         fabric: &F,
         me: ProcId,
@@ -499,7 +530,10 @@ pub mod bootstrap {
             return;
         }
         let slot = |p: ProcId| p.index() * SLOT_BYTES;
-        let bytes = |w: &[u64; 2]| w.map(u64::to_ne_bytes).concat();
+        let bytes = |w: &Option<&mut [u64; 2]>| {
+            w.as_ref()
+                .map_or(vec![], |w| w.map(u64::to_ne_bytes).concat())
+        };
         let word = |b: &[u8], i: usize| u64::from_ne_bytes(b[i..i + 8].try_into().expect("8"));
         let leader = member(0);
         if me == leader {
@@ -511,17 +545,12 @@ pub mod bootstrap {
                     *w = [w[0].max(word(&all, at)), w[1].max(word(&all, at + 8))];
                 }
             }
-            for j in 1..n {
-                if let Some(w) = &words {
-                    fabric.put(me, member(j), SEG, slot(member(j)), &bytes(w));
-                }
-                fabric.flag_add(me, member(j), RELEASE, 1);
+            let most = bytes(&words);
+            for to in (1..n).map(&member) {
+                fabric.put_flag(me, to, SEG, slot(to), &most, RELEASE, 1);
             }
         } else {
-            if let Some(w) = &words {
-                fabric.put(me, leader, SEG, slot(me), &bytes(w));
-            }
-            fabric.flag_add(me, leader, COUNTER, 1);
+            fabric.put_flag(me, leader, SEG, slot(me), &bytes(&words), COUNTER, 1);
             fabric.flag_wait_ge(me, RELEASE, *epoch);
             if let Some(w) = words {
                 let mut answer = [0u8; 16];

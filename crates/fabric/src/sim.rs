@@ -1219,6 +1219,54 @@ impl SimFabric {
         }
     }
 
+    /// Commit a signalled put from `me` to `dst`; see [`Fabric::put_flag`].
+    /// To another image, on its node or across the network: one modeled
+    /// transfer of the payload whose flag lands with it — the notification
+    /// rides in the message, as an RDMA write-with-immediate's does —
+    /// counted as one put and one flag. To itself, or with no payload, it
+    /// is the two ops it stands for.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn put_flag_body(
+        &self,
+        core: &mut SimCore,
+        me: usize,
+        dst: usize,
+        seg: SegmentId,
+        offset: usize,
+        bytes: &[u8],
+        flag: FlagId,
+        delta: u64,
+    ) {
+        if me == dst || bytes.is_empty() {
+            if !bytes.is_empty() {
+                self.put_body(core, me, dst, seg, offset, bytes, false);
+            }
+            return self.flag_add_body(core, me, dst, flag, delta);
+        }
+        let t = core.time[me];
+        let intra = self.map.colocated(ProcId(me), ProcId(dst));
+        let notify = Some((flag.0, delta));
+        let tr = self.model_transfer(core, me, dst, t, bytes.len(), notify, false);
+        core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
+        self.stats.shared().record_put(intra, bytes.len());
+        self.stats.shared().record_flag(intra);
+        let dur = core.time[me] - t;
+        let put = Event::span(EventKind::Put, t, dur)
+            .a(dst as u64)
+            .b(bytes.len() as u64)
+            .c(tr.queue_ns)
+            .d(tr.service_ns);
+        self.cfg.tracer.record(me, put.intra(intra));
+        let add = Event::instant(EventKind::FlagAdd, t)
+            .a(dst as u64)
+            .b(flag.0 as u64)
+            .c(delta)
+            .d(tr.arrival);
+        self.cfg.tracer.record(me, add.intra(intra));
+        core.window(dst, seg, offset, bytes.len(), "put_flag")
+            .copy_from_slice(bytes);
+    }
+
     /// Commit the entry of a flag wait: charge the poll cost, then either
     /// satisfy immediately (returns `true`, wait span recorded) or park
     /// the image as Blocked (returns `false`; the caller records the span
@@ -1530,6 +1578,22 @@ impl Fabric for SimFabric {
         let (me, target) = (me.index(), target.index());
         let mut core = self.lock_turn(me);
         self.flag_add_body(&mut core, me, target, flag, delta);
+        self.finish_op(core);
+    }
+
+    fn put_flag(
+        &self,
+        me: ProcId,
+        dst: ProcId,
+        seg: SegmentId,
+        offset: usize,
+        bytes: &[u8],
+        flag: FlagId,
+        delta: u64,
+    ) {
+        let (me, dst) = (me.index(), dst.index());
+        let mut core = self.lock_turn(me);
+        self.put_flag_body(&mut core, me, dst, seg, offset, bytes, flag, delta);
         self.finish_op(core);
     }
 

@@ -1,7 +1,7 @@
 //! Write combining on the socket fabric's data plane: one `write(2)` per
 //! burst of frames instead of one per frame, and one *frame* for the pair
-//! every collective is built from — a `put_nb` and the `flag_add` behind
-//! it.
+//! a pipelined collective streams — a `put_nb` and the `flag_add` behind
+//! it (a blocking hop's `put_flag` is one frame by construction).
 //!
 //! Every data connection has a [`Cork`] on each writing side: frames are
 //! encoded straight into its buffer and leave the process together. What
@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `Put` from `put_nb` | corked ([`Urgency::Data`]) |
 //! | `FlagAdd` | if the last frame corked is a `put_nb` from the same image to the same image, rewritten into it (`PutFlag`: [`wire::fuse_flag`]), else appended; either way flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
-//! | `AmBatch` | flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
+//! | `PutFlag` from `put_flag`, `AmBatch` | flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
 //! | blocking `Put`/`Get`/AMO, `Heartbeat`, `Bye`, `RecoverBarrier` | flushed ([`Urgency::Now`]): the caller waits on it, or liveness depends on it |
 //! | `PutAck` (receive side) | corked until the ingress reader's burst is over |
 //! | `GetResp`, `AmoResp` (receive side) | flushed: a blocked caller is waiting |

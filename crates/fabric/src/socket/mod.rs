@@ -24,9 +24,11 @@
 //! [`Fabric::quiet`] and [`Fabric::put_wait`] mean *remotely complete*,
 //! not merely injected. The cookie is the request's sequence number on its
 //! connection: responses come back in request order, so completion is an
-//! index into a per-peer ring (`pending`), not a lookup. A `put_nb` and the
-//! `flag_add` right behind it to the same image travel as one
-//! [`Frame::PutFlag`] when nothing came between them (`egress`).
+//! index into a per-peer ring (`pending`), not a lookup. A signalled put
+//! (`put_flag`) is one [`Frame::PutFlag`], a signal nobody blocks on: its
+//! ack retires debt that `quiet` waits for. A `put_nb` and the `flag_add`
+//! right behind it to the same image travel as one too, when nothing came
+//! between them (`egress`).
 //!
 //! # Robustness
 //!
@@ -564,6 +566,34 @@ impl SocketFabric {
         self.waiters.wake();
     }
 
+    /// Record `me`'s flag add on `target`, issued at `t0` (`direct`: served
+    /// from memory, not sent by frame).
+    fn record_flag_add(
+        &self,
+        me: ProcId,
+        target: ProcId,
+        flag: FlagId,
+        delta: u64,
+        t0: u64,
+        direct: bool,
+    ) {
+        if self.cfg.tracer.enabled() {
+            let ev = Event::instant(EventKind::FlagAdd, t0)
+                .a(target.index() as u64)
+                .b(flag.0 as u64)
+                .c(delta)
+                .d(self.trace_now());
+            self.cfg.tracer.record(
+                me.index(),
+                if me == target {
+                    ev.self_target()
+                } else {
+                    ev.intra(direct)
+                },
+            );
+        }
+    }
+
     /// A remote atomic on the 8-byte cell at `offset` of `target`'s window
     /// `seg`: applied to the window where that is reachable directly, else
     /// sent to the hosting process, which answers with the old value.
@@ -984,21 +1014,78 @@ impl Fabric for SocketFabric {
                 false
             }
         };
-        if self.cfg.tracer.enabled() {
-            let ev = Event::instant(EventKind::FlagAdd, t0)
-                .a(target.index() as u64)
-                .b(flag.0 as u64)
-                .c(delta)
-                .d(self.trace_now());
-            self.cfg.tracer.record(
-                me.index(),
-                if me == target {
-                    ev.self_target()
-                } else {
-                    ev.intra(direct)
-                },
-            );
+        self.record_flag_add(me, target, flag, delta, t0, direct);
+    }
+
+    fn put_flag(
+        &self,
+        me: ProcId,
+        dst: ProcId,
+        seg: SegmentId,
+        offset: usize,
+        bytes: &[u8],
+        flag: FlagId,
+        delta: u64,
+    ) {
+        if bytes.is_empty() {
+            return self.flag_add(me, dst, flag, delta);
         }
+        let op = self.begin(EventKind::Put, me, dst);
+        let (t0, len) = (op.t0, bytes.len());
+        let direct = match self.route_put_flag(me, dst, (seg, offset, len), flag) {
+            Route::Direct((window, cell), tier) => {
+                window.write(offset, bytes);
+                let lane = self.lane(me);
+                match tier {
+                    Tier::Own => {
+                        if me != dst {
+                            lane.record_put(true, len);
+                            lane.record_flag(true);
+                        }
+                        let (from, img) = (me.index(), dst.index());
+                        self.land_flag(cell.cell(), from, img, flag, delta, true);
+                    }
+                    Tier::Mapped => {
+                        // The flag's release add publishes the payload.
+                        bump_flag(cell.cell(), dst.index(), flag, delta);
+                        lane.record_shm_put(len);
+                        lane.record_shm_flag();
+                    }
+                }
+                op.direct(len as u64);
+                true
+            }
+            Route::Wire => {
+                let lane = self.lane(me);
+                lane.record_put(false, len);
+                lane.record_flag(false);
+                // One `PutFlag` frame, a signal; its ack retires debt that
+                // `quiet` waits for, as a batch's does — nobody blocks on it.
+                let (src, img) = (me.index() as u32, dst.index() as u32);
+                let awaits = Some(Entry::Nb {
+                    img: src,
+                    put: false,
+                });
+                let (_, sent) = self.send_request(me, dst, awaits, Urgency::Signal, |ack, b| {
+                    let (seg, off) = (seg.0 as u64, offset as u64);
+                    let (flag, data) = (flag.0 as u64, bytes);
+                    let frame = FrameRef::PutFlag {
+                        src,
+                        dst: img,
+                        seg,
+                        off,
+                        ack,
+                        data,
+                        flag,
+                        delta,
+                    };
+                    frame.encode_head(b)
+                });
+                op.wire(len as u64, sent.queue_ns, 0);
+                false
+            }
+        };
+        self.record_flag_add(me, dst, flag, delta, t0, direct);
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {

@@ -5,19 +5,20 @@
 //!
 //! `SocketFabric::route` is the only code that reads the image→process
 //! map, the mapped-peer table, peer liveness *for routing* and a peer's
-//! wire debt; its three typed fronts (`route_span`, `route_flag`,
-//! `route_batch`) add the one question that depends on what is addressed —
-//! is it published? — and hand back the window, flag cell or landing. The
-//! two fall-through rules live here and nowhere else:
+//! wire debt; its four typed fronts (`route_span`, `route_flag`,
+//! `route_put_flag`, `route_batch`) add the one question that depends on
+//! what is addressed — is it published? — and hand back the window, flag
+//! cell or landing. The two fall-through rules live here and nowhere else:
 //!
 //! * **Unpublished window.** A window its owner spilled to the heap
 //!   (directory full, arena exhausted) or a flag past the shared table
 //!   (`shm::MAX_FLAGS`) exists only in the owner's process: the op takes
 //!   the wire, even between mapped peers.
-//! * **Wire debt.** A signal — a flag add, or an active-message batch,
-//!   whose flags publish data — may not pass a payload still travelling by
-//!   frame. While any request to the peer's process is unacked (corked or
-//!   in flight), signals to it take the wire too, where the connection's
+//! * **Wire debt.** A signal — a flag add, a signalled put, or an
+//!   active-message batch, whose flags publish data — may not pass a
+//!   payload still travelling by frame. While any request to the peer's
+//!   process is unacked (corked or in flight), signals to it take the
+//!   wire too, where the connection's
 //!   send order restores the `put_nb` point-to-point contract. Acks are
 //!   sent after the remote write lands, so zero debt means every earlier
 //!   wire put has been applied.
@@ -168,6 +169,40 @@ impl SocketFabric {
             Reach::Mapped(peer, local) => {
                 Route::Direct(Cell::Mapped(peer, local, flag.0), Tier::Mapped)
             }
+            Reach::Wire => Route::Wire,
+        }
+    }
+
+    /// Route a signalled put: `len` bytes at `off` of `img`'s window `seg`,
+    /// then its flag `flag`. A signal, like a flag add; and like a batch,
+    /// both halves must be reachable through the mapping, or the op takes
+    /// the wire whole.
+    #[inline(always)]
+    pub(super) fn route_put_flag(
+        &self,
+        me: ProcId,
+        img: ProcId,
+        (seg, off, len): (SegmentId, usize, usize),
+        flag: FlagId,
+    ) -> Route<(Span, Cell)> {
+        match self.route(me, img, true, flag.0 < shm::MAX_FLAGS) {
+            Reach::Own => {
+                let window = (self.store).window(Access::Put, img.index(), seg.0, off as u64, len);
+                let window = window.unwrap_or_else(|e| panic!("{e}"));
+                let cell = self.store.flag(img.index(), flag.0);
+                let cell = cell.unwrap_or_else(|e| panic!("{e}"));
+                Route::Direct((Span::Own(window), Cell::Own(cell)), Tier::Own)
+            }
+            Reach::Mapped(peer, local) => match PeerShm::window_of(&peer, local, seg.0) {
+                Some(window) => {
+                    let cell = Cell::Mapped(peer, local, flag.0);
+                    Route::Direct((Span::Mapped(window), cell), Tier::Mapped)
+                }
+                None => {
+                    self.lane(me).record_wire_fallback();
+                    Route::Wire
+                }
+            },
             Reach::Wire => Route::Wire,
         }
     }

@@ -279,8 +279,9 @@ pub enum Frame {
     /// A [`Frame::Put`] and the [`Frame::FlagAdd`] that followed it from
     /// the same image to the same target, as one frame: the receiver lands
     /// the payload, then bumps the flag, then acks — what the pair does on
-    /// an ordered connection. Never built by a caller: the egress cork
-    /// rewrites a still-corked `Put` into it when its flag arrives.
+    /// an ordered connection. A signalled put (`Fabric::put_flag`) is sent
+    /// as one, and the egress cork rewrites a still-corked `put_nb`'s `Put`
+    /// into one when its flag arrives.
     PutFlag {
         /// Issuing image (global 0-based rank).
         src: u32,
@@ -605,6 +606,25 @@ pub enum FrameRef<'a> {
         /// Payload bytes.
         data: &'a [u8],
     },
+    /// [`Frame::PutFlag`] with the payload borrowed.
+    PutFlag {
+        /// Issuing image (global 0-based rank).
+        src: u32,
+        /// Target image (must be hosted by the receiver).
+        dst: u32,
+        /// Target segment id.
+        seg: u64,
+        /// Byte offset within the segment.
+        off: u64,
+        /// Completion-ack cookie (0 = no ack requested).
+        ack: u64,
+        /// Payload bytes.
+        data: &'a [u8],
+        /// Target flag id, bumped once the payload has landed.
+        flag: u64,
+        /// Increment.
+        delta: u64,
+    },
     /// [`Frame::GetResp`] with the payload borrowed.
     GetResp {
         /// The request cookie.
@@ -693,6 +713,21 @@ impl<'a> FrameRef<'a> {
             } => framed(b, data, |b| {
                 b.push(T_PUT);
                 put_fields(b, src, dst, seg, off, ack, data.len())
+            }),
+            FrameRef::PutFlag {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+                flag,
+                delta,
+            } => framed(b, data, |b| {
+                b.push(T_PUT_FLAG);
+                put_fields(b, src, dst, seg, off, ack, data.len());
+                put_u64(b, flag);
+                put_u64(b, delta);
             }),
             FrameRef::GetResp { req, data } => {
                 framed(b, data, |b| get_resp_fields(b, req, data.len()))
@@ -1623,6 +1658,25 @@ mod tests {
                 off: *off,
                 ack: *ack,
                 data,
+            },
+            Frame::PutFlag {
+                src,
+                dst,
+                seg,
+                off,
+                ack,
+                data,
+                flag,
+                delta,
+            } => FrameRef::PutFlag {
+                src: *src,
+                dst: *dst,
+                seg: *seg,
+                off: *off,
+                ack: *ack,
+                data,
+                flag: *flag,
+                delta: *delta,
             },
             Frame::GetResp { req, data } => FrameRef::GetResp { req: *req, data },
             Frame::AmBatch { src, dst, ack, ops } => FrameRef::AmBatch {

@@ -34,14 +34,14 @@
 //! head happens next. So they commit fabric ops in the same order and
 //! produce bit-identical virtual times, flag values, and traces:
 //!
-//! - Turn-taking ops (puts / reads / flag-add / wait entry) charge their
-//!   chaos delay when they become *pending* — exactly what the threaded
-//!   `lock_turn` does on call entry — and commit only when the image's
-//!   turn is at the head of the queue (nobody earlier, no event due). In
-//!   the threaded driver an image whose charge has not landed yet can hold
-//!   peers back for a moment of wall-clock time, but never changes who
-//!   commits next: that is always the head over the *charged* keys, which
-//!   is what this driver reads directly.
+//! - Turn-taking ops (puts / signalled puts / reads / flag-add / wait
+//!   entry) charge their chaos delay when they become *pending* — exactly
+//!   what the threaded `lock_turn` does on call entry — and commit only
+//!   when the image's turn is at the head of the queue (nobody earlier, no
+//!   event due). In the threaded driver an image whose charge has not
+//!   landed yet can hold peers back for a moment of wall-clock time, but
+//!   never changes who commits next: that is always the head over the
+//!   *charged* keys, which is what this driver reads directly.
 //! - Local ops (compute, retirement) touch only the issuing image's own
 //!   clock and alive-set membership. The threaded driver applies them at
 //!   an arbitrary wall-clock point; applying them at the argmin turn
@@ -69,7 +69,8 @@ use std::sync::Arc;
 /// One fabric operation yielded by a hosted image program.
 ///
 /// Ops carry sizes, not data: what a [`StepOp::PutSeg`] / [`StepOp::PutNb`]
-/// lands and what a [`StepOp::Read`] sees are unspecified bytes. A program
+/// / [`StepOp::PutFlag`] lands and what a [`StepOp::Read`] sees are
+/// unspecified bytes. A program
 /// whose next op depends on them cannot be hosted (see the module docs).
 /// The type stays at 32 bytes — the driver holds one per hosted image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,6 +117,23 @@ pub enum StepOp {
         /// Bytes read.
         len: u32,
     },
+    /// A signalled put ([`Fabric::put_flag`]): `len` bytes into `dst`'s
+    /// segment `seg`, then `delta` added to `dst`'s flag `flag`. Its fields
+    /// are narrow so the op stays at 32 bytes.
+    PutFlag {
+        /// Destination image rank.
+        dst: u32,
+        /// Byte offset inside the segment.
+        offset: u32,
+        /// Segment id on `dst`.
+        seg: u32,
+        /// Payload bytes.
+        len: u32,
+        /// Flag id on `dst`.
+        flag: u32,
+        /// Increment.
+        delta: u32,
+    },
     /// Add `delta` to `dst`'s accumulating sync flag.
     FlagAdd {
         /// Target image rank.
@@ -157,11 +175,12 @@ pub trait StepProgram {
 }
 
 /// A [`Fabric`] that writes a program down instead of running it: each
-/// `put` / `put_nb` / self-`get` / `flag_add` / `flag_wait_ge` / `compute`
-/// of image `me` is appended to `me`'s tape as one [`StepOp`] and returns
-/// at once (a read fills `out` with zeros). Machine, cost model, overheads
-/// and counters are those of the [`SimFabric`] it fronts, on which the
-/// taped ops are later committed by [`run_stepped`].
+/// `put` / `put_nb` / `put_flag` / self-`get` / `flag_add` /
+/// `flag_wait_ge` / `compute` of image `me` is appended to `me`'s tape as
+/// one [`StepOp`] and returns at once (a read fills `out` with zeros).
+/// Machine, cost model, overheads and counters are those of the
+/// [`SimFabric`] it fronts, on which the taped ops are later committed by
+/// [`run_stepped`].
 ///
 /// Everything else **panics, naming the call and the image**: a call whose
 /// answer could steer the caller (remote `get`, `flag_read`, AMOs, `now_ns`,
@@ -210,6 +229,16 @@ impl Script {
                 me.index()
             ),
         }
+    }
+
+    /// A [`StepOp::PutFlag`] field.
+    fn narrow(&self, me: ProcId, field: &str, v: u64) -> u32 {
+        u32::try_from(v).unwrap_or_else(|_| {
+            panic!(
+                "hosted image {}: put_flag's {field} {v} does not fit a StepOp",
+                me.index()
+            )
+        })
     }
 }
 
@@ -305,6 +334,28 @@ impl Fabric for Script {
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
         let dst = target.index();
         self.record(me, StepOp::FlagAdd { dst, flag, delta });
+    }
+
+    fn put_flag(
+        &self,
+        me: ProcId,
+        dst: ProcId,
+        seg: SegmentId,
+        offset: usize,
+        bytes: &[u8],
+        flag: FlagId,
+        delta: u64,
+    ) {
+        let (seg, len) = self.sized(me, "put_flag", seg, bytes.len());
+        let op = StepOp::PutFlag {
+            dst: self.narrow(me, "destination", dst.index() as u64),
+            offset: self.narrow(me, "offset", offset as u64),
+            seg,
+            len,
+            flag: self.narrow(me, "flag", flag.0 as u64),
+            delta: self.narrow(me, "delta", delta),
+        };
+        self.record(me, op);
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
@@ -503,6 +554,20 @@ pub fn run_stepped<P: StepProgram>(fab: &SimFabric, mut progs: Vec<P>) -> Steppe
                 let out = payload(&mut bytes, len);
                 fab.get_body(&mut core, me, SegmentId(seg as usize), offset, out);
             }
+            StepOp::PutFlag {
+                dst,
+                offset,
+                seg,
+                len,
+                flag,
+                delta,
+            } => {
+                let (dst, seg, flag) =
+                    (dst as usize, SegmentId(seg as usize), FlagId(flag as usize));
+                let data = payload(&mut bytes, len);
+                let (offset, delta) = (offset as usize, delta as u64);
+                fab.put_flag_body(&mut core, me, dst, seg, offset, data, flag, delta);
+            }
             StepOp::FlagAdd { dst, flag, delta } => {
                 fab.flag_add_body(&mut core, me, dst, flag, delta);
             }
@@ -580,6 +645,22 @@ where
                     let out = payload(&mut bytes, len);
                     f.get(me, me, SegmentId(seg as usize), offset, out);
                 }
+                StepOp::PutFlag {
+                    dst,
+                    offset,
+                    seg,
+                    len,
+                    flag,
+                    delta,
+                } => {
+                    let (dst, seg, flag) = (
+                        ProcId(dst as usize),
+                        SegmentId(seg as usize),
+                        FlagId(flag as usize),
+                    );
+                    let data = payload(&mut bytes, len);
+                    f.put_flag(me, dst, seg, offset as usize, data, flag, delta as u64);
+                }
                 StepOp::FlagAdd { dst, flag, delta } => f.flag_add(me, ProcId(dst), flag, delta),
                 StepOp::WaitGe { flag, at_least } => f.flag_wait_ge(me, flag, at_least),
                 StepOp::Compute { ns } => f.compute(me, ns),
@@ -635,9 +716,10 @@ mod tests {
     const RING_FLAG: FlagId = FlagId(2);
 
     /// Traffic, not a collective: each lap, image `me` sends one op of
-    /// every kind to its right-hand neighbour and a notification `me + 5`
-    /// further on (another node), waits for its own two, reads what landed
-    /// and computes for a while that depends on who it is.
+    /// every kind to its right-hand neighbour and a notification and a
+    /// signalled put `me + 5` further on (another node), waits for its own
+    /// three, reads what landed and computes for a while that depends on
+    /// who it is.
     struct Ring {
         me: usize,
         n: usize,
@@ -645,9 +727,12 @@ mod tests {
         step: u64,
     }
 
+    /// Turn-taking ops per lap of the [`Ring`] (one more op computes).
+    const RING_COMMITS: u64 = 8;
+
     impl StepProgram for Ring {
         fn next(&mut self) -> StepOp {
-            let (lap, at) = (self.step / 8, self.step % 8);
+            let (lap, at) = (self.step / 9, self.step % 9);
             if lap == self.laps {
                 return StepOp::Done;
             }
@@ -683,11 +768,19 @@ mod tests {
                     flag,
                     delta: 1,
                 },
-                5 => StepOp::WaitGe {
-                    flag,
-                    at_least: 2 * (lap + 1),
+                5 => StepOp::PutFlag {
+                    dst: far as u32,
+                    offset: 3072,
+                    seg,
+                    len: 100,
+                    flag: flag.0 as u32,
+                    delta: 1,
                 },
-                6 => StepOp::Read {
+                6 => StepOp::WaitGe {
+                    flag,
+                    at_least: 3 * (lap + 1),
+                },
+                7 => StepOp::Read {
                     offset: 64,
                     seg,
                     len: 3000,
@@ -766,8 +859,8 @@ mod tests {
                 f_threaded.stats().snapshot(),
                 "counters diverged (chaos {chaos_seed:?})"
             );
-            // 7 turn-taking ops and one compute a lap, one retirement.
-            assert_eq!(report.committed_ops, 8 * 6 * 7);
+            // The turn-taking ops and one compute a lap, one retirement.
+            assert_eq!(report.committed_ops, 8 * 6 * RING_COMMITS);
             assert_eq!(report.local_ops, 8 * 6 + 8);
         }
     }
@@ -855,7 +948,7 @@ mod tests {
         // be asked to do, trivial for the stepped driver.
         let (n, laps) = (4096, 2);
         let report = run_stepped(&fabric_on(8, 512, n, None, false), ring(n, laps));
-        assert_eq!(report.committed_ops, n as u64 * laps * 7);
+        assert_eq!(report.committed_ops, n as u64 * laps * RING_COMMITS);
         assert_eq!(report.local_ops, n as u64 * (laps + 1));
         assert!(report.max_time_ns > 0);
     }
@@ -878,6 +971,7 @@ mod tests {
         let mut out = [9u8; 16];
         script.get(me, me, RING_SEG, 32, &mut out);
         assert_eq!(out, [0; 16]);
+        script.put_flag(me, ProcId(3), RING_SEG, 40, &[7; 12], RING_FLAG, 2);
         script.flag_add(me, ProcId(0), RING_FLAG, 3);
         script.flag_wait_ge(me, RING_FLAG, 2);
         script.compute(me, 70);
@@ -902,6 +996,15 @@ mod tests {
                     offset: 32,
                     seg,
                     len: 16
+                },
+                // One op, not a put and a flag.
+                StepOp::PutFlag {
+                    dst: 3,
+                    offset: 40,
+                    seg,
+                    len: 12,
+                    flag: RING_FLAG.0 as u32,
+                    delta: 2
                 },
                 StepOp::FlagAdd {
                     dst: 0,
@@ -960,5 +1063,11 @@ mod tests {
             let want = format!("hosted image 1: {name} cannot be recorded");
             assert!(msg.starts_with(&want), "{name}: {msg}");
         }
+        // A signalled put's narrow fields: what does not fit is named.
+        let msg = refusal(|s, me| s.put_flag(me, me, RING_SEG, 0, &[1], RING_FLAG, 1 << 40));
+        assert!(
+            msg.starts_with("hosted image 1: put_flag's delta 1099511627776 does not fit"),
+            "{msg}"
+        );
     }
 }

@@ -14,6 +14,8 @@
 use crate::kernel::{self, Kernel};
 use std::cell::RefCell;
 
+pub use crate::kernel::PackedA;
+
 /// The micro-kernel this process dispatches to — instruction set and
 /// register tile, e.g. `"avx2+fma 8x6"` or `"portable 4x4"`. Chosen from
 /// CPUID alone, once.
@@ -330,6 +332,36 @@ mod tests {
             (5, 4081, 2),
         ] {
             check_gemm_on_every_kernel(m, n, k, [1, 2, 3], 77);
+        }
+    }
+
+    /// `A` packed once, then one call per block of `width` columns, equals
+    /// one [`dgemm_minus`] bit for bit — across the cache-block seams
+    /// (MC = 128, KC = 256) and on every kernel this CPU supports.
+    #[test]
+    fn a_packed_operand_split_by_columns_changes_no_bit() {
+        for (m, n, k, width) in [(129, 70, 257, 64), (200, 130, 64, 64), (9, 13, 3, 5)] {
+            let a = padded(&random_matrix(1, m, k), m + 1);
+            let b = padded(&random_matrix(2, k, n), k + 2);
+            let c0 = padded(&random_matrix(3, m, n), m + 3);
+            let (lda, ldb, ldc) = (m + 1, k + 2, m + 3);
+            for kernel in Kernel::supported() {
+                let mut whole = c0.clone();
+                kernel::gemm_minus(kernel, m, n, k, &a, lda, &b, ldb, &mut whole, ldc);
+                let mut packed = PackedA::on(kernel, m, k);
+                packed.pack(m, k, &a, lda);
+                let mut split = c0.clone();
+                for j in (0..n).step_by(width) {
+                    let w = width.min(n - j);
+                    packed.gemm_minus(w, &b[j * ldb..], ldb, &mut split[j * ldc..], ldc);
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(&whole) == bits(&split),
+                    "{} m={m} n={n} k={k}",
+                    kernel.name()
+                );
+            }
         }
     }
 

@@ -82,6 +82,21 @@ impl Kernel {
         all
     }
 
+    /// Doubles an `m × k` `A` takes packed whole ([`PackedA`]): each
+    /// `MC`-row block padded to the register tile's height, times `k`.
+    fn packed_len(self, m: usize, k: usize) -> usize {
+        let mr = match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2Fma => 8,
+            Kind::Portable => 4,
+        };
+        let rows: usize = (0..m)
+            .step_by(MC)
+            .map(|ic| MC.min(m - ic).next_multiple_of(mr))
+            .sum();
+        rows * k
+    }
+
     /// Instruction set and register tile, e.g. `"avx2+fma 8x6"`.
     pub(crate) fn name(self) -> &'static str {
         match self.0 {
@@ -145,27 +160,53 @@ pub(crate) fn gemm_minus(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    assert!(lda >= m && ldb >= k && ldc >= m, "leading dims too small");
+    assert!(lda >= m, "leading dims too small");
     assert!(a.len() >= lda * (k - 1) + m, "A: slice shorter than m x k");
+    run(kernel, (m, n, k), Operand::Raw(a, lda), b, ldb, c, ldc);
+}
+
+/// Where the driver takes its packed blocks of `A` from.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// Column-major, with its leading dimension: each block is packed
+    /// when the driver reaches it.
+    Raw(&'a [f64], usize),
+    /// Packed already, every block in the order the driver visits them
+    /// ([`PackedA::pack`]).
+    Packed(&'a [f64]),
+}
+
+/// `C −= A·B` on `kernel`'s driver, once `B` and `C` are checked (`A` is
+/// the caller's to check). Dimensions are nonzero.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    kernel: Kernel,
+    (m, n, k): (usize, usize, usize),
+    a: Operand<'_>,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    assert!(ldb >= k && ldc >= m, "leading dims too small");
     assert!(b.len() >= ldb * (n - 1) + k, "B: slice shorter than k x n");
     assert!(c.len() >= ldc * (n - 1) + m, "C: slice shorter than m x n");
     match kernel.0 {
         #[cfg(target_arch = "x86_64")]
-        Kind::Avx2Fma => driver::<8, 6>(avx2::block, m, n, k, a, lda, b, ldb, c, ldc),
-        Kind::Portable => driver::<4, 4>(portable_block, m, n, k, a, lda, b, ldb, c, ldc),
+        Kind::Avx2Fma => driver::<8, 6>(avx2::block, m, n, k, a, b, ldb, c, ldc),
+        Kind::Portable => driver::<4, 4>(portable_block, m, n, k, a, b, ldb, c, ldc),
     }
 }
 
 /// The three cache-blocking loops and the packing. Dimensions are nonzero
-/// and the slices hold their operands (checked by [`gemm_minus`]).
+/// and the slices hold their operands (checked by [`run`] and its callers).
 #[allow(clippy::too_many_arguments)]
 fn driver<const MR: usize, const NR: usize>(
     block: BlockKernel,
     m: usize,
     n: usize,
     k: usize,
-    a: &[f64],
-    lda: usize,
+    a: Operand<'_>,
     b: &[f64],
     ldb: usize,
     c: &mut [f64],
@@ -174,21 +215,118 @@ fn driver<const MR: usize, const NR: usize>(
     const { assert!(MR * NR <= MAX_TILE && MC.is_multiple_of(MR) && NC.is_multiple_of(NR)) };
     PACK.with_borrow_mut(|pack| {
         let kc_max = k.min(KC);
-        let a_pack = aligned(&mut pack.a, m.min(MC).next_multiple_of(MR) * kc_max);
+        let a_pack = match a {
+            Operand::Raw(..) => aligned(&mut pack.a, m.min(MC).next_multiple_of(MR) * kc_max),
+            Operand::Packed(_) => &mut [],
+        };
         let b_pack = aligned(&mut pack.b, n.min(NC).next_multiple_of(NR) * kc_max);
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
+            let mut packed_at = 0;
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 pack_b::<NR>(kc, nc, &b[pc + jc * ldb..], ldb, b_pack);
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
-                    pack_a::<MR>(mc, kc, &a[ic + pc * lda..], lda, a_pack);
-                    block(mc, nc, kc, a_pack, b_pack, &mut c[ic + jc * ldc..], ldc);
+                    let ap: &[f64] = match a {
+                        Operand::Raw(a, lda) => {
+                            pack_a::<MR>(mc, kc, &a[ic + pc * lda..], lda, a_pack);
+                            a_pack
+                        }
+                        Operand::Packed(all) => {
+                            let len = mc.next_multiple_of(MR) * kc;
+                            packed_at += len;
+                            &all[packed_at - len..packed_at]
+                        }
+                    };
+                    block(mc, nc, kc, ap, b_pack, &mut c[ic + jc * ldc..], ldc);
                 }
             }
         }
     });
+}
+
+/// An `A` operand packed once for several `C −= A·B` calls that share it,
+/// in exactly the blocks the driver would pack for each — so the products
+/// are bit-identical to [`crate::blas::dgemm_minus`]'s. HPL's pipelined
+/// trailing update makes one call per block column, and packing `L21` for
+/// every one of them costs what EXP-K1's `blocks64_wall` row shows.
+pub struct PackedA {
+    kernel: Kernel,
+    m: usize,
+    k: usize,
+    buf: Vec<f64>,
+}
+
+impl PackedA {
+    /// Nothing packed, room for an `m × k` operand: packing one that large
+    /// or smaller never allocates.
+    pub fn with_capacity(m: usize, k: usize) -> Self {
+        Self::on(Kernel::dispatched(), m, k)
+    }
+
+    /// [`Self::with_capacity`] for `kernel`'s tile.
+    pub(crate) fn on(kernel: Kernel, m: usize, k: usize) -> Self {
+        let mut buf = Vec::new();
+        aligned(&mut buf, kernel.packed_len(m, k));
+        PackedA {
+            kernel,
+            m: 0,
+            k: 0,
+            buf,
+        }
+    }
+
+    /// Pack `A[0..m, 0..k]` (column-major, leading dimension `lda`) in
+    /// place of what was packed before.
+    ///
+    /// # Panics
+    /// Panics if `lda < m` or `a` is shorter than `lda·(k−1)+m`.
+    pub fn pack(&mut self, m: usize, k: usize, a: &[f64], lda: usize) {
+        (self.m, self.k) = (m, k);
+        if m == 0 || k == 0 {
+            return;
+        }
+        assert!(lda >= m, "leading dims too small");
+        assert!(a.len() >= lda * (k - 1) + m, "A: slice shorter than m x k");
+        let out = aligned(&mut self.buf, self.kernel.packed_len(m, k));
+        match self.kernel.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2Fma => pack_whole::<8>(m, k, a, lda, out),
+            Kind::Portable => pack_whole::<4>(m, k, a, lda, out),
+        }
+    }
+
+    /// `C[0..m, 0..n] −= A·B[0..k, 0..n]` with the `m × k` `A` packed last.
+    ///
+    /// # Panics
+    /// Panics if `ldb < k`, `ldc < m`, or `b` or `c` is shorter than its
+    /// operand.
+    pub fn gemm_minus(&self, n: usize, b: &[f64], ldb: usize, c: &mut [f64], ldc: usize) {
+        let (m, k) = (self.m, self.k);
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        let len = self.kernel.packed_len(m, k);
+        let skip = self.buf.as_ptr().align_offset(64).min(ALIGN);
+        let a = Operand::Packed(&self.buf[skip..skip + len]);
+        run(self.kernel, (m, n, k), a, b, ldb, c, ldc);
+    }
+}
+
+/// Pack all of `A[0..m, 0..k]` into `out`, block `(pc, ic)` after block —
+/// the driver's order, `pc` outer.
+fn pack_whole<const MR: usize>(m: usize, k: usize, a: &[f64], lda: usize, out: &mut [f64]) {
+    let mut at = 0;
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        for ic in (0..m).step_by(MC) {
+            let mc = MC.min(m - ic);
+            let len = mc.next_multiple_of(MR) * kc;
+            pack_a::<MR>(mc, kc, &a[ic + pc * lda..], lda, &mut out[at..at + len]);
+            at += len;
+        }
+    }
 }
 
 /// The two register-blocking loops over one packed block, `tile` being the

@@ -12,8 +12,9 @@
 //! * row interchanges outside the panel: the panel's transpositions folded
 //!   into one permutation, one coarray put per partner grid row inside one
 //!   `sync images` pair;
-//! * U-block-row broadcast: `co_broadcast` over **column teams**;
-//! * trailing update: local `dgemm`.
+//! * U-block-row broadcast over **column teams** and the trailing update's
+//!   local `dgemm`: one pipeline over block columns of `nb`, each block's
+//!   split-phase broadcast begun before the `dgemm` of the block before it.
 //!
 //! The loop looks one panel ahead: the owner of panel k + 1 factors and
 //! sends it before finishing step k's update, and the broadcast travels
@@ -360,6 +361,9 @@ struct Workspace {
     panel: [Vec<f64>; 2],
     /// `nb` × my trailing columns, as broadcast along the column team.
     u12: Vec<f64>,
+    /// Step (g)'s `L21`, packed once per `update` for the `dgemm` of
+    /// every block column.
+    l21: blas::PackedA,
 }
 
 impl Workspace {
@@ -371,6 +375,7 @@ impl Workspace {
             rowseg: vec![0.0; grid.nb],
             panel: [panel(), panel()],
             u12: vec![0.0; grid.nb * lc],
+            l21: blas::PackedA::with_capacity(lr, grid.nb),
         }
     }
 }
@@ -578,60 +583,99 @@ impl Lu {
     /// (d)–(g) of block step `b` on my trailing local columns `cols` and,
     /// with `left`, (d) on my L columns left of the panel too. Every image
     /// of my grid column passes the same arguments.
+    ///
+    /// Steps (e)–(g) run as a pipeline over block columns of `nb` columns:
+    /// grid row `b.p` solves block c + 1 and begins its broadcast before
+    /// the `dgemm` of block c, every other row begins receiving block c + 1
+    /// first, so a block's U12 travels while the one before it updates. A
+    /// column team of one has no broadcast to hide and takes `cols` whole.
     fn update(&mut self, img: &mut ImageCtx, b: Block, cols: Range<usize>, left: bool) {
-        let (grid, prow, pcol) = (self.grid, self.prow, self.pcol);
-        let lr = grid.local_rows(prow);
-        let ld = self.local.ld();
-        let act0 = grid.first_local_row_ge(prow, b.first);
-        let slab_rows = lr - act0;
-        let slab = &self.ws.panel[b.buf][b.nb..(1 + slab_rows) * b.nb];
-        let lt_c0 = grid.first_local_col_ge(pcol, b.first + b.nb);
-        let u12 = &mut self.ws.u12[(cols.start - lt_c0) * b.nb..(cols.end - lt_c0) * b.nb];
-        let local = &mut self.local;
-
         // -------- (d) apply the panel's row interchanges ----------------
         let l_end = if left {
-            grid.first_local_col_ge(pcol, b.first)
+            self.grid.first_local_col_ge(self.pcol, b.first)
         } else {
             0
         };
         let pivots = &self.pivots[b.first..b.first + b.nb];
         let ranges = [(0, l_end), (cols.start, cols.end)];
-        self.interchange.apply(img, local, b.first, pivots, &ranges);
+        (self.interchange).apply(img, &mut self.local, b.first, pivots, &ranges);
         self.laps.book(img, |t| &mut t.interchange);
+        if cols.is_empty() {
+            return;
+        }
 
-        // -------- (e) U12 = L11⁻¹ · A(K, cols) on grid row p_k ----------
-        // Solved in the contiguous broadcast buffer (the block row of the
-        // local matrix is `nb` doubles every `ld`), then written back.
-        if !cols.is_empty() && prow == b.p {
+        let (grid, prow) = (self.grid, self.prow);
+        let act0 = grid.first_local_row_ge(prow, b.first);
+        let lt_r0 = grid.first_local_row_ge(prow, b.first + b.nb);
+        let (trows, slab_rows) = (grid.local_rows(prow) - lt_r0, grid.local_rows(prow) - act0);
+        let l21 = &self.ws.panel[b.buf][b.nb + lt_r0 - act0..];
+        self.ws.l21.pack(trows, b.nb, l21, slab_rows);
+
+        let width = if grid.p > 1 { b.nb } else { cols.len() };
+        let blocks = cols.len().div_ceil(width);
+        let block = |c: usize| {
+            let lo = cols.start + c * width;
+            lo..(lo + width).min(cols.end)
+        };
+        self.next_u12(img, b, block(0));
+        for c in 0..blocks {
+            if c + 1 < blocks {
+                self.next_u12(img, b, block(c + 1));
+            }
+            self.trailing(img, b, block(c));
+        }
+        self.col_team.comm_mut().co_broadcast_finish();
+        self.laps.book(img, |t| &mut t.u12_bcast);
+    }
+
+    /// The piece of the U12 buffer that holds my local columns `cols` of
+    /// block step `b` (`nb` doubles per column).
+    fn u12_range(&self, b: Block, cols: &Range<usize>) -> Range<usize> {
+        let lt_c0 = self.grid.first_local_col_ge(self.pcol, b.first + b.nb);
+        (cols.start - lt_c0) * b.nb..(cols.end - lt_c0) * b.nb
+    }
+
+    /// (e)+(f) for local columns `cols` of block step `b`: on grid row
+    /// `b.p`, U12 = L11⁻¹ · A(K, cols) — solved in the contiguous broadcast
+    /// buffer (the block row of the local matrix is `nb` doubles every
+    /// `ld`), then written back — and its broadcast begun along the column
+    /// team; elsewhere, the broadcast begun, which returns holding it.
+    fn next_u12(&mut self, img: &mut ImageCtx, b: Block, cols: Range<usize>) {
+        let (grid, prow) = (self.grid, self.prow);
+        let at = self.u12_range(b, &cols);
+        let u12 = &mut self.ws.u12[at];
+        if prow == b.p {
+            let act0 = grid.first_local_row_ge(prow, b.first);
+            let slab_rows = grid.local_rows(prow) - act0;
             let li_k0 = grid.local_row(b.first);
             for (jj, dst) in u12.chunks_exact_mut(b.nb).enumerate() {
-                dst.copy_from_slice(&local.col(cols.start + jj)[li_k0..li_k0 + b.nb]);
+                dst.copy_from_slice(&self.local.col(cols.start + jj)[li_k0..li_k0 + b.nb]);
             }
             // L11 (unit diagonal implied) sits in the slab at my rows of
             // block K.
-            let l11 = &slab[li_k0 - act0..];
+            let l11 = &self.ws.panel[b.buf][b.nb + li_k0 - act0..];
             blas::dtrsm_lower_unit(b.nb, cols.len(), l11, slab_rows, u12, b.nb);
             account(img, blas::dtrsm_flops(b.nb, cols.len()));
             for (jj, src) in u12.chunks_exact(b.nb).enumerate() {
-                local.col_mut(cols.start + jj)[li_k0..li_k0 + b.nb].copy_from_slice(src);
+                self.local.col_mut(cols.start + jj)[li_k0..li_k0 + b.nb].copy_from_slice(src);
             }
+            self.laps.book(img, |t| &mut t.dtrsm);
         }
-        self.laps.book(img, |t| &mut t.dtrsm);
-
-        // -------- (f) U12 travels along the column team -----------------
-        if !cols.is_empty() {
-            self.col_team.comm_mut().co_broadcast(u12, b.p);
-        }
+        self.col_team.comm_mut().co_broadcast_begin(u12, b.p);
         self.laps.book(img, |t| &mut t.u12_bcast);
+    }
 
-        // -------- (g) trailing update: A22 -= L21 · U12 -----------------
+    /// (g) for local columns `cols` of block step `b`: A22 −= L21 · U12,
+    /// `L21` as `update` packed it.
+    fn trailing(&mut self, img: &mut ImageCtx, b: Block, cols: Range<usize>) {
+        let (grid, prow) = (self.grid, self.prow);
         let lt_r0 = grid.first_local_row_ge(prow, b.first + b.nb);
-        let trows = lr - lt_r0;
-        if trows > 0 && !cols.is_empty() {
-            let a = &slab[lt_r0 - act0..];
-            let c = &mut local.as_mut_slice()[cols.start * ld + lt_r0..];
-            blas::dgemm_minus(trows, cols.len(), b.nb, a, slab_rows, u12, b.nb, c, ld);
+        let trows = grid.local_rows(prow) - lt_r0;
+        if trows > 0 {
+            let ld = self.local.ld();
+            let u12 = &self.ws.u12[self.u12_range(b, &cols)];
+            let c = &mut self.local.as_mut_slice()[cols.start * ld + lt_r0..];
+            self.ws.l21.gemm_minus(cols.len(), u12, b.nb, c, ld);
             account(img, blas::dgemm_flops(trows, cols.len(), b.nb));
         }
         self.laps.book(img, |t| &mut t.update);

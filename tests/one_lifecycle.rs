@@ -17,6 +17,10 @@
 //! collective written a second time as a state machine. Team resources keep
 //! one id each: a per-member id table in the collectives or the runtime
 //! (`Vec<SegmentId>`, `Vec<FlagId>`, the old `MemberRsrc`) fails it.
+//!
+//! And every hop of a collective is one message: an unsignalled remote put
+//! in `caf-collectives` (the old `send_values` / `put_raw`, or a bare
+//! `Fabric::put`) fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -132,6 +136,34 @@ fn each_tree_protocol_has_one_body() {
         hits("leader_index_of(root)"),
         ["collectives/src/shape.rs"],
         "use shape::Rooted for the effective leaders of a rooted collective"
+    );
+}
+
+#[test]
+fn every_collective_hop_is_one_message() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/collectives/src");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+    let hits = |needle: &str| hits(&files, needle, false);
+    let why = "a payload travels with the notification that publishes it: \
+               TeamComm::put_flag / send_flagged (one Fabric::put_flag)";
+
+    // The unsignalled senders are gone, and no bare put replaces them.
+    for gone in ["send_values(", "put_raw(", ".put("] {
+        assert_eq!(hits(gone), Vec::<&str>::new(), "{gone}: {why}");
+    }
+    // The fabric's data plane is reached twice: the signalled put, and a
+    // pipelined chunk's nonblocking put (its flag follows; the wire fuses
+    // the two while the put is corked).
+    assert_eq!(
+        hits(".put_flag(self.me"),
+        ["collectives/src/comm.rs"],
+        "{why}"
+    );
+    assert_eq!(
+        hits(".put_nb("),
+        ["collectives/src/comm.rs"],
+        "a pipelined chunk goes through TeamComm::send_values_nb"
     );
 }
 
