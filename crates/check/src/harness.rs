@@ -405,52 +405,3 @@ pub fn check_legacy_queue(
     }
     Ok(runs)
 }
-
-/// The active-message column: run `prog` with the collectives routing
-/// their flag traffic through the AM tier (per-destination batching on,
-/// [`CollectiveConfig::am`]) and diff the per-image digests bit-for-bit
-/// against the unbatched run of the very same simulator spec — once
-/// without chaos and once per chaos seed, the same chaos driving both
-/// sides. Batching changes *when* flags land (a batch is one delivery
-/// event) but must never change *what* any image computes; a divergence
-/// here is an AM ordering or flush bug. Returns the execution count.
-pub fn check_am(
-    scn: &Scenario,
-    algo_name: &str,
-    algo: CollectiveConfig,
-    prog: &Program,
-    chaos_seeds: &[u64],
-) -> Result<usize, Box<Failure>> {
-    let mut am_algo = algo;
-    am_algo.am = true;
-    let mut specs: Vec<(String, Option<ChaosConfig>)> = vec![("no chaos".into(), None)];
-    specs.extend(
-        chaos_seeds
-            .iter()
-            .map(|&s| (format!("chaos seed {s}"), Some(ChaosConfig::from_seed(s)))),
-    );
-    let mut runs = 0;
-    for (label, chaos) in specs {
-        let fail = |detail: String| {
-            Box::new(Failure {
-                scenario: scn.name.clone(),
-                algo: algo_name.to_string(),
-                kind: format!("am batching vs unbatched, {label}"),
-                seed: chaos.map(|c| c.seed),
-                minimal: None,
-                detail,
-                trace_window: String::new(),
-            })
-        };
-        let oracle = match run_once(scn, algo, &Spec::Sim(chaos), prog, Tracer::off()) {
-            Ok(v) => v,
-            Err(msg) => return Err(fail(format!("unbatched oracle panicked: {msg}"))),
-        };
-        let batched = run_once(scn, am_algo, &Spec::Sim(chaos), prog, Tracer::off());
-        runs += 2;
-        if let Some(detail) = diff(&oracle, &batched) {
-            return Err(fail(detail));
-        }
-    }
-    Ok(runs)
-}

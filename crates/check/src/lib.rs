@@ -36,9 +36,7 @@ pub mod harness;
 pub mod scenario;
 pub mod socket;
 
-pub use harness::{
-    check_am, check_legacy_queue, check_program, CheckOptions, CheckReport, Failure, Program,
-};
+pub use harness::{check_legacy_queue, check_program, CheckOptions, CheckReport, Failure, Program};
 pub use scenario::{algo_by_name, algo_matrix, conformance, Scenario};
 pub use socket::{
     check_recover, check_shm, check_socket, socket_child_main, socket_digests, RecoverDrill,

@@ -9,9 +9,8 @@
 //! divergence.
 
 use caf_check::{
-    algo_matrix, check_am, check_legacy_queue, check_program, check_recover, check_shm,
-    check_socket, conformance, socket_child_main, CheckOptions, Failure, Program, RecoverDrill,
-    Scenario,
+    algo_matrix, check_legacy_queue, check_program, check_recover, check_shm, check_socket,
+    conformance, socket_child_main, CheckOptions, Failure, Program, RecoverDrill, Scenario,
 };
 use caf_collectives::CollectiveConfig;
 use std::process::ExitCode;
@@ -266,18 +265,6 @@ fn sweep(args: &Args) -> Result<(), ExitCode> {
     })?;
     println!(
         "caf-check: legacy event core matched the one-queue core — {} runs \
-         across {} algo configs ({:.1}s)",
-        t.runs, t.cells, t.secs
-    );
-    // The active-message column: the mini scenario across the full
-    // algorithm matrix with the collectives' flag traffic routed through
-    // the batching AM tier, diffed bit-for-bit against the unbatched run
-    // of the same spec — without chaos and under two chaos seeds.
-    let t = column(None, |_, name, algo| {
-        check_am(&scn, name, algo, &prog, &[5, 17])
-    })?;
-    println!(
-        "caf-check: am batching matched the unbatched oracle — {} runs \
          across {} algo configs ({:.1}s)",
         t.runs, t.cells, t.secs
     );

@@ -29,13 +29,11 @@
 //! nothing: a harness that reaches every image's tables allocates for all.
 
 use crate::bcast::Pending;
-use crate::config::{
-    env_knobs, BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy,
-};
+use crate::config::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy};
 use crate::shape::{barrier_shape, Among, BarrierLevel};
 use crate::util::ceil_log2;
 use crate::value::{bytes_to_slice, slice_to_bytes, CoNumeric, CoOp, CoValue};
-use caf_fabric::{bootstrap, Am, AmPolicy, ArcFabric, Fabric, FlagId, PutToken, SegmentId};
+use caf_fabric::{bootstrap, ArcFabric, Fabric, FlagId, PutToken, SegmentId};
 use caf_topology::{HierarchyView, ProcId};
 use caf_trace::{Event, EventKind, Level};
 use std::sync::Arc;
@@ -422,11 +420,6 @@ pub struct TeamComm {
     /// gather/scatter forwarding) — grow-only capacity, so steady-state
     /// collective calls allocate nothing.
     pub(crate) stage: Vec<u8>,
-    /// Active-message sender for the small-message hot paths, present when
-    /// [`CollectiveConfig::am`] (or `CAF_AM=1`) enabled routing at
-    /// formation. Behind a mutex because [`TeamComm::add_flag`] takes
-    /// `&self`; only this image's thread ever takes it.
-    pub(crate) am: Option<std::sync::Mutex<Am>>,
 }
 
 impl TeamComm {
@@ -590,17 +583,9 @@ impl TeamComm {
     ) -> Self {
         let policy = SizePolicy::from_cost(fabric.cost());
         let generation = fabric.generation();
-        let am = (cfg.am || env_knobs().am).then(|| {
-            std::sync::Mutex::new(Am::new(
-                fabric.clone(),
-                me,
-                AmPolicy::from_cost(fabric.cost()),
-            ))
-        });
         let barrier_algo = cfg.barrier.resolve(&hier);
         let (barrier_levels, barrier_roots) = barrier_shape(barrier_algo, &hier, rank);
         Self {
-            am,
             barrier_algo,
             barrier_levels,
             barrier_roots,
@@ -725,10 +710,6 @@ impl TeamComm {
     pub fn barrier(&mut self) {
         crate::bcast::finish(self);
         crate::barrier::barrier(self);
-        // The algorithm's last act may be a buffered release storm (e.g.
-        // the central-counter root): hand it to the fabric before
-        // returning, or the waiting members never see it.
-        self.flush_am();
     }
 
     /// Element-wise allreduce of `buf` with a user operation — CAF
@@ -736,7 +717,6 @@ impl TeamComm {
     /// hierarchical algorithms reorder combinations freely.
     pub fn co_reduce_with<T: CoValue>(&mut self, buf: &mut [T], f: impl Fn(T, T) -> T) {
         crate::reduce::allreduce(self, buf, &f);
-        self.flush_am();
     }
 
     /// Element-wise intrinsic reduction (CAF `co_sum`/`co_min`/`co_max`).
@@ -765,7 +745,6 @@ impl TeamComm {
     pub fn co_broadcast<T: CoValue>(&mut self, buf: &mut [T], root: usize) {
         crate::bcast::begin(self, buf, root);
         crate::bcast::finish(self);
-        self.flush_am();
     }
 
     /// Start a broadcast of `buf` from team rank `root`. On return every
@@ -777,7 +756,6 @@ impl TeamComm {
     /// previous one.
     pub fn co_broadcast_begin<T: CoValue>(&mut self, buf: &mut [T], root: usize) {
         crate::bcast::begin(self, buf, root);
-        self.flush_am();
     }
 
     /// Finish every broadcast this image has begun on the team, oldest
@@ -785,16 +763,13 @@ impl TeamComm {
     /// the data, as a member once the root's release has reached it.
     pub fn co_broadcast_finish(&mut self) {
         crate::bcast::finish(self);
-        self.flush_am();
     }
 
     /// Gather `mine` from every member to team rank `root`; the root
     /// receives the concatenation in team-rank order (`None` elsewhere).
     /// Extension collective (see `gather.rs`).
     pub fn co_gather<T: CoValue>(&mut self, mine: &[T], root: usize) -> Option<Vec<T>> {
-        let out = crate::gather::gather(self, mine, root);
-        self.flush_am();
-        out
+        crate::gather::gather(self, mine, root)
     }
 
     /// Scatter from team rank `root`: the root supplies `n·out.len()`
@@ -802,7 +777,6 @@ impl TeamComm {
     /// Extension collective (see `gather.rs`).
     pub fn co_scatter<T: CoValue>(&mut self, all: Option<&[T]>, out: &mut [T], root: usize) {
         crate::gather::scatter(self, all, out, root);
-        self.flush_am();
     }
 
     /// All-to-all personalized exchange: `send` holds `n` slices of `len`
@@ -815,9 +789,7 @@ impl TeamComm {
     /// with a team barrier that fences the exchange region for the next
     /// era (all-to-all has no root to run a release wave through).
     pub fn co_alltoall<T: CoValue>(&mut self, send: &[T], len: usize) -> Vec<T> {
-        let out = crate::gather::alltoall(self, send, len);
-        self.flush_am();
-        out
+        crate::gather::alltoall(self, send, len)
     }
 
     // ------------------------------------------------------------------
@@ -973,9 +945,6 @@ impl TeamComm {
         }
         let level = std::slice::from_ref(&self.control);
         crate::barrier::walk(self, level, None, self.epochs.exch, false);
-        // The release storm is the barrier's last act; with the AM tier on
-        // it is sitting in per-destination buffers right now.
-        self.flush_am();
     }
 
     // ------------------------------------------------------------------
@@ -1014,42 +983,16 @@ impl TeamComm {
         self.trace(ev.c(c).d(d).level(lvl));
     }
 
-    /// Notify team rank `to`: add `delta` to its flag `idx`. Routed through
-    /// the active-message tier when it is on — the batcher coalesces a
-    /// storm of these (the barrier release wave, the TDLB gather) into one
-    /// delivery per destination.
+    /// Notify team rank `to`: add `delta` to its flag `idx`.
     pub(crate) fn add_flag(&self, to: usize, idx: usize, delta: u64) {
-        let dst = self.members[to];
         let flag = self.rsrc.flags.nth(idx);
-        if let Some(am) = &self.am {
-            am.lock().expect("am sender").flag_add(dst, flag, delta);
-        } else {
-            self.fabric.flag_add(self.me, dst, flag, delta);
-        }
+        self.fabric.flag_add(self.me, self.members[to], flag, delta);
     }
 
-    /// Wait until my flag `idx` is ≥ `target`. Flushes the AM buffers
-    /// first: a buffered notification must never strand the peer whose
-    /// bump this wait depends on.
+    /// Wait until my flag `idx` is ≥ `target`.
     pub(crate) fn wait_flag(&self, idx: usize, target: u64) {
-        self.flush_am();
         self.fabric
             .flag_wait_ge(self.me, self.rsrc.flags.nth(idx), target);
-    }
-
-    /// Flush every buffered active message (no-op with the AM tier off or
-    /// nothing pending). Every blocking wait and every public collective
-    /// exit runs through this, so a buffered flag can never outlive the
-    /// call that injected it.
-    pub(crate) fn flush_am(&self) {
-        if let Some(am) = &self.am {
-            am.lock().expect("am sender").flush();
-        }
-    }
-
-    /// Whether the active-message tier is routing this team's flag traffic.
-    pub fn am_enabled(&self) -> bool {
-        self.am.is_some()
     }
 
     /// Borrow the comm-owned staging buffer, sized to `len` bytes
@@ -1154,19 +1097,10 @@ impl TeamComm {
     }
 
     /// Put `bytes` into team rank `to`'s segment `seg` at byte offset `off`
-    /// and add 1 to its flag `idx`: one signalled put
-    /// ([`Fabric::put_flag`]), buffered by the active-message tier when it
-    /// is on.
+    /// and add 1 to its flag `idx`: one signalled put ([`Fabric::put_flag`]).
     fn put_flag_into(&self, seg: SegmentId, to: usize, off: usize, bytes: &[u8], idx: usize) {
-        let dst = self.members[to];
-        let flag = self.rsrc.flags.nth(idx);
-        if let Some(am) = &self.am {
-            am.lock()
-                .expect("am sender")
-                .put_flag(dst, seg, off, bytes, flag, 1);
-        } else {
-            (self.fabric).put_flag(self.me, dst, seg, off, bytes, flag, 1);
-        }
+        let (dst, flag) = (self.members[to], self.rsrc.flags.nth(idx));
+        (self.fabric).put_flag(self.me, dst, seg, off, bytes, flag, 1);
     }
 
     /// Put `bytes` into team rank `to`'s region `r` at byte offset `off`,

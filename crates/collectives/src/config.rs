@@ -5,7 +5,6 @@
 //! does.
 
 use caf_topology::{CostParams, HierarchyView};
-use std::sync::OnceLock;
 
 /// Barrier algorithm choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -117,13 +116,9 @@ impl GatherAlgo {
 }
 
 /// The size-aware half of `Auto` resolution, computed from the machine's
-/// [`CostParams`] at team-formation time (with env-var overrides for the
-/// bench harness). Every team member derives the identical policy from the
-/// shared cost model, so per-call algorithm selection by payload size stays
-/// collectively consistent.
-///
-/// Overrides (parsed as plain byte counts): `CAF_CHUNK_BYTES`,
-/// `CAF_BCAST_CROSSOVER`, `CAF_REDUCE_CROSSOVER`.
+/// [`CostParams`] at team-formation time. Every team member derives the
+/// identical policy from the shared cost model, so per-call algorithm
+/// selection by payload size stays collectively consistent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SizePolicy {
     /// Pipeline chunk size for the chunked collectives, bytes.
@@ -136,45 +131,14 @@ pub struct SizePolicy {
     pub reduce_crossover_bytes: usize,
 }
 
-/// The process-wide knobs this crate reads from the environment.
-pub(crate) struct EnvKnobs {
-    /// `CAF_AM=1`: route flag traffic through the active-message tier.
-    pub am: bool,
-    chunk_bytes: Option<usize>,
-    bcast_crossover: Option<usize>,
-    reduce_crossover: Option<usize>,
-}
-
-/// The environment's knobs, read once per process: a team formation (every
-/// `form_team` of every image, and every image of a hosted fleet) must not
-/// take the process's environment lock.
-pub(crate) fn env_knobs() -> &'static EnvKnobs {
-    static KNOBS: OnceLock<EnvKnobs> = OnceLock::new();
-    KNOBS.get_or_init(|| {
-        let bytes = |name: &str| std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
-        EnvKnobs {
-            am: std::env::var("CAF_AM").is_ok_and(|v| v.trim() == "1"),
-            chunk_bytes: bytes("CAF_CHUNK_BYTES"),
-            bcast_crossover: bytes("CAF_BCAST_CROSSOVER"),
-            reduce_crossover: bytes("CAF_REDUCE_CROSSOVER"),
-        }
-    })
-}
-
 impl SizePolicy {
-    /// Derive the policy from a machine's cost parameters, honoring the
-    /// env-var overrides (as they stood when this process first asked).
+    /// Derive the policy from a machine's cost parameters.
     pub fn from_cost(cost: &CostParams) -> Self {
-        let env = env_knobs();
-        let chunk = env
-            .chunk_bytes
-            .unwrap_or_else(|| cost.pipeline_chunk_bytes())
-            .max(1);
         let crossover = cost.pipeline_crossover_bytes();
         Self {
-            chunk_bytes: chunk,
-            bcast_crossover_bytes: env.bcast_crossover.unwrap_or(crossover),
-            reduce_crossover_bytes: env.reduce_crossover.unwrap_or(crossover),
+            chunk_bytes: cost.pipeline_chunk_bytes(),
+            bcast_crossover_bytes: crossover,
+            reduce_crossover_bytes: crossover,
         }
     }
 }
@@ -204,11 +168,6 @@ pub struct CollectiveConfig {
     pub bcast: BcastAlgo,
     /// Gather/scatter algorithm.
     pub gather: GatherAlgo,
-    /// Route the collectives' small-message flag traffic through the
-    /// active-message tier ([`caf_fabric::Am`]), coalescing per-destination
-    /// storms into batched deliveries. Off by default; `CAF_AM=1` at
-    /// team-formation time also enables it.
-    pub am: bool,
 }
 
 impl CollectiveConfig {
@@ -219,7 +178,6 @@ impl CollectiveConfig {
             reduce: ReduceAlgo::TwoLevel,
             bcast: BcastAlgo::TwoLevel,
             gather: GatherAlgo::TwoLevel,
-            am: false,
         }
     }
 
@@ -231,7 +189,6 @@ impl CollectiveConfig {
             reduce: ReduceAlgo::FlatRecursiveDoubling,
             bcast: BcastAlgo::FlatBinomial,
             gather: GatherAlgo::FlatLinear,
-            am: false,
         }
     }
 

@@ -25,10 +25,6 @@
 //! right bytes at the right times and computes nothing.
 //! `tests/hosted_parity.rs` holds every algorithm's hosted run to the same
 //! methods called from image threads, to the nanosecond and the counter.
-//!
-//! The active-message tier must be off (`CollectiveConfig::am`, `CAF_AM`):
-//! when a batch is flushed depends on the clock, which a recorder has not
-//! got, and [`fleet`] says so.
 
 use crate::comm::{Provisioned, TeamComm};
 use caf_fabric::{Fabric, Script, SimFabric, StepOp, StepProgram};
@@ -78,12 +74,6 @@ where
         .map(|rank| {
             let comm = team.comm(script.clone(), rank);
             assert_eq!(comm.me, ProcId(rank), "hosted ranks are image numbers");
-            assert!(
-                !comm.am_enabled(),
-                "hosted image {rank}: the active-message tier is on (CollectiveConfig::am \
-                 or CAF_AM=1), and when it flushes a batch depends on the clock — \
-                 which a recorder has not got; hosted teams run with it off"
-            );
             Hosted {
                 comm,
                 script: script.clone(),

@@ -33,8 +33,7 @@
 //! `Auto` resolves per call by (hierarchy shape × message size): the
 //! latency-optimal tree below the crossover, the pipelined/bandwidth
 //! algorithms at or above it ([`config::SizePolicy`], derived from the
-//! machine's cost model, overridable via `CAF_CHUNK_BYTES` /
-//! `CAF_BCAST_CROSSOVER` / `CAF_REDUCE_CROSSOVER`).
+//! machine's cost model).
 //!
 //! All algorithms run over any [`caf_fabric::Fabric`] and operate on
 //! [`TeamComm`] — the runtime structure behind the paper's `team_type`,

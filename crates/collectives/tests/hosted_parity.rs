@@ -261,19 +261,6 @@ fn calls_that_could_steer_a_body_are_refused_by_name_and_rank() {
 }
 
 #[test]
-fn am_routing_on_a_hosted_team_is_refused_up_front() {
-    let cfg = CollectiveConfig {
-        am: true,
-        ..CollectiveConfig::two_level()
-    };
-    let msg = hosted_panic(cfg, 0, |c| c.barrier());
-    assert!(
-        msg.starts_with("hosted image 0: the active-message tier is on"),
-        "{msg}"
-    );
-}
-
-#[test]
 fn a_provisioned_team_refuses_to_grow_or_split() {
     let cfg = CollectiveConfig::two_level();
     // Hosted: refused while recording, before an allgather could be taped.

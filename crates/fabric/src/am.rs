@@ -1,14 +1,14 @@
 //! Active messages: small one-sided ops executed at the target image,
 //! aggregated per destination before they touch the fabric.
 //!
-//! The hierarchy-aware collectives decompose into storms of tiny puts and
-//! flag bumps; issued one at a time, each is a full fabric call (and, on
-//! [`SocketFabric`](crate::SocketFabric), its own length-prefixed frame).
-//! This tier buffers them as [`AmOp`] values in a per-destination
-//! [`Batcher`] and hands whole batches to
+//! A storm of tiny puts and flag bumps issued one at a time is a full
+//! fabric call each (and, on [`SocketFabric`](crate::SocketFabric), its
+//! own length-prefixed frame). This tier buffers them as [`AmOp`] values in
+//! a per-destination [`Batcher`] and hands whole batches to
 //! [`Fabric::am_deliver`](crate::Fabric::am_deliver): one wire frame on the
-//! socket fabric, one scheduled delivery event on the simulator, one
-//! injected-delay window on the thread fabric.
+//! socket fabric, one scheduled delivery event on the simulator, one pass
+//! over the target's memory on the thread fabric. (The collectives send
+//! one signalled put per hop and do not route through it.)
 //!
 //! Ordering contract: ops to the *same* destination are delivered in
 //! program order (batches never reorder internally, and a destination's

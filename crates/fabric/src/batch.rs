@@ -16,8 +16,7 @@ use std::collections::BTreeMap;
 /// A destination buffer is flushed when it holds [`AmPolicy::batch_ops`]
 /// ops or [`AmPolicy::batch_bytes`] encoded bytes, when it has aged past
 /// [`AmPolicy::flush_age_ns`] at the next inject, or explicitly
-/// ([`crate::am::Am::flush`] / [`crate::am::Am::quiet`], and every
-/// blocking wait in the collectives).
+/// ([`crate::am::Am::flush`] / [`crate::am::Am::quiet`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AmPolicy {
     /// Byte budget per destination buffer (encoded op bytes).
@@ -31,15 +30,8 @@ pub struct AmPolicy {
     pub flush_age_ns: u64,
 }
 
-/// Read a `usize` environment override.
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 impl AmPolicy {
-    /// Derive thresholds from the communication cost model, then apply the
-    /// `CAF_AM_BATCH_BYTES` / `CAF_AM_BATCH_OPS` / `CAF_AM_FLUSH_US`
-    /// environment overrides.
+    /// Derive thresholds from the communication cost model.
     ///
     /// The defaults follow the same logic as the LogGP crossovers: keep
     /// aggregating while the per-op injection overhead (`o_inter + gap_nic`)
@@ -47,19 +39,12 @@ impl AmPolicy {
     /// by more than a couple of wire latencies.
     pub fn from_cost(cost: &CostParams) -> Self {
         let per_op = (cost.o_inter_ns + cost.gap_nic_ns).max(1);
-        // Ops worth coalescing: one wire latency's worth of injection
-        // overheads, clamped to a sane window.
-        let batch_ops = ((cost.l_inter_ns / per_op) as usize).clamp(8, 64);
-        let batch_bytes = env_usize("CAF_AM_BATCH_BYTES").unwrap_or(4096);
-        let batch_ops = env_usize("CAF_AM_BATCH_OPS").unwrap_or(batch_ops);
-        let flush_age_ns = match env_usize("CAF_AM_FLUSH_US") {
-            Some(us) => us as u64 * 1_000,
-            None => 2 * cost.l_inter_ns.max(1_000),
-        };
         Self {
-            batch_bytes,
-            batch_ops,
-            flush_age_ns,
+            batch_bytes: 4096,
+            // Ops worth coalescing: one wire latency's worth of injection
+            // overheads, clamped to a sane window.
+            batch_ops: ((cost.l_inter_ns / per_op) as usize).clamp(8, 64),
+            flush_age_ns: 2 * cost.l_inter_ns.max(1_000),
         }
     }
 

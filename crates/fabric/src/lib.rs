@@ -29,10 +29,9 @@
 //!   per-node NIC) — the quantitative substance of the paper's §IV-A
 //!   analysis. This is the engine behind every reproduced figure/table.
 //! * [`ThreadFabric`] — real shared memory: flags are atomics, puts are
-//!   (relaxed-atomic) memcpys, waits spin-then-yield. Inter-node operations
-//!   optionally busy-wait an injected latency so small wall-clock runs still
-//!   exhibit a hierarchy. Used for functional validation under genuine
-//!   concurrency and for native criterion benches.
+//!   (relaxed-atomic) memcpys, waits spin-then-yield; every operation is
+//!   complete when it returns. Used for functional validation under
+//!   genuine concurrency and for native criterion benches.
 //! * [`SocketFabric`] — real processes and real wires: one OS process per
 //!   occupied node, Unix-domain sockets or TCP between processes, shared
 //!   memory within. Launched by the `caf-launch` binary (or in-process via
@@ -162,8 +161,9 @@ pub trait Fabric: Send + Sync + 'static {
     /// The image placement this fabric models/runs on.
     fn image_map(&self) -> &ImageMap;
 
-    /// The communication cost parameters in effect (the `ThreadFabric` uses
-    /// them for injected delays; the `SimFabric` for everything).
+    /// The communication cost parameters in effect (the `SimFabric` runs on
+    /// them; every fabric reports them, and the collectives derive their
+    /// size policy from them).
     fn cost(&self) -> &CostParams;
 
     /// The software-stack overheads in effect.
@@ -352,8 +352,8 @@ pub trait Fabric: Send + Sync + 'static {
     /// The default replays each op through the ordinary one-sided
     /// primitives — correct on any fabric, with no aggregation win. The
     /// built-in backends override it: the simulator lands the whole batch
-    /// as one scheduled delivery event, the thread fabric applies it under
-    /// one injected-delay window, and the socket fabric ships it as a
+    /// as one scheduled delivery event, the thread fabric applies it in one
+    /// pass with one waiter wake-up, and the socket fabric ships it as a
     /// single `AmBatch` wire frame covered by [`Self::quiet`].
     ///
     /// Callers normally go through [`Am`] rather than

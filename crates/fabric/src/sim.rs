@@ -1937,9 +1937,19 @@ mod tests {
         // coalesces each sender's storm into one AmArrive event; the
         // unbatched policy replays them one fabric op at a time. Final data
         // and flag state must match bit-for-bit, and the batched schedule
-        // must be deterministic.
-        let run = |policy: AmPolicy| {
-            let f = sim(2, 4, 8, 4);
+        // must be deterministic — without chaos and under two chaos seeds,
+        // the same chaos driving both sides.
+        let run = |policy: AmPolicy, chaos: Option<ChaosConfig>| {
+            let map = ImageMap::new(presets::mini(2, 4), 8, &Placement::Block { per_node: 4 });
+            let f = SimFabric::new(
+                map,
+                SimConfig {
+                    cost: presets::whale_cost(),
+                    overheads: SoftwareOverheads::NONE,
+                    chaos,
+                    ..SimConfig::default()
+                },
+            );
             let f2 = f.clone();
             let out = Arc::new(Mutex::new((vec![0u8; 7 * 8], 0u64, vec![0u64; 8])));
             let o2 = out.clone();
@@ -1977,13 +1987,19 @@ mod tests {
             batch_ops: 64,
             flush_age_ns: u64::MAX,
         };
-        let batched = run(wide);
-        let oracle = run(AmPolicy::unbatched());
-        assert_eq!(batched.0, oracle.0, "payload bytes diverge");
-        assert_eq!(batched.1, oracle.1, "flag totals diverge");
-        // Virtual times differ between policies (batches travel as one
-        // transfer) but the batched schedule itself must be reproducible.
-        assert_eq!(batched, run(wide), "batched run is not deterministic");
+        for chaos in [None, Some(5), Some(17)].map(|s| s.map(ChaosConfig::from_seed)) {
+            let batched = run(wide, chaos);
+            let oracle = run(AmPolicy::unbatched(), chaos);
+            assert_eq!(batched.0, oracle.0, "payload bytes diverge ({chaos:?})");
+            assert_eq!(batched.1, oracle.1, "flag totals diverge ({chaos:?})");
+            // Virtual times differ between policies (batches travel as one
+            // transfer) but the batched schedule itself must be reproducible.
+            let again = run(wide, chaos);
+            assert_eq!(
+                batched, again,
+                "batched run is not deterministic ({chaos:?})"
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,13 @@ use std::time::{Duration, Instant};
 /// connection of the pair) before it is declared a death.
 const EOF_GRACE: Duration = Duration::from_millis(300);
 
+/// First connect-retry backoff of a dial; doubles per attempt, up to
+/// [`CONNECT_BACKOFF_CAP`].
+const CONNECT_BACKOFF_START: Duration = Duration::from_millis(10);
+
+/// Longest pause between two connect attempts.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(500);
+
 /// Frames a reader thread takes in before it publishes them at the latest
 /// (more may be buffered): the responses a reader retires at once.
 const RETIRE_BATCH: u64 = 256;
@@ -325,7 +332,7 @@ impl SocketFabric {
         hello: &Frame,
     ) -> io::Result<()> {
         let t0 = Instant::now();
-        let mut backoff = self.cfg.connect_backoff_start;
+        let mut backoff = CONNECT_BACKOFF_START;
         let mut attempts = 0u64;
         let mut stream = loop {
             match Stream::connect(addr) {
@@ -343,7 +350,7 @@ impl SocketFabric {
                         ));
                     }
                     std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(self.cfg.connect_backoff_cap);
+                    backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
                 }
             }
         };

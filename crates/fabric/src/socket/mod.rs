@@ -108,10 +108,6 @@ pub struct SocketConfig {
     /// Upper bound on any single blocking remote operation (put ack, get
     /// response, AMO response) and on fleet establishment.
     pub io_timeout: Duration,
-    /// First connect-retry backoff; doubles per attempt.
-    pub connect_backoff_start: Duration,
-    /// Backoff cap.
-    pub connect_backoff_cap: Duration,
     /// How often each process sends heartbeats to every peer.
     pub heartbeat_period: Duration,
     /// A peer from which nothing has arrived for this long is dead.
@@ -159,8 +155,6 @@ impl Default for SocketConfig {
             tracer: Tracer::off(),
             transport: Transport::Uds,
             io_timeout: Duration::from_secs(10),
-            connect_backoff_start: Duration::from_millis(10),
-            connect_backoff_cap: Duration::from_millis(500),
             heartbeat_period: Duration::from_millis(100),
             peer_timeout: Duration::from_secs(2),
             flag_wait_timeout: Duration::from_secs(30),

@@ -7,11 +7,9 @@
 //!
 //! This fabric validates the collective algorithms under genuine concurrency
 //! (the simulator, being turn-based, cannot exhibit real races) and powers
-//! the wall-clock criterion benches. Because the host is one shared-memory
-//! machine, the *inter-node* half of the hierarchy is optional theater:
-//! with [`ThreadConfig::inject_internode_delay`] set, operations that cross
-//! simulated node boundaries busy-wait the modeled wire latency, so even a
-//! laptop run shows a two-level cost structure.
+//! the wall-clock criterion benches. Every operation completes when it
+//! returns: a nonblocking put is done at injection, and `put_wait` and
+//! `quiet` are memory fences.
 
 use crate::am::AmOp;
 use crate::seg::{
@@ -22,28 +20,22 @@ use crate::stats::{FabricStats, Lane};
 use crate::{Fabric, PutToken};
 use caf_topology::{CostParams, ImageMap, ProcId, SoftwareOverheads};
 use caf_trace::{Event, EventKind, Tracer};
-use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration for a [`ThreadFabric`].
 #[derive(Clone, Debug)]
 pub struct ThreadConfig {
-    /// Cost parameters; only consulted when delay injection is on.
+    /// Cost parameters, reported through [`Fabric::cost`] (the collectives
+    /// derive their size policy from them); no delay is modeled.
     pub cost: CostParams,
     /// Software overheads; kept for symmetry with the simulator (the thread
     /// fabric does not inject per-op CPU overhead — real instructions cost
     /// real time).
     pub overheads: SoftwareOverheads,
-    /// Busy-wait the modeled `l_inter` on operations that cross simulated
-    /// node boundaries, making wall-clock runs hierarchy-sensitive.
-    pub inject_internode_delay: bool,
-    /// Scale factor for injected delays, in milli-units (1000 = modeled
-    /// latency as-is; 100 = 10× faster, keeping benches quick).
-    pub delay_scale_milli: u64,
     /// Trace sink. The default [`Tracer::off`] records nothing; an enabled
     /// tracer captures every fabric operation with wall-clock stamps
     /// (nanoseconds since fabric creation).
@@ -55,8 +47,6 @@ impl Default for ThreadConfig {
         Self {
             cost: CostParams::default(),
             overheads: SoftwareOverheads::NONE,
-            inject_internode_delay: false,
-            delay_scale_milli: 1000,
             tracer: Tracer::off(),
         }
     }
@@ -78,10 +68,6 @@ pub struct ThreadFabric {
     /// Serializes system-ring trace records (the ring is single-writer;
     /// unlike the simulator, thread-fabric deliveries race each other).
     trace_sys_lock: Mutex<()>,
-    /// Per-image wall-clock deadline (ns since `start`) by which every
-    /// nonblocking put that image injected has covered its modeled wire
-    /// latency; `quiet` spins up to it when delay injection is on.
-    nb_deadline: Vec<CachePadded<AtomicU64>>,
 }
 
 impl ThreadFabric {
@@ -106,13 +92,10 @@ impl ThreadFabric {
             poisoned: Mutex::new(None),
             poison_flag: std::sync::atomic::AtomicBool::new(false),
             trace_sys_lock: Mutex::new(()),
-            nb_deadline: (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
         })
     }
 
-    /// Convenience constructor with default configuration (no injection).
+    /// Convenience constructor with default configuration.
     pub fn with_defaults(map: ImageMap) -> Arc<Self> {
         Self::new(map, ThreadConfig::default())
     }
@@ -168,35 +151,6 @@ impl ThreadFabric {
             },
         );
     }
-
-    /// Busy-wait the injected inter-node delay, if enabled.
-    fn maybe_inject(&self, crossing_nodes: bool) {
-        if !self.cfg.inject_internode_delay || !crossing_nodes {
-            return;
-        }
-        let ns = self.cfg.cost.l_inter_ns * self.cfg.delay_scale_milli / 1000;
-        if ns == 0 {
-            return;
-        }
-        let deadline = Instant::now() + Duration::from_nanos(ns);
-        while Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Wall ns since fabric creation (independent of the tracer — the
-    /// nonblocking-put deadlines need it even in untraced builds).
-    #[inline]
-    fn wall_now(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Spin until the wall clock reaches `deadline_ns` (0 = nothing owed).
-    fn spin_until(&self, deadline_ns: u64) {
-        while self.wall_now() < deadline_ns {
-            std::hint::spin_loop();
-        }
-    }
 }
 
 impl Fabric for ThreadFabric {
@@ -238,18 +192,13 @@ impl Fabric for ThreadFabric {
             self.lane(me).record_put(intra, bytes.len());
         }
         let t0 = self.trace_now();
-        self.maybe_inject(!intra);
         self.window(dst.index(), seg).write(offset, bytes);
         self.trace_span(EventKind::Put, me, dst, t0, bytes.len() as u64);
     }
 
     fn am_deliver(&self, me: ProcId, dst: ProcId, ops: &[AmOp]) {
-        let intra = self.map.colocated(me, dst);
         let t0 = self.trace_now();
-        // One injected wire delay covers the whole batch — the thread
-        // fabric's version of "many small AMs, one frame" — and the flag
-        // wake pass runs once after every op has applied.
-        self.maybe_inject(!intra);
+        // The flag wake pass runs once, after every op has applied.
         let bumped = std::cell::Cell::new(false);
         crate::am::apply(
             ops,
@@ -275,12 +224,8 @@ impl Fabric for ThreadFabric {
         offset: usize,
         bytes: &[u8],
     ) -> PutToken {
-        // The asynchronous hand-off: copy now (relaxed stores; the release
-        // edge comes from the subsequent flag_add or fence), but do *not*
-        // busy-wait the injected wire latency here. The modeled latency is
-        // deferred to `put_wait`/`quiet`, so k pipelined chunks to one peer
-        // pay one wire delay instead of k — the very overlap the pipelined
-        // collectives are after.
+        // Copy now (relaxed stores; the release edge comes from the
+        // subsequent flag_add or fence).
         let intra = self.map.colocated(me, dst);
         let t0 = self.trace_now();
         self.window(dst.index(), seg).write(offset, bytes);
@@ -294,29 +239,8 @@ impl Fabric for ThreadFabric {
         // copy returns; completion == injection here (the simulator is where
         // the two genuinely diverge).
         lane.record_put_nb_complete();
-        let mut arrival = 0u64;
-        if self.cfg.inject_internode_delay && !intra {
-            let ns = self.cfg.cost.l_inter_ns * self.cfg.delay_scale_milli / 1000;
-            if ns > 0 {
-                arrival = self.wall_now() + ns;
-                self.nb_deadline[me.index()].fetch_max(arrival, Ordering::Relaxed);
-            }
-        }
         self.trace_span(EventKind::PutNb, me, dst, t0, bytes.len() as u64);
-        PutToken {
-            arrival_ns: arrival,
-        }
-    }
-
-    fn put_test(&self, me: ProcId, token: PutToken) -> bool {
-        let _ = me;
-        token.arrival_ns == 0 || self.wall_now() >= token.arrival_ns
-    }
-
-    fn put_wait(&self, me: ProcId, token: PutToken) {
-        let _ = me;
-        self.spin_until(token.arrival_ns);
-        std::sync::atomic::fence(Ordering::SeqCst);
+        PutToken::DONE
     }
 
     fn get(&self, me: ProcId, src: ProcId, seg: SegmentId, offset: usize, out: &mut [u8]) {
@@ -325,7 +249,6 @@ impl Fabric for ThreadFabric {
             self.lane(me).record_get(intra, out.len());
         }
         let t0 = self.trace_now();
-        self.maybe_inject(!intra);
         self.window(src.index(), seg).read(offset, out);
         self.trace_span(EventKind::Get, me, src, t0, out.len() as u64);
     }
@@ -340,7 +263,6 @@ impl Fabric for ThreadFabric {
     ) -> u64 {
         self.lane(me).record_amo();
         let t0 = self.trace_now();
-        self.maybe_inject(!self.map.colocated(me, target));
         let old = (self.window(target.index(), seg)).amo(offset, Amo::Add(delta));
         self.trace_span(EventKind::AmoFetchAdd, me, target, t0, offset as u64);
         old
@@ -357,7 +279,6 @@ impl Fabric for ThreadFabric {
     ) -> u64 {
         self.lane(me).record_amo();
         let t0 = self.trace_now();
-        self.maybe_inject(!self.map.colocated(me, target));
         let window = self.window(target.index(), seg);
         let old = window.amo(offset, Amo::Cas { expected, new });
         self.trace_span(EventKind::AmoCas, me, target, t0, offset as u64);
@@ -370,7 +291,6 @@ impl Fabric for ThreadFabric {
             self.lane(me).record_flag(intra);
         }
         let t0 = self.trace_now();
-        self.maybe_inject(!intra);
         let cell = self.flag_cell(target.index(), flag);
         bump_flag(cell.cell(), target.index(), flag, delta);
         if self.cfg.tracer.enabled() {
@@ -429,11 +349,9 @@ impl Fabric for ThreadFabric {
         (self.flag_cell(me.index(), flag).cell()).load(Ordering::Acquire)
     }
 
-    fn quiet(&self, me: ProcId) {
-        // Blocking operations complete synchronously; nonblocking puts may
-        // still owe their modeled wire latency when delay injection is on.
-        self.spin_until(self.nb_deadline[me.index()].load(Ordering::Relaxed));
-        // The fence keeps the memory-model promise explicit.
+    fn quiet(&self, _me: ProcId) {
+        // Every operation completed when it returned; the fence keeps the
+        // memory-model promise explicit. `put_wait` is this too.
         std::sync::atomic::fence(Ordering::SeqCst);
     }
 
@@ -472,6 +390,7 @@ mod tests {
     use super::*;
     use crate::spmd::run_spmd;
     use caf_topology::{presets, Placement};
+    use std::time::Duration;
 
     const SPARE_FLAG: FlagId = FlagId(2);
     #[allow(dead_code)]
@@ -539,28 +458,6 @@ mod tests {
             }
             f2.image_done(me);
         });
-    }
-
-    #[test]
-    fn injected_delay_slows_internode_ops() {
-        let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
-        let cfg = ThreadConfig {
-            inject_internode_delay: true,
-            delay_scale_milli: 10_000, // 10x the modeled 1.8us = 18us
-            ..ThreadConfig::default()
-        };
-        let f = ThreadFabric::new(map, cfg);
-        let seg = f.alloc_segment(ProcId(0), 8);
-        f.alloc_segment(ProcId(1), 8);
-        let t0 = Instant::now();
-        for _ in 0..50 {
-            f.put(ProcId(0), ProcId(1), seg, 0, &[0u8; 8]);
-        }
-        let cross = t0.elapsed();
-        assert!(
-            cross >= Duration::from_micros(50 * 15),
-            "injection too weak: {cross:?}"
-        );
     }
 
     #[test]

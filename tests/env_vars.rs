@@ -1,7 +1,9 @@
-//! Every `CAF_*` environment variable the sources name is documented: a
-//! `"CAF_…"` string literal anywhere under `crates/` must also appear in
-//! README.md (user-facing knobs in its tables, parent→child variables in
-//! the paragraph that calls them internal).
+//! Every `CAF_*` environment variable the sources name is documented, and
+//! nothing else is: a `"CAF_…"` string literal anywhere under `crates/`
+//! must also appear in README.md (user-facing knobs in its tables,
+//! parent→child variables in the paragraph that calls them internal), and
+//! every `CAF_…` name README.md mentions must still be such a literal — a
+//! deleted knob takes its documentation with it.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -26,22 +28,45 @@ fn caf_literals(dir: &Path, out: &mut BTreeSet<String>) {
     }
 }
 
+/// Every whole `CAF_…` name in `text` (a name ends at the first character
+/// that cannot continue it: `CAF_SOCKET_SHM_BYTES` does not name
+/// `CAF_SOCKET_SHM`; the pattern `CAF_*` names nothing).
+fn caf_names(text: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (at, _) in text.match_indices("CAF_") {
+        let before = text[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let name: String = text[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+            .collect();
+        let name = name.trim_end_matches('_');
+        if name.len() > "CAF_".len() {
+            out.insert(name.to_string());
+        }
+    }
+    out
+}
+
 #[test]
 fn readme_names_every_caf_env_var() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut vars = BTreeSet::new();
     caf_literals(&root.join("crates"), &mut vars);
-    assert!(vars.len() >= 30, "the scan found only {vars:?}");
+    assert!(vars.len() >= 29, "the scan found only {vars:?}");
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
-    // A whole-name mention: `CAF_AM_BATCH_OPS` does not document `CAF_AM`.
-    let named = |v: &str| {
-        readme.match_indices(v).any(|(at, _)| {
-            !readme[at + v.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
-        })
-    };
-    let missing: Vec<&String> = vars.iter().filter(|v| !named(v)).collect();
+    let named = caf_names(&readme);
+    let missing: Vec<&String> = vars.difference(&named).collect();
     assert!(
         missing.is_empty(),
         "README.md does not mention {missing:?}: add each to the env-var table of its section"
+    );
+    let stale: Vec<&String> = named.difference(&vars).collect();
+    assert!(
+        stale.is_empty(),
+        "README.md documents {stale:?}, which no source under crates/ reads any more: \
+         delete the documentation with the knob"
     );
 }

@@ -21,6 +21,11 @@
 //! And every hop of a collective is one message: an unsignalled remote put
 //! in `caf-collectives` (the old `send_values` / `put_raw`, or a bare
 //! `Fabric::put`) fails it.
+//!
+//! And the collectives read no environment and have one send path: a
+//! `std::env::var` (the old size-policy and AM-routing overrides) or an
+//! active-message sender (`Am::new`, `AmPolicy`) in `caf-collectives`
+//! outside test code fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -165,6 +170,28 @@ fn every_collective_hop_is_one_message() {
         ["collectives/src/comm.rs"],
         "a pipelined chunk goes through TeamComm::send_values_nb"
     );
+}
+
+#[test]
+fn collectives_read_no_environment_and_have_one_send_path() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/collectives/src");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+    let hits = |needle: &str| hits(&files, needle, false);
+
+    assert_eq!(
+        hits("env::var"),
+        Vec::<&str>::new(),
+        "an algorithm or size policy comes from CollectiveConfig and the cost model, \
+         not from the environment"
+    );
+    for sender in ["Am::new", "AmPolicy"] {
+        assert_eq!(
+            hits(sender),
+            Vec::<&str>::new(),
+            "{sender}: every hop is one Fabric::put_flag; an AM batch would hold one op"
+        );
+    }
 }
 
 #[test]
