@@ -2,6 +2,15 @@
 //! layout. Index arithmetic follows ScaLAPACK's `numroc`/`indxg2l`
 //! conventions (0-based here).
 
+/// How the images of a run are numbered onto the grid — HPL's `PMAP`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// Image `prow · q + pcol + 1`: a grid row is consecutive images.
+    RowMajor,
+    /// Image `pcol · p + prow + 1`: a grid column is consecutive images.
+    ColumnMajor,
+}
+
 /// The block-cyclic layout of an `n × n` matrix with `nb × nb` blocks on a
 /// `p × q` process grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -14,6 +23,8 @@ pub struct BlockCyclic {
     pub p: usize,
     /// Grid columns.
     pub q: usize,
+    /// Which image holds which grid position.
+    pub layout: Layout,
 }
 
 /// ScaLAPACK `numroc`: how many of `n` items (in blocks of `nb`) land on
@@ -41,10 +52,75 @@ pub fn grid_dims(n_images: usize) -> (usize, usize) {
 }
 
 impl BlockCyclic {
-    /// Build a layout, validating the parameters.
+    /// Build a row-major layout, validating the parameters.
     pub fn new(n: usize, nb: usize, p: usize, q: usize) -> Self {
         assert!(n > 0 && nb > 0 && p > 0 && q > 0);
-        Self { n, nb, p, q }
+        Self {
+            n,
+            nb,
+            p,
+            q,
+            layout: Layout::RowMajor,
+        }
+    }
+
+    /// The same distribution with its grid positions numbered by `layout`.
+    pub fn with_layout(self, layout: Layout) -> Self {
+        Self { layout, ..self }
+    }
+
+    /// This grid laid out for a machine whose image `i` (1-based) runs on
+    /// node `node_of(i)`: column-major when node-mates share memory and
+    /// column-major puts the column teams — the pivot reductions — on
+    /// fewer nodes than row-major does; row-major otherwise. Over a NIC
+    /// loopback a node-local column team serializes on one NIC, and where
+    /// the two layouts span as many nodes they only trade one team's
+    /// messages for the other's.
+    pub fn laid_out_for(self, shared_memory: bool, node_of: impl Fn(usize) -> usize) -> Self {
+        let (rows, cols) = (
+            self.with_layout(Layout::RowMajor),
+            self.with_layout(Layout::ColumnMajor),
+        );
+        if shared_memory && cols.column_nodes(&node_of) < rows.column_nodes(&node_of) {
+            cols
+        } else {
+            rows
+        }
+    }
+
+    /// The nodes each column team occupies, summed over the grid columns.
+    fn column_nodes(&self, node_of: impl Fn(usize) -> usize) -> usize {
+        (0..self.q)
+            .map(|pcol| {
+                let mut nodes: Vec<usize> = (0..self.p)
+                    .map(|prow| node_of(self.image_of(prow, pcol)))
+                    .collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                nodes.len()
+            })
+            .sum()
+    }
+
+    /// The image (1-based) at grid position `(prow, pcol)`.
+    #[inline]
+    pub fn image_of(&self, prow: usize, pcol: usize) -> usize {
+        debug_assert!(prow < self.p && pcol < self.q);
+        1 + match self.layout {
+            Layout::RowMajor => prow * self.q + pcol,
+            Layout::ColumnMajor => pcol * self.p + prow,
+        }
+    }
+
+    /// The grid position `(prow, pcol)` of image `image` (1-based).
+    #[inline]
+    pub fn coords_of(&self, image: usize) -> (usize, usize) {
+        debug_assert!((1..=self.p * self.q).contains(&image));
+        let rank0 = image - 1;
+        match self.layout {
+            Layout::RowMajor => (rank0 / self.q, rank0 % self.q),
+            Layout::ColumnMajor => (rank0 % self.p, rank0 / self.p),
+        }
     }
 
     /// Grid row owning global row `g`.
@@ -174,6 +250,87 @@ mod tests {
         assert_eq!(grid_dims(6), (2, 3));
         assert_eq!(grid_dims(7), (1, 7));
         assert_eq!(grid_dims(12), (3, 4));
+    }
+
+    #[test]
+    fn image_of_and_coords_of_are_inverse_bijections() {
+        for images in 1..=64usize {
+            for p in (1..=images).filter(|p| images.is_multiple_of(*p)) {
+                let q = images / p;
+                for layout in [Layout::RowMajor, Layout::ColumnMajor] {
+                    let g = BlockCyclic::new(8, 2, p, q).with_layout(layout);
+                    let mut seen = vec![false; images];
+                    for prow in 0..p {
+                        for pcol in 0..q {
+                            let image = g.image_of(prow, pcol);
+                            assert!((1..=images).contains(&image), "{p}x{q} {layout:?}");
+                            assert!(!seen[image - 1], "{p}x{q} {layout:?}: image {image} twice");
+                            seen[image - 1] = true;
+                            assert_eq!(g.coords_of(image), (prow, pcol), "{p}x{q} {layout:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_major_column_teams_span_the_fewest_nodes_block_placement_allows() {
+        for images in 1..=64 {
+            let (p, q) = grid_dims(images);
+            let g = BlockCyclic::new(8, 2, p, q);
+            // Where the nodes' size and the column height divide one into
+            // the other, ⌈p / per_node⌉ nodes can hold a column team.
+            for per_node in (1..=8).filter(|k| p.is_multiple_of(*k) || k.is_multiple_of(p)) {
+                let node_of = |image: usize| (image - 1) / per_node;
+                let (rows, cols) = (
+                    g.column_nodes(node_of),
+                    g.with_layout(Layout::ColumnMajor).column_nodes(node_of),
+                );
+                // No team spans fewer, so the sum pins every team.
+                assert_eq!(
+                    cols,
+                    q * p.div_ceil(per_node),
+                    "{p}x{q}, {per_node} per node"
+                );
+                assert!(cols <= rows, "{p}x{q}, {per_node} per node");
+                let laid = g.laid_out_for(true, node_of).layout;
+                let want = if cols < rows {
+                    Layout::ColumnMajor
+                } else {
+                    Layout::RowMajor
+                };
+                assert_eq!(laid, want, "{p}x{q}, {per_node} per node");
+                assert_eq!(g.laid_out_for(false, node_of).layout, Layout::RowMajor);
+            }
+        }
+    }
+
+    #[test]
+    fn the_layout_follows_the_machine() {
+        // images(nodes) under block placement, memory shared on a node or not.
+        let laid = |images: usize, nodes: usize, shared: bool| {
+            let (p, q) = grid_dims(images);
+            let per_node = images / nodes;
+            BlockCyclic::new(1024, 64, p, q)
+                .laid_out_for(shared, |image| (image - 1) / per_node)
+                .layout
+        };
+        // Figure 1: one image per node leaves nothing to gather.
+        assert_eq!(laid(4, 4, true), Layout::RowMajor);
+        assert_eq!(laid(16, 16, true), Layout::RowMajor);
+        for (images, nodes) in [(16, 2), (64, 8), (256, 32)] {
+            assert_eq!(laid(images, nodes, true), Layout::ColumnMajor);
+            assert_eq!(laid(images, nodes, false), Layout::RowMajor);
+        }
+        // A one-row grid (hpl-fleet's 1 × 2) numbers its images alike
+        // either way, and stays row-major.
+        assert_eq!(laid(2, 2, true), Layout::RowMajor);
+        let g = BlockCyclic::new(8, 2, 1, 2);
+        for pcol in 0..2 {
+            let image = g.image_of(0, pcol);
+            assert_eq!(g.with_layout(Layout::ColumnMajor).image_of(0, pcol), image);
+        }
     }
 
     #[test]

@@ -48,14 +48,12 @@ fn assemble_and_check(
 ) -> f64 {
     let grid = out.grid;
     let n = cfg.n;
-    let q = grid.q;
     // Reassemble the factored matrix F (L below diag, U on/above).
     let mut f = Matrix::zeros(n, n);
     let mut buf = vec![0.0f64; gather.len()];
     for prow in 0..grid.p {
         for pcol in 0..grid.q {
-            let image1 = prow * q + pcol + 1;
-            gather.get(image1, 0, &mut buf);
+            gather.get(grid.image_of(prow, pcol), 0, &mut buf);
             for lj in 0..grid.local_cols(pcol) {
                 let gj = grid.global_col(pcol, lj);
                 for li in 0..grid.local_rows(prow) {

@@ -21,7 +21,7 @@ pub mod lu;
 pub mod matrix;
 pub mod solve;
 
-pub use grid::{grid_dims, numroc, BlockCyclic};
+pub use grid::{grid_dims, numroc, BlockCyclic, Layout};
 pub use harness::residual_check;
 pub use lu::{factorize, HplConfig, HplOutcome, PhaseNs};
 pub use matrix::{hpl_element, hpl_matrix, Matrix};

@@ -20,6 +20,16 @@
 //! sends it before finishing step k's update, and the broadcast travels
 //! while it does (see [`factorize`]).
 //!
+//! The grid's layout follows the machine ([`BlockCyclic::laid_out_for`]).
+//! The pivot reductions are the most latency-bound traffic of the run — one
+//! per panel column, on the column team, on the look-ahead's critical path —
+//! so when node-mates share memory and numbering the grid column-major
+//! (HPL's `PMAP = 1`) puts the column teams on fewer nodes, it is
+//! column-major; otherwise row-major. The row teams then straddle the nodes
+//! instead, and they carry one broadcast per block step. Every image ↔
+//! position question goes through [`BlockCyclic::image_of`] and
+//! [`BlockCyclic::coords_of`].
+//!
 //! Local computation is accounted to the simulator's virtual clock through
 //! `ImageCtx::compute`, converting flop counts with the machine model's
 //! per-core rate, so simulated GFLOP/s reflect the modeled hardware while
@@ -29,6 +39,7 @@ use crate::blas;
 use crate::grid::{grid_dims, BlockCyclic};
 use crate::matrix::{hpl_element, Matrix};
 use caf_runtime::{Coarray, ImageCtx, Team};
+use caf_topology::ProcId;
 use std::ops::Range;
 
 /// Parameters of one HPL factorization.
@@ -256,7 +267,7 @@ impl Interchange {
         // exchange coarray the rows from grid row `from` land.
         let landing = move |row: usize, from: usize| {
             let slot = if from < row { from } else { from - 1 };
-            (row * g.q + pcol + 1, slot * slot_len)
+            (g.image_of(row, pcol), slot * slot_len)
         };
         let Some(exchange) = &self.exchange else {
             self.swaps.clear();
@@ -695,11 +706,14 @@ impl Lu {
 /// Panics if the matrix turns out numerically singular (never the case for
 /// the built-in generator at sensible sizes).
 pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
-    let n_images = img.num_images();
-    let (p, q) = grid_dims(n_images);
-    let rank0 = img.this_image() - 1;
-    let (prow, pcol) = (rank0 / q, rank0 % q);
-    let grid = BlockCyclic::new(cfg.n, cfg.nb, p, q);
+    let (p, q) = grid_dims(img.num_images());
+    let fabric = img.fabric();
+    let map = fabric.image_map();
+    let grid = BlockCyclic::new(cfg.n, cfg.nb, p, q)
+        .laid_out_for(!fabric.overheads().intra_via_nic, |image| {
+            map.node_of(ProcId(image - 1)).index()
+        });
+    let (prow, pcol) = grid.coords_of(img.this_image());
 
     // Local storage, filled from the deterministic generator.
     let lr = grid.local_rows(prow);
@@ -786,6 +800,7 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Layout;
     use caf_fabric::StatsSnapshot;
     use caf_runtime::CoValue;
     use caf_runtime::{run_on_fabric, CollectiveConfig, RunConfig};
@@ -878,6 +893,7 @@ mod tests {
         fn batched_interchange_equals_sequential_transpositions(
             p in 1usize..=4,
             q in 1usize..=2,
+            layout in proptest::sample::select(vec![Layout::RowMajor, Layout::ColumnMajor]),
             picks in proptest::collection::vec(0usize..30, 26),
         ) {
             let (n, nb) = (26, 4); // 7 panels, the last one partial
@@ -899,12 +915,11 @@ mod tests {
                 want.swap_rows(s, piv, (panel + nb).min(n), n);
             }
 
-            let grid = BlockCyclic::new(n, nb, p, q);
+            let grid = BlockCyclic::new(n, nb, p, q).with_layout(layout);
             let program = move |panels: bool| {
                 let pivots = pivots.clone();
                 counted(p * q, move |img| {
-                    let rank0 = img.this_image() - 1;
-                    let (prow, pcol) = (rank0 / q, rank0 % q);
+                    let (prow, pcol) = grid.coords_of(img.this_image());
                     let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
                     let mut local = Matrix::zeros(lr.max(1), lc.max(1));
                     for lj in 0..lc {
@@ -925,14 +940,14 @@ mod tests {
             };
             let (locals, with_panels) = program(true);
             let (_, without) = program(false);
-            for (rank0, local) in locals.iter().enumerate() {
-                let (prow, pcol) = (rank0 / q, rank0 % q);
+            for (image, local) in (1..).zip(&locals) {
+                let (prow, pcol) = grid.coords_of(image);
                 for lj in 0..grid.local_cols(pcol) {
                     for li in 0..grid.local_rows(prow) {
                         let (gi, gj) = (grid.global_row(prow, li), grid.global_col(pcol, lj));
                         prop_assert_eq!(
                             local.get(li, lj), want.get(gi, gj),
-                            "global ({}, {}) on image {}", gi, gj, rank0 + 1
+                            "global ({}, {}) on image {}, {:?}", gi, gj, image, layout
                         );
                     }
                 }
@@ -963,11 +978,11 @@ mod tests {
         // on grid column 0's team.
         let reductions = |nb: usize, calls: usize| {
             counted(4, move |img| {
-                let rank0 = img.this_image() - 1;
-                let _row_team = img.form_team((rank0 / 2) as i64);
-                let mut col_team = img.form_team((rank0 % 2) as i64);
-                if rank0 % 2 == 0 {
-                    let lane: PivotLane = ((rank0 as f64, 0), [1.0; LANE]);
+                let (prow, pcol) = BlockCyclic::new(nb, nb, 2, 2).coords_of(img.this_image());
+                let _row_team = img.form_team(prow as i64);
+                let mut col_team = img.form_team(pcol as i64);
+                if pcol == 0 {
+                    let lane: PivotLane = ((prow as f64, 0), [1.0; LANE]);
                     let mut buf = vec![lane; 2 * nb.div_ceil(LANE)];
                     for _ in 0..calls {
                         col_team.comm_mut().co_reduce_with(&mut buf, maxloc);
@@ -1002,15 +1017,21 @@ mod tests {
 
     /// On a 2 × 2 grid every image has one partner at most: a panel whose
     /// pivots all cross the grid rows costs each image exactly one put and
-    /// one `sync images` pair, however many rows move.
+    /// one `sync images` pair, however many rows move — under either
+    /// layout.
     #[test]
     fn a_panel_of_crossing_pivots_is_one_put_per_image() {
+        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
+            crossing_pivots(layout);
+        }
+    }
+
+    fn crossing_pivots(layout: Layout) {
         let (n, nb) = (32, 4);
-        let grid = BlockCyclic::new(n, nb, 2, 2);
+        let grid = BlockCyclic::new(n, nb, 2, 2).with_layout(layout);
         let traffic = |panels: usize| {
             counted(4, move |img| {
-                let rank0 = img.this_image() - 1;
-                let (prow, pcol) = (rank0 / 2, rank0 % 2);
+                let (prow, pcol) = grid.coords_of(img.this_image());
                 let mut local = Matrix::zeros(grid.local_rows(prow), grid.local_cols(pcol));
                 let mut interchange = Interchange::new(img, grid, prow, pcol);
                 for k in 0..panels {
@@ -1025,8 +1046,47 @@ mod tests {
             .1
         };
         let (none, three) = (traffic(0), traffic(3));
-        assert_eq!(puts(&three) - puts(&none), 3 * 4);
+        assert_eq!(puts(&three) - puts(&none), 3 * 4, "{layout:?}");
         // Two `sync images` with one partner each, per image and panel.
-        assert_eq!(flags(&three) - flags(&none), 3 * 4 * 2);
+        assert_eq!(flags(&three) - flags(&none), 3 * 4 * 2, "{layout:?}");
+    }
+
+    /// On whale 16(2) with the UHCAF stack each column team sits on one
+    /// node, so the pivot reductions never leave it: the eight more panel
+    /// columns of a 16-wide one-panel factorization than of an 8-wide one
+    /// add no inter-node message. Over the NIC loopback (UHCAF_FLAT) the
+    /// grid stays row-major and every one of those columns crosses.
+    #[test]
+    fn pivot_reductions_stay_on_the_node_when_node_mates_share_memory() {
+        use caf_fabric::{Fabric, SimConfig, SimFabric};
+        use caf_topology::{presets::stacks, ImageMap, Placement, SoftwareOverheads};
+        let one_panel = |stack: SoftwareOverheads, collectives, nb: usize| {
+            let map = ImageMap::new(presets::whale(), 16, &Placement::Block { per_node: 8 });
+            let config = SimConfig {
+                cost: presets::whale_cost(),
+                overheads: stack,
+                ..SimConfig::default()
+            };
+            let fabric = SimFabric::new(map, config);
+            let hpl = HplConfig { n: nb, nb, seed: 5 };
+            let layouts = run_on_fabric(fabric.clone(), collectives, move |img| {
+                factorize(img, &hpl).grid.layout
+            });
+            assert!(layouts.iter().all(|l| *l == layouts[0]));
+            let s = fabric.stats().snapshot();
+            (layouts[0], s.puts_inter + s.flags_inter + s.gets_inter)
+        };
+        let added = |stack, collectives| {
+            let (layout, small) = one_panel(stack, collectives, 8);
+            let (_, large) = one_panel(stack, collectives, 16);
+            (layout, large as i64 - small as i64)
+        };
+        assert_eq!(
+            added(stacks::UHCAF, CollectiveConfig::two_level()),
+            (Layout::ColumnMajor, 0)
+        );
+        let (layout, crossing) = added(stacks::UHCAF_FLAT, CollectiveConfig::one_level());
+        assert_eq!(layout, Layout::RowMajor);
+        assert!(crossing > 0, "row-major column teams span both nodes");
     }
 }

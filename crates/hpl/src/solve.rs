@@ -41,8 +41,7 @@ pub struct SolveOutcome {
 pub fn solve(img: &mut ImageCtx, cfg: &HplConfig, fact: &HplOutcome) -> SolveOutcome {
     let n = cfg.n;
     let grid = fact.grid;
-    let (p, q) = grid_dims(img.num_images());
-    debug_assert_eq!((p, q), (grid.p, grid.q));
+    debug_assert_eq!(grid_dims(img.num_images()), (grid.p, grid.q));
     let (prow, pcol) = (fact.prow, fact.pcol);
     let lr = grid.local_rows(prow);
 
@@ -115,8 +114,7 @@ pub fn solve(img: &mut ImageCtx, cfg: &HplConfig, fact: &HplOutcome) -> SolveOut
         }
         // ...and to everyone for the final assembly (roots differ per k, so
         // route through the initial team).
-        let owner_image = p_k * q + q_k + 1;
-        img.co_broadcast(&mut blk, owner_image);
+        img.co_broadcast(&mut blk, grid.image_of(p_k, q_k));
         y[g0..g0 + nb_k].copy_from_slice(&blk);
     }
 
@@ -169,8 +167,7 @@ pub fn solve(img: &mut ImageCtx, cfg: &HplConfig, fact: &HplOutcome) -> SolveOut
             }
             img.compute(img.fabric().cost().flops_to_ns(2 * (li_end * nb_k) as u64));
         }
-        let owner_image = p_k * q + q_k + 1;
-        img.co_broadcast(&mut blk, owner_image);
+        img.co_broadcast(&mut blk, grid.image_of(p_k, q_k));
         x[g0..g0 + nb_k].copy_from_slice(&blk);
     }
 

@@ -1,13 +1,16 @@
 //! The factorization's answers are pinned to what the commit *before* the
 //! fused pivot step and the batched interchange produced: same pivots and
-//! the same bits in every image's factored block, whatever carries the
-//! messages. The digests below were computed on that parent commit
-//! (a41ed76), once per local kernel — FMA and mul-then-subtract round
-//! differently, so the factors depend on the kernel the host dispatches
-//! (the portable column was taken with the AVX2 kernel masked out).
+//! the same bits in every grid position's factored block, whatever carries
+//! the messages and however the grid is laid out over the images. The
+//! digests below were computed on that parent commit (a41ed76), once per
+//! local kernel — FMA and mul-then-subtract round differently, so the
+//! factors depend on the kernel the host dispatches (the portable column
+//! was taken with the AVX2 kernel masked out). The blocks are hashed in
+//! grid order, row by row, which is image order under a row-major layout.
 
-use caf_hpl::{blas, factorize, HplConfig};
-use caf_runtime::{run, CollectiveConfig, RunConfig};
+use caf_fabric::SimConfig;
+use caf_hpl::{blas, factorize, grid_dims, HplConfig, Layout};
+use caf_runtime::{run, CollectiveConfig, FabricChoice, RunConfig};
 use caf_topology::presets;
 
 const N: usize = 256;
@@ -18,8 +21,8 @@ const PIVOTS: u64 = 0x2036dede5873bd87;
 /// `(images, nodes, cores per node, nb)`.
 type Case = (usize, usize, usize, usize);
 
-/// Digest of every image's `local` under the AVX2+FMA kernel and under
-/// the portable one.
+/// Digest of every grid position's `local` under the AVX2+FMA kernel and
+/// under the portable one.
 #[rustfmt::skip]
 const FACTORS: [(Case, u64, u64); 12] = [
     ((1, 1, 1, 32),  0x9502e51b42f80633, 0x5a9372f4c7f56e96),
@@ -43,30 +46,34 @@ fn fnv(h: &mut u64, word: u64) {
     }
 }
 
-/// (pivot digest, digest of every image's factored block in image order).
-fn digest(rc: RunConfig, nb: usize) -> (u64, u64) {
+/// (pivot digest, digest of every factored block in grid order), and the
+/// layout every image ran.
+fn digest(rc: RunConfig, nb: usize) -> ((u64, u64), Layout) {
     let hpl = HplConfig {
         n: N,
         nb,
         seed: SEED,
     };
-    let out = run(rc, move |img| {
+    let mut out = run(rc, move |img| {
         let o = factorize(img, &hpl);
-        (o.pivots, o.local)
+        ((o.prow, o.pcol), o.grid.layout, o.pivots, o.local)
     });
+    let layout = out[0].1;
+    assert!(out.iter().all(|o| o.1 == layout), "layouts differ");
+    out.sort_by_key(|o| o.0);
     let (mut ph, mut lh) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
-    for &p in &out[0].0 {
+    for &p in &out[0].2 {
         fnv(&mut ph, p as u64);
     }
-    for (pivots, local) in &out {
-        assert_eq!(pivots, &out[0].0, "pivot vectors differ between images");
+    for (_, _, pivots, local) in &out {
+        assert_eq!(pivots, &out[0].2, "pivot vectors differ between images");
         fnv(&mut lh, local.rows() as u64);
         fnv(&mut lh, local.cols() as u64);
         for v in local.as_slice() {
             fnv(&mut lh, v.to_bits());
         }
     }
-    (ph, lh)
+    ((ph, lh), layout)
 }
 
 #[test]
@@ -74,16 +81,42 @@ fn pivots_and_factors_are_the_parent_commits_on_six_grids() {
     let avx2 = blas::kernel_name().starts_with("avx2+fma");
     for ((images, nodes, cores, nb), fma, portable) in FACTORS {
         let want = (PIVOTS, if avx2 { fma } else { portable });
+        // Where node-mates share memory, every multi-node case here has a
+        // column team that row-major spreads over nodes and column-major
+        // does not; over the NIC loopback the grid stays row-major.
+        let shared = if nodes > 1 && grid_dims(images).0 > 1 {
+            Layout::ColumnMajor
+        } else {
+            Layout::RowMajor
+        };
+        let loopback = SimConfig {
+            overheads: presets::stacks::UHCAF_FLAT,
+            ..SimConfig::default()
+        };
         for collectives in [CollectiveConfig::one_level(), CollectiveConfig::two_level()] {
             let machine = || presets::mini(nodes, cores);
-            for (fabric, rc) in [
-                ("sim", RunConfig::sim_packed(machine(), images)),
-                ("threads", RunConfig::threads_packed(machine(), images)),
+            for (fabric, rc, layout) in [
+                ("sim", RunConfig::sim_packed(machine(), images), shared),
+                (
+                    "threads",
+                    RunConfig::threads_packed(machine(), images),
+                    shared,
+                ),
+                (
+                    "sim over the NIC loopback",
+                    RunConfig {
+                        fabric: FabricChoice::Sim(loopback.clone()),
+                        ..RunConfig::sim_packed(machine(), images)
+                    },
+                    Layout::RowMajor,
+                ),
             ] {
                 let got = digest(rc.with_collectives(collectives), nb);
                 assert_eq!(
-                    got, want,
-                    "{images} images, nb={nb}, {fabric}, {collectives:?}: (pivots, factors) digest"
+                    got,
+                    (want, layout),
+                    "{images} images, nb={nb}, {fabric}, {collectives:?}: \
+                     ((pivots, factors) digest, layout)"
                 );
             }
         }

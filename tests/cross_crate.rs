@@ -277,7 +277,10 @@ fn hpl_two_level_not_materially_slower_than_one_level() {
     // At test scale the teams are small and mostly intra-node, so the two
     // approaches are close; the test guards against the 2-level runtime
     // *regressing* (the Figure 1 gains are measured at paper scale by
-    // exp_f1_hpl). Machine chosen so column teams genuinely span nodes.
+    // exp_f1_hpl). Machine chosen so the 4 × 4 grid spans two nodes: node-
+    // mates share memory here, so the grid is column-major, each column
+    // team sits on one node and every row team crosses between the two —
+    // the panel broadcasts go between nodes, the pivot reductions do not.
     let hpl = caf::hpl::HplConfig {
         n: 96,
         nb: 8,
@@ -285,7 +288,9 @@ fn hpl_two_level_not_materially_slower_than_one_level() {
     };
     let time = |collectives| {
         let cfg = RunConfig::sim_packed(presets::mini(2, 8), 16).with_collectives(collectives);
-        run(cfg, move |img| caf::hpl::factorize(img, &hpl).time_ns)[0]
+        let out = run(cfg, move |img| caf::hpl::factorize(img, &hpl)).swap_remove(0);
+        assert_eq!(out.grid.layout, caf::hpl::Layout::ColumnMajor);
+        out.time_ns
     };
     let one = time(CollectiveConfig::one_level());
     let two = time(CollectiveConfig::two_level());
