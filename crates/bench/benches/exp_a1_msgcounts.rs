@@ -42,7 +42,7 @@ fn count(images: usize, per_node: usize, algo: BarrierAlgo) -> (u64, u64) {
 }
 
 fn ceil_log2(n: usize) -> u64 {
-    caf_collectives::util::ceil_log2(n) as u64
+    caf_topology::tree::ceil_log2(n) as u64
 }
 
 fn main() {

@@ -6,15 +6,15 @@
 //! with a star per node and the dissemination among node leaders, and the
 //! §VII multi-level extension a socket level under TDLB's node level.
 //!
-//! All algorithms share the team's accumulating flags and the single
-//! `barrier` epoch counter, so a team must use one algorithm for its whole
-//! life (enforced by resolving the algorithm — and building its levels —
-//! at formation).
+//! Every wait is the team's counted wait for the arrivals one episode
+//! brings: a level's children, one release, one notification per
+//! dissemination round. The algorithm, and the levels it walks, are
+//! resolved once, at formation.
 
 use crate::comm::TeamComm;
 use crate::config::BarrierAlgo;
 use crate::shape::{Among, BarrierLevel};
-use crate::util::ceil_log2;
+use caf_topology::tree::ceil_log2;
 use caf_trace::{Event, EventKind, Level};
 
 /// Stable trace operand for a barrier algorithm (`Barrier` event `a`).
@@ -31,14 +31,17 @@ pub(crate) fn algo_code(a: BarrierAlgo) -> u64 {
 
 /// Run one barrier episode on `comm` with its resolved algorithm.
 pub(crate) fn barrier(comm: &mut TeamComm) {
-    comm.epochs.barrier += 1;
-    let e = comm.epochs.barrier;
+    comm.barriers += 1;
+    let e = comm.barriers;
     if comm.size() == 1 {
         return;
     }
     let t0 = comm.trace_now();
     let staged = comm.barrier_algo == BarrierAlgo::Tdlb;
-    walk(comm, &comm.barrier_levels, comm.barrier_roots, e, staged);
+    // The walk counts arrivals on `comm` while it reads the levels.
+    let levels = std::mem::take(&mut comm.barrier_levels);
+    walk(comm, &levels, comm.barrier_roots, e, staged);
+    comm.barrier_levels = levels;
     let code = algo_code(comm.barrier_algo);
     comm.trace_span(EventKind::Barrier, t0, Level::Whole, code, e, 0);
 }
@@ -63,7 +66,7 @@ pub(crate) fn barrier(comm: &mut TeamComm) {
 /// down the levels I gathered at, top level first. `staged` records
 /// TDLB's three phase spans on the roots.
 pub(crate) fn walk(
-    comm: &TeamComm,
+    comm: &mut TeamComm,
     levels: &[BarrierLevel],
     roots: Option<Among>,
     e: u64,
@@ -74,12 +77,10 @@ pub(crate) fn walk(
     let mut root = true;
     for lv in levels {
         held += 1;
-        if !lv.tree.children.is_empty() {
-            comm.wait_flag(lv.counter, lv.tree.children.len() as u64 * e);
-        }
+        comm.arrivals(lv.counter, lv.tree.children.len() as u64);
         if let Some(parent) = lv.tree.parent {
             comm.add_flag(parent, lv.counter, 1);
-            comm.wait_flag(lv.release, e);
+            comm.arrivals(lv.release, 1);
             root = false;
             break;
         }
@@ -113,10 +114,10 @@ pub(crate) fn walk(
 ///
 /// Round `k`: notify participant `(me + 2^k) mod L`, then perform the
 /// paper's **single wait**: my round-`k` flag is an accumulating counter,
-/// so waiting for `≥ epoch` needs no flag reset and no second array
-/// (contrast Mellor-Crummey & Scott's two-array formulation and Hensgen et
-/// al.'s two waits).
-pub(crate) fn dissemination_over(comm: &TeamComm, among: Among, e: u64) {
+/// so waiting for its one arrival of the episode needs no flag reset and
+/// no second array (contrast Mellor-Crummey & Scott's two-array
+/// formulation and Hensgen et al.'s two waits).
+pub(crate) fn dissemination_over(comm: &mut TeamComm, among: Among, e: u64) {
     let (l, my_pos) = among.place(&comm.hier, comm.rank);
     let lvl = match among {
         Among::All => Level::Whole,
@@ -126,7 +127,7 @@ pub(crate) fn dissemination_over(comm: &TeamComm, among: Among, e: u64) {
         let partner = among.rank_at(&comm.hier, (my_pos + (1 << k)) % l);
         let t0 = comm.trace_now();
         comm.add_flag(partner, comm.layout.dissem(k), 1);
-        comm.wait_flag(comm.layout.dissem(k), e);
+        comm.arrivals(comm.layout.dissem(k), 1);
         comm.trace(
             Event::span(
                 EventKind::BarrierRound,

@@ -24,9 +24,10 @@
 //! 3. **release** down again (`B_DONE`), sent once the root holds every
 //!    ack.
 //!
-//! Because roots change, the per-image expectations (`bcast_arrived`,
-//! `bcast_acks`, `bcast_released`) are cumulative counters rather than the
-//! bare episode number.
+//! Because roots change, what an image waits for differs episode to
+//! episode: its children's acks, one release unless it was the root. Each
+//! wait names those arrivals, and the team's counted wait adds them to
+//! what the flag has consumed; no wave has an episode-scaled threshold.
 //!
 //! Wave 1 is counted *per chunk*: every receiver has exactly one payload
 //! source per episode, and the fabric orders a flag behind a prior put to
@@ -44,8 +45,8 @@
 //! panel there.
 //!
 //! Episode e uses scratch slot `e mod 2` and that parity's own three
-//! counters (`B_ARRIVE`, `B_ACK` and `B_DONE` are flag pairs, the epochs
-//! `[u64; 2]`), so the two parities never share a cumulative count and an
+//! flags (`B_ARRIVE`, `B_ACK` and `B_DONE` are flag pairs, each counted on
+//! its own), so the two parities never share a cumulative count and an
 //! image may hold one unfinished broadcast per parity. `begin(e)` finishes
 //! e − 2 — the last user of its slot and counters — and leaves e − 1 in
 //! flight. That is enough: e − 2 finished here means its release (or, at
@@ -114,11 +115,11 @@ pub(crate) fn begin_using<T: CoValue>(
     algo: BcastAlgo,
 ) {
     assert!(root < comm.size(), "broadcast root {root} out of team");
-    comm.epochs.bcast += 1;
+    comm.bcasts += 1;
     if comm.size() == 1 {
         return;
     }
-    let e = comm.epochs.bcast;
+    let e = comm.bcasts;
     let par = (e % 2) as usize;
     // Episode e − 2 is the last user of this parity's slot and counters.
     if let Some(owed) = comm.bcast_pending[par].take() {
@@ -152,7 +153,7 @@ pub(crate) fn begin_using<T: CoValue>(
 
 /// Finish every broadcast this image has begun, oldest first.
 pub(crate) fn finish(comm: &mut TeamComm) {
-    let last = (comm.epochs.bcast % 2) as usize;
+    let last = (comm.bcasts % 2) as usize;
     for par in [1 - last, last] {
         if let Some(owed) = comm.bcast_pending[par].take() {
             complete(comm, owed);
@@ -167,8 +168,7 @@ fn complete(comm: &mut TeamComm, p: Pending) {
     if p.tree.parent.is_none() {
         collect_acks(comm, &p.tree, par);
     } else {
-        comm.epochs.bcast_released[par] += 1;
-        comm.wait_flag(flag::B_DONE[par], comm.epochs.bcast_released[par]);
+        comm.arrivals(flag::B_DONE[par], 1);
     }
     for &child in &p.tree.children {
         comm.add_flag(child, flag::B_DONE[par], 1);
@@ -178,10 +178,7 @@ fn complete(comm: &mut TeamComm, p: Pending) {
 
 /// Wave 2 at one rank: wait until every child has acked.
 fn collect_acks(comm: &mut TeamComm, tree: &Tree, par: usize) {
-    if !tree.children.is_empty() {
-        comm.epochs.bcast_acks[par] += tree.children.len() as u64;
-        comm.wait_flag(flag::B_ACK[par], comm.epochs.bcast_acks[par]);
-    }
+    comm.arrivals(flag::B_ACK[par], tree.children.len() as u64);
 }
 
 /// Wave 1 over `tree`, the payload cut into `chunk`-element pieces; `nb`
@@ -212,7 +209,7 @@ fn data_wave<T: CoValue>(
             }
         }
     };
-    let e = comm.epochs.bcast;
+    let e = comm.bcasts;
     let t0 = comm.trace_now();
     let mut t1 = t0;
 
@@ -222,8 +219,7 @@ fn data_wave<T: CoValue>(
         let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(len));
         let at = off + lo * T::SIZE;
         if tree.parent.is_some() {
-            comm.epochs.bcast_arrived[par] += 1;
-            comm.wait_flag(flag::B_ARRIVE[par], comm.epochs.bcast_arrived[par]);
+            comm.arrivals(flag::B_ARRIVE[par], 1);
             comm.load_values(Scratch, at, &mut buf[lo..hi]);
         }
         send(comm, far, at, &buf[lo..hi]);

@@ -10,9 +10,10 @@
 //!   `shape.rs`);
 //! * **one resource record**: its flag block and exchange, scratch and
 //!   gather segments, each under one id, the same on every member;
-//! * per-collective **epoch counters**: all flags are accumulating
-//!   `sync_flags` counters (never reset), so algorithms wait for
-//!   `≥ epoch`-scaled thresholds — the paper's one-wait carry.
+//! * **one counted wait** ([`Arrivals`]): all flags are accumulating
+//!   `sync_flags` counters (never reset), so a wait names the arrivals its
+//!   episode brings and the record adds them to what that flag has
+//!   consumed — the paper's one-wait carry, counted in one place.
 //!
 //! # Symmetric allocation and formation
 //!
@@ -31,9 +32,9 @@
 use crate::bcast::Pending;
 use crate::config::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy};
 use crate::shape::{barrier_shape, Among, BarrierLevel};
-use crate::util::ceil_log2;
 use crate::value::{bytes_to_slice, slice_to_bytes, CoNumeric, CoOp, CoValue};
-use caf_fabric::{bootstrap, ArcFabric, Fabric, FlagId, PutToken, SegmentId};
+use caf_fabric::{bootstrap, ArcFabric, Arrivals, Fabric, FlagId, PutToken, SegmentId};
+use caf_topology::tree::ceil_log2;
 use caf_topology::{HierarchyView, ProcId};
 use caf_trace::{Event, EventKind, Level};
 use std::sync::Arc;
@@ -295,85 +296,6 @@ impl Provisioned {
     }
 }
 
-/// Per-collective epoch counters (local to this image).
-///
-/// Every counter is **cumulative**: it records how many arrivals of its
-/// kind this image has consumed (or must next wait for) over the team's
-/// whole life, never a per-episode count. That is what lets successive
-/// collective calls pick *different* algorithms (size-aware selection)
-/// against the same accumulating flags: each call bumps the counters by
-/// exactly the number of notifications its role in that call receives,
-/// and roles are a deterministic function of (algorithm, team, length),
-/// which all members compute identically.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Epochs {
-    pub barrier: u64,
-    pub reduce: u64,
-    pub bcast: u64,
-    pub exch: u64,
-    /// Tree-allgather era (gather/bcast flag thresholds).
-    pub exch_tree: u64,
-    /// Cumulative fold-in payloads this image has consumed (`R_PRE`).
-    pub r_pre: u64,
-    /// Cumulative fold-out payloads this image has consumed (`R_POST`).
-    pub r_post: u64,
-    /// Cumulative intranode reduction contributions consumed (`R_COUNTER`).
-    pub r_counter: u64,
-    /// Cumulative intranode reduction releases consumed (`R_RELEASE`).
-    pub r_release: u64,
-    /// Cumulative per-round reduction-exchange arrivals (`r_arrive(k)`),
-    /// grown on demand.
-    pub r_rounds: Vec<u64>,
-    /// Cumulative per-set-position chunk arrivals (`chunk(pos)`), grown on
-    /// demand (pipelined reduction gather).
-    pub chunk_streams: Vec<u64>,
-    /// Cumulative number of broadcast payloads this image has consumed, per
-    /// scratch parity (differs from `bcast` on episodes where it was the
-    /// root).
-    pub bcast_arrived: [u64; 2],
-    /// Cumulative number of broadcast acks this image must have collected
-    /// before its next overwrite (varies with per-episode fan-out), per
-    /// parity.
-    pub bcast_acks: [u64; 2],
-    /// Cumulative episode-completion releases this image must have seen
-    /// (one per episode in which it was not the root), per parity.
-    pub bcast_released: [u64; 2],
-    /// Cumulative gather contributions this image must have collected.
-    pub gather_arrived: u64,
-    /// Cumulative gather releases this image must have seen.
-    pub gather_released: u64,
-    /// Cumulative scatter slices this image must have received.
-    pub scatter_arrived: u64,
-    /// Cumulative scatter acks the root side must have collected.
-    pub scatter_acked: u64,
-    /// Cumulative scatter releases this image must have seen.
-    pub scatter_released: u64,
-    /// All-to-all era.
-    pub alltoall: u64,
-}
-
-impl Epochs {
-    /// Bump and return the cumulative wait threshold for reduction-exchange
-    /// round `k`.
-    pub(crate) fn bump_r_round(&mut self, k: usize) -> u64 {
-        if self.r_rounds.len() <= k {
-            self.r_rounds.resize(k + 1, 0);
-        }
-        self.r_rounds[k] += 1;
-        self.r_rounds[k]
-    }
-
-    /// Bump and return the cumulative wait threshold for the chunk stream
-    /// of intranode set position `pos`.
-    pub(crate) fn bump_chunk(&mut self, pos: usize) -> u64 {
-        if self.chunk_streams.len() <= pos {
-            self.chunk_streams.resize(pos + 1, 0);
-        }
-        self.chunk_streams[pos] += 1;
-        self.chunk_streams[pos]
-    }
-}
-
 /// The per-image communication context of one team. See the module docs.
 pub struct TeamComm {
     pub(crate) fabric: ArcFabric,
@@ -403,7 +325,14 @@ pub struct TeamComm {
     /// Formed without an exchange ([`Provisioned`]): there is no
     /// exchange segment, so nothing can be grown or split off later.
     provisioned: bool,
-    pub(crate) epochs: Epochs,
+    /// Episodes begun so far of the barrier, the broadcast and the
+    /// reduction — the current one's number: a broadcast's and a
+    /// reduction's scratch parity, and the episode of their trace spans.
+    pub(crate) barriers: u64,
+    pub(crate) bcasts: u64,
+    pub(crate) reductions: u64,
+    /// Arrivals consumed on each flag of the team's block.
+    arrived: Arrivals,
     /// Broadcasts begun and not yet finished, by scratch parity.
     pub(crate) bcast_pending: [Option<Pending>; 2],
     /// The fabric's recovery generation at formation: a heal invalidates
@@ -601,9 +530,12 @@ impl TeamComm {
             members,
             hier,
             layout,
+            arrived: Arrivals::new(rsrc.flags, layout.total()),
             rsrc,
             provisioned: false,
-            epochs: Epochs::default(),
+            barriers: 0,
+            bcasts: 0,
+            reductions: 0,
             bcast_pending: [None, None],
             generation,
             scratch_slot_bytes: 0,
@@ -673,8 +605,8 @@ impl TeamComm {
         self.policy
     }
 
-    /// Override the size thresholds (benchmarks and tests; normal users
-    /// keep the cost-model-derived defaults). Collective in effect: all
+    /// Override the size thresholds (tests; normal users keep the
+    /// cost-model-derived defaults). Collective in effect: all
     /// members must install the same policy before the next collective.
     pub fn set_size_policy(&mut self, policy: SizePolicy) {
         self.policy = policy;
@@ -864,9 +796,6 @@ impl TeamComm {
             self.me.index()
         );
         let n = self.size();
-        self.epochs.exch_tree += 1;
-        let era = self.epochs.exch_tree;
-
         // My own slot stays in local memory: only *remote* contributions
         // ever touch the exchange segment, so no fabric round-trips to
         // self are paid for my own four words.
@@ -883,9 +812,7 @@ impl TeamComm {
         // Gather: wait for each child's subtree, then ship my whole
         // contiguous subtree range — my slot from memory, the children's
         // ranges from my exchange segment — to my parent.
-        if !children.is_empty() {
-            self.wait_flag(flag::EXCH_GATHER, children.len() as u64 * era);
-        }
+        self.arrivals(flag::EXCH_GATHER, children.len() as u64);
         if v != 0 {
             let parent = parent_of(v);
             let hi = (v + lowbit(v)).min(n);
@@ -904,7 +831,7 @@ impl TeamComm {
             self.put_flag_into(my_exch, parent, v * EXCH_SLOT, &sub, flag::EXCH_GATHER);
             self.restore_stage(sub);
             // Broadcast: wait for the combined array from my parent.
-            self.wait_flag(flag::EXCH_BCAST, era);
+            self.arrivals(flag::EXCH_BCAST, 1);
         }
         // Assemble the full array once: remote contributions from my
         // exchange segment (children's subtrees at the root; the parent's
@@ -939,12 +866,12 @@ impl TeamComm {
     /// the control plane so that benchmarked collectives keep their own
     /// flag history clean.
     pub fn control_barrier(&mut self) {
-        self.epochs.exch += 1;
         if self.size() == 1 {
             return;
         }
-        let level = std::slice::from_ref(&self.control);
-        crate::barrier::walk(self, level, None, self.epochs.exch, false);
+        let level = std::mem::take(&mut self.control);
+        crate::barrier::walk(self, std::slice::from_ref(&level), None, 0, false);
+        self.control = level;
     }
 
     // ------------------------------------------------------------------
@@ -989,10 +916,10 @@ impl TeamComm {
         self.fabric.flag_add(self.me, self.members[to], flag, delta);
     }
 
-    /// Wait until my flag `idx` is ≥ `target`.
-    pub(crate) fn wait_flag(&self, idx: usize, target: u64) {
-        self.fabric
-            .flag_wait_ge(self.me, self.rsrc.flags.nth(idx), target);
+    /// Wait for the `n` arrivals this episode brings on my flag `idx` (none:
+    /// no wait) — the counted wait every collective waits through.
+    pub(crate) fn arrivals(&mut self, idx: usize, n: u64) {
+        self.arrived.wait(&*self.fabric, self.me, idx, n);
     }
 
     /// Borrow the comm-owned staging buffer, sized to `len` bytes

@@ -124,21 +124,16 @@ pub struct SizePolicy {
     /// Pipeline chunk size for the chunked collectives, bytes.
     pub chunk_bytes: usize,
     /// Payload size at which `Auto` switches broadcast to the pipelined
-    /// path, bytes.
-    pub bcast_crossover_bytes: usize,
-    /// Payload size at which `Auto` switches reduction to the pipelined /
-    /// Rabenseifner path, bytes.
-    pub reduce_crossover_bytes: usize,
+    /// path and reduction to the pipelined / Rabenseifner path, bytes.
+    pub crossover_bytes: usize,
 }
 
 impl SizePolicy {
     /// Derive the policy from a machine's cost parameters.
     pub fn from_cost(cost: &CostParams) -> Self {
-        let crossover = cost.pipeline_crossover_bytes();
         Self {
             chunk_bytes: cost.pipeline_chunk_bytes(),
-            bcast_crossover_bytes: crossover,
-            reduce_crossover_bytes: crossover,
+            crossover_bytes: cost.pipeline_crossover_bytes(),
         }
     }
 }
@@ -151,13 +146,12 @@ impl Default for SizePolicy {
 
 /// Per-team collective configuration, fixed at team-formation time.
 ///
-/// Fixing algorithms per team keeps the accumulating `sync_flags` counters
-/// coherent: every algorithm's waits count episodes against the same flag
-/// history, so switching algorithms mid-team would desynchronize epochs.
-/// (The broadcast/reduce paths use *cumulative* per-flag counters rather
-/// than `episode × expected` thresholds precisely so that the size-aware
-/// `Auto` may pick a different algorithm per call without desynchronizing —
-/// see `TeamComm::bcast_algo_for`/`reduce_algo_for`.)
+/// Every wait counts the arrivals its episode brings on one flag, added to
+/// what that flag has consumed so far (the team's counted wait), so no
+/// threshold depends on which algorithm ran before: the size-aware `Auto`
+/// may pick a different broadcast or reduction per call (see
+/// `TeamComm::bcast_algo_for`/`reduce_algo_for`), as long as every member
+/// picks the same one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct CollectiveConfig {
     /// Barrier algorithm.
@@ -238,7 +232,7 @@ impl ReduceAlgo {
         policy: &SizePolicy,
     ) -> ReduceAlgo {
         match self {
-            ReduceAlgo::Auto if bytes >= policy.reduce_crossover_bytes => {
+            ReduceAlgo::Auto if bytes >= policy.crossover_bytes => {
                 if hier.is_flat() {
                     ReduceAlgo::Rabenseifner
                 } else {
@@ -274,9 +268,7 @@ impl BcastAlgo {
         policy: &SizePolicy,
     ) -> BcastAlgo {
         match self {
-            BcastAlgo::Auto if bytes >= policy.bcast_crossover_bytes => {
-                BcastAlgo::TwoLevelPipelined
-            }
+            BcastAlgo::Auto if bytes >= policy.crossover_bytes => BcastAlgo::TwoLevelPipelined,
             other => other.resolve(hier),
         }
     }
@@ -339,8 +331,7 @@ mod tests {
     fn sized_auto_switches_at_the_crossover() {
         let policy = SizePolicy {
             chunk_bytes: 16 * 1024,
-            bcast_crossover_bytes: 32 * 1024,
-            reduce_crossover_bytes: 32 * 1024,
+            crossover_bytes: 32 * 1024,
         };
         let h2 = hier(2, 4, 8);
         let hf = hier(8, 1, 8);
@@ -381,7 +372,6 @@ mod tests {
     fn size_policy_derives_from_cost() {
         let p = SizePolicy::from_cost(&CostParams::default());
         assert_eq!(p.chunk_bytes, 16 * 1024);
-        assert_eq!(p.bcast_crossover_bytes, 2 * p.chunk_bytes);
-        assert_eq!(p.reduce_crossover_bytes, 2 * p.chunk_bytes);
+        assert_eq!(p.crossover_bytes, 2 * p.chunk_bytes);
     }
 }

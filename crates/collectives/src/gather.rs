@@ -36,8 +36,6 @@ use crate::value::{bytes_to_slice, CoValue};
 pub(crate) fn alltoall<T: CoValue>(comm: &mut TeamComm, send: &[T], len: usize) -> Vec<T> {
     let n = comm.size();
     assert_eq!(send.len(), n * len, "alltoall send buffer must be n*len");
-    comm.epochs.alltoall += 1;
-    let era = comm.epochs.alltoall;
     let mut out = vec![T::load(&vec![0u8; T::SIZE]); n * len];
     // My own slice moves locally.
     out[comm.rank * len..(comm.rank + 1) * len]
@@ -52,7 +50,7 @@ pub(crate) fn alltoall<T: CoValue>(comm: &mut TeamComm, send: &[T], len: usize) 
         let slice = &send[to * len..(to + 1) * len];
         comm.send_flagged(Gather, to, comm.rank * gs, slice, flag::A2A_ARRIVE);
     }
-    comm.wait_flag(flag::A2A_ARRIVE, (n as u64 - 1) * era);
+    comm.arrivals(flag::A2A_ARRIVE, n as u64 - 1);
     let mut bytes = comm.take_stage(n * gs);
     comm.read_raw(Gather, 0, &mut bytes);
     for r in 0..n {
@@ -117,8 +115,7 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
     let n = comm.size();
     if comm.rank == root {
         // Collect the rest; my own contribution never leaves my memory.
-        comm.epochs.gather_arrived += n as u64 - 1;
-        comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
+        comm.arrivals(flag::GA_ARRIVE, n as u64 - 1);
         let mut out = read_all_slots(comm, mine.len(), |r| r);
         out[root * mine.len()..(root + 1) * mine.len()].copy_from_slice(mine);
         for j in 0..n {
@@ -130,8 +127,7 @@ fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Opti
     } else {
         let at = comm.rank * comm.gather_slot_bytes;
         comm.send_flagged(Gather, root, at, mine, flag::GA_ARRIVE);
-        comm.epochs.gather_released += 1;
-        comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
+        comm.arrivals(flag::GA_DONE, 1);
         None
     }
 }
@@ -155,26 +151,17 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
     let my_slot = slot_of(comm.rank) * gs;
     if comm.rank != r.el {
         comm.send_flagged(Gather, r.el, my_slot, mine, flag::GA_ARRIVE);
-        comm.epochs.gather_released += 1;
-        comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
+        comm.arrivals(flag::GA_DONE, 1);
         return None;
     }
 
     // Effective leader: wait for the rest of my node (within root's set
     // the nominal leader contributes like anyone else).
-    let locals = r.my_ranks().len() as u64 - 1;
-    if locals > 0 {
-        comm.epochs.gather_arrived += locals;
-        comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
-    }
+    comm.arrivals(flag::GA_ARRIVE, r.my_ranks().len() as u64 - 1);
 
     let out = if comm.rank == root {
         // Root: wait for every other node's block (one notification each).
-        let other_nodes = hier.n_nodes() as u64 - 1;
-        if other_nodes > 0 {
-            comm.epochs.gather_arrived += other_nodes;
-            comm.wait_flag(flag::GA_ARRIVE, comm.epochs.gather_arrived);
-        }
+        comm.arrivals(flag::GA_ARRIVE, hier.n_nodes() as u64 - 1);
         let mut out = read_all_slots(comm, mine.len(), slot_of);
         out[root * mine.len()..(root + 1) * mine.len()].copy_from_slice(mine);
         // Release wave: root -> leaders -> members.
@@ -192,8 +179,7 @@ fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) ->
         comm.put_flag(Gather, root, base, &block, flag::GA_ARRIVE);
         comm.restore_stage(block);
         // Await my release before releasing my members.
-        comm.epochs.gather_released += 1;
-        comm.wait_flag(flag::GA_DONE, comm.epochs.gather_released);
+        comm.arrivals(flag::GA_DONE, 1);
         None
     };
     for m in r.locals() {
@@ -247,20 +233,17 @@ fn scatter_flat<T: CoValue>(comm: &mut TeamComm, all: Option<&[T]>, out: &mut [T
                 comm.send_flagged(Gather, j, 0, &all[j * len..(j + 1) * len], flag::SC_ARRIVE);
             }
         }
-        comm.epochs.scatter_acked += n as u64 - 1;
-        comm.wait_flag(flag::SC_ACK, comm.epochs.scatter_acked);
+        comm.arrivals(flag::SC_ACK, n as u64 - 1);
         for j in 0..n {
             if j != root {
                 comm.add_flag(j, flag::SC_DONE, 1);
             }
         }
     } else {
-        comm.epochs.scatter_arrived += 1;
-        comm.wait_flag(flag::SC_ARRIVE, comm.epochs.scatter_arrived);
+        comm.arrivals(flag::SC_ARRIVE, 1);
         comm.load_values(Gather, 0, out);
         comm.add_flag(root, flag::SC_ACK, 1);
-        comm.epochs.scatter_released += 1;
-        comm.wait_flag(flag::SC_DONE, comm.epochs.scatter_released);
+        comm.arrivals(flag::SC_DONE, 1);
     }
 }
 
@@ -297,15 +280,13 @@ fn scatter_two_level<T: CoValue>(
         }
         // Wait for every member's ack (directly counted at the root),
         // then release through the leader tree.
-        comm.epochs.scatter_acked += comm.size() as u64 - 1;
-        comm.wait_flag(flag::SC_ACK, comm.epochs.scatter_acked);
+        comm.arrivals(flag::SC_ACK, comm.size() as u64 - 1);
         for l in r.other_leaders() {
             comm.add_flag(l, flag::SC_DONE, 1);
         }
     } else {
         // My slice — or, on a leader, my node's block — arrives.
-        comm.epochs.scatter_arrived += 1;
-        comm.wait_flag(flag::SC_ARRIVE, comm.epochs.scatter_arrived);
+        comm.arrivals(flag::SC_ARRIVE, 1);
         if comm.rank == r.el {
             // Leader of a non-root node: take my slice, fan the rest out.
             let set = r.my_ranks();
@@ -334,8 +315,7 @@ fn scatter_two_level<T: CoValue>(
         }
         comm.add_flag(root, flag::SC_ACK, 1);
         // Await my release before releasing my members.
-        comm.epochs.scatter_released += 1;
-        comm.wait_flag(flag::SC_DONE, comm.epochs.scatter_released);
+        comm.arrivals(flag::SC_DONE, 1);
     }
     for m in r.locals() {
         comm.add_flag(m, flag::SC_DONE, 1);

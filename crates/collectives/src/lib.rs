@@ -53,7 +53,6 @@ mod gather;
 pub mod hosted;
 mod reduce;
 mod shape;
-pub mod util;
 pub mod value;
 
 pub use comm::{Provisioned, TeamComm};
@@ -552,8 +551,7 @@ mod tests {
     fn tiny_chunks() -> SizePolicy {
         SizePolicy {
             chunk_bytes: 16, // 2 u64 elements per chunk
-            bcast_crossover_bytes: 0,
-            reduce_crossover_bytes: 0,
+            crossover_bytes: 0,
         }
     }
 
@@ -617,8 +615,7 @@ mod tests {
             |comm, me| {
                 comm.set_size_policy(SizePolicy {
                     chunk_bytes: 16,
-                    bcast_crossover_bytes: 64,
-                    reduce_crossover_bytes: 64,
+                    crossover_bytes: 64,
                 });
                 let n = comm.size() as u64;
                 for e in 0..4usize {

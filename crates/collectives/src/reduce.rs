@@ -21,8 +21,8 @@
 use crate::comm::{flag, Region::Scratch, TeamComm};
 use crate::config::ReduceAlgo;
 use crate::shape::Among;
-use crate::util::{ceil_log2, floor_pow2};
 use crate::value::CoValue;
+use caf_topology::tree::{ceil_log2, floor_pow2};
 use caf_trace::{EventKind, Level};
 
 /// Stable trace operand for a reduction algorithm (`Reduce` event `a`).
@@ -41,8 +41,8 @@ fn algo_code(a: ReduceAlgo) -> u64 {
 /// by (hierarchy × payload size) — every member must call with the same
 /// `buf.len()` and an equivalent operation, so all agree on the choice.
 pub(crate) fn allreduce<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -> T) {
-    comm.epochs.reduce += 1;
-    let e = comm.epochs.reduce;
+    comm.reductions += 1;
+    let e = comm.reductions;
     if comm.size() == 1 || buf.is_empty() {
         return;
     }
@@ -89,16 +89,14 @@ fn fold_in<T: CoValue>(
         let partner = among.rank_at(&comm.hier, pos - p2);
         let off = comm.sl_pre(par);
         comm.send_flagged(Scratch, partner, off, buf, flag::R_PRE);
-        comm.epochs.r_post += 1;
-        comm.wait_flag(flag::R_POST, comm.epochs.r_post);
+        comm.arrivals(flag::R_POST, 1);
         let off = comm.sl_post(par);
         comm.load_values(Scratch, off, buf);
         return None;
     }
     let extra = (pos + p2 < l).then(|| among.rank_at(&comm.hier, pos + p2));
     if extra.is_some() {
-        comm.epochs.r_pre += 1;
-        comm.wait_flag(flag::R_PRE, comm.epochs.r_pre);
+        comm.arrivals(flag::R_PRE, 1);
         let off = comm.sl_pre(par);
         comm.combine_from_scratch(off, buf, f);
     }
@@ -131,8 +129,7 @@ pub(crate) fn rd_over<T: CoValue>(
         let partner = among.rank_at(&comm.hier, pos ^ (1 << k));
         let off = comm.sl_rd(k, par);
         comm.send_flagged(Scratch, partner, off, buf, comm.layout.r_arrive(k));
-        let target = comm.epochs.bump_r_round(k);
-        comm.wait_flag(comm.layout.r_arrive(k), target);
+        comm.arrivals(comm.layout.r_arrive(k), 1);
         comm.combine_from_scratch(off, buf, f);
     }
     fold_out(comm, extra, buf, par);
@@ -156,8 +153,7 @@ fn flat_binomial<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, 
         }
         let child = v | (1 << k);
         if child < n {
-            let target = comm.epochs.bump_r_round(k);
-            comm.wait_flag(comm.layout.r_arrive(k), target);
+            comm.arrivals(comm.layout.r_arrive(k), 1);
             let off = comm.sl_rd(k, par);
             comm.combine_from_scratch(off, buf, f);
         }
@@ -181,8 +177,7 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
     if comm.rank != leader {
         let off = comm.sl_gather(hier.pos_in_set(comm.rank), par);
         comm.send_flagged(Scratch, leader, off, buf, flag::R_COUNTER);
-        comm.epochs.r_release += 1;
-        comm.wait_flag(flag::R_RELEASE, comm.epochs.r_release);
+        comm.arrivals(flag::R_RELEASE, 1);
         let off = comm.sl_release(par);
         comm.load_values(Scratch, off, buf);
         return;
@@ -190,14 +185,10 @@ fn two_level<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -
 
     // Leader: linear gather of the intranode set.
     let t0 = comm.trace_now();
-    let slaves = set.len() as u64 - 1;
-    if slaves > 0 {
-        comm.epochs.r_counter += slaves;
-        comm.wait_flag(flag::R_COUNTER, comm.epochs.r_counter);
-        for pos in 1..set.len() {
-            let off = comm.sl_gather(pos, par);
-            comm.combine_from_scratch(off, buf, f);
-        }
+    comm.arrivals(flag::R_COUNTER, set.len() as u64 - 1);
+    for pos in 1..set.len() {
+        let off = comm.sl_gather(pos, par);
+        comm.combine_from_scratch(off, buf, f);
     }
     comm.trace_span(EventKind::ReduceStage, t0, Level::Intra, 1, e, 0);
 
@@ -252,8 +243,7 @@ fn two_level_pipelined<T: CoValue>(
         let r_off = comm.sl_release(par);
         for c in 0..nchunks {
             let (lo, hi) = chunk(c);
-            comm.epochs.r_release += 1;
-            comm.wait_flag(flag::R_RELEASE, comm.epochs.r_release);
+            comm.arrivals(flag::R_RELEASE, 1);
             comm.load_values(Scratch, r_off + lo * T::SIZE, &mut buf[lo..hi]);
         }
         return;
@@ -265,8 +255,7 @@ fn two_level_pipelined<T: CoValue>(
     for c in 0..nchunks {
         let (lo, hi) = chunk(c);
         for pos in 1..npos {
-            let target = comm.epochs.bump_chunk(pos);
-            comm.wait_flag(comm.layout.chunk(pos), target);
+            comm.arrivals(comm.layout.chunk(pos), 1);
             let g_off = comm.sl_gather(pos, par);
             comm.combine_from_scratch(g_off + lo * T::SIZE, &mut buf[lo..hi], f);
         }
@@ -347,8 +336,7 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
         let off = comm.sl_rd(k, par);
         let (at, piece) = (off + send.0 * T::SIZE, &buf[send.0..send.1]);
         comm.send_flagged(Scratch, partner, at, piece, comm.layout.r_arrive(k));
-        let target = comm.epochs.bump_r_round(k);
-        comm.wait_flag(comm.layout.r_arrive(k), target);
+        comm.arrivals(comm.layout.r_arrive(k), 1);
         comm.combine_from_scratch(off + keep.0 * T::SIZE, &mut buf[keep.0..keep.1], f);
         (lo, hi) = keep;
     }
@@ -363,8 +351,7 @@ pub(crate) fn rabenseifner_over<T: CoValue>(
         let off = comm.sl_rd(k, par);
         let (at, piece) = (off + lo * T::SIZE, &buf[lo..hi]);
         comm.send_flagged(Scratch, partner, at, piece, comm.layout.r_arrive(k));
-        let target = comm.epochs.bump_r_round(k);
-        comm.wait_flag(comm.layout.r_arrive(k), target);
+        comm.arrivals(comm.layout.r_arrive(k), 1);
         let (olo, ohi) = if lo == plo { (hi, phi) } else { (plo, lo) };
         comm.load_values(Scratch, off + olo * T::SIZE, &mut buf[olo..ohi]);
         (lo, hi) = (plo, phi);

@@ -21,7 +21,7 @@
 
 use crate::comm::flag;
 use crate::config::{BarrierAlgo, BcastAlgo};
-use crate::util::{binomial_children, binomial_parent};
+use caf_topology::tree::{binomial_children, binomial_parent};
 use caf_topology::HierarchyView;
 use std::sync::Arc;
 
@@ -241,7 +241,7 @@ impl Tree {
 
 /// One level of a gather/release barrier as one rank sees it: its place in
 /// the level's tree and the flag pair the level counts on.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct BarrierLevel {
     pub tree: Tree,
     /// Gather counter (on the parent).

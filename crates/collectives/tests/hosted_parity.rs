@@ -24,8 +24,7 @@ const EPISODES: u64 = 3;
 /// 8 u64 elements per chunk; the crossovers are moot (no `Auto`).
 const POLICY: SizePolicy = SizePolicy {
     chunk_bytes: 64,
-    bcast_crossover_bytes: usize::MAX,
-    reduce_crossover_bytes: usize::MAX,
+    crossover_bytes: usize::MAX,
 };
 
 /// Payloads in u64 elements: 8 B, and three chunks plus one element.

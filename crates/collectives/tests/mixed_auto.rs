@@ -23,8 +23,7 @@ const BIG: usize = 192;
 fn tiny_policy() -> SizePolicy {
     SizePolicy {
         chunk_bytes: 64,
-        bcast_crossover_bytes: 256,
-        reduce_crossover_bytes: 256,
+        crossover_bytes: 256,
     }
 }
 

@@ -122,8 +122,7 @@ proptest! {
         let root = root_pick % images;
         let policy = caf_collectives::SizePolicy {
             chunk_bytes: chunk_elems * 8,
-            bcast_crossover_bytes: 0,
-            reduce_crossover_bytes: 0,
+            crossover_bytes: 0,
         };
         let cfg = CollectiveConfig {
             reduce: ReduceAlgo::TwoLevelPipelined,

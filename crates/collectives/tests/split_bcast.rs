@@ -25,8 +25,7 @@ const ALGOS: [BcastAlgo; 4] = [
 /// 8 u64 elements per chunk: a 25-element payload streams in four chunks.
 const POLICY: SizePolicy = SizePolicy {
     chunk_bytes: 64,
-    bcast_crossover_bytes: usize::MAX,
-    reduce_crossover_bytes: usize::MAX,
+    crossover_bytes: usize::MAX,
 };
 const LEN: usize = 25;
 

@@ -68,8 +68,7 @@ fn run(cfg: CollectiveConfig, sub: bool, program: Program) -> [u64; IMAGES] {
         // 8 u64 elements per chunk; the crossovers are moot (no `Auto`).
         team.set_size_policy(SizePolicy {
             chunk_bytes: 64,
-            bcast_crossover_bytes: usize::MAX,
-            reduce_crossover_bytes: usize::MAX,
+            crossover_bytes: usize::MAX,
         });
         for e in 1..=EPISODES {
             match program {

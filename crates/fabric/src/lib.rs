@@ -64,7 +64,7 @@ pub use batch::{AmPolicy, Batcher};
 pub use caf_trace::Tracer;
 pub use chaos::ChaosConfig;
 pub use evq::{EvKey, ShardedEvq};
-pub use seg::{FlagId, SegmentId};
+pub use seg::{Arrivals, FlagId, SegmentId};
 pub use sim::{SimConfig, SimFabric};
 pub use socket::obs::{
     HeartbeatSnapshot, HistSnapshot, NodeTelemetry, ObsSnapshot, PeerWireSnapshot, TelemetryPhase,

@@ -74,6 +74,47 @@ impl fmt::Debug for FlagId {
     }
 }
 
+/// The counted wait on a block of sync flags. A flag accumulates and is
+/// never reset (the paper's `sync_flags` carry), so the next `n` arrivals
+/// on it are in once it reaches what its image has consumed so far plus
+/// `n`. This record keeps that count, one per flag of the block, and
+/// [`Arrivals::wait`] is the one place it grows.
+#[derive(Clone, Debug)]
+pub struct Arrivals {
+    block: FlagId,
+    counts: Vec<u64>,
+}
+
+impl Arrivals {
+    /// Nothing consumed yet on the `len` flags from `block` on.
+    pub fn new(block: FlagId, len: usize) -> Self {
+        Self {
+            block,
+            counts: vec![0; len],
+        }
+    }
+
+    /// Flag `i` of the block.
+    pub fn flag(&self, i: usize) -> FlagId {
+        self.block.nth(i)
+    }
+
+    /// Image `me` waits for `n` more arrivals on its flag `i` and consumes
+    /// them; returns the threshold waited for. Waiting for none is no wait.
+    pub fn wait(&mut self, fabric: &dyn crate::Fabric, me: ProcId, i: usize, n: u64) -> u64 {
+        if n > 0 {
+            self.counts[i] += n;
+            fabric.flag_wait_ge(me, self.flag(i), self.counts[i]);
+        }
+        self.counts[i]
+    }
+
+    /// Arrivals on image `me`'s flag `i` not consumed yet (never blocks).
+    pub fn pending(&self, fabric: &dyn crate::Fabric, me: ProcId, i: usize) -> u64 {
+        fabric.flag_read(me, self.flag(i)) - self.counts[i]
+    }
+}
+
 /// Release-add `delta` to sync flag `flag` of image `img`: the one flag bump
 /// of both real-memory fabrics. Release orders every earlier (relaxed)
 /// payload store before the notification, so a waiter that acquires the

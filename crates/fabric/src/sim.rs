@@ -314,6 +314,16 @@ fn unallocated(img: usize, what: &str, id: usize, has: usize) -> ! {
     panic!("image {img}: {what} {id} not allocated (has {has})")
 }
 
+/// Reserve a serialized resource — a node or socket bus, a NIC — that is
+/// free from `*free` on, from `not_before` for `busy` ns; returns the
+/// reservation start.
+#[inline]
+fn reserve(free: &mut u64, not_before: u64, busy: u64) -> u64 {
+    let start = not_before.max(*free);
+    *free = start + busy;
+    start
+}
+
 impl SimCore {
     /// Image `img`'s flag `flag`.
     #[inline]
@@ -457,8 +467,7 @@ impl SimCore {
             match kind {
                 EvKind::FlagArrive(n) => self.deliver(n, ev_time, woken),
                 EvKind::Landing { node, notify, nb } => {
-                    let start = ev_time.max(self.nic_free[node]);
-                    self.nic_free[node] = start + self.gap_nic_ns;
+                    let start = reserve(&mut self.nic_free[node], ev_time, self.gap_nic_ns);
                     if nb {
                         self.stats.shared().record_put_nb_complete();
                     }
@@ -836,30 +845,6 @@ impl SimFabric {
         }
     }
 
-    /// Reserve the node bus of `node` from `not_before` for `busy` ns;
-    /// returns the reservation start.
-    fn reserve_bus(core: &mut SimCore, node: usize, not_before: u64, busy: u64) -> u64 {
-        let start = not_before.max(core.node_bus_free[node]);
-        core.node_bus_free[node] = start + busy;
-        start
-    }
-
-    /// Reserve a socket-local bus (same-socket traffic bypasses the
-    /// node-wide bus — the resource distinction behind the §VII
-    /// multi-level hierarchy).
-    fn reserve_socket_bus(core: &mut SimCore, slot: usize, not_before: u64, busy: u64) -> u64 {
-        let start = not_before.max(core.socket_bus_free[slot]);
-        core.socket_bus_free[slot] = start + busy;
-        start
-    }
-
-    /// Reserve the NIC of `node` from `not_before` for `busy` ns.
-    fn reserve_nic(core: &mut SimCore, node: usize, not_before: u64, busy: u64) -> u64 {
-        let start = not_before.max(core.nic_free[node]);
-        core.nic_free[node] = start + busy;
-        start
-    }
-
     /// Model a one-sided message of `bytes` payload from `me` (clock `t`)
     /// to `dst`: reserve resources, advance the sender's clock, and — when
     /// `notify` is set — schedule the flag delivery. `Transfer::arrival` is
@@ -895,41 +880,34 @@ impl SimFabric {
             posted: t,
             intra: colocated,
         };
-        if intra && self.map.same_socket(ProcId(me), ProcId(dst)) {
-            // Same socket: cheaper latency, socket-local serialization.
+        if intra {
+            // Sender CPU drives the copy through the node memory bus — or,
+            // to a target on its own socket, the socket-local bus, with its
+            // own gap and latency (the resource distinction behind the §VII
+            // multi-level hierarchy).
             let ready = t + o_sw + c.o_intra_ns;
-            let busy = c.gap_socket_ns + c.intra_payload_ns(bytes);
             let loc = self.map.location(ProcId(me));
-            let spn = self.map.machine().sockets_per_node;
-            let slot = loc.node.index() * spn + loc.socket.index();
-            let start = Self::reserve_socket_bus(core, slot, ready, busy);
+            let (free, gap, lat) = if self.map.same_socket(ProcId(me), ProcId(dst)) {
+                let spn = self.map.machine().sockets_per_node;
+                let slot = loc.node.index() * spn + loc.socket.index();
+                let free = &mut core.socket_bus_free[slot];
+                (free, c.gap_socket_ns, c.l_socket_ns)
+            } else {
+                let free = &mut core.node_bus_free[loc.node.index()];
+                (free, c.gap_intra_ns, c.l_intra_ns)
+            };
+            let busy = gap + c.intra_payload_ns(bytes);
+            let start = reserve(free, ready, busy);
             let sender_end = start + busy;
             core.set_time(me, sender_end);
-            let arrival = sender_end + c.l_socket_ns;
+            let arrival = sender_end + lat;
             if let Some(n) = notify {
                 core.push_event(arrival, EvKind::FlagArrive(mk_notify(n)));
             }
             Transfer {
                 arrival,
                 queue_ns: start - ready,
-                service_ns: busy + c.l_socket_ns,
-            }
-        } else if intra {
-            // Sender CPU drives the copy through the node memory bus.
-            let ready = t + o_sw + c.o_intra_ns;
-            let busy = c.gap_intra_ns + c.intra_payload_ns(bytes);
-            let node = self.map.node_of(ProcId(me)).index();
-            let start = Self::reserve_bus(core, node, ready, busy);
-            let sender_end = start + busy;
-            core.set_time(me, sender_end);
-            let arrival = sender_end + c.l_intra_ns;
-            if let Some(n) = notify {
-                core.push_event(arrival, EvKind::FlagArrive(mk_notify(n)));
-            }
-            Transfer {
-                arrival,
-                queue_ns: start - ready,
-                service_ns: busy + c.l_intra_ns,
+                service_ns: busy + lat,
             }
         } else {
             // Sender posts a descriptor; the NIC pipelines the transfer.
@@ -944,7 +922,7 @@ impl SimFabric {
                 gap += self.cfg.overheads.nic_loopback_extra_ns;
             }
             let busy = gap + c.inter_payload_ns(bytes);
-            let inj = Self::reserve_nic(core, src_node, ready, busy);
+            let inj = reserve(&mut core.nic_free[src_node], ready, busy);
             let mut wire_in = inj + busy + c.l_inter_ns;
             if nb {
                 if let Some(ch) = &self.cfg.chaos {
@@ -1008,14 +986,14 @@ impl SimFabric {
         } else if colocated && !self.cfg.overheads.intra_via_nic {
             let ready = t + o_sw + c.o_intra_ns;
             let node = self.map.node_of(ProcId(me)).index();
-            let start = Self::reserve_bus(&mut core, node, ready, c.gap_intra_ns);
+            let start = reserve(&mut core.node_bus_free[node], ready, c.gap_intra_ns);
             queue_ns = start - ready;
             core.set_time(me, start + c.gap_intra_ns + 2 * c.l_intra_ns);
         } else {
             let ready = t + o_sw + c.o_inter_ns;
             let src_node = self.map.node_of(ProcId(me)).index();
             let gap = c.gap_nic_ns + self.cfg.overheads.nic_busy_extra_ns;
-            let inj = Self::reserve_nic(&mut core, src_node, ready, gap);
+            let inj = reserve(&mut core.nic_free[src_node], ready, gap);
             queue_ns = inj - ready;
             let req_at = inj + gap + c.l_inter_ns;
             core.set_time(me, req_at + gap + c.l_inter_ns);
@@ -1521,7 +1499,7 @@ impl Fabric for SimFabric {
             let ready = t + o_sw + c.o_intra_ns;
             let busy = c.gap_intra_ns + c.intra_payload_ns(out.len());
             let node = self.map.node_of(ProcId(me)).index();
-            let start = Self::reserve_bus(&mut core, node, ready, busy);
+            let start = reserve(&mut core.node_bus_free[node], ready, busy);
             queue_ns = start - ready;
             core.set_time(me, start + busy + c.l_intra_ns);
         } else {
@@ -1533,7 +1511,7 @@ impl Fabric for SimFabric {
             let ready = t + o_sw + c.o_inter_ns;
             let src_node = self.map.node_of(ProcId(me)).index();
             let gap = c.gap_nic_ns + self.cfg.overheads.nic_busy_extra_ns;
-            let inj = Self::reserve_nic(&mut core, src_node, ready, gap);
+            let inj = reserve(&mut core.nic_free[src_node], ready, gap);
             queue_ns = inj - ready;
             let req_at = inj + gap + c.l_inter_ns;
             let busy = gap + c.inter_payload_ns(out.len());

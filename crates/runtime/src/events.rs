@@ -2,10 +2,10 @@
 //!
 //! An event variable is a counting semaphore on some image: any image may
 //! `post` to it; the owner `wait`s, which consumes posts. Built directly on
-//! the fabric's accumulating flags plus a local consumed-counter.
+//! the fabric's accumulating flags and their counted wait ([`Arrivals`]).
 
 use caf_collectives::TeamComm;
-use caf_fabric::{ArcFabric, FlagId};
+use caf_fabric::{ArcFabric, Arrivals};
 use caf_topology::ProcId;
 use caf_trace::{Event, EventKind};
 use std::sync::Arc;
@@ -16,11 +16,10 @@ pub struct Events {
     fabric: ArcFabric,
     me: ProcId,
     members: Arc<Vec<ProcId>>,
-    /// Base flag id of the event block, the same on every member.
-    flags: FlagId,
     count: usize,
-    /// Posts I have already consumed, per local event variable.
-    consumed: Vec<u64>,
+    /// The event block's flags (the same ids on every member) and the
+    /// posts I have consumed from each.
+    posts: Arrivals,
 }
 
 impl Events {
@@ -31,9 +30,8 @@ impl Events {
             fabric: comm.fabric().clone(),
             me: comm.proc_of(comm.rank()),
             members: comm.members().clone(),
-            flags,
             count,
-            consumed: vec![0; count],
+            posts: Arrivals::new(flags, count),
         }
     }
 
@@ -52,7 +50,7 @@ impl Events {
             self.members.len()
         );
         self.fabric
-            .flag_add(self.me, self.members[image1 - 1], self.flags.nth(idx), 1);
+            .flag_add(self.me, self.members[image1 - 1], self.posts.flag(idx), 1);
         let tracer = self.fabric.tracer();
         if tracer.enabled() {
             tracer.record(
@@ -69,15 +67,13 @@ impl Events {
     pub fn wait(&mut self, idx: usize, until_count: u64) {
         assert!(idx < self.count, "event index {idx} out of {}", self.count);
         assert!(until_count > 0, "event wait needs until_count >= 1");
-        let target = self.consumed[idx] + until_count;
         let tracer = self.fabric.tracer();
         let t0 = if tracer.enabled() {
             self.fabric.now_ns(self.me)
         } else {
             0
         };
-        self.fabric
-            .flag_wait_ge(self.me, self.flags.nth(idx), target);
+        let target = self.posts.wait(&*self.fabric, self.me, idx, until_count);
         if tracer.enabled() {
             let t1 = self.fabric.now_ns(self.me);
             tracer.record(
@@ -87,14 +83,12 @@ impl Events {
                     .b(target),
             );
         }
-        self.consumed[idx] = target;
     }
 
     /// `event_query (ev, count)`: unconsumed posts currently available on
     /// my event `idx` (never blocks).
     pub fn query(&self, idx: usize) -> u64 {
         assert!(idx < self.count, "event index {idx} out of {}", self.count);
-        let raw = self.fabric.flag_read(self.me, self.flags.nth(idx));
-        raw - self.consumed[idx]
+        self.posts.pending(&*self.fabric, self.me, idx)
     }
 }

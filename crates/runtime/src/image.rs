@@ -6,7 +6,7 @@ use crate::events::Events;
 use crate::recovery::CheckpointStore;
 use crate::team::{Team, INITIAL_TEAM_NUMBER};
 use caf_collectives::{CoNumeric, CoValue, CollectiveConfig, TeamComm};
-use caf_fabric::{bootstrap, ArcFabric, FlagId, RecoveryError};
+use caf_fabric::{bootstrap, ArcFabric, Arrivals, RecoveryError};
 use caf_topology::ProcId;
 use caf_trace::{Event, EventKind};
 
@@ -23,11 +23,10 @@ pub struct ImageCtx {
     default_cfg: CollectiveConfig,
     /// Team stack: `[0]` = initial team, last = current team.
     teams: Vec<Team>,
-    /// Pairwise `sync images` flags: one per global image (by-construction
-    /// identical ids across images, allocated before any user code).
-    sync_flags: FlagId,
-    /// How many times I've synchronized with each global image.
-    sync_count: Vec<u64>,
+    /// Pairwise `sync images` flags, one per global image (identical ids
+    /// across images, allocated before any user code), and how many times
+    /// I have synchronized with each.
+    sync: Arrivals,
     /// Global lock cell backing the `critical` construct (one `u64` on
     /// image 1 of the initial team).
     critical_lock: Coarray<u64>,
@@ -84,8 +83,7 @@ impl ImageCtx {
             boot_epoch,
             default_cfg: cfg,
             teams: vec![initial],
-            sync_flags,
-            sync_count: vec![0; n],
+            sync: Arrivals::new(sync_flags, n),
             critical_lock,
             ckpt_epoch: 0,
         }
@@ -271,18 +269,13 @@ impl ImageCtx {
                 continue;
             }
             self.fabric
-                .flag_add(self.me, p, self.sync_flags.nth(self.me.index()), 1);
+                .flag_add(self.me, p, self.sync.flag(self.me.index()), 1);
         }
         for &p in &partners {
             if p == self.me {
                 continue;
             }
-            self.sync_count[p.index()] += 1;
-            self.fabric.flag_wait_ge(
-                self.me,
-                self.sync_flags.nth(p.index()),
-                self.sync_count[p.index()],
-            );
+            self.sync.wait(&*self.fabric, self.me, p.index(), 1);
         }
         self.trace(
             Event::span(

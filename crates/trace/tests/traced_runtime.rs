@@ -7,6 +7,7 @@
 //! These tests require the `capture` feature, which the dev-dependencies
 //! on the instrumented crates turn on (`caf-runtime/trace` etc.).
 
+use caf_collectives::SizePolicy;
 use caf_fabric::{Fabric, FlagId, SimConfig, SimFabric};
 use caf_runtime::{run_on_fabric, BarrierAlgo, CollectiveConfig};
 use caf_topology::{presets, ImageMap, Placement, ProcId};
@@ -124,6 +125,107 @@ fn chrome_export_is_valid_json_with_monotone_tracks() {
     // Images spread over 4 nodes: the export must name 4 distinct pids.
     let pids: std::collections::BTreeSet<u64> = last_ts.keys().map(|(p, _)| *p).collect();
     assert_eq!(pids.len(), 4, "one Chrome process per node");
+}
+
+/// Every image's flag waits, `(flag, at_least)` in program order, of one
+/// program that runs each collective's every wait site on `mini(2, 4)`:
+/// FNV-1a over `(image, flag, at_least)` and the number of waits.
+fn wait_digest(cfg: CollectiveConfig) -> (u64, usize) {
+    const IMAGES: usize = 8;
+    let map = ImageMap::new(
+        presets::mini(2, 4),
+        IMAGES,
+        &Placement::Block { per_node: 4 },
+    );
+    let tracer = Tracer::with_capacity(IMAGES, 1 << 15);
+    let sim = SimConfig {
+        tracer: tracer.clone(),
+        ..SimConfig::default()
+    };
+    let tiny = SizePolicy {
+        chunk_bytes: 64,
+        crossover_bytes: 256,
+    };
+    run_on_fabric(SimFabric::new(map, sim), cfg, move |img| {
+        let me = img.this_image();
+        let partner = if me % 2 == 1 { me + 1 } else { me - 1 };
+        img.sync_all();
+        img.sync_all();
+        // Two broadcasts in flight (both parities), finished together.
+        let (mut a, mut b) = ([me as u64; 4], [me as u32; 3]);
+        img.co_broadcast_begin(&mut a, 2);
+        img.co_broadcast_begin(&mut b, 7);
+        img.co_broadcast_finish();
+        let mut x = [me as f64];
+        img.co_sum(&mut x);
+        // The whole team again, with a crossover the 800 B payloads pass:
+        // Auto takes the pipelined paths.
+        let mut all = img.form_team(1);
+        all.comm_mut().set_size_policy(tiny);
+        let mut big = vec![me as u64; 100];
+        all.comm_mut().co_sum(&mut big);
+        all.comm_mut().co_broadcast(&mut big, 5);
+        // A team of 3 (fold-in/fold-out on flat exchanges) beside one of 5.
+        let mut part = img.form_team(if me <= 3 { 1 } else { 2 });
+        part.comm_mut().set_size_policy(tiny);
+        img.change_team(part, |img| {
+            let mut y = [1.0f64];
+            img.co_sum(&mut y);
+            let mut big = vec![1u64; 100];
+            img.co_sum(&mut big);
+            img.sync_all();
+        });
+        let _ = img.co_gather(&[me as u64; 2], 3);
+        let src: Vec<u64> = (0..16).collect();
+        let mut out = [0u64; 2];
+        img.co_scatter((me == 3).then_some(&src[..]), &mut out, 3);
+        let _ = img.co_alltoall(&[me as u64; 8], 1);
+        img.sync_images(&[partner]);
+        let mut ev = img.events(1);
+        ev.post(partner, 0);
+        ev.wait(0, 1);
+        ev.post(partner, 0);
+        img.sync_images(&[partner]);
+        assert_eq!(ev.query(0), 1);
+        ev.wait(0, 1);
+        img.sync_all();
+    });
+    let mut retained = 0;
+    let (mut digest, mut waits) = (0xcbf2_9ce4_8422_2325u64, 0);
+    for i in 0..IMAGES {
+        let events = tracer.events_of(i);
+        retained += events.len() as u64;
+        for e in events.iter().filter(|e| e.kind == EventKind::FlagWait) {
+            for word in [i as u64, e.a, e.b] {
+                for byte in word.to_le_bytes() {
+                    digest = (digest ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            waits += 1;
+        }
+    }
+    let system = tracer.events_of(IMAGES).len() as u64;
+    assert_eq!(tracer.total_recorded(), retained + system, "a ring wrapped");
+    (digest, waits)
+}
+
+/// The counted waits: every wait's flag and threshold, on every image, in
+/// order, under the paper's two runtimes and the size-aware default. A
+/// threshold one off anywhere changes the digest.
+#[test]
+fn every_wait_waits_for_the_same_count() {
+    let got = [
+        CollectiveConfig::two_level(),
+        CollectiveConfig::one_level(),
+        CollectiveConfig::auto(),
+    ]
+    .map(wait_digest);
+    let want = [
+        (2_389_451_226_055_779_475, 439),
+        (13_685_082_273_783_008_518, 573),
+        (13_916_406_701_550_436_338, 798),
+    ];
+    assert_eq!(got, want, "two-level, one-level, auto: (digest, waits)");
 }
 
 /// With a tracer installed, the simulator's global-deadlock panic reports

@@ -26,6 +26,10 @@
 //! `std::env::var` (the old size-policy and AM-routing overrides) or an
 //! active-message sender (`Am::new`, `AmPolicy`) in `caf-collectives`
 //! outside test code fails it.
+//!
+//! And a flag's arrivals are counted in one place, `caf_fabric::Arrivals`:
+//! a raw `flag_wait_ge` in the collectives or the runtime, or one of the
+//! hand-kept counters it replaced, fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -123,7 +127,7 @@ fn each_tree_protocol_has_one_body() {
     for flag in ["flag::B_ACK[", "flag::B_DONE["] {
         let why = "a broadcast algorithm is a Tree for the waves in bcast.rs, not a new body";
         assert_eq!(hits(flag), ["collectives/src/bcast.rs"; 2], "{flag}: {why}");
-        let wait = format!("wait_flag({flag}");
+        let wait = format!("arrivals({flag}");
         assert_eq!(hits(&wait), ["collectives/src/bcast.rs"], "{wait}: {why}");
     }
     // The gather/release barrier: its flags are named by the shape only,
@@ -239,5 +243,29 @@ fn each_collective_has_one_definition() {
             found.is_empty(),
             "fabric/src/stepper.rs mentions `{needle}`: a collective's shape belongs to caf-collectives"
         );
+    }
+}
+
+#[test]
+fn every_wait_is_the_counted_wait() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    sources(&root.join("collectives/src"), &mut files);
+    sources(&root.join("runtime/src"), &mut files);
+    let hits = |needle: &str| hits(&files, needle, false);
+    let why = "wait for the arrivals an episode brings through caf_fabric::Arrivals \
+               (TeamComm::arrivals in the collectives), not a threshold kept by hand";
+    let counters = [
+        "bcast_arrived",
+        "bump_r_round",
+        "bump_chunk",
+        "sync_count",
+        "consumed:",
+    ];
+    for raw in ["flag_wait_ge(", "wait_flag(", "struct Epochs"]
+        .iter()
+        .chain(&counters)
+    {
+        assert_eq!(hits(raw), Vec::<&str>::new(), "{raw}: {why}");
     }
 }

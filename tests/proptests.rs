@@ -5,8 +5,8 @@
 //! SPMD cases are kept small (≤ 12 images) and the proptest case counts
 //! modest — each case spins up a simulated cluster.
 
-use caf::collectives::util::{binomial_children, binomial_parent, ceil_log2, floor_pow2};
 use caf::runtime::{run, RunConfig};
+use caf::topology::tree::{binomial_children, binomial_parent, ceil_log2, floor_pow2};
 use caf::topology::{presets, HierarchyView, ImageMap, MachineModel, Placement, ProcId};
 use proptest::prelude::*;
 
