@@ -35,7 +35,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -180,6 +180,50 @@ impl FlagWaiters {
                 backoff.snooze();
             }
         }
+    }
+}
+
+/// Why a real-memory fabric stopped — an image died, a peer broke the
+/// protocol or went silent — recorded once, the first cause winning, so
+/// that every wait gives up with the cause instead of spinning forever.
+#[derive(Default)]
+pub(crate) struct Poison {
+    set: AtomicBool,
+    cause: Mutex<Option<String>>,
+}
+
+impl Poison {
+    /// Record `cause`, unless one is recorded already. The caller wakes
+    /// whoever waits.
+    pub(crate) fn set(&self, cause: &str) {
+        self.cause.lock().get_or_insert_with(|| cause.to_string());
+        self.set.store(true, Ordering::Release);
+    }
+
+    /// The recorded cause, once poisoned.
+    pub(crate) fn cause(&self) -> Option<String> {
+        (self.set.load(Ordering::Acquire)).then(|| self.cause.lock().clone().unwrap_or_default())
+    }
+
+    /// [`Fabric::health`](crate::Fabric::health): `Poisoned` with the cause.
+    pub(crate) fn health(&self) -> Result<(), crate::RecoveryError> {
+        self.cause()
+            .map_or(Ok(()), |m| Err(crate::RecoveryError::Poisoned(m)))
+    }
+
+    /// The wait-time check: once poisoned, image `me`'s `doing` fails with
+    /// the cause.
+    #[inline]
+    pub(crate) fn check(&self, me: ProcId, doing: &str) {
+        if let Some(cause) = self.cause() {
+            panic!("image {} {doing} failed: {cause}", me.index() + 1);
+        }
+    }
+
+    /// Forget the cause: the fabric was healed (or a test lifts it).
+    pub(crate) fn clear(&self) {
+        *self.cause.lock() = None;
+        self.set.store(false, Ordering::Release);
     }
 }
 

@@ -373,6 +373,30 @@ impl SimCore {
         &mut bytes[offset..offset + len]
     }
 
+    /// One atomic on `img`'s `u64` cell at `offset` of `seg`, for the op
+    /// `what`: `update(old)` decides what, if anything, is stored. Returns
+    /// the previous value. A cell off an 8-byte boundary is refused, as
+    /// real memory refuses it.
+    fn amo_cell(
+        &mut self,
+        img: usize,
+        seg: SegmentId,
+        offset: usize,
+        what: &str,
+        update: impl FnOnce(u64) -> Option<u64>,
+    ) -> u64 {
+        assert!(
+            offset.is_multiple_of(8),
+            "AMO offset {offset} not 8-byte aligned"
+        );
+        let cell = self.window(img, seg, offset, 8, what);
+        let old = u64::from_ne_bytes((&*cell).try_into().expect("8 bytes"));
+        if let Some(new) = update(old) {
+            cell.copy_from_slice(&new.to_ne_bytes());
+        }
+        old
+    }
+
     /// Advance image `i`'s virtual clock, keeping its commit turn in sync.
     /// Every clock write in the fabric funnels through here; Blocked/Done
     /// images hold no turn and need no update.
@@ -971,10 +995,6 @@ impl SimFabric {
         offset: usize,
         update: impl FnOnce(u64) -> Option<u64>,
     ) -> u64 {
-        assert!(
-            offset.is_multiple_of(8),
-            "AMO offset {offset} not 8-byte aligned"
-        );
         let mut core = self.lock_turn(me);
         let t = core.time[me];
         let c = &self.cfg.cost;
@@ -1015,11 +1035,7 @@ impl SimFabric {
                 ev.intra(colocated)
             },
         );
-        let cell = core.window(target, seg, offset, 8, "AMO");
-        let old = u64::from_ne_bytes((&*cell).try_into().expect("8 bytes"));
-        if let Some(new) = update(old) {
-            cell.copy_from_slice(&new.to_ne_bytes());
-        }
+        let old = core.amo_cell(target, seg, offset, "AMO", update);
         self.finish_op(core);
         old
     }
@@ -1356,90 +1372,70 @@ impl Fabric for SimFabric {
         let mut core = self.lock_turn(me);
         let t = core.time[me];
         let wire: usize = ops.iter().map(|op| op.wire_len()).sum();
-        // Data bytes land eagerly at commit time, exactly like `put`; a
-        // bounds failure is a program bug and panics like `put` would.
-        let store = |core: &mut SimCore, seg: SegmentId, off: usize, data: &[u8]| {
-            core.window(dst, seg, off, data.len(), "am put")
-                .copy_from_slice(data);
-        };
-        let amo_add = |core: &mut SimCore, seg: SegmentId, off: usize, delta: u64| {
-            let cell = core.window(dst, seg, off, 8, "am amo");
-            let cur = u64::from_le_bytes((&*cell).try_into().expect("8 bytes"));
-            cell.copy_from_slice(&cur.wrapping_add(delta).to_le_bytes());
-        };
-        if me == dst {
-            // Local delivery: one software op plus the memcpy of the
-            // batch's payload; flags bump immediately.
+        let colocated = self.map.colocated(ProcId(me), ProcId(dst));
+        // Local delivery is one software op plus the memcpy of the batch's
+        // payload, and its flags bump at once. A remote batch travels as
+        // ONE modeled transfer of its wire length, and its flag updates
+        // land together as one AmArrive event at the transfer's arrival.
+        let transfer = if me == dst {
             let end = t + self.cfg.overheads.per_op_ns + self.cfg.cost.intra_payload_ns(wire);
             core.set_time(me, end);
-            let now = core.time[me];
-            for op in ops {
-                match op {
-                    AmOp::Put { seg, off, data } => store(&mut core, *seg, *off, data),
-                    AmOp::AmoAdd { seg, off, delta } => amo_add(&mut core, *seg, *off, *delta),
-                    AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } => {
-                        if let AmOp::PutFlag { seg, off, data, .. } = op {
-                            store(&mut core, *seg, *off, data);
-                        }
-                        core.flag_bump(me, flag.0, *delta);
-                        core.tracer.record_system(
-                            Event::instant(EventKind::FlagDeliver, now)
-                                .a(me as u64)
-                                .b(flag.0 as u64)
-                                .c(t)
-                                .d(me as u64)
-                                .intra(true),
-                        );
-                    }
-                }
-            }
-            self.cfg.tracer.record(
-                me,
-                Event::span(EventKind::Put, t, now - t)
-                    .a(dst as u64)
-                    .b(wire as u64)
-                    .self_target(),
-            );
+            None
         } else {
-            let colocated = self.map.colocated(ProcId(me), ProcId(dst));
-            // The batch travels as ONE modeled transfer of its wire
-            // length; its flag updates land together as one AmArrive
-            // event at the transfer's arrival time.
             let tr = self.model_transfer(&mut core, me, dst, t, wire, None, false);
             core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            let mut notifies = Vec::new();
-            for op in ops {
-                match op {
-                    AmOp::Put { seg, off, data } => store(&mut core, *seg, *off, data),
-                    AmOp::AmoAdd { seg, off, delta } => amo_add(&mut core, *seg, *off, *delta),
-                    AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } => {
-                        if let AmOp::PutFlag { seg, off, data, .. } = op {
-                            store(&mut core, *seg, *off, data);
-                        }
-                        notifies.push(Notify {
-                            img: dst,
-                            flag: flag.0,
-                            delta: *delta,
-                            src: me as u32,
-                            posted: t,
-                            intra: colocated,
-                        });
-                    }
+            Some(tr)
+        };
+        let now = core.time[me];
+        // Data bytes land eagerly at commit time, exactly like `put`; a
+        // bounds failure is a program bug and panics like `put` would.
+        let mut notifies = Vec::new();
+        for op in ops {
+            match op {
+                AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {
+                    (core.window(dst, *seg, *off, data.len(), "am put")).copy_from_slice(data)
                 }
+                AmOp::AmoAdd { seg, off, delta } => {
+                    core.amo_cell(dst, *seg, *off, "am amo", |v| Some(v.wrapping_add(*delta)));
+                }
+                AmOp::FlagAdd { .. } => {}
             }
-            if !notifies.is_empty() {
-                core.push_event(tr.arrival, EvKind::AmArrive(notifies));
+            let (AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. }) = op else {
+                continue;
+            };
+            if transfer.is_some() {
+                notifies.push(Notify {
+                    img: dst,
+                    flag: flag.0,
+                    delta: *delta,
+                    src: me as u32,
+                    posted: t,
+                    intra: colocated,
+                });
+            } else {
+                core.flag_bump(me, flag.0, *delta);
+                core.tracer.record_system(
+                    Event::instant(EventKind::FlagDeliver, now)
+                        .a(me as u64)
+                        .b(flag.0 as u64)
+                        .c(t)
+                        .d(me as u64)
+                        .intra(true),
+                );
             }
-            let dur = core.time[me] - t;
-            self.cfg.tracer.record(
-                me,
-                Event::span(EventKind::Put, t, dur)
-                    .a(dst as u64)
-                    .b(wire as u64)
-                    .c(tr.queue_ns)
-                    .d(tr.service_ns)
-                    .intra(colocated),
-            );
+        }
+        let span = Event::span(EventKind::Put, t, now - t)
+            .a(dst as u64)
+            .b(wire as u64);
+        match transfer {
+            None => self.cfg.tracer.record(me, span.self_target()),
+            Some(tr) => {
+                if !notifies.is_empty() {
+                    core.push_event(tr.arrival, EvKind::AmArrive(notifies));
+                }
+                let span = span.c(tr.queue_ns).d(tr.service_ns).intra(colocated);
+                self.cfg.tracer.record(me, span);
+            }
         }
         self.finish_op(core);
     }
@@ -1977,6 +1973,34 @@ mod tests {
                 batched, again,
                 "batched run is not deterministic ({chaos:?})"
             );
+        }
+    }
+
+    /// An active-message AMO off an 8-byte boundary is refused on the
+    /// simulator — delivered to itself or to another image — as it is on
+    /// real memory.
+    #[test]
+    fn a_misaligned_am_amo_panics_as_on_threads() {
+        use crate::thread::ThreadFabric;
+        use crate::ArcFabric;
+        let op = [AmOp::AmoAdd {
+            seg: BSEG,
+            off: 4,
+            delta: 1,
+        }];
+        for dst in [ProcId(0), ProcId(1)] {
+            let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
+            let fabrics: [ArcFabric; 2] = [sim(1, 2, 2, 2), ThreadFabric::with_defaults(map)];
+            for f in fabrics {
+                let delivered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    f.am_deliver(ProcId(0), dst, &op)
+                }));
+                let msg = crate::panic_message(delivered.expect_err("misaligned").as_ref());
+                assert!(
+                    msg.contains("AMO offset 4 not 8-byte aligned"),
+                    "{dst:?}: {msg}"
+                );
+            }
         }
     }
 

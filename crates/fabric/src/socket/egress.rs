@@ -120,7 +120,7 @@ impl Cork {
     }
 
     /// Cork the frame `encode` appends to the buffer it is given (handing
-    /// back the bulk payload it did not copy, as `FrameRef::encode_head`
+    /// back the bulk payload it did not copy, as `PutHead::encode_head`
     /// does); `expects_response` marks one the peer answers. Returns what
     /// this wrote, which is nothing unless
     ///
@@ -529,7 +529,7 @@ impl SocketFabric {
             }
             Err(e) => {
                 self.declare_dead(rank, &format!("request write failed: {e}"));
-                self.check_poison(me, "sending to a dead peer");
+                self.poisoned.check(me, "sending to a dead peer");
                 panic!(
                     "image {} request write to {} failed: {e}",
                     me.index() + 1,
@@ -572,7 +572,7 @@ impl SocketFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::socket::wire::{FrameReader, FrameRef};
+    use crate::socket::wire::{FrameReader, PutHead};
     use std::os::unix::net::UnixStream;
 
     /// A cork, and a reader on the other end of its connection.
@@ -582,14 +582,15 @@ mod tests {
         (Cork::new(Stream::Uds(ours)), reader)
     }
 
-    fn put(src: u32, dst: u32, data: &[u8]) -> FrameRef<'_> {
-        FrameRef::Put {
-            src,
-            dst,
+    /// The frame [`push_nb`] sends for `data`.
+    fn put(data: &[u8]) -> Frame {
+        Frame::Put {
+            src: 0,
+            dst: 2,
             seg: 1,
             off: 64,
             ack: 5,
-            data,
+            data: data.to_vec(),
         }
     }
 
@@ -615,9 +616,20 @@ mod tests {
         }
     }
 
-    /// Cork a `put_nb`'s frame; what left.
-    fn push_nb(c: &mut Cork, frame: FrameRef<'_>) -> Left {
-        (c.push(Urgency::Data, true, |b| frame.encode_head(b))).expect("push")
+    /// Cork a `put_nb`'s frame of `data`, the way the fabric does: its
+    /// head, and the payload borrowed; what left.
+    fn push_nb(c: &mut Cork, data: &[u8]) -> Left {
+        let (seg, off, ack, len) = (1, 64, 5, data.len());
+        let head = PutHead {
+            src: 0,
+            dst: 2,
+            seg,
+            off,
+            ack,
+            len,
+            flag: None,
+        };
+        (c.push(Urgency::Data, true, |b| head.encode_head(b, data))).expect("push")
     }
 
     /// Flush, and read back the frames that arrive.
@@ -633,60 +645,52 @@ mod tests {
         let (mut c, mut r) = cork();
         let word = [7u8; 8];
         // The pair: one frame, counted once, still awaiting its one ack.
-        push_nb(&mut c, put(0, 2, &word));
+        push_nb(&mut c, &word);
         c.push_flag(0, 2, 3, 1).expect("fused");
         assert_eq!((c.frames, c.awaiting), (1, 1));
         assert_eq!(drain(&mut c, &mut r), [put_flag(0, 2, &word, 3)]);
         // A second flag has nothing left to fuse into; neither has a flag
         // from a sibling image, or one for another target.
-        push_nb(&mut c, put(0, 2, &word));
+        push_nb(&mut c, &word);
         c.push_flag(0, 2, 3, 1).expect("fused");
         c.push_flag(0, 2, 4, 1).expect("appended");
-        push_nb(&mut c, put(0, 2, &word));
+        push_nb(&mut c, &word);
         c.push_flag(1, 2, 3, 1).expect("appended");
-        push_nb(&mut c, put(0, 2, &word));
+        push_nb(&mut c, &word);
         c.push_flag(0, 3, 3, 1).expect("appended");
-        let plain = || match put(0, 2, &word) {
-            FrameRef::Put { data, .. } => Frame::Put {
-                src: 0,
-                dst: 2,
-                seg: 1,
-                off: 64,
-                ack: 5,
-                data: data.to_vec(),
-            },
-            _ => unreachable!(),
-        };
         assert_eq!(
             drain(&mut c, &mut r),
             [
                 put_flag(0, 2, &word, 3),
                 flag_add(0, 2, 4),
-                plain(),
+                put(&word),
                 flag_add(1, 2, 3),
-                plain(),
+                put(&word),
                 flag_add(0, 3, 3),
             ]
         );
         // A sibling's frame between the put and its flag: the payload
         // still goes first, in a frame of its own.
-        push_nb(&mut c, put(0, 2, &word));
+        push_nb(&mut c, &word);
         let sibling = flag_add(1, 2, 9);
-        let frame = FrameRef::from(&sibling);
-        (c.push(Urgency::Signal, false, |b| frame.encode_head(b))).expect("push");
+        (c.push(Urgency::Signal, false, |b| {
+            sibling.encode_into(b);
+            &[]
+        }))
+        .expect("push");
         c.push_flag(0, 2, 3, 1).expect("appended");
         assert_eq!(
             drain(&mut c, &mut r),
-            [plain(), flag_add(1, 2, 9), flag_add(0, 2, 3)]
+            [put(&word), flag_add(1, 2, 9), flag_add(0, 2, 3)]
         );
         // A flush in between.
-        push_nb(&mut c, put(0, 2, &word));
-        assert_eq!(drain(&mut c, &mut r), [plain()]);
+        push_nb(&mut c, &word);
+        assert_eq!(drain(&mut c, &mut r), [put(&word)]);
         c.push_flag(0, 2, 3, 1).expect("appended");
         assert_eq!(drain(&mut c, &mut r), [flag_add(0, 2, 3)]);
         // A payload that left vectored, uncopied.
         let big = vec![9u8; CORK_BYTES];
-        let left = push_nb(&mut c, put(0, 2, &big));
+        let left = push_nb(&mut c, &big);
         assert_eq!((left.frames, c.len()), (1, 0));
         c.push_flag(0, 2, 3, 1).expect("appended");
         assert!(matches!(r.next_frame().expect("put").0, Frame::Put { data, .. } if data == big));
@@ -700,12 +704,12 @@ mod tests {
         let mut corked = 0;
         // Fill up: nothing leaves while the bound holds.
         while c.len() + kib.len() + 64 <= CORK_BYTES {
-            assert_eq!(push_nb(&mut c, put(0, 2, &kib)).writes, 0);
+            assert_eq!(push_nb(&mut c, &kib).writes, 0);
             corked += 1;
         }
         // The put that would cross it sends the others on their way...
         let last = [4u8; 1024];
-        let left = push_nb(&mut c, put(0, 2, &last));
+        let left = push_nb(&mut c, &last);
         assert_eq!(left.frames, corked);
         assert!(left.writes >= 1 && left.bytes > corked * 1024);
         assert_eq!((c.frames, c.awaiting), (1, 1), "and stays, with its ack");
@@ -719,7 +723,7 @@ mod tests {
         assert_eq!(drain(&mut c, &mut r), [put_flag(0, 2, &last, 3)]);
         // A lone put past the bound has nothing to send ahead, and waits.
         let most = vec![5u8; CORK_BYTES - 1];
-        assert_eq!(push_nb(&mut c, put(0, 2, &most)).writes, 0);
+        assert_eq!(push_nb(&mut c, &most).writes, 0);
         c.push_flag(0, 2, 3, 1).expect("fused");
         assert_eq!(drain(&mut c, &mut r), [put_flag(0, 2, &most, 3)]);
     }

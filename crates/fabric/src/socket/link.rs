@@ -18,8 +18,8 @@ use super::pending::Reply;
 use super::route::apply_held;
 use super::store::Store;
 use super::wire::{
-    is_timeout, write_frame, Addr, Frame, FrameReader, FrameRef, Incoming, Listener, PutHead,
-    Stream, MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
+    self, is_timeout, write_frame, Addr, Frame, FrameReader, Incoming, Listener, PutHead, Stream,
+    MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
 };
 use super::{shm, SocketFabric, PEER_ALIVE, PEER_DEAD, PEER_GRACEFUL, POLL};
 use crate::am::AmOp;
@@ -394,7 +394,7 @@ impl SocketFabric {
                     ),
                 ));
             }
-            if let Some(msg) = self.poisoned.lock().clone() {
+            if let Some(msg) = self.poisoned.cause() {
                 return Err(io::Error::other(msg));
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -424,7 +424,7 @@ impl SocketFabric {
                     Incoming::Put(put) => self.land_put(&put, &mut reader)?,
                     Incoming::Frame(f) => self.serve(peer, f, &mut get_buf)?,
                     Incoming::GetResp { req, .. } => {
-                        panic!("get response {req} on a request connection")
+                        return Err(unexpected(format_args!("get response {req}"), "request"))
                     }
                 };
                 burst.add(n);
@@ -674,7 +674,7 @@ impl SocketFabric {
                 self.record_recover_mark(node as usize, round, generation);
                 None
             }
-            other => panic!("unexpected frame on data connection: {other:?}"),
+            other => return Err(unexpected(other, "data")),
         })
     }
 
@@ -703,7 +703,8 @@ impl SocketFabric {
                         let len = reader.payload_into(&mut buf)?;
                         (req, Reply::Data { buf, len })
                     }
-                    other => panic!("unexpected frame on response path: {other:?}"),
+                    Incoming::Frame(f) => return Err(unexpected(f, "response")),
+                    Incoming::Put(put) => return Err(unexpected(put, "response")),
                 });
                 burst.add(n);
                 Ok(())
@@ -866,12 +867,19 @@ impl SocketFabric {
 /// Cork `response`; write the cork out if the burst of requests `is_over`.
 /// Returns what left.
 fn respond(cork: &mut Cork, response: Option<Response<'_>>, is_over: bool) -> io::Result<Left> {
-    let mut push = |frame: FrameRef<'_>| cork.push(Urgency::Now, false, |b| frame.encode_head(b));
     let mut left = match response {
         None => Left::default(),
-        Some(Response::Ack(ack)) => push((&Frame::PutAck { ack }).into())?,
-        Some(Response::Val { req, old }) => push((&Frame::AmoResp { req, old }).into())?,
-        Some(Response::Data { req, data }) => push(FrameRef::GetResp { req, data })?,
+        Some(response) => cork.push(Urgency::Now, false, |b| match response {
+            Response::Ack(ack) => {
+                Frame::PutAck { ack }.encode_into(b);
+                &[]
+            }
+            Response::Val { req, old } => {
+                Frame::AmoResp { req, old }.encode_into(b);
+                &[]
+            }
+            Response::Data { req, data } => wire::encode_get_resp(b, req, data),
+        })?,
     };
     if is_over {
         left += cork.flush()?;
@@ -883,6 +891,13 @@ fn respond(cork: &mut Cork, response: Option<Response<'_>>, is_over: bool) -> io
 /// does not fit).
 fn index(wire: u64) -> usize {
     usize::try_from(wire).unwrap_or(usize::MAX)
+}
+
+/// A well-formed frame, `what`, arrived on a `connection` that never
+/// carries it: the peer broke the protocol.
+fn unexpected(what: impl std::fmt::Debug, connection: &str) -> io::Error {
+    let why = format!("unexpected {what:?} on a {connection} connection");
+    io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
 /// `what` (a frame's kind and fields) was refused because `why`.
@@ -967,8 +982,7 @@ mod tests {
             let t0 = Instant::now();
             loop {
                 if let Err(RecoveryError::Poisoned(msg)) = self.fabric.health() {
-                    *self.fabric.poisoned.lock() = None;
-                    self.fabric.poison_flag.store(false, Ordering::Release);
+                    self.fabric.poisoned.clear();
                     return msg;
                 }
                 assert!(t0.elapsed() < Duration::from_secs(5), "never poisoned");
@@ -1073,6 +1087,62 @@ mod tests {
         );
         assert!(lone.fabric.health().is_ok());
         lone.fabric.shutdown();
+    }
+
+    /// A well-formed frame on a connection that never carries it — a
+    /// response or a rendezvous frame among requests, a request among
+    /// responses — poisons naming the peer; no service thread panics.
+    #[test]
+    fn a_frame_on_the_wrong_connection_poisons_naming_the_peer() {
+        let from = "malformed frame from peer process 1 (node 1, images 2): unexpected";
+        let resp = Frame::GetResp {
+            req: 4,
+            data: vec![1, 2, 3],
+        };
+        let hello = Frame::Hello {
+            node: 1,
+            addr: "uds:/nowhere".into(),
+            magic: WIRE_MAGIC,
+        };
+        let get = Frame::Get {
+            src: 1,
+            dst: 0,
+            seg: 0,
+            off: 0,
+            len: 8,
+            req: 4,
+        };
+        // Each on a connection of a lone process of its own: the first
+        // frame ends the connection it came on.
+        let cases = [
+            (
+                resp,
+                true,
+                "get response 4 on a request connection".to_string(),
+            ),
+            (
+                hello.clone(),
+                true,
+                format!("{hello:?} on a data connection"),
+            ),
+            (
+                get.clone(),
+                false,
+                format!("{get:?} on a response connection"),
+            ),
+        ];
+        for (frame, among_requests, what) in cases {
+            let lone = lone_process();
+            let on = if among_requests {
+                &lone._opened
+            } else {
+                &lone.dialed
+            };
+            write_frame(&mut on.try_clone().expect("clone"), &frame).expect("write");
+            let msg = lone.take_poison();
+            assert!(msg.contains(&format!("{from} {what}")), "{msg}");
+            lone.fabric.shutdown();
+        }
     }
 
     #[test]

@@ -72,10 +72,10 @@ pub use obs::{
     HeartbeatSnapshot, HistSnapshot, NodeTelemetry, ObsSnapshot, PeerWireSnapshot, TelemetryPhase,
 };
 pub use rendezvous::CoordClient;
-pub use wire::{Addr, Frame, FrameRef, Listener, Stream, Transport};
+pub use wire::{Addr, Frame, Listener, PutHead, Stream, Transport};
 
 use crate::am::AmOp;
-use crate::seg::{bump_flag, Access, Amo, FlagId, FlagWaiters, SegmentId};
+use crate::seg::{bump_flag, Access, Amo, FlagId, FlagWaiters, Poison, SegmentId};
 use crate::stats::{FabricStats, Lane, StatsSnapshot};
 use crate::{Fabric, PutToken, RecoveryError};
 use caf_topology::{CostParams, ImageMap, NodeId, ProcId, SoftwareOverheads};
@@ -251,8 +251,7 @@ pub struct SocketFabric {
     get_bufs: Mutex<Vec<Vec<u8>>>,
     /// Parked `flag_wait_ge` callers.
     waiters: FlagWaiters,
-    poisoned: Mutex<Option<String>>,
-    poison_flag: AtomicBool,
+    poisoned: Poison,
     trace_sys_lock: Mutex<()>,
     /// Liveness per peer process: ns-since-start of the last frame seen.
     last_seen: Vec<CachePadded<AtomicU64>>,
@@ -362,8 +361,7 @@ impl SocketFabric {
             pending: Pending::new(n_images, n_procs),
             get_bufs: Mutex::new(Vec::new()),
             waiters: FlagWaiters::default(),
-            poisoned: Mutex::new(None),
-            poison_flag: AtomicBool::new(false),
+            poisoned: Poison::default(),
             trace_sys_lock: Mutex::new(()),
             last_seen: (0..n_procs)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -473,13 +471,6 @@ impl SocketFabric {
         self.severed.store(true, Ordering::Release);
         for e in self.egress.iter().filter_map(|e| e.read().clone()) {
             e.shutdown_write();
-        }
-    }
-
-    fn check_poison(&self, me: ProcId, doing: &str) {
-        if self.poison_flag.load(Ordering::Acquire) {
-            let msg = self.poisoned.lock().clone().unwrap_or_default();
-            panic!("image {} {doing} failed: {msg}", me.index() + 1);
         }
     }
 
@@ -703,25 +694,6 @@ fn whole(frame: impl FnOnce(u64) -> Frame) -> impl FnOnce(u64, &mut Vec<u8>) -> 
     }
 }
 
-/// The `Put` frame of `bytes` for `dst`'s window `seg` at `offset`.
-fn put_frame<'a>(
-    me: ProcId,
-    dst: ProcId,
-    seg: SegmentId,
-    offset: usize,
-    ack: u64,
-    data: &'a [u8],
-) -> FrameRef<'a> {
-    FrameRef::Put {
-        src: me.index() as u32,
-        dst: dst.index() as u32,
-        seg: seg.0 as u64,
-        off: offset as u64,
-        ack,
-        data,
-    }
-}
-
 impl Fabric for SocketFabric {
     fn n_images(&self) -> usize {
         self.map.n_images()
@@ -786,7 +758,18 @@ impl Fabric for SocketFabric {
                 self.lane(me).record_put(false, len);
                 let (reply, queue_ns, service_ns) =
                     self.call(me, dst, "remote put", Kind::Ack, |ack, b| {
-                        put_frame(me, dst, seg, offset, ack, bytes).encode_head(b)
+                        let (src, dst) = (me.index() as u32, dst.index() as u32);
+                        let (seg, off) = (seg.0 as u64, offset as u64);
+                        let head = PutHead {
+                            src,
+                            dst,
+                            seg,
+                            off,
+                            ack,
+                            len,
+                            flag: None,
+                        };
+                        head.encode_head(b, bytes)
                     });
                 assert!(matches!(reply, Reply::Ack), "put got a non-ack response");
                 self.obs.put_ack(service_ns);
@@ -828,7 +811,8 @@ impl Fabric for SocketFabric {
                 let awaits = Some(Entry::Nb { img, put });
                 let (_, sent) = self.send_request(me, dst, awaits, Urgency::Signal, |ack, b| {
                     let (src, dst) = (me.index() as u32, dst.index() as u32);
-                    FrameRef::AmBatch { src, dst, ack, ops }.encode_head(b)
+                    wire::encode_am_batch(b, src, dst, ack, ops);
+                    &[]
                 });
                 op.wire(wire, sent.queue_ns, 0);
             }
@@ -873,7 +857,18 @@ impl Fabric for SocketFabric {
                 let (img, put) = (me.index() as u32, true);
                 let awaits = Some(Entry::Nb { img, put });
                 let (rank, sent) = self.send_request(me, dst, awaits, Urgency::Data, |ack, b| {
-                    put_frame(me, dst, seg, offset, ack, bytes).encode_head(b)
+                    let (src, dst) = (me.index() as u32, dst.index() as u32);
+                    let (seg, off) = (seg.0 as u64, offset as u64);
+                    let head = PutHead {
+                        src,
+                        dst,
+                        seg,
+                        off,
+                        ack,
+                        len,
+                        flag: None,
+                    };
+                    head.encode_head(b, bytes)
                 });
                 op.wire(len as u64, sent.queue_ns, 0);
                 // The token smuggles the request's place in its peer's ring
@@ -1062,18 +1057,17 @@ impl Fabric for SocketFabric {
                 });
                 let (_, sent) = self.send_request(me, dst, awaits, Urgency::Signal, |ack, b| {
                     let (seg, off) = (seg.0 as u64, offset as u64);
-                    let (flag, data) = (flag.0 as u64, bytes);
-                    let frame = FrameRef::PutFlag {
+                    let flag = Some((flag.0 as u64, delta));
+                    let head = PutHead {
                         src,
                         dst: img,
                         seg,
                         off,
                         ack,
-                        data,
+                        len,
                         flag,
-                        delta,
                     };
-                    frame.encode_head(b)
+                    head.encode_head(b, bytes)
                 });
                 op.wire(len as u64, sent.queue_ns, 0);
                 false
@@ -1092,7 +1086,7 @@ impl Fabric for SocketFabric {
         // no clock.
         let mut deadline = None;
         self.waiters.wait_ge(cell, at_least, |clock_due| {
-            self.check_poison(me, "flag wait");
+            self.poisoned.check(me, "flag wait");
             if !clock_due {
                 return;
             }
@@ -1163,11 +1157,7 @@ impl Fabric for SocketFabric {
     }
 
     fn health(&self) -> Result<(), RecoveryError> {
-        if self.poison_flag.load(Ordering::Acquire) {
-            let msg = self.poisoned.lock().clone().unwrap_or_default();
-            return Err(RecoveryError::Poisoned(msg));
-        }
-        Ok(())
+        self.poisoned.health()
     }
 
     fn alive_images(&self) -> Vec<ProcId> {
@@ -1189,13 +1179,7 @@ impl Fabric for SocketFabric {
     }
 
     fn poison(&self, msg: &str) {
-        {
-            let mut p = self.poisoned.lock();
-            if p.is_none() {
-                *p = Some(msg.to_string());
-            }
-        }
-        self.poison_flag.store(true, Ordering::Release);
+        self.poisoned.set(msg);
         self.waiters.wake();
         self.pending.wake_all();
     }

@@ -311,7 +311,7 @@ impl SocketFabric {
                 return v;
             }
             drop(g);
-            self.check_poison(me, doing);
+            self.poisoned.check(me, doing);
             if Instant::now() > deadline {
                 panic!("{}", timed_out());
             }
@@ -339,7 +339,7 @@ impl SocketFabric {
         let timed_out = || {
             let waited = self.cfg.io_timeout;
             self.declare_dead(rank, &format!("{doing} got no response within {waited:?}"));
-            self.check_poison(me, doing);
+            self.poisoned.check(me, doing);
             format!(
                 "image {} {doing}: no response from {} within {waited:?}",
                 me.index() + 1,
@@ -354,7 +354,7 @@ impl SocketFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::socket::wire::{Frame, FrameReader, FrameRef, Stream};
+    use crate::socket::wire::{Frame, FrameReader, PutHead, Stream};
     use std::os::unix::net::UnixStream;
     use std::sync::Barrier;
 
@@ -371,15 +371,16 @@ mod tests {
     /// the fabric does; returns its sequence number.
     fn request(p: &Pending, e: &Egress, entry: Entry) -> u64 {
         let sent = e.send(Some((p, 1, entry)), Urgency::Data, false, |ack, b| {
-            let put = FrameRef::Put {
+            let put = PutHead {
                 src: 0,
                 dst: 2,
                 seg: 0,
                 off: 0,
                 ack,
-                data: &[7; 8],
+                len: 8,
+                flag: None,
             };
-            put.encode_head(b)
+            put.encode_head(b, &[7; 8])
         });
         sent.expect("corked").seq
     }

@@ -129,8 +129,7 @@ impl SocketFabric {
         for e in self.egress.iter().filter_map(|e| e.read().clone()) {
             e.reset();
         }
-        *self.poisoned.lock() = None;
-        self.poison_flag.store(false, Ordering::Release);
+        self.poisoned.clear();
     }
 
     /// The fleet-wide half of [`Fabric::heal`], run by one image per

@@ -114,7 +114,7 @@ impl SocketFabric {
         }
         if self.peer_state[rank].load(Ordering::Acquire) == PEER_DEAD {
             // Never serviced through shared memory: poison wins, loudly.
-            self.check_poison(me, "shared-memory op to a dead peer");
+            self.poisoned.check(me, "shared-memory op to a dead peer");
             panic!(
                 "image {} shared-memory op to {}: peer is dead",
                 me.index() + 1,

@@ -8,11 +8,19 @@
 //! hand-rolled (no serde on the hot path) and versioned by the `OPEN`
 //! handshake's magic, so a mismatched peer fails loudly at connect time
 //! rather than corrupting segments.
+//!
+//! The bulk frames — `Put`, `PutFlag` and `GetResp` — end in a payload
+//! behind their fixed fields, and those heads have one codec: a sender
+//! encodes a [`PutHead`] (or the `GetResp` head) in front of a payload
+//! it only borrows, and one parser reads the heads back for the streaming
+//! [`FrameReader`], for [`Frame::decode`] and for the egress cork's fusion
+//! of a flag into a corked put (`fuse_flag`).
 
 use crate::am::AmOp;
 use crate::stats::StatsSnapshot;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -584,137 +592,135 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The data-plane frames the hot paths send, with their bulk payload
-/// **borrowed** from the caller: the fabric encodes these straight into a
-/// peer's write-combining buffer (see `egress`), so a `put_nb` costs no
-/// per-frame `Vec` and no copy of its payload into an owned [`Frame`].
-/// Byte-for-byte the same encoding as the owned variants.
-#[derive(Clone, Copy, Debug)]
-pub enum FrameRef<'a> {
-    /// [`Frame::Put`] with the payload borrowed.
-    Put {
-        /// Issuing image (global 0-based rank).
-        src: u32,
-        /// Target image (must be hosted by the receiver).
-        dst: u32,
-        /// Target segment id.
-        seg: u64,
-        /// Byte offset within the segment.
-        off: u64,
-        /// Completion-ack cookie (0 = no ack requested).
-        ack: u64,
-        /// Payload bytes.
-        data: &'a [u8],
-    },
-    /// [`Frame::PutFlag`] with the payload borrowed.
-    PutFlag {
-        /// Issuing image (global 0-based rank).
-        src: u32,
-        /// Target image (must be hosted by the receiver).
-        dst: u32,
-        /// Target segment id.
-        seg: u64,
-        /// Byte offset within the segment.
-        off: u64,
-        /// Completion-ack cookie (0 = no ack requested).
-        ack: u64,
-        /// Payload bytes.
-        data: &'a [u8],
-        /// Target flag id, bumped once the payload has landed.
-        flag: u64,
-        /// Increment.
-        delta: u64,
-    },
-    /// [`Frame::GetResp`] with the payload borrowed.
-    GetResp {
-        /// The request cookie.
-        req: u64,
-        /// The bytes read.
-        data: &'a [u8],
-    },
-    /// [`Frame::AmBatch`] with the ops borrowed.
-    AmBatch {
-        /// Issuing image (global 0-based rank).
-        src: u32,
-        /// Target image (must be hosted by the receiver).
-        dst: u32,
-        /// Completion-ack cookie (0 = no ack requested).
-        ack: u64,
-        /// The ops, in program order.
-        ops: &'a [AmOp],
-    },
-    /// Any owned frame.
-    Owned(&'a Frame),
-}
-
-impl<'a> From<&'a Frame> for FrameRef<'a> {
-    fn from(f: &'a Frame) -> Self {
-        FrameRef::Owned(f)
-    }
-}
-
 /// Append one frame to `b`: the length prefix, then whatever `body` writes
-/// (tag + fields). The prefix also covers `tail`, the bulk payload that
-/// follows the body on the wire but is *not* copied into `b`; it is handed
-/// back so the caller decides whether to copy it or write it in place.
-fn framed<'t>(b: &mut Vec<u8>, tail: &'t [u8], body: impl FnOnce(&mut Vec<u8>)) -> &'t [u8] {
+/// (tag + fields). The prefix also counts the `tail` bytes of bulk payload
+/// that follow the body on the wire but are *not* written into `b`.
+fn framed(b: &mut Vec<u8>, tail: usize, body: impl FnOnce(&mut Vec<u8>)) {
     let start = b.len();
     put_u32(b, 0);
     body(b);
-    let body_len = (b.len() - start - 4 + tail.len()) as u32;
+    let body_len = (b.len() - start - 4 + tail) as u32;
     b[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    tail
 }
 
-/// The fixed fields behind the tag of a `Put`, and of a `PutFlag` (which
-/// appends `flag` and `delta`).
-fn put_fields(b: &mut Vec<u8>, src: u32, dst: u32, seg: u64, off: u64, ack: u64, len: usize) {
-    put_u32(b, src);
-    put_u32(b, dst);
-    put_u64(b, seg);
-    put_u64(b, off);
-    put_u64(b, ack);
-    put_u32(b, len as u32);
+/// The fixed fields of a [`Frame::Put`] or [`Frame::PutFlag`], the head in
+/// front of its payload — and the one codec of that head. A sender writes
+/// it in front of a payload it only borrows ([`Self::encode_head`]); the
+/// reader parses it and leaves the payload in the stream
+/// ([`Incoming::Put`]); an owned [`Frame`] is encoded and decoded through
+/// it; and `fuse_flag` reads and rewrites a corked one with it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PutHead {
+    /// Issuing image (global 0-based rank).
+    pub src: u32,
+    /// Target image (must be hosted by the receiver).
+    pub dst: u32,
+    /// Target segment id.
+    pub seg: u64,
+    /// Byte offset within the segment.
+    pub off: u64,
+    /// Completion-ack cookie (0 = no ack requested).
+    pub ack: u64,
+    /// Payload bytes that follow.
+    pub len: usize,
+    /// A `PutFlag`'s `(flag, delta)`, bumped once the payload has landed;
+    /// `None` for a plain `Put`.
+    pub flag: Option<(u64, u64)>,
 }
 
-fn get_resp_fields(b: &mut Vec<u8>, req: u64, len: usize) {
-    b.push(T_GET_RESP);
-    put_u64(b, req);
-    put_u32(b, len as u32);
-}
+impl PutHead {
+    /// Body bytes before a `PutFlag`'s payload, the longest head of any
+    /// bulk frame: the tag, `src`, `dst`, `seg`, `off`, `ack`, `len`, then
+    /// `flag` and `delta`.
+    const MAX_BYTES: usize = 1 + 4 + 4 + 8 + 8 + 8 + 4 + 8 + 8;
 
-fn am_batch_fields(b: &mut Vec<u8>, src: u32, dst: u32, ack: u64, ops: &[AmOp]) {
-    b.push(T_AM_BATCH);
-    put_u32(b, src);
-    put_u32(b, dst);
-    put_u64(b, ack);
-    put_u32(b, ops.len() as u32);
-    for op in ops {
-        op.encode(b);
+    /// Append the frame of this head and `data` (its `len` bytes) to `b`
+    /// **without the payload**, which is handed back: the length prefix
+    /// already counts it, so the wire image is `b`'s new bytes followed by
+    /// `data` — copied behind them, or written in place by one vectored
+    /// write, never staged in a frame of its own.
+    pub fn encode_head<'d>(&self, b: &mut Vec<u8>, data: &'d [u8]) -> &'d [u8] {
+        debug_assert_eq!(self.len, data.len(), "the head of another payload");
+        let (head, n) = self.encode();
+        b.extend_from_slice(&head[..n]);
+        data
     }
-}
 
-impl<'a> FrameRef<'a> {
-    /// Append this frame to `b` **without its trailing bulk payload**,
-    /// which is returned instead (empty for frames that carry none). The
-    /// length prefix already covers the payload, so the wire image is `b`'s
-    /// new bytes followed by the returned slice — a large payload can go
-    /// out in one vectored write without ever being copied.
-    pub fn encode_head(&self, b: &mut Vec<u8>) -> &'a [u8] {
-        match *self {
-            FrameRef::Owned(f) => f.encode_head(b),
-            FrameRef::Put {
+    /// The length prefix and the head — the tag, then the fields in
+    /// declaration order — as the first `n` bytes of the array; and `n`.
+    fn encode(&self) -> ([u8; 4 + Self::MAX_BYTES], usize) {
+        let mut head = [0; 4 + Self::MAX_BYTES];
+        let mut n = 4;
+        let mut put = |bytes: &[u8]| {
+            head[n..n + bytes.len()].copy_from_slice(bytes);
+            n += bytes.len();
+        };
+        put(&[self.flag.map_or(T_PUT, |_| T_PUT_FLAG)]);
+        put(&self.src.to_le_bytes());
+        put(&self.dst.to_le_bytes());
+        put(&self.seg.to_le_bytes());
+        put(&self.off.to_le_bytes());
+        put(&self.ack.to_le_bytes());
+        put(&(self.len as u32).to_le_bytes());
+        if let Some((flag, delta)) = self.flag {
+            put(&flag.to_le_bytes());
+            put(&delta.to_le_bytes());
+        }
+        let body_len = (n - 4 + self.len) as u32;
+        head[..4].copy_from_slice(&body_len.to_le_bytes());
+        (head, n)
+    }
+
+    /// Read back the head [`Self::encode`] writes, from the front of a
+    /// frame's `body`: the fields, and where in `body` the payload lies.
+    /// `None` if `body` starts no `Put` or `PutFlag`.
+    fn decode(body: &[u8]) -> Option<io::Result<(PutHead, Range<usize>)>> {
+        let (&tag, rest) = body.split_first()?;
+        let flagged = match tag {
+            T_PUT => false,
+            T_PUT_FLAG => true,
+            _ => return None,
+        };
+        let mut c = Cursor::new(rest);
+        let head = (|| -> io::Result<PutHead> {
+            Ok(PutHead {
+                src: c.u32()?,
+                dst: c.u32()?,
+                seg: c.u64()?,
+                off: c.u64()?,
+                ack: c.u64()?,
+                len: c.u32()? as usize,
+                flag: match flagged {
+                    true => Some((c.u64()?, c.u64()?)),
+                    false => None,
+                },
+            })
+        })();
+        let at = 1 + c.pos;
+        Some(head.map(|head| (head, at..at + head.len)))
+    }
+
+    /// The owned frame these fields and their `data` make.
+    fn with_payload(self, data: Vec<u8>) -> Frame {
+        let PutHead {
+            src,
+            dst,
+            seg,
+            off,
+            ack,
+            len: _,
+            flag,
+        } = self;
+        match flag {
+            None => Frame::Put {
                 src,
                 dst,
                 seg,
                 off,
                 ack,
                 data,
-            } => framed(b, data, |b| {
-                b.push(T_PUT);
-                put_fields(b, src, dst, seg, off, ack, data.len())
-            }),
-            FrameRef::PutFlag {
+            },
+            Some((flag, delta)) => Frame::PutFlag {
                 src,
                 dst,
                 seg,
@@ -723,20 +729,50 @@ impl<'a> FrameRef<'a> {
                 data,
                 flag,
                 delta,
-            } => framed(b, data, |b| {
-                b.push(T_PUT_FLAG);
-                put_fields(b, src, dst, seg, off, ack, data.len());
-                put_u64(b, flag);
-                put_u64(b, delta);
-            }),
-            FrameRef::GetResp { req, data } => {
-                framed(b, data, |b| get_resp_fields(b, req, data.len()))
-            }
-            FrameRef::AmBatch { src, dst, ack, ops } => {
-                framed(b, &[], |b| am_batch_fields(b, src, dst, ack, ops))
-            }
+            },
         }
     }
+}
+
+/// Append a [`Frame::GetResp`] answering request `req` with `data` to `b`,
+/// without the payload, which is handed back as by
+/// [`PutHead::encode_head`].
+pub(super) fn encode_get_resp<'d>(b: &mut Vec<u8>, req: u64, data: &'d [u8]) -> &'d [u8] {
+    framed(b, data.len(), |b| {
+        b.push(T_GET_RESP);
+        put_u64(b, req);
+        put_u32(b, data.len() as u32);
+    });
+    data
+}
+
+/// Append a [`Frame::AmBatch`] of `ops` to `b`.
+pub(super) fn encode_am_batch(b: &mut Vec<u8>, src: u32, dst: u32, ack: u64, ops: &[AmOp]) {
+    framed(b, 0, |b| {
+        b.push(T_AM_BATCH);
+        put_u32(b, src);
+        put_u32(b, dst);
+        put_u64(b, ack);
+        put_u32(b, ops.len() as u32);
+        for op in ops {
+            op.encode(b);
+        }
+    })
+}
+
+/// Parse the head of a bulk frame — a `Put`, `PutFlag` or `GetResp`, whose
+/// payload follows its fixed fields — at the front of `body`: the frame as
+/// far as its head tells, and where in the body its payload lies. `None`
+/// if `body` starts some other frame. The one parser of these heads, for
+/// the reader and [`Frame::decode`] alike.
+fn parse_head(body: &[u8]) -> Option<io::Result<(Incoming, Range<usize>)>> {
+    if let Some(put) = PutHead::decode(body) {
+        return Some(put.map(|(put, payload)| (Incoming::Put(put), payload)));
+    }
+    let mut c = Cursor::new(body.strip_prefix(&[T_GET_RESP])?);
+    let head = c.u64().and_then(|req| Ok((req, c.u32()? as usize)));
+    let at = 1 + c.pos;
+    Some(head.map(|(req, len)| (Incoming::GetResp { req, len }, at..at + len)))
 }
 
 impl Frame {
@@ -748,52 +784,76 @@ impl Frame {
         b
     }
 
-    /// Append the encoded frame to `b` (which may already hold frames).
+    /// Append the encoded frame to `b` (which may already hold frames). The
+    /// bulk frames and `AmBatch` go through the encoders the hot paths
+    /// call on borrowed payloads.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
-        let tail = self.encode_head(b);
-        b.extend_from_slice(tail);
-    }
-
-    /// [`FrameRef::encode_head`] for an owned frame.
-    fn encode_head<'a>(&'a self, b: &mut Vec<u8>) -> &'a [u8] {
-        let tail: &[u8] = match self {
-            Frame::Put { data, .. } | Frame::PutFlag { data, .. } | Frame::GetResp { data, .. } => {
-                data
-            }
-            _ => &[],
-        };
-        framed(b, tail, |b| match self {
-            Frame::Open { node, magic, shm } => {
-                b.push(T_OPEN);
-                put_u32(b, *node);
-                put_u32(b, *magic);
-                put_bytes(b, shm.as_bytes());
-            }
+        let tail: &[u8] = match *self {
             Frame::Put {
                 src,
                 dst,
                 seg,
                 off,
                 ack,
-                data,
-            } => {
-                b.push(T_PUT);
-                put_fields(b, *src, *dst, *seg, *off, *ack, data.len());
+                ref data,
             }
-            Frame::PutFlag {
+            | Frame::PutFlag {
                 src,
                 dst,
                 seg,
                 off,
                 ack,
-                data,
-                flag,
-                delta,
+                ref data,
+                ..
             } => {
-                b.push(T_PUT_FLAG);
-                put_fields(b, *src, *dst, *seg, *off, *ack, data.len());
-                put_u64(b, *flag);
-                put_u64(b, *delta);
+                let flag = match *self {
+                    Frame::PutFlag { flag, delta, .. } => Some((flag, delta)),
+                    _ => None,
+                };
+                let len = data.len();
+                let head = PutHead {
+                    src,
+                    dst,
+                    seg,
+                    off,
+                    ack,
+                    len,
+                    flag,
+                };
+                head.encode_head(b, data)
+            }
+            Frame::GetResp { req, ref data } => encode_get_resp(b, req, data),
+            Frame::AmBatch {
+                src,
+                dst,
+                ack,
+                ref ops,
+            } => {
+                encode_am_batch(b, src, dst, ack, ops);
+                &[]
+            }
+            _ => {
+                framed(b, 0, |b| self.encode_fields(b));
+                &[]
+            }
+        };
+        b.extend_from_slice(tail);
+    }
+
+    /// The tag and fixed fields of a frame with no encoder of its own.
+    fn encode_fields(&self, b: &mut Vec<u8>) {
+        match self {
+            Frame::Open { node, magic, shm } => {
+                b.push(T_OPEN);
+                put_u32(b, *node);
+                put_u32(b, *magic);
+                put_bytes(b, shm.as_bytes());
+            }
+            Frame::Put { .. }
+            | Frame::PutFlag { .. }
+            | Frame::GetResp { .. }
+            | Frame::AmBatch { .. } => {
+                unreachable!("{self:?} has an encoder of its own")
             }
             Frame::PutAck { ack } => {
                 b.push(T_PUT_ACK);
@@ -814,9 +874,6 @@ impl Frame {
                 put_u64(b, *off);
                 put_u32(b, *len);
                 put_u64(b, *req);
-            }
-            Frame::GetResp { req, data } => {
-                get_resp_fields(b, *req, data.len());
             }
             Frame::AmoFadd {
                 src,
@@ -857,7 +914,6 @@ impl Frame {
                 put_u64(b, *req);
                 put_u64(b, *old);
             }
-            Frame::AmBatch { src, dst, ack, ops } => am_batch_fields(b, *src, *dst, *ack, ops),
             Frame::FlagAdd {
                 src,
                 dst,
@@ -934,43 +990,29 @@ impl Frame {
                 put_u32(b, *node);
                 put_bytes(b, payload);
             }
-        })
+        }
     }
 
-    /// Decode a frame body (everything after the length prefix).
+    /// Decode a frame body (everything after the length prefix): a bulk
+    /// frame's head, then a copy of its payload; any other frame field by
+    /// field.
     pub fn decode(body: &[u8]) -> io::Result<Frame> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        if let Some(parsed) = parse_head(body) {
+            let (incoming, payload) = parsed?;
+            if payload.end != body.len() {
+                return Err(bad("payload length disagrees with the frame body"));
+            }
+            return Ok(incoming.with_payload(body[payload].to_vec()));
+        }
         let (&tag, rest) = body.split_first().ok_or_else(|| bad("empty frame"))?;
-        let mut c = Cursor { buf: rest, pos: 0 };
+        let mut c = Cursor::new(rest);
         let f = match tag {
             T_OPEN => Frame::Open {
                 node: c.u32()?,
                 magic: c.u32()?,
                 shm: c.string()?,
             },
-            T_PUT => Frame::Put {
-                src: c.u32()?,
-                dst: c.u32()?,
-                seg: c.u64()?,
-                off: c.u64()?,
-                ack: c.u64()?,
-                data: c.bytes()?,
-            },
-            T_PUT_FLAG => {
-                let (src, dst, seg, off, ack) = (c.u32()?, c.u32()?, c.u64()?, c.u64()?, c.u64()?);
-                let len = c.u32()? as usize;
-                let (flag, delta) = (c.u64()?, c.u64()?);
-                Frame::PutFlag {
-                    src,
-                    dst,
-                    seg,
-                    off,
-                    ack,
-                    data: c.take(len)?.to_vec(),
-                    flag,
-                    delta,
-                }
-            }
             T_PUT_ACK => Frame::PutAck { ack: c.u64()? },
             T_GET => Frame::Get {
                 src: c.u32()?,
@@ -979,10 +1021,6 @@ impl Frame {
                 off: c.u64()?,
                 len: c.u32()?,
                 req: c.u64()?,
-            },
-            T_GET_RESP => Frame::GetResp {
-                req: c.u64()?,
-                data: c.bytes()?,
             },
             T_AMO_FADD => Frame::AmoFadd {
                 src: c.u32()?,
@@ -1113,14 +1151,6 @@ pub const READER_BYTES: usize = 128 << 10;
 /// connection that only ever carries small frames never pays for more.
 const READER_START_BYTES: usize = 8 << 10;
 
-/// Body bytes of a `Put` before its payload (tag and fixed fields).
-const PUT_HEAD: usize = 1 + 4 + 4 + 8 + 8 + 8 + 4;
-/// Body bytes of a `PutFlag` before its payload: a `Put`'s, then `flag`
-/// and `delta`.
-const PUT_FLAG_HEAD: usize = PUT_HEAD + FUSED_BYTES;
-/// What fusing its flag into a `Put` adds to the frame.
-const FUSED_BYTES: usize = 8 + 8;
-
 /// Rewrite the `Put` encoded at `b[start..]` — the last frame in `b` — into
 /// the [`Frame::PutFlag`] that also bumps `flag` by `delta`, byte for byte
 /// what encoding the fused frame afresh would produce. `false`, with `b`
@@ -1133,30 +1163,26 @@ pub(super) fn fuse_flag(
     flag: u64,
     delta: u64,
 ) -> bool {
-    let head_end = start + 4 + PUT_HEAD;
-    let Some(head) = b.get(start..head_end) else {
+    let body = b.get(start + 4..).unwrap_or_default();
+    let Some(Ok((put, payload))) = PutHead::decode(body) else {
         return false;
     };
-    let field = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
-    let body_len = field(0);
-    if head[4] != T_PUT
-        || (field(5), field(9)) != (src, dst)
-        || start + 4 + body_len as usize != b.len()
-    {
+    if put.flag.is_some() || (put.src, put.dst) != (src, dst) || payload.end != body.len() {
         return false;
     }
-    // Open a gap behind the fixed fields; the payload moves up by it.
-    let end = b.len();
-    b.resize(end + FUSED_BYTES, 0);
-    b.copy_within(head_end..end, head_end + FUSED_BYTES);
-    b[head_end..head_end + 8].copy_from_slice(&flag.to_le_bytes());
-    b[head_end + 8..head_end + FUSED_BYTES].copy_from_slice(&delta.to_le_bytes());
-    b[start..start + 4].copy_from_slice(&(body_len + FUSED_BYTES as u32).to_le_bytes());
-    b[start + 4] = T_PUT_FLAG;
+    // The payload moves up behind the fused frame's longer head, which
+    // then takes the plain one's place.
+    let fused = PutHead {
+        flag: Some((flag, delta)),
+        ..put
+    };
+    let (head, n) = fused.encode();
+    let (from, to, end) = (start + 4 + payload.start, start + n, b.len());
+    b.resize(end + to - from, 0);
+    b.copy_within(from..end, to);
+    b[start..to].copy_from_slice(&head[..n]);
     true
 }
-/// Body bytes of a `GetResp` before its payload.
-const GET_RESP_HEAD: usize = 1 + 8 + 4;
 
 /// One `read` into `buf` under the mid-frame rule: part of a frame has
 /// been consumed, so a timeout keeps collecting (returning would drop the
@@ -1184,67 +1210,12 @@ fn read_mid_frame<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     }
 }
 
-/// The fixed fields of a [`Frame::Put`] or [`Frame::PutFlag`] whose payload
-/// is still in the reader (see [`Incoming::Put`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PutHead {
-    /// Issuing image (global 0-based rank).
-    pub src: u32,
-    /// Target image (must be hosted by the receiver).
-    pub dst: u32,
-    /// Target segment id.
-    pub seg: u64,
-    /// Byte offset within the segment.
-    pub off: u64,
-    /// Completion-ack cookie (0 = no ack requested).
-    pub ack: u64,
-    /// Payload bytes that follow.
-    pub len: usize,
-    /// A `PutFlag`'s `(flag, delta)`, bumped once the payload has landed;
-    /// `None` for a plain `Put`.
-    pub flag: Option<(u64, u64)>,
-}
-
-impl PutHead {
-    /// The owned frame these fields and their `data` make.
-    fn with_payload(self, data: Vec<u8>) -> Frame {
-        let PutHead {
-            src,
-            dst,
-            seg,
-            off,
-            ack,
-            len: _,
-            flag,
-        } = self;
-        match flag {
-            None => Frame::Put {
-                src,
-                dst,
-                seg,
-                off,
-                ack,
-                data,
-            },
-            Some((flag, delta)) => Frame::PutFlag {
-                src,
-                dst,
-                seg,
-                off,
-                ack,
-                data,
-                flag,
-                delta,
-            },
-        }
-    }
-}
-
 /// What [`FrameReader::incoming`] found. The bulk frames arrive as their
-/// fixed fields only: the payload stays in the reader until the caller —
-/// who by then knows where it belongs — drains it with
-/// [`FrameReader::payload`] or [`FrameReader::payload_into`], which it must
-/// do before the next `incoming`.
+/// heads only, parsed by the one parser of them (the one [`Frame::decode`]
+/// uses too): the payload stays in the reader until the caller — who by
+/// then knows where it belongs — drains it with [`FrameReader::payload`]
+/// or [`FrameReader::payload_into`], which it must do before the next
+/// `incoming`.
 // Returned by value once per frame; boxing `Frame` would put an allocation
 // back on every small frame.
 #[allow(clippy::large_enum_variant)]
@@ -1261,6 +1232,18 @@ pub enum Incoming {
     },
     /// Any other frame, decoded.
     Frame(Frame),
+}
+
+impl Incoming {
+    /// The whole frame, once its payload is `data` (empty for a frame
+    /// decoded whole).
+    fn with_payload(self, data: Vec<u8>) -> Frame {
+        match self {
+            Incoming::Put(put) => put.with_payload(data),
+            Incoming::GetResp { req, len: _ } => Frame::GetResp { req, data },
+            Incoming::Frame(f) => f,
+        }
+    }
 }
 
 /// The reading side of one connection: a reusable buffer frames are
@@ -1393,46 +1376,27 @@ impl<R: Read> FrameReader<R> {
         if len == 0 || len > MAX_FRAME_BYTES {
             return Err(bad(format!("frame length {len} out of range")));
         }
-        self.fill(5)?;
-        let head = match self.buf[self.pos + 4] {
-            T_PUT => PUT_HEAD,
-            T_PUT_FLAG => PUT_FLAG_HEAD,
-            T_GET_RESP => GET_RESP_HEAD,
-            _ => len,
-        }
-        .min(len);
+        // Enough of the body for the longest bulk head: a bulk frame leaves
+        // its payload in the stream, any other frame is decoded whole.
+        let head = len.min(PutHead::MAX_BYTES);
         self.fill(4 + head)?;
-        let body = &self.buf[self.pos + 4..self.pos + 4 + head];
-        self.pos += 4 + head;
-        let mut c = Cursor::new(&body[1..]);
-        let (incoming, payload) = match body[0] {
-            tag @ (T_PUT | T_PUT_FLAG) => {
-                let put = PutHead {
-                    src: c.u32()?,
-                    dst: c.u32()?,
-                    seg: c.u64()?,
-                    off: c.u64()?,
-                    ack: c.u64()?,
-                    len: c.u32()? as usize,
-                    flag: match tag {
-                        T_PUT_FLAG => Some((c.u64()?, c.u64()?)),
-                        _ => None,
-                    },
-                };
-                (Incoming::Put(put), put.len)
+        let (incoming, payload) = match parse_head(&self.buf[self.pos + 4..self.pos + 4 + head]) {
+            Some(parsed) => parsed?,
+            None => {
+                self.fill(4 + len)?;
+                let frame = Frame::decode(&self.buf[self.pos + 4..self.pos + 4 + len]);
+                self.pos += 4 + len;
+                return Ok((Incoming::Frame(frame?), 4 + len));
             }
-            T_GET_RESP => {
-                let (req, len) = (c.u64()?, c.u32()? as usize);
-                (Incoming::GetResp { req, len }, len)
-            }
-            _ => return Ok((Incoming::Frame(Frame::decode(body)?), 4 + len)),
         };
-        if head + payload != len {
+        if payload.end != len {
             return Err(bad(format!(
-                "payload of {payload} bytes in a frame body of {len}"
+                "payload of {} bytes in a frame body of {len}",
+                payload.len()
             )));
         }
-        self.pending = payload;
+        self.pos += 4 + payload.start;
+        self.pending = payload.len();
         Ok((incoming, 4 + len))
     }
 
@@ -1479,18 +1443,8 @@ impl<R: Read> FrameReader<R> {
     pub fn next_frame(&mut self) -> io::Result<(Frame, usize)> {
         let (incoming, n) = self.incoming()?;
         let mut data = Vec::new();
-        let frame = match incoming {
-            Incoming::Put(put) => {
-                self.payload_into(&mut data)?;
-                put.with_payload(data)
-            }
-            Incoming::GetResp { req, len: _ } => {
-                self.payload_into(&mut data)?;
-                Frame::GetResp { req, data }
-            }
-            Incoming::Frame(f) => f,
-        };
-        Ok((frame, n))
+        self.payload_into(&mut data)?;
+        Ok((incoming.with_payload(data), n))
     }
 }
 
@@ -1564,19 +1518,8 @@ mod tests {
     fn next_streamed<R: Read>(r: &mut FrameReader<R>) -> io::Result<Frame> {
         let (incoming, _) = r.incoming()?;
         let mut data = Vec::new();
-        Ok(match incoming {
-            Incoming::Put(put) => {
-                r.payload(|chunk| data.extend_from_slice(chunk))?;
-                assert_eq!(data.len(), put.len);
-                put.with_payload(data)
-            }
-            Incoming::GetResp { req, len } => {
-                r.payload(|chunk| data.extend_from_slice(chunk))?;
-                assert_eq!(data.len(), len);
-                Frame::GetResp { req, data }
-            }
-            Incoming::Frame(f) => f,
-        })
+        r.payload(|chunk| data.extend_from_slice(chunk))?;
+        Ok(incoming.with_payload(data))
     }
 
     /// A [`FrameReader`] must make of `body` exactly what [`Frame::decode`]
@@ -1636,14 +1579,15 @@ mod tests {
         reader_agrees_with_decode(&enc[4..]);
 
         // `encode_into` behind frames already corked in the buffer is the
-        // same bytes, byte for byte — owned, through `FrameRef::Owned`, and
-        // through the borrowed-payload form where the variant has one.
+        // same bytes, byte for byte — owned, and through the
+        // borrowed-payload encoder where the variant has one.
         let corked = Frame::PutAck { ack: 9 }.encode();
         let want = [&corked[..], &enc[..]].concat();
         let mut buf = corked.clone();
         f.encode_into(&mut buf);
         assert_eq!(buf, want, "{f:?}");
-        let borrowed = match &f {
+        let mut head = corked.clone();
+        let tail: &[u8] = match &f {
             Frame::Put {
                 src,
                 dst,
@@ -1651,14 +1595,16 @@ mod tests {
                 off,
                 ack,
                 data,
-            } => FrameRef::Put {
+            } => PutHead {
                 src: *src,
                 dst: *dst,
                 seg: *seg,
                 off: *off,
                 ack: *ack,
-                data,
-            },
+                len: data.len(),
+                flag: None,
+            }
+            .encode_head(&mut head, data),
             Frame::PutFlag {
                 src,
                 dst,
@@ -1668,32 +1614,29 @@ mod tests {
                 data,
                 flag,
                 delta,
-            } => FrameRef::PutFlag {
+            } => PutHead {
                 src: *src,
                 dst: *dst,
                 seg: *seg,
                 off: *off,
                 ack: *ack,
-                data,
-                flag: *flag,
-                delta: *delta,
-            },
-            Frame::GetResp { req, data } => FrameRef::GetResp { req: *req, data },
-            Frame::AmBatch { src, dst, ack, ops } => FrameRef::AmBatch {
-                src: *src,
-                dst: *dst,
-                ack: *ack,
-                ops,
-            },
-            other => other.into(),
+                len: data.len(),
+                flag: Some((*flag, *delta)),
+            }
+            .encode_head(&mut head, data),
+            Frame::GetResp { req, data } => encode_get_resp(&mut head, *req, data),
+            Frame::AmBatch { src, dst, ack, ops } => {
+                encode_am_batch(&mut head, *src, *dst, *ack, ops);
+                &[]
+            }
+            other => {
+                other.encode_into(&mut head);
+                &[]
+            }
         };
-        for r in [FrameRef::from(&f), borrowed] {
-            // Head and tail apart (the vectored-write form) are the same
-            // wire image.
-            let mut head = corked.clone();
-            let tail = r.encode_head(&mut head);
-            assert_eq!([&head[..], tail].concat(), want, "{r:?}");
-        }
+        // Head and tail apart (the vectored-write form) are the same wire
+        // image.
+        assert_eq!([&head[..], tail].concat(), want, "{f:?}");
 
         // A flipped byte anywhere in the body may decode to a
         // different-but-valid frame or fail as InvalidData; it must never
@@ -1888,6 +1831,199 @@ mod tests {
              0600000000000000\
              0102030405"
         );
+    }
+
+    /// One frame of every kind, with an `AmBatch` carrying every op kind,
+    /// and every field a different value.
+    fn one_of_each() -> Vec<Frame> {
+        let (seg, flag) = (crate::SegmentId(3), crate::FlagId(6));
+        vec![
+            Frame::Open {
+                node: 1,
+                magic: WIRE_MAGIC,
+                shm: "/s".into(),
+            },
+            Frame::Put {
+                src: 1,
+                dst: 2,
+                seg: 3,
+                off: 4,
+                ack: 5,
+                data: vec![0xd0, 0xd1, 0xd2],
+            },
+            Frame::PutFlag {
+                src: 1,
+                dst: 2,
+                seg: 3,
+                off: 4,
+                ack: 5,
+                data: vec![0xd0, 0xd1, 0xd2],
+                flag: 6,
+                delta: 7,
+            },
+            Frame::PutAck { ack: 5 },
+            Frame::Get {
+                src: 1,
+                dst: 2,
+                seg: 3,
+                off: 4,
+                len: 8,
+                req: 9,
+            },
+            Frame::GetResp {
+                req: 9,
+                data: vec![0xd0, 0xd1, 0xd2],
+            },
+            Frame::AmoFadd {
+                src: 1,
+                dst: 2,
+                seg: 3,
+                off: 4,
+                delta: 7,
+                req: 9,
+            },
+            Frame::AmoCas {
+                src: 1,
+                dst: 2,
+                seg: 3,
+                off: 4,
+                expected: 10,
+                new: 11,
+                req: 9,
+            },
+            Frame::AmoResp { req: 9, old: 10 },
+            Frame::AmBatch {
+                src: 1,
+                dst: 2,
+                ack: 5,
+                ops: vec![
+                    AmOp::Put {
+                        seg,
+                        off: 4,
+                        data: vec![0xd0],
+                    },
+                    AmOp::FlagAdd { flag, delta: 7 },
+                    AmOp::AmoAdd {
+                        seg,
+                        off: 8,
+                        delta: 7,
+                    },
+                    AmOp::PutFlag {
+                        seg,
+                        off: 4,
+                        data: vec![0xd1],
+                        flag,
+                        delta: 7,
+                    },
+                ],
+            },
+            Frame::FlagAdd {
+                src: 1,
+                dst: 2,
+                flag: 6,
+                delta: 7,
+            },
+            Frame::Heartbeat {
+                node: 1,
+                stats: StatsSnapshot {
+                    puts_intra: 12,
+                    wire_frames_tx: 13,
+                    ..StatsSnapshot::default()
+                },
+            },
+            Frame::Bye { node: 1 },
+            Frame::Rejoin {
+                node: 1,
+                generation: 14,
+                addr: "uds:/a".into(),
+                magic: WIRE_MAGIC,
+                shm: "/s".into(),
+            },
+            Frame::RecoverBarrier {
+                node: 1,
+                round: 2,
+                generation: 14,
+            },
+            Frame::Hello {
+                node: 1,
+                addr: "uds:/a".into(),
+                magic: WIRE_MAGIC,
+            },
+            Frame::Peers {
+                addrs: vec!["uds:/a".into(), "uds:/b".into()],
+            },
+            Frame::Done {
+                node: 1,
+                results: vec![(2, 15)],
+            },
+            Frame::Abort { msg: "x".into() },
+            Frame::Telemetry {
+                node: 1,
+                payload: vec![0xd0, 0xd1],
+            },
+        ]
+    }
+
+    /// The wire image of each of [`one_of_each`], then of its `Put` with
+    /// `fuse_flag` folding in the `PutFlag`'s flag, pinned byte for byte:
+    /// a field order that an encoder and its decoder change together
+    /// still round-trips, and fails here.
+    const GOLDEN: [&str; 21] = [
+        "0f0000000101000000070cf5ca020000002f73",
+        "2800000002010000000200000003000000000000000400000000000000050000\
+         000000000003000000d0d1d2",
+        "380000000f010000000200000003000000000000000400000000000000050000\
+         00000000000300000006000000000000000700000000000000d0d1d2",
+        "09000000030500000000000000",
+        "2500000004010000000200000003000000000000000400000000000000080000\
+         000900000000000000",
+        "1000000005090000000000000003000000d0d1d2",
+        "2900000006010000000200000003000000000000000400000000000000070000\
+         00000000000900000000000000",
+        "31000000070100000002000000030000000000000004000000000000000a0000\
+         00000000000b000000000000000900000000000000",
+        "110000000809000000000000000a00000000000000",
+        "7b0000000e010000000200000005000000000000000400000001030000000000\
+         0000040000000000000001000000d00206000000000000000700000000000000\
+         0303000000000000000800000000000000070000000000000004030000000000\
+         0000040000000000000001000000d106000000000000000700000000000000",
+        "1900000009010000000200000006000000000000000700000000000000",
+        "0d0100000a010000000c00000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000d00000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000",
+        "050000000b01000000",
+        "210000000c010000000e00000000000000060000007564733a2f61070cf5ca02\
+         0000002f73",
+        "150000000d0100000002000000000000000e00000000000000",
+        "130000001001000000060000007564733a2f61070cf5ca",
+        "190000001102000000060000007564733a2f61060000007564733a2f62",
+        "15000000120100000001000000020000000f00000000000000",
+        "06000000130100000078",
+        "0b000000140100000002000000d0d1",
+        "380000000f010000000200000003000000000000000400000000000000050000\
+         00000000000300000006000000000000000700000000000000d0d1d2",
+    ];
+
+    #[test]
+    fn golden_bytes_of_every_frame() {
+        let hex = |b: &[u8]| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let frames = one_of_each();
+        let mut fused = frames[1].encode();
+        assert!(fuse_flag(&mut fused, 0, (1, 2), 6, 7));
+        let mut got: Vec<_> = (frames.iter())
+            .map(|f| (format!("{f:?}"), hex(&f.encode())))
+            .collect();
+        got.push(("fused Put".to_string(), hex(&fused)));
+        assert_eq!(got.len(), GOLDEN.len());
+        for ((what, got), want) in got.into_iter().zip(GOLDEN) {
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use crate::am::AmOp;
 use crate::seg::{
-    bump_flag, Amo, FlagCell, FlagId, FlagWaiters, ImageTables, SegmentId, SharedBytes, Span,
-    Tables, Window,
+    bump_flag, Amo, FlagCell, FlagId, FlagWaiters, ImageTables, Poison, SegmentId, SharedBytes,
+    Span, Tables, Window,
 };
 use crate::stats::{FabricStats, Lane};
 use crate::{Fabric, PutToken};
@@ -63,8 +63,7 @@ pub struct ThreadFabric {
     tables: Tables,
     waiters: FlagWaiters,
     /// Set when an image died; waits panic instead of spinning forever.
-    poisoned: Mutex<Option<String>>,
-    poison_flag: std::sync::atomic::AtomicBool,
+    poisoned: Poison,
     /// Serializes system-ring trace records (the ring is single-writer;
     /// unlike the simulator, thread-fabric deliveries race each other).
     trace_sys_lock: Mutex<()>,
@@ -89,8 +88,7 @@ impl ThreadFabric {
             start: Instant::now(),
             tables,
             waiters: FlagWaiters::default(),
-            poisoned: Mutex::new(None),
-            poison_flag: std::sync::atomic::AtomicBool::new(false),
+            poisoned: Poison::default(),
             trace_sys_lock: Mutex::new(()),
         })
     }
@@ -328,11 +326,8 @@ impl Fabric for ThreadFabric {
         self.lane(me).record_flag_wait();
         let t0 = self.trace_now();
         let cell = self.flag_cell(me.index(), flag);
-        self.waiters.wait_ge(cell.cell(), at_least, |_| {
-            if self.poison_flag.load(Ordering::Acquire) {
-                let msg = self.poisoned.lock().clone().unwrap_or_default();
-                panic!("fabric poisoned while image {me:?} waited: {msg}");
-            }
+        (self.waiters).wait_ge(cell.cell(), at_least, |_| {
+            self.poisoned.check(me, "flag wait")
         });
         if self.cfg.tracer.enabled() {
             let t1 = self.trace_now();
@@ -366,22 +361,12 @@ impl Fabric for ThreadFabric {
     fn image_done(&self, _me: ProcId) {}
 
     fn poison(&self, msg: &str) {
-        {
-            let mut p = self.poisoned.lock();
-            if p.is_none() {
-                *p = Some(msg.to_string());
-            }
-        }
-        self.poison_flag.store(true, Ordering::Release);
+        self.poisoned.set(msg);
         self.waiters.wake();
     }
 
     fn health(&self) -> Result<(), crate::RecoveryError> {
-        if self.poison_flag.load(Ordering::Acquire) {
-            let msg = self.poisoned.lock().clone().unwrap_or_default();
-            return Err(crate::RecoveryError::Poisoned(msg));
-        }
-        Ok(())
+        self.poisoned.health()
     }
 }
 

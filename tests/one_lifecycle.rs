@@ -30,6 +30,10 @@
 //! And a flag's arrivals are counted in one place, `caf_fabric::Arrivals`:
 //! a raw `flag_wait_ge` in the collectives or the runtime, or one of the
 //! hand-kept counters it replaced, fails it.
+//!
+//! And a put's fixed fields have one codec on the wire, `PutHead`: a
+//! borrowed twin of the bulk frames (the old `FrameRef`), or the bulk tags
+//! read and written all over `socket/wire.rs` again, fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -268,4 +272,31 @@ fn every_wait_is_the_counted_wait() {
     {
         assert_eq!(hits(raw), Vec::<&str>::new(), "{raw}: {why}");
     }
+}
+
+#[test]
+fn a_bulk_frame_head_has_one_codec() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+    assert_eq!(
+        hits(&files, "FrameRef", false),
+        Vec::<&str>::new(),
+        "a put leaves as a PutHead and its borrowed payload (PutHead::encode_head)"
+    );
+
+    // The bulk tags are named where the one head codec writes and reads
+    // them, not once per encoder, decoder and rewriter.
+    let wire = std::fs::read_to_string(root.join("fabric/src/socket/wire.rs")).unwrap();
+    let code = &wire[..wire.find("\n#[cfg(test)]").unwrap_or(wire.len())];
+    let named = (code.lines())
+        .filter(|line| !line.trim_start().starts_with("const T_"))
+        .flat_map(|line| line.split(|c: char| !c.is_alphanumeric() && c != '_'))
+        .filter(|word| ["T_PUT", "T_PUT_FLAG", "T_GET_RESP"].contains(word))
+        .count();
+    assert!(
+        named <= 6,
+        "the bulk tags are named {named} times in socket/wire.rs: encode and parse a \
+         bulk frame's head through PutHead and the GetResp head, not by hand"
+    );
 }
