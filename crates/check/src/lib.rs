@@ -38,6 +38,4 @@ pub mod socket;
 
 pub use harness::{check_legacy_queue, check_program, CheckOptions, CheckReport, Failure, Program};
 pub use scenario::{algo_by_name, algo_matrix, conformance, Scenario};
-pub use socket::{
-    check_recover, check_shm, check_socket, socket_child_main, socket_digests, RecoverDrill,
-};
+pub use socket::{check_recover, check_shm, check_socket, socket_child_main, RecoverDrill};

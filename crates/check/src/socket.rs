@@ -58,24 +58,20 @@ fn placed(scn: &Scenario) -> ImageMap {
     ImageMap::new(scn.machine.clone(), scn.images, &Placement::Packed)
 }
 
-/// Run the conformance program on a real socket fleet (one process per
-/// occupied node) and return per-image digests in image order.
-///
-/// Must be called from a binary that dispatches `--socket-child` to
-/// [`socket_child_main`] — the fleet re-executes `current_exe()`.
-pub fn socket_digests(scn: &Scenario, algo_name: &str) -> Result<Vec<u64>, String> {
-    fleet_digests(scn, algo_name, None, None).map(|(digests, _)| digests)
-}
-
 /// Per-image digests plus the respawn events `(node, generation)` the
 /// supervisor repaired during the run.
 pub type DrilledDigests = (Vec<u64>, Vec<(usize, u64)>);
 
-/// [`socket_digests`] plus optional fault injection and an explicit
-/// transport-tier pin: with a [`RecoverDrill`], the fleet runs
-/// respawn-supervised, the victim is killed on schedule, and the respawn
-/// events `(node, generation)` the supervisor repaired are returned
-/// alongside the digests. `shm` of `Some(true)`/`Some(false)` forces
+/// Run the conformance program on a real socket fleet (one process per
+/// occupied node) and return per-image digests in image order, with
+/// optional fault injection and an explicit transport-tier pin. Must be
+/// called from a binary that dispatches `--socket-child` to
+/// [`socket_child_main`] — the fleet re-executes `current_exe()`.
+///
+/// With a [`RecoverDrill`], the fleet runs respawn-supervised, the victim
+/// is killed on schedule, and the respawn events `(node, generation)` the
+/// supervisor repaired are returned alongside the digests. `shm` of
+/// `Some(true)`/`Some(false)` forces
 /// `CAF_SOCKET_SHM` on/off in the children's environment (the
 /// shared-memory intranode tier vs. the pure-wire path); `None` leaves
 /// the inherited setting alone.

@@ -5,10 +5,10 @@
 //! fabric call each (and, on [`SocketFabric`](crate::SocketFabric), its
 //! own length-prefixed frame). This tier buffers them as [`AmOp`] values in
 //! a per-destination [`Batcher`] and hands whole batches to
-//! [`Fabric::am_deliver`](crate::Fabric::am_deliver): one wire frame on the
-//! socket fabric, one scheduled delivery event on the simulator, one pass
-//! over the target's memory on the thread fabric. (The collectives send
-//! one signalled put per hop and do not route through it.)
+//! [`Fabric::am_deliver`](crate::Fabric::am_deliver): one wire frame, or
+//! one pass over the target's memory where the socket fabric reaches it,
+//! and one scheduled delivery event on the simulator. (The collectives
+//! send one signalled put per hop and do not route through it.)
 //!
 //! Ordering contract: ops to the *same* destination are delivered in
 //! program order (batches never reorder internally, and a destination's

@@ -18,7 +18,7 @@
 //! * a **clock** (`now_ns`) and a **compute hook** (`compute`) so algorithms
 //!   can be timed identically in virtual and real time.
 //!
-//! Three implementations:
+//! Two implementations:
 //!
 //! * [`SimFabric`] — a conservative, deterministic discrete-event simulator.
 //!   Images run as OS threads executing the *real* algorithm code; every
@@ -28,15 +28,17 @@
 //!   inter-node parameters and per-resource serialization (node memory bus,
 //!   per-node NIC) — the quantitative substance of the paper's §IV-A
 //!   analysis. This is the engine behind every reproduced figure/table.
-//! * [`ThreadFabric`] — real shared memory: flags are atomics, puts are
-//!   (relaxed-atomic) memcpys, waits spin-then-yield; every operation is
-//!   complete when it returns. Used for functional validation under
+//! * [`SocketFabric`] — real memory, real processes and real wires: one OS
+//!   process per occupied node, Unix-domain sockets or TCP between
+//!   processes, shared memory within. Launched by the `caf-launch` binary
+//!   (or in-process via [`socket::testing`]); the backend where the
+//!   paper's leader/slave split crosses genuine process boundaries. Its
+//!   images of one process share memory: flags are atomics, puts are
+//!   (relaxed-atomic) memcpys, waits spin-then-park, and such an operation
+//!   is complete when it returns. [`ThreadFabric`] is the same type built
+//!   by [`SocketFabric::new`] with one process hosting every image — no
+//!   socket, no thread of its own — for functional validation under
 //!   genuine concurrency and for native criterion benches.
-//! * [`SocketFabric`] — real processes and real wires: one OS process per
-//!   occupied node, Unix-domain sockets or TCP between processes, shared
-//!   memory within. Launched by the `caf-launch` binary (or in-process via
-//!   [`socket::testing`]); the first backend where the paper's leader/slave
-//!   split crosses genuine process boundaries.
 //!
 //! [`SimFabric`] has a second driver besides a thread per image:
 //! [`stepper::run_stepped`] commits the ops of *hosted* images from one
@@ -181,10 +183,10 @@ pub trait Fabric: Send + Sync + 'static {
     }
 
     /// This process's observability shipment (counters, wire probes, trace
-    /// window), if the fabric has one. Only fabrics with a real process
-    /// boundary produce telemetry — [`SocketFabric`] overrides this; the
-    /// in-process fabrics return `None` because everything they know is
-    /// already visible to the caller directly.
+    /// window), if the fabric has one. [`SocketFabric`] — a one-process
+    /// [`ThreadFabric`] too — overrides this; the simulator returns `None`
+    /// because everything it knows is already visible to the caller
+    /// directly.
     fn process_telemetry(
         &self,
         phase: TelemetryPhase,
@@ -316,12 +318,11 @@ pub trait Fabric: Send + Sync + 'static {
     /// and `bytes` may be reused as soon as this returns. A zero-length
     /// payload is a plain [`Self::flag_add`].
     ///
-    /// The default is that pair — what [`ThreadFabric`] runs, where both
-    /// halves are memory operations. The simulator overrides it with one
+    /// The default is that pair. The simulator overrides it with one
     /// modeled transfer whose flag lands with the payload, the socket
-    /// fabric with one `PutFlag` frame that `quiet` covers (over shared
-    /// memory: the window write, then the flag's release add). It counts
-    /// as one put and one flag.
+    /// fabric with one `PutFlag` frame that `quiet` covers (in memory, its
+    /// own or a mapped peer's: the window write, then the flag's release
+    /// add). It counts as one put and one flag.
     #[allow(clippy::too_many_arguments)]
     fn put_flag(
         &self,
@@ -352,8 +353,8 @@ pub trait Fabric: Send + Sync + 'static {
     /// The default replays each op through the ordinary one-sided
     /// primitives — correct on any fabric, with no aggregation win. The
     /// built-in backends override it: the simulator lands the whole batch
-    /// as one scheduled delivery event, the thread fabric applies it in one
-    /// pass with one waiter wake-up, and the socket fabric ships it as a
+    /// as one scheduled delivery event, and the socket fabric applies it in
+    /// one pass where the target's memory is reachable, else ships it as a
     /// single `AmBatch` wire frame covered by [`Self::quiet`].
     ///
     /// Callers normally go through [`Am`] rather than
@@ -387,7 +388,7 @@ pub trait Fabric: Send + Sync + 'static {
     fn compute(&self, me: ProcId, ns: u64);
 
     /// Current time for `me`, in nanoseconds: virtual time on [`SimFabric`],
-    /// wall time since fabric creation on [`ThreadFabric`].
+    /// wall time since fabric creation on [`SocketFabric`].
     fn now_ns(&self, me: ProcId) -> u64;
 
     /// Mark `me` as finished. Every image must call this exactly once, after

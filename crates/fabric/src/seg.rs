@@ -669,17 +669,14 @@ impl ImageTables {
     }
 }
 
-/// The per-image tables of a real-memory fabric — [`ThreadFabric`]'s for
-/// every image, a socket process's for the images it hosts — plus, for the
-/// latter, the mapped segments of its same-host peers: everything a direct
-/// op resolves its target through.
+/// The per-image tables of a socket process — of the images it hosts, every
+/// image of a one-process run — plus the mapped segments of its same-host
+/// peers: everything a direct op resolves its target through.
 ///
 /// All of it is read through the issuing thread's [`View`]: in steady
 /// state, reaching a window, a flag cell or a peer's mapping costs one
 /// generation load ([`Versioned`]) and no lock, and nothing on the way
 /// touches a shared reference count.
-///
-/// [`ThreadFabric`]: crate::ThreadFabric
 pub(crate) struct Tables {
     /// What a view of these tables watches to learn they are gone, and is
     /// told from other tables' views by: a `Weak` keeps the allocation, so
@@ -817,10 +814,6 @@ impl Tables {
             .ok_or_else(|| format!("image {img} is not hosted by this process"))
     }
 
-    pub(crate) fn hosted(&self) -> impl Iterator<Item = &ImageTables> {
-        self.images.iter().flatten()
-    }
-
     /// Run `f` on this thread's view of these tables, building it on first
     /// use — which is also when the thread lets go of views whose tables
     /// are gone.
@@ -877,12 +870,6 @@ impl Tables {
         })
     }
 
-    /// Image `img`'s window `seg`.
-    #[inline(always)]
-    pub(crate) fn window(&self, img: usize, seg: usize) -> Result<Rc<Window>, String> {
-        self.with_image(img, |held| held.window(seg))
-    }
-
     /// Image `img`'s flag cell `flag`.
     #[inline(always)]
     pub(crate) fn flag(&self, img: usize, flag: usize) -> Result<Rc<FlagCell>, String> {
@@ -913,7 +900,7 @@ impl Tables {
     /// Cut every image's tables back to their first `keep_segs` windows
     /// and `keep_flags` cells, zeroed.
     pub(crate) fn reset(&self, keep_segs: usize, keep_flags: usize) {
-        for image in self.hosted() {
+        for image in self.images.iter().flatten() {
             image.entries.update(|e| {
                 e.segs.truncate(keep_segs);
                 for w in &e.segs {
@@ -1075,29 +1062,30 @@ pub(crate) mod tests {
     fn tables_resolve_through_a_view_that_a_reset_empties() {
         let tables = Tables::new(3, &[ProcId(0), ProcId(2)], 0);
         let heap = |bytes| Window::Heap(Arc::new(SharedBytes::new(bytes)));
-        for image in tables.hosted() {
+        let window = |img, seg| tables.with_image(img, |held| held.window(seg));
+        for image in tables.images.iter().flatten() {
             assert_eq!(image.push_segment(8, |id| heap(8 + id)), SegmentId(0));
             assert_eq!(image.push_flags(2, |_| FlagCell::heap()), FlagId(0));
         }
         assert_eq!(tables.image(2).map(ImageTables::local), Ok(1));
         let refused = |r: Result<Rc<Window>, String>| r.map(|w| w.len()).unwrap_err();
         assert_eq!(
-            refused(tables.window(1, 0)),
+            refused(window(1, 0)),
             "image 1 is not hosted by this process"
         );
         assert_eq!(
-            refused(tables.window(7, 0)),
+            refused(window(7, 0)),
             "image 7 is not hosted by this process"
         );
         assert_eq!(
-            refused(tables.window(2, usize::MAX)),
+            refused(window(2, usize::MAX)),
             format!("image 2 has no seg{} (out of 1)", usize::MAX)
         );
         let missing = tables.flag(0, 2).map(|_| ()).unwrap_err();
         assert_eq!(missing, "image 0 has no flag2 (out of 2)");
         // Two looks give the one cached entry.
-        let first = tables.window(2, 0).expect("allocated");
-        assert!(Rc::ptr_eq(&first, &tables.window(2, 0).expect("cached")));
+        let first = window(2, 0).expect("allocated");
+        assert!(Rc::ptr_eq(&first, &window(2, 0).expect("cached")));
         let image = tables.image(2).expect("hosted");
         let grown = image.push_segment(100, |_| heap(100));
         let kept = tables.flag(2, 0).expect("allocated");
@@ -1105,13 +1093,13 @@ pub(crate) mod tests {
         std::thread::scope(|s| {
             // Another thread fills its own view, then resets under ours.
             s.spawn(|| {
-                assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 100);
+                assert_eq!(window(2, grown.0).expect("allocated").len(), 100);
                 tables.reset(1, 1);
                 assert_eq!(image.push_segment(40, |_| heap(40)), grown);
-                assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 40);
+                assert_eq!(window(2, grown.0).expect("allocated").len(), 40);
             });
         });
-        assert_eq!(tables.window(2, grown.0).expect("allocated").len(), 40);
+        assert_eq!(window(2, grown.0).expect("allocated").len(), 40);
         assert!(tables.flag(2, 1).is_err(), "cut by the reset");
         assert_eq!(kept.cell().load(Ordering::Acquire), 0, "kept, zeroed");
         assert_eq!(first.len(), 8, "a window in hand stays what it was");

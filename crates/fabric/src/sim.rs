@@ -1981,7 +1981,7 @@ mod tests {
     /// real memory.
     #[test]
     fn a_misaligned_am_amo_panics_as_on_threads() {
-        use crate::thread::ThreadFabric;
+        use crate::thread::{ThreadConfig, ThreadFabric};
         use crate::ArcFabric;
         let op = [AmOp::AmoAdd {
             seg: BSEG,
@@ -1990,7 +1990,8 @@ mod tests {
         }];
         for dst in [ProcId(0), ProcId(1)] {
             let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
-            let fabrics: [ArcFabric; 2] = [sim(1, 2, 2, 2), ThreadFabric::with_defaults(map)];
+            let threads = ThreadFabric::new(map, ThreadConfig::default());
+            let fabrics: [ArcFabric; 2] = [sim(1, 2, 2, 2), threads];
             for f in fabrics {
                 let delivered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     f.am_deliver(ProcId(0), dst, &op)

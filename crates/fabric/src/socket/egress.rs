@@ -478,6 +478,9 @@ impl SocketFabric {
     /// sibling image) issued may stay corked in this process.
     pub(super) fn flush_corked(&self) {
         for (rank, slot) in self.egress.iter().enumerate() {
+            if rank == self.node_rank {
+                continue;
+            }
             if let Some(e) = slot.read().as_ref().filter(|e| e.dirty()) {
                 self.flush_peer(rank, e);
             }

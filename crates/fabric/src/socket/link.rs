@@ -536,7 +536,7 @@ impl SocketFabric {
                 put.dst as usize,
                 flag,
                 delta,
-                false,
+                None,
             );
         }
         Ok((put.ack != 0).then_some(Response::Ack(put.ack)))
@@ -570,7 +570,7 @@ impl SocketFabric {
             for (k, checked) in ops.iter().enumerate() {
                 Store::check(held, checked).inspect_err(|_| op = format!(" op {k}"))?;
             }
-            apply_held(self, held, (from, img), false, ops);
+            apply_held(self, held, (from, img), None, ops);
             Ok(())
         });
         landed.map_err(|why| {
@@ -646,7 +646,7 @@ impl SocketFabric {
             } => {
                 let (cell, flag, delta) =
                     self.requested_flag("FlagAdd", (src, dst), flag, delta)?;
-                self.land_flag(cell.cell(), src as usize, dst as usize, flag, delta, false);
+                self.land_flag(cell.cell(), src as usize, dst as usize, flag, delta, None);
                 None
             }
             Frame::AmBatch { src, dst, ack, ops } => {

@@ -1,12 +1,16 @@
-//! A real multi-process network fabric: one OS process per occupied node,
-//! Unix-domain sockets (or TCP) between processes, shared memory within.
+//! The real-memory fabric: one OS process per occupied node, Unix-domain
+//! sockets (or TCP) between processes, shared memory within.
 //!
-//! This is the third [`Fabric`] implementation, and the first where the
-//! paper's leader/slave split maps onto genuine process and wire
-//! boundaries: images colocated on one "node" live in one process and use
-//! the same relaxed-atomic segments as [`crate::ThreadFabric`]; images on
-//! different nodes talk through per-peer connections carrying
-//! length-prefixed [`wire::Frame`]s.
+//! Here the paper's leader/slave split maps onto genuine process and wire
+//! boundaries: images colocated on one "node" live in one process and
+//! share its relaxed-atomic segments; images on different nodes talk
+//! through per-peer connections carrying length-prefixed
+//! [`wire::Frame`]s. A fleet member is built by [`SocketFabric::join`]. A
+//! plan of one process — [`SocketFabric::new`], the
+//! [`ThreadFabric`](crate::ThreadFabric) — hosts every image of the map
+//! and serves every op from its own memory, with no socket, coordinator,
+//! shared segment or service thread; its counters and traces still tell
+//! the map's nodes apart.
 //!
 //! # Protocol
 //!
@@ -213,8 +217,9 @@ const PEER_DEAD: u8 = 2;
 /// Poll period of every service-thread loop (bounds shutdown latency).
 const POLL: Duration = Duration::from_millis(50);
 
-/// The multi-process socket fabric. Build one per process with
-/// [`SocketFabric::join`]; see the module docs for the protocol.
+/// The real-memory fabric. Build one per process of a fleet with
+/// [`SocketFabric::join`], or one hosting every image with
+/// [`SocketFabric::new`]; see the module docs for the protocol.
 pub struct SocketFabric {
     map: ImageMap,
     cfg: SocketConfig,
@@ -277,10 +282,12 @@ pub struct SocketFabric {
 }
 
 impl SocketFabric {
-    /// Join a fleet: bind a data-plane listener, rendezvous through the
-    /// coordinator at `coord`, connect to every peer (with retry/backoff),
-    /// and start the service threads. Returns the fabric plus the still-open
-    /// coordinator connection (for [`CoordClient::send_done`]).
+    /// Join a fleet: build this process's fabric, bind a data-plane
+    /// listener, rendezvous through the coordinator at `coord`, and — in a
+    /// fleet of more than one process — connect to every peer (with
+    /// retry/backoff) and start the service threads. Returns the fabric
+    /// plus the still-open coordinator connection (for
+    /// [`CoordClient::send_done`]).
     ///
     /// `node_rank` is this process's index into the occupied-node list of
     /// `map` (rank `i` hosts the images of the `i`-th occupied node).
@@ -290,7 +297,9 @@ impl SocketFabric {
         coord: &Addr,
         cfg: SocketConfig,
     ) -> io::Result<(Arc<SocketFabric>, CoordClient)> {
-        let plan = map.process_plan();
+        let plan: Vec<_> = (map.process_plan().into_iter())
+            .map(|(node, images)| (node, images.to_vec()))
+            .collect();
         let n_procs = plan.len();
         if node_rank >= n_procs {
             return Err(io::Error::new(
@@ -298,7 +307,39 @@ impl SocketFabric {
                 format!("node rank {node_rank} out of {n_procs} occupied nodes"),
             ));
         }
-        let n_images = map.n_images();
+        let (transport, io_timeout) = (cfg.transport, cfg.io_timeout);
+        let fabric = Self::build(map, plan, node_rank, cfg);
+        let listener = Listener::bind(transport)?;
+        let listen_addr = listener.local_addr()?;
+        let (coord_client, peers) =
+            CoordClient::join(coord, node_rank as u32, &listen_addr, io_timeout)?;
+        if peers.len() != n_procs {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "coordinator announced {} members but the image map has {n_procs} \
+                     occupied nodes",
+                    peers.len()
+                ),
+            ));
+        }
+        if n_procs > 1 {
+            fabric.connect(listener, &listen_addr, &peers)?;
+        }
+        Ok((fabric, coord_client))
+    }
+
+    /// The fabric of process `node_rank` of `plan` (rank `i` hosts the
+    /// images `plan[i].1` of occupied node `plan[i].0`): its store, lanes
+    /// and pending table, and no connection, thread or socket. A plan of
+    /// one process is a whole run: every op is served from its memory.
+    pub(crate) fn build(
+        map: ImageMap,
+        plan: Vec<(NodeId, Vec<ProcId>)>,
+        node_rank: usize,
+        cfg: SocketConfig,
+    ) -> Arc<SocketFabric> {
+        let (n_images, n_procs) = (map.n_images(), plan.len());
         let mut proc_of_image = vec![0usize; n_images];
         let mut local_of_image = vec![0u32; n_images];
         for (rank, (_, images)) in plan.iter().enumerate() {
@@ -308,7 +349,7 @@ impl SocketFabric {
             }
         }
         let occ: Vec<NodeId> = plan.iter().map(|(node, _)| *node).collect();
-        let hosted: Vec<ProcId> = plan[node_rank].1.to_vec();
+        let hosted = plan.into_iter().nth(node_rank).expect("rank in plan").1;
         // All-or-nothing per fleet: mixing shm and heap segments for one
         // image would let a peer's data ops to it take different paths
         // and lose program order.
@@ -330,23 +371,7 @@ impl SocketFabric {
         };
         let stats = FabricStats::with_lanes(hosted.len());
         let store = Store::new(n_images, &hosted, (node_rank, n_procs), node_shm, &stats);
-
-        let listener = Listener::bind(cfg.transport)?;
-        let listen_addr = listener.local_addr()?;
-        let (coord_client, peers) =
-            CoordClient::join(coord, node_rank as u32, &listen_addr, cfg.io_timeout)?;
-        if peers.len() != n_procs {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "coordinator announced {} members but the image map has {n_procs} \
-                     occupied nodes",
-                    peers.len()
-                ),
-            ));
-        }
-
-        let fabric = Arc::new(SocketFabric {
+        Arc::new(SocketFabric {
             map,
             stats,
             start: Instant::now(),
@@ -378,37 +403,47 @@ impl SocketFabric {
             threads: Mutex::new(Vec::new()),
             occ,
             cfg,
-        });
+        })
+    }
 
-        if n_procs > 1 {
-            // Up before the first dial: response readers poke it.
-            let eg = fabric.clone();
-            let t = fabric.spawn_guarded("egress", move || eg.egress_loop());
-            fabric.ack_clock.attach(t);
-            fabric.spawn_accepting(listener, n_procs - 1);
-            // A respawned incarnation announces itself with Rejoin (which
-            // carries its fresh listen address so survivors can back-dial);
-            // a first-life member sends the plain Open handshake.
-            let hello = match fabric.cfg.rejoin_generation {
-                Some(generation) => Frame::Rejoin {
-                    node: node_rank as u32,
-                    generation,
-                    addr: listen_addr.to_string(),
-                    magic: WIRE_MAGIC,
-                    shm: fabric.store.shm_path(),
-                },
-                None => fabric.open_frame(),
-            };
-            for (rank, addr) in peers.iter().enumerate() {
-                if rank != node_rank {
-                    fabric.dial_peer(rank, addr, &hello)?;
-                }
+    /// Bring up the fleet around a built fabric: accept on `listener`
+    /// (announced to the coordinator as `listen_addr`), dial every other
+    /// member of `peers`, wait until every connection is up, and start the
+    /// egress, accept and heartbeat threads.
+    fn connect(
+        self: &Arc<Self>,
+        listener: Listener,
+        listen_addr: &Addr,
+        peers: &[Addr],
+    ) -> io::Result<()> {
+        let others = peers.len() - 1;
+        // Up before the first dial: response readers poke it.
+        let eg = self.clone();
+        let t = self.spawn_guarded("egress", move || eg.egress_loop());
+        self.ack_clock.attach(t);
+        self.spawn_accepting(listener, others);
+        // A respawned incarnation announces itself with Rejoin (which
+        // carries its fresh listen address so survivors can back-dial);
+        // a first-life member sends the plain Open handshake.
+        let hello = match self.cfg.rejoin_generation {
+            Some(generation) => Frame::Rejoin {
+                node: self.node_rank as u32,
+                generation,
+                addr: listen_addr.to_string(),
+                magic: WIRE_MAGIC,
+                shm: self.store.shm_path(),
+            },
+            None => self.open_frame(),
+        };
+        for (rank, addr) in peers.iter().enumerate() {
+            if rank != self.node_rank {
+                self.dial_peer(rank, addr, &hello)?;
             }
-            fabric.wait_established(n_procs - 1)?;
-            let hb = fabric.clone();
-            fabric.spawn_guarded("heartbeat", move || hb.heartbeat_loop());
         }
-        Ok((fabric, coord_client))
+        self.wait_established(others)?;
+        let hb = self.clone();
+        self.spawn_guarded("heartbeat", move || hb.heartbeat_loop());
+        Ok(())
     }
 
     /// Images hosted by this process, in rank order.
@@ -521,10 +556,21 @@ impl SocketFabric {
         }
     }
 
+    /// Does `me`'s op on `peer`, served from memory at `tier`, count and
+    /// trace as intra-node? A mapped peer is on this host; an image of
+    /// this process is when the map puts it on `me`'s node — always, in a
+    /// fleet, whose processes are its nodes.
+    #[inline]
+    fn intra(&self, tier: Tier, me: ProcId, peer: ProcId) -> bool {
+        tier == Tier::Mapped || self.map.colocated(me, peer)
+    }
+
     /// Bump hosted image `img`'s `flag` in `cell` on behalf of image
-    /// `from` (`intra`: a sender in this process, else a frame's), record
-    /// the delivery, and wake parked waiters — the wake is this fabric's
-    /// own, taken only for a cell it hosts: a mapped peer's waiter polls.
+    /// `from`, record the delivery, and wake parked waiters — the wake is
+    /// this fabric's own, taken only for a cell it hosts: a mapped peer's
+    /// waiter polls. `posted`: when a sender of this process issued the
+    /// add; `None` for a frame's, whose delivery is stamped with its
+    /// landing and is never intra-node.
     #[inline]
     fn land_flag(
         &self,
@@ -533,17 +579,19 @@ impl SocketFabric {
         img: usize,
         flag: FlagId,
         delta: u64,
-        intra: bool,
+        posted: Option<u64>,
     ) {
         bump_flag(cell, img, flag, delta);
         if self.cfg.tracer.enabled() {
             let t = self.trace_now();
+            let near = from == img || self.map.colocated(ProcId(from), ProcId(img));
+            let intra = posted.is_some() && near;
             let _g = self.trace_sys_lock.lock();
             self.cfg.tracer.record_system(
                 Event::instant(EventKind::FlagDeliver, t)
                     .a(from as u64)
                     .b(flag.0 as u64)
-                    .c(t)
+                    .c(posted.unwrap_or(t))
                     .d(img as u64)
                     .intra(intra),
             );
@@ -551,8 +599,8 @@ impl SocketFabric {
         self.waiters.wake();
     }
 
-    /// Record `me`'s flag add on `target`, issued at `t0` (`direct`: served
-    /// from memory, not sent by frame).
+    /// Record `me`'s flag add on `target`, issued at `t0` (`intra`: served
+    /// from memory on `me`'s node or host, not sent by frame).
     fn record_flag_add(
         &self,
         me: ProcId,
@@ -560,7 +608,7 @@ impl SocketFabric {
         flag: FlagId,
         delta: u64,
         t0: u64,
-        direct: bool,
+        intra: bool,
     ) {
         if self.cfg.tracer.enabled() {
             let ev = Event::instant(EventKind::FlagAdd, t0)
@@ -573,7 +621,7 @@ impl SocketFabric {
                 if me == target {
                     ev.self_target()
                 } else {
-                    ev.intra(direct)
+                    ev.intra(intra)
                 },
             );
         }
@@ -596,7 +644,7 @@ impl SocketFabric {
                 if tier == Tier::Mapped {
                     self.lane(me).record_shm_flag();
                 }
-                op.direct(offset as u64);
+                op.direct(tier, offset as u64);
                 old
             }
             Route::Wire => {
@@ -643,9 +691,8 @@ struct Op<'a> {
 }
 
 impl Op<'_> {
-    /// Served from memory (own process or a mapped peer): a local span,
-    /// like the thread fabric's.
-    fn direct(self, bytes: u64) {
+    /// Served from memory at `tier`: a local span.
+    fn direct(self, tier: Tier, bytes: u64) {
         let tracer = &self.fab.cfg.tracer;
         if !tracer.enabled() {
             return;
@@ -659,7 +706,7 @@ impl Op<'_> {
             if self.me == self.peer {
                 ev.self_target()
             } else {
-                ev.intra(true)
+                ev.intra(self.fab.intra(tier, self.me, self.peer))
             },
         );
     }
@@ -743,7 +790,7 @@ impl Fabric for SocketFabric {
                 window.write(offset, bytes);
                 match tier {
                     Tier::Own if me == dst => {}
-                    Tier::Own => self.lane(me).record_put(true, len),
+                    Tier::Own => self.lane(me).record_put(self.intra(tier, me, dst), len),
                     Tier::Mapped => {
                         // The data is globally visible before any later
                         // flag/AMO the peer could observe. No frame, no
@@ -752,7 +799,7 @@ impl Fabric for SocketFabric {
                         self.lane(me).record_shm_put(len);
                     }
                 }
-                op.direct(len as u64);
+                op.direct(tier, len as u64);
             }
             Route::Wire => {
                 self.lane(me).record_put(false, len);
@@ -786,7 +833,7 @@ impl Fabric for SocketFabric {
                 // Vector order against the target's memory — the order the
                 // ingress thread would use — and release flag adds, so
                 // fused put+flag visibility holds as it does on the wire.
-                landing.apply(self, me.index(), true, ops);
+                landing.apply(self, me.index(), op.t0, ops);
                 if tier == Tier::Mapped {
                     let lane = self.lane(me);
                     for op in ops {
@@ -800,7 +847,7 @@ impl Fabric for SocketFabric {
                     }
                     fence(Ordering::Release);
                 }
-                op.direct(wire);
+                op.direct(tier, wire);
             }
             Route::Wire => {
                 // One frame per batch, one ack: it retires through the
@@ -839,7 +886,7 @@ impl Fabric for SocketFabric {
                 match tier {
                     Tier::Own if me == dst => {}
                     Tier::Own => {
-                        lane.record_put_nb(true, len);
+                        lane.record_put_nb(self.intra(tier, me, dst), len);
                         lane.record_put_nb_complete();
                     }
                     Tier::Mapped => {
@@ -849,7 +896,7 @@ impl Fabric for SocketFabric {
                         lane.record_put_nb_complete();
                     }
                 }
-                op.direct(len as u64);
+                op.direct(tier, len as u64);
                 PutToken::DONE
             }
             Route::Wire => {
@@ -911,14 +958,14 @@ impl Fabric for SocketFabric {
             Route::Direct(window, tier) => {
                 match tier {
                     Tier::Own if me == src => {}
-                    Tier::Own => self.lane(me).record_get(true, len),
+                    Tier::Own => self.lane(me).record_get(self.intra(tier, me, src), len),
                     Tier::Mapped => {
                         fence(Ordering::Acquire);
                         self.lane(me).record_shm_get(len);
                     }
                 }
                 window.read(offset, out);
-                op.direct(len as u64);
+                op.direct(tier, len as u64);
             }
             Route::Wire => {
                 self.lane(me).record_get(false, len);
@@ -972,14 +1019,16 @@ impl Fabric for SocketFabric {
 
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
         let t0 = self.trace_now();
-        let direct = match self.route_flag(me, target, flag) {
+        let intra = match self.route_flag(me, target, flag) {
             Route::Direct(cell, tier) => {
+                let intra = self.intra(tier, me, target);
                 match tier {
                     Tier::Own => {
                         if me != target {
-                            self.lane(me).record_flag(true);
+                            self.lane(me).record_flag(intra);
                         }
-                        self.land_flag(cell.cell(), me.index(), target.index(), flag, delta, true);
+                        let (from, img) = (me.index(), target.index());
+                        self.land_flag(cell.cell(), from, img, flag, delta, Some(t0));
                     }
                     Tier::Mapped => {
                         // Release on the shared cell publishes every prior
@@ -991,7 +1040,7 @@ impl Fabric for SocketFabric {
                         self.lane(me).record_shm_flag();
                     }
                 }
-                true
+                intra
             }
             Route::Wire => {
                 self.lane(me).record_flag(false);
@@ -1003,7 +1052,7 @@ impl Fabric for SocketFabric {
                 false
             }
         };
-        self.record_flag_add(me, target, flag, delta, t0, direct);
+        self.record_flag_add(me, target, flag, delta, t0, intra);
     }
 
     fn put_flag(
@@ -1021,18 +1070,18 @@ impl Fabric for SocketFabric {
         }
         let op = self.begin(EventKind::Put, me, dst);
         let (t0, len) = (op.t0, bytes.len());
-        let direct = match self.route_put_flag(me, dst, (seg, offset, len), flag) {
+        let intra = match self.route_put_flag(me, dst, (seg, offset, len), flag) {
             Route::Direct((window, cell), tier) => {
                 window.write(offset, bytes);
-                let lane = self.lane(me);
+                let (lane, intra) = (self.lane(me), self.intra(tier, me, dst));
                 match tier {
                     Tier::Own => {
                         if me != dst {
-                            lane.record_put(true, len);
-                            lane.record_flag(true);
+                            lane.record_put(intra, len);
+                            lane.record_flag(intra);
                         }
                         let (from, img) = (me.index(), dst.index());
-                        self.land_flag(cell.cell(), from, img, flag, delta, true);
+                        self.land_flag(cell.cell(), from, img, flag, delta, Some(t0));
                     }
                     Tier::Mapped => {
                         // The flag's release add publishes the payload.
@@ -1041,8 +1090,8 @@ impl Fabric for SocketFabric {
                         lane.record_shm_flag();
                     }
                 }
-                op.direct(len as u64);
-                true
+                op.direct(tier, len as u64);
+                intra
             }
             Route::Wire => {
                 let lane = self.lane(me);
@@ -1073,7 +1122,7 @@ impl Fabric for SocketFabric {
                 false
             }
         };
-        self.record_flag_add(me, dst, flag, delta, t0, direct);
+        self.record_flag_add(me, dst, flag, delta, t0, intra);
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
@@ -1201,9 +1250,11 @@ mod tests {
         ImageMap::new(presets::mini(nodes, cores), images, &Placement::Packed)
     }
 
-    /// Hosted image `img`'s bootstrap window, through the resolver.
-    fn boot_window(f: &SocketFabric, img: usize) -> std::rc::Rc<Window> {
-        (f.store.window(Access::Get, img, BSEG.0, 0, 0)).expect("bootstrap window")
+    impl SocketFabric {
+        /// Hosted image `img`'s window `seg`, through the resolver.
+        pub(crate) fn window(&self, img: usize, seg: SegmentId) -> std::rc::Rc<Window> {
+            (self.store.window(Access::Get, img, seg.0, 0, 0)).expect("hosted window")
+        }
     }
 
     fn quick_cfg() -> SocketConfig {
@@ -1269,7 +1320,7 @@ mod tests {
         // All fabrics still alive (run_fleet shut them down); check the
         // counter through the hosting fabric's local path.
         let mut out = [0u8; 8];
-        boot_window(&fabrics[0], 0).read(0, &mut out);
+        fabrics[0].window(0, BSEG).read(0, &mut out);
         assert_eq!(u64::from_ne_bytes(out), (n * 250) as u64);
     }
 
@@ -1350,7 +1401,7 @@ mod tests {
         };
         let fabrics = fleet(&map(2, 1, 2), &cfg);
         let (f0, f1) = (&fabrics[0], &fabrics[1]);
-        let window = boot_window(f1, 1);
+        let window = f1.window(1, BSEG);
         let mut before = vec![0u8; window.len()];
         window.read(0, &mut before);
         (f0.egress[1].read().as_ref())
@@ -1843,7 +1894,7 @@ mod tests {
                 assert_eq!(u64::from_ne_bytes(out), round);
                 f.flag_add(me, ProcId(0), SPARE_FLAG2, 1);
             }
-            let window = boot_window(&f1_old, 1);
+            let window = f1_old.window(1, BSEG);
             f1_old.shutdown();
             drop(f1_old);
             // What the survivor's refused put would have overwritten, in

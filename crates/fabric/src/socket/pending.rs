@@ -304,7 +304,9 @@ impl SocketFabric {
         mut done: impl FnMut(&mut Table) -> Option<T>,
     ) -> T {
         self.flush_corked();
-        let deadline = Instant::now() + self.cfg.io_timeout;
+        // Built on the first miss: a wait that is already done reads no
+        // clock.
+        let mut deadline = None;
         let mut g = self.pending.table.lock();
         loop {
             if let Some(v) = done(&mut g) {
@@ -312,7 +314,8 @@ impl SocketFabric {
             }
             drop(g);
             self.poisoned.check(me, doing);
-            if Instant::now() > deadline {
+            let now = Instant::now();
+            if now > *deadline.get_or_insert(now + self.cfg.io_timeout) {
                 panic!("{}", timed_out());
             }
             g = self.pending.table.lock();

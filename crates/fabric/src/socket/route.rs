@@ -233,12 +233,12 @@ impl SocketFabric {
 }
 
 /// Apply `ops`, sent by image `from`, to hosted image `img`, whose tables
-/// the caller holds for the batch.
+/// the caller holds for the batch; `posted` as for `land_flag`.
 pub(super) fn apply_held(
     fab: &SocketFabric,
     held: &mut Held<'_>,
     (from, img): (usize, usize),
-    intra: bool,
+    posted: Option<u64>,
     ops: &[AmOp],
 ) {
     let held = RefCell::new(held);
@@ -247,7 +247,7 @@ pub(super) fn apply_held(
         |seg| Span::Own((held.borrow_mut().window(seg.0)).unwrap_or_else(|e| panic!("{e}"))),
         |flag, delta| {
             let cell = (held.borrow_mut().flag(flag.0)).unwrap_or_else(|e| panic!("{e}"));
-            fab.land_flag(cell.cell(), from, img, flag, delta, intra);
+            fab.land_flag(cell.cell(), from, img, flag, delta, posted);
         },
     )
 }
@@ -261,13 +261,13 @@ pub(super) enum Landing {
 }
 
 impl Landing {
-    /// Apply `ops`, sent by image `from` — of this process (`intra`) or a
-    /// frame's — in vector order.
-    pub(super) fn apply(&self, fab: &SocketFabric, from: usize, intra: bool, ops: &[AmOp]) {
+    /// Apply `ops`, sent by image `from` of this process at `t0`, in vector
+    /// order.
+    pub(super) fn apply(&self, fab: &SocketFabric, from: usize, t0: u64, ops: &[AmOp]) {
         match self {
             Landing::Own(img) => (fab.store.tables)
                 .with_image(*img, |held| {
-                    apply_held(fab, held, (from, *img), intra, ops);
+                    apply_held(fab, held, (from, *img), Some(t0), ops);
                     Ok(())
                 })
                 .unwrap_or_else(|e| panic!("{e}")),

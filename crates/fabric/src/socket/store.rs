@@ -97,7 +97,7 @@ impl Store {
         off: u64,
         len: usize,
     ) -> Result<Rc<Window>, String> {
-        let window = self.tables.window(img, seg)?;
+        let window = self.tables.with_image(img, |held| held.window(seg))?;
         window.check(access, off, len)?;
         Ok(window)
     }

@@ -1,36 +1,29 @@
-//! A real shared-memory fabric: images are OS threads, flags are atomics,
-//! puts are relaxed-atomic memcpys with release/acquire edges provided by
-//! the flag operations. Windows and flag cells live in the same
-//! [`seg::Tables`](crate::seg) a socket process hosts its images in, and
-//! ops count themselves in their image's lane of the [`FabricStats`]: an
-//! op's cost is its memory operation.
+//! The one-process fabric: every image of the map is an OS thread of this
+//! process, served by a [`SocketFabric`] whose process plan has a single
+//! member. Flags are atomics, puts are relaxed-atomic memcpys with
+//! release/acquire edges provided by the flag operations — the own-process
+//! arm every socket fleet serves its colocated images with, and no socket,
+//! coordinator, shared segment or service thread.
 //!
-//! This fabric validates the collective algorithms under genuine concurrency
-//! (the simulator, being turn-based, cannot exhibit real races) and powers
-//! the wall-clock criterion benches. Every operation completes when it
-//! returns: a nonblocking put is done at injection, and `put_wait` and
-//! `quiet` are memory fences.
+//! This configuration validates the collective algorithms under genuine
+//! concurrency (the simulator, being turn-based, cannot exhibit real
+//! races) and powers the wall-clock criterion benches. Every operation
+//! completes when it returns: a nonblocking put is done at injection, and
+//! `put_wait` and `quiet` are memory fences. A flag wait is bounded by
+//! [`SocketConfig::flag_wait_timeout`]'s default.
 
-use crate::am::AmOp;
-use crate::seg::{
-    bump_flag, Amo, FlagCell, FlagId, FlagWaiters, ImageTables, Poison, SegmentId, SharedBytes,
-    Span, Tables, Window,
-};
-use crate::stats::{FabricStats, Lane};
-use crate::{Fabric, PutToken};
-use caf_topology::{CostParams, ImageMap, ProcId, SoftwareOverheads};
-use caf_trace::{Event, EventKind, Tracer};
-use parking_lot::Mutex;
-use std::rc::Rc;
-use std::sync::atomic::Ordering;
+use crate::socket::{SocketConfig, SocketFabric};
+use caf_topology::{CostParams, ImageMap, NodeId, ProcId, SoftwareOverheads};
+use caf_trace::Tracer;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration for a [`ThreadFabric`].
 #[derive(Clone, Debug)]
 pub struct ThreadConfig {
     /// Cost parameters, reported through [`Fabric::cost`] (the collectives
     /// derive their size policy from them); no delay is modeled.
+    ///
+    /// [`Fabric::cost`]: crate::Fabric::cost
     pub cost: CostParams,
     /// Software overheads; kept for symmetry with the simulator (the thread
     /// fabric does not inject per-op CPU overhead — real instructions cost
@@ -52,321 +45,31 @@ impl Default for ThreadConfig {
     }
 }
 
-/// The real-threads fabric. See the module docs.
-pub struct ThreadFabric {
-    map: ImageMap,
-    cfg: ThreadConfig,
-    stats: FabricStats,
-    start: Instant,
-    /// Every image's windows and flag cells (all heap), resolved through
-    /// the issuing thread's view of them.
-    tables: Tables,
-    waiters: FlagWaiters,
-    /// Set when an image died; waits panic instead of spinning forever.
-    poisoned: Poison,
-    /// Serializes system-ring trace records (the ring is single-writer;
-    /// unlike the simulator, thread-fabric deliveries race each other).
-    trace_sys_lock: Mutex<()>,
-}
+/// The real-threads fabric: a [`SocketFabric`] hosting every image in
+/// this process. See the module docs.
+pub type ThreadFabric = SocketFabric;
 
-impl ThreadFabric {
-    /// Build a fabric for the images of `map`.
+impl SocketFabric {
+    /// A fabric whose one process hosts every image of `map`.
     pub fn new(map: ImageMap, cfg: ThreadConfig) -> Arc<Self> {
-        let n = map.n_images();
-        let images: Vec<ProcId> = (0..n).map(ProcId).collect();
-        let tables = Tables::new(n, &images, 0);
-        for image in tables.hosted() {
-            // Bootstrap resources: segment 0 and the control flags.
-            let boot = SharedBytes::new(n * crate::bootstrap::SLOT_BYTES);
-            image.push_segment(boot.len(), |_| Window::Heap(Arc::new(boot)));
-            image.push_flags(crate::bootstrap::NUM_FLAGS, |_| FlagCell::heap());
-        }
-        Arc::new(Self {
-            map,
-            cfg,
-            stats: FabricStats::with_lanes(n),
-            start: Instant::now(),
-            tables,
-            waiters: FlagWaiters::default(),
-            poisoned: Poison::default(),
-            trace_sys_lock: Mutex::new(()),
-        })
+        let ThreadConfig {
+            cost,
+            overheads,
+            tracer,
+        } = cfg;
+        let cfg = SocketConfig {
+            cost,
+            overheads,
+            tracer,
+            ..SocketConfig::default()
+        };
+        Self::one_process(map, cfg)
     }
 
-    /// Convenience constructor with default configuration.
-    pub fn with_defaults(map: ImageMap) -> Arc<Self> {
-        Self::new(map, ThreadConfig::default())
-    }
-
-    /// Image `me`'s tables, to allocate in.
-    fn image(&self, me: ProcId) -> &ImageTables {
-        (self.tables.image(me.index())).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn window(&self, img: usize, seg: SegmentId) -> Rc<Window> {
-        (self.tables.window(img, seg.0)).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn flag_cell(&self, img: usize, flag: FlagId) -> Rc<FlagCell> {
-        (self.tables.flag(img, flag.0)).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Image `me`'s counter lane: where the ops it issues count themselves.
-    #[inline]
-    fn lane(&self, me: ProcId) -> Lane<'_> {
-        self.stats.lane(me.index())
-    }
-
-    /// Wall timestamp for trace records, or 0 when tracing is off — spares
-    /// the clock read on every op in untraced builds (with the `trace`
-    /// feature off, `enabled()` is a constant `false` and this folds away).
-    #[inline]
-    fn trace_now(&self) -> u64 {
-        if self.cfg.tracer.enabled() {
-            self.start.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
-    }
-
-    /// Record a span that started at `t0` and ends now, tagging locality
-    /// from the `me`/`peer` placement.
-    #[inline]
-    fn trace_span(&self, kind: EventKind, me: ProcId, peer: ProcId, t0: u64, bytes: u64) {
-        if !self.cfg.tracer.enabled() {
-            return;
-        }
-        let t1 = self.trace_now();
-        let ev = Event::span(kind, t0, t1.saturating_sub(t0))
-            .a(peer.index() as u64)
-            .b(bytes);
-        self.cfg.tracer.record(
-            me.index(),
-            if me == peer {
-                ev.self_target()
-            } else {
-                ev.intra(self.map.colocated(me, peer))
-            },
-        );
-    }
-}
-
-impl Fabric for ThreadFabric {
-    fn n_images(&self) -> usize {
-        self.map.n_images()
-    }
-
-    fn image_map(&self) -> &ImageMap {
-        &self.map
-    }
-
-    fn cost(&self) -> &CostParams {
-        &self.cfg.cost
-    }
-
-    fn overheads(&self) -> &SoftwareOverheads {
-        &self.cfg.overheads
-    }
-
-    fn stats(&self) -> &FabricStats {
-        &self.stats
-    }
-
-    fn tracer(&self) -> &Tracer {
-        &self.cfg.tracer
-    }
-
-    fn alloc_segment(&self, me: ProcId, bytes: usize) -> SegmentId {
-        (self.image(me)).push_segment(bytes, |_| Window::Heap(Arc::new(SharedBytes::new(bytes))))
-    }
-
-    fn alloc_flags(&self, me: ProcId, count: usize) -> FlagId {
-        self.image(me).push_flags(count, |_| FlagCell::heap())
-    }
-
-    fn put(&self, me: ProcId, dst: ProcId, seg: SegmentId, offset: usize, bytes: &[u8]) {
-        let intra = self.map.colocated(me, dst);
-        if me != dst {
-            self.lane(me).record_put(intra, bytes.len());
-        }
-        let t0 = self.trace_now();
-        self.window(dst.index(), seg).write(offset, bytes);
-        self.trace_span(EventKind::Put, me, dst, t0, bytes.len() as u64);
-    }
-
-    fn am_deliver(&self, me: ProcId, dst: ProcId, ops: &[AmOp]) {
-        let t0 = self.trace_now();
-        // The flag wake pass runs once, after every op has applied.
-        let bumped = std::cell::Cell::new(false);
-        crate::am::apply(
-            ops,
-            |seg| Span::Own(self.window(dst.index(), seg)),
-            |flag, delta| {
-                let cell = self.flag_cell(dst.index(), flag);
-                bump_flag(cell.cell(), dst.index(), flag, delta);
-                bumped.set(true);
-            },
-        );
-        let wire: u64 = ops.iter().map(|op| op.wire_len() as u64).sum();
-        self.trace_span(EventKind::Put, me, dst, t0, wire);
-        if bumped.get() {
-            self.waiters.wake();
-        }
-    }
-
-    fn put_nb(
-        &self,
-        me: ProcId,
-        dst: ProcId,
-        seg: SegmentId,
-        offset: usize,
-        bytes: &[u8],
-    ) -> PutToken {
-        // Copy now (relaxed stores; the release edge comes from the
-        // subsequent flag_add or fence).
-        let intra = self.map.colocated(me, dst);
-        let t0 = self.trace_now();
-        self.window(dst.index(), seg).write(offset, bytes);
-        if me == dst {
-            self.trace_span(EventKind::PutNb, me, dst, t0, bytes.len() as u64);
-            return PutToken::DONE;
-        }
-        let lane = self.lane(me);
-        lane.record_put_nb(intra, bytes.len());
-        // On shared memory the payload is physically resident as soon as the
-        // copy returns; completion == injection here (the simulator is where
-        // the two genuinely diverge).
-        lane.record_put_nb_complete();
-        self.trace_span(EventKind::PutNb, me, dst, t0, bytes.len() as u64);
-        PutToken::DONE
-    }
-
-    fn get(&self, me: ProcId, src: ProcId, seg: SegmentId, offset: usize, out: &mut [u8]) {
-        let intra = self.map.colocated(me, src);
-        if me != src {
-            self.lane(me).record_get(intra, out.len());
-        }
-        let t0 = self.trace_now();
-        self.window(src.index(), seg).read(offset, out);
-        self.trace_span(EventKind::Get, me, src, t0, out.len() as u64);
-    }
-
-    fn amo_fetch_add_u64(
-        &self,
-        me: ProcId,
-        target: ProcId,
-        seg: SegmentId,
-        offset: usize,
-        delta: u64,
-    ) -> u64 {
-        self.lane(me).record_amo();
-        let t0 = self.trace_now();
-        let old = (self.window(target.index(), seg)).amo(offset, Amo::Add(delta));
-        self.trace_span(EventKind::AmoFetchAdd, me, target, t0, offset as u64);
-        old
-    }
-
-    fn amo_cas_u64(
-        &self,
-        me: ProcId,
-        target: ProcId,
-        seg: SegmentId,
-        offset: usize,
-        expected: u64,
-        new: u64,
-    ) -> u64 {
-        self.lane(me).record_amo();
-        let t0 = self.trace_now();
-        let window = self.window(target.index(), seg);
-        let old = window.amo(offset, Amo::Cas { expected, new });
-        self.trace_span(EventKind::AmoCas, me, target, t0, offset as u64);
-        old
-    }
-
-    fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
-        let intra = self.map.colocated(me, target);
-        if me != target {
-            self.lane(me).record_flag(intra);
-        }
-        let t0 = self.trace_now();
-        let cell = self.flag_cell(target.index(), flag);
-        bump_flag(cell.cell(), target.index(), flag, delta);
-        if self.cfg.tracer.enabled() {
-            // Delivery is synchronous on shared memory: the add and its
-            // landing are one instant. Record both views so the critical-
-            // path walk works identically on thread traces.
-            let t1 = self.trace_now();
-            let ev = Event::instant(EventKind::FlagAdd, t0)
-                .a(target.index() as u64)
-                .b(flag.0 as u64)
-                .c(delta)
-                .d(t1);
-            self.cfg.tracer.record(
-                me.index(),
-                if me == target {
-                    ev.self_target()
-                } else {
-                    ev.intra(intra)
-                },
-            );
-            let _g = self.trace_sys_lock.lock();
-            self.cfg.tracer.record_system(
-                Event::instant(EventKind::FlagDeliver, t1)
-                    .a(me.index() as u64)
-                    .b(flag.0 as u64)
-                    .c(t0)
-                    .d(target.index() as u64)
-                    .intra(intra || me == target),
-            );
-        }
-        self.waiters.wake();
-    }
-
-    fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
-        self.lane(me).record_flag_wait();
-        let t0 = self.trace_now();
-        let cell = self.flag_cell(me.index(), flag);
-        (self.waiters).wait_ge(cell.cell(), at_least, |_| {
-            self.poisoned.check(me, "flag wait")
-        });
-        if self.cfg.tracer.enabled() {
-            let t1 = self.trace_now();
-            self.cfg.tracer.record(
-                me.index(),
-                Event::span(EventKind::FlagWait, t0, t1.saturating_sub(t0))
-                    .a(flag.0 as u64)
-                    .b(at_least),
-            );
-        }
-    }
-
-    fn flag_read(&self, me: ProcId, flag: FlagId) -> u64 {
-        (self.flag_cell(me.index(), flag).cell()).load(Ordering::Acquire)
-    }
-
-    fn quiet(&self, _me: ProcId) {
-        // Every operation completed when it returned; the fence keeps the
-        // memory-model promise explicit. `put_wait` is this too.
-        std::sync::atomic::fence(Ordering::SeqCst);
-    }
-
-    fn compute(&self, _me: ProcId, _ns: u64) {
-        // Real computation takes real wall time; nothing to account.
-    }
-
-    fn now_ns(&self, _me: ProcId) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    fn image_done(&self, _me: ProcId) {}
-
-    fn poison(&self, msg: &str) {
-        self.poisoned.set(msg);
-        self.waiters.wake();
-    }
-
-    fn health(&self) -> Result<(), crate::RecoveryError> {
-        self.poisoned.health()
+    /// [`SocketFabric::new`] with every socket option at hand.
+    pub(crate) fn one_process(map: ImageMap, cfg: SocketConfig) -> Arc<Self> {
+        let every = (0..map.n_images()).map(ProcId).collect();
+        Self::build(map, vec![(NodeId(0), every)], 0, cfg)
     }
 }
 
@@ -374,7 +77,9 @@ impl Fabric for ThreadFabric {
 mod tests {
     use super::*;
     use crate::spmd::run_spmd;
+    use crate::{Fabric, FlagId, SegmentId};
     use caf_topology::{presets, Placement};
+    use caf_trace::EventKind;
     use std::time::Duration;
 
     const SPARE_FLAG: FlagId = FlagId(2);
@@ -384,7 +89,7 @@ mod tests {
 
     fn fabric(nodes: usize, cores: usize, images: usize) -> Arc<ThreadFabric> {
         let map = ImageMap::new(presets::mini(nodes, cores), images, &Placement::Packed);
-        ThreadFabric::with_defaults(map)
+        ThreadFabric::new(map, ThreadConfig::default())
     }
 
     #[test]
@@ -445,19 +150,87 @@ mod tests {
         });
     }
 
+    /// One process hosts both nodes of the map: what crosses the map's
+    /// node boundary counts, and traces, as inter-node all the same.
     #[test]
     fn stats_split_by_node() {
-        let f = fabric(2, 2, 4);
+        let map = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
+        let tracer = Tracer::for_images(4);
+        let cfg = ThreadConfig {
+            tracer: tracer.clone(),
+            ..ThreadConfig::default()
+        };
+        let f = ThreadFabric::new(map, cfg);
         f.alloc_segment(ProcId(0), 16);
-        let seg = SegmentId(0);
-        f.put(ProcId(0), ProcId(1), seg, 0, &[1u8; 4]); // intra
-        f.put(ProcId(0), ProcId(2), seg, 0, &[1u8; 4]); // inter
-        f.put(ProcId(0), ProcId(0), seg, 0, &[1u8; 4]); // self: uncounted
+        let (me, seg) = (ProcId(0), SegmentId(0));
+        // Intra, inter, then self: uncounted.
+        for dst in [ProcId(1), ProcId(2), me] {
+            f.put(me, dst, seg, 0, &[1u8; 4]);
+            f.put_nb(me, dst, seg, 8, &[1u8; 8]);
+            f.get(me, dst, seg, 0, &mut [0u8; 2]);
+            f.flag_add(me, dst, SPARE_FLAG, 1);
+            f.put_flag(me, dst, seg, 16, &[1u8; 4], SPARE_FLAG, 1);
+        }
         let s = f.stats().snapshot();
-        assert_eq!(s.puts_intra, 1);
-        assert_eq!(s.puts_inter, 1);
-        assert_eq!(s.bytes_intra, 4);
-        assert_eq!(s.bytes_inter, 4);
+        assert_eq!(
+            (s.puts_intra, s.puts_inter),
+            (3, 3),
+            "put, put_nb, put_flag"
+        );
+        assert_eq!((s.puts_nb_injected, s.puts_nb_completed), (2, 2));
+        assert_eq!((s.gets_intra, s.gets_inter), (1, 1));
+        assert_eq!((s.flags_intra, s.flags_inter), (2, 2), "flag_add, put_flag");
+        assert_eq!((s.bytes_intra, s.bytes_inter), (18, 18));
+        if !tracer.enabled() {
+            return;
+        }
+        let kinds = [
+            EventKind::Put,
+            EventKind::PutNb,
+            EventKind::Get,
+            EventKind::FlagAdd,
+            EventKind::Put,
+            EventKind::FlagAdd,
+        ];
+        let ops = tracer.events_of(me.index());
+        assert_eq!(ops.len(), 3 * kinds.len(), "{ops:?}");
+        for (ev, (k, kind)) in ops.iter().zip(kinds.iter().cycle().enumerate()) {
+            assert_eq!(ev.kind, *kind, "{ev:?}");
+            match k / kinds.len() {
+                0 => assert!(ev.is_intra() && !ev.is_self(), "{ev:?}"),
+                1 => assert!(!ev.is_intra() && !ev.is_self(), "{ev:?}"),
+                _ => assert!(ev.is_self(), "{ev:?}"),
+            }
+        }
+        let delivered = tracer.events_of(4);
+        let intra: Vec<bool> = delivered.iter().map(|e| e.is_intra()).collect();
+        assert_eq!(
+            intra,
+            [true, true, false, false, true, true],
+            "{delivered:?}"
+        );
+    }
+
+    /// A threaded run's flag wait is bounded as a fleet's is: a waiter
+    /// whose flag never comes panics naming the image and the flag.
+    #[test]
+    fn a_flag_wait_that_never_ends_panics_naming_image_and_flag() {
+        let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
+        let cfg = SocketConfig {
+            flag_wait_timeout: Duration::from_millis(200),
+            ..SocketConfig::default()
+        };
+        let f = SocketFabric::one_process(map, cfg);
+        let t0 = std::time::Instant::now();
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.flag_wait_ge(ProcId(1), SPARE_FLAG, 1)
+        }));
+        let msg = crate::panic_message(waited.expect_err("bounded").as_ref());
+        assert!(
+            msg.contains("image 2 flag wait timed out after 200ms (flag2 = 0 < 1)"),
+            "{msg}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -12,6 +12,8 @@ use caf_topology::{presets, ImageMap, Placement, ProcId};
 use caf_trace::Tracer;
 
 const BSEG: caf_fabric::SegmentId = bootstrap::SEG;
+#[cfg(feature = "trace")]
+const FLAG: caf_fabric::FlagId = caf_fabric::FlagId(2);
 
 fn traced_cfg(n_images: usize) -> SocketConfig {
     SocketConfig {
@@ -39,6 +41,7 @@ fn cross_node_round_trip() -> Vec<std::sync::Arc<caf_fabric::SocketFabric>> {
 #[cfg(feature = "trace")]
 mod trace_on {
     use super::*;
+    use caf_fabric::{run_spmd, ThreadConfig, ThreadFabric};
     use caf_trace::EventKind;
 
     #[test]
@@ -76,6 +79,48 @@ mod trace_on {
                 telemetry.render_window(3).contains("recent events"),
                 "flight-recorder window must render the captured ring"
             );
+        }
+    }
+
+    /// An image of this process posts a flag and the fabric lands it: the
+    /// delivery's post time (`c`, what the critical-path walk hops on) is
+    /// the add's issue time, on a one-process fleet and a threaded run.
+    #[test]
+    fn own_process_deliveries_carry_their_adds_issue_time() {
+        let map = ImageMap::new(presets::mini(1, 4), 4, &Placement::Packed);
+        let program = |f: &dyn Fabric, me: ProcId| {
+            let next = ProcId((me.index() + 1) % 4);
+            f.flag_add(me, next, FLAG, 1);
+            f.put_flag(me, next, BSEG, 8 * me.index(), &[1; 8], FLAG, 1);
+            f.flag_wait_ge(me, FLAG, 2);
+            f.image_done(me);
+        };
+        let fleet = fleet(&map, &traced_cfg(4));
+        assert_eq!(fleet.len(), 1);
+        run_fleet(&fleet, move |f, me| program(&*f, me));
+        let cfg = ThreadConfig {
+            tracer: Tracer::for_images(4),
+            ..ThreadConfig::default()
+        };
+        let threads = ThreadFabric::new(map, cfg);
+        let t = threads.clone();
+        run_spmd(threads.clone(), move |me| program(&*t, me));
+        for f in [fleet[0].clone(), threads] {
+            let events = f.tracer().events();
+            // (sender, target, flag, issue time) of every add, and of
+            // every delivery.
+            let mut adds: Vec<_> = (events.iter())
+                .filter(|e| e.kind == EventKind::FlagAdd)
+                .map(|e| (e.img as u64, e.a, e.b, e.t_ns))
+                .collect();
+            let mut landed: Vec<_> = (events.iter())
+                .filter(|e| e.kind == EventKind::FlagDeliver)
+                .map(|e| (e.a, e.d, e.b, e.c))
+                .collect();
+            adds.sort_unstable();
+            landed.sort_unstable();
+            assert_eq!(adds.len(), 8);
+            assert_eq!(adds, landed);
         }
     }
 }

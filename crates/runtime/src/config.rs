@@ -10,7 +10,8 @@ pub enum FabricChoice {
     /// The deterministic virtual-time simulator (`caf-fabric::SimFabric`) —
     /// the engine behind every reproduced experiment.
     Sim(SimConfig),
-    /// Real shared-memory threads (`caf-fabric::ThreadFabric`).
+    /// Real shared-memory threads: a `caf-fabric::SocketFabric` whose one
+    /// process hosts every image (`ThreadFabric`), no socket involved.
     Threads(ThreadConfig),
 }
 

@@ -217,7 +217,8 @@ where
 }
 
 /// If `CAF_TRACE_DIR` is set and the fabric produces process telemetry
-/// (only multi-process fabrics do), write the encoded blob to
+/// (the socket fabric does, a threaded run's included; the simulator does
+/// not), write the encoded blob to
 /// `$CAF_TRACE_DIR/caf-telemetry-node<R>-<phase>.bin`. Failures are
 /// reported on stderr but never escalate — observability must not take
 /// down an otherwise healthy run (nor mask the real panic on an unhealthy
