@@ -18,7 +18,7 @@
 //! The bulk sizes (64 KiB, 1 MiB) additionally get one-sided **get** rows
 //! over both socket tiers (`socket_shm_get_wall`, `socket_wire_get_wall`),
 //! the same put ping-pong on `ThreadFabric` (`thread_wall`), and the
-//! segment copy routine on its own (`copy` rows: a 1 MiB `SharedBytes`
+//! segment copy routine on its own (`copy` rows: a 1 MiB heap `Window`
 //! write+read against a per-byte atomic loop kept here as the reference;
 //! the word-wise routine must be at least 2.5x faster, asserted in-bench).
 //!
@@ -34,7 +34,7 @@
 
 use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, quick_mode};
-use caf_fabric::seg::SharedBytes;
+use caf_fabric::seg::Window;
 use caf_fabric::socket::testing::{fleet, run_fleet};
 use caf_fabric::{
     bootstrap, run_spmd, Fabric, FlagId, SimConfig, SimFabric, SocketConfig, ThreadConfig,
@@ -234,7 +234,7 @@ fn on_socket_fleet(nodes: usize, shm: bool, body: ImageBody, bytes: usize, iters
 }
 
 /// `body` between two image threads of one `ThreadFabric`: no process
-/// boundary, no wire — `SharedBytes` and flags only.
+/// boundary, no wire — heap windows and flag cells only.
 fn on_thread_fabric(body: ImageBody, bytes: usize, iters: u64) -> f64 {
     let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
     let fabric = ThreadFabric::new(map, ThreadConfig::default());
@@ -251,7 +251,7 @@ fn on_thread_fabric(body: ImageBody, bytes: usize, iters: u64) -> f64 {
     v
 }
 
-/// A 1 MiB write+read through `SharedBytes` against the per-byte relaxed
+/// A 1 MiB write+read through a heap `Window` against the per-byte relaxed
 /// atomic loop it replaced (kept here as the reference): best-of-`reps`
 /// wall-clock ns for each, `(word-wise, per-byte)`.
 fn copy_routine_vs_per_byte(reps: usize) -> (f64, f64) {
@@ -267,12 +267,12 @@ fn copy_routine_vs_per_byte(reps: usize) -> (f64, f64) {
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let shared = SharedBytes::new(N);
+    let shared = Window::heap(N);
     let word_wise = best(&mut || {
         shared.write(0, black_box(&src));
         shared.read(0, black_box(&mut dst));
     });
-    assert!(dst == src, "SharedBytes round trip");
+    assert!(dst == src, "heap window round trip");
     let cells: Vec<AtomicU8> = (0..N).map(|_| AtomicU8::new(0)).collect();
     let per_byte = best(&mut || {
         for (cell, &b) in cells.iter().zip(black_box(&src)) {
@@ -470,7 +470,7 @@ fn main() {
     // must stay well clear of the per-byte loop it replaced.
     assert!(
         per_byte >= 2.5 * word_wise,
-        "SharedBytes moves 1 MiB there and back in {word_wise:.0} ns, the per-byte reference \
+        "A heap window moves 1 MiB there and back in {word_wise:.0} ns, the per-byte reference \
          in {per_byte:.0} ns (need >= 2.5x)"
     );
     println!(

@@ -83,7 +83,7 @@ fn bench_collectives(c: &mut Criterion) {
         g.bench_function(format!("broadcast64_{images}img_x50"), |b| {
             b.iter(|| launch_and_run(images, CollectiveConfig::auto(), 50, "broadcast"))
         });
-        // Bulk: every byte crosses `SharedBytes` at least twice per hop.
+        // Bulk: every byte crosses a heap `Window` at least twice per hop.
         g.bench_function(format!("broadcast_1mib_{images}img_x10"), |b| {
             b.iter(|| launch_and_run(images, CollectiveConfig::auto(), 10, "broadcast_1mib"))
         });

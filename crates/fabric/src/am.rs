@@ -19,7 +19,7 @@
 //! [`Am::flush`] is the fence.
 
 use crate::batch::{AmPolicy, Batcher};
-use crate::seg::{Amo, FlagId, SegmentId, Span};
+use crate::seg::{Amo, FlagId, Local, SegmentId, Window};
 use crate::socket::wire::{put_u32, put_u64, Cursor};
 use crate::{ArcFabric, ProcId, PutToken};
 use std::io;
@@ -186,7 +186,11 @@ impl AmOp {
 /// of its flags. Each op's effects are visible to every later op, and a
 /// flag bump lands after the payloads before it — the fabric memory
 /// model's put→flag ordering, kept inside a batch.
-pub(crate) fn apply(ops: &[AmOp], window: impl Fn(SegmentId) -> Span, bump: impl Fn(FlagId, u64)) {
+pub(crate) fn apply(
+    ops: &[AmOp],
+    window: impl Fn(SegmentId) -> Window<Local>,
+    bump: impl Fn(FlagId, u64),
+) {
     for op in ops {
         match op {
             AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {

@@ -365,12 +365,14 @@ impl SimCore {
         let Some(bytes) = self.segs[img].get_mut(seg.0) else {
             unallocated(img, "segment", seg.0, has)
         };
-        assert!(
-            offset + len <= bytes.len(),
-            "{what} of {len} bytes at {offset} exceeds {seg:?} ({} bytes)",
-            bytes.len()
-        );
-        &mut bytes[offset..offset + len]
+        let end = offset.checked_add(len).filter(|end| *end <= bytes.len());
+        let Some(end) = end else {
+            panic!(
+                "{what} of {len} bytes at {offset} exceeds {seg:?} ({} bytes)",
+                bytes.len()
+            )
+        };
+        &mut bytes[offset..end]
     }
 
     /// One atomic on `img`'s `u64` cell at `offset` of `seg`, for the op
@@ -2471,5 +2473,30 @@ mod tests {
     fn a_put_past_the_end_names_the_op_and_the_range() {
         let f = sim(1, 1, 1, 1);
         f.put_nb(ProcId(0), ProcId(0), BSEG, 60, &[0; 9]);
+    }
+
+    /// An offset whose end overflows is refused the same way, in words of
+    /// the op — not by the arithmetic (a debug build's add overflow, or a
+    /// release build's wrapped end passing the bounds check).
+    #[test]
+    fn an_offset_whose_end_overflows_names_the_op_and_the_range() {
+        let far = usize::MAX - 7;
+        let refusal = |op: &dyn Fn(&SimFabric)| {
+            let f = sim(1, 1, 1, 1);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&f)));
+            crate::panic_message(panic.expect_err("refused").as_ref())
+        };
+        assert_eq!(
+            refusal(&|f| {
+                f.put_nb(ProcId(0), ProcId(0), BSEG, far, &[0; 8]);
+            }),
+            format!("put_nb of 8 bytes at {far} exceeds seg0 (64 bytes)")
+        );
+        assert_eq!(
+            refusal(&|f| {
+                f.amo_fetch_add_u64(ProcId(0), ProcId(0), BSEG, far, 1);
+            }),
+            format!("AMO of 8 bytes at {far} exceeds seg0 (64 bytes)")
+        );
     }
 }

@@ -30,19 +30,19 @@
 //! mapping, a liveness load, for a signal a load of the peer's wire debt
 //! (an atomic the fabric owns, the peer's `Egress` counts on), and the
 //! acquire-load of the directory entry the op addresses. What it hands to
-//! a direct arm ([`Span`], [`Cell`]) is held through the thread's own
-//! handles. An op to a *mapped* peer that goes by wire because of the
-//! first rule is counted (`wire_fallback_ops`): the tier never falls
-//! through silently.
+//! a direct arm — a [`Window`] or [`FlagCell`], own or mapped alike — is
+//! held through the thread's own handles ([`Local`]). An op to a *mapped*
+//! peer that goes by wire because of the first rule is counted
+//! (`wire_fallback_ops`): the tier never falls through silently.
 
 use super::shm::{self, PeerShm};
 use super::{SocketFabric, PEER_DEAD};
 use crate::am::{self, AmOp};
-use crate::seg::{bump_flag, Access, FlagCell, FlagId, Held, SegmentId, Span};
+use crate::seg::{bump_flag, Access, FlagCell, FlagId, Held, Local, SegmentId, Window};
 use caf_topology::ProcId;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, Ordering};
 
 /// Whose memory a direct op touches. The memory operation is the same;
 /// the tier picks the `FabricStats` counter and the fence.
@@ -68,23 +68,6 @@ enum Reach {
     /// Through the peer's mapping, at this image slot of it.
     Mapped(Rc<PeerShm>, usize),
     Wire,
-}
-
-/// The flag cell a direct `flag_add` bumps, held like a [`Span`].
-pub(super) enum Cell {
-    Own(Rc<FlagCell>),
-    /// In the peer's flag table: this image slot, this flag.
-    Mapped(Rc<PeerShm>, usize, usize),
-}
-
-impl Cell {
-    #[inline]
-    pub(super) fn cell(&self) -> &AtomicU64 {
-        match self {
-            Cell::Own(c) => c.cell(),
-            Cell::Mapped(peer, local, flag) => peer.flag_cell(*local, *flag),
-        }
-    }
 }
 
 impl SocketFabric {
@@ -139,15 +122,15 @@ impl SocketFabric {
         seg: SegmentId,
         off: usize,
         len: usize,
-    ) -> Route<Span> {
+    ) -> Route<Window<Local>> {
         match self.route(me, img, false, true) {
             Reach::Own => {
                 let window = (self.store).window(access, img.index(), seg.0, off as u64, len);
                 let window = window.unwrap_or_else(|e| panic!("{e}"));
-                Route::Direct(Span::Own(window), Tier::Own)
+                Route::Direct(window.local(), Tier::Own)
             }
-            Reach::Mapped(peer, local) => match PeerShm::window_of(&peer, local, seg.0) {
-                Some(window) => Route::Direct(Span::Mapped(window), Tier::Mapped),
+            Reach::Mapped(peer, local) => match PeerShm::window_of(peer, local, seg.0) {
+                Some(window) => Route::Direct(window, Tier::Mapped),
                 None => {
                     self.lane(me).record_wire_fallback();
                     Route::Wire
@@ -159,15 +142,19 @@ impl SocketFabric {
 
     /// Route a flag add.
     #[inline(always)]
-    pub(super) fn route_flag(&self, me: ProcId, img: ProcId, flag: FlagId) -> Route<Cell> {
+    pub(super) fn route_flag(
+        &self,
+        me: ProcId,
+        img: ProcId,
+        flag: FlagId,
+    ) -> Route<FlagCell<Local>> {
         match self.route(me, img, true, flag.0 < shm::MAX_FLAGS) {
             Reach::Own => {
                 let cell = self.store.flag(img.index(), flag.0);
-                let cell = cell.unwrap_or_else(|e| panic!("{e}"));
-                Route::Direct(Cell::Own(cell), Tier::Own)
+                Route::Direct(cell.unwrap_or_else(|e| panic!("{e}")).local(), Tier::Own)
             }
             Reach::Mapped(peer, local) => {
-                Route::Direct(Cell::Mapped(peer, local, flag.0), Tier::Mapped)
+                Route::Direct(PeerShm::flag_of(peer, local, flag.0), Tier::Mapped)
             }
             Reach::Wire => Route::Wire,
         }
@@ -184,19 +171,19 @@ impl SocketFabric {
         img: ProcId,
         (seg, off, len): (SegmentId, usize, usize),
         flag: FlagId,
-    ) -> Route<(Span, Cell)> {
+    ) -> Route<(Window<Local>, FlagCell<Local>)> {
         match self.route(me, img, true, flag.0 < shm::MAX_FLAGS) {
             Reach::Own => {
                 let window = (self.store).window(Access::Put, img.index(), seg.0, off as u64, len);
                 let window = window.unwrap_or_else(|e| panic!("{e}"));
                 let cell = self.store.flag(img.index(), flag.0);
                 let cell = cell.unwrap_or_else(|e| panic!("{e}"));
-                Route::Direct((Span::Own(window), Cell::Own(cell)), Tier::Own)
+                Route::Direct((window.local(), cell.local()), Tier::Own)
             }
-            Reach::Mapped(peer, local) => match PeerShm::window_of(&peer, local, seg.0) {
+            Reach::Mapped(peer, local) => match PeerShm::window_of(peer.clone(), local, seg.0) {
                 Some(window) => {
-                    let cell = Cell::Mapped(peer, local, flag.0);
-                    Route::Direct((Span::Mapped(window), cell), Tier::Mapped)
+                    let cell = PeerShm::flag_of(peer, local, flag.0);
+                    Route::Direct((window, cell), Tier::Mapped)
                 }
                 None => {
                     self.lane(me).record_wire_fallback();
@@ -215,7 +202,7 @@ impl SocketFabric {
         match self.route(me, img, true, true) {
             Reach::Own => Route::Direct(Landing::Own(img.index()), Tier::Own),
             Reach::Mapped(peer, local) => {
-                let published = |seg: &SegmentId| PeerShm::window_of(&peer, local, seg.0).is_some();
+                let published = |seg: &SegmentId| peer.published(local, seg.0).is_some();
                 let shared = ops.iter().all(|op| match op {
                     AmOp::Put { seg, .. } | AmOp::AmoAdd { seg, .. } => published(seg),
                     AmOp::FlagAdd { flag, .. } => flag.0 < shm::MAX_FLAGS,
@@ -244,7 +231,11 @@ pub(super) fn apply_held(
     let held = RefCell::new(held);
     am::apply(
         ops,
-        |seg| Span::Own((held.borrow_mut().window(seg.0)).unwrap_or_else(|e| panic!("{e}"))),
+        |seg| {
+            (held.borrow_mut().window(seg.0))
+                .unwrap_or_else(|e| panic!("{e}"))
+                .local()
+        },
         |flag, delta| {
             let cell = (held.borrow_mut().flag(flag.0)).unwrap_or_else(|e| panic!("{e}"));
             fab.land_flag(cell.cell(), from, img, flag, delta, posted);
@@ -276,12 +267,13 @@ impl Landing {
             Landing::Mapped(peer, local, img) => am::apply(
                 ops,
                 |seg| {
-                    let window = PeerShm::window_of(peer, *local, seg.0);
-                    Span::Mapped(window.expect("published when routed"))
+                    let window = PeerShm::window_of(peer.clone(), *local, seg.0);
+                    window.expect("published when routed")
                 },
                 |flag, delta| {
                     fence(Ordering::Release);
-                    bump_flag(peer.flag_cell(*local, flag.0), *img, flag, delta);
+                    let cell = PeerShm::flag_of(peer.clone(), *local, flag.0);
+                    bump_flag(cell.cell(), *img, flag, delta);
                 },
             ),
         }

@@ -22,24 +22,26 @@
 //! The owner allocates segments from the arena and *publishes* each one
 //! by writing its directory entry and release-storing the entry's state
 //! word; peers acquire-load the state word before building a window, so
-//! a published entry's offset/length are always visible. All payload
-//! bytes are accessed through relaxed atomics (the same memory model as
-//! [`crate::seg::SharedBytes`]); flag adds use release stores and flag
-//! waits acquire loads, which give properly-synchronized programs full
-//! payload visibility across processes.
+//! a published entry's offset/length are always visible. Every window and
+//! flag cell is a [`Window`] or [`FlagCell`] carved from the one map of
+//! the file — the types a heap segment and cell are too — so payload bytes
+//! move through the same relaxed atomics and the same checks; flag adds
+//! use release stores and flag waits acquire loads, which give
+//! properly-synchronized programs full payload visibility across
+//! processes.
 //!
 //! A segment file is unlinked when its owner's [`NodeShm`] drops — with
-//! the owning fabric, however many windows into the mapping threads still
+//! the owning fabric, however many windows into the map threads still
 //! hold; `caf-launch` additionally sets [`ENV_FLEET`] so it can sweep
 //! `/dev/shm` for the litter of a crashed fleet (see [`file_name`] for
 //! the naming scheme).
 
+use crate::seg::{FlagCell, Local, Window};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// `CAF_SOCKET_SHM=0` disables the shared-memory tier (pure-socket
 /// differential oracle); `1` (or unset) enables it where supported.
@@ -172,271 +174,6 @@ fn sweep_matching(matches: impl Fn(&str) -> bool) -> usize {
     removed
 }
 
-#[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-
-    pub const PROT_READ: i32 = 1;
-    pub const PROT_WRITE: i32 = 2;
-    pub const MAP_SHARED: i32 = 1;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-}
-
-#[cfg(unix)]
-fn map_shared(file: &fs::File, len: usize) -> io::Result<*mut u8> {
-    use std::os::fd::AsRawFd;
-    let ptr = unsafe {
-        sys::mmap(
-            std::ptr::null_mut(),
-            len,
-            sys::PROT_READ | sys::PROT_WRITE,
-            sys::MAP_SHARED,
-            file.as_raw_fd(),
-            0,
-        )
-    };
-    if ptr as isize == -1 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(ptr as *mut u8)
-}
-
-#[cfg(not(unix))]
-fn map_shared(_file: &fs::File, _len: usize) -> io::Result<*mut u8> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "shared-memory segments need mmap (unix only)",
-    ))
-}
-
-/// One mapped segment file. The mapping stays valid for every holder
-/// until its last `Arc` drops; the *file* is its owner's to unlink
-/// ([`NodeShm`]).
-pub struct ShmSegment {
-    ptr: *mut u8,
-    len: usize,
-    path: PathBuf,
-}
-
-// SAFETY: all access to the mapping goes through atomic operations (the
-// `AtomicU64` cells of `u64_at` and the relaxed copy routine of
-// `crate::seg`); the raw pointer is never handed out.
-unsafe impl Send for ShmSegment {}
-unsafe impl Sync for ShmSegment {}
-
-impl Drop for ShmSegment {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        unsafe {
-            sys::munmap(self.ptr as *mut std::ffi::c_void, self.len);
-        }
-    }
-}
-
-impl ShmSegment {
-    fn create(path: PathBuf, len: usize) -> io::Result<Arc<Self>> {
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        file.set_len(len as u64)?;
-        let ptr = match map_shared(&file, len) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = fs::remove_file(&path);
-                return Err(e);
-            }
-        };
-        Ok(Arc::new(Self { ptr, len, path }))
-    }
-
-    fn open(path: PathBuf) -> io::Result<Arc<Self>> {
-        let file = fs::OpenOptions::new().read(true).write(true).open(&path)?;
-        let len = file.metadata()?.len() as usize;
-        if len < HEADER_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "shared segment {} is truncated ({len} bytes)",
-                    path.display()
-                ),
-            ));
-        }
-        let ptr = map_shared(&file, len)?;
-        Ok(Arc::new(Self { ptr, len, path }))
-    }
-
-    /// The segment file's path (what rides the `Open`/`Rejoin` frame).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    #[inline]
-    fn u64_at(&self, offset: usize) -> &AtomicU64 {
-        assert!(
-            offset.is_multiple_of(8) && offset.checked_add(8).is_some_and(|end| end <= self.len),
-            "shm u64 access at {offset} out of segment of {} bytes",
-            self.len
-        );
-        // SAFETY: in-bounds, 8-byte aligned (the mapping is page-aligned),
-        // and only ever accessed atomically.
-        unsafe { &*(self.ptr.add(offset) as *const AtomicU64) }
-    }
-
-    /// Relaxed copy into the mapping at `offset` — [`crate::seg::copy_in`],
-    /// the same routine (and memory model) as `SharedBytes::write`.
-    fn write_bytes(&self, offset: usize, src: &[u8]) {
-        assert!(
-            offset
-                .checked_add(src.len())
-                .is_some_and(|end| end <= self.len),
-            "shm write out of bounds"
-        );
-        // SAFETY: the range was just checked against the mapping, which
-        // lives as long as `self`; every process reaches these bytes
-        // through atomics only (see the `Send`/`Sync` impls above).
-        unsafe { crate::seg::copy_in(self.ptr.add(offset), src) }
-    }
-
-    /// Relaxed copy out of the mapping at `offset` —
-    /// [`crate::seg::copy_out`].
-    fn read_bytes(&self, offset: usize, dst: &mut [u8]) {
-        assert!(
-            offset
-                .checked_add(dst.len())
-                .is_some_and(|end| end <= self.len),
-            "shm read out of bounds"
-        );
-        // SAFETY: as in `write_bytes`.
-        unsafe { crate::seg::copy_out(self.ptr.add(offset), dst) }
-    }
-}
-
-/// What keeps a window's mapping alive while it is used: a counted
-/// reference to the segment (table entries, anything handed to another
-/// thread), or the issuing thread's own handle on a peer's mapping — the
-/// borrowed form, which a direct op takes and drops without touching a
-/// shared reference count.
-pub trait Mapping {
-    /// The mapped segment.
-    fn segment(&self) -> &ShmSegment;
-}
-
-impl Mapping for Arc<ShmSegment> {
-    #[inline]
-    fn segment(&self) -> &ShmSegment {
-        self
-    }
-}
-
-impl Mapping for Rc<PeerShm> {
-    #[inline]
-    fn segment(&self) -> &ShmSegment {
-        &self.seg
-    }
-}
-
-/// A bounds-checked view of one published segment inside a mapped file —
-/// the shared-memory counterpart of [`crate::seg::SharedBytes`], with the
-/// same API and panic contract.
-#[derive(Clone)]
-pub struct ShmWindow<M = Arc<ShmSegment>> {
-    map: M,
-    base: usize,
-    len: usize,
-}
-
-impl<M: Mapping> ShmWindow<M> {
-    /// Window length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the window has zero length.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Copy `src` into the window at `offset` (relaxed stores).
-    #[inline]
-    pub fn write(&self, offset: usize, src: &[u8]) {
-        let end = offset
-            .checked_add(src.len())
-            .expect("segment offset overflow");
-        assert!(
-            end <= self.len,
-            "put of {} bytes at offset {offset} exceeds segment of {} bytes",
-            src.len(),
-            self.len
-        );
-        self.map.segment().write_bytes(self.base + offset, src);
-    }
-
-    /// Copy from the window at `offset` into `dst` (relaxed loads).
-    #[inline]
-    pub fn read(&self, offset: usize, dst: &mut [u8]) {
-        let end = offset
-            .checked_add(dst.len())
-            .expect("segment offset overflow");
-        assert!(
-            end <= self.len,
-            "get of {} bytes at offset {offset} exceeds segment of {} bytes",
-            dst.len(),
-            self.len
-        );
-        self.map.segment().read_bytes(self.base + offset, dst);
-    }
-
-    /// View an aligned 8-byte cell as an `AtomicU64` for remote atomics.
-    ///
-    /// # Panics
-    /// Panics if `offset` is not 8-byte aligned or out of range.
-    #[inline]
-    pub fn as_atomic_u64(&self, offset: usize) -> &AtomicU64 {
-        assert!(
-            offset.is_multiple_of(8),
-            "AMO offset {offset} not 8-byte aligned"
-        );
-        assert!(
-            offset.checked_add(8).is_some_and(|end| end <= self.len),
-            "AMO at offset {offset} exceeds segment of {} bytes",
-            self.len
-        );
-        // Window bases are 64-byte aligned, so offset alignment implies
-        // absolute alignment.
-        self.map.segment().u64_at(self.base + offset)
-    }
-}
-
-/// A flag cell inside a mapped segment's flag table.
-#[derive(Clone)]
-pub struct ShmFlag {
-    seg: Arc<ShmSegment>,
-    off: usize,
-}
-
-impl ShmFlag {
-    /// The underlying atomic cell.
-    #[inline]
-    pub fn cell(&self) -> &AtomicU64 {
-        self.seg.u64_at(self.off)
-    }
-}
-
 /// Layout parameters read back from a mapped segment's header.
 #[derive(Clone, Copy)]
 struct Layout {
@@ -449,25 +186,26 @@ struct Layout {
 }
 
 impl Layout {
-    fn read(seg: &ShmSegment) -> io::Result<Layout> {
-        let magic = seg.u64_at(H_MAGIC).load(Ordering::Acquire);
+    fn read(map: &Window, path: &Path) -> io::Result<Layout> {
+        let word = |at| map.as_atomic_u64(at).load(Ordering::Relaxed) as usize;
+        let magic = map.as_atomic_u64(H_MAGIC).load(Ordering::Acquire);
         if magic != MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
                     "shared segment {} has magic {magic:#x}, expected {MAGIC:#x} \
                      (mixed fabric versions on one host?)",
-                    seg.path().display()
+                    path.display()
                 ),
             ));
         }
         Ok(Layout {
-            n_hosted: seg.u64_at(H_N_HOSTED).load(Ordering::Relaxed) as usize,
-            max_segs: seg.u64_at(H_MAX_SEGS).load(Ordering::Relaxed) as usize,
-            max_flags: seg.u64_at(H_MAX_FLAGS).load(Ordering::Relaxed) as usize,
-            tables_off: seg.u64_at(H_TABLES_OFF).load(Ordering::Relaxed) as usize,
-            arena_off: seg.u64_at(H_ARENA_OFF).load(Ordering::Relaxed) as usize,
-            arena_len: seg.u64_at(H_ARENA_LEN).load(Ordering::Relaxed) as usize,
+            n_hosted: word(H_N_HOSTED),
+            max_segs: word(H_MAX_SEGS),
+            max_flags: word(H_MAX_FLAGS),
+            tables_off: word(H_TABLES_OFF),
+            arena_off: word(H_ARENA_OFF),
+            arena_len: word(H_ARENA_LEN),
         })
     }
 
@@ -497,9 +235,12 @@ impl Layout {
 }
 
 /// The segment this process owns: hosted images' flag tables plus a bump
-/// arena their coarray windows are carved from.
+/// arena their coarray windows are carved from. `map` is the whole file;
+/// every window and flag cell handed out is carved from it and holds the
+/// map alive, however long it outlives this.
 pub struct NodeShm {
-    seg: Arc<ShmSegment>,
+    map: Window,
+    path: PathBuf,
     layout: Layout,
     /// Owner-local bump pointer into the arena (bytes from `arena_off`).
     arena_next: AtomicU64,
@@ -509,11 +250,11 @@ pub struct NodeShm {
 }
 
 impl Drop for NodeShm {
-    /// The owner unlinks its file here, not when the last reference to the
-    /// mapping goes: threads keep windows into it in their views
+    /// The owner unlinks its file here, not when the last window into the
+    /// map goes: threads keep windows into it in their views
     /// (`seg::Tables`), and a file must not outlive its fabric for that.
     fn drop(&mut self) {
-        let _ = fs::remove_file(&self.seg.path);
+        let _ = fs::remove_file(&self.path);
     }
 }
 
@@ -542,25 +283,33 @@ impl NodeShm {
         };
         let total = (arena_off + layout.arena_len).next_multiple_of(4096);
         let path = segment_dir().join(file_name(&fleet_tag(), generation, rank));
-        let seg = ShmSegment::create(path, total)?;
-        seg.u64_at(H_N_HOSTED)
-            .store(n_hosted as u64, Ordering::Relaxed);
-        seg.u64_at(H_MAX_SEGS)
-            .store(MAX_SEGS as u64, Ordering::Relaxed);
-        seg.u64_at(H_MAX_FLAGS)
-            .store(MAX_FLAGS as u64, Ordering::Relaxed);
-        seg.u64_at(H_TABLES_OFF)
-            .store(HEADER_BYTES as u64, Ordering::Relaxed);
-        seg.u64_at(H_ARENA_OFF)
-            .store(arena_off as u64, Ordering::Relaxed);
-        seg.u64_at(H_ARENA_LEN)
-            .store(layout.arena_len as u64, Ordering::Relaxed);
+        let file = (fs::OpenOptions::new().read(true).write(true))
+            .create_new(true)
+            .open(&path)?;
+        let map = file
+            .set_len(total as u64)
+            .and_then(|()| Window::map(&file, total));
+        let map = map.inspect_err(|_| {
+            let _ = fs::remove_file(&path);
+        })?;
+        let header = [
+            (H_N_HOSTED, n_hosted),
+            (H_MAX_SEGS, MAX_SEGS),
+            (H_MAX_FLAGS, MAX_FLAGS),
+            (H_TABLES_OFF, HEADER_BYTES),
+            (H_ARENA_OFF, arena_off),
+            (H_ARENA_LEN, layout.arena_len),
+        ];
+        for (at, value) in header {
+            map.as_atomic_u64(at).store(value as u64, Ordering::Relaxed);
+        }
         // Publish the magic last: a peer that maps a half-built header
         // (impossible through the handshake, but cheap to rule out) sees
         // a zero magic and rejects.
-        seg.u64_at(H_MAGIC).store(MAGIC, Ordering::Release);
+        map.as_atomic_u64(H_MAGIC).store(MAGIC, Ordering::Release);
         Ok(NodeShm {
-            seg,
+            map,
+            path,
             layout,
             arena_next: AtomicU64::new(0),
             boot_mark: AtomicU64::new(0),
@@ -569,12 +318,12 @@ impl NodeShm {
 
     /// The segment file's path (announced to peers in the handshake).
     pub fn path(&self) -> &Path {
-        self.seg.path()
+        &self.path
     }
 
     /// Carve `bytes` from the arena for segment id `seg` of hosted image
     /// slot `local`, zero it, and publish its directory entry.
-    pub fn alloc(&self, local: usize, seg: usize, bytes: usize) -> Result<ShmWindow, String> {
+    pub fn alloc(&self, local: usize, seg: usize, bytes: usize) -> Result<Window, String> {
         if seg >= self.layout.max_segs {
             return Err(format!(
                 "image slot {local} needs segment id {seg} but the shared segment \
@@ -592,32 +341,21 @@ impl NodeShm {
             ));
         }
         let base = self.layout.arena_off + off;
-        // Fresh allocations hand out zeroed memory, like `SharedBytes::new`
-        // — this also scrubs stale bytes after a recovery-fence rollback.
-        self.seg.write_bytes(base, &vec![0u8; bytes]);
+        let window = self.map.window(base, bytes);
+        // Fresh allocations hand out zeroed memory, like a heap window —
+        // this also scrubs stale bytes after a recovery-fence rollback.
+        window.zero();
         let dir = self.layout.dir_off(local, seg);
-        self.seg
-            .u64_at(dir + 8)
-            .store(base as u64, Ordering::Relaxed);
-        self.seg
-            .u64_at(dir + 16)
-            .store(bytes as u64, Ordering::Relaxed);
-        self.seg
-            .u64_at(dir)
-            .store(STATE_PUBLISHED, Ordering::Release);
-        Ok(ShmWindow {
-            map: self.seg.clone(),
-            base,
-            len: bytes,
-        })
+        let entry = |at| self.map.as_atomic_u64(dir + at);
+        entry(8).store(base as u64, Ordering::Relaxed);
+        entry(16).store(bytes as u64, Ordering::Relaxed);
+        entry(0).store(STATE_PUBLISHED, Ordering::Release);
+        Ok(window)
     }
 
     /// Flag cell `flag` of hosted image slot `local`.
-    pub fn flag(&self, local: usize, flag: usize) -> ShmFlag {
-        ShmFlag {
-            seg: self.seg.clone(),
-            off: self.layout.flag_off(local, flag),
-        }
+    pub fn flag(&self, local: usize, flag: usize) -> FlagCell {
+        self.map.flag(self.layout.flag_off(local, flag))
     }
 
     /// Record the post-bootstrap arena watermark; [`NodeShm::reset`]
@@ -632,16 +370,13 @@ impl NodeShm {
     /// to the bootstrap watermark. Runs between the two fence rounds,
     /// when no peer is issuing traffic.
     pub fn reset(&self, keep_segs: usize) {
+        let word = |at| self.map.as_atomic_u64(at);
         for local in 0..self.layout.n_hosted {
             for s in keep_segs..self.layout.max_segs {
-                self.seg
-                    .u64_at(self.layout.dir_off(local, s))
-                    .store(STATE_EMPTY, Ordering::Release);
+                word(self.layout.dir_off(local, s)).store(STATE_EMPTY, Ordering::Release);
             }
             for f in 0..self.layout.max_flags {
-                self.seg
-                    .u64_at(self.layout.flag_off(local, f))
-                    .store(0, Ordering::Release);
+                word(self.layout.flag_off(local, f)).store(0, Ordering::Release);
             }
         }
         self.arena_next
@@ -651,82 +386,91 @@ impl NodeShm {
 
 /// A peer's mapped segment: windows and flag cells resolved against the
 /// peer's published directory. A clone is one more reference to the same
-/// mapping.
+/// map.
 #[derive(Clone)]
 pub struct PeerShm {
-    seg: Arc<ShmSegment>,
+    map: Window,
     layout: Layout,
+}
+
+impl AsRef<Window> for PeerShm {
+    fn as_ref(&self) -> &Window {
+        &self.map
+    }
 }
 
 impl PeerShm {
     /// Map the segment a peer announced in its handshake.
     pub fn open(path: &Path) -> io::Result<PeerShm> {
-        let seg = ShmSegment::open(path.to_path_buf())?;
-        let layout = Layout::read(&seg)?;
-        let need = layout.arena_off + layout.arena_len;
-        if seg.len < need {
+        let file = fs::OpenOptions::new().read(true).write(true).open(path)?;
+        let len = file.metadata()?.len() as usize;
+        if len < HEADER_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "shared segment {} is {} bytes but its header claims {need}",
-                    path.display(),
-                    seg.len
+                    "shared segment {} is truncated ({len} bytes)",
+                    path.display()
                 ),
             ));
         }
-        Ok(PeerShm { seg, layout })
+        let map = Window::map(&file, len)?;
+        let layout = Layout::read(&map, path)?;
+        let need = layout.arena_off + layout.arena_len;
+        if len < need {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "shared segment {} is {len} bytes but its header claims {need}",
+                    path.display(),
+                ),
+            ));
+        }
+        Ok(PeerShm { map, layout })
     }
 
     /// Where the peer's directory puts segment id `seg` of its hosted image
     /// slot `local` — `(base, len)` — or `None` while the entry is not
     /// published. Read anew by every op: the directory is the truth.
-    #[inline]
-    fn published(&self, local: usize, seg: usize) -> Option<(usize, usize)> {
+    #[inline(always)]
+    pub(super) fn published(&self, local: usize, seg: usize) -> Option<(usize, usize)> {
         if local >= self.layout.n_hosted || seg >= self.layout.max_segs {
             return None;
         }
         let dir = self.layout.dir_off(local, seg);
-        if self.seg.u64_at(dir).load(Ordering::Acquire) != STATE_PUBLISHED {
+        let entry = |at| self.map.as_atomic_u64(dir + at);
+        if entry(0).load(Ordering::Acquire) != STATE_PUBLISHED {
             return None;
         }
-        let base = self.seg.u64_at(dir + 8).load(Ordering::Relaxed) as usize;
-        let len = self.seg.u64_at(dir + 16).load(Ordering::Relaxed) as usize;
-        Some((base, len))
+        let base = entry(8).load(Ordering::Relaxed) as usize;
+        Some((base, entry(16).load(Ordering::Relaxed) as usize))
     }
 
     /// The published window for segment id `seg` of the peer's hosted
     /// image slot `local`, or `None` when the peer has not allocated it.
-    pub fn window(&self, local: usize, seg: usize) -> Option<ShmWindow> {
+    pub fn window(&self, local: usize, seg: usize) -> Option<Window> {
         let (base, len) = self.published(local, seg)?;
-        let map = self.seg.clone();
-        Some(ShmWindow { map, base, len })
+        Some(self.map.window(base, len))
     }
 
     /// [`PeerShm::window`] held through a thread's own handle `peer`: the
     /// form a direct op takes.
-    #[inline]
-    pub(crate) fn window_of(
-        peer: &Rc<PeerShm>,
-        local: usize,
-        seg: usize,
-    ) -> Option<ShmWindow<Rc<PeerShm>>> {
+    #[inline(always)]
+    pub(crate) fn window_of(peer: Rc<PeerShm>, local: usize, seg: usize) -> Option<Window<Local>> {
         let (base, len) = peer.published(local, seg)?;
-        let map = peer.clone();
-        Some(ShmWindow { map, base, len })
+        Some(Window::of(peer, base, len))
     }
 
     /// Flag cell `flag` of the peer's hosted image slot `local`.
-    pub fn flag(&self, local: usize, flag: usize) -> ShmFlag {
-        ShmFlag {
-            seg: self.seg.clone(),
-            off: self.layout.flag_off(local, flag),
-        }
+    pub fn flag(&self, local: usize, flag: usize) -> FlagCell {
+        self.map.flag(self.layout.flag_off(local, flag))
     }
 
-    /// The cell of [`PeerShm::flag`], borrowed: the form a direct op bumps.
-    #[inline]
-    pub(crate) fn flag_cell(&self, local: usize, flag: usize) -> &AtomicU64 {
-        self.seg.u64_at(self.layout.flag_off(local, flag))
+    /// [`PeerShm::flag`] held through a thread's own handle `peer`: the
+    /// form a direct op bumps.
+    #[inline(always)]
+    pub(crate) fn flag_of(peer: Rc<PeerShm>, local: usize, flag: usize) -> FlagCell<Local> {
+        let at = peer.layout.flag_off(local, flag);
+        FlagCell::of(peer, at)
     }
 
     /// Number of image slots the peer's segment holds.
@@ -756,9 +500,9 @@ mod tests {
         assert!(peer.window(1, 7).is_none());
     }
 
-    /// The shared window moves bytes with the same routine as
-    /// `SharedBytes` (window bases are 64-byte aligned in the mapping, so
-    /// the same offsets hit the same ragged-end cases).
+    /// A mapped window moves bytes with the same routine as a heap one
+    /// (window bases are 64-byte aligned in the mapping, so the same
+    /// offsets hit the same ragged-end cases).
     #[test]
     fn shm_window_copy_matches_seg_model() {
         use crate::seg::tests::{check_copy_against_model, MODEL_SPAN};
@@ -829,6 +573,43 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.as_atomic_u64(4)));
         let msg = *r.unwrap_err().downcast::<String>().expect("panic message");
         assert!(msg.contains("not 8-byte aligned"), "{msg}");
+        // Every kind of window refuses an access with `check`'s own words:
+        // past the end, an end that overflows, a misaligned AMO.
+        let peer = Rc::new(PeerShm::open(own.path()).expect("open"));
+        let mapped = PeerShm::window_of(peer, 0, 0).expect("published window");
+        refusals_are_checks(&Window::heap(32));
+        refusals_are_checks(&w);
+        refusals_are_checks(&mapped);
+    }
+
+    /// Each accessor of `window` (32 bytes) panics with the `Err` text
+    /// `check` gives for the same access.
+    fn refusals_are_checks<K>(window: &Window<K>) {
+        use crate::seg::Access::{self, Amo, Get, Put};
+        let far = usize::MAX - 7;
+        let cases = [
+            (Put, 28),
+            (Put, far),
+            (Get, 28),
+            (Get, far),
+            (Amo, 32),
+            (Amo, far),
+            (Amo, 4),
+        ];
+        for (access, off) in cases {
+            let want = window.check(access, off as u64, 8).expect_err("refused");
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match access {
+                Access::Put => window.write(off, &[0; 8]),
+                Access::Get => window.read(off, &mut [0; 8]),
+                Access::Amo => {
+                    window.as_atomic_u64(off);
+                }
+            }));
+            assert_eq!(
+                crate::panic_message(got.expect_err("refused").as_ref()),
+                want
+            );
+        }
     }
 
     /// An AMO offset is wire-supplied, and optimized builds wrap: the end

@@ -16,13 +16,13 @@
 
 use super::shm;
 use crate::am::AmOp;
-use crate::seg::{Access, FlagCell, FlagId, Held, SegmentId, SharedBytes, Tables, Window};
+use crate::seg::{Access, FlagCell, FlagId, Held, SegmentId, Tables, Window};
 use crate::stats::FabricStats;
 use caf_topology::ProcId;
 use std::io::Write;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Once};
+use std::sync::Once;
 
 /// Everything this process hosts. Requests name a *global* image index;
 /// one this process does not host is refused, never a panic.
@@ -140,7 +140,7 @@ impl Store {
             .unwrap_or_else(|_| panic!("alloc_segment: image {me:?} not hosted here"));
         image.push_segment(bytes, |id| {
             match self.shm.as_ref().map(|s| s.alloc(image.local(), id, bytes)) {
-                Some(Ok(window)) => return Window::Shm(window),
+                Some(Ok(window)) => return window,
                 // Peers rendezvous through the bootstrap segment: it may not spill.
                 Some(Err(e)) if id < crate::bootstrap::NUM_SEGS => {
                     panic!("image {} bootstrap segment: {e}", me.index())
@@ -152,7 +152,7 @@ impl Store {
                 }
                 None => {}
             }
-            Window::Heap(Arc::new(SharedBytes::new(bytes)))
+            Window::heap(bytes)
         })
     }
 
@@ -164,7 +164,7 @@ impl Store {
         let image = (self.tables.image(me.index()))
             .unwrap_or_else(|_| panic!("alloc_flags: image {me:?} not hosted here"));
         let first = image.push_flags(count, |k| match &self.shm {
-            Some(s) if k < shm::MAX_FLAGS => FlagCell::Shm(s.flag(image.local(), k)),
+            Some(s) if k < shm::MAX_FLAGS => s.flag(image.local(), k),
             _ => FlagCell::heap(),
         });
         let spilled = (first.0 + count).saturating_sub(first.0.max(shm::MAX_FLAGS));
