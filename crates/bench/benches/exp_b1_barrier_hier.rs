@@ -15,7 +15,7 @@ use caf_microbench::{barrier_latency, report, trace_table, MicroConfig, Table};
 use caf_trace::{episode_window, extract, EventKind, Tracer};
 
 /// When `CAF_TRACE_DIR` names a directory, rerun a small TDLB sweep with
-/// capture on, dump the Chrome trace JSON there, and print the per-phase
+/// a tracer installed, dump the Chrome trace JSON there, and print the per-phase
 /// latency table plus the final episode's critical path (see
 /// EXPERIMENTS.md, "Reading a trace").
 fn dump_trace(dir: &str, n: usize) {
@@ -25,13 +25,6 @@ fn dump_trace(dir: &str, n: usize) {
     mc.iters = 4;
     barrier_latency(&mc);
     let events = tracer.events();
-    if events.is_empty() {
-        eprintln!(
-            "CAF_TRACE_DIR is set but no events were captured; rebuild with \
-             `--features trace` to compile-in capture"
-        );
-        return;
-    }
     std::fs::create_dir_all(dir).expect("create CAF_TRACE_DIR");
     let path = std::path::Path::new(dir).join(format!("exp_b1_tdlb_{n}images.trace.json"));
     let map = caf_topology::ImageMap::new(

@@ -251,8 +251,7 @@ fn shrink(
 }
 
 /// Re-run a failing configuration with an enabled tracer and render the
-/// recent per-image event window (a no-op note without the `trace`
-/// feature).
+/// recent per-image event window.
 fn capture_window(
     scn: &Scenario,
     algo: CollectiveConfig,

@@ -22,8 +22,8 @@
 //!    under {default sim, chaos × seeds, real threads} × a collective
 //!    algorithm matrix; any output divergence is shrunk greedily to a
 //!    minimal failing chaos config and reported with a replayable seed
-//!    (`CAF_CHECK_SEED=<seed>`) and, when built with the `trace` feature,
-//!    the recent per-image event window.
+//!    (`CAF_CHECK_SEED=<seed>`) and the recent per-image event window of a
+//!    traced re-run.
 //!
 //! The `caf-check` binary (`cargo xtask check --quick|--deep`) sweeps the
 //! built-in conformance program over the full scenario × algorithm × seed

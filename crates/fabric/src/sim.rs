@@ -87,8 +87,7 @@ pub struct SimConfig {
     pub overheads: SoftwareOverheads,
     /// Trace sink. The default [`Tracer::off`] records nothing; install a
     /// [`Tracer::for_images`] tracer to capture every fabric operation with
-    /// virtual-time stamps (requires the `trace` feature to actually keep
-    /// records — without it the no-op tracer compiles away).
+    /// virtual-time stamps.
     pub tracer: Tracer,
     /// Seeded chaos scheduling and fault injection (see [`ChaosConfig`]).
     /// `None` (the default) is the plain conservative scheduler; `Some`
@@ -682,7 +681,7 @@ impl SimCore {
         }
         if !self.tracer.enabled() {
             msg.push_str(
-                "  (build with the `trace` feature and install a Tracer for \
+                "  (install a tracer — `Tracer::for_images` — for \
                  per-image operation history)\n",
             );
         }
@@ -731,9 +730,6 @@ impl SimFabric {
         let nodes = map.machine().nodes;
         let sockets = nodes * map.machine().sockets_per_node;
         let gap_nic_ns = cfg.cost.gap_nic_ns + cfg.overheads.nic_busy_extra_ns;
-        // Tracer is Copy only without the `trace` feature; the clone keeps
-        // both configs compiling (`cfg` moves into the struct below).
-        #[allow(clippy::clone_on_copy)]
         let tracer = cfg.tracer.clone();
         let stats = Arc::new(FabricStats::default());
         let chaos = cfg.chaos;

@@ -55,7 +55,7 @@
 
 use super::pending::{Entry, Pending};
 use super::wire::{self, Frame, Stream};
-use super::{SocketFabric, POLL};
+use super::{Op, SocketFabric, POLL};
 use caf_topology::ProcId;
 use parking_lot::Mutex;
 use std::io::{self, IoSlice, Write};
@@ -543,32 +543,34 @@ impl SocketFabric {
     }
 
     /// Append the frame `encode` writes around its sequence number to the
-    /// egress cork of the process hosting `dst` (flushed as `urgency` and
-    /// the ack clock decide — see the module docs). `awaits` is the pending
-    /// entry of a frame the peer answers. Returns the hosting process's
-    /// rank with what the send did.
+    /// egress cork of the process hosting `op`'s peer (flushed as `urgency`
+    /// and the ack clock decide — see the module docs). `awaits` is the
+    /// pending entry of a frame the peer answers. Returns the hosting
+    /// process's rank with what the send did (its queueing timed when `op`
+    /// is traced).
     pub(super) fn send_request<'a>(
         &self,
-        me: ProcId,
-        dst: ProcId,
+        op: &Op,
         awaits: Option<Entry>,
         urgency: Urgency,
         encode: impl FnOnce(u64, &mut Vec<u8>) -> &'a [u8],
     ) -> (usize, Sent) {
-        let time_queue = self.cfg.tracer.enabled();
-        self.to_peer(me, dst, |e, rank| {
+        let time_queue = op.t0.is_some();
+        self.to_peer(op.me, op.peer, |e, rank| {
             let awaits = awaits.map(|entry| (&self.pending, rank, entry));
             e.send(awaits, urgency, time_queue, encode)
         })
     }
 
-    /// Append `me`'s `flag += delta` at `dst` to the cork of the process
+    /// Append `op`'s `flag += delta` at its peer to the cork of the process
     /// hosting it: one frame with the `put_nb` it follows, if that is still
     /// corked ([`Egress::send_flag`]).
-    pub(super) fn send_flag(&self, me: ProcId, dst: ProcId, flag: u64, delta: u64) {
-        let pair = (me.index() as u32, dst.index() as u32);
-        let time_queue = self.cfg.tracer.enabled();
-        self.to_peer(me, dst, |e, _| e.send_flag(pair, flag, delta, time_queue));
+    pub(super) fn send_flag(&self, op: &Op, flag: u64, delta: u64) {
+        let pair = (op.me.index() as u32, op.peer.index() as u32);
+        let time_queue = op.t0.is_some();
+        self.to_peer(op.me, op.peer, |e, _| {
+            e.send_flag(pair, flag, delta, time_queue)
+        });
     }
 }
 

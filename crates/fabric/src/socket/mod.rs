@@ -535,13 +535,10 @@ impl SocketFabric {
         self.stats.lane(self.local_of_image[me.index()] as usize)
     }
 
+    /// Now, when the tracer is on: the one read of it an op makes.
     #[inline]
-    fn trace_now(&self) -> u64 {
-        if self.cfg.tracer.enabled() {
-            self.wall_now()
-        } else {
-            0
-        }
+    fn trace_start(&self) -> Option<u64> {
+        self.cfg.tracer.enabled().then(|| self.wall_now())
     }
 
     /// Start tracing `me`'s op of `kind` on `peer`.
@@ -552,7 +549,7 @@ impl SocketFabric {
             kind,
             me,
             peer,
-            t0: self.trace_now(),
+            t0: self.trace_start(),
         }
     }
 
@@ -569,8 +566,8 @@ impl SocketFabric {
     /// `from`, record the delivery, and wake parked waiters — the wake is
     /// this fabric's own, taken only for a cell it hosts: a mapped peer's
     /// waiter polls. `posted`: when a sender of this process issued the
-    /// add; `None` for a frame's, whose delivery is stamped with its
-    /// landing and is never intra-node.
+    /// add (`None` when the tracer is off); `None` for a frame's, whose
+    /// delivery is stamped with its landing and is never intra-node.
     #[inline]
     fn land_flag(
         &self,
@@ -583,7 +580,7 @@ impl SocketFabric {
     ) {
         bump_flag(cell, img, flag, delta);
         if self.cfg.tracer.enabled() {
-            let t = self.trace_now();
+            let t = self.wall_now();
             let near = from == img || self.map.colocated(ProcId(from), ProcId(img));
             let intra = posted.is_some() && near;
             let _g = self.trace_sys_lock.lock();
@@ -597,34 +594,6 @@ impl SocketFabric {
             );
         }
         self.waiters.wake();
-    }
-
-    /// Record `me`'s flag add on `target`, issued at `t0` (`intra`: served
-    /// from memory on `me`'s node or host, not sent by frame).
-    fn record_flag_add(
-        &self,
-        me: ProcId,
-        target: ProcId,
-        flag: FlagId,
-        delta: u64,
-        t0: u64,
-        intra: bool,
-    ) {
-        if self.cfg.tracer.enabled() {
-            let ev = Event::instant(EventKind::FlagAdd, t0)
-                .a(target.index() as u64)
-                .b(flag.0 as u64)
-                .c(delta)
-                .d(self.trace_now());
-            self.cfg.tracer.record(
-                me.index(),
-                if me == target {
-                    ev.self_target()
-                } else {
-                    ev.intra(intra)
-                },
-            );
-        }
     }
 
     /// A remote atomic on the 8-byte cell at `offset` of `target`'s window
@@ -669,8 +638,7 @@ impl SocketFabric {
                         req,
                     },
                 };
-                let (reply, queue_ns, service_ns) =
-                    self.call(me, target, doing, Kind::Val, whole(frame));
+                let (reply, queue_ns, service_ns) = self.call(&op, doing, Kind::Val, whole(frame));
                 let Reply::Val(old) = reply else {
                     panic!("AMO got a non-value response");
                 };
@@ -681,54 +649,65 @@ impl SocketFabric {
     }
 }
 
-/// One traced fabric op: what, by whom, on whom, since when.
+/// One traced fabric op: what, by whom, on whom, since when (`None` when
+/// the tracer is off, so no step of the op reads it again).
 struct Op<'a> {
     fab: &'a SocketFabric,
     kind: EventKind,
     me: ProcId,
     peer: ProcId,
-    t0: u64,
+    t0: Option<u64>,
 }
 
 impl Op<'_> {
     /// Served from memory at `tier`: a local span.
-    fn direct(self, tier: Tier, bytes: u64) {
-        let tracer = &self.fab.cfg.tracer;
-        if !tracer.enabled() {
-            return;
-        }
-        let t1 = self.fab.trace_now();
-        let ev = Event::span(self.kind, self.t0, t1.saturating_sub(self.t0))
+    #[inline]
+    fn direct(&self, tier: Tier, bytes: u64) {
+        let Some(t0) = self.t0 else { return };
+        let ev = Event::span(self.kind, t0, self.fab.wall_now().saturating_sub(t0))
             .a(self.peer.index() as u64)
             .b(bytes);
-        tracer.record(
-            self.me.index(),
-            if self.me == self.peer {
-                ev.self_target()
-            } else {
-                ev.intra(self.fab.intra(tier, self.me, self.peer))
-            },
-        );
+        self.record(ev, self.fab.intra(tier, self.me, self.peer));
     }
 
     /// Served over the wire: a span with the socket queueing-vs-service
     /// split (`c` = writer-queue ns, `d` = service ns — wire + remote apply
     /// + response), mirroring the simulator's Put convention.
-    fn wire(self, bytes: u64, queue_ns: u64, service_ns: u64) {
-        let tracer = &self.fab.cfg.tracer;
-        if !tracer.enabled() {
-            return;
-        }
-        let t1 = self.fab.trace_now();
-        tracer.record(
-            self.me.index(),
-            Event::span(self.kind, self.t0, t1.saturating_sub(self.t0))
-                .a(self.peer.index() as u64)
-                .b(bytes)
-                .c(queue_ns)
-                .d(service_ns)
-                .intra(false),
-        );
+    #[inline]
+    fn wire(&self, bytes: u64, queue_ns: u64, service_ns: u64) {
+        let Some(t0) = self.t0 else { return };
+        let ev = Event::span(self.kind, t0, self.fab.wall_now().saturating_sub(t0))
+            .a(self.peer.index() as u64)
+            .b(bytes)
+            .c(queue_ns)
+            .d(service_ns);
+        self.record(ev, false);
+    }
+
+    /// The op's flag add of `delta` to `flag`, issued when the op began
+    /// (`intra`: served from memory on `me`'s node or host, not sent by
+    /// frame).
+    #[inline]
+    fn flag_add(&self, flag: FlagId, delta: u64, intra: bool) {
+        let Some(t0) = self.t0 else { return };
+        let ev = Event::instant(EventKind::FlagAdd, t0)
+            .a(self.peer.index() as u64)
+            .b(flag.0 as u64)
+            .c(delta)
+            .d(self.fab.wall_now());
+        self.record(ev, intra);
+    }
+
+    /// Record `ev` on `me`'s ring: self-targeted, or `intra` or not. Cold:
+    /// the tracer is off unless a run installs one.
+    #[cold]
+    fn record(&self, ev: Event, intra: bool) {
+        let ev = if self.me == self.peer {
+            ev.self_target()
+        } else {
+            ev.intra(intra)
+        };
+        self.fab.cfg.tracer.record(self.me.index(), ev);
     }
 }
 
@@ -804,7 +783,7 @@ impl Fabric for SocketFabric {
             Route::Wire => {
                 self.lane(me).record_put(false, len);
                 let (reply, queue_ns, service_ns) =
-                    self.call(me, dst, "remote put", Kind::Ack, |ack, b| {
+                    self.call(&op, "remote put", Kind::Ack, |ack, b| {
                         let (src, dst) = (me.index() as u32, dst.index() as u32);
                         let (seg, off) = (seg.0 as u64, offset as u64);
                         let head = PutHead {
@@ -856,7 +835,7 @@ impl Fabric for SocketFabric {
                 // contract as `put_nb`.
                 let (img, put) = (me.index() as u32, false);
                 let awaits = Some(Entry::Nb { img, put });
-                let (_, sent) = self.send_request(me, dst, awaits, Urgency::Signal, |ack, b| {
+                let (_, sent) = self.send_request(&op, awaits, Urgency::Signal, |ack, b| {
                     let (src, dst) = (me.index() as u32, dst.index() as u32);
                     wire::encode_am_batch(b, src, dst, ack, ops);
                     &[]
@@ -903,7 +882,7 @@ impl Fabric for SocketFabric {
                 self.lane(me).record_put_nb(false, len);
                 let (img, put) = (me.index() as u32, true);
                 let awaits = Some(Entry::Nb { img, put });
-                let (rank, sent) = self.send_request(me, dst, awaits, Urgency::Data, |ack, b| {
+                let (rank, sent) = self.send_request(&op, awaits, Urgency::Data, |ack, b| {
                     let (src, dst) = (me.index() as u32, dst.index() as u32);
                     let (seg, off) = (seg.0 as u64, offset as u64);
                     let head = PutHead {
@@ -978,7 +957,7 @@ impl Fabric for SocketFabric {
                     req,
                 };
                 let (reply, queue_ns, service_ns) =
-                    self.call(me, src, "remote get", Kind::Data, whole(frame));
+                    self.call(&op, "remote get", Kind::Data, whole(frame));
                 let Reply::Data { buf, len: got } = reply else {
                     panic!("get got a non-data response");
                 };
@@ -1018,7 +997,7 @@ impl Fabric for SocketFabric {
     }
 
     fn flag_add(&self, me: ProcId, target: ProcId, flag: FlagId, delta: u64) {
-        let t0 = self.trace_now();
+        let op = self.begin(EventKind::FlagAdd, me, target);
         let intra = match self.route_flag(me, target, flag) {
             Route::Direct(cell, tier) => {
                 let intra = self.intra(tier, me, target);
@@ -1028,7 +1007,7 @@ impl Fabric for SocketFabric {
                             self.lane(me).record_flag(intra);
                         }
                         let (from, img) = (me.index(), target.index());
-                        self.land_flag(cell.cell(), from, img, flag, delta, Some(t0));
+                        self.land_flag(cell.cell(), from, img, flag, delta, op.t0);
                     }
                     Tier::Mapped => {
                         // Release on the shared cell publishes every prior
@@ -1048,11 +1027,11 @@ impl Fabric for SocketFabric {
                 // target comes from the shared per-peer connection (frames
                 // apply in send order) — or from sharing the frame of the
                 // `put_nb` right before it, if that is still corked.
-                self.send_flag(me, target, flag.0 as u64, delta);
+                self.send_flag(&op, flag.0 as u64, delta);
                 false
             }
         };
-        self.record_flag_add(me, target, flag, delta, t0, intra);
+        op.flag_add(flag, delta, intra);
     }
 
     fn put_flag(
@@ -1069,7 +1048,7 @@ impl Fabric for SocketFabric {
             return self.flag_add(me, dst, flag, delta);
         }
         let op = self.begin(EventKind::Put, me, dst);
-        let (t0, len) = (op.t0, bytes.len());
+        let len = bytes.len();
         let intra = match self.route_put_flag(me, dst, (seg, offset, len), flag) {
             Route::Direct((window, cell), tier) => {
                 window.write(offset, bytes);
@@ -1081,7 +1060,7 @@ impl Fabric for SocketFabric {
                             lane.record_flag(intra);
                         }
                         let (from, img) = (me.index(), dst.index());
-                        self.land_flag(cell.cell(), from, img, flag, delta, Some(t0));
+                        self.land_flag(cell.cell(), from, img, flag, delta, op.t0);
                     }
                     Tier::Mapped => {
                         // The flag's release add publishes the payload.
@@ -1104,7 +1083,7 @@ impl Fabric for SocketFabric {
                     img: src,
                     put: false,
                 });
-                let (_, sent) = self.send_request(me, dst, awaits, Urgency::Signal, |ack, b| {
+                let (_, sent) = self.send_request(&op, awaits, Urgency::Signal, |ack, b| {
                     let (seg, off) = (seg.0 as u64, offset as u64);
                     let flag = Some((flag.0 as u64, delta));
                     let head = PutHead {
@@ -1122,13 +1101,13 @@ impl Fabric for SocketFabric {
                 false
             }
         };
-        self.record_flag_add(me, dst, flag, delta, t0, intra);
+        op.flag_add(flag, delta, intra);
     }
 
     fn flag_wait_ge(&self, me: ProcId, flag: FlagId, at_least: u64) {
         self.lane(me).record_flag_wait();
         self.flush_corked();
-        let t0 = self.trace_now();
+        let t0 = self.trace_start();
         let cell_owner = (self.store.flag(me.index(), flag.0)).unwrap_or_else(|e| panic!("{e}"));
         let cell = cell_owner.cell();
         // Built on the first miss: a wait that is already satisfied reads
@@ -1151,8 +1130,8 @@ impl Fabric for SocketFabric {
                 panic!("{}", self.poison_with(msg));
             }
         });
-        if self.cfg.tracer.enabled() {
-            let t1 = self.trace_now();
+        if let Some(t0) = t0 {
+            let t1 = self.wall_now();
             self.cfg.tracer.record(
                 me.index(),
                 Event::span(EventKind::FlagWait, t0, t1.saturating_sub(t0))

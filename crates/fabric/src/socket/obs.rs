@@ -295,8 +295,8 @@ pub struct NodeTelemetry {
     pub stats: StatsSnapshot,
     /// Wire/latency/heartbeat probe snapshot.
     pub obs: ObsSnapshot,
-    /// Retained trace events (empty for [`TelemetryPhase::Live`] and for
-    /// capture-disabled builds).
+    /// Retained trace events (empty for [`TelemetryPhase::Live`] and when
+    /// no tracer is installed).
     pub events: Vec<Event>,
 }
 
@@ -353,7 +353,7 @@ impl NodeTelemetry {
         if n_images > 1 << 20 {
             return Err(bad("absurd image count in telemetry"));
         }
-        let mut images = Vec::with_capacity(n_images);
+        let mut images = Vec::with_capacity(n_images.min(c.remaining() / 4));
         for _ in 0..n_images {
             images.push(c.u32()?);
         }
@@ -363,7 +363,8 @@ impl NodeTelemetry {
         if n_peers > 1 << 16 {
             return Err(bad("absurd peer count in telemetry"));
         }
-        let mut peers = Vec::with_capacity(n_peers);
+        let mut peers =
+            Vec::with_capacity(n_peers.min(c.remaining() / (PeerWireSnapshot::WORDS * 8)));
         for _ in 0..n_peers {
             peers.push(PeerWireSnapshot::from_words(c.words()?));
         }
@@ -371,7 +372,8 @@ impl NodeTelemetry {
         if n_hb > 1 << 16 {
             return Err(bad("absurd heartbeat-watch count in telemetry"));
         }
-        let mut heartbeats = Vec::with_capacity(n_hb);
+        let mut heartbeats =
+            Vec::with_capacity(n_hb.min(c.remaining() / (HeartbeatSnapshot::WORDS * 8)));
         for _ in 0..n_hb {
             heartbeats.push(HeartbeatSnapshot::from_words(c.words()?));
         }
@@ -385,7 +387,7 @@ impl NodeTelemetry {
         if n_events > 1 << 24 {
             return Err(bad("absurd event count in telemetry"));
         }
-        let mut events = Vec::with_capacity(n_events);
+        let mut events = Vec::with_capacity(n_events.min(c.remaining() / (EVENT_WORDS * 8)));
         for _ in 0..n_events {
             events.push(Event::decode(&c.words()?).ok_or_else(|| bad("bad event in telemetry"))?);
         }
@@ -411,12 +413,12 @@ impl NodeTelemetry {
 
     /// Render the last `per_image` retained events of every image as an
     /// indented block — this node's contribution to a merged fault report.
-    /// Capture-disabled builds (no events) get an explicit pointer instead
-    /// of silence, so the report still shows *which* nodes answered.
+    /// An untraced node (no events) gets an explicit pointer instead of
+    /// silence, so the report still shows *which* nodes answered.
     pub fn render_window(&self, per_image: usize) -> String {
         if self.events.is_empty() {
-            return "  (no trace events captured — build with the `trace` feature \
-                    for per-image operation history)\n"
+            return "  (no trace events captured — install a tracer \
+                    (`--trace-out`, `Tracer::for_images`) for per-image operation history)\n"
                 .to_string();
         }
         let mut out = String::new();

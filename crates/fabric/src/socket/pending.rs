@@ -17,7 +17,7 @@
 //! this lock and never a cork's.
 
 use super::egress::{Egress, Urgency};
-use super::{SocketFabric, POLL};
+use super::{Op, SocketFabric, POLL};
 use crate::stats::FabricStats;
 use crate::PutToken;
 use caf_topology::ProcId;
@@ -323,21 +323,21 @@ impl SocketFabric {
         }
     }
 
-    /// One blocking exchange with the process hosting `peer`: send now the
-    /// frame `encode` writes around the request's sequence number, park for
-    /// the reply, which must be of kind `awaits`. Returns the reply with
-    /// the tracer's `(queue_ns, service_ns)` split.
+    /// One blocking exchange of `op` with the process hosting its peer:
+    /// send now the frame `encode` writes around the request's sequence
+    /// number, park for the reply, which must be of kind `awaits`. Returns
+    /// the reply with the tracer's `(queue_ns, service_ns)` split.
     pub(super) fn call<'a>(
         &self,
-        me: ProcId,
-        peer: ProcId,
+        op: &Op,
         doing: &str,
         awaits: Kind,
         encode: impl FnOnce(u64, &mut Vec<u8>) -> &'a [u8],
     ) -> (Reply, u64, u64) {
+        let me = op.me;
         let img = me.index() as u32;
         let entry = Entry::Sync { img, awaits };
-        let (rank, sent) = self.send_request(me, peer, Some(entry), Urgency::Now, encode);
+        let (rank, sent) = self.send_request(op, Some(entry), Urgency::Now, encode);
         let s0 = Instant::now();
         let timed_out = || {
             let waited = self.cfg.io_timeout;

@@ -252,13 +252,13 @@ pub(super) enum Landing {
 }
 
 impl Landing {
-    /// Apply `ops`, sent by image `from` of this process at `t0`, in vector
-    /// order.
-    pub(super) fn apply(&self, fab: &SocketFabric, from: usize, t0: u64, ops: &[AmOp]) {
+    /// Apply `ops`, sent by image `from` of this process at `posted` (when
+    /// traced), in vector order.
+    pub(super) fn apply(&self, fab: &SocketFabric, from: usize, posted: Option<u64>, ops: &[AmOp]) {
         match self {
             Landing::Own(img) => (fab.store.tables)
                 .with_image(*img, |held| {
-                    apply_held(fab, held, (from, *img), Some(t0), ops);
+                    apply_held(fab, held, (from, *img), posted, ops);
                     Ok(())
                 })
                 .unwrap_or_else(|e| panic!("{e}")),

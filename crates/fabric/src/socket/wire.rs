@@ -552,6 +552,12 @@ impl<'a> Cursor<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not yet read: what bounds a decoder's pre-allocation, so a
+    /// count field cannot ask for more items than the body could hold.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return Err(io::Error::new(
@@ -1092,7 +1098,8 @@ impl Frame {
                 if n > 1 << 16 {
                     return Err(bad("absurd peer count"));
                 }
-                let mut addrs = Vec::with_capacity(n);
+                // Each address is at least its 4-byte length.
+                let mut addrs = Vec::with_capacity(n.min(c.remaining() / 4));
                 for _ in 0..n {
                     addrs.push(c.string()?);
                 }
@@ -1104,7 +1111,8 @@ impl Frame {
                 if n > 1 << 24 {
                     return Err(bad("absurd result count"));
                 }
-                let mut results = Vec::with_capacity(n);
+                // Each result is a u32 image and a u64 value.
+                let mut results = Vec::with_capacity(n.min(c.remaining() / 12));
                 for _ in 0..n {
                     results.push((c.u32()?, c.u64()?));
                 }

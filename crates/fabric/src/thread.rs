@@ -181,9 +181,6 @@ mod tests {
         assert_eq!((s.gets_intra, s.gets_inter), (1, 1));
         assert_eq!((s.flags_intra, s.flags_inter), (2, 2), "flag_add, put_flag");
         assert_eq!((s.bytes_intra, s.bytes_inter), (18, 18));
-        if !tracer.enabled() {
-            return;
-        }
         let kinds = [
             EventKind::Put,
             EventKind::PutNb,

@@ -306,10 +306,9 @@ fn print_fleet_summary(feeds: &[NodeFeed]) {
 
 fn demo_child(args: &DemoArgs) -> ExitCode {
     let map = demo_map(args);
-    // Always install a per-image tracer: with the `trace` feature it
-    // records every fabric operation into per-image rings (shipped in
-    // telemetry and merged by the parent); without it it's a zero-sized
-    // no-op and this line costs nothing.
+    // Always install a per-image tracer: it records every fabric operation
+    // into per-image rings, shipped in telemetry — the flight recorder's
+    // window — and merged by the parent into `--trace-out`'s timeline.
     let tracer = Tracer::for_images(map.n_images());
     let live_every = Some(args.obs_interval_ms)
         .filter(|ms| *ms > 0)

@@ -197,10 +197,11 @@ fn decode_ckpt(bytes: &[u8], epoch: u64) -> Option<Vec<Vec<u8>>> {
         return None;
     }
     let count = u64_at(&mut at)? as usize;
-    let mut out = Vec::with_capacity(count);
+    // Each entry is at least its 8-byte length.
+    let mut out = Vec::with_capacity(count.min((bytes.len() - at) / 8));
     for _ in 0..count {
         let len = u64_at(&mut at)? as usize;
-        out.push(bytes.get(at..at + len)?.to_vec());
+        out.push(bytes.get(at..at.checked_add(len)?)?.to_vec());
         at += len;
     }
     if at != bytes.len() {
@@ -269,6 +270,19 @@ mod tests {
         assert_eq!(s.load(0, 5), None);
         assert_eq!(s.load(0, 6), None, "torn payload must not decode");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A corrupt count or length is refused, not allocated or added.
+    #[test]
+    fn a_corrupt_count_or_length_does_not_decode() {
+        let file = |words: &[u64]| -> Vec<u8> {
+            let head = [CKPT_MAGIC, 5];
+            (head.iter().chain(words))
+                .flat_map(|w| w.to_le_bytes())
+                .collect()
+        };
+        assert_eq!(decode_ckpt(&file(&[u64::MAX]), 5), None, "count");
+        assert_eq!(decode_ckpt(&file(&[1, u64::MAX]), 5), None, "length");
     }
 
     #[test]

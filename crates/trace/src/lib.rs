@@ -1,23 +1,26 @@
 //! # caf-trace
 //!
 //! Structured tracing for the caf-rs PGAS runtime: per-image lock-free
-//! event rings, a zero-overhead-when-disabled [`Tracer`] handle, a Chrome
-//! trace-event JSON exporter (Perfetto-loadable), per-(team, collective,
-//! hierarchy-level) latency aggregation, and a critical-path extractor
-//! that names the longest notification chain of a traced episode.
+//! event rings, a [`Tracer`] handle that records only where one is
+//! installed, a Chrome trace-event JSON exporter (Perfetto-loadable),
+//! per-(team, collective, hierarchy-level) latency aggregation, and a
+//! critical-path extractor that names the longest notification chain of a
+//! traced episode.
 //!
 //! Timestamps come from the owning fabric's clock: **virtual nanoseconds**
 //! under `SimFabric` (traces of simulated 256-image runs are causally
 //! exact) and wall nanoseconds under `ThreadFabric`.
 //!
-//! ## Feature `capture`
+//! ## Recording
 //!
-//! Recording is gated behind the `capture` feature (enabled downstream as
-//! the `trace` feature of `caf-fabric`/`caf-runtime`/`caf`). Without it,
-//! [`Tracer`] is a zero-sized no-op and every instrumentation site folds
-//! away — default builds are bit-for-bit the un-instrumented runtime. The
-//! data model, exporters, aggregation, and critical-path analysis compile
-//! unconditionally: they operate on `Vec<Event>` from any source.
+//! Every build can record; a run records exactly where something installs
+//! an enabled tracer at run time: [`Tracer::for_images`] in a fabric
+//! config, the `caf-launch demo` children (merged by `--trace-out`),
+//! `exp_b1` under `CAF_TRACE_DIR`, caf-check's failure re-run. The default
+//! [`Tracer::off`] keeps nothing, and an instrumentation site pays one
+//! `Option` check for it. The data model, exporters, aggregation, and
+//! critical-path analysis operate on
+//! `Vec<Event>` from any source.
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]

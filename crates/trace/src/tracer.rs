@@ -1,204 +1,123 @@
 //! The recording handle threaded through fabrics, collectives, and the
 //! runtime.
 //!
-//! With the `capture` feature **off** (the default), [`Tracer`] is a
-//! zero-sized type whose methods are inlined no-ops: instrumentation
-//! sites compile down to nothing and the runtime is bit-for-bit the
-//! un-instrumented one. With `capture` on, an *enabled* tracer holds one
-//! [`EventRing`](crate::ring::EventRing) per image plus a system ring for
-//! simulator-side records; a *disabled* (`off`) tracer still records
-//! nothing, so capture-enabled builds pay only an `Option` check per
-//! instrumentation site unless a tracer was explicitly installed.
+//! An *enabled* tracer holds one [`EventRing`] per image plus a system
+//! ring for simulator-side records. The default tracer is
+//! [`Tracer::off`]: it records nothing, and an instrumentation site pays
+//! one `Option` check for it. A run records exactly where something
+//! installed an enabled tracer ([`Tracer::for_images`]).
 
-use crate::event::Event;
+use crate::event::{Event, SYSTEM_IMG};
+use crate::ring::EventRing;
+use std::sync::Arc;
 
-#[cfg(feature = "capture")]
-mod imp {
-    use super::*;
-    use crate::event::SYSTEM_IMG;
-    use crate::ring::EventRing;
-    use std::sync::Arc;
+/// Default per-image ring capacity (events retained per image).
+const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
-    /// Default per-image ring capacity (events retained per image).
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
-
-    struct Shared {
-        /// One ring per image, plus the system ring at index `n_images`.
-        rings: Vec<EventRing>,
-    }
-
-    /// Cloneable recording handle; clones share the same rings.
-    #[derive(Clone, Default)]
-    pub struct Tracer {
-        inner: Option<Arc<Shared>>,
-    }
-
-    impl Tracer {
-        /// The inert tracer: records nothing, returns nothing.
-        pub const fn off() -> Self {
-            Self { inner: None }
-        }
-
-        /// An enabled tracer with default ring capacity.
-        pub fn for_images(n_images: usize) -> Self {
-            Self::with_capacity(n_images, DEFAULT_RING_CAPACITY)
-        }
-
-        /// An enabled tracer retaining `capacity` events per image.
-        pub fn with_capacity(n_images: usize, capacity: usize) -> Self {
-            let rings = (0..=n_images).map(|_| EventRing::new(capacity)).collect();
-            Self {
-                inner: Some(Arc::new(Shared { rings })),
-            }
-        }
-
-        /// Whether records are being kept.
-        #[inline]
-        pub fn enabled(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// Record an event on image `img`'s ring. Must be called from the
-        /// single thread driving that image (or while it is blocked).
-        #[inline]
-        pub fn record(&self, img: usize, mut ev: Event) {
-            if let Some(s) = &self.inner {
-                ev.img = img as u32;
-                s.rings[img].push(&ev);
-            }
-        }
-
-        /// Record a simulator-side event (delivery instants etc.) on the
-        /// system ring. Callers serialize via the simulator core lock.
-        #[inline]
-        pub fn record_system(&self, mut ev: Event) {
-            if let Some(s) = &self.inner {
-                ev.img = SYSTEM_IMG;
-                let n = s.rings.len() - 1;
-                s.rings[n].push(&ev);
-            }
-        }
-
-        /// Images this tracer was sized for.
-        pub fn n_images(&self) -> usize {
-            self.inner.as_ref().map_or(0, |s| s.rings.len() - 1)
-        }
-
-        /// All retained events from every ring, sorted by start time
-        /// (stable, so same-time events keep per-image order).
-        pub fn events(&self) -> Vec<Event> {
-            let Some(s) = &self.inner else {
-                return Vec::new();
-            };
-            let mut out: Vec<Event> = s.rings.iter().flat_map(|r| r.snapshot()).collect();
-            out.sort_by_key(|e| e.t_ns);
-            out
-        }
-
-        /// Retained events of one image, oldest first.
-        pub fn events_of(&self, img: usize) -> Vec<Event> {
-            self.inner
-                .as_ref()
-                .map_or_else(Vec::new, |s| s.rings[img].snapshot())
-        }
-
-        /// The last `n` events of one image, oldest first.
-        pub fn last_events(&self, img: usize, n: usize) -> Vec<Event> {
-            self.inner
-                .as_ref()
-                .map_or_else(Vec::new, |s| s.rings[img].last(n))
-        }
-
-        /// Total events ever recorded across all rings (including any
-        /// that have been overwritten).
-        pub fn total_recorded(&self) -> u64 {
-            self.inner
-                .as_ref()
-                .map_or(0, |s| s.rings.iter().map(|r| r.total()).sum())
-        }
-    }
+struct Shared {
+    /// One ring per image, plus the system ring at index `n_images`.
+    rings: Vec<EventRing>,
 }
 
-#[cfg(not(feature = "capture"))]
-mod imp {
-    use super::*;
-
-    /// Zero-sized no-op tracer (build without the `capture` feature).
-    #[derive(Clone, Copy, Default)]
-    pub struct Tracer;
-
-    impl Tracer {
-        /// The inert tracer.
-        pub const fn off() -> Self {
-            Self
-        }
-
-        /// Without `capture`, "enabled" tracers are still inert.
-        pub fn for_images(_n_images: usize) -> Self {
-            Self
-        }
-
-        /// Without `capture`, capacity is ignored.
-        pub fn with_capacity(_n_images: usize, _capacity: usize) -> Self {
-            Self
-        }
-
-        /// Always false: instrumentation sites fold away.
-        #[inline(always)]
-        pub fn enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _img: usize, _ev: Event) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record_system(&self, _ev: Event) {}
-
-        /// Always 0.
-        pub fn n_images(&self) -> usize {
-            0
-        }
-
-        /// Always empty.
-        pub fn events(&self) -> Vec<Event> {
-            Vec::new()
-        }
-
-        /// Always empty.
-        pub fn events_of(&self, _img: usize) -> Vec<Event> {
-            Vec::new()
-        }
-
-        /// Always empty.
-        pub fn last_events(&self, _img: usize, _n: usize) -> Vec<Event> {
-            Vec::new()
-        }
-
-        /// Always 0.
-        pub fn total_recorded(&self) -> u64 {
-            0
-        }
-    }
+/// Cloneable recording handle; clones share the same rings.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    inner: Option<Arc<Shared>>,
 }
-
-pub use imp::Tracer;
-
-#[cfg(feature = "capture")]
-pub use imp::DEFAULT_RING_CAPACITY;
 
 impl Tracer {
+    /// The inert tracer: records nothing, returns nothing.
+    pub const fn off() -> Self {
+        Self { inner: None }
+    }
+
+    /// An enabled tracer with default ring capacity.
+    pub fn for_images(n_images: usize) -> Self {
+        Self::with_capacity(n_images, DEFAULT_RING_CAPACITY)
+    }
+
+    /// An enabled tracer retaining `capacity` events per image.
+    pub fn with_capacity(n_images: usize, capacity: usize) -> Self {
+        let rings = (0..=n_images).map(|_| EventRing::new(capacity)).collect();
+        Self {
+            inner: Some(Arc::new(Shared { rings })),
+        }
+    }
+
+    /// Whether records are being kept.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// Record an event on image `img`'s ring. Must be called from the
+    /// single thread driving that image (or while it is blocked).
+    #[inline]
+    pub fn record(&self, img: usize, mut ev: Event) {
+        if let Some(s) = &self.inner {
+            ev.img = img as u32;
+            s.rings[img].push(&ev);
+        }
+    }
+
+    /// Record a simulator-side event (delivery instants etc.) on the
+    /// system ring. Callers serialize via the simulator core lock.
+    #[inline]
+    pub fn record_system(&self, mut ev: Event) {
+        if let Some(s) = &self.inner {
+            ev.img = SYSTEM_IMG;
+            let n = s.rings.len() - 1;
+            s.rings[n].push(&ev);
+        }
+    }
+
+    /// Images this tracer was sized for.
+    pub fn n_images(&self) -> usize {
+        self.inner.as_ref().map_or(0, |s| s.rings.len() - 1)
+    }
+
+    /// All retained events from every ring, sorted by start time
+    /// (stable, so same-time events keep per-image order).
+    pub fn events(&self) -> Vec<Event> {
+        let Some(s) = &self.inner else {
+            return Vec::new();
+        };
+        let mut out: Vec<Event> = s.rings.iter().flat_map(|r| r.snapshot()).collect();
+        out.sort_by_key(|e| e.t_ns);
+        out
+    }
+
+    /// Retained events of one image, oldest first.
+    pub fn events_of(&self, img: usize) -> Vec<Event> {
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.rings[img].snapshot())
+    }
+
+    /// The last `n` events of one image, oldest first.
+    pub fn last_events(&self, img: usize, n: usize) -> Vec<Event> {
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.rings[img].last(n))
+    }
+
+    /// Total events ever recorded across all rings (including any
+    /// that have been overwritten).
+    pub fn total_recorded(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |s| s.rings.iter().map(|r| r.total()).sum())
+    }
+
     /// Render the last `per_image` retained events of every image as an
     /// indented multi-line block — the "recent window" that failure
     /// reports (deadlock diagnostics, `caf-check` mismatch reports) embed
     /// so a failing schedule can be read without re-running under a
-    /// debugger. Returns a pointer at the `trace` feature when no records
-    /// are being kept.
+    /// debugger. Says how to install a tracer when no records are being
+    /// kept.
     pub fn render_recent(&self, per_image: usize) -> String {
         if !self.enabled() {
-            return "  (build with the `trace` feature and install a Tracer \
+            return "  (install a tracer — `Tracer::for_images` — \
                     for per-image operation history)\n"
                 .to_string();
         }
@@ -249,7 +168,6 @@ mod tests {
         assert_eq!(t.total_recorded(), 0);
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn enabled_tracer_collects_and_sorts() {
         let t = Tracer::for_images(2);
@@ -271,7 +189,6 @@ mod tests {
         assert_eq!(t.total_recorded(), 3);
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn clones_share_rings() {
         let t = Tracer::for_images(1);

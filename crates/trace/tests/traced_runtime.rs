@@ -3,9 +3,6 @@
 //! the paper's closed forms — notification counts per barrier episode,
 //! critical-path shape of TDLB, exporter well-formedness — plus the
 //! trace-enriched deadlock report.
-//!
-//! These tests require the `capture` feature, which the dev-dependencies
-//! on the instrumented crates turn on (`caf-runtime/trace` etc.).
 
 use caf_collectives::SizePolicy;
 use caf_fabric::{Fabric, FlagId, SimConfig, SimFabric};

@@ -1,14 +1,14 @@
 //! Traced barrier episodes on the 4-node x 4-core `mini` machine.
 //!
 //! Runs a pure dissemination barrier and a TDLB barrier over 16 simulated
-//! images with trace capture on, then shows all three observability
+//! images with a tracer installed, then shows all three observability
 //! surfaces: the per-episode flag-notification count against the paper's
 //! closed form, the per-phase latency table, and the critical path of the
 //! TDLB leader dissemination (⌈log₂ 4⌉ = 2 inter-node hops). The full
 //! TDLB trace is also written as Chrome trace-event JSON for Perfetto.
 //!
 //! ```sh
-//! cargo run --features trace --example trace_barrier [out.trace.json]
+//! cargo run --example trace_barrier [out.trace.json]
 //! ```
 
 use caf::fabric::{SimConfig, SimFabric};

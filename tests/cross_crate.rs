@@ -556,3 +556,46 @@ fn alltoall_inside_subteams() {
         });
     });
 }
+
+/// The default build records: a two-node TDLB barrier on the simulator
+/// with a tracer installed fills every image's ring and the system ring,
+/// and exports as Chrome trace JSON with a track per image.
+#[test]
+fn the_default_build_records_where_a_tracer_is_installed() {
+    use caf::fabric::{SimConfig, SimFabric};
+    use caf::runtime::run_on_fabric;
+    use caf::topology::{ImageMap, ProcId};
+    use caf::trace::{chrome_trace_json, json, EventKind, Tracer, SYSTEM_IMG};
+
+    let map = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
+    let tracer = Tracer::for_images(4);
+    let cfg = SimConfig {
+        tracer: tracer.clone(),
+        ..SimConfig::default()
+    };
+    let algo = CollectiveConfig {
+        barrier: BarrierAlgo::Tdlb,
+        ..CollectiveConfig::default()
+    };
+    run_on_fabric(SimFabric::new(map.clone(), cfg), algo, |img| img.sync_all());
+
+    let events = tracer.events();
+    for img in 0..4 {
+        assert!(
+            events.iter().any(|e| e.img as usize == img),
+            "image {img} recorded nothing"
+        );
+    }
+    assert!(
+        (events.iter()).any(|e| e.img == SYSTEM_IMG && e.kind == EventKind::FlagDeliver),
+        "no flag delivery on the system ring"
+    );
+    let text = chrome_trace_json(&events, |i| map.node_of(ProcId(i)).index());
+    let doc = json::parse(&text).expect("well-formed JSON");
+    let tids: std::collections::BTreeSet<u64> = (doc.as_arr().expect("top-level array").iter())
+        .filter_map(|item| item.get("tid").and_then(json::Value::as_f64))
+        .map(|tid| tid as u64)
+        .collect();
+    assert_eq!(tids, (0..4).collect(), "one Chrome track per image");
+    assert!(text.contains("\"flag_deliver\""), "{text}");
+}
