@@ -151,7 +151,8 @@ fn main() {
     );
     table.print();
     phases.note(
-        "panel_bcast is waiting for the next panel plus finishing earlier broadcasts; \
+        "panel_bcast is waiting for the next panel to come round the row team's ring, \
+         and for a ring successor's credit before reusing its slot; \
          the rows add up to the total (asserted)",
     );
     phases.print();

@@ -143,9 +143,10 @@ const BIG: usize = 2_500;
 
 /// The built-in SPMD conformance program: point-to-point coarray traffic
 /// plus every collective family, small and multi-chunk payloads, subteam
-/// phases (one uneven, whose siblings allocate differently) and split-phase
-/// broadcasts. Returns a per-image digest of everything observed; any
-/// schedule- or fabric-dependent divergence changes the digest. Integer
+/// phases (one uneven, whose siblings allocate differently), split-phase
+/// broadcasts, and ring broadcasts among them. Returns a per-image digest
+/// of everything observed; any schedule- or fabric-dependent divergence
+/// changes the digest. Integer
 /// arithmetic only — u64 sums are exactly associative, so the digest is
 /// fabric- and schedule-independent for a correct runtime.
 pub fn conformance(img: &mut ImageCtx) -> u64 {
@@ -236,7 +237,26 @@ pub fn conformance(img: &mut ImageCtx) -> u64 {
         }
     }
 
-    // 11. An uneven split, a third against the rest: the siblings allocate
+    // 11. Ring broadcasts from roots advancing in image order, each between
+    //     a split-phase tree broadcast's begin and a reduction on the same
+    //     team; every other round finishes the tree broadcasts.
+    for k in 0..2 * n {
+        let root = k % n + 1;
+        let mut t = [me as u64 * 7 + k as u64; 2];
+        img.co_broadcast_begin(&mut t, n - k % n);
+        let mut r = [me as u64 * 13 + k as u64; 3];
+        img.co_broadcast_ring(&mut r, root);
+        let mut s = [r[0] ^ t[1] ^ me as u64];
+        img.co_sum(&mut s);
+        if k % 2 == 1 {
+            img.co_broadcast_finish();
+        }
+        for v in r.into_iter().chain(t).chain(s) {
+            fnv(&mut h, v);
+        }
+    }
+
+    // 12. An uneven split, a third against the rest: the siblings allocate
     //     different numbers of coarrays and event blocks, and the smaller
     //     grows its scratch with a multi-chunk broadcast. Back in the initial
     //     team, a new coarray must line up on every image.

@@ -1,6 +1,7 @@
-//! One-to-all broadcast: **one protocol over a tree**. The algorithms
-//! differ only in the tree each rank is handed ([`Tree::for_bcast`]): a
-//! star at the root (linear), a flat binomial tree, the paper's two-level
+//! One-to-all broadcast: **one protocol over a tree**, and one over the
+//! team's ring ([`ring`]). The tree algorithms differ only in the tree
+//! each rank is handed ([`Tree::for_bcast`]): a star at the root
+//! (linear), a flat binomial tree, the paper's two-level
 //! tree (binomial over node leaders — with the root standing in as its
 //! node's leader — then each leader's node), and the pipelined two-level
 //! tree for large payloads, where K-byte chunks stream down a *binary* tree
@@ -56,6 +57,39 @@
 //! A barrier finishes everything, and a team dropped with a broadcast
 //! unfinished panics, naming the rank.
 //!
+//! # Credits on a fixed ring
+//!
+//! [`ring`] walks the team's [`Ring`] — ranks in rank order, the same
+//! neighbours whatever the root — and needs neither wave 2 nor wave 3.
+//! Ring episode e uses ring slot `e mod 2`:
+//!
+//! * a non-root waits for one arrival on its own `RING_ARRIVE` and loads
+//!   the payload from its own slot;
+//! * it forwards to its successor unless the successor is the root;
+//! * a forwarder writes e into its successor's slot only once that
+//!   successor's credits (`RING_CREDIT`, on the forwarder) reach e − 2;
+//! * last, every member, the root included, adds one credit to its
+//!   predecessor.
+//!
+//! Both flags have one writer, a fixed neighbour. The predecessor sends
+//! episodes in order and the fabric orders its puts to one target, so an
+//! arrival cannot be counted for the wrong episode, and one cumulative
+//! count serves both slots. The successor returns one credit per episode
+//! after reading its slot, so credit e − 2 says that episode e − 2, the
+//! last user of the slot, is consumed. Nothing is left to finish, and a
+//! member waits only for its predecessor's data and, to reuse a slot, for
+//! its successor.
+//!
+//! An arbitrary tree has neither property. As the root rotates, an image's
+//! parent changes: two episodes can reach one slot from different senders
+//! with nothing ordering them, and the image a sender writes to has never
+//! told *that* sender that it read the slot. Who has consumed an episode is
+//! known only at the root once every ack is in, and only a release wave
+//! carries it back — so the tree keeps its three waves. The ring pays one
+//! hop per member instead of a tree's depth, which suits a root that
+//! advances in rank order, as HPL's panel owner does: the next root is the
+//! current root's successor and holds the data first.
+//!
 //! # Why a binary tree when pipelining
 //!
 //! With nonblocking puts each leader forwards chunk `c` to its (at most
@@ -71,7 +105,7 @@
 
 use crate::comm::{flag, Region::Scratch, TeamComm};
 use crate::config::BcastAlgo;
-use crate::shape::Tree;
+use crate::shape::{Ring, Tree};
 use crate::value::CoValue;
 use caf_trace::{EventKind, Level};
 
@@ -85,6 +119,9 @@ fn algo_code(a: BcastAlgo) -> u64 {
         BcastAlgo::Auto => 0,
     }
 }
+
+/// The ring broadcast's `Bcast` event `a` (beyond every [`algo_code`]).
+const RING_CODE: u64 = 5;
 
 /// A broadcast this image has begun and not finished: what its waves 2–3
 /// need.
@@ -179,6 +216,32 @@ fn complete(comm: &mut TeamComm, p: Pending) {
 /// Wave 2 at one rank: wait until every child has acked.
 fn collect_acks(comm: &mut TeamComm, tree: &Tree, par: usize) {
     comm.arrivals(flag::B_ACK[par], tree.children.len() as u64);
+}
+
+/// Broadcast `buf` from team rank `root` along the team's [`Ring`] (module
+/// docs, "credits on a fixed ring").
+pub(crate) fn ring<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize) {
+    assert!(root < comm.size(), "broadcast root {root} out of team");
+    comm.rings += 1;
+    if comm.size() == 1 {
+        return;
+    }
+    let e = comm.rings;
+    let bytes = (buf.len() * T::SIZE) as u64;
+    comm.ensure_scratch(bytes as usize);
+    let t0 = comm.trace_now();
+    let ring = Ring::new(comm.rank, comm.size());
+    let at = comm.sl_ring((e % 2) as usize);
+    if comm.rank != root {
+        comm.arrivals(flag::RING_ARRIVE, 1);
+        comm.load_values(Scratch, at, buf);
+    }
+    if ring.succ != root {
+        comm.arrivals_until(flag::RING_CREDIT, e.saturating_sub(2));
+        comm.send_flagged(Scratch, ring.succ, at, buf, flag::RING_ARRIVE);
+    }
+    comm.add_flag(ring.pred, flag::RING_CREDIT, 1);
+    comm.trace_span(EventKind::Bcast, t0, Level::Whole, RING_CODE, e, bytes);
 }
 
 /// Wave 1 over `tree`, the payload cut into `chunk`-element pieces; `nb`

@@ -70,7 +70,8 @@ pub(crate) mod flag {
     /// Team control barrier: release.
     pub const EXCH_RELEASE: usize = 11;
     /// Broadcast: episode-completion release (the third wave; see
-    /// `bcast.rs` — required because roots rotate call-to-call), per parity.
+    /// `bcast.rs` — required because roots rotate call-to-call over an
+    /// arbitrary tree; the ring needs none), per parity.
     pub const B_DONE: [usize; 2] = [12, 23];
     /// Control-plane allgather: tree-gather arrival counter.
     pub const EXCH_GATHER: usize = 13;
@@ -88,11 +89,16 @@ pub(crate) mod flag {
     pub const SC_DONE: usize = 19;
     /// All-to-all: slice-arrived counter.
     pub const A2A_ARRIVE: usize = 20;
+    /// Ring broadcast: payload-arrived notification, bumped only by my ring
+    /// predecessor (one counter for both slots; see `bcast.rs`).
+    pub const RING_ARRIVE: usize = 24;
+    /// Ring broadcast: credits, one per episode, from my ring successor.
+    pub const RING_CREDIT: usize = 25;
     /// First dissemination-round flag; round `k` is `DISSEM + k`.
-    pub const DISSEM: usize = 24;
+    pub const DISSEM: usize = 26;
 }
 
-/// Per-team flag-block layout: 24 fixed flags, then `d` dissemination
+/// Per-team flag-block layout: 26 fixed flags, then `d` dissemination
 /// flags, then `d` reduction-round flags, then `lm` per-set-position
 /// chunk-stream flags (pipelined reduction: the leader must count each
 /// slave's chunks separately — one shared counter cannot tell "slave A
@@ -139,7 +145,7 @@ impl FlagLayout {
 
     /// Number of scratch slots in the team layout.
     pub(crate) fn scratch_slots(&self) -> usize {
-        2 * self.d + 2 * self.lm + 8
+        2 * self.d + 2 * self.lm + 10
     }
 }
 
@@ -325,11 +331,13 @@ pub struct TeamComm {
     /// Formed without an exchange ([`Provisioned`]): there is no
     /// exchange segment, so nothing can be grown or split off later.
     provisioned: bool,
-    /// Episodes begun so far of the barrier, the broadcast and the
-    /// reduction — the current one's number: a broadcast's and a
-    /// reduction's scratch parity, and the episode of their trace spans.
+    /// Episodes begun so far of the barrier, the tree broadcast, the ring
+    /// broadcast and the reduction — the current one's number: a
+    /// broadcast's and a reduction's scratch parity, and the episode of
+    /// their trace spans.
     pub(crate) barriers: u64,
     pub(crate) bcasts: u64,
+    pub(crate) rings: u64,
     pub(crate) reductions: u64,
     /// Arrivals consumed on each flag of the team's block.
     arrived: Arrivals,
@@ -535,6 +543,7 @@ impl TeamComm {
             provisioned: false,
             barriers: 0,
             bcasts: 0,
+            rings: 0,
             reductions: 0,
             bcast_pending: [None, None],
             generation,
@@ -695,6 +704,21 @@ impl TeamComm {
     /// the data, as a member once the root's release has reached it.
     pub fn co_broadcast_finish(&mut self) {
         crate::bcast::finish(self);
+    }
+
+    /// Broadcast `buf` from team rank `root` along the team's ring, in rank
+    /// order: each member takes the payload from its predecessor and passes
+    /// it to its successor, so the root's successor holds it first and its
+    /// predecessor last. There is nothing to finish: each member returns a
+    /// credit to its predecessor, and a sender waits for its successor's
+    /// credits only when it is about to reuse a slot two episodes old
+    /// (`bcast.rs`, "credits on a fixed ring"). A root returns once its
+    /// payload is sent, a member once it holds the data and has passed it
+    /// on. One hop per member suits roots that advance in rank order, as
+    /// HPL's panel owners do. Ring and tree broadcasts on one team
+    /// interleave freely: each has its own slots and flags.
+    pub fn co_broadcast_ring<T: CoValue>(&mut self, buf: &mut [T], root: usize) {
+        crate::bcast::ring(self, buf, root);
     }
 
     /// Gather `mine` from every member to team rank `root`; the root
@@ -922,6 +946,12 @@ impl TeamComm {
         self.arrived.wait(&*self.fabric, self.me, idx, n);
     }
 
+    /// Wait until my flag `idx` has brought `total` arrivals since
+    /// formation — for credits granted every episode and drawn on only some.
+    pub(crate) fn arrivals_until(&mut self, idx: usize, total: u64) {
+        self.arrived.wait_until(&*self.fabric, self.me, idx, total);
+    }
+
     /// Borrow the comm-owned staging buffer, sized to `len` bytes
     /// (contents unspecified). Return it with [`Self::restore_stage`];
     /// the backing allocation is kept across calls.
@@ -1013,6 +1043,11 @@ impl TeamComm {
     /// Byte offset of the reduction release slot.
     pub(crate) fn sl_release(&self, p: usize) -> usize {
         self.sl_pre(p) + 6 * self.scratch_slot_bytes
+    }
+
+    /// Byte offset of the ring broadcast's payload slot.
+    pub(crate) fn sl_ring(&self, p: usize) -> usize {
+        self.sl_pre(p) + 8 * self.scratch_slot_bytes
     }
 
     /// Region `r`'s segment (valid once its slot size is nonzero).

@@ -23,12 +23,15 @@
 //!   two-level scheme, and a chunked **pipelined two-level** scheme that
 //!   streams K-byte chunks down a pipelined binary tree of node leaders
 //!   with nonblocking puts while each leader fans received chunks out
-//!   through shared memory.
+//!   through shared memory; and, called by name, a **ring** broadcast in
+//!   rank order whose flow control is one credit per member per episode
+//!   ([`TeamComm::co_broadcast_ring`]), for roots that advance in rank
+//!   order.
 //!
 //! The tree collectives are **a shape plus one protocol**: `shape.rs` turns
-//! the team's hierarchy into per-rank trees and barrier levels, `bcast.rs`
-//! and `barrier.rs` each hold the one body that walks them — so the
-//! algorithms above differ in the tree they name, not in code.
+//! the team's hierarchy into per-rank trees, barrier levels and the ring,
+//! `bcast.rs` and `barrier.rs` each hold the one body that walks them — so
+//! the algorithms above differ in the tree they name, not in code.
 //!
 //! `Auto` resolves per call by (hierarchy shape × message size): the
 //! latency-optimal tree below the crossover, the pipelined/bandwidth

@@ -4,8 +4,8 @@
 //! collective consult it. This module is where that consultation happens:
 //! an algorithm is a **shape** (built here, from the team's
 //! [`HierarchyView`]) plus one **protocol** that walks it (`bcast.rs`'s
-//! three waves, `barrier.rs`'s gather/release). Adding a hierarchy-aware
-//! tree collective means naming its tree here.
+//! three waves or its credit ring, `barrier.rs`'s gather/release). Adding a
+//! hierarchy-aware tree collective means naming its tree here.
 //!
 //! | algorithm | shape |
 //! |-----------|-------|
@@ -13,6 +13,7 @@
 //! | `BcastAlgo::FlatBinomial` | [`Tree::binomial`] over `(rank − root) mod n` |
 //! | `BcastAlgo::TwoLevel` | [`Tree::two_level`]: binomial over the rotated effective-leader index, then the node's other ranks |
 //! | `BcastAlgo::TwoLevelPipelined` | [`Tree::two_level`] with heap children `2v+1, 2v+2` over the same index |
+//! | `TeamComm::co_broadcast_ring` | [`Ring`]: team ranks in rank order, whatever the root |
 //! | `BarrierAlgo::CentralCounter` | one level, star at rank 0 |
 //! | `BarrierAlgo::BinomialTree` | one level, binomial tree at rank 0 |
 //! | `BarrierAlgo::Dissemination` | no level; everyone disseminates |
@@ -239,6 +240,28 @@ impl Tree {
     }
 }
 
+/// One rank's place on the team's ring: the ranks in rank order, closed.
+/// The neighbours do not depend on the root — a broadcast from any root
+/// runs `root → root + 1 → … → root − 1` — so each rank's ring flags and
+/// slots have one fixed writer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Ring {
+    /// Who writes to me.
+    pub pred: usize,
+    /// Who I write to.
+    pub succ: usize,
+}
+
+impl Ring {
+    /// Rank `rank`'s neighbours on a ring of `n`.
+    pub(crate) fn new(rank: usize, n: usize) -> Self {
+        Self {
+            pred: (rank + n - 1) % n,
+            succ: (rank + 1) % n,
+        }
+    }
+}
+
 /// One level of a gather/release barrier as one rank sees it: its place in
 /// the level's tree and the flag pair the level counts on.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -391,6 +414,27 @@ mod tests {
                     }
                     assert!(seen.iter().all(|&s| s), "{what}");
                 }
+            }
+        }
+    }
+
+    /// From every root the ring visits each rank once, in rank order from
+    /// the root's successor, and each rank's predecessor names it as its
+    /// successor.
+    #[test]
+    fn the_ring_spans_the_team_from_every_root() {
+        for n in 1..50 {
+            for root in 0..n {
+                let mut order = vec![root];
+                while order.len() < n {
+                    let at = *order.last().unwrap();
+                    let next = Ring::new(at, n).succ;
+                    assert_eq!(Ring::new(next, n).pred, at, "n={n}");
+                    order.push(next);
+                }
+                let want: Vec<usize> = (0..n).map(|i| (root + i) % n).collect();
+                assert_eq!(order, want, "n={n} root={root}");
+                assert_eq!(Ring::new(order[n - 1], n).succ, root, "n={n} root={root}");
             }
         }
     }

@@ -75,13 +75,15 @@ enum Program {
     Bcast(usize),
     /// Elements.
     Sum(usize),
+    /// Elements, along the ring; the root rotates as `Bcast`'s does.
+    Ring(usize),
 }
 
 impl Program {
     fn scratch_bytes(self) -> usize {
         match self {
             Program::Barrier => 0,
-            Program::Bcast(len) | Program::Sum(len) => 8 * len,
+            Program::Bcast(len) | Program::Sum(len) | Program::Ring(len) => 8 * len,
         }
     }
 
@@ -95,6 +97,7 @@ impl Program {
                 Program::Barrier => c.barrier(),
                 Program::Bcast(len) => c.co_broadcast(&mut vec![e as u64; len], e % c.size()),
                 Program::Sum(len) => c.co_sum(&mut vec![e as u64; len]),
+                Program::Ring(len) => c.co_broadcast_ring(&mut vec![e as u64; len], e % c.size()),
             }
         }
     }
@@ -198,6 +201,29 @@ fn hosted_and_threaded_runs_of_the_same_bodies_agree() {
                     threaded(place, chaos, *cfg, *program),
                 );
                 let what = format!("{label} on {place:?}, chaos {chaos}");
+                assert_eq!(h.0, t.0, "per-image clocks: {what}");
+                assert_eq!(h.1, t.1, "makespan: {what}");
+                assert_eq!(h.2, t.2, "counters: {what}");
+                assert!(h.1 > 0, "{what} did nothing");
+            }
+        }
+    }
+}
+
+/// The ring broadcast from rotating roots, both payload sizes: its credit
+/// waits are thresholds the body computes, so the hosted run matches too.
+#[test]
+fn hosted_and_threaded_ring_broadcasts_agree() {
+    let cfg = CollectiveConfig::two_level();
+    for place in [Place::Ragged, Place::Block] {
+        for chaos in [false, true] {
+            for len in LENS {
+                let program = Program::Ring(len);
+                let (h, t) = (
+                    stepped(place, chaos, cfg, program),
+                    threaded(place, chaos, cfg, program),
+                );
+                let what = format!("ring len={len} on {place:?}, chaos {chaos}");
                 assert_eq!(h.0, t.0, "per-image clocks: {what}");
                 assert_eq!(h.1, t.1, "makespan: {what}");
                 assert_eq!(h.2, t.2, "counters: {what}");

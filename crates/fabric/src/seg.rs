@@ -114,6 +114,14 @@ impl Arrivals {
         self.counts[i]
     }
 
+    /// Image `me` waits until its flag `i` has brought `total` arrivals in
+    /// all and consumes them — a wait for credits granted once per episode
+    /// but drawn only on some. Nothing when that many are consumed already.
+    pub fn wait_until(&mut self, fabric: &dyn crate::Fabric, me: ProcId, i: usize, total: u64) {
+        let n = total.saturating_sub(self.counts[i]);
+        self.wait(fabric, me, i, n);
+    }
+
     /// Arrivals on image `me`'s flag `i` not consumed yet (never blocks).
     pub fn pending(&self, fabric: &dyn crate::Fabric, me: ProcId, i: usize) -> u64 {
         fabric.flag_read(me, self.flag(i)) - self.counts[i]

@@ -7,8 +7,11 @@
 //!   per panel column over the **column team**, on a derived type that
 //!   carries the candidate's row and the diagonal row with their keys —
 //!   HPL's own max-loc/swap/broadcast exchange;
-//! * panel broadcast (the panel's pivots, then its L blocks): one
-//!   split-phase broadcast per block step over **row teams**;
+//! * panel broadcast (the panel's pivots, then its L blocks): one ring
+//!   broadcast per block step over **row teams** — the panel's owner is
+//!   grid column k mod Q, so roots advance in row-team rank order and the
+//!   next owner receives first (netlib HPL's increasing ring), with no ack
+//!   or release wave to wait for;
 //! * row interchanges outside the panel: the panel's transpositions folded
 //!   into one permutation, one coarray put per partner grid row inside one
 //!   `sync images` pair;
@@ -63,9 +66,10 @@ pub struct HplConfig {
 pub struct PhaseNs {
     /// (a) panel factorization: pivot reductions and rank-1 updates.
     pub panel: u64,
-    /// (b)+(c) the panel's pivots and L slab along the row team: waiting
-    /// for the next panel, and finishing earlier broadcasts (on a panel's
-    /// owner, the wait for every member's ack).
+    /// (b)+(c) the panel's pivots and L slab along the row team: a
+    /// receiver waiting for the next panel to reach it, a forwarder or the
+    /// owner waiting for its ring successor's credit (no owner waits for
+    /// acks: the ring has none).
     pub panel_bcast: u64,
     /// (d) row interchanges outside the panel.
     pub interchange: u64,
@@ -570,24 +574,19 @@ impl Lu {
         self.laps.book(img, |t| &mut t.panel);
     }
 
-    /// (b)+(c) Panel `b` along my row team, as one broadcast — the pivots,
-    /// then the L slab (only the pivots where no active row is left): its
-    /// grid column sends it, everyone else comes away holding it.
-    fn begin_panel(&mut self, img: &ImageCtx, b: Block) {
+    /// (b)+(c) Panel `b` along my row team, as one ring broadcast — the
+    /// pivots, then the L slab (only the pivots where no active row is
+    /// left): its grid column sends it, everyone else comes away holding
+    /// it, and nothing is left to finish.
+    fn broadcast_panel(&mut self, img: &ImageCtx, b: Block) {
         let act0 = self.grid.first_local_row_ge(self.prow, b.first);
         let slab_rows = self.grid.local_rows(self.prow) - act0;
         let panel = &mut self.ws.panel[b.buf][..(1 + slab_rows) * b.nb];
-        self.row_team.comm_mut().co_broadcast_begin(panel, b.q);
+        self.row_team.comm_mut().co_broadcast_ring(panel, b.q);
         let pivots = &mut self.pivots[b.first..b.first + b.nb];
         for (slot, bits) in pivots.iter_mut().zip(&panel[..b.nb]) {
             *slot = bits.to_bits() as usize;
         }
-        self.laps.book(img, |t| &mut t.panel_bcast);
-    }
-
-    /// Finish every panel broadcast this image has begun.
-    fn finish_panels(&mut self, img: &ImageCtx) {
-        self.row_team.comm_mut().co_broadcast_finish();
         self.laps.book(img, |t| &mut t.panel_bcast);
     }
 
@@ -698,9 +697,10 @@ impl Lu {
 ///
 /// The block loop looks one panel ahead, as netlib HPL does: during step
 /// k, the grid column that owns panel k + 1 takes only that panel's
-/// columns through the step, factors it and begins its broadcast, and
-/// then finishes step k on its other columns while the panel travels; the
-/// other grid columns run step k whole and then receive panel k + 1.
+/// columns through the step, factors it and sends it along the row team's
+/// ring, and then finishes step k on its other columns while the panel
+/// travels; the other grid columns run step k whole and then receive panel
+/// k + 1, the next panel's owner first.
 ///
 /// # Panics
 /// Panics if the matrix turns out numerically singular (never the case for
@@ -751,13 +751,8 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
     let first = Block::new(&grid, 0);
     if pcol == first.q {
         lu.factor_panel(img, first);
-        lu.begin_panel(img, first);
-        // Nothing of step 0 to overlap with: let the panel's receivers
-        // know at once that it has landed everywhere.
-        lu.finish_panels(img);
-    } else {
-        lu.begin_panel(img, first);
     }
+    lu.broadcast_panel(img, first);
     for k in 0..nblocks {
         let b = Block::new(&grid, k);
         let trailing = grid.first_local_col_ge(pcol, b.first + b.nb);
@@ -769,19 +764,17 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
                 let split = trailing + next.nb;
                 lu.update(img, b, trailing..split, false);
                 lu.factor_panel(img, next);
-                lu.begin_panel(img, next);
+                lu.broadcast_panel(img, next);
                 lu.update(img, b, split..lc, true);
-                lu.finish_panels(img);
             }
             next => {
                 lu.update(img, b, trailing..lc, true);
                 if let Some(next) = next {
-                    lu.begin_panel(img, next);
+                    lu.broadcast_panel(img, next);
                 }
             }
         }
     }
-    lu.finish_panels(img);
 
     img.sync_all();
     lu.laps.book(img, |t| &mut t.closing_sync);

@@ -426,6 +426,16 @@ impl ImageCtx {
         self.current_mut().comm.co_broadcast_finish();
     }
 
+    /// `co_broadcast` along the current team's ring, in image order from
+    /// `source_image`: nothing to finish, suited to sources that advance in
+    /// image order (`TeamComm::co_broadcast_ring`).
+    pub fn co_broadcast_ring<T: CoValue>(&mut self, buf: &mut [T], source_image: usize) {
+        let root = source_image
+            .checked_sub(1)
+            .expect("source_image is 1-based");
+        self.current_mut().comm.co_broadcast_ring(buf, root);
+    }
+
     // ------------------------------------------------------------------
     // Coarrays and events
     // ------------------------------------------------------------------

@@ -193,7 +193,8 @@ proptest! {
 
 /// `hpl-fleet`'s shape — one image per node, a 1 × 2 grid — pads nothing:
 /// after two factorizations both images' next ids are equal, and equal to
-/// where their tables stood before the placement rule existed (pinned).
+/// where the unpadded allocations of its five teams end (pinned: it moves
+/// only with the size of a team's flag block or segments).
 #[test]
 fn two_one_by_two_factorizations_pad_nothing() {
     let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
@@ -217,5 +218,5 @@ fn two_one_by_two_factorizations_pad_nothing() {
         )
     };
     assert_eq!(next(0), next(1));
-    assert_eq!(next(0), (SegmentId(9), FlagId(141)));
+    assert_eq!(next(0), (SegmentId(9), FlagId(151)));
 }
