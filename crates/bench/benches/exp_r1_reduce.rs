@@ -6,7 +6,9 @@
 //! Two sweeps at 8 images/node: team-size scaling at a small payload
 //! (latency-bound, where the hierarchy win is largest) and payload scaling
 //! at the largest team. The "default approach" is the 1-level flat
-//! recursive-doubling allreduce on the UHCAF stack.
+//! recursive-doubling allreduce on the UHCAF stack. A third sweep (EXP-R1c)
+//! stays on one node, 2 to 8 images, where the two-level scheme has only
+//! its intra-node level.
 
 use caf_bench::{print_cost_preamble, scaled};
 use caf_microbench::{allreduce_latency, report, MicroConfig, Table};
@@ -89,4 +91,44 @@ fn main() {
     }
     t2.note("hierarchy advantage shrinks as payload bandwidth dominates latency");
     t2.print();
+
+    // One node: both columns on the hierarchy-aware stack, so they differ
+    // by algorithm only.
+    let one_node = |n: usize, elems: usize, reduce: ReduceAlgo| {
+        let mut mc = MicroConfig::whale(n, 8).with_collectives(CollectiveConfig {
+            reduce,
+            ..CollectiveConfig::two_level()
+        });
+        mc.iters = iters;
+        allreduce_latency(&mc, elems).ns_per_op
+    };
+    let mut t3 = Table::new(
+        "EXP-R1c: co_sum latency on one node, two-level runtime vs flat recursive doubling \
+         (modeled us)",
+        &[
+            "images(nodes)",
+            "elements(f64)",
+            "two-level",
+            "flat-recdbl",
+            "two-level vs recdbl",
+        ],
+    );
+    for n in 2..=8 {
+        for elems in [1usize, 160] {
+            let two = one_node(n, elems, ReduceAlgo::TwoLevel);
+            let flat = one_node(n, elems, ReduceAlgo::FlatRecursiveDoubling);
+            t3.row(&[
+                format!("{n}(1)"),
+                elems.to_string(),
+                report::us(two),
+                report::us(flat),
+                format!("{:+.1}%", (two / flat - 1.0) * 100.0),
+            ]);
+        }
+    }
+    t3.note(
+        "a one-node team of 2, 4 or 8 resolves two-level to recursive doubling; \
+         3 and 5-7 run the linear gather, combine and star release",
+    );
+    t3.print();
 }

@@ -3,7 +3,7 @@
 
 use caf_collectives::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo};
 use caf_runtime::ImageCtx;
-use caf_topology::{presets, MachineModel};
+use caf_topology::{presets, MachineModel, ProcId};
 
 /// A machine + image-count cell of the sweep.
 #[derive(Clone, Debug)]
@@ -143,12 +143,12 @@ const BIG: usize = 2_500;
 
 /// The built-in SPMD conformance program: point-to-point coarray traffic
 /// plus every collective family, small and multi-chunk payloads, subteam
-/// phases (one uneven, whose siblings allocate differently), split-phase
-/// broadcasts, and ring broadcasts among them. Returns a per-image digest
-/// of everything observed; any schedule- or fabric-dependent divergence
-/// changes the digest. Integer
-/// arithmetic only — u64 sums are exactly associative, so the digest is
-/// fabric- and schedule-independent for a correct runtime.
+/// phases (one uneven, whose siblings allocate differently; one per node),
+/// split-phase broadcasts, and ring broadcasts among them. Returns a
+/// per-image digest of everything observed; any schedule- or
+/// fabric-dependent divergence changes the digest. Integer arithmetic only
+/// — u64 sums are exactly associative, so the digest is fabric- and
+/// schedule-independent for a correct runtime.
 pub fn conformance(img: &mut ImageCtx) -> u64 {
     let me = img.this_image();
     let n = img.num_images();
@@ -283,6 +283,27 @@ pub fn conformance(img: &mut ImageCtx) -> u64 {
     ring.put(right, 0, &[me as u64 * 29 + 5]);
     img.sync_all();
     fnv(&mut h, ring.read_local()[0] ^ ring.get_elem(right, 0) << 1);
+
+    // 13. One subteam per node, a sum and a MAXLOC inside each: one-node
+    //     teams of every size the packed placement gives (4 on mini-2x4,
+    //     8 on whale-16), where the reduction has its one-node rule.
+    let node = img.fabric().image_map().node_of(ProcId(me - 1)).index();
+    let team = img.form_team(node as i64 + 1);
+    let (_team, sub) = img.change_team(team, |img| {
+        let k = img.this_image() as u64;
+        let mut s = [k * 3 + 1, me as u64];
+        img.co_sum(&mut s);
+        let mut m = [((k * 7 + 3) % 5, me as u64)];
+        img.co_reduce_with(&mut m, |a, b| {
+            if a.0 > b.0 || (a.0 == b.0 && a.1 <= b.1) {
+                a
+            } else {
+                b
+            }
+        });
+        s[0] ^ s[1] << 16 ^ m[0].0 << 32 ^ m[0].1 << 48
+    });
+    fnv(&mut h, sub);
 
     img.sync_all();
     h

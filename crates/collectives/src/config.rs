@@ -3,6 +3,12 @@
 //! with a (hierarchy × message size) policy: below the pipeline crossover
 //! the latency-optimal trees win; above it the chunked pipelined data path
 //! does.
+//!
+//! The two-level reduction presumes a team that spans nodes. On a one-node
+//! team of power-of-two size it degenerates into a star that loses to flat
+//! recursive doubling, so there `TwoLevel` and `Auto` resolve to recursive
+//! doubling (EXPERIMENTS.md EXP-R1c sizes the rule). Other one-node sizes,
+//! and every broadcast and barrier, resolve as the paper's method says.
 
 use caf_topology::{CostParams, HierarchyView};
 
@@ -46,6 +52,8 @@ pub enum ReduceAlgo {
     FlatBinomial,
     /// The paper's two-level reduction: intra-node linear combine at each
     /// node leader, recursive doubling among leaders, intra-node release.
+    /// A one-node team of power-of-two size resolves it to
+    /// `FlatRecursiveDoubling` (see [`ReduceAlgo::resolve`]).
     TwoLevel,
     /// Chunked pipelined two-level reduction for large payloads: slaves
     /// stream chunks at their leader (per-chunk combine), leaders run a
@@ -56,9 +64,10 @@ pub enum ReduceAlgo {
     /// by recursive-doubling allgather): the bandwidth-optimal flat
     /// algorithm for large buffers.
     Rabenseifner,
-    /// Hierarchy- and size-aware choice: recursive doubling for flat teams,
-    /// two-level otherwise; above the pipeline crossover, Rabenseifner
-    /// (flat) or the pipelined two-level scheme.
+    /// Hierarchy- and size-aware choice: recursive doubling for flat teams
+    /// and for one-node teams of power-of-two size, two-level otherwise;
+    /// above the pipeline crossover, Rabenseifner (flat) or the pipelined
+    /// two-level scheme.
     #[default]
     Auto,
 }
@@ -209,9 +218,19 @@ impl BarrierAlgo {
 }
 
 impl ReduceAlgo {
-    /// Resolve `Auto` against a team's hierarchy.
+    /// Resolve `Auto` against a team's hierarchy. On a one-node team of
+    /// power-of-two size, `TwoLevel` and `Auto` both resolve to recursive
+    /// doubling: with one level the two-level scheme is a linear gather,
+    /// n − 1 serial combines and a star release, while recursive doubling
+    /// takes log₂ n exchanges and, at a power of two, no fold-in or
+    /// fold-out.
     pub fn resolve(self, hier: &HierarchyView) -> ReduceAlgo {
         match self {
+            ReduceAlgo::TwoLevel | ReduceAlgo::Auto
+                if hier.is_single_node() && hier.n_ranks().is_power_of_two() =>
+            {
+                ReduceAlgo::FlatRecursiveDoubling
+            }
             ReduceAlgo::Auto => {
                 if hier.is_flat() {
                     ReduceAlgo::FlatRecursiveDoubling
@@ -365,6 +384,56 @@ mod tests {
         assert_eq!(
             BcastAlgo::TwoLevel.resolve_sized(&h2, 1 << 20, &policy),
             BcastAlgo::TwoLevel
+        );
+    }
+
+    #[test]
+    fn a_one_node_power_of_two_team_reduces_by_recursive_doubling() {
+        for n in [2, 4, 8] {
+            let h = hier(1, n, n);
+            assert!(h.is_single_node());
+            for algo in [ReduceAlgo::TwoLevel, ReduceAlgo::Auto] {
+                assert_eq!(
+                    algo.resolve(&h),
+                    ReduceAlgo::FlatRecursiveDoubling,
+                    "{algo:?} on 1 node x {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn other_one_node_sizes_and_multi_node_teams_keep_two_level() {
+        for n in [3, 6] {
+            let h = hier(1, n, n);
+            assert_eq!(ReduceAlgo::TwoLevel.resolve(&h), ReduceAlgo::TwoLevel);
+            assert_eq!(ReduceAlgo::Auto.resolve(&h), ReduceAlgo::TwoLevel);
+        }
+        let h = hier(2, 4, 8);
+        assert_eq!(ReduceAlgo::TwoLevel.resolve(&h), ReduceAlgo::TwoLevel);
+        assert_eq!(ReduceAlgo::Auto.resolve(&h), ReduceAlgo::TwoLevel);
+    }
+
+    #[test]
+    fn one_node_auto_at_the_crossover_stays_pipelined() {
+        let policy = SizePolicy {
+            chunk_bytes: 16 * 1024,
+            crossover_bytes: 32 * 1024,
+        };
+        let h = hier(1, 4, 4);
+        assert_eq!(
+            ReduceAlgo::Auto.resolve_sized(&h, policy.crossover_bytes - 1, &policy),
+            ReduceAlgo::FlatRecursiveDoubling
+        );
+        for bytes in [policy.crossover_bytes, 1 << 20] {
+            assert_eq!(
+                ReduceAlgo::Auto.resolve_sized(&h, bytes, &policy),
+                ReduceAlgo::TwoLevelPipelined
+            );
+        }
+        assert_eq!(
+            ReduceAlgo::TwoLevelPipelined.resolve_sized(&h, 8, &policy),
+            ReduceAlgo::TwoLevelPipelined
         );
     }
 

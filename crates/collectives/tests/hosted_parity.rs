@@ -37,6 +37,8 @@ enum Place {
     Ragged,
     /// Three nodes of four.
     Block,
+    /// Four images on one whale node: a one-node team of power-of-two size.
+    OneNode,
 }
 
 fn fabric(place: Place, chaos: bool) -> Arc<SimFabric> {
@@ -46,6 +48,7 @@ fn fabric(place: Place, chaos: bool) -> Arc<SimFabric> {
             ImageMap::new(presets::whale(), cores.len(), &Placement::Custom(cores))
         }
         Place::Block => ImageMap::new(presets::mini(3, 4), 12, &Placement::Block { per_node: 4 }),
+        Place::OneNode => ImageMap::new(presets::whale(), 4, &Placement::Packed),
     };
     // A reshuffle every 7 commits, jitter on calls and events, and late,
     // duplicated landings for the pipelined trees' nonblocking puts.
@@ -77,6 +80,8 @@ enum Program {
     Sum(usize),
     /// Elements, along the ring; the root rotates as `Bcast`'s does.
     Ring(usize),
+    /// `(value, index)` elements under HPL's pivot MAXLOC.
+    MaxLoc(usize),
 }
 
 impl Program {
@@ -84,6 +89,7 @@ impl Program {
         match self {
             Program::Barrier => 0,
             Program::Bcast(len) | Program::Sum(len) | Program::Ring(len) => 8 * len,
+            Program::MaxLoc(len) => 16 * len,
         }
     }
 
@@ -98,6 +104,16 @@ impl Program {
                 Program::Bcast(len) => c.co_broadcast(&mut vec![e as u64; len], e % c.size()),
                 Program::Sum(len) => c.co_sum(&mut vec![e as u64; len]),
                 Program::Ring(len) => c.co_broadcast_ring(&mut vec![e as u64; len], e % c.size()),
+                Program::MaxLoc(len) => {
+                    let mine = (e as f64, c.rank() as u64);
+                    c.co_reduce_with(&mut vec![mine; len], |a, b| {
+                        if a.0 > b.0 || (a.0 == b.0 && a.1 <= b.1) {
+                            a
+                        } else {
+                            b
+                        }
+                    })
+                }
             }
         }
     }
@@ -228,6 +244,35 @@ fn hosted_and_threaded_ring_broadcasts_agree() {
                 assert_eq!(h.1, t.1, "makespan: {what}");
                 assert_eq!(h.2, t.2, "counters: {what}");
                 assert!(h.1 > 0, "{what} did nothing");
+            }
+        }
+    }
+}
+
+/// A one-node team of four under the two-level configuration reduces by
+/// recursive doubling, hosted as threaded, for a sum and a MAXLOC alike:
+/// both runs match each other and a forced `FlatRecursiveDoubling`.
+#[test]
+fn hosted_and_threaded_one_node_reductions_agree() {
+    let cfg = CollectiveConfig::two_level();
+    let rd = CollectiveConfig {
+        reduce: ReduceAlgo::FlatRecursiveDoubling,
+        ..cfg
+    };
+    for chaos in [false, true] {
+        for len in LENS {
+            for program in [Program::Sum(len), Program::MaxLoc(len)] {
+                let (h, t) = (
+                    stepped(Place::OneNode, chaos, cfg, program),
+                    threaded(Place::OneNode, chaos, cfg, program),
+                );
+                let what = format!("{program:?} on one node, chaos {chaos}");
+                assert_eq!(h.0, t.0, "per-image clocks: {what}");
+                assert_eq!(h.1, t.1, "makespan: {what}");
+                assert_eq!(h.2, t.2, "counters: {what}");
+                assert!(h.1 > 0, "{what} did nothing");
+                let flat = threaded(Place::OneNode, chaos, rd, program);
+                assert_eq!(t, flat, "recursive doubling: {what}");
             }
         }
     }

@@ -10,7 +10,7 @@
 //! On a mismatch the test prints the whole table as it stands now, in the
 //! syntax of [`PIN`]; paste it only when the change of op order is intended.
 
-use caf_collectives::{BarrierAlgo, BcastAlgo, CollectiveConfig, SizePolicy, TeamComm};
+use caf_collectives::{BarrierAlgo, BcastAlgo, CollectiveConfig, ReduceAlgo, SizePolicy, TeamComm};
 use caf_fabric::{run_spmd, ArcFabric, SimConfig, SimFabric};
 use caf_topology::{presets, ImageMap, Placement};
 use std::sync::{Arc, Mutex};
@@ -228,4 +228,78 @@ const PIN: &[(&str, [u64; IMAGES])] = &[
     ("sub bcast TwoLevelPipelined root=nonleader len=25", [92506, 117746, 115741, 117214, 90189, 115873, 115773, 117846]),
     ("sub bcast TwoLevelPipelined root=lone len=1", [84589, 96900, 97432, 95063, 82065, 97400, 97532, 97000]),
     ("sub bcast TwoLevelPipelined root=lone len=25", [91275, 111300, 111832, 109463, 89170, 111800, 111932, 111400]),
+];
+
+/// Every image's clock after three `co_sum`s of `len` u64 elements on a
+/// whale launch of `images` images packed onto one node (`images`(1)).
+fn one_node_sum(cfg: CollectiveConfig, images: usize, len: usize) -> Vec<u64> {
+    let map = ImageMap::new(presets::whale(), images, &Placement::Packed);
+    let fab: ArcFabric = SimFabric::new(map, SimConfig::default());
+    let f2 = fab.clone();
+    let times = Arc::new(Mutex::new(vec![0u64; images]));
+    let t2 = times.clone();
+    run_spmd(fab, move |me| {
+        let mut boot = 0u64;
+        let mut team = TeamComm::create_initial(f2.clone(), me, cfg, &mut boot);
+        for e in 1..=EPISODES {
+            let mut v = vec![e + me.index() as u64; len];
+            team.co_sum(&mut v);
+            let want = images as u64 * e + (images * (images - 1) / 2) as u64;
+            assert_eq!(v, vec![want; len], "episode {e} at {me:?}");
+        }
+        t2.lock().unwrap()[me.index()] = f2.now_ns(me);
+        f2.image_done(me);
+    });
+    let out = times.lock().unwrap().clone();
+    out
+}
+
+/// A one-node team of power-of-two size reduces by recursive doubling
+/// under the two-level configuration: at 4(1) and 8(1), for 8 B and for
+/// 1 280 B (HPL's pivot lanes at `nb` = 64), its clocks are those of
+/// `FlatRecursiveDoubling` on the same launch. A 3-image node keeps the
+/// linear two-level scheme, at the clocks recorded before the rule.
+#[test]
+fn one_node_reductions_keep_their_virtual_times() {
+    let rd = CollectiveConfig {
+        reduce: ReduceAlgo::FlatRecursiveDoubling,
+        ..CollectiveConfig::two_level()
+    };
+    let mut now = Vec::new();
+    for images in [3, 4, 8] {
+        for len in [1, 160] {
+            let t = one_node_sum(CollectiveConfig::two_level(), images, len);
+            if images.is_power_of_two() {
+                assert_eq!(
+                    t,
+                    one_node_sum(rd, images, len),
+                    "{images}(1), len {len}: two_level must be recursive doubling"
+                );
+            }
+            now.push((images, len, t));
+        }
+    }
+    let pinned: Vec<_> = ONE_NODE_PIN
+        .iter()
+        .map(|(images, len, t)| (*images, *len, t.to_vec()))
+        .collect();
+    if now != pinned {
+        let mut out = String::new();
+        for (images, len, t) in &now {
+            out.push_str(&format!("    ({images}, {len}, &{t:?}),\n"));
+        }
+        panic!("one-node virtual times moved; the table now reads:\n{out}");
+    }
+}
+
+/// `(images, u64 elements, clocks)`; the 3(1) rows were recorded before a
+/// one-node team of power-of-two size stopped reducing two-level.
+#[rustfmt::skip]
+const ONE_NODE_PIN: &[(usize, usize, &[u64])] = &[
+    (3, 1, &[3744, 3714, 3846]),
+    (3, 160, &[9440, 9410, 9860]),
+    (4, 1, &[5504, 5402, 5424, 5322]),
+    (4, 160, &[13454, 13034, 13374, 12954]),
+    (8, 1, &[9374, 9068, 9272, 8864, 9294, 8988, 9192, 8784]),
+    (8, 160, &[23482, 21802, 23062, 21382, 23402, 21722, 22982, 21302]),
 ];

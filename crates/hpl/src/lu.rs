@@ -6,7 +6,10 @@
 //! * pivot search, row swap and pivot-row broadcast: **one** `co_reduce`
 //!   per panel column over the **column team**, on a derived type that
 //!   carries the candidate's row and the diagonal row with their keys —
-//!   HPL's own max-loc/swap/broadcast exchange;
+//!   HPL's own max-loc/swap/broadcast exchange. Where the column team sits
+//!   on one node with a power-of-two size (16(2) and 64(8) under the
+//!   column-major layout), the team's reduction is recursive doubling even
+//!   in the 2-level configuration (`ReduceAlgo::resolve`);
 //! * panel broadcast (the panel's pivots, then its L blocks): one ring
 //!   broadcast per block step over **row teams** — the panel's owner is
 //!   grid column k mod Q, so roots advance in row-team rank order and the
