@@ -20,7 +20,7 @@
 
 use crate::batch::{AmPolicy, Batcher};
 use crate::seg::{Amo, FlagId, Local, SegmentId, Window};
-use crate::socket::wire::{put_u32, put_u64, Cursor};
+use crate::socket::wire::{Cursor, Field};
 use crate::{ArcFabric, ProcId, PutToken};
 use std::io;
 
@@ -105,21 +105,21 @@ impl AmOp {
         match self {
             AmOp::Put { seg, off, data } => {
                 buf.push(OP_PUT);
-                put_u64(buf, seg.0 as u64);
-                put_u64(buf, *off as u64);
-                put_u32(buf, data.len() as u32);
+                (seg.0 as u64).put(buf);
+                (*off as u64).put(buf);
+                (data.len() as u32).put(buf);
                 buf.extend_from_slice(data);
             }
             AmOp::FlagAdd { flag, delta } => {
                 buf.push(OP_FLAG_ADD);
-                put_u64(buf, flag.0 as u64);
-                put_u64(buf, *delta);
+                (flag.0 as u64).put(buf);
+                delta.put(buf);
             }
             AmOp::AmoAdd { seg, off, delta } => {
                 buf.push(OP_AMO_ADD);
-                put_u64(buf, seg.0 as u64);
-                put_u64(buf, *off as u64);
-                put_u64(buf, *delta);
+                (seg.0 as u64).put(buf);
+                (*off as u64).put(buf);
+                delta.put(buf);
             }
             AmOp::PutFlag {
                 seg,
@@ -129,12 +129,12 @@ impl AmOp {
                 delta,
             } => {
                 buf.push(OP_PUT_FLAG);
-                put_u64(buf, seg.0 as u64);
-                put_u64(buf, *off as u64);
-                put_u32(buf, data.len() as u32);
+                (seg.0 as u64).put(buf);
+                (*off as u64).put(buf);
+                (data.len() as u32).put(buf);
                 buf.extend_from_slice(data);
-                put_u64(buf, flag.0 as u64);
-                put_u64(buf, *delta);
+                (flag.0 as u64).put(buf);
+                delta.put(buf);
             }
         }
     }
@@ -147,9 +147,9 @@ impl AmOp {
         let tag = c.take(1)?[0];
         Ok(match tag {
             OP_PUT | OP_PUT_FLAG => {
-                let seg = SegmentId(c.u64()? as usize);
-                let off = c.u64()? as usize;
-                let n = c.u32()? as usize;
+                let seg = SegmentId(c.get::<u64>()? as usize);
+                let off = c.get::<u64>()? as usize;
+                let n = c.get::<u32>()? as usize;
                 if n > MAX_OP_DATA {
                     return Err(bad("absurd am payload length"));
                 }
@@ -161,19 +161,19 @@ impl AmOp {
                         seg,
                         off,
                         data,
-                        flag: FlagId(c.u64()? as usize),
-                        delta: c.u64()?,
+                        flag: FlagId(c.get::<u64>()? as usize),
+                        delta: c.get::<u64>()?,
                     }
                 }
             }
             OP_FLAG_ADD => AmOp::FlagAdd {
-                flag: FlagId(c.u64()? as usize),
-                delta: c.u64()?,
+                flag: FlagId(c.get::<u64>()? as usize),
+                delta: c.get::<u64>()?,
             },
             OP_AMO_ADD => AmOp::AmoAdd {
-                seg: SegmentId(c.u64()? as usize),
-                off: c.u64()? as usize,
-                delta: c.u64()?,
+                seg: SegmentId(c.get::<u64>()? as usize),
+                off: c.get::<u64>()? as usize,
+                delta: c.get::<u64>()?,
             },
             _ => return Err(bad("unknown am op tag")),
         })
@@ -397,9 +397,9 @@ mod tests {
         // Payload length larger than the remaining body.
         let mut buf = Vec::new();
         buf.push(super::OP_PUT);
-        put_u64(&mut buf, 0);
-        put_u64(&mut buf, 0);
-        put_u32(&mut buf, 1 << 30); // claims 1 GiB follows
+        0u64.put(&mut buf);
+        0u64.put(&mut buf);
+        (1u32 << 30).put(&mut buf); // claims 1 GiB follows
         let mut c = Cursor::new(&buf);
         assert!(AmOp::decode(&mut c).is_err());
     }

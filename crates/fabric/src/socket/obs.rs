@@ -19,7 +19,7 @@
 //! data path, and all counters are relaxed.
 
 use super::egress::Left;
-use super::wire::{put_bytes, put_u32, put_u64, put_words, Cursor};
+use super::wire::{invalid, put_items, Cursor, Field, MAX_FRAME_BYTES};
 use crate::stats::{counters, StatsSnapshot};
 use caf_trace::event::EVENT_WORDS;
 use caf_trace::Event;
@@ -49,15 +49,6 @@ pub enum TelemetryPhase {
 }
 
 impl TelemetryPhase {
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(TelemetryPhase::Live),
-            1 => Some(TelemetryPhase::Final),
-            2 => Some(TelemetryPhase::FlightRecorder),
-            _ => None,
-        }
-    }
-
     /// Short lowercase label (`live` / `final` / `flight-recorder`).
     pub fn label(&self) -> &'static str {
         match self {
@@ -272,6 +263,57 @@ pub struct ObsSnapshot {
     pub put_ack: HistSnapshot,
 }
 
+// ---- field codecs of the shipment ------------------------------------
+
+impl Field for TelemetryPhase {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        (*self as u8).put(b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        Ok(match c.get::<u8>()? {
+            0 => TelemetryPhase::Live,
+            1 => TelemetryPhase::Final,
+            2 => TelemetryPhase::FlightRecorder,
+            _ => return Err(invalid("unknown telemetry phase")),
+        })
+    }
+}
+
+impl Field for HistSnapshot {
+    const MIN_BYTES: usize = 8 * (3 + HIST_BUCKETS);
+
+    fn put(&self, b: &mut Vec<u8>) {
+        [self.count, self.sum_ns, self.max_ns].put(b);
+        self.buckets.put(b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        Ok(HistSnapshot {
+            count: c.get()?,
+            sum_ns: c.get()?,
+            max_ns: c.get()?,
+            buckets: c.get()?,
+        })
+    }
+}
+
+/// A trace event, as its ring-slot words. A shipment carries at most 2^24.
+impl Field for Event {
+    const MIN_BYTES: usize = 8 * EVENT_WORDS;
+    const MAX_ITEMS: usize = 1 << 24;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        self.encode().put(b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        Event::decode(&c.get()?).ok_or_else(|| invalid("bad event in telemetry"))
+    }
+}
+
 // ---- the shipment ----------------------------------------------------
 
 /// One process's complete observability snapshot: what it was doing
@@ -300,115 +342,69 @@ pub struct NodeTelemetry {
     pub events: Vec<Event>,
 }
 
+/// The largest payload one [`Frame::Telemetry`](super::wire::Frame::Telemetry)
+/// carries: a frame body's bound less the frame's tag, `node` and payload
+/// length.
+const MAX_PAYLOAD_BYTES: usize = MAX_FRAME_BYTES - (1 + 4 + 4);
+
 impl NodeTelemetry {
     /// Encode to the versioned binary payload carried by
     /// [`Frame::Telemetry`](super::wire::Frame::Telemetry) and
-    /// `CAF_TRACE_DIR` spill files.
+    /// `CAF_TRACE_DIR` spill files. A shipment always fits one frame: past
+    /// that, it keeps the newest events that do.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(512 + self.events.len() * EVENT_WORDS * 8);
-        put_u32(&mut b, TELEMETRY_MAGIC);
-        b.push(self.phase as u8);
-        put_u32(&mut b, self.node);
-        put_u64(&mut b, self.sent_at_ns);
-        put_bytes(&mut b, self.cause.as_bytes());
-        put_u32(&mut b, self.images.len() as u32);
-        for img in &self.images {
-            put_u32(&mut b, *img);
-        }
-        put_words(&mut b, &self.stats.to_words());
-        put_u64(&mut b, self.obs.heartbeat_period_ns);
-        put_u32(&mut b, self.obs.peers.len() as u32);
-        for p in &self.obs.peers {
-            put_words(&mut b, &p.to_words());
-        }
-        put_u32(&mut b, self.obs.heartbeats.len() as u32);
-        for h in &self.obs.heartbeats {
-            put_words(&mut b, &h.to_words());
-        }
-        put_u64(&mut b, self.obs.put_ack.count);
-        put_u64(&mut b, self.obs.put_ack.sum_ns);
-        put_u64(&mut b, self.obs.put_ack.max_ns);
-        put_words(&mut b, &self.obs.put_ack.buckets);
-        put_u32(&mut b, self.events.len() as u32);
-        for ev in &self.events {
-            put_words(&mut b, &ev.encode());
-        }
+        self.encode_within(MAX_PAYLOAD_BYTES)
+    }
+
+    /// Encode in at most `budget` bytes (if the fields other than the
+    /// events fit), dropping the oldest events — `Tracer::events` sorts
+    /// them oldest first — until the rest fit.
+    fn encode_within(&self, budget: usize) -> Vec<u8> {
+        let mut b = Vec::with_capacity((512 + self.events.len() * Event::MIN_BYTES).min(budget));
+        TELEMETRY_MAGIC.put(&mut b);
+        self.phase.put(&mut b);
+        self.node.put(&mut b);
+        self.sent_at_ns.put(&mut b);
+        self.cause.put(&mut b);
+        self.images.put(&mut b);
+        self.stats.put(&mut b);
+        self.obs.heartbeat_period_ns.put(&mut b);
+        self.obs.peers.put(&mut b);
+        self.obs.heartbeats.put(&mut b);
+        self.obs.put_ack.put(&mut b);
+        let room = budget.saturating_sub(b.len() + 4) / Event::MIN_BYTES;
+        let newest = &self.events[self.events.len().saturating_sub(room)..];
+        put_items(newest, &mut b);
         b
     }
 
     /// Decode a payload produced by [`NodeTelemetry::encode`]. Rejects
     /// version mismatches and truncated or oversized payloads.
     pub fn decode(payload: &[u8]) -> io::Result<NodeTelemetry> {
-        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let mut c = Cursor::new(payload);
-        if c.u32()? != TELEMETRY_MAGIC {
-            return Err(bad("telemetry payload version mismatch"));
+        if c.get::<u32>()? != TELEMETRY_MAGIC {
+            return Err(invalid("telemetry payload version mismatch"));
         }
-        let phase =
-            TelemetryPhase::from_u8(c.take(1)?[0]).ok_or_else(|| bad("unknown telemetry phase"))?;
-        let node = c.u32()?;
-        let sent_at_ns = c.u64()?;
-        let cause = c.string()?;
-        let n_images = c.u32()? as usize;
-        if n_images > 1 << 20 {
-            return Err(bad("absurd image count in telemetry"));
-        }
-        let mut images = Vec::with_capacity(n_images.min(c.remaining() / 4));
-        for _ in 0..n_images {
-            images.push(c.u32()?);
-        }
-        let stats = StatsSnapshot::from_words(c.words()?);
-        let heartbeat_period_ns = c.u64()?;
-        let n_peers = c.u32()? as usize;
-        if n_peers > 1 << 16 {
-            return Err(bad("absurd peer count in telemetry"));
-        }
-        let mut peers =
-            Vec::with_capacity(n_peers.min(c.remaining() / (PeerWireSnapshot::WORDS * 8)));
-        for _ in 0..n_peers {
-            peers.push(PeerWireSnapshot::from_words(c.words()?));
-        }
-        let n_hb = c.u32()? as usize;
-        if n_hb > 1 << 16 {
-            return Err(bad("absurd heartbeat-watch count in telemetry"));
-        }
-        let mut heartbeats =
-            Vec::with_capacity(n_hb.min(c.remaining() / (HeartbeatSnapshot::WORDS * 8)));
-        for _ in 0..n_hb {
-            heartbeats.push(HeartbeatSnapshot::from_words(c.words()?));
-        }
-        let put_ack = HistSnapshot {
-            count: c.u64()?,
-            sum_ns: c.u64()?,
-            max_ns: c.u64()?,
-            buckets: c.words()?,
-        };
-        let n_events = c.u32()? as usize;
-        if n_events > 1 << 24 {
-            return Err(bad("absurd event count in telemetry"));
-        }
-        let mut events = Vec::with_capacity(n_events.min(c.remaining() / (EVENT_WORDS * 8)));
-        for _ in 0..n_events {
-            events.push(Event::decode(&c.words()?).ok_or_else(|| bad("bad event in telemetry"))?);
-        }
-        if !c.done() {
-            return Err(bad("trailing bytes in telemetry payload"));
-        }
-        Ok(NodeTelemetry {
-            node,
-            phase,
-            sent_at_ns,
-            cause,
-            images,
-            stats,
+        // Fields are read in the order written here, which is wire order.
+        let t = NodeTelemetry {
+            phase: c.get()?,
+            node: c.get()?,
+            sent_at_ns: c.get()?,
+            cause: c.get()?,
+            images: c.get()?,
+            stats: c.get()?,
             obs: ObsSnapshot {
-                heartbeat_period_ns,
-                peers,
-                heartbeats,
-                put_ack,
+                heartbeat_period_ns: c.get()?,
+                peers: c.get()?,
+                heartbeats: c.get()?,
+                put_ack: c.get()?,
             },
-            events,
-        })
+            events: c.get()?,
+        };
+        if !c.done() {
+            return Err(invalid("trailing bytes in telemetry payload"));
+        }
+        Ok(t)
     }
 
     /// Render the last `per_image` retained events of every image as an
@@ -507,6 +503,42 @@ mod tests {
         let enc = t.encode();
         let back = NodeTelemetry::decode(&enc).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// A shipment over its byte budget keeps the newest events that fit —
+    /// the events are oldest first — and every other field whole; the
+    /// budget `encode` uses is exactly what one frame's body has left.
+    #[test]
+    fn a_shipment_over_budget_keeps_its_newest_events() {
+        let t = NodeTelemetry {
+            events: (0..10)
+                .map(|i| Event::instant(EventKind::FlagAdd, 100 * i).a(i))
+                .collect(),
+            ..sample()
+        };
+        let whole = t.encode();
+        assert_eq!(NodeTelemetry::decode(&whole).unwrap(), t);
+        // Room for three events and half of a fourth.
+        let budget = whole.len() - 7 * Event::MIN_BYTES + Event::MIN_BYTES / 2;
+        let enc = t.encode_within(budget);
+        assert!(
+            enc.len() <= budget,
+            "{} bytes over a budget of {budget}",
+            enc.len()
+        );
+        let back = NodeTelemetry::decode(&enc).unwrap();
+        assert_eq!(back.events, t.events[7..], "the newest three");
+        let events = t.events.clone();
+        assert_eq!(NodeTelemetry { events, ..back }, t);
+
+        let frame = super::super::wire::Frame::Telemetry {
+            node: 0,
+            payload: Vec::new(),
+        };
+        assert_eq!(
+            frame.encode().len() - 4 + MAX_PAYLOAD_BYTES,
+            MAX_FRAME_BYTES
+        );
     }
 
     #[test]

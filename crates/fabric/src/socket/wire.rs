@@ -4,10 +4,11 @@
 //! Every message on every connection — data-plane traffic between peer
 //! processes, and the rendezvous exchange with the launcher's coordinator —
 //! is one [`Frame`], encoded as a little-endian `u32` body length followed
-//! by a one-byte tag and the tag's fixed fields. The format is deliberately
-//! hand-rolled (no serde on the hot path) and versioned by the `OPEN`
-//! handshake's magic, so a mismatched peer fails loudly at connect time
-//! rather than corrupting segments.
+//! by a one-byte tag and the tag's fixed fields. The format is declared once
+//! in the `frames!` table (no serde on the hot path), each field type's
+//! encoding once behind the crate-private `Field` trait, and it is versioned
+//! by the `OPEN` handshake's magic, so a mismatched peer fails loudly at
+//! connect time rather than corrupting segments.
 //!
 //! The bulk frames — `Put`, `PutFlag` and `GetResp` — end in a payload
 //! behind their fixed fields, and those heads have one codec: a sender
@@ -16,6 +17,7 @@
 //! [`FrameReader`], for [`Frame::decode`] and for the egress cork's fusion
 //! of a flag into a corked put (`fuse_flag`).
 
+use super::obs::{HeartbeatSnapshot, PeerWireSnapshot};
 use crate::am::AmOp;
 use crate::stats::StatsSnapshot;
 use std::io::{self, BufReader, Read, Write};
@@ -251,293 +253,501 @@ impl Drop for Listener {
     }
 }
 
-/// One protocol message. Data-plane tags (`Open`..`Bye`) flow on peer
-/// connections; rendezvous tags (`Hello`..`Abort`) flow on the coordinator
-/// connection. See the module docs for encoding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Frame {
-    /// First frame on every data connection: the dialing process
-    /// identifies itself (and the protocol version, via `magic`).
-    Open {
-        /// Dialer's process (node) rank.
-        node: u32,
-        /// Must equal [`WIRE_MAGIC`].
-        magic: u32,
-        /// Path of the dialer's shared-memory segment file (empty when the
-        /// dialer offers none). A receiver that shares the host maps it and
-        /// services its side of the pair's traffic at memory speed.
-        shm: String,
-    },
-    /// One-sided write into a hosted image's segment. `ack != 0` requests
-    /// a [`Frame::PutAck`] echoing it once the payload is applied.
-    Put {
-        /// Issuing image (global 0-based rank).
-        src: u32,
-        /// Target image (must be hosted by the receiver).
-        dst: u32,
-        /// Target segment id.
-        seg: u64,
-        /// Byte offset within the segment.
-        off: u64,
-        /// Completion-ack cookie (0 = no ack requested).
-        ack: u64,
-        /// Payload bytes.
-        data: Vec<u8>,
-    },
-    /// A [`Frame::Put`] and the [`Frame::FlagAdd`] that followed it from
-    /// the same image to the same target, as one frame: the receiver lands
-    /// the payload, then bumps the flag, then acks — what the pair does on
-    /// an ordered connection. A signalled put (`Fabric::put_flag`) is sent
-    /// as one, and the egress cork rewrites a still-corked `put_nb`'s `Put`
-    /// into one when its flag arrives.
-    PutFlag {
-        /// Issuing image (global 0-based rank).
-        src: u32,
-        /// Target image (must be hosted by the receiver).
-        dst: u32,
-        /// Target segment id.
-        seg: u64,
-        /// Byte offset within the segment.
-        off: u64,
-        /// Completion-ack cookie (0 = no ack requested).
-        ack: u64,
-        /// Payload bytes.
-        data: Vec<u8>,
-        /// Target flag id, bumped once the payload has landed.
-        flag: u64,
-        /// Increment.
-        delta: u64,
-    },
-    /// Completion ack for a [`Frame::Put`] or [`Frame::PutFlag`].
-    PutAck {
-        /// The cookie from the acked put.
-        ack: u64,
-    },
-    /// One-sided read request.
-    Get {
-        /// Issuing image.
-        src: u32,
-        /// Source image (must be hosted by the receiver).
-        dst: u32,
-        /// Source segment id.
-        seg: u64,
-        /// Byte offset within the segment.
-        off: u64,
-        /// Bytes requested.
-        len: u32,
-        /// Request cookie echoed by the response.
-        req: u64,
-    },
-    /// Response to a [`Frame::Get`].
-    GetResp {
-        /// The request cookie.
-        req: u64,
-        /// The bytes read.
-        data: Vec<u8>,
-    },
-    /// Remote atomic fetch-and-add.
-    AmoFadd {
-        /// Issuing image.
-        src: u32,
-        /// Target image.
-        dst: u32,
-        /// Target segment id.
-        seg: u64,
-        /// Byte offset (8-byte aligned).
-        off: u64,
-        /// Addend.
-        delta: u64,
-        /// Request cookie.
-        req: u64,
-    },
-    /// Remote atomic compare-and-swap.
-    AmoCas {
-        /// Issuing image.
-        src: u32,
-        /// Target image.
-        dst: u32,
-        /// Target segment id.
-        seg: u64,
-        /// Byte offset (8-byte aligned).
-        off: u64,
-        /// Expected value.
-        expected: u64,
-        /// Replacement value.
-        new: u64,
-        /// Request cookie.
-        req: u64,
-    },
-    /// Response to either AMO: the previous cell value.
-    AmoResp {
-        /// The request cookie.
-        req: u64,
-        /// Previous value of the cell.
-        old: u64,
-    },
-    /// A batch of active-message ops from one image to one target image,
-    /// applied at the receiver **in vector order** (the AM tier's
-    /// per-destination program-order guarantee). `ack` requests a
-    /// [`Frame::PutAck`] once every op in the batch has been applied, so
-    /// the sender's `quiet` covers batched AMs exactly like nonblocking
-    /// puts.
-    AmBatch {
-        /// Issuing image (global 0-based rank).
-        src: u32,
-        /// Target image (must be hosted by the receiver).
-        dst: u32,
-        /// Completion-ack cookie (0 = no ack requested).
-        ack: u64,
-        /// The ops, in program order.
-        ops: Vec<AmOp>,
-    },
-    /// One-way accumulating sync-flag notification (ordered after any
-    /// preceding puts on the same connection — the fabric's point-to-point
-    /// ordering guarantee).
-    FlagAdd {
-        /// Issuing image.
-        src: u32,
-        /// Target image.
-        dst: u32,
-        /// Target flag id.
-        flag: u64,
-        /// Increment.
-        delta: u64,
-    },
-    /// Liveness beacon, sent on every egress connection each heartbeat
-    /// period. Carries the sender's counter snapshot so every peer holds a
-    /// last-known picture of what the sender was doing — the flight
-    /// recorder's view of a process that dies between beacons.
-    Heartbeat {
-        /// Sender's process rank.
-        node: u32,
-        /// The sender's [`StatsSnapshot`] at send time.
-        stats: StatsSnapshot,
-    },
-    /// Graceful goodbye: the sender's hosted images have all finished, no
-    /// more requests or heartbeats will follow, and subsequent EOF from it
-    /// is *not* a death.
-    Bye {
-        /// Sender's process rank.
-        node: u32,
-    },
-    /// First frame on a data connection dialed by a **respawned** process:
-    /// like [`Frame::Open`], but announces that the dialer is a new
-    /// incarnation of a previously dead rank. `generation` is the recovery
-    /// generation this rejoin establishes — a receiver at generation `g`
-    /// accepts only `generation == g + 1` and drops anything else as a
-    /// stale frame from a dead incarnation. `addr` is the rejoiner's fresh
-    /// data-plane listen address, which the receiver back-dials to rebuild
-    /// its egress half of the pair.
-    Rejoin {
-        /// Dialer's process (node) rank.
-        node: u32,
-        /// The recovery generation this rejoin establishes.
-        generation: u64,
-        /// The rejoiner's listen address, as `Addr` text.
-        addr: String,
-        /// Must equal [`WIRE_MAGIC`].
-        magic: u32,
-        /// Path of the rejoiner's **new** generation-tagged shared-memory
-        /// segment file (empty when none). Receivers must remap: the dead
-        /// incarnation's segment is gone.
-        shm: String,
-    },
-    /// Recovery fence mark, sent point-to-point to every recovery
-    /// participant during [`Fabric::heal`](crate::Fabric::heal). Round 1
-    /// means "my images have all stopped; everything I sent before this
-    /// frame is pre-recovery traffic" (per-connection FIFO drains it);
-    /// round 2 means "my state reset for `generation` is complete". No new
-    /// traffic may be issued until round 2 arrives from every participant.
-    RecoverBarrier {
-        /// Sender's process rank.
-        node: u32,
-        /// Fence round (1 = stopped, 2 = reset complete).
-        round: u64,
-        /// The generation being established.
-        generation: u64,
-    },
-    /// Rendezvous: a fleet member announces its rank and listen address.
-    Hello {
-        /// Member's process rank.
-        node: u32,
-        /// Its listen address, as `Addr` text.
-        addr: String,
-        /// Must equal [`WIRE_MAGIC`].
-        magic: u32,
-    },
-    /// Rendezvous: the coordinator's reply — every member's listen address,
-    /// indexed by process rank.
-    Peers {
-        /// Listen addresses in rank order.
-        addrs: Vec<String>,
-    },
-    /// A fleet member's final result report (per hosted image).
-    Done {
-        /// Member's process rank.
-        node: u32,
-        /// `(global image rank, result)` pairs for every hosted image.
-        results: Vec<(u32, u64)>,
-    },
-    /// Rendezvous: abort the fleet with a message.
-    Abort {
-        /// Human-readable reason.
-        msg: String,
-    },
-    /// Control-plane telemetry shipment: an encoded
-    /// [`NodeTelemetry`](crate::socket::obs::NodeTelemetry) blob (trace
-    /// window, counters, wire/latency/heartbeat observations). Flows only on
-    /// the coordinator connection; the payload format is versioned
-    /// independently by its own magic.
-    Telemetry {
-        /// Sender's process rank.
-        node: u32,
-        /// Encoded `NodeTelemetry`.
-        payload: Vec<u8>,
-    },
+/// Declares [`Frame`] **once**. Each control frame is one row — its docs,
+/// name, tag and typed fields — and the row is the variant, its encoder arm
+/// and its decoder arm: the tag byte, then each field through its type's
+/// [`Field`] codec, in row order. The bulk frames are variants of the same
+/// enum whose heads have codecs of their own ([`PutHead`], the `GetResp`
+/// head, `AmBatch`'s). A new frame is one row, under a tag never used.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum $Frame:ident;
+        bulk {$(
+            $(#[$bdoc:meta])*
+            $Bulk:ident { $($(#[$bfdoc:meta])* $bf:ident: $BTy:ty,)* },
+        )*}
+        control {$(
+            $(#[$doc:meta])*
+            $Name:ident = $tag:literal { $($(#[$fdoc:meta])* $f:ident: $Ty:ty,)* },
+        )*}
+    ) => {
+        $(#[$meta])*
+        pub enum $Frame {
+            $($(#[$bdoc])* $Bulk { $($(#[$bfdoc])* $bf: $BTy,)* },)*
+            $($(#[$doc])* $Name { $($(#[$fdoc])* $f: $Ty,)* },)*
+        }
+
+        impl $Frame {
+            /// The tag and fields of a control frame.
+            fn encode_control(&self, b: &mut Vec<u8>) {
+                match self {
+                    $($Frame::$Name { $($f),* } => {
+                        b.push($tag);
+                        $($f.put(b);)*
+                    })*
+                    _ => unreachable!("{self:?} has an encoder of its own"),
+                }
+            }
+
+            /// The control frame `tag` names, from the rest of its body.
+            // Out of line, as is `decode_am_batch`: `Frame::decode` returns
+            // what they build in place, and its bulk path stays small.
+            #[inline(never)]
+            fn decode_control(tag: u8, rest: &[u8]) -> io::Result<$Frame> {
+                let mut c = Cursor::new(rest);
+                let f = match tag {
+                    $($tag => $Frame::$Name { $($f: c.get()?),* },)*
+                    _ => return Err(invalid("unknown frame tag")),
+                };
+                if !c.done() {
+                    return Err(invalid("trailing bytes in frame body"));
+                }
+                Ok(f)
+            }
+        }
+    };
 }
 
-const T_OPEN: u8 = 1;
-const T_PUT: u8 = 2;
-const T_PUT_ACK: u8 = 3;
-const T_GET: u8 = 4;
-const T_GET_RESP: u8 = 5;
-const T_AMO_FADD: u8 = 6;
-const T_AMO_CAS: u8 = 7;
-const T_AMO_RESP: u8 = 8;
-const T_FLAG_ADD: u8 = 9;
-const T_HEARTBEAT: u8 = 10;
-const T_BYE: u8 = 11;
-const T_REJOIN: u8 = 12;
-const T_RECOVER_BARRIER: u8 = 13;
-const T_AM_BATCH: u8 = 14;
-const T_PUT_FLAG: u8 = 15;
-const T_HELLO: u8 = 16;
-const T_PEERS: u8 = 17;
-const T_DONE: u8 = 18;
-const T_ABORT: u8 = 19;
-const T_TELEMETRY: u8 = 20;
+frames! {
+    /// One protocol message. Data-plane tags (`Open`..`Bye`) flow on peer
+    /// connections; rendezvous tags (`Hello`..`Abort`) flow on the coordinator
+    /// connection. See the module docs for encoding.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Frame;
 
-/// Append `words` as fixed little-endian u64s — the encoding of every
-/// counter snapshot (`to_words`), in declaration order.
-pub(crate) fn put_words(buf: &mut Vec<u8>, words: &[u64]) {
-    for &w in words {
-        put_u64(buf, w);
+    bulk {
+        /// One-sided write into a hosted image's segment. `ack != 0` requests
+        /// a [`Frame::PutAck`] echoing it once the payload is applied.
+        Put {
+            /// Issuing image (global 0-based rank).
+            src: u32,
+            /// Target image (must be hosted by the receiver).
+            dst: u32,
+            /// Target segment id.
+            seg: u64,
+            /// Byte offset within the segment.
+            off: u64,
+            /// Completion-ack cookie (0 = no ack requested).
+            ack: u64,
+            /// Payload bytes.
+            data: Vec<u8>,
+        },
+        /// A [`Frame::Put`] and the [`Frame::FlagAdd`] that followed it from
+        /// the same image to the same target, as one frame: the receiver lands
+        /// the payload, then bumps the flag, then acks — what the pair does on
+        /// an ordered connection. A signalled put (`Fabric::put_flag`) is sent
+        /// as one, and the egress cork rewrites a still-corked `put_nb`'s `Put`
+        /// into one when its flag arrives.
+        PutFlag {
+            /// Issuing image (global 0-based rank).
+            src: u32,
+            /// Target image (must be hosted by the receiver).
+            dst: u32,
+            /// Target segment id.
+            seg: u64,
+            /// Byte offset within the segment.
+            off: u64,
+            /// Completion-ack cookie (0 = no ack requested).
+            ack: u64,
+            /// Payload bytes.
+            data: Vec<u8>,
+            /// Target flag id, bumped once the payload has landed.
+            flag: u64,
+            /// Increment.
+            delta: u64,
+        },
+        /// Response to a [`Frame::Get`].
+        GetResp {
+            /// The request cookie.
+            req: u64,
+            /// The bytes read.
+            data: Vec<u8>,
+        },
+        /// A batch of active-message ops from one image to one target image,
+        /// applied at the receiver **in vector order** (the AM tier's
+        /// per-destination program-order guarantee). `ack` requests a
+        /// [`Frame::PutAck`] once every op in the batch has been applied, so
+        /// the sender's `quiet` covers batched AMs exactly like nonblocking
+        /// puts.
+        AmBatch {
+            /// Issuing image (global 0-based rank).
+            src: u32,
+            /// Target image (must be hosted by the receiver).
+            dst: u32,
+            /// Completion-ack cookie (0 = no ack requested).
+            ack: u64,
+            /// The ops, in program order.
+            ops: Vec<AmOp>,
+        },
+    }
+
+    control {
+        /// First frame on every data connection: the dialing process
+        /// identifies itself (and the protocol version, via `magic`).
+        Open = 1 {
+            /// Dialer's process (node) rank.
+            node: u32,
+            /// Must equal [`WIRE_MAGIC`].
+            magic: u32,
+            /// Path of the dialer's shared-memory segment file (empty when the
+            /// dialer offers none). A receiver that shares the host maps it and
+            /// services its side of the pair's traffic at memory speed.
+            shm: String,
+        },
+        /// Completion ack for a [`Frame::Put`] or [`Frame::PutFlag`].
+        PutAck = 3 {
+            /// The cookie from the acked put.
+            ack: u64,
+        },
+        /// One-sided read request.
+        Get = 4 {
+            /// Issuing image.
+            src: u32,
+            /// Source image (must be hosted by the receiver).
+            dst: u32,
+            /// Source segment id.
+            seg: u64,
+            /// Byte offset within the segment.
+            off: u64,
+            /// Bytes requested.
+            len: u32,
+            /// Request cookie echoed by the response.
+            req: u64,
+        },
+        /// Remote atomic fetch-and-add.
+        AmoFadd = 6 {
+            /// Issuing image.
+            src: u32,
+            /// Target image.
+            dst: u32,
+            /// Target segment id.
+            seg: u64,
+            /// Byte offset (8-byte aligned).
+            off: u64,
+            /// Addend.
+            delta: u64,
+            /// Request cookie.
+            req: u64,
+        },
+        /// Remote atomic compare-and-swap.
+        AmoCas = 7 {
+            /// Issuing image.
+            src: u32,
+            /// Target image.
+            dst: u32,
+            /// Target segment id.
+            seg: u64,
+            /// Byte offset (8-byte aligned).
+            off: u64,
+            /// Expected value.
+            expected: u64,
+            /// Replacement value.
+            new: u64,
+            /// Request cookie.
+            req: u64,
+        },
+        /// Response to either AMO: the previous cell value.
+        AmoResp = 8 {
+            /// The request cookie.
+            req: u64,
+            /// Previous value of the cell.
+            old: u64,
+        },
+        /// One-way accumulating sync-flag notification (ordered after any
+        /// preceding puts on the same connection — the fabric's point-to-point
+        /// ordering guarantee).
+        FlagAdd = 9 {
+            /// Issuing image.
+            src: u32,
+            /// Target image.
+            dst: u32,
+            /// Target flag id.
+            flag: u64,
+            /// Increment.
+            delta: u64,
+        },
+        /// Liveness beacon, sent on every egress connection each heartbeat
+        /// period. Carries the sender's counter snapshot so every peer holds a
+        /// last-known picture of what the sender was doing — the flight
+        /// recorder's view of a process that dies between beacons.
+        Heartbeat = 10 {
+            /// Sender's process rank.
+            node: u32,
+            /// The sender's [`StatsSnapshot`] at send time.
+            stats: StatsSnapshot,
+        },
+        /// Graceful goodbye: the sender's hosted images have all finished, no
+        /// more requests or heartbeats will follow, and subsequent EOF from it
+        /// is *not* a death.
+        Bye = 11 {
+            /// Sender's process rank.
+            node: u32,
+        },
+        /// First frame on a data connection dialed by a **respawned** process:
+        /// like [`Frame::Open`], but announces that the dialer is a new
+        /// incarnation of a previously dead rank. `generation` is the recovery
+        /// generation this rejoin establishes — a receiver at generation `g`
+        /// accepts only `generation == g + 1` and drops anything else as a
+        /// stale frame from a dead incarnation. `addr` is the rejoiner's fresh
+        /// data-plane listen address, which the receiver back-dials to rebuild
+        /// its egress half of the pair.
+        Rejoin = 12 {
+            /// Dialer's process (node) rank.
+            node: u32,
+            /// The recovery generation this rejoin establishes.
+            generation: u64,
+            /// The rejoiner's listen address, as `Addr` text.
+            addr: String,
+            /// Must equal [`WIRE_MAGIC`].
+            magic: u32,
+            /// Path of the rejoiner's **new** generation-tagged shared-memory
+            /// segment file (empty when none). Receivers must remap: the dead
+            /// incarnation's segment is gone.
+            shm: String,
+        },
+        /// Recovery fence mark, sent point-to-point to every recovery
+        /// participant during [`Fabric::heal`](crate::Fabric::heal). Round 1
+        /// means "my images have all stopped; everything I sent before this
+        /// frame is pre-recovery traffic" (per-connection FIFO drains it);
+        /// round 2 means "my state reset for `generation` is complete". No new
+        /// traffic may be issued until round 2 arrives from every participant.
+        RecoverBarrier = 13 {
+            /// Sender's process rank.
+            node: u32,
+            /// Fence round (1 = stopped, 2 = reset complete).
+            round: u64,
+            /// The generation being established.
+            generation: u64,
+        },
+        /// Rendezvous: a fleet member announces its rank and listen address.
+        Hello = 16 {
+            /// Member's process rank.
+            node: u32,
+            /// Its listen address, as `Addr` text.
+            addr: String,
+            /// Must equal [`WIRE_MAGIC`].
+            magic: u32,
+        },
+        /// Rendezvous: the coordinator's reply — every member's listen address,
+        /// indexed by process rank.
+        Peers = 17 {
+            /// Listen addresses in rank order.
+            addrs: Vec<String>,
+        },
+        /// A fleet member's final result report (per hosted image).
+        Done = 18 {
+            /// Member's process rank.
+            node: u32,
+            /// `(global image rank, result)` pairs for every hosted image.
+            results: Vec<(u32, u64)>,
+        },
+        /// Rendezvous: abort the fleet with a message.
+        Abort = 19 {
+            /// Human-readable reason.
+            msg: String,
+        },
+        /// Control-plane telemetry shipment: an encoded
+        /// [`NodeTelemetry`](crate::socket::obs::NodeTelemetry) blob (trace
+        /// window, counters, wire/latency/heartbeat observations). Flows only on
+        /// the coordinator connection; the payload format is versioned
+        /// independently by its own magic.
+        Telemetry = 20 {
+            /// Sender's process rank.
+            node: u32,
+            /// Encoded `NodeTelemetry`.
+            payload: Vec<u8>,
+        },
     }
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+// The bulk frames' tags; every other frame's is in its row above.
+const T_PUT: u8 = 2;
+const T_GET_RESP: u8 = 5;
+const T_AM_BATCH: u8 = 14;
+const T_PUT_FLAG: u8 = 15;
+
+/// The `InvalidData` error every malformed body fails as.
+#[cold]
+pub(crate) fn invalid(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// How one field type travels, written once for every frame and telemetry
+/// payload that carries it. Integers are little-endian; a `Vec<T>` is a
+/// `u32` count and then its items.
+pub(crate) trait Field: Sized {
+    /// The fewest bytes one value takes on the wire.
+    const MIN_BYTES: usize;
+    /// The most items a `Vec` of this type may claim: a larger count is a
+    /// corrupted header, not traffic. 0 for a type no vector carries.
+    const MAX_ITEMS: usize = 0;
+
+    /// Append the encoding to `b`.
+    fn put(&self, b: &mut Vec<u8>);
+
+    /// Read one value at the cursor.
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self>;
+
+    /// Append `items` back to back (bytes: in one copy).
+    fn put_all(items: &[Self], b: &mut Vec<u8>) {
+        for item in items {
+            item.put(b);
+        }
+    }
+
+    /// Read `n` items onto `out` (bytes: in one copy).
+    fn get_all(c: &mut Cursor<'_>, n: usize, out: &mut Vec<Self>) -> io::Result<()> {
+        for _ in 0..n {
+            out.push(Self::get(c)?);
+        }
+        Ok(())
+    }
 }
 
-pub(crate) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
+/// Little-endian integers. A vector of `u32`s is a list of image ranks: at
+/// most 2^20 of them.
+macro_rules! int_field {
+    ($($t:ty => $max:expr),*) => {$(
+        impl Field for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            const MAX_ITEMS: usize = $max;
+
+            fn put(&self, b: &mut Vec<u8>) {
+                b.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+                let bytes = c.take(Self::MIN_BYTES)?.try_into();
+                Ok(<$t>::from_le_bytes(bytes.expect("take returns the bytes it was asked for")))
+            }
+        }
+    )*};
+}
+int_field!(u32 => 1 << 20, u64 => 0);
+
+/// A byte; a byte string is a `Vec<u8>`, copied in one go and bounded only
+/// by the body it arrives in.
+impl Field for u8 {
+    const MIN_BYTES: usize = 1;
+    const MAX_ITEMS: usize = u32::MAX as usize;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(*self);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        Ok(c.take(1)?[0])
+    }
+
+    fn put_all(items: &[u8], b: &mut Vec<u8>) {
+        b.extend_from_slice(items);
+    }
+
+    fn get_all(c: &mut Cursor<'_>, n: usize, out: &mut Vec<u8>) -> io::Result<()> {
+        out.extend_from_slice(c.take(n)?);
+        Ok(())
+    }
 }
 
+/// A `u32` count, then the items: the one place a decoder reads a count,
+/// checks it, and sizes an allocation by it.
+impl<T: Field> Field for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        put_items(self, b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        let n = c.get::<u32>()? as usize;
+        if n > T::MAX_ITEMS {
+            let what = std::any::type_name::<T>();
+            return Err(invalid(&format!("absurd count of {what}: {n}")));
+        }
+        // No more items than the bytes left could hold: a count claimed by
+        // a short body does not size the allocation.
+        let mut items = Vec::with_capacity(n.min(c.remaining() / T::MIN_BYTES));
+        T::get_all(c, n, &mut items)?;
+        Ok(items)
+    }
+}
+
+/// Append `items` as the `Vec<T>` they would make, from a borrowed slice.
+pub(crate) fn put_items<T: Field>(items: &[T], b: &mut Vec<u8>) {
+    (items.len() as u32).put(b);
+    T::put_all(items, b);
+}
+
+/// UTF-8 text, as its bytes. A vector of strings is one per process: at
+/// most 2^16 of them.
+impl Field for String {
+    const MIN_BYTES: usize = 4;
+    const MAX_ITEMS: usize = 1 << 16;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        put_items(self.as_bytes(), b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        String::from_utf8(c.get()?).map_err(|_| invalid("non-utf8 string in frame"))
+    }
+}
+
+/// A pair, first then second. A vector of pairs is a `(image, result)`
+/// report: at most 2^24 of them.
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    const MAX_ITEMS: usize = 1 << 24;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        self.0.put(b);
+        self.1.put(b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        Ok((c.get()?, c.get()?))
+    }
+}
+
+/// `N` words, with no count: their number is the type's.
+impl<const N: usize> Field for [u64; N] {
+    const MIN_BYTES: usize = 8 * N;
+
+    fn put(&self, b: &mut Vec<u8>) {
+        u64::put_all(self, b);
+    }
+
+    fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+        let mut words = [0; N];
+        for w in &mut words {
+            *w = c.get()?;
+        }
+        Ok(words)
+    }
+}
+
+/// A counter snapshot, as its words in table order (`to_words`). A vector
+/// of them is one per peer process: at most 2^16.
+macro_rules! snapshot_field {
+    ($($Snap:ty),*) => {$(
+        impl Field for $Snap {
+            const MIN_BYTES: usize = 8 * <$Snap>::WORDS;
+            const MAX_ITEMS: usize = 1 << 16;
+
+            fn put(&self, b: &mut Vec<u8>) {
+                self.to_words().put(b);
+            }
+
+            fn get(c: &mut Cursor<'_>) -> io::Result<Self> {
+                Ok(Self::from_words(c.get()?))
+            }
+        }
+    )*};
+}
+snapshot_field!(StatsSnapshot, PeerWireSnapshot, HeartbeatSnapshot);
+
+/// A read position in a frame body or a telemetry payload.
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -560,41 +770,16 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated frame body",
-            ));
+            return Err(invalid("truncated frame body"));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    pub(crate) fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 string in frame"))
-    }
-
-    /// `N` little-endian u64s: the inverse of [`put_words`].
-    pub(crate) fn words<const N: usize>(&mut self) -> io::Result<[u64; N]> {
-        let mut w = [0u64; N];
-        for slot in &mut w {
-            *slot = self.u64()?;
-        }
-        Ok(w)
+    /// Read one `T`, through its [`Field`] codec.
+    pub(crate) fn get<T: Field>(&mut self) -> io::Result<T> {
+        T::get(self)
     }
 }
 
@@ -603,7 +788,7 @@ impl<'a> Cursor<'a> {
 /// that follow the body on the wire but are *not* written into `b`.
 fn framed(b: &mut Vec<u8>, tail: usize, body: impl FnOnce(&mut Vec<u8>)) {
     let start = b.len();
-    put_u32(b, 0);
+    0u32.put(b);
     body(b);
     let body_len = (b.len() - start - 4 + tail) as u32;
     b[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
@@ -690,16 +875,13 @@ impl PutHead {
         let mut c = Cursor::new(rest);
         let head = (|| -> io::Result<PutHead> {
             Ok(PutHead {
-                src: c.u32()?,
-                dst: c.u32()?,
-                seg: c.u64()?,
-                off: c.u64()?,
-                ack: c.u64()?,
-                len: c.u32()? as usize,
-                flag: match flagged {
-                    true => Some((c.u64()?, c.u64()?)),
-                    false => None,
-                },
+                src: c.get()?,
+                dst: c.get()?,
+                seg: c.get()?,
+                off: c.get()?,
+                ack: c.get()?,
+                len: c.get::<u32>()? as usize,
+                flag: if flagged { Some(c.get()?) } else { None },
             })
         })();
         let at = 1 + c.pos;
@@ -746,8 +928,8 @@ impl PutHead {
 pub(super) fn encode_get_resp<'d>(b: &mut Vec<u8>, req: u64, data: &'d [u8]) -> &'d [u8] {
     framed(b, data.len(), |b| {
         b.push(T_GET_RESP);
-        put_u64(b, req);
-        put_u32(b, data.len() as u32);
+        req.put(b);
+        (data.len() as u32).put(b);
     });
     data
 }
@@ -756,14 +938,35 @@ pub(super) fn encode_get_resp<'d>(b: &mut Vec<u8>, req: u64, data: &'d [u8]) -> 
 pub(super) fn encode_am_batch(b: &mut Vec<u8>, src: u32, dst: u32, ack: u64, ops: &[AmOp]) {
     framed(b, 0, |b| {
         b.push(T_AM_BATCH);
-        put_u32(b, src);
-        put_u32(b, dst);
-        put_u64(b, ack);
-        put_u32(b, ops.len() as u32);
+        src.put(b);
+        dst.put(b);
+        ack.put(b);
+        (ops.len() as u32).put(b);
         for op in ops {
             op.encode(b);
         }
     })
+}
+
+/// Read back the fields [`encode_am_batch`] writes after the tag.
+#[inline(never)]
+fn decode_am_batch(rest: &[u8]) -> io::Result<Frame> {
+    let mut c = Cursor::new(rest);
+    let (src, dst, ack) = (c.get()?, c.get()?, c.get()?);
+    let n = c.get::<u32>()? as usize;
+    // A batch is bounded by the batcher's op budget; a count in the
+    // millions means a corrupted header, not real traffic.
+    if n > 1 << 20 {
+        return Err(invalid("absurd am op count"));
+    }
+    let mut ops = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        ops.push(AmOp::decode(&mut c)?);
+    }
+    if !c.done() {
+        return Err(invalid("trailing bytes in frame body"));
+    }
+    Ok(Frame::AmBatch { src, dst, ack, ops })
 }
 
 /// Parse the head of a bulk frame — a `Put`, `PutFlag` or `GetResp`, whose
@@ -776,7 +979,7 @@ fn parse_head(body: &[u8]) -> Option<io::Result<(Incoming, Range<usize>)>> {
         return Some(put.map(|(put, payload)| (Incoming::Put(put), payload)));
     }
     let mut c = Cursor::new(body.strip_prefix(&[T_GET_RESP])?);
-    let head = c.u64().and_then(|req| Ok((req, c.u32()? as usize)));
+    let head = c.get::<(u64, u32)>().map(|(req, len)| (req, len as usize));
     let at = 1 + c.pos;
     Some(head.map(|(req, len)| (Incoming::GetResp { req, len }, at..at + len)))
 }
@@ -839,296 +1042,29 @@ impl Frame {
                 &[]
             }
             _ => {
-                framed(b, 0, |b| self.encode_fields(b));
+                framed(b, 0, |b| self.encode_control(b));
                 &[]
             }
         };
         b.extend_from_slice(tail);
     }
 
-    /// The tag and fixed fields of a frame with no encoder of its own.
-    fn encode_fields(&self, b: &mut Vec<u8>) {
-        match self {
-            Frame::Open { node, magic, shm } => {
-                b.push(T_OPEN);
-                put_u32(b, *node);
-                put_u32(b, *magic);
-                put_bytes(b, shm.as_bytes());
-            }
-            Frame::Put { .. }
-            | Frame::PutFlag { .. }
-            | Frame::GetResp { .. }
-            | Frame::AmBatch { .. } => {
-                unreachable!("{self:?} has an encoder of its own")
-            }
-            Frame::PutAck { ack } => {
-                b.push(T_PUT_ACK);
-                put_u64(b, *ack);
-            }
-            Frame::Get {
-                src,
-                dst,
-                seg,
-                off,
-                len,
-                req,
-            } => {
-                b.push(T_GET);
-                put_u32(b, *src);
-                put_u32(b, *dst);
-                put_u64(b, *seg);
-                put_u64(b, *off);
-                put_u32(b, *len);
-                put_u64(b, *req);
-            }
-            Frame::AmoFadd {
-                src,
-                dst,
-                seg,
-                off,
-                delta,
-                req,
-            } => {
-                b.push(T_AMO_FADD);
-                put_u32(b, *src);
-                put_u32(b, *dst);
-                put_u64(b, *seg);
-                put_u64(b, *off);
-                put_u64(b, *delta);
-                put_u64(b, *req);
-            }
-            Frame::AmoCas {
-                src,
-                dst,
-                seg,
-                off,
-                expected,
-                new,
-                req,
-            } => {
-                b.push(T_AMO_CAS);
-                put_u32(b, *src);
-                put_u32(b, *dst);
-                put_u64(b, *seg);
-                put_u64(b, *off);
-                put_u64(b, *expected);
-                put_u64(b, *new);
-                put_u64(b, *req);
-            }
-            Frame::AmoResp { req, old } => {
-                b.push(T_AMO_RESP);
-                put_u64(b, *req);
-                put_u64(b, *old);
-            }
-            Frame::FlagAdd {
-                src,
-                dst,
-                flag,
-                delta,
-            } => {
-                b.push(T_FLAG_ADD);
-                put_u32(b, *src);
-                put_u32(b, *dst);
-                put_u64(b, *flag);
-                put_u64(b, *delta);
-            }
-            Frame::Heartbeat { node, stats } => {
-                b.push(T_HEARTBEAT);
-                put_u32(b, *node);
-                put_words(b, &stats.to_words());
-            }
-            Frame::Bye { node } => {
-                b.push(T_BYE);
-                put_u32(b, *node);
-            }
-            Frame::Rejoin {
-                node,
-                generation,
-                addr,
-                magic,
-                shm,
-            } => {
-                b.push(T_REJOIN);
-                put_u32(b, *node);
-                put_u64(b, *generation);
-                put_bytes(b, addr.as_bytes());
-                put_u32(b, *magic);
-                put_bytes(b, shm.as_bytes());
-            }
-            Frame::RecoverBarrier {
-                node,
-                round,
-                generation,
-            } => {
-                b.push(T_RECOVER_BARRIER);
-                put_u32(b, *node);
-                put_u64(b, *round);
-                put_u64(b, *generation);
-            }
-            Frame::Hello { node, addr, magic } => {
-                b.push(T_HELLO);
-                put_u32(b, *node);
-                put_bytes(b, addr.as_bytes());
-                put_u32(b, *magic);
-            }
-            Frame::Peers { addrs } => {
-                b.push(T_PEERS);
-                put_u32(b, addrs.len() as u32);
-                for a in addrs {
-                    put_bytes(b, a.as_bytes());
-                }
-            }
-            Frame::Done { node, results } => {
-                b.push(T_DONE);
-                put_u32(b, *node);
-                put_u32(b, results.len() as u32);
-                for (img, val) in results {
-                    put_u32(b, *img);
-                    put_u64(b, *val);
-                }
-            }
-            Frame::Abort { msg } => {
-                b.push(T_ABORT);
-                put_bytes(b, msg.as_bytes());
-            }
-            Frame::Telemetry { node, payload } => {
-                b.push(T_TELEMETRY);
-                put_u32(b, *node);
-                put_bytes(b, payload);
-            }
-        }
-    }
-
     /// Decode a frame body (everything after the length prefix): a bulk
     /// frame's head, then a copy of its payload; any other frame field by
     /// field.
     pub fn decode(body: &[u8]) -> io::Result<Frame> {
-        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         if let Some(parsed) = parse_head(body) {
             let (incoming, payload) = parsed?;
             if payload.end != body.len() {
-                return Err(bad("payload length disagrees with the frame body"));
+                return Err(invalid("payload length disagrees with the frame body"));
             }
             return Ok(incoming.with_payload(body[payload].to_vec()));
         }
-        let (&tag, rest) = body.split_first().ok_or_else(|| bad("empty frame"))?;
-        let mut c = Cursor::new(rest);
-        let f = match tag {
-            T_OPEN => Frame::Open {
-                node: c.u32()?,
-                magic: c.u32()?,
-                shm: c.string()?,
-            },
-            T_PUT_ACK => Frame::PutAck { ack: c.u64()? },
-            T_GET => Frame::Get {
-                src: c.u32()?,
-                dst: c.u32()?,
-                seg: c.u64()?,
-                off: c.u64()?,
-                len: c.u32()?,
-                req: c.u64()?,
-            },
-            T_AMO_FADD => Frame::AmoFadd {
-                src: c.u32()?,
-                dst: c.u32()?,
-                seg: c.u64()?,
-                off: c.u64()?,
-                delta: c.u64()?,
-                req: c.u64()?,
-            },
-            T_AMO_CAS => Frame::AmoCas {
-                src: c.u32()?,
-                dst: c.u32()?,
-                seg: c.u64()?,
-                off: c.u64()?,
-                expected: c.u64()?,
-                new: c.u64()?,
-                req: c.u64()?,
-            },
-            T_AMO_RESP => Frame::AmoResp {
-                req: c.u64()?,
-                old: c.u64()?,
-            },
-            T_AM_BATCH => {
-                let src = c.u32()?;
-                let dst = c.u32()?;
-                let ack = c.u64()?;
-                let n = c.u32()? as usize;
-                // A batch is bounded by the batcher's op budget; a count in
-                // the millions means a corrupted header, not real traffic.
-                if n > 1 << 20 {
-                    return Err(bad("absurd am op count"));
-                }
-                let mut ops = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    ops.push(AmOp::decode(&mut c)?);
-                }
-                Frame::AmBatch { src, dst, ack, ops }
-            }
-            T_FLAG_ADD => Frame::FlagAdd {
-                src: c.u32()?,
-                dst: c.u32()?,
-                flag: c.u64()?,
-                delta: c.u64()?,
-            },
-            T_HEARTBEAT => Frame::Heartbeat {
-                node: c.u32()?,
-                stats: StatsSnapshot::from_words(c.words()?),
-            },
-            T_BYE => Frame::Bye { node: c.u32()? },
-            T_REJOIN => Frame::Rejoin {
-                node: c.u32()?,
-                generation: c.u64()?,
-                addr: c.string()?,
-                magic: c.u32()?,
-                shm: c.string()?,
-            },
-            T_RECOVER_BARRIER => Frame::RecoverBarrier {
-                node: c.u32()?,
-                round: c.u64()?,
-                generation: c.u64()?,
-            },
-            T_HELLO => Frame::Hello {
-                node: c.u32()?,
-                addr: c.string()?,
-                magic: c.u32()?,
-            },
-            T_PEERS => {
-                let n = c.u32()? as usize;
-                if n > 1 << 16 {
-                    return Err(bad("absurd peer count"));
-                }
-                // Each address is at least its 4-byte length.
-                let mut addrs = Vec::with_capacity(n.min(c.remaining() / 4));
-                for _ in 0..n {
-                    addrs.push(c.string()?);
-                }
-                Frame::Peers { addrs }
-            }
-            T_DONE => {
-                let node = c.u32()?;
-                let n = c.u32()? as usize;
-                if n > 1 << 24 {
-                    return Err(bad("absurd result count"));
-                }
-                // Each result is a u32 image and a u64 value.
-                let mut results = Vec::with_capacity(n.min(c.remaining() / 12));
-                for _ in 0..n {
-                    results.push((c.u32()?, c.u64()?));
-                }
-                Frame::Done { node, results }
-            }
-            T_ABORT => Frame::Abort { msg: c.string()? },
-            T_TELEMETRY => Frame::Telemetry {
-                node: c.u32()?,
-                payload: c.bytes()?,
-            },
-            _ => return Err(bad("unknown frame tag")),
-        };
-        if c.pos != rest.len() {
-            return Err(bad("trailing bytes in frame body"));
+        let (&tag, rest) = body.split_first().ok_or_else(|| invalid("empty frame"))?;
+        match tag {
+            T_AM_BATCH => decode_am_batch(rest),
+            _ => Frame::decode_control(tag, rest),
         }
-        Ok(f)
     }
 }
 
@@ -1353,7 +1289,6 @@ impl<R: Read> FrameReader<R> {
     /// and any pending payload).
     pub fn incoming(&mut self) -> io::Result<(Incoming, usize)> {
         assert_eq!(self.pending, 0, "previous frame's payload not drained");
-        let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         if self.buf.len() > self.chunk && self.end - self.pos <= self.chunk {
             // An oversized frame grew the buffer; give the memory back.
             self.compact();
@@ -1382,7 +1317,7 @@ impl<R: Read> FrameReader<R> {
         let prefix = &self.buf[self.pos..self.pos + 4];
         let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
         if len == 0 || len > MAX_FRAME_BYTES {
-            return Err(bad(format!("frame length {len} out of range")));
+            return Err(invalid(&format!("frame length {len} out of range")));
         }
         // Enough of the body for the longest bulk head: a bulk frame leaves
         // its payload in the stream, any other frame is decoded whole.
@@ -1398,7 +1333,7 @@ impl<R: Read> FrameReader<R> {
             }
         };
         if payload.end != len {
-            return Err(bad(format!(
+            return Err(invalid(&format!(
                 "payload of {} bytes in a frame body of {len}",
                 payload.len()
             )));
@@ -2031,6 +1966,25 @@ mod tests {
         assert_eq!(got.len(), GOLDEN.len());
         for ((what, got), want) in got.into_iter().zip(GOLDEN) {
             assert_eq!(got, want, "{what}");
+        }
+    }
+
+    /// The reader and [`Frame::decode`] agree on every cut of each of
+    /// [`one_of_each`], and on it with each byte overwritten by 0x00 and by
+    /// 0xFF — the mutations `tests/decode_alloc.rs` feeds `decode` alone,
+    /// watching its allocations.
+    #[test]
+    fn reader_agrees_with_decode_on_hostile_bodies() {
+        for f in one_of_each() {
+            let body = &f.encode()[4..];
+            for cut in 0..body.len() {
+                reader_agrees_with_decode(&body[..cut]);
+            }
+            for (i, v) in (0..body.len()).flat_map(|i| [(i, 0x00), (i, 0xFF)]) {
+                let mut m = body.to_vec();
+                m[i] = v;
+                reader_agrees_with_decode(&m);
+            }
         }
     }
 

@@ -4,9 +4,20 @@
 //! hundreds of megabytes. A counting global allocator records the largest
 //! single request made while each hostile input is decoded.
 
+//!
+//! The same allocator then watches a sweep over one frame of every kind
+//! and one telemetry payload: each is cut at every length and has each
+//! byte overwritten by 0x00 and by 0xFF, and every mutated body must
+//! decode or fail as `InvalidData` — never panic — within the same bound.
+
 use caf_fabric::socket::wire::Frame;
-use caf_fabric::{NodeTelemetry, ObsSnapshot, StatsSnapshot, TelemetryPhase};
+use caf_fabric::{
+    AmOp, FlagId, HeartbeatSnapshot, HistSnapshot, NodeTelemetry, ObsSnapshot, PeerWireSnapshot,
+    SegmentId, StatsSnapshot, TelemetryPhase,
+};
+use caf_trace::{Event, EventKind};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,6 +57,203 @@ fn largest_while<T: std::fmt::Debug>(decode: impl FnOnce() -> io::Result<T>) -> 
     largest
 }
 
+/// Every prefix of `body`, then `body` with each byte in turn overwritten
+/// by 0x00 and by 0xFF.
+fn mutations(body: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let cuts = (0..body.len()).map(|n| body[..n].to_vec());
+    let overwrites = (0..body.len()).flat_map(move |i| {
+        [0x00, 0xFF].map(|v| {
+            let mut m = body.to_vec();
+            m[i] = v;
+            m
+        })
+    });
+    cuts.chain(overwrites)
+}
+
+/// Decode every mutation of `body`: each must come back `Ok` or fail as
+/// `InvalidData`, and no single allocation meanwhile may exceed 1 MiB.
+fn sweep<T>(what: &str, body: &[u8], decode: impl Fn(&[u8]) -> io::Result<T>) {
+    for m in mutations(body) {
+        LARGEST.store(0, Ordering::Relaxed);
+        let got = decode(&m).map(drop);
+        let largest = LARGEST.load(Ordering::Relaxed);
+        if let Err(e) = got {
+            assert_eq!(
+                e.kind(),
+                io::ErrorKind::InvalidData,
+                "{what}: {m:02x?}: {e}"
+            );
+        }
+        assert!(
+            largest <= MIB,
+            "{what}: a mutated body of {} bytes allocated {largest} bytes",
+            m.len()
+        );
+    }
+}
+
+/// A final shipment with every field set and a few events.
+fn telemetry() -> NodeTelemetry {
+    let mut put_ack = HistSnapshot {
+        count: 3,
+        sum_ns: 7000,
+        max_ns: 4096,
+        ..HistSnapshot::default()
+    };
+    put_ack.buckets[10] = 3;
+    NodeTelemetry {
+        node: 1,
+        phase: TelemetryPhase::Final,
+        sent_at_ns: 99,
+        cause: "c".into(),
+        images: vec![2, 3],
+        stats: StatsSnapshot::from_words(std::array::from_fn(|i| i as u64 + 1)),
+        obs: ObsSnapshot {
+            heartbeat_period_ns: 5,
+            peers: vec![PeerWireSnapshot::from_words([1, 2, 3, 4, 5, 6, 7])],
+            heartbeats: vec![HeartbeatSnapshot {
+                count: 8,
+                sum_period_ns: 9,
+                max_abs_dev_ns: 10,
+            }],
+            put_ack,
+        },
+        events: vec![
+            Event::span(EventKind::Put, 10, 5).a(2).b(64),
+            Event::instant(EventKind::FlagAdd, 20).a(1),
+            Event::span(EventKind::Get, 30, 4).a(3).b(8),
+        ],
+    }
+}
+
+/// One frame of each variant of the public enum.
+fn one_of_each() -> Vec<Frame> {
+    let (src, dst, seg, off, ack, req) = (1, 2, 3, 4, 5, 6);
+    let data = vec![0xd0, 0xd1, 0xd2];
+    vec![
+        Frame::Open {
+            node: 1,
+            magic: 7,
+            shm: "/s".into(),
+        },
+        Frame::Put {
+            src,
+            dst,
+            seg,
+            off,
+            ack,
+            data: data.clone(),
+        },
+        Frame::PutFlag {
+            src,
+            dst,
+            seg,
+            off,
+            ack,
+            data: data.clone(),
+            flag: 8,
+            delta: 9,
+        },
+        Frame::PutAck { ack },
+        Frame::Get {
+            src,
+            dst,
+            seg,
+            off,
+            len: 8,
+            req,
+        },
+        Frame::GetResp { req, data },
+        Frame::AmoFadd {
+            src,
+            dst,
+            seg,
+            off,
+            delta: 9,
+            req,
+        },
+        Frame::AmoCas {
+            src,
+            dst,
+            seg,
+            off,
+            expected: 10,
+            new: 11,
+            req,
+        },
+        Frame::AmoResp { req, old: 10 },
+        Frame::AmBatch {
+            src,
+            dst,
+            ack,
+            ops: vec![
+                AmOp::Put {
+                    seg: SegmentId(3),
+                    off: 4,
+                    data: vec![0xd0],
+                },
+                AmOp::FlagAdd {
+                    flag: FlagId(6),
+                    delta: 7,
+                },
+                AmOp::AmoAdd {
+                    seg: SegmentId(3),
+                    off: 8,
+                    delta: 7,
+                },
+                AmOp::PutFlag {
+                    seg: SegmentId(3),
+                    off: 4,
+                    data: vec![0xd1],
+                    flag: FlagId(6),
+                    delta: 7,
+                },
+            ],
+        },
+        Frame::FlagAdd {
+            src,
+            dst,
+            flag: 8,
+            delta: 9,
+        },
+        Frame::Heartbeat {
+            node: 1,
+            stats: StatsSnapshot::from_words(std::array::from_fn(|i| i as u64)),
+        },
+        Frame::Bye { node: 1 },
+        Frame::Rejoin {
+            node: 1,
+            generation: 12,
+            addr: "uds:/a".into(),
+            magic: 7,
+            shm: "/s".into(),
+        },
+        Frame::RecoverBarrier {
+            node: 1,
+            round: 2,
+            generation: 12,
+        },
+        Frame::Hello {
+            node: 1,
+            addr: "uds:/a".into(),
+            magic: 7,
+        },
+        Frame::Peers {
+            addrs: vec!["uds:/a".into(), "uds:/b".into()],
+        },
+        Frame::Done {
+            node: 1,
+            results: vec![(2, 13), (3, 14)],
+        },
+        Frame::Abort { msg: "x".into() },
+        Frame::Telemetry {
+            node: 1,
+            payload: telemetry().encode(),
+        },
+    ]
+}
+
 /// One test, so no other test thread allocates while a decode is measured.
 #[test]
 fn a_claimed_count_does_not_size_the_allocation() {
@@ -81,4 +289,16 @@ fn a_claimed_count_does_not_size_the_allocation() {
         largest <= MIB,
         "telemetry payload of {len} bytes allocated {largest} bytes"
     );
+
+    // Hostile bytes in every frame and in a telemetry payload.
+    let frames = one_of_each();
+    let kinds: HashSet<_> = frames.iter().map(std::mem::discriminant).collect();
+    assert_eq!(kinds.len(), 20, "one frame of each kind");
+    for f in &frames {
+        assert_eq!(Frame::decode(&f.encode()[4..]).unwrap(), *f);
+        sweep(&format!("{f:?}"), &f.encode()[4..], Frame::decode);
+    }
+    let payload = telemetry().encode();
+    assert_eq!(NodeTelemetry::decode(&payload).unwrap(), telemetry());
+    sweep("telemetry", &payload, NodeTelemetry::decode);
 }

@@ -34,6 +34,11 @@
 //! And a put's fixed fields have one codec on the wire, `PutHead`: a
 //! borrowed twin of the bulk frames (the old `FrameRef`), or the bulk tags
 //! read and written all over `socket/wire.rs` again, fails it.
+//!
+//! And each control frame is declared once, as one row of `socket/wire.rs`'s
+//! `frames!` table: a tag constant or a hand-written arm beside the row, or
+//! a count field checked and sized anywhere but the `Vec<T>` decoder of the
+//! field codecs, fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -73,12 +78,14 @@ fn each_piece_of_the_fleet_lifecycle_has_one_home() {
     sources(&root, &mut files);
     assert!(files.len() > 100, "the scan found {} files", files.len());
 
-    // Only the coordinator answers a Hello (and only the codec and its
-    // round-trip test know the frame besides) — unit tests included.
+    // Only the coordinator answers a Hello (and only the codec, its
+    // round-trip test and the hostile-input sweep over every frame know the
+    // frame besides) — unit tests included.
     let peers: Vec<&str> = hits(&files, "Frame::Peers {", true)
         .into_iter()
         .filter(|f| !f.starts_with("fabric/src/socket/rendezvous.rs"))
         .filter(|f| !f.starts_with("fabric/src/socket/wire.rs"))
+        .filter(|f| !f.starts_with("fabric/tests/decode_alloc.rs"))
         .collect();
     assert!(
         peers.is_empty(),
@@ -298,5 +305,92 @@ fn a_bulk_frame_head_has_one_codec() {
         named <= 6,
         "the bulk tags are named {named} times in socket/wire.rs: encode and parse a \
          bulk frame's head through PutHead and the GetResp head, not by hand"
+    );
+}
+
+#[test]
+fn each_frame_is_declared_once() {
+    let socket = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fabric/src/socket");
+    let code = |file: &str| {
+        let text = std::fs::read_to_string(socket.join(file)).unwrap();
+        let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+        (text[..end].lines())
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let wire = code("wire.rs");
+    let control = [
+        "Open",
+        "PutAck",
+        "Get",
+        "AmoFadd",
+        "AmoCas",
+        "AmoResp",
+        "FlagAdd",
+        "Heartbeat",
+        "Bye",
+        "Rejoin",
+        "RecoverBarrier",
+        "Hello",
+        "Peers",
+        "Done",
+        "Abort",
+        "Telemetry",
+    ];
+
+    // A control frame's tag is written in its row, `Name = tag {`, and
+    // nowhere else: the only tag constants are the bulk frames'.
+    let rows: Vec<(&str, u8)> = (wire.lines())
+        .filter_map(|line| {
+            let (name, rest) = line.trim().split_once(" = ")?;
+            Some((name, rest.strip_suffix(" {")?.parse().ok()?))
+        })
+        .collect();
+    assert_eq!(
+        rows.iter().map(|&(name, _)| name).collect::<Vec<_>>(),
+        control,
+        "one frames! row per control frame"
+    );
+    let consts: Vec<(&str, u8)> = (wire.lines())
+        .filter_map(|line| {
+            let (name, rest) = line.strip_prefix("const T_")?.split_once(": u8 = ")?;
+            Some((name, rest.strip_suffix(';')?.parse().ok()?))
+        })
+        .collect();
+    assert_eq!(
+        consts.iter().map(|&(name, _)| name).collect::<Vec<_>>(),
+        ["PUT", "GET_RESP", "AM_BATCH", "PUT_FLAG"],
+        "a tag constant beside the frames! table"
+    );
+    let mut tags: Vec<u8> = rows.iter().chain(&consts).map(|&(_, tag)| tag).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    assert_eq!(
+        tags.len(),
+        rows.len() + consts.len(),
+        "two frames share a tag"
+    );
+
+    // No arm is written by hand: the table's generated arms are the only
+    // code that names a control frame.
+    for name in control {
+        let arm = format!("Frame::{name} ");
+        assert!(
+            !wire.contains(&arm),
+            "socket/wire.rs names {arm}by hand: encode and decode it through its frames! row"
+        );
+    }
+
+    // A count field is read, checked and sized in one place: the `Vec<T>`
+    // decoder is the one caller of `Cursor::remaining`.
+    let obs = code("obs.rs");
+    let calls = wire.matches(".remaining()").count() + obs.matches(".remaining()").count();
+    assert_eq!(calls, 1, "remaining() outside the Vec<T> decoder");
+    let vec_codec = &wire[wire.find("Field for Vec<T>").unwrap()..];
+    let vec_codec = &vec_codec[..vec_codec.find("\n}").unwrap()];
+    assert!(
+        vec_codec.contains(".remaining()"),
+        "the Vec<T> decoder bounds its allocation by the bytes left"
     );
 }
