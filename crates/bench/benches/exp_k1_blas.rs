@@ -2,8 +2,9 @@
 //! wall-clock: the packed, register-blocked `dgemm_minus` at the shape
 //! HPL's trailing update spends its time in (whole, and split into the
 //! 64-column blocks the pipelined update issues) and at an edge-heavy shape,
-//! the halved `dtrsm_lower_unit`, one block step's batched row
-//! interchange, and a whole single-image factorization on ThreadFabric.
+//! the halved `dtrsm_lower_unit`, one update's U12 solves and `dgemm` cut
+//! into `nb`-wide blocks and into the pipeline's narrow-first blocks, one
+//! block step's batched row interchange, and a whole single-image factorization on ThreadFabric.
 //!
 //! `*_wall` rows are the best of several repetitions in nanoseconds per
 //! call (host wall clock — gated loosely via `--wall-tolerance`); the
@@ -124,6 +125,54 @@ fn dgemm_rows(
     [over(1), over(2), over(3)]
 }
 
+/// One block step's update of an `m × n` trailing block at depth `nb` on the
+/// dispatched kernel, as `lu.rs` runs it: L21 packed once, then per block
+/// column the U12 solve (`dtrsm_lower_unit`) and the trailing `dgemm`.
+/// Returns the best time with `nb`-wide blocks and with the pipeline's
+/// narrow-first blocks ([`caf_hpl::u12_blocks`]: 16, 32, 64, … at `nb` =
+/// 64), the two timed in alternation so that the host's drift falls on
+/// both alike.
+fn update_rows(
+    recs: &mut Vec<Rec>,
+    op: &'static str,
+    (m, n, nb): (usize, usize, usize),
+) -> [f64; 2] {
+    let reps = scaled(40, 10);
+    // Entries of L11 small enough that solving in place, repetition after
+    // repetition, stays in the normal range.
+    let l11: Vec<f64> = operand(4, nb, nb).iter().map(|v| v / nb as f64).collect();
+    let l21 = operand(1, m, nb);
+    let mut u12 = operand(5, nb, n);
+    let mut c = operand(3, m, n);
+    let mut packed = blas::PackedA::with_capacity(m, nb);
+    let mut update = |blocks: &mut dyn Iterator<Item = std::ops::Range<usize>>| {
+        packed.pack(m, nb, &l21, m);
+        for cols in blocks {
+            let (w, u) = (cols.len(), &mut u12[cols.start * nb..]);
+            blas::dtrsm_lower_unit(nb, w, &l11, nb, u, nb);
+            packed.gemm_minus(w, u, nb, &mut c[cols.start * m..], m);
+        }
+    };
+    let [mut whole, mut ramp] = [f64::INFINITY; 2];
+    for _ in 0..reps {
+        for (narrow, best) in [(false, &mut whole), (true, &mut ramp)] {
+            let ns = best_ns(1, || update(&mut caf_hpl::u12_blocks(0..n, nb, narrow)));
+            *best = best.min(ns);
+        }
+    }
+    black_box(&c);
+    let flops = blas::dgemm_flops(m, n, nb) + blas::dtrsm_flops(nb, n);
+    for (algo, ns) in [("nb_blocks_wall", whole), ("ramp_blocks_wall", ramp)] {
+        recs.push(Rec {
+            op,
+            bytes: flops as usize,
+            algo: algo.into(),
+            ns,
+        });
+    }
+    [whole, ramp]
+}
+
 fn main() {
     print_hpl_preamble("EXP-K1");
     let mut recs: Vec<Rec> = Vec::new();
@@ -154,6 +203,14 @@ fn main() {
             ns,
         });
     }
+
+    // One update's U12 solves and dgemm, nb-wide blocks against the
+    // pipeline's narrow first blocks: the 1024-column shape above, and
+    // 16(2) N = 1024's first step on one image (256 local rows and columns).
+    let updates = [
+        update_rows(&mut recs, "update_1024x1024x64", (1024, 1024, 64)),
+        update_rows(&mut recs, "update_256x256x64", (256, 256, 64)),
+    ];
 
     // Row interchange: one block step's 64 pivots over a 2048 x 1024
     // local matrix (the first step of N = 2048 on a 1 x 2 grid).
@@ -246,6 +303,12 @@ fn main() {
         100.0 * (split - 1.0),
         100.0 * (packed_once - 1.0)
     ));
+    for (shape, [whole, ramp]) in ["1024x1024x64", "256x256x64"].iter().zip(updates) {
+        t.note(format!(
+            "update {shape}: blocks of 16, 32, 64, ... cost {:+.1} % over blocks of 64",
+            100.0 * (ramp / whole - 1.0)
+        ));
+    }
     t.print();
 
     results::write(

@@ -1,7 +1,9 @@
 //! What the sweep runs: machine scenarios, the collective-algorithm
 //! matrix, and the built-in SPMD conformance program.
 
-use caf_collectives::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo};
+use caf_collectives::{
+    BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy,
+};
 use caf_runtime::ImageCtx;
 use caf_topology::{presets, MachineModel, ProcId};
 
@@ -239,19 +241,29 @@ pub fn conformance(img: &mut ImageCtx) -> u64 {
 
     // 11. Ring broadcasts from roots advancing in image order, each between
     //     a split-phase tree broadcast's begin and a reduction on the same
-    //     team; every other round finishes the tree broadcasts.
+    //     team; every other round finishes the tree broadcasts. Beside each,
+    //     a team of everyone cut to 16-byte chunks rings three chunks and a
+    //     ragged tail: a ring of three or more streams them.
+    let mut chunked = img.form_team(1);
+    let policy = SizePolicy {
+        chunk_bytes: 16,
+        ..chunked.comm().size_policy()
+    };
+    chunked.comm_mut().set_size_policy(policy);
     for k in 0..2 * n {
         let root = k % n + 1;
         let mut t = [me as u64 * 7 + k as u64; 2];
         img.co_broadcast_begin(&mut t, n - k % n);
         let mut r = [me as u64 * 13 + k as u64; 3];
         img.co_broadcast_ring(&mut r, root);
-        let mut s = [r[0] ^ t[1] ^ me as u64];
+        let mut c = [me as u64 * 17 + k as u64; 7];
+        chunked.comm_mut().co_broadcast_ring(&mut c, k % n);
+        let mut s = [r[0] ^ t[1] ^ c[6] ^ me as u64];
         img.co_sum(&mut s);
         if k % 2 == 1 {
             img.co_broadcast_finish();
         }
-        for v in r.into_iter().chain(t).chain(s) {
+        for v in r.into_iter().chain(t).chain(c).chain(s) {
             fnv(&mut h, v);
         }
     }

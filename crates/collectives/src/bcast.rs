@@ -61,19 +61,29 @@
 //!
 //! [`ring`] walks the team's [`Ring`] — ranks in rank order, the same
 //! neighbours whatever the root — and needs neither wave 2 nor wave 3.
-//! Ring episode e uses ring slot `e mod 2`:
+//! Ring episode e uses ring slot `e mod 2`. On a ring of three or more the
+//! payload streams in pieces of the team's `SizePolicy::chunk_bytes`, so a
+//! member forwards one piece while the next is still arriving. A ring of
+//! two has no forwarder and sends one piece, and so does a ring whose
+//! node-mates' messages share a NIC (`TeamComm::shares_a_nic`): there the
+//! pieces of every hop on a node queue on its one NIC, and cutting them
+//! up only adds per-message cost. Per piece:
 //!
 //! * a non-root waits for one arrival on its own `RING_ARRIVE` and loads
-//!   the payload from its own slot;
-//! * it forwards to its successor unless the successor is the root;
+//!   the piece from its own slot;
+//! * it forwards the piece to its successor unless the successor is the
+//!   root;
 //! * a forwarder writes e into its successor's slot only once that
-//!   successor's credits (`RING_CREDIT`, on the forwarder) reach e − 2;
-//! * last, every member, the root included, adds one credit to its
-//!   predecessor.
+//!   successor's credits (`RING_CREDIT`, on the forwarder) reach e − 2 —
+//!   waited for once, before its first piece goes out.
+//!
+//! Last, every member, the root included, adds one credit to its
+//! predecessor: one arrival per piece, one credit per episode.
 //!
 //! Both flags have one writer, a fixed neighbour. The predecessor sends
-//! episodes in order and the fabric orders its puts to one target, so an
-//! arrival cannot be counted for the wrong episode, and one cumulative
+//! pieces and episodes in order, every member cuts a payload into the same
+//! pieces, and the fabric orders its puts to one target, so an arrival
+//! cannot be counted for the wrong piece or episode, and one cumulative
 //! count serves both slots. The successor returns one credit per episode
 //! after reading its slot, so credit e − 2 says that episode e − 2, the
 //! last user of the slot, is consumed. Nothing is left to finish, and a
@@ -232,13 +242,28 @@ pub(crate) fn ring<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], root: usize) 
     let t0 = comm.trace_now();
     let ring = Ring::new(comm.rank, comm.size());
     let at = comm.sl_ring((e % 2) as usize);
-    if comm.rank != root {
-        comm.arrivals(flag::RING_ARRIVE, 1);
-        comm.load_values(Scratch, at, buf);
-    }
-    if ring.succ != root {
-        comm.arrivals_until(flag::RING_CREDIT, e.saturating_sub(2));
-        comm.send_flagged(Scratch, ring.succ, at, buf, flag::RING_ARRIVE);
+    // A ring of two has no forwarder to overlap with, and through a NIC
+    // shared with node-mates the pieces would only queue: one piece.
+    let len = buf.len();
+    let chunk = if comm.size() > 2 && !comm.shares_a_nic() {
+        comm.chunk_elems(T::SIZE)
+    } else {
+        len.max(1)
+    };
+    let forwards = ring.succ != root;
+    for c in 0..len.div_ceil(chunk).max(1) {
+        let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(len));
+        let off = at + lo * T::SIZE;
+        if comm.rank != root {
+            comm.arrivals(flag::RING_ARRIVE, 1);
+            comm.load_values(Scratch, off, &mut buf[lo..hi]);
+        }
+        if forwards {
+            if c == 0 {
+                comm.arrivals_until(flag::RING_CREDIT, e.saturating_sub(2));
+            }
+            comm.send_flagged(Scratch, ring.succ, off, &buf[lo..hi], flag::RING_ARRIVE);
+        }
     }
     comm.add_flag(ring.pred, flag::RING_CREDIT, 1);
     comm.trace_span(EventKind::Bcast, t0, Level::Whole, RING_CODE, e, bytes);

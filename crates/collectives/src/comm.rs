@@ -589,6 +589,17 @@ impl TeamComm {
         &self.fabric
     }
 
+    /// Whether node-mates' messages queue on one NIC: the fabric routes
+    /// them through it (`SoftwareOverheads::intra_via_nic`, a NIC-loopback
+    /// stack) and some node hosts more than one image. Then cutting a
+    /// transfer into more messages to overlap them — the ring's chunks,
+    /// HPL's narrow first U12 block — only adds per-message cost to that
+    /// queue. Where node-mates share memory, or no node has two images,
+    /// an image's messages have a link to themselves.
+    pub fn shares_a_nic(&self) -> bool {
+        self.fabric.overheads().intra_via_nic && self.fabric.image_map().max_images_per_node() > 1
+    }
+
     /// Resolved barrier algorithm for this team.
     pub fn barrier_algorithm(&self) -> BarrierAlgo {
         self.barrier_algo
@@ -709,8 +720,12 @@ impl TeamComm {
     /// Broadcast `buf` from team rank `root` along the team's ring, in rank
     /// order: each member takes the payload from its predecessor and passes
     /// it to its successor, so the root's successor holds it first and its
-    /// predecessor last. There is nothing to finish: each member returns a
-    /// credit to its predecessor, and a sender waits for its successor's
+    /// predecessor last. On a ring of three or more the payload travels in
+    /// pieces of [`SizePolicy::chunk_bytes`], each forwarded as soon as it
+    /// has arrived — unless node-mates' messages share a NIC
+    /// ([`Self::shares_a_nic`]), where it travels whole. There is nothing
+    /// to finish: each member returns a credit to its predecessor, and a
+    /// sender waits for its successor's
     /// credits only when it is about to reuse a slot two episodes old
     /// (`bcast.rs`, "credits on a fixed ring"). A root returns once its
     /// payload is sent, a member once it holds the data and has passed it

@@ -11,7 +11,7 @@ use caf_collectives::{BcastAlgo, CollectiveConfig, Provisioned, SizePolicy, Team
 use caf_fabric::{
     run_spmd, ArcFabric, ChaosConfig, Fabric, SimConfig, SimFabric, ThreadConfig, ThreadFabric,
 };
-use caf_topology::{presets, ImageMap, Placement, ProcId};
+use caf_topology::{presets, ImageMap, Placement, ProcId, SoftwareOverheads};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -328,4 +328,238 @@ fn a_root_drops_its_team_with_nothing_to_finish() {
     comm.co_broadcast_ring(&mut payload(1), 2);
     comm.co_broadcast_ring(&mut payload(2), 2);
     drop(comm);
+}
+
+// ---------------------------------------------------------------------
+// A ring of three or more streams its payload: every member forwards a
+// chunk of `POLICY.chunk_bytes` as soon as it has loaded it, and each
+// chunk is one signalled put and one arrival.
+// ---------------------------------------------------------------------
+
+/// Three chunks of `POLICY` and a ragged tail of five elements.
+const LONG: usize = 29;
+
+/// `len` elements of episode `e`, distinct per episode and element.
+fn long_payload(e: usize, len: usize) -> Vec<u64> {
+    (0..len as u64).map(|i| ((e as u64) << 32) | i).collect()
+}
+
+/// Rings of 3 (two nodes, ranks interleaved) and of 5 (three nodes).
+fn odd_rings() -> [ImageMap; 2] {
+    [
+        ImageMap::new(presets::mini(2, 2), 3, &Placement::Cyclic),
+        ImageMap::new(presets::mini(3, 2), 5, &Placement::Packed),
+    ]
+}
+
+/// Every rank in turn arrives late at every episode while the rest run
+/// `LONG`-element ring broadcasts back to back, roots in rank order and
+/// striding by two; no barrier until the end.
+fn slow_chunked(fabric: ArcFabric, delay: impl Fn(ProcId) + Send + Sync + 'static) {
+    let n = fabric.n_images();
+    with_team(fabric, config(BcastAlgo::TwoLevel), move |team, me| {
+        team.co_broadcast_ring(&mut long_payload(0, LONG), 0);
+        for stride in [1, 2] {
+            for e in 1..=3 * n {
+                let root = root(e, n, stride);
+                if team.rank() == e % n {
+                    delay(me);
+                }
+                let mut v = if team.rank() == root {
+                    long_payload(e, LONG)
+                } else {
+                    vec![0; LONG]
+                };
+                team.co_broadcast_ring(&mut v, root);
+                assert_eq!(
+                    v,
+                    long_payload(e, LONG),
+                    "stride {stride} episode {e} at {me:?}"
+                );
+            }
+        }
+        team.barrier();
+    });
+}
+
+#[test]
+fn a_chunked_ring_of_three_or_five_delivers_to_slow_receivers_on_the_simulator() {
+    for map in odd_rings() {
+        let sim = sim_of(map, None);
+        let f = sim.clone();
+        slow_chunked(sim, move |me| f.compute(me, 40_000));
+    }
+}
+
+#[test]
+fn a_chunked_ring_of_three_or_five_delivers_to_slow_receivers_under_chaos() {
+    for seed in [3, 11, 29] {
+        let chaos = ChaosConfig {
+            completion_delay_ns: 900,
+            duplicate_completions: true,
+            ..ChaosConfig::from_seed(seed)
+        };
+        for map in odd_rings() {
+            let sim = sim_of(map, Some(chaos));
+            let f = sim.clone();
+            slow_chunked(sim, move |me| f.compute(me, 40_000));
+        }
+    }
+}
+
+#[test]
+fn a_chunked_ring_of_three_or_five_delivers_to_slow_receivers_on_threads() {
+    for map in odd_rings() {
+        let threads = ThreadFabric::new(map, ThreadConfig::default());
+        slow_chunked(threads, |_| std::thread::sleep(Duration::from_micros(300)));
+    }
+}
+
+/// Three images, root 0 every time, image 1 — root 0's successor and image
+/// 2's forwarder — 1 ms late at its first episode: root 0 streams all the
+/// chunks of episodes 1 and 2 into free slots before image 1 has read one,
+/// so image 1's arrival count holds two chunked episodes at once. It must
+/// read and forward each from its own slot, chunk by chunk.
+#[test]
+fn two_chunked_episodes_share_one_arrival_count() {
+    for chaos in [None, Some(ChaosConfig::from_seed(5))] {
+        let sim = sim_of(
+            ImageMap::new(presets::mini(3, 1), 3, &Placement::Packed),
+            chaos,
+        );
+        let f = sim.clone();
+        let seen = Arc::new(Mutex::new((0u64, 0u64)));
+        let s = seen.clone();
+        with_team(sim, config(BcastAlgo::FlatLinear), move |team, me| {
+            team.co_broadcast_ring(&mut long_payload(0, LONG), 0);
+            if me.index() == 1 {
+                f.compute(me, 1_000_000);
+                s.lock().unwrap().0 = f.now_ns(me);
+            }
+            for e in 1..=6 {
+                let mut v = if me.index() == 0 {
+                    long_payload(e, LONG)
+                } else {
+                    vec![0; LONG]
+                };
+                team.co_broadcast_ring(&mut v, 0);
+                assert_eq!(v, long_payload(e, LONG), "episode {e} at {me:?}");
+                if me.index() == 0 && e == 2 {
+                    s.lock().unwrap().1 = f.now_ns(me);
+                }
+            }
+            team.barrier();
+        });
+        let (late, sent) = *seen.lock().unwrap();
+        assert!(
+            sent < late,
+            "root 0 finished episode 2 at {sent} ns, after image 1 woke at {late} ns"
+        );
+    }
+}
+
+/// `episodes` ring broadcasts of `len` elements from rotating roots on a
+/// provisioned team of every image of `map` with `POLICY`, under
+/// `overheads`: each delivers; returns (puts, flags, payload bytes) per
+/// episode.
+fn ring_traffic(map: ImageMap, overheads: SoftwareOverheads, len: usize) -> (u64, u64, u64) {
+    let n = map.n_images();
+    let config = SimConfig {
+        overheads,
+        ..SimConfig::default()
+    };
+    let sim = SimFabric::new(map, config);
+    let members = (0..n).map(ProcId).collect();
+    let team = Arc::new(Provisioned::new(
+        &*sim,
+        members,
+        CollectiveConfig::two_level(),
+        8 * LONG,
+    ));
+    let f = sim.clone();
+    let episodes = 2 * n + 1;
+    run_spmd(sim.clone(), move |me| {
+        let mut comm = team.comm(f.clone(), me.index());
+        comm.set_size_policy(POLICY);
+        for e in 1..=episodes {
+            let root = e % n;
+            let mut v = if comm.rank() == root {
+                long_payload(e, len)
+            } else {
+                vec![0; len]
+            };
+            comm.co_broadcast_ring(&mut v, root);
+            assert_eq!(v, long_payload(e, len), "episode {e} at {me:?}");
+        }
+        drop(comm);
+        f.image_done(me);
+    });
+    let s = sim.stats().snapshot();
+    let e = episodes as u64;
+    let per = |total: u64| {
+        assert_eq!(total % e, 0, "{total} over {e} episodes");
+        total / e
+    };
+    (
+        per(s.puts_intra + s.puts_inter),
+        per(s.flags_intra + s.flags_inter),
+        per(s.bytes_intra + s.bytes_inter),
+    )
+}
+
+/// On a provisioned team with `POLICY`, an episode of `len` elements costs
+/// exactly hops × chunks signalled puts and hops × chunks + n flags (one
+/// arrival per chunk, one credit per member), with the payload's bytes on
+/// every hop — and a ring of two, which has no forwarder, sends one piece
+/// whatever the chunk size.
+#[test]
+fn a_chunked_episode_costs_one_put_and_one_arrival_per_chunk_and_hop() {
+    let maps = [
+        ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed),
+        ImageMap::new(presets::mini(3, 1), 3, &Placement::Packed),
+        ImageMap::new(presets::mini(2, 2), 3, &Placement::Packed),
+        ImageMap::new(presets::mini(3, 2), 5, &Placement::Packed),
+        map(true),
+    ];
+    let per_chunk = POLICY.chunk_bytes / 8;
+    for map in maps {
+        for len in [1, 3 * per_chunk, LONG] {
+            let n = map.n_images() as u64;
+            let what = format!(
+                "{n} images on {} nodes, {len} elements",
+                map.machine().nodes
+            );
+            let chunks = if n == 2 {
+                1
+            } else {
+                len.div_ceil(per_chunk) as u64
+            };
+            let hops = n - 1;
+            assert_eq!(
+                ring_traffic(map.clone(), SoftwareOverheads::NONE, len),
+                (hops * chunks, hops * chunks + n, hops * 8 * len as u64),
+                "(puts, flags, bytes) per episode: {what}"
+            );
+        }
+    }
+}
+
+/// Where node-mates' messages go through the NIC (a NIC-loopback stack)
+/// and a node hosts two images, the pieces of every hop on that node would
+/// queue on its one NIC: the ring sends its payload whole. With one image
+/// per node the same stack streams.
+#[test]
+fn a_ring_through_a_nic_shared_with_node_mates_sends_one_piece() {
+    let stack = presets::stacks::UHCAF_FLAT;
+    assert!(stack.intra_via_nic);
+    let per_chunk = POLICY.chunk_bytes / 8;
+    let chunks = LONG.div_ceil(per_chunk) as u64;
+    let shared = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
+    let own = ImageMap::new(presets::mini(4, 1), 4, &Placement::Packed);
+    let bytes = 3 * 8 * LONG as u64;
+    assert_eq!(ring_traffic(shared, stack, LONG), (3, 3 + 4, bytes));
+    assert_eq!(
+        ring_traffic(own, stack, LONG),
+        (3 * chunks, 3 * chunks + 4, bytes)
+    );
 }

@@ -23,7 +23,7 @@ pub mod solve;
 
 pub use grid::{grid_dims, numroc, BlockCyclic, Layout};
 pub use harness::residual_check;
-pub use lu::{factorize, HplConfig, HplOutcome, PhaseNs};
+pub use lu::{factorize, u12_blocks, HplConfig, HplOutcome, PhaseNs};
 pub use matrix::{hpl_element, hpl_matrix, Matrix};
 pub use solve::{solve, verify_solve, SolveOutcome};
 

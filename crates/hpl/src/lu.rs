@@ -14,13 +14,18 @@
 //!   broadcast per block step over **row teams** — the panel's owner is
 //!   grid column k mod Q, so roots advance in row-team rank order and the
 //!   next owner receives first (netlib HPL's increasing ring), with no ack
-//!   or release wave to wait for;
+//!   or release wave to wait for, and where the row team has three or more
+//!   members (and node-mates do not share a NIC) the panel streams in
+//!   chunks that each member forwards as they arrive;
 //! * row interchanges outside the panel: the panel's transpositions folded
 //!   into one permutation, one coarray put per partner grid row inside one
 //!   `sync images` pair;
 //! * U-block-row broadcast over **column teams** and the trailing update's
-//!   local `dgemm`: one pipeline over block columns of `nb`, each block's
-//!   split-phase broadcast begun before the `dgemm` of the block before it.
+//!   local `dgemm`: one pipeline over block columns ([`u12_blocks`]: a
+//!   quarter of `nb` first, then doubling up to `nb`), each block's
+//!   split-phase broadcast begun by its root before the `dgemm` of the block
+//!   before it, and by a receiver after that `dgemm`, when the block has
+//!   landed.
 //!
 //! The loop looks one panel ahead: the owner of panel k + 1 factors and
 //! sends it before finishing step k's update, and the broadcast travels
@@ -78,7 +83,11 @@ pub struct PhaseNs {
     pub interchange: u64,
     /// (e) the `dtrsm` that turns the block row into U12.
     pub dtrsm: u64,
-    /// (f) U12 along the column team.
+    /// (f) U12 along the column team: a receiver waiting for a block to
+    /// land (for the first block of an update, behind the root's
+    /// interchange and the first block's `dtrsm`) and acking it, a root
+    /// sending and, in `begin` and at the update's one `finish`, waiting
+    /// for acks of blocks two back.
     pub u12_bcast: u64,
     /// (g) trailing `dgemm` update.
     pub update: u64,
@@ -426,6 +435,26 @@ impl Block {
     }
 }
 
+/// The blocks the U12 pipeline cuts an image's trailing local columns
+/// `cols` into, for block size `nb`: `nb` wide each, or, `narrow`, a first
+/// block of `nb / 4` columns (rounded up) and then widths doubling up to
+/// `nb` — 16, 32, 64, 64, … at `nb` = 64 — so the receivers of the first
+/// block wait only for a quarter-width `dtrsm`.
+pub fn u12_blocks(
+    cols: Range<usize>,
+    nb: usize,
+    narrow: bool,
+) -> impl Iterator<Item = Range<usize>> {
+    let (mut lo, mut width) = (cols.start, if narrow { nb.div_ceil(4) } else { nb });
+    std::iter::from_fn(move || {
+        (lo < cols.end).then(|| {
+            let block = lo..(lo + width).min(cols.end);
+            (lo, width) = (block.end, (2 * width).min(nb));
+            block
+        })
+    })
+}
+
 /// One image's factorization in progress: its piece of the matrix, its
 /// teams, the buffers the block loop reuses and where its time went.
 struct Lu {
@@ -597,11 +626,12 @@ impl Lu {
     /// with `left`, (d) on my L columns left of the panel too. Every image
     /// of my grid column passes the same arguments.
     ///
-    /// Steps (e)–(g) run as a pipeline over block columns of `nb` columns:
+    /// Steps (e)–(g) run as a pipeline over the blocks of [`u12_blocks`]:
     /// grid row `b.p` solves block c + 1 and begins its broadcast before
-    /// the `dgemm` of block c, every other row begins receiving block c + 1
-    /// first, so a block's U12 travels while the one before it updates. A
-    /// column team of one has no broadcast to hide and takes `cols` whole.
+    /// the `dgemm` of block c, so a block's U12 travels while the one
+    /// before it updates; every other row runs the `dgemm` of block c
+    /// before it begins receiving block c + 1, which has landed meanwhile
+    /// (unless node-mates share a NIC, `TeamComm::shares_a_nic`).
     fn update(&mut self, img: &mut ImageCtx, b: Block, cols: Range<usize>, left: bool) {
         // -------- (d) apply the panel's row interchanges ----------------
         let l_end = if left {
@@ -624,19 +654,31 @@ impl Lu {
         let l21 = &self.ws.panel[b.buf][b.nb + lt_r0 - act0..];
         self.ws.l21.pack(trows, b.nb, l21, slab_rows);
 
+        // A column team of one has no broadcast to hide and takes `cols`
+        // whole. Otherwise the root solves and sends block c + 1 before the
+        // `dgemm` of block c, and a receiver updates block c first, since
+        // beginning c + 1 would only wait for it to land; the first block
+        // is narrow. Through a NIC shared with node-mates both lost on
+        // EXP-F1 — every extra block is one more message in the node's
+        // queue — so there the blocks stay `nb` wide and receivers begin
+        // c + 1 before the `dgemm` of block c, as the root does.
+        let overlap = !self.col_team.comm().shares_a_nic();
         let width = if grid.p > 1 { b.nb } else { cols.len() };
-        let blocks = cols.len().div_ceil(width);
-        let block = |c: usize| {
-            let lo = cols.start + c * width;
-            lo..(lo + width).min(cols.end)
-        };
-        self.next_u12(img, b, block(0));
-        for c in 0..blocks {
-            if c + 1 < blocks {
-                self.next_u12(img, b, block(c + 1));
+        let ahead = prow == b.p || !overlap;
+        let mut blocks = u12_blocks(cols, width, grid.p > 1 && overlap);
+        let mut block = blocks.next().expect("a nonempty column range");
+        self.next_u12(img, b, block.clone());
+        for next in blocks {
+            if ahead {
+                self.next_u12(img, b, next.clone());
             }
-            self.trailing(img, b, block(c));
+            self.trailing(img, b, block);
+            if !ahead {
+                self.next_u12(img, b, next.clone());
+            }
+            block = next;
         }
+        self.trailing(img, b, block);
         self.col_team.comm_mut().co_broadcast_finish();
         self.laps.book(img, |t| &mut t.u12_bcast);
     }
