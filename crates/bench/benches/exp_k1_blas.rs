@@ -1,10 +1,13 @@
 //! EXP-K1 (extension) — the local compute kernels under `caf-hpl`, in
 //! wall-clock: the packed, register-blocked `dgemm_minus` at the shape
 //! HPL's trailing update spends its time in (whole, and split into the
-//! 64-column blocks the pipelined update issues) and at an edge-heavy shape,
-//! the halved `dtrsm_lower_unit`, one update's U12 solves and `dgemm` cut
-//! into `nb`-wide blocks and into the pipeline's narrow-first blocks, one
-//! block step's batched row interchange, and a whole single-image factorization on ThreadFabric.
+//! 64-column blocks the pipelined update issues), at an edge-heavy shape,
+//! at the panel's `k = 1` update and at the products inside `dtrsm` — each
+//! also on every FMA register tile the CPU has — the halved
+//! `dtrsm_lower_unit`, one update's U12 solves and `dgemm` cut into
+//! `nb`-wide blocks and into the pipeline's narrow-first blocks, one block
+//! step's batched row interchange, and a whole single-image factorization
+//! on ThreadFabric. Variants of one shape are timed in alternation.
 //!
 //! `*_wall` rows are the best of several repetitions in nanoseconds per
 //! call (host wall clock — gated loosely via `--wall-tolerance`); the
@@ -14,9 +17,9 @@
 //! flop accounting, the message sequence and the pivots, so it must diff
 //! at +0.00 % against the baseline whatever the kernels do.
 //!
-//! The acceptance check: on a host whose dispatched kernel is the
-//! AVX2+FMA one, `dgemm_minus` runs at least 2.5× the textbook `j-l-i`
-//! loop kept below.
+//! The acceptance check: on a host whose dispatched kernel is an FMA one
+//! (24×8 AVX-512F or 8×6 AVX2), `dgemm_minus` runs at least 2.5× the
+//! textbook `j-l-i` loop kept below.
 //!
 //! Results go to `BENCH_blas.json` (override with `CAF_BENCH_OUT`), which
 //! also records the kernel's name; CI reruns the quick repetitions and
@@ -75,11 +78,14 @@ fn operand(seed: u64, rows: usize, cols: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The dispatched and the textbook `C −= A·B` at `(m, n, k)`, and — with
-/// `blocks` — the dispatched one as one call per `blocks` columns of `C`,
-/// HPL's pipelined update: `dgemm_minus` packing `A` for every call, and
-/// `A` packed once (`PackedA`, what `lu.rs` runs). Returns the textbook
-/// loop's time and the two split ones, each over one whole call.
+/// The dispatched and the textbook `C −= A·B` at `(m, n, k)`, each FMA
+/// tile this CPU has on its own (`<tile>_wall` rows, e.g.
+/// `avx2+fma_8x6_wall`), and — with `blocks` — the dispatched one as one
+/// call per `blocks` columns of `C`, HPL's pipelined update: `dgemm_minus`
+/// packing `A` for every call, and `A` packed once (`PackedA`, what `lu.rs`
+/// runs). Every repetition times each variant once, in turn, so that the
+/// host's drift falls on all of them alike. Returns the textbook loop's
+/// time and the two split ones, each over the dispatched call's.
 fn dgemm_rows(
     recs: &mut Vec<Rec>,
     op: &'static str,
@@ -89,40 +95,73 @@ fn dgemm_rows(
     let reps = scaled(20, 5);
     let (a, b) = (operand(1, m, k), operand(2, k, n));
     let mut c = operand(3, m, n);
-    let packed = best_ns(reps, || blas::dgemm_minus(m, n, k, &a, m, &b, k, &mut c, m));
-    let textbook = best_ns(reps, || {
-        textbook_dgemm_minus(m, n, k, &a, m, &b, k, &mut c, m)
-    });
-    let mut rows = vec![("dispatched_wall", packed), ("textbook_wall", textbook)];
+    type Call<'a> = Box<dyn FnMut(&mut [f64]) + 'a>;
+    let (a, b) = (&a[..], &b[..]);
+    let mut variants: Vec<(String, Call)> = vec![
+        (
+            "dispatched_wall".into(),
+            Box::new(|c| blas::dgemm_minus(m, n, k, a, m, b, k, c, m)),
+        ),
+        (
+            "textbook_wall".into(),
+            Box::new(|c| textbook_dgemm_minus(m, n, k, a, m, b, k, c, m)),
+        ),
+    ];
+    let fma_tiles = blas::Kernel::supported()
+        .into_iter()
+        .filter(|t| t.name().starts_with("avx2+fma"));
+    for tile in fma_tiles {
+        variants.push((
+            format!("{}_wall", tile.name().replace(' ', "_")),
+            Box::new(move |c| blas::dgemm_minus_on(tile, m, n, k, a, m, b, k, c, m)),
+        ));
+    }
     if let Some(w) = blocks {
-        let blocked = best_ns(reps, || {
-            for j in (0..n).step_by(w) {
-                let (b, c) = (&b[j * k..], &mut c[j * m..]);
-                blas::dgemm_minus(m, w.min(n - j), k, &a, m, b, k, c, m);
-            }
-        });
+        variants.push((
+            "blocks64_wall".into(),
+            Box::new(move |c| {
+                for j in (0..n).step_by(w) {
+                    let (b, c) = (&b[j * k..], &mut c[j * m..]);
+                    blas::dgemm_minus(m, w.min(n - j), k, a, m, b, k, c, m);
+                }
+            }),
+        ));
         let mut once = blas::PackedA::with_capacity(m, k);
-        let packed_once = best_ns(reps, || {
-            once.pack(m, k, &a, m);
-            for j in (0..n).step_by(w) {
-                once.gemm_minus(w.min(n - j), &b[j * k..], k, &mut c[j * m..], m);
-            }
-        });
-        rows.push(("blocks64_wall", blocked));
-        rows.push(("packed64_wall", packed_once));
+        variants.push((
+            "packed64_wall".into(),
+            Box::new(move |c| {
+                once.pack(m, k, a, m);
+                for j in (0..n).step_by(w) {
+                    once.gemm_minus(w.min(n - j), &b[j * k..], k, &mut c[j * m..], m);
+                }
+            }),
+        ));
+    }
+    let mut best = vec![f64::INFINITY; variants.len()];
+    for _ in 0..reps {
+        for ((_, call), best) in variants.iter_mut().zip(&mut best) {
+            *best = best.min(best_ns(1, || call(&mut c)));
+        }
     }
     black_box(&c);
     let flops = blas::dgemm_flops(m, n, k);
-    for &(algo, ns) in &rows {
+    for ((algo, _), &ns) in variants.iter().zip(&best) {
         recs.push(Rec {
             op,
             bytes: flops as usize,
-            algo: algo.into(),
+            algo: algo.clone(),
             ns,
         });
     }
-    let over = |i: usize| rows.get(i).map_or(1.0, |r| r.1 / packed);
-    [over(1), over(2), over(3)]
+    let over = |algo: &str| {
+        let at = variants.iter().position(|v| v.0 == algo);
+        at.map_or(1.0, |i| best[i] / best[0])
+    };
+    [
+        over("textbook_wall"),
+        over("blocks64_wall"),
+        over("packed64_wall"),
+    ]
 }
 
 /// One block step's update of an `m × n` trailing block at depth `nb` on the
@@ -184,6 +223,17 @@ fn main() {
     let [speedup, split, packed_once] =
         dgemm_rows(&mut recs, "dgemm_1024x1024x64", (1024, 1024, 64), Some(64));
     dgemm_rows(&mut recs, "dgemm_1000x999x61", (1000, 999, 61), None);
+    // The panel's rank-1 update (`dger_minus`) at N = 2048 on a 1 x 2
+    // grid's first column, and the products inside `dtrsm_lower_unit`'s
+    // halving of a 64-wide U12 block row of 1024 columns.
+    dgemm_rows(&mut recs, "dgemm_2048x63x1", (2048, 63, 1), None);
+    for (op, h) in [
+        ("dgemm_32x1024x32", 32),
+        ("dgemm_16x1024x16", 16),
+        ("dgemm_8x1024x8", 8),
+    ] {
+        dgemm_rows(&mut recs, op, (h, 1024, h), None);
+    }
 
     // dtrsm: the 64-wide U12 block-row solve.
     {
@@ -322,7 +372,7 @@ fn main() {
         &recs,
     );
 
-    // Acceptance: where the FMA kernel is dispatched it must clearly beat
+    // Acceptance: where an FMA kernel is dispatched it must clearly beat
     // the loop it replaced; the portable tile makes no such promise.
     if blas::kernel_name().starts_with("avx2+fma") {
         assert!(

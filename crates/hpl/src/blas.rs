@@ -3,24 +3,51 @@
 //! panel updates, and `idamax`.
 //!
 //! All three level-2/3 routines are one kernel stack: [`dgemm_minus`] is
-//! the packed, register-blocked kernel of the private `kernel` module
-//! (AVX2+FMA where the CPU has it, a portable tile elsewhere —
-//! [`kernel_name`] says which), [`dger_minus`] is its `k = 1` case and
-//! [`dtrsm_lower_unit`] halves its triangle until all but the small
-//! diagonal blocks is a `dgemm_minus`. The functions here are safe: every
-//! length the kernel relies on is asserted before it runs. Flop counts are
+//! the packed, register-blocked kernel of the private `kernel` module,
+//! [`dger_minus`] is its `k = 1` case and [`dtrsm_lower_unit`] halves its
+//! triangle until all but the small diagonal blocks is a `dgemm_minus`.
+//! The kernel has three register tiles, and CPUID picks the first one the
+//! CPU runs, once ([`kernel_name`] says which): a 24×8 AVX-512F tile, an
+//! 8×6 AVX2+FMA tile, a portable 4×4 tile. On an AVX-512 host a
+//! `dgemm_minus` of fewer than 24 rows (`dtrsm`'s inner products) runs the
+//! 8×6 tile, which EXP-K1 measured faster there. The two FMA tiles give
+//! the same bits — each element of `C` is the same chain of fused
+//! negate-multiply-adds in the same order — so the host's answers depend
+//! only on whether it has FMA. The functions here are safe: every length
+//! the kernel relies on is asserted before it runs. Flop counts are
 //! reported by the callers for the simulator's time model.
 
-use crate::kernel::{self, Kernel};
+use crate::kernel;
 use std::cell::RefCell;
 
-pub use crate::kernel::PackedA;
+pub use crate::kernel::{Kernel, PackedA};
 
 /// The micro-kernel this process dispatches to — instruction set and
-/// register tile, e.g. `"avx2+fma 8x6"` or `"portable 4x4"`. Chosen from
-/// CPUID alone, once.
+/// register tile, e.g. `"avx2+fma+avx512f 24x8"`, `"avx2+fma 8x6"` or
+/// `"portable 4x4"`. Chosen from CPUID alone, once.
 pub fn kernel_name() -> &'static str {
     Kernel::dispatched().name()
+}
+
+/// [`dgemm_minus`] on `kernel` whatever the shape — how EXP-K1 times each
+/// tile the CPU has on the same operands.
+///
+/// # Panics
+/// As [`dgemm_minus`].
+#[allow(clippy::too_many_arguments)]
+pub fn dgemm_minus_on(
+    kernel: Kernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    kernel::gemm_minus(kernel, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 /// `C[0..m, 0..n] -= A[0..m, 0..k] * B[0..k, 0..n]` on column-major
@@ -42,7 +69,8 @@ pub fn dgemm_minus(
     c: &mut [f64],
     ldc: usize,
 ) {
-    kernel::gemm_minus(Kernel::dispatched(), m, n, k, a, lda, b, ldb, c, ldc);
+    let kernel = Kernel::dispatched().for_shape(m);
+    kernel::gemm_minus(kernel, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 /// Triangles up to this order are solved by the scalar recurrence; larger
@@ -65,6 +93,11 @@ thread_local! {
 /// shorter than its operand: `l.len() ≥ ldl·(nb−1)+nb`,
 /// `b.len() ≥ ldb·(n−1)+nb`.
 pub fn dtrsm_lower_unit(nb: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
+    trsm_on(Kernel::dispatched(), nb, n, l, ldl, b, ldb);
+}
+
+/// [`dtrsm_lower_unit`] with its products on `kernel` (routed by shape).
+fn trsm_on(kernel: Kernel, nb: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
     if nb == 0 || n == 0 {
         return;
     }
@@ -81,13 +114,15 @@ pub fn dtrsm_lower_unit(nb: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64
         if x1.len() < nb / 2 * n {
             x1.resize(nb / 2 * n, 0.0);
         }
-        trsm_halved(nb, n, l, ldl, b, ldb, x1);
+        trsm_halved(kernel, nb, n, l, ldl, b, ldb, x1);
     });
 }
 
 /// `[L11 0; L21 L22]·[X1; X2] = [B1; B2]`: solve for `X1`, subtract
-/// `L21·X1` from `B2` with [`dgemm_minus`], solve for `X2`.
+/// `L21·X1` from `B2` with `kernel`, solve for `X2`.
+#[allow(clippy::too_many_arguments)]
 fn trsm_halved(
+    kernel: Kernel,
     nb: usize,
     n: usize,
     l: &[f64],
@@ -100,12 +135,22 @@ fn trsm_halved(
         return trsm_scalar(nb, n, l, ldl, b, ldb);
     }
     let h = nb / 2;
-    trsm_halved(h, n, l, ldl, b, ldb, x1);
+    trsm_halved(kernel, h, n, l, ldl, b, ldb, x1);
     for (dst, src) in x1.chunks_exact_mut(h).zip(b.chunks(ldb)).take(n) {
         dst.copy_from_slice(&src[..h]);
     }
-    dgemm_minus(nb - h, n, h, &l[h..], ldl, x1, h, &mut b[h..], ldb);
-    trsm_halved(nb - h, n, &l[h + h * ldl..], ldl, &mut b[h..], ldb, x1);
+    let on = kernel.for_shape(nb - h);
+    kernel::gemm_minus(on, nb - h, n, h, &l[h..], ldl, x1, h, &mut b[h..], ldb);
+    trsm_halved(
+        kernel,
+        nb - h,
+        n,
+        &l[h + h * ldl..],
+        ldl,
+        &mut b[h..],
+        ldb,
+        x1,
+    );
 }
 
 /// The forward-substitution recurrence, one right-hand side at a time, on
@@ -321,14 +366,16 @@ mod tests {
     #[test]
     fn dgemm_edge_tiles_and_cache_block_seams() {
         // Below one register tile, one step deep, and one past each cache
-        // block (MC = 128, KC = 256, NC = 4080).
+        // block (MC = 240, KC = 256, NC = 4080).
         for (m, n, k) in [
             (1, 1, 1),
             (3, 5, 1),
             (7, 5, 2),
             (8, 6, 1),
             (9, 7, 3),
+            (25, 9, 2),
             (129, 13, 257),
+            (241, 9, 3),
             (5, 4081, 2),
         ] {
             check_gemm_on_every_kernel(m, n, k, [1, 2, 3], 77);
@@ -337,10 +384,15 @@ mod tests {
 
     /// `A` packed once, then one call per block of `width` columns, equals
     /// one [`dgemm_minus`] bit for bit — across the cache-block seams
-    /// (MC = 128, KC = 256) and on every kernel this CPU supports.
+    /// (MC = 240, KC = 256) and on every kernel this CPU supports.
     #[test]
     fn a_packed_operand_split_by_columns_changes_no_bit() {
-        for (m, n, k, width) in [(129, 70, 257, 64), (200, 130, 64, 64), (9, 13, 3, 5)] {
+        for (m, n, k, width) in [
+            (129, 70, 257, 64),
+            (200, 130, 64, 64),
+            (241, 40, 64, 16),
+            (9, 13, 3, 5),
+        ] {
             let a = padded(&random_matrix(1, m, k), m + 1);
             let b = padded(&random_matrix(2, k, n), k + 2);
             let c0 = padded(&random_matrix(3, m, n), m + 3);
@@ -365,10 +417,77 @@ mod tests {
         }
     }
 
+    /// The FMA kernels this CPU has, widest first.
+    fn fma_kernels() -> Vec<Kernel> {
+        let all = Kernel::supported().into_iter();
+        all.filter(|k| k.name().starts_with("avx2+fma")).collect()
+    }
+
+    /// Every FMA kernel this CPU has leaves the same bits: `C −= A·B` with
+    /// `m` and `n` off every tile multiple and across `MC`,
+    /// `k` from 1 to past `KC` (256), the same product through
+    /// [`PackedA`] split by columns, and [`dtrsm_lower_unit`]. On a host
+    /// without AVX-512 there is one FMA kernel and the test compares it
+    /// with itself (and on one without FMA it has nothing to compare).
+    #[test]
+    fn fma_kernels_agree_to_the_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let kernels = fma_kernels();
+        for k in [1, 8, 16, 32, 64, 300] {
+            for (m, n) in [
+                (1, 1),
+                (7, 5),
+                (23, 9),
+                (25, 13),
+                (61, 70),
+                (129, 7),
+                (241, 30),
+            ] {
+                let (lda, ldb, ldc) = (m + 1, k + 2, m + 3);
+                let a = padded(&random_matrix(1, m, k), lda);
+                let b = padded(&random_matrix(2, k, n), ldb);
+                let c0 = padded(&random_matrix(3, m, n), ldc);
+                let mut first = None;
+                for &kernel in &kernels {
+                    let mut whole = c0.clone();
+                    kernel::gemm_minus(kernel, m, n, k, &a, lda, &b, ldb, &mut whole, ldc);
+                    let mut packed = PackedA::on(kernel, m, k);
+                    packed.pack(m, k, &a, lda);
+                    let mut split = c0.clone();
+                    for j in (0..n).step_by(16) {
+                        let w = 16.min(n - j);
+                        packed.gemm_minus(w, &b[j * ldb..], ldb, &mut split[j * ldc..], ldc);
+                    }
+                    let want = first.get_or_insert_with(|| bits(&whole));
+                    let at = format!("{} m={m} n={n} k={k}", kernel.name());
+                    assert!(bits(&whole) == *want, "{at}: dgemm");
+                    assert!(bits(&split) == *want, "{at}: PackedA split by columns");
+                }
+            }
+        }
+        for nb in [8, 16, 32, 64, 65] {
+            for n in [1, 37, 300] {
+                let (ldl, ldb) = (nb + 2, nb + 3);
+                let l = padded(&random_matrix(nb as u64, nb, nb), ldl);
+                let rhs = padded(&random_matrix(99, nb, n), ldb);
+                let mut first = None;
+                for &kernel in &kernels {
+                    let mut x = rhs.clone();
+                    trsm_on(kernel, nb, n, &l, ldl, &mut x, ldb);
+                    let want = first.get_or_insert_with(|| bits(&x));
+                    assert!(bits(&x) == *want, "{} nb={nb} n={n}: dtrsm", kernel.name());
+                }
+            }
+        }
+    }
+
     #[test]
     fn kernel_name_says_which_tile_runs() {
         let name = kernel_name();
-        assert!(name == "avx2+fma 8x6" || name == "portable 4x4", "{name}");
+        assert!(
+            ["avx2+fma+avx512f 24x8", "avx2+fma 8x6", "portable 4x4"].contains(&name),
+            "{name}"
+        );
         assert_eq!(name, Kernel::supported()[0].name());
     }
 

@@ -11,39 +11,48 @@
 //!           C(ir.., jr..) −= Ã·B̃   MR × NR accumulators stay in registers
 //! ```
 //!
-//! Two micro-kernels share the driver: an AVX2+FMA 8×6 one (twelve `ymm`
-//! accumulators) and a plain-Rust 4×4 one for every other CPU. The choice
-//! is made once, from CPUID, and carried as a [`Kernel`] token that only
-//! this module can mint — holding the AVX2 token *is* the proof that the
-//! CPU has the features its micro-kernel was compiled for.
+//! Three micro-kernels share the driver: an AVX-512F 24×8 one (twenty-four
+//! `zmm` accumulators), an AVX2+FMA 8×6 one (twelve `ymm` accumulators) and
+//! a plain-Rust 4×4 one for every other CPU. The choice is made once, from
+//! CPUID, fastest first, and carried as a [`Kernel`] token that only this
+//! module can mint — holding a token *is* the proof that the CPU has the
+//! features its micro-kernel was compiled for. The AVX-512 token implies
+//! AVX2 and FMA too, so the dispatched calls may hand a shape the 8×6 tile
+//! runs faster to that tile ([`Kernel::for_shape`]).
 //!
 //! **Determinism.** Every element of `C` is updated by a chain of
 //! subtractions whose order depends only on `(m, n, k)`: `pc` ascending,
 //! then `l` ascending within the block. Edge tiles run the same micro-kernel
 //! on a zero-padded copy, so whether an element sits in a full or a partial
 //! tile changes nothing, and neither thread identity, buffer addresses nor
-//! call history enter the arithmetic.
+//! call history enter the arithmetic. The two FMA tiles compute the same
+//! chain — `C` loaded once, one fused negate-multiply-add per `l`, stored
+//! once per `pc` block — lane by lane, 8 doubles to a `zmm` or 4 to a
+//! `ymm`, so they agree to the bit whatever their shape; the
+//! portable tile rounds the product and the subtraction separately.
 //!
 //! This is the only module of the crate that contains `unsafe`: the
-//! `std::arch` loads and stores of the AVX2 micro-kernel and the call into
-//! its `#[target_feature]` function. Every pointer it forms is derived from
-//! a slice whose length was asserted first; callers establish nothing.
+//! `std::arch` loads and stores of the two FMA micro-kernels and the calls
+//! into their `#[target_feature]` functions. Every pointer it forms is
+//! derived from a slice whose length was asserted first; callers establish
+//! nothing.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Rows of `A` packed per `pc` block: an `MC × KC` block of doubles is
-/// 256 KiB, half of a small L2.
-const MC: usize = 128;
+/// Rows of `A` packed per `pc` block, a multiple of every kernel's `MR`:
+/// an `MC × KC` block of doubles is 480 KiB, a quarter of a 2 MiB L2; at
+/// HPL's `k = 64` it is 120 KiB.
+const MC: usize = 240;
 /// Depth of one packed block. HPL calls with `k = nb ≤ KC`, so its panels
 /// are packed exactly once per call.
 const KC: usize = 256;
-/// Columns of `B` packed per `pc` block; a multiple of both kernels' `NR`.
+/// Columns of `B` packed per `pc` block; a multiple of every kernel's `NR`.
 const NC: usize = 4080;
-/// Room for the larger register tile (8×6).
-const MAX_TILE: usize = 48;
+/// Room for the largest register tile (24×8).
+const MAX_TILE: usize = 192;
 
 /// One packed block's worth of work, `C[0..mc, 0..nc] −= Ã·B̃`, compiled
 /// for one instruction set: [`sweep`] with that set's micro-kernel inlined.
@@ -53,15 +62,18 @@ type BlockKernel =
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kind {
     #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
     Avx2Fma,
     Portable,
 }
 
-/// Which micro-kernel a `gemm_minus` call runs. Only [`Kernel::dispatched`]
-/// and [`Kernel::supported`] create one, and they hand out the AVX2 token
-/// only after CPUID reported `avx2` and `fma`.
+/// A micro-kernel this CPU can run. Only this module creates one:
+/// [`Kernel::supported`] hands out the AVX2 token only after CPUID reported
+/// `avx2` and `fma`, the AVX-512 one only after it reported `avx512f` as
+/// well, and `Kernel::for_shape` trades the second for the first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Kernel(Kind);
+pub struct Kernel(Kind);
 
 impl Kernel {
     /// The kernel this CPU gets, decided once per process.
@@ -70,16 +82,30 @@ impl Kernel {
         *CHOICE.get_or_init(|| Kernel::supported()[0])
     }
 
-    /// Every kernel this CPU can run, fastest first — how the tests reach
-    /// the portable kernel on an AVX2 host.
-    pub(crate) fn supported() -> Vec<Kernel> {
+    /// Every kernel this CPU can run, fastest first — how the tests and
+    /// EXP-K1 reach the AVX2 and portable kernels on an AVX-512 host.
+    pub fn supported() -> Vec<Kernel> {
         let mut all = Vec::new();
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            if is_x86_feature_detected!("avx512f") {
+                all.push(Kernel(Kind::Avx512));
+            }
             all.push(Kernel(Kind::Avx2Fma));
         }
         all.push(Kernel(Kind::Portable));
         all
+    }
+
+    /// The kernel that runs an `m`-row `C −= A·B` whose `A` is packed per
+    /// call: the 8×6 tile below [`SHORT_ROWS`] on an AVX-512 host, `self`
+    /// otherwise. Same bits either way.
+    pub(crate) fn for_shape(self, m: usize) -> Kernel {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx512 if m < SHORT_ROWS => Kernel(Kind::Avx2Fma),
+            _ => self,
+        }
     }
 
     /// Doubles an `m × k` `A` takes packed whole ([`PackedA`]): each
@@ -87,8 +113,10 @@ impl Kernel {
     fn packed_len(self, m: usize, k: usize) -> usize {
         let mr = match self.0 {
             #[cfg(target_arch = "x86_64")]
-            Kind::Avx2Fma => 8,
-            Kind::Portable => 4,
+            Kind::Avx512 => avx512::MR,
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2Fma => avx2::MR,
+            Kind::Portable => portable::MR,
         };
         let rows: usize = (0..m)
             .step_by(MC)
@@ -97,15 +125,25 @@ impl Kernel {
         rows * k
     }
 
-    /// Instruction set and register tile, e.g. `"avx2+fma 8x6"`.
-    pub(crate) fn name(self) -> &'static str {
+    /// Instruction set and register tile, e.g. `"avx2+fma 8x6"`. The
+    /// AVX-512 tile's name begins like the 8×6 one's: their bits agree.
+    pub fn name(self) -> &'static str {
         match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx512 => "avx2+fma+avx512f 24x8",
             #[cfg(target_arch = "x86_64")]
             Kind::Avx2Fma => "avx2+fma 8x6",
             Kind::Portable => "portable 4x4",
         }
     }
 }
+
+/// Below this many rows a per-call `C −= A·B` runs the 8×6 tile on an
+/// AVX-512 host. `dtrsm_lower_unit`'s inner products at `nb = 64` have 8,
+/// 16 and 32 rows, and the 24-row tile pads the first two to 24: EXP-K1's
+/// `dgemm_8x1024x8` and `dgemm_16x1024x16` rows run 1.7–2.5× and
+/// 1.1–1.4× faster on the 8×6 tile, and at 32 rows the two tiles tie.
+const SHORT_ROWS: usize = 24;
 
 /// The packed operands of the calling thread (one image = one thread).
 /// Grown to what a call needs and kept, so a factorization allocates them
@@ -193,8 +231,24 @@ fn run(
     assert!(c.len() >= ldc * (n - 1) + m, "C: slice shorter than m x n");
     match kernel.0 {
         #[cfg(target_arch = "x86_64")]
-        Kind::Avx2Fma => driver::<8, 6>(avx2::block, m, n, k, a, b, ldb, c, ldc),
-        Kind::Portable => driver::<4, 4>(portable_block, m, n, k, a, b, ldb, c, ldc),
+        Kind::Avx512 => {
+            driver::<{ avx512::MR }, { avx512::NR }>(avx512::block, m, n, k, a, b, ldb, c, ldc)
+        }
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx2Fma => {
+            driver::<{ avx2::MR }, { avx2::NR }>(avx2::block, m, n, k, a, b, ldb, c, ldc)
+        }
+        Kind::Portable => driver::<{ portable::MR }, { portable::NR }>(
+            portable::block,
+            m,
+            n,
+            k,
+            a,
+            b,
+            ldb,
+            c,
+            ldc,
+        ),
     }
 }
 
@@ -292,8 +346,10 @@ impl PackedA {
         let out = aligned(&mut self.buf, self.kernel.packed_len(m, k));
         match self.kernel.0 {
             #[cfg(target_arch = "x86_64")]
-            Kind::Avx2Fma => pack_whole::<8>(m, k, a, lda, out),
-            Kind::Portable => pack_whole::<4>(m, k, a, lda, out),
+            Kind::Avx512 => pack_whole::<{ avx512::MR }>(m, k, a, lda, out),
+            #[cfg(target_arch = "x86_64")]
+            Kind::Avx2Fma => pack_whole::<{ avx2::MR }>(m, k, a, lda, out),
+            Kind::Portable => pack_whole::<{ portable::MR }>(m, k, a, lda, out),
         }
     }
 
@@ -435,40 +491,44 @@ fn pack_b<const NR: usize>(kc: usize, nc: usize, b: &[f64], ldb: usize, out: &mu
     }
 }
 
-fn portable_block(
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    a_pack: &[f64],
-    b_pack: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-) {
-    sweep::<4, 4>(portable_tile, mc, nc, kc, a_pack, b_pack, c, ldc);
-}
+mod portable {
+    pub(super) const MR: usize = 4;
+    pub(super) const NR: usize = 4;
 
-/// The portable 4×4 micro-kernel: sixteen scalar accumulators the compiler
-/// keeps in registers (and vectorizes where the target allows).
-#[inline(always)]
-fn portable_tile(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
-    const MR: usize = 4;
-    const NR: usize = 4;
-    let mut acc = [[0.0f64; MR]; NR];
-    for (j, col) in acc.iter_mut().enumerate() {
-        col.copy_from_slice(&c[j * ldc..j * ldc + MR]);
+    /// The portable [`super::BlockKernel`].
+    pub(super) fn block(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a_pack: &[f64],
+        b_pack: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        super::sweep::<MR, NR>(tile, mc, nc, kc, a_pack, b_pack, c, ldc);
     }
-    for (al, bl) in a[..kc * MR]
-        .chunks_exact(MR)
-        .zip(b[..kc * NR].chunks_exact(NR))
-    {
-        for (col, &blj) in acc.iter_mut().zip(bl) {
-            for (x, &ali) in col.iter_mut().zip(al) {
-                *x -= ali * blj;
+
+    /// The portable 4×4 micro-kernel: sixteen scalar accumulators the
+    /// compiler keeps in registers (and vectorizes where the target allows).
+    #[inline(always)]
+    fn tile(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+        let mut acc = [[0.0f64; MR]; NR];
+        for (j, col) in acc.iter_mut().enumerate() {
+            col.copy_from_slice(&c[j * ldc..j * ldc + MR]);
+        }
+        for (al, bl) in a[..kc * MR]
+            .chunks_exact(MR)
+            .zip(b[..kc * NR].chunks_exact(NR))
+        {
+            for (col, &blj) in acc.iter_mut().zip(bl) {
+                for (x, &ali) in col.iter_mut().zip(al) {
+                    *x -= ali * blj;
+                }
             }
         }
-    }
-    for (j, col) in acc.iter().enumerate() {
-        c[j * ldc..j * ldc + MR].copy_from_slice(col);
+        for (j, col) in acc.iter().enumerate() {
+            c[j * ldc..j * ldc + MR].copy_from_slice(col);
+        }
     }
 }
 
@@ -478,8 +538,8 @@ mod avx2 {
         _mm256_broadcast_sd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_setzero_pd, _mm256_storeu_pd,
     };
 
-    const MR: usize = 8;
-    const NR: usize = 6;
+    pub(super) const MR: usize = 8;
+    pub(super) const NR: usize = 6;
 
     /// The AVX2+FMA [`super::BlockKernel`]. Private to the module tree: it
     /// is reachable only through a `Kernel(Kind::Avx2Fma)` token.
@@ -492,9 +552,10 @@ mod avx2 {
         c: &mut [f64],
         ldc: usize,
     ) {
-        // SAFETY: this function is only ever named by `gemm_minus` under a
+        // SAFETY: this function is only ever named by `run` under a
         // `Kind::Avx2Fma` token, which `Kernel::supported` creates only
-        // after CPUID reported avx2 and fma.
+        // after CPUID reported avx2 and fma — or `Kernel::for_shape`
+        // from a `Kind::Avx512` one, which it creates only after the same.
         unsafe { block_impl(mc, nc, kc, a_pack, b_pack, c, ldc) }
     }
 
@@ -567,6 +628,114 @@ mod avx2 {
             unsafe {
                 _mm256_storeu_pd(cp.add(j * ldc), col[0]);
                 _mm256_storeu_pd(cp.add(j * ldc + 4), col[1]);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512d, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
+        _mm512_storeu_pd,
+    };
+
+    pub(super) const MR: usize = 24;
+    pub(super) const NR: usize = 8;
+    /// `zmm` registers per column of the tile.
+    const V: usize = MR / 8;
+
+    /// The AVX-512F [`super::BlockKernel`]. Private to the module tree: it
+    /// is reachable only through a `Kernel(Kind::Avx512)` token.
+    pub(super) fn block(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a_pack: &[f64],
+        b_pack: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        // SAFETY: this function is only ever named by `run` under a
+        // `Kind::Avx512` token, which `Kernel::supported` creates only
+        // after CPUID reported avx512f, avx2 and fma.
+        unsafe { block_impl(mc, nc, kc, a_pack, b_pack, c, ldc) }
+    }
+
+    /// [`super::sweep`] and [`tile`] compiled together with AVX-512F
+    /// enabled, so the micro-kernel inlines into the loops around it.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, AVX2 and FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn block_impl(
+        mc: usize,
+        nc: usize,
+        kc: usize,
+        a_pack: &[f64],
+        b_pack: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        super::sweep::<MR, NR>(
+            // SAFETY: AVX-512F is this function's own precondition.
+            |kc, a, b, c, ldc| unsafe { tile(kc, a, b, c, ldc) },
+            mc,
+            nc,
+            kc,
+            a_pack,
+            b_pack,
+            c,
+            ldc,
+        );
+    }
+
+    /// The 24×8 micro-kernel: the tile of `C` lives in twenty-four `zmm`
+    /// registers (8 columns × 3 thirds) from its load to its store, and
+    /// step `l` subtracts `ã[l] · b̃[l]ᵀ` from it with twenty-four fused
+    /// negate-multiply-adds — lane for lane the 8×6 tile's chain.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. (Slice lengths are checked here.)
+    #[inline(always)]
+    unsafe fn tile(kc: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+        assert!(a.len() >= kc * MR && b.len() >= kc * NR);
+        assert!(ldc >= MR && c.len() >= ldc * (NR - 1) + MR);
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        // SAFETY: AVX-512F is the caller's obligation.
+        let zero: __m512d = unsafe { _mm512_setzero_pd() };
+        let mut acc = [[zero; V]; NR];
+        for (j, col) in acc.iter_mut().enumerate() {
+            for (v, x) in col.iter_mut().enumerate() {
+                // SAFETY: column `j < 8` of the tile is the 24 doubles at
+                // `c[j·ldc .. j·ldc + 24]`, inside `c` by the assert above;
+                // load `v < 3` reads the third at `8·v`.
+                *x = unsafe { _mm512_loadu_pd(cp.add(j * ldc + 8 * v)) };
+            }
+        }
+        for l in 0..kc {
+            let mut a_l = [zero; V];
+            for (v, x) in a_l.iter_mut().enumerate() {
+                // SAFETY: `l < kc`, so the 24 doubles at `a[l·24..]` are
+                // inside the packed panel by the assert above.
+                *x = unsafe { _mm512_loadu_pd(ap.add(l * MR + 8 * v)) };
+            }
+            for (j, col) in acc.iter_mut().enumerate() {
+                // SAFETY: `l < kc` and `j < 8`, so `b[l·8 + j]` is inside
+                // the packed panel by the assert above; AVX-512F is the
+                // caller's obligation.
+                let b_lj = unsafe { _mm512_set1_pd(*bp.add(l * NR + j)) };
+                for (x, &a_v) in col.iter_mut().zip(&a_l) {
+                    // SAFETY: AVX-512F is the caller's obligation.
+                    *x = unsafe { _mm512_fnmadd_pd(a_v, b_lj, *x) };
+                }
+            }
+        }
+        for (j, col) in acc.iter().enumerate() {
+            for (v, &x) in col.iter().enumerate() {
+                // SAFETY: the same 24 doubles per column that were loaded
+                // above.
+                unsafe { _mm512_storeu_pd(cp.add(j * ldc + 8 * v), x) };
             }
         }
     }

@@ -28,6 +28,13 @@
 //! throughput) and are inherently noisy on shared CI runners:
 //! `--wall-tolerance` applies a looser gate to just those rows.
 //!
+//! A file whose header records a `"kernel"` (EXP-K1's `BENCH_blas.json`:
+//! the micro-kernel the host dispatched) times that kernel in its wall
+//! rows. Against a baseline recorded on another kernel those rows are
+//! shown but not gated, and the baseline's wall rows the run lacks (the
+//! per-tile rows of a tile this CPU does not have) are listed, not failed;
+//! every other row stays on its gate.
+//!
 //! Rows that exist only in the new file are listed as `new (ungated)`:
 //! they pass, but the report says the baseline has to be regenerated
 //! before they are gated. No external JSON crate: the files come from
@@ -44,8 +51,10 @@ struct Entry {
     ns: f64,
 }
 
-/// The file's `"experiment"` name and its result rows.
-fn parse_bench(path: &str) -> Result<(String, Vec<Entry>), String> {
+/// A bench file's `"experiment"` name, its `"kernel"` if it records one,
+/// and its result rows.
+#[allow(clippy::type_complexity)]
+fn parse_bench(path: &str) -> Result<(String, Option<String>, Vec<Entry>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let root = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let experiment = root
@@ -53,6 +62,10 @@ fn parse_bench(path: &str) -> Result<(String, Vec<Entry>), String> {
         .and_then(json::Value::as_str)
         .ok_or_else(|| format!("{path}: no \"experiment\" string"))?
         .to_string();
+    let kernel = root
+        .get("kernel")
+        .and_then(json::Value::as_str)
+        .map(str::to_string);
     let results = root
         .get("results")
         .and_then(json::Value::as_arr)
@@ -77,7 +90,7 @@ fn parse_bench(path: &str) -> Result<(String, Vec<Entry>), String> {
             ns: num("ns")?,
         });
     }
-    Ok((experiment, out))
+    Ok((experiment, kernel, out))
 }
 
 fn bench_diff(
@@ -106,9 +119,13 @@ fn bench_diff_report(
     markdown: bool,
 ) -> Result<(String, Result<(), String>), String> {
     use std::fmt::Write as _;
-    let (_, base) = parse_bench(baseline)?;
-    let (experiment, cur) = parse_bench(new)?;
+    let (_, base_kernel, base) = parse_bench(baseline)?;
+    let (experiment, cur_kernel, cur) = parse_bench(new)?;
     let same = |a: &Entry, b: &Entry| a.op == b.op && a.bytes == b.bytes && a.algo == b.algo;
+    // Wall rows time the kernel the host dispatched: against a baseline
+    // recorded on another one they measure other code.
+    let other_kernel = base_kernel != cur_kernel;
+    let gated = |e: &Entry| !(other_kernel && e.algo.ends_with("wall"));
     let mut out = String::new();
     let mut compared = 0usize;
     let mut failures = Vec::new();
@@ -124,10 +141,24 @@ fn bench_diff_report(
     }
     for b in &base {
         let Some(c) = cur.iter().find(|c| same(c, b)) else {
-            failures.push(format!(
-                "missing in {new}: {} {} B {}",
-                b.op, b.bytes, b.algo
-            ));
+            if gated(b) {
+                failures.push(format!(
+                    "missing in {new}: {} {} B {}",
+                    b.op, b.bytes, b.algo
+                ));
+            } else if markdown {
+                let _ = writeln!(
+                    out,
+                    "| {} | {} | {} | {:.1} | – | – | ➖ not run (other kernel) |",
+                    b.op, b.bytes, b.algo, b.ns
+                );
+            } else {
+                let _ = writeln!(
+                    out,
+                    "{:>4}  {:<9} {:>8} B  {:<24} {:>14.1} -> {:>14} ns  (not run, other kernel)",
+                    "skip", b.op, b.bytes, b.algo, b.ns, "-"
+                );
+            }
             continue;
         };
         compared += 1;
@@ -139,7 +170,7 @@ fn bench_diff_report(
         } else {
             tolerance_pct
         };
-        let regressed = delta_pct > tol;
+        let regressed = gated(b) && delta_pct > tol;
         if regressed {
             failures.push(format!(
                 "REGRESSION {} {} B {}: {:.1} -> {:.1} ns ({:+.1}%)",
@@ -158,15 +189,23 @@ fn bench_diff_report(
                 delta_pct,
                 if regressed {
                     "❌ regression"
-                } else {
+                } else if gated(b) {
                     "✅ ok"
+                } else {
+                    "➖ other kernel (ungated)"
                 }
             );
         } else {
             let _ = writeln!(
                 out,
                 "{:>4}  {:<9} {:>8} B  {:<24} {:>14.1} -> {:>14.1} ns  {:+.2}%",
-                if regressed { "FAIL" } else { "ok" },
+                if regressed {
+                    "FAIL"
+                } else if gated(b) {
+                    "ok"
+                } else {
+                    "skip"
+                },
                 b.op,
                 b.bytes,
                 b.algo,
@@ -206,6 +245,14 @@ fn bench_diff_report(
     };
     if !added.is_empty() {
         verdict.push_str(&format!(", {} new (ungated)", added.len()));
+    }
+    if other_kernel {
+        let name = |k: &Option<String>| k.clone().unwrap_or_else(|| "none recorded".into());
+        verdict.push_str(&format!(
+            ", wall rows ungated (baseline kernel: {}, this run: {})",
+            name(&base_kernel),
+            name(&cur_kernel)
+        ));
     }
     let wall_note = match wall_tolerance_pct {
         Some(w) => format!(" (wall rows ±{w}%)"),
@@ -321,8 +368,9 @@ mod tests {
     #[test]
     fn parses_the_emitted_shape() {
         let p = tmp("parse", SAMPLE);
-        let (experiment, entries) = parse_bench(&p).unwrap();
+        let (experiment, kernel, entries) = parse_bench(&p).unwrap();
         assert_eq!(experiment, "exp_c1_msgsize");
+        assert_eq!(kernel, None);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].op, "broadcast");
         assert_eq!(entries[1].bytes, 1_048_576);
@@ -368,6 +416,51 @@ mod tests {
         let c = tmp("wall-c", &base.replace("1000.0", "1300.0"));
         let err = bench_diff(&a, &c, 10.0, Some(75.0), false).unwrap_err();
         assert!(err.contains("REGRESSION"), "{err}");
+    }
+
+    #[test]
+    fn wall_rows_of_another_kernel_are_shown_not_gated() {
+        // A blas-style file: the kernel in its header, one modeled row, a
+        // dispatched row and one tile's own row.
+        let base = r#"{
+  "experiment": "exp_k1_blas",
+  "kernel": "avx2+fma+avx512f 24x8",
+  "quick": true,
+  "results": [
+    {"op": "dgemm", "bytes": 64, "algo": "dispatched_wall", "ns": 100.0},
+    {"op": "dgemm", "bytes": 64, "algo": "avx2+fma+avx512f_24x8_wall", "ns": 100.0},
+    {"op": "hpl", "bytes": 256, "algo": "two_level_virt", "ns": 1000.0}
+  ]
+}"#;
+        let a = tmp("kern-a", base);
+        // The same kernel: a lost tile row and a slow dispatched row fail.
+        let fewer = base.replace(
+            "    {\"op\": \"dgemm\", \"bytes\": 64, \"algo\": \"avx2+fma+avx512f_24x8_wall\", \"ns\": 100.0},\n",
+            "",
+        );
+        let b = tmp("kern-b", &fewer.replace("100.0", "300.0"));
+        let err = bench_diff(&a, &b, 10.0, Some(75.0), false).unwrap_err();
+        assert!(
+            err.contains("missing") && err.contains("REGRESSION"),
+            "{err}"
+        );
+        // Another kernel: both are shown and pass...
+        let c = tmp("kern-c", &b_text(&fewer.replace("100.0", "300.0")));
+        let (report, verdict) = bench_diff_report(&a, &c, 10.0, Some(75.0), false).unwrap();
+        assert!(verdict.is_ok(), "{report}");
+        assert!(report.contains("not run, other kernel"), "{report}");
+        assert!(
+            report.contains("wall rows ungated (baseline kernel: avx2+fma+avx512f 24x8, this run: avx2+fma 8x6)"),
+            "{report}"
+        );
+        // ...while the modeled row keeps its gate.
+        let d = tmp("kern-d", &b_text(&fewer.replace("1000.0", "1200.0")));
+        let err = bench_diff(&a, &d, 10.0, Some(75.0), false).unwrap_err();
+        assert!(err.contains("REGRESSION hpl"), "{err}");
+
+        fn b_text(s: &str) -> String {
+            s.replace("avx2+fma+avx512f 24x8", "avx2+fma 8x6")
+        }
     }
 
     #[test]
