@@ -3,14 +3,18 @@
 //! SimFabric with the whale cost model, on a ragged placement and on a
 //! sub-team of it, and each image's clock afterwards must equal the value
 //! recorded on the commit *before* the bodies were folded into one protocol
-//! over a per-team shape. The simulator is deterministic, so any reordering
+//! over a per-team shape. Every gather algorithm (a gather then a scatter
+//! per episode, × root kind × payload) and the flat binomial `co_sum` are
+//! pinned the same way, in [`EXT_PIN`]. The simulator is deterministic, so any reordering
 //! of puts, flag adds or waits inside a collective — or inside the control
 //! plane that forms the teams — moves at least one of these numbers.
 //!
 //! On a mismatch the test prints the whole table as it stands now, in the
 //! syntax of [`PIN`]; paste it only when the change of op order is intended.
 
-use caf_collectives::{BarrierAlgo, BcastAlgo, CollectiveConfig, ReduceAlgo, SizePolicy, TeamComm};
+use caf_collectives::{
+    BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, ReduceAlgo, SizePolicy, TeamComm,
+};
 use caf_fabric::{run_spmd, ArcFabric, SimConfig, SimFabric};
 use caf_topology::{presets, ImageMap, Placement};
 use std::sync::{Arc, Mutex};
@@ -41,6 +45,10 @@ enum Program {
     Barrier,
     /// `(root kind, elements)`; root kinds index [`roots`].
     Bcast(usize, usize),
+    /// A gather, then a scatter of what was gathered; as `Bcast`.
+    GatherScatter(usize, usize),
+    /// `co_sum` of this many elements.
+    Sum(usize),
 }
 
 /// Team ranks of {rank 0, a non-leader, the lone image of its node} on a
@@ -83,6 +91,29 @@ fn run(cfg: CollectiveConfig, sub: bool, program: Program) -> [u64; IMAGES] {
                     };
                     team.co_broadcast(&mut v, root);
                     assert_eq!(v, expect, "episode {e} root {root} at {me:?}");
+                }
+                Program::GatherScatter(kind, len) => {
+                    let root = roots(sub, team.size())[kind];
+                    let of =
+                        |r: usize| (0..len as u64).map(move |i| (e << 40) | (r as u64) << 20 | i);
+                    let mine: Vec<u64> = of(team.rank()).collect();
+                    let all: Vec<u64> = (0..team.size()).flat_map(of).collect();
+                    let got = team.co_gather(&mine, root);
+                    let want = (team.rank() == root).then(|| all.clone());
+                    assert_eq!(got, want, "gather episode {e} root {root} at {me:?}");
+                    let mut out = vec![0; len];
+                    team.co_scatter(got.as_deref(), &mut out, root);
+                    assert_eq!(out, mine, "scatter episode {e} root {root} at {me:?}");
+                }
+                Program::Sum(len) => {
+                    let mut v = vec![e + team.rank() as u64; len];
+                    team.co_sum(&mut v);
+                    let n = team.size() as u64;
+                    assert_eq!(
+                        v,
+                        vec![n * e + n * (n - 1) / 2; len],
+                        "episode {e} at {me:?}"
+                    );
                 }
             }
         }
@@ -138,26 +169,69 @@ fn table() -> Vec<(String, [u64; IMAGES])> {
     rows
 }
 
-#[test]
-fn tree_collectives_keep_the_parents_virtual_times() {
-    let now = table();
-    let same = now.len() == PIN.len()
+/// The gather algorithms (a gather then a scatter per episode) and the flat
+/// binomial `co_sum`, labelled.
+fn ext_table() -> Vec<(String, [u64; IMAGES])> {
+    let mut rows = Vec::new();
+    for sub in [false, true] {
+        let team = if sub { "sub" } else { "initial" };
+        for algo in [GatherAlgo::FlatLinear, GatherAlgo::TwoLevel] {
+            let cfg = CollectiveConfig {
+                gather: algo,
+                ..CollectiveConfig::two_level()
+            };
+            for (kind, root) in ["rank0", "nonleader", "lone"].iter().enumerate() {
+                for len in [1usize, 25] {
+                    rows.push((
+                        format!("{team} gather+scatter {algo:?} root={root} len={len}"),
+                        run(cfg, sub, Program::GatherScatter(kind, len)),
+                    ));
+                }
+            }
+        }
+        let cfg = CollectiveConfig {
+            reduce: ReduceAlgo::FlatBinomial,
+            ..CollectiveConfig::two_level()
+        };
+        for len in [1usize, 25] {
+            rows.push((
+                format!("{team} co_sum FlatBinomial len={len}"),
+                run(cfg, sub, Program::Sum(len)),
+            ));
+        }
+    }
+    rows
+}
+
+/// Fail, printing the table as it stands now, unless `now` is `pin`.
+fn assert_pinned(now: &[(String, [u64; IMAGES])], pin: &[(&str, [u64; IMAGES])]) {
+    let same = now.len() == pin.len()
         && now
             .iter()
-            .zip(PIN)
+            .zip(pin)
             .all(|((label, t), (pin_label, pin_t))| label == pin_label && t == pin_t);
     if !same {
         let mut out = String::new();
-        for (label, t) in &now {
+        for (label, t) in now {
             out.push_str(&format!("    (\"{label}\", {t:?}),\n"));
         }
-        for ((label, t), (_, pin_t)) in now.iter().zip(PIN) {
+        for ((label, t), (_, pin_t)) in now.iter().zip(pin) {
             if t != pin_t {
                 eprintln!("moved: {label}\n   pin {pin_t:?}\n   now {t:?}");
             }
         }
         panic!("virtual times moved; the table now reads:\n{out}");
     }
+}
+
+#[test]
+fn tree_collectives_keep_the_parents_virtual_times() {
+    assert_pinned(&table(), PIN);
+}
+
+#[test]
+fn gather_scatter_and_binomial_sum_keep_the_parents_virtual_times() {
+    assert_pinned(&ext_table(), EXT_PIN);
 }
 
 /// Recorded on commit c77d515 (the four broadcast and four tree-barrier
@@ -228,6 +302,42 @@ const PIN: &[(&str, [u64; IMAGES])] = &[
     ("sub bcast TwoLevelPipelined root=nonleader len=25", [92506, 117746, 115741, 117214, 90189, 115873, 115773, 117846]),
     ("sub bcast TwoLevelPipelined root=lone len=1", [84589, 96900, 97432, 95063, 82065, 97400, 97532, 97000]),
     ("sub bcast TwoLevelPipelined root=lone len=25", [91275, 111300, 111832, 109463, 89170, 111800, 111932, 111400]),
+];
+
+/// Recorded on commit cdcbfe3, where gather and scatter were four
+/// hand-written bodies (flat and two-level, each direction) and the
+/// control plane's `allgather4` and the flat binomial reduction each built
+/// their own clear-lowest-bit tree.
+#[rustfmt::skip]
+const EXT_PIN: &[(&str, [u64; IMAGES])] = &[
+    ("initial gather+scatter FlatLinear root=rank0 len=1", [75268, 75777, 73904, 76309, 76709, 74836, 74968, 77373]),
+    ("initial gather+scatter FlatLinear root=rank0 len=25", [78100, 78609, 76736, 79141, 79541, 77668, 77800, 80205]),
+    ("initial gather+scatter FlatLinear root=nonleader len=1", [74164, 76569, 74696, 77101, 77501, 75928, 75628, 78033]),
+    ("initial gather+scatter FlatLinear root=nonleader len=25", [77125, 79530, 77657, 80062, 80462, 78889, 78589, 80994]),
+    ("initial gather+scatter FlatLinear root=lone len=1", [82361, 82761, 83161, 82656, 83561, 83961, 84361, 84761]),
+    ("initial gather+scatter FlatLinear root=lone len=25", [84950, 85350, 85750, 85245, 86150, 86550, 86950, 87350]),
+    ("initial gather+scatter TwoLevel root=rank0 len=1", [68428, 70001, 68264, 70137, 69969, 68396, 68528, 70101]),
+    ("initial gather+scatter TwoLevel root=rank0 len=25", [72962, 74535, 72798, 74671, 74503, 72930, 73062, 74635]),
+    ("initial gather+scatter TwoLevel root=nonleader len=1", [68264, 70001, 68396, 70137, 69969, 68428, 68528, 70101]),
+    ("initial gather+scatter TwoLevel root=nonleader len=25", [72798, 74535, 72930, 74671, 74503, 72962, 73062, 74635]),
+    ("initial gather+scatter TwoLevel root=lone len=1", [71308, 71576, 71144, 69207, 71544, 71276, 71408, 71676]),
+    ("initial gather+scatter TwoLevel root=lone len=25", [77170, 77438, 77006, 75069, 77406, 77138, 77270, 77538]),
+    ("initial co_sum FlatBinomial len=1", [114863, 117236, 114695, 119341, 117141, 119341, 114795, 121446]),
+    ("initial co_sum FlatBinomial len=25", [118330, 120703, 118162, 122808, 120608, 122808, 118262, 124913]),
+    ("sub gather+scatter FlatLinear root=rank0 len=1", [94421, 114689, 115462, 115862, 96526, 116262, 116662, 114789]),
+    ("sub gather+scatter FlatLinear root=rank0 len=25", [96877, 117218, 117991, 118391, 99032, 118791, 119191, 117318]),
+    ("sub gather+scatter FlatLinear root=nonleader len=1", [94933, 111855, 109982, 112387, 92828, 110514, 110814, 112919]),
+    ("sub gather+scatter FlatLinear root=nonleader len=25", [95846, 114291, 112418, 114823, 93741, 112950, 113250, 115355]),
+    ("sub gather+scatter FlatLinear root=lone len=1", [94159, 117001, 117401, 116496, 92054, 117801, 118201, 118601]),
+    ("sub gather+scatter FlatLinear root=lone len=25", [96146, 119605, 120005, 119100, 94020, 120405, 120805, 121205]),
+    ("sub gather+scatter TwoLevel root=rank0 len=1", [95795, 108797, 110634, 110770, 97900, 110602, 110734, 108897]),
+    ("sub gather+scatter TwoLevel root=rank0 len=25", [97061, 113497, 115334, 115470, 99566, 115302, 115434, 113597]),
+    ("sub gather+scatter TwoLevel root=nonleader len=1", [94201, 108088, 106483, 108356, 91969, 106615, 106515, 108188]),
+    ("sub gather+scatter TwoLevel root=nonleader len=25", [96737, 111719, 110114, 111987, 94156, 110246, 110146, 111819]),
+    ("sub gather+scatter TwoLevel root=lone len=1", [94523, 111878, 112410, 110041, 92418, 112378, 112510, 111978]),
+    ("sub gather+scatter TwoLevel root=lone len=25", [97124, 116448, 116980, 114611, 94426, 116948, 117080, 116548]),
+    ("sub co_sum FlatBinomial len=1", [92994, 128857, 130694, 130562, 95099, 130394, 130999, 132799]),
+    ("sub co_sum FlatBinomial len=25", [94063, 131311, 133148, 133016, 96187, 132848, 133453, 135253]),
 ];
 
 /// Every image's clock after three `co_sum`s of `len` u64 elements on a
