@@ -5,7 +5,14 @@
 //! what OpenSHMEM teams provide). The two-level variants route one message
 //! per node through the leaders; this harness measures what that buys at
 //! the paper's scales, completing the ablation story of §IV.
+//!
+//! Results go to `BENCH_gather.json` (override with `CAF_BENCH_OUT`): one
+//! row per image count (the `bytes` slot) and algorithm, in modeled
+//! nanoseconds per round, so every row must diff at +0.00 % against the
+//! committed baseline. The acceptance check: two-level beats flat by at
+//! least 2× at every scale.
 
+use caf_bench::results::{self, Meta, Rec, Surface};
 use caf_bench::{print_cost_preamble, scaled};
 use caf_fabric::{SimConfig, SimFabric};
 use caf_microbench::{report, Table};
@@ -66,6 +73,8 @@ fn main() {
         "EXP-G1 (extension): gather+scatter round, 8 elements, 8 images/node (modeled us)",
         &["images(nodes)", "two-level", "flat-linear", "speedup"],
     );
+    let mut recs = Vec::new();
+    let mut worst = f64::INFINITY;
     for &n in &sizes {
         let two = latency(n, 8, 8, GatherAlgo::TwoLevel, iters);
         let flat = latency(n, 8, 8, GatherAlgo::FlatLinear, iters);
@@ -75,7 +84,37 @@ fn main() {
             report::us(flat),
             report::speedup(flat, two),
         ]);
+        for (algo, ns) in [("two_level", two), ("flat_linear", flat)] {
+            recs.push(Rec {
+                op: "gather_scatter",
+                bytes: n,
+                algo: algo.into(),
+                ns,
+            });
+        }
+        worst = worst.min(flat / two);
     }
     t.note("one inter-node message per node (leaders) vs one per image (flat)");
     t.print();
+
+    results::write(
+        &Surface {
+            experiment: "exp_g1_gather",
+            file: "BENCH_gather.json",
+            header: &[
+                ("machine", Meta::Str("whale")),
+                ("per_node", Meta::Num(8)),
+                ("elems", Meta::Num(8)),
+            ],
+            unit: "modeled_ns_per_round",
+            ns_decimals: 3,
+        },
+        &recs,
+    );
+
+    assert!(
+        worst >= 2.0,
+        "two-level gather+scatter is only {worst:.2}x flat (need >= 2x at every scale)"
+    );
+    println!("acceptance: two-level is at least {worst:.1}x flat -- PASS");
 }
