@@ -7,7 +7,8 @@
 //! `dtrsm_lower_unit`, one update's U12 solves and `dgemm` cut into
 //! `nb`-wide blocks and into the pipeline's narrow-first blocks, one block
 //! step's batched row interchange, and a whole single-image factorization
-//! on ThreadFabric. Variants of one shape are timed in alternation.
+//! on ThreadFabric. Variants of one shape are timed in alternation, each
+//! round starting one variant further along.
 //!
 //! `*_wall` rows are the best of several repetitions in nanoseconds per
 //! call (host wall clock — gated loosely via `--wall-tolerance`); the
@@ -44,6 +45,13 @@ fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
             t0.elapsed().as_secs_f64() * 1e9
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// The order round `round` times `k` variants in: all of them, starting
+/// one further along each round, so that each runs first in its share of
+/// the rounds and no row's best time depends on its place in the list.
+fn rotation(round: usize, k: usize) -> impl Iterator<Item = usize> {
+    (0..k).map(move |i| (round + i) % k)
 }
 
 /// The loop `dgemm_minus` was before it was packed: one axpy per `(j, l)`.
@@ -83,8 +91,9 @@ fn operand(seed: u64, rows: usize, cols: usize) -> Vec<f64> {
 /// `avx2+fma_8x6_wall`), and — with `blocks` — the dispatched one as one
 /// call per `blocks` columns of `C`, HPL's pipelined update: `dgemm_minus`
 /// packing `A` for every call, and `A` packed once (`PackedA`, what `lu.rs`
-/// runs). Every repetition times each variant once, in turn, so that the
-/// host's drift falls on all of them alike. Returns the textbook loop's
+/// runs). Every repetition times each variant once, in [`rotation`], so
+/// that the host's drift and the place in the round fall on all of them
+/// alike. Returns the textbook loop's
 /// time and the two split ones, each over the dispatched call's.
 fn dgemm_rows(
     recs: &mut Vec<Rec>,
@@ -138,9 +147,10 @@ fn dgemm_rows(
         ));
     }
     let mut best = vec![f64::INFINITY; variants.len()];
-    for _ in 0..reps {
-        for ((_, call), best) in variants.iter_mut().zip(&mut best) {
-            *best = best.min(best_ns(1, || call(&mut c)));
+    for round in 0..reps {
+        for i in rotation(round, variants.len()) {
+            let call = &mut variants[i].1;
+            best[i] = best[i].min(best_ns(1, || call(&mut c)));
         }
     }
     black_box(&c);
@@ -169,8 +179,8 @@ fn dgemm_rows(
 /// column the U12 solve (`dtrsm_lower_unit`) and the trailing `dgemm`.
 /// Returns the best time with `nb`-wide blocks and with the pipeline's
 /// narrow-first blocks ([`caf_hpl::u12_blocks`]: 16, 32, 64, … at `nb` =
-/// 64), the two timed in alternation so that the host's drift falls on
-/// both alike.
+/// 64), the two timed in alternation, in [`rotation`], so that the
+/// host's drift and the place in the round fall on both alike.
 fn update_rows(
     recs: &mut Vec<Rec>,
     op: &'static str,
@@ -192,13 +202,14 @@ fn update_rows(
             packed.gemm_minus(w, u, nb, &mut c[cols.start * m..], m);
         }
     };
-    let [mut whole, mut ramp] = [f64::INFINITY; 2];
-    for _ in 0..reps {
-        for (narrow, best) in [(false, &mut whole), (true, &mut ramp)] {
-            let ns = best_ns(1, || update(&mut caf_hpl::u12_blocks(0..n, nb, narrow)));
-            *best = best.min(ns);
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..reps {
+        for i in rotation(round, 2) {
+            let ns = best_ns(1, || update(&mut caf_hpl::u12_blocks(0..n, nb, i == 1)));
+            best[i] = best[i].min(ns);
         }
     }
+    let [whole, ramp] = best;
     black_box(&c);
     let flops = blas::dgemm_flops(m, n, nb) + blas::dtrsm_flops(nb, n);
     for (algo, ns) in [("nb_blocks_wall", whole), ("ramp_blocks_wall", ramp)] {
