@@ -34,7 +34,7 @@ use crate::config::{BarrierAlgo, BcastAlgo, CollectiveConfig, GatherAlgo, Reduce
 use crate::shape::{barrier_shape, Among, BarrierLevel};
 use crate::value::{bytes_to_slice, slice_to_bytes, CoNumeric, CoOp, CoValue};
 use caf_fabric::{bootstrap, ArcFabric, Arrivals, Fabric, FlagId, PutToken, SegmentId};
-use caf_topology::tree::ceil_log2;
+use caf_topology::tree::{ceil_log2, lowbit_children, lowbit_parent, lowbit_subtree};
 use caf_topology::{HierarchyView, ProcId};
 use caf_trace::{Event, EventKind, Level};
 use std::sync::Arc;
@@ -813,21 +813,6 @@ impl TeamComm {
     /// caller's [`Self::control_barrier`], which every caller runs before
     /// the next exchange (after placing what the exchange agreed on).
     pub(crate) fn allgather4(&mut self, vals: [u64; 4]) -> Vec<[u64; 4]> {
-        // Clear-lowest-bit binomial tree: parent(v) = v & (v-1); the
-        // subtree of v is the contiguous range [v, v + lowbit(v)) — which
-        // is what lets each gather hop ship one contiguous slot range.
-        let lowbit = |v: usize| v & v.wrapping_neg();
-        let parent_of = |v: usize| v & (v - 1);
-        let children_of = |v: usize, n: usize| -> Vec<usize> {
-            let cap = if v == 0 { n } else { lowbit(v) };
-            let mut out = Vec::new();
-            let mut k = 1usize;
-            while k < cap && v + k < n {
-                out.push(v + k);
-                k <<= 1;
-            }
-            out
-        };
         assert!(
             !self.provisioned,
             "image {}: a provisioned team has no exchange segment — it cannot \
@@ -847,14 +832,16 @@ impl TeamComm {
         }
         let my_exch = self.rsrc.exch;
         let v = self.rank;
-        let children = children_of(v, n);
+        // The clear-lowest-bit tree: each subtree is a contiguous rank
+        // range, so each gather hop ships one contiguous slot range.
+        let children: Vec<usize> = lowbit_children(v, n).collect();
         // Gather: wait for each child's subtree, then ship my whole
         // contiguous subtree range — my slot from memory, the children's
         // ranges from my exchange segment — to my parent.
         self.arrivals(flag::EXCH_GATHER, children.len() as u64);
         if v != 0 {
-            let parent = parent_of(v);
-            let hi = (v + lowbit(v)).min(n);
+            let parent = lowbit_parent(v);
+            let hi = lowbit_subtree(v, n).end;
             let bytes = (hi - v) * EXCH_SLOT;
             let mut sub = self.take_stage(bytes);
             sub[..EXCH_SLOT].copy_from_slice(&slot);

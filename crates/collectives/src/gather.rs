@@ -1,13 +1,39 @@
 //! Gather and scatter collectives — extensions beyond the paper's three
-//! (barrier/reduction/broadcast), built with the same §IV-A methodology:
-//! the 2-level variants route through node leaders so only one message per
-//! node crosses the network, while members talk to their leader over
-//! shared memory.
+//! (barrier/reduction/broadcast), built with the same §IV-A methodology and
+//! the same split as the broadcast: a shape from [`Tree::for_gather`] (a
+//! star at the root, or the two-level tree — a star from the root over
+//! the other nodes' effective leaders, then each leader's node) plus one
+//! protocol per direction. On the two-level shape only one message per
+//! node crosses the network, and members talk to their leader over shared
+//! memory.
 //!
 //! * `co_gather(root)`: every member contributes `len` elements; the root
 //!   receives the concatenation in team-rank order.
 //! * `co_scatter(root)`: the root holds `n·len` elements; member `r`
 //!   receives slice `r`.
+//!
+//! # The two walks
+//!
+//! A gather region holds one `gather_slot_bytes` slot per rank, the team
+//! in set order ([`slot_of`]), so each node's slots are one contiguous
+//! block.
+//!
+//! * **gather** sends data up the tree. Each rank waits for its near
+//!   children (its node), then for its `far` ones (other nodes' leaders),
+//!   one counted wait each. A member puts its slice into its parent's
+//!   region at its own slot; an effective leader (`far` is set) forwards
+//!   its node's block, its own slot filled in from memory, in one put. The
+//!   root reads its region once, and the release goes down in `children`
+//!   order.
+//! * **scatter** sends data down the tree. The root puts each far child
+//!   its node's block at slot 0 (the node's ranks in set order) and each
+//!   near child its own slice at slot 0; a leader below the root keeps its
+//!   slice and forwards its members theirs at slot 1, so root-direct and
+//!   forwarded deliveries never alias. Every member acks the root
+//!   directly, and the release goes down in `children` order.
+//!
+//! Only the root has far children in either shape: a leader forwards its
+//! own node, never another's.
 //!
 //! # Flow control
 //!
@@ -24,9 +50,9 @@
 //!   must not start until era `e` was read everywhere.
 
 use crate::comm::{flag, Region::Gather, TeamComm};
-use crate::config::GatherAlgo;
-use crate::shape::Rooted;
+use crate::shape::Tree;
 use crate::value::{bytes_to_slice, CoValue};
+use caf_topology::HierarchyView;
 
 /// All-to-all personalized exchange over a ring schedule; see
 /// [`TeamComm::co_alltoall`]. Every image deposits slice `j` into rank
@@ -66,21 +92,10 @@ pub(crate) fn alltoall<T: CoValue>(comm: &mut TeamComm, send: &[T], len: usize) 
     out
 }
 
-/// Collective gather; see module docs. `mine.len()` must match on every
-/// member; returns `Some(concatenation)` on the root, `None` elsewhere.
-pub(crate) fn gather<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
-    assert!(root < comm.size(), "gather root {root} out of team");
-    let n = comm.size();
-    if n == 1 {
-        return Some(mine.to_vec());
-    }
-    let nbytes = mine.len() * T::SIZE;
-    comm.ensure_gather(nbytes.max(1));
-    match comm.gather_algo {
-        GatherAlgo::FlatLinear => gather_flat(comm, mine, root),
-        GatherAlgo::TwoLevel => gather_two_level(comm, mine, root),
-        GatherAlgo::Auto => unreachable!("Auto resolved at formation"),
-    }
+/// Team rank `r`'s slot in a gather region: the team in set order.
+fn slot_of(hier: &HierarchyView, r: usize) -> usize {
+    let before = &hier.sets()[..hier.leader_index_of(r)];
+    before.iter().map(|set| set.len()).sum::<usize>() + hier.pos_in_set(r)
 }
 
 /// Serialize `src` into the front of `dst`.
@@ -90,100 +105,58 @@ fn store_into<T: CoValue>(src: &[T], dst: &mut [u8]) {
     }
 }
 
-/// Read my whole gather region, taking slot `slot_of(r)`'s payload as the
-/// contribution of team rank `r`.
-fn read_all_slots<T: CoValue>(
-    comm: &mut TeamComm,
-    len: usize,
-    slot_of: impl Fn(usize) -> usize,
-) -> Vec<T> {
+/// Collective gather; see module docs. `mine.len()` must match on every
+/// member; returns `Some(concatenation)` on the root, `None` elsewhere.
+pub(crate) fn gather<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
+    assert!(root < comm.size(), "gather root {root} out of team");
     let n = comm.size();
-    let gs = comm.gather_slot_bytes;
-    let mut bytes = comm.take_stage(n * gs);
-    comm.read_raw(Gather, 0, &mut bytes);
-    let mut out = vec![T::load(&vec![0u8; T::SIZE]); n * len];
-    for rank in 0..n {
-        let slot = slot_of(rank);
-        let src = &bytes[slot * gs..slot * gs + len * T::SIZE];
-        bytes_to_slice(src, &mut out[rank * len..(rank + 1) * len]);
+    if n == 1 {
+        return Some(mine.to_vec());
     }
-    comm.restore_stage(bytes);
-    out
-}
-
-fn gather_flat<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
-    let n = comm.size();
-    if comm.rank == root {
-        // Collect the rest; my own contribution never leaves my memory.
-        comm.arrivals(flag::GA_ARRIVE, n as u64 - 1);
-        let mut out = read_all_slots(comm, mine.len(), |r| r);
-        out[root * mine.len()..(root + 1) * mine.len()].copy_from_slice(mine);
-        for j in 0..n {
-            if j != root {
-                comm.add_flag(j, flag::GA_DONE, 1);
+    let len = mine.len();
+    comm.ensure_gather((len * T::SIZE).max(1));
+    let gs = comm.gather_slot_bytes;
+    let hier = comm.hier.clone();
+    let tree = Tree::for_gather(comm.gather_algo, &hier, comm.rank, root);
+    let (far, near) = tree.children.split_at(tree.far.unwrap_or(0));
+    // One counted wait per level: my node, then the other nodes.
+    comm.arrivals(flag::GA_ARRIVE, near.len() as u64);
+    comm.arrivals(flag::GA_ARRIVE, far.len() as u64);
+    let out = match tree.parent {
+        None => {
+            // Everything is in; my own slice never left my memory.
+            let mut bytes = comm.take_stage(n * gs);
+            comm.read_raw(Gather, 0, &mut bytes);
+            let mut out = vec![T::load(&vec![0u8; T::SIZE]); n * len];
+            let in_set_order = hier.sets().iter().flat_map(|set| &set.ranks);
+            for (slot, &r) in in_set_order.enumerate().filter(|(_, &r)| r != root) {
+                let src = &bytes[slot * gs..slot * gs + len * T::SIZE];
+                bytes_to_slice(src, &mut out[r * len..(r + 1) * len]);
             }
+            comm.restore_stage(bytes);
+            out[root * len..(root + 1) * len].copy_from_slice(mine);
+            Some(out)
         }
-        Some(out)
-    } else {
-        let at = comm.rank * comm.gather_slot_bytes;
-        comm.send_flagged(Gather, root, at, mine, flag::GA_ARRIVE);
-        comm.arrivals(flag::GA_DONE, 1);
-        None
-    }
-}
-
-fn gather_two_level<T: CoValue>(comm: &mut TeamComm, mine: &[T], root: usize) -> Option<Vec<T>> {
-    let r = Rooted::new(&comm.hier, comm.rank, root);
-    let hier = r.hier();
-
-    // Slot map: contributions are stored by (set, position-within-set):
-    // slot(rank) = prefix[set(rank)] + pos(rank). This makes each node's
-    // block contiguous so leaders forward ONE message per node.
-    let mut prefix = vec![0usize; hier.n_nodes() + 1];
-    for (s, set) in hier.sets().iter().enumerate() {
-        prefix[s + 1] = prefix[s] + set.len();
-    }
-    let slot_of = |rank: usize| prefix[hier.leader_index_of(rank)] + hier.pos_in_set(rank);
-
-    // Stage 1: contribute to my effective leader's region — unless I am
-    // it: then my contribution stays in my memory until it is needed.
-    let gs = comm.gather_slot_bytes;
-    let my_slot = slot_of(comm.rank) * gs;
-    if comm.rank != r.el {
-        comm.send_flagged(Gather, r.el, my_slot, mine, flag::GA_ARRIVE);
-        comm.arrivals(flag::GA_DONE, 1);
-        return None;
-    }
-
-    // Effective leader: wait for the rest of my node (within root's set
-    // the nominal leader contributes like anyone else).
-    comm.arrivals(flag::GA_ARRIVE, r.my_ranks().len() as u64 - 1);
-
-    let out = if comm.rank == root {
-        // Root: wait for every other node's block (one notification each).
-        comm.arrivals(flag::GA_ARRIVE, hier.n_nodes() as u64 - 1);
-        let mut out = read_all_slots(comm, mine.len(), slot_of);
-        out[root * mine.len()..(root + 1) * mine.len()].copy_from_slice(mine);
-        // Release wave: root -> leaders -> members.
-        for l in r.other_leaders() {
-            comm.add_flag(l, flag::GA_DONE, 1);
+        Some(parent) => {
+            let at = slot_of(&hier, comm.rank) * gs;
+            if tree.far.is_some() {
+                // An effective leader: my node's block, my own slot filled
+                // in from memory, goes up in one put.
+                let base = at - hier.pos_in_set(comm.rank) * gs;
+                let mut block = comm.take_stage(hier.set_for(comm.rank).len() * gs);
+                comm.read_raw(Gather, base, &mut block);
+                store_into(mine, &mut block[at - base..]);
+                comm.put_flag(Gather, parent, base, &block, flag::GA_ARRIVE);
+                comm.restore_stage(block);
+            } else {
+                comm.send_flagged(Gather, parent, at, mine, flag::GA_ARRIVE);
+            }
+            comm.arrivals(flag::GA_DONE, 1);
+            None
         }
-        Some(out)
-    } else {
-        // Forward my node's contiguous block, my own slot filled in from
-        // memory, to the root in one put.
-        let base = prefix[r.my_set] * gs;
-        let mut block = comm.take_stage(r.my_ranks().len() * gs);
-        comm.read_raw(Gather, base, &mut block);
-        store_into(mine, &mut block[my_slot - base..]);
-        comm.put_flag(Gather, root, base, &block, flag::GA_ARRIVE);
-        comm.restore_stage(block);
-        // Await my release before releasing my members.
-        comm.arrivals(flag::GA_DONE, 1);
-        None
     };
-    for m in r.locals() {
-        comm.add_flag(m, flag::GA_DONE, 1);
+    for &child in &tree.children {
+        comm.add_flag(child, flag::GA_DONE, 1);
     }
     out
 }
@@ -215,109 +188,53 @@ pub(crate) fn scatter<T: CoValue>(
         return;
     }
     comm.ensure_gather((len * T::SIZE).max(1));
-    match comm.gather_algo {
-        GatherAlgo::FlatLinear => scatter_flat(comm, all, out, root),
-        GatherAlgo::TwoLevel => scatter_two_level(comm, all, out, root),
-        GatherAlgo::Auto => unreachable!("Auto resolved at formation"),
-    }
-}
-
-fn scatter_flat<T: CoValue>(comm: &mut TeamComm, all: Option<&[T]>, out: &mut [T], root: usize) {
-    let n = comm.size();
-    let len = out.len();
-    if comm.rank == root {
-        let all = all.expect("root buffer");
-        for j in 0..n {
-            if j != root {
-                // Each member's slice goes into ITS slot 0.
-                comm.send_flagged(Gather, j, 0, &all[j * len..(j + 1) * len], flag::SC_ARRIVE);
-            }
-        }
-        comm.arrivals(flag::SC_ACK, n as u64 - 1);
-        for j in 0..n {
-            if j != root {
-                comm.add_flag(j, flag::SC_DONE, 1);
-            }
-        }
-    } else {
-        comm.arrivals(flag::SC_ARRIVE, 1);
-        comm.load_values(Gather, 0, out);
-        comm.add_flag(root, flag::SC_ACK, 1);
-        comm.arrivals(flag::SC_DONE, 1);
-    }
-}
-
-fn scatter_two_level<T: CoValue>(
-    comm: &mut TeamComm,
-    all: Option<&[T]>,
-    out: &mut [T],
-    root: usize,
-) {
-    let r = Rooted::new(&comm.hier, comm.rank, root);
-    let len = out.len();
     let gs = comm.gather_slot_bytes;
-
-    if comm.rank == root {
-        let all = all.expect("root buffer");
-        // Stage 1: one contiguous block per other node, ordered by that
-        // node's member positions (slots 0..set_len on the leader).
-        for (s, set) in r.hier().sets().iter().enumerate() {
-            if s == r.root_set {
-                continue;
-            }
-            let mut block = comm.take_stage(set.len() * gs);
-            block.iter_mut().for_each(|b| *b = 0);
-            for (pos, &m) in set.ranks.iter().enumerate() {
-                // Serialize rank m's slice directly into the block.
-                store_into(&all[m * len..(m + 1) * len], &mut block[pos * gs..]);
-            }
-            comm.put_flag(Gather, set.leader, 0, &block, flag::SC_ARRIVE);
-            comm.restore_stage(block);
-        }
-        // Root acts as its own node's leader: deliver locally.
-        for m in r.locals() {
-            comm.send_flagged(Gather, m, 0, &all[m * len..(m + 1) * len], flag::SC_ARRIVE);
-        }
-        // Wait for every member's ack (directly counted at the root),
-        // then release through the leader tree.
-        comm.arrivals(flag::SC_ACK, comm.size() as u64 - 1);
-        for l in r.other_leaders() {
-            comm.add_flag(l, flag::SC_DONE, 1);
-        }
-    } else {
-        // My slice — or, on a leader, my node's block — arrives.
-        comm.arrivals(flag::SC_ARRIVE, 1);
-        if comm.rank == r.el {
-            // Leader of a non-root node: take my slice, fan the rest out.
-            let set = r.my_ranks();
-            let mut block = comm.take_stage(set.len() * gs);
-            comm.read_raw(Gather, 0, &mut block);
-            bytes_to_slice(&block[r.my_pos * gs..r.my_pos * gs + len * T::SIZE], out);
-            for (pos, &m) in set.iter().enumerate() {
-                if m != r.el {
-                    // Forward slice `pos` into member m's slot 1 (slot 0
-                    // would also work — each image owns its whole region —
-                    // but a distinct slot keeps root-direct and
-                    // leader-forwarded deliveries from ever aliasing).
-                    let slice = &block[pos * gs..(pos + 1) * gs];
-                    comm.put_flag(Gather, m, gs, slice, flag::SC_ARRIVE);
+    let hier = comm.hier.clone();
+    let tree = Tree::for_gather(comm.gather_algo, &hier, comm.rank, root);
+    let (far, near) = tree.children.split_at(tree.far.unwrap_or(0));
+    match tree.parent {
+        None => {
+            let all = all.expect("root buffer");
+            let slice = |r: usize| &all[r * len..(r + 1) * len];
+            for &leader in far {
+                let ranks = &hier.set_for(leader).ranks;
+                let mut block = comm.take_stage(ranks.len() * gs);
+                block.fill(0);
+                for (pos, &m) in ranks.iter().enumerate() {
+                    store_into(slice(m), &mut block[pos * gs..]);
                 }
+                comm.put_flag(Gather, leader, 0, &block, flag::SC_ARRIVE);
+                comm.restore_stage(block);
             }
-            comm.restore_stage(block);
-        } else {
-            // Plain member: slot 0 when it comes straight from the root,
-            // slot 1 when forwarded by a leader.
-            let off = if r.my_set == r.root_set { 0 } else { gs };
-            let mut bytes = comm.take_stage(len * T::SIZE);
-            comm.read_raw(Gather, off, &mut bytes);
-            bytes_to_slice(&bytes, out);
-            comm.restore_stage(bytes);
+            for &m in near {
+                comm.send_flagged(Gather, m, 0, slice(m), flag::SC_ARRIVE);
+            }
+            comm.arrivals(flag::SC_ACK, n as u64 - 1);
         }
-        comm.add_flag(root, flag::SC_ACK, 1);
-        // Await my release before releasing my members.
-        comm.arrivals(flag::SC_DONE, 1);
+        Some(parent) => {
+            comm.arrivals(flag::SC_ARRIVE, 1);
+            if tree.far.is_some() {
+                // An effective leader: my node's block is in; I keep my
+                // slice and forward my members theirs.
+                let mut block = comm.take_stage(hier.set_for(comm.rank).len() * gs);
+                comm.read_raw(Gather, 0, &mut block);
+                let own = hier.pos_in_set(comm.rank) * gs;
+                bytes_to_slice(&block[own..own + len * T::SIZE], out);
+                for &m in near {
+                    let at = hier.pos_in_set(m) * gs;
+                    comm.put_flag(Gather, m, gs, &block[at..at + gs], flag::SC_ARRIVE);
+                }
+                comm.restore_stage(block);
+            } else {
+                // Slot 0 straight from the root, slot 1 from a leader.
+                let slot = if parent == root { 0 } else { gs };
+                comm.load_values(Gather, slot, out);
+            }
+            comm.add_flag(root, flag::SC_ACK, 1);
+            comm.arrivals(flag::SC_DONE, 1);
+        }
     }
-    for m in r.locals() {
-        comm.add_flag(m, flag::SC_DONE, 1);
+    for &child in &tree.children {
+        comm.add_flag(child, flag::SC_DONE, 1);
     }
 }

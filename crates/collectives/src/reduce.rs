@@ -22,7 +22,7 @@ use crate::comm::{flag, Region::Scratch, TeamComm};
 use crate::config::ReduceAlgo;
 use crate::shape::Among;
 use crate::value::CoValue;
-use caf_topology::tree::{ceil_log2, floor_pow2};
+use caf_topology::tree::{ceil_log2, floor_pow2, lowbit_children, lowbit_parent};
 use caf_trace::{EventKind, Level};
 
 /// Stable trace operand for a reduction algorithm (`Reduce` event `a`).
@@ -139,24 +139,21 @@ pub(crate) fn rd_over<T: CoValue>(
 /// the result. A classic 1-level baseline with lower bandwidth than
 /// recursive doubling but a root hot-spot.
 fn flat_binomial<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl Fn(T, T) -> T, e: u64) {
-    let n = comm.size();
     let v = comm.rank;
     let par = (e % 2) as usize;
-    let rounds = ceil_log2(n);
-    for k in 0..rounds {
-        if (v >> k) & 1 == 1 {
-            // Send my partial to the parent and retire from the gather.
-            let parent = v & !(1 << k);
-            let off = comm.sl_rd(k, par);
-            comm.send_flagged(Scratch, parent, off, buf, comm.layout.r_arrive(k));
-            break;
-        }
-        let child = v | (1 << k);
-        if child < n {
-            comm.arrivals(comm.layout.r_arrive(k), 1);
-            let off = comm.sl_rd(k, par);
-            comm.combine_from_scratch(off, buf, f);
-        }
+    // Round k of the clear-lowest-bit tree joins the subtrees 2^k apart:
+    // combine my children nearest first, then send to my parent.
+    let round = |d: usize| d.trailing_zeros() as usize;
+    for child in lowbit_children(v, comm.size()) {
+        let k = round(child - v);
+        comm.arrivals(comm.layout.r_arrive(k), 1);
+        let off = comm.sl_rd(k, par);
+        comm.combine_from_scratch(off, buf, f);
+    }
+    if v != 0 {
+        let k = round(v);
+        let off = comm.sl_rd(k, par);
+        comm.send_flagged(Scratch, lowbit_parent(v), off, buf, comm.layout.r_arrive(k));
     }
     // Everyone (root included) picks up the result through the broadcast,
     // whose full-ack flow control also fences the rd slots for reuse.

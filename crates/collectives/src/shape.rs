@@ -4,8 +4,9 @@
 //! collective consult it. This module is where that consultation happens:
 //! an algorithm is a **shape** (built here, from the team's
 //! [`HierarchyView`]) plus one **protocol** that walks it (`bcast.rs`'s
-//! three waves or its credit ring, `barrier.rs`'s gather/release). Adding a
-//! hierarchy-aware tree collective means naming its tree here.
+//! three waves or its credit ring, `barrier.rs`'s gather/release,
+//! `gather.rs`'s gather and scatter). Adding a hierarchy-aware tree
+//! collective means naming its tree here.
 //!
 //! | algorithm | shape |
 //! |-----------|-------|
@@ -13,6 +14,8 @@
 //! | `BcastAlgo::FlatBinomial` | [`Tree::binomial`] over `(rank − root) mod n` |
 //! | `BcastAlgo::TwoLevel` | [`Tree::two_level`]: binomial over the rotated effective-leader index, then the node's other ranks |
 //! | `BcastAlgo::TwoLevelPipelined` | [`Tree::two_level`] with heap children `2v+1, 2v+2` over the same index |
+//! | `GatherAlgo::FlatLinear` | [`Tree::star`] at the root, children ascending |
+//! | `GatherAlgo::TwoLevel` | [`Tree::two_level`]: a star from the root over the other nodes' effective leaders, in set order, then each leader's node |
 //! | `TeamComm::co_broadcast_ring` | [`Ring`]: team ranks in rank order, whatever the root |
 //! | `BarrierAlgo::CentralCounter` | one level, star at rank 0 |
 //! | `BarrierAlgo::BinomialTree` | one level, binomial tree at rank 0 |
@@ -21,10 +24,9 @@
 //! | `BarrierAlgo::TdlbMultilevel` | star per socket under star per node; leaders disseminate |
 
 use crate::comm::flag;
-use crate::config::{BarrierAlgo, BcastAlgo};
+use crate::config::{BarrierAlgo, BcastAlgo, GatherAlgo};
 use caf_topology::tree::{binomial_children, binomial_parent};
 use caf_topology::HierarchyView;
-use std::sync::Arc;
 
 /// The participants of a flat exchange stage (dissemination, recursive
 /// doubling, Rabenseifner): every team rank, or one leader per node. Both
@@ -61,47 +63,38 @@ impl Among {
 
 /// The two-level view of a team for one root, as one rank sees it. In a
 /// rooted collective the **root stands in for its node's leader**: it is
-/// the *effective leader* of its set, every other set keeps its own. All
-/// rooted two-level collectives (broadcast, gather, scatter) derive their
-/// roles from this one value.
-pub(crate) struct Rooted {
-    hier: Arc<HierarchyView>,
+/// the *effective leader* of its set, every other set keeps its own. Every
+/// two-level tree ([`Tree::two_level`]) is built from this one value.
+struct Rooted<'a> {
+    hier: &'a HierarchyView,
     /// The rank this view belongs to.
     rank: usize,
     /// The collective's root.
     root: usize,
     /// Index of the root's intranode set.
-    pub root_set: usize,
+    root_set: usize,
     /// Index of my intranode set.
-    pub my_set: usize,
-    /// My position within my set.
-    pub my_pos: usize,
+    my_set: usize,
     /// My effective leader (myself when I am one).
-    pub el: usize,
+    el: usize,
 }
 
-impl Rooted {
-    pub(crate) fn new(hier: &Arc<HierarchyView>, rank: usize, root: usize) -> Self {
+impl<'a> Rooted<'a> {
+    fn new(hier: &'a HierarchyView, rank: usize, root: usize) -> Self {
         let mut r = Self {
-            hier: hier.clone(),
+            hier,
             rank,
             root,
             root_set: hier.leader_index_of(root),
             my_set: hier.leader_index_of(rank),
-            my_pos: hier.pos_in_set(rank),
             el: rank,
         };
         r.el = r.eff_leader(r.my_set);
         r
     }
 
-    /// The hierarchy this view was taken from.
-    pub(crate) fn hier(&self) -> &HierarchyView {
-        &self.hier
-    }
-
     /// Effective leader of set `s`.
-    pub(crate) fn eff_leader(&self, s: usize) -> usize {
+    fn eff_leader(&self, s: usize) -> usize {
         if s == self.root_set {
             self.root
         } else {
@@ -111,38 +104,45 @@ impl Rooted {
 
     /// My set's index rotated so that the root's set is 0 — the virtual
     /// rank of my effective leader in the leader tree.
-    pub(crate) fn lv(&self) -> usize {
+    fn lv(&self) -> usize {
         let l = self.hier.n_nodes();
         (self.my_set + l - self.root_set) % l
     }
 
     /// Effective leader at rotated leader index `lv`.
-    pub(crate) fn leader_at(&self, lv: usize) -> usize {
+    fn leader_at(&self, lv: usize) -> usize {
         self.eff_leader((lv + self.root_set) % self.hier.n_nodes())
     }
 
     /// The effective leaders of every set but the root's, in set order.
-    pub(crate) fn other_leaders(&self) -> impl Iterator<Item = usize> + '_ {
+    fn other_leaders(&self) -> impl Iterator<Item = usize> + '_ {
         let sets = self.hier.sets().iter().enumerate();
         sets.filter(|(s, _)| *s != self.root_set)
             .map(|(_, set)| set.leader)
     }
 
-    /// My set's ranks.
-    pub(crate) fn my_ranks(&self) -> &[usize] {
-        &self.hier.sets()[self.my_set].ranks
-    }
-
     /// The ranks I serve as my node's effective leader — my set minus me, in
     /// set order; none when I am not it.
-    pub(crate) fn locals(&self) -> impl Iterator<Item = usize> + '_ {
+    fn locals(&self) -> impl Iterator<Item = usize> + '_ {
         let led = if self.rank == self.el {
-            self.my_ranks()
+            &self.hier.sets()[self.my_set].ranks[..]
         } else {
             &[]
         };
         led.iter().copied().filter(|&m| m != self.el)
     }
+}
+
+/// How the effective leaders of a two-level tree reach each other.
+#[derive(Clone, Copy, Debug)]
+enum Fan {
+    /// Binomial over the rotated leader index.
+    Binomial,
+    /// The binary heap `2v+1, 2v+2` over the same index, which a
+    /// pipelined stream wants.
+    Heap,
+    /// The root parents every other leader, in set order.
+    Star,
 }
 
 /// One rank's place in a rooted tree.
@@ -184,37 +184,38 @@ impl Tree {
         }
     }
 
-    /// The paper's two-level tree: a tree over the effective leaders —
-    /// binomial, or (`heap`) the binary heap `2v+1, 2v+2` that a pipelined
-    /// stream wants — indexed by [`Rooted::lv`], then each effective leader
-    /// fans out to its node. Inter-node children come first so their
+    /// The paper's two-level tree: a tree over the effective leaders,
+    /// indexed by [`Rooted::lv`] and shaped by `fan`, then each effective
+    /// leader fans out to its node. Inter-node children come first so their
     /// transfers are in flight while the node is served.
-    pub(crate) fn two_level(r: &Rooted, heap: bool) -> Self {
+    fn two_level(r: &Rooted, fan: Fan) -> Self {
         if r.rank != r.el {
             return Self {
                 parent: Some(r.el),
                 ..Self::default()
             };
         }
-        let (l, lv) = (r.hier().n_nodes(), r.lv());
-        let up = |v: usize| {
-            if heap {
-                (v - 1) / 2
-            } else {
-                binomial_parent(v)
-            }
+        let (l, lv) = (r.hier.n_nodes(), r.lv());
+        let parent = (lv != 0).then(|| match fan {
+            Fan::Binomial => r.leader_at(binomial_parent(lv)),
+            Fan::Heap => r.leader_at((lv - 1) / 2),
+            Fan::Star => r.root,
+        });
+        let leaders = |v: &[usize]| -> Vec<usize> {
+            let v = v.iter().filter(|&&c| c < l);
+            v.map(|&c| r.leader_at(c)).collect()
         };
-        let down = if heap {
-            vec![2 * lv + 1, 2 * lv + 2]
-        } else {
-            binomial_children(lv, l)
+        let mut children = match fan {
+            Fan::Binomial => leaders(&binomial_children(lv, l)),
+            Fan::Heap => leaders(&[2 * lv + 1, 2 * lv + 2]),
+            // The root's star runs in set order, not the rotated index's.
+            Fan::Star if lv == 0 => r.other_leaders().collect(),
+            Fan::Star => Vec::new(),
         };
-        let far = down.into_iter().filter(|&c| c < l).map(|c| r.leader_at(c));
-        let mut children: Vec<usize> = far.collect();
         let far = children.len();
         children.extend(r.locals());
         Self {
-            parent: (lv != 0).then(|| r.leader_at(up(lv))),
+            parent,
             children,
             far: Some(far),
         }
@@ -223,19 +224,33 @@ impl Tree {
     /// The tree `algo` broadcasts down from `root`, as `rank` sees it.
     pub(crate) fn for_bcast(
         algo: BcastAlgo,
-        hier: &Arc<HierarchyView>,
+        hier: &HierarchyView,
         rank: usize,
         root: usize,
     ) -> Self {
         let n = hier.n_ranks();
+        let two_level = |fan| Self::two_level(&Rooted::new(hier, rank, root), fan);
         match algo {
             BcastAlgo::FlatLinear => Self::star(rank, root, 0..n),
             BcastAlgo::FlatBinomial => Self::binomial(rank, root, n),
-            BcastAlgo::TwoLevel | BcastAlgo::TwoLevelPipelined => Self::two_level(
-                &Rooted::new(hier, rank, root),
-                algo == BcastAlgo::TwoLevelPipelined,
-            ),
+            BcastAlgo::TwoLevel => two_level(Fan::Binomial),
+            BcastAlgo::TwoLevelPipelined => two_level(Fan::Heap),
             BcastAlgo::Auto => unreachable!("Auto resolved per call"),
+        }
+    }
+
+    /// The tree `algo` gathers up to and scatters down from `root`, as
+    /// `rank` sees it.
+    pub(crate) fn for_gather(
+        algo: GatherAlgo,
+        hier: &HierarchyView,
+        rank: usize,
+        root: usize,
+    ) -> Self {
+        match algo {
+            GatherAlgo::FlatLinear => Self::star(rank, root, 0..hier.n_ranks()),
+            GatherAlgo::TwoLevel => Self::two_level(&Rooted::new(hier, rank, root), Fan::Star),
+            GatherAlgo::Auto => unreachable!("Auto resolved at formation"),
         }
     }
 }
@@ -335,27 +350,55 @@ mod tests {
     use super::*;
     use caf_topology::{ImageMap, MachineModel, Placement, ProcId};
 
-    const BCASTS: [BcastAlgo; 4] = [
-        BcastAlgo::FlatLinear,
-        BcastAlgo::FlatBinomial,
-        BcastAlgo::TwoLevel,
-        BcastAlgo::TwoLevelPipelined,
+    /// A named rooted tree: a broadcast's or a gather's.
+    #[derive(Clone, Copy, Debug)]
+    enum Named {
+        Bcast(BcastAlgo),
+        Gather(GatherAlgo),
+    }
+
+    const NAMED: [Named; 6] = [
+        Named::Bcast(BcastAlgo::FlatLinear),
+        Named::Bcast(BcastAlgo::FlatBinomial),
+        Named::Bcast(BcastAlgo::TwoLevel),
+        Named::Bcast(BcastAlgo::TwoLevelPipelined),
+        Named::Gather(GatherAlgo::FlatLinear),
+        Named::Gather(GatherAlgo::TwoLevel),
     ];
+
+    impl Named {
+        fn tree(self, hier: &HierarchyView, rank: usize, root: usize) -> Tree {
+            match self {
+                Named::Bcast(a) => Tree::for_bcast(a, hier, rank, root),
+                Named::Gather(a) => Tree::for_gather(a, hier, rank, root),
+            }
+        }
+
+        /// The fan of a two-level shape; `None` for a flat one.
+        fn fan(self) -> Option<Fan> {
+            match self {
+                Named::Bcast(BcastAlgo::TwoLevel) => Some(Fan::Binomial),
+                Named::Bcast(BcastAlgo::TwoLevelPipelined) => Some(Fan::Heap),
+                Named::Gather(GatherAlgo::TwoLevel) => Some(Fan::Star),
+                _ => None,
+            }
+        }
+    }
 
     /// The whole team of `n` images on 50 nodes × 2 sockets × 2 cores,
     /// image `i` on global core `cores[i]`.
-    fn team(cores: Vec<usize>) -> Arc<HierarchyView> {
+    fn team(cores: Vec<usize>) -> HierarchyView {
         let n = cores.len();
         let machine = MachineModel::new("ragged", 50, 2, 2);
         let map = ImageMap::new(machine, n, &Placement::Custom(cores));
         let members: Vec<ProcId> = (0..n).map(ProcId).collect();
-        Arc::new(HierarchyView::build(&map, &members))
+        HierarchyView::build(&map, &members)
     }
 
     /// Placements of `n` images: one per node (flat), packed four to a node,
     /// and ragged — nodes holding 4, 3, 1, 4, 3, 1, … images, with image
     /// order striding across them so no set is a contiguous rank range.
-    fn placements(n: usize) -> Vec<Arc<HierarchyView>> {
+    fn placements(n: usize) -> Vec<HierarchyView> {
         let flat: Vec<usize> = (0..n).map(|i| i * 4).collect();
         let packed: Vec<usize> = (0..n).collect();
         let mut slots = Vec::new();
@@ -377,19 +420,19 @@ mod tests {
         vec![team(flat), team(packed), team(ragged)]
     }
 
-    fn trees(algo: BcastAlgo, hier: &Arc<HierarchyView>, root: usize) -> Vec<Tree> {
+    fn trees(named: Named, hier: &HierarchyView, root: usize) -> Vec<Tree> {
         (0..hier.n_ranks())
-            .map(|rank| Tree::for_bcast(algo, hier, rank, root))
+            .map(|rank| named.tree(hier, rank, root))
             .collect()
     }
 
     #[test]
-    fn every_broadcast_shape_is_a_tree_that_spans_the_team() {
+    fn every_broadcast_and_gather_shape_is_a_tree_that_spans_the_team() {
         for n in 1..50 {
             for hier in placements(n) {
-                for (algo, root) in BCASTS.into_iter().flat_map(|a| (0..n).map(move |r| (a, r))) {
-                    let what = format!("{algo:?} n={n} root={root} nodes={}", hier.n_nodes());
-                    let t = trees(algo, &hier, root);
+                for (named, root) in NAMED.into_iter().flat_map(|a| (0..n).map(move |r| (a, r))) {
+                    let what = format!("{named:?} n={n} root={root} nodes={}", hier.n_nodes());
+                    let t = trees(named, &hier, root);
                     // Every non-root has one parent, and that parent's child
                     // list holds it; nobody else's does.
                     assert_eq!(t[root].parent, None, "{what}");
@@ -444,14 +487,14 @@ mod tests {
         for n in 1..50 {
             for hier in placements(n) {
                 let node = |r: usize| hier.set_for(r).node;
-                for heap in [false, true] {
+                for named in NAMED.into_iter().filter(|x| x.fan().is_some()) {
                     for root in 0..n {
-                        let what = format!("heap={heap} n={n} root={root}");
+                        let what = format!("{named:?} n={n} root={root}");
                         let mut crossings = 0;
                         for rank in 0..n {
                             let r = Rooted::new(&hier, rank, root);
                             let leads = |x: usize| r.eff_leader(hier.leader_index_of(x)) == x;
-                            let t = Tree::two_level(&r, heap);
+                            let t = named.tree(&hier, rank, root);
                             let far = t.children.iter().filter(|&&c| node(c) != node(rank));
                             let far: Vec<usize> = far.copied().collect();
                             // Inter-node children lead the list, `far` counts
@@ -480,11 +523,16 @@ mod tests {
             assert!(hier.is_flat());
             for (root, rank) in (0..n).flat_map(|root| (0..n).map(move |rank| (root, rank))) {
                 let r = Rooted::new(&hier, rank, root);
-                assert_eq!((r.el, r.my_pos, r.locals().count()), (rank, 0, 0));
-                let flat = Tree::binomial(rank, root, n);
-                let two = Tree::two_level(&r, false);
-                assert_eq!((two.parent, &two.children), (flat.parent, &flat.children));
-                assert_eq!(two.far, Some(flat.children.len()));
+                assert_eq!((r.el, r.locals().count()), (rank, 0));
+                let flats = [
+                    (Fan::Binomial, Tree::binomial(rank, root, n)),
+                    (Fan::Star, Tree::star(rank, root, 0..n)),
+                ];
+                for (fan, flat) in flats {
+                    let two = Tree::two_level(&r, fan);
+                    assert_eq!((two.parent, &two.children), (flat.parent, &flat.children));
+                    assert_eq!(two.far, Some(flat.children.len()), "{fan:?}");
+                }
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Small combinatorial helpers of the collective algorithms: power-of-two
-//! arithmetic and binomial-tree shape functions. They live here, below every
-//! crate that shapes a tree, so there is one copy.
+//! arithmetic and the shape functions of the two binomial trees (clear the
+//! highest set bit, clear the lowest). They live here, below every crate
+//! that shapes a tree, so there is one copy.
 
 /// ⌈log₂ n⌉ for n ≥ 1 (0 for n = 1) — the round count of dissemination and
 /// the depth of binomial trees.
@@ -42,6 +43,38 @@ pub fn binomial_children(v: usize, n: usize) -> Vec<usize> {
         k += 1;
     }
     out
+}
+
+/// Parent of virtual rank `v` (> 0) in the clear-lowest-bit binomial tree
+/// rooted at 0. Rank `v`'s subtree is the contiguous range
+/// [`lowbit_subtree`], so a gather hop can ship a whole subtree as one
+/// range of slots.
+#[inline]
+pub fn lowbit_parent(v: usize) -> usize {
+    assert!(v > 0, "root has no parent");
+    v & (v - 1)
+}
+
+/// The ranks under `v` (itself included) in the clear-lowest-bit tree over
+/// `n` ranks: `v..v + 2^t` for `v`'s lowest set bit `t`, cut at `n`; all
+/// of them under the root.
+pub fn lowbit_subtree(v: usize, n: usize) -> std::ops::Range<usize> {
+    debug_assert!(v < n);
+    let end = if v == 0 {
+        n
+    } else {
+        v + (v & v.wrapping_neg())
+    };
+    v..end.min(n)
+}
+
+/// Children of `v` in the clear-lowest-bit tree over `n` ranks, nearest
+/// first: `v + 2^k` for every `v + 2^k` inside [`lowbit_subtree`].
+pub fn lowbit_children(v: usize, n: usize) -> impl Iterator<Item = usize> {
+    let end = lowbit_subtree(v, n).end;
+    (0..)
+        .map(move |k| v + (1 << k))
+        .take_while(move |&c| c < end)
 }
 
 #[cfg(test)]
@@ -106,6 +139,28 @@ mod tests {
             assert_eq!(indeg[0], 0);
             for (v, d) in indeg.iter().enumerate().skip(1) {
                 assert_eq!(*d, 1, "rank {v} in tree of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn lowbit_tree_has_contiguous_subtrees() {
+        assert_eq!(lowbit_children(0, 8).collect::<Vec<_>>(), [1, 2, 4]);
+        assert_eq!(lowbit_children(4, 8).collect::<Vec<_>>(), [5, 6]);
+        assert_eq!(lowbit_children(4, 6).collect::<Vec<_>>(), [5]);
+        assert_eq!(lowbit_children(3, 8).count(), 0);
+        assert_eq!(lowbit_parent(6), 4);
+        assert_eq!(lowbit_parent(12), 8);
+        for n in 1..50 {
+            for v in 0..n {
+                // My subtree is me followed by my children's subtrees, in
+                // order, each child parented by me.
+                let mut next = v + 1;
+                for c in lowbit_children(v, n) {
+                    assert_eq!((c, lowbit_parent(c)), (next, v), "v={v} n={n}");
+                    next = lowbit_subtree(c, n).end;
+                }
+                assert_eq!(next, lowbit_subtree(v, n).end, "v={v} n={n}");
             }
         }
     }

@@ -7,9 +7,10 @@
 //!
 //! The same scan holds `caf-collectives` to "a tree collective is a shape
 //! plus one protocol": a second function that runs the broadcast's ack or
-//! release wave, a second barrier that releases, or a second place that
-//! works out which set the root belongs to (the start of every "effective
-//! leader" derivation) fails it.
+//! release wave, a second gather or scatter body that waits for its
+//! release or counts the scatter's acks, a second barrier that releases,
+//! or a second place that works out which set the root belongs to (the
+//! start of every "effective leader" derivation) fails it.
 //!
 //! And it keeps each collective at one definition: the hosted stepper runs
 //! the real bodies through a recorder (`collectives/src/hosted.rs`), so a
@@ -140,6 +141,17 @@ fn each_tree_protocol_has_one_body() {
         assert_eq!(hits(flag), ["collectives/src/bcast.rs"; 2], "{flag}: {why}");
         let wait = format!("arrivals({flag}");
         assert_eq!(hits(&wait), ["collectives/src/bcast.rs"], "{wait}: {why}");
+    }
+    // Gather and scatter: one wait and one add per release/ack flag.
+    for flag in ["flag::GA_DONE", "flag::SC_ACK", "flag::SC_DONE"] {
+        let why = "a gather algorithm is a Tree for the walks in gather.rs, not a new body";
+        assert_eq!(
+            hits(flag),
+            ["collectives/src/gather.rs"; 2],
+            "{flag}: {why}"
+        );
+        let wait = format!("arrivals({flag}");
+        assert_eq!(hits(&wait), ["collectives/src/gather.rs"], "{wait}: {why}");
     }
     // The gather/release barrier: its flags are named by the shape only,
     // and one function walks the levels.
