@@ -93,8 +93,8 @@ fn operand(seed: u64, rows: usize, cols: usize) -> Vec<f64> {
 /// packing `A` for every call, and `A` packed once (`PackedA`, what `lu.rs`
 /// runs). Every repetition times each variant once, in [`rotation`], so
 /// that the host's drift and the place in the round fall on all of them
-/// alike. Returns the textbook loop's
-/// time and the two split ones, each over the dispatched call's.
+/// alike. Returns the textbook loop's time and the two split ones, each
+/// over the dispatched call's.
 fn dgemm_rows(
     recs: &mut Vec<Rec>,
     op: &'static str,

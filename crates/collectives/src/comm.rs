@@ -832,8 +832,7 @@ impl TeamComm {
         }
         let my_exch = self.rsrc.exch;
         let v = self.rank;
-        // The clear-lowest-bit tree: each subtree is a contiguous rank
-        // range, so each gather hop ships one contiguous slot range.
+        // The clear-lowest-bit tree, whose subtrees are contiguous ranks.
         let children: Vec<usize> = lowbit_children(v, n).collect();
         // Gather: wait for each child's subtree, then ship my whole
         // contiguous subtree range — my slot from memory, the children's
