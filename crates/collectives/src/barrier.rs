@@ -17,18 +17,6 @@ use crate::shape::{Among, BarrierLevel};
 use caf_topology::tree::ceil_log2;
 use caf_trace::{Event, EventKind, Level};
 
-/// Stable trace operand for a barrier algorithm (`Barrier` event `a`).
-pub(crate) fn algo_code(a: BarrierAlgo) -> u64 {
-    match a {
-        BarrierAlgo::CentralCounter => 1,
-        BarrierAlgo::BinomialTree => 2,
-        BarrierAlgo::Dissemination => 3,
-        BarrierAlgo::Tdlb => 4,
-        BarrierAlgo::TdlbMultilevel => 5,
-        BarrierAlgo::Auto => 0,
-    }
-}
-
 /// Run one barrier episode on `comm` with its resolved algorithm.
 pub(crate) fn barrier(comm: &mut TeamComm) {
     comm.barriers += 1;
@@ -42,7 +30,7 @@ pub(crate) fn barrier(comm: &mut TeamComm) {
     let levels = std::mem::take(&mut comm.barrier_levels);
     walk(comm, &levels, comm.barrier_roots, e, staged);
     comm.barrier_levels = levels;
-    let code = algo_code(comm.barrier_algo);
+    let code = comm.barrier_algo as u64;
     comm.trace_span(EventKind::Barrier, t0, Level::Whole, code, e, 0);
 }
 

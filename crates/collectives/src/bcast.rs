@@ -119,18 +119,7 @@ use crate::shape::{Ring, Tree};
 use crate::value::CoValue;
 use caf_trace::{EventKind, Level};
 
-/// Stable trace operand for a broadcast algorithm (`Bcast` event `a`).
-fn algo_code(a: BcastAlgo) -> u64 {
-    match a {
-        BcastAlgo::FlatLinear => 1,
-        BcastAlgo::FlatBinomial => 2,
-        BcastAlgo::TwoLevel => 3,
-        BcastAlgo::TwoLevelPipelined => 4,
-        BcastAlgo::Auto => 0,
-    }
-}
-
-/// The ring broadcast's `Bcast` event `a` (beyond every [`algo_code`]).
+/// The ring broadcast's `Bcast` event `a`, beyond every [`BcastAlgo`]'s.
 const RING_CODE: u64 = 5;
 
 /// A broadcast this image has begun and not finished: what its waves 2–3
@@ -193,7 +182,7 @@ pub(crate) fn begin_using<T: CoValue>(
         e,
         tree,
         t0,
-        code: algo_code(algo),
+        code: algo as u64,
         bytes: bytes as u64,
     });
 }

@@ -12,86 +12,89 @@
 
 use caf_topology::{CostParams, HierarchyView};
 
-/// Barrier algorithm choice.
+/// Barrier algorithm choice. The discriminant is the algorithm's trace code
+/// (`Barrier` event `a`), read as `algo as u64`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BarrierAlgo {
     /// Centralized linear counter barrier: 2(n−1) notifications, all
     /// through one image — good on shared memory, terrible across nodes.
-    CentralCounter,
+    CentralCounter = 1,
     /// Pure dissemination (Hensgen/Finkel/Manber; Mellor-Crummey & Scott),
     /// implemented PGAS-style with a single accumulating `sync_flags`
     /// counter per round — one wait, no sense reversal. This is the paper's
     /// "1-level" UHCAF baseline.
-    Dissemination,
+    Dissemination = 3,
     /// Binomial-tree barrier (gather up a tree rooted at rank 0, release
     /// back down): 2(n−1) notifications like the central counter, but
     /// log-depth — the MCS tree barrier's message pattern.
-    BinomialTree,
+    BinomialTree = 2,
     /// The paper's Team Dissemination Linear Barrier (Algorithm 1):
     /// intra-node linear gather to a per-node leader, dissemination among
     /// leaders, intra-node linear release. The "2-level" algorithm.
-    Tdlb,
+    Tdlb = 4,
     /// §VII future work: a three-level TDLB with a socket level below the
     /// node level (socket gather → node gather → leader dissemination →
     /// releases back down).
-    TdlbMultilevel,
+    TdlbMultilevel = 5,
     /// Hierarchy-aware choice at team-formation time: dissemination for
     /// flat teams, TDLB otherwise.
     #[default]
-    Auto,
+    Auto = 0,
 }
 
-/// Reduction (allreduce) algorithm choice.
+/// Reduction (allreduce) algorithm choice. The discriminant is the
+/// algorithm's trace code (`Reduce` event `a`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReduceAlgo {
     /// Flat recursive doubling over all images (with the standard
     /// fold-in/fold-out pre/post phases for non-power-of-two sizes) —
     /// the "1-level" baseline.
-    FlatRecursiveDoubling,
+    FlatRecursiveDoubling = 1,
     /// Flat binomial-tree reduce to rank 0 followed by a binomial broadcast.
-    FlatBinomial,
+    FlatBinomial = 2,
     /// The paper's two-level reduction: intra-node linear combine at each
     /// node leader, recursive doubling among leaders, intra-node release.
     /// A one-node team of power-of-two size resolves it to
     /// `FlatRecursiveDoubling` (see [`ReduceAlgo::resolve`]).
-    TwoLevel,
+    TwoLevel = 3,
     /// Chunked pipelined two-level reduction for large payloads: slaves
     /// stream chunks at their leader (per-chunk combine), leaders run a
     /// Rabenseifner reduce-scatter + allgather across nodes, results stream
     /// back — every stage overlaps the next chunk's communication.
-    TwoLevelPipelined,
+    TwoLevelPipelined = 4,
     /// Rabenseifner's allreduce (recursive-halving reduce-scatter followed
     /// by recursive-doubling allgather): the bandwidth-optimal flat
     /// algorithm for large buffers.
-    Rabenseifner,
+    Rabenseifner = 5,
     /// Hierarchy- and size-aware choice: recursive doubling for flat teams
     /// and for one-node teams of power-of-two size, two-level otherwise;
     /// above the pipeline crossover, Rabenseifner (flat) or the pipelined
     /// two-level scheme.
     #[default]
-    Auto,
+    Auto = 0,
 }
 
-/// Broadcast algorithm choice.
+/// Broadcast algorithm choice. The discriminant is the algorithm's trace
+/// code (`Bcast` event `a`); the ring broadcast's is `bcast::RING_CODE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BcastAlgo {
     /// Root puts to every image directly (n−1 serialized sends).
-    FlatLinear,
+    FlatLinear = 1,
     /// Binomial tree over all images — the "1-level" baseline.
-    FlatBinomial,
+    FlatBinomial = 2,
     /// The paper's two-level broadcast: binomial tree over node leaders
     /// (with the root acting as its node's leader), then an intra-node
     /// linear fan-out.
-    TwoLevel,
+    TwoLevel = 3,
     /// Chunked pipelined two-level broadcast for large payloads: K-byte
     /// chunks stream down a *binary* tree of node leaders with nonblocking
     /// puts, and each leader forwards a chunk inter-node while fanning the
     /// previous one out over its node bus.
-    TwoLevelPipelined,
+    TwoLevelPipelined = 4,
     /// Hierarchy- and size-aware choice: binomial for flat teams, two-level
     /// otherwise; above the pipeline crossover, the pipelined scheme.
     #[default]
-    Auto,
+    Auto = 0,
 }
 
 /// Gather/scatter algorithm choice (extension collectives; the paper's
@@ -306,6 +309,14 @@ mod tests {
         );
         let members: Vec<ProcId> = (0..images).map(ProcId).collect();
         HierarchyView::build(&map, &members)
+    }
+
+    #[test]
+    fn auto_has_trace_code_zero() {
+        // A span records a resolved algorithm, so 0 never reaches a trace.
+        assert_eq!(BarrierAlgo::Auto as u64, 0);
+        assert_eq!(BcastAlgo::Auto as u64, 0);
+        assert_eq!(ReduceAlgo::Auto as u64, 0);
     }
 
     #[test]

@@ -25,18 +25,6 @@ use crate::value::CoValue;
 use caf_topology::tree::{ceil_log2, floor_pow2, lowbit_children, lowbit_parent};
 use caf_trace::{EventKind, Level};
 
-/// Stable trace operand for a reduction algorithm (`Reduce` event `a`).
-fn algo_code(a: ReduceAlgo) -> u64 {
-    match a {
-        ReduceAlgo::FlatRecursiveDoubling => 1,
-        ReduceAlgo::FlatBinomial => 2,
-        ReduceAlgo::TwoLevel => 3,
-        ReduceAlgo::TwoLevelPipelined => 4,
-        ReduceAlgo::Rabenseifner => 5,
-        ReduceAlgo::Auto => 0,
-    }
-}
-
 /// Element-wise allreduce of `buf` across the team, picking the algorithm
 /// by (hierarchy × payload size) — every member must call with the same
 /// `buf.len()` and an equivalent operation, so all agree on the choice.
@@ -58,14 +46,7 @@ pub(crate) fn allreduce<T: CoValue>(comm: &mut TeamComm, buf: &mut [T], f: &impl
         ReduceAlgo::Auto => unreachable!("Auto resolved per call"),
     }
     let bytes = (buf.len() * T::SIZE) as u64;
-    comm.trace_span(
-        EventKind::Reduce,
-        t0,
-        Level::Whole,
-        algo_code(algo),
-        e,
-        bytes,
-    );
+    comm.trace_span(EventKind::Reduce, t0, Level::Whole, algo as u64, e, bytes);
 }
 
 /// The power-of-two core of an exchange among `among`, which the caller

@@ -1,29 +1,10 @@
 //! The fixed-size trace event: one cache line of plain-old-data words so
 //! recording is a handful of relaxed stores into a ring slot.
 //!
-//! Field meaning is per kind (`a`–`d` are overloaded):
-//!
-//! | kind | `a` | `b` | `c` | `d` |
-//! |---|---|---|---|---|
-//! | `Put` / `Get` | peer image | bytes | queue ns | service ns |
-//! | `PutNb` | peer image | bytes | queue ns | service ns |
-//! | `AmoFetchAdd` / `AmoCas` | peer image | byte offset | queue ns | service ns |
-//! | `FlagAdd` | dst image | flag id | delta | modeled arrival t |
-//! | `FlagWait` | flag id | target value | — | — |
-//! | `FlagDeliver` | src image | flag id | post t | dst image |
-//! | `Quiet` / `Compute` | — | — | — | — |
-//! | `Barrier` | algo code | team tag | epoch | — |
-//! | `BarrierRound` | round k | partner image | epoch | — |
-//! | `TdlbGather` / `TdlbRelease` | slave count | team tag | epoch | — |
-//! | `TdlbDissem` | leader count | team tag | epoch | — |
-//! | `Bcast` / `Reduce` | algo code | team tag | epoch | bytes |
-//! | `BcastStage` / `ReduceStage` | stage index | team tag | epoch | — |
-//! | `FormTeam` | team tag | size | color | — |
-//! | `ChangeTeam` / `EndTeam` | team tag | — | — | — |
-//! | `SyncImages` | partner count | — | — | — |
-//! | `SyncMemory` | — | — | — | — |
-//! | `EventPost` | dst image | event index | — | — |
-//! | `EventWait` | event index | until count | — | — |
+//! Field meaning is per kind (`a`–`d` are overloaded): each kind is one
+//! row of the `kinds!` table below, whose docs say what its operands hold.
+//! A collective or team kind's row also names the operand its team tag
+//! rides in, which `metrics::aggregate` groups by.
 //!
 //! Timestamps are whatever the owning fabric's clock produces: virtual
 //! nanoseconds under `SimFabric`, wall nanoseconds under `ThreadFabric`.
@@ -67,133 +48,136 @@ impl Level {
     }
 }
 
-/// What a trace event records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u32)]
-pub enum EventKind {
-    /// One-sided remote write.
-    Put = 1,
-    /// One-sided remote read.
-    Get = 2,
-    /// Atomic fetch-and-add on a remote segment word.
-    AmoFetchAdd = 3,
-    /// Atomic compare-and-swap on a remote segment word.
-    AmoCas = 4,
-    /// Notification: add to a (possibly remote) sync flag.
-    FlagAdd = 5,
-    /// Blocking wait until a local flag reaches a target.
-    FlagWait = 6,
-    /// Simulator-side: the instant a flag add landed at its target.
-    FlagDeliver = 7,
-    /// Completion fence for outstanding one-sided ops.
-    Quiet = 8,
-    /// Modeled local computation.
-    Compute = 9,
-    /// Nonblocking one-sided remote write (injection span; completion is
-    /// observed through `quiet`/`put_wait`).
-    PutNb = 10,
-    /// A whole barrier episode.
-    Barrier = 16,
-    /// One dissemination round inside a barrier.
-    BarrierRound = 17,
-    /// TDLB phase 1: leader collecting its node's slave notifications.
-    TdlbGather = 18,
-    /// TDLB phase 2: dissemination among node leaders.
-    TdlbDissem = 19,
-    /// TDLB phase 3: leader releasing its node's slaves.
-    TdlbRelease = 20,
-    /// A whole broadcast episode.
-    Bcast = 21,
-    /// One stage of a two-level broadcast.
-    BcastStage = 22,
-    /// A whole allreduce episode.
-    Reduce = 23,
-    /// One stage of a two-level reduction.
-    ReduceStage = 24,
-    /// `form_team`: collective subteam construction.
-    FormTeam = 32,
-    /// `change_team`: entering a team's execution scope.
-    ChangeTeam = 33,
-    /// `end_team`: leaving a team's execution scope.
-    EndTeam = 34,
-    /// `sync images`: pairwise image synchronization.
-    SyncImages = 35,
-    /// `sync memory`: local completion fence.
-    SyncMemory = 36,
-    /// `event post` on a (possibly remote) event variable.
-    EventPost = 37,
-    /// `event wait` on a local event variable.
-    EventWait = 38,
-}
-
-impl EventKind {
-    /// Decode from the stored discriminant.
-    pub fn from_u32(v: u32) -> Option<Self> {
-        Some(match v {
-            1 => Self::Put,
-            2 => Self::Get,
-            3 => Self::AmoFetchAdd,
-            4 => Self::AmoCas,
-            5 => Self::FlagAdd,
-            6 => Self::FlagWait,
-            7 => Self::FlagDeliver,
-            8 => Self::Quiet,
-            9 => Self::Compute,
-            10 => Self::PutNb,
-            16 => Self::Barrier,
-            17 => Self::BarrierRound,
-            18 => Self::TdlbGather,
-            19 => Self::TdlbDissem,
-            20 => Self::TdlbRelease,
-            21 => Self::Bcast,
-            22 => Self::BcastStage,
-            23 => Self::Reduce,
-            24 => Self::ReduceStage,
-            32 => Self::FormTeam,
-            33 => Self::ChangeTeam,
-            34 => Self::EndTeam,
-            35 => Self::SyncImages,
-            36 => Self::SyncMemory,
-            37 => Self::EventPost,
-            38 => Self::EventWait,
-            _ => return None,
-        })
-    }
-
-    /// Stable display name (also the Chrome trace event name).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Put => "put",
-            Self::Get => "get",
-            Self::AmoFetchAdd => "amo_fadd",
-            Self::AmoCas => "amo_cas",
-            Self::FlagAdd => "flag_add",
-            Self::FlagWait => "flag_wait",
-            Self::FlagDeliver => "flag_deliver",
-            Self::Quiet => "quiet",
-            Self::Compute => "compute",
-            Self::PutNb => "put_nb",
-            Self::Barrier => "barrier",
-            Self::BarrierRound => "barrier_round",
-            Self::TdlbGather => "tdlb_gather",
-            Self::TdlbDissem => "tdlb_dissem",
-            Self::TdlbRelease => "tdlb_release",
-            Self::Bcast => "bcast",
-            Self::BcastStage => "bcast_stage",
-            Self::Reduce => "reduce",
-            Self::ReduceStage => "reduce_stage",
-            Self::FormTeam => "form_team",
-            Self::ChangeTeam => "change_team",
-            Self::EndTeam => "end_team",
-            Self::SyncImages => "sync_images",
-            Self::SyncMemory => "sync_memory",
-            Self::EventPost => "event_post",
-            Self::EventWait => "event_wait",
+/// Declares [`EventKind`] **once**. Each kind is one row — its docs (what
+/// `a`–`d` hold), variant, wire code and display name, and for a
+/// collective or team kind the operand carrying its team tag — and the row
+/// is the variant, its decoder arm, its name, its team operand and its
+/// place in [`EventKind::ALL`]. Rows are in code order, which the derived
+/// `Ord` (and so the metrics table's row order) follows. A new kind is one
+/// row, under a code never used.
+macro_rules! kinds {
+    (@team $ev:ident) => { 0 };
+    (@team $ev:ident $op:ident) => { $ev.$op };
+    ($(
+        $(#[$doc:meta])+
+        $Name:ident = $code:literal $name:literal $(team $team:ident)?;
+    )+) => {
+        /// What a trace event records.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u32)]
+        pub enum EventKind {
+            $($(#[$doc])+ $Name = $code,)+
         }
-    }
+
+        impl EventKind {
+            /// Every kind, in code order.
+            pub const ALL: &'static [EventKind] = &[$(Self::$Name),+];
+
+            /// Decode from the stored discriminant.
+            pub fn from_u32(v: u32) -> Option<Self> {
+                match v {
+                    $($code => Some(Self::$Name),)+
+                    _ => None,
+                }
+            }
+
+            /// Stable display name (also the Chrome trace event name).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Self::$Name => $name,)+
+                }
+            }
+        }
+
+        impl Event {
+            /// The team tag this event carries (`first_member << 32 | size`):
+            /// the operand its kind's row names, 0 for a kind without one.
+            pub(crate) fn team(&self) -> u64 {
+                let ev = self;
+                match ev.kind {
+                    $(EventKind::$Name => kinds!(@team ev $($team)?),)+
+                }
+            }
+        }
+    };
 }
 
-/// One trace record. See the module docs for per-kind field meaning.
+kinds! {
+    /// One-sided remote write: `a` peer image, `b` bytes, `c` queue ns,
+    /// `d` service ns.
+    Put = 1 "put";
+    /// One-sided remote read: `a` peer image, `b` bytes, `c` queue ns,
+    /// `d` service ns.
+    Get = 2 "get";
+    /// Atomic fetch-and-add on a remote segment word: `a` peer image, `b`
+    /// byte offset, `c` queue ns, `d` service ns.
+    AmoFetchAdd = 3 "amo_fadd";
+    /// Atomic compare-and-swap on a remote segment word: `a` peer image,
+    /// `b` byte offset, `c` queue ns, `d` service ns.
+    AmoCas = 4 "amo_cas";
+    /// Notification: add to a (possibly remote) sync flag. `a` dst image,
+    /// `b` flag id, `c` delta, `d` modeled arrival t.
+    FlagAdd = 5 "flag_add";
+    /// Blocking wait until a local flag reaches a target: `a` flag id, `b`
+    /// target value.
+    FlagWait = 6 "flag_wait";
+    /// Simulator-side: the instant a flag add landed at its target. `a` src
+    /// image, `b` flag id, `c` post t, `d` dst image.
+    FlagDeliver = 7 "flag_deliver";
+    /// Completion fence for outstanding one-sided ops.
+    Quiet = 8 "quiet";
+    /// Modeled local computation.
+    Compute = 9 "compute";
+    /// Nonblocking one-sided remote write (injection span; completion is
+    /// observed through `quiet`/`put_wait`): `a` peer image, `b` bytes, `c`
+    /// queue ns, `d` service ns.
+    PutNb = 10 "put_nb";
+    /// A whole barrier episode: `a` algorithm code, `b` team tag, `c` epoch.
+    Barrier = 16 "barrier" team b;
+    /// One dissemination round inside a barrier: `a` round k, `b` partner
+    /// image, `c` epoch.
+    BarrierRound = 17 "barrier_round";
+    /// TDLB phase 1, a leader collecting its node's slave notifications: `a`
+    /// slave count, `b` team tag, `c` epoch.
+    TdlbGather = 18 "tdlb_gather" team b;
+    /// TDLB phase 2, dissemination among node leaders: `a` leader count, `b`
+    /// team tag, `c` epoch.
+    TdlbDissem = 19 "tdlb_dissem" team b;
+    /// TDLB phase 3, a leader releasing its node's slaves: `a` slave count,
+    /// `b` team tag, `c` epoch.
+    TdlbRelease = 20 "tdlb_release" team b;
+    /// A whole broadcast episode: `a` algorithm code, `b` team tag, `c`
+    /// epoch, `d` bytes.
+    Bcast = 21 "bcast" team b;
+    /// One stage of a two-level broadcast: `a` stage index, `b` team tag,
+    /// `c` epoch.
+    BcastStage = 22 "bcast_stage" team b;
+    /// A whole allreduce episode: `a` algorithm code, `b` team tag, `c`
+    /// epoch, `d` bytes.
+    Reduce = 23 "reduce" team b;
+    /// One stage of a two-level reduction: `a` stage index, `b` team tag,
+    /// `c` epoch.
+    ReduceStage = 24 "reduce_stage" team b;
+    /// `form_team`, collective subteam construction: `a` team tag, `b`
+    /// size, `c` color.
+    FormTeam = 32 "form_team" team a;
+    /// `change_team`, entering a team's execution scope: `a` team tag.
+    ChangeTeam = 33 "change_team" team a;
+    /// `end_team`, leaving a team's execution scope: `a` team tag.
+    EndTeam = 34 "end_team" team a;
+    /// `sync images`, pairwise image synchronization: `a` partner count.
+    SyncImages = 35 "sync_images";
+    /// `sync memory`, a local completion fence.
+    SyncMemory = 36 "sync_memory";
+    /// `event post` on a (possibly remote) event variable: `a` dst image,
+    /// `b` event index.
+    EventPost = 37 "event_post";
+    /// `event wait` on a local event variable: `a` event index, `b` until
+    /// count.
+    EventWait = 38 "event_wait";
+}
+
+/// One trace record. Its [`EventKind`] row says what `a`–`d` hold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Start timestamp (fabric clock, nanoseconds).
@@ -206,7 +190,7 @@ pub struct Event {
     pub flags: u32,
     /// Recording image, or [`SYSTEM_IMG`] for simulator-side records.
     pub img: u32,
-    /// Per-kind operand (see module docs).
+    /// Per-kind operand (see the kind's row).
     pub a: u64,
     /// Per-kind operand.
     pub b: u64,

@@ -7,6 +7,12 @@
 //! critical-path extractor that names the longest notification chain of a
 //! traced episode.
 //!
+//! The vocabulary is one table: each [`EventKind`] is a row of
+//! [`event`]'s `kinds!` invocation — what its operands hold, its wire
+//! code, its name and, for a collective or team span, the operand carrying
+//! the team tag — and the decoder, the names, the team operand and
+//! [`EventKind::ALL`] are generated from it.
+//!
 //! Timestamps come from the owning fabric's clock: **virtual nanoseconds**
 //! under `SimFabric` (traces of simulated 256-image runs are causally
 //! exact) and wall nanoseconds under `ThreadFabric`.

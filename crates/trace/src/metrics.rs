@@ -46,33 +46,6 @@ impl MetricsRow {
     }
 }
 
-/// Span kinds worth aggregating (fabric ops and collective phases; pure
-/// instants like `FlagAdd`/`FlagDeliver` carry no duration).
-fn aggregatable(kind: EventKind) -> bool {
-    !matches!(
-        kind,
-        EventKind::FlagAdd | EventKind::FlagDeliver | EventKind::EventPost
-    )
-}
-
-/// Which team tag an event carries (collective spans keep it in `b`;
-/// `BarrierRound` does not — its `b` is the partner image — so rounds
-/// aggregate untagged).
-fn team_of(ev: &Event) -> u64 {
-    match ev.kind {
-        EventKind::Barrier
-        | EventKind::TdlbGather
-        | EventKind::TdlbDissem
-        | EventKind::TdlbRelease
-        | EventKind::Bcast
-        | EventKind::BcastStage
-        | EventKind::Reduce
-        | EventKind::ReduceStage => ev.b,
-        EventKind::FormTeam | EventKind::ChangeTeam | EventKind::EndTeam => ev.a,
-        _ => 0,
-    }
-}
-
 /// Exact nearest-rank percentile over a sorted sample:
 /// the ⌈p/100·n⌉-th smallest value.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -83,16 +56,19 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Aggregate span durations from `events`, sorted by key.
+/// Aggregate span durations from `events`, sorted by key. Instants carry
+/// no duration and are skipped; a span aggregates under its kind's team
+/// operand (`Event::team`), so `BarrierRound` — whose `b` is the partner
+/// image — aggregates untagged.
 pub fn aggregate(events: &[Event]) -> Vec<MetricsRow> {
     let mut groups: std::collections::BTreeMap<MetricKey, Vec<u64>> =
         std::collections::BTreeMap::new();
     for ev in events {
-        if ev.dur_ns == 0 || !aggregatable(ev.kind) {
+        if ev.dur_ns == 0 {
             continue;
         }
         let key = MetricKey {
-            team: team_of(ev),
+            team: ev.team(),
             kind: ev.kind,
             level: ev.hierarchy_level(),
         };
@@ -157,7 +133,7 @@ mod tests {
         }
         evs.push(span(EventKind::TdlbDissem, 100, 7, Level::Inter));
         evs.push(span(EventKind::Barrier, 5, 9, Level::Whole));
-        // Instants and non-aggregatable kinds are ignored.
+        // Instants are ignored.
         evs.push(Event::instant(EventKind::FlagAdd, 0));
         let rows = aggregate(&evs);
         assert_eq!(rows.len(), 3);

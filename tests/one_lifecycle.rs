@@ -40,6 +40,12 @@
 //! `frames!` table: a tag constant or a hand-written arm beside the row, or
 //! a count field checked and sized anywhere but the `Vec<T>` decoder of the
 //! field codecs, fails it.
+//!
+//! And each trace kind is declared once, as one row of `trace/src/event.rs`'s
+//! `kinds!` table, and a collective algorithm's trace code is its enum
+//! discriminant: a hand-written `EventKind` decoder or name arm, a kind list
+//! deciding which operand holds the team tag, or an `fn algo_code` in the
+//! collectives fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -404,5 +410,55 @@ fn each_frame_is_declared_once() {
     assert!(
         vec_codec.contains(".remaining()"),
         "the Vec<T> decoder bounds its allocation by the bytes left"
+    );
+}
+
+#[test]
+fn each_trace_kind_is_declared_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+
+    // A kind's code and name are written in its row, `Name = code "name"`;
+    // the table generates the decoder and name arms, so no source writes
+    // `16 => EventKind::Barrier` or `EventKind::Barrier => "barrier"`.
+    for (path, text) in &files {
+        let name = path.to_str().unwrap().split("/crates/").nth(1).unwrap();
+        if !name.contains("/src/") {
+            continue;
+        }
+        let code = &text[..text.find("\n#[cfg(test)]").unwrap_or(text.len())];
+        for line in code.lines().map(str::trim) {
+            let Some((pat, arm)) = line.split_once(" => ") else {
+                continue;
+            };
+            let kind = |s: &str| {
+                s.contains("EventKind::") || (name == "trace/src/event.rs" && s.contains("Self::"))
+            };
+            let decoder = !pat.is_empty() && pat.bytes().all(|b| b.is_ascii_digit()) && kind(arm);
+            let namer = arm.starts_with('"') && kind(pat);
+            assert!(
+                !decoder && !namer,
+                "{name}: `{line}` — a kind's code and name belong in its kinds! row"
+            );
+        }
+    }
+
+    // The team operand is the row's too, and every span aggregates.
+    let hits = |needle: &str| hits(&files, needle, false);
+    for gone in ["fn team_of", "fn aggregatable"] {
+        assert_eq!(
+            hits(gone),
+            Vec::<&str>::new(),
+            "{gone}: name the team operand in the kind's kinds! row (Event::team)"
+        );
+    }
+    let codes: Vec<&str> = (hits("fn algo_code").into_iter())
+        .filter(|f| f.starts_with("collectives/src/"))
+        .collect();
+    assert_eq!(
+        codes,
+        Vec::<&str>::new(),
+        "a collective algorithm's trace code is its enum discriminant (`algo as u64`)"
     );
 }
