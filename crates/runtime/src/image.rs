@@ -356,21 +356,13 @@ impl ImageCtx {
     /// All images must pass the same `mine.len()`.
     ///
     /// Not a Fortran intrinsic, but the utility every CAF application
-    /// writes on day one; implemented with one-sided puts into a
-    /// team-scoped coarray plus one barrier.
+    /// writes on day one; a [`Self::co_gather`] to image 1 and a
+    /// [`Self::co_broadcast`] from it, so it allocates nothing the team's
+    /// collectives do not already hold.
     pub fn co_allgather<T: CoValue>(&mut self, mine: &[T]) -> Vec<T> {
         let n = self.num_images();
-        let len = mine.len();
-        let co: Coarray<T> = self.coarray(n * len);
-        let rank0 = self.this_image() - 1;
-        for j in 1..=n {
-            co.put(j, rank0 * len, mine);
-        }
-        self.sync_all();
-        let mut out = co.read_local();
-        self.sync_all(); // nobody reuses/frees before all have read
-        debug_assert_eq!(out.len(), n * len);
-        out.truncate(n * len);
+        let mut out = self.co_gather(mine, 1).unwrap_or_else(|| mine.repeat(n));
+        self.co_broadcast(&mut out, 1);
         out
     }
 

@@ -397,6 +397,25 @@ fn co_allgather_inside_subteam() {
     });
 }
 
+/// `co_allgather` runs in the team's collective buffers: past its first
+/// call nothing allocates, so the next segment id a peek reports stays put
+/// (on a shared-memory fleet each allocation would use up a segment slot).
+#[test]
+fn co_allgather_allocates_nothing_after_its_first_call() {
+    for cfg in both_fabrics(presets::mini(2, 3), 6) {
+        run(cfg, |img| {
+            let me = caf::topology::ProcId(img.image_index_in_initial(img.this_image()) - 1);
+            let mine = [img.this_image() as u64; 3];
+            img.co_allgather(&mine);
+            let next = img.fabric().alloc_segment(me, 0);
+            for _ in 1..300 {
+                assert_eq!(img.co_allgather(&mine).len(), 18);
+            }
+            assert_eq!(img.fabric().alloc_segment(me, 0), next);
+        });
+    }
+}
+
 #[test]
 fn sync_images_star_synchronizes_everyone() {
     use std::sync::atomic::{AtomicU64, Ordering};
