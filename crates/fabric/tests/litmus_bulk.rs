@@ -25,14 +25,20 @@ const MIB: usize = 1 << 20;
 const SIZES: [usize; 4] = [READER_BYTES - 1, READER_BYTES, READER_BYTES + 1, MIB + 3];
 const SEG_BYTES: usize = 4 * MIB;
 
+/// Peer timeout of the ordering and streaming tests: far above the
+/// scheduling gaps of a loaded host, so only a real death trips it.
+const PATIENT: Duration = Duration::from_secs(30);
+/// Peer timeout of the sever test, which bounds how soon the death shows.
+const SEVER_TIMEOUT: Duration = Duration::from_millis(1000);
+
 /// Two images on two nodes, every byte on the wire.
-fn wire_pair(transport: Transport) -> Vec<Arc<SocketFabric>> {
+fn wire_pair(transport: Transport, peer_timeout: Duration) -> Vec<Arc<SocketFabric>> {
     let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
     let cfg = SocketConfig {
         shm: false,
         transport,
         heartbeat_period: Duration::from_millis(50),
-        peer_timeout: Duration::from_millis(1000),
+        peer_timeout,
         io_timeout: Duration::from_secs(5),
         flag_wait_timeout: Duration::from_secs(10),
         ..SocketConfig::default()
@@ -60,7 +66,7 @@ fn a_flag_behind_a_streamed_put_never_sees_a_torn_payload() {
     const ROUNDS: u64 = 2000;
     const OFF: usize = 3;
     for transport in [Transport::Uds, Transport::Tcp] {
-        let fabrics = wire_pair(transport);
+        let fabrics = wire_pair(transport, PATIENT);
         run_fleet(&fabrics, move |f, me| {
             let seg = setup(&f, me);
             let mut buf = vec![0u8; MIB + 3];
@@ -105,7 +111,7 @@ fn small_puts_between_bulk_puts_land_in_issue_order() {
     const S3: usize = L + READER_BYTES + 7;
     let stamp = |round: u64, k: u64| (round << 8 | k | 0xAB00_0000_0000_0000).to_ne_bytes();
     for transport in [Transport::Uds, Transport::Tcp] {
-        let fabrics = wire_pair(transport);
+        let fabrics = wire_pair(transport, PATIENT);
         run_fleet(&fabrics, move |f, me| {
             let seg = setup(&f, me);
             let mut buf = vec![0u8; 2 * L];
@@ -151,7 +157,7 @@ fn small_puts_between_bulk_puts_land_in_issue_order() {
 #[test]
 fn unaligned_remote_gets_round_trip() {
     for transport in [Transport::Uds, Transport::Tcp] {
-        let fabrics = wire_pair(transport);
+        let fabrics = wire_pair(transport, PATIENT);
         run_fleet(&fabrics, move |f, me| {
             let seg = setup(&f, me);
             let image = pattern(me.index() as u64 * 97, SEG_BYTES);
@@ -186,7 +192,7 @@ fn opposed_bulk_put_and_get_streams_finish() {
     // also write the megabyte `GetResp`s out. Finishing at all is the
     // assertion (a cycle would trip the 5 s io_timeout and poison).
     const TRANSFERS: usize = 64;
-    let fabrics = wire_pair(Transport::Uds);
+    let fabrics = wire_pair(Transport::Uds, PATIENT);
     run_fleet(&fabrics, move |f, me| {
         let seg = setup(&f, me);
         let peer = ProcId(1 - me.index());
@@ -212,7 +218,7 @@ fn opposed_bulk_put_and_get_streams_finish() {
 
 #[test]
 fn a_sender_severed_mid_payload_ends_in_rank_naming_poison() {
-    let fabrics = wire_pair(Transport::Uds);
+    let fabrics = wire_pair(Transport::Uds, SEVER_TIMEOUT);
     let (f0, f1) = (fabrics[0].clone(), fabrics[1].clone());
     let segs: Vec<_> = [SENDER, RECEIVER]
         .into_iter()
