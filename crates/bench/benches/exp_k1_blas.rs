@@ -2,13 +2,15 @@
 //! wall-clock: the packed, register-blocked `dgemm_minus` at the shape
 //! HPL's trailing update spends its time in (whole, and split into the
 //! 64-column blocks the pipelined update issues), at an edge-heavy shape,
-//! at the panel's `k = 1` update and at the products inside `dtrsm` — each
-//! also on every FMA register tile the CPU has — the halved
-//! `dtrsm_lower_unit`, one update's U12 solves and `dgemm` cut into
-//! `nb`-wide blocks and into the pipeline's narrow-first blocks, one block
-//! step's batched row interchange, and a whole single-image factorization
-//! on ThreadFabric. Variants of one shape are timed in alternation, each
-//! round starting one variant further along.
+//! at a panel-wide `k = 1` update and at the products inside `dtrsm` —
+//! each also on every FMA register tile the CPU has — the rank-1 kernel
+//! `dger_minus` at that `k = 1` shape, the halved `dtrsm_lower_unit`, one
+//! update's U12 solves and `dgemm` cut into `nb`-wide blocks and into the
+//! pipeline's narrow-first blocks, one block step's batched row
+//! interchange, and a whole single-image factorization on ThreadFabric
+//! with its best repetition's split by step. Variants of one shape are
+//! timed in alternation, each round starting one variant further along and
+//! every other round running them in reverse.
 //!
 //! `*_wall` rows are the best of several repetitions in nanoseconds per
 //! call (host wall clock — gated loosely via `--wall-tolerance`); the
@@ -48,10 +50,13 @@ fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// The order round `round` times `k` variants in: all of them, starting
-/// one further along each round, so that each runs first in its share of
-/// the rounds and no row's best time depends on its place in the list.
+/// one further along each round and, on odd rounds, in reverse — so that
+/// each runs first in its share of the rounds, follows each of its two
+/// neighbours in the list in half of them, and no row's best time depends
+/// on its place in the list.
 fn rotation(round: usize, k: usize) -> impl Iterator<Item = usize> {
-    (0..k).map(move |i| (round + i) % k)
+    let reversed = round % 2 == 1;
+    (0..k).map(move |i| (round + if reversed { k - 1 - i } else { i }) % k)
 }
 
 /// The loop `dgemm_minus` was before it was packed: one axpy per `(j, l)`.
@@ -234,10 +239,24 @@ fn main() {
     let [speedup, split, packed_once] =
         dgemm_rows(&mut recs, "dgemm_1024x1024x64", (1024, 1024, 64), Some(64));
     dgemm_rows(&mut recs, "dgemm_1000x999x61", (1000, 999, 61), None);
-    // The panel's rank-1 update (`dger_minus`) at N = 2048 on a 1 x 2
-    // grid's first column, and the products inside `dtrsm_lower_unit`'s
-    // halving of a 64-wide U12 block row of 1024 columns.
+    // A rank-1 update across a 64-wide panel at N = 2048 on a 1 x 2 grid's
+    // first column, as `dgemm_minus` runs it and as `dger_minus` does, and
+    // the products inside `dtrsm_lower_unit`'s halving of a 64-wide U12
+    // block row of 1024 columns.
     dgemm_rows(&mut recs, "dgemm_2048x63x1", (2048, 63, 1), None);
+    {
+        let (m, n) = (2048, 63);
+        let (x, y) = (operand(1, m, 1), operand(2, 1, n));
+        let mut a = operand(3, m, n);
+        let ns = best_ns(scaled(20, 5), || blas::dger_minus(m, n, &x, &y, &mut a, m));
+        black_box(&a);
+        recs.push(Rec {
+            op: "dger_2048x63",
+            bytes: blas::dgemm_flops(m, n, 1) as usize,
+            algo: "dispatched_wall".into(),
+            ns,
+        });
+    }
     for (op, h) in [
         ("dgemm_32x1024x32", 32),
         ("dgemm_16x1024x16", 16),
@@ -298,10 +317,12 @@ fn main() {
         });
     }
 
-    // A whole factorization, one image, no peers.
-    {
+    // A whole factorization, one image, no peers, and its best
+    // repetition's time in the steps that do local work: what lies outside
+    // the trailing `dgemm` (`update_wall`) is the rest.
+    let outside_dgemm = {
         let n = 1024;
-        let ns = (0..scaled(5, 2))
+        let (ns, phases) = (0..scaled(5, 2))
             .map(|rep| {
                 let map = ImageMap::new(presets::mini(1, 1), 1, &Placement::Packed);
                 let fabric: ArcFabric = ThreadFabric::new(map, ThreadConfig::default());
@@ -311,17 +332,29 @@ fn main() {
                     seed: 2015 + rep,
                 };
                 run_on_fabric(fabric, CollectiveConfig::two_level(), move |img| {
-                    factorize(img, &cfg).time_ns
-                })[0] as f64
+                    let out = factorize(img, &cfg);
+                    (out.time_ns, out.phase_ns)
+                })[0]
             })
-            .fold(f64::INFINITY, f64::min);
-        recs.push(Rec {
-            op: "factorize_1024",
-            bytes: HplOutcome::flops(n) as usize,
-            algo: "thread1_wall".into(),
-            ns,
-        });
-    }
+            .min_by_key(|&(ns, _)| ns)
+            .expect("at least one repetition");
+        let flops = HplOutcome::flops(n) as usize;
+        for (algo, ns) in [
+            ("thread1_wall", ns),
+            ("panel_wall", phases.panel),
+            ("interchange_wall", phases.interchange),
+            ("dtrsm_wall", phases.dtrsm),
+            ("update_wall", phases.update),
+        ] {
+            recs.push(Rec {
+                op: "factorize_1024",
+                bytes: flops,
+                algo: algo.into(),
+                ns: ns as f64,
+            });
+        }
+        1.0 - phases.update as f64 / ns as f64
+    };
 
     // The guard on the accounting rule: EXP-F1's quick 16(2) point.
     let comps = hpl_comparators();
@@ -346,7 +379,9 @@ fn main() {
     );
     for r in &recs {
         let rate = match r.algo.as_str() {
-            "batched_wall" => "-".to_string(),
+            "batched_wall" | "panel_wall" | "interchange_wall" | "dtrsm_wall" | "update_wall" => {
+                "-".to_string()
+            }
             "two_level_virt" => format!("{:.2} (modeled)", virt.gflops),
             _ => format!("{:.2}", r.bytes as f64 / r.ns),
         };
@@ -363,6 +398,10 @@ fn main() {
          {:+.1} % with A packed once",
         100.0 * (split - 1.0),
         100.0 * (packed_once - 1.0)
+    ));
+    t.note(format!(
+        "factorize_1024: {:.1} % of the best repetition outside the trailing dgemm",
+        100.0 * outside_dgemm
     ));
     for (shape, [whole, ramp]) in ["1024x1024x64", "256x256x64"].iter().zip(updates) {
         t.note(format!(

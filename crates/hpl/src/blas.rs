@@ -2,10 +2,13 @@
 //! (C −= A·B), `dtrsm` (unit-lower triangular solve), `dscal`/`dger`-style
 //! panel updates, and `idamax`.
 //!
-//! All three level-2/3 routines are one kernel stack: [`dgemm_minus`] is
-//! the packed, register-blocked kernel of the private `kernel` module,
-//! [`dger_minus`] is its `k = 1` case and [`dtrsm_lower_unit`] halves its
-//! triangle until all but the small diagonal blocks is a `dgemm_minus`.
+//! All three level-2/3 routines are one kernel stack in the private
+//! `kernel` module: [`dgemm_minus`] is its packed, register-blocked
+//! product, [`dtrsm_lower_unit`] halves its triangle until all but the
+//! small diagonal blocks is a `dgemm_minus`, and [`dger_minus`] is its
+//! rank-1 loop — unpacked, a column at a time, and bit for bit the
+//! `k = 1` product, which packs and copies a partial tile for every narrow
+//! `n`.
 //! The kernel has three register tiles, and CPUID picks the first one the
 //! CPU runs, once ([`kernel_name`] says which): a 24×8 AVX-512F tile, an
 //! 8×6 AVX2+FMA tile, a portable 4×4 tile. On an AVX-512 host a
@@ -201,14 +204,14 @@ pub fn dscal(alpha: f64, x: &mut [f64]) {
 }
 
 /// Rank-1 update `A[0..m, 0..n] -= x[0..m] * y[0..n]^T` (column-major,
-/// leading dim `lda`) — the in-panel trailing update, as the `k = 1` case
-/// of [`dgemm_minus`].
+/// leading dim `lda`) — the panel's update within an inner block. The
+/// same bits as [`dgemm_minus`] with `k = 1`, without its packing.
 ///
 /// # Panics
 /// Panics if `lda < m`, `x.len() < m`, `y.len() < n` or
 /// `a.len() < lda·(n−1)+m`.
 pub fn dger_minus(m: usize, n: usize, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
-    dgemm_minus(m, n, 1, x, m, y, 1, a, lda);
+    kernel::ger_minus(Kernel::dispatched(), m, n, x, y, a, lda);
 }
 
 /// Flops of a `dgemm_minus` call (multiply + subtract).
@@ -476,6 +479,30 @@ mod tests {
                     trsm_on(kernel, nb, n, &l, ldl, &mut x, ldb);
                     let want = first.get_or_insert_with(|| bits(&x));
                     assert!(bits(&x) == *want, "{} nb={nb} n={n}: dtrsm", kernel.name());
+                }
+            }
+        }
+    }
+
+    /// The rank-1 kernel leaves the bits `C −= A·B` with `k = 1` leaves, on
+    /// every kernel this CPU supports (the portable one included), with
+    /// `lda > m` and its padding untouched.
+    #[test]
+    fn ger_equals_gemm_with_k_one_on_every_kernel() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in [1, 7, 24, 241, 2048] {
+            for n in [1, 5, 8, 63] {
+                let lda = m + 3;
+                let x = random_matrix(1, m, 1);
+                let y = random_matrix(2, 1, n);
+                let a0 = padded(&random_matrix(3, m, n), lda);
+                for kernel in Kernel::supported() {
+                    let mut gemm = a0.clone();
+                    let (x, y) = (x.as_slice(), y.as_slice());
+                    kernel::gemm_minus(kernel, m, n, 1, x, m, y, 1, &mut gemm, lda);
+                    let mut ger = a0.clone();
+                    kernel::ger_minus(kernel, m, n, x, y, &mut ger, lda);
+                    assert!(bits(&ger) == bits(&gemm), "{} m={m} n={n}", kernel.name());
                 }
             }
         }

@@ -1,6 +1,8 @@
 //! The one local compute kernel under [`crate::blas`]: a GotoBLAS-style
 //! `C −= A·B` — operands packed into contiguous, zero-padded micro-panels
-//! and an `MR × NR` register tile swept over them.
+//! and an `MR × NR` register tile swept over them — and beside it its
+//! `k = 1` case without the packing, the rank-1 loop [`ger_minus`] that
+//! HPL's panel runs inside an inner block.
 //!
 //! ```text
 //! for jc in 0..n step NC            B(pc.., jc..)  → NR-column panels
@@ -29,14 +31,19 @@
 //! chain — `C` loaded once, one fused negate-multiply-add per `l`, stored
 //! once per `pc` block — lane by lane, 8 doubles to a `zmm` or 4 to a
 //! `ymm`, so they agree to the bit whatever their shape; the
-//! portable tile rounds the product and the subtraction separately.
+//! portable tile rounds the product and the subtraction separately. The
+//! rank-1 loop rounds as its token's tile does: `mul_add` (one rounding)
+//! under the FMA tokens, a product then a subtraction under the portable
+//! one.
 //!
-//! This is the only module of the crate that contains `unsafe`: the
+//! This is the only module of the crate that contains `unsafe` — the
+//! crate denies `unsafe_code` and this module alone allows it: the
 //! `std::arch` loads and stores of the two FMA micro-kernels and the calls
-//! into their `#[target_feature]` functions. Every pointer it forms is
+//! into the `#[target_feature]` functions. Every pointer it forms is
 //! derived from a slice whose length was asserted first; callers establish
 //! nothing.
 
+#![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::cell::RefCell;
@@ -201,6 +208,58 @@ pub(crate) fn gemm_minus(
     assert!(lda >= m, "leading dims too small");
     assert!(a.len() >= lda * (k - 1) + m, "A: slice shorter than m x k");
     run(kernel, (m, n, k), Operand::Raw(a, lda), b, ldb, c, ldc);
+}
+
+/// `A[0..m, 0..n] −= x[0..m] · y[0..n]ᵀ`, column-major — the `k = 1` case of
+/// [`gemm_minus`] without its packing: a column at a time, each element
+/// updated as `gemm_minus` updates it, by one fused negate-multiply-add on
+/// the FMA tokens and by a product and then a subtraction on the portable
+/// one. HPL's panel runs one per column, on at most an inner block's width.
+///
+/// # Panics
+/// Panics if `lda < m` or a slice is too short to hold its operand (named
+/// as in `gemm_minus`: `x` is `A`, `y` is `B`, `a` is `C`).
+pub(crate) fn ger_minus(
+    kernel: Kernel,
+    m: usize,
+    n: usize,
+    x: &[f64],
+    y: &[f64],
+    a: &mut [f64],
+    lda: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(lda >= m, "leading dims too small");
+    assert!(x.len() >= m, "A: slice shorter than m x 1");
+    assert!(y.len() >= n, "B: slice shorter than 1 x n");
+    assert!(a.len() >= lda * (n - 1) + m, "C: slice shorter than m x n");
+    match kernel.0 {
+        #[cfg(target_arch = "x86_64")]
+        Kind::Avx512 | Kind::Avx2Fma => avx2::ger(m, n, x, y, a, lda),
+        Kind::Portable => ger_columns(m, n, x, y, a, lda, |c, xi, yj| c - xi * yj),
+    }
+}
+
+/// The rank-1 loop, `step(c, x_i, y_j)` giving each element's new value.
+/// Lengths are checked by [`ger_minus`].
+#[inline(always)]
+fn ger_columns(
+    m: usize,
+    n: usize,
+    x: &[f64],
+    y: &[f64],
+    a: &mut [f64],
+    lda: usize,
+    step: impl Fn(f64, f64, f64) -> f64,
+) {
+    let x = &x[..m];
+    for (j, &yj) in y[..n].iter().enumerate() {
+        for (c, &xi) in a[j * lda..j * lda + m].iter_mut().zip(x) {
+            *c = step(*c, xi, yj);
+        }
+    }
 }
 
 /// Where the driver takes its packed blocks of `A` from.
@@ -585,6 +644,25 @@ mod avx2 {
             c,
             ldc,
         );
+    }
+
+    /// [`super::ger_minus`] on an FMA token: the element chain of the 8×6
+    /// tile at `k = 1`, `c = −(x·y) + c` rounded once.
+    pub(super) fn ger(m: usize, n: usize, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
+        // SAFETY: this function is only ever named by `ger_minus` under a
+        // `Kind::Avx2Fma` or `Kind::Avx512` token, which `Kernel::supported`
+        // creates only after CPUID reported avx2 and fma.
+        unsafe { ger_impl(m, n, x, y, a, lda) }
+    }
+
+    /// [`super::ger_columns`] compiled with AVX2 and FMA enabled, so
+    /// `mul_add` is one vector instruction.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn ger_impl(m: usize, n: usize, x: &[f64], y: &[f64], a: &mut [f64], lda: usize) {
+        super::ger_columns(m, n, x, y, a, lda, |c, xi, yj| (-xi).mul_add(yj, c));
     }
 
     /// The 8×6 micro-kernel: the tile of `C` lives in twelve `ymm`

@@ -12,6 +12,8 @@
 //! virtual clock, making simulated GFLOP/s reflect the modeled machine.
 
 #![warn(missing_docs)]
+// `kernel` is the one module allowed `unsafe`: its SIMD micro-kernels.
+#![deny(unsafe_code)]
 
 pub mod blas;
 pub mod grid;

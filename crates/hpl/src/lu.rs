@@ -19,7 +19,9 @@
 //!   chunks that each member forwards as they arrive;
 //! * row interchanges outside the panel: the panel's transpositions folded
 //!   into one permutation, one coarray put per partner grid row inside one
-//!   `sync images` pair;
+//!   `sync images` pair. A one-row grid exchanges nothing and swaps its
+//!   trailing columns in place; its L columns, which nothing reads again,
+//!   take every later panel's swaps in one pass per column at the end;
 //! * U-block-row broadcast over **column teams** and the trailing update's
 //!   local `dgemm`: one pipeline over block columns ([`u12_blocks`]: a
 //!   quarter of `nb` first, then doubling up to `nb`), each block's
@@ -30,6 +32,14 @@
 //! The loop looks one panel ahead: the owner of panel k + 1 factors and
 //! sends it before finishing step k's update, and the broadcast travels
 //! while it does (see [`factorize`]).
+//!
+//! The panel's local work goes in inner blocks of `IB` = 16 columns: a
+//! column's rank-1 update reaches only its block, and at the block's end
+//! the panel's columns right of it take the block's steps at once — the
+//! block's U rows by forward substitution, the rows below by one `dgemm`
+//! of depth `IB`. Every element sees the same chain of fused steps, in the
+//! same order, as under one rank-1 update per column across the panel, so
+//! the factors are bit for bit those of the right-looking panel.
 //!
 //! The grid's layout follows the machine ([`BlockCyclic::laid_out_for`]).
 //! The pivot reductions are the most latency-bound traffic of the run — one
@@ -45,6 +55,11 @@
 //! `ImageCtx::compute`, converting flop counts with the machine model's
 //! per-core rate, so simulated GFLOP/s reflect the modeled hardware while
 //! the arithmetic itself really executes (enabling residual verification).
+//! Flops are charged where the right-looking schedule spends them, not
+//! where the code does: each panel column charges its search and a rank-1
+//! update across the rest of the panel, and an inner block's end charges
+//! nothing. How the local work is arranged therefore moves no virtual
+//! nanosecond.
 
 use crate::blas;
 use crate::grid::{grid_dims, BlockCyclic};
@@ -157,6 +172,9 @@ fn account(img: &ImageCtx, flops: u64) {
 /// Values per lane of step (a)'s reduction.
 const LANE: usize = 8;
 
+/// Columns per inner block of step (a)'s panel ([`Lu::factor_panel`]).
+const IB: usize = 16;
+
 /// One lane of step (a)'s reduction: eight consecutive values of a matrix
 /// row, keyed by that row's claim `(|candidate|, global row)` — what a CAF
 /// `co_reduce` over a derived type carries. Every lane of a row has the
@@ -215,7 +233,8 @@ struct Interchange {
     /// one-row grid exchanges nothing and has none.
     exchange: Option<Coarray<f64>>,
     slot_len: usize,
-    /// One-row grid: the panel's local swaps, applied in one pass.
+    /// One-row grid: the panel's local swaps, applied in one pass; at the
+    /// end, every panel's ([`Interchange::finish_left`]).
     swaps: Vec<(usize, usize)>,
     /// The panel's net `(position, source)` permutation, global rows.
     perm: Vec<(usize, usize)>,
@@ -248,7 +267,7 @@ impl Interchange {
             pcol,
             exchange: several.then(|| img.coarray::<f64>((grid.p - 1) * slot_len)),
             slot_len,
-            swaps: Vec::with_capacity(nb),
+            swaps: Vec::with_capacity(if several { 0 } else { grid.n }),
             perm: Vec::with_capacity(2 * nb),
             rows: Vec::with_capacity(2 * nb),
             partners: Vec::with_capacity(grid.p),
@@ -370,6 +389,31 @@ impl Interchange {
             }
         }
     }
+
+    /// On a one-row grid, my L columns after the last panel: each panel's
+    /// block of them gets the swaps of every later panel, in order, in one
+    /// pass per column — what [`Interchange::apply`] would have done to it
+    /// panel by panel. A grid of several rows exchanges its L columns as
+    /// it goes, and this does nothing.
+    fn finish_left(&mut self, local: &mut Matrix, pivots: &[usize]) {
+        if self.exchange.is_some() {
+            return;
+        }
+        let g = self.grid;
+        self.swaps.clear();
+        let moved = pivots.iter().enumerate().filter(|&(s, &piv)| piv != s);
+        self.swaps
+            .extend(moved.map(|(s, &piv)| (g.local_row(s), g.local_row(piv))));
+        for first in (0..g.n).step_by(g.nb) {
+            if g.owner_col(first) != self.pcol {
+                continue;
+            }
+            // One grid row: local rows are global rows.
+            let later = self.swaps.partition_point(|&(s, _)| s < first + g.nb);
+            let lo = g.local_col(first);
+            local.swap_rows_batched(&self.swaps[later..], lo, lo + g.nb.min(g.n - first));
+        }
+    }
 }
 
 /// Every other buffer a factorization needs besides the matrix, sized once
@@ -379,8 +423,14 @@ struct Workspace {
     /// Step (a)'s reduction buffer: the candidate's row across the panel,
     /// in lanes, then the diagonal row.
     reduce: Vec<PivotLane>,
-    /// The pivot row's segment right of the diagonal, within the panel.
+    /// The pivot row across the panel from its inner block's first column
+    /// on; at an inner block's end, one U row right of the block.
     rowseg: Vec<f64>,
+    /// The inner block's pivot rows across the panel, as the reductions
+    /// returned them: `IB` rows, column-major (`urows[c·IB + r]` is row `r`
+    /// in panel column `c`). Left of a row's diagonal they hold L11; right
+    /// of the block, U once the block ends.
+    urows: Vec<f64>,
     /// The panels as broadcast along the row team — panel k in
     /// `panel[k % 2]`, so panel k + 1 can be factored and sent while panel
     /// k still updates the rest of step k. Each holds its `nb` pivots (as
@@ -388,9 +438,11 @@ struct Workspace {
     panel: [Vec<f64>; 2],
     /// `nb` × my trailing columns, as broadcast along the column team.
     u12: Vec<f64>,
-    /// Step (g)'s `L21`, packed once per `update` for the `dgemm` of
+    /// Step (g)'s `L21`, packed once per block step for the `dgemm` of
     /// every block column.
     l21: blas::PackedA,
+    /// The block step (its first column) whose `L21` is packed.
+    l21_of: Option<usize>,
 }
 
 impl Workspace {
@@ -400,9 +452,11 @@ impl Workspace {
         Workspace {
             reduce: vec![((0.0, 0), [0.0; LANE]); 2 * grid.nb.div_ceil(LANE)],
             rowseg: vec![0.0; grid.nb],
+            urows: vec![0.0; IB * grid.nb],
             panel: [panel(), panel()],
             u12: vec![0.0; grid.nb * lc],
             l21: blas::PackedA::with_capacity(lr, grid.nb),
+            l21_of: None,
         }
     }
 }
@@ -498,14 +552,50 @@ impl Lu {
     /// that its owner wins. The result holds the pivot row and the
     /// diagonal row on every image — pivot search, row swap and pivot-row
     /// broadcast in one exchange.
+    ///
+    /// The columns go in inner blocks of [`IB`]: a column's rank-1 update
+    /// reaches only the columns of its block, and the panel's columns right
+    /// of the block are brought up to date when it ends
+    /// ([`Lu::finish_inner_block`]).
     fn factor_panel(&mut self, img: &mut ImageCtx, b: Block) {
+        for jb in (0..b.nb).step_by(IB) {
+            let ib = IB.min(b.nb - jb);
+            self.factor_inner_block(img, b, jb..jb + ib);
+            self.finish_inner_block(b, jb..jb + ib);
+        }
+        // The panel as it travels: the pivots at the head (as bit patterns,
+        // exact through the byte copy), then the L slab.
+        let (grid, prow) = (self.grid, self.prow);
+        let (lr, lj0) = (grid.local_rows(prow), grid.local_col(b.first));
+        let act0 = grid.first_local_row_ge(prow, b.first);
+        let slab_rows = lr - act0;
+        let panel = &mut self.ws.panel[b.buf][..(1 + slab_rows) * b.nb];
+        let (head, slab) = panel.split_at_mut(b.nb);
+        for (slot, &piv) in head.iter_mut().zip(&self.pivots[b.first..]) {
+            *slot = f64::from_bits(piv as u64);
+        }
+        if slab_rows > 0 {
+            for (jj, dst) in slab.chunks_exact_mut(slab_rows).enumerate() {
+                dst.copy_from_slice(&self.local.col(lj0 + jj)[act0..lr]);
+            }
+        }
+        self.laps.book(img, |t| &mut t.panel);
+    }
+
+    /// The columns `block` of panel `b`, one at a time: pivot search and
+    /// reduction, swap across the panel, scaling, and the rank-1 update of
+    /// the block's columns right of the pivot. Each column is charged the
+    /// right-looking step's flops, across the whole panel, where that step
+    /// would spend them.
+    fn factor_inner_block(&mut self, img: &mut ImageCtx, b: Block, block: Range<usize>) {
         let (grid, prow, p) = (self.grid, self.prow, self.grid.p);
         let lr = grid.local_rows(prow);
         let ld = self.local.ld();
         let lj0 = grid.local_col(b.first);
         let lanes = b.nb.div_ceil(LANE);
+        let (jb, jend) = (block.start, block.end);
         let local = &mut self.local;
-        for j in 0..b.nb {
+        for j in block {
             let gdiag = b.first + j;
             let lj = lj0 + j;
             // Local pivot candidate among my rows >= gdiag.
@@ -549,8 +639,8 @@ impl Lu {
             let piv = cand.1 as usize;
             self.pivots[gdiag] = piv;
             // Swap within the panel columns only (deferred elsewhere) and
-            // read the pivot row's segment from the diagonal on.
-            let rowseg = &mut self.ws.rowseg[..b.nb - j];
+            // read the pivot row from the inner block's first column on.
+            let rowseg = &mut self.ws.rowseg[..b.nb - jb];
             if p > 1 {
                 // The diagonal's owner stores the pivot row, the pivot's
                 // owner the diagonal row.
@@ -565,45 +655,82 @@ impl Lu {
                         local.set(grid.local_row(piv), lj0 + c, v);
                     }
                 }
-                for (slot, v) in rowseg.iter_mut().zip(lane_values(pivot_row, b.nb).skip(j)) {
+                for (slot, v) in rowseg.iter_mut().zip(lane_values(pivot_row, b.nb).skip(jb)) {
                     *slot = v;
                 }
             } else {
                 // A column team of one: both rows are mine.
                 local.swap_rows(diag_lr, grid.local_row(piv), lj0, lj0 + b.nb);
-                for (slot, col) in rowseg.iter_mut().zip(lj..lj0 + b.nb) {
+                for (slot, col) in rowseg.iter_mut().zip(lj0 + jb..lj0 + b.nb) {
                     *slot = local.get(diag_lr, col);
                 }
             }
-            let pivot_val = rowseg[0];
-            // Scale my subdiagonal column and rank-1 update the panel.
+            // Kept as the block's pivot row j − jb.
+            let urows = self.ws.urows[jb * IB..].chunks_exact_mut(IB);
+            for (col, &v) in urows.zip(rowseg.iter()) {
+                col[j - jb] = v;
+            }
+            let pivot_val = rowseg[j - jb];
+            // Scale my subdiagonal column and rank-1 update the block's
+            // columns right of it.
             let li1 = grid.first_local_row_ge(prow, gdiag + 1);
             blas::dscal(1.0 / pivot_val, &mut local.col_mut(lj)[li1..lr]);
             if li1 < lr && j + 1 < b.nb {
-                let m_rows = lr - li1;
-                let n_cols = b.nb - j - 1;
-                // x = L column (li1.., lj), y = rowseg[1..].
-                let (left, right) = local.as_mut_slice().split_at_mut((lj + 1) * ld);
-                let x = &left[lj * ld + li1..lj * ld + lr];
-                blas::dger_minus(m_rows, n_cols, x, &rowseg[1..], &mut right[li1..], ld);
+                let (m_rows, n_cols) = (lr - li1, b.nb - j - 1);
+                if j + 1 < jend {
+                    // x = L column (li1.., lj), y = the pivot row's rest of
+                    // the block.
+                    let (left, right) = local.as_mut_slice().split_at_mut((lj + 1) * ld);
+                    let x = &left[lj * ld + li1..lj * ld + lr];
+                    let y = &rowseg[j + 1 - jb..jend - jb];
+                    blas::dger_minus(m_rows, y.len(), x, y, &mut right[li1..], ld);
+                }
                 account(img, blas::dgemm_flops(m_rows, n_cols, 1) + m_rows as u64);
             }
         }
-        // The panel as it travels: the pivots at the head (as bit patterns,
-        // exact through the byte copy), then the L slab.
-        let act0 = grid.first_local_row_ge(prow, b.first);
-        let slab_rows = lr - act0;
-        let panel = &mut self.ws.panel[b.buf][..(1 + slab_rows) * b.nb];
-        let (head, slab) = panel.split_at_mut(b.nb);
-        for (slot, &piv) in head.iter_mut().zip(&self.pivots[b.first..]) {
-            *slot = f64::from_bits(piv as u64);
+    }
+
+    /// The end of inner block `block` of panel `b`: the panel's columns
+    /// right of it receive the block's steps. The block's U rows get them
+    /// by forward substitution — rank-1 steps on the pivot rows, `l`
+    /// ascending — on every image of the column team from the rows its
+    /// reductions returned, and the rows' owner stores the result; my rows
+    /// below the block get them as one `dgemm` of depth `block.len()`, `l`
+    /// ascending too. So every element sees the chain of fused steps, in
+    /// the order, that one rank-1 update per column across the panel gives
+    /// it. No flops are charged here: the columns were.
+    fn finish_inner_block(&mut self, b: Block, block: Range<usize>) {
+        let (c0, ib) = (block.end, block.len());
+        let n = b.nb - c0;
+        if n == 0 {
+            return;
         }
-        if slab_rows > 0 {
-            for (jj, dst) in slab.chunks_exact_mut(slab_rows).enumerate() {
-                dst.copy_from_slice(&local.col(lj0 + jj)[act0..lr]);
+        let (grid, prow) = (self.grid, self.prow);
+        let (l11, u) = self.ws.urows.split_at_mut(c0 * IB);
+        let u = &mut u[..n * IB];
+        for l in 0..ib - 1 {
+            let y = &mut self.ws.rowseg[..n];
+            for (slot, col) in y.iter_mut().zip(u.chunks_exact(IB)) {
+                *slot = col[l];
+            }
+            let x = &l11[(block.start + l) * IB..][l + 1..ib];
+            blas::dger_minus(ib - l - 1, n, x, y, &mut u[l + 1..], IB);
+        }
+        let lj0 = grid.local_col(b.first);
+        if prow == b.p {
+            let li = grid.local_row(b.first + block.start);
+            for (jj, col) in u.chunks_exact(IB).enumerate() {
+                self.local.col_mut(lj0 + c0 + jj)[li..li + ib].copy_from_slice(&col[..ib]);
             }
         }
-        self.laps.book(img, |t| &mut t.panel);
+        let below = grid.first_local_row_ge(prow, b.first + c0);
+        let m = grid.local_rows(prow) - below;
+        if m > 0 {
+            let ld = self.local.ld();
+            let (l21, a22) = self.local.as_mut_slice().split_at_mut((lj0 + c0) * ld);
+            let l21 = &l21[(lj0 + block.start) * ld + below..];
+            blas::dgemm_minus(m, n, ib, l21, ld, u, IB, &mut a22[below..], ld);
+        }
     }
 
     /// (b)+(c) Panel `b` along my row team, as one ring broadcast — the
@@ -623,8 +750,11 @@ impl Lu {
     }
 
     /// (d)–(g) of block step `b` on my trailing local columns `cols` and,
-    /// with `left`, (d) on my L columns left of the panel too. Every image
-    /// of my grid column passes the same arguments.
+    /// with `left`, (d) on my L columns left of the panel too — on a grid
+    /// of several rows; a one-row grid leaves them to
+    /// [`Interchange::finish_left`], since nothing reads an L column of the
+    /// matrix again before the factorization ends. Every image of my grid
+    /// column passes the same arguments.
     ///
     /// Steps (e)–(g) run as a pipeline over the blocks of [`u12_blocks`]:
     /// grid row `b.p` solves block c + 1 and begins its broadcast before
@@ -634,7 +764,7 @@ impl Lu {
     /// (unless node-mates share a NIC, `TeamComm::shares_a_nic`).
     fn update(&mut self, img: &mut ImageCtx, b: Block, cols: Range<usize>, left: bool) {
         // -------- (d) apply the panel's row interchanges ----------------
-        let l_end = if left {
+        let l_end = if left && self.grid.p > 1 {
             self.grid.first_local_col_ge(self.pcol, b.first)
         } else {
             0
@@ -651,8 +781,11 @@ impl Lu {
         let act0 = grid.first_local_row_ge(prow, b.first);
         let lt_r0 = grid.first_local_row_ge(prow, b.first + b.nb);
         let (trows, slab_rows) = (grid.local_rows(prow) - lt_r0, grid.local_rows(prow) - act0);
-        let l21 = &self.ws.panel[b.buf][b.nb + lt_r0 - act0..];
-        self.ws.l21.pack(trows, b.nb, l21, slab_rows);
+        if self.ws.l21_of != Some(b.first) {
+            let l21 = &self.ws.panel[b.buf][b.nb + lt_r0 - act0..];
+            self.ws.l21.pack(trows, b.nb, l21, slab_rows);
+            self.ws.l21_of = Some(b.first);
+        }
 
         // A column team of one has no broadcast to hide and takes `cols`
         // whole. Otherwise the root solves and sends block c + 1 before the
@@ -821,6 +954,8 @@ pub fn factorize(img: &mut ImageCtx, cfg: &HplConfig) -> HplOutcome {
         }
     }
 
+    lu.interchange.finish_left(&mut lu.local, &lu.pivots);
+    lu.laps.book(img, |t| &mut t.interchange);
     img.sync_all();
     lu.laps.book(img, |t| &mut t.closing_sync);
 
@@ -879,6 +1014,47 @@ mod tests {
         ]
     }
 
+    /// Pivots for `n` rows from proptest's picks: step `s` picks one of
+    /// the twelve rows from `s` on.
+    fn pivots_from(picks: &[usize], n: usize) -> Vec<usize> {
+        (0..n).map(|s| s + picks[s] % (n - s).min(12)).collect()
+    }
+
+    /// The value that starts at global `(gi, gj)`.
+    fn row_id(gi: usize, gj: usize) -> f64 {
+        (gi * 100 + gj) as f64
+    }
+
+    /// The whole matrix of [`row_id`]s with every panel's transpositions
+    /// applied one at a time to the columns outside the panel.
+    fn one_at_a_time(n: usize, nb: usize, pivots: &[usize]) -> Matrix {
+        let mut want = Matrix::zeros(n, n);
+        for gj in 0..n {
+            for gi in 0..n {
+                want.set(gi, gj, row_id(gi, gj));
+            }
+        }
+        for (s, &piv) in pivots.iter().enumerate() {
+            let panel = s / nb * nb;
+            want.swap_rows(s, piv, 0, panel);
+            want.swap_rows(s, piv, (panel + nb).min(n), n);
+        }
+        want
+    }
+
+    /// My piece of the matrix of [`row_id`]s.
+    fn local_ids(grid: &BlockCyclic, prow: usize, pcol: usize) -> Matrix {
+        let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
+        let mut local = Matrix::zeros(lr.max(1), lc.max(1));
+        for lj in 0..lc {
+            for li in 0..lr {
+                let (gi, gj) = (grid.global_row(prow, li), grid.global_col(pcol, lj));
+                local.set(li, lj, row_id(gi, gj));
+            }
+        }
+        local
+    }
+
     #[test]
     fn net_permutation_of_a_three_cycle_and_of_nothing() {
         let mut perm = Vec::new();
@@ -935,37 +1111,15 @@ mod tests {
             picks in proptest::collection::vec(0usize..30, 26),
         ) {
             let (n, nb) = (26, 4); // 7 panels, the last one partial
-            let pivots: Vec<usize> = picks
-                .iter()
-                .enumerate()
-                .map(|(s, pick)| s + pick % (n - s).min(12))
-                .collect();
-            let id = |gi: usize, gj: usize| (gi * 100 + gj) as f64;
-            let mut want = Matrix::zeros(n, n);
-            for gj in 0..n {
-                for gi in 0..n {
-                    want.set(gi, gj, id(gi, gj));
-                }
-            }
-            for (s, &piv) in pivots.iter().enumerate() {
-                let panel = s / nb * nb;
-                want.swap_rows(s, piv, 0, panel);
-                want.swap_rows(s, piv, (panel + nb).min(n), n);
-            }
+            let pivots = pivots_from(&picks, n);
+            let want = one_at_a_time(n, nb, &pivots);
 
             let grid = BlockCyclic::new(n, nb, p, q).with_layout(layout);
             let program = move |panels: bool| {
                 let pivots = pivots.clone();
                 counted(p * q, move |img| {
                     let (prow, pcol) = grid.coords_of(img.this_image());
-                    let (lr, lc) = (grid.local_rows(prow), grid.local_cols(pcol));
-                    let mut local = Matrix::zeros(lr.max(1), lc.max(1));
-                    for lj in 0..lc {
-                        for li in 0..lr {
-                            let (gi, gj) = (grid.global_row(prow, li), grid.global_col(pcol, lj));
-                            local.set(li, lj, id(gi, gj));
-                        }
-                    }
+                    let mut local = local_ids(&grid, prow, pcol);
                     let mut interchange = Interchange::new(img, grid, prow, pcol);
                     for first in (0..n).step_by(nb).filter(|_| panels) {
                         let panel = &pivots[first..(first + nb).min(n)];
@@ -996,6 +1150,41 @@ mod tests {
                 sent <= panels * (p * q * (p - 1)) as u64,
                 "{} interchange puts over {} panels on a {}x{} grid", sent, panels, p, q
             );
+        }
+
+        /// On a one-row grid, panels interchanged on their trailing
+        /// columns only, the L columns left to one `finish_left` at the
+        /// end, leave every row where one transposition at a time puts it.
+        #[test]
+        fn deferred_left_swaps_equal_sequential_transpositions(
+            q in 1usize..=3,
+            picks in proptest::collection::vec(0usize..30, 26),
+        ) {
+            let (n, nb) = (26, 4);
+            let pivots = pivots_from(&picks, n);
+            let want = one_at_a_time(n, nb, &pivots);
+            let grid = BlockCyclic::new(n, nb, 1, q);
+            let locals = counted(q, move |img| {
+                let pcol = grid.coords_of(img.this_image()).1;
+                let mut local = local_ids(&grid, 0, pcol);
+                let mut interchange = Interchange::new(img, grid, 0, pcol);
+                for first in (0..n).step_by(nb) {
+                    let panel = &pivots[first..(first + nb).min(n)];
+                    let [_, trailing] = outside(&grid, pcol, first, panel.len());
+                    interchange.apply(img, &mut local, first, panel, &[trailing]);
+                }
+                interchange.finish_left(&mut local, &pivots);
+                local
+            })
+            .0;
+            for (pcol, local) in locals.iter().enumerate() {
+                for lj in 0..grid.local_cols(pcol) {
+                    for gi in 0..n {
+                        let gj = grid.global_col(pcol, lj);
+                        prop_assert_eq!(local.get(gi, lj), want.get(gi, gj), "({}, {})", gi, gj);
+                    }
+                }
+            }
         }
     }
 
