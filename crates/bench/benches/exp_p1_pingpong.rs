@@ -29,6 +29,12 @@
 //! mapped peer (`socket_shm`) and over the wire (`socket_wire`) — printed
 //! beside `model_shm_virt`, the cost model's word on the same message.
 //!
+//! The `socket_wire_frames` row is the wire's frame bill for one 8 B
+//! `put_flag` between two processes with the shared-memory tier off:
+//! frames sent by both processes, summed from their `FabricStats`, per
+//! call. It is a count, not a clock (strict gate): one `PutFlag` and its
+//! `PutAck`, plus each process's `Bye` spread over the calls.
+//!
 //! Results go to `BENCH_pingpong.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
 
@@ -204,6 +210,39 @@ fn stream_image(f: &dyn Fabric, me: ProcId, bytes: usize, msgs: u64) -> f64 {
 }
 
 type ImageBody = fn(&dyn Fabric, ProcId, usize, u64) -> f64;
+
+/// Frames on the wire per 8 B `put_flag` from image 0 to image 1 of a
+/// two-process fleet with the shared-memory tier off: `calls` of them into
+/// image 1's bootstrap slot, closed by `quiet` and image 1's wait for the
+/// last flag. The count is every frame both processes send from the fleet
+/// being up to its teardown.
+fn put_flag_wire_frames(calls: u64) -> f64 {
+    let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
+    let cfg = SocketConfig {
+        io_timeout: Duration::from_secs(30),
+        flag_wait_timeout: Duration::from_secs(30),
+        shm: false,
+        ..SocketConfig::default()
+    };
+    let fabrics = fleet(&map, &cfg);
+    let before: Vec<_> = fabrics.iter().map(|f| f.stats().snapshot()).collect();
+    let flag = FlagId(2);
+    run_fleet(&fabrics, move |f, me| {
+        if me == ProcId(0) {
+            for _ in 0..calls {
+                f.put_flag(me, ProcId(1), bootstrap::SEG, 0, &[0xA5; 8], flag, 1);
+            }
+            f.quiet(me);
+        } else {
+            f.flag_wait_ge(me, flag, calls);
+        }
+        f.image_done(me);
+    });
+    let frames: u64 = (fabrics.iter().zip(&before))
+        .map(|(f, b)| (f.stats().snapshot() - *b).wire_frames_tx)
+        .sum();
+    frames as f64 / calls as f64
+}
 
 /// Run `body` on a real socket fleet of `nodes` processes' worth of
 /// in-process `SocketFabric`s on this host, two images in all, and return
@@ -434,6 +473,15 @@ fn main() {
         algo: algo.to_string(),
         ns,
     }));
+
+    let frames = put_flag_wire_frames(20 * iters);
+    println!("\nEXP-P1 (frames): {frames:.4} frames on the wire per 8 B put_flag (shm off)");
+    recs.push(Rec {
+        op: "put_flag",
+        bytes: 8,
+        algo: "socket_wire_frames".to_string(),
+        ns: frames,
+    });
 
     let (word_wise, per_byte) = copy_routine_vs_per_byte(if quick_mode() { 20 } else { 100 });
     for (algo, ns) in [

@@ -4,6 +4,7 @@
 
 use crate::quick_mode;
 use caf_trace::json::escape;
+use std::path::{Path, PathBuf};
 
 /// One result row. `(op, bytes, algo)` is the row's identity across runs;
 /// `bytes` holds whatever the surface sweeps (payload bytes, image count,
@@ -68,14 +69,21 @@ pub fn render(s: &Surface, recs: &[Rec]) -> String {
     out
 }
 
+/// Where a result file goes: `out` (`CAF_BENCH_OUT`) when set, else
+/// `file`; a relative path is taken from the workspace `root`, not from
+/// the directory cargo runs the bench in (the bench package's own).
+pub fn out_path(out: Option<&str>, root: &Path, file: &str) -> PathBuf {
+    root.join(out.unwrap_or(file))
+}
+
 /// Write `recs` to `CAF_BENCH_OUT`, or to `s.file` at the repo root.
 pub fn write(s: &Surface, recs: &[Rec]) {
-    let path = std::env::var("CAF_BENCH_OUT").unwrap_or_else(|_| {
-        let root = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-        format!("{root}/../../{}", s.file)
-    });
-    std::fs::write(&path, render(s, recs)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path} ({} results)", recs.len());
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = std::env::var("CAF_BENCH_OUT").ok();
+    let path = out_path(out.as_deref(), &root, s.file);
+    let shown = path.display();
+    std::fs::write(&path, render(s, recs)).unwrap_or_else(|e| panic!("writing {shown}: {e}"));
+    println!("\nwrote {shown} ({} results)", recs.len());
 }
 
 #[cfg(test)]
@@ -131,5 +139,24 @@ mod tests {
             ..surface
         };
         assert!(render(&four, &recs).contains("\"ns\": 3837614.0000}"));
+    }
+
+    /// A relative `CAF_BENCH_OUT` names a path under the workspace root,
+    /// wherever cargo runs the bench; an absolute one is kept; unset is
+    /// the surface's file at the root.
+    #[test]
+    fn a_relative_out_path_is_taken_from_the_workspace_root() {
+        let root = Path::new("/ws");
+        let file = "BENCH_blas.json";
+        let rel = "crates/bench/baselines/BENCH_blas.quick.json";
+        assert_eq!(
+            out_path(Some(rel), root, file),
+            Path::new("/ws/crates/bench/baselines/BENCH_blas.quick.json")
+        );
+        assert_eq!(
+            out_path(Some("/tmp/b.json"), root, file),
+            Path::new("/tmp/b.json")
+        );
+        assert_eq!(out_path(None, root, file), Path::new("/ws/BENCH_blas.json"));
     }
 }

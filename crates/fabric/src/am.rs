@@ -1,14 +1,17 @@
 //! Active messages: small one-sided ops executed at the target image,
-//! aggregated per destination before they touch the fabric.
+//! buffered per destination before they touch the fabric.
 //!
-//! A storm of tiny puts and flag bumps issued one at a time is a full
-//! fabric call each (and, on [`SocketFabric`](crate::SocketFabric), its
-//! own length-prefixed frame). This tier buffers them as [`AmOp`] values in
-//! a per-destination [`Batcher`] and hands whole batches to
-//! [`Fabric::am_deliver`](crate::Fabric::am_deliver): one wire frame, or
-//! one pass over the target's memory where the socket fabric reaches it,
-//! and one scheduled delivery event on the simulator. (The collectives
-//! send one signalled put per hop and do not route through it.)
+//! This tier buffers puts, flag bumps and AMOs as [`AmOp`] values in a
+//! per-destination [`Batcher`], which fuses a put and the flag bump behind
+//! it into one [`AmOp::PutFlag`], and hands whole batches to
+//! [`Fabric::am_deliver`](crate::Fabric::am_deliver). Every fabric delivers
+//! a batch as N ordinary ops, through that method's default: each op is
+//! one `put`, `flag_add`, `amo_fetch_add_u64` or `put_flag`, in slice
+//! order. Nothing in the runtime sends an active message — the collectives
+//! send one signalled put per hop — so no backend keeps a batch path of
+//! its own. The tier, its codec (`Frame::AmBatch` encodes and decodes a
+//! batch) and its counters stay because the end-to-end benchmark still
+//! times them.
 //!
 //! Ordering contract: ops to the *same* destination are delivered in
 //! program order (batches never reorder internally, and a destination's
@@ -19,7 +22,7 @@
 //! [`Am::flush`] is the fence.
 
 use crate::batch::{AmPolicy, Batcher};
-use crate::seg::{Amo, FlagId, Local, SegmentId, Window};
+use crate::seg::{FlagId, SegmentId};
 use crate::socket::wire::{Cursor, Field};
 use crate::{ArcFabric, ProcId, PutToken};
 use std::io;
@@ -177,33 +180,6 @@ impl AmOp {
             },
             _ => return Err(bad("unknown am op tag")),
         })
-    }
-}
-
-/// Apply a batch in vector order to one image, reached however the
-/// applying fabric reaches it (its own tables, a mapped peer's): `window`
-/// yields the image's window for a segment id, `bump` release-adds to one
-/// of its flags. Each op's effects are visible to every later op, and a
-/// flag bump lands after the payloads before it — the fabric memory
-/// model's put→flag ordering, kept inside a batch.
-pub(crate) fn apply(
-    ops: &[AmOp],
-    window: impl Fn(SegmentId) -> Window<Local>,
-    bump: impl Fn(FlagId, u64),
-) {
-    for op in ops {
-        match op {
-            AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {
-                window(*seg).write(*off, data)
-            }
-            AmOp::AmoAdd { seg, off, delta } => {
-                window(*seg).amo(*off, Amo::Add(*delta));
-            }
-            AmOp::FlagAdd { .. } => {}
-        }
-        if let AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. } = op {
-            bump(*flag, *delta);
-        }
     }
 }
 

@@ -47,6 +47,9 @@
 //! becomes such a program without being written twice.
 
 #![warn(missing_docs)]
+// `seg` is the one module allowed `unsafe`: the segment storage and the
+// mapped shared-memory views.
+#![deny(unsafe_code)]
 
 pub mod am;
 pub mod batch;
@@ -351,11 +354,10 @@ pub trait Fabric: Send + Sync + 'static {
     /// per-destination program-order guarantee).
     ///
     /// The default replays each op through the ordinary one-sided
-    /// primitives — correct on any fabric, with no aggregation win. The
-    /// built-in backends override it: the simulator lands the whole batch
-    /// as one scheduled delivery event, and the socket fabric applies it in
-    /// one pass where the target's memory is reachable, else ships it as a
-    /// single `AmBatch` wire frame covered by [`Self::quiet`].
+    /// primitives (`put`, `flag_add`, `amo_fetch_add_u64`, `put_flag`), so
+    /// a batch's ordering, visibility and [`Self::quiet`] contract are
+    /// those of the ops it holds. No built-in backend overrides it: the
+    /// simulator and the socket fabric deliver every batch this way.
     ///
     /// Callers normally go through [`Am`] rather than
     /// invoking this directly.

@@ -27,7 +27,11 @@
 //! access with a word access is outside what it (or a model checker built
 //! on it) promises. Programs that synchronize their transfers — everything
 //! the runtime and the collectives issue — never create such an overlap.
+//!
+//! This is the only module of the crate that contains `unsafe` — the
+//! crate denies `unsafe_code` and this module alone allows it.
 
+#![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::socket::shm::PeerShm;
@@ -901,7 +905,7 @@ fn entry<T: Clone>(table: &[T], img: usize, at: usize, id: impl fmt::Debug) -> R
 /// One image's tables as a thread holds them for a run of lookups
 /// ([`Tables::with_image`]): its view of them, current, and the tables
 /// behind it for what the view does not have yet.
-pub(crate) struct Held<'a> {
+struct Held<'a> {
     img: usize,
     seen: &'a mut ImageView,
     entries: &'a Versioned<Entries>,
@@ -910,7 +914,7 @@ pub(crate) struct Held<'a> {
 impl Held<'_> {
     /// The image's window `seg`.
     #[inline(always)]
-    pub(crate) fn window(&mut self, seg: usize) -> Result<Rc<Window>, String> {
+    fn window(&mut self, seg: usize) -> Result<Rc<Window>, String> {
         let (img, entries) = (self.img, self.entries);
         let table = || entry(&entries.value.read().segs, img, seg, SegmentId(seg));
         cached(&mut self.seen.segs, table, seg)
@@ -918,7 +922,7 @@ impl Held<'_> {
 
     /// The image's flag cell `flag`.
     #[inline(always)]
-    pub(crate) fn flag(&mut self, flag: usize) -> Result<Rc<FlagCell>, String> {
+    fn flag(&mut self, flag: usize) -> Result<Rc<FlagCell>, String> {
         let (img, entries) = (self.img, self.entries);
         let table = || entry(&entries.value.read().flags, img, flag, FlagId(flag));
         cached(&mut self.seen.flags, table, flag)
@@ -983,12 +987,11 @@ impl Tables {
     }
 
     /// Run `f` with this thread's view of image `img` in hand — emptied
-    /// first if the image's tables have changed since it was filled — for
-    /// as many lookups as `f` makes: a batch pays for the way there once.
-    /// `f` may not come back to these tables any other way (the thread's
-    /// views are borrowed while it runs).
+    /// first if the image's tables have changed since it was filled. `f`
+    /// may not come back to these tables any other way (the thread's views
+    /// are borrowed while it runs).
     #[inline(always)]
-    pub(crate) fn with_image<R>(
+    fn with_image<R>(
         &self,
         img: usize,
         f: impl FnOnce(&mut Held<'_>) -> Result<R, String>,
@@ -1005,6 +1008,12 @@ impl Tables {
             }
             f(&mut Held { img, seen, entries })
         })
+    }
+
+    /// Image `img`'s window `seg`.
+    #[inline(always)]
+    pub(crate) fn window(&self, img: usize, seg: usize) -> Result<Rc<Window>, String> {
+        self.with_image(img, |held| held.window(seg))
     }
 
     /// Image `img`'s flag cell `flag`.

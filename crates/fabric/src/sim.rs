@@ -63,7 +63,6 @@
 //! threads with a diagnostic — turning algorithmic synchronization bugs into
 //! immediate test failures rather than hangs.
 
-use crate::am::AmOp;
 use crate::chaos::ChaosConfig;
 use crate::evq::{EvKey, Footprint, ShardedEvq};
 use crate::sched::SchedIndex;
@@ -165,13 +164,6 @@ pub(crate) enum EvKind {
         notify: Option<Notify>,
         nb: bool,
     },
-    /// An active-message batch's flag updates reach their target image:
-    /// the whole batch lands as **one** scheduled event at the modeled
-    /// flush arrival time, its notifications applied in program order —
-    /// the simulator's side of the AM tier's "one delivery per batch"
-    /// contract (payload bytes were applied eagerly at commit time, like
-    /// any put).
-    AmArrive(Vec<Notify>),
 }
 
 /// A scheduled simulator event. `tie` breaks exact-time ties: 0 (FIFO by
@@ -498,14 +490,6 @@ impl SimCore {
                     }
                     if let Some(n) = notify {
                         self.push_event(start + self.gap_nic_ns, EvKind::FlagArrive(n));
-                    }
-                }
-                // The whole batch lands now; its notifications apply in
-                // program order so intra-batch flag ordering is exactly
-                // what an unbatched replay would produce.
-                EvKind::AmArrive(list) => {
-                    for n in list {
-                        self.deliver(n, ev_time, woken);
                     }
                 }
             }
@@ -1365,79 +1349,6 @@ impl Fabric for SimFabric {
         self.finish_op(core);
     }
 
-    fn am_deliver(&self, me: ProcId, dst: ProcId, ops: &[AmOp]) {
-        let (me, dst) = (me.index(), dst.index());
-        let mut core = self.lock_turn(me);
-        let t = core.time[me];
-        let wire: usize = ops.iter().map(|op| op.wire_len()).sum();
-        let colocated = self.map.colocated(ProcId(me), ProcId(dst));
-        // Local delivery is one software op plus the memcpy of the batch's
-        // payload, and its flags bump at once. A remote batch travels as
-        // ONE modeled transfer of its wire length, and its flag updates
-        // land together as one AmArrive event at the transfer's arrival.
-        let transfer = if me == dst {
-            let end = t + self.cfg.overheads.per_op_ns + self.cfg.cost.intra_payload_ns(wire);
-            core.set_time(me, end);
-            None
-        } else {
-            let tr = self.model_transfer(&mut core, me, dst, t, wire, None, false);
-            core.last_arrival[me] = core.last_arrival[me].max(tr.arrival);
-            Some(tr)
-        };
-        let now = core.time[me];
-        // Data bytes land eagerly at commit time, exactly like `put`; a
-        // bounds failure is a program bug and panics like `put` would.
-        let mut notifies = Vec::new();
-        for op in ops {
-            match op {
-                AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {
-                    (core.window(dst, *seg, *off, data.len(), "am put")).copy_from_slice(data)
-                }
-                AmOp::AmoAdd { seg, off, delta } => {
-                    core.amo_cell(dst, *seg, *off, "am amo", |v| Some(v.wrapping_add(*delta)));
-                }
-                AmOp::FlagAdd { .. } => {}
-            }
-            let (AmOp::FlagAdd { flag, delta } | AmOp::PutFlag { flag, delta, .. }) = op else {
-                continue;
-            };
-            if transfer.is_some() {
-                notifies.push(Notify {
-                    img: dst,
-                    flag: flag.0,
-                    delta: *delta,
-                    src: me as u32,
-                    posted: t,
-                    intra: colocated,
-                });
-            } else {
-                core.flag_bump(me, flag.0, *delta);
-                core.tracer.record_system(
-                    Event::instant(EventKind::FlagDeliver, now)
-                        .a(me as u64)
-                        .b(flag.0 as u64)
-                        .c(t)
-                        .d(me as u64)
-                        .intra(true),
-                );
-            }
-        }
-        let span = Event::span(EventKind::Put, t, now - t)
-            .a(dst as u64)
-            .b(wire as u64);
-        match transfer {
-            None => self.cfg.tracer.record(me, span.self_target()),
-            Some(tr) => {
-                if !notifies.is_empty() {
-                    core.push_event(tr.arrival, EvKind::AmArrive(notifies));
-                }
-                let span = span.c(tr.queue_ns).d(tr.service_ns).intra(colocated);
-                self.cfg.tracer.record(me, span);
-            }
-        }
-        self.finish_op(core);
-    }
-
     fn put_nb(
         &self,
         me: ProcId,
@@ -1906,8 +1817,9 @@ mod tests {
         use crate::batch::AmPolicy;
         use crate::ArcFabric;
         // 7 images storm image 0 with small put+flag AMs. The batched run
-        // coalesces each sender's storm into one AmArrive event; the
-        // unbatched policy replays them one fabric op at a time. Final data
+        // hands each sender's storm to `am_deliver` as one batch, which
+        // replays it op by op in slice order; the unbatched policy hands
+        // over one op at a time. Final data
         // and flag state must match bit-for-bit, and the batched schedule
         // must be deterministic — without chaos and under two chaos seeds,
         // the same chaos driving both sides.
@@ -1964,8 +1876,9 @@ mod tests {
             let oracle = run(AmPolicy::unbatched(), chaos);
             assert_eq!(batched.0, oracle.0, "payload bytes diverge ({chaos:?})");
             assert_eq!(batched.1, oracle.1, "flag totals diverge ({chaos:?})");
-            // Virtual times differ between policies (batches travel as one
-            // transfer) but the batched schedule itself must be reproducible.
+            // Virtual times differ between policies (the batcher fuses each
+            // put+flag pair into one `put_flag`) but the batched schedule
+            // itself must be reproducible.
             let again = run(wide, chaos);
             assert_eq!(
                 batched, again,
@@ -1979,6 +1892,7 @@ mod tests {
     /// real memory.
     #[test]
     fn a_misaligned_am_amo_panics_as_on_threads() {
+        use crate::am::AmOp;
         use crate::thread::{ThreadConfig, ThreadFabric};
         use crate::ArcFabric;
         let op = [AmOp::AmoAdd {

@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `Put` from `put_nb` | corked ([`Urgency::Data`]) |
 //! | `FlagAdd` | if the last frame corked is a `put_nb` from the same image to the same image, rewritten into it (`PutFlag`: [`wire::fuse_flag`]), else appended; either way flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
-//! | `PutFlag` from `put_flag`, `AmBatch` | flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
+//! | `PutFlag` from `put_flag` | flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
 //! | blocking `Put`/`Get`/AMO, `Heartbeat`, `Bye`, `RecoverBarrier` | flushed ([`Urgency::Now`]): the caller waits on it, or liveness depends on it |
 //! | `PutAck` (receive side) | corked until the ingress reader's burst is over |
 //! | `GetResp`, `AmoResp` (receive side) | flushed: a blocked caller is waiting |

@@ -15,14 +15,11 @@
 
 use super::egress::{Cork, Egress, Left, Urgency};
 use super::pending::Reply;
-use super::route::apply_held;
-use super::store::Store;
 use super::wire::{
     self, is_timeout, write_frame, Addr, Frame, FrameReader, Incoming, Listener, PutHead, Stream,
     MAX_FRAME_BYTES, READER_BYTES, WIRE_MAGIC,
 };
 use super::{shm, SocketFabric, PEER_ALIVE, PEER_DEAD, PEER_GRACEFUL, POLL};
-use crate::am::AmOp;
 use crate::seg::{Access, Amo, FlagCell, FlagId, Window};
 use crate::Fabric;
 use std::fmt::Display;
@@ -560,28 +557,6 @@ impl SocketFabric {
         }
     }
 
-    /// Land an `AmBatch`: every op is checked before any is applied,
-    /// against the very tables the batch is then applied to.
-    fn land_batch(&self, src: u32, dst: u32, ops: &[AmOp]) -> io::Result<()> {
-        let (from, img) = (src as usize, dst as usize);
-        // Which op was refused; empty when it is the batch's image.
-        let mut op = String::new();
-        let landed = self.store.tables.with_image(img, |held| {
-            for (k, checked) in ops.iter().enumerate() {
-                Store::check(held, checked).inspect_err(|_| op = format!(" op {k}"))?;
-            }
-            apply_held(self, held, (from, img), None, ops);
-            Ok(())
-        });
-        landed.map_err(|why| {
-            let n = ops.len();
-            refused(
-                format_args!("AmBatch {{ src: {src}, dst: {dst}, ops: {n} }}{op}"),
-                why,
-            )
-        })
-    }
-
     /// Apply one non-put request from `peer`; returns the response it is
     /// owed, if any. A `Get` is answered out of `get_buf`.
     pub(super) fn serve<'a>(
@@ -648,10 +623,6 @@ impl SocketFabric {
                     self.requested_flag("FlagAdd", (src, dst), flag, delta)?;
                 self.land_flag(cell.cell(), src as usize, dst as usize, flag, delta, None);
                 None
-            }
-            Frame::AmBatch { src, dst, ack, ops } => {
-                self.land_batch(src, dst, &ops)?;
-                (ack != 0).then_some(Response::Ack(ack))
             }
             Frame::Heartbeat { node: _, stats } => {
                 // Liveness came from `mark_seen`; keep the sender's

@@ -78,7 +78,6 @@ pub use obs::{
 pub use rendezvous::CoordClient;
 pub use wire::{Addr, Frame, Listener, PutHead, Stream, Transport};
 
-use crate::am::AmOp;
 use crate::seg::{bump_flag, Access, Amo, FlagId, FlagWaiters, Poison, SegmentId};
 use crate::stats::{FabricStats, Lane, StatsSnapshot};
 use crate::{Fabric, PutToken, RecoveryError};
@@ -804,47 +803,6 @@ impl Fabric for SocketFabric {
         }
     }
 
-    fn am_deliver(&self, me: ProcId, dst: ProcId, ops: &[AmOp]) {
-        let op = self.begin(EventKind::Put, me, dst);
-        let wire: u64 = ops.iter().map(|op| op.wire_len() as u64).sum();
-        match self.route_batch(me, dst, ops) {
-            Route::Direct(landing, tier) => {
-                // Vector order against the target's memory — the order the
-                // ingress thread would use — and release flag adds, so
-                // fused put+flag visibility holds as it does on the wire.
-                landing.apply(self, me.index(), op.t0, ops);
-                if tier == Tier::Mapped {
-                    let lane = self.lane(me);
-                    for op in ops {
-                        if matches!(op, AmOp::Put { .. } | AmOp::PutFlag { .. }) {
-                            lane.record_shm_put(op.payload_len());
-                        }
-                        // An AMO, a flag, or a fused put's flag.
-                        if !matches!(op, AmOp::Put { .. }) {
-                            lane.record_shm_flag();
-                        }
-                    }
-                    fence(Ordering::Release);
-                }
-                op.direct(tier, wire);
-            }
-            Route::Wire => {
-                // One frame per batch, one ack: it retires through the
-                // sender's `outstanding_nb` debt, so `quiet` means every
-                // batched AM has remotely completed — same completion
-                // contract as `put_nb`.
-                let (img, put) = (me.index() as u32, false);
-                let awaits = Some(Entry::Nb { img, put });
-                let (_, sent) = self.send_request(&op, awaits, Urgency::Signal, |ack, b| {
-                    let (src, dst) = (me.index() as u32, dst.index() as u32);
-                    wire::encode_am_batch(b, src, dst, ack, ops);
-                    &[]
-                });
-                op.wire(wire, sent.queue_ns, 0);
-            }
-        }
-    }
-
     fn put_nb(
         &self,
         me: ProcId,
@@ -1077,7 +1035,7 @@ impl Fabric for SocketFabric {
                 lane.record_put(false, len);
                 lane.record_flag(false);
                 // One `PutFlag` frame, a signal; its ack retires debt that
-                // `quiet` waits for, as a batch's does — nobody blocks on it.
+                // `quiet` waits for, as a `put_nb`'s does — nobody blocks on it.
                 let (src, img) = (me.index() as u32, dst.index() as u32);
                 let awaits = Some(Entry::Nb {
                     img: src,
@@ -1218,6 +1176,7 @@ mod tests {
     use super::link::Response;
     use super::testing::{fleet, run_fleet};
     use super::*;
+    use crate::am::AmOp;
     use crate::seg::Window;
     use caf_topology::{presets, Placement};
 
@@ -1561,9 +1520,9 @@ mod tests {
             msg.contains("payload of 9 bytes in a frame body of 61"),
             "{msg}"
         );
-        // A batch is checked whole before any op applies: the first op's
-        // put must not land (`poison_from` compares the window) when the
-        // second is out of range.
+        // A batch is no request: an `AmBatch` on a data connection is
+        // refused whole, so even its in-range first put does not land
+        // (`poison_from` compares the window).
         let msg = poison_from(Frame::AmBatch {
             src: 0,
             dst: 1,
@@ -1583,11 +1542,8 @@ mod tests {
                 },
             ],
         });
-        assert!(
-            msg.contains("AmBatch { src: 0, dst: 1, ops: 2 } op 1"),
-            "{msg}"
-        );
-        assert!(msg.contains("put of 8 bytes at offset 124"), "{msg}");
+        assert!(msg.contains("unexpected AmBatch { src: 0, dst: 1"), "{msg}");
+        assert!(msg.contains("on a data connection"), "{msg}");
     }
 
     #[test]

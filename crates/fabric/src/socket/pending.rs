@@ -34,10 +34,11 @@ pub(super) enum Entry {
     /// kind of reply it is owed, which goes to the image's slot in
     /// `Table::replies` (an image makes one blocking call at a time).
     Sync { img: u32, awaits: Kind },
-    /// A nonblocking put (`put: true`) or an active-message batch awaiting
-    /// its ack; `img` indexes `outstanding_nb`. A batch shares the sender's
-    /// `outstanding_nb` debt so `quiet` covers batched AMs, but does not
-    /// count as a nonblocking-put completion in the stats.
+    /// A nonblocking put (`put: true`) or a signalled put's `PutFlag`
+    /// frame awaiting its ack; `img` indexes `outstanding_nb`. The
+    /// `PutFlag` shares the sender's `outstanding_nb` debt so `quiet`
+    /// covers it, but does not count as a nonblocking-put completion in the
+    /// stats.
     Nb { img: u32, put: bool },
     /// Retired, but behind an entry that is not: a ring gives its slots
     /// back from the front only.

@@ -5,20 +5,19 @@
 //!
 //! `SocketFabric::route` is the only code that reads the image→process
 //! map, the mapped-peer table, peer liveness *for routing* and a peer's
-//! wire debt; its four typed fronts (`route_span`, `route_flag`,
-//! `route_put_flag`, `route_batch`) add the one question that depends on
-//! what is addressed — is it published? — and hand back the window, flag
-//! cell or landing. The two fall-through rules live here and nowhere else:
+//! wire debt; its three typed fronts (`route_span`, `route_flag`,
+//! `route_put_flag`) add the one question that depends on what is
+//! addressed — is it published? — and hand back the window or flag cell.
+//! The two fall-through rules live here and nowhere else:
 //!
 //! * **Unpublished window.** A window its owner spilled to the heap
 //!   (directory full, arena exhausted) or a flag past the shared table
 //!   (`shm::MAX_FLAGS`) exists only in the owner's process: the op takes
 //!   the wire, even between mapped peers.
-//! * **Wire debt.** A signal — a flag add, a signalled put, or an
-//!   active-message batch, whose flags publish data — may not pass a
-//!   payload still travelling by frame. While any request to the peer's
-//!   process is unacked (corked or in flight), signals to it take the
-//!   wire too, where the connection's
+//! * **Wire debt.** A signal — a flag add or a signalled put, whose flag
+//!   publishes data — may not pass a payload still travelling by frame.
+//!   While any request to the peer's process is unacked (corked or in
+//!   flight), signals to it take the wire too, where the connection's
 //!   send order restores the `put_nb` point-to-point contract. Acks are
 //!   sent after the remote write lands, so zero debt means every earlier
 //!   wire put has been applied.
@@ -37,12 +36,10 @@
 
 use super::shm::{self, PeerShm};
 use super::{SocketFabric, PEER_DEAD};
-use crate::am::{self, AmOp};
-use crate::seg::{bump_flag, Access, FlagCell, FlagId, Held, Local, SegmentId, Window};
+use crate::seg::{Access, FlagCell, FlagId, Local, SegmentId, Window};
 use caf_topology::ProcId;
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{fence, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Whose memory a direct op touches. The memory operation is the same;
 /// the tier picks the `FabricStats` counter and the fence.
@@ -193,91 +190,6 @@ impl SocketFabric {
             Reach::Wire => Route::Wire,
         }
     }
-
-    /// Route an active-message batch. Every op must be reachable through
-    /// the mapping, or the whole batch travels as one frame and keeps its
-    /// vector order.
-    #[inline]
-    pub(super) fn route_batch(&self, me: ProcId, img: ProcId, ops: &[AmOp]) -> Route<Landing> {
-        match self.route(me, img, true, true) {
-            Reach::Own => Route::Direct(Landing::Own(img.index()), Tier::Own),
-            Reach::Mapped(peer, local) => {
-                let published = |seg: &SegmentId| peer.published(local, seg.0).is_some();
-                let shared = ops.iter().all(|op| match op {
-                    AmOp::Put { seg, .. } | AmOp::AmoAdd { seg, .. } => published(seg),
-                    AmOp::FlagAdd { flag, .. } => flag.0 < shm::MAX_FLAGS,
-                    AmOp::PutFlag { seg, flag, .. } => flag.0 < shm::MAX_FLAGS && published(seg),
-                });
-                if !shared {
-                    self.lane(me).record_wire_fallback();
-                    return Route::Wire;
-                }
-                Route::Direct(Landing::Mapped(peer, local, img.index()), Tier::Mapped)
-            }
-            Reach::Wire => Route::Wire,
-        }
-    }
-}
-
-/// Apply `ops`, sent by image `from`, to hosted image `img`, whose tables
-/// the caller holds for the batch; `posted` as for `land_flag`.
-pub(super) fn apply_held(
-    fab: &SocketFabric,
-    held: &mut Held<'_>,
-    (from, img): (usize, usize),
-    posted: Option<u64>,
-    ops: &[AmOp],
-) {
-    let held = RefCell::new(held);
-    am::apply(
-        ops,
-        |seg| {
-            (held.borrow_mut().window(seg.0))
-                .unwrap_or_else(|e| panic!("{e}"))
-                .local()
-        },
-        |flag, delta| {
-            let cell = (held.borrow_mut().flag(flag.0)).unwrap_or_else(|e| panic!("{e}"));
-            fab.land_flag(cell.cell(), from, img, flag, delta, posted);
-        },
-    )
-}
-
-/// Where a batch lands directly.
-pub(super) enum Landing {
-    /// This hosted image.
-    Own(usize),
-    /// A mapped peer, this slot of it, which is this global image.
-    Mapped(Rc<PeerShm>, usize, usize),
-}
-
-impl Landing {
-    /// Apply `ops`, sent by image `from` of this process at `posted` (when
-    /// traced), in vector order.
-    pub(super) fn apply(&self, fab: &SocketFabric, from: usize, posted: Option<u64>, ops: &[AmOp]) {
-        match self {
-            Landing::Own(img) => (fab.store.tables)
-                .with_image(*img, |held| {
-                    apply_held(fab, held, (from, *img), posted, ops);
-                    Ok(())
-                })
-                .unwrap_or_else(|e| panic!("{e}")),
-            // Windows only unpublish inside the recovery fence, when no
-            // image issues traffic, so the lookup cannot miss.
-            Landing::Mapped(peer, local, img) => am::apply(
-                ops,
-                |seg| {
-                    let window = PeerShm::window_of(peer.clone(), *local, seg.0);
-                    window.expect("published when routed")
-                },
-                |flag, delta| {
-                    fence(Ordering::Release);
-                    let cell = PeerShm::flag_of(peer.clone(), *local, flag.0);
-                    bump_flag(cell.cell(), *img, flag, delta);
-                },
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +226,7 @@ mod tests {
         }
     }
 
-    /// The three kinds of op the table has rows for, all from `me`.
+    /// The two kinds of op the table has rows for, all from `me`.
     struct From<'a>(&'a SocketFabric, ProcId);
 
     impl From<'_> {
@@ -328,19 +240,6 @@ mod tests {
 
         fn flag(&self, img: usize, flag: FlagId) -> Option<Tier> {
             tier(self.0.route_flag(self.1, ProcId(img), flag))
-        }
-
-        /// A batch that touches window `seg` and flag `flag`.
-        fn batch(&self, img: usize, seg: SegmentId, flag: FlagId) -> Option<Tier> {
-            let ops = [
-                AmOp::AmoAdd {
-                    seg,
-                    off: 0,
-                    delta: 1,
-                },
-                AmOp::FlagAdd { flag, delta: 1 },
-            ];
-            tier(self.0.route_batch(self.1, ProcId(img), &ops))
         }
     }
 
@@ -364,38 +263,30 @@ mod tests {
         for img in [0, 1] {
             assert_eq!(from0.span(img, SEG0), own);
             assert_eq!(from0.flag(img, FLAG), own);
-            assert_eq!(from0.batch(img, SEG0, FLAG), own);
         }
         // Mapped peer, everything published.
         for seg in [SEG0, published] {
             assert_eq!(from0.span(2, seg), mapped);
-            assert_eq!(from0.batch(2, seg, FLAG), mapped);
         }
         assert_eq!(from0.flag(2, FLAG), mapped);
         // Mapped peer, spilled window: what touches it takes the wire.
         assert_eq!(from0.span(2, spilled), wire);
-        assert_eq!(from0.batch(2, spilled, FLAG), wire);
         // Mapped peer, flag past the shared table.
         assert_eq!(from0.flag(2, OVER_TABLE), wire);
-        assert_eq!(from0.batch(2, SEG0, OVER_TABLE), wire);
         // Mapped peer owed an ack (the put is corked): signals yield to
         // the debt, data does not, and `quiet` lifts it.
         fabrics[0].put_nb(ProcId(0), ProcId(2), spilled, 0, &[1; 8]);
         assert_eq!(from0.span(2, SEG0), mapped);
         assert_eq!(from0.flag(2, FLAG), wire);
-        assert_eq!(from0.batch(2, SEG0, FLAG), wire);
         fabrics[0].quiet(ProcId(0));
         assert_eq!(from0.flag(2, FLAG), mapped);
-        assert_eq!(from0.batch(2, SEG0, FLAG), mapped);
         // A peer that announced no segment; and, seen from it (`shm:
         // false`), everyone else.
         assert_eq!(from0.span(4, SEG0), wire);
         assert_eq!(from0.flag(4, FLAG), wire);
-        assert_eq!(from0.batch(4, SEG0, FLAG), wire);
         let from4 = From(&fabrics[2], ProcId(4));
         assert_eq!(from4.span(0, SEG0), wire);
         assert_eq!(from4.flag(0, FLAG), wire);
-        assert_eq!(from4.batch(0, SEG0, FLAG), wire);
         assert_eq!(from4.span(5, SEG0), own);
         // A dead mapped peer panics, whatever is addressed at it —
         // except what no mapping could hold anyway.
@@ -408,7 +299,6 @@ mod tests {
         dies(&|| from0.span(2, SEG0));
         dies(&|| from0.span(2, spilled));
         dies(&|| from0.flag(2, FLAG));
-        dies(&|| from0.batch(2, SEG0, OVER_TABLE));
         assert_eq!(from0.flag(2, OVER_TABLE), wire);
         assert_eq!(from0.span(1, SEG0), own);
         for f in &fabrics {
@@ -417,26 +307,22 @@ mod tests {
     }
 
     /// One fixed program from image 0: every op to itself, to its sibling
-    /// and to an image of the other process, then the unpublished-window,
-    /// wire-debt and unpublished-flag cases. Returns process 0's counters.
+    /// and to an image of the other process, then the unpublished-window
+    /// and wire-debt cases. Returns process 0's counters.
     ///
     /// Nothing in it is decided by timing. The one signal that goes by
     /// wire *because of debt* is the `flag_add` right behind the spilled
     /// `put_nb`: that put is still corked (nothing flushes a lone data
     /// frame under this heartbeat), so the debt is held, not raced for. The
     /// flag then flushes the cork on the idle link, and whether the peer is
-    /// still owed an ack after that is the peer's business — so the batch
-    /// that follows names a flag past the shared table and travels by frame
-    /// whatever the debt, and a `quiet` before it settles *why* it does
-    /// (`wire_fallback_ops` counts a fall-through, not the debt rule).
-    /// (`the_route_table` pins a batch under debt.)
+    /// still owed an ack after that is the peer's business — so a `quiet`
+    /// settles it before the last `flag_add`, which the mapping carries.
     fn mixed_program(cfg: &SocketConfig) -> StatsSnapshot {
         let map = ImageMap::new(presets::mini(2, 2), 4, &Placement::Packed);
         let fabrics = fleet(&map, cfg);
         let f0 = &fabrics[0];
         let (me, far) = (ProcId(0), ProcId(2));
         let spilled = fabrics[1].alloc_segment(far, 1 << 16);
-        fabrics[1].alloc_flags(far, shm::MAX_FLAGS);
         let word = 7u64.to_ne_bytes();
         let mut out = [0u8; 8];
         for dst in [me, ProcId(1), far] {
@@ -446,42 +332,12 @@ mod tests {
             f0.amo_fetch_add_u64(me, dst, SEG0, 16, 1);
             f0.amo_cas_u64(me, dst, SEG0, 16, 1, 5);
             f0.flag_add(me, dst, FLAG, 1);
-            let batch = [
-                AmOp::Put {
-                    seg: SEG0,
-                    off: 24,
-                    data: vec![1; 16],
-                },
-                AmOp::AmoAdd {
-                    seg: SEG0,
-                    off: 16,
-                    delta: 2,
-                },
-                AmOp::PutFlag {
-                    seg: SEG0,
-                    off: 40,
-                    data: vec![2; 8],
-                    flag: FlagId(3),
-                    delta: 1,
-                },
-                AmOp::FlagAdd {
-                    flag: FLAG,
-                    delta: 1,
-                },
-            ];
-            f0.am_deliver(me, dst, &batch);
         }
         f0.quiet(me);
         f0.put(me, far, spilled, 0, &word);
         f0.get(me, far, spilled, 0, &mut out);
         f0.put_nb(me, far, spilled, 8, &word);
         f0.flag_add(me, far, FLAG, 1);
-        f0.quiet(me);
-        let flag = AmOp::FlagAdd {
-            flag: OVER_TABLE,
-            delta: 1,
-        };
-        f0.am_deliver(me, far, &[flag]);
         f0.quiet(me);
         f0.flag_add(me, far, FLAG, 1);
         let stats = f0.stats().snapshot();
@@ -590,33 +446,37 @@ mod tests {
 
     /// The counters each tier takes are part of the contract
     /// (`fleet_report.json`, `/metrics`): the four op rows were recorded by
-    /// running this program at the commit before the routing refactor and
-    /// have not moved since (`wire_fallback_ops` joined the fourth later: on
-    /// the shm fleet the tail's `put`, `get`, `put_nb` and over-table batch
-    /// fall through for what they address — the `flag_add` behind the
-    /// `put_nb` goes by wire for the debt, which is not a fall-through — and
-    /// a wire fleet has no mapped peer to fall through from). Wire bytes
-    /// are left out on the shm fleet — its `Open` frame carries a segment
-    /// path whose length varies.
+    /// running this program at the commit before the routing refactor, and
+    /// only the program's loss of its batches (below) has moved them since
+    /// (`wire_fallback_ops` joined the fourth later: on the shm fleet the
+    /// tail's `put`, `get` and `put_nb` fall through for what they address
+    /// — the `flag_add` behind the `put_nb` goes by wire for the debt,
+    /// which is not a fall-through — and a wire fleet has no mapped peer to
+    /// fall through from). Wire bytes are left out on the shm fleet — its
+    /// `Open` frame carries a segment path whose length varies.
     ///
-    /// The frame and byte pins moved once, when the cork began to fuse a
-    /// `put_nb` with the `flag_add` behind it. Frames process 0 sends on
-    /// the wire fleet, then and now:
+    /// The pins moved twice. First the cork began to fuse a `put_nb` with
+    /// the `flag_add` behind it. Then the program lost its two
+    /// `am_deliver` calls, when the fabric's own batch path went: on the
+    /// shm fleet the mapped batch's two puts (24 bytes) and three flag-like
+    /// ops, and the over-table batch's fall-through and frame, left the
+    /// fourth row and the frame pins. Frames process 0 sends on the wire
+    /// fleet:
     ///
-    /// | | then | now |
-    /// |---|---|---|
-    /// | handshake | `Open` | `Open` |
-    /// | loop, far image | `Put`, `Put` (nb), `Get`, `AmoFadd`, `AmoCas`, `FlagAdd`, `AmBatch` | the same seven: the blocking `get` flushes the `put_nb` before its flag is issued |
-    /// | tail | `Put`, `Get`, `Put` (nb), `FlagAdd`, `AmBatch` | `Put`, `Get`, **`PutFlag`**, `AmBatch` |
-    /// | after `quiet` | `FlagAdd` | `FlagAdd` |
-    /// | frames | 14 | 13 |
-    /// | bytes | 671 | 671 − 29 (the `FlagAdd` frame) + 16 (its `flag` and `delta` in the fused frame) = 658 |
+    /// | | first | fused | now |
+    /// |---|---|---|---|
+    /// | handshake | `Open` | `Open` | `Open` |
+    /// | loop, far image | `Put`, `Put` (nb), `Get`, `AmoFadd`, `AmoCas`, `FlagAdd`, `AmBatch` | the same seven: the blocking `get` flushes the `put_nb` before its flag is issued | the first six |
+    /// | tail | `Put`, `Get`, `Put` (nb), `FlagAdd`, `AmBatch` | `Put`, `Get`, **`PutFlag`**, `AmBatch` | `Put`, `Get`, `PutFlag` |
+    /// | after `quiet` | `FlagAdd` | `FlagAdd` | `FlagAdd` |
+    /// | frames | 14 | 13 | 11 |
+    /// | bytes | 671 | 671 − 29 (the `FlagAdd` frame) + 16 (its `flag` and `delta` in the fused frame) = 658 | 658 − 149 − 42 (the two `AmBatch` frames) = 467 |
     ///
     /// What it receives is what it did: one `Open`, and one response per
-    /// request that has one (eleven in all, the fused frame's single ack
-    /// where the `put_nb`'s was). On the shm fleet only the tail and the
-    /// handshake touch the wire: `Open`, `Put`, `Get`, `PutFlag`, `AmBatch`
-    /// where there were six.
+    /// request that has one (nine in all, the fused frame's single ack
+    /// where the `put_nb`'s was; two 13-byte `AmBatch` acks fewer than
+    /// before, 187 − 26 = 161 bytes). On the shm fleet only the tail and
+    /// the handshake touch the wire: `Open`, `Put`, `Get`, `PutFlag`.
     #[test]
     fn counters_per_tier_are_what_they_were() {
         let s = mixed_program(&cfg());
@@ -628,16 +488,16 @@ mod tests {
                 (s.shm_puts, s.shm_bytes, s.shm_flag_ops, s.wire_fallback_ops),
             ]
         };
-        let shm_fleet = [(2, 2, 24, 24), (1, 1, 1, 1), (3, 3, 6, 0), (4, 48, 7, 4)];
+        let shm_fleet = [(2, 2, 24, 24), (1, 1, 1, 1), (3, 3, 6, 0), (2, 24, 4, 3)];
         assert_eq!(ops(&s), shm_fleet, "{s:?}");
-        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (5, 5), "{s:?}");
+        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (4, 4), "{s:?}");
         let s = mixed_program(&SocketConfig {
             shm: false,
             ..cfg()
         });
         let wire_fleet = [(2, 4, 24, 48), (1, 2, 1, 3), (3, 3, 6, 0), (0, 0, 0, 0)];
         assert_eq!(ops(&s), wire_fleet, "{s:?}");
-        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (13, 11), "{s:?}");
-        assert_eq!((s.wire_bytes_tx, s.wire_bytes_rx), (658, 187), "{s:?}");
+        assert_eq!((s.wire_frames_tx, s.wire_frames_rx), (11, 9), "{s:?}");
+        assert_eq!((s.wire_bytes_tx, s.wire_bytes_rx), (467, 161), "{s:?}");
     }
 }

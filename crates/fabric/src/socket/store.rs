@@ -15,8 +15,7 @@
 //! pending table or a socket.
 
 use super::shm;
-use crate::am::AmOp;
-use crate::seg::{Access, FlagCell, FlagId, Held, SegmentId, Tables, Window};
+use crate::seg::{Access, FlagCell, FlagId, SegmentId, Tables, Window};
 use crate::stats::FabricStats;
 use caf_topology::ProcId;
 use std::io::Write;
@@ -97,7 +96,7 @@ impl Store {
         off: u64,
         len: usize,
     ) -> Result<Rc<Window>, String> {
-        let window = self.tables.with_image(img, |held| held.window(seg))?;
+        let window = self.tables.window(img, seg)?;
         window.check(access, off, len)?;
         Ok(window)
     }
@@ -106,25 +105,6 @@ impl Store {
     #[inline(always)]
     pub(super) fn flag(&self, img: usize, flag: usize) -> Result<Rc<FlagCell>, String> {
         self.tables.flag(img, flag)
-    }
-
-    /// Would `op` apply to the image `held`? Every field of it is checked
-    /// as [`Store::window`] and [`Store::flag`] check a lone request, and
-    /// nothing is touched.
-    pub(super) fn check(held: &mut Held<'_>, op: &AmOp) -> Result<(), String> {
-        match op {
-            AmOp::Put { seg, off, data } | AmOp::PutFlag { seg, off, data, .. } => {
-                (held.window(seg.0)?).check(Access::Put, *off as u64, data.len())?
-            }
-            AmOp::AmoAdd { seg, off, .. } => {
-                held.window(seg.0)?.check(Access::Amo, *off as u64, 8)?
-            }
-            AmOp::FlagAdd { .. } => {}
-        }
-        match op {
-            AmOp::FlagAdd { flag, .. } | AmOp::PutFlag { flag, .. } => held.flag(flag.0).map(drop),
-            AmOp::Put { .. } | AmOp::AmoAdd { .. } => Ok(()),
-        }
     }
 
     /// With the shm tier on, windows come from the shared arena so

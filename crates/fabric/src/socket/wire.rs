@@ -365,11 +365,10 @@ frames! {
             data: Vec<u8>,
         },
         /// A batch of active-message ops from one image to one target image,
-        /// applied at the receiver **in vector order** (the AM tier's
-        /// per-destination program-order guarantee). `ack` requests a
-        /// [`Frame::PutAck`] once every op in the batch has been applied, so
-        /// the sender's `quiet` covers batched AMs exactly like nonblocking
-        /// puts.
+        /// in program order. Only its codec is used: a fabric delivers a
+        /// batch as its ops' own frames (`Fabric::am_deliver`'s default),
+        /// and an `AmBatch` that reaches a data connection is refused as
+        /// unexpected, which poisons the fabric and names the sender.
         AmBatch {
             /// Issuing image (global 0-based rank).
             src: u32,

@@ -192,7 +192,7 @@ counters! {
     ams_injected => "caf_ams_total" "active messages injected into the batching tier";
     /// Batches handed to the fabric by the active-message tier. The ratio
     /// `ams_injected / am_batches_flushed` is the aggregation factor.
-    am_batches_flushed => "caf_am_batches_total" "AM batches flushed (wire frames / delivery events)";
+    am_batches_flushed => "caf_am_batches_total" "AM batches handed to Fabric::am_deliver";
     /// User payload bytes carried by injected active messages (pure
     /// flag/amo ops carry zero) — the bytes-per-op numerator.
     am_payload_bytes => "caf_am_payload_bytes_total" "user payload bytes carried by active messages";
@@ -217,8 +217,8 @@ counters! {
     shm_spilled_flags => "caf_shm_spilled_total" [kind = "flag"];
     /// Ops to an image of a *mapped* peer that took the wire because what
     /// they address is unpublished (a spilled window, a flag past the
-    /// shared table; a batch counts once). The wire-debt rule is ordering,
-    /// not spill, and is not counted.
+    /// shared table). The wire-debt rule is ordering, not spill, and is not
+    /// counted.
     wire_fallback_ops => "caf_wire_fallback_ops_total" "ops between mapped peers that took the wire because their target is unpublished";
 }
 

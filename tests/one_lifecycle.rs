@@ -46,6 +46,12 @@
 //! discriminant: a hand-written `EventKind` decoder or name arm, a kind list
 //! deciding which operand holds the team tag, or an `fn algo_code` in the
 //! collectives fails it.
+//!
+//! And an active-message batch has one delivery path, `Fabric::am_deliver`'s
+//! default, which replays each op through the ordinary one-sided calls: an
+//! `fn am_deliver` under `crates/*/src` anywhere but that default
+//! (`fabric/src/lib.rs`) and `Script`'s refusal (`fabric/src/stepper.rs`)
+//! fails it.
 
 use std::path::{Path, PathBuf};
 
@@ -460,5 +466,22 @@ fn each_trace_kind_is_declared_once() {
         codes,
         Vec::<&str>::new(),
         "a collective algorithm's trace code is its enum discriminant (`algo as u64`)"
+    );
+}
+
+#[test]
+fn an_active_message_batch_has_one_delivery_path() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    sources(&root, &mut files);
+    let defs: Vec<&str> = (hits(&files, "fn am_deliver", false).into_iter())
+        .filter(|f| f.contains("/src/"))
+        .collect();
+    assert_eq!(
+        defs,
+        ["fabric/src/lib.rs", "fabric/src/stepper.rs"],
+        "a batch is delivered by Fabric::am_deliver's default, op by op through put, \
+         flag_add, amo_fetch_add_u64 and put_flag: a backend's own batch landing is a \
+         second delivery path"
     );
 }
