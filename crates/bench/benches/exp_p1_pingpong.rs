@@ -32,8 +32,10 @@
 //! The `socket_wire_frames` row is the wire's frame bill for one 8 B
 //! `put_flag` between two processes with the shared-memory tier off:
 //! frames sent by both processes, summed from their `FabricStats`, per
-//! call. It is a count, not a clock (strict gate): one `PutFlag` and its
-//! `PutAck`, plus each process's `Bye` spread over the calls.
+//! call. It is a count, not a clock (strict gate): one `PutFlag` per call,
+//! one `PutAck` per burst of them the target serves (an ack stands for
+//! every request before it), plus each process's `Bye` spread over the
+//! calls. The acceptance check asserts at most 1.1 frames per call.
 //!
 //! Results go to `BENCH_pingpong.json` (override with `CAF_BENCH_OUT`);
 //! CI reruns the quick points and diffs against the committed baseline.
@@ -525,6 +527,14 @@ fn main() {
         "acceptance: word-wise segment copy is {:.1}x the per-byte loop -- PASS",
         per_byte / word_wise
     );
+
+    // Acceptance: a pipelined put_flag stream costs its own frames and
+    // little more: the target acks a burst of them with one frame.
+    assert!(
+        frames <= 1.1,
+        "{frames:.4} frames on the wire per 8 B put_flag (need <= 1.1: one ack per burst)"
+    );
+    println!("acceptance: {frames:.4} frames per 8 B put_flag on the wire (<= 1.1) -- PASS");
 
     // Acceptance: the shared-memory tier must beat the wire by at least 4x
     // on small intranode puts. Only meaningful where the shm tier exists.

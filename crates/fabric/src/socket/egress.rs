@@ -22,7 +22,7 @@
 //! | `FlagAdd` | if the last frame corked is a `put_nb` from the same image to the same image, rewritten into it (`PutFlag`: [`wire::fuse_flag`]), else appended; either way flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
 //! | `PutFlag` from `put_flag` | flushed if nothing is in flight, else corked until the ack clock ticks ([`Urgency::Signal`]) |
 //! | blocking `Put`/`Get`/AMO, `Heartbeat`, `Bye`, `RecoverBarrier` | flushed ([`Urgency::Now`]): the caller waits on it, or liveness depends on it |
-//! | `PutAck` (receive side) | corked until the ingress reader's burst is over |
+//! | `PutAck` (receive side) | corked until the ingress reader's burst is over; if the last frame corked is a `PutAck`, rewritten to name the new request instead ([`Cork::push_ack`]): one ack per response burst, standing for every unanswered request up to it |
 //! | `GetResp`, `AmoResp` (receive side) | flushed: a blocked caller is waiting |
 //!
 //! Anything between a put and its flag — a sibling image's frame, a flush,
@@ -102,6 +102,9 @@ pub(super) struct Cork {
     /// Where in `buf` the last frame starts, while that frame is a
     /// `put_nb`'s `Put` — what a `flag_add` arriving next fuses into.
     tail_put: Option<usize>,
+    /// Where in `buf` the last frame starts, while that frame is a
+    /// `PutAck` — what the ack of the next request rewrites.
+    tail_ack: Option<usize>,
 }
 
 impl Cork {
@@ -112,6 +115,7 @@ impl Cork {
             frames: 0,
             awaiting: 0,
             tail_put: None,
+            tail_ack: None,
         }
     }
 
@@ -137,7 +141,7 @@ impl Cork {
     ) -> io::Result<Left> {
         let mut start = self.buf.len();
         let tail = encode(&mut self.buf);
-        self.tail_put = None;
+        (self.tail_put, self.tail_ack) = (None, None);
         let mut left = Left::default();
         if tail.len() < CORK_BYTES {
             self.buf.extend_from_slice(tail);
@@ -177,6 +181,27 @@ impl Cork {
         })
     }
 
+    /// Cork the ack of request `ack`. It stands for every request before
+    /// it on the connection too, which is FIFO, so a `PutAck` that is the
+    /// last frame corked is rewritten to name `ack` instead of a second one
+    /// appended: a burst of puts is answered with one frame. Anything
+    /// corked after it, or a flush, ends the run.
+    pub(super) fn push_ack(&mut self, ack: u64) -> io::Result<Left> {
+        let frame = Frame::PutAck { ack };
+        if let Some(at) = self.tail_ack {
+            self.buf.truncate(at);
+            frame.encode_into(&mut self.buf);
+            return Ok(Left::default());
+        }
+        let at = self.buf.len();
+        let left = self.push(Urgency::Now, false, |b| {
+            frame.encode_into(b);
+            &[]
+        })?;
+        self.tail_ack = Some(at);
+        Ok(left)
+    }
+
     /// Write everything corked.
     pub(super) fn flush(&mut self) -> io::Result<Left> {
         if self.buf.is_empty() {
@@ -198,7 +223,8 @@ impl Cork {
                     writes,
                 };
                 self.buf.drain(..upto);
-                (self.frames, self.awaiting, self.tail_put) = (0, 0, None);
+                (self.frames, self.awaiting) = (0, 0);
+                (self.tail_put, self.tail_ack) = (None, None);
                 Ok(left)
             }
             Err(e) => {
@@ -210,7 +236,8 @@ impl Cork {
 
     fn discard(&mut self) {
         self.buf.clear();
-        (self.frames, self.awaiting, self.tail_put) = (0, 0, None);
+        (self.frames, self.awaiting) = (0, 0);
+        (self.tail_put, self.tail_ack) = (None, None);
     }
 }
 
@@ -731,6 +758,41 @@ mod tests {
         assert_eq!(push_nb(&mut c, &most).writes, 0);
         c.push_flag(0, 2, 3, 1).expect("fused");
         assert_eq!(drain(&mut c, &mut r), [put_flag(0, 2, &most, 3)]);
+    }
+
+    #[test]
+    fn a_burst_of_acks_leaves_as_one_frame_naming_the_last_request() {
+        let (mut c, mut r) = cork();
+        let ack = |ack| Frame::PutAck { ack };
+        // One frame for the burst, counted once: the last request's ack
+        // stands for the ones before it.
+        for seq in 1..=50 {
+            assert_eq!(c.push_ack(seq).expect("ack").writes, 0);
+        }
+        assert_eq!(c.frames, 1);
+        assert_eq!(drain(&mut c, &mut r), [ack(50)]);
+        // Any other frame ends the run: the acks on either side of it stay
+        // apart, in order.
+        c.push_ack(51).expect("ack");
+        (c.push(Urgency::Now, false, |b| {
+            wire::encode_get_resp(b, 52, &[1, 2])
+        }))
+        .expect("data");
+        c.push_ack(53).expect("ack");
+        let data = Frame::GetResp {
+            req: 52,
+            data: vec![1, 2],
+        };
+        assert_eq!(drain(&mut c, &mut r), [ack(51), data, ack(53)]);
+        // So does a flush, and so does a discard.
+        c.push_ack(54).expect("ack");
+        assert_eq!(drain(&mut c, &mut r), [ack(54)]);
+        c.push_ack(55).expect("ack");
+        assert_eq!(drain(&mut c, &mut r), [ack(55)]);
+        c.push_ack(56).expect("ack");
+        c.discard();
+        c.push_ack(57).expect("ack");
+        assert_eq!(drain(&mut c, &mut r), [ack(57)]);
     }
 
     #[test]

@@ -403,7 +403,8 @@ impl SocketFabric {
     /// responses back on the same connection, in that order (which is what
     /// lets the requester complete them by sequence number). Acks are
     /// corked while the burst of requests lasts — a burst of puts is
-    /// answered with one write — and leave before this thread blocks in a
+    /// answered with one frame, the last request's ack, which stands for
+    /// the requests before it — and leave before this thread blocks in a
     /// read again; data and values, which a caller is blocked on, end the
     /// burst. Its frames are counted, and the peer marked seen, once,
     /// before the responses leave.
@@ -835,22 +836,20 @@ impl SocketFabric {
     }
 }
 
-/// Cork `response`; write the cork out if the burst of requests `is_over`.
-/// Returns what left.
+/// Cork `response` (an ack into the one it follows: [`Cork::push_ack`]);
+/// write the cork out if the burst of requests `is_over`. Returns what
+/// left.
 fn respond(cork: &mut Cork, response: Option<Response<'_>>, is_over: bool) -> io::Result<Left> {
     let mut left = match response {
         None => Left::default(),
-        Some(response) => cork.push(Urgency::Now, false, |b| match response {
-            Response::Ack(ack) => {
-                Frame::PutAck { ack }.encode_into(b);
-                &[]
-            }
-            Response::Val { req, old } => {
-                Frame::AmoResp { req, old }.encode_into(b);
-                &[]
-            }
-            Response::Data { req, data } => wire::encode_get_resp(b, req, data),
+        Some(Response::Ack(ack)) => cork.push_ack(ack)?,
+        Some(Response::Val { req, old }) => cork.push(Urgency::Now, false, |b| {
+            Frame::AmoResp { req, old }.encode_into(b);
+            &[]
         })?,
+        Some(Response::Data { req, data }) => {
+            cork.push(Urgency::Now, false, |b| wire::encode_get_resp(b, req, data))?
+        }
     };
     if is_over {
         left += cork.flush()?;
@@ -888,7 +887,7 @@ mod tests {
 
     /// The previous wire protocol's magic: what a process of the last
     /// release opens with.
-    const OLD_MAGIC: u32 = 0xCAF5_0C06;
+    const OLD_MAGIC: u32 = 0xCAF5_0C07;
 
     /// Process 0 of a two-process fleet whose process 1 is the test.
     struct Lone {
@@ -989,7 +988,7 @@ mod tests {
         assert!(
             msg.contains(
                 "malformed frame from a dialing process: hello from peer process 1 (node 1, \
-                 images 2): it speaks wire protocol 0xcaf50c06, this process 0xcaf50c07"
+                 images 2): it speaks wire protocol 0xcaf50c07, this process 0xcaf50c08"
             ),
             "{msg}"
         );
@@ -1001,7 +1000,7 @@ mod tests {
             shm: String::new(),
         };
         let msg = lone.refused(&rejoin.encode());
-        assert!(msg.contains("it speaks wire protocol 0xcaf50c06"), "{msg}");
+        assert!(msg.contains("it speaks wire protocol 0xcaf50c07"), "{msg}");
         // A rank that is not a peer: out of the fleet, and its own.
         for node in [7, 0] {
             let open = Frame::Open {

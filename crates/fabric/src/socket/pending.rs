@@ -47,6 +47,17 @@ pub(super) enum Entry {
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 8);
 
+impl Entry {
+    /// Is this request answered by an ack (and so by any later ack)?
+    fn awaits_ack(&self) -> bool {
+        match self {
+            Entry::Nb { .. } => true,
+            Entry::Sync { awaits, .. } => *awaits == Kind::Ack,
+            Entry::Done => false,
+        }
+    }
+}
+
 /// What a response carries, without the payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Kind {
@@ -103,6 +114,11 @@ impl Ring {
         if let Some(e) = self.slot(seq) {
             *e = Entry::Done;
         }
+        self.trim();
+    }
+
+    /// Give back every retired slot at the front.
+    fn trim(&mut self) {
         while let Some(Entry::Done) = self.entries.front() {
             self.entries.pop_front();
             self.base += 1;
@@ -206,14 +222,24 @@ impl Pending {
     }
 
     /// Retire a batch of `peer`'s responses from its reader thread under
-    /// one lock, with one wake-up. A response below the ring's base — late
-    /// after a recovery reset — is dropped; one past the ring's end, or of
-    /// the wrong kind for its entry (an ack where data is awaited, a second
-    /// response to a request still in the ring), stops the batch and is handed back as an
-    /// `InvalidData` error for the caller to poison with: what came before
-    /// it is retired all the same. The peer's ack clock ticks before the waiters wake — an
-    /// image back from `quiet` finds the link idle — and `Ok(true)` asks
-    /// the caller to poke the egress thread (the lost-flush rule).
+    /// one lock, with one wake-up. Data and a value answer the one request
+    /// they name. An ack answers every request from the ring's base through
+    /// the one it names that is not answered yet: the peer serves in order
+    /// and sends one ack per response burst. So each `Nb` entry it covers
+    /// pays its image's debt and each `Sync` entry awaiting an ack gets
+    /// its reply.
+    ///
+    /// A response below the ring's base — late after a recovery reset — is
+    /// dropped. Some responses are refused, and stop the batch: one past
+    /// the ring's end, which retires nothing; one of the wrong kind for the
+    /// request it names (an ack where data is awaited, a second response to
+    /// a request still in the ring); and an ack whose range reaches a
+    /// request that awaits data or a value, which stops at that request. A
+    /// refusal is handed back as an `InvalidData` error for the caller to
+    /// poison with; what came before it is retired all the same. The peer's
+    /// ack clock ticks before the waiters wake — an image back from `quiet`
+    /// finds the link idle — and `Ok(true)` asks the caller to poke the
+    /// egress thread (the lost-flush rule).
     pub(super) fn complete(
         &self,
         peer: usize,
@@ -236,31 +262,55 @@ impl Pending {
             }
             let kind = reply.kind();
             let refusal = match (ring.slot(seq), kind) {
+                (Some(e), Kind::Ack) if e.awaits_ack() => {
+                    let covered = ring.entries.iter_mut().take((seq - ring.base) as usize + 1);
+                    let mut stop = None;
+                    for (at, e) in (ring.base..).zip(covered) {
+                        match *e {
+                            Entry::Done => continue,
+                            Entry::Nb { img, put } => {
+                                outstanding_nb[img as usize] -= 1;
+                                puts += u64::from(put);
+                            }
+                            Entry::Sync {
+                                img,
+                                awaits: Kind::Ack,
+                            } => replies[img as usize] = Some(Reply::Ack),
+                            Entry::Sync { awaits, .. } => {
+                                stop = Some((at, format!("it awaits {awaits:?}")));
+                                break;
+                            }
+                        }
+                        *e = Entry::Done;
+                        retired += 1;
+                    }
+                    ring.trim();
+                    stop
+                }
                 (Some(&mut Entry::Sync { img, awaits }), _) if awaits == kind => {
                     replies[img as usize] = Some(reply);
                     ring.retire(seq);
+                    retired += 1;
                     None
                 }
-                (Some(&mut Entry::Nb { img, put }), Kind::Ack) => {
-                    outstanding_nb[img as usize] -= 1;
-                    puts += u64::from(put);
-                    ring.retire(seq);
-                    None
+                (Some(Entry::Sync { awaits, .. }), _) => {
+                    Some((seq, format!("it awaits {awaits:?}")))
                 }
-                (Some(Entry::Sync { awaits, .. }), _) => Some(format!("it awaits {awaits:?}")),
-                (Some(Entry::Nb { .. }), _) => Some("it awaits Ack".to_string()),
-                (Some(Entry::Done), _) => Some("it was already answered".to_string()),
-                (None, _) => Some(format!(
-                    "requests {}..{} are in flight",
-                    ring.base,
-                    ring.base + ring.entries.len() as u64
+                (Some(Entry::Nb { .. }), _) => Some((seq, "it awaits Ack".to_string())),
+                (Some(Entry::Done), _) => Some((seq, "it was already answered".to_string())),
+                (None, _) => Some((
+                    seq,
+                    format!(
+                        "requests {}..{} are in flight",
+                        ring.base,
+                        ring.base + ring.entries.len() as u64
+                    ),
                 )),
             };
-            if let Some(why) = refusal {
-                refused = Some(format!("{kind:?} response to request {seq}: {why}"));
+            if let Some((at, why)) = refusal {
+                refused = Some(format!("{kind:?} response to request {at}: {why}"));
                 break;
             }
-            retired += 1;
         }
         stats.puts_nb_completed.fetch_add(puts, Ordering::Relaxed);
         let poke = egress.retired(retired);
@@ -470,6 +520,93 @@ mod tests {
         assert!(!p.is_pending(Pending::token(1, seq)));
         assert!(!p.table.lock().has_debt(3) && !e.has_debt());
         assert_eq!(stats.snapshot().puts_nb_completed, 1);
+    }
+
+    #[test]
+    fn one_ack_retires_every_unanswered_request_up_to_it_and_none_after() {
+        let (p, stats, e, _theirs) = table();
+        let put_flag = |img| Entry::Nb { img, put: false };
+        let blocking_put = |img| Entry::Sync {
+            img,
+            awaits: Kind::Ack,
+        };
+        let amo = |img| Entry::Sync {
+            img,
+            awaits: Kind::Val,
+        };
+        // A mixed run, with an AMO in it answered out of order (a connection
+        // never does this; the ring copes): its slot is retired already.
+        let first = request(&p, &e, put_nb(0));
+        request(&p, &e, put_flag(1));
+        let answered = request(&p, &e, amo(3));
+        request(&p, &e, blocking_put(2));
+        let last = request(&p, &e, put_nb(1));
+        let after = [put_nb(1), blocking_put(0)].map(|entry| request(&p, &e, entry));
+        (p.complete(1, [(answered, Reply::Val(4))].into_iter(), &stats, &e)).expect("value");
+        assert_eq!(p.table.lock().rings[1].base, first);
+        // One ack for the burst.
+        p.complete(1, acks([last]), &stats, &e).expect("cumulative");
+        let mut t = p.table.lock();
+        assert_eq!(t.outstanding_nb, [0, 1, 0, 0], "image 1 owes one put");
+        assert!(matches!(t.take_reply(2), Some(Reply::Ack)));
+        assert!(matches!(t.take_reply(3), Some(Reply::Val(4))));
+        assert!(t.take_reply(0).is_none(), "the blocking put after the ack");
+        assert_eq!(t.rings[1].base, after[0]);
+        drop(t);
+        assert_eq!(
+            stats.snapshot().puts_nb_completed,
+            2,
+            "a PutFlag is no put_nb"
+        );
+        assert!(!p.is_pending(Pending::token(1, first)));
+        assert!(p.is_pending(Pending::token(1, after[0])));
+        // The requests after it still owe their responses, and each was
+        // counted off the wire debt once.
+        assert!(e.has_debt());
+        p.complete(1, acks([after[1]]), &stats, &e)
+            .expect("the rest");
+        assert!(matches!(p.table.lock().take_reply(0), Some(Reply::Ack)));
+        assert!(!p.table.lock().has_debt(1) && !e.has_debt());
+        assert_eq!(stats.snapshot().puts_nb_completed, 3);
+        // After a reset, a late ack that covers the forgotten requests is
+        // ignored, and the new request stays pending.
+        let forgotten = request(&p, &e, put_nb(0));
+        p.reset();
+        e.reset();
+        let fresh = request(&p, &e, put_nb(0));
+        p.complete(1, acks([forgotten]), &stats, &e)
+            .expect("dropped");
+        assert!(p.is_pending(Pending::token(1, fresh)));
+        assert!(p.table.lock().has_debt(0) && e.has_debt());
+        assert_eq!(stats.snapshot().puts_nb_completed, 3);
+    }
+
+    #[test]
+    fn an_ack_stops_at_a_request_that_awaits_data_and_keeps_what_it_retired() {
+        let (p, stats, e, _theirs) = table();
+        let before = request(&p, &e, put_nb(0));
+        let get = request(
+            &p,
+            &e,
+            Entry::Sync {
+                img: 2,
+                awaits: Kind::Data,
+            },
+        );
+        let last = request(&p, &e, put_nb(1));
+        let err = p
+            .complete(1, acks([last]), &stats, &e)
+            .expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!("Ack response to request {get}: it awaits Data")
+        );
+        assert!(!p.is_pending(Pending::token(1, before)));
+        assert!(p.is_pending(Pending::token(1, last)));
+        let t = p.table.lock();
+        assert_eq!((t.rings[1].base, t.outstanding_nb[0]), (get, 0));
+        assert!(t.has_debt(1));
     }
 
     #[test]

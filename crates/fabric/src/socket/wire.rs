@@ -29,7 +29,7 @@ use std::time::Duration;
 
 /// Protocol magic carried by [`Frame::Open`] and [`Frame::Hello`]; bump on
 /// any incompatible frame-format change.
-pub const WIRE_MAGIC: u32 = 0xCAF5_0C07;
+pub const WIRE_MAGIC: u32 = 0xCAF5_0C08;
 
 /// Upper bound on one frame body — a corrupted length prefix fails here
 /// instead of attempting a multi-gigabyte allocation.
@@ -318,7 +318,8 @@ frames! {
 
     bulk {
         /// One-sided write into a hosted image's segment. `ack != 0` requests
-        /// a [`Frame::PutAck`] echoing it once the payload is applied.
+        /// an ack once the payload is applied: a [`Frame::PutAck`] naming it
+        /// or a later request of the same burst.
         Put {
             /// Issuing image (global 0-based rank).
             src: u32,
@@ -394,9 +395,11 @@ frames! {
             /// services its side of the pair's traffic at memory speed.
             shm: String,
         },
-        /// Completion ack for a [`Frame::Put`] or [`Frame::PutFlag`].
+        /// Completion ack for a [`Frame::Put`] or [`Frame::PutFlag`], and for
+        /// every request before it on the connection not answered yet: the
+        /// receiver serves in order and sends one ack per response burst.
         PutAck = 3 {
-            /// The cookie from the acked put.
+            /// The cookie of the last put acked.
             ack: u64,
         },
         /// One-sided read request.
@@ -1911,7 +1914,7 @@ mod tests {
     /// a field order that an encoder and its decoder change together
     /// still round-trips, and fails here.
     const GOLDEN: [&str; 21] = [
-        "0f0000000101000000070cf5ca020000002f73",
+        "0f0000000101000000080cf5ca020000002f73",
         "2800000002010000000200000003000000000000000400000000000000050000\
          000000000003000000d0d1d2",
         "380000000f010000000200000003000000000000000400000000000000050000\
@@ -1940,10 +1943,10 @@ mod tests {
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000",
         "050000000b01000000",
-        "210000000c010000000e00000000000000060000007564733a2f61070cf5ca02\
+        "210000000c010000000e00000000000000060000007564733a2f61080cf5ca02\
          0000002f73",
         "150000000d0100000002000000000000000e00000000000000",
-        "130000001001000000060000007564733a2f61070cf5ca",
+        "130000001001000000060000007564733a2f61080cf5ca",
         "190000001102000000060000007564733a2f61060000007564733a2f62",
         "15000000120100000001000000020000000f00000000000000",
         "06000000130100000078",

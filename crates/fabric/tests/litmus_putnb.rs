@@ -329,6 +329,42 @@ fn socket_stats_injected_equals_completed_after_every_fence() {
     );
 }
 
+/// An ack stands for every request before it, so the target answers a
+/// burst of puts with one frame: 1 000 unsignalled `put_nb` and a `quiet`
+/// bring the sender at most 100 response frames. A `put_nb` alone never
+/// flushes before the cork is full, so the puts arrive in a handful of
+/// bursts, and the bound does not depend on timing.
+#[test]
+fn socket_put_nb_stream_is_acked_once_per_burst() {
+    const PUTS: u64 = 1000;
+    let map = ImageMap::new(presets::mini(2, 1), 2, &Placement::Packed);
+    let cfg = SocketConfig {
+        shm: false,
+        ..socket_cfg()
+    };
+    let fabrics = fleet(&map, &cfg);
+    let seen = Arc::new(Mutex::new(None));
+    let into = seen.clone();
+    run_fleet(&fabrics, move |f, me| {
+        if me == ProcId(0) {
+            let before = f.stats().snapshot();
+            for k in 0..PUTS {
+                f.put_nb(me, ProcId(1), BSEG, 0, &k.to_ne_bytes());
+            }
+            f.quiet(me);
+            *into.lock().unwrap() = Some(f.stats().snapshot() - before);
+        }
+        f.image_done(me);
+    });
+    let d = seen.lock().unwrap().take().expect("image 0 measured");
+    assert_eq!((d.puts_nb_injected, d.puts_nb_completed), (PUTS, PUTS));
+    assert!(
+        d.wire_frames_rx <= 100,
+        "{} response frames for {PUTS} puts",
+        d.wire_frames_rx
+    );
+}
+
 #[test]
 fn mixed_fleet_interleaved_puts_keep_program_order_on_both_tiers() {
     // The core ordering litmus, once per transport tier in one fleet:

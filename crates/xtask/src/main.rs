@@ -39,6 +39,14 @@
 //! they pass, but the report says the baseline has to be regenerated
 //! before they are gated. No external JSON crate: the files come from
 //! `caf_bench::results` and are read with `caf_trace::json`.
+//!
+//! `cargo xtask ab <rev> [--pairs N] [--seconds S] [--workload W]...`
+//!
+//! runs the end-to-end benchmark on `<rev>` and on the working tree in
+//! alternating pairs and reports, per workload and end-to-end metric, the
+//! medians, the median paired ratio and the pairs won (see [`ab`]).
+
+mod ab;
 
 use caf_trace::json;
 use std::process::ExitCode;
@@ -297,7 +305,8 @@ fn usage() -> String {
     "usage: cargo xtask check [--quick|--deep] [--seeds N] [--socket|--socket-only]\n       \
      \x20                 [--shm-only] [--recover|--recover-only] [--kill-after-ms T]\n       \
      cargo xtask bench-diff <baseline.json> <new.json> [--tolerance PCT]\n       \
-     \x20                 [--wall-tolerance PCT] [--markdown]"
+     \x20                 [--wall-tolerance PCT] [--markdown]\n       \
+     cargo xtask ab <rev> [--pairs N] [--seconds S] [--workload W]..."
         .into()
 }
 
@@ -305,6 +314,7 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]),
+        Some("ab") => ab::run(&args[1..]),
         Some("bench-diff") => {
             let mut tolerance = 10.0f64;
             let mut wall_tolerance = None;
