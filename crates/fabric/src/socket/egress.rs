@@ -32,10 +32,22 @@
 //! connection in order: what the target sees, and what `quiet` waits for,
 //! is exactly what `Put; FlagAdd` gave.
 //!
-//! A request the peer answers gets its sequence number here, under the cork
-//! lock, at append ([`Egress::send`]) — so the order of the pending table's
-//! ring is the order of the wire. Frames are counted when they leave
-//! ([`Left`]), a burst at a time.
+//! A request the peer answers is numbered at append under the cork lock
+//! ([`Egress::send`]): the cork owns the peer's next sequence number. It is
+//! registered in one batch before the write: the write that carries it
+//! first hands every corked request to the pending table under one lock
+//! ([`Pending::register_batch`]) before a byte of it leaves — the flush,
+//! the pre-frame flush of an overfilling `put_nb` and the vectored write of
+//! a large payload alike. So the order of the pending table's ring is the
+//! order of the wire, a response never beats its registration, and the
+//! request path takes the pending lock once per write, not once per
+//! request. A discard — a recovery reset, a broken write, a re-dial — takes
+//! back the numbers of the requests it drops. Frames are counted when they
+//! leave ([`Left`]), a burst at a time.
+//!
+//! The fabric's egress slot per peer is write-once: a re-dial swaps the
+//! stream inside the existing [`Egress`], under its cork lock
+//! ([`Egress::redial`]), so the request path reads the slot without a lock.
 //!
 //! Two rules keep this safe. **Deadlock:** the thread that reads a peer's
 //! responses never takes a cork lock and never writes to a socket — it
@@ -96,9 +108,15 @@ pub(super) struct Cork {
     buf: Vec<u8>,
     /// Frames in `buf`.
     frames: u64,
-    /// How many of the corked frames the peer answers (ack, data or
-    /// value): requests not yet on the wire.
-    awaiting: u64,
+    /// The corked frames the peer answers (ack, data or value), oldest
+    /// first: requests numbered `next - requests.len()..next`, registered
+    /// when a write carries them.
+    requests: Vec<Entry>,
+    /// The sequence number the next request gets.
+    next: u64,
+    /// The pending table and peer rank a request cork registers into;
+    /// `None` on a response cork, whose frames nobody answers.
+    table: Option<(Arc<Pending>, usize)>,
     /// Where in `buf` the last frame starts, while that frame is a
     /// `put_nb`'s `Put` — what a `flag_add` arriving next fuses into.
     tail_put: Option<usize>,
@@ -108,14 +126,26 @@ pub(super) struct Cork {
 }
 
 impl Cork {
+    /// A response cork.
     pub(super) fn new(stream: Stream) -> Self {
         Self {
             stream,
             buf: Vec::new(),
             frames: 0,
-            awaiting: 0,
+            requests: Vec::new(),
+            next: 1,
+            table: None,
             tail_put: None,
             tail_ack: None,
+        }
+    }
+
+    /// The request cork toward `peer`, whose requests `pending` tracks
+    /// (numbered from 1, as its ring is).
+    fn for_requests(stream: Stream, pending: Arc<Pending>, peer: usize) -> Self {
+        Self {
+            table: Some((pending, peer)),
+            ..Self::new(stream)
         }
     }
 
@@ -123,24 +153,30 @@ impl Cork {
         self.buf.len()
     }
 
-    /// Cork the frame `encode` appends to the buffer it is given (handing
-    /// back the bulk payload it did not copy, as `PutHead::encode_head`
-    /// does); `expects_response` marks one the peer answers. Returns what
-    /// this wrote, which is nothing unless
+    /// Cork the frame `encode` appends, around its sequence number, to the
+    /// buffer it is given (handing back the bulk payload it did not copy,
+    /// as `PutHead::encode_head` does). `awaits` is the pending entry of a
+    /// request the peer answers: the frame is numbered the cork's next
+    /// number and the entry waits here for the write that registers it;
+    /// any other frame is numbered 0. Returns what this wrote, which is
+    /// nothing unless
     ///
     /// * the payload is [`CORK_BYTES`] or more — then everything corked,
     ///   the frame's header and the payload leave now, in place; or
     /// * the frame is [`Urgency::Data`] and takes the cork past
     ///   [`CORK_BYTES`] — then what was corked *before* it leaves, and the
-    ///   frame stays behind for the flag that may follow it.
+    ///   frame stays behind for the flag that may follow it;
+    ///
+    /// and the frame's number.
     pub(super) fn push<'a>(
         &mut self,
         urgency: Urgency,
-        expects_response: bool,
-        encode: impl FnOnce(&mut Vec<u8>) -> &'a [u8],
-    ) -> io::Result<Left> {
+        awaits: Option<Entry>,
+        encode: impl FnOnce(u64, &mut Vec<u8>) -> &'a [u8],
+    ) -> io::Result<(Left, u64)> {
+        let seq = if awaits.is_some() { self.next } else { 0 };
         let mut start = self.buf.len();
-        let tail = encode(&mut self.buf);
+        let tail = encode(seq, &mut self.buf);
         (self.tail_put, self.tail_ack) = (None, None);
         let mut left = Left::default();
         if tail.len() < CORK_BYTES {
@@ -154,11 +190,20 @@ impl Cork {
             }
         }
         self.frames += 1;
-        self.awaiting += u64::from(expects_response);
+        if let Some(entry) = awaits {
+            self.requests.push(entry);
+            self.next += 1;
+            self.publish_numbered();
+        }
         if tail.len() >= CORK_BYTES {
             left = self.write_out(self.buf.len(), tail)?;
         }
-        Ok(left)
+        Ok((left, seq))
+    }
+
+    /// Requests corked, not yet on the wire.
+    fn corked_requests(&self) -> u64 {
+        self.requests.len() as u64
     }
 
     /// Cork `flag += delta` at image `dst` from image `src`: fused into the
@@ -175,10 +220,11 @@ impl Cork {
             flag,
             delta,
         };
-        self.push(Urgency::Signal, false, |b| {
+        let (left, _) = self.push(Urgency::Signal, None, |_, b| {
             frame.encode_into(b);
             &[]
-        })
+        })?;
+        Ok(left)
     }
 
     /// Cork the ack of request `ack`. It stands for every request before
@@ -194,7 +240,7 @@ impl Cork {
             return Ok(Left::default());
         }
         let at = self.buf.len();
-        let left = self.push(Urgency::Now, false, |b| {
+        let (left, _) = self.push(Urgency::Now, None, |_, b| {
             frame.encode_into(b);
             &[]
         })?;
@@ -212,9 +258,11 @@ impl Cork {
 
     /// Write the first `upto` corked bytes, which hold every frame counted
     /// so far, then `tail`; what lies behind them (a frame just encoded,
-    /// not yet counted) stays. After an error the cork is empty: the
-    /// connection is broken, and the caller declares the peer dead.
+    /// not yet counted) stays. The requests among the counted frames are
+    /// registered first. After an error the cork is empty: the connection
+    /// is broken, and the caller declares the peer dead.
     fn write_out(&mut self, upto: usize, tail: &[u8]) -> io::Result<Left> {
+        self.register();
         match write_all_counted(&mut self.stream, &self.buf[..upto], tail) {
             Ok(writes) => {
                 let left = Left {
@@ -223,7 +271,7 @@ impl Cork {
                     writes,
                 };
                 self.buf.drain(..upto);
-                (self.frames, self.awaiting) = (0, 0);
+                self.frames = 0;
                 (self.tail_put, self.tail_ack) = (None, None);
                 Ok(left)
             }
@@ -234,9 +282,37 @@ impl Cork {
         }
     }
 
+    /// Hand every corked request to the pending table in one batch, before
+    /// the write that carries them: a response cannot beat its
+    /// registration.
+    fn register(&mut self) {
+        if self.requests.is_empty() {
+            return;
+        }
+        let (pending, peer) = self
+            .table
+            .as_ref()
+            .expect("a response cork numbers no request");
+        let first = self.next - self.corked_requests();
+        pending.register_batch(*peer, first, self.requests.drain(..));
+    }
+
+    /// Tell the pending table how far this cork has numbered (see
+    /// [`Pending::numbered`]).
+    fn publish_numbered(&self) {
+        if let Some((pending, peer)) = &self.table {
+            pending.numbered[*peer].store(self.next, Ordering::Relaxed);
+        }
+    }
+
+    /// Forget everything corked, and take back the numbers of the requests
+    /// among it: the next request is numbered the pending ring's end.
     fn discard(&mut self) {
         self.buf.clear();
-        (self.frames, self.awaiting) = (0, 0);
+        self.frames = 0;
+        self.next -= self.corked_requests();
+        self.requests.clear();
+        self.publish_numbered();
         (self.tail_put, self.tail_ack) = (None, None);
     }
 }
@@ -304,8 +380,9 @@ pub(super) struct Sent {
     pub(super) seq: u64,
 }
 
-/// The request side of one peer connection: the shared cork and the
-/// counters that clock it.
+/// The request side of the connection to one peer: the shared cork and the
+/// counters that clock it. One per peer rank for the fabric's life; a
+/// re-dial swaps the connection inside it ([`Egress::redial`]).
 pub(super) struct Egress {
     cork: Mutex<Cork>,
     /// Response-carrying requests to this peer — corked or on the wire —
@@ -315,7 +392,7 @@ pub(super) struct Egress {
     /// the frame path until it is zero again (acks are sent after the
     /// remote write applies). The fabric owns the cell (`wire_debt`, one
     /// per peer rank, which `route` reads without a lock) and hands it to
-    /// every connection it dials to that rank.
+    /// the rank's `Egress`.
     unacked: Arc<AtomicU64>,
     /// Something is corked. Written under the cork lock only; read
     /// without it by waits (to skip the lock) and by the response reader
@@ -324,15 +401,24 @@ pub(super) struct Egress {
 }
 
 impl Egress {
-    pub(super) fn new(stream: Stream, unacked: Arc<AtomicU64>) -> Self {
+    /// The egress toward peer rank `peer` over `stream`, counting its wire
+    /// debt on `unacked` and registering its requests in `pending`.
+    pub(super) fn new(
+        stream: Stream,
+        unacked: Arc<AtomicU64>,
+        pending: Arc<Pending>,
+        peer: usize,
+    ) -> Self {
         Self {
-            cork: Mutex::new(Cork::new(stream)),
+            cork: Mutex::new(Cork::for_requests(stream, pending, peer)),
             unacked,
             dirty: AtomicBool::new(false),
         }
     }
 
-    /// Append what `append` corks; flush if [`flush_now`] says so.
+    /// Append what `append` corks; flush if [`flush_now`] says so. What
+    /// `dirty` reads `false` after is registered (the lost-flush rule, and
+    /// what a wait that skips a clean cork relies on).
     fn with_cork(
         &self,
         urgency: Urgency,
@@ -353,7 +439,7 @@ impl Egress {
         let in_flight = self
             .unacked
             .load(Ordering::SeqCst)
-            .saturating_sub(cork.awaiting);
+            .saturating_sub(cork.corked_requests());
         if flush_now(urgency, in_flight, cork.len()) {
             left += cork.flush()?;
         }
@@ -368,24 +454,22 @@ impl Egress {
     }
 
     /// Append the frame `encode` writes (see [`Cork::push`]) around its
-    /// sequence number. `awaits` is the entry of a frame the peer answers
-    /// (ack, data or value) in the pending table of rank `.1`: it is
-    /// registered here, under the cork lock, so that the table's order is
-    /// the wire's.
+    /// sequence number. `awaits` is the pending entry of a frame the peer
+    /// answers (ack, data or value): numbered here, under the cork lock,
+    /// and registered by the write that carries it, so that the table's
+    /// order is the wire's. It counts on the wire debt from here on.
     pub(super) fn send<'a>(
         &self,
-        awaits: Option<(&Pending, usize, Entry)>,
+        awaits: Option<Entry>,
         urgency: Urgency,
         time_queue: bool,
         encode: impl FnOnce(u64, &mut Vec<u8>) -> &'a [u8],
     ) -> io::Result<Sent> {
         self.with_cork(urgency, time_queue, |cork| {
-            let seq = awaits.map_or(0, |(pending, rank, entry)| {
+            if awaits.is_some() {
                 self.unacked.fetch_add(1, Ordering::SeqCst);
-                pending.register(rank, entry)
-            });
-            let left = cork.push(urgency, seq != 0, |b| encode(seq, b))?;
-            Ok((left, seq))
+            }
+            cork.push(urgency, awaits, encode)
         })
     }
 
@@ -409,11 +493,13 @@ impl Egress {
         self.dirty.load(Ordering::SeqCst)
     }
 
-    /// Write whatever is corked.
+    /// Write whatever is corked. The cork reads clean once its requests
+    /// are registered, not before.
     pub(super) fn flush(&self) -> io::Result<Left> {
         let mut cork = self.cork.lock();
+        let left = cork.flush();
         self.dirty.store(false, Ordering::SeqCst);
-        cork.flush()
+        left
     }
 
     /// `n` of this peer's responses were just retired: tick the ack clock.
@@ -429,6 +515,17 @@ impl Egress {
     #[cfg(test)]
     pub(super) fn has_debt(&self) -> bool {
         self.unacked.load(Ordering::SeqCst) > 0
+    }
+
+    /// A re-dial: the peer's new connection replaces the dead one, under
+    /// the cork lock. What was corked for the dead one is discarded, as
+    /// [`Egress::reset`] does, numbers and all; the wire debt stays until
+    /// the recovery reset clears it.
+    pub(super) fn redial(&self, stream: Stream) {
+        let mut cork = self.cork.lock();
+        cork.discard();
+        cork.stream = stream;
+        self.dirty.store(false, Ordering::SeqCst);
     }
 
     /// Recovery reset: forget corked frames and outstanding responses (the
@@ -508,7 +605,7 @@ impl SocketFabric {
             if rank == self.node_rank {
                 continue;
             }
-            if let Some(e) = slot.read().as_ref().filter(|e| e.dirty()) {
+            if let Some(e) = slot.get().filter(|e| e.dirty()) {
                 self.flush_peer(rank, e);
             }
         }
@@ -530,7 +627,7 @@ impl SocketFabric {
     /// ignored: liveness tracking, not this write, decides whether the
     /// peer is dead.
     pub(super) fn send_control(&self, rank: usize, frame: &Frame) -> io::Result<()> {
-        if let Some(e) = self.egress[rank].read().as_ref() {
+        if let Some(e) = self.egress[rank].get() {
             let sent = e.send(None, Urgency::Now, false, |_, b| {
                 frame.encode_into(b);
                 &[]
@@ -540,19 +637,19 @@ impl SocketFabric {
         Ok(())
     }
 
-    /// Run `send` on the egress of the process hosting `dst`, under the
-    /// slot's read guard (the hot path clones no `Arc`); count what left,
-    /// and turn a failed write into the peer's death.
+    /// Run `send` on the egress of the process hosting `dst` (a write-once
+    /// slot, read without a lock); count what left, and turn a failed write
+    /// into the peer's death.
     fn to_peer(
         &self,
         me: ProcId,
         dst: ProcId,
-        send: impl FnOnce(&Egress, usize) -> io::Result<Sent>,
+        send: impl FnOnce(&Egress) -> io::Result<Sent>,
     ) -> (usize, Sent) {
         let rank = self.proc_of_image[dst.index()];
-        let slot = self.egress[rank].read();
-        let e = (slot.as_ref()).unwrap_or_else(|| panic!("no egress connection to process {rank}"));
-        match send(e, rank) {
+        let e = (self.egress[rank].get())
+            .unwrap_or_else(|| panic!("no egress connection to process {rank}"));
+        match send(e) {
             Ok(sent) => {
                 self.count_sent(rank, sent.left);
                 (rank, sent)
@@ -583,8 +680,7 @@ impl SocketFabric {
         encode: impl FnOnce(u64, &mut Vec<u8>) -> &'a [u8],
     ) -> (usize, Sent) {
         let time_queue = op.t0.is_some();
-        self.to_peer(op.me, op.peer, |e, rank| {
-            let awaits = awaits.map(|entry| (&self.pending, rank, entry));
+        self.to_peer(op.me, op.peer, |e| {
             e.send(awaits, urgency, time_queue, encode)
         })
     }
@@ -595,7 +691,7 @@ impl SocketFabric {
     pub(super) fn send_flag(&self, op: &Op, flag: u64, delta: u64) {
         let pair = (op.me.index() as u32, op.peer.index() as u32);
         let time_queue = op.t0.is_some();
-        self.to_peer(op.me, op.peer, |e, _| {
+        self.to_peer(op.me, op.peer, |e| {
             e.send_flag(pair, flag, delta, time_queue)
         });
     }
@@ -607,11 +703,13 @@ mod tests {
     use crate::socket::wire::{FrameReader, PutHead};
     use std::os::unix::net::UnixStream;
 
-    /// A cork, and a reader on the other end of its connection.
+    /// A request cork toward peer 1, and a reader on the other end of its
+    /// connection.
     fn cork() -> (Cork, FrameReader<Stream>) {
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
         let reader = FrameReader::new(Stream::Uds(theirs));
-        (Cork::new(Stream::Uds(ours)), reader)
+        let pending = Arc::new(Pending::new(4, 2));
+        (Cork::for_requests(Stream::Uds(ours), pending, 1), reader)
     }
 
     /// The frame [`push_nb`] sends for `data`.
@@ -661,7 +759,10 @@ mod tests {
             len,
             flag: None,
         };
-        (c.push(Urgency::Data, true, |b| head.encode_head(b, data))).expect("push")
+        let nb = Entry::Nb { img: 0, put: true };
+        (c.push(Urgency::Data, Some(nb), |_, b| head.encode_head(b, data)))
+            .expect("push")
+            .0
     }
 
     /// Flush, and read back the frames that arrive.
@@ -679,7 +780,7 @@ mod tests {
         // The pair: one frame, counted once, still awaiting its one ack.
         push_nb(&mut c, &word);
         c.push_flag(0, 2, 3, 1).expect("fused");
-        assert_eq!((c.frames, c.awaiting), (1, 1));
+        assert_eq!((c.frames, c.corked_requests()), (1, 1));
         assert_eq!(drain(&mut c, &mut r), [put_flag(0, 2, &word, 3)]);
         // A second flag has nothing left to fuse into; neither has a flag
         // from a sibling image, or one for another target.
@@ -705,7 +806,7 @@ mod tests {
         // still goes first, in a frame of its own.
         push_nb(&mut c, &word);
         let sibling = flag_add(1, 2, 9);
-        (c.push(Urgency::Signal, false, |b| {
+        (c.push(Urgency::Signal, None, |_, b| {
             sibling.encode_into(b);
             &[]
         }))
@@ -744,7 +845,11 @@ mod tests {
         let left = push_nb(&mut c, &last);
         assert_eq!(left.frames, corked);
         assert!(left.writes >= 1 && left.bytes > corked * 1024);
-        assert_eq!((c.frames, c.awaiting), (1, 1), "and stays, with its ack");
+        assert_eq!(
+            (c.frames, c.corked_requests()),
+            (1, 1),
+            "and stays, with its ack"
+        );
         for _ in 0..corked {
             assert!(
                 matches!(r.next_frame().expect("put").0, Frame::Put { data, .. } if data == kib)
@@ -774,7 +879,7 @@ mod tests {
         // Any other frame ends the run: the acks on either side of it stay
         // apart, in order.
         c.push_ack(51).expect("ack");
-        (c.push(Urgency::Now, false, |b| {
+        (c.push(Urgency::Now, None, |_, b| {
             wire::encode_get_resp(b, 52, &[1, 2])
         }))
         .expect("data");

@@ -320,8 +320,9 @@ impl SocketFabric {
     /// Dial peer `rank` with capped exponential backoff, send `hello`
     /// (`Open`, or `Rejoin` when this process is a respawned incarnation),
     /// store the write half, and start the response-reader thread. The
-    /// egress slot is *replaced*, not set-once: a rejoin re-dials a peer
-    /// whose previous connection died with the old incarnation.
+    /// egress slot is write-once: the first dial fills it, and a rejoin's
+    /// re-dial of a peer whose previous connection died with the old
+    /// incarnation swaps the stream inside the `Egress` it holds.
     pub(super) fn dial_peer(
         self: &Arc<Self>,
         rank: usize,
@@ -365,8 +366,16 @@ impl SocketFabric {
             writes: 1,
         };
         self.count_sent(rank, hello_left);
-        let egress = Arc::new(Egress::new(stream, self.wire_debt[rank].clone()));
-        *self.egress[rank].write() = Some(egress.clone());
+        let mut fresh = Some(stream);
+        let egress = self.egress[rank].get_or_init(|| {
+            let stream = fresh.take().expect("the first dial's stream");
+            let unacked = self.wire_debt[rank].clone();
+            Arc::new(Egress::new(stream, unacked, self.pending.clone(), rank))
+        });
+        if let Some(stream) = fresh {
+            egress.redial(stream);
+        }
+        let egress = egress.clone();
         self.mark_seen(rank);
         let fab = self.clone();
         self.spawn_guarded("response", move || {
@@ -843,12 +852,19 @@ fn respond(cork: &mut Cork, response: Option<Response<'_>>, is_over: bool) -> io
     let mut left = match response {
         None => Left::default(),
         Some(Response::Ack(ack)) => cork.push_ack(ack)?,
-        Some(Response::Val { req, old }) => cork.push(Urgency::Now, false, |b| {
-            Frame::AmoResp { req, old }.encode_into(b);
-            &[]
-        })?,
+        Some(Response::Val { req, old }) => {
+            let amo_resp = Frame::AmoResp { req, old };
+            cork.push(Urgency::Now, None, |_, b| {
+                amo_resp.encode_into(b);
+                &[]
+            })?
+            .0
+        }
         Some(Response::Data { req, data }) => {
-            cork.push(Urgency::Now, false, |b| wire::encode_get_resp(b, req, data))?
+            (cork.push(Urgency::Now, None, |_, b| {
+                wire::encode_get_resp(b, req, data)
+            })?)
+            .0
         }
     };
     if is_over {

@@ -85,12 +85,12 @@ use caf_topology::{CostParams, ImageMap, NodeId, ProcId, SoftwareOverheads};
 use caf_trace::{Event, EventKind, Tracer};
 use crossbeam::utils::CachePadded;
 use egress::{Egress, Urgency};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use pending::{Entry, Kind, Pending, Reply};
 use route::{Route, Tier};
 use std::io;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use store::Store;
 use wire::WIRE_MAGIC;
@@ -236,19 +236,22 @@ pub struct SocketFabric {
     /// Images this process hosts, in rank order.
     hosted: Vec<ProcId>,
     store: Store,
-    /// Egress write halves per peer process rank (`None` at own rank).
-    /// Replaceable (not write-once): a rejoin handshake swaps in a fresh
-    /// connection to a respawned peer.
-    egress: Vec<RwLock<Option<Arc<Egress>>>>,
+    /// Egress write halves per peer process rank (empty at own rank).
+    /// Write-once, set by the first dial, so the request path reads a
+    /// slot without a lock: a re-dial (a rejoin handshake's back-dial to a
+    /// respawned peer) swaps the stream inside the `Egress`, under its cork
+    /// lock ([`Egress::redial`]). A request is numbered at append under
+    /// the cork lock and registered in one batch before the write.
+    egress: Vec<OnceLock<Arc<Egress>>>,
     /// Per peer process rank, the response-carrying requests to it that
     /// are unacked — its *wire debt* (see `route`). Counted by the rank's
-    /// `Egress`, every incarnation of it, and owned here so that `route`
-    /// reads it with one load, behind no lock.
+    /// `Egress`, and owned here so that `route` reads it with one load,
+    /// behind no lock, before the first dial too.
     wire_debt: Vec<Arc<AtomicU64>>,
     /// How response readers hand the ack-clocked flush to the
     /// `caf-sock-egress` thread (see [`egress`]).
     ack_clock: egress::AckClock,
-    pending: Pending,
+    pending: Arc<Pending>,
     /// Buffers remote gets land in, recycled: a response reader fills one
     /// and hands it to the requester ([`Reply::Data`]), who copies out and
     /// puts it back. At most one per hosted image is kept.
@@ -379,10 +382,10 @@ impl SocketFabric {
             node_rank,
             hosted,
             store,
-            egress: (0..n_procs).map(|_| RwLock::new(None)).collect(),
+            egress: (0..n_procs).map(|_| OnceLock::new()).collect(),
             wire_debt: (0..n_procs).map(|_| Arc::default()).collect(),
             ack_clock: egress::AckClock::default(),
-            pending: Pending::new(n_images, n_procs),
+            pending: Arc::new(Pending::new(n_images, n_procs)),
             get_bufs: Mutex::new(Vec::new()),
             waiters: FlagWaiters::default(),
             poisoned: Poison::default(),
@@ -503,7 +506,7 @@ impl SocketFabric {
     /// process.
     pub fn sever(&self) {
         self.severed.store(true, Ordering::Release);
-        for e in self.egress.iter().filter_map(|e| e.read().clone()) {
+        for e in self.egress.iter().filter_map(OnceLock::get) {
             e.shutdown_write();
         }
     }
@@ -867,9 +870,13 @@ impl Fabric for SocketFabric {
         if token.arrival_ns == 0 {
             return true;
         }
-        // A program polling this must make progress: the put may be corked.
+        if !self.pending.is_pending(token) {
+            return true;
+        }
+        // A program polling this must make progress: the put may be corked
+        // (and pending all the same: numbered, not yet registered).
         self.flush_corked();
-        !self.pending.is_pending(token)
+        false
     }
 
     fn put_wait(&self, me: ProcId, token: PutToken) {
@@ -884,7 +891,7 @@ impl Fabric for SocketFabric {
             ))
         };
         self.wait_pending(me, "put_wait", timed_out, |t| {
-            (!t.is_pending(token)).then_some(())
+            (!t.is_pending(token, &self.pending.numbered)).then_some(())
         });
     }
 
@@ -1298,6 +1305,34 @@ mod tests {
     }
 
     #[test]
+    fn a_corked_put_nb_is_pending_to_put_test_and_quiet_covers_it() {
+        // Shm off: the puts take the wire, where a `put_nb` is corked.
+        let cfg = SocketConfig {
+            shm: false,
+            ..quick_cfg()
+        };
+        let fabrics = fleet(&map(2, 1, 2), &cfg);
+        run_fleet(&fabrics, |f, me| {
+            if me == ProcId(0) {
+                let put =
+                    |i: u64| f.put_nb(me, ProcId(1), BSEG, (i * 8) as usize, &i.to_ne_bytes());
+                // Numbered, not yet registered or written: pending all the
+                // same (and the poll writes it out).
+                let first = put(1);
+                assert_ne!(first, PutToken::DONE);
+                assert!(!f.put_test(me, first), "a corked put_nb reads complete");
+                let second = put(2);
+                f.quiet(me);
+                assert!(f.put_test(me, first) && f.put_test(me, second));
+                let mut out = [0u8; 8];
+                f.get(me, ProcId(1), BSEG, 16, &mut out);
+                assert_eq!(u64::from_ne_bytes(out), 2);
+            }
+            f.image_done(me);
+        });
+    }
+
+    #[test]
     fn wire_counters_count_remote_traffic_only() {
         // Pin shm off: this test asserts wire frame/byte counts that the
         // shared-memory fast path would (correctly) bypass.
@@ -1342,7 +1377,7 @@ mod tests {
         let window = f1.window(1, BSEG);
         let mut before = vec![0u8; window.len()];
         window.read(0, &mut before);
-        (f0.egress[1].read().as_ref())
+        (f0.egress[1].get())
             .expect("egress to process 1")
             .send(None, Urgency::Now, false, |_, b| {
                 b.extend_from_slice(wire);
@@ -1773,6 +1808,7 @@ mod tests {
         };
         let (j0, j1) = (join(0, cfg.clone()), join(1, cfg.clone()));
         let (f0, f1_old) = (j0.join().unwrap(), j1.join().unwrap());
+        let egress_before = f0.egress[1].get().expect("dialed").clone();
 
         // Image 0's whole life, concurrent with the kill + respawn below:
         // normal traffic, observe the poison, heal, traffic again — all on
@@ -1867,6 +1903,10 @@ mod tests {
 
         img0.join().expect("image 0");
         img1.join().expect("image 1 (respawned)");
+        // The survivor's re-dial swapped the connection inside the egress
+        // it had: the slot is write-once.
+        let egress_after = f0.egress[1].get().expect("re-dialed");
+        assert!(Arc::ptr_eq(&egress_before, egress_after));
         coord.join().expect("coordinator");
         f0.shutdown();
         f1_new.shutdown();

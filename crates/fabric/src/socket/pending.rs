@@ -5,16 +5,21 @@
 //! arrival order and answers on the same connection in that order — so a
 //! request is named by its *sequence number* on the connection to its
 //! peer, and what is in flight toward a peer is a ring indexed by
-//! `seq − base`: no hash, no global counter. The number is assigned under
-//! the peer's cork lock, at append ([`Egress::send`]), so ring order is
-//! wire order whichever image registers. The rings, the per-image
-//! nonblocking debt [`Fabric::quiet`](crate::Fabric::quiet) drains and the
-//! per-image slot a blocking call's reply is left in are all mutated under
-//! one lock, so a completion's wake-up cannot be lost. This
-//! module does not decide what goes on the wire ([`route`](super::route)
-//! does) or when a corked frame leaves ([`egress`](super::egress) does); the
-//! response reader's whole job here is [`Pending::complete`], which takes
-//! this lock and never a cork's.
+//! `seq − base`: no hash, no global counter. A request is numbered at
+//! append under the peer's cork lock ([`Egress::send`]), and the cork
+//! registers what it holds in one batch before the write that carries it
+//! ([`Pending::register_batch`]) — so ring order is wire order whichever
+//! image appended, and a response never beats its registration. Between
+//! the two a request is *corked*: past the ring's end, below the peer's
+//! published count of numbered requests, and pending all the same
+//! ([`Table::is_pending`]). The rings, the per-image nonblocking debt
+//! [`Fabric::quiet`](crate::Fabric::quiet) drains and the per-image slot a
+//! blocking call's reply is left in are all mutated under one lock, so a
+//! completion's wake-up cannot be lost. This module does not decide what
+//! goes on the wire ([`route`](super::route) does) or when a corked frame
+//! leaves ([`egress`](super::egress) does); the response reader's whole
+//! job here is [`Pending::complete`], which takes this lock and never a
+//! cork's.
 
 use super::egress::{Egress, Urgency};
 use super::{Op, SocketFabric, POLL};
@@ -24,7 +29,7 @@ use caf_topology::ProcId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// An in-flight request awaiting its response frame. Eight bytes: a ring
@@ -140,23 +145,26 @@ impl Table {
         self.outstanding_nb[img] > 0
     }
 
-    /// Is the nonblocking put behind `token` still unacked? Anything below
-    /// its ring's base is not — retired, or from before a recovery reset.
-    pub(super) fn is_pending(&self, token: PutToken) -> bool {
+    /// Is the nonblocking put behind `token` still unacked? Below its
+    /// ring's base it is not — retired, or from before a recovery reset.
+    /// In the ring it is until retired. At or past the ring's end it is
+    /// while its peer's cork still holds it: below `numbered`, the peer's
+    /// count [`Pending::numbered`] (a discarded request is not).
+    pub(super) fn is_pending(&self, token: PutToken, numbered: &[AtomicU64]) -> bool {
         let (peer, seq) = (
-            token.arrival_ns >> SEQ_BITS,
+            (token.arrival_ns >> SEQ_BITS) as usize,
             token.arrival_ns % (1 << SEQ_BITS),
         );
-        let Some(ring) = self.rings.get(peer as usize) else {
+        let Some(ring) = self.rings.get(peer) else {
             return false;
         };
-        let at = seq
-            .checked_sub(ring.base)
-            .and_then(|at| usize::try_from(at).ok());
-        !matches!(
-            at.and_then(|at| ring.entries.get(at)),
-            None | Some(Entry::Done)
-        )
+        let Some(at) = seq.checked_sub(ring.base) else {
+            return false;
+        };
+        match usize::try_from(at).ok().and_then(|at| ring.entries.get(at)) {
+            Some(e) => !matches!(e, Entry::Done),
+            None => seq < numbered[peer].load(Ordering::Relaxed),
+        }
     }
 
     /// The reply to image `img`'s blocking call, once it has arrived.
@@ -168,6 +176,14 @@ impl Table {
 pub(super) struct Pending {
     table: Mutex<Table>,
     cv: Condvar,
+    /// Per peer, one past the last request its cork numbered: the requests
+    /// from the ring's end up to it are corked, not yet registered.
+    /// Published by the cork, under its lock, at every number it hands out
+    /// or takes back; read by [`Table::is_pending`].
+    pub(super) numbered: Vec<AtomicU64>,
+    /// Calls of [`Pending::register_batch`].
+    #[cfg(test)]
+    pub(super) registrations: AtomicU64,
 }
 
 impl Pending {
@@ -187,26 +203,49 @@ impl Pending {
                 replies: (0..n_images).map(|_| None).collect(),
             }),
             cv: Condvar::new(),
+            numbered: (0..n_procs).map(|_| AtomicU64::new(1)).collect(),
+            #[cfg(test)]
+            registrations: AtomicU64::new(0),
         }
     }
 
-    /// Register the next request to `peer` and return its sequence number,
-    /// charging an asynchronous one to its image's `quiet` debt. Call with
-    /// `peer`'s cork locked, before the frame is appended: the ring then
-    /// has the wire's order, and the response cannot race the registration.
-    pub(super) fn register(&self, peer: usize, entry: Entry) -> u64 {
+    /// Register the requests a write to `peer` is about to carry, numbered
+    /// `first..` at append, under one lock, charging each asynchronous one
+    /// to its image's `quiet` debt. Call with `peer`'s cork locked, before
+    /// any byte of the write leaves: the ring then has the wire's order,
+    /// and no response can race its registration. The cork numbers from
+    /// the ring's end and takes back the numbers it discards, so `first`
+    /// is the ring's end.
+    pub(super) fn register_batch(
+        &self,
+        peer: usize,
+        first: u64,
+        entries: impl ExactSizeIterator<Item = Entry>,
+    ) {
+        #[cfg(test)]
+        self.registrations.fetch_add(1, Ordering::Relaxed);
         let mut g = self.table.lock();
-        if let Entry::Nb { img, .. } = entry {
-            g.outstanding_nb[img as usize] += 1;
-        }
-        let ring = &mut g.rings[peer];
-        let seq = ring.base + ring.entries.len() as u64;
+        let Table {
+            rings,
+            outstanding_nb,
+            ..
+        } = &mut *g;
+        let ring = &mut rings[peer];
+        let end = ring.base + ring.entries.len() as u64;
+        assert_eq!(
+            first, end,
+            "requests to process {peer} numbered out of ring order"
+        );
         assert!(
-            seq < 1 << SEQ_BITS,
+            end + (entries.len() as u64) <= 1 << SEQ_BITS,
             "request sequence to process {peer} exhausted"
         );
-        ring.entries.push_back(entry);
-        seq
+        for entry in entries {
+            if let Entry::Nb { img, .. } = entry {
+                outstanding_nb[img as usize] += 1;
+            }
+            ring.entries.push_back(entry);
+        }
     }
 
     /// The token `put_test`/`put_wait` resolve nonblocking put `seq` to
@@ -218,7 +257,7 @@ impl Pending {
     }
 
     pub(super) fn is_pending(&self, token: PutToken) -> bool {
-        self.table.lock().is_pending(token)
+        self.table.lock().is_pending(token, &self.numbered)
     }
 
     /// Retire a batch of `peer`'s responses from its reader thread under
@@ -322,8 +361,10 @@ impl Pending {
     }
 
     /// Recovery reset: no request is in flight any more. Each ring's base
-    /// moves past everything it ever issued, so a response that arrives
-    /// late — or a token a program kept — reads as retired.
+    /// moves past everything it registered, so a response that arrives
+    /// late — or a token a program kept — reads as retired. What a cork
+    /// still holds is discarded alongside ([`Egress::reset`]), which takes
+    /// its numbers back: the next request is numbered the new base.
     pub(super) fn reset(&self) {
         let mut g = self.table.lock();
         for ring in &mut g.rings {
@@ -408,23 +449,25 @@ impl SocketFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::socket::egress::{Left, Sent, CORK_BYTES};
     use crate::socket::wire::{Frame, FrameReader, PutHead, Stream};
     use std::os::unix::net::UnixStream;
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
 
     /// A pending table for two peers and four images, its counters, and an
     /// egress toward peer 1 with the other end of its connection.
-    fn table() -> (Pending, FabricStats, Egress, Stream) {
+    fn table() -> (Arc<Pending>, FabricStats, Egress, Stream) {
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
-        let egress = Egress::new(Stream::Uds(ours), Default::default());
+        let p = Arc::new(Pending::new(4, 2));
+        let egress = Egress::new(Stream::Uds(ours), Default::default(), p.clone(), 1);
         let stats = FabricStats::default();
-        (Pending::new(4, 2), stats, egress, Stream::Uds(theirs))
+        (p, stats, egress, Stream::Uds(theirs))
     }
 
     /// Cork an 8-byte put to peer 1 that awaits `entry`'s response, the way
-    /// the fabric does; returns its sequence number.
-    fn request(p: &Pending, e: &Egress, entry: Entry) -> u64 {
-        let sent = e.send(Some((p, 1, entry)), Urgency::Data, false, |ack, b| {
+    /// the fabric does; what the send did.
+    fn send(e: &Egress, entry: Entry) -> Sent {
+        let sent = e.send(Some(entry), Urgency::Data, false, |ack, b| {
             let put = PutHead {
                 src: 0,
                 dst: 2,
@@ -436,7 +479,19 @@ mod tests {
             };
             put.encode_head(b, &[7; 8])
         });
-        sent.expect("corked").seq
+        sent.expect("corked")
+    }
+
+    /// [`send`], returning the request's sequence number: pending from its
+    /// append on, written or not.
+    fn request(p: &Pending, e: &Egress, entry: Entry) -> u64 {
+        let seq = send(e, entry).seq;
+        assert!(p.is_pending(Pending::token(1, seq)), "request {seq}");
+        seq
+    }
+
+    fn registrations(p: &Pending) -> u64 {
+        p.registrations.load(Ordering::Relaxed)
     }
 
     fn put_nb(img: u32) -> Entry {
@@ -501,6 +556,7 @@ mod tests {
         let before: Vec<_> = (0..3)
             .map(|_| Pending::token(1, request(&p, &e, put_nb(0))))
             .collect();
+        e.flush().expect("written");
         assert!(before.iter().all(|t| p.is_pending(*t)));
         p.reset();
         e.reset();
@@ -512,6 +568,7 @@ mod tests {
         // acks, arriving late, cannot be taken for the new one's.
         let seq = request(&p, &e, put_nb(3));
         assert_eq!(seq, 4);
+        e.flush().expect("written");
         p.complete(1, acks([1, 2, 3]), &stats, &e).expect("dropped");
         assert!(p.is_pending(Pending::token(1, seq)));
         assert!(p.table.lock().has_debt(3) && e.has_debt());
@@ -520,6 +577,108 @@ mod tests {
         assert!(!p.is_pending(Pending::token(1, seq)));
         assert!(!p.table.lock().has_debt(3) && !e.has_debt());
         assert_eq!(stats.snapshot().puts_nb_completed, 1);
+    }
+
+    #[test]
+    fn corked_requests_register_in_one_batch_at_the_write_numbered_in_order() {
+        let (p, stats, e, theirs) = table();
+        let seqs: Vec<u64> = (0..10).map(|i| request(&p, &e, put_nb(i % 4))).collect();
+        // Numbered at append, one after another...
+        assert_eq!(seqs, (1..=10).collect::<Vec<_>>());
+        assert_eq!(p.numbered[1].load(Ordering::Relaxed), 11);
+        // ...but not in the ring, nor anyone's debt, before the write.
+        assert_eq!(registrations(&p), 0);
+        assert!(p.table.lock().rings[1].entries.is_empty());
+        assert!(!p.table.lock().has_debt(0));
+        let left = e.flush().expect("written");
+        assert_eq!((left.frames, left.writes), (10, 1));
+        assert_eq!(registrations(&p), 1, "one batch for the write");
+        let t = p.table.lock();
+        assert_eq!((t.rings[1].base, t.rings[1].entries.len()), (1, 10));
+        assert_eq!(t.outstanding_nb, [3, 3, 2, 2]);
+        drop(t);
+        // The wire carries the same numbers in the same order.
+        let mut r = FrameReader::new(theirs);
+        let on_wire: Vec<u64> = (0..10)
+            .map(|_| match r.next_frame().expect("frame").0 {
+                Frame::Put { ack, .. } => ack,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(on_wire, seqs);
+        p.complete(1, acks([10]), &stats, &e).expect("retired");
+        assert!(seqs.iter().all(|&s| !p.is_pending(Pending::token(1, s))));
+    }
+
+    #[test]
+    fn a_discard_takes_its_numbers_back_and_late_acks_are_dropped() {
+        let (p, stats, e, _theirs) = table();
+        let token = |seq| Pending::token(1, seq);
+        let written = [put_nb(0), put_nb(0)].map(|entry| request(&p, &e, entry));
+        e.flush().expect("written");
+        let corked = [put_nb(1), put_nb(1)].map(|entry| request(&p, &e, entry));
+        assert_eq!((written, corked), ([1, 2], [3, 4]));
+        // A recovery reset: the ring's base moves past what was written,
+        // and the corked requests are discarded with their numbers.
+        p.reset();
+        e.reset();
+        assert!((written.iter().chain(&corked)).all(|&s| !p.is_pending(token(s))));
+        assert_eq!(p.table.lock().rings[1].base, 3);
+        assert!(!p.table.lock().has_debt(0) && !p.table.lock().has_debt(1));
+        let fresh = request(&p, &e, put_nb(2));
+        assert_eq!(fresh, 3, "numbered the ring's new base");
+        e.flush().expect("written");
+        // Late acks for the forgotten requests are dropped; the new one
+        // stays pending until its own.
+        p.complete(1, acks(written), &stats, &e).expect("dropped");
+        assert!(p.is_pending(token(fresh)));
+        p.complete(1, acks([fresh]), &stats, &e).expect("retired");
+        assert!(!p.is_pending(token(fresh)));
+        assert_eq!(stats.snapshot().puts_nb_completed, 1);
+        // A re-dial discards what was corked for the dead connection the
+        // same way, and the next request leaves on the new one.
+        let lost = request(&p, &e, put_nb(0));
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        e.redial(Stream::Uds(ours));
+        assert!(!p.is_pending(token(lost)));
+        let next = request(&p, &e, put_nb(0));
+        assert_eq!(next, lost);
+        e.flush().expect("written");
+        let mut r = FrameReader::new(Stream::Uds(theirs));
+        assert!(matches!(r.next_frame().expect("put").0, Frame::Put { ack, .. } if ack == next));
+        // A broken write: what it registered stays registered — the peer
+        // may have read it — and nothing else is left to take back.
+        drop(r);
+        let broken = request(&p, &e, put_nb(3));
+        assert!(e.flush().is_err(), "the peer hung up");
+        assert!(p.is_pending(token(broken)));
+        assert_eq!(p.numbered[1].load(Ordering::Relaxed), broken + 1);
+        p.reset();
+        e.reset();
+        assert_eq!(request(&p, &e, put_nb(3)), broken + 1);
+    }
+
+    #[test]
+    fn a_stream_of_put_nb_registers_once_per_write_not_once_per_put() {
+        const PUTS: u64 = 1000;
+        let (p, _stats, e, _theirs) = table();
+        let mut left = (0..PUTS).fold(Left::default(), |mut left, _| {
+            left += send(&e, put_nb(0)).left;
+            left
+        });
+        left += e.flush().expect("written");
+        let bound = left.bytes.div_ceil(CORK_BYTES as u64) + 2;
+        let regs = registrations(&p);
+        assert!(
+            regs <= bound,
+            "{regs} registrations for {PUTS} puts, bound {bound}"
+        );
+        assert_eq!(left.frames, PUTS);
+        let t = p.table.lock();
+        assert_eq!(
+            (t.rings[1].entries.len(), t.outstanding_nb[0]),
+            (1000, PUTS)
+        );
     }
 
     #[test]
@@ -542,6 +701,7 @@ mod tests {
         request(&p, &e, blocking_put(2));
         let last = request(&p, &e, put_nb(1));
         let after = [put_nb(1), blocking_put(0)].map(|entry| request(&p, &e, entry));
+        e.flush().expect("written");
         (p.complete(1, [(answered, Reply::Val(4))].into_iter(), &stats, &e)).expect("value");
         assert_eq!(p.table.lock().rings[1].base, first);
         // One ack for the burst.
@@ -571,9 +731,11 @@ mod tests {
         // After a reset, a late ack that covers the forgotten requests is
         // ignored, and the new request stays pending.
         let forgotten = request(&p, &e, put_nb(0));
+        e.flush().expect("written");
         p.reset();
         e.reset();
         let fresh = request(&p, &e, put_nb(0));
+        e.flush().expect("written");
         p.complete(1, acks([forgotten]), &stats, &e)
             .expect("dropped");
         assert!(p.is_pending(Pending::token(1, fresh)));
@@ -594,6 +756,7 @@ mod tests {
             },
         );
         let last = request(&p, &e, put_nb(1));
+        e.flush().expect("written");
         let err = p
             .complete(1, acks([last]), &stats, &e)
             .expect_err("refused");
@@ -622,6 +785,7 @@ mod tests {
         // One past the ring's end — after a good ack in the same batch.
         let first = request(&p, &e, put_nb(0));
         let second = request(&p, &e, put_nb(0));
+        e.flush().expect("written");
         assert_eq!(
             refused(vec![ack(first), ack(9)]),
             "Ack response to request 9: requests 2..3 are in flight"
@@ -647,6 +811,7 @@ mod tests {
                 awaits: Kind::Val,
             },
         );
+        e.flush().expect("written");
         assert_eq!(
             refused(vec![ack(second), ack(get)]),
             format!("Ack response to request {get}: it awaits Data")

@@ -12,6 +12,7 @@ use crate::RecoveryError;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Process-local heal rendezvous: hosted images gather here; the last
@@ -126,7 +127,7 @@ impl SocketFabric {
         self.pending.reset();
         // Whatever is still corked is pre-fence traffic for state that no
         // longer exists, and the responses it awaited were just forgotten.
-        for e in self.egress.iter().filter_map(|e| e.read().clone()) {
+        for e in self.egress.iter().filter_map(OnceLock::get) {
             e.reset();
         }
         self.poisoned.clear();

@@ -1,19 +1,29 @@
 //! `cargo xtask ab <rev> [--pairs N] [--seconds S] [--workload W]...`
 //!
-//! Runs the end-to-end benchmark (`benchmark/run.sh`, as `BENCHMARK.json`
-//! declares it) on `<rev>`'s committed files and on the working tree, in
-//! alternating pairs, and says per end-to-end metric whether the working
-//! tree is better, worse or not resolvably different.
+//! Runs the end-to-end benchmark (the binary `benchmark/run.sh`, which
+//! `BENCHMARK.json` declares, builds and runs) on `<rev>`'s committed files
+//! and on the working tree, in alternating pairs, and says per end-to-end
+//! metric whether the working tree is better, worse or not resolvably
+//! different.
 //!
-//! * `<rev>` is exported with `git archive` into `target/ab/<sha>` and
-//!   built offline into `target/ab/<sha>.target`, its own target
-//!   directory, which is kept for the next comparison against the same
-//!   commit. The export is removed when the comparison ends. An export
-//!   registers nothing in `.git`, so an interrupted run leaves no stale
-//!   worktree behind.
-//! * Each pair runs `benchmark/run.sh --workload W --seed s --seconds S
-//!   --trace 0` once on each side, with the same seed `s` on both sides;
-//!   which side runs first swaps from pair to pair.
+//! * Both sides are built alike, from an export at one path: `<rev>`, and
+//!   the working tree — tracked and untracked files alike, staged through
+//!   a scratch index and committed with no ref, dated as `HEAD` — are
+//!   each exported with `git archive` into `target/ab/src` in turn and
+//!   built there offline, as `run.sh` builds, with the same
+//!   `--remap-path-prefix`. Paths feed a build through panic locations and
+//!   the crates' metadata hashes, so one path makes one binary: an A/A
+//!   comparison builds two binaries of one text size, which the command
+//!   prints. Each side builds into its own target directory,
+//!   `target/ab/<base|work>-<sha>.target`, kept for the next comparison
+//!   against the same files; the export is removed once both are built.
+//!   Nothing is registered in `.git` (no ref, no worktree), so an
+//!   interrupted run leaves nothing stale behind. One comparison at a
+//!   time: two would share `target/ab/src`.
+//! * Each pair runs the built benchmark, `--workload W --seed s --seconds
+//!   S --trace 0`, once on each side (in `target/ab/<base|work>-<sha>.run`,
+//!   removed afterwards), with the same seed `s` on both sides; which
+//!   side runs first swaps from pair to pair.
 //! * Per workload and metric it prints both medians, the median of the
 //!   per-pair ratios (working tree over `<rev>`), the pairs the working
 //!   tree won in the metric's `better` direction, `<rev>`'s interquartile
@@ -25,6 +35,7 @@
 //! `run_seconds`, and the workloads to all of them.
 
 use caf_trace::json;
+use std::ffi::OsStr;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -169,19 +180,17 @@ pub fn summarize(pairs: &[(f64, f64)], higher_is_better: bool, bound: f64) -> Op
 /// One benchmark run: its `metrics`, or why it has none to count.
 type Outcome = Result<Vec<(String, f64)>, String>;
 
-/// Run `benchmark/run.sh` for one workload in checkout `dir`, building
-/// into `target` (`None`: the script's default).
-fn run_once(dir: &Path, target: Option<&Path>, workload: &str, seed: u64, seconds: f64) -> Outcome {
-    let mut cmd = Command::new("bash");
-    cmd.arg("benchmark/run.sh")
-        .args(["--workload", workload, "--seed", &seed.to_string()])
+/// Run the benchmark binary of `side` for one workload, as `run.sh` runs
+/// it once built.
+fn run_once(side: &Side, workload: &str, seed: u64, seconds: f64) -> Outcome {
+    let mut cmd = Command::new(side.binary());
+    cmd.args(["--workload", workload, "--seed", &seed.to_string()])
         .args(["--seconds", &seconds.to_string(), "--trace", "0"])
-        .current_dir(dir)
+        .current_dir(&side.run_dir)
         .stderr(Stdio::null());
-    if let Some(t) = target {
-        cmd.env("CARGO_TARGET_DIR", t);
-    }
-    let out = cmd.output().map_err(|e| format!("launching run.sh: {e}"))?;
+    let out = cmd
+        .output()
+        .map_err(|e| format!("launching caf-benchmark: {e}"))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     let last = stdout.lines().rev().find(|l| !l.trim().is_empty());
     let result = last.and_then(|l| json::parse(l).ok());
@@ -204,26 +213,18 @@ fn run_once(dir: &Path, target: Option<&Path>, workload: &str, seed: u64, second
     }
 }
 
-/// Build the benchmark of checkout `dir` offline, as `run.sh` does, so that
-/// no timed run pays for the build.
-fn build(dir: &Path, target: Option<&Path>) -> Result<(), String> {
-    let mut cmd = Command::new(env!("CARGO"));
-    cmd.args(["build", "--release", "--offline", "--quiet"])
-        .args(["--manifest-path", "benchmark/Cargo.toml"])
-        .current_dir(dir);
-    if let Some(t) = target {
-        cmd.env("CARGO_TARGET_DIR", t);
-    }
-    let status = cmd.status().map_err(|e| format!("launching cargo: {e}"))?;
-    status
-        .success()
-        .then_some(())
-        .ok_or_else(|| format!("building the benchmark in {} failed", dir.display()))
+fn git(root: &Path, args: &[&str]) -> Result<String, String> {
+    git_with(root, args, &[])
 }
 
-fn git(root: &Path, args: &[&str]) -> Result<String, String> {
-    let out = (Command::new("git").args(args).current_dir(root).output())
-        .map_err(|e| format!("launching git: {e}"))?;
+/// `git args` in `root` with `env` set; its trimmed output.
+fn git_with(root: &Path, args: &[&str], env: &[(&str, &OsStr)]) -> Result<String, String> {
+    let mut cmd = Command::new("git");
+    cmd.args(args).current_dir(root);
+    for (k, v) in env {
+        cmd.env(k, v);
+    }
+    let out = cmd.output().map_err(|e| format!("launching git: {e}"))?;
     if !out.status.success() {
         return Err(format!(
             "git {}: {}",
@@ -234,24 +235,67 @@ fn git(root: &Path, args: &[&str]) -> Result<String, String> {
     Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
-/// A commit's files under `target/ab/`, removed when dropped.
-struct Export(PathBuf);
+/// The working tree's files, tracked and untracked (what `.gitignore`
+/// does not exclude), as a commit on top of `HEAD` that no ref names.
+/// Staged through a scratch copy of the index, so the real one is not
+/// touched; dated as `HEAD` is, so unchanged files give the same commit,
+/// the same export and a reusable build.
+fn commit_working_tree(root: &Path) -> Result<String, String> {
+    let git_path = ["rev-parse", "--path-format=absolute", "--git-path", "index"];
+    let index = PathBuf::from(git(root, &git_path)?);
+    let scratch = root.join("target/ab/index");
+    std::fs::create_dir_all(root.join("target/ab")).map_err(|e| format!("target/ab: {e}"))?;
+    std::fs::copy(&index, &scratch).map_err(|e| format!("copying {}: {e}", index.display()))?;
+    let staged = [("GIT_INDEX_FILE", scratch.as_os_str())];
+    let tree = (git_with(root, &["add", "-A"], &staged))
+        .and_then(|_| git_with(root, &["write-tree"], &staged));
+    let _ = std::fs::remove_file(&scratch);
+    let tree = tree?;
+    let date = git(root, &["log", "-1", "--format=%cI", "HEAD"])?;
+    let date = OsStr::new(&date);
+    let who = OsStr::new("cargo xtask ab");
+    let mail = OsStr::new("ab@localhost");
+    let env = [
+        ("GIT_AUTHOR_DATE", date),
+        ("GIT_COMMITTER_DATE", date),
+        ("GIT_AUTHOR_NAME", who),
+        ("GIT_COMMITTER_NAME", who),
+        ("GIT_AUTHOR_EMAIL", mail),
+        ("GIT_COMMITTER_EMAIL", mail),
+    ];
+    let args = ["commit-tree", &tree, "-p", "HEAD", "-m", "working tree"];
+    git_with(root, &args, &env)
+}
 
-impl Export {
-    fn new(root: &Path, sha: &str) -> Result<Self, String> {
-        let dir = root.join("target/ab").join(sha);
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir)
-                .map_err(|e| format!("clearing {}: {e}", dir.display()))?;
+/// One side of a comparison, built: its commit, the target directory it
+/// was built into (kept, for the next comparison against the same files)
+/// and the directory it runs in (removed when dropped).
+struct Side {
+    sha: String,
+    target: PathBuf,
+    run_dir: PathBuf,
+}
+
+impl Side {
+    /// Export commit `sha` into `src` (emptied first) and build its
+    /// benchmark offline, as `run.sh` does, into
+    /// `target/ab/<label>-<sha>.target`, so that no timed run pays for the
+    /// build. Both sides are built from the one path `src`, with the same
+    /// remapping of it: what a path feeds into a build — panic locations,
+    /// and the crates' metadata hashes, which name every symbol and decide
+    /// how code is split into codegen units — is the same on either side.
+    fn build(root: &Path, src: &Path, label: &str, sha: &str) -> Result<Self, String> {
+        let ab = root.join("target/ab");
+        if src.exists() {
+            std::fs::remove_dir_all(src).map_err(|e| format!("clearing {}: {e}", src.display()))?;
         }
-        std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        let export = Export(dir);
+        std::fs::create_dir_all(src).map_err(|e| format!("creating {}: {e}", src.display()))?;
         let mut archive = (Command::new("git").args(["archive", "--format=tar", sha]))
             .current_dir(root)
             .stdout(Stdio::piped())
             .spawn()
             .map_err(|e| format!("launching git archive: {e}"))?;
-        let tar = (Command::new("tar").arg("-x").arg("-C").arg(&export.0))
+        let tar = (Command::new("tar").arg("-x").arg("-C").arg(src))
             .stdin(archive.stdout.take().expect("piped"))
             .status()
             .map_err(|e| format!("launching tar: {e}"))?;
@@ -259,13 +303,50 @@ impl Export {
         if !(git.success() && tar.success()) {
             return Err(format!("exporting {sha} failed: git {git}, tar {tar}"));
         }
-        Ok(export)
+        let side = Side {
+            sha: sha.to_string(),
+            target: ab.join(format!("{label}-{sha}.target")),
+            run_dir: ab.join(format!("{label}-{sha}.run")),
+        };
+        // On top of any `RUSTFLAGS` of the caller's.
+        let mut flags: Vec<String> = (std::env::var("RUSTFLAGS").unwrap_or_default())
+            .split_whitespace()
+            .map(str::to_string)
+            .collect();
+        flags.push(format!("--remap-path-prefix={}=/ab", src.display()));
+        let status = (Command::new(env!("CARGO")))
+            .args(["build", "--release", "--offline", "--quiet"])
+            .args(["--manifest-path", "benchmark/Cargo.toml"])
+            .current_dir(src)
+            .env("CARGO_TARGET_DIR", &side.target)
+            .env("CARGO_ENCODED_RUSTFLAGS", flags.join("\x1f"))
+            .env_remove("RUSTFLAGS")
+            .status()
+            .map_err(|e| format!("launching cargo: {e}"))?;
+        if !status.success() {
+            return Err(format!("building the benchmark of {sha} failed"));
+        }
+        std::fs::create_dir_all(&side.run_dir)
+            .map_err(|e| format!("creating {}: {e}", side.run_dir.display()))?;
+        Ok(side)
+    }
+
+    fn binary(&self) -> PathBuf {
+        self.target.join("release/caf-benchmark")
+    }
+
+    /// The text (code) size of the binary, as `size` reports it, if that
+    /// tool is there: equal on both sides of an A/A comparison.
+    fn text_bytes(&self) -> Option<u64> {
+        let out = Command::new("size").arg(self.binary()).output().ok()?;
+        let out = String::from_utf8_lossy(&out.stdout);
+        out.lines().nth(1)?.split_whitespace().next()?.parse().ok()
     }
 }
 
-impl Drop for Export {
+impl Drop for Side {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+        let _ = std::fs::remove_dir_all(&self.run_dir);
     }
 }
 
@@ -360,18 +441,27 @@ pub fn run(args: &[String]) -> Result<(), String> {
         &root,
         &["rev-parse", "--verify", &format!("{rev}^{{commit}}")],
     )?;
-    let base = Export::new(&root, &sha)?;
-    let base_target = root.join(format!("target/ab/{sha}.target"));
-    eprintln!("building the benchmark of {rev} ({sha}) and of the working tree");
-    build(&base.0, Some(&base_target))?;
-    build(&root, None)?;
+    let work_sha = commit_working_tree(&root)?;
+    eprintln!("building the benchmark of {rev} ({sha}) and of the working tree ({work_sha})");
+    let src = root.join("target/ab/src");
+    let built = Side::build(&root, &src, "base", &sha)
+        .and_then(|base| Ok((base, Side::build(&root, &src, "work", &work_sha)?)));
+    let _ = std::fs::remove_dir_all(&src);
+    let (base, work) = built?;
+    for (side, what) in [(&base, rev.as_str()), (&work, "the working tree")] {
+        let text = side.text_bytes().map_or("?".to_string(), |n| n.to_string());
+        eprintln!(
+            "caf-benchmark of {what} ({}): {text} bytes of text",
+            side.sha
+        );
+    }
     let mut new_failed = 0;
     for w in &workloads {
         let mut runs = Vec::new();
         for pair in 0..pairs {
             let seed = pair + 1;
-            let base_run = || run_once(&base.0, Some(&base_target), w, seed, seconds);
-            let new_run = || run_once(&root, None, w, seed, seconds);
+            let base_run = || run_once(&base, w, seed, seconds);
+            let new_run = || run_once(&work, w, seed, seconds);
             let (b, n) = if pair % 2 == 0 {
                 let b = base_run();
                 (b, new_run())
