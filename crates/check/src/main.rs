@@ -1,18 +1,18 @@
 //! The `caf-check` binary: sweep the built-in conformance program over
 //! {default sim, chaos × seeds (with faults), real threads} × scenarios ×
-//! the collective-algorithm matrix — plus the shared-memory column (real
-//! multi-process fleets with the zero-copy shm tier on, diffed against
-//! the sim oracle and the pure-wire fleet; part of every sweep, alone via
-//! `--shm-only`) and, with `--socket`, the pure-wire backend column (this
-//! binary re-executed per node via the hidden `--socket-child` mode).
-//! Exit 0 on a clean sweep, 1 with a replayable report on the first
-//! divergence.
+//! the collective-algorithm matrix — plus the fleet column (real
+//! multi-process fleets, one with the zero-copy shm tier on and one on
+//! the pure wire, each diffed against the sim oracle; part of every
+//! sweep, alone via `--shm-only`). A process the launcher started is one
+//! of those fleets' members, with its cell in its argv. Exit 0 on a clean
+//! sweep, 1 with a replayable report on the first divergence.
 
 use caf_check::{
-    algo_matrix, check_legacy_queue, check_program, check_recover, check_shm, check_socket,
-    conformance, socket_child_main, CheckOptions, Failure, Program, RecoverDrill, Scenario,
+    algo_matrix, check_legacy_queue, check_program, check_recover, check_shm, conformance,
+    conformance_member, CheckOptions, Failure, Program, RecoverDrill, Scenario,
 };
 use caf_collectives::CollectiveConfig;
+use caf_launch::ChildEnv;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,29 +21,22 @@ use std::time::{Duration, Instant};
 struct Args {
     deep: bool,
     seeds_per_cell: Option<usize>,
-    socket: bool,
-    socket_only: bool,
     shm_only: bool,
     recover: bool,
     recover_only: bool,
     kill_after_ms: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         kill_after_ms: 150,
         ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => args.deep = false,
             "--deep" => args.deep = true,
-            "--socket" => args.socket = true,
-            "--socket-only" => {
-                args.socket = true;
-                args.socket_only = true;
-            }
             "--shm-only" => args.shm_only = true,
             "--recover" => args.recover = true,
             "--recover-only" => {
@@ -64,10 +57,10 @@ fn parse_args() -> Result<Args, String> {
             other => {
                 return Err(format!(
                     "unknown argument {other:?}\n\
-                     usage: caf-check [--quick|--deep] [--seeds N] [--socket|--socket-only]\n\
-                     \x20      [--shm-only] [--recover|--recover-only] [--kill-after-ms T]\n\
+                     usage: caf-check [--quick|--deep] [--seeds N] [--shm-only]\n\
+                     \x20      [--recover|--recover-only] [--kill-after-ms T]\n\
                      env:   CAF_CHECK_SEED=N            replay exactly one chaos seed\n\
-                     env:   CAF_CHECK_SOCKET_ALGOS=a,b  restrict the socket/shm columns' algo cells"
+                     env:   CAF_CHECK_SOCKET_ALGOS=a,b  restrict the fleet column's algo cells"
                 ))
             }
         }
@@ -109,34 +102,18 @@ fn column(
     })
 }
 
-/// The socket backend column: the mini scenario across the full algorithm
-/// matrix (or the `CAF_CHECK_SOCKET_ALGOS` subset), each cell one real
-/// multi-process fleet diffed against the sim oracle.
-fn run_socket_column(filter: Option<&[String]>) -> Result<(), ExitCode> {
-    let scn = Scenario::mini();
-    let t = column(filter, |_, name, algo| {
-        check_socket(&scn, name, algo).map(|r| r.runs)
-    })?;
-    println!(
-        "caf-check: socket backend matched the sim oracle on {} \
-         ({} algo configs, real multi-process fleets, {:.1}s)",
-        scn.name, t.cells, t.secs
-    );
-    Ok(())
-}
-
-/// The shared-memory column: the mini scenario across the full algorithm
-/// matrix (or the `CAF_CHECK_SOCKET_ALGOS` subset), each cell a real
-/// multi-process fleet with the zero-copy shm tier forced on, diffed
-/// bit-for-bit against the sim oracle (with and without chaos seeds) and
-/// against the identical pure-wire fleet.
+/// The fleet column: the mini scenario across the full algorithm matrix
+/// (or the `CAF_CHECK_SOCKET_ALGOS` subset), each cell two real
+/// multi-process fleets — the zero-copy shm tier forced on, then the pure
+/// wire — each diffed bit-for-bit against the sim oracle (itself checked
+/// under chaos seeds).
 fn run_shm_column(filter: Option<&[String]>) -> Result<(), ExitCode> {
     let scn = Scenario::mini();
     let t = column(filter, |_, name, algo| {
         check_shm(&scn, name, algo, &[5, 17]).map(|r| r.runs)
     })?;
     println!(
-        "caf-check: shared-memory tier matched the sim oracle and the wire fleet \
+        "caf-check: shared-memory tier and wire fleets matched the sim oracle \
          on {} ({} algo configs, {} runs, {:.1}s)",
         scn.name, t.cells, t.runs, t.secs
     );
@@ -180,12 +157,11 @@ fn run_recover_drills(kill_after_ms: u64) -> Result<(), ExitCode> {
 }
 
 fn main() -> ExitCode {
-    // Fleet-member mode: this very binary, re-executed by caf-launch.
-    // Dispatch before normal parsing — children take no other flags.
-    if std::env::args().any(|a| a == "--socket-child") {
-        return socket_child_main();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(env) = ChildEnv::detect() {
+        return conformance_member(env, &argv);
     }
-    let swept = parse_args().map_err(|e| {
+    let swept = parse_args(argv).map_err(|e| {
         eprintln!("{e}");
         ExitCode::FAILURE
     });
@@ -202,9 +178,6 @@ fn sweep(args: &Args) -> Result<(), ExitCode> {
     let filter = filter.as_deref();
     if args.recover_only {
         return run_recover_drills(args.kill_after_ms);
-    }
-    if args.socket_only {
-        return run_socket_column(filter);
     }
     if args.shm_only {
         return run_shm_column(filter);
@@ -268,13 +241,10 @@ fn sweep(args: &Args) -> Result<(), ExitCode> {
          across {} algo configs ({:.1}s)",
         t.runs, t.cells, t.secs
     );
-    // The shared-memory column runs in every sweep (`--quick` included):
-    // real fleets with the shm tier on, diffed against the sim oracle and
-    // the pure-wire fleet across the full algorithm matrix.
+    // The fleet column runs in every sweep (`--quick` included): real
+    // fleets with the shm tier on and on the pure wire, each diffed against
+    // the sim oracle across the full algorithm matrix.
     run_shm_column(filter)?;
-    if args.socket {
-        run_socket_column(filter)?;
-    }
     if args.recover {
         run_recover_drills(args.kill_after_ms)?;
     }

@@ -47,8 +47,8 @@ impl Scenario {
         }
     }
 
-    /// Resolve a scenario by its report label — how the `--socket-child`
-    /// process reconstructs the parent's scenario from the environment.
+    /// Resolve a scenario by its report label — how a fleet member
+    /// reconstructs the parent's scenario from its argv.
     pub fn by_name(name: &str) -> Option<Self> {
         [Self::mini(), Self::whale(), Self::tiny()]
             .into_iter()

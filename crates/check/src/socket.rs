@@ -1,17 +1,18 @@
-//! The third backend column of the differential oracle: run the
-//! conformance program on a real multi-process
+//! The fleet columns of the differential oracle: run the conformance
+//! program on a real multi-process
 //! [`SocketFabric`](caf_fabric::SocketFabric) fleet and diff its per-image
 //! digests against the deterministic simulator.
 //!
 //! The sim explores schedules, the thread fabric exposes OS interleavings;
 //! neither exercises the wire — framing, the put-ack protocol, connection
-//! lifecycle, cross-process flag delivery. This column does: the parent
-//! (`caf-check --socket`) re-executes **its own binary** once per node with
-//! the hidden `--socket-child` flag via the `caf-launch` supervisor, and
-//! each child is a [`caf_launch::member`] around the same conformance
-//! program: it joins the fleet over real sockets, runs it through the full
-//! runtime stack, and reports digests (and telemetry) back over the
-//! coordinator connection.
+//! lifecycle, cross-process flag delivery — or the shared-memory tier.
+//! These columns do: the parent re-executes **its own binary** once per
+//! node through [`LaunchSpec::rerun`], with the cell in every child's argv,
+//! and each child — a process that finds the launcher's variables — is a
+//! [`caf_launch::member`] around the same conformance program
+//! ([`conformance_member`]): it joins the fleet over real sockets, runs it
+//! through the full runtime stack, and reports digests (and telemetry)
+//! back over the coordinator connection.
 
 use crate::harness::{diff, CheckReport, Failure};
 use crate::scenario::{algo_by_name, conformance, Scenario};
@@ -25,19 +26,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Environment variable carrying the scenario label to `--socket-child`.
-pub const ENV_SCENARIO: &str = "CAF_CHECK_SCENARIO";
-/// Environment variable carrying the algorithm-cell label.
-pub const ENV_ALGO: &str = "CAF_CHECK_ALGO";
-/// Environment variable telling `--socket-child` to run the conformance
-/// program inside [`ImageCtx::recovering`] — required by the
-/// kill-and-recover drill, where survivors must ride out a peer death and
-/// re-run from the top instead of aborting. Its value is the repetition
-/// count: the body loops conformance that many times (every rep produces
-/// the same digest, so the oracle is unchanged) purely to hold the fleet
-/// in flight long enough for the scheduled kill to land mid-run.
-pub const ENV_RECOVER: &str = "CAF_CHECK_RECOVER";
-
 /// The kill-and-recover drill plan: which node the launcher kills, and
 /// when. The fleet runs with `respawn` on, so the dead node is revived,
 /// rejoins at the next recovery generation, and the whole team restarts
@@ -49,8 +37,9 @@ pub struct RecoverDrill {
     pub kill_node: usize,
     /// Delay from supervision start to the kill.
     pub kill_after: Duration,
-    /// Conformance repetitions per attempt — stretches the run so the
-    /// kill reliably lands mid-collective (see [`ENV_RECOVER`]).
+    /// Conformance repetitions per attempt: every rep produces the same
+    /// digest, so the oracle is unchanged, and the repeats hold the fleet
+    /// in flight long enough for the kill to land mid-collective.
     pub reps: usize,
 }
 
@@ -65,8 +54,8 @@ pub type DrilledDigests = (Vec<u64>, Vec<(usize, u64)>);
 /// Run the conformance program on a real socket fleet (one process per
 /// occupied node) and return per-image digests in image order, with
 /// optional fault injection and an explicit transport-tier pin. Must be
-/// called from a binary that dispatches `--socket-child` to
-/// [`socket_child_main`] — the fleet re-executes `current_exe()`.
+/// called from a binary whose members run [`conformance_member`] — the
+/// fleet re-executes the current executable.
 ///
 /// With a [`RecoverDrill`], the fleet runs respawn-supervised, the victim
 /// is killed on schedule, and the respawn events `(node, generation)` the
@@ -101,28 +90,23 @@ pub fn fleet_digests(
     ))
 }
 
-/// The launch behind [`fleet_digests`]: this executable re-run as
-/// `--socket-child` once per occupied node, with the cell (scenario,
-/// algorithm, tier pin, drill repetitions) in the **children's**
-/// environment — argv stays fixed across the sweep, and nothing is
-/// written to this process's own environment, so one cell's settings
-/// cannot leak into the next.
+/// The launch behind [`fleet_digests`]: this executable re-run once per
+/// occupied node with the cell in the children's argv — `<scenario>
+/// <algo>`, plus the drill's repetitions — which [`conformance_member`]
+/// reads back. The tier pin is the fabric's own variable, so it rides in
+/// the **children's** environment: nothing is written to this process's
+/// own, and one cell's settings cannot leak into the next.
 pub fn fleet_spec(
     scn: &Scenario,
     algo_name: &str,
     drill: Option<&RecoverDrill>,
     shm: Option<bool>,
 ) -> Result<LaunchSpec, String> {
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot find own executable: {e}"))?
-        .to_string_lossy()
-        .into_owned();
-    let mut spec = LaunchSpec::new(vec![exe, "--socket-child".into()], &placed(scn));
+    let mut cell = vec![scn.name.clone(), algo_name.to_string()];
+    cell.extend(drill.map(|d| d.reps.max(1).to_string()));
+    let mut spec = LaunchSpec::rerun(cell, &placed(scn))
+        .map_err(|e| format!("cannot find own executable: {e}"))?;
     spec.run_timeout = Duration::from_secs(120);
-    spec.child_env = vec![
-        (ENV_SCENARIO.into(), scn.name.clone()),
-        (ENV_ALGO.into(), algo_name.into()),
-    ];
     if let Some(on) = shm {
         let value = if on { "1" } else { "0" };
         spec.child_env.push((shm::ENV_SHM.into(), value.into()));
@@ -135,8 +119,6 @@ pub fn fleet_spec(
                 spec.node_images.len()
             ));
         }
-        let reps = d.reps.max(1).to_string();
-        spec.child_env.push((ENV_RECOVER.into(), reps));
         spec.respawn = true;
         spec.kill = Some(KillSpec {
             rank: d.kill_node,
@@ -188,43 +170,15 @@ fn failure(
     })
 }
 
-/// Differentially check one (scenario, algorithm) cell on the socket
-/// backend: default-sim oracle vs. a real fleet, with the shared-memory
-/// tier pinned **off** so this column keeps exercising the pure wire
-/// protocol (framing, put acks, connection lifecycle) as the differential
-/// oracle for the shm column. Returns run counts or a rendered-ready
-/// [`Failure`] whose kind is `"socket"`.
-pub fn check_socket(
-    scn: &Scenario,
-    algo_name: &str,
-    algo: CollectiveConfig,
-) -> Result<CheckReport, Box<Failure>> {
-    let fail = |detail: String| failure(scn, algo_name, "socket", None, detail);
-    let oracle =
-        sim_digests(scn, algo, None).map_err(|_| fail("oracle (default sim) panicked".into()))?;
-    let got: Result<Vec<u64>, String> = match fleet_digests(scn, algo_name, None, Some(false)) {
-        Ok((v, _)) => Ok(v),
-        Err(e) => return Err(fail(format!("fleet failed: {e}"))),
-    };
-    if let Some(detail) = diff(&oracle, &got) {
-        return Err(fail(detail));
-    }
-    Ok(CheckReport {
-        runs: 2,
-        chaos_runs: 0,
-        fault_runs: 0,
-    })
-}
-
-/// The shared-memory column: one (scenario, algorithm) cell run on a real
-/// fleet with the zero-copy shm tier forced **on**, diffed bit-for-bit
-/// against (a) the default-sim oracle, (b) the same oracle re-derived
-/// under each chaos seed (proving the reference digests are
-/// schedule-independent before trusting them), and (c) the identical
-/// fleet with `CAF_SOCKET_SHM=0` — the pure-wire differential oracle. The
+/// The fleet column: one (scenario, algorithm) cell checked bit-for-bit
+/// against the default-sim oracle, after (a) the same oracle re-derived
+/// under each chaos seed proves the reference digests
+/// schedule-independent, on (b) a real fleet with the zero-copy shm tier
+/// forced **on** and (c) the identical fleet with `CAF_SOCKET_SHM=0` —
+/// the pure wire protocol (framing, put acks, connection lifecycle). The
 /// shm tier changes *how* intranode bytes move (memcpy + atomics instead
-/// of frames + acks) but must never change *what* any image computes; a
-/// divergence here is a shm ordering, visibility, or reset bug.
+/// of frames + acks) but must never change *what* any image computes; the
+/// failure's kind names the fleet that diverged.
 pub fn check_shm(
     scn: &Scenario,
     algo_name: &str,
@@ -250,27 +204,15 @@ pub fn check_shm(
             ));
         }
     }
-    let shm_on = match fleet_digests(scn, algo_name, None, Some(true)) {
-        Ok((v, _)) => v,
-        Err(e) => return Err(fail("shm fleet".into(), None, format!("fleet failed: {e}"))),
-    };
-    report.runs += 1;
-    if let Some(detail) = diff(&oracle, &Ok(shm_on.clone())) {
-        return Err(fail("shm fleet vs sim oracle".into(), None, detail));
-    }
-    let shm_off = match fleet_digests(scn, algo_name, None, Some(false)) {
-        Ok((v, _)) => v,
-        Err(e) => {
-            return Err(fail(
-                "wire fleet".into(),
-                None,
-                format!("fleet failed: {e}"),
-            ))
+    for (fleet, shm) in [("shm fleet", true), ("wire fleet", false)] {
+        let digests = match fleet_digests(scn, algo_name, None, Some(shm)) {
+            Ok((v, _)) => v,
+            Err(e) => return Err(fail(fleet.into(), None, format!("fleet failed: {e}"))),
+        };
+        report.runs += 1;
+        if let Some(detail) = diff(&oracle, &Ok(digests)) {
+            return Err(fail(format!("{fleet} vs sim oracle"), None, detail));
         }
-    };
-    report.runs += 1;
-    if let Some(detail) = diff(&shm_on, &Ok(shm_off)) {
-        return Err(fail("shm fleet vs wire fleet".into(), None, detail));
     }
     Ok(report)
 }
@@ -327,25 +269,29 @@ pub fn check_recover(
     )))
 }
 
-/// Entry point for the hidden `--socket-child` mode: be the fleet member
-/// the launcher environment describes ([`caf_launch::member`]), running
-/// conformance on this node's images. Returns the process exit code.
-pub fn socket_child_main() -> ExitCode {
-    let named =
-        |var: &str| std::env::var(var).map_err(|_| eprintln!("--socket-child: {var} not set"));
-    let (Ok(scn_name), Ok(algo_name)) = (named(ENV_SCENARIO), named(ENV_ALGO)) else {
+/// The cell [`fleet_spec`] wrote into every child's argv: scenario,
+/// algorithm and, for a drill, the repetitions.
+fn read_cell(cell: &[String]) -> Option<(Scenario, CollectiveConfig, Option<usize>)> {
+    let (scn, algo, reps) = match cell {
+        [scn, algo] => (scn, algo, None),
+        [scn, algo, reps] => (scn, algo, Some(reps.parse().ok()?)),
+        _ => return None,
+    };
+    Some((Scenario::by_name(scn)?, algo_by_name(algo)?, reps))
+}
+
+/// A conformance fleet member: the process `env` describes, running the
+/// cell of its argv on this node's images. Returns the process exit code.
+pub fn conformance_member(env: ChildEnv, cell: &[String]) -> ExitCode {
+    let Some((scn, algo, reps)) = read_cell(cell) else {
+        eprintln!("caf-check member: expected `<scenario> <algo> [<reps>]`, got {cell:?}");
         return ExitCode::from(2);
     };
-    let (Some(scn), Some(algo)) = (Scenario::by_name(&scn_name), algo_by_name(&algo_name)) else {
-        eprintln!("--socket-child: unknown scenario {scn_name:?} or algos {algo_name:?}");
-        return ExitCode::from(2);
-    };
-    let recover_reps: Option<usize> = std::env::var(ENV_RECOVER).ok().and_then(|v| v.parse().ok());
-    // Recovery mode: ride out a peer death (the poison panic is caught by
-    // `recovering`), re-form the team — full again once the victim
-    // rejoins — and restart conformance from the top. No checkpoints, so
+    // A drill's member rides out a peer death (the poison panic is caught
+    // by `recovering`), re-forms the team — full again once the victim
+    // rejoins — and restarts conformance from the top. No checkpoints, so
     // a correct recovery reproduces the undisturbed digests exactly.
-    let body = move |img: &mut ImageCtx| match recover_reps {
+    let body = move |img: &mut ImageCtx| match reps {
         Some(reps) => img
             .recovering(2, |img| {
                 let mut digest = 0;
@@ -357,7 +303,7 @@ pub fn socket_child_main() -> ExitCode {
             .unwrap_or_else(|e| panic!("image {} could not recover: {e}", img.this_image())),
         None => conformance(img),
     };
-    member(ChildEnv::detect(), placed(&scn), algo, None, |_| {}, body)
+    member(env, placed(&scn), algo, None, |_| {}, body)
 }
 
 #[cfg(test)]
@@ -370,5 +316,20 @@ mod tests {
         assert!(Scenario::by_name("no-such").is_none());
         assert!(algo_by_name("reduce=Rabenseifner").is_some());
         assert!(algo_by_name("bogus").is_none());
+        // A member reads back the cell its parent wrote into its argv.
+        let drill = RecoverDrill {
+            kill_node: 1,
+            kill_after: Duration::from_millis(1),
+            reps: 7,
+        };
+        for (drill, reps) in [(None, None), (Some(&drill), Some(7))] {
+            let spec = fleet_spec(&Scenario::tiny(), "reduce=Rabenseifner", drill, None).unwrap();
+            let (scn, algo, got) = read_cell(&spec.command[1..]).expect("cell");
+            assert_eq!(scn.name, "tiny-2x2");
+            assert_eq!(Some(algo), algo_by_name("reduce=Rabenseifner"));
+            assert_eq!(got, reps);
+        }
+        assert!(read_cell(&["tiny-2x2".into()]).is_none());
+        assert!(read_cell(&["tiny-2x2".into(), "auto".into(), "x".into()]).is_none());
     }
 }

@@ -1,7 +1,7 @@
-//! Per-cell settings reach a conformance fleet's children through
-//! *their* environment: the parent's stays as it was (so one cell cannot
-//! steer the next), and the tier pin still steers the children — seen in
-//! the `Final` telemetry every `--socket-child` ships.
+//! The tier pin reaches a conformance fleet's children through *their*
+//! environment: the parent's stays as it was (so one cell cannot steer the
+//! next), and the pin still steers the children — seen in the `Final`
+//! telemetry every conformance member ships.
 
 use caf_check::socket::fleet_spec;
 use caf_check::Scenario;
@@ -30,7 +30,7 @@ fn shm_puts_with(shm: bool) -> Vec<u64> {
 
 #[test]
 fn the_tier_pin_steers_the_children_and_leaves_the_parent_alone() {
-    let watched = ["CAF_SOCKET_SHM", "CAF_CHECK_SCENARIO", "CAF_CHECK_ALGO"];
+    let watched = ["CAF_SOCKET_SHM"];
     let before = watched.map(std::env::var);
     let wire_only = shm_puts_with(false);
     assert_eq!(wire_only, vec![0, 0], "children did not run wire-only");

@@ -39,7 +39,7 @@ pub const HIST_BUCKETS: usize = 32;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TelemetryPhase {
     /// Periodic in-flight update (counters only; no trace events — cheap
-    /// enough to ship every `CAF_OBS_INTERVAL_MS`).
+    /// enough to ship every `--obs-interval-ms`).
     Live = 0,
     /// Final snapshot after all hosted images completed.
     Final = 1,

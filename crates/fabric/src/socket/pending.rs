@@ -526,11 +526,16 @@ mod tests {
                     }
                 })
             });
-            for h in images {
-                h.join().expect("image");
-            }
-            e.flush().expect("flush");
+            // Shut the wire down before any result is unwrapped: a
+            // panicked image must fail the test, not leave the peer's end
+            // blocked in `next_frame` with the scope waiting on it.
+            let joined = images.map(|h| h.join());
+            let flushed = e.flush();
             e.shutdown_write();
+            for image in joined {
+                image.expect("image");
+            }
+            flushed.expect("flush");
             wire.join().expect("wire")
         });
         // Whichever image got there first, the number a request carries is

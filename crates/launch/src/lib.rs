@@ -5,8 +5,9 @@
 //! ([`launch`]):
 //!
 //! 1. binds a **coordinator** socket and spawns one child process per
-//!    occupied node, passing the coordinator address through the
-//!    environment ([`ENV_COORD`], plus [`ENV_NODE`]/[`ENV_NODES`]);
+//!    occupied node, every one with the same argv; the environment tells
+//!    a child only *which* member it is ([`ENV_NODE`]/[`ENV_NODES`]) and
+//!    where the coordinator listens ([`ENV_COORD`]);
 //! 2. runs the **rendezvous** ([`Coordinator::admit`]): collects each
 //!    child's `Hello` (its data-plane listen address) and broadcasts the
 //!    rank-ordered `Peers` list, after which children connect to each
@@ -19,8 +20,11 @@
 //!
 //! Every child is the same program around [`member`]: join the fleet the
 //! environment describes, run a body on the hosted images, ship telemetry
-//! and results back. DESIGN.md §3.3b tabulates who does what when. A whole
-//! fleet program — parent and children in one binary:
+//! and results back. A program is its own fleet through
+//! [`LaunchSpec::rerun`]: one `main` on every process, the role taken from
+//! [`ChildEnv::detect`], the settings from the shared argv. DESIGN.md §3.3b
+//! tabulates who does what when. A whole fleet program — parent and
+//! children in one binary:
 //!
 //! ```no_run
 //! use caf_launch::{launch, member, ChildEnv, LaunchSpec};
@@ -31,7 +35,7 @@
 //! fn main() -> ExitCode {
 //!     // 8 images on 2 nodes: 2 processes, one per occupied node.
 //!     let map = ImageMap::new(presets::mini(2, 4), 8, &Placement::Packed);
-//!     if std::env::args().any(|a| a == "--member") {
+//!     if let Some(env) = ChildEnv::detect() {
 //!         // A child: join the fleet the environment describes, run the body
 //!         // on this node's images, ship telemetry and results, shut down.
 //!         // A panic (or a peer's death) becomes a flight recorder instead.
@@ -42,12 +46,12 @@
 //!         };
 //!         let tweak = |_cfg: &mut caf_fabric::SocketConfig| {};
 //!         let collectives = CollectiveConfig::two_level();
-//!         return member(ChildEnv::detect(), map, collectives, None, tweak, body);
+//!         return member(env, map, collectives, None, tweak, body);
 //!     }
-//!     // The parent: this executable once per node, supervised.
-//!     let exe = std::env::current_exe().expect("own path");
-//!     let command = vec![exe.to_string_lossy().into_owned(), "--member".into()];
-//!     match launch(&LaunchSpec::new(command, &map)) {
+//!     // The parent: this executable once per node, with this process's
+//!     // own arguments, supervised.
+//!     let spec = LaunchSpec::rerun(std::env::args().skip(1).collect(), &map);
+//!     match launch(&spec.expect("own path")) {
 //!         Ok(fleet) => {
 //!             for (image, sum) in fleet.results {
 //!                 println!("image {}: co_sum = {sum}", image + 1);
@@ -102,7 +106,8 @@ pub struct ChildEnv {
 
 impl ChildEnv {
     /// Detect launcher-provided variables; `None` when not running under
-    /// `caf-launch` (lets a binary share one entry point for both roles).
+    /// `caf-launch`. A process is a fleet member exactly when this finds
+    /// them, so one `main` serves both roles.
     pub fn detect() -> Option<ChildEnv> {
         let node = std::env::var(ENV_NODE).ok()?.parse().ok()?;
         let nodes = std::env::var(ENV_NODES).ok()?.parse().ok()?;
@@ -125,11 +130,13 @@ pub struct KillSpec {
 #[derive(Clone, Debug)]
 pub struct LaunchSpec {
     /// Child argv (`command[0]` is the executable). Every child gets the
-    /// same argv; rank and coordinator arrive via the environment.
+    /// same argv — the program's settings; rank and coordinator arrive via
+    /// the environment.
     pub command: Vec<String>,
     /// Extra `(variable, value)` pairs set in every child's environment —
-    /// how per-fleet settings reach the members without the parent
-    /// touching its own (process-global) environment.
+    /// for what a library reads from its environment (a transport-tier
+    /// pin, a checkpoint directory), without the parent touching its own
+    /// (process-global) environment.
     pub child_env: Vec<(String, String)>,
     /// 1-based image numbers hosted by each node rank, from the image
     /// map's [`ImageMap::process_plan`] — used for error reports ("node 1
@@ -196,6 +203,16 @@ impl LaunchSpec {
             max_respawns: 2,
             shrink: false,
         }
+    }
+
+    /// This executable again, once per occupied node of `map`, with `args`
+    /// as every child's argv — the one way a program re-runs itself as a
+    /// fleet. A child knows its role by [`ChildEnv::detect`] and reads its
+    /// settings from those same arguments.
+    pub fn rerun(args: Vec<String>, map: &ImageMap) -> std::io::Result<Self> {
+        let exe = std::env::current_exe()?.to_string_lossy().into_owned();
+        let command = std::iter::once(exe).chain(args).collect();
+        Ok(Self::new(command, map))
     }
 
     /// `rank`'s images as reports list them: `"5,6,7,8"`.

@@ -6,10 +6,12 @@
 //!                 [--peer-timeout-ms T] [--run-timeout-ms T]
 //! ```
 //!
-//! `demo` re-executes this same binary once per occupied node (hidden
-//! `demo-child` mode); each child joins the fleet over real sockets, runs a
-//! barrier + `co_sum` loop through the full runtime stack, and reports a
-//! per-image digest back over the coordinator connection. `--kill-node`
+//! `demo` re-executes this same binary, with the same arguments, once per
+//! occupied node; a process that finds the launcher's variables
+//! ([`ChildEnv::detect`]) is a member, reads its settings from those
+//! arguments, joins the fleet over real sockets, runs a barrier + `co_sum`
+//! loop through the full runtime stack, and reports a per-image digest
+//! back over the coordinator connection. `--kill-node`
 //! turns the demo into a fault drill: the launcher kills that child
 //! mid-run and must report its 1-based image ranks instead of hanging.
 //! Adding `--respawn` turns the drill into kill-*and-recover*: the dead
@@ -40,14 +42,12 @@ struct DemoArgs {
     tcp: bool,
     peer_timeout_ms: Option<u64>,
     run_timeout_ms: u64,
-    /// Serve live /metrics + /healthz here while the fleet runs
-    /// (`--obs-addr`, env `CAF_OBS_ADDR`).
+    /// Serve live /metrics + /healthz here while the fleet runs.
     obs_addr: Option<String>,
     /// Write fleet_trace.json + fleet_report.json into this directory
-    /// after the run (`--trace-out`, env `CAF_OBS_DIR`).
+    /// after the run.
     trace_out: Option<String>,
-    /// Children ship live telemetry this often; 0 disables
-    /// (`--obs-interval-ms`, env `CAF_OBS_INTERVAL_MS`).
+    /// Children ship live telemetry this often; 0 disables.
     obs_interval_ms: u64,
     /// Keep the observability surface up this long after completion.
     linger_ms: u64,
@@ -77,12 +77,9 @@ impl Default for DemoArgs {
             tcp: false,
             peer_timeout_ms: None,
             run_timeout_ms: 60_000,
-            obs_addr: std::env::var("CAF_OBS_ADDR").ok().filter(|s| !s.is_empty()),
-            trace_out: std::env::var("CAF_OBS_DIR").ok().filter(|s| !s.is_empty()),
-            obs_interval_ms: std::env::var("CAF_OBS_INTERVAL_MS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(500),
+            obs_addr: None,
+            trace_out: None,
+            obs_interval_ms: 500,
             linger_ms: 0,
             respawn: false,
             shrink: false,
@@ -165,12 +162,12 @@ fn demo_map(args: &DemoArgs) -> ImageMap {
     )
 }
 
-fn demo_parent(args: &DemoArgs, raw: &[String]) -> ExitCode {
-    // Per-fleet settings reach the children through their environment.
+/// The launcher: `argv` — this process's own arguments — becomes every
+/// child's, so a setting reaches the members by the flag that set it.
+/// Only what a library reads from its environment (the checkpoint
+/// directory) travels in `child_env`.
+fn demo_parent(args: &DemoArgs, argv: Vec<String>) -> ExitCode {
     let mut child_env: Vec<(String, String)> = Vec::new();
-    if let Some(ms) = args.peer_timeout_ms {
-        child_env.push(("CAF_SOCKET_PEER_TIMEOUT_MS".into(), ms.to_string()));
-    }
     // Respawn needs a file-backed checkpoint store: a fresh incarnation
     // must read epochs its dead predecessor wrote.
     let mut ckpt_tmp: Option<std::path::PathBuf> = None;
@@ -185,21 +182,16 @@ fn demo_parent(args: &DemoArgs, raw: &[String]) -> ExitCode {
         child_env.push((ENV_CKPT_DIR.into(), dir.to_string_lossy().into_owned()));
         ckpt_tmp = Some(dir);
     }
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
+    let mut spec = match LaunchSpec::rerun(argv, &demo_map(args)) {
+        Ok(spec) => spec,
         Err(e) => {
             eprintln!("caf-launch: cannot find own executable: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut command = vec![exe.to_string_lossy().into_owned(), "demo-child".into()];
-    command.extend(raw.iter().cloned());
-    let mut spec = LaunchSpec::new(command, &demo_map(args));
     if args.tcp {
-        // One knob steers both the coordinator transport and every
-        // data-plane socket.
+        // The coordinator here; each member's data plane in its `tweak`.
         spec.transport = Transport::Tcp;
-        child_env.push(("CAF_SOCKET_TCP".into(), "1".into()));
     }
     spec.child_env = child_env;
     spec.run_timeout = Duration::from_millis(args.run_timeout_ms);
@@ -304,7 +296,7 @@ fn print_fleet_summary(feeds: &[NodeFeed]) {
     }
 }
 
-fn demo_child(args: &DemoArgs) -> ExitCode {
+fn demo_member(env: ChildEnv, args: &DemoArgs) -> ExitCode {
     let map = demo_map(args);
     // Always install a per-image tracer: it records every fabric operation
     // into per-image rings, shipped in telemetry — the flight recorder's
@@ -320,12 +312,15 @@ fn demo_child(args: &DemoArgs) -> ExitCode {
     let store = Arc::new(CheckpointStore::from_env());
     let every = args.ckpt_every.max(1);
     member(
-        ChildEnv::detect(),
+        env,
         map,
         CollectiveConfig::two_level(),
         live_every,
         |cfg| {
             cfg.tracer = tracer;
+            if args.tcp {
+                cfg.transport = Transport::Tcp;
+            }
             if let Some(ms) = args.peer_timeout_ms {
                 cfg.peer_timeout = Duration::from_millis(ms);
                 cfg.heartbeat_period = Duration::from_millis((ms / 4).max(10));
@@ -396,15 +391,12 @@ fn demo_epochs(
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("demo") => {
-            let args = parse_demo(&argv[1..]);
-            demo_parent(&args, &argv[1..])
-        }
-        Some("demo-child") => {
-            let args = parse_demo(&argv[1..]);
-            demo_child(&args)
-        }
+    let args = match argv.split_first() {
+        Some((program, flags)) if program == "demo" => parse_demo(flags),
         _ => usage(),
+    };
+    match ChildEnv::detect() {
+        Some(env) => demo_member(env, &args),
+        None => demo_parent(&args, argv),
     }
 }

@@ -14,11 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One fleet member's whole life, for the process `env` describes —
-/// `None` (not running under `caf-launch`) fails with a message:
-/// [`SocketConfig::from_env`] (then `tweak`, for a tracer or drill
-/// timeouts) → [`SocketFabric::join`] with `map` — which must be the
-/// launcher's — → `body` on every hosted image through [`run_hosted`], or
+/// One fleet member's whole life, for the process `env` describes:
+/// [`SocketConfig::from_env`] (then `tweak`, for a tracer or what the
+/// program's argv set: drill timeouts, a transport) →
+/// [`SocketFabric::join`] with `map` — which must be the launcher's — →
+/// `body` on every hosted image through [`run_hosted`], or
 /// [`run_hosted_rejoin`] when the supervisor marked this process a
 /// respawned incarnation → the per-image results to the launcher →
 /// [`SocketFabric::shutdown`].
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 /// is how the supervisor tells the two apart. Returns the process exit
 /// code.
 pub fn member<B>(
-    env: Option<ChildEnv>,
+    env: ChildEnv,
     map: ImageMap,
     collectives: CollectiveConfig,
     live_every: Option<Duration>,
@@ -40,10 +40,7 @@ pub fn member<B>(
 where
     B: Fn(&mut ImageCtx) -> u64 + Send + Sync + 'static,
 {
-    let Some(ChildEnv { node, coord, .. }) = env else {
-        eprintln!("caf-launch member: not running under caf-launch");
-        return ExitCode::FAILURE;
-    };
+    let ChildEnv { node, coord, .. } = env;
     let mut cfg = SocketConfig::from_env();
     tweak(&mut cfg);
     let rejoining = cfg.rejoin_generation.is_some();
@@ -138,14 +135,7 @@ mod tests {
         };
         let map = ImageMap::new(presets::mini(1, 2), 2, &Placement::Packed);
         let member = std::thread::spawn(move || {
-            member(
-                Some(env),
-                map,
-                CollectiveConfig::two_level(),
-                None,
-                |_| {},
-                body,
-            )
+            member(env, map, CollectiveConfig::two_level(), None, |_| {}, body)
         });
         let mut control = (coord.admit(Duration::from_secs(10), nap))
             .expect("rendezvous")

@@ -196,3 +196,31 @@ fn survivors_name_the_dead_peer_in_their_own_report() {
         "survivors should name the dead peer, got:\n{stderr}"
     );
 }
+
+#[test]
+fn tcp_demo_fleet_completes_without_a_unix_socket() {
+    // `--tcp` reaches the members only through the argv they share with
+    // the launcher. The temp directory — where every Unix-domain socket
+    // would be bound — does not exist, so the fleet can only complete if
+    // the coordinator *and* each member's data plane listen on TCP.
+    let missing = std::env::temp_dir().join(format!("caf-no-such-dir-{}", std::process::id()));
+    let out = Command::new(BIN)
+        .args([
+            "demo", "--nodes", "2", "--cores", "2", "--images", "4", "--iters", "5", "--tcp",
+        ])
+        .env_remove("CAF_SOCKET_TCP")
+        .env("CAF_SHM_DIR", std::env::temp_dir())
+        .env("TMPDIR", &missing)
+        .output()
+        .expect("run caf-launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "a TCP fleet should exit 0\nstdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(
+        stdout.contains("fleet complete (4 images across 2 processes)"),
+        "expected completion banner, got:\n{stdout}"
+    );
+}

@@ -1,19 +1,18 @@
 //! `cargo xtask` — repo automation.
 //!
-//! `cargo xtask check [--quick|--deep] [--seeds N] [--socket|--socket-only]
-//! [--shm-only]`
+//! `cargo xtask check [--quick|--deep] [--seeds N] [--shm-only]
+//! [--recover|--recover-only] [--kill-after-ms T]`
 //!
 //! builds and runs the `caf-check` differential harness (crates/check):
 //! the conformance program across the fabric × algorithm × chaos-seed
-//! matrix, plus the shared-memory column (real fleets with the zero-copy
-//! shm tier on, diffed against the sim oracle and the pure-wire fleet —
-//! part of every sweep, alone via `--shm-only`). `--quick` is the CI
-//! sweep (a few hundred seeded runs, about a minute); `--deep` is the
-//! scheduled/manual sweep; `--socket` adds the pure-wire backend column
-//! (real multi-process `SocketFabric` fleets diffed against the sim
-//! oracle) and `--socket-only` runs just that column. Any extra flags are
-//! passed through to the `caf-check` binary, and `CAF_CHECK_SEED=<seed>`
-//! replays a single reported seed.
+//! matrix, plus the fleet column (real multi-process `SocketFabric`
+//! fleets, one with the zero-copy shm tier on and one on the pure wire,
+//! each diffed against the sim oracle — part of every sweep, alone via
+//! `--shm-only`). `--quick` is the CI sweep (a few hundred seeded runs,
+//! about a minute); `--deep` is the scheduled/manual sweep; `--recover`
+//! adds the kill-and-recover drills and `--recover-only` runs just those.
+//! Any extra flags are passed through to the `caf-check` binary, and
+//! `CAF_CHECK_SEED=<seed>` replays a single reported seed.
 //!
 //! `cargo xtask bench-diff <baseline.json> <new.json> [--tolerance PCT]
 //! [--wall-tolerance PCT]`
@@ -302,8 +301,8 @@ fn check(passthrough: &[String]) -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage: cargo xtask check [--quick|--deep] [--seeds N] [--socket|--socket-only]\n       \
-     \x20                 [--shm-only] [--recover|--recover-only] [--kill-after-ms T]\n       \
+    "usage: cargo xtask check [--quick|--deep] [--seeds N] [--shm-only]\n       \
+     \x20                 [--recover|--recover-only] [--kill-after-ms T]\n       \
      cargo xtask bench-diff <baseline.json> <new.json> [--tolerance PCT]\n       \
      \x20                 [--wall-tolerance PCT] [--markdown]\n       \
      cargo xtask ab <rev> [--pairs N] [--seconds S] [--workload W]..."

@@ -2,8 +2,11 @@
 //! fails when a second copy of one of its pieces appears — a rendezvous
 //! coordinator outside `socket/rendezvous.rs`, a panic-payload reader
 //! beside `caf_fabric::panic_message`, a thread spawner for images beside
-//! `caf_fabric::run_images`, or a parent that talks to its children by
-//! editing its own environment instead of `LaunchSpec::child_env`.
+//! `caf_fabric::run_images`, a parent that talks to its children by
+//! editing its own environment instead of `LaunchSpec::child_env`, a
+//! second block that re-runs the current executable beside
+//! `LaunchSpec::rerun`, or a hidden `…-child` mode in place of
+//! `ChildEnv::detect`.
 //!
 //! The same scan holds `caf-collectives` to "a tree collective is a shape
 //! plus one protocol": a second function that runs the broadcast's ack or
@@ -137,6 +140,25 @@ fn each_piece_of_the_fleet_lifecycle_has_one_home() {
              hand children their settings in LaunchSpec::child_env"
         );
     }
+
+    // A program becomes its own fleet in one place, and a member knows its
+    // role from the launcher's variables, not from a mode in its argv.
+    let reruns: Vec<&str> = hits(&files, "current_exe", true)
+        .into_iter()
+        .filter(|f| f.contains("/src/"))
+        .collect();
+    assert!(
+        !reruns.is_empty() && reruns.iter().all(|f| *f == "launch/src/lib.rs"),
+        "re-run the current executable through LaunchSpec::rerun only: {reruns:?}"
+    );
+    let modes: Vec<&str> = hits(&files, "-child\"", true)
+        .into_iter()
+        .filter(|f| f.contains("/src/"))
+        .collect();
+    assert!(
+        modes.is_empty(),
+        "a fleet member is whoever ChildEnv::detect finds, not a hidden mode: {modes:?}"
+    );
 }
 
 #[test]
